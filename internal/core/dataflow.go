@@ -15,7 +15,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/flow"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 	"repro/internal/plan"
 	"repro/internal/repair"
 	"repro/internal/resilience"
@@ -30,8 +29,7 @@ import (
 // by the optimizer, with no buffer pool and no data caches on the
 // compute side (Sections 7.4-7.5).
 type DataFlowEngine struct {
-	Cluster   *fabric.Cluster
-	Storage   *storage.Server
+	engineBase
 	Scheduler *sched.Scheduler
 
 	// SecureWire encrypts every batch leaving the storage node and
@@ -47,9 +45,6 @@ type DataFlowEngine struct {
 	Faults *faults.Injector
 	// StageTimeout arms the pipeline watchdog; 0 disables it.
 	StageTimeout time.Duration
-	// MaxRecoveryAttempts bounds how many times ExecuteOn will retry or
-	// fail over one query; 0 means DefaultMaxRecoveryAttempts.
-	MaxRecoveryAttempts int
 	// PartialRestart enables stage-level checkpointing: pipelines record
 	// completed-segment watermarks at stage boundaries, and a mid-query
 	// device failure replays only the suffix since the last completed
@@ -61,35 +56,12 @@ type DataFlowEngine struct {
 	// epoch spans; 0 means DefaultCheckpointSegments. Smaller epochs
 	// bound replay tighter but cost more marker traffic and snapshots.
 	CheckpointSegments int
-	// Tracing makes every execution record a virtual-time span timeline,
-	// returned in Result.Trace. Off by default: disabled tracing adds
-	// zero allocations to the per-batch hot path.
-	Tracing bool
 	// EagerDecode disables encoded predicate evaluation: plans that ask
 	// for EncodedEval still run, but the storage scan decodes every
 	// segment before filtering, as the pre-late-materialization engine
 	// did. Results are bit-identical either way; only decode busy time
 	// differs. Used by E23 as the baseline arm.
 	EagerDecode bool
-	// Resilience bundles the engine's gray-failure defenses: per-device
-	// health tracking, hedged replica reads, speculative morsel
-	// re-execution, circuit breakers and the global retry budget. Wire it
-	// with EnableResilience so the object store, scheduler and fabric all
-	// share one policy; nil (the default) disables every defense and
-	// reproduces the pre-resilience engine exactly.
-	Resilience *resilience.Policy
-	// Metrics, when set (wire it with SetMetrics so storage, scheduler
-	// and flow share the registry), publishes continuous fleet telemetry:
-	// per-query resource attribution (busy time and bytes charged to the
-	// context's tenant label), latency histograms, per-device and
-	// per-link utilization gauges, and the layer counters every
-	// subsystem folds in. Nil is off and adds zero allocations to the
-	// per-batch hot path, exactly like Tracing.
-	Metrics *metrics.Registry
-	// SLO, when set, receives every query's wall latency. Point the
-	// scheduler's SLO field at the same tracker (and set its
-	// SLOShedBurnRate) to close the loop: burn-rate-driven shedding.
-	SLO *metrics.SLOTracker
 	// Repair is the self-healing storage controller, wired with
 	// EnableRepair: payload verification on every replica read,
 	// read-repair write-backs, and the background scrub/re-replication
@@ -97,30 +69,15 @@ type DataFlowEngine struct {
 	// disables verification and repair entirely and adds zero cost to
 	// the read path.
 	Repair *repair.Controller
-	// pub caches the registry's resolved instruments so per-query
-	// publishing is pure atomic updates; rebuilt when Metrics changes.
-	pubMu sync.Mutex
-	pub   *enginePublisher
-	// Workers > 1 enables intra-query morsel parallelism: the storage
-	// scan splits into per-segment morsels claimed by a worker pool, and
-	// every parallelizable flow stage runs as a pool of that many workers
-	// (clamped per stage to its device's replicated units). Results,
-	// stats and metered totals are identical to Workers == 1 — only the
-	// per-lane busy split, and therefore SimTime, changes. The one
-	// exception is parallel partial aggregation: each replica flushes its
-	// own partial state, so group-by plans ship a few extra KiB of
-	// partials per worker to the final merge. Serial passive resources
-	// (the storage media, network links) are never divided, so speedup
-	// saturates where the data path does.
-	Workers int
 
 	mu    sync.Mutex
 	stats map[string]plan.TableStats
 	paths map[int]plan.PathModel
 }
 
-// DefaultMaxRecoveryAttempts bounds per-query recovery: enough to lose
-// every accelerator tier on the path and still land on the CPU plan.
+// DefaultMaxRecoveryAttempts bounds how many times one query is retried,
+// failed over or partially restarted: enough to lose every accelerator
+// tier on the path and still land on the CPU plan.
 const DefaultMaxRecoveryAttempts = 5
 
 // DefaultCheckpointSegments spans one checkpoint epoch over this many
@@ -129,16 +86,11 @@ const DefaultCheckpointSegments = 4
 
 // NewDataFlowEngine wires an engine onto a cluster.
 func NewDataFlowEngine(c *fabric.Cluster) *DataFlowEngine {
-	media := c.MustDevice(fabric.DevStorageMed)
-	proc := c.StorageProc()
-	link := c.LinkBetween(fabric.DevStorageMed, fabric.DevStorageProc)
-	srv := storage.NewServer(storage.NewObjectStore(), media, proc, link)
 	return &DataFlowEngine{
-		Cluster:   c,
-		Storage:   srv,
-		Scheduler: sched.New(),
-		stats:     make(map[string]plan.TableStats),
-		paths:     make(map[int]plan.PathModel),
+		engineBase: newEngineBase(c, "dataflow"),
+		Scheduler:  sched.New(),
+		stats:      make(map[string]plan.TableStats),
+		paths:      make(map[int]plan.PathModel),
 	}
 }
 
@@ -149,8 +101,7 @@ func NewDataFlowEngine(c *fabric.Cluster) *DataFlowEngine {
 // breaker state changes mark the corresponding fabric device degraded
 // so placement scoring sees gray failures the moment they trip.
 func (e *DataFlowEngine) EnableResilience(p *resilience.Policy) {
-	e.Resilience = p
-	e.Storage.Store().Resilience = p
+	e.engineBase.EnableResilience(p)
 	if p == nil {
 		e.Scheduler.Breakers = nil
 		return
@@ -188,22 +139,6 @@ func (e *DataFlowEngine) EnableRepair(cfg repair.Config) *repair.Controller {
 	return c
 }
 
-// DisableRepair removes the self-healing controller and read-path
-// verification, restoring the pre-repair engine exactly.
-func (e *DataFlowEngine) DisableRepair() {
-	e.Repair = nil
-	store := e.Storage.Store()
-	store.Verify = nil
-	store.WriteBack = false
-	store.OnRepair = nil
-}
-
-// CreateTable registers a table.
-func (e *DataFlowEngine) CreateTable(name string, schema *columnar.Schema) error {
-	_, err := e.Storage.CreateTable(name, schema)
-	return err
-}
-
 // Load ingests a batch and updates planner statistics.
 func (e *DataFlowEngine) Load(name string, b *columnar.Batch) error {
 	if err := e.Storage.Append(name, b); err != nil {
@@ -225,15 +160,6 @@ func (e *DataFlowEngine) SetStats(name string, st plan.TableStats) {
 	e.mu.Lock()
 	e.stats[name] = st
 	e.mu.Unlock()
-}
-
-// TableSchema resolves a table's schema (it satisfies sqlparse.Catalog).
-func (e *DataFlowEngine) TableSchema(name string) (*columnar.Schema, error) {
-	meta, err := e.Storage.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return meta.Schema, nil
 }
 
 // Stats returns the planner statistics for a table.
@@ -309,10 +235,6 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 	ctx = ctxOrBackground(ctx)
 	startWall := time.Now()
 	e.Scheduler.SetWorkers(e.Workers)
-	maxAttempts := e.MaxRecoveryAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultMaxRecoveryAttempts
-	}
 	exclude := make(map[string]bool)
 	var failovers int
 	var queryRetries int64
@@ -341,7 +263,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 			return nil, lifecycleError(err)
 		}
 		tr.ClearSpans()
-		before := e.snapshotMeters()
+		before := markMeters(e.Cluster)
 		res, err := func() (*Result, error) {
 			defer e.Scheduler.Release(adm)
 			return e.executePlan(ctx, adm.Plan, tr)
@@ -360,7 +282,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 			e.publishQuery(ctx, res, time.Since(startWall))
 			return res, nil
 		}
-		wb, wt := e.meterDelta(before)
+		wb, wt := wasteSince(before)
 		wasteBytes += wb
 		wasteTime += wt
 		if lerr := lifecycleError(err); lerr != err || ctx.Err() != nil {
@@ -368,7 +290,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 			// burn more work the caller no longer wants.
 			return nil, lifecycleError(errorOrCtx(lerr, ctx))
 		}
-		if attempt+1 >= maxAttempts {
+		if attempt+1 >= DefaultMaxRecoveryAttempts {
 			return nil, err
 		}
 		var se *flow.StageError
@@ -428,26 +350,13 @@ func errorOrCtx(err error, ctx context.Context) error {
 	return err
 }
 
-// meterDelta sums the link payload and bottleneck busy time accumulated
-// since before — the wasted work of one abandoned attempt. Busy time is
+// wasteSince sums the link payload and bottleneck busy time accumulated
+// since the mark — the wasted work of one abandoned attempt. Busy time is
 // the effective (lane-divided) reading so replayed parallel work is not
 // over-counted against the wall clock.
-func (e *DataFlowEngine) meterDelta(before map[meterKey]meterSnap) (sim.Bytes, sim.VTime) {
-	var bytes sim.Bytes
-	var maxBusy sim.VTime
-	for _, d := range e.Cluster.Devices() {
-		if _, busy := deviceDelta(d, before); busy > maxBusy {
-			maxBusy = busy
-		}
-	}
-	for _, l := range e.Cluster.Links() {
-		delta, busy := linkDelta(l, before)
-		bytes += delta.Bytes
-		if busy > maxBusy {
-			maxBusy = busy
-		}
-	}
-	return bytes, maxBusy
+func wasteSince(before meterMark) (sim.Bytes, sim.VTime) {
+	f := before.fold(nil)
+	return f.MovedBytes, f.Bottleneck
 }
 
 // ExecutePlan runs one specific physical plan variant, bypassing the
@@ -482,15 +391,15 @@ func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*R
 func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr *obs.Trace) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
 	q := ph.Query
-	numFields, tableSchema, err := e.tableSchema(q.Table)
+	tableSchema, err := e.TableSchema(q.Table)
 	if err != nil {
 		return nil, err
 	}
 
-	before := e.snapshotMeters()
+	before := markMeters(e.Cluster)
 	rBefore := snapshotResilience(e.Storage.Store(), e.Resilience)
 
-	spec, emitsPartials, err := e.buildScanSpec(ph, numFields)
+	spec, emitsPartials, err := e.buildScanSpec(ph, tableSchema.NumFields())
 	if err != nil {
 		return nil, err
 	}
@@ -503,10 +412,6 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 	ckptEvery := e.CheckpointSegments
 	if ckptEvery <= 0 {
 		ckptEvery = DefaultCheckpointSegments
-	}
-	maxAttempts := e.MaxRecoveryAttempts
-	if maxAttempts <= 0 {
-		maxAttempts = DefaultMaxRecoveryAttempts
 	}
 
 	// The storage scan and the pipeline source share one virtual clock:
@@ -561,11 +466,12 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 		// watermark have not been charged yet) and promoted when the
 		// epoch completes at the sink, so the waste accounting cannot be
 		// skewed by how far the source ran ahead of the marker.
-		lastCkpt := e.snapshotMeters()
+		var lastCkpt meterMark
 		if ckptEnabled {
+			lastCkpt = markMeters(e.Cluster)
 			ck = flow.NewCheckpointer()
 			var snapMu sync.Mutex
-			markSnaps := make(map[int]map[meterKey]meterSnap)
+			markSnaps := make(map[int]meterMark)
 			ck.OnComplete = func(ep int) {
 				snapMu.Lock()
 				if s, ok := markSnaps[ep]; ok {
@@ -581,7 +487,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 					segs = 0
 					epoch++
 					snapMu.Lock()
-					markSnaps[epoch] = e.snapshotMeters()
+					markSnaps[epoch] = markMeters(e.Cluster)
 					snapMu.Unlock()
 					return ck.Mark(epoch, next)
 				}
@@ -623,7 +529,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 			result.Batches = append(result.Batches, b)
 			return nil
 		})
-		addScanStats(&totalScan, scanStats)
+		totalScan.Add(scanStats)
 		checkpoints += ck.Completed()
 
 		if runErr == nil {
@@ -638,7 +544,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 		switch {
 		case ctx.Err() != nil:
 			return nil, runErr
-		case attempt+1 >= maxAttempts:
+		case attempt+1 >= DefaultMaxRecoveryAttempts:
 			return nil, runErr
 		case !errors.As(runErr, &se) || se.Device == "" || !haveCkpt:
 			return nil, runErr
@@ -649,7 +555,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 
 		// Everything charged since the last completed checkpoint is lost
 		// work this restart will redo.
-		wb, wt := e.meterDelta(lastCkpt)
+		wb, wt := wasteSince(lastCkpt)
 		replayed += wb
 		replayTime += wt
 
@@ -681,7 +587,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 	result.Stats.RecoveryTime += replayTime
 	foldResilience(&result.Stats, e.Storage.Store(), e.Resilience, rBefore)
 	result.Trace = tr
-	sampleMeterSeries(e.Cluster, tr, before)
+	sampleMeterSeries(tr, before)
 	sampleHealthSeries(tr, e.Resilience)
 	return &result, nil
 }
@@ -711,36 +617,6 @@ func (e *DataFlowEngine) rehostStages(ph *plan.Physical, stages []flow.Placed, p
 		prev = st.Device
 	}
 	return out, outPaths, nil
-}
-
-// addScanStats folds one attempt's scan stats into the query total.
-func addScanStats(dst *storage.ScanStats, s storage.ScanStats) {
-	dst.SegmentsTotal += s.SegmentsTotal
-	dst.SegmentsPruned += s.SegmentsPruned
-	dst.MediaBytes += s.MediaBytes
-	dst.ShippedBytes += s.ShippedBytes
-	dst.ShippedRows += s.ShippedRows
-	dst.ProcTime += s.ProcTime
-	dst.Retries += s.Retries
-	dst.ReplicaFallbacks += s.ReplicaFallbacks
-	dst.RetryBytes += s.RetryBytes
-	dst.EncodedEvalSegments += s.EncodedEvalSegments
-	dst.DecodedBytes += s.DecodedBytes
-	dst.DecodedBytesSaved += s.DecodedBytesSaved
-	dst.SpeculativeMorsels += s.SpeculativeMorsels
-	dst.SpeculativeWins += s.SpeculativeWins
-	dst.SpeculativeBytes += s.SpeculativeBytes
-	dst.CorruptReads += s.CorruptReads
-	dst.ReadRepairs += s.ReadRepairs
-	dst.RepairBytes += s.RepairBytes
-}
-
-func (e *DataFlowEngine) tableSchema(name string) (int, *columnar.Schema, error) {
-	meta, err := e.Storage.Table(name)
-	if err != nil {
-		return 0, nil, err
-	}
-	return meta.Schema.NumFields(), meta.Schema, nil
 }
 
 // buildScanSpec translates the plan's site-0 placements into the storage
@@ -995,61 +871,21 @@ func (deliverStage) Process(b *columnar.Batch, emit flow.Emit) error {
 }
 func (deliverStage) Flush(flow.Emit) error { return nil }
 
-// buildStats derives the execution stats from meter deltas. Busy times
-// are effective readings: work charged to a device's positional lanes
-// is divided across its replicated units (fabric.EffectiveBusy), so
-// SimTime reflects worker-pool parallelism while the metered byte and
-// aggregate busy totals stay identical to a serial run.
-func (e *DataFlowEngine) buildStats(ph *plan.Physical, before map[meterKey]meterSnap, flowRes flow.Result, scan storage.ScanStats, maxBatch sim.Bytes, res *Result) ExecStats {
-	st := ExecStats{
-		Engine:           "dataflow",
-		Variant:          ph.Variant,
-		LinkBytes:        make(map[string]sim.Bytes),
-		DeviceBusy:       make(map[string]sim.VTime),
-		Scan:             scan,
-		Ports:            flowRes.Ports,
-		ResultRows:       res.Rows(),
-		Retries:          scan.Retries,
-		ReplicaFallbacks: scan.ReplicaFallbacks,
-		RecoveryBytes:    scan.RetryBytes,
-
-		SpeculativeMorsels: scan.SpeculativeMorsels,
-		SpeculativeWins:    scan.SpeculativeWins,
-		SpeculativeBytes:   scan.SpeculativeBytes,
-
-		CorruptReads: scan.CorruptReads,
-		ReadRepairs:  scan.ReadRepairs,
-		RepairBytes:  scan.RepairBytes,
-	}
-	var maxBusy sim.VTime
-	for _, d := range e.Cluster.Devices() {
-		_, busy := deviceDelta(d, before)
-		if busy > 0 {
-			st.DeviceBusy[d.Name] = busy
-			if busy > maxBusy {
-				maxBusy = busy
-			}
-		}
-	}
-	cpu := ph.Path.CPU()
-	cpuDelta, cpuBusy := deviceDelta(cpu, before)
-	st.CPUBytes = cpuDelta.Bytes
-	st.CPUBusy = cpuBusy
-	var latency sim.VTime
-	for _, l := range e.Cluster.Links() {
-		delta, busy := linkDelta(l, before)
-		if delta.Bytes > 0 {
-			st.LinkBytes[l.Name] = delta.Bytes
-			st.MovedBytes += delta.Bytes
-			if busy > maxBusy {
-				maxBusy = busy
-			}
-			latency += l.Latency
-		}
-	}
-	// Pipelined makespan: the bottleneck resource plus one latency per
-	// traversed hop.
-	st.SimTime = maxBusy + latency
+// buildStats derives the execution stats from the meters' fold since
+// before, plus what the scan and the flow run reported.
+func (e *DataFlowEngine) buildStats(ph *plan.Physical, before meterMark, flowRes flow.Result, scan storage.ScanStats, maxBatch sim.Bytes, res *Result) ExecStats {
+	st := before.fold(ph.Path.CPU()).stats(e.engine, ph.Variant, res)
+	st.Scan = scan
+	st.Ports = flowRes.Ports
+	st.Retries = scan.Retries
+	st.ReplicaFallbacks = scan.ReplicaFallbacks
+	st.RecoveryBytes = scan.RetryBytes
+	st.SpeculativeMorsels = scan.SpeculativeMorsels
+	st.SpeculativeWins = scan.SpeculativeWins
+	st.SpeculativeBytes = scan.SpeculativeBytes
+	st.CorruptReads = scan.CorruptReads
+	st.ReadRepairs = scan.ReadRepairs
+	st.RepairBytes = scan.RepairBytes
 	// Peak compute-side memory: in-flight port buffering plus any final
 	// aggregation state — there is no buffer pool.
 	depth := 8

@@ -38,7 +38,7 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 	if err != nil {
 		return nil, err
 	}
-	before := e.snapshotMeters()
+	before := markMeters(e.Cluster)
 
 	// Scan with filter pushdown when the storage processor allows it;
 	// ship only the columns the aggregation touches.
@@ -119,7 +119,6 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 		}
 	}
 	res := &Result{Batches: netsim.Gather(parts, gatherPaths)}
-	res.Stats = e.joinStats(before, res)
-	res.Stats.Variant = fmt.Sprintf("distributed-groupby-%dn", nodes)
+	res.Stats = before.fold(nil).stats(e.engine, fmt.Sprintf("distributed-groupby-%dn", nodes), res)
 	return res, nil
 }

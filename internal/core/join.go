@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/bufferpool"
 	"repro/internal/columnar"
 	"repro/internal/exec"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -37,7 +35,7 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 	if nodes > e.Cluster.Cfg.ComputeNodes {
 		return nil, fmt.Errorf("core: join wants %d nodes, cluster has %d", nodes, e.Cluster.Cfg.ComputeNodes)
 	}
-	before := e.snapshotMeters()
+	before := markMeters(e.Cluster)
 
 	build, _, err := e.materialize(ctx, jq.Build)
 	if err != nil {
@@ -98,7 +96,7 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 	batches := netsim.Gather(perNode, gatherPaths)
 
 	res := &Result{Batches: batches}
-	res.Stats = e.joinStats(before, res)
+	res.Stats = before.fold(nil).stats(e.engine, "distributed-join", res)
 	return res, nil
 }
 
@@ -120,50 +118,12 @@ func (e *DataFlowEngine) materialize(ctx context.Context, table string) ([]*colu
 	return out, st, nil
 }
 
-func (e *DataFlowEngine) joinStats(before map[meterKey]meterSnap, res *Result) ExecStats {
-	st := ExecStats{
-		Engine:     "dataflow",
-		Variant:    "distributed-join",
-		LinkBytes:  make(map[string]sim.Bytes),
-		DeviceBusy: make(map[string]sim.VTime),
-		ResultRows: res.Rows(),
-	}
-	var maxBusy sim.VTime
-	for _, d := range e.Cluster.Devices() {
-		delta, busy := deviceDelta(d, before)
-		if busy > 0 {
-			st.DeviceBusy[d.Name] = busy
-			if busy > maxBusy {
-				maxBusy = busy
-			}
-		}
-		if d.Kind == fabric.KindCPU {
-			st.CPUBytes += delta.Bytes
-			st.CPUBusy += busy
-		}
-	}
-	var latency sim.VTime
-	for _, l := range e.Cluster.Links() {
-		delta, busy := linkDelta(l, before)
-		if delta.Bytes > 0 {
-			st.LinkBytes[l.Name] = delta.Bytes
-			st.MovedBytes += delta.Bytes
-			if busy > maxBusy {
-				maxBusy = busy
-			}
-			latency += l.Latency
-		}
-	}
-	st.SimTime = maxBusy + latency
-	return st
-}
-
 // ExecuteJoin on the Volcano baseline: both sides are pulled through the
 // buffer pool to compute node 0 and joined there by the blocking
 // iterator — no exchange, no other nodes, all bytes to one CPU.
 func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
-	before := e.snapshotMeters()
+	before := markMeters(e.Cluster)
 	buildIt, err := e.tableIterator(ctx, jq.Build)
 	if err != nil {
 		return nil, err
@@ -172,15 +132,13 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	it := &HashJoinChargeIter{
-		Inner: &exec.HashJoinIter{
-			Build: buildIt, Probe: probeIt,
-			BuildKey: jq.BuildKey, ProbeKey: jq.ProbeKey,
-			Workers: e.Workers,
-		},
-		CPU: e.cpu,
+	join := &exec.HashJoinIter{
+		Build: buildIt, Probe: probeIt,
+		BuildKey: jq.BuildKey, ProbeKey: jq.ProbeKey,
+		Workers: e.Workers,
 	}
-	batches, err := exec.Drain(it)
+	// The CPU is charged for join work per probed batch.
+	batches, err := exec.Drain(&chargeIter{in: join, dev: e.cpu, op: fabric.OpJoin, name: "join"})
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
@@ -190,59 +148,13 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 	return res, nil
 }
 
-// tableIterator builds the baseline's buffer-pool-backed scan.
+// tableIterator builds the baseline's buffer-pool-backed scan of a whole
+// table. Joins pull at width 1 whatever Workers says: their parallelism
+// goes to the blocking build above the scan.
 func (e *VolcanoEngine) tableIterator(ctx context.Context, table string) (exec.Iterator, error) {
 	meta, err := e.Storage.Table(table)
 	if err != nil {
 		return nil, err
 	}
-	segIdx := 0
-	dramToCPU := e.Cluster.LinkBetween(e.dram, e.cpu.Name)
-	return exec.NewFuncScan(meta.Schema, func() (*columnar.Batch, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if segIdx >= len(meta.SegmentKeys) {
-			return nil, nil
-		}
-		key := meta.SegmentKeys[segIdx]
-		segIdx++
-		page, err := e.Pool.Get(ctx, bufferpool.PageID(key))
-		if err != nil {
-			return nil, err
-		}
-		defer e.Pool.Unpin(bufferpool.PageID(key))
-		seg, err := storage.UnmarshalSegment(page.Data)
-		if err != nil {
-			return nil, err
-		}
-		e.cpu.Charge(fabric.OpDecompress, sim.Bytes(len(page.Data)))
-		batch, err := seg.Decode()
-		if err != nil {
-			return nil, err
-		}
-		if dramToCPU != nil {
-			dramToCPU.Transfer(sim.Bytes(batch.ByteSize()))
-		}
-		return batch, nil
-	}), nil
-}
-
-// HashJoinChargeIter charges the CPU for join work per probed batch.
-type HashJoinChargeIter struct {
-	Inner exec.Iterator
-	CPU   *fabric.Device
-}
-
-// Schema implements exec.Iterator.
-func (it *HashJoinChargeIter) Schema() *columnar.Schema { return it.Inner.Schema() }
-
-// Next implements exec.Iterator.
-func (it *HashJoinChargeIter) Next() (*columnar.Batch, error) {
-	b, err := it.Inner.Next()
-	if err != nil || b == nil {
-		return b, err
-	}
-	it.CPU.Charge(fabric.OpJoin, sim.Bytes(b.ByteSize()))
-	return b, nil
+	return e.serialScan(ctx, meta, nil), nil
 }

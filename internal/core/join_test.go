@@ -88,6 +88,31 @@ func TestDistributedJoinMatchesVolcano(t *testing.T) {
 	}
 }
 
+// The join's table scans run the same pull as Execute, spans included.
+// ExecuteJoin records no timeline, so on a traced engine the pull must
+// find no trace to write to — and charge exactly what it always did.
+func TestVolcanoJoinOnTracedEngine(t *testing.T) {
+	jq := JoinQuery{
+		Probe: "lineitem", Build: "orders",
+		ProbeKey: workload.LOrderKey, BuildKey: workload.OOrderKey,
+	}
+	_, plain := setupJoinEngines(t, 2000, 10000)
+	want, err := plain.ExecuteJoin(context.Background(), jq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, traced := setupJoinEngines(t, 2000, 10000)
+	traced.Tracing = true
+	got, err := traced.ExecuteJoin(context.Background(), jq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Trace != nil {
+		t.Error("ExecuteJoin returned a trace; it records none")
+	}
+	assertSameMeters(t, want.Stats, got.Stats)
+}
+
 func TestDistributedJoinStats(t *testing.T) {
 	df, vo := setupJoinEngines(t, 1000, 8000)
 	jq := JoinQuery{

@@ -8,12 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-// meterKey identifies one device or link meter.
-type meterKey struct {
-	link bool
-	name string
-}
-
 // meterSnap captures one meter plus its per-lane busy split, so a later
 // delta can divide replicated-lane work across a device's units
 // (fabric.EffectiveBusy) while keeping the aggregate totals exact.
@@ -22,42 +16,103 @@ type meterSnap struct {
 	lanes []sim.VTime
 }
 
-// snapshotClusterMeters captures every device and link meter so a later
-// delta isolates one execution's work from the cluster's running totals.
-func snapshotClusterMeters(c *fabric.Cluster) map[meterKey]meterSnap {
-	out := make(map[meterKey]meterSnap)
-	for _, d := range c.Devices() {
-		out[meterKey{false, d.Name}] = meterSnap{m: d.Meter.Snapshot(), lanes: d.LaneBusy()}
+// meterMark is every device and link meter at one instant, in the
+// cluster's fixed Devices()/Links() order, so a later fold isolates one
+// execution's work from the cluster's running totals.
+type meterMark struct {
+	devices []*fabric.Device
+	links   []*fabric.Link
+	snaps   []meterSnap // devices first, then links
+}
+
+// markMeters takes a mark of the cluster's meters.
+func markMeters(c *fabric.Cluster) meterMark {
+	mk := meterMark{devices: c.Devices(), links: c.Links()}
+	mk.snaps = make([]meterSnap, 0, len(mk.devices)+len(mk.links))
+	for _, d := range mk.devices {
+		mk.snaps = append(mk.snaps, meterSnap{m: d.Meter.Snapshot(), lanes: d.LaneBusy()})
 	}
-	for _, l := range c.Links() {
-		out[meterKey{true, l.Name}] = meterSnap{m: l.Meter.Snapshot(), lanes: l.LaneBusy()}
+	for _, l := range mk.links {
+		mk.snaps = append(mk.snaps, meterSnap{m: l.Meter.Snapshot(), lanes: l.LaneBusy()})
 	}
-	return out
+	return mk
 }
 
-func (e *DataFlowEngine) snapshotMeters() map[meterKey]meterSnap {
-	return snapshotClusterMeters(e.Cluster)
-}
-
-func (e *VolcanoEngine) snapshotMeters() map[meterKey]meterSnap {
-	return snapshotClusterMeters(e.Cluster)
-}
-
-// deviceDelta returns a device's meter delta since before, plus its
+// deviceDelta returns a device's meter delta since prev, plus its
 // effective busy time: work charged to positional lanes is divided
 // across the device's replicated units, everything else stays serial.
-func deviceDelta(d *fabric.Device, before map[meterKey]meterSnap) (sim.Snapshot, sim.VTime) {
-	prev := before[meterKey{false, d.Name}]
+func deviceDelta(d *fabric.Device, prev meterSnap) (sim.Snapshot, sim.VTime) {
 	delta := d.Meter.Snapshot().Sub(prev.m)
 	return delta, fabric.EffectiveBusy(delta.Busy, prev.lanes, d.LaneBusy())
 }
 
 // linkDelta is deviceDelta for links; only multi-queue links (flash
 // channels, DMA queues) ever split, network links stay serial.
-func linkDelta(l *fabric.Link, before map[meterKey]meterSnap) (sim.Snapshot, sim.VTime) {
-	prev := before[meterKey{true, l.Name}]
+func linkDelta(l *fabric.Link, prev meterSnap) (sim.Snapshot, sim.VTime) {
 	delta := l.Meter.Snapshot().Sub(prev.m)
 	return delta, fabric.EffectiveBusy(delta.Busy, prev.lanes, l.LaneBusy())
+}
+
+// meterFold is the work metered since a mark, in the shape every stats
+// builder needs. Busy times are effective readings (lane work divided
+// across a resource's units), so they reflect worker-pool parallelism
+// while the byte totals stay identical to a serial run.
+type meterFold struct {
+	DeviceBusy map[string]sim.VTime // devices that did any work
+	LinkBytes  map[string]sim.Bytes // links that moved any payload
+	MovedBytes sim.Bytes            // sum of LinkBytes
+	CPUBytes   sim.Bytes
+	CPUBusy    sim.VTime
+	// Bottleneck is the busiest single resource; HopLatency one latency
+	// per link that moved payload. A pipelined makespan is their sum.
+	Bottleneck sim.VTime
+	HopLatency sim.VTime
+}
+
+// fold reads every meter against the mark. CPUBytes/CPUBusy are those of
+// cpu, or of every CPU-kind device when cpu is nil.
+func (mk meterMark) fold(cpu *fabric.Device) meterFold {
+	f := meterFold{
+		DeviceBusy: make(map[string]sim.VTime),
+		LinkBytes:  make(map[string]sim.Bytes),
+	}
+	for i, d := range mk.devices {
+		delta, busy := deviceDelta(d, mk.snaps[i])
+		if busy > 0 {
+			f.DeviceBusy[d.Name] = busy
+			f.Bottleneck = max(f.Bottleneck, busy)
+		}
+		if d == cpu || (cpu == nil && d.Kind == fabric.KindCPU) {
+			f.CPUBytes += delta.Bytes
+			f.CPUBusy += busy
+		}
+	}
+	for i, l := range mk.links {
+		delta, busy := linkDelta(l, mk.snaps[len(mk.devices)+i])
+		if delta.Bytes > 0 {
+			f.LinkBytes[l.Name] = delta.Bytes
+			f.MovedBytes += delta.Bytes
+			f.Bottleneck = max(f.Bottleneck, busy)
+			f.HopLatency += l.Latency
+		}
+	}
+	return f
+}
+
+// stats starts an ExecStats from the fold; SimTime is the pipelined
+// makespan, which the pull engine overrides with its per-miss model.
+func (f meterFold) stats(engine, variant string, res *Result) ExecStats {
+	return ExecStats{
+		Engine:     engine,
+		Variant:    variant,
+		LinkBytes:  f.LinkBytes,
+		DeviceBusy: f.DeviceBusy,
+		MovedBytes: f.MovedBytes,
+		CPUBytes:   f.CPUBytes,
+		CPUBusy:    f.CPUBusy,
+		SimTime:    f.Bottleneck + f.HopLatency,
+		ResultRows: res.Rows(),
+	}
 }
 
 // resilienceSnap captures the monotonic gray-failure counters a policy
@@ -118,13 +173,13 @@ func sampleHealthSeries(tr *obs.Trace, pol *resilience.Policy) {
 // delta into named trace series: one point at virtual time 0 and one at
 // the trace makespan. Deterministic: devices and links iterate in the
 // cluster's fixed order. Meters that did no work are skipped.
-func sampleMeterSeries(c *fabric.Cluster, tr *obs.Trace, before map[meterKey]meterSnap) {
+func sampleMeterSeries(tr *obs.Trace, before meterMark) {
 	if !tr.Enabled() {
 		return
 	}
 	mk := tr.Makespan()
-	for _, d := range c.Devices() {
-		delta := d.Meter.Snapshot().Sub(before[meterKey{false, d.Name}].m)
+	for i, d := range before.devices {
+		delta := d.Meter.Snapshot().Sub(before.snaps[i].m)
 		if delta.Bytes == 0 && delta.Busy == 0 {
 			continue
 		}
@@ -133,8 +188,8 @@ func sampleMeterSeries(c *fabric.Cluster, tr *obs.Trace, before map[meterKey]met
 		tr.Sample("meter."+d.Name+".busy", "vns", 0, 0)
 		tr.Sample("meter."+d.Name+".busy", "vns", mk, float64(delta.Busy))
 	}
-	for _, l := range c.Links() {
-		delta := l.Meter.Snapshot().Sub(before[meterKey{true, l.Name}].m)
+	for i, l := range before.links {
+		delta := l.Meter.Snapshot().Sub(before.snaps[len(before.devices)+i].m)
 		if delta.Bytes == 0 && delta.Messages == 0 {
 			continue
 		}

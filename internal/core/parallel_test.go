@@ -43,7 +43,8 @@ func TestWorkersPreserveResultsAndTotals(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, w := range []int{2, 4} {
+			// Workers 0 must take the same inline path as the baseline's 1.
+			for _, w := range []int{0, 2, 4} {
 				dfW, voW, _ := newEngines(t)
 				dfW.Workers, voW.Workers = w, w
 				dfRes, err := dfW.Execute(context.Background(), q)
@@ -56,7 +57,7 @@ func TestWorkersPreserveResultsAndTotals(t *testing.T) {
 				// must move exactly the serial byte count.
 				extra := dfRes.Stats.MovedBytes - dfBase.Stats.MovedBytes
 				if q.GroupBy != nil {
-					if extra < 0 || extra > sim.Bytes(w-1)*4096 {
+					if extra < 0 || extra > sim.Bytes(max(w-1, 0))*4096 {
 						t.Errorf("w=%d: dataflow moved %v bytes, serial moved %v (partial overhead out of bounds)",
 							w, dfRes.Stats.MovedBytes, dfBase.Stats.MovedBytes)
 					}

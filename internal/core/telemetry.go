@@ -40,24 +40,12 @@ func TenantFrom(ctx context.Context) string {
 }
 
 // SetMetrics installs (or, with nil, removes) the fleet registry across
-// every layer the dataflow engine owns: the storage server folds scan
-// stats, the object store mirrors hedge activity, the scheduler counts
-// admissions and sheds, the flow runtime counts credit stalls and
-// worker occupancy, and the engine itself publishes per-query resource
-// attribution after every execution.
+// every layer the dataflow engine owns: what the engine base wires, plus
+// the scheduler (admissions and sheds); the flow runtime picks the
+// registry up per run for credit stalls and worker occupancy.
 func (e *DataFlowEngine) SetMetrics(r *metrics.Registry) {
-	e.Metrics = r
-	e.Storage.Metrics = r
-	e.Storage.Store().Metrics = r
+	e.engineBase.SetMetrics(r)
 	e.Scheduler.Metrics = r
-}
-
-// SetMetrics installs the fleet registry on the baseline engine and the
-// storage layers it shares with the dataflow engine.
-func (e *VolcanoEngine) SetMetrics(r *metrics.Registry) {
-	e.Metrics = r
-	e.Storage.Metrics = r
-	e.Storage.Store().Metrics = r
 }
 
 // SetSLO wires a latency SLO into the control loop: every finished
@@ -232,48 +220,6 @@ func (p *enginePublisher) publish(pol *resilience.Policy, tenant string, res *Re
 	if pol != nil && pol.Budget != nil {
 		p.budgetTokens.Set(pol.Budget.Tokens())
 		p.budgetExhausted.Add(st.RetryBudgetExhausted)
-	}
-}
-
-// publisher returns the engine's cached publisher, rebuilding it when
-// the registry was swapped. Nil when metrics are off.
-func (e *DataFlowEngine) publisher() *enginePublisher {
-	if e.Metrics == nil {
-		return nil
-	}
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
-	if e.pub == nil || e.pub.reg != e.Metrics {
-		e.pub = newEnginePublisher(e.Metrics, e.Cluster, "dataflow")
-	}
-	return e.pub
-}
-
-func (e *VolcanoEngine) publisher() *enginePublisher {
-	if e.Metrics == nil {
-		return nil
-	}
-	e.pubMu.Lock()
-	defer e.pubMu.Unlock()
-	if e.pub == nil || e.pub.reg != e.Metrics {
-		e.pub = newEnginePublisher(e.Metrics, e.Cluster, "volcano")
-	}
-	return e.pub
-}
-
-// publishQuery observes the query's wall latency on the SLO tracker and
-// lands its resource attribution on the registry (when metrics are on).
-func (e *DataFlowEngine) publishQuery(ctx context.Context, res *Result, wall time.Duration) {
-	e.SLO.Observe(wall)
-	if p := e.publisher(); p != nil && res != nil {
-		p.publish(e.Resilience, TenantFrom(ctx), res, wall)
-	}
-}
-
-func (e *VolcanoEngine) publishQuery(ctx context.Context, res *Result, wall time.Duration) {
-	e.SLO.Observe(wall)
-	if p := e.publisher(); p != nil && res != nil {
-		p.publish(e.Resilience, TenantFrom(ctx), res, wall)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,6 +111,32 @@ func TestVolcanoTraceIsSerial(t *testing.T) {
 		if kinds[want] == 0 {
 			t.Errorf("volcano trace has no %q spans (have %v)", want, kinds)
 		}
+	}
+
+	// The span-carrying pull is the same function the untraced engine
+	// runs: recording the timeline must not move a single meter.
+	_, plain, _ := newEngines(t)
+	want, err := plain.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameMeters(t, want.Stats, res.Stats)
+}
+
+// assertSameMeters requires two runs to have charged the fabric
+// identically: same makespan, same bytes and busy time per resource.
+func assertSameMeters(t *testing.T, want, got ExecStats) {
+	t.Helper()
+	if got.SimTime != want.SimTime || got.MovedBytes != want.MovedBytes ||
+		got.CPUBytes != want.CPUBytes || got.CPUBusy != want.CPUBusy ||
+		got.PeakMemory != want.PeakMemory || got.ResultRows != want.ResultRows {
+		t.Errorf("stats differ:\n  got  %+v\n  want %+v", got, want)
+	}
+	if !reflect.DeepEqual(got.DeviceBusy, want.DeviceBusy) {
+		t.Errorf("device busy %v, want %v", got.DeviceBusy, want.DeviceBusy)
+	}
+	if !reflect.DeepEqual(got.LinkBytes, want.LinkBytes) {
+		t.Errorf("link bytes %v, want %v", got.LinkBytes, want.LinkBytes)
 	}
 }
 

@@ -13,9 +13,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 	"repro/internal/plan"
-	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/storage"
 )
@@ -26,46 +24,12 @@ import (
 // the cores. The storage layer only stores; the NICs only move bytes;
 // all reduction happens at the end of the data path (Figure 1).
 type VolcanoEngine struct {
-	Cluster *fabric.Cluster
-	Storage *storage.Server
-	Pool    *bufferpool.Pool
+	engineBase
+	Pool *bufferpool.Pool
 
-	// Tracing makes every Execute record a virtual-time span timeline,
-	// returned in Result.Trace. The baseline is a pull engine, so its
-	// timeline is one serial chain: fetch, transfer, decode and every
-	// operator advance a single virtual clock with zero overlap — the
-	// concurrency factor the dataflow engine's staged pipeline is
-	// measured against. Tracing assumes Execute calls do not overlap.
-	Tracing bool
-	// Workers > 1 parallelizes the fetch/decode front of the pull loop:
-	// a pool of that many workers (clamped to the CPU's cores) prefetches
-	// segments through the buffer pool and decodes them on per-core
-	// lanes, delivering batches to the iterator tree in segment order.
-	// The operators above the scan stay serial — the pull model gives
-	// them no independent work units — which is exactly why the baseline
-	// scales worse than the dataflow engine (E22). Results and metered
-	// totals are identical to Workers == 1. Tracing forces serial.
-	Workers int
-
-	// Resilience, wired via EnableResilience, gives the baseline the one
-	// gray-failure defense its pull model can host: hedged replica reads
-	// in the object store. (Speculative re-execution and breaker-steered
-	// placement need the dataflow engine's morsels and plan variants.)
-	Resilience *resilience.Policy
-
-	// Metrics, when non-nil, receives per-query resource attribution
-	// after every Execute (install via SetMetrics so the storage layers
-	// share the registry). SLO, when non-nil, observes each query's wall
-	// latency against its objective.
-	Metrics *metrics.Registry
-	SLO     *metrics.SLOTracker
-	// pub caches resolved registry instruments (see enginePublisher).
-	pubMu sync.Mutex
-	pub   *enginePublisher
-
-	node int
-	cpu  *fabric.Device
-	dram string
+	cpu       *fabric.Device
+	dram      string
+	dramToCPU *fabric.Link
 
 	// Per-execution trace state, set only while a traced Execute runs.
 	// fetchPage reads it from inside the buffer-pool miss path, which is
@@ -73,25 +37,19 @@ type VolcanoEngine struct {
 	tr    *obs.Trace
 	clock *obs.VClock
 
-	mu      sync.Mutex
-	stats   map[string]plan.TableStats
-	fetches int64
+	// fetches counts buffer-pool misses served by fetchPage.
+	fetches atomic.Int64
 }
 
 // NewVolcanoEngine wires the baseline onto a cluster with the given
 // buffer-pool capacity on compute node 0.
 func NewVolcanoEngine(c *fabric.Cluster, poolBytes sim.Bytes) *VolcanoEngine {
-	media := c.MustDevice(fabric.DevStorageMed)
-	proc := c.StorageProc()
-	link := c.LinkBetween(fabric.DevStorageMed, fabric.DevStorageProc)
 	e := &VolcanoEngine{
-		Cluster: c,
-		Storage: storage.NewServer(storage.NewObjectStore(), media, proc, link),
-		node:    0,
-		cpu:     c.ComputeCPU(0),
-		dram:    fabric.ComputeDev(0, "dram"),
-		stats:   make(map[string]plan.TableStats),
+		engineBase: newEngineBase(c, "volcano"),
+		cpu:        c.ComputeCPU(0),
+		dram:       fabric.ComputeDev(0, "dram"),
 	}
+	e.dramToCPU = c.LinkBetween(e.dram, e.cpu.Name)
 	e.Pool = bufferpool.New(poolBytes, e.fetchPage)
 	return e
 }
@@ -133,9 +91,7 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	} else if _, err := e.Cluster.Transfer(ctx, fabric.DevStorageMed, e.dram, n); err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	e.fetches++
-	e.mu.Unlock()
+	e.fetches.Add(1)
 	return blob, nil
 }
 
@@ -154,43 +110,9 @@ func (e *VolcanoEngine) span(name, track string, kind obs.SpanKind, cost sim.VTi
 	})
 }
 
-// EnableResilience installs (or removes, with nil) a gray-failure
-// policy on the baseline's object store: replica reads hedge and the
-// health tracker learns per-replica latency. The pull engine has no
-// scheduler or morsel scan, so breakers and speculation do not apply.
-func (e *VolcanoEngine) EnableResilience(p *resilience.Policy) {
-	e.Resilience = p
-	e.Storage.Store().Resilience = p
-}
-
-// CreateTable registers a table.
-func (e *VolcanoEngine) CreateTable(name string, schema *columnar.Schema) error {
-	_, err := e.Storage.CreateTable(name, schema)
-	return err
-}
-
-// Load ingests a batch and updates statistics.
+// Load ingests a batch.
 func (e *VolcanoEngine) Load(name string, b *columnar.Batch) error {
-	if err := e.Storage.Append(name, b); err != nil {
-		return err
-	}
-	st := ComputeStats(b)
-	e.mu.Lock()
-	if prev, ok := e.stats[name]; ok {
-		st = MergeStats(prev, st)
-	}
-	e.stats[name] = st
-	e.mu.Unlock()
-	return nil
-}
-
-// TableSchema resolves a table's schema (it satisfies sqlparse.Catalog).
-func (e *VolcanoEngine) TableSchema(name string) (*columnar.Schema, error) {
-	meta, err := e.Storage.Table(name)
-	if err != nil {
-		return nil, err
-	}
-	return meta.Schema, nil
+	return e.Storage.Append(name, b)
 }
 
 // chargeIter charges a device for every batch flowing through it; this
@@ -250,65 +172,26 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 	}
 	clock := e.clock
 
-	before := e.snapshotMeters()
+	before := markMeters(e.Cluster)
 	recBefore := e.Storage.Store().Recovery()
 	rBefore := snapshotResilience(e.Storage.Store(), e.Resilience)
 
 	// Scan: pull each segment through the buffer pool, decode on the
 	// CPU, then stream the decoded batch from DRAM into the cores at
 	// the single-core-limited rate.
-	segIdx := 0
 	var maxDecoded sim.Bytes
-	dramToCPU := e.Cluster.LinkBetween(e.dram, e.cpu.Name)
-	workers := e.Workers
-	if u := e.cpu.Units(); workers > u {
-		workers = u
-	}
+	workers := min(e.Workers, e.cpu.Units())
 	if e.Tracing {
 		// The serial span chain cannot describe overlapped fetches.
 		workers = 1
 	}
 	var it exec.Iterator
 	if workers > 1 {
-		scan, cleanup := e.parallelScan(ctx, meta, workers, &maxDecoded, dramToCPU)
+		scan, cleanup := e.parallelScan(ctx, meta, workers, &maxDecoded)
 		defer cleanup()
 		it = scan
 	} else {
-		it = exec.NewFuncScan(meta.Schema, func() (*columnar.Batch, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if segIdx >= len(meta.SegmentKeys) {
-				return nil, nil
-			}
-			key := meta.SegmentKeys[segIdx]
-			segIdx++
-			page, err := e.Pool.Get(ctx, bufferpool.PageID(key))
-			if err != nil {
-				return nil, err
-			}
-			defer e.Pool.Unpin(bufferpool.PageID(key))
-			seg, err := storage.UnmarshalSegment(page.Data)
-			if err != nil {
-				return nil, err
-			}
-			// Decode (checksum + decompress) happens on the compute CPU in
-			// the legacy model.
-			pn := sim.Bytes(len(page.Data))
-			e.span("decode", e.cpu.Name, obs.SpanScan, e.cpu.Charge(fabric.OpDecompress, pn), pn)
-			batch, err := seg.Decode()
-			if err != nil {
-				return nil, err
-			}
-			if n := sim.Bytes(batch.ByteSize()); n > maxDecoded {
-				maxDecoded = n
-			}
-			if dramToCPU != nil {
-				bn := sim.Bytes(batch.ByteSize())
-				e.span("xfer", dramToCPU.Name, obs.SpanTransfer, dramToCPU.Transfer(bn), bn)
-			}
-			return batch, nil
-		})
+		it = e.serialScan(ctx, meta, &maxDecoded)
 	}
 
 	// Operator tree, all on the CPU.
@@ -343,7 +226,7 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		return nil, lifecycleError(err)
 	}
 	res := &Result{Batches: batches, Trace: tr}
-	sampleMeterSeries(e.Cluster, tr, before)
+	sampleMeterSeries(tr, before)
 	res.Stats = e.buildStats(before, res)
 	res.Stats.PeakMemory += maxDecoded
 	// The baseline still benefits from whatever retrying the object store
@@ -366,7 +249,7 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 // cleanup func unwinds the workers; callers must run it before
 // returning (a LIMIT may abandon the iterator mid-stream, and the
 // workers must not outlive the query).
-func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMeta, workers int, maxDecoded *sim.Bytes, dramToCPU *fabric.Link) (exec.Iterator, func()) {
+func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMeta, workers int, peak *sim.Bytes) (exec.Iterator, func()) {
 	type item struct {
 		idx   int
 		batch *columnar.Batch
@@ -385,7 +268,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 				if idx >= len(meta.SegmentKeys) || ctx.Err() != nil {
 					return
 				}
-				b, err := e.fetchSegment(ctx, meta.SegmentKeys[idx], idx%workers)
+				b, err := e.pullSegment(ctx, meta.SegmentKeys[idx], idx%workers)
 				select {
 				case results <- item{idx: idx, batch: b, err: err}:
 				case <-ctx.Done():
@@ -414,13 +297,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 				if it.err != nil {
 					return nil, it.err
 				}
-				if n := sim.Bytes(it.batch.ByteSize()); n > *maxDecoded {
-					*maxDecoded = n
-				}
-				if dramToCPU != nil {
-					dramToCPU.Transfer(sim.Bytes(it.batch.ByteSize()))
-				}
-				return it.batch, nil
+				return e.deliver(it.batch, peak), nil
 			}
 			r, ok := <-results
 			if !ok {
@@ -435,9 +312,30 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 	}), cleanup
 }
 
-// fetchSegment pulls one segment through the buffer pool and decodes it
-// on the CPU, charging the decode to the given per-core lane.
-func (e *VolcanoEngine) fetchSegment(ctx context.Context, key string, lane int) (*columnar.Batch, error) {
+// serialScan is the width-1 pull loop: one segment per Next, pulled and
+// delivered on the caller's goroutine.
+func (e *VolcanoEngine) serialScan(ctx context.Context, meta *storage.TableMeta, peak *sim.Bytes) exec.Iterator {
+	idx := 0
+	return exec.NewFuncScan(meta.Schema, func() (*columnar.Batch, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if idx >= len(meta.SegmentKeys) {
+			return nil, nil
+		}
+		b, err := e.pullSegment(ctx, meta.SegmentKeys[idx], 0)
+		idx++
+		if err != nil {
+			return nil, err
+		}
+		return e.deliver(b, peak), nil
+	})
+}
+
+// pullSegment pulls one segment through the buffer pool and decodes it
+// (checksum + decompress) on the compute CPU, as the legacy model does,
+// charging the decode to the given per-core lane.
+func (e *VolcanoEngine) pullSegment(ctx context.Context, key string, lane int) (*columnar.Batch, error) {
 	page, err := e.Pool.Get(ctx, bufferpool.PageID(key))
 	if err != nil {
 		return nil, err
@@ -447,57 +345,42 @@ func (e *VolcanoEngine) fetchSegment(ctx context.Context, key string, lane int) 
 	if err != nil {
 		return nil, err
 	}
-	e.cpu.ChargeLane(fabric.OpDecompress, sim.Bytes(len(page.Data)), lane)
+	n := sim.Bytes(len(page.Data))
+	e.span("decode", e.cpu.Name, obs.SpanScan, e.cpu.ChargeLane(fabric.OpDecompress, n, lane), n)
 	return seg.Decode()
+}
+
+// deliver is the in-order step behind every pull: the decoded batch
+// streams from DRAM into the cores. peak, when non-nil, tracks the
+// largest decoded batch.
+func (e *VolcanoEngine) deliver(b *columnar.Batch, peak *sim.Bytes) *columnar.Batch {
+	n := sim.Bytes(b.ByteSize())
+	if peak != nil && n > *peak {
+		*peak = n
+	}
+	if e.dramToCPU != nil {
+		e.span("xfer", e.dramToCPU.Name, obs.SpanTransfer, e.dramToCPU.Transfer(n), n)
+	}
+	return b
 }
 
 // buildStats mirrors the data-flow engine's accounting so results are
 // directly comparable. Busy times are effective readings (lane work
 // divided across a device's units; see fabric.EffectiveBusy).
-func (e *VolcanoEngine) buildStats(before map[meterKey]meterSnap, res *Result) ExecStats {
-	st := ExecStats{
-		Engine:     "volcano",
-		LinkBytes:  make(map[string]sim.Bytes),
-		DeviceBusy: make(map[string]sim.VTime),
-		ResultRows: res.Rows(),
-	}
-	var maxBusy sim.VTime
-	for _, d := range e.Cluster.Devices() {
-		_, busy := deviceDelta(d, before)
-		if busy > 0 {
-			st.DeviceBusy[d.Name] = busy
-			if busy > maxBusy {
-				maxBusy = busy
-			}
-		}
-	}
-	cpuDelta, cpuBusy := deviceDelta(e.cpu, before)
-	st.CPUBytes = cpuDelta.Bytes
-	st.CPUBusy = cpuBusy
-	var latency sim.VTime
-	for _, l := range e.Cluster.Links() {
-		delta, busy := linkDelta(l, before)
-		if delta.Bytes > 0 {
-			st.LinkBytes[l.Name] = delta.Bytes
-			st.MovedBytes += delta.Bytes
-			if busy > maxBusy {
-				maxBusy = busy
-			}
-		}
-	}
+func (e *VolcanoEngine) buildStats(before meterMark, res *Result) ExecStats {
+	f := before.fold(e.cpu)
+	st := f.stats(e.engine, "", res)
 	// Pull execution pays the storage round trip per buffer-pool miss,
 	// not once per stream: latency amplifies with misses.
-	e.mu.Lock()
-	fetches := e.fetches
-	e.mu.Unlock()
+	var latency sim.VTime
 	if path, err := e.Cluster.Path(fabric.DevStorageMed, e.dram); err == nil {
 		var hop sim.VTime
 		for _, l := range path {
 			hop += l.Latency
 		}
-		latency += hop * sim.VTime(fetches)
+		latency = hop * sim.VTime(e.fetches.Load())
 	}
-	st.SimTime = maxBusy + latency
+	st.SimTime = f.Bottleneck + latency
 	poolStats := e.Pool.Stats()
 	var resultBytes sim.Bytes
 	for _, b := range res.Batches {

@@ -2,12 +2,9 @@ package flow
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/columnar"
-	"repro/internal/fabric"
-	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -85,23 +82,7 @@ type stageResult struct {
 	traced bool
 }
 
-// stageRun carries the per-stage runtime state Run hands to the
-// parallel executor.
-type stageRun struct {
-	i    int
-	st   Placed
-	w    int
-	in   *Port
-	next *Port // nil when this is the last stage
-	sink Emit
-	res  *Result
-	ts   *obs.StageTape
-	fail func(error)
-	done <-chan struct{}
-	busy []atomic.Int64 // per worker, for the watchdog
-}
-
-// runStageParallel executes one stage as a pool of r.w workers.
+// runParallel executes the stage as a pool of r.w workers.
 //
 // Shape: the calling goroutine is the dispatcher — it is the port's
 // single receiver, assigns arrival sequence numbers, and routes batches
@@ -118,57 +99,16 @@ type stageRun struct {
 // buffer this admits is bounded by the worker count plus channel
 // buffers. Flushes run after all workers join, serially in worker
 // order, so stateful replicas drain deterministically.
-func (p *Pipeline) runStageParallel(r *stageRun) {
-	st := r.st
+func (r *stageRun) runParallel() {
+	p, st := r.p, r.st
 	last := r.next == nil
 	par := st.Stage.(ParallelStage)
 	stateless := par.Stateless()
+	// out is called only by the merger, then by the flush phase after
+	// the merger has joined.
+	out := Emit(r.out)
 
-	// out delivers one merged batch downstream. Called only by the
-	// merger, then by the flush phase after the merger has joined.
-	out := func(b *columnar.Batch) error {
-		if last {
-			b = b.Compact() // the sink is a dense boundary
-			r.res.SinkBatches++
-			r.res.SinkRows += int64(b.NumRows())
-			r.res.SinkBytes += sim.Bytes(b.ByteSize())
-			r.res.BatchesOut[r.i]++
-			return r.sink(b)
-		}
-		r.res.BatchesOut[r.i]++
-		return r.next.Send(b)
-	}
-
-	offline := func() error {
-		if st.Device == nil {
-			return nil
-		}
-		if p.Faults != nil && p.Faults.Fire(faults.DeviceOffline, st.Device.Name) {
-			st.Device.SetOffline(true)
-		}
-		if st.Device.IsOffline() {
-			return &StageError{
-				Pipeline: p.Name, Stage: st.Stage.Name(),
-				Device: st.Device.Name, Err: fabric.ErrDeviceOffline,
-			}
-		}
-		return nil
-	}
-
-	if err := offline(); err != nil {
-		if r.ts != nil {
-			r.ts.FaultInput = len(r.ts.Inputs)
-			r.ts.FaultDetail = err.Error()
-		}
-		r.fail(err)
-	} else if st.Device != nil {
-		// One kernel install per stage: the replicated workers share the
-		// installed kernel, as SSD/NIC engines share programmed logic.
-		setup := st.Device.ChargeSetup()
-		if r.ts != nil {
-			r.ts.Setup = setup
-		}
-	}
+	r.install()
 
 	insts := make([]Stage, r.w)
 	for wi := range insts {
@@ -260,11 +200,7 @@ func (p *Pipeline) runStageParallel(r *stageRun) {
 				return
 			}
 			if sr.err != nil {
-				if r.ts != nil {
-					r.ts.FaultInput = len(r.ts.Inputs)
-					r.ts.FaultDetail = sr.err.Error()
-				}
-				r.fail(sr.err)
+				r.failAt(sr.err)
 				failed = true
 				return
 			}
@@ -328,7 +264,7 @@ func (p *Pipeline) runStageParallel(r *stageRun) {
 		r.res.BatchesIn[r.i]++
 		// Fault checks stay on the dispatcher so the injector's seeded
 		// sequence sees batches in arrival order, not worker order.
-		if err := offline(); err != nil {
+		if err := r.offline(); err != nil {
 			r.in.CreditReturn()
 			toMerger(stageResult{seq: seq, err: err})
 			seq++

@@ -59,7 +59,8 @@ func (s *pSlow) Stateless() bool  { return true }
 // order before anything reaches the sink.
 func TestParallelStageOrderedMerge(t *testing.T) {
 	assertNoFlowLeaks(t)
-	for _, workers := range []int{1, 2, 4, 7} {
+	// Workers 0 and 1 must both take the serial loop.
+	for _, workers := range []int{0, 1, 2, 4, 7} {
 		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
 			p := &Pipeline{
 				Name:    "par-merge",

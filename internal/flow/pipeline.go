@@ -346,168 +346,28 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	}()
 
 	// Stage goroutines. Stages with a worker pool run the parallel
-	// dispatcher/merger machinery; everything else takes the serial
-	// fast path below, byte-for-byte the pre-parallelism runtime.
+	// dispatcher/merger machinery; everything else takes the serial loop.
 	for i := range p.Stages {
-		if workersPer[i] > 1 {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				var ts *obs.StageTape
-				if stageTapes != nil {
-					ts = stageTapes[i]
-				}
-				var next *Port
-				if i < len(p.Stages)-1 {
-					next = ports[i+1]
-				}
-				p.runStageParallel(&stageRun{
-					i: i, st: p.Stages[i], w: workersPer[i],
-					in: ports[i], next: next, sink: sink, res: &res,
-					ts: ts, fail: fail, done: done, busy: busySince[i],
-				})
-			}(i)
-			continue
+		r := &stageRun{
+			p: p, i: i, st: p.Stages[i], w: workersPer[i],
+			in: ports[i], sink: sink, res: &res,
+			fail: fail, done: done, busy: busySince[i],
+		}
+		if stageTapes != nil {
+			r.ts = stageTapes[i]
+		}
+		if i < len(p.Stages)-1 {
+			r.next = ports[i+1]
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			st := p.Stages[i]
-			in := ports[i]
-			var ts *obs.StageTape
-			if stageTapes != nil {
-				ts = stageTapes[i]
-			}
-			var out Emit
-			last := i == len(p.Stages)-1
-			if last {
-				out = func(b *columnar.Batch) error {
-					b = b.Compact() // the sink is a dense boundary
-					res.SinkBatches++
-					res.SinkRows += int64(b.NumRows())
-					res.SinkBytes += sim.Bytes(b.ByteSize())
-					res.BatchesOut[i]++
-					return sink(b)
-				}
+			if r.w > 1 {
+				r.runParallel()
 			} else {
-				next := ports[i+1]
-				out = func(b *columnar.Batch) error {
-					res.BatchesOut[i]++
-					return next.Send(b)
-				}
+				r.runSerial()
 			}
-			// offline reports a StageError when the hosting device is (or,
-			// via an injected fault, just went) offline. Links through the
-			// device still forward — only hosted computation dies.
-			offline := func() error {
-				if st.Device == nil {
-					return nil
-				}
-				if p.Faults != nil && p.Faults.Fire(faults.DeviceOffline, st.Device.Name) {
-					st.Device.SetOffline(true)
-				}
-				if st.Device.IsOffline() {
-					return &StageError{
-						Pipeline: p.Name, Stage: st.Stage.Name(),
-						Device: st.Device.Name, Err: fabric.ErrDeviceOffline,
-					}
-				}
-				return nil
-			}
-			// recordFault marks on the tape where the stage died so the
-			// replayed timeline carries the annotation.
-			recordFault := func(err error) {
-				if ts != nil {
-					ts.FaultInput = len(ts.Inputs)
-					ts.FaultDetail = err.Error()
-				}
-			}
-			if err := offline(); err != nil {
-				recordFault(err)
-				fail(err)
-			} else if st.Device != nil {
-				setup := st.Device.ChargeSetup()
-				if ts != nil {
-					ts.Setup = setup
-				}
-			}
-			for {
-				it, ok, err := in.recvItem()
-				if err != nil {
-					fail(err)
-					break
-				}
-				if ok && it.b == nil {
-					// Checkpoint marker: every batch of its epoch has been
-					// processed here, so the stage's state right now is the
-					// epoch's consistent snapshot. Record it and pass the
-					// marker on; at the last stage the epoch completes.
-					var snap any
-					if sn, isSnap := st.Stage.(Snapshotter); isSnap {
-						snap = sn.SnapshotState()
-					}
-					p.Ckpt.stageSnap(i, it.epoch, snap)
-					if last {
-						p.Ckpt.sinkComplete(it.epoch, res.SinkBatches)
-					} else if err := ports[i+1].SendMarker(it.epoch); err != nil {
-						fail(err)
-						break
-					}
-					continue
-				}
-				b := it.b
-				if !ok {
-					before := res.BatchesOut[i]
-					busySince[i][0].Store(time.Now().UnixNano())
-					p.markBusy(1)
-					err := st.Stage.Flush(out)
-					p.markBusy(-1)
-					busySince[i][0].Store(0)
-					if err != nil {
-						fail(err)
-					} else if ts != nil {
-						ts.FlushOuts = int(res.BatchesOut[i] - before)
-					}
-					break
-				}
-				res.BatchesIn[i]++
-				if err := offline(); err != nil {
-					recordFault(err)
-					fail(err)
-					in.CreditReturn()
-					break
-				}
-				var cost sim.VTime
-				if st.ChargeInput && st.Device != nil {
-					cost = st.Device.Charge(st.Op, sim.Bytes(b.ByteSize()))
-				}
-				before := res.BatchesOut[i]
-				procStart := time.Now()
-				busySince[i][0].Store(procStart.UnixNano())
-				p.markBusy(1)
-				perr := st.Stage.Process(b, out)
-				p.markBusy(-1)
-				busySince[i][0].Store(0)
-				p.observeStage(st.Device, procStart)
-				if perr != nil {
-					fail(perr)
-					in.CreditReturn()
-					break
-				}
-				if ts != nil {
-					ts.Inputs = append(ts.Inputs, obs.TapeInput{
-						Bytes: sim.Bytes(b.ByteSize()),
-						Cost:  cost,
-						Outs:  int(res.BatchesOut[i] - before),
-					})
-				}
-				in.CreditReturn()
-			}
-			in.flushCredits()
-			if !last {
-				ports[i+1].Close()
-			}
-		}(i)
+		}()
 	}
 
 	// Watchdog: periodically scan for a stage that has held one batch
@@ -578,4 +438,165 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		tape.Replay(p.Trace)
 	}
 	return res, firstErr
+}
+
+// stageRun is one stage's share of a Run: the ports on either side of
+// it, the counters and tape it writes, and the run's failure plumbing.
+// The serial loop and the worker pool both drive a stage through it.
+type stageRun struct {
+	p    *Pipeline
+	i    int
+	st   Placed
+	w    int // workers; 1 runs the serial loop
+	in   *Port
+	next *Port // nil when this is the last stage
+	sink Emit
+	res  *Result
+	ts   *obs.StageTape
+	fail func(error)
+	done <-chan struct{}
+	busy []atomic.Int64 // per worker, for the watchdog
+}
+
+// out delivers one batch downstream: to the next stage's port, or from
+// the last stage into the sink. Only one goroutine per stage calls it —
+// the serial loop, or the parallel merger and then the flush phase.
+func (r *stageRun) out(b *columnar.Batch) error {
+	r.res.BatchesOut[r.i]++
+	if r.next != nil {
+		return r.next.Send(b)
+	}
+	b = b.Compact() // the sink is a dense boundary
+	r.res.SinkBatches++
+	r.res.SinkRows += int64(b.NumRows())
+	r.res.SinkBytes += sim.Bytes(b.ByteSize())
+	return r.sink(b)
+}
+
+// offline reports a StageError when the hosting device is (or, via an
+// injected fault, just went) offline. Links through the device still
+// forward — only hosted computation dies.
+func (r *stageRun) offline() error {
+	dev := r.st.Device
+	if dev == nil {
+		return nil
+	}
+	if r.p.Faults != nil && r.p.Faults.Fire(faults.DeviceOffline, dev.Name) {
+		dev.SetOffline(true)
+	}
+	if dev.IsOffline() {
+		return &StageError{
+			Pipeline: r.p.Name, Stage: r.st.Stage.Name(),
+			Device: dev.Name, Err: fabric.ErrDeviceOffline,
+		}
+	}
+	return nil
+}
+
+// failAt fails the run with err, marking on the tape where the stage
+// died so the replayed timeline carries the annotation.
+func (r *stageRun) failAt(err error) {
+	if r.ts != nil {
+		r.ts.FaultInput = len(r.ts.Inputs)
+		r.ts.FaultDetail = err.Error()
+	}
+	r.fail(err)
+}
+
+// install is the stage prologue: a stage whose host is already down
+// fails the run; otherwise the device is charged one kernel setup per
+// stage — a worker pool shares the installed kernel, as SSD/NIC engines
+// share programmed logic.
+func (r *stageRun) install() {
+	if err := r.offline(); err != nil {
+		r.failAt(err)
+	} else if r.st.Device != nil {
+		setup := r.st.Device.ChargeSetup()
+		if r.ts != nil {
+			r.ts.Setup = setup
+		}
+	}
+}
+
+// runSerial drives the stage on the calling goroutine, one batch at a
+// time.
+func (r *stageRun) runSerial() {
+	p, st, in, res, i := r.p, r.st, r.in, r.res, r.i
+	out := Emit(r.out)
+	r.install()
+	for {
+		it, ok, err := in.recvItem()
+		if err != nil {
+			r.fail(err)
+			break
+		}
+		if ok && it.b == nil {
+			// Checkpoint marker: every batch of its epoch has been
+			// processed here, so the stage's state right now is the
+			// epoch's consistent snapshot. Record it and pass the
+			// marker on; at the last stage the epoch completes.
+			var snap any
+			if sn, isSnap := st.Stage.(Snapshotter); isSnap {
+				snap = sn.SnapshotState()
+			}
+			p.Ckpt.stageSnap(i, it.epoch, snap)
+			if r.next == nil {
+				p.Ckpt.sinkComplete(it.epoch, res.SinkBatches)
+			} else if err := r.next.SendMarker(it.epoch); err != nil {
+				r.fail(err)
+				break
+			}
+			continue
+		}
+		b := it.b
+		if !ok {
+			before := res.BatchesOut[i]
+			r.busy[0].Store(time.Now().UnixNano())
+			p.markBusy(1)
+			err := st.Stage.Flush(out)
+			p.markBusy(-1)
+			r.busy[0].Store(0)
+			if err != nil {
+				r.fail(err)
+			} else if r.ts != nil {
+				r.ts.FlushOuts = int(res.BatchesOut[i] - before)
+			}
+			break
+		}
+		res.BatchesIn[i]++
+		if err := r.offline(); err != nil {
+			r.failAt(err)
+			in.CreditReturn()
+			break
+		}
+		var cost sim.VTime
+		if st.ChargeInput && st.Device != nil {
+			cost = st.Device.Charge(st.Op, sim.Bytes(b.ByteSize()))
+		}
+		before := res.BatchesOut[i]
+		procStart := time.Now()
+		r.busy[0].Store(procStart.UnixNano())
+		p.markBusy(1)
+		perr := st.Stage.Process(b, out)
+		p.markBusy(-1)
+		r.busy[0].Store(0)
+		p.observeStage(st.Device, procStart)
+		if perr != nil {
+			r.fail(perr)
+			in.CreditReturn()
+			break
+		}
+		if r.ts != nil {
+			r.ts.Inputs = append(r.ts.Inputs, obs.TapeInput{
+				Bytes: sim.Bytes(b.ByteSize()),
+				Cost:  cost,
+				Outs:  int(res.BatchesOut[i] - before),
+			})
+		}
+		in.CreditReturn()
+	}
+	in.flushCredits()
+	if r.next != nil {
+		r.next.Close()
+	}
 }

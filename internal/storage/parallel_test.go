@@ -65,7 +65,8 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 			serialMedia := serialSrv.media.Meter.Snapshot()
 			serialProc := serialSrv.proc.Meter.Snapshot()
 
-			for _, workers := range []int{2, 4} {
+			// Workers 1 must take the same inline path as the implicit 0.
+			for _, workers := range []int{1, 2, 4} {
 				parSrv := newTestServer(t, true)
 				// Match the serial server's parallel capacity explicitly.
 				loadTable(t, parSrv, 7000)

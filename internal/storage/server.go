@@ -171,6 +171,29 @@ type ScanStats struct {
 	RepairBytes  sim.Bytes
 }
 
+// Add folds o — one segment's share of a scan, or one attempt's scan of
+// a restarted query — into s, counter by counter.
+func (s *ScanStats) Add(o ScanStats) {
+	s.SegmentsTotal += o.SegmentsTotal
+	s.SegmentsPruned += o.SegmentsPruned
+	s.MediaBytes += o.MediaBytes
+	s.ShippedBytes += o.ShippedBytes
+	s.ShippedRows += o.ShippedRows
+	s.ProcTime += o.ProcTime
+	s.Retries += o.Retries
+	s.ReplicaFallbacks += o.ReplicaFallbacks
+	s.RetryBytes += o.RetryBytes
+	s.EncodedEvalSegments += o.EncodedEvalSegments
+	s.DecodedBytes += o.DecodedBytes
+	s.DecodedBytesSaved += o.DecodedBytesSaved
+	s.SpeculativeMorsels += o.SpeculativeMorsels
+	s.SpeculativeWins += o.SpeculativeWins
+	s.SpeculativeBytes += o.SpeculativeBytes
+	s.CorruptReads += o.CorruptReads
+	s.ReadRepairs += o.ReadRepairs
+	s.RepairBytes += o.RepairBytes
+}
+
 // scanPipe replays one scan's internal three-stage pipeline onto a
 // trace: media reads, media-link DMA and processor work (decode plus
 // pushed-down operators) each serialize on their own resource frontier
@@ -456,140 +479,43 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 		stats.SegmentsTotal = 0
 	}
 
-	var pipe *scanPipe
+	sc := &segScan{
+		s: s, t: t, spec: spec, needed: needed, projection: projection, projPos: projPos,
+		filter: filter, preagg: preagg, batchRows: spec.BatchRows, emit: emit, stats: &stats,
+	}
 	if spec.Trace != nil {
-		pipe = &scanPipe{tr: spec.Trace, clock: spec.Clock}
+		sc.pipe = &scanPipe{tr: spec.Trace, clock: spec.Clock}
+	}
+	if sc.batchRows <= 0 {
+		sc.batchRows = DefaultBatchRows
 	}
 
-	batchRows := spec.BatchRows
-	if batchRows <= 0 {
-		batchRows = DefaultBatchRows
-	}
-	emitTracked := func(b *columnar.Batch) error {
-		if pipe != nil {
-			pipe.sync()
-		}
-		stats.ShippedBytes += sim.Bytes(b.ByteSize())
-		stats.ShippedRows += int64(b.NumRows())
-		for off := 0; off < b.NumRows(); off += batchRows {
-			end := off + batchRows
-			if end > b.NumRows() {
-				end = b.NumRows()
-			}
-			if err := emit(b.Slice(off, end)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	progress := func(next int) error {
-		if spec.Progress == nil {
-			return nil
-		}
-		return spec.Progress(next)
-	}
-
-	workers := spec.Workers
-	if u := s.proc.Units(); workers > u {
-		workers = u
-	}
-	if pipe != nil || preagg != nil {
+	workers := min(spec.Workers, s.proc.Units())
+	if sc.pipe != nil || preagg != nil {
 		// The trace pipeline's resource frontiers and the pushed-down
 		// aggregator's state are order-sensitive; keep those scans serial.
 		workers = 1
 	}
 	if workers > 1 {
-		if err := s.scanParallel(ctx, t, spec, workers, needed, filter, projPos, projection, emitTracked, progress, &stats); err != nil {
+		if err := sc.scanParallel(ctx, workers); err != nil {
 			return stats, err
 		}
-		stats.ProcTime = s.proc.Meter.Busy() - procStart
-		return stats, nil
-	}
-
-	for segIdx, key := range t.SegmentKeys {
-		if segIdx < spec.StartSegment {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		seg, batch, skip, processed, segErr := s.readSegmentRetry(ctx, key, needed, projection, spec, pipe, segIdx, 0, &stats)
-		if segErr != nil {
-			return stats, segErr
-		}
-		if skip {
-			stats.SegmentsPruned++
-			if err := progress(segIdx + 1); err != nil {
+	} else {
+		// Width 1 is the same two functions with nothing in between,
+		// inline on the caller's goroutine.
+		for idx := spec.StartSegment; idx < len(t.SegmentKeys); idx++ {
+			if err := ctx.Err(); err != nil {
 				return stats, err
 			}
-			continue
-		}
-		if processed {
-			// The encoded-eval path already filtered and projected.
-			if batch.NumRows() > 0 {
-				if err := emitTracked(batch); err != nil {
-					return stats, err
-				}
-			}
-			if err := progress(segIdx + 1); err != nil {
+			if err := sc.deliver(sc.processSegment(ctx, idx, 0)); err != nil {
 				return stats, err
 			}
-			continue
-		}
-
-		// procSpan replays one pushed-down operator's work on the storage
-		// processor's track, serialized behind this segment's decode.
-		procSpan := func(name string, c sim.VTime, n sim.Bytes) {
-			if pipe != nil {
-				pipe.procOp(name, s.proc.Name, c, int64(segIdx), n)
-			}
-		}
-
-		if spec.Pushdown && filter != nil {
-			n := seg.ColumnDecodedSize(spec.Filter.Columns())
-			procSpan("filter@storage", s.proc.Charge(fabric.OpFilter, n), n)
-			batch = batch.Filter(filter.Eval(batch))
-		}
-
-		if preagg != nil {
-			n := sim.Bytes(batch.ByteSize())
-			procSpan("preagg@storage", s.proc.Charge(fabric.OpPreAgg, n), n)
-			for _, spill := range preagg.AddRaw(batch) {
-				if err := emitTracked(spill); err != nil {
-					return stats, err
-				}
-			}
-			if err := progress(segIdx + 1); err != nil {
-				return stats, err
-			}
-			continue
-		}
-
-		// Without pushdown the consumer evaluates the filter, so every
-		// needed column ships in sorted table order; with pushdown only
-		// the projection leaves the node.
-		out := batch
-		if spec.Pushdown {
-			out = batch.Project(projPos)
-			if len(projection) < t.Schema.NumFields() {
-				n := sim.Bytes(out.ByteSize())
-				procSpan("project@storage", s.proc.Charge(fabric.OpProject, n), n)
-			}
-		}
-		if out.NumRows() > 0 {
-			if err := emitTracked(out); err != nil {
-				return stats, err
-			}
-		}
-		if err := progress(segIdx + 1); err != nil {
-			return stats, err
 		}
 	}
 
 	if preagg != nil {
 		if tail := preagg.Flush(); tail != nil {
-			if err := emitTracked(tail); err != nil {
+			if err := sc.emitTracked(tail); err != nil {
 				return stats, err
 			}
 		}
@@ -599,39 +525,153 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	return stats, nil
 }
 
+// segScan is one Scan's per-segment machinery. processSegment is the
+// part any worker may run — read, prune, filter, project, charging the
+// lane it is given; deliver is the order-sensitive part — stats,
+// pre-aggregation, emission, Progress — and always runs on Scan's own
+// goroutine, in segment order. A serial scan calls one after the other;
+// a parallel scan puts a worker pool and a reorder buffer in between.
+type segScan struct {
+	s    *Server
+	t    *TableMeta
+	spec ScanSpec
+
+	needed     []int          // table columns to decode, ascending
+	projection []int          // table columns to return
+	projPos    []int          // positions of projection within the decoded batch
+	filter     expr.Predicate // spec.Filter rebased onto the decoded batch
+	preagg     *expr.PartialAggregator
+	pipe       *scanPipe // nil unless tracing (which forces width 1)
+	batchRows  int
+
+	emit  func(*columnar.Batch) error
+	stats *ScanStats
+}
+
+// segResult is one completed morsel copy, primary or speculative.
+type segResult struct {
+	seg int
+	out *columnar.Batch // nil when pruned
+	sub ScanStats       // this segment's share of the scan's stats
+	err error
+	dup bool // a speculative re-execution, not the primary copy
+}
+
+// procSpan replays one pushed-down operator's work on the storage
+// processor's track, serialized behind the segment's decode.
+func (sc *segScan) procSpan(name string, seg int, c sim.VTime, n sim.Bytes) {
+	if sc.pipe != nil {
+		sc.pipe.procOp(name, sc.s.proc.Name, c, int64(seg), n)
+	}
+}
+
+// processSegment runs one copy of segment idx end to end — read/decode
+// and, with pushdown, filter and project — charging the processor's
+// given lane, and returns its result message.
+func (sc *segScan) processSegment(ctx context.Context, idx, lane int) segResult {
+	r := segResult{seg: idx}
+	seg, batch, processed, err := sc.readSegmentRetry(ctx, idx, lane, &r.sub)
+	switch {
+	case err != nil:
+		r.err = err
+		return r
+	case batch == nil:
+		r.sub.SegmentsPruned++
+		return r
+	case processed:
+		// The encoded-eval path already filtered and projected.
+		r.out = batch
+		return r
+	}
+	proc, spec := sc.s.proc, sc.spec
+	if spec.Pushdown && sc.filter != nil {
+		n := seg.ColumnDecodedSize(spec.Filter.Columns())
+		sc.procSpan("filter@storage", idx, proc.ChargeLane(fabric.OpFilter, n, lane), n)
+		batch = batch.Filter(sc.filter.Eval(batch))
+	}
+	// Without pushdown the consumer evaluates the filter, so every
+	// needed column ships in sorted table order; with pushdown only the
+	// projection leaves the node — unless the processor pre-aggregates,
+	// which deliver does over every decoded column.
+	if spec.Pushdown && sc.preagg == nil {
+		batch = batch.Project(sc.projPos)
+		if len(sc.projection) < sc.t.Schema.NumFields() {
+			n := sim.Bytes(batch.ByteSize())
+			sc.procSpan("project@storage", idx, proc.ChargeLane(fabric.OpProject, n, lane), n)
+		}
+	}
+	r.out = batch
+	return r
+}
+
+// deliver lands one segment's result, in segment order: its stats, its
+// rows — through the pushed-down aggregator when there is one — and the
+// Progress watermark past it.
+func (sc *segScan) deliver(r segResult) error {
+	sc.stats.Add(r.sub)
+	switch {
+	case r.err != nil:
+		return r.err
+	case r.out == nil:
+	case sc.preagg != nil:
+		n := sim.Bytes(r.out.ByteSize())
+		sc.procSpan("preagg@storage", r.seg, sc.s.proc.Charge(fabric.OpPreAgg, n), n)
+		for _, spill := range sc.preagg.AddRaw(r.out) {
+			if err := sc.emitTracked(spill); err != nil {
+				return err
+			}
+		}
+	case r.out.NumRows() > 0:
+		if err := sc.emitTracked(r.out); err != nil {
+			return err
+		}
+	}
+	if sc.spec.Progress == nil {
+		return nil
+	}
+	return sc.spec.Progress(r.seg + 1)
+}
+
+// emitTracked ships one batch to the consumer in BatchRows granules.
+func (sc *segScan) emitTracked(b *columnar.Batch) error {
+	if sc.pipe != nil {
+		sc.pipe.sync()
+	}
+	sc.stats.ShippedBytes += sim.Bytes(b.ByteSize())
+	sc.stats.ShippedRows += int64(b.NumRows())
+	for off := 0; off < b.NumRows(); off += sc.batchRows {
+		end := min(off+sc.batchRows, b.NumRows())
+		if err := sc.emit(b.Slice(off, end)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // readSegmentRetry wraps readSegment in the corrupt-blob retry loop:
 // only checksum-detected corruption is worth re-reading — a fresh read
 // may hit a clean replica or a clean wire — while other errors (missing
 // object, exhausted transient budget) have already been through the
 // store's own retry machinery and surface as-is.
-func (s *Server) readSegmentRetry(ctx context.Context, key string, needed, projection []int, spec ScanSpec, pipe *scanPipe, segIdx, lane int, stats *ScanStats) (*Segment, *columnar.Batch, bool, bool, error) {
+func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *ScanStats) (*Segment, *columnar.Batch, bool, error) {
+	s, key := sc.s, sc.t.SegmentKeys[idx]
 	for attempt := 0; ; attempt++ {
-		seg, batch, skip, processed, segErr := s.readSegment(ctx, key, needed, projection, spec, pipe, segIdx, lane, attempt, stats)
+		seg, batch, processed, segErr := sc.readSegment(ctx, idx, lane, attempt, stats)
 		if segErr == nil {
-			return seg, batch, skip, processed, nil
+			return seg, batch, processed, nil
 		}
 		if !errors.Is(segErr, encoding.ErrCorrupt) || attempt >= s.store.MaxRetries {
-			return nil, nil, false, false, fmt.Errorf("storage: %s: %w", key, segErr)
+			return nil, nil, false, fmt.Errorf("storage: %s: %w", key, segErr)
 		}
 		stats.Retries++
-		if spec.Trace != nil {
-			spec.Trace.AddEvent(obs.Event{Name: "retry", Track: s.media.Name,
-				At: spec.Clock.Now(), Detail: fmt.Sprintf("%s: %v", key, segErr)})
+		if sc.spec.Trace != nil {
+			sc.spec.Trace.AddEvent(obs.Event{Name: "retry", Track: s.media.Name,
+				At: sc.spec.Clock.Now(), Detail: fmt.Sprintf("%s: %v", key, segErr)})
 		}
 		if err := s.store.backoff(ctx, attempt); err != nil {
-			return nil, nil, false, false, err
+			return nil, nil, false, err
 		}
 	}
-}
-
-// segResult is one completed morsel copy, primary or speculative.
-type segResult struct {
-	seg  int
-	out  *columnar.Batch // nil when pruned or empty
-	skip bool
-	sub  ScanStats // this segment's media/retry accounting
-	err  error
-	dup  bool // a speculative re-execution, not the primary copy
 }
 
 // morselState tracks one in-flight morsel for straggler detection: when
@@ -823,7 +863,8 @@ func (st *specState) pick(now time.Time) (int, *morselState, time.Duration) {
 // per segment — and cancels the loser, whose media bytes land in
 // SpeculativeBytes instead of the logical totals, so result rows and
 // MediaBytes are identical to an unspeculated scan.
-func (s *Server) scanParallel(ctx context.Context, t *TableMeta, spec ScanSpec, workers int, needed []int, filter expr.Predicate, projPos, projection []int, emitTracked func(*columnar.Batch) error, progress func(int) error, stats *ScanStats) error {
+func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
+	s, t, spec, stats := sc.s, sc.t, sc.spec, sc.stats
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -833,39 +874,11 @@ func (s *Server) scanParallel(ctx context.Context, t *TableMeta, spec ScanSpec, 
 		defer st.cancelAll()
 	}
 
-	// processMorsel runs one copy of segment idx end to end, charging
-	// lane idx%workers, and returns its result message.
+	// processMorsel runs one copy of segment idx, charging lane
+	// idx%workers.
 	processMorsel := func(mctx context.Context, idx int, dup bool) segResult {
-		r := segResult{seg: idx, dup: dup}
-		lane := idx % workers
-		seg, batch, skip, processed, err := s.readSegmentRetry(mctx, t.SegmentKeys[idx], needed, projection, spec, nil, idx, lane, &r.sub)
-		switch {
-		case err != nil:
-			r.err = err
-		case skip:
-			r.skip = true
-		case processed:
-			// Encoded-eval already filtered and projected.
-			if batch.NumRows() > 0 {
-				r.out = batch
-			}
-		default:
-			if spec.Pushdown && filter != nil {
-				n := seg.ColumnDecodedSize(spec.Filter.Columns())
-				s.proc.ChargeLane(fabric.OpFilter, n, lane)
-				batch = batch.Filter(filter.Eval(batch))
-			}
-			out := batch
-			if spec.Pushdown {
-				out = batch.Project(projPos)
-				if len(projection) < t.Schema.NumFields() {
-					s.proc.ChargeLane(fabric.OpProject, sim.Bytes(out.ByteSize()), lane)
-				}
-			}
-			if out.NumRows() > 0 {
-				r.out = out
-			}
-		}
+		r := sc.processSegment(mctx, idx, idx%workers)
+		r.dup = dup
 		return r
 	}
 
@@ -985,25 +998,7 @@ func (s *Server) scanParallel(ctx context.Context, t *TableMeta, spec ScanSpec, 
 				break
 			}
 			delete(pend, want)
-			stats.MediaBytes += cur.sub.MediaBytes
-			stats.Retries += cur.sub.Retries
-			stats.RetryBytes += cur.sub.RetryBytes
-			stats.EncodedEvalSegments += cur.sub.EncodedEvalSegments
-			stats.DecodedBytes += cur.sub.DecodedBytes
-			stats.DecodedBytesSaved += cur.sub.DecodedBytesSaved
-			if cur.err != nil {
-				fail(cur.err)
-				break
-			}
-			if cur.skip {
-				stats.SegmentsPruned++
-			} else if cur.out != nil {
-				if err := emitTracked(cur.out); err != nil {
-					fail(err)
-					break
-				}
-			}
-			if err := progress(want + 1); err != nil {
+			if err := sc.deliver(cur); err != nil {
 				fail(err)
 				break
 			}
@@ -1031,20 +1026,21 @@ func (s *Server) scanParallel(ctx context.Context, t *TableMeta, spec ScanSpec, 
 // surfaces as an error wrapping encoding.ErrCorrupt for the retry loop;
 // re-reads (attempt > 0) charge the media again and count toward
 // RetryBytes, so recovery shows up as real extra work in the meters.
-func (s *Server) readSegment(ctx context.Context, key string, needed, projection []int, spec ScanSpec, pipe *scanPipe, segIdx, lane, attempt int, stats *ScanStats) (*Segment, *columnar.Batch, bool, bool, error) {
-	blob, err := s.store.GetNoCopy(ctx, key)
+func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stats *ScanStats) (*Segment, *columnar.Batch, bool, error) {
+	s, spec, needed := sc.s, sc.spec, sc.needed
+	blob, err := s.store.GetNoCopy(ctx, sc.t.SegmentKeys[idx])
 	if err != nil {
-		return nil, nil, false, false, err
+		return nil, nil, false, err
 	}
 	if attempt > 0 {
 		stats.RetryBytes += sim.Bytes(len(blob))
 	}
 	seg, err := UnmarshalSegment(blob)
 	if err != nil {
-		return nil, nil, false, false, err
+		return nil, nil, false, err
 	}
 	if !spec.DisablePruning && s.pruned(seg, spec.Filter) {
-		return seg, nil, true, false, nil
+		return seg, nil, false, nil
 	}
 
 	// Media reads only the needed column chunks (columnar layout +
@@ -1068,19 +1064,19 @@ func (s *Server) readSegment(ctx context.Context, key string, needed, projection
 		if s.store.Faults != nil {
 			if extra := s.store.Faults.Slowdown(faults.JitterLink, s.mediaLink.Name, s.store.BaseLatency); extra > 0 {
 				if err := sleepCtx(ctx, extra); err != nil {
-					return nil, nil, false, false, err
+					return nil, nil, false, err
 				}
 			}
 		}
 	}
 
 	if spec.encodedEvalActive() {
-		out, hit, encErr := s.segmentEncodedEval(seg, spec, projection, pipe, segIdx, lane, encoded, readCost, xferCost, stats)
+		out, hit, encErr := sc.segmentEncodedEval(seg, idx, lane, encoded, readCost, xferCost, stats)
 		if encErr != nil {
-			return seg, nil, false, false, encErr
+			return seg, nil, false, encErr
 		}
 		if hit {
-			return seg, out, false, true, nil
+			return seg, out, true, nil
 		}
 		// No kernel for some leaf: fall through to decode-then-eval for
 		// this segment.
@@ -1088,16 +1084,16 @@ func (s *Server) readSegment(ctx context.Context, key string, needed, projection
 
 	decodeCost := s.proc.ChargeLane(fabric.OpDecompress, encoded, lane)
 	stats.DecodedBytes += encoded
-	if pipe != nil {
-		pipe.segment(int64(segIdx), encoded, s.media.Name, s.proc.Name, "decode",
+	if sc.pipe != nil {
+		sc.pipe.segment(int64(idx), encoded, s.media.Name, s.proc.Name, "decode",
 			s.mediaLink, readCost, xferCost, decodeCost)
 	}
 
 	batch, err := seg.DecodeColumns(needed)
 	if err != nil {
-		return seg, nil, false, false, err
+		return seg, nil, false, err
 	}
-	return seg, batch, false, false, nil
+	return seg, batch, false, nil
 }
 
 // encodedEvalActive reports whether this scan runs filters on encoded
@@ -1115,7 +1111,8 @@ func (spec ScanSpec) encodedEvalActive() bool {
 // decode instead; nothing has been charged to the processor in that
 // case. The returned batch is already filtered and projected, value-
 // identical to the eager path's output.
-func (s *Server) segmentEncodedEval(seg *Segment, spec ScanSpec, projection []int, pipe *scanPipe, segIdx, lane int, encoded sim.Bytes, readCost, xferCost sim.VTime, stats *ScanStats) (*columnar.Batch, bool, error) {
+func (sc *segScan) segmentEncodedEval(seg *Segment, idx, lane int, encoded sim.Bytes, readCost, xferCost sim.VTime, stats *ScanStats) (*columnar.Batch, bool, error) {
+	s, spec, projection := sc.s, sc.spec, sc.projection
 	bm, ok, err := expr.EvalEncoded(spec.Filter, func(c int) *encoding.EncodedColumn {
 		if c < 0 || c >= len(seg.Columns) {
 			return nil
@@ -1157,10 +1154,10 @@ func (s *Server) segmentEncodedEval(seg *Segment, spec ScanSpec, projection []in
 	if encoded > gather {
 		stats.DecodedBytesSaved += encoded - gather
 	}
-	if pipe != nil {
-		pipe.segment(int64(segIdx), encoded, s.media.Name, s.proc.Name, "filter@storage[enc]",
+	if sc.pipe != nil {
+		sc.pipe.segment(int64(idx), encoded, s.media.Name, s.proc.Name, "filter@storage[enc]",
 			s.mediaLink, readCost, xferCost, filterCost)
-		pipe.procOp("gather@storage", s.proc.Name, decodeCost, int64(segIdx), gather)
+		sc.procSpan("gather@storage", idx, decodeCost, gather)
 	}
 	return out, true, nil
 }
