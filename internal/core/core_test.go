@@ -202,6 +202,39 @@ func TestDataFlowMovesFewerBytes(t *testing.T) {
 	}
 }
 
+// A warm pass over a table the pool holds misses nothing, so it saves
+// exactly the storage round trips the cold pass paid — one per miss —
+// and nothing else: SimTime must charge a query its own misses only.
+func TestVolcanoWarmPassPaysNoRoundTrips(t *testing.T) {
+	_, vo, _ := newEngines(t)
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	cold, err := vo.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := vo.Pool.Stats().Misses
+	warm, err := vo.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if misses == 0 || vo.Pool.Stats().Misses != misses {
+		t.Fatalf("misses cold %d, after warm %d: want a cold pass that misses and a warm pass that does not",
+			misses, vo.Pool.Stats().Misses)
+	}
+	path, err := vo.Cluster.Path(fabric.DevStorageMed, fabric.ComputeDev(0, "dram"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var roundTrip sim.VTime
+	for _, l := range path {
+		roundTrip += l.Latency
+	}
+	if want := cold.Stats.SimTime - sim.VTime(misses)*roundTrip; warm.Stats.SimTime != want {
+		t.Errorf("warm SimTime %v, want cold %v - %d misses x %v = %v",
+			warm.Stats.SimTime, cold.Stats.SimTime, misses, roundTrip, want)
+	}
+}
+
 func TestDataFlowNeedsLessMemory(t *testing.T) {
 	// Section 7.4: the stateless pipeline's compute-side memory stays
 	// flat as the table grows, while the buffer-pool engine's footprint

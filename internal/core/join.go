@@ -123,7 +123,7 @@ func (e *DataFlowEngine) materialize(ctx context.Context, table string) ([]*colu
 // iterator — no exchange, no other nodes, all bytes to one CPU.
 func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
-	before := markMeters(e.Cluster)
+	before := e.mark()
 	buildIt, err := e.tableIterator(ctx, jq.Build)
 	if err != nil {
 		return nil, err

@@ -41,6 +41,17 @@ type VolcanoEngine struct {
 	fetches atomic.Int64
 }
 
+// volcanoMark is the baseline's per-query mark: the cluster's meters
+// plus the one meter the engine keeps itself, buffer-pool misses.
+type volcanoMark struct {
+	meterMark
+	misses int64
+}
+
+func (e *VolcanoEngine) mark() volcanoMark {
+	return volcanoMark{markMeters(e.Cluster), e.fetches.Load()}
+}
+
 // NewVolcanoEngine wires the baseline onto a cluster with the given
 // buffer-pool capacity on compute node 0.
 func NewVolcanoEngine(c *fabric.Cluster, poolBytes sim.Bytes) *VolcanoEngine {
@@ -172,7 +183,7 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 	}
 	clock := e.clock
 
-	before := markMeters(e.Cluster)
+	before := e.mark()
 	recBefore := e.Storage.Store().Recovery()
 	rBefore := snapshotResilience(e.Storage.Store(), e.Resilience)
 
@@ -226,7 +237,7 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		return nil, lifecycleError(err)
 	}
 	res := &Result{Batches: batches, Trace: tr}
-	sampleMeterSeries(tr, before)
+	sampleMeterSeries(tr, before.meterMark)
 	res.Stats = e.buildStats(before, res)
 	res.Stats.PeakMemory += maxDecoded
 	// The baseline still benefits from whatever retrying the object store
@@ -367,18 +378,18 @@ func (e *VolcanoEngine) deliver(b *columnar.Batch, peak *sim.Bytes) *columnar.Ba
 // buildStats mirrors the data-flow engine's accounting so results are
 // directly comparable. Busy times are effective readings (lane work
 // divided across a device's units; see fabric.EffectiveBusy).
-func (e *VolcanoEngine) buildStats(before meterMark, res *Result) ExecStats {
+func (e *VolcanoEngine) buildStats(before volcanoMark, res *Result) ExecStats {
 	f := before.fold(e.cpu)
 	st := f.stats(e.engine, "", res)
-	// Pull execution pays the storage round trip per buffer-pool miss,
-	// not once per stream: latency amplifies with misses.
+	// Pull execution pays the storage round trip per buffer-pool miss of
+	// this query, not once per stream: latency amplifies with misses.
 	var latency sim.VTime
 	if path, err := e.Cluster.Path(fabric.DevStorageMed, e.dram); err == nil {
 		var hop sim.VTime
 		for _, l := range path {
 			hop += l.Latency
 		}
-		latency = hop * sim.VTime(e.fetches.Load())
+		latency = hop * sim.VTime(e.fetches.Load()-before.misses)
 	}
 	st.SimTime = f.Bottleneck + latency
 	poolStats := e.Pool.Stats()

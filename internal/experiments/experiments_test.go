@@ -304,11 +304,12 @@ func TestE14PipelineFlatAndCacheFree(t *testing.T) {
 	if res.CacheBytes == 0 {
 		t.Error("volcano held no cache despite warm pass")
 	}
-	// Warm passes are at best equal to cold ones: with the CPU-centric
-	// bottleneck (decode + single-core memory path) dominating, caching
-	// often cannot help at all — which is the paper's point.
-	if res.WarmVolcano > res.ColdVolcano {
-		t.Errorf("warm volcano %v > cold %v", res.WarmVolcano, res.ColdVolcano)
+	// A warm pass saves the per-miss storage round trips and nothing
+	// else: the CPU-centric bottleneck (decode + single-core memory
+	// path) still dominates, so the cache buys a sliver, not a tier —
+	// which is the paper's point.
+	if res.WarmVolcano >= res.ColdVolcano {
+		t.Errorf("warm volcano %v >= cold %v", res.WarmVolcano, res.ColdVolcano)
 	}
 }
 
