@@ -138,7 +138,7 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 		Workers: e.Workers,
 	}
 	// The CPU is charged for join work per probed batch.
-	batches, err := exec.Drain(&chargeIter{in: join, dev: e.cpu, op: fabric.OpJoin, name: "join"})
+	batches, err := exec.Drain(&chargeIter{e: e, in: join, op: fabric.OpJoin, name: "join"})
 	if err != nil {
 		return nil, lifecycleError(err)
 	}

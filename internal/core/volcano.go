@@ -126,18 +126,15 @@ func (e *VolcanoEngine) Load(name string, b *columnar.Batch) error {
 	return e.Storage.Append(name, b)
 }
 
-// chargeIter charges a device for every batch flowing through it; this
-// is how the baseline accounts per-operator CPU work. With a trace
-// attached it also records each charge as a span on the device's track,
-// serialized on the engine's single clock.
+// chargeIter charges the CPU for every batch flowing through it; this is
+// how the baseline accounts per-operator work. On a traced execution
+// each charge is also a span on the CPU's track, serialized on the
+// engine's single clock.
 type chargeIter struct {
-	in  exec.Iterator
-	dev *fabric.Device
-	op  fabric.OpClass
-
-	name  string
-	tr    *obs.Trace
-	clock *obs.VClock
+	e    *VolcanoEngine
+	in   exec.Iterator
+	op   fabric.OpClass
+	name string
 }
 
 func (it *chargeIter) Schema() *columnar.Schema { return it.in.Schema() }
@@ -148,14 +145,8 @@ func (it *chargeIter) Next() (*columnar.Batch, error) {
 		return b, err
 	}
 	n := sim.Bytes(b.ByteSize())
-	cost := it.dev.Charge(it.op, n)
-	if it.tr.Enabled() {
-		start := it.clock.Now()
-		it.tr.AddSpan(obs.Span{
-			Name: it.name, Track: it.dev.Name, Kind: obs.SpanStage,
-			Start: start, End: it.clock.Advance(cost), Bytes: n,
-		})
-	}
+	cpu := it.e.cpu
+	it.e.span(it.name, cpu.Name, obs.SpanStage, cpu.Charge(it.op, n), n)
 	return b, nil
 }
 
@@ -181,7 +172,6 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		e.clock = obs.NewVClock()
 		defer func() { e.tr, e.clock = nil, nil }()
 	}
-	clock := e.clock
 
 	before := e.mark()
 	recBefore := e.Storage.Store().Recovery()
@@ -207,7 +197,7 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 
 	// Operator tree, all on the CPU.
 	charge := func(in exec.Iterator, op fabric.OpClass, name string) exec.Iterator {
-		return &chargeIter{in: in, dev: e.cpu, op: op, name: name, tr: tr, clock: clock}
+		return &chargeIter{e: e, in: in, op: op, name: name}
 	}
 	if q.Filter != nil {
 		it = charge(it, fabric.OpFilter, "filter")

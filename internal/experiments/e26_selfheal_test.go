@@ -73,16 +73,21 @@ func TestE26SelfHealShape(t *testing.T) {
 		}
 	}
 
-	// The throttle is the point: the paced arm's foreground p99 must sit
-	// closer to the no-repair baseline than the storm's. (The strict
-	// 1.5x acceptance bound is asserted at dfbench scale; here the
-	// ordering must hold with a generous margin for CI timer noise.)
+	// The throttle is the point, but its effect on foreground p99 is a
+	// wall-clock ratio of two noisy tails — reported (p99x@*), asserted at
+	// dfbench scale, not here. What the arms fix without a stopwatch's
+	// noise is that the pacing was in force: the throttled arm re-clones
+	// one replica's worth of bytes — a third of the store — through a
+	// byte budget sized to release the whole store once per HealWindow,
+	// starting empty. Sleeps only overshoot, so its MTTR has a floor of
+	// HealWindow/3 (checked at /4, clear of rounding) that the unpaced
+	// storm does not.
 	if thr.P99 == 0 || unthr.P99 == 0 || off.P99 == 0 {
 		t.Fatal("missing p99 samples")
 	}
-	if thr.P99x >= unthr.P99x {
-		t.Errorf("throttled p99 ratio %.2fx not below unthrottled %.2fx (off %v, throttled %v, unthrottled %v)",
-			thr.P99x, unthr.P99x, off.P99, thr.P99, unthr.P99)
+	if floor := e26TestOptions().HealWindow / 4; thr.MTTR < floor {
+		t.Errorf("throttled MTTR %v below the %v its repair byte budget allows: pacing was not in force",
+			thr.MTTR, floor)
 	}
 
 	if res.Table == nil || len(res.Table.Rows) != len(res.Rows) {
