@@ -874,14 +874,6 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 		defer st.cancelAll()
 	}
 
-	// processMorsel runs one copy of segment idx, charging lane
-	// idx%workers.
-	processMorsel := func(mctx context.Context, idx int, dup bool) segResult {
-		r := sc.processSegment(mctx, idx, idx%workers)
-		r.dup = dup
-		return r
-	}
-
 	var next atomic.Int64
 	next.Store(int64(spec.StartSegment))
 	results := make(chan segResult, 2*workers+2)
@@ -904,7 +896,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 					mctx = st.register(idx, ctx)
 					start = time.Now()
 				}
-				r := processMorsel(mctx, idx, false)
+				r := sc.processSegment(mctx, idx, idx%workers)
 				if st != nil {
 					st.markDone(idx, time.Since(start), r.err == nil)
 				}
@@ -945,7 +937,8 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 				st.mu.Lock()
 				st.launched++
 				st.mu.Unlock()
-				r := processMorsel(ms.ctx, seg, true)
+				r := sc.processSegment(ms.ctx, seg, seg%workers)
+				r.dup = true
 				select {
 				case results <- r:
 				case <-ctx.Done():
