@@ -149,9 +149,13 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 			}
 			row := E24Row{Severity: severity, Hedge: hedge}
 			lats := make([]time.Duration, 0, opts.Trials)
-			// Trial -1 is an unrecorded warmup: production tails are
-			// measured with the health tracker warm, not on the very
-			// first request after a deploy. Correctness is still checked.
+			// Trial -1 is a warmup whose latency is not recorded:
+			// production tails are measured with the health tracker warm,
+			// not on the very first request after a deploy. Correctness is
+			// still checked, and its defense counters still count — the
+			// cold tracker's first slow reads are where hedging is certain
+			// to fire; once it has learned, ranking alone may absorb the
+			// slow replica.
 			for trial := -1; trial < opts.Trials; trial++ {
 				start := time.Now()
 				r, err := df.Execute(context.Background(), q)
@@ -167,10 +171,9 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 					return nil, fmt.Errorf("experiments: E24 severity %g hedge=%v returned wrong rows",
 						severity, hedge)
 				}
-				if trial < 0 {
-					continue
+				if trial >= 0 {
+					lats = append(lats, elapsed)
 				}
-				lats = append(lats, elapsed)
 				row.HedgedReads += r.Stats.HedgedReads
 				row.HedgeWins += r.Stats.HedgeWins
 				row.SpecMorsels += r.Stats.SpeculativeMorsels
