@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/columnar"
@@ -64,6 +65,11 @@ type PartialAggregator struct {
 
 	groups map[string]*partialGroup
 	order  []*partialGroup
+
+	// Scratch for the row being looked up, reused so that only a new
+	// group allocates.
+	vals []columnar.Value
+	key  []byte
 }
 
 // NewPartialAggregator builds a partial aggregator for spec over batches
@@ -153,31 +159,32 @@ func (p *PartialAggregator) AddPartial(b *columnar.Batch) []*columnar.Batch {
 // budget is exhausted. The returned spill batch, if non-nil, must be
 // emitted downstream before retrying.
 func (p *PartialAggregator) group(b *columnar.Batch, row int) (*partialGroup, *columnar.Batch) {
-	vals := make([]columnar.Value, len(p.Spec.GroupCols))
-	for i, c := range p.Spec.GroupCols {
-		vals[i] = b.Col(c).Value(row)
+	p.vals = p.vals[:0]
+	for _, c := range p.Spec.GroupCols {
+		p.vals = append(p.vals, b.Col(c).Value(row))
 	}
-	return p.findGroup(vals)
+	return p.findGroup()
 }
 
 func (p *PartialAggregator) groupFromPartial(b *columnar.Batch, row int) (*partialGroup, *columnar.Batch) {
-	vals := make([]columnar.Value, len(p.Spec.GroupCols))
+	p.vals = p.vals[:0]
 	for i := range p.Spec.GroupCols {
-		vals[i] = b.Col(i).Value(row)
+		p.vals = append(p.vals, b.Col(i).Value(row))
 	}
-	return p.findGroup(vals)
+	return p.findGroup()
 }
 
-func (p *PartialAggregator) findGroup(vals []columnar.Value) (*partialGroup, *columnar.Batch) {
-	key := encodeGroupKey(vals)
-	if g, ok := p.groups[key]; ok {
+// findGroup looks up the group of the values in p.vals.
+func (p *PartialAggregator) findGroup() (*partialGroup, *columnar.Batch) {
+	p.key = appendGroupKey(p.key[:0], p.vals)
+	if g, ok := p.groups[string(p.key)]; ok { // the conversion does not allocate
 		return g, nil
 	}
 	if p.MaxGroups > 0 && len(p.groups) >= p.MaxGroups {
 		return nil, p.Flush()
 	}
-	g := &partialGroup{key: key, vals: vals, states: make([]AggState, len(p.Spec.Aggs))}
-	p.groups[key] = g
+	g := &partialGroup{key: string(p.key), vals: slices.Clone(p.vals), states: make([]AggState, len(p.Spec.Aggs))}
+	p.groups[g.key] = g
 	p.order = append(p.order, g)
 	return g, nil
 }
@@ -284,9 +291,9 @@ func (f *FinalAggregator) Result() *columnar.Batch {
 	return out
 }
 
-// encodeGroupKey builds a collision-free byte key from group values.
-func encodeGroupKey(vals []columnar.Value) string {
-	var buf []byte
+// appendGroupKey appends a collision-free byte key of the group values
+// to buf.
+func appendGroupKey(buf []byte, vals []columnar.Value) []byte {
 	for _, v := range vals {
 		buf = append(buf, byte(v.Type))
 		if v.Null {
@@ -310,7 +317,7 @@ func encodeGroupKey(vals []columnar.Value) string {
 			}
 		}
 	}
-	return string(buf)
+	return buf
 }
 
 // Rebase returns a copy of the GroupBy with all column indices translated

@@ -302,3 +302,14 @@ func TestPartialSplitProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Folding a row into a group that already exists allocates nothing: the
+// group values and their key are scratch on the aggregator.
+func TestAddRawKnownGroupsDoesNotAllocate(t *testing.T) {
+	p := NewPartialAggregator(salesSpec(), salesSchema(), 0)
+	b := salesBatch([]string{"eu", "us", "eu", "us"}, []int64{1, 2, 3, 4})
+	p.AddRaw(b)
+	if n := testing.AllocsPerRun(10, func() { p.AddRaw(b) }); n != 0 {
+		t.Errorf("AddRaw over known groups: %v allocs per batch, want 0", n)
+	}
+}
