@@ -399,34 +399,13 @@ func registry() []experiment {
 	}
 }
 
-// jsonEntry is one experiment's slice of the -json perf artifact.
+// jsonEntry is one experiment's slice of the -json perf artifact. All
+// of an experiment's numbers, run-wide counters included, are in its
+// Metrics (see experiments.Table).
 type jsonEntry struct {
 	ID      string             `json:"id"`
 	Title   string             `json:"title"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// EncodedEval and DecodedBytesSaved capture whether the run used
-	// encoded predicate evaluation and how many decode bytes late
-	// materialization avoided, so BENCH_*.json trajectories track the
-	// win across revisions.
-	EncodedEval       bool  `json:"encodedEval,omitempty"`
-	DecodedBytesSaved int64 `json:"decodedBytesSaved,omitempty"`
-	// Gray-failure defense counters (E24): duplicate work and breaker
-	// activity the run's resilience policy reported. Emitted
-	// unconditionally — a zero is a result, and dropping the fields
-	// under -hedge=false would make the artifact schema depend on flags.
-	HedgedReads          int64 `json:"hedgedReads"`
-	SpeculativeMorsels   int64 `json:"speculativeMorsels"`
-	BreakerTrips         int64 `json:"breakerTrips"`
-	RetryBudgetExhausted int64 `json:"retryBudgetExhausted"`
-	// Self-healing counters (E26) and the deterministic fault seed the
-	// run's damage schedule was drawn from — also unconditional, so the
-	// artifact schema is stable and a zero reads as "no repair work",
-	// not "field missing".
-	ReadRepairs  int64 `json:"readRepairs"`
-	ScrubRepairs int64 `json:"scrubRepairs"`
-	Recloned     int64 `json:"recloned"`
-	RepairBytes  int64 `json:"repairBytes"`
-	FaultSeed    int64 `json:"faultSeed"`
 }
 
 func writeTraceFile(path string, rows int) error {
@@ -510,14 +489,7 @@ func main() {
 			continue
 		}
 		fmt.Println(t.String())
-		entries = append(entries, jsonEntry{
-			ID: t.ID, Title: t.Title, Metrics: t.Metrics,
-			EncodedEval: t.EncodedEval, DecodedBytesSaved: t.DecodedBytesSaved,
-			HedgedReads: t.HedgedReads, SpeculativeMorsels: t.SpeculativeMorsels,
-			BreakerTrips: t.BreakerTrips, RetryBudgetExhausted: t.RetryBudgetExhausted,
-			ReadRepairs: t.ReadRepairs, ScrubRepairs: t.ScrubRepairs,
-			Recloned: t.Recloned, RepairBytes: t.RepairBytes, FaultSeed: t.FaultSeed,
-		})
+		entries = append(entries, jsonEntry{ID: t.ID, Title: t.Title, Metrics: t.Metrics})
 	}
 	if *tracePath != "" {
 		if err := writeTraceFile(*tracePath, *rows); err != nil {

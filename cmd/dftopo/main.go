@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/plan"
+	"repro/internal/storage"
 )
 
 func nicTier(gbps int) (fabric.LinkKind, error) {
@@ -44,8 +45,7 @@ var staticSeries = []struct{ layer, series string }{
 	{"sched", "sched.admit.requests sched.admitted sched.queued sched.queue.depth sched.active"},
 	{"sched", "sched.shed sched.shed.queue_full sched.shed.slo_burn sched.shed.deadline sched.queue.cancelled sched.ewma.service.ns"},
 	{"storage", "scan.count scan.segments scan.segments.pruned scan.media.bytes scan.shipped.bytes scan.shipped.rows scan.shipped.bytes.rate"},
-	{"storage", "scan.decoded.bytes scan.decoded.bytes.saved scan.encoded.segments scan.retries scan.retry.bytes scan.replica.fallbacks"},
-	{"storage", "storage.hedge.reads storage.hedge.wins storage.hedge.bytes scan.speculative.morsels scan.speculative.wins scan.speculative.bytes"},
+	{"storage", "scan.decoded.bytes scan.decoded.bytes.saved scan.encoded.segments scan.speculative.morsels scan.speculative.wins scan.speculative.bytes"},
 	{"flow", "flow.credit.stalls flow.workers.busy flow.workers.provisioned"},
 	{"engine", "fleet.queries fleet.busy.vns fleet.bytes fleet.rows fleet.queries.rate fleet.bytes.rate"},
 	{"engine", "query.wall.ns query.simtime.vns query.concurrency.factor query.decoded.bytes.saved"},
@@ -61,6 +61,9 @@ func printMetricsInventory(c *fabric.Cluster) {
 	for _, s := range staticSeries {
 		fmt.Printf("  %-10s %s\n", s.layer, s.series)
 	}
+	fmt.Print("  storage, per scan as scan.<name> and per store read as storage.<name>, non-zero only:\n   ")
+	new(storage.ReadStats).Each(func(name string, _ int64) { fmt.Print(" ", name) })
+	fmt.Println()
 	fmt.Println("  fabric, per device (utilization + cumulative busy):")
 	for _, d := range c.Devices() {
 		fmt.Printf("    fabric.device.utilization{device=%q} fabric.device.busy.vns{device=%q}\n",

@@ -6,10 +6,6 @@
 // CPU-centric Volcano baseline the paper argues against.
 //
 // The library lives under internal/ (see DESIGN.md for the full system
-// inventory); the root package hosts the benchmark harness that
-// regenerates every experiment in EXPERIMENTS.md. Run:
-//
-//	go test -bench=. -benchmem
-//
-// or use cmd/dfbench for the human-readable tables.
+// inventory). cmd/dfbench regenerates every experiment table in
+// EXPERIMENTS.md; bench/ is the wall-clock benchmark of record.
 package repro

@@ -90,8 +90,8 @@ func TestChaosTransientStorageFaults(t *testing.T) {
 						return
 					}
 				}
-				totalRetries.Add(res.Stats.Retries)
-				totalFallbacks.Add(res.Stats.ReplicaFallbacks)
+				totalRetries.Add(res.Stats.Scan.Retries + res.Stats.QueryRetries)
+				totalFallbacks.Add(res.Stats.Scan.ReplicaFallbacks)
 			}
 		}(w)
 	}
@@ -190,7 +190,7 @@ func TestChaosGrayFailureDefenses(t *testing.T) {
 						w, qi, len(got), len(expected[qi]))
 					return
 				}
-				if res.Stats.HedgeBytes < 0 || res.Stats.SpeculativeBytes < 0 {
+				if res.Stats.Scan.HedgeBytes < 0 || res.Stats.Scan.SpeculativeBytes < 0 {
 					t.Errorf("negative defense accounting: %+v", res.Stats)
 					return
 				}

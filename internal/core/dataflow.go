@@ -221,10 +221,11 @@ func (e *DataFlowEngine) Execute(ctx context.Context, q *plan.Query) (*Result, e
 // re-admitted and re-executed. Transient faults (link flaps, exhausted
 // storage retry budgets) re-execute on the same placements. The work an
 // abandoned attempt burned is measured by meter deltas and reported as
-// RecoveryBytes/RecoveryTime. With PartialRestart set, a device failure
-// first tries a cheaper stage-level restart inside the attempt (see
-// executePlan); only when that is impossible does the whole-query
-// failover here take over.
+// RecoveryBytes/RecoveryTime; what its reads cost at the object store
+// stays on the query's account (Scan.ReadStats). With PartialRestart
+// set, a device failure first tries a cheaper stage-level restart
+// inside the attempt (see executePlan); only when that is impossible
+// does the whole-query failover here take over.
 //
 // ctx bounds the whole lifecycle: admission (a queued query sheds with
 // sched.ErrOverloaded when its deadline cannot be met), scan, stage
@@ -238,8 +239,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 	exclude := make(map[string]bool)
 	var failovers int
 	var queryRetries int64
-	var wasteBytes sim.Bytes
-	var wasteTime sim.VTime
+	var lost abandonedWork
 	// One trace spans the whole query: abandoned attempts drop their
 	// spans (ClearSpans) but keep fault/failover/admit annotations, so
 	// the final timeline shows the answer's execution plus the recovery
@@ -248,7 +248,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 	if e.Tracing {
 		tr = obs.New()
 	}
-	rBefore := snapshotResilience(e.Storage.Store(), e.Resilience)
+	tripsBefore := e.breakerTrips()
 
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -263,28 +263,22 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 			return nil, lifecycleError(err)
 		}
 		tr.ClearSpans()
-		before := markMeters(e.Cluster)
 		res, err := func() (*Result, error) {
 			defer e.Scheduler.Release(adm)
-			return e.executePlan(ctx, adm.Plan, tr)
+			return e.executePlan(ctx, adm.Plan, tr, &lost)
 		}()
 		e.reportBreakers(adm.Plan, err)
 		if err == nil {
-			res.Stats.Retries += queryRetries
+			res.Stats.Scan.ReadStats.Add(lost.reads)
+			res.Stats.QueryRetries = queryRetries
 			res.Stats.Failovers = failovers
 			res.Stats.DegradedPlacement = failovers > 0 || res.Stats.PartialRestarts > 0
-			res.Stats.RecoveryBytes += wasteBytes
-			res.Stats.RecoveryTime += wasteTime
-			// Re-fold the gray-failure counters over the whole lifecycle:
-			// hedges and budget denials burned by abandoned attempts count
-			// against this query, not just the attempt that answered.
-			foldResilience(&res.Stats, e.Storage.Store(), e.Resilience, rBefore)
+			res.Stats.RecoveryBytes += lost.bytes
+			res.Stats.RecoveryTime += lost.time
+			res.Stats.BreakerTrips = e.breakerTrips() - tripsBefore
 			e.publishQuery(ctx, res, time.Since(startWall))
 			return res, nil
 		}
-		wb, wt := wasteSince(before)
-		wasteBytes += wb
-		wasteTime += wt
 		if lerr := lifecycleError(err); lerr != err || ctx.Err() != nil {
 			// The query was cancelled or timed out: recovery would only
 			// burn more work the caller no longer wants.
@@ -350,6 +344,15 @@ func errorOrCtx(err error, ctx context.Context) error {
 	return err
 }
 
+// abandonedWork is what the attempts that did not answer cost a query:
+// their account at the object store (the hedges and budget denials they
+// burned are the query's too) and the link payload and busy time wasted.
+type abandonedWork struct {
+	reads storage.ReadStats
+	bytes sim.Bytes
+	time  sim.VTime
+}
+
 // wasteSince sums the link payload and bottleneck busy time accumulated
 // since the mark — the wasted work of one abandoned attempt. Busy time is
 // the effective (lane-divided) reading so replayed parallel work is not
@@ -368,10 +371,12 @@ func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*R
 	if e.Tracing {
 		tr = obs.New()
 	}
-	res, err := e.executePlan(ctx, ph, tr)
+	tripsBefore := e.breakerTrips()
+	res, err := e.executePlan(ctx, ph, tr, new(abandonedWork))
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
+	res.Stats.BreakerTrips = e.breakerTrips() - tripsBefore
 	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil
 }
@@ -387,8 +392,9 @@ func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*R
 // completed checkpoint is the only replayed work; it is metered and
 // reported as ReplayedBytes (and folded into RecoveryBytes/Time). A
 // failure with no completed checkpoint, or one the CPU cannot host,
-// falls through to the caller's whole-query failover.
-func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr *obs.Trace) (*Result, error) {
+// falls through to the caller's whole-query failover. What a failed run
+// cost is added to lost, so the caller can keep it on the query.
+func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr *obs.Trace, lost *abandonedWork) (_ *Result, err error) {
 	ctx = ctxOrBackground(ctx)
 	q := ph.Query
 	tableSchema, err := e.TableSchema(q.Table)
@@ -397,7 +403,6 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 	}
 
 	before := markMeters(e.Cluster)
-	rBefore := snapshotResilience(e.Storage.Store(), e.Resilience)
 
 	spec, emitsPartials, err := e.buildScanSpec(ph, tableSchema.NumFields())
 	if err != nil {
@@ -427,6 +432,14 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 
 	var result Result
 	var totalScan storage.ScanStats
+	defer func() {
+		if err != nil {
+			lost.reads.Add(totalScan.ReadStats)
+			wb, wt := wasteSince(before)
+			lost.bytes += wb
+			lost.time += wt
+		}
+	}()
 	var maxBatch sim.Bytes
 	var flowRes flow.Result
 
@@ -585,7 +598,6 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 	result.Stats.ReplayedBytes = replayed
 	result.Stats.RecoveryBytes += replayed
 	result.Stats.RecoveryTime += replayTime
-	foldResilience(&result.Stats, e.Storage.Store(), e.Resilience, rBefore)
 	result.Trace = tr
 	sampleMeterSeries(tr, before)
 	sampleHealthSeries(tr, e.Resilience)
@@ -877,15 +889,6 @@ func (e *DataFlowEngine) buildStats(ph *plan.Physical, before meterMark, flowRes
 	st := before.fold(ph.Path.CPU()).stats(e.engine, ph.Variant, res)
 	st.Scan = scan
 	st.Ports = flowRes.Ports
-	st.Retries = scan.Retries
-	st.ReplicaFallbacks = scan.ReplicaFallbacks
-	st.RecoveryBytes = scan.RetryBytes
-	st.SpeculativeMorsels = scan.SpeculativeMorsels
-	st.SpeculativeWins = scan.SpeculativeWins
-	st.SpeculativeBytes = scan.SpeculativeBytes
-	st.CorruptReads = scan.CorruptReads
-	st.ReadRepairs = scan.ReadRepairs
-	st.RepairBytes = scan.RepairBytes
 	// Peak compute-side memory: in-flight port buffering plus any final
 	// aggregation state — there is no buffer pool.
 	depth := 8

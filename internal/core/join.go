@@ -122,8 +122,9 @@ func (e *DataFlowEngine) materialize(ctx context.Context, table string) ([]*colu
 // buffer pool to compute node 0 and joined there by the blocking
 // iterator — no exchange, no other nodes, all bytes to one CPU.
 func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
-	ctx = ctxOrBackground(ctx)
-	before := e.mark()
+	acct := &volcanoAccount{}
+	ctx = context.WithValue(ctxOrBackground(ctx), volcanoAccountKey{}, acct)
+	before := markMeters(e.Cluster)
 	buildIt, err := e.tableIterator(ctx, jq.Build)
 	if err != nil {
 		return nil, err
@@ -143,7 +144,7 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 		return nil, lifecycleError(err)
 	}
 	res := &Result{Batches: batches}
-	res.Stats = e.buildStats(before, res)
+	res.Stats = e.buildStats(before, acct, res)
 	res.Stats.Variant = "volcano-join"
 	return res, nil
 }

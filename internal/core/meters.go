@@ -5,7 +5,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 // meterSnap captures one meter plus its per-lane busy split, so a later
@@ -38,21 +37,6 @@ func markMeters(c *fabric.Cluster) meterMark {
 	return mk
 }
 
-// deviceDelta returns a device's meter delta since prev, plus its
-// effective busy time: work charged to positional lanes is divided
-// across the device's replicated units, everything else stays serial.
-func deviceDelta(d *fabric.Device, prev meterSnap) (sim.Snapshot, sim.VTime) {
-	delta := d.Meter.Snapshot().Sub(prev.m)
-	return delta, fabric.EffectiveBusy(delta.Busy, prev.lanes, d.LaneBusy())
-}
-
-// linkDelta is deviceDelta for links; only multi-queue links (flash
-// channels, DMA queues) ever split, network links stay serial.
-func linkDelta(l *fabric.Link, prev meterSnap) (sim.Snapshot, sim.VTime) {
-	delta := l.Meter.Snapshot().Sub(prev.m)
-	return delta, fabric.EffectiveBusy(delta.Busy, prev.lanes, l.LaneBusy())
-}
-
 // meterFold is the work metered since a mark, in the shape every stats
 // builder needs. Busy times are effective readings (lane work divided
 // across a resource's units), so they reflect worker-pool parallelism
@@ -60,6 +44,7 @@ func linkDelta(l *fabric.Link, prev meterSnap) (sim.Snapshot, sim.VTime) {
 type meterFold struct {
 	DeviceBusy map[string]sim.VTime // devices that did any work
 	LinkBytes  map[string]sim.Bytes // links that moved any payload
+	LinkBusy   map[string]sim.VTime // their busy time, same keys
 	MovedBytes sim.Bytes            // sum of LinkBytes
 	CPUBytes   sim.Bytes
 	CPUBusy    sim.VTime
@@ -75,9 +60,12 @@ func (mk meterMark) fold(cpu *fabric.Device) meterFold {
 	f := meterFold{
 		DeviceBusy: make(map[string]sim.VTime),
 		LinkBytes:  make(map[string]sim.Bytes),
+		LinkBusy:   make(map[string]sim.VTime),
 	}
 	for i, d := range mk.devices {
-		delta, busy := deviceDelta(d, mk.snaps[i])
+		prev := mk.snaps[i]
+		delta := d.Meter.Snapshot().Sub(prev.m)
+		busy := fabric.EffectiveBusy(delta.Busy, prev.lanes, d.LaneBusy())
 		if busy > 0 {
 			f.DeviceBusy[d.Name] = busy
 			f.Bottleneck = max(f.Bottleneck, busy)
@@ -88,13 +76,19 @@ func (mk meterMark) fold(cpu *fabric.Device) meterFold {
 		}
 	}
 	for i, l := range mk.links {
-		delta, busy := linkDelta(l, mk.snaps[len(mk.devices)+i])
-		if delta.Bytes > 0 {
-			f.LinkBytes[l.Name] = delta.Bytes
-			f.MovedBytes += delta.Bytes
-			f.Bottleneck = max(f.Bottleneck, busy)
-			f.HopLatency += l.Latency
+		prev := mk.snaps[len(mk.devices)+i]
+		delta := l.Meter.Snapshot().Sub(prev.m)
+		if delta.Bytes == 0 {
+			continue
 		}
+		// Only multi-queue links (flash channels, DMA queues) ever
+		// split into lanes; network links stay serial.
+		busy := fabric.EffectiveBusy(delta.Busy, prev.lanes, l.LaneBusy())
+		f.LinkBytes[l.Name] = delta.Bytes
+		f.LinkBusy[l.Name] = busy
+		f.MovedBytes += delta.Bytes
+		f.Bottleneck = max(f.Bottleneck, busy)
+		f.HopLatency += l.Latency
 	}
 	return f
 }
@@ -107,45 +101,12 @@ func (f meterFold) stats(engine, variant string, res *Result) ExecStats {
 		Variant:    variant,
 		LinkBytes:  f.LinkBytes,
 		DeviceBusy: f.DeviceBusy,
+		LinkBusy:   f.LinkBusy,
 		MovedBytes: f.MovedBytes,
 		CPUBytes:   f.CPUBytes,
 		CPUBusy:    f.CPUBusy,
 		SimTime:    f.Bottleneck + f.HopLatency,
 		ResultRows: res.Rows(),
-	}
-}
-
-// resilienceSnap captures the monotonic gray-failure counters a policy
-// and its object store accumulate, so a later fold isolates one query's
-// hedges, breaker trips and budget denials from the running totals.
-type resilienceSnap struct {
-	hedges    storage.HedgeStats
-	trips     int64
-	exhausted int64
-}
-
-// snapshotResilience captures the current counters; nil policy is fine
-// (the snapshot then only carries the store's hedge totals, which stay
-// flat with hedging disabled).
-func snapshotResilience(store *storage.ObjectStore, pol *resilience.Policy) resilienceSnap {
-	snap := resilienceSnap{hedges: store.Hedges()}
-	if pol != nil {
-		snap.trips = pol.Breakers.Trips()
-		snap.exhausted = pol.Budget.Exhausted()
-	}
-	return snap
-}
-
-// foldResilience sets (not adds — callers may re-fold over a wider
-// window) the stats' gray-failure counters to the delta since before.
-func foldResilience(st *ExecStats, store *storage.ObjectStore, pol *resilience.Policy, before resilienceSnap) {
-	h := store.Hedges().Sub(before.hedges)
-	st.HedgedReads = h.Hedged
-	st.HedgeWins = h.Wins
-	st.HedgeBytes = h.Bytes
-	if pol != nil {
-		st.BreakerTrips = pol.Breakers.Trips() - before.trips
-		st.RetryBudgetExhausted = pol.Budget.Exhausted() - before.exhausted
 	}
 }
 

@@ -89,6 +89,8 @@ type ExecStats struct {
 	LinkBytes map[string]sim.Bytes
 	// DeviceBusy decomposes virtual busy time by device name.
 	DeviceBusy map[string]sim.VTime
+	// LinkBusy is the virtual busy time of each link in LinkBytes.
+	LinkBusy map[string]sim.VTime
 	// CPUBytes is the payload the compute node's cores had to touch.
 	CPUBytes sim.Bytes
 	// CPUBusy is the compute cores' virtual busy time.
@@ -106,16 +108,16 @@ type ExecStats struct {
 	// ResultRows is the number of rows returned.
 	ResultRows int64
 
-	// Recovery accounting. Availability is not free: every retry,
-	// fallback and failover burns real media, link and device work that
-	// E19 reports against the fault rate.
+	// Recovery accounting — what the engine itself counts. What the
+	// query's reads cost at the object store (retries, fallbacks,
+	// hedges, corrupt reads, read-repairs, budget denials) is its
+	// account there, Scan.ReadStats; speculation is counted by the scan.
+	// Availability is not free: every retry, failover and restart burns
+	// real media, link and device work that E19 and E21 report.
 
-	// Retries counts read attempts repeated after transient or corrupt
-	// faults (storage level) plus whole-query re-executions after
-	// transient pipeline faults (engine level).
-	Retries int64
-	// ReplicaFallbacks counts object reads served past replica 0.
-	ReplicaFallbacks int64
+	// QueryRetries counts whole-query re-executions after transient
+	// pipeline faults.
+	QueryRetries int64
 	// Failovers counts engine-level plan re-enumerations after a device
 	// failed mid-query.
 	Failovers int
@@ -123,8 +125,9 @@ type ExecStats struct {
 	// fallback placement that avoids at least one failed device (the
 	// CPU-only plan in the worst case).
 	DegradedPlacement bool
-	// RecoveryBytes is the payload recovery moved again: storage re-reads
-	// plus all link traffic of abandoned pipeline attempts.
+	// RecoveryBytes is the link payload abandoned pipeline attempts and
+	// partial restarts moved in vain (storage re-reads are
+	// Scan.RetryBytes).
 	RecoveryBytes sim.Bytes
 	// RecoveryTime is the virtual busy time burned by abandoned attempts.
 	RecoveryTime sim.VTime
@@ -139,48 +142,11 @@ type ExecStats struct {
 	// work charged after the last completed checkpoint of a failed
 	// attempt. Always a subset of RecoveryBytes.
 	ReplayedBytes sim.Bytes
-
-	// Gray-failure defense accounting. Hedges and speculation trade a
-	// bounded amount of duplicate work for tail latency; these counters
-	// make that trade auditable per query (E24 reports it per arm).
-
-	// HedgedReads counts object reads that launched a second-replica
-	// hedge after the primary stalled past its health threshold.
-	HedgedReads int64
-	// HedgeWins counts hedges whose duplicate finished first.
-	HedgeWins int64
-	// HedgeBytes is the media payload the hedge duplicates read — extra
-	// work whether or not the hedge won (the main byte totals never
-	// include it).
-	HedgeBytes sim.Bytes
-	// SpeculativeMorsels counts scan morsels re-issued to a second
-	// worker after running past the speculation threshold.
-	SpeculativeMorsels int64
-	// SpeculativeWins counts morsels whose speculative copy delivered.
-	SpeculativeWins int64
-	// SpeculativeBytes is the duplicate media payload speculation read
-	// (losing copies only; logical scan totals count each morsel once).
-	SpeculativeBytes sim.Bytes
-	// BreakerTrips counts circuit breakers that newly tripped open.
+	// BreakerTrips counts circuit breakers that newly tripped open while
+	// the query ran. A breaker integrates failures across queries, so no
+	// one query owns a trip: this is the one counter still read as a
+	// before/after delta of a shared total.
 	BreakerTrips int64
-	// RetryBudgetExhausted counts retries/hedges the global retry budget
-	// denied — the back-pressure that keeps fault storms from melting
-	// into retry storms.
-	RetryBudgetExhausted int64
-
-	// Self-healing accounting (stores with verification enabled).
-	// Repair work is metered apart from the query's byte totals — these
-	// counters make the heal loop auditable per query.
-
-	// CorruptReads counts read payloads this query's scans discarded
-	// because a replica served bytes that failed checksum verification.
-	CorruptReads int64
-	// ReadRepairs counts replica blobs healed by write-backs this
-	// query's reads triggered.
-	ReadRepairs int64
-	// RepairBytes is the volume those write-backs wrote (never charged
-	// to the query).
-	RepairBytes sim.Bytes
 }
 
 // String summarizes the stats on a few lines.
@@ -192,20 +158,23 @@ func (s ExecStats) String() string {
 	}
 	fmt.Fprintf(&b, ": rows=%d moved=%s cpu=%s simtime=%s peakmem=%s\n",
 		s.ResultRows, s.MovedBytes, s.CPUBytes, s.SimTime, s.PeakMemory)
-	if s.Retries > 0 || s.ReplicaFallbacks > 0 || s.Failovers > 0 || s.PartialRestarts > 0 {
-		fmt.Fprintf(&b, "  recovery: retries=%d fallbacks=%d failovers=%d restarts=%d degraded=%v waste=%s/%s replayed=%s\n",
-			s.Retries, s.ReplicaFallbacks, s.Failovers, s.PartialRestarts, s.DegradedPlacement,
-			s.RecoveryBytes, s.RecoveryTime, s.ReplayedBytes)
+	if s.QueryRetries > 0 || s.Failovers > 0 || s.PartialRestarts > 0 || s.BreakerTrips > 0 {
+		fmt.Fprintf(&b, "  recovery: query-retries=%d failovers=%d restarts=%d degraded=%v waste=%s/%s replayed=%s trips=%d\n",
+			s.QueryRetries, s.Failovers, s.PartialRestarts, s.DegradedPlacement,
+			s.RecoveryBytes, s.RecoveryTime, s.ReplayedBytes, s.BreakerTrips)
 	}
-	if s.HedgedReads > 0 || s.SpeculativeMorsels > 0 || s.BreakerTrips > 0 || s.RetryBudgetExhausted > 0 {
-		fmt.Fprintf(&b, "  gray-failure: hedged=%d/%d wins (%s) speculated=%d/%d wins (%s) trips=%d budget-denied=%d\n",
-			s.HedgeWins, s.HedgedReads, s.HedgeBytes,
-			s.SpeculativeWins, s.SpeculativeMorsels, s.SpeculativeBytes,
-			s.BreakerTrips, s.RetryBudgetExhausted)
+	if s.Scan.SpeculativeMorsels > 0 {
+		fmt.Fprintf(&b, "  speculation: %d/%d wins (%s)\n",
+			s.Scan.SpeculativeWins, s.Scan.SpeculativeMorsels, s.Scan.SpeculativeBytes)
 	}
-	if s.CorruptReads > 0 || s.ReadRepairs > 0 {
-		fmt.Fprintf(&b, "  self-heal: corrupt-reads=%d read-repairs=%d repaired=%s\n",
-			s.CorruptReads, s.ReadRepairs, s.RepairBytes)
+	if s.Scan.ReadStats != (storage.ReadStats{}) {
+		b.WriteString("  store reads:")
+		s.Scan.ReadStats.Each(func(name string, v int64) {
+			if v != 0 {
+				fmt.Fprintf(&b, " %s=%d", name, v)
+			}
+		})
+		b.WriteByte('\n')
 	}
 	names := make([]string, 0, len(s.LinkBytes))
 	for n := range s.LinkBytes {

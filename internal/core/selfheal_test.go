@@ -134,9 +134,9 @@ func TestSelfHealReadRepairConservation(t *testing.T) {
 	if got, want := store.Meter.Bytes()-bytesBefore, sim.Bytes(workers*rounds)*perQuery; got != want {
 		t.Errorf("main meter charged %d bytes for %d queries, want exactly %d", got, workers*rounds, want)
 	}
-	rep := store.Repairs()
-	if rep.WriteBacks != int64(damaged) {
-		t.Errorf("WriteBacks = %d, want exactly %d (one per damaged blob)", rep.WriteBacks, damaged)
+	rep := store.Totals()
+	if rep.ReadRepairs != int64(damaged) {
+		t.Errorf("ReadRepairs = %d, want exactly %d (one per damaged blob)", rep.ReadRepairs, damaged)
 	}
 	if rep.CorruptReads < int64(damaged) {
 		t.Errorf("CorruptReads = %d, want >= %d", rep.CorruptReads, damaged)
@@ -163,12 +163,62 @@ func TestSelfHealReadRepairConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.CorruptReads != 0 || res.Stats.ReadRepairs != 0 {
+	if res.Stats.Scan.CorruptReads != 0 || res.Stats.Scan.ReadRepairs != 0 {
 		t.Errorf("post-heal query still reports repair work: %+v", res.Stats)
 	}
-	healed := ExecStats{Engine: "dataflow", CorruptReads: 2, ReadRepairs: 1, RepairBytes: 64}
-	if !strings.Contains(healed.String(), "self-heal:") {
-		t.Error("ExecStats.String does not render the self-heal line")
+	healed := ExecStats{Engine: "dataflow"}
+	healed.Scan.ReadStats = storage.ReadStats{CorruptReads: 2, ReadRepairs: 1, RepairBytes: 64}
+	if !strings.Contains(healed.String(), "store reads: corruptReads=2 readRepairs=1 repairBytes=64") {
+		t.Errorf("ExecStats.String does not render the store account:\n%s", healed.String())
+	}
+}
+
+// The baseline reports the store's self-healing work the way the
+// data-flow engine does: a corrupt replica under a Volcano query shows
+// up in Stats.Scan as the discarded read and the write-back it
+// triggered, not only as the fallback.
+func TestSelfHealVolcanoReportsStoreAccount(t *testing.T) {
+	data := workload.GenLineitem(workload.DefaultLineitemConfig(testRows))
+	vo := NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), 256*sim.MB)
+	store := vo.Storage.Store()
+	store.SetReplicas(2)
+	vo.Storage.EnableVerify(true)
+	if err := vo.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
+		t.Fatal(err)
+	}
+	if err := vo.Load("lineitem", data); err != nil {
+		t.Fatal(err)
+	}
+	// A flip can land in framing bytes no column checksum covers; take
+	// the first segment whose damage is detectable.
+	damaged := false
+	for _, key := range store.List("lineitem/") {
+		if !store.CorruptReplica(key, 0) {
+			t.Fatalf("could not damage %s", key)
+		}
+		raw, err := store.ReadReplicaRaw(context.Background(), key, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if storage.VerifySegmentBlob(raw) != nil {
+			damaged = true
+			break
+		}
+	}
+	if !damaged {
+		t.Fatal("no segment took detectable damage")
+	}
+
+	res, err := vo.Execute(context.Background(), plan.NewQuery("lineitem").WithCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Stats.Scan.ReadStats
+	if got.CorruptReads != 1 || got.ReadRepairs != 1 || got.ReplicaFallbacks != 1 {
+		t.Errorf("volcano account = %+v, want 1 corrupt read, 1 read-repair, 1 fallback", got)
+	}
+	if got.CorruptBytes == 0 || got.RepairBytes == 0 {
+		t.Errorf("volcano account carries no corrupt/repair bytes: %+v", got)
 	}
 }
 

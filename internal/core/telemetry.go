@@ -84,10 +84,9 @@ type enginePublisher struct {
 	concurrency, decodedSaved, budgetTokens        *metrics.Gauge
 	budgetExhausted                                *metrics.Counter
 
-	devUtil   map[string]*metrics.Gauge   // keyed by ExecStats.DeviceBusy device
-	linkBytes map[string]*metrics.Counter // keyed by ExecStats.LinkBytes link
-	devices   []publisherDevice
-	links     []publisherLink
+	devUtil map[string]*metrics.Gauge // keyed by ExecStats.DeviceBusy device
+	devices []publisherDevice
+	links   map[string]publisherLink // keyed by ExecStats.LinkBytes link
 
 	mu      sync.Mutex
 	tenants map[string]*tenantSeries
@@ -100,6 +99,7 @@ type publisherDevice struct {
 
 type publisherLink struct {
 	l          *fabric.Link
+	bytes      *metrics.Counter
 	busy, util *metrics.Gauge
 }
 
@@ -124,7 +124,7 @@ func newEnginePublisher(reg *metrics.Registry, cluster *fabric.Cluster, engine s
 		budgetTokens:    reg.Gauge("resilience.budget.tokens"),
 		budgetExhausted: reg.Counter("resilience.budget.exhausted"),
 		devUtil:         map[string]*metrics.Gauge{},
-		linkBytes:       map[string]*metrics.Counter{},
+		links:           map[string]publisherLink{},
 		tenants:         map[string]*tenantSeries{},
 	}
 	if cluster != nil {
@@ -136,12 +136,12 @@ func newEnginePublisher(reg *metrics.Registry, cluster *fabric.Cluster, engine s
 			})
 		}
 		for _, l := range cluster.Links() {
-			p.linkBytes[l.Name] = reg.Counter(metrics.Labels("fabric.link.bytes", "link", l.Name))
-			p.links = append(p.links, publisherLink{
-				l:    l,
-				busy: reg.Gauge(metrics.Labels("fabric.link.busy.vns", "link", l.Name)),
-				util: reg.Gauge(metrics.Labels("fabric.link.util", "link", l.Name)),
-			})
+			p.links[l.Name] = publisherLink{
+				l:     l,
+				bytes: reg.Counter(metrics.Labels("fabric.link.bytes", "link", l.Name)),
+				busy:  reg.Gauge(metrics.Labels("fabric.link.busy.vns", "link", l.Name)),
+				util:  reg.Gauge(metrics.Labels("fabric.link.util", "link", l.Name)),
+			}
 		}
 	}
 	return p
@@ -194,10 +194,11 @@ func (p *enginePublisher) publish(pol *resilience.Policy, tenant string, res *Re
 	}
 	p.decodedSaved.Set(float64(st.Scan.DecodedBytesSaved))
 
-	// Per-device utilization over this query's makespan: busy/SimTime,
-	// the same quantity obs.Trace.Utilizations derives from spans, but
-	// available without tracing. Cumulative busy and bytes ride along so
-	// a scraper can rate() its own utilization over wall time.
+	// Per-device and per-link utilization over this query's makespan:
+	// its own busy time on the resource over its SimTime, the same
+	// quantity obs.Trace.Utilizations derives from spans, but available
+	// without tracing. Cumulative busy and bytes ride along so a scraper
+	// can rate() its own utilization over wall time.
 	if st.SimTime > 0 {
 		for dev, b := range st.DeviceBusy {
 			if g := p.devUtil[dev]; g != nil {
@@ -205,8 +206,9 @@ func (p *enginePublisher) publish(pol *resilience.Policy, tenant string, res *Re
 			}
 		}
 		for link, n := range st.LinkBytes {
-			if c := p.linkBytes[link]; c != nil {
-				c.Add(int64(n))
+			if l, ok := p.links[link]; ok {
+				l.bytes.Add(int64(n))
+				l.util.Set(float64(st.LinkBusy[link]) / float64(st.SimTime))
 			}
 		}
 	}
@@ -215,25 +217,11 @@ func (p *enginePublisher) publish(pol *resilience.Policy, tenant string, res *Re
 	}
 	for _, l := range p.links {
 		l.busy.Set(float64(l.l.Meter.Busy()))
-		l.util.Set(linkUtil(l.l, st.SimTime))
 	}
 	if pol != nil && pol.Budget != nil {
 		p.budgetTokens.Set(pol.Budget.Tokens())
-		p.budgetExhausted.Add(st.RetryBudgetExhausted)
+		p.budgetExhausted.Add(st.Scan.RetryBudgetExhausted)
 	}
-}
-
-// linkUtil reports what fraction of the query's makespan the link was
-// busy — clamped to 1, since a pipelined link's lanes may overlap.
-func linkUtil(l *fabric.Link, makespan sim.VTime) float64 {
-	if makespan <= 0 {
-		return 0
-	}
-	u := float64(l.Meter.Busy()) / float64(makespan)
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // publishBreakerGauge mirrors one breaker transition into the registry

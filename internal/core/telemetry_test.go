@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +88,44 @@ func TestPublishAttribution(t *testing.T) {
 	}
 	if good, bad := slo.Window(); good+bad != int64(len(tenants)) {
 		t.Fatalf("SLO observed %d, want %d (dataflow only)", good+bad, len(tenants))
+	}
+}
+
+// TestLinkUtilIsTheQuerysOwn pins fabric.link.util to one query's busy
+// time over its own makespan: repeating the query on the same engine
+// leaves every link's gauge where the first run put it, instead of
+// creeping to 1 as the links' lifetime busy time grows.
+func TestLinkUtilIsTheQuerysOwn(t *testing.T) {
+	df, _, cfg := newEngines(t)
+	reg := metrics.New()
+	df.SetMetrics(reg)
+	q := telemetryQuery(cfg)
+	utils := func() map[string]float64 {
+		if _, err := df.Execute(context.Background(), q); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]float64{}
+		for name, v := range reg.Snapshot().Gauges {
+			if strings.HasPrefix(name, "fabric.link.util") {
+				out[name] = v
+			}
+		}
+		return out
+	}
+	solo := utils()
+	utils()
+	third := utils()
+	busy := 0
+	for name, want := range solo {
+		if got := third[name]; got != want {
+			t.Errorf("%s = %v after three identical queries, want the solo query's %v", name, got, want)
+		}
+		if want > 0 && want < 1 {
+			busy++
+		}
+	}
+	if busy == 0 {
+		t.Errorf("no link reports a utilization strictly between 0 and 1: %v", solo)
 	}
 }
 

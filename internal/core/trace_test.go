@@ -226,11 +226,12 @@ func TestExecStatsStringRecoveryLine(t *testing.T) {
 	}
 	hurt := ExecStats{
 		Engine: "dataflow", Variant: "cpu-only", ResultRows: 7,
-		Retries: 2, ReplicaFallbacks: 1, Failovers: 1, DegradedPlacement: true,
+		QueryRetries: 2, Failovers: 1, DegradedPlacement: true,
 		RecoveryBytes: 4096, RecoveryTime: sim.VTime(12345),
 	}
+	hurt.Scan.ReplicaFallbacks = 1
 	out := hurt.String()
-	for _, want := range []string{"recovery:", "retries=2", "fallbacks=1", "failovers=1", "degraded=true"} {
+	for _, want := range []string{"recovery:", "query-retries=2", "failovers=1", "degraded=true", "store reads: replicaFallbacks=1"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("recovery line missing %q:\n%s", want, out)
 		}

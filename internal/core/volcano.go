@@ -36,21 +36,20 @@ type VolcanoEngine struct {
 	// called synchronously on Execute's goroutine.
 	tr    *obs.Trace
 	clock *obs.VClock
-
-	// fetches counts buffer-pool misses served by fetchPage.
-	fetches atomic.Int64
 }
 
-// volcanoMark is the baseline's per-query mark: the cluster's meters
-// plus the one meter the engine keeps itself, buffer-pool misses.
-type volcanoMark struct {
-	meterMark
+// volcanoAccount is what one execution's buffer-pool misses cost: how
+// many there were and the object store's account of the fetches. It
+// rides in the execution's ctx — the pool's loader signature gives
+// fetchPage no other argument — and is locked because a parallel scan's
+// workers fetch at once.
+type volcanoAccount struct {
+	mu     sync.Mutex
 	misses int64
+	reads  storage.ReadStats
 }
 
-func (e *VolcanoEngine) mark() volcanoMark {
-	return volcanoMark{markMeters(e.Cluster), e.fetches.Load()}
-}
+type volcanoAccountKey struct{}
 
 // NewVolcanoEngine wires the baseline onto a cluster with the given
 // buffer-pool capacity on compute node 0.
@@ -72,7 +71,14 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	blob, err := e.Storage.Store().Get(ctx, string(id))
+	var reads storage.ReadStats
+	blob, err := e.Storage.Store().Read(ctx, string(id), true, &reads)
+	if acct, ok := ctx.Value(volcanoAccountKey{}).(*volcanoAccount); ok {
+		acct.mu.Lock()
+		acct.misses++
+		acct.reads.Add(reads)
+		acct.mu.Unlock()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -102,7 +108,6 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	} else if _, err := e.Cluster.Transfer(ctx, fabric.DevStorageMed, e.dram, n); err != nil {
 		return nil, err
 	}
-	e.fetches.Add(1)
 	return blob, nil
 }
 
@@ -173,9 +178,10 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		defer func() { e.tr, e.clock = nil, nil }()
 	}
 
-	before := e.mark()
-	recBefore := e.Storage.Store().Recovery()
-	rBefore := snapshotResilience(e.Storage.Store(), e.Resilience)
+	before := markMeters(e.Cluster)
+	tripsBefore := e.breakerTrips()
+	acct := &volcanoAccount{}
+	ctx = context.WithValue(ctx, volcanoAccountKey{}, acct)
 
 	// Scan: pull each segment through the buffer pool, decode on the
 	// CPU, then stream the decoded batch from DRAM into the cores at
@@ -227,16 +233,10 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		return nil, lifecycleError(err)
 	}
 	res := &Result{Batches: batches, Trace: tr}
-	sampleMeterSeries(tr, before.meterMark)
-	res.Stats = e.buildStats(before, res)
+	sampleMeterSeries(tr, before)
+	res.Stats = e.buildStats(before, acct, res)
 	res.Stats.PeakMemory += maxDecoded
-	// The baseline still benefits from whatever retrying the object store
-	// itself does; record it so E19 compares recovery cost fairly.
-	rec := e.Storage.Store().Recovery().Sub(recBefore)
-	res.Stats.Retries = rec.Retries
-	res.Stats.ReplicaFallbacks = rec.ReplicaFallbacks
-	res.Stats.RecoveryBytes = rec.RetryBytes
-	foldResilience(&res.Stats, e.Storage.Store(), e.Resilience, rBefore)
+	res.Stats.BreakerTrips = e.breakerTrips() - tripsBefore
 	sampleHealthSeries(tr, e.Resilience)
 	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil
@@ -367,10 +367,17 @@ func (e *VolcanoEngine) deliver(b *columnar.Batch, peak *sim.Bytes) *columnar.Ba
 
 // buildStats mirrors the data-flow engine's accounting so results are
 // directly comparable. Busy times are effective readings (lane work
-// divided across a device's units; see fabric.EffectiveBusy).
-func (e *VolcanoEngine) buildStats(before volcanoMark, res *Result) ExecStats {
+// divided across a device's units; see fabric.EffectiveBusy). The
+// store's account of the query's fetches is reported where the
+// data-flow engine reports its scan's, so E19 compares recovery cost
+// fairly.
+func (e *VolcanoEngine) buildStats(before meterMark, acct *volcanoAccount, res *Result) ExecStats {
 	f := before.fold(e.cpu)
 	st := f.stats(e.engine, "", res)
+	acct.mu.Lock()
+	misses := acct.misses
+	st.Scan.ReadStats = acct.reads
+	acct.mu.Unlock()
 	// Pull execution pays the storage round trip per buffer-pool miss of
 	// this query, not once per stream: latency amplifies with misses.
 	var latency sim.VTime
@@ -379,7 +386,7 @@ func (e *VolcanoEngine) buildStats(before volcanoMark, res *Result) ExecStats {
 		for _, l := range path {
 			hop += l.Latency
 		}
-		latency = hop * sim.VTime(e.fetches.Load()-before.misses)
+		latency = hop * sim.VTime(misses)
 	}
 	st.SimTime = f.Bottleneck + latency
 	poolStats := e.Pool.Stats()

@@ -165,8 +165,8 @@ func E19Availability(rows int) (*E19Result, error) {
 						return nil, fmt.Errorf("experiments: E19 data-flow returned wrong rows at rate %g", rate)
 					}
 					row.DFOK++
-					row.Retries += r.Stats.Retries
-					row.Fallbacks += r.Stats.ReplicaFallbacks
+					row.Retries += r.Stats.Scan.Retries + r.Stats.QueryRetries
+					row.Fallbacks += r.Stats.Scan.ReplicaFallbacks
 					row.Failovers += int64(r.Stats.Failovers)
 					dfTime += r.Stats.SimTime + r.Stats.RecoveryTime
 				}

@@ -176,8 +176,8 @@ func E23EncodedEval(rows int) (*E23Result, error) {
 				ProcSpeedup:     float64(eager.procBusy) / float64(encoded.procBusy),
 			}
 			res.Points = append(res.Points, pt)
-			res.Table.EncodedEval = true
-			res.Table.DecodedBytesSaved += int64(pt.SavedBytes)
+			res.Table.SetMetric("encodedEval", 1)
+			res.Table.AddMetric("decodedBytesSaved", float64(pt.SavedBytes))
 			res.Table.AddRow(enc, f(sel), d(pt.Rows), pt.EagerProcBusy.String(),
 				pt.EncodedProcBusy.String(), f(pt.ProcSpeedup),
 				pt.EagerSim.String(), pt.EncodedSim.String(), d(int64(pt.SavedBytes)))

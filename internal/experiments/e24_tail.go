@@ -12,6 +12,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -22,19 +23,19 @@ type E24Row struct {
 	P50      time.Duration
 	P95      time.Duration
 	P99      time.Duration
-	// Defense activity summed over the cell's trials.
-	HedgedReads          int64
-	HedgeWins            int64
-	SpecMorsels          int64
-	SpecWins             int64
-	ExtraBytes           sim.Bytes // hedge + speculation duplicate media reads
-	MediaBytes           sim.Bytes // the logical (winner-only) media payload
-	BreakerTrips         int64
-	RetryBudgetExhausted int64
+	// Scan sums the cell's trials: the logical (winner-only) media
+	// payload, the speculation the scans did and their account at the
+	// object store (hedges, budget denials).
+	Scan         storage.ScanStats
+	BreakerTrips int64
 	// Speedup99 is the baseline arm's p99 over this arm's p99 at the
 	// same severity; 1 for the baseline itself.
 	Speedup99 float64
 }
+
+// ExtraBytes is the duplicate media payload the defenses read: hedge
+// copies plus losing speculative morsels.
+func (r E24Row) ExtraBytes() sim.Bytes { return r.Scan.HedgeBytes + r.Scan.SpeculativeBytes }
 
 // E24Result carries the tail-latency comparison.
 type E24Result struct {
@@ -132,8 +133,9 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 			"latencies are wall-clock; hedged/speculated = launched/won; " +
 			"extra bytes = duplicate media reads the defenses burned; " +
 			"p99 x = baseline p99 over hedged p99 at the same severity",
-		FaultSeed: e24Seed,
 	}}
+	// Defense totals over the hedged arms, for the -json artifact.
+	var total E24Row
 
 	arms := []bool{false, true}
 	if opts.NoHedge {
@@ -174,14 +176,8 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 				if trial >= 0 {
 					lats = append(lats, elapsed)
 				}
-				row.HedgedReads += r.Stats.HedgedReads
-				row.HedgeWins += r.Stats.HedgeWins
-				row.SpecMorsels += r.Stats.SpeculativeMorsels
-				row.SpecWins += r.Stats.SpeculativeWins
-				row.ExtraBytes += r.Stats.HedgeBytes + r.Stats.SpeculativeBytes
-				row.MediaBytes += r.Stats.Scan.MediaBytes
+				row.Scan.Add(r.Stats.Scan)
 				row.BreakerTrips += r.Stats.BreakerTrips
-				row.RetryBudgetExhausted += r.Stats.RetryBudgetExhausted
 			}
 			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 			row.P50 = e24Quantile(lats, 0.50)
@@ -207,24 +203,29 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 				row.P50.Round(time.Microsecond).String(),
 				row.P95.Round(time.Microsecond).String(),
 				row.P99.Round(time.Microsecond).String(),
-				fmt.Sprintf("%d/%d", row.HedgedReads, row.HedgeWins),
-				fmt.Sprintf("%d/%d", row.SpecMorsels, row.SpecWins),
-				row.ExtraBytes.String(), speedup)
+				fmt.Sprintf("%d/%d", row.Scan.HedgedReads, row.Scan.HedgeWins),
+				fmt.Sprintf("%d/%d", row.Scan.SpeculativeMorsels, row.Scan.SpeculativeWins),
+				row.ExtraBytes().String(), speedup)
 			res.Table.SetMetric(fmt.Sprintf("p99_%s@%g", armName, severity),
 				float64(row.P99)/float64(time.Microsecond))
 			if hedge {
 				res.Table.SetMetric(fmt.Sprintf("speedup99@%g", severity), row.Speedup99)
-				if severity <= 1 && row.MediaBytes > 0 {
+				if severity <= 1 && row.Scan.MediaBytes > 0 {
 					res.Table.SetMetric("extra_bytes_pct@healthy",
-						100*float64(row.ExtraBytes)/float64(row.MediaBytes))
+						100*float64(row.ExtraBytes())/float64(row.Scan.MediaBytes))
 				}
-				res.Table.HedgedReads += row.HedgedReads
-				res.Table.SpeculativeMorsels += row.SpecMorsels
-				res.Table.BreakerTrips += row.BreakerTrips
-				res.Table.RetryBudgetExhausted += row.RetryBudgetExhausted
+				total.Scan.Add(row.Scan)
+				total.BreakerTrips += row.BreakerTrips
 			}
 		}
 	}
+	// Emitted whatever the arms did — a zero is a result, and dropping
+	// keys under -hedge=false would make the artifact's schema depend on
+	// flags.
+	total.Scan.ReadStats.Each(func(name string, v int64) { res.Table.SetMetric(name, float64(v)) })
+	res.Table.SetMetric("speculativeMorsels", float64(total.Scan.SpeculativeMorsels))
+	res.Table.SetMetric("breakerTrips", float64(total.BreakerTrips))
+	res.Table.SetMetric("faultSeed", e24Seed)
 	return res, nil
 }
 

@@ -36,10 +36,10 @@ func TestE24TailLatencyShape(t *testing.T) {
 	// sits above the healthy read latency, so duplicate reads stay rare;
 	// the acceptance bound is <= 10% extra media bytes.
 	healthyOn := byCell[[2]bool{false, true}]
-	if healthyOn.MediaBytes == 0 {
+	if healthyOn.Scan.MediaBytes == 0 {
 		t.Fatal("healthy hedged cell read no media bytes")
 	}
-	if pct := 100 * float64(healthyOn.ExtraBytes) / float64(healthyOn.MediaBytes); pct > 10 {
+	if pct := 100 * float64(healthyOn.ExtraBytes()) / float64(healthyOn.Scan.MediaBytes); pct > 10 {
 		t.Errorf("healthy fabric: defenses burned %.1f%% extra bytes, want <= 10%%", pct)
 	}
 
@@ -55,13 +55,13 @@ func TestE24TailLatencyShape(t *testing.T) {
 			slowOn.Speedup99, slowOff.P99, slowOn.P99)
 	}
 	// The win must come from the defenses actually firing.
-	if slowOn.HedgedReads+slowOn.SpecMorsels == 0 {
+	if slowOn.Scan.HedgedReads+slowOn.Scan.SpeculativeMorsels == 0 {
 		t.Error("gray-failure cell launched no hedges and no speculation")
 	}
 	// The baseline arm never duplicates work.
-	if slowOff.HedgedReads != 0 || slowOff.SpecMorsels != 0 || slowOff.ExtraBytes != 0 {
+	if slowOff.Scan.HedgedReads != 0 || slowOff.Scan.SpeculativeMorsels != 0 || slowOff.ExtraBytes() != 0 {
 		t.Errorf("baseline arm recorded defense activity: hedged=%d speculated=%d extra=%v",
-			slowOff.HedgedReads, slowOff.SpecMorsels, slowOff.ExtraBytes)
+			slowOff.Scan.HedgedReads, slowOff.Scan.SpeculativeMorsels, slowOff.ExtraBytes())
 	}
 
 	if res.Table == nil || len(res.Table.Rows) != len(res.Rows) {
@@ -73,7 +73,7 @@ func TestE24TailLatencyShape(t *testing.T) {
 	if _, ok := res.Table.Metrics["extra_bytes_pct@healthy"]; !ok {
 		t.Error("missing extra_bytes_pct@healthy metric")
 	}
-	if res.Table.HedgedReads+res.Table.SpeculativeMorsels == 0 {
+	if res.Table.Metrics["hedgedReads"]+res.Table.Metrics["speculativeMorsels"] == 0 {
 		t.Error("table carries no defense counters for the -json artifact")
 	}
 }

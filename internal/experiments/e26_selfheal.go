@@ -132,8 +132,8 @@ func E26SelfHeal(rows int, opts E26Options) (*E26Result, error) {
 			"read-repair / scrubber / re-replication; at-risk = under-replicated objects at " +
 			"the end; corrupt/q = corrupt reads one more query still pays (the unrepaired " +
 			"fallback tax)",
-		FaultSeed: e26Seed,
 	}}
+	res.Table.SetMetric("faultSeed", e26Seed)
 
 	arms := []string{"off", "throttled", "unthrottled"}
 	if opts.NoHeal {
@@ -177,10 +177,11 @@ func E26SelfHeal(rows int, opts E26Options) (*E26Result, error) {
 		if row.MTTR > 0 {
 			res.Table.SetMetric("mttr_ms@"+arm, float64(row.MTTR)/float64(time.Millisecond))
 		}
-		res.Table.ReadRepairs += row.ReadRepairs
-		res.Table.ScrubRepairs += row.ScrubHeals
-		res.Table.Recloned += row.Recloned
-		res.Table.RepairBytes += int64(row.RepairBytes)
+		// Totals over the arms; emitted even when no arm repaired.
+		res.Table.AddMetric("readRepairs", float64(row.ReadRepairs))
+		res.Table.AddMetric("scrubRepairs", float64(row.ScrubHeals))
+		res.Table.AddMetric("recloned", float64(row.Recloned))
+		res.Table.AddMetric("repairBytes", float64(row.RepairBytes))
 	}
 	return res, nil
 }
@@ -300,7 +301,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 		if objects, _ := store.UnderReplicated(); objects != 0 {
 			return false
 		}
-		return store.Repairs().WriteBacks >= wantHeals
+		return store.Totals().ReadRepairs >= wantHeals
 	}
 	var lats []time.Duration
 	hardStop := time.Now().Add(30 * time.Second)
@@ -309,7 +310,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 			stopRun()
 			<-runDone
 			return nil, nil, fmt.Errorf("experiments: E26 %s heal never completed (%d/%d heals, at-risk %d)",
-				arm, store.Repairs().WriteBacks, wantHeals, mustObjects(store))
+				arm, store.Totals().ReadRepairs, wantHeals, mustObjects(store))
 		}
 		start := time.Now()
 		r, err := df.Execute(ctx, q)
@@ -337,11 +338,11 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 	if !e19SameHist(e19Histogram(after), hist) {
 		return nil, nil, fmt.Errorf("experiments: E26 %s post-heal query returned wrong rows", arm)
 	}
-	row.CorruptSteady = after.Stats.CorruptReads
+	row.CorruptSteady = after.Stats.Scan.CorruptReads
 	if ctrl != nil {
-		if row.CorruptSteady != 0 || after.Stats.ReadRepairs != 0 {
+		if row.CorruptSteady != 0 || after.Stats.Scan.ReadRepairs != 0 {
 			return nil, nil, fmt.Errorf("experiments: E26 %s still pays repair overhead after the heal: %d corrupt reads, %d read-repairs",
-				arm, after.Stats.CorruptReads, after.Stats.ReadRepairs)
+				arm, row.CorruptSteady, after.Stats.Scan.ReadRepairs)
 		}
 		// And the store really is clean: a full scrub finds no work.
 		sum := ctrl.ScrubPass(ctx)
@@ -357,7 +358,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 			return nil, nil, fmt.Errorf("experiments: E26 %s lost data: %d unrecoverable blobs", arm, rep.Unrecoverable)
 		}
 	}
-	row.RepairBytes = store.Repairs().WriteBackBytes
+	row.RepairBytes = store.Totals().RepairBytes
 	row.AtRiskEnd = mustObjects(store)
 	row.Queries = len(lats)
 

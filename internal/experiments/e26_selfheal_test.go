@@ -93,10 +93,11 @@ func TestE26SelfHealShape(t *testing.T) {
 	if res.Table == nil || len(res.Table.Rows) != len(res.Rows) {
 		t.Fatal("table rows do not match arm rows")
 	}
-	if res.Table.FaultSeed != e26Seed {
-		t.Errorf("table fault seed = %#x, want %#x", res.Table.FaultSeed, e26Seed)
+	m := res.Table.Metrics
+	if m["faultSeed"] != e26Seed {
+		t.Errorf("table fault seed = %v, want %#x", m["faultSeed"], e26Seed)
 	}
-	if res.Table.Recloned == 0 || res.Table.ReadRepairs+res.Table.ScrubRepairs == 0 {
+	if m["recloned"] == 0 || m["readRepairs"]+m["scrubRepairs"] == 0 {
 		t.Error("table carries no repair counters for the -json artifact")
 	}
 	for _, m := range []string{"p99_us@off", "p99x@throttled", "p99x@unthrottled",

@@ -23,32 +23,12 @@ type Table struct {
 	Notes  string
 	// Metrics carries the experiment's key scalars in machine-readable
 	// form; dfbench -json exports them as the run's perf artifact so CI
-	// can track them without parsing rendered rows.
+	// can track them without parsing rendered rows. Run-wide totals live
+	// here too: E23's encodedEval and decodedBytesSaved, E24's store
+	// account (storage.ReadStats.Each's names), speculativeMorsels and
+	// breakerTrips, E26's readRepairs, scrubRepairs, recloned and
+	// repairBytes, and the faultSeed behind E24's and E26's schedules.
 	Metrics map[string]float64
-	// EncodedEval marks runs that exercised encoded predicate
-	// evaluation; dfbench surfaces it in the -json artifact.
-	EncodedEval bool
-	// DecodedBytesSaved totals the decode bytes late materialization
-	// avoided across the run, for the -json artifact.
-	DecodedBytesSaved int64
-	// Gray-failure defense totals (E24), for the -json artifact: how
-	// often the run hedged reads, speculated on morsels, tripped circuit
-	// breakers or hit the retry budget.
-	HedgedReads          int64
-	SpeculativeMorsels   int64
-	BreakerTrips         int64
-	RetryBudgetExhausted int64
-	// Self-healing totals (E26), for the -json artifact: blobs healed by
-	// foreground read-repair, by the background scrubber and by
-	// re-replication, and the bytes all three wrote.
-	ReadRepairs  int64
-	ScrubRepairs int64
-	Recloned     int64
-	RepairBytes  int64
-	// FaultSeed is the deterministic seed behind the run's fault/damage
-	// schedule (E24, E26), emitted so an artifact pins the exact failure
-	// sequence it was measured under; zero when no faults were injected.
-	FaultSeed int64
 }
 
 // AddRow appends a row built from the given cells.
@@ -62,6 +42,11 @@ func (t *Table) SetMetric(name string, v float64) {
 		t.Metrics = make(map[string]float64)
 	}
 	t.Metrics[name] = v
+}
+
+// AddMetric adds v to a run-wide total, creating it at v.
+func (t *Table) AddMetric(name string, v float64) {
+	t.SetMetric(name, t.Metrics[name]+v)
 }
 
 // String renders the table in aligned plain text.

@@ -116,7 +116,7 @@ func TestScrubTransientFlipNotRepaired(t *testing.T) {
 	if sum.Corrupt != 0 || sum.Healed != 0 {
 		t.Fatalf("transient flip was treated as persistent: %+v", sum)
 	}
-	if o.Repairs().WriteBacks != 0 {
+	if o.Totals().ReadRepairs != 0 {
 		t.Error("transient flip triggered a write-back")
 	}
 	var sawTransient bool

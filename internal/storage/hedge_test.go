@@ -64,15 +64,15 @@ func TestHedgedReadWinsOverDegradedReplica(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("hedged read returned %q", got)
 	}
-	h := o.Hedges()
-	if h.Hedged != 1 || h.Wins != 1 {
+	h := o.Totals()
+	if h.HedgedReads != 1 || h.HedgeWins != 1 {
 		t.Fatalf("hedge stats = %+v, want exactly one launched and won", h)
 	}
 	// The winning payload is hedge-side work; the cancelled primary
 	// charged its op but never delivered bytes. Main + hedge together
 	// account for the payload exactly once.
-	if h.Bytes != sim.Bytes(len(payload)) {
-		t.Errorf("hedge bytes = %d, want %d", h.Bytes, len(payload))
+	if h.HedgeBytes != sim.Bytes(len(payload)) {
+		t.Errorf("hedge bytes = %d, want %d", h.HedgeBytes, len(payload))
 	}
 	if b := o.Meter.Bytes() - bytesBefore; b != 0 {
 		t.Errorf("main meter read bytes = %d, want 0 (primary was cancelled mid-read)", b)
@@ -97,7 +97,7 @@ func TestHedgedReadWinsOverDegradedReplica(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("steered read returned %q", got)
 	}
-	if h := o.Hedges(); h.Hedged != 1 {
+	if h := o.Totals(); h.HedgedReads != 1 {
 		t.Errorf("steered read still hedged: %+v", h)
 	}
 	if b := o.Meter.Bytes() - bytesBefore; b != sim.Bytes(len(payload)) {
@@ -138,7 +138,7 @@ func TestHedgedReadNoLeakNoDoubleCount(t *testing.T) {
 			reads++
 		}
 	}
-	total := o.Meter.Bytes() - bytesBefore + o.Hedges().Bytes
+	total := o.Meter.Bytes() - bytesBefore + o.Totals().HedgeBytes
 	if want := sim.Bytes(reads * len(payload)); total != want {
 		t.Errorf("main+hedge bytes = %d, want %d: payloads double- or under-counted", total, want)
 	}
@@ -216,6 +216,8 @@ func TestSpeculationRespectsRetryBudget(t *testing.T) {
 	}
 	if got := pol.Budget.Exhausted(); got == 0 {
 		t.Error("denied speculation did not count toward Budget.Exhausted")
+	} else if stats.RetryBudgetExhausted != got {
+		t.Errorf("scan reports %d budget denials, the budget counted %d", stats.RetryBudgetExhausted, got)
 	}
 }
 

@@ -30,8 +30,9 @@ import (
 // Resilience is set, reads prefer the healthiest replica (EWMA latency
 // ranking) and, with Resilience.Hedge, race a second replica after a
 // deviation-scaled delay — taking the first success and cancelling the
-// loser. Hedge-side work is metered separately (HedgeStats), so the
-// main Meter's totals are identical whether or not a losing hedge ran.
+// loser. Hedge-side work is metered separately (ReadStats.HedgeOps and
+// HedgeBytes), so the main Meter's totals are identical whether or not
+// a losing hedge ran.
 type ObjectStore struct {
 	mu      sync.RWMutex
 	objects map[string][][]byte // one entry per replica, len >= 1
@@ -53,9 +54,9 @@ type ObjectStore struct {
 	// Faults injects read-path faults (transient errors, corrupt blobs,
 	// missing objects, degraded replicas). Nil means a fault-free store.
 	Faults *faults.Injector
-	// Metrics, when set, mirrors the hedge activity counters into the
-	// registry (storage.hedge.reads / wins / bytes, replica fallbacks)
-	// as they happen, so a live scrape sees defensive work without
+	// Metrics, when set, mirrors every read's non-zero ReadStats
+	// counters into the registry as storage.<name> when the read
+	// returns, so a live scrape sees defensive and repair work without
 	// waiting for a query's ExecStats. Nil is off.
 	Metrics *metrics.Registry
 	// MaxRetries bounds the per-replica retries of a transient read
@@ -93,24 +94,13 @@ type ObjectStore struct {
 	// its own ledger. Must be safe for concurrent use.
 	OnRepair func(key string, replica int)
 
-	retries    atomic.Int64
-	fallbacks  atomic.Int64
-	retryBytes atomic.Int64
+	// total is every finished read's and background repair I/O's
+	// ReadStats, summed (see fold).
+	statsMu sync.Mutex
+	total   ReadStats
 
-	hedged     atomic.Int64
-	hedgeWins  atomic.Int64
-	hedgeOps   atomic.Int64
-	hedgeBytes atomic.Int64
-
-	corruptReads atomic.Int64
-	corruptOps   atomic.Int64
-	corruptBytes atomic.Int64
-	repairWrites atomic.Int64
-	repairBytes  atomic.Int64
-	scrubReads   atomic.Int64
-	scrubBytes   atomic.Int64
-	lostReads    atomic.Int64
-	repairLoad   atomic.Int64
+	// repairLoad is the number of repair I/Os in flight right now.
+	repairLoad atomic.Int64
 
 	// stickyDamaged dedups StickyCorrupt damage per replica blob so a
 	// point with budget left cannot flip the same byte back to clean;
@@ -175,13 +165,13 @@ func (o *ObjectStore) Put(key string, data []byte) {
 // ctx, so an expired deadline surfaces immediately instead of after the
 // backoff.
 func (o *ObjectStore) Get(ctx context.Context, key string) ([]byte, error) {
-	return o.get(ctx, key, true)
+	return o.Read(ctx, key, true, nil)
 }
 
 // GetNoCopy is the metered hot path: it returns the stored slice itself,
 // which the caller must not modify. Recovery behaviour matches Get.
 func (o *ObjectStore) GetNoCopy(ctx context.Context, key string) ([]byte, error) {
-	return o.get(ctx, key, false)
+	return o.Read(ctx, key, false, nil)
 }
 
 // replicaKey names replica r for fault targeting and health tracking.
@@ -220,30 +210,13 @@ func (o *ObjectStore) replicaOrder(n int) []int {
 	return order
 }
 
-// readMeter accumulates one read attempt chain's metering locally so the
-// caller decides whether it lands on the main Meter (primary work) or
-// the hedge counters (hedge-side work).
-type readMeter struct {
-	ops   int64
-	bytes sim.Bytes
-}
-
-func (o *ObjectStore) foldMain(m *readMeter) {
-	if m.ops != 0 {
-		o.Meter.AddOps(m.ops)
-	}
-	if m.bytes != 0 {
-		o.Meter.AddBytes(m.bytes)
-	}
-}
-
-func (o *ObjectStore) foldHedge(m *readMeter) {
-	o.hedgeOps.Add(m.ops)
-	o.hedgeBytes.Add(int64(m.bytes))
-	o.Metrics.Counter("storage.hedge.bytes").Add(int64(m.bytes))
-}
-
-func (o *ObjectStore) get(ctx context.Context, key string, copyOut bool) ([]byte, error) {
+// Read is Get (copyOut) or GetNoCopy with an account. Whatever the read
+// cost beyond its clean payload — retries, fallbacks, hedges, discarded
+// corrupt payloads, read-repairs, budget denials — is counted in a
+// local ReadStats while the read runs and lands once, when it returns,
+// on the store's lifetime total and on acct (nil: nobody's). Only the
+// calling goroutine ever writes acct.
+func (o *ObjectStore) Read(ctx context.Context, key string, copyOut bool, acct *ReadStats) ([]byte, error) {
 	o.mu.RLock()
 	copies, ok := o.objects[key]
 	o.mu.RUnlock()
@@ -251,18 +224,34 @@ func (o *ObjectStore) get(ctx context.Context, key string, copyOut bool) ([]byte
 		// The object genuinely does not exist on any replica: permanent.
 		return nil, fmt.Errorf("storage: object %q not found", key)
 	}
-	order := o.replicaOrder(len(copies))
-	pol := o.Resilience
-	if pol != nil && pol.Hedge && len(order) >= 2 {
-		return o.getHedged(ctx, key, copies, order, copyOut)
-	}
-	return o.getSequential(ctx, key, copies, order, copyOut)
+	var rs ReadStats
+	data, err := o.getHedged(ctx, key, copies, o.replicaOrder(len(copies)), copyOut, &rs)
+	o.fold(&rs, acct)
+	return data, err
 }
 
-// getSequential walks the replicas in order, running the full retry
-// loop against each; the pre-resilience read path.
-func (o *ObjectStore) getSequential(ctx context.Context, key string, copies [][]byte, order []int, copyOut bool) ([]byte, error) {
-	return o.seqRead(ctx, key, copies, order, copyOut, false, nil)
+// fold lands one finished read's (or one background repair I/O's)
+// counters on the lifetime total, the caller's account and the
+// registry. A clean read has nothing to land and takes no lock.
+func (o *ObjectStore) fold(rs, acct *ReadStats) {
+	if *rs == (ReadStats{}) {
+		return
+	}
+	o.statsMu.Lock()
+	o.total.Add(*rs)
+	o.statsMu.Unlock()
+	if acct != nil {
+		acct.Add(*rs)
+	}
+	rs.publish(o.Metrics, "storage.")
+}
+
+// Totals returns the store's lifetime ReadStats: every caller's account
+// plus the background repair I/O no caller owns.
+func (o *ObjectStore) Totals() ReadStats {
+	o.statsMu.Lock()
+	defer o.statsMu.Unlock()
+	return o.total
 }
 
 // seqRead walks the replicas in order, running the full retry loop
@@ -271,31 +260,27 @@ func (o *ObjectStore) getSequential(ctx context.Context, key string, copies [][]
 // bad carries replica indices already known corrupt from an earlier
 // race, so the eventual clean payload can repair them too. A replica
 // whose payload fails Verify joins bad and the walk continues — its
-// metering lands on the corrupt-side counters, never the main Meter —
-// and once any replica serves a verified payload, every replica in bad
-// is repaired from it.
-func (o *ObjectStore) seqRead(ctx context.Context, key string, copies [][]byte, order []int, copyOut, allFallback bool, bad []int) ([]byte, error) {
+// attempts and bytes land on the corrupt-side counters, never the main
+// Meter — and once any replica serves a verified payload, every replica
+// in bad is repaired from it.
+func (o *ObjectStore) seqRead(ctx context.Context, key string, copies [][]byte, order []int, copyOut, allFallback bool, bad []int, rs *ReadStats) ([]byte, error) {
 	var lastErr error
 	for i, r := range order {
-		if i > 0 || allFallback {
-			o.fallbacks.Add(1)
+		fallback := i > 0 || allFallback
+		if fallback {
+			rs.ReplicaFallbacks++
 		}
-		var m readMeter
-		data, err := o.readLoop(ctx, key, r, copies[r], copyOut, i > 0 || allFallback, true, &m)
+		data, ops, err := o.readLoop(ctx, key, r, copies[r], copyOut, fallback, true, rs)
 		if err == nil {
-			if verr := o.verifyPayload(key, r, data, &m); verr != nil {
-				bad = append(bad, r)
-				lastErr = verr
-				if ctx != nil && ctx.Err() != nil {
-					break
-				}
-				continue
+			if err = o.verifyPayload(key, r, data, ops, rs); err == nil {
+				o.Meter.Add(sim.Snapshot{Bytes: sim.Bytes(len(data)), Ops: ops})
+				o.repairBad(key, bad, data, rs)
+				return data, nil
 			}
-			o.foldMain(&m)
-			o.repairBad(key, bad, data)
-			return data, nil
+			bad = append(bad, r)
+		} else {
+			o.Meter.AddOps(ops) // a failed chain returned no payload
 		}
-		o.foldMain(&m)
 		lastErr = err
 		if ctx != nil && ctx.Err() != nil {
 			break // cancelled mid-read: stop burning replicas
@@ -308,12 +293,17 @@ func (o *ObjectStore) seqRead(ctx context.Context, key string, copies [][]byte, 
 // read starts immediately, and if it has not completed after a
 // deviation-scaled delay (and the retry budget grants a token), the
 // hedge read starts on the next replica. The first success wins and the
-// loser is cancelled and drained — never leaked. Primary-side metering
-// lands on the main Meter; hedge-side metering lands only on the hedge
+// loser is cancelled and drained — never leaked. Primary-side work
+// lands on the main Meter; hedge-side work lands only on the hedge
 // counters, so a losing hedge leaves the main Meter byte-identical to
-// an unhedged read.
-func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte, order []int, copyOut bool) ([]byte, error) {
+// an unhedged read. Each racer counts into its own ReadStats; this
+// goroutine adds them to rs as the results arrive. Without a hedging
+// policy or a second replica there is no race, just the walk.
+func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte, order []int, copyOut bool, rs *ReadStats) ([]byte, error) {
 	pol := o.Resilience
+	if pol == nil || !pol.Hedge || len(order) < 2 {
+		return o.seqRead(ctx, key, copies, order, copyOut, false, nil, rs)
+	}
 	prim, sec := order[0], order[1]
 
 	// The hedge fires at the primary replica's ewma + k*dev when enough
@@ -337,9 +327,9 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 	ch := make(chan raceResult, 2)
 	launch := func(r int, hedge bool) {
 		go func() {
-			var m readMeter
-			data, err := o.readLoop(rctx, key, r, copies[r], copyOut, false, !hedge, &m)
-			ch <- raceResult{data: data, err: err, m: m, r: r, hedge: hedge}
+			res := raceResult{r: r, hedge: hedge}
+			res.data, res.ops, res.err = o.readLoop(rctx, key, r, copies[r], copyOut, false, !hedge, &res.rs)
+			ch <- res
 		}()
 	}
 	launch(prim, false)
@@ -353,17 +343,18 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 	var lastErr error
 	var bad []int // replicas that served corrupt payloads, repaired below
 	// accept vets one finished racer: an error or a payload that fails
-	// Verify rejects it (corrupt work lands on the corrupt-side meters,
+	// Verify rejects it (corrupt work lands on the corrupt-side counters,
 	// the replica joins bad), otherwise it becomes the winner — which
 	// may well be the race's *loser* arriving after a corrupt first
 	// finisher was rejected.
 	accept := func(res raceResult) {
+		rs.Add(res.rs)
 		if res.err != nil {
 			lastErr = res.err
-			o.foldRace(&res, false)
+			o.chargeRacer(&res, rs)
 			return
 		}
-		if verr := o.verifyPayload(key, res.r, res.data, &res.m); verr != nil {
+		if verr := o.verifyPayload(key, res.r, res.data, res.ops, rs); verr != nil {
 			bad = append(bad, res.r)
 			lastErr = verr
 			return
@@ -384,11 +375,12 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 		case <-timer.C:
 			hedgeDecided = true
 			if pol.Budget.TryAcquire() {
-				o.hedged.Add(1)
-				o.Metrics.Counter("storage.hedge.reads").Inc()
+				rs.HedgedReads++
 				launch(sec, true)
 				hedgeLaunched = true
 				inflight++
+			} else {
+				rs.RetryBudgetExhausted++
 			}
 		}
 	}
@@ -400,10 +392,14 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 		for inflight > 0 {
 			res := <-ch
 			inflight--
-			o.foldRace(&res, false)
+			rs.Add(res.rs)
+			o.chargeRacer(&res, rs)
 		}
-		o.foldRace(winner, true)
-		o.repairBad(key, bad, winner.data)
+		o.chargeRacer(winner, rs)
+		if winner.hedge {
+			rs.HedgeWins++
+		}
+		o.repairBad(key, bad, winner.data, rs)
 		return winner.data, nil
 	}
 
@@ -413,53 +409,50 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 	if hedgeLaunched {
 		rest = order[2:]
 	}
-	data, err := o.seqRead(ctx, key, copies, rest, copyOut, true, bad)
+	data, err := o.seqRead(ctx, key, copies, rest, copyOut, true, bad, rs)
 	if data == nil && err == nil {
 		err = lastErr // no replicas left to walk: surface the race's error
 	}
 	return data, err
 }
 
-// raceResult is one hedged-race participant's outcome.
+// raceResult is one hedged-race participant's outcome: what readLoop
+// returned and what it counted.
 type raceResult struct {
 	data  []byte
 	err   error
-	m     readMeter
+	ops   int64
+	rs    ReadStats
 	r     int // replica index that served (or failed) the read
 	hedge bool
 }
 
-// foldRace lands one race participant's metering: primary work on the
-// main Meter, hedge work on the hedge counters. won marks the result
-// the caller returned to its client.
-func (o *ObjectStore) foldRace(res *raceResult, won bool) {
+// chargeRacer lands one race participant's attempts and payload:
+// primary work on the main Meter, hedge work on the hedge counters.
+func (o *ObjectStore) chargeRacer(res *raceResult, rs *ReadStats) {
 	if res.hedge {
-		o.foldHedge(&res.m)
-		if won {
-			o.hedgeWins.Add(1)
-			o.Metrics.Counter("storage.hedge.wins").Inc()
-		}
+		rs.HedgeOps += res.ops
+		rs.HedgeBytes += sim.Bytes(len(res.data))
 		return
 	}
-	o.foldMain(&res.m)
+	o.Meter.Add(sim.Snapshot{Bytes: sim.Bytes(len(res.data)), Ops: res.ops})
 }
 
-// readLoop runs the retry loop against one replica, charging into m.
-// fallback marks reads past the first-choice replica (for RetryBytes
-// accounting); countRecovery gates the shared recovery counters so
-// hedge-side retries do not perturb the Recovery stats of the primary
-// path.
-func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []byte, copyOut, fallback, countRecovery bool, m *readMeter) ([]byte, error) {
-	var lastErr error
+// readLoop runs the retry loop against one replica and reports how many
+// attempts it made; the bytes it moved are those it returns. fallback
+// marks reads past the first-choice replica (for RetryBytes
+// accounting); countRecovery gates Retries so hedge-side retries do not
+// perturb the recovery count of the primary path.
+func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []byte, copyOut, fallback, countRecovery bool, rs *ReadStats) (out []byte, ops int64, err error) {
 	for attempt := 0; ; attempt++ {
-		out, err := o.readReplica(ctx, key, r, data, copyOut, m)
+		ops++
+		out, err = o.readReplica(ctx, key, r, data, copyOut, rs)
 		if err == nil {
 			if fallback || attempt > 0 {
-				o.retryBytes.Add(int64(len(out)))
+				rs.RetryBytes += sim.Bytes(len(out))
 			}
-			return out, nil
+			return out, ops, nil
 		}
-		lastErr = err
 		retryable := faults.IsTransient(err)
 		if fe, isFault := err.(*faults.FaultError); isFault && fe.Kind == faults.ObjectMissing {
 			// A missing replica will not reappear: go to the next one.
@@ -469,21 +462,21 @@ func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []by
 			retryable = false
 		}
 		if !retryable || attempt >= o.MaxRetries {
-			break
+			return nil, ops, err
 		}
 		if pol := o.Resilience; pol != nil && !pol.Budget.TryAcquire() {
 			// Retry budget exhausted: shed the retry instead of
 			// amplifying a fault storm.
-			break
+			rs.RetryBudgetExhausted++
+			return nil, ops, err
 		}
 		if countRecovery {
-			o.retries.Add(1)
+			rs.Retries++
 		}
-		if err := o.backoff(ctx, attempt); err != nil {
-			return nil, err
+		if berr := o.backoff(ctx, attempt); berr != nil {
+			return nil, ops, berr
 		}
 	}
-	return nil, lastErr
 }
 
 // readReplica is one read attempt against one replica, with faults
@@ -492,8 +485,7 @@ func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []by
 // is slept for real — gray failures are wall-clock phenomena — and the
 // sleep honors ctx so cancelled hedges and expired deadlines return
 // immediately.
-func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data []byte, copyOut bool, m *readMeter) ([]byte, error) {
-	m.ops++
+func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data []byte, copyOut bool, rs *ReadStats) ([]byte, error) {
 	start := time.Now()
 	delay := o.BaseLatency
 	if delay > 0 && o.RepairContention > 0 {
@@ -524,7 +516,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 		// with it. Feed the loss into the health tracker and breaker so
 		// steering avoids the dead replica and the repair controller can
 		// declare it dead; only re-replication brings the data back.
-		o.noteLost(key, r)
+		o.noteLost(r, rs)
 		return nil, &ReplicaLostError{Key: key, Replica: r}
 	}
 	if o.Faults != nil {
@@ -541,7 +533,6 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 			if len(cp) > 0 {
 				cp[len(cp)/2] ^= 0x40
 			}
-			m.bytes += sim.Bytes(len(cp))
 			o.observeRead(r, start)
 			return cp, nil
 		}
@@ -553,7 +544,6 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 			data = o.damageReplica(key, r, data)
 		}
 	}
-	m.bytes += sim.Bytes(len(data))
 	o.observeRead(r, start)
 	if copyOut {
 		return append([]byte(nil), data...), nil
@@ -605,70 +595,6 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
-	}
-}
-
-// RecoveryStats counts the store's recovery work so far.
-type RecoveryStats struct {
-	// Retries is the number of read attempts repeated after a transient
-	// fault.
-	Retries int64
-	// ReplicaFallbacks is the number of reads that moved past replica 0.
-	ReplicaFallbacks int64
-	// RetryBytes is the payload re-read by recovery (bytes returned by
-	// any attempt after the first).
-	RetryBytes sim.Bytes
-}
-
-// Sub returns s minus prev, isolating one scan's recovery work.
-func (s RecoveryStats) Sub(prev RecoveryStats) RecoveryStats {
-	return RecoveryStats{
-		Retries:          s.Retries - prev.Retries,
-		ReplicaFallbacks: s.ReplicaFallbacks - prev.ReplicaFallbacks,
-		RetryBytes:       s.RetryBytes - prev.RetryBytes,
-	}
-}
-
-// Recovery snapshots the store's cumulative recovery counters.
-func (o *ObjectStore) Recovery() RecoveryStats {
-	return RecoveryStats{
-		Retries:          o.retries.Load(),
-		ReplicaFallbacks: o.fallbacks.Load(),
-		RetryBytes:       sim.Bytes(o.retryBytes.Load()),
-	}
-}
-
-// HedgeStats counts the store's hedge-side work so far, metered apart
-// from the main Meter: a losing hedge never lands in the primary
-// byte/op totals.
-type HedgeStats struct {
-	// Hedged is the number of reads that launched a hedge.
-	Hedged int64
-	// Wins is the number of hedges whose result was returned.
-	Wins int64
-	// Ops is the number of hedge-side read attempts.
-	Ops int64
-	// Bytes is the payload read by hedge-side attempts (win or lose).
-	Bytes sim.Bytes
-}
-
-// Sub returns s minus prev, isolating one scan's hedging work.
-func (s HedgeStats) Sub(prev HedgeStats) HedgeStats {
-	return HedgeStats{
-		Hedged: s.Hedged - prev.Hedged,
-		Wins:   s.Wins - prev.Wins,
-		Ops:    s.Ops - prev.Ops,
-		Bytes:  s.Bytes - prev.Bytes,
-	}
-}
-
-// Hedges snapshots the store's cumulative hedge counters.
-func (o *ObjectStore) Hedges() HedgeStats {
-	return HedgeStats{
-		Hedged: o.hedged.Load(),
-		Wins:   o.hedgeWins.Load(),
-		Ops:    o.hedgeOps.Load(),
-		Bytes:  sim.Bytes(o.hedgeBytes.Load()),
 	}
 }
 

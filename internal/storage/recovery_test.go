@@ -88,7 +88,7 @@ func TestTransientFaultRetries(t *testing.T) {
 	if string(got) != "payload" {
 		t.Fatalf("recovered read returned %q", got)
 	}
-	rec := s.Recovery()
+	rec := s.Totals()
 	if rec.Retries != 2 {
 		t.Errorf("Retries = %d, want 2", rec.Retries)
 	}
@@ -129,7 +129,7 @@ func TestReplicaFallbackOnMissing(t *testing.T) {
 	if string(got) != "survives" {
 		t.Fatalf("fallback read returned %q", got)
 	}
-	rec := s.Recovery()
+	rec := s.Totals()
 	if rec.ReplicaFallbacks != 1 {
 		t.Errorf("ReplicaFallbacks = %d, want 1", rec.ReplicaFallbacks)
 	}
@@ -149,7 +149,7 @@ func TestMissingKeyIsPermanent(t *testing.T) {
 	if faults.IsTransient(err) {
 		t.Error("genuinely absent key classified transient")
 	}
-	if rec := s.Recovery(); rec.Retries != 0 {
+	if rec := s.Totals(); rec.Retries != 0 {
 		t.Errorf("absent key burned %d retries", rec.Retries)
 	}
 }

@@ -64,16 +64,16 @@ func TestReadRepairHealsCorruptReplica(t *testing.T) {
 	if ops := o.Meter.Ops() - opsBefore; ops != 1 {
 		t.Errorf("main meter ops = %d, want 1", ops)
 	}
-	rep := o.Repairs()
+	rep := o.Totals()
 	if rep.CorruptReads != 1 {
 		t.Errorf("CorruptReads = %d, want 1", rep.CorruptReads)
 	}
 	if rep.CorruptBytes != sim.Bytes(len(payload)) {
 		t.Errorf("CorruptBytes = %d, want %d", rep.CorruptBytes, len(payload))
 	}
-	if rep.WriteBacks != 1 || rep.WriteBackBytes != sim.Bytes(len(payload)) {
+	if rep.ReadRepairs != 1 || rep.RepairBytes != sim.Bytes(len(payload)) {
 		t.Errorf("write-backs = %d/%d bytes, want 1/%d",
-			rep.WriteBacks, rep.WriteBackBytes, len(payload))
+			rep.ReadRepairs, rep.RepairBytes, len(payload))
 	}
 
 	// The damaged replica is healed in place: a raw read serves clean
@@ -85,7 +85,7 @@ func TestReadRepairHealsCorruptReplica(t *testing.T) {
 	if _, err := o.Get(context.Background(), "k"); err != nil {
 		t.Fatal(err)
 	}
-	if rep := o.Repairs(); rep.WriteBacks != 1 || rep.CorruptReads != 1 {
+	if rep := o.Totals(); rep.ReadRepairs != 1 || rep.CorruptReads != 1 {
 		t.Errorf("second read repeated repair work: %+v", rep)
 	}
 }
@@ -105,8 +105,8 @@ func TestVerifyWithoutWriteBackLeavesDamage(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read = %q err=%v", got, err)
 	}
-	if rep := o.Repairs(); rep.WriteBacks != 0 {
-		t.Errorf("WriteBacks = %d with WriteBack off", rep.WriteBacks)
+	if rep := o.Totals(); rep.ReadRepairs != 0 {
+		t.Errorf("ReadRepairs = %d with WriteBack off", rep.ReadRepairs)
 	}
 	raw, _ := o.ReadReplicaRaw(context.Background(), "k", 0)
 	if bytes.Equal(raw, payload) {
@@ -149,15 +149,15 @@ func TestHedgeCorruptWinnerRejected(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("hedged read returned corrupt bytes %q", got)
 	}
-	h := o.Hedges()
-	if h.Hedged != 1 {
+	h := o.Totals()
+	if h.HedgedReads != 1 {
 		t.Fatalf("hedge stats = %+v, want exactly one hedge launched", h)
 	}
-	if h.Wins != 0 {
+	if h.HedgeWins != 0 {
 		t.Errorf("corrupt hedge recorded as a win: %+v", h)
 	}
-	if h.Bytes != 0 {
-		t.Errorf("hedge bytes = %d, want 0 (corrupt payload must land on corrupt counters)", h.Bytes)
+	if h.HedgeBytes != 0 {
+		t.Errorf("hedge bytes = %d, want 0 (corrupt payload must land on corrupt counters)", h.HedgeBytes)
 	}
 	if b := o.Meter.Bytes() - bytesBefore; b != sim.Bytes(len(payload)) {
 		t.Errorf("main meter bytes = %d, want %d (clean primary once)", b, len(payload))
@@ -165,13 +165,13 @@ func TestHedgeCorruptWinnerRejected(t *testing.T) {
 	if ops := o.Meter.Ops() - opsBefore; ops != 1 {
 		t.Errorf("main meter ops = %d, want the primary's single attempt", ops)
 	}
-	rep := o.Repairs()
+	rep := o.Totals()
 	if rep.CorruptReads != 1 || rep.CorruptBytes != sim.Bytes(len(payload)) {
 		t.Errorf("corrupt accounting = %d reads / %d bytes, want 1 / %d",
 			rep.CorruptReads, rep.CorruptBytes, len(payload))
 	}
-	if rep.WriteBacks != 1 {
-		t.Errorf("WriteBacks = %d, want 1 (corrupt hedge target repaired)", rep.WriteBacks)
+	if rep.ReadRepairs != 1 {
+		t.Errorf("ReadRepairs = %d, want 1 (corrupt hedge target repaired)", rep.ReadRepairs)
 	}
 	raw, err := o.ReadReplicaRaw(context.Background(), "k", 1)
 	if err != nil || !bytes.Equal(raw, payload) {
@@ -343,7 +343,7 @@ func TestFailReplicaFallbackAndRestore(t *testing.T) {
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("read after replica loss = %q err=%v", got, err)
 	}
-	if o.Recovery().ReplicaFallbacks == 0 {
+	if o.Totals().ReplicaFallbacks == 0 {
 		t.Error("read past the lost replica recorded no fallback")
 	}
 
@@ -389,8 +389,8 @@ func TestConcurrentReadRepairExactlyOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rep := o.Repairs(); rep.WriteBacks != 1 {
-		t.Errorf("WriteBacks = %d, want exactly 1 for one damaged blob", rep.WriteBacks)
+	if rep := o.Totals(); rep.ReadRepairs != 1 {
+		t.Errorf("ReadRepairs = %d, want exactly 1 for one damaged blob", rep.ReadRepairs)
 	}
 }
 
@@ -408,7 +408,7 @@ func TestScrubReadsBypassMainMeter(t *testing.T) {
 	if b := o.Meter.Bytes() - bytesBefore; b != 0 {
 		t.Errorf("scrub reads charged %d bytes to the main meter", b)
 	}
-	rep := o.Repairs()
+	rep := o.Totals()
 	if rep.ScrubReads != 3 || rep.ScrubBytes != sim.Bytes(3*len(payload)) {
 		t.Errorf("scrub accounting = %d reads / %d bytes, want 3 / %d",
 			rep.ScrubReads, rep.ScrubBytes, 3*len(payload))

@@ -45,24 +45,18 @@ func (e *ReplicaLostError) Error() string {
 }
 
 // verifyPayload checks a successful read's payload against Verify. On
-// failure the attempt chain's metering in m moves to the corrupt-side
-// counters (the main Meter never sees discarded bytes), the replica is
+// failure the attempt chain's ops and bytes go to the corrupt-side
+// counters (the caller keeps them off the main Meter), the replica is
 // struck in the health tracker and its breaker fed a failure, and a
 // ReplicaCorruptError is returned. A nil Verify accepts everything at
 // zero cost.
-func (o *ObjectStore) verifyPayload(key string, r int, data []byte, m *readMeter) error {
-	if o.Verify == nil {
+func (o *ObjectStore) verifyPayload(key string, r int, data []byte, ops int64, rs *ReadStats) error {
+	if o.Verify == nil || o.Verify(key, data) == nil {
 		return nil
 	}
-	if err := o.Verify(key, data); err == nil {
-		return nil
-	}
-	o.corruptReads.Add(1)
-	o.corruptOps.Add(m.ops)
-	o.corruptBytes.Add(int64(m.bytes))
-	o.Metrics.Counter("storage.corrupt.reads").Inc()
-	o.Metrics.Counter("storage.corrupt.bytes").Add(int64(m.bytes))
-	*m = readMeter{}
+	rs.CorruptReads++
+	rs.CorruptOps += ops
+	rs.CorruptBytes += sim.Bytes(len(data))
 	if pol := o.Resilience; pol != nil {
 		pol.Health.MarkCorrupt(o.replicaKey(r))
 		pol.Breakers.Failure(o.replicaKey(r))
@@ -73,9 +67,8 @@ func (o *ObjectStore) verifyPayload(key string, r int, data []byte, m *readMeter
 // noteLost records a read that hit an empty replica slot: health strike
 // and breaker failure, so steering avoids the dead replica and the
 // repair controller sees its breaker open.
-func (o *ObjectStore) noteLost(key string, r int) {
-	o.lostReads.Add(1)
-	o.Metrics.Counter("storage.replica.lost_reads").Inc()
+func (o *ObjectStore) noteLost(r int, rs *ReadStats) {
+	rs.LostReads++
 	if pol := o.Resilience; pol != nil {
 		pol.Health.MarkCorrupt(o.replicaKey(r))
 		pol.Breakers.Failure(o.replicaKey(r))
@@ -88,7 +81,7 @@ func (o *ObjectStore) noteLost(key string, r int) {
 // reads detected it — later callers find the bytes already equal and
 // skip. Lost (nil) slots are left for re-replication. No-op unless
 // WriteBack is on; the common clean-read case costs one nil check.
-func (o *ObjectStore) repairBad(key string, bad []int, clean []byte) {
+func (o *ObjectStore) repairBad(key string, bad []int, clean []byte, rs *ReadStats) {
 	if len(bad) == 0 || !o.WriteBack {
 		return
 	}
@@ -121,19 +114,17 @@ func (o *ObjectStore) repairBad(key string, bad []int, clean []byte) {
 	}
 	o.mu.Unlock()
 	for _, r := range healed {
-		o.finishRepair(key, r, sim.Bytes(len(clean)), true)
+		o.finishRepair(key, r, sim.Bytes(len(clean)), true, rs)
 	}
 }
 
 // finishRepair lands the accounting of one completed replica repair:
-// repair meters, integrity-strike forgiveness and — for foreground
+// repair counters, integrity-strike forgiveness and — for foreground
 // read-repairs only — the controller's OnRepair hook (background heals
 // are already on the controller's own ledger).
-func (o *ObjectStore) finishRepair(key string, r int, n sim.Bytes, foreground bool) {
-	o.repairWrites.Add(1)
-	o.repairBytes.Add(int64(n))
-	o.Metrics.Counter("storage.repair.writes").Inc()
-	o.Metrics.Counter("storage.repair.bytes").Add(int64(n))
+func (o *ObjectStore) finishRepair(key string, r int, n sim.Bytes, foreground bool, rs *ReadStats) {
+	rs.ReadRepairs++
+	rs.RepairBytes += n
 	if pol := o.Resilience; pol != nil {
 		pol.Health.ClearCorrupt(o.replicaKey(r))
 	}
@@ -303,15 +294,14 @@ func (o *ObjectStore) ReadReplicaRaw(ctx context.Context, key string, r int) ([]
 	if o.Faults != nil && o.Faults.Fire(faults.StickyCorrupt, o.replicaKey(r)+"/"+key) {
 		data = o.damageReplica(key, r, data)
 	}
-	o.scrubReads.Add(1)
+	rs := ReadStats{ScrubReads: 1, ScrubBytes: sim.Bytes(len(data))}
+	var err error
 	if data == nil {
-		o.noteLost(key, r)
-		return nil, &ReplicaLostError{Key: key, Replica: r}
+		o.noteLost(r, &rs)
+		err = &ReplicaLostError{Key: key, Replica: r}
 	}
-	o.scrubBytes.Add(int64(len(data)))
-	o.Metrics.Counter("storage.scrub.reads").Inc()
-	o.Metrics.Counter("storage.scrub.bytes").Add(int64(len(data)))
-	return data, nil
+	o.fold(&rs, nil)
+	return data, err
 }
 
 // RepairReplica overwrites replica r's blob under key with data — the
@@ -344,58 +334,8 @@ func (o *ObjectStore) RepairReplica(ctx context.Context, key string, r int, data
 	o.objects[key] = next
 	delete(o.stickyDamaged, stickyKey(key, r))
 	o.mu.Unlock()
-	o.finishRepair(key, r, sim.Bytes(len(data)), false)
+	var rs ReadStats
+	o.finishRepair(key, r, sim.Bytes(len(data)), false, &rs)
+	o.fold(&rs, nil)
 	return nil
-}
-
-// RepairStats counts the store's self-healing work so far, all of it
-// metered apart from the main Meter: queries are charged only for the
-// clean payloads they consume.
-type RepairStats struct {
-	// CorruptReads is the number of read payloads discarded because
-	// they failed integrity verification.
-	CorruptReads int64
-	// CorruptOps is the number of read attempts behind those payloads.
-	CorruptOps int64
-	// CorruptBytes is the discarded payload volume.
-	CorruptBytes sim.Bytes
-	// WriteBacks is the number of replica blobs overwritten with
-	// known-good bytes (read-repair, scrub repair and re-replication).
-	WriteBacks int64
-	// WriteBackBytes is the volume written by those repairs.
-	WriteBackBytes sim.Bytes
-	// ScrubReads is the number of raw replica reads by scrub/repair.
-	ScrubReads int64
-	// ScrubBytes is the volume read by scrub/repair.
-	ScrubBytes sim.Bytes
-	// LostReads is the number of reads that hit an empty replica slot.
-	LostReads int64
-}
-
-// Sub returns s minus prev, isolating one scan's repair work.
-func (s RepairStats) Sub(prev RepairStats) RepairStats {
-	return RepairStats{
-		CorruptReads:   s.CorruptReads - prev.CorruptReads,
-		CorruptOps:     s.CorruptOps - prev.CorruptOps,
-		CorruptBytes:   s.CorruptBytes - prev.CorruptBytes,
-		WriteBacks:     s.WriteBacks - prev.WriteBacks,
-		WriteBackBytes: s.WriteBackBytes - prev.WriteBackBytes,
-		ScrubReads:     s.ScrubReads - prev.ScrubReads,
-		ScrubBytes:     s.ScrubBytes - prev.ScrubBytes,
-		LostReads:      s.LostReads - prev.LostReads,
-	}
-}
-
-// Repairs snapshots the store's cumulative self-healing counters.
-func (o *ObjectStore) Repairs() RepairStats {
-	return RepairStats{
-		CorruptReads:   o.corruptReads.Load(),
-		CorruptOps:     o.corruptOps.Load(),
-		CorruptBytes:   sim.Bytes(o.corruptBytes.Load()),
-		WriteBacks:     o.repairWrites.Load(),
-		WriteBackBytes: sim.Bytes(o.repairBytes.Load()),
-		ScrubReads:     o.scrubReads.Load(),
-		ScrubBytes:     sim.Bytes(o.scrubBytes.Load()),
-		LostReads:      o.lostReads.Load(),
-	}
 }

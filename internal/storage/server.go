@@ -133,13 +133,6 @@ type ScanStats struct {
 	ShippedRows    int64
 	ProcTime       sim.VTime // busy time on the storage processor
 
-	// Recovery accounting: reads repeated after transient faults or
-	// corrupt blobs, reads served past replica 0, and the payload bytes
-	// those extra reads moved. Availability is not free; E19 reports it.
-	Retries          int64
-	ReplicaFallbacks int64
-	RetryBytes       sim.Bytes
-
 	// Encoded-evaluation accounting. EncodedEvalSegments counts
 	// segments whose filter ran on encoded data; DecodedBytes is what
 	// the processor actually streamed through its decoder, and
@@ -160,15 +153,10 @@ type ScanStats struct {
 	SpeculativeWins    int64
 	SpeculativeBytes   sim.Bytes
 
-	// Self-healing accounting (stores with verification enabled):
-	// payloads discarded because a replica served corrupt bytes, repair
-	// write-backs triggered by this scan's reads, and the bytes those
-	// repairs wrote. Repair traffic is metered apart from the main
-	// Meter — the query is charged only for the clean payloads it
-	// consumed.
-	CorruptReads int64
-	ReadRepairs  int64
-	RepairBytes  sim.Bytes
+	// ReadStats is the scan's account at the object store: what its
+	// segment reads — every copy of every morsel, delivered or not —
+	// cost beyond their clean payloads.
+	ReadStats
 }
 
 // Add folds o — one segment's share of a scan, or one attempt's scan of
@@ -180,18 +168,13 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.ShippedBytes += o.ShippedBytes
 	s.ShippedRows += o.ShippedRows
 	s.ProcTime += o.ProcTime
-	s.Retries += o.Retries
-	s.ReplicaFallbacks += o.ReplicaFallbacks
-	s.RetryBytes += o.RetryBytes
 	s.EncodedEvalSegments += o.EncodedEvalSegments
 	s.DecodedBytes += o.DecodedBytes
 	s.DecodedBytesSaved += o.DecodedBytesSaved
 	s.SpeculativeMorsels += o.SpeculativeMorsels
 	s.SpeculativeWins += o.SpeculativeWins
 	s.SpeculativeBytes += o.SpeculativeBytes
-	s.CorruptReads += o.CorruptReads
-	s.ReadRepairs += o.ReadRepairs
-	s.RepairBytes += o.RepairBytes
+	s.ReadStats.Add(o.ReadStats)
 }
 
 // scanPipe replays one scan's internal three-stage pipeline onto a
@@ -270,7 +253,8 @@ type Server struct {
 
 	// Metrics, when set, receives every finished scan's ScanStats as
 	// fleet counters (scan.media.bytes, scan.shipped.bytes, pruning and
-	// encoded-eval savings, retry and speculation activity) plus a
+	// encoded-eval savings, speculation activity, and the non-zero
+	// counters of its ReadStats as scan.<name>) plus a
 	// scan.shipped.bytes rolling rate. Nil is off and costs nothing on
 	// the scan path — the fold happens once per scan, not per segment.
 	Metrics *metrics.Registry
@@ -305,18 +289,13 @@ func (s *Server) foldScanMetrics(st *ScanStats) {
 	m.Counter("scan.media.bytes").Add(int64(st.MediaBytes))
 	m.Counter("scan.shipped.bytes").Add(int64(st.ShippedBytes))
 	m.Counter("scan.shipped.rows").Add(st.ShippedRows)
-	m.Counter("scan.retries").Add(st.Retries)
-	m.Counter("scan.replica.fallbacks").Add(st.ReplicaFallbacks)
-	m.Counter("scan.retry.bytes").Add(int64(st.RetryBytes))
 	m.Counter("scan.encoded.segments").Add(int64(st.EncodedEvalSegments))
 	m.Counter("scan.decoded.bytes").Add(int64(st.DecodedBytes))
 	m.Counter("scan.decoded.bytes.saved").Add(int64(st.DecodedBytesSaved))
 	m.Counter("scan.speculative.morsels").Add(st.SpeculativeMorsels)
 	m.Counter("scan.speculative.wins").Add(st.SpeculativeWins)
 	m.Counter("scan.speculative.bytes").Add(int64(st.SpeculativeBytes))
-	m.Counter("scan.corrupt.reads").Add(st.CorruptReads)
-	m.Counter("scan.read.repairs").Add(st.ReadRepairs)
-	m.Counter("scan.repair.bytes").Add(int64(st.RepairBytes))
+	st.ReadStats.publish(m, "scan.")
 	m.RateMeter("scan.shipped.bytes.rate").Mark(int64(st.ShippedBytes))
 }
 
@@ -419,19 +398,7 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	recBefore := s.store.Recovery()
-	repBefore := s.store.Repairs()
-	defer func() {
-		rec := s.store.Recovery().Sub(recBefore)
-		stats.Retries += rec.Retries
-		stats.ReplicaFallbacks += rec.ReplicaFallbacks
-		stats.RetryBytes += rec.RetryBytes
-		rep := s.store.Repairs().Sub(repBefore)
-		stats.CorruptReads += rep.CorruptReads
-		stats.ReadRepairs += rep.WriteBacks
-		stats.RepairBytes += rep.WriteBackBytes
-		s.foldScanMetrics(&stats)
-	}()
+	defer s.foldScanMetrics(&stats)
 	t, err := s.Table(table)
 	if err != nil {
 		return stats, err
@@ -700,6 +667,8 @@ type specState struct {
 	samples  int
 	launched int64
 	wake     chan struct{} // closed and replaced on every completion
+
+	denied atomic.Int64 // duplicates the retry budget refused
 }
 
 func newSpecState(pol *resilience.Policy) *specState {
@@ -900,11 +869,10 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 				if st != nil {
 					st.markDone(idx, time.Since(start), r.err == nil)
 				}
-				select {
-				case results <- r:
-				case <-ctx.Done():
-					return
-				}
+				// The consumer below drains results until it is closed,
+				// so a send never blocks for good — and every copy's
+				// account arrives, whatever became of the scan.
+				results <- r
 				if st != nil && r.err == nil {
 					// First finisher: stop a racing duplicate, if any.
 					st.cancelSeg(idx)
@@ -932,6 +900,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 				if !st.pol.Budget.TryAcquire() {
 					// Retry budget exhausted: serve slow rather than
 					// amplify.
+					st.denied.Add(1)
 					return
 				}
 				st.mu.Lock()
@@ -939,11 +908,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 				st.mu.Unlock()
 				r := sc.processSegment(ms.ctx, seg, seg%workers)
 				r.dup = true
-				select {
-				case results <- r:
-				case <-ctx.Done():
-					return
-				}
+				results <- r
 				if r.err == nil {
 					st.cancelSeg(seg)
 				}
@@ -964,6 +929,11 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 		cancel() // stop the workers; keep draining results below
 	}
 	for r := range results {
+		// Every copy's reads are the scan's, delivered or not: a losing
+		// duplicate, a failed twin and a morsel finished after the scan
+		// failed all spent their retries and hedges on this query.
+		stats.ReadStats.Add(r.sub.ReadStats)
+		r.sub.ReadStats = ReadStats{}
 		if firstErr != nil {
 			continue
 		}
@@ -1002,6 +972,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 		st.mu.Lock()
 		stats.SpeculativeMorsels += st.launched
 		st.mu.Unlock()
+		stats.RetryBudgetExhausted += st.denied.Load()
 	}
 	if firstErr != nil {
 		return firstErr
@@ -1021,7 +992,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 // RetryBytes, so recovery shows up as real extra work in the meters.
 func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stats *ScanStats) (*Segment, *columnar.Batch, bool, error) {
 	s, spec, needed := sc.s, sc.spec, sc.needed
-	blob, err := s.store.GetNoCopy(ctx, sc.t.SegmentKeys[idx])
+	blob, err := s.store.Read(ctx, sc.t.SegmentKeys[idx], false, &stats.ReadStats)
 	if err != nil {
 		return nil, nil, false, err
 	}
