@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strings"
 
 	"repro/internal/columnar"
 	"repro/internal/core"
@@ -75,34 +74,6 @@ func buildQuery(name string, cfg workload.LineitemConfig) (*plan.Query, error) {
 	return nil, fmt.Errorf("unknown query %q (want pricing|filter|count|parts)", name)
 }
 
-// stripExplainAnalyze removes a leading EXPLAIN ANALYZE (case-insensitive)
-// from sql, reporting whether it was present.
-func stripExplainAnalyze(sql string) (string, bool) {
-	trimmed := strings.TrimSpace(sql)
-	fields := strings.Fields(trimmed)
-	if len(fields) >= 2 &&
-		strings.EqualFold(fields[0], "EXPLAIN") && strings.EqualFold(fields[1], "ANALYZE") {
-		rest := trimmed[len(fields[0]):]
-		rest = strings.TrimSpace(rest)
-		rest = strings.TrimSpace(rest[len(fields[1]):])
-		return rest, true
-	}
-	return sql, false
-}
-
-// printTimeline renders a recorded trace as a per-device Gantt chart plus
-// the headline concurrency numbers.
-func printTimeline(tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
-	if err := tr.WriteGantt(os.Stdout, 64); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("makespan %s, resource busy %s, concurrency %.2f (mean active resources)\n",
-		tr.Makespan(), tr.WorkBusy(), tr.ConcurrencyFactor())
-}
-
 func main() {
 	engine := flag.String("engine", "both", "dataflow, volcano or both")
 	rows := flag.Int("rows", 50000, "lineitem rows to generate")
@@ -124,7 +95,7 @@ func main() {
 
 	cfg := workload.DefaultLineitemConfig(*rows)
 	data := workload.GenLineitem(cfg)
-	sql, hasAnalyze := stripExplainAnalyze(*sqlText)
+	sql, hasAnalyze := sqlparse.StripExplainAnalyze(*sqlText)
 	tracing := *analyze || hasAnalyze || *tracePath != ""
 	var q *plan.Query
 	var err error
@@ -180,7 +151,7 @@ func main() {
 		fmt.Printf("--- dataflow (%s fabric, variant %s) ---\n", *fabricKind, chosen.Variant)
 		fmt.Print(res.Format(*maxRows))
 		fmt.Println(res.Stats.String())
-		printTimeline(res.Trace)
+		must(res.Trace.WriteTimeline(os.Stdout, 64))
 		if res.Trace != nil {
 			procs = append(procs, obs.Process{Name: "dataflow", Trace: res.Trace})
 		}
@@ -201,7 +172,7 @@ func main() {
 		fmt.Println("--- volcano (legacy fabric, buffer pool) ---")
 		fmt.Print(res.Format(*maxRows))
 		fmt.Println(res.Stats.String())
-		printTimeline(res.Trace)
+		must(res.Trace.WriteTimeline(os.Stdout, 64))
 		if res.Trace != nil {
 			procs = append(procs, obs.Process{Name: "volcano", Trace: res.Trace})
 		}

@@ -28,38 +28,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/obs"
 	"repro/internal/obs/metrics"
 	"repro/internal/repair"
 	"repro/internal/sqlparse"
 	"repro/internal/workload"
 )
-
-// stripExplainAnalyze removes a leading EXPLAIN ANALYZE
-// (case-insensitive) from sql, reporting whether it was present.
-func stripExplainAnalyze(sql string) (string, bool) {
-	fields := strings.Fields(sql)
-	if len(fields) >= 2 &&
-		strings.EqualFold(fields[0], "EXPLAIN") && strings.EqualFold(fields[1], "ANALYZE") {
-		rest := strings.TrimSpace(sql)[len(fields[0]):]
-		rest = strings.TrimSpace(rest)
-		return strings.TrimSpace(rest[len(fields[1]):]), true
-	}
-	return sql, false
-}
-
-func printTimeline(tr *obs.Trace) {
-	if tr == nil {
-		fmt.Println("(no trace recorded)")
-		return
-	}
-	if err := tr.WriteGantt(os.Stdout, 64); err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	fmt.Printf("makespan %s, resource busy %s, concurrency %.2f (mean active resources)\n",
-		tr.Makespan(), tr.WorkBusy(), tr.ConcurrencyFactor())
-}
 
 func main() {
 	rows := flag.Int("rows", 50000, "lineitem rows to generate")
@@ -166,7 +139,7 @@ func main() {
 		case strings.HasPrefix(line, `\`):
 			fmt.Println("unknown meta command:", line)
 		default:
-			sql, analyze := stripExplainAnalyze(line)
+			sql, analyze := sqlparse.StripExplainAnalyze(line)
 			q, err := sqlparse.Parse(sql, eng)
 			if err != nil {
 				fmt.Println("error:", err)
@@ -190,8 +163,8 @@ func main() {
 					res.Rows(), res.Stats.Variant, res.Stats.MovedBytes,
 					res.Stats.CPUBytes, res.Stats.SimTime)
 			}
-			if res.Trace != nil {
-				printTimeline(res.Trace)
+			if err := res.Trace.WriteTimeline(os.Stdout, 64); err != nil {
+				fmt.Println("error:", err)
 			}
 		}
 	}

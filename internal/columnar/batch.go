@@ -87,15 +87,6 @@ func (b *Batch) NumCols() int { return len(b.cols) }
 // Col returns column i.
 func (b *Batch) Col(i int) *Vector { return b.cols[i] }
 
-// ColByName returns the column with the given name, or nil.
-func (b *Batch) ColByName(name string) *Vector {
-	idx := b.schema.FieldIndex(name)
-	if idx < 0 {
-		return nil
-	}
-	return b.cols[idx]
-}
-
 // AppendRow appends one row of dynamically typed values. The value types
 // must match the schema.
 func (b *Batch) AppendRow(vals ...Value) {
@@ -226,15 +217,4 @@ func (b *Batch) RowMajor() [][]Value {
 		rows[i] = b.Row(i)
 	}
 	return rows
-}
-
-// FromRowMajor builds a batch from row-major data, the inverse of
-// RowMajor. This is the transposition the paper proposes doing in a
-// near-memory functional unit.
-func FromRowMajor(schema *Schema, rows [][]Value) *Batch {
-	b := NewBatch(schema, len(rows))
-	for _, r := range rows {
-		b.AppendRow(r...)
-	}
-	return b
 }

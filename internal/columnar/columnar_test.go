@@ -67,9 +67,11 @@ func TestBitmap(t *testing.T) {
 	if b.Count() != 3 {
 		t.Errorf("Count = %d, want 3", b.Count())
 	}
-	b.Clear(64)
+	drop := NewBitmap(130)
+	drop.Set(64)
+	b.AndNot(drop)
 	if b.Get(64) || b.Count() != 2 {
-		t.Error("Clear failed")
+		t.Error("AndNot failed to clear bit 64")
 	}
 	idx := b.Indices(nil)
 	if len(idx) != 2 || idx[0] != 0 || idx[1] != 129 {
@@ -192,11 +194,11 @@ func TestBatchBuildAndAccess(t *testing.T) {
 	if b.NumRows() != 2 || b.NumCols() != 4 {
 		t.Fatalf("shape = %dx%d, want 2x4", b.NumRows(), b.NumCols())
 	}
-	if b.ColByName("price").Float64s()[1] != 1.5 {
-		t.Error("ColByName(price) wrong")
+	if b.Col(s.FieldIndex("price")).Float64s()[1] != 1.5 {
+		t.Error("Col(FieldIndex(price)) wrong")
 	}
-	if b.ColByName("missing") != nil {
-		t.Error("ColByName(missing) should be nil")
+	if s.FieldIndex("missing") >= 0 {
+		t.Error("FieldIndex(missing) should be negative")
 	}
 	row := b.Row(0)
 	if !row[2].Equal(StringValue("a")) {
@@ -281,7 +283,10 @@ func TestRowMajorRoundTrip(t *testing.T) {
 	b.AppendRow(IntValue(1), FloatValue(2), StringValue("x"), BoolValue(true))
 	b.AppendRow(NullValue(Int64), FloatValue(4), StringValue("y"), BoolValue(false))
 	rows := b.RowMajor()
-	back := FromRowMajor(s, rows)
+	back := NewBatch(s, len(rows))
+	for _, r := range rows {
+		back.AppendRow(r...)
+	}
 	if back.NumRows() != 2 {
 		t.Fatalf("round trip rows = %d", back.NumRows())
 	}

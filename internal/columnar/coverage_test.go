@@ -6,12 +6,6 @@ import "testing"
 // vector paths.
 
 func TestTypeHelpers(t *testing.T) {
-	if Int64.FixedWidth() != 8 || Float64.FixedWidth() != 8 || Bool.FixedWidth() != 1 || String.FixedWidth() != 0 {
-		t.Error("FixedWidth wrong")
-	}
-	if Type(99).FixedWidth() != 0 {
-		t.Error("unknown type width wrong")
-	}
 	if Int64.String() != "BIGINT" || Type(99).String() == "" {
 		t.Error("Type.String wrong")
 	}

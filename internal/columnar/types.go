@@ -40,18 +40,6 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", uint8(t))
 }
 
-// FixedWidth reports the in-memory width in bytes of one value of the
-// type, or 0 for variable-width types.
-func (t Type) FixedWidth() int {
-	switch t {
-	case Int64, Float64:
-		return 8
-	case Bool:
-		return 1
-	}
-	return 0
-}
-
 // Field is one named, typed column of a schema.
 type Field struct {
 	Name string

@@ -27,8 +27,7 @@ type engineBase struct {
 	// engine, so its timeline is one serial chain: fetch, transfer, decode
 	// and every operator advance a single virtual clock with zero overlap
 	// — the concurrency factor the dataflow engine's staged pipeline is
-	// measured against. Volcano tracing assumes Execute calls do not
-	// overlap.
+	// measured against.
 	Tracing bool
 	// Workers > 1 enables intra-query morsel parallelism. Results, stats
 	// and metered totals are identical to Workers == 1 — only the per-lane

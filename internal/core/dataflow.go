@@ -666,41 +666,9 @@ func (e *DataFlowEngine) buildScanSpec(ph *plan.Physical, numFields int) (storag
 		spec.Projection = []int{narrow}
 	case q.GroupBy != nil && q.Projection == nil:
 		// Aggregating later: ship only the touched columns.
-		spec.Projection = groupByColumns(q.GroupBy, q.Filter, numFields)
+		spec.Projection = expr.ColumnSet(numFields, q.Filter, q.GroupBy, nil)
 	}
 	return spec, emitsPartials, nil
-}
-
-// groupByColumns unions group-by and filter columns in ascending order.
-func groupByColumns(g *expr.GroupBy, filter expr.Predicate, numFields int) []int {
-	seen := make(map[int]bool)
-	var out []int
-	add := func(c int) {
-		if c >= 0 && c < numFields && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	for _, c := range g.GroupCols {
-		add(c)
-	}
-	for _, a := range g.Aggs {
-		if a.Func != expr.Count {
-			add(a.Col)
-		}
-	}
-	if filter != nil {
-		for _, c := range filter.Columns() {
-			add(c)
-		}
-	}
-	// Ascending order matches storage shipping order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }
 
 // buildStages assembles the downstream pipeline (everything after the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
@@ -22,6 +23,7 @@ import (
 // group key, no cross-node merge is needed and results are exact.
 func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.Query, nodes int) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
+	startWall := time.Now()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -44,7 +46,7 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 	// ship only the columns the aggregation touches.
 	spec := storage.ScanSpec{
 		Filter:     q.Filter,
-		Projection: groupByColumns(q.GroupBy, q.Filter, meta.Schema.NumFields()),
+		Projection: expr.ColumnSet(meta.Schema.NumFields(), q.Filter, q.GroupBy, nil),
 		Pushdown:   q.Filter != nil && e.Storage.Proc().Can(fabric.OpFilter),
 	}
 	shipped := spec.ShippedColumns(meta.Schema.NumFields())
@@ -94,7 +96,7 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 	}
 
 	scatter.ChargeSetup()
-	_, err = e.Storage.Scan(ctx, q.Table, spec, func(b *columnar.Batch) error {
+	scan, err := e.Storage.Scan(ctx, q.Table, spec, func(b *columnar.Batch) error {
 		scatter.Charge(fabric.OpPartition, sim.Bytes(b.ByteSize()))
 		return ex.Process(b, nil)
 	})
@@ -120,5 +122,7 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 	}
 	res := &Result{Batches: netsim.Gather(parts, gatherPaths)}
 	res.Stats = before.fold(nil).stats(e.engine, fmt.Sprintf("distributed-groupby-%dn", nodes), res)
+	res.Stats.Scan = scan
+	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil
 }

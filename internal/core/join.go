@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/exec"
@@ -28,6 +29,7 @@ type JoinQuery struct {
 // node 0.
 func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
+	startWall := time.Now()
 	nodes := jq.Nodes
 	if nodes <= 0 {
 		nodes = e.Cluster.Cfg.ComputeNodes
@@ -37,14 +39,15 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 	}
 	before := markMeters(e.Cluster)
 
-	build, _, err := e.materialize(ctx, jq.Build)
+	build, scan, err := e.materialize(ctx, jq.Build)
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
-	probe, _, err := e.materialize(ctx, jq.Probe)
+	probe, probeScan, err := e.materialize(ctx, jq.Probe)
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
+	scan.Add(probeScan)
 	if err := ctx.Err(); err != nil {
 		return nil, lifecycleError(err)
 	}
@@ -97,6 +100,8 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 
 	res := &Result{Batches: batches}
 	res.Stats = before.fold(nil).stats(e.engine, "distributed-join", res)
+	res.Stats.Scan = scan
+	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil
 }
 
@@ -122,6 +127,7 @@ func (e *DataFlowEngine) materialize(ctx context.Context, table string) ([]*colu
 // buffer pool to compute node 0 and joined there by the blocking
 // iterator — no exchange, no other nodes, all bytes to one CPU.
 func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
+	startWall := time.Now()
 	acct := &volcanoAccount{}
 	ctx = context.WithValue(ctxOrBackground(ctx), volcanoAccountKey{}, acct)
 	before := markMeters(e.Cluster)
@@ -139,13 +145,14 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 		Workers: e.Workers,
 	}
 	// The CPU is charged for join work per probed batch.
-	batches, err := exec.Drain(&chargeIter{e: e, in: join, op: fabric.OpJoin, name: "join"})
+	batches, err := exec.Drain(&chargeIter{cpu: e.cpu, acct: acct, in: join, op: fabric.OpJoin, name: "join"})
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
 	res := &Result{Batches: batches}
 	res.Stats = e.buildStats(before, acct, res)
 	res.Stats.Variant = "volcano-join"
+	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil
 }
 

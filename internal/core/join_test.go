@@ -5,7 +5,11 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/columnar"
 	"repro/internal/fabric"
+	"repro/internal/faults"
+	"repro/internal/obs/metrics"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -190,5 +194,94 @@ func TestJoinOnLegacyClusterUsesCPUScatter(t *testing.T) {
 	cpu0 := res.Stats.DeviceBusy[fabric.ComputeDev(0, "cpu")]
 	if cpu0 == 0 {
 		t.Error("legacy scatter CPU idle")
+	}
+}
+
+// TestJoinOwnsItsStoreAccount: a join's two scans and a distributed
+// group-by's one charge the query's own store account, as a planned
+// query's scan does — under injected transient faults over a 2-replica
+// store the retries each result reports are exactly the ones the store
+// counted, and the accounts of all queries sum to the store's total.
+func TestJoinOwnsItsStoreAccount(t *testing.T) {
+	lcfg := workload.DefaultLineitemConfig(6000)
+	lcfg.Orders = 1000
+	df := NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
+	store := df.Storage.Store()
+	store.SetReplicas(2)
+	store.RetryBase = 0
+	df.Storage.SegmentRows = 500 // 12 + 2 segments: many fault draws
+	for table, data := range map[string]*columnar.Batch{
+		"lineitem": workload.GenLineitem(lcfg),
+		"orders":   workload.GenOrders(1000, 9),
+	} {
+		if err := df.CreateTable(table, data.Schema()); err != nil {
+			t.Fatal(err)
+		}
+		if err := df.Load(table, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	inj := faults.New(0x101)
+	inj.Arm(faults.Point{Kind: faults.TransientRead, Prob: 0.2})
+	store.Faults = inj
+
+	join, err := df.ExecuteJoin(context.Background(), JoinQuery{
+		Probe: "lineitem", Build: "orders",
+		ProbeKey: workload.LOrderKey, BuildKey: workload.OOrderKey,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterJoin := store.Totals()
+	if afterJoin.Retries == 0 {
+		t.Fatal("no transient fault fired; the test cannot tell an account from zero")
+	}
+	if join.Stats.Scan.ReadStats != afterJoin {
+		t.Errorf("join account %+v, store counted %+v", join.Stats.Scan.ReadStats, afterJoin)
+	}
+	if join.Stats.Scan.SegmentsTotal != 14 || join.Stats.Scan.MediaBytes == 0 {
+		t.Errorf("join scan stats = %+v, want both sides' 14 segments", join.Stats.Scan)
+	}
+
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PartVolume())
+	agg, err := df.ExecuteGroupByDistributed(context.Background(), q, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := join.Stats.Scan.ReadStats
+	sum.Add(agg.Stats.Scan.ReadStats)
+	if total := store.Totals(); sum != total || agg.Stats.Scan.Retries == 0 {
+		t.Errorf("accounts sum to %+v (group-by %+v), store counted %+v", sum, agg.Stats.Scan.ReadStats, total)
+	}
+}
+
+// TestPublishCountsJoinsAndDistributedGroupBys: the join and distributed
+// entry points publish like Execute does, one fleet query each.
+func TestPublishCountsJoinsAndDistributedGroupBys(t *testing.T) {
+	df, vo := setupJoinEngines(t, 500, 3000)
+	reg := metrics.New()
+	df.SetMetrics(reg)
+	vo.SetMetrics(reg)
+	jq := JoinQuery{
+		Probe: "lineitem", Build: "orders",
+		ProbeKey: workload.LOrderKey, BuildKey: workload.OOrderKey,
+	}
+	ctx := WithTenant(context.Background(), "alpha")
+	for i, run := range []func() (*Result, error){
+		func() (*Result, error) { return df.ExecuteJoin(ctx, jq) },
+		func() (*Result, error) { return vo.ExecuteJoin(ctx, jq) },
+		func() (*Result, error) {
+			return df.ExecuteGroupByDistributed(ctx, plan.NewQuery("lineitem").WithGroupBy(workload.PartVolume()), 2)
+		},
+	} {
+		if _, err := run(); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter("fleet.queries").Value(); got != int64(i+1) {
+			t.Errorf("fleet.queries = %d after entry point %d, want %d", got, i, i+1)
+		}
+	}
+	if got := reg.Counter(metrics.Labels("tenant.queries", "tenant", "alpha")).Value(); got != 3 {
+		t.Errorf("tenant.queries{alpha} = %d, want 3", got)
 	}
 }

@@ -3,12 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/flow"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -121,6 +124,61 @@ func TestVolcanoTraceIsSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameMeters(t, want.Stats, res.Stats)
+}
+
+// TestVolcanoConcurrentTracedExecutions: the trace and its clock belong
+// to the execution, not the engine. On a warm pool (no run fetches, so
+// every run records the same serial chain) two traced executions at once
+// each return exactly a solo run's span list — neither writes the
+// other's timeline. Run under -race.
+func TestVolcanoConcurrentTracedExecutions(t *testing.T) {
+	_, vo, cfg := newEngines(t)
+	vo.Tracing = true
+	q := plan.NewQuery("lineitem").
+		WithFilter(workload.SelectivityFilter(cfg, 0.5)).
+		WithGroupBy(workload.PricingSummary())
+	if _, err := vo.Execute(context.Background(), q); err != nil { // warms the pool
+		t.Fatal(err)
+	}
+	solo, err := vo.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := solo.Trace.Spans()
+	if len(want) == 0 {
+		t.Fatal("solo warm run recorded no spans")
+	}
+	got := make([][]obs.Span, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := vo.Execute(context.Background(), q)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = res.Trace.Spans()
+		}()
+	}
+	wg.Wait()
+	for i, spans := range got {
+		if !reflect.DeepEqual(spans, want) {
+			t.Errorf("concurrent run %d recorded %d spans, the solo warm run %d; first differing pair:\n%v",
+				i, len(spans), len(want), firstSpanDiff(spans, want))
+		}
+	}
+}
+
+// firstSpanDiff renders the first position where two span lists differ.
+func firstSpanDiff(got, want []obs.Span) string {
+	for i := 0; i < len(got) && i < len(want); i++ {
+		if got[i] != want[i] {
+			return fmt.Sprintf("#%d got %+v want %+v", i, got[i], want[i])
+		}
+	}
+	return "one list is a prefix of the other"
 }
 
 // assertSameMeters requires two runs to have charged the fabric

@@ -30,26 +30,34 @@ type VolcanoEngine struct {
 	cpu       *fabric.Device
 	dram      string
 	dramToCPU *fabric.Link
-
-	// Per-execution trace state, set only while a traced Execute runs.
-	// fetchPage reads it from inside the buffer-pool miss path, which is
-	// called synchronously on Execute's goroutine.
-	tr    *obs.Trace
-	clock *obs.VClock
 }
 
-// volcanoAccount is what one execution's buffer-pool misses cost: how
-// many there were and the object store's account of the fetches. It
+// volcanoAccount is one execution's private state: what its buffer-pool
+// misses cost — how many there were and the object store's account of
+// the fetches — and, on a traced execution, the trace and its clock. It
 // rides in the execution's ctx — the pool's loader signature gives
-// fetchPage no other argument — and is locked because a parallel scan's
-// workers fetch at once.
+// fetchPage no other argument. The counters are locked because a
+// parallel scan's workers fetch at once; a traced execution runs at
+// width 1, so its spans are recorded from one goroutine.
 type volcanoAccount struct {
 	mu     sync.Mutex
 	misses int64
 	reads  storage.ReadStats
+
+	tr    *obs.Trace // nil unless the execution is traced
+	clock *obs.VClock
 }
 
 type volcanoAccountKey struct{}
+
+// volcanoAccountFrom returns the execution's account, nil outside one.
+func volcanoAccountFrom(ctx context.Context) *volcanoAccount {
+	acct, _ := ctx.Value(volcanoAccountKey{}).(*volcanoAccount)
+	return acct
+}
+
+// traced reports whether the execution records a trace.
+func (a *volcanoAccount) traced() bool { return a != nil && a.tr.Enabled() }
 
 // NewVolcanoEngine wires the baseline onto a cluster with the given
 // buffer-pool capacity on compute node 0.
@@ -73,7 +81,8 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	}
 	var reads storage.ReadStats
 	blob, err := e.Storage.Store().Read(ctx, string(id), true, &reads)
-	if acct, ok := ctx.Value(volcanoAccountKey{}).(*volcanoAccount); ok {
+	acct := volcanoAccountFrom(ctx)
+	if acct != nil {
 		acct.mu.Lock()
 		acct.misses++
 		acct.reads.Add(reads)
@@ -94,8 +103,8 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	}
 	n := sim.Bytes(len(blob))
 	media := e.Cluster.MustDevice(fabric.DevStorageMed)
-	e.span("fetch", media.Name, obs.SpanScan, media.Charge(fabric.OpScan, n), n)
-	if e.tr.Enabled() {
+	acct.span("fetch", media.Name, obs.SpanScan, media.Charge(fabric.OpScan, n), n)
+	if acct.traced() {
 		// Walk the path link by link so each hop gets its own transfer
 		// span; the meter charges are identical to Cluster.Transfer.
 		path, err := e.Cluster.Path(fabric.DevStorageMed, e.dram)
@@ -103,7 +112,7 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 			return nil, err
 		}
 		for _, l := range path {
-			e.span("xfer", l.Name, obs.SpanTransfer, l.Transfer(n), n)
+			acct.span("xfer", l.Name, obs.SpanTransfer, l.Transfer(n), n)
 		}
 	} else if _, err := e.Cluster.Transfer(ctx, fabric.DevStorageMed, e.dram, n); err != nil {
 		return nil, err
@@ -111,18 +120,18 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	return blob, nil
 }
 
-// span records one serial span on the engine's per-execution trace,
-// advancing the single virtual clock by cost. Nil trace (tracing off)
-// makes this a no-op; the cost argument's meter charge already happened
-// at the call site either way.
-func (e *VolcanoEngine) span(name, track string, kind obs.SpanKind, cost sim.VTime, n sim.Bytes) {
-	if !e.tr.Enabled() {
+// span records one serial span on the execution's trace, advancing its
+// single virtual clock by cost. Untraced (or outside an execution) this
+// is a no-op; the cost argument's meter charge already happened at the
+// call site either way.
+func (a *volcanoAccount) span(name, track string, kind obs.SpanKind, cost sim.VTime, n sim.Bytes) {
+	if !a.traced() {
 		return
 	}
-	start := e.clock.Now()
-	e.tr.AddSpan(obs.Span{
+	start := a.clock.Now()
+	a.tr.AddSpan(obs.Span{
 		Name: name, Track: track, Kind: kind,
-		Start: start, End: e.clock.Advance(cost), Bytes: n,
+		Start: start, End: a.clock.Advance(cost), Bytes: n,
 	})
 }
 
@@ -134,9 +143,10 @@ func (e *VolcanoEngine) Load(name string, b *columnar.Batch) error {
 // chargeIter charges the CPU for every batch flowing through it; this is
 // how the baseline accounts per-operator work. On a traced execution
 // each charge is also a span on the CPU's track, serialized on the
-// engine's single clock.
+// execution's single clock.
 type chargeIter struct {
-	e    *VolcanoEngine
+	cpu  *fabric.Device
+	acct *volcanoAccount
 	in   exec.Iterator
 	op   fabric.OpClass
 	name string
@@ -150,8 +160,7 @@ func (it *chargeIter) Next() (*columnar.Batch, error) {
 		return b, err
 	}
 	n := sim.Bytes(b.ByteSize())
-	cpu := it.e.cpu
-	it.e.span(it.name, cpu.Name, obs.SpanStage, cpu.Charge(it.op, n), n)
+	it.acct.span(it.name, it.cpu.Name, obs.SpanStage, it.cpu.Charge(it.op, n), n)
 	return b, nil
 }
 
@@ -170,18 +179,15 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		return nil, err
 	}
 
-	var tr *obs.Trace
+	acct := &volcanoAccount{}
 	if e.Tracing {
-		tr = obs.New()
-		e.tr = tr
-		e.clock = obs.NewVClock()
-		defer func() { e.tr, e.clock = nil, nil }()
+		acct.tr, acct.clock = obs.New(), obs.NewVClock()
 	}
+	tr := acct.tr
+	ctx = context.WithValue(ctx, volcanoAccountKey{}, acct)
 
 	before := markMeters(e.Cluster)
 	tripsBefore := e.breakerTrips()
-	acct := &volcanoAccount{}
-	ctx = context.WithValue(ctx, volcanoAccountKey{}, acct)
 
 	// Scan: pull each segment through the buffer pool, decode on the
 	// CPU, then stream the decoded batch from DRAM into the cores at
@@ -203,7 +209,7 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 
 	// Operator tree, all on the CPU.
 	charge := func(in exec.Iterator, op fabric.OpClass, name string) exec.Iterator {
-		return &chargeIter{e: e, in: in, op: op, name: name}
+		return &chargeIter{cpu: e.cpu, acct: acct, in: in, op: op, name: name}
 	}
 	if q.Filter != nil {
 		it = charge(it, fabric.OpFilter, "filter")
@@ -257,6 +263,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 		err   error
 	}
 	ctx, cancel := context.WithCancel(ctx)
+	acct := volcanoAccountFrom(ctx)
 	var next atomic.Int64
 	results := make(chan item, 2*workers)
 	var wg sync.WaitGroup
@@ -269,7 +276,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 				if idx >= len(meta.SegmentKeys) || ctx.Err() != nil {
 					return
 				}
-				b, err := e.pullSegment(ctx, meta.SegmentKeys[idx], idx%workers)
+				b, err := e.pullSegment(ctx, acct, meta.SegmentKeys[idx], idx%workers)
 				select {
 				case results <- item{idx: idx, batch: b, err: err}:
 				case <-ctx.Done():
@@ -298,7 +305,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 				if it.err != nil {
 					return nil, it.err
 				}
-				return e.deliver(it.batch, peak), nil
+				return e.deliver(acct, it.batch, peak), nil
 			}
 			r, ok := <-results
 			if !ok {
@@ -317,6 +324,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 // delivered on the caller's goroutine.
 func (e *VolcanoEngine) serialScan(ctx context.Context, meta *storage.TableMeta, peak *sim.Bytes) exec.Iterator {
 	idx := 0
+	acct := volcanoAccountFrom(ctx)
 	return exec.NewFuncScan(meta.Schema, func() (*columnar.Batch, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -324,19 +332,19 @@ func (e *VolcanoEngine) serialScan(ctx context.Context, meta *storage.TableMeta,
 		if idx >= len(meta.SegmentKeys) {
 			return nil, nil
 		}
-		b, err := e.pullSegment(ctx, meta.SegmentKeys[idx], 0)
+		b, err := e.pullSegment(ctx, acct, meta.SegmentKeys[idx], 0)
 		idx++
 		if err != nil {
 			return nil, err
 		}
-		return e.deliver(b, peak), nil
+		return e.deliver(acct, b, peak), nil
 	})
 }
 
 // pullSegment pulls one segment through the buffer pool and decodes it
 // (checksum + decompress) on the compute CPU, as the legacy model does,
 // charging the decode to the given per-core lane.
-func (e *VolcanoEngine) pullSegment(ctx context.Context, key string, lane int) (*columnar.Batch, error) {
+func (e *VolcanoEngine) pullSegment(ctx context.Context, acct *volcanoAccount, key string, lane int) (*columnar.Batch, error) {
 	page, err := e.Pool.Get(ctx, bufferpool.PageID(key))
 	if err != nil {
 		return nil, err
@@ -347,20 +355,20 @@ func (e *VolcanoEngine) pullSegment(ctx context.Context, key string, lane int) (
 		return nil, err
 	}
 	n := sim.Bytes(len(page.Data))
-	e.span("decode", e.cpu.Name, obs.SpanScan, e.cpu.ChargeLane(fabric.OpDecompress, n, lane), n)
+	acct.span("decode", e.cpu.Name, obs.SpanScan, e.cpu.ChargeLane(fabric.OpDecompress, n, lane), n)
 	return seg.Decode()
 }
 
 // deliver is the in-order step behind every pull: the decoded batch
 // streams from DRAM into the cores. peak, when non-nil, tracks the
 // largest decoded batch.
-func (e *VolcanoEngine) deliver(b *columnar.Batch, peak *sim.Bytes) *columnar.Batch {
+func (e *VolcanoEngine) deliver(acct *volcanoAccount, b *columnar.Batch, peak *sim.Bytes) *columnar.Batch {
 	n := sim.Bytes(b.ByteSize())
 	if peak != nil && n > *peak {
 		*peak = n
 	}
 	if e.dramToCPU != nil {
-		e.span("xfer", e.dramToCPU.Name, obs.SpanTransfer, e.dramToCPU.Transfer(n), n)
+		acct.span("xfer", e.dramToCPU.Name, obs.SpanTransfer, e.dramToCPU.Transfer(n), n)
 	}
 	return b
 }

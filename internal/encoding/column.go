@@ -63,14 +63,6 @@ func (s Stats) OverlapsInt(lo, hi int64) bool {
 	return hi >= s.MinI && lo <= s.MaxI
 }
 
-// OverlapsFloat reports whether [lo, hi] intersects the float range.
-func (s Stats) OverlapsFloat(lo, hi float64) bool {
-	if !s.HasMinMax {
-		return true
-	}
-	return hi >= s.MinF && lo <= s.MaxF
-}
-
 // EncodedColumn is one column of one segment in its encoded form,
 // self-describing and checksummed.
 type EncodedColumn struct {

@@ -331,8 +331,8 @@ func TestEncodeColumnStats(t *testing.T) {
 
 	fv := columnar.FromFloat64s([]float64{1.5, 9.5})
 	fec := EncodeColumn(fv)
-	if !fec.Stats.OverlapsFloat(9.0, 10.0) || fec.Stats.OverlapsFloat(10.0, 11.0) {
-		t.Errorf("float overlap logic wrong: %+v", fec.Stats)
+	if !fec.Stats.HasMinMax || fec.Stats.MinF != 1.5 || fec.Stats.MaxF != 9.5 {
+		t.Errorf("float zone map wrong: %+v", fec.Stats)
 	}
 }
 

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -190,7 +191,7 @@ func TestLimitStage(t *testing.T) {
 
 func TestHashTableBuildProbe(t *testing.T) {
 	build := kvBatch([]int64{1, 2, 2}, []int64{100, 200, 201})
-	table := NewHashTable(kvSchema(), 0)
+	table := NewHashTable(kvSchema(), 0, 1)
 	table.Build(build)
 	if table.Rows() != 3 {
 		t.Errorf("Rows = %d", table.Rows())
@@ -227,7 +228,7 @@ func TestHashTableNullKeysNeverMatch(t *testing.T) {
 	build := columnar.NewBatch(schema, 2)
 	build.AppendRow(columnar.NullValue(columnar.Int64), columnar.IntValue(1))
 	build.AppendRow(columnar.IntValue(5), columnar.IntValue(2))
-	table := NewHashTable(schema, 0)
+	table := NewHashTable(schema, 0, 1)
 	table.Build(build)
 	if table.Rows() != 1 {
 		t.Errorf("null build key inserted")
@@ -246,7 +247,7 @@ func TestHashTableStringKeys(t *testing.T) {
 	build := columnar.BatchOf(schema,
 		columnar.FromStrings([]string{"x", "y"}),
 		columnar.FromInt64s([]int64{1, 2}))
-	table := NewHashTable(schema, 0)
+	table := NewHashTable(schema, 0, 1)
 	table.Build(build)
 	probe := columnar.BatchOf(schema,
 		columnar.FromStrings([]string{"y", "z"}),
@@ -257,8 +258,67 @@ func TestHashTableStringKeys(t *testing.T) {
 	}
 }
 
+// TestHashTableWidthsAgree: the partition count is a width, not a
+// different table — every width gives byte-identical probe output (rows
+// and match order), Rows and MemBytes, over several build batches with
+// NULL and duplicate keys.
+func TestHashTableWidthsAgree(t *testing.T) {
+	intSchema := kvSchema()
+	strSchema := columnar.NewSchema(
+		columnar.Field{Name: "k", Type: columnar.String},
+		columnar.Field{Name: "v", Type: columnar.Int64})
+	intKey := func(i int) columnar.Value { return columnar.IntValue(int64(i % 7)) }
+	strKey := func(i int) columnar.Value { return columnar.StringValue(string(rune('a' + i%7))) }
+	for _, tc := range []struct {
+		name   string
+		schema *columnar.Schema
+		key    func(int) columnar.Value
+	}{
+		{"BIGINT", intSchema, intKey},
+		{"VARCHAR", strSchema, strKey},
+	} {
+		// Rows 0..39 over 7 distinct keys (duplicates), every fifth key NULL.
+		side := func(from, to int) *columnar.Batch {
+			b := columnar.NewBatch(tc.schema, to-from)
+			for i := from; i < to; i++ {
+				k := tc.key(i)
+				if i%5 == 0 {
+					k = columnar.NullValue(tc.schema.Fields[0].Type)
+				}
+				b.AppendRow(k, columnar.IntValue(int64(i)))
+			}
+			return b
+		}
+		builds := []*columnar.Batch{side(0, 17), side(17, 40)}
+		probe := side(3, 25)
+		var wantRows [][]columnar.Value
+		var want *HashTable
+		for _, parts := range []int{0, 1, 2, 3, 8} {
+			table := NewHashTable(tc.schema, 0, parts)
+			for _, b := range builds {
+				table.Build(b)
+			}
+			rows := allRows([]*columnar.Batch{table.Probe(probe, 0)})
+			if want == nil {
+				want, wantRows = table, rows
+				if table.Rows() != 32 || len(rows) == 0 {
+					t.Fatalf("%s: Rows = %d, %d joined rows", tc.name, table.Rows(), len(rows))
+				}
+				continue
+			}
+			if table.Rows() != want.Rows() || table.MemBytes() != want.MemBytes() {
+				t.Errorf("%s parts=%d: Rows %d MemBytes %v, want %d %v", tc.name, parts,
+					table.Rows(), table.MemBytes(), want.Rows(), want.MemBytes())
+			}
+			if !reflect.DeepEqual(rows, wantRows) {
+				t.Errorf("%s parts=%d: probe output differs from parts=0", tc.name, parts)
+			}
+		}
+	}
+}
+
 func TestHashJoinStageAndBuildStage(t *testing.T) {
-	table := NewHashTable(kvSchema(), 0)
+	table := NewHashTable(kvSchema(), 0, 1)
 	buildStage := &BuildStage{Table: table}
 	runStage(t, buildStage, kvBatch([]int64{1, 2}, []int64{10, 20}))
 	join := &HashJoinStage{Table: table, ProbeKey: 0}
@@ -428,7 +488,7 @@ func TestJoinCardinalityProperty(t *testing.T) {
 			pk[i] = int64(k % 16)
 			want += mult[pk[i]]
 		}
-		table := NewHashTable(kvSchema(), 0)
+		table := NewHashTable(kvSchema(), 0, 1)
 		table.Build(kvBatch(bk, make([]int64, len(bk))))
 		out := table.Probe(kvBatch(pk, make([]int64, len(pk))), 0)
 		return out.NumRows() == want

@@ -1,12 +1,8 @@
 package exec
 
 import (
-	"sync"
-
-	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/flow"
-	"repro/internal/sim"
 )
 
 // Worker-pool declarations for the flow runtime (morsel-driven
@@ -21,7 +17,7 @@ import (
 // FinalAggStage (their retained state is the result, and splitting it
 // would change what reaches the sink), EncryptStage/DecryptStage (the
 // stream cipher's nonce sequence is order-sensitive), and BuildStage
-// (the table itself parallelizes internally; see PartitionedHashTable).
+// (the table itself parallelizes internally; see HashTable.Build).
 
 // NewWorker implements flow.ParallelStage; the predicate is read-only.
 func (s *FilterStage) NewWorker() flow.Stage { return s }
@@ -70,149 +66,3 @@ func (s *PreAggStage) NewWorker() flow.Stage {
 
 // Stateless implements flow.ParallelStage.
 func (s *PreAggStage) Stateless() bool { return false }
-
-// JoinTable is the equi-join core behind the join operators: the serial
-// HashTable or the PartitionedHashTable that builds in parallel.
-type JoinTable interface {
-	Build(b *columnar.Batch)
-	Probe(probe *columnar.Batch, probeKey int) *columnar.Batch
-	OutputSchema(probe *columnar.Schema) *columnar.Schema
-	Rows() int64
-	MemBytes() sim.Bytes
-}
-
-var (
-	_ JoinTable = (*HashTable)(nil)
-	_ JoinTable = (*PartitionedHashTable)(nil)
-)
-
-// joinPart is one key partition of a PartitionedHashTable.
-type joinPart struct {
-	intMap map[int64][]rowRef
-	strMap map[string][]rowRef
-}
-
-// PartitionedHashTable is a hash-join table split into disjoint key
-// partitions so the build runs in parallel: each batch is fanned out to
-// one goroutine per partition, and a partition only inserts the rows
-// whose key hashes to it. Because exactly one goroutine owns a
-// partition and scans the batch rows in order, every partition's
-// insertion order — and therefore every probe's match order — is
-// identical to the serial HashTable's, no matter how the host schedules
-// the build goroutines.
-type PartitionedHashTable struct {
-	schema  *columnar.Schema
-	keyCol  int
-	batches []*columnar.Batch
-	parts   []joinPart
-	rows    int64
-}
-
-// NewPartitionedHashTable builds an empty table keyed on keyCol with
-// the given number of key partitions (clamped to at least 1; 1 behaves
-// like the serial HashTable).
-func NewPartitionedHashTable(schema *columnar.Schema, keyCol, parts int) *PartitionedHashTable {
-	if parts < 1 {
-		parts = 1
-	}
-	t := &PartitionedHashTable{schema: schema, keyCol: keyCol, parts: make([]joinPart, parts)}
-	switch schema.Fields[keyCol].Type {
-	case columnar.Int64:
-		for p := range t.parts {
-			t.parts[p].intMap = make(map[int64][]rowRef)
-		}
-	case columnar.String:
-		for p := range t.parts {
-			t.parts[p].strMap = make(map[string][]rowRef)
-		}
-	default:
-		panic("exec: join key type unsupported")
-	}
-	return t
-}
-
-// Build inserts all rows of a build-side batch, one goroutine per
-// partition.
-func (t *PartitionedHashTable) Build(b *columnar.Batch) {
-	bi := int32(len(t.batches))
-	t.batches = append(t.batches, b)
-	col := b.Col(t.keyCol)
-	n := b.NumRows()
-	hashes := HashColumn(col, SeedPartition, nil)
-	var wg sync.WaitGroup
-	wg.Add(len(t.parts))
-	for p := range t.parts {
-		go func(p int) {
-			defer wg.Done()
-			part := &t.parts[p]
-			for i := 0; i < n; i++ {
-				if col.IsNull(i) || PartitionOf(hashes[i], len(t.parts)) != p {
-					continue
-				}
-				ref := rowRef{batch: bi, row: int32(i)}
-				if part.intMap != nil {
-					k := col.Int64s()[i]
-					part.intMap[k] = append(part.intMap[k], ref)
-				} else {
-					k := col.Strings()[i]
-					part.strMap[k] = append(part.strMap[k], ref)
-				}
-			}
-		}(p)
-	}
-	wg.Wait()
-	t.rows += int64(n - col.NullCount())
-}
-
-// Rows reports the number of build rows inserted.
-func (t *PartitionedHashTable) Rows() int64 { return t.rows }
-
-// MemBytes approximates the table's memory footprint.
-func (t *PartitionedHashTable) MemBytes() sim.Bytes {
-	var n sim.Bytes
-	for _, b := range t.batches {
-		n += sim.Bytes(b.ByteSize())
-	}
-	return n + sim.Bytes(t.rows*24)
-}
-
-// OutputSchema reports the probe-result schema, as HashTable does.
-func (t *PartitionedHashTable) OutputSchema(probe *columnar.Schema) *columnar.Schema {
-	return probe.Concat(t.schema)
-}
-
-// Probe matches one probe batch against the table (inner join). Output
-// rows are emitted in probe-row order with per-key matches in build
-// insertion order — byte-identical to the serial HashTable's output.
-func (t *PartitionedHashTable) Probe(probe *columnar.Batch, probeKey int) *columnar.Batch {
-	out := columnar.NewBatch(t.OutputSchema(probe.Schema()), probe.NumRows())
-	col := probe.Col(probeKey)
-	hashes := HashColumn(col, SeedPartition, nil)
-	for i := 0; i < probe.NumRows(); i++ {
-		if col.IsNull(i) {
-			continue
-		}
-		part := &t.parts[PartitionOf(hashes[i], len(t.parts))]
-		var refs []rowRef
-		if part.intMap != nil {
-			if col.Type() != columnar.Int64 {
-				panic("exec: probe key type mismatch (want BIGINT)")
-			}
-			refs = part.intMap[col.Int64s()[i]]
-		} else {
-			if col.Type() != columnar.String {
-				panic("exec: probe key type mismatch (want VARCHAR)")
-			}
-			refs = part.strMap[col.Strings()[i]]
-		}
-		if len(refs) == 0 {
-			continue
-		}
-		probeRow := probe.Row(i)
-		for _, ref := range refs {
-			buildRow := t.batches[ref.batch].Row(int(ref.row))
-			out.AppendRow(append(append([]columnar.Value{}, probeRow...), buildRow...)...)
-		}
-	}
-	return out
-}

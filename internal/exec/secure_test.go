@@ -133,7 +133,7 @@ func TestHashValueAllTypes(t *testing.T) {
 }
 
 func TestHashTableMemBytes(t *testing.T) {
-	table := NewHashTable(kvSchema(), 0)
+	table := NewHashTable(kvSchema(), 0, 1)
 	if table.MemBytes() != 0 {
 		t.Errorf("empty MemBytes = %v", table.MemBytes())
 	}
@@ -150,7 +150,7 @@ func TestHashTableUnsupportedKeyPanics(t *testing.T) {
 			t.Fatal("float join key accepted")
 		}
 	}()
-	NewHashTable(schema, 0)
+	NewHashTable(schema, 0, 1)
 }
 
 func TestStageNames(t *testing.T) {
@@ -163,8 +163,8 @@ func TestStageNames(t *testing.T) {
 		&SortStage{ByCol: 0},
 		&LimitStage{N: 1},
 		&CompressStage{},
-		&BuildStage{Table: NewHashTable(kvSchema(), 0)},
-		&HashJoinStage{Table: NewHashTable(kvSchema(), 0), ProbeKey: 0},
+		&BuildStage{Table: NewHashTable(kvSchema(), 0, 1)},
+		&HashJoinStage{Table: NewHashTable(kvSchema(), 0, 1), ProbeKey: 0},
 	}
 	for _, s := range stages {
 		if s.Name() == "" {

@@ -112,12 +112,12 @@ func TestSelectionAwareStages(t *testing.T) {
 	check("limit", func() flow.Stage { return &LimitStage{N: 2} })
 	check("hash", func() flow.Stage { return &HashStage{KeyCol: 0} })
 	check("join", func() flow.Stage {
-		ht := NewHashTable(kvSchema(), 0)
+		ht := NewHashTable(kvSchema(), 0, 1)
 		ht.Build(kvBatch([]int64{4, 3}, []int64{400, 300}))
 		return &HashJoinStage{Table: ht, ProbeKey: 0}
 	})
 	// Join build: a lazily selected build side must only insert live rows.
-	ht := NewHashTable(kvSchema(), 0)
+	ht := NewHashTable(kvSchema(), 0, 1)
 	bs := &BuildStage{Table: ht}
 	runStage(t, bs, lazy)
 	if ht.Rows() != 3 {

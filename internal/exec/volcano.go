@@ -101,8 +101,8 @@ func (it *ProjectIter) Next() (*columnar.Batch, error) {
 
 // HashJoinIter is the blocking Volcano join: the build side is drained
 // into a hash table on the first Next, then the probe side streams.
-// Workers > 1 builds a partitioned table in parallel (same matches,
-// same order; see PartitionedHashTable).
+// Workers is the table's build width (same matches, same order at
+// every width; see HashTable).
 type HashJoinIter struct {
 	Build    Iterator
 	Probe    Iterator
@@ -110,7 +110,7 @@ type HashJoinIter struct {
 	ProbeKey int
 	Workers  int
 
-	table JoinTable
+	table *HashTable
 }
 
 // Schema implements Iterator.
@@ -121,11 +121,7 @@ func (it *HashJoinIter) Schema() *columnar.Schema {
 // Next implements Iterator.
 func (it *HashJoinIter) Next() (*columnar.Batch, error) {
 	if it.table == nil {
-		if it.Workers > 1 {
-			it.table = NewPartitionedHashTable(it.Build.Schema(), it.BuildKey, it.Workers)
-		} else {
-			it.table = NewHashTable(it.Build.Schema(), it.BuildKey)
-		}
+		it.table = NewHashTable(it.Build.Schema(), it.BuildKey, it.Workers)
 		for {
 			b, err := it.Build.Next()
 			if err != nil {

@@ -42,10 +42,7 @@ func A5ScaleOut(rows int, nodeCounts []int) (*A5Result, error) {
 		ccfg := fabric.DefaultClusterConfig()
 		ccfg.ComputeNodes = n
 		eng := core.NewDataFlowEngine(fabric.NewCluster(ccfg))
-		if err := eng.CreateTable("kv", workload.KVSchema()); err != nil {
-			return nil, err
-		}
-		if err := eng.Load("kv", data); err != nil {
+		if err := loadDataFlow(eng, "kv", data); err != nil {
 			return nil, err
 		}
 		q := plan.NewQuery("kv").WithGroupBy(workload.KVGroupBy())

@@ -87,10 +87,7 @@ func E2StoragePushdown(rows int, selectivities []float64) (*E2Result, error) {
 	data := workload.GenLineitem(cfg)
 
 	eng := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
-	if err := eng.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return nil, err
-	}
-	if err := eng.Load("lineitem", data); err != nil {
+	if err := loadDataFlow(eng, "lineitem", data); err != nil {
 		return nil, err
 	}
 
@@ -110,17 +107,8 @@ func E2StoragePushdown(rows int, selectivities []float64) (*E2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var cpuOnly, pushdown *plan.Physical
-		for _, v := range variants {
-			switch v.Variant {
-			case "cpu-only":
-				cpuOnly = v
-			case "storage-pushdown", "full-offload":
-				if pushdown == nil {
-					pushdown = v
-				}
-			}
-		}
+		cpuOnly := pickVariant(variants, named("cpu-only"))
+		pushdown := pickVariant(variants, named("storage-pushdown", "full-offload"))
 		if cpuOnly == nil || pushdown == nil {
 			return nil, fmt.Errorf("experiments: missing variants for E2")
 		}

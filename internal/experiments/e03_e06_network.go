@@ -42,10 +42,7 @@ func E3NICHashPipeline(rows int) (*E3Result, error) {
 	run := func(hashOnNIC bool) (sim.VTime, sim.VTime, []int64, error) {
 		cluster := fabric.NewCluster(fabric.DefaultClusterConfig())
 		eng := core.NewDataFlowEngine(cluster)
-		if err := eng.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return 0, 0, nil, err
-		}
-		if err := eng.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(eng, "lineitem", data); err != nil {
 			return 0, 0, nil, err
 		}
 		cpu := cluster.ComputeCPU(0)
@@ -154,10 +151,7 @@ func E4StagedPreAgg(rows int, cardinalities []int64) (*E4Result, error) {
 	for _, groups := range cardinalities {
 		data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: groups, Seed: 11})
 		eng := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
-		if err := eng.CreateTable("kv", workload.KVSchema()); err != nil {
-			return nil, err
-		}
-		if err := eng.Load("kv", data); err != nil {
+		if err := loadDataFlow(eng, "kv", data); err != nil {
 			return nil, err
 		}
 		q := plan.NewQuery("kv").WithGroupBy(workload.KVGroupBy())
@@ -171,15 +165,7 @@ func E4StagedPreAgg(rows int, cardinalities []int64) (*E4Result, error) {
 		if groups == cardinalities[len(cardinalities)-1] {
 			res.ChosenHigh = variants[0].Variant
 		}
-		var full, cpuOnly *plan.Physical
-		for _, v := range variants {
-			switch v.Variant {
-			case "full-offload":
-				full = v
-			case "cpu-only":
-				cpuOnly = v
-			}
-		}
+		full, cpuOnly := pickVariant(variants, named("full-offload")), pickVariant(variants, named("cpu-only"))
 		if full == nil || cpuOnly == nil {
 			return nil, fmt.Errorf("experiments: E4 variants missing")
 		}
@@ -303,10 +289,7 @@ func E6NICCount(rows int) (*E6Result, error) {
 			ccfg = fabric.LegacyClusterConfig()
 		}
 		eng := core.NewDataFlowEngine(fabric.NewCluster(ccfg))
-		if err := eng.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := eng.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(eng, "lineitem", data); err != nil {
 			return nil, err
 		}
 		return eng.Execute(context.Background(), q)

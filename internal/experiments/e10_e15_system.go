@@ -32,25 +32,14 @@ func E10FullPipeline(rows int) (*E10Result, error) {
 		WithGroupBy(workload.PricingSummary())
 
 	df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
-	if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return nil, err
-	}
-	if err := df.Load("lineitem", data); err != nil {
+	if err := loadDataFlow(df, "lineitem", data); err != nil {
 		return nil, err
 	}
 	variants, err := df.Plan(q, 0)
 	if err != nil {
 		return nil, err
 	}
-	var full, cpuOnly *plan.Physical
-	for _, v := range variants {
-		switch v.Variant {
-		case "full-offload":
-			full = v
-		case "cpu-only":
-			cpuOnly = v
-		}
-	}
+	full, cpuOnly := pickVariant(variants, named("full-offload")), pickVariant(variants, named("cpu-only"))
 	if full == nil || cpuOnly == nil {
 		return nil, fmt.Errorf("experiments: E10 variants missing")
 	}
@@ -64,10 +53,7 @@ func E10FullPipeline(rows int) (*E10Result, error) {
 	}
 
 	vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), 512*sim.MB)
-	if err := vo.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return nil, err
-	}
-	if err := vo.Load("lineitem", data); err != nil {
+	if err := loadVolcano(vo, "lineitem", data); err != nil {
 		return nil, err
 	}
 	voRes, err := vo.Execute(context.Background(), q)
@@ -187,10 +173,7 @@ func E12Interference(rows int) (*E12Result, error) {
 
 	runPair := func(useScheduler bool) (sim.VTime, [2]string, error) {
 		eng := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
-		if err := eng.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return 0, [2]string{}, err
-		}
-		if err := eng.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(eng, "lineitem", data); err != nil {
 			return 0, [2]string{}, err
 		}
 		var variants [2]string
@@ -307,10 +290,7 @@ func E13NoBufferPool(sizes []int, poolBytes sim.Bytes) (*E13Result, error) {
 		data := workload.GenLineitem(cfg)
 
 		df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
-		if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := df.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(df, "lineitem", data); err != nil {
 			return nil, err
 		}
 		dfRes, err := df.Execute(context.Background(), q())
@@ -319,10 +299,7 @@ func E13NoBufferPool(sizes []int, poolBytes sim.Bytes) (*E13Result, error) {
 		}
 
 		vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), poolBytes)
-		if err := vo.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := vo.Load("lineitem", data); err != nil {
+		if err := loadVolcano(vo, "lineitem", data); err != nil {
 			return nil, err
 		}
 		// Two passes: the second shows whether the pool holds the
@@ -370,10 +347,7 @@ func E14NoDataCache(rows int) (*E14Result, error) {
 		WithProjection(workload.LExtendedPrice)
 
 	vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), 512*sim.MB)
-	if err := vo.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return nil, err
-	}
-	if err := vo.Load("lineitem", data); err != nil {
+	if err := loadVolcano(vo, "lineitem", data); err != nil {
 		return nil, err
 	}
 	cold, err := vo.Execute(context.Background(), q)
@@ -386,10 +360,7 @@ func E14NoDataCache(rows int) (*E14Result, error) {
 	}
 
 	df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
-	if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return nil, err
-	}
-	if err := df.Load("lineitem", data); err != nil {
+	if err := loadDataFlow(df, "lineitem", data); err != nil {
 		return nil, err
 	}
 	dfRes, err := df.Execute(context.Background(), q)

@@ -190,10 +190,7 @@ func A2NICTierSweep(rows int) (*A2Result, error) {
 		ccfg := fabric.DefaultClusterConfig()
 		ccfg.NICTier = tier
 		eng := core.NewDataFlowEngine(fabric.NewCluster(ccfg))
-		if err := eng.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := eng.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(eng, "lineitem", data); err != nil {
 			return nil, err
 		}
 		q := plan.NewQuery("lineitem").WithProjection(workload.LOrderKey, workload.LQuantity, workload.LExtendedPrice)
@@ -201,13 +198,8 @@ func A2NICTierSweep(rows int) (*A2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var cpuOnly *plan.Physical
-		for _, v := range variants {
-			if v.Variant == "cpu-only" {
-				cpuOnly = v
-			}
-		}
-		r, err := eng.ExecutePlan(context.Background(), cpuOnly) // ships everything: network-sensitive
+		// cpu-only ships everything: network-sensitive.
+		r, err := eng.ExecutePlan(context.Background(), pickVariant(variants, named("cpu-only")))
 		if err != nil {
 			return nil, err
 		}
@@ -269,11 +261,7 @@ func A3SegmentSize(rows int) (*A3Result, error) {
 	for _, segRows := range []int{2048, 8192, 32768, 131072} {
 		eng := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 		eng.Storage.SegmentRows = segRows
-		if err := eng.CreateTable("facts", schema); err != nil {
-			return nil, err
-		}
-		data := columnarKV(schema, seqs, vals)
-		if err := eng.Load("facts", data); err != nil {
+		if err := loadDataFlow(eng, "facts", columnarKV(schema, seqs, vals)); err != nil {
 			return nil, err
 		}
 		q := plan.NewQuery("facts").

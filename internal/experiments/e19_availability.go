@@ -83,10 +83,7 @@ func E19Availability(rows int) (*E19Result, error) {
 		df.Storage.Store().SetReplicas(2)
 		df.Storage.Store().RetryBase = 0
 		df.Storage.SegmentRows = segRows
-		if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := df.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(df, "lineitem", data); err != nil {
 			return nil, err
 		}
 		return df, nil
@@ -98,10 +95,7 @@ func E19Availability(rows int) (*E19Result, error) {
 		vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), sim.MB)
 		vo.Storage.SegmentRows = segRows
 		vo.Storage.Store().MaxRetries = 0 // detect-only: faults surface
-		if err := vo.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := vo.Load("lineitem", data); err != nil {
+		if err := loadVolcano(vo, "lineitem", data); err != nil {
 			return nil, err
 		}
 		return vo, nil

@@ -48,10 +48,7 @@ func E20StageOverlap(rows int) (*E20Result, error) {
 	df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 	df.Tracing = true
 	df.Storage.SegmentRows = e20SegmentRows
-	if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return nil, err
-	}
-	if err := df.Load("lineitem", data); err != nil {
+	if err := loadDataFlow(df, "lineitem", data); err != nil {
 		return nil, err
 	}
 	dfRes, err := df.Execute(context.Background(), q)
@@ -61,10 +58,7 @@ func E20StageOverlap(rows int) (*E20Result, error) {
 
 	vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), 256*sim.MB)
 	vo.Tracing = true
-	if err := vo.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return nil, err
-	}
-	if err := vo.Load("lineitem", data); err != nil {
+	if err := loadVolcano(vo, "lineitem", data); err != nil {
 		return nil, err
 	}
 	voRes, err := vo.Execute(context.Background(), q)

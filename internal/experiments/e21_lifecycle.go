@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -94,10 +94,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 	buildDF := func() (*core.DataFlowEngine, error) {
 		df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 		df.Storage.SegmentRows = segRows
-		if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := df.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(df, "lineitem", data); err != nil {
 			return nil, err
 		}
 		return df, nil
@@ -106,10 +103,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 		vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), sim.MB)
 		vo.Storage.SegmentRows = segRows
 		vo.Storage.Store().MaxRetries = 0
-		if err := vo.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := vo.Load("lineitem", data); err != nil {
+		if err := loadVolcano(vo, "lineitem", data); err != nil {
 			return nil, err
 		}
 		return vo, nil
@@ -289,7 +283,8 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 				return nil, fmt.Errorf("experiments: E21 overload run failed: %w", o.err)
 			}
 		}
-		row.P99 = e21P99(walls)
+		slices.Sort(walls)
+		row.P99 = quantile(walls, 0.99)
 		if df.Scheduler.ActiveCount() != 0 || df.Scheduler.QueueDepth() != 0 {
 			return nil, fmt.Errorf("experiments: E21 leaked admissions at load %d", load)
 		}
@@ -345,19 +340,6 @@ func e21LinkBytes(c *fabric.Cluster) sim.Bytes {
 		n += l.Meter.Bytes()
 	}
 	return n
-}
-
-// e21P99 returns the 99th-percentile (here: worst surviving) latency.
-func e21P99(walls []time.Duration) time.Duration {
-	if len(walls) == 0 {
-		return 0
-	}
-	sort.Slice(walls, func(a, b int) bool { return walls[a] < walls[b] })
-	idx := (len(walls)*99 + 99) / 100
-	if idx > len(walls) {
-		idx = len(walls)
-	}
-	return walls[idx-1]
 }
 
 // e21Ms renders a wall duration at millisecond precision.

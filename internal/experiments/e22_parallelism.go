@@ -117,22 +117,16 @@ func e22DataFlow(q *plan.Query, data *columnar.Batch, workers int) (sim.VTime, s
 	df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 	df.Workers = workers
 	df.Storage.SegmentRows = e22SegmentRows
-	if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return 0, 0, 0, err
-	}
-	if err := df.Load("lineitem", data); err != nil {
+	if err := loadDataFlow(df, "lineitem", data); err != nil {
 		return 0, 0, 0, err
 	}
 	variants, err := df.Plan(q, 0)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	ph := variants[0]
-	for _, v := range variants {
-		if v.HasPlacement(fabric.OpFilter, plan.SiteStorage) {
-			ph = v
-			break
-		}
+	ph := pickVariant(variants, func(v *plan.Physical) bool { return v.HasPlacement(fabric.OpFilter, plan.SiteStorage) })
+	if ph == nil {
+		ph = variants[0]
 	}
 	res, err := df.ExecutePlan(context.Background(), ph)
 	if err != nil {
@@ -147,10 +141,7 @@ func e22Volcano(q *plan.Query, data *columnar.Batch, workers int) (sim.VTime, si
 	vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), 256*sim.MB)
 	vo.Workers = workers
 	vo.Storage.SegmentRows = e22SegmentRows
-	if err := vo.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return 0, 0, 0, err
-	}
-	if err := vo.Load("lineitem", data); err != nil {
+	if err := loadVolcano(vo, "lineitem", data); err != nil {
 		return 0, 0, 0, err
 	}
 	res, err := vo.Execute(context.Background(), q)

@@ -205,23 +205,14 @@ func e23Run(q *plan.Query, data *columnar.Batch, eager bool) (e23Arm, error) {
 	df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 	df.EagerDecode = eager
 	df.Storage.SegmentRows = e23SegmentRows
-	if err := df.CreateTable("t", e23Schema()); err != nil {
-		return arm, err
-	}
-	if err := df.Load("t", data); err != nil {
+	if err := loadDataFlow(df, "t", data); err != nil {
 		return arm, err
 	}
 	variants, err := df.Plan(q, 0)
 	if err != nil {
 		return arm, err
 	}
-	var ph *plan.Physical
-	for _, v := range variants {
-		if v.EncodedEval {
-			ph = v
-			break
-		}
-	}
+	ph := pickVariant(variants, func(v *plan.Physical) bool { return v.EncodedEval })
 	if ph == nil {
 		return arm, fmt.Errorf("experiments: E23 found no encoded-eval variant for %s", q)
 	}

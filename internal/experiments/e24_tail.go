@@ -103,10 +103,7 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 		store.SetReplicas(2)
 		store.BaseLatency = opts.BaseLatency
 		df.Storage.SegmentRows = segRows
-		if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := df.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(df, "lineitem", data); err != nil {
 			return nil, err
 		}
 		inj := faults.New(e24Seed)
@@ -180,9 +177,9 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 				row.BreakerTrips += r.Stats.BreakerTrips
 			}
 			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-			row.P50 = e24Quantile(lats, 0.50)
-			row.P95 = e24Quantile(lats, 0.95)
-			row.P99 = e24Quantile(lats, 0.99)
+			row.P50 = quantile(lats, 0.50)
+			row.P95 = quantile(lats, 0.95)
+			row.P99 = quantile(lats, 0.99)
 			if !hedge {
 				baseP99[severity] = row.P99
 				row.Speedup99 = 1
@@ -227,17 +224,4 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 	res.Table.SetMetric("breakerTrips", float64(total.BreakerTrips))
 	res.Table.SetMetric("faultSeed", e24Seed)
 	return res, nil
-}
-
-// e24Quantile reads the p-quantile from an ascending-sorted sample by
-// the nearest-rank method.
-func e24Quantile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

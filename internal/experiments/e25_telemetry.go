@@ -132,10 +132,7 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 	build := func(reg *metrics.Registry) (*core.DataFlowEngine, error) {
 		df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 		df.Workers = opts.Workers
-		if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-			return nil, err
-		}
-		if err := df.Load("lineitem", data); err != nil {
+		if err := loadDataFlow(df, "lineitem", data); err != nil {
 			return nil, err
 		}
 		if reg != nil {
@@ -270,7 +267,7 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 		name string
 		p    float64
 	}{{"p50", 0.50}, {"p95", 0.95}, {"p99", 0.99}} {
-		exact := e25Rank(simTimes, q.p)
+		exact := quantile(simTimes, q.p)
 		got := hist.Quantile(q.p)
 		errPct := 0.0
 		if exact != 0 {
@@ -395,20 +392,6 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 		(res.FirstShedBurst < 0 || res.BurnCrossBurst <= res.FirstShedBurst)
 	t.SetMetric("slo_leads_shed", boolMetric(leads))
 	return res, nil
-}
-
-// e25Rank reads the p-quantile from an ascending-sorted sample by the
-// nearest-rank method — the same rule the HDR histogram uses, so the
-// comparison isolates bucketing error.
-func e25Rank(sorted []int64, p float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(p * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // e25Idx renders a burst index, or "never".

@@ -200,10 +200,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 	// reads in every arm; only the repair arms create any.
 	store.RepairContention = opts.Contention
 	df.Storage.SegmentRows = segRows
-	if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
-		return nil, nil, err
-	}
-	if err := df.Load("lineitem", data); err != nil {
+	if err := loadDataFlow(df, "lineitem", data); err != nil {
 		return nil, nil, err
 	}
 
@@ -363,9 +360,9 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 	row.Queries = len(lats)
 
 	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	row.P50 = e24Quantile(lats, 0.50)
-	row.P95 = e24Quantile(lats, 0.95)
-	row.P99 = e24Quantile(lats, 0.99)
+	row.P50 = quantile(lats, 0.50)
+	row.P95 = quantile(lats, 0.95)
+	row.P99 = quantile(lats, 0.99)
 	return row, hist, nil
 }
 

@@ -56,6 +56,19 @@ type GroupBy struct {
 	Aggs      []AggSpec
 }
 
+// Columns lists the input columns the aggregation reads: the group keys,
+// then every non-COUNT aggregate's argument (COUNT reads none). Columns
+// may repeat; ColumnSet makes a set of them.
+func (g GroupBy) Columns() []int {
+	cols := append(make([]int, 0, len(g.GroupCols)+len(g.Aggs)), g.GroupCols...)
+	for _, a := range g.Aggs {
+		if a.Func != Count {
+			cols = append(cols, a.Col)
+		}
+	}
+	return cols
+}
+
 // OutputSchema derives the result schema: group columns first, then one
 // column per aggregate. Avg and Count produce DOUBLE and BIGINT; Sum
 // follows the input type; Min/Max keep the input type.

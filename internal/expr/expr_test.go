@@ -133,6 +133,44 @@ func TestPredicateColumnsAndString(t *testing.T) {
 	}
 }
 
+// TestColumnSet pins the one column-set every layer calls (plan's cost
+// model, the storage scan, the engine's projection) against a literal
+// table.
+func TestColumnSet(t *testing.T) {
+	// First-use order out of the predicate, 5 before 1: the set sorts.
+	filter := NewAnd(NewCmp(5, Eq, columnar.IntValue(1)), NewBetween(1, 1, 5), NewCmp(5, Gt, columnar.IntValue(0)))
+	if got := filter.Columns(); !equalInts(got, []int{5, 1}) {
+		t.Errorf("And.Columns = %v, want first-use order [5 1]", got)
+	}
+	sum := &GroupBy{GroupCols: []int{4, 2}, Aggs: []AggSpec{{Func: Sum, Col: 3}, {Func: Count, Col: 7}, {Func: Avg, Col: 2}}}
+	if got := sum.Columns(); !equalInts(got, []int{4, 2, 3, 2}) {
+		t.Errorf("GroupBy.Columns = %v, want [4 2 3 2] (COUNT reads no column)", got)
+	}
+	countOnly := &GroupBy{Aggs: []AggSpec{{Func: Count}}}
+	for _, tc := range []struct {
+		name    string
+		numCols int
+		filter  Predicate
+		g       *GroupBy
+		more    []int
+		want    []int
+	}{
+		{"nothing", 8, nil, nil, nil, nil},
+		{"filter only", 8, filter, nil, nil, []int{1, 5}},
+		{"group-by only", 8, nil, sum, nil, []int{2, 3, 4}},
+		{"COUNT-only aggregate", 8, nil, countOnly, nil, nil},
+		{"COUNT-only aggregate with filter", 8, filter, countOnly, nil, []int{1, 5}},
+		{"overlapping filter, group-by and list", 8, NewCmp(3, Lt, columnar.IntValue(9)), sum, []int{4, 0, 0}, []int{0, 2, 3, 4}},
+		{"out of range clipped", 4, filter, sum, []int{-1, 9}, []int{1, 2, 3}},
+		{"no columns known", 0, filter, sum, []int{0}, nil},
+	} {
+		got := ColumnSet(tc.numCols, tc.filter, tc.g, tc.more)
+		if !equalInts(got, tc.want) || (tc.want == nil) != (got == nil) {
+			t.Errorf("%s: ColumnSet = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestIntRange(t *testing.T) {
 	maxI := int64(math.MaxInt64)
 	minI := int64(math.MinInt64)

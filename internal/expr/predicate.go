@@ -8,6 +8,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/columnar"
@@ -385,15 +386,50 @@ func (p *Not) Columns() []int { return p.Pred.Columns() }
 // String implements Predicate.
 func (p *Not) String() string { return "NOT (" + p.Pred.String() + ")" }
 
+// unionColumns lists the distinct columns of preds in first-use order
+// (callers ship Columns()[0] as a COUNT's one narrow column). A linear
+// scan: a predicate touches a handful of columns.
 func unionColumns(preds []Predicate) []int {
-	seen := map[int]bool{}
 	var out []int
 	for _, p := range preds {
 		for _, c := range p.Columns() {
-			if !seen[c] {
-				seen[c] = true
+			if !slices.Contains(out, c) {
 				out = append(out, c)
 			}
+		}
+	}
+	return out
+}
+
+// ColumnSet is the ascending, duplicate-free set of table columns that a
+// filter, a group-by and a column list touch together (any of them may
+// be nil), keeping only indices in [0, numCols). Ascending is the order
+// storage ships columns in. An empty set is nil.
+func ColumnSet(numCols int, filter Predicate, g *GroupBy, more []int) []int {
+	used := make([]bool, numCols)
+	n := 0
+	mark := func(cols []int) {
+		for _, c := range cols {
+			if c >= 0 && c < numCols && !used[c] {
+				used[c] = true
+				n++
+			}
+		}
+	}
+	if filter != nil {
+		mark(filter.Columns())
+	}
+	if g != nil {
+		mark(g.Columns())
+	}
+	mark(more)
+	if n == 0 {
+		return nil
+	}
+	out := make([]int, 0, n)
+	for c, u := range used {
+		if u {
+			out = append(out, c)
 		}
 	}
 	return out

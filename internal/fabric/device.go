@@ -156,10 +156,6 @@ func (d *Device) ChargeLane(op OpClass, n sim.Bytes, lane int) sim.VTime {
 // history returns an empty slice.
 func (d *Device) LaneBusy() []sim.VTime { return d.lanes.snapshot() }
 
-// ResetLanes clears lane accounting (the main meter is reset
-// separately via Meter.Reset).
-func (d *Device) ResetLanes() { d.lanes.reset() }
-
 // ChargeSetup accounts for one kernel installation on the device and
 // returns its cost.
 func (d *Device) ChargeSetup() sim.VTime {

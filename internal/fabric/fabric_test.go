@@ -47,7 +47,7 @@ func TestDeviceCapabilities(t *testing.T) {
 		t.Error("smart SSD should not support stateful join/sort")
 	}
 	cpu := NewCPU("cpu", 8)
-	for _, op := range AllOpClasses() {
+	for op := OpClass(0); op < numOpClasses; op++ {
 		if !cpu.Can(op) {
 			t.Errorf("CPU missing op %v", op)
 		}
@@ -126,8 +126,8 @@ func TestTopologyPathAndTransfer(t *testing.T) {
 			t.Errorf("link %s carried %v, want 1GiB", name, l.Meter.Bytes())
 		}
 	}
-	if top.TotalLinkBytes() != 3*sim.GB {
-		t.Errorf("TotalLinkBytes = %v, want 3GiB", top.TotalLinkBytes())
+	if got := top.LinkBytes(); len(got) != 3 {
+		t.Errorf("LinkBytes = %v, want only the three path links", got)
 	}
 }
 
@@ -164,7 +164,7 @@ func TestTopologyResetMeters(t *testing.T) {
 	}
 	top.MustDevice(DevCPU).Charge(OpFilter, sim.MB)
 	top.ResetMeters()
-	if top.TotalLinkBytes() != 0 {
+	if len(top.LinkBytes()) != 0 {
 		t.Error("ResetMeters left link bytes")
 	}
 	if top.MustDevice(DevCPU).Meter.Bytes() != 0 {
@@ -274,7 +274,7 @@ func TestTopologyString(t *testing.T) {
 }
 
 func TestOpClassStrings(t *testing.T) {
-	for _, op := range AllOpClasses() {
+	for op := OpClass(0); op < numOpClasses; op++ {
 		if strings.HasPrefix(op.String(), "OpClass(") {
 			t.Errorf("op %d has no name", op)
 		}

@@ -43,13 +43,6 @@ func (lm *laneMeter) snapshot() []sim.VTime {
 	return out
 }
 
-// reset clears all lanes.
-func (lm *laneMeter) reset() {
-	lm.mu.Lock()
-	lm.busy = lm.busy[:0]
-	lm.mu.Unlock()
-}
-
 // EffectiveBusy folds a resource's total busy delta and its per-lane
 // busy deltas into the virtual time the resource actually occupies the
 // critical path: lane-charged work runs on parallel units, so only the

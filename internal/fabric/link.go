@@ -125,20 +125,6 @@ func (l *Link) Units() int {
 	return 1
 }
 
-// TransferLane is Transfer executed on one of the link's parallel
-// channels. The main meter receives the identical charge — totals are
-// unchanged — and the lane accumulates busy time for overlapped
-// makespan computation (see EffectiveBusy). Lane indexes are positional
-// and wrap at Units().
-func (l *Link) TransferLane(n sim.Bytes, lane int) sim.VTime {
-	t := l.Transfer(n)
-	if lane < 0 {
-		lane = -lane
-	}
-	l.lanes.add(lane%l.Units(), t)
-	return t
-}
-
 // TransferQD is Transfer for links whose protocol keeps several
 // commands in flight (an NVMe submission queue): the main meter gets
 // the identical charge as Transfer — totals never change — but only the
@@ -157,9 +143,6 @@ func (l *Link) TransferQD(n sim.Bytes, lane int) sim.VTime {
 
 // LaneBusy returns a consistent snapshot of per-channel busy time.
 func (l *Link) LaneBusy() []sim.VTime { return l.lanes.snapshot() }
-
-// ResetLanes clears lane accounting.
-func (l *Link) ResetLanes() { l.lanes.reset() }
 
 // Message accounts for one small control message (credit grant,
 // coherency invalidation) crossing the link. Control messages cost one

@@ -58,12 +58,3 @@ func (o OpClass) String() string {
 	}
 	return fmt.Sprintf("OpClass(%d)", uint8(o))
 }
-
-// AllOpClasses lists every op class, useful for capability reporting.
-func AllOpClasses() []OpClass {
-	out := make([]OpClass, numOpClasses)
-	for i := range out {
-		out[i] = OpClass(i)
-	}
-	return out
-}

@@ -193,17 +193,11 @@ func (c *Cluster) StorageProc() *Device { return c.MustDevice(DevStorageProc) }
 // StorageNIC returns the storage node's NIC.
 func (c *Cluster) StorageNIC() *Device { return c.MustDevice(DevStorageNIC) }
 
-// Switch returns the network switch.
-func (c *Cluster) Switch() *Device { return c.MustDevice(DevSwitch) }
-
 // ComputeNIC returns compute node i's NIC.
 func (c *Cluster) ComputeNIC(i int) *Device { return c.MustDevice(ComputeDev(i, "nic")) }
 
 // ComputeCPU returns compute node i's CPU.
 func (c *Cluster) ComputeCPU(i int) *Device { return c.MustDevice(ComputeDev(i, "cpu")) }
-
-// ComputeDRAM returns compute node i's DRAM.
-func (c *Cluster) ComputeDRAM(i int) *Device { return c.MustDevice(ComputeDev(i, "dram")) }
 
 // NearMem returns compute node i's near-memory accelerator, or nil when
 // the configuration has none.

@@ -198,16 +198,6 @@ func (t *Topology) LinkBytes() map[string]sim.Bytes {
 	return out
 }
 
-// TotalLinkBytes sums payload bytes over all links: the experiment-level
-// "data movement" number the paper says engines must minimize.
-func (t *Topology) TotalLinkBytes() sim.Bytes {
-	var total sim.Bytes
-	for _, l := range t.links {
-		total += l.Meter.Bytes()
-	}
-	return total
-}
-
 // String renders a summary listing of devices and links.
 func (t *Topology) String() string {
 	var b strings.Builder

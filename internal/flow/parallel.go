@@ -33,8 +33,8 @@ type ParallelStage interface {
 }
 
 // stageWorkers decides how many workers run stage i. A stage runs serial
-// unless it implements ParallelStage and the pipeline (or its Placed
-// entry) asks for workers; the pool is clamped to the hosting device's
+// unless it implements ParallelStage and the pipeline asks for workers;
+// the pool is clamped to the hosting device's
 // Parallelism. Snapshotting stages fall back to serial when the run
 // checkpoints — an epoch snapshot must be one consistent state, not W
 // fragments — and stages with restored state keep the single instance
@@ -45,9 +45,6 @@ func (p *Pipeline) stageWorkers(i int) int {
 		return 1
 	}
 	w := p.Workers
-	if st.Workers > 0 {
-		w = st.Workers
-	}
 	if w <= 1 {
 		return 1
 	}

@@ -107,8 +107,8 @@ func TestParallelStatefulRoundRobinDeterministic(t *testing.T) {
 				}
 				return nil
 			},
-			Stages:  []Placed{{Stage: &pSum{}, Workers: 3}},
-			Workers: 1, // per-stage override wins
+			Stages:  []Placed{{Stage: &pSum{}}},
+			Workers: 3,
 		}
 		var got []int64
 		if _, err := p.Run(context.Background(), func(b *columnar.Batch) error {

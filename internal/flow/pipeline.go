@@ -43,10 +43,6 @@ type Placed struct {
 	Device      *fabric.Device
 	Op          fabric.OpClass
 	ChargeInput bool
-	// Workers overrides the pipeline-level worker count for this stage;
-	// 0 inherits Pipeline.Workers. Only honored when Stage implements
-	// ParallelStage, and always clamped to Device.Units().
-	Workers int
 }
 
 // Pipeline is a linear chain: Source -> stage[0] -> ... -> stage[n-1] ->

@@ -26,8 +26,8 @@ type DistJoinConfig struct {
 	Paths [][]*fabric.Link
 	// BatchRows is the exchange granule.
 	BatchRows int
-	// Workers > 1 builds each node's hash table as a partitioned table
-	// in parallel (exec.PartitionedHashTable); results are identical.
+	// Workers is each node's hash-table build width (exec.HashTable);
+	// results are identical at every width.
 	Workers int
 }
 
@@ -76,13 +76,9 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 
 	// Phase 1: scatter the build side into per-node hash tables.
 	buildSchema := build[0].Schema()
-	tables := make([]exec.JoinTable, n)
+	tables := make([]*exec.HashTable, n)
 	for i := range tables {
-		if cfg.Workers > 1 {
-			tables[i] = exec.NewPartitionedHashTable(buildSchema, cfg.BuildKey, cfg.Workers)
-		} else {
-			tables[i] = exec.NewHashTable(buildSchema, cfg.BuildKey)
-		}
+		tables[i] = exec.NewHashTable(buildSchema, cfg.BuildKey, cfg.Workers)
 	}
 	buildDests := make([]Destination, n)
 	for i := range buildDests {

@@ -34,7 +34,6 @@ type Exchange struct {
 
 	builders []*columnar.Batch
 	schema   *columnar.Schema
-	sent     []int64
 }
 
 // NewExchange builds an exchange over the given destinations.
@@ -42,7 +41,7 @@ func NewExchange(keyCol int, dests []Destination) (*Exchange, error) {
 	if len(dests) == 0 {
 		return nil, fmt.Errorf("netsim: exchange needs at least one destination")
 	}
-	return &Exchange{KeyCol: keyCol, Dests: dests, BatchRows: 1024, sent: make([]int64, len(dests))}, nil
+	return &Exchange{KeyCol: keyCol, Dests: dests, BatchRows: 1024}, nil
 }
 
 // Name implements flow.Stage.
@@ -91,34 +90,7 @@ func (e *Exchange) ship(d int) error {
 	for _, l := range e.Dests[d].Path {
 		l.Transfer(n)
 	}
-	e.sent[d] += int64(out.NumRows())
 	return e.Dests[d].Sink(out)
-}
-
-// SentRows reports rows shipped per destination, for skew inspection.
-func (e *Exchange) SentRows() []int64 {
-	out := make([]int64, len(e.sent))
-	copy(out, e.sent)
-	return out
-}
-
-// Broadcast replicates a batch to every destination, charging device for
-// the replication work and every path for the traffic — the collective
-// communication (Section 4.4) used to ship small build sides.
-func Broadcast(b *columnar.Batch, device *fabric.Device, dests []Destination) error {
-	n := sim.Bytes(b.ByteSize())
-	for _, d := range dests {
-		if device != nil {
-			device.Charge(fabric.OpPartition, n)
-		}
-		for _, l := range d.Path {
-			l.Transfer(n)
-		}
-		if err := d.Sink(b); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Gather collects batches from several per-node result sets into one

@@ -169,6 +169,21 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
+// WriteTimeline renders what EXPLAIN ANALYZE prints: the Gantt chart and
+// the headline concurrency numbers. A nil trace (tracing was off) writes
+// nothing.
+func (t *Trace) WriteTimeline(w io.Writer, width int) error {
+	if t == nil {
+		return nil
+	}
+	if err := t.WriteGantt(w, width); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "makespan %s, resource busy %s, concurrency %.2f (mean active resources)\n",
+		t.Makespan(), t.WorkBusy(), t.ConcurrencyFactor())
+	return err
+}
+
 // WriteGantt renders the trace as a fixed-width per-track text timeline:
 // one row per track, '#' cells where the track was busy, '.' where idle,
 // with busy time and utilization on the right. The row set and cell

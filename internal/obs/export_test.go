@@ -245,6 +245,20 @@ func TestWriteGanttRendersBusyCells(t *testing.T) {
 	if !(strings.HasPrefix(lines[1], "cpu") && strings.HasPrefix(lines[2], "media")) {
 		t.Fatalf("tracks out of order:\n%s", out)
 	}
+
+	// EXPLAIN ANALYZE's timeline is that chart plus the headline line;
+	// with tracing off (nil trace) it is nothing.
+	var tl bytes.Buffer
+	if err := tr.WriteTimeline(&tl, 1); err != nil {
+		t.Fatalf("WriteTimeline: %v", err)
+	}
+	if want := out + "makespan 1µs, resource busy 1µs, concurrency 1.00 (mean active resources)\n"; tl.String() != want {
+		t.Fatalf("WriteTimeline = %q, want %q", tl.String(), want)
+	}
+	tl.Reset()
+	if err := (*Trace)(nil).WriteTimeline(&tl, 64); err != nil || tl.Len() != 0 {
+		t.Fatalf("nil trace wrote %q, err %v", tl.String(), err)
+	}
 }
 
 func TestWriteGanttEventsSection(t *testing.T) {

@@ -110,9 +110,6 @@ const DefaultMoveWeight = 2.0
 // Optimizer enumerates and ranks plan variants for a path.
 type Optimizer struct {
 	Path PathModel
-	// MoveWeight trades movement against time when ranking. Zero means
-	// DefaultMoveWeight; negative ranks by time alone.
-	MoveWeight float64
 	// Exclude names devices no variant may place operators on — the
 	// engine populates it during failover with devices that just failed.
 	// Offline devices are skipped implicitly. The CPU site is the
@@ -206,15 +203,6 @@ func (o *Optimizer) Enumerate(q *Query, stats TableStats) ([]*Physical, error) {
 	return out, nil
 }
 
-// Choose returns the best-ranked variant.
-func (o *Optimizer) Choose(q *Query, stats TableStats) (*Physical, error) {
-	all, err := o.Enumerate(q, stats)
-	if err != nil {
-		return nil, err
-	}
-	return all[0], nil
-}
-
 // usable reports whether site i may host operators: excluded and
 // offline devices cannot, the CPU backstop (the last site) always can.
 // Degraded placement falls out naturally — with every accelerator dead
@@ -228,19 +216,11 @@ func (o *Optimizer) usable(i int) bool {
 }
 
 func (o *Optimizer) rank(p *Physical) float64 {
-	score := p.EstTime.Seconds()
-	w := o.MoveWeight
-	if w == 0 {
-		w = DefaultMoveWeight
+	base := o.Path.SegmentBandwidth(0)
+	if base <= 0 {
+		base = sim.GBPerSec
 	}
-	if w > 0 {
-		base := o.Path.SegmentBandwidth(0)
-		if base <= 0 {
-			base = sim.GBPerSec
-		}
-		score += w * float64(p.EstBytes) / float64(base)
-	}
-	return score
+	return p.EstTime.Seconds() + DefaultMoveWeight*float64(p.EstBytes)/float64(base)
 }
 
 // build constructs one variant and costs it.
@@ -313,7 +293,7 @@ func (o *Optimizer) estimate(ph *Physical, stats TableStats) {
 		// filter columns, and the decode is a gather over survivors —
 		// the decode-savings term that makes this variant win at low
 		// selectivity and lose nothing at high selectivity.
-		filterBytes := sim.Bytes(rows * float64(stats.RowBytes(predCols(q.Filter, len(stats.ColBytes)))) * stats.EncodedFraction)
+		filterBytes := sim.Bytes(rows * float64(stats.RowBytes(expr.ColumnSet(len(stats.ColBytes), q.Filter, nil, nil))) * stats.EncodedFraction)
 		if r := pm.Sites[0].Device.RateFor(fabric.OpFilter); r > 0 {
 			if t := r.TimeFor(filterBytes); t > bottleneck {
 				bottleneck = t
@@ -405,64 +385,19 @@ func partialRowBytes(g *expr.GroupBy, stats TableStats) float64 {
 	return float64(n)
 }
 
-// predCols lists the distinct columns a predicate touches, clipped to
-// the table's column count.
-func predCols(p expr.Predicate, numCols int) []int {
-	if p == nil {
-		return nil
-	}
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range p.Columns() {
-		if c >= 0 && c < numCols && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// neededCols unions the columns a query touches.
+// neededCols is the set of columns a query touches, clipped to the
+// table's column count.
 func neededCols(q *Query, numCols int) []int {
-	seen := map[int]bool{}
-	var out []int
-	add := func(c int) {
-		if c >= 0 && c < numCols && !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
-	if q.Filter != nil {
-		for _, c := range q.Filter.Columns() {
-			add(c)
-		}
-	}
 	switch {
+	case q.CountOnly && q.Filter == nil:
+		// COUNT(*) touches no column; one narrow column still ships.
+		return expr.ColumnSet(numCols, nil, nil, []int{0})
 	case q.CountOnly:
-		if q.Filter == nil {
-			add(0)
-		}
+		return expr.ColumnSet(numCols, q.Filter, nil, nil)
 	case q.GroupBy != nil:
-		for _, c := range q.GroupBy.GroupCols {
-			add(c)
-		}
-		for _, a := range q.GroupBy.Aggs {
-			if a.Func != expr.Count {
-				add(a.Col)
-			}
-		}
-	case q.Projection != nil:
-		for _, c := range q.Projection {
-			add(c)
-		}
-	default:
-		for c := 0; c < numCols; c++ {
-			add(c)
-		}
+		return expr.ColumnSet(numCols, q.Filter, q.GroupBy, nil)
 	}
-	sort.Ints(out)
-	return out
+	return expr.ColumnSet(numCols, q.Filter, nil, outputCols(q, numCols))
 }
 
 // outputCols is what survives projection (or the full set).

@@ -62,10 +62,10 @@ func TestOptimizerTotalityProperty(t *testing.T) {
 			if !foundCPUOnly {
 				return false
 			}
-			// Ranking is consistent: Choose agrees with the head of
-			// Enumerate (fresh plan objects, so compare identity by
-			// variant name and estimates).
-			best, err := opt.Choose(q, st)
+			// Ranking is consistent: a second enumeration agrees on the
+			// head (fresh plan objects, so compare identity by variant
+			// name and estimates).
+			best, err := choose(opt, q, st)
 			if err != nil || best.Variant != variants[0].Variant ||
 				best.EstBytes != variants[0].EstBytes || best.EstTime != variants[0].EstTime {
 				return false

@@ -104,17 +104,6 @@ func (pm PathModel) CPU() *fabric.Device {
 	return pm.Sites[len(pm.Sites)-1].Device
 }
 
-// EarliestCapable returns the index of the first site whose device
-// supports op, searching from `from` onward; -1 if none.
-func (pm PathModel) EarliestCapable(op fabric.OpClass, from int) int {
-	for i := from; i < len(pm.Sites); i++ {
-		if pm.Sites[i].Device.Can(op) {
-			return i
-		}
-	}
-	return -1
-}
-
 // SegmentBandwidth reports the bottleneck bandwidth between site i and
 // i+1.
 func (pm PathModel) SegmentBandwidth(i int) sim.Rate {

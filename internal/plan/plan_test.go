@@ -110,20 +110,6 @@ func TestPathFromCluster(t *testing.T) {
 	}
 }
 
-func TestEarliestCapable(t *testing.T) {
-	pm := smartPath(t)
-	if i := pm.EarliestCapable(fabric.OpFilter, 0); i != 0 {
-		t.Errorf("filter earliest = %d, want 0 (storage)", i)
-	}
-	if i := pm.EarliestCapable(fabric.OpSort, 0); pm.Sites[i].Site != SiteCPU {
-		t.Errorf("sort earliest site = %v, want cpu", pm.Sites[i].Site)
-	}
-	lp := legacyPath(t)
-	if i := lp.EarliestCapable(fabric.OpFilter, 0); lp.Sites[i].Site != SiteCPU {
-		t.Errorf("legacy filter earliest = %v, want cpu", lp.Sites[i].Site)
-	}
-}
-
 func TestEstimateSelectivity(t *testing.T) {
 	st := testStats()
 	cases := []struct {
@@ -163,13 +149,22 @@ func TestGroupEstimate(t *testing.T) {
 	}
 }
 
+// choose returns the best-ranked variant, the head of Enumerate.
+func choose(o *Optimizer, q *Query, stats TableStats) (*Physical, error) {
+	all, err := o.Enumerate(q, stats)
+	if err != nil {
+		return nil, err
+	}
+	return all[0], nil
+}
+
 func TestOptimizerPrefersOffloadOnSelectiveFilter(t *testing.T) {
 	pm := smartPath(t)
 	opt := &Optimizer{Path: pm}
 	q := NewQuery("t").
 		WithFilter(expr.NewCmp(1, expr.Eq, columnar.IntValue(3))). // 2% selectivity
 		WithProjection(2)
-	best, err := opt.Choose(q, testStats())
+	best, err := choose(opt, q, testStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +229,7 @@ func TestOptimizerStagedPreAgg(t *testing.T) {
 func TestOptimizerCountOnNIC(t *testing.T) {
 	opt := &Optimizer{Path: smartPath(t)}
 	q := NewQuery("t").WithCount()
-	best, err := opt.Choose(q, testStats())
+	best, err := choose(opt, q, testStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +282,7 @@ func TestOffloadBeatsCPUOnMovement(t *testing.T) {
 
 func TestExplainOutput(t *testing.T) {
 	opt := &Optimizer{Path: smartPath(t)}
-	best, err := opt.Choose(NewQuery("t").WithCount(), testStats())
+	best, err := choose(opt, NewQuery("t").WithCount(), testStats())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,20 +295,30 @@ func TestExplainOutput(t *testing.T) {
 }
 
 func TestMoveWeightChangesRanking(t *testing.T) {
-	// With a huge movement weight, the plan moving the fewest bytes must
-	// win even if marginally slower.
-	q := NewQuery("t").WithGroupBy(expr.GroupBy{GroupCols: []int{1}, Aggs: []expr.AggSpec{{Func: expr.Count}}})
-	heavy := &Optimizer{Path: smartPath(t), MoveWeight: 1000}
-	best, err := heavy.Choose(q, testStats())
+	// Movement is priced when ranking: variants come out in ascending
+	// time + DefaultMoveWeight * bytes / first-segment bandwidth, which is
+	// not the order time alone would give — some plan outranks a faster
+	// one by moving less.
+	pm := smartPath(t)
+	all, err := (&Optimizer{Path: pm}).Enumerate(NewQuery("t").WithCount(), testStats())
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, _ := heavy.Enumerate(q, testStats())
-	for _, p := range all {
-		if p.EstBytes < best.EstBytes {
-			t.Errorf("with MoveWeight, chose %q (%v) over cheaper-moving %q (%v)",
-				best.Variant, best.EstBytes, p.Variant, p.EstBytes)
+	score := func(p *Physical) float64 {
+		return p.EstTime.Seconds() + DefaultMoveWeight*float64(p.EstBytes)/float64(pm.SegmentBandwidth(0))
+	}
+	outranksFaster := false
+	for i := 1; i < len(all); i++ {
+		if score(all[i-1]) > score(all[i]) {
+			t.Errorf("%q (score %g) ranked above %q (score %g)",
+				all[i-1].Variant, score(all[i-1]), all[i].Variant, score(all[i]))
 		}
+		if all[i].EstTime < all[i-1].EstTime && all[i].EstBytes > all[i-1].EstBytes {
+			outranksFaster = true
+		}
+	}
+	if !outranksFaster {
+		t.Error("ranking equals ranking by time alone; moved bytes carried no weight")
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sort"
 	"sync"
 )
 
@@ -28,9 +27,9 @@ import (
 //     goroutine ordering context (before work starts / after the wait
 //     group joins); mid-flight snapshots are consistent but may land
 //     between any two charges.
-//   - A MeterSet snapshot is per-meter consistent, not a global cut;
-//     cross-meter invariants (e.g. link bytes == downstream device
-//     bytes) only hold once the pipeline has quiesced.
+//   - Snapshots of several meters are per-meter consistent, not a
+//     global cut; cross-meter invariants (e.g. link bytes == downstream
+//     device bytes) only hold once the pipeline has quiesced.
 type Meter struct {
 	mu       sync.Mutex
 	bytes    int64 // payload bytes processed or moved
@@ -69,15 +68,6 @@ func (m *Meter) AddBusy(t VTime) {
 func (m *Meter) AddOps(n int64) {
 	m.mu.Lock()
 	m.ops += n
-	m.mu.Unlock()
-}
-
-// AddMessages charges n protocol messages (e.g. credit grants, coherency
-// invalidations). Counted separately so experiments can report the
-// control-traffic overhead the paper claims is low (Section 7.1).
-func (m *Meter) AddMessages(n int64) {
-	m.mu.Lock()
-	m.messages += n
 	m.mu.Unlock()
 }
 
@@ -147,63 +137,4 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		Ops:      s.Ops - prev.Ops,
 		Messages: s.Messages - prev.Messages,
 	}
-}
-
-// MeterSet is a named collection of meters, used by topologies to expose
-// per-device and per-link accounting by name.
-type MeterSet struct {
-	mu     sync.Mutex
-	meters map[string]*Meter
-}
-
-// NewMeterSet returns an empty MeterSet.
-func NewMeterSet() *MeterSet {
-	return &MeterSet{meters: make(map[string]*Meter)}
-}
-
-// Get returns the meter registered under name, creating it on first use.
-func (s *MeterSet) Get(name string) *Meter {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.meters[name]
-	if !ok {
-		m = &Meter{}
-		s.meters[name] = m
-	}
-	return m
-}
-
-// Names returns the registered meter names in sorted order.
-func (s *MeterSet) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.meters))
-	for n := range s.meters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ResetAll zeroes every registered meter.
-func (s *MeterSet) ResetAll() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range s.meters {
-		m.Reset()
-	}
-}
-
-// Snapshots returns a copy of every meter's counters keyed by name. Each
-// meter's snapshot is internally consistent (see Meter.Snapshot); the
-// set as a whole is not a global atomic cut, which is fine for the
-// per-resource deltas the engines and traces compute.
-func (s *MeterSet) Snapshots() map[string]Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]Snapshot, len(s.meters))
-	for n, m := range s.meters {
-		out[n] = m.Snapshot()
-	}
-	return out
 }

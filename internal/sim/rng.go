@@ -29,11 +29,6 @@ func (r *RNG) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Int63 returns a non-negative pseudo-random int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
@@ -53,17 +48,6 @@ func (r *RNG) Int63n(n int64) int64 {
 // Float64 returns a pseudo-random float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, using the Box–Muller transform.
-func (r *RNG) NormFloat64() float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
 // Zipf draws values in [0, n) with a Zipfian distribution of exponent s.

@@ -16,6 +16,19 @@ type Catalog interface {
 	TableSchema(name string) (*columnar.Schema, error)
 }
 
+// StripExplainAnalyze removes a leading EXPLAIN ANALYZE (case-insensitive,
+// any spacing) from sql, reporting whether it was present; the CLIs trace
+// the statement that remains. Without the prefix sql comes back untouched.
+func StripExplainAnalyze(sql string) (string, bool) {
+	fields := strings.Fields(sql)
+	if len(fields) < 2 || !strings.EqualFold(fields[0], "EXPLAIN") || !strings.EqualFold(fields[1], "ANALYZE") {
+		return sql, false
+	}
+	rest := strings.TrimSpace(sql)[len(fields[0]):]
+	rest = strings.TrimSpace(rest)[len(fields[1]):]
+	return strings.TrimSpace(rest), true
+}
+
 // Parse compiles one SELECT statement into a plan.Query.
 func Parse(sql string, cat Catalog) (*plan.Query, error) {
 	tokens, err := lex(sql)

@@ -34,6 +34,31 @@ func parse(t *testing.T, sql string) *plan.Query {
 	return q
 }
 
+// TestStripExplainAnalyze covers what both CLIs hand it: dfquery's -sql
+// flag text as the user quoted it, and dfshell's trimmed input line.
+func TestStripExplainAnalyze(t *testing.T) {
+	for _, tc := range []struct {
+		in, rest string
+		stripped bool
+	}{
+		{"EXPLAIN ANALYZE SELECT * FROM lineitem", "SELECT * FROM lineitem", true},
+		{"  explain\tAnalyze   SELECT count(*) FROM lineitem  ", "SELECT count(*) FROM lineitem", true},
+		{"Explain\nanalyze\nSELECT qty FROM lineitem", "SELECT qty FROM lineitem", true},
+		{"EXPLAIN ANALYZE", "", true},
+		// Not the two-word prefix: returned untouched, spacing included.
+		{"  SELECT * FROM lineitem ", "  SELECT * FROM lineitem ", false},
+		{"EXPLAIN SELECT * FROM lineitem", "EXPLAIN SELECT * FROM lineitem", false},
+		{"EXPLAINANALYZE SELECT 1", "EXPLAINANALYZE SELECT 1", false},
+		{"SELECT explain, analyze FROM lineitem", "SELECT explain, analyze FROM lineitem", false},
+		{"", "", false},
+	} {
+		rest, stripped := StripExplainAnalyze(tc.in)
+		if rest != tc.rest || stripped != tc.stripped {
+			t.Errorf("StripExplainAnalyze(%q) = %q, %v; want %q, %v", tc.in, rest, stripped, tc.rest, tc.stripped)
+		}
+	}
+}
+
 func TestParseStarQuery(t *testing.T) {
 	q := parse(t, "SELECT * FROM lineitem")
 	if q.Table != "lineitem" || q.Projection != nil || q.Filter != nil || q.GroupBy != nil {

@@ -133,13 +133,6 @@ func (o *ObjectStore) SetReplicas(n int) {
 	o.mu.Unlock()
 }
 
-// Replicas reports the current write replication factor.
-func (o *ObjectStore) Replicas() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return o.reps
-}
-
 // Put stores a blob under key, replacing any previous value. The write
 // fans out to Replicas independent copies; metering charges one op and
 // every replicated byte, so replication's cost shows up in the meters.
@@ -541,7 +534,9 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 			// flipped, so every later read of this replica — foreground
 			// or scrub — sees the same corruption until a repair
 			// write-back overwrites it.
-			data = o.damageReplica(key, r, data)
+			if stored, _ := o.damageReplica(key, r); stored != nil {
+				data = stored
+			}
 		}
 	}
 	o.observeRead(r, start)

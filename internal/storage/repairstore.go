@@ -159,21 +159,21 @@ func (o *ObjectStore) clearStickyLocked(key string) {
 // stored slice (readers holding the old slice are unaffected — the
 // damage lands on the *next* read). Damage is applied at most once per
 // blob until a repair clears it, so an unexhausted fault point cannot
-// flip the byte back to clean. Returns the bytes the in-flight read
-// should now see.
-func (o *ObjectStore) damageReplica(key string, r int, data []byte) []byte {
+// flip the byte back to clean. Returns the blob now stored (nil when the
+// key or replica is absent or lost) and whether this call damaged it.
+func (o *ObjectStore) damageReplica(key string, r int) (stored []byte, applied bool) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	copies, ok := o.objects[key]
-	if !ok || r < 0 || r >= len(copies) || copies[r] == nil || len(copies[r]) == 0 {
-		return data
+	if !ok || r < 0 || r >= len(copies) || len(copies[r]) == 0 {
+		return nil, false
 	}
 	sk := stickyKey(key, r)
 	if o.stickyDamaged == nil {
 		o.stickyDamaged = make(map[string]struct{})
 	}
 	if _, done := o.stickyDamaged[sk]; done {
-		return copies[r] // already damaged: serve the stored damage
+		return copies[r], false // already damaged: serve the stored damage
 	}
 	damaged := append(make([]byte, 0, len(copies[r])), copies[r]...)
 	damaged[len(damaged)/2] ^= 0x40
@@ -181,7 +181,7 @@ func (o *ObjectStore) damageReplica(key string, r int, data []byte) []byte {
 	next[r] = damaged
 	o.objects[key] = next
 	o.stickyDamaged[sk] = struct{}{}
-	return damaged
+	return damaged, true
 }
 
 // CorruptReplica deterministically damages the stored blob of replica r
@@ -190,28 +190,8 @@ func (o *ObjectStore) damageReplica(key string, r int, data []byte) []byte {
 // Reports whether damage was applied (false if the key or replica is
 // absent, lost, or already damaged).
 func (o *ObjectStore) CorruptReplica(key string, r int) bool {
-	o.mu.Lock()
-	copies, ok := o.objects[key]
-	if !ok || r < 0 || r >= len(copies) || copies[r] == nil || len(copies[r]) == 0 {
-		o.mu.Unlock()
-		return false
-	}
-	if o.stickyDamaged == nil {
-		o.stickyDamaged = make(map[string]struct{})
-	}
-	sk := stickyKey(key, r)
-	if _, done := o.stickyDamaged[sk]; done {
-		o.mu.Unlock()
-		return false
-	}
-	damaged := append(make([]byte, 0, len(copies[r])), copies[r]...)
-	damaged[len(damaged)/2] ^= 0x40
-	next := append([][]byte(nil), copies...)
-	next[r] = damaged
-	o.objects[key] = next
-	o.stickyDamaged[sk] = struct{}{}
-	o.mu.Unlock()
-	return true
+	_, applied := o.damageReplica(key, r)
+	return applied
 }
 
 // FailReplica kills replica r across every stored object — the device
@@ -292,7 +272,9 @@ func (o *ObjectStore) ReadReplicaRaw(ctx context.Context, key string, r int) ([]
 	}
 	data := copies[r]
 	if o.Faults != nil && o.Faults.Fire(faults.StickyCorrupt, o.replicaKey(r)+"/"+key) {
-		data = o.damageReplica(key, r, data)
+		if stored, _ := o.damageReplica(key, r); stored != nil {
+			data = stored
+		}
 	}
 	rs := ReadStats{ScrubReads: 1, ScrubBytes: sim.Bytes(len(data))}
 	var err error

@@ -55,9 +55,6 @@ type ScanSpec struct {
 	// without a Filter, or with PreAgg (the aggregator needs dense raw
 	// batches).
 	EncodedEval bool
-	// DisablePruning turns zone-map pruning off, modelling a legacy
-	// engine that reads everything (used as the Figure 1 baseline).
-	DisablePruning bool
 	// BatchRows bounds the rows per emitted batch so consumers stream
 	// with bounded in-flight memory; 0 means DefaultBatchRows.
 	BatchRows int
@@ -120,7 +117,7 @@ func (spec ScanSpec) ShippedColumns(numFields int) []int {
 	if spec.Pushdown {
 		return projection
 	}
-	return neededColumns(projection, spec.Filter, spec.PreAgg, false)
+	return neededColumns(numFields, projection, spec.Filter, spec.PreAgg, false)
 }
 
 // ScanStats reports what one scan did, the per-experiment evidence for
@@ -131,7 +128,6 @@ type ScanStats struct {
 	MediaBytes     sim.Bytes // encoded bytes read from media
 	ShippedBytes   sim.Bytes // payload bytes leaving the storage server
 	ShippedRows    int64
-	ProcTime       sim.VTime // busy time on the storage processor
 
 	// Encoded-evaluation accounting. EncodedEvalSegments counts
 	// segments whose filter ran on encoded data; DecodedBytes is what
@@ -167,7 +163,6 @@ func (s *ScanStats) Add(o ScanStats) {
 	s.MediaBytes += o.MediaBytes
 	s.ShippedBytes += o.ShippedBytes
 	s.ShippedRows += o.ShippedRows
-	s.ProcTime += o.ProcTime
 	s.EncodedEvalSegments += o.EncodedEvalSegments
 	s.DecodedBytes += o.DecodedBytes
 	s.DecodedBytesSaved += o.DecodedBytesSaved
@@ -413,7 +408,7 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	if projection == nil {
 		projection = allIndices(t.Schema.NumFields())
 	}
-	needed := neededColumns(projection, spec.Filter, spec.PreAgg, spec.Pushdown)
+	needed := neededColumns(t.Schema.NumFields(), projection, spec.Filter, spec.PreAgg, spec.Pushdown)
 	pos := make(map[int]int, len(needed)) // table index -> decoded position
 	for i, c := range needed {
 		pos[c] = i
@@ -440,7 +435,6 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 		projPos[i] = pos[c]
 	}
 
-	procStart := s.proc.Meter.Busy()
 	stats.SegmentsTotal = len(t.SegmentKeys) - spec.StartSegment
 	if stats.SegmentsTotal < 0 {
 		stats.SegmentsTotal = 0
@@ -487,8 +481,6 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 			}
 		}
 	}
-
-	stats.ProcTime = s.proc.Meter.Busy() - procStart
 	return stats, nil
 }
 
@@ -537,37 +529,10 @@ func (sc *segScan) procSpan(name string, seg int, c sim.VTime, n sim.Bytes) {
 // given lane, and returns its result message.
 func (sc *segScan) processSegment(ctx context.Context, idx, lane int) segResult {
 	r := segResult{seg: idx}
-	seg, batch, processed, err := sc.readSegmentRetry(ctx, idx, lane, &r.sub)
-	switch {
-	case err != nil:
-		r.err = err
-		return r
-	case batch == nil:
+	r.out, r.err = sc.readSegmentRetry(ctx, idx, lane, &r.sub)
+	if r.err == nil && r.out == nil {
 		r.sub.SegmentsPruned++
-		return r
-	case processed:
-		// The encoded-eval path already filtered and projected.
-		r.out = batch
-		return r
 	}
-	proc, spec := sc.s.proc, sc.spec
-	if spec.Pushdown && sc.filter != nil {
-		n := seg.ColumnDecodedSize(spec.Filter.Columns())
-		sc.procSpan("filter@storage", idx, proc.ChargeLane(fabric.OpFilter, n, lane), n)
-		batch = batch.Filter(sc.filter.Eval(batch))
-	}
-	// Without pushdown the consumer evaluates the filter, so every
-	// needed column ships in sorted table order; with pushdown only the
-	// projection leaves the node — unless the processor pre-aggregates,
-	// which deliver does over every decoded column.
-	if spec.Pushdown && sc.preagg == nil {
-		batch = batch.Project(sc.projPos)
-		if len(sc.projection) < sc.t.Schema.NumFields() {
-			n := sim.Bytes(batch.ByteSize())
-			sc.procSpan("project@storage", idx, proc.ChargeLane(fabric.OpProject, n, lane), n)
-		}
-	}
-	r.out = batch
 	return r
 }
 
@@ -620,15 +585,15 @@ func (sc *segScan) emitTracked(b *columnar.Batch) error {
 // may hit a clean replica or a clean wire — while other errors (missing
 // object, exhausted transient budget) have already been through the
 // store's own retry machinery and surface as-is.
-func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *ScanStats) (*Segment, *columnar.Batch, bool, error) {
+func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *ScanStats) (*columnar.Batch, error) {
 	s, key := sc.s, sc.t.SegmentKeys[idx]
 	for attempt := 0; ; attempt++ {
-		seg, batch, processed, segErr := sc.readSegment(ctx, idx, lane, attempt, stats)
+		out, segErr := sc.readSegment(ctx, idx, lane, attempt, stats)
 		if segErr == nil {
-			return seg, batch, processed, nil
+			return out, nil
 		}
 		if !errors.Is(segErr, encoding.ErrCorrupt) || attempt >= s.store.MaxRetries {
-			return nil, nil, false, fmt.Errorf("storage: %s: %w", key, segErr)
+			return nil, fmt.Errorf("storage: %s: %w", key, segErr)
 		}
 		stats.Retries++
 		if sc.spec.Trace != nil {
@@ -636,7 +601,7 @@ func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *S
 				At: sc.spec.Clock.Now(), Detail: fmt.Sprintf("%s: %v", key, segErr)})
 		}
 		if err := s.store.backoff(ctx, attempt); err != nil {
-			return nil, nil, false, err
+			return nil, err
 		}
 	}
 }
@@ -982,29 +947,32 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 	return ctx.Err()
 }
 
-// readSegment is one attempt at reading and decoding segment key: fetch
-// the blob, unmarshal it, prune-check, charge the media and processor
-// for the needed columns, and decode them. Charges land on the devices'
-// positional lanes (serial scans pass lane 0; the media and its link
-// have one unit, so their lanes collapse either way). Corruption
-// surfaces as an error wrapping encoding.ErrCorrupt for the retry loop;
-// re-reads (attempt > 0) charge the media again and count toward
-// RetryBytes, so recovery shows up as real extra work in the meters.
-func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stats *ScanStats) (*Segment, *columnar.Batch, bool, error) {
+// readSegment is one attempt at segment idx: fetch the blob, unmarshal
+// it, prune-check (a pruned segment returns a nil batch), charge the
+// media for the needed columns, then evaluate them on the processor —
+// on encoded data when the scan asks for it and kernels exist, eagerly
+// otherwise. Either way the batch comes back filtered and projected as
+// far as the spec pushes down. Charges land on the devices' positional
+// lanes (serial scans pass lane 0; the media and its link have one unit,
+// so their lanes collapse either way). Corruption surfaces as an error
+// wrapping encoding.ErrCorrupt for the retry loop; re-reads (attempt >
+// 0) charge the media again and count toward RetryBytes, so recovery
+// shows up as real extra work in the meters.
+func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stats *ScanStats) (*columnar.Batch, error) {
 	s, spec, needed := sc.s, sc.spec, sc.needed
 	blob, err := s.store.Read(ctx, sc.t.SegmentKeys[idx], false, &stats.ReadStats)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
 	if attempt > 0 {
 		stats.RetryBytes += sim.Bytes(len(blob))
 	}
 	seg, err := UnmarshalSegment(blob)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, err
 	}
-	if !spec.DisablePruning && s.pruned(seg, spec.Filter) {
-		return seg, nil, false, nil
+	if s.pruned(seg, spec.Filter) {
+		return nil, nil
 	}
 
 	// Media reads only the needed column chunks (columnar layout +
@@ -1028,7 +996,7 @@ func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stat
 		if s.store.Faults != nil {
 			if extra := s.store.Faults.Slowdown(faults.JitterLink, s.mediaLink.Name, s.store.BaseLatency); extra > 0 {
 				if err := sleepCtx(ctx, extra); err != nil {
-					return nil, nil, false, err
+					return nil, err
 				}
 			}
 		}
@@ -1036,28 +1004,46 @@ func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stat
 
 	if spec.encodedEvalActive() {
 		out, hit, encErr := sc.segmentEncodedEval(seg, idx, lane, encoded, readCost, xferCost, stats)
-		if encErr != nil {
-			return seg, nil, false, encErr
+		if hit || encErr != nil {
+			return out, encErr
 		}
-		if hit {
-			return seg, out, true, nil
-		}
-		// No kernel for some leaf: fall through to decode-then-eval for
-		// this segment.
+		// No kernel for some leaf: decode-then-eval for this segment.
 	}
+	return sc.segmentEagerEval(seg, idx, lane, encoded, readCost, xferCost, stats)
+}
 
-	decodeCost := s.proc.ChargeLane(fabric.OpDecompress, encoded, lane)
+// segmentEagerEval is decode-then-eval for one segment: decode every
+// needed column, then — with pushdown — filter and project on the
+// processor, charging its given lane.
+func (sc *segScan) segmentEagerEval(seg *Segment, idx, lane int, encoded sim.Bytes, readCost, xferCost sim.VTime, stats *ScanStats) (*columnar.Batch, error) {
+	proc, spec := sc.s.proc, sc.spec
+	decodeCost := proc.ChargeLane(fabric.OpDecompress, encoded, lane)
 	stats.DecodedBytes += encoded
 	if sc.pipe != nil {
-		sc.pipe.segment(int64(idx), encoded, s.media.Name, s.proc.Name, "decode",
-			s.mediaLink, readCost, xferCost, decodeCost)
+		sc.pipe.segment(int64(idx), encoded, sc.s.media.Name, proc.Name, "decode",
+			sc.s.mediaLink, readCost, xferCost, decodeCost)
 	}
-
-	batch, err := seg.DecodeColumns(needed)
+	batch, err := seg.DecodeColumns(sc.needed)
 	if err != nil {
-		return seg, nil, false, err
+		return nil, err
 	}
-	return seg, batch, false, nil
+	if spec.Pushdown && sc.filter != nil {
+		n := seg.ColumnDecodedSize(spec.Filter.Columns())
+		sc.procSpan("filter@storage", idx, proc.ChargeLane(fabric.OpFilter, n, lane), n)
+		batch = batch.Filter(sc.filter.Eval(batch))
+	}
+	// Without pushdown the consumer evaluates the filter, so every
+	// needed column ships in sorted table order; with pushdown only the
+	// projection leaves the node — unless the processor pre-aggregates,
+	// which deliver does over every decoded column.
+	if spec.Pushdown && sc.preagg == nil {
+		batch = batch.Project(sc.projPos)
+		if len(sc.projection) < sc.t.Schema.NumFields() {
+			n := sim.Bytes(batch.ByteSize())
+			sc.procSpan("project@storage", idx, proc.ChargeLane(fabric.OpProject, n, lane), n)
+		}
+	}
+	return batch, nil
 }
 
 // encodedEvalActive reports whether this scan runs filters on encoded
@@ -1181,59 +1167,19 @@ func (s *Server) pruned(seg *Segment, filter expr.Predicate) bool {
 	return false
 }
 
-// neededColumns unions the projection with the filter and pre-agg
-// columns. Without pushdown the consumer evaluates the filter, so its
-// columns must ship too.
-func neededColumns(projection []int, filter expr.Predicate, preagg *expr.GroupBy, pushdown bool) []int {
-	seen := map[int]bool{}
-	var out []int
-	add := func(c int) {
-		if !seen[c] {
-			seen[c] = true
-			out = append(out, c)
-		}
-	}
+// neededColumns is the set of table columns a scan decodes: the
+// projection plus the filter's and the pre-aggregation's columns.
+// Without pushdown the consumer evaluates the filter, so its columns
+// must ship too.
+func neededColumns(numFields int, projection []int, filter expr.Predicate, preagg *expr.GroupBy, pushdown bool) []int {
 	if preagg != nil && pushdown {
 		// Pre-agg replaces projection entirely.
-		for _, c := range preagg.GroupCols {
-			add(c)
+		if cols := expr.ColumnSet(numFields, filter, preagg, nil); cols != nil {
+			return cols
 		}
-		for _, a := range preagg.Aggs {
-			if a.Func != expr.Count {
-				add(a.Col)
-			}
-		}
-		if filter != nil {
-			for _, c := range filter.Columns() {
-				add(c)
-			}
-		}
-		if len(out) == 0 {
-			// A pure COUNT(*) pre-aggregation touches no columns; one
-			// narrow column must still be decoded to drive row counts.
-			add(0)
-		}
-		sort.Ints(out)
-		return out
+		// A pure COUNT(*) pre-aggregation touches no columns; one
+		// narrow column must still be decoded to drive row counts.
+		return []int{0}
 	}
-	for _, c := range projection {
-		add(c)
-	}
-	if filter != nil {
-		for _, c := range filter.Columns() {
-			add(c)
-		}
-	}
-	if preagg != nil {
-		for _, c := range preagg.GroupCols {
-			add(c)
-		}
-		for _, a := range preagg.Aggs {
-			if a.Func != expr.Count {
-				add(a.Col)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
+	return expr.ColumnSet(numFields, filter, preagg, projection)
 }

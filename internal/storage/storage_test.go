@@ -380,18 +380,18 @@ func TestScanZoneMapPruning(t *testing.T) {
 	if totalRows(*got) != 100 {
 		t.Errorf("rows = %d, want 100", totalRows(*got))
 	}
-	// Pruning disabled reads everything.
+	// A range every segment overlaps prunes nothing and reads everything.
 	emit2, got2 := collect(t)
-	spec.DisablePruning = true
+	spec.Filter = expr.NewBetween(0, 0, 9999)
 	stats2, err := srv.Scan(context.Background(), "lineitem", spec, emit2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats2.SegmentsPruned != 0 {
-		t.Errorf("pruning disabled but pruned %d", stats2.SegmentsPruned)
+		t.Errorf("all-overlapping range pruned %d segments", stats2.SegmentsPruned)
 	}
-	if totalRows(*got2) != 100 {
-		t.Errorf("rows = %d, want 100 either way", totalRows(*got2))
+	if totalRows(*got2) != 10000 {
+		t.Errorf("rows = %d, want 10000", totalRows(*got2))
 	}
 	if stats2.MediaBytes <= stats.MediaBytes {
 		t.Error("pruning did not reduce media bytes")

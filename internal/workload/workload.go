@@ -5,11 +5,8 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/columnar"
 	"repro/internal/expr"
-	"repro/internal/plan"
 	"repro/internal/sim"
 )
 
@@ -95,24 +92,6 @@ func GenLineitem(cfg LineitemConfig) *columnar.Batch {
 		)
 	}
 	return b
-}
-
-// LineitemStats derives planner statistics for a generated lineitem.
-func LineitemStats(cfg LineitemConfig) plan.TableStats {
-	st := plan.StatsFromSchema(LineitemSchema())
-	st.Rows = int64(cfg.Rows)
-	st.Distinct[LOrderKey] = cfg.Orders
-	st.Distinct[LPartKey] = cfg.Parts
-	st.Distinct[LSuppKey] = cfg.Suppliers
-	st.Distinct[LQuantity] = 50
-	st.Distinct[LShipDate] = cfg.ShipDays
-	st.Distinct[LReturnFlag] = 3
-	st.MinInt[LQuantity], st.MaxInt[LQuantity], st.IntBounds[LQuantity] = 1, 50, true
-	st.MinInt[LShipDate], st.MaxInt[LShipDate], st.IntBounds[LShipDate] = 0, cfg.ShipDays-1, true
-	st.MinInt[LOrderKey], st.MaxInt[LOrderKey], st.IntBounds[LOrderKey] = 0, cfg.Orders-1, true
-	st.ColBytes[LReturnFlag] = 17 // 1-byte strings + header
-	st.ColBytes[LComment] = 32
-	return st
 }
 
 // Orders column indices.
@@ -236,9 +215,4 @@ func KVGroupBy() expr.GroupBy {
 		GroupCols: []int{0},
 		Aggs:      []expr.AggSpec{{Func: expr.Count}, {Func: expr.Sum, Col: 1}},
 	}
-}
-
-// Describe renders a config compactly for experiment tables.
-func (cfg LineitemConfig) Describe() string {
-	return fmt.Sprintf("lineitem rows=%d parts=%d", cfg.Rows, cfg.Parts)
 }

@@ -72,20 +72,6 @@ func TestPartKeySkew(t *testing.T) {
 	}
 }
 
-func TestLineitemStats(t *testing.T) {
-	cfg := DefaultLineitemConfig(5000)
-	st := LineitemStats(cfg)
-	if st.Rows != 5000 {
-		t.Errorf("Rows = %d", st.Rows)
-	}
-	if st.Distinct[LReturnFlag] != 3 || !st.IntBounds[LQuantity] {
-		t.Error("stats fields wrong")
-	}
-	if st.RowBytes(nil) <= 0 {
-		t.Error("RowBytes <= 0")
-	}
-}
-
 func TestGenOrders(t *testing.T) {
 	b := GenOrders(500, 7)
 	if b.NumRows() != 500 {
@@ -143,7 +129,9 @@ func TestSelectivityFilter(t *testing.T) {
 
 func TestSelectivityEstimateAgreesWithActual(t *testing.T) {
 	cfg := DefaultLineitemConfig(50000)
-	st := LineitemStats(cfg)
+	st := plan.StatsFromSchema(LineitemSchema())
+	st.Rows = int64(cfg.Rows)
+	st.MinInt[LShipDate], st.MaxInt[LShipDate], st.IntBounds[LShipDate] = 0, cfg.ShipDays-1, true
 	p := SelectivityFilter(cfg, 0.1)
 	est := plan.EstimateSelectivity(p, st)
 	if est < 0.05 || est > 0.2 {
@@ -159,8 +147,5 @@ func TestQueryTemplates(t *testing.T) {
 	pv := PartVolume()
 	if pv.GroupCols[0] != LPartKey {
 		t.Error("PartVolume shape wrong")
-	}
-	if DefaultLineitemConfig(10).Describe() == "" {
-		t.Error("Describe empty")
 	}
 }
