@@ -11,6 +11,10 @@
 // Hardware" (Lerner & Alonso, ICDE 2024) and prints the rows the paper's
 // argument predicts.
 //
+// The experiments are experiments.Catalogue, in its order; -list prints
+// it, marking with [wall-clock] the entries whose numbers differ from
+// run to run (every other table is byte-identical across runs).
+//
 // -trace FILE writes a Chrome/Perfetto trace (load at ui.perfetto.dev)
 // of the E20 staged-overlap run: both engines' virtual-time timelines as
 // separate processes. Traces are deterministic for a fixed -rows, so CI
@@ -36,9 +40,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
 	"repro/internal/obs/metrics"
-	"repro/internal/sim"
 )
 
 var (
@@ -117,286 +119,38 @@ func snapshotLoop(path string, interval time.Duration, stop <-chan struct{}, don
 	}
 }
 
-// workerSweep translates -workers into E22's sweep; nil means the
-// experiment default.
-func workerSweep() ([]int, error) {
-	if *workersFlag == "" {
+// intList parses a comma-separated list of positive integers; empty
+// means nil, the experiment's default.
+func intList(flagName, s string) ([]int, error) {
+	if s == "" {
 		return nil, nil
 	}
-	var sweep []int
-	for _, s := range strings.Split(*workersFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
+	var out []int
+	for _, f := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad -workers entry %q", s)
+			return nil, fmt.Errorf("bad -%s entry %q", flagName, f)
 		}
-		sweep = append(sweep, n)
+		out = append(out, n)
 	}
-	return sweep, nil
+	return out, nil
 }
 
-// e21Options translates the command-line flags into E21's knobs.
-func e21Options() (experiments.E21Options, error) {
-	opts := experiments.E21Options{Deadline: *deadline}
-	if *offeredLoad != "" {
-		for _, s := range strings.Split(*offeredLoad, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n <= 0 {
-				return opts, fmt.Errorf("bad -offered-load entry %q", s)
-			}
-			opts.OfferedLoads = append(opts.OfferedLoads, n)
-		}
+// options translates the command-line flags into the experiments'
+// options.
+func options() (experiments.Options, error) {
+	opts := experiments.Options{
+		E21: experiments.E21Options{Deadline: *deadline},
+		E24: experiments.E24Options{NoHedge: !*hedgeFlag},
+		E25: experiments.E25Options{Registry: serveReg},
+		E26: experiments.E26Options{NoHeal: !*scrubFlag},
 	}
-	return opts, nil
-}
-
-type experiment struct {
-	id   string
-	desc string
-	run  func(rows int) (*experiments.Table, error)
-}
-
-func registry() []experiment {
-	return []experiment{
-		{"E1", "conventional data path (Figure 1)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E1ConventionalPath(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E2", "storage pushdown (Figure 2)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E2StoragePushdown(rows, []float64{0.001, 0.01, 0.1, 0.5, 1.0})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E3", "NIC hashing pipeline (Figure 3)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E3NICHashPipeline(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E4", "staged pre-aggregation (Section 4.4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E4StagedPreAgg(rows, []int64{10, 100, 10000, 1000000})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E5", "NIC-scattered partitioned join (Figure 4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E5PartitionedJoin(rows/10+1, rows, 4)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E6", "COUNT on the data path (Section 4.4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E6NICCount(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E7", "near-memory filtering (Figure 5)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E7NearMemoryFilter(rows, []float64{0.001, 0.01, 0.1, 0.5, 1.0}, false)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E7c", "near-memory filtering, compressed-resident (Section 5.4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E7NearMemoryFilter(rows, []float64{0.01, 0.1, 0.5}, true)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E8", "pointer chasing, local memory (Section 5.4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E8PointerChase([]int{1000, 100000, 1000000}, false)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E8r", "pointer chasing, disaggregated memory (Section 5.4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E8PointerChase([]int{1000, 100000, 1000000}, true)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E9", "coherency protocols across interconnects (Section 6)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E9CXLCoherency(rows, 0.1)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E10", "full data-path pipeline (Figure 6)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E10FullPipeline(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E11", "credit-based flow control (Section 7.1)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E11CreditFlow(rows / 10)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E12", "interference-aware scheduling (Section 7.3)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E12Interference(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E13", "no more buffer pools (Section 7.4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E13NoBufferPool([]int{rows / 4, rows / 2, rows}, 2*sim.MB)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E14", "no more data caches (Section 7.5)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E14NoDataCache(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E15", "kernel installation overhead (Section 7.2)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E15KernelSetup([]sim.Bytes{64 * sim.KB, sim.MB, 64 * sim.MB, sim.GB})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E16", "cache and TLB stalls (Section 5.1)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E16CacheStalls()
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E17", "disaggregated memory with operator offloading (Section 5.3)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E17DisaggregatedMemory(rows, []float64{0.001, 0.01, 0.1, 0.5, 1.0})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E18", "HTAP format transposition (Section 5.4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E18HTAPTranspose([]int{rows / 4, rows, rows * 4})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E19", "availability under injected faults (robustness)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E19Availability(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E20", "staged pipeline overlap from virtual-time traces (Section 4)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E20StageOverlap(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E21", "query lifecycle: recovery waste and overload shedding (robustness)", func(rows int) (*experiments.Table, error) {
-			opts, err := e21Options()
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.E21Lifecycle(rows, opts)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E22", "morsel-driven intra-query parallelism: speedup vs workers", func(rows int) (*experiments.Table, error) {
-			sweep, err := workerSweep()
-			if err != nil {
-				return nil, err
-			}
-			r, err := experiments.E22Parallelism(rows, sweep)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E23", "decode-cost elimination: encoded predicate eval vs eager decode", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E23EncodedEval(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E24", "tail latency under gray failure: hedged reads + speculation (robustness)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E24TailLatency(rows, experiments.E24Options{NoHedge: !*hedgeFlag})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E25", "fleet telemetry: overhead, histogram accuracy, SLO-led shedding (observability)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E25Telemetry(rows, experiments.E25Options{Registry: serveReg})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"E26", "self-healing storage: scrub + read-repair + re-replication under SLO throttling (robustness)", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.E26SelfHeal(rows, experiments.E26Options{NoHeal: !*scrubFlag})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"A1", "ablation: wire compression vs network speed", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.A1WireCompression(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"A2", "ablation: NIC generation sweep", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.A2NICTierSweep(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"A3", "ablation: zone-map pruning vs segment size", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.A3SegmentSize(rows)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"A4", "ablation: pre-aggregation state budget", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.A4StateBudget(rows, int64(rows)/3)
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
-		{"A5", "ablation: distributed group-by scale-out", func(rows int) (*experiments.Table, error) {
-			r, err := experiments.A5ScaleOut(rows, []int{1, 2, 4, 8})
-			if err != nil {
-				return nil, err
-			}
-			return r.Table, nil
-		}},
+	var err error
+	if opts.E21.OfferedLoads, err = intList("offered-load", *offeredLoad); err != nil {
+		return opts, err
 	}
+	opts.Workers, err = intList("workers", *workersFlag)
+	return opts, err
 }
 
 // jsonEntry is one experiment's slice of the -json perf artifact. All
@@ -409,18 +163,12 @@ type jsonEntry struct {
 }
 
 func writeTraceFile(path string, rows int) error {
-	r, err := experiments.E20StageOverlap(rows)
-	if err != nil {
-		return err
-	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return obs.WritePerfetto(f,
-		obs.Process{Name: "dataflow", Trace: r.DataFlowTrace},
-		obs.Process{Name: "volcano", Trace: r.VolcanoTrace})
+	return experiments.WriteOverlapTrace(f, rows)
 }
 
 func writeJSONFile(path string, rows int, workers []int, entries []jsonEntry) error {
@@ -446,15 +194,23 @@ func main() {
 	jsonPath := flag.String("json", "", "write executed experiments' metrics to FILE (e.g. BENCH_results.json)")
 	flag.Parse()
 
-	exps := registry()
 	if *list {
-		for _, e := range exps {
-			fmt.Printf("%-4s %s\n", e.id, e.desc)
+		for _, e := range experiments.Catalogue {
+			mark := ""
+			if e.WallClock {
+				mark = "  [wall-clock]"
+			}
+			fmt.Printf("%-4s %s%s\n", e.ID, e.Desc, mark)
 		}
 		return
 	}
 	if *metricsAddr != "" || *metricsJSON != "" {
 		serveReg = metrics.New()
+	}
+	opts, err := options()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	if *metricsAddr != "" {
 		bound, err := serveMetrics(*metricsAddr)
@@ -478,13 +234,13 @@ func main() {
 	}
 	failed := false
 	var entries []jsonEntry
-	for _, e := range exps {
-		if len(want) > 0 && !want[e.id] {
+	for _, e := range experiments.Catalogue {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
-		t, err := e.run(*rows)
+		t, err := e.Run(*rows, opts)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.ID, err)
 			failed = true
 			continue
 		}
@@ -500,13 +256,9 @@ func main() {
 		}
 	}
 	if *jsonPath != "" {
-		sweep, err := workerSweep()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		sweep := opts.Workers
 		if sweep == nil && (len(want) == 0 || want["E22"]) {
-			sweep = experiments.E22Workers
+			sweep = experiments.DefaultWorkers
 		}
 		if err := writeJSONFile(*jsonPath, *rows, sweep, entries); err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)

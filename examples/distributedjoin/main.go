@@ -27,21 +27,14 @@ func main() {
 
 	for _, nodes := range []int{2, 4, 8} {
 		for _, onNIC := range []bool{true, false} {
-			cfg := netsim.DistJoinConfig{
-				BuildKey: 0, ProbeKey: 0,
-				ScatterOnNIC: onNIC,
-				BatchRows:    1024,
-			}
+			cfg := netsim.DistJoinConfig{BuildKey: 0, ProbeKey: 0, BatchRows: 1024}
 			if onNIC {
 				cfg.ScatterDevice = fabric.NewSmartNIC("scatter-nic", sim.GbitPerSec(400))
 			} else {
 				cfg.ScatterDevice = fabric.NewCPU("scatter-cpu", 8)
 			}
 			for i := 0; i < nodes; i++ {
-				cfg.Nodes = append(cfg.Nodes, netsim.JoinNode{
-					Name: fmt.Sprintf("node%d", i),
-					CPU:  fabric.NewCPU(fmt.Sprintf("cpu%d", i), 8),
-				})
+				cfg.Nodes = append(cfg.Nodes, fabric.NewCPU(fmt.Sprintf("cpu%d", i), 8))
 				cfg.Paths = append(cfg.Paths, []*fabric.Link{{
 					Name: fmt.Sprintf("eth%d", i), A: "switch", B: fmt.Sprintf("node%d", i),
 					Bandwidth: sim.GbitPerSec(400), Latency: fabric.RDMALatency,

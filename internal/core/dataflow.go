@@ -102,6 +102,7 @@ func NewDataFlowEngine(c *fabric.Cluster) *DataFlowEngine {
 // so placement scoring sees gray failures the moment they trip.
 func (e *DataFlowEngine) EnableResilience(p *resilience.Policy) {
 	e.engineBase.EnableResilience(p)
+	e.Repair.AttachResilience(p)
 	if p == nil {
 		e.Scheduler.Breakers = nil
 		return
@@ -125,8 +126,9 @@ func (e *DataFlowEngine) EnableResilience(p *resilience.Policy) {
 // controller shares the engine's resilience policy (corrupt replicas
 // strike health and breakers), its SLO tracker (BurnMax pauses repair
 // while the foreground misses its objective), its scheduler's repair
-// admission class, and its metrics registry (durability gauges). Call
-// after EnableResilience / SetMetrics so the collaborators exist.
+// admission class, and its metrics registry (durability gauges);
+// EnableResilience, SetSLO and SetMetrics re-attach theirs, so the order
+// of the calls does not matter.
 func (e *DataFlowEngine) EnableRepair(cfg repair.Config) *repair.Controller {
 	store := e.Storage.Store()
 	c := repair.New(store, cfg)

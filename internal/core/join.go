@@ -63,15 +63,11 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 		BuildKey:      jq.BuildKey,
 		ProbeKey:      jq.ProbeKey,
 		ScatterDevice: scatter,
-		ScatterOnNIC:  scatter.Kind == fabric.KindSmartNIC,
 		BatchRows:     storage.DefaultBatchRows,
 		Workers:       e.Workers,
 	}
 	for i := 0; i < nodes; i++ {
-		cfg.Nodes = append(cfg.Nodes, netsim.JoinNode{
-			Name: fabric.ComputeDev(i, "cpu"),
-			CPU:  e.Cluster.ComputeCPU(i),
-		})
+		cfg.Nodes = append(cfg.Nodes, e.Cluster.ComputeCPU(i))
 		path, err := e.Cluster.Path(scatter.Name, fabric.ComputeDev(i, "cpu"))
 		if err != nil {
 			return nil, err

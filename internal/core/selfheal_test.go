@@ -10,6 +10,7 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/obs/metrics"
 	"repro/internal/plan"
 	"repro/internal/repair"
 	"repro/internal/resilience"
@@ -37,6 +38,27 @@ func buildSelfHealEngine(t *testing.T, replicas int, data *columnar.Batch) *Data
 		t.Fatal(err)
 	}
 	return df
+}
+
+// damageDetectably corrupts replica 0 of lineitem's segments, in key
+// order, until one flip is detectable: a flip can land in framing bytes
+// no column checksum covers, which verification cannot see by
+// construction.
+func damageDetectably(t *testing.T, store *storage.ObjectStore) {
+	t.Helper()
+	for _, key := range store.List("lineitem/") {
+		if !store.CorruptReplica(key, 0) {
+			t.Fatalf("could not damage %s", key)
+		}
+		raw, err := store.ReadReplicaRaw(context.Background(), key, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if storage.VerifySegmentBlob(raw) != nil {
+			return
+		}
+	}
+	t.Fatal("no segment took detectable damage")
 }
 
 // Deterministic read-repair under concurrency: a third of replica 0's
@@ -173,6 +195,49 @@ func TestSelfHealReadRepairConservation(t *testing.T) {
 	}
 }
 
+// The repair controller follows the engine's collaborators whichever
+// order they are wired in: a registry and an SLO tracker installed after
+// EnableRepair still receive the durability gauges and still pause
+// repair while the foreground burns its budget.
+func TestEnableRepairBeforeCollaborators(t *testing.T) {
+	data := workload.GenLineitem(workload.DefaultLineitemConfig(testRows))
+	df := buildSelfHealEngine(t, 2, data)
+	ctrl := df.EnableRepair(repair.Config{BurnMax: 1, Interval: time.Hour})
+	reg := metrics.New()
+	slo := metrics.NewSLOTracker(time.Millisecond, 0.99)
+	df.SetMetrics(reg)
+	df.SetSLO(slo, 0)
+
+	damageDetectably(t, df.Storage.Store())
+	if sum := ctrl.ScrubPass(context.Background()); sum.Healed == 0 {
+		t.Fatalf("scrub = %+v, want a heal", sum)
+	}
+	// Run publishes the gauges after each pass, then waits out its
+	// interval until the deadline stops it.
+	runCtx, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	ctrl.Run(runCtx)
+	stop()
+	if got, want := reg.Gauge("durability.scrubbed").Value(), float64(ctrl.Stats().Scrubbed); got != want || got == 0 {
+		t.Errorf("durability.scrubbed on the late registry = %v, want %v", got, want)
+	}
+
+	// The foreground misses its objective: repair defers instead of
+	// scrubbing until the deadline gives up.
+	for i := 0; i < 10; i++ {
+		slo.Observe(time.Second)
+	}
+	before := ctrl.Stats().Scrubbed
+	burnCtx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	ctrl.ScrubPass(burnCtx)
+	if got := ctrl.Stats().Scrubbed; got != before {
+		t.Errorf("scrub verified %d blobs under a burning SLO, want 0", got-before)
+	}
+	if reg.Counter("repair.deferred.burn").Value() == 0 {
+		t.Error("repair.deferred.burn not raised on the late registry")
+	}
+}
+
 // The baseline reports the store's self-healing work the way the
 // data-flow engine does: a corrupt replica under a Volcano query shows
 // up in Stats.Scan as the discarded read and the write-back it
@@ -189,25 +254,7 @@ func TestSelfHealVolcanoReportsStoreAccount(t *testing.T) {
 	if err := vo.Load("lineitem", data); err != nil {
 		t.Fatal(err)
 	}
-	// A flip can land in framing bytes no column checksum covers; take
-	// the first segment whose damage is detectable.
-	damaged := false
-	for _, key := range store.List("lineitem/") {
-		if !store.CorruptReplica(key, 0) {
-			t.Fatalf("could not damage %s", key)
-		}
-		raw, err := store.ReadReplicaRaw(context.Background(), key, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if storage.VerifySegmentBlob(raw) != nil {
-			damaged = true
-			break
-		}
-	}
-	if !damaged {
-		t.Fatal("no segment took detectable damage")
-	}
+	damageDetectably(t, store)
 
 	res, err := vo.Execute(context.Background(), plan.NewQuery("lineitem").WithCount())
 	if err != nil {

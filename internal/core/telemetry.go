@@ -46,6 +46,7 @@ func TenantFrom(ctx context.Context) string {
 func (e *DataFlowEngine) SetMetrics(r *metrics.Registry) {
 	e.engineBase.SetMetrics(r)
 	e.Scheduler.Metrics = r
+	e.Repair.AttachMetrics(r)
 }
 
 // SetSLO wires a latency SLO into the control loop: every finished
@@ -57,6 +58,7 @@ func (e *DataFlowEngine) SetSLO(t *metrics.SLOTracker, shedBurn float64) {
 	e.SLO = t
 	e.Scheduler.SLO = t
 	e.Scheduler.SLOShedBurnRate = shedBurn
+	e.Repair.AttachSLO(t)
 }
 
 // enginePublisher is the per-engine fast path for landing a finished

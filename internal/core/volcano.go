@@ -264,6 +264,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	acct := volcanoAccountFrom(ctx)
+	keys := e.Storage.SegmentKeys(meta)
 	var next atomic.Int64
 	results := make(chan item, 2*workers)
 	var wg sync.WaitGroup
@@ -273,10 +274,10 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 			defer wg.Done()
 			for {
 				idx := int(next.Add(1) - 1)
-				if idx >= len(meta.SegmentKeys) || ctx.Err() != nil {
+				if idx >= len(keys) || ctx.Err() != nil {
 					return
 				}
-				b, err := e.pullSegment(ctx, acct, meta.SegmentKeys[idx], idx%workers)
+				b, err := e.pullSegment(ctx, acct, keys[idx], idx%workers)
 				select {
 				case results <- item{idx: idx, batch: b, err: err}:
 				case <-ctx.Done():
@@ -296,7 +297,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 	want := 0
 	return exec.NewFuncScan(meta.Schema, func() (*columnar.Batch, error) {
 		for {
-			if want >= len(meta.SegmentKeys) {
+			if want >= len(keys) {
 				return nil, nil
 			}
 			if it, ok := pend[want]; ok {
@@ -325,14 +326,15 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 func (e *VolcanoEngine) serialScan(ctx context.Context, meta *storage.TableMeta, peak *sim.Bytes) exec.Iterator {
 	idx := 0
 	acct := volcanoAccountFrom(ctx)
+	keys := e.Storage.SegmentKeys(meta)
 	return exec.NewFuncScan(meta.Schema, func() (*columnar.Batch, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if idx >= len(meta.SegmentKeys) {
+		if idx >= len(keys) {
 			return nil, nil
 		}
-		b, err := e.pullSegment(ctx, acct, meta.SegmentKeys[idx], 0)
+		b, err := e.pullSegment(ctx, acct, keys[idx], 0)
 		idx++
 		if err != nil {
 			return nil, err

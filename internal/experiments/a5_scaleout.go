@@ -21,8 +21,8 @@ type A5Row struct {
 
 // A5Result carries the scale-out sweep.
 type A5Result struct {
-	Table *Table
-	Rows  []A5Row
+	*Table
+	Rows []A5Row
 }
 
 // A5ScaleOut sweeps the distributed group-by (the Figure 4 pipeline

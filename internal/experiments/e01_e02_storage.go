@@ -13,7 +13,7 @@ import (
 
 // E1Result carries the conventional-path measurements for assertions.
 type E1Result struct {
-	Table     *Table
+	*Table
 	TableSize sim.Bytes
 	HopBytes  map[string]sim.Bytes
 }
@@ -74,8 +74,8 @@ type E2Row struct {
 
 // E2Result carries the Figure 2 sweep.
 type E2Result struct {
-	Table *Table
-	Rows  []E2Row
+	*Table
+	Rows []E2Row
 }
 
 // E2StoragePushdown reproduces Figure 2: offloading selection and
@@ -103,20 +103,11 @@ func E2StoragePushdown(rows int, selectivities []float64) (*E2Result, error) {
 		q := plan.NewQuery("lineitem").
 			WithFilter(workload.SelectivityFilter(cfg, sel)).
 			WithProjection(workload.LOrderKey, workload.LExtendedPrice)
-		variants, err := eng.Plan(q, 0)
+		cpuRes, err := runNamed(eng, q, "cpu-only")
 		if err != nil {
 			return nil, err
 		}
-		cpuOnly := pickVariant(variants, named("cpu-only"))
-		pushdown := pickVariant(variants, named("storage-pushdown", "full-offload"))
-		if cpuOnly == nil || pushdown == nil {
-			return nil, fmt.Errorf("experiments: missing variants for E2")
-		}
-		cpuRes, err := eng.ExecutePlan(context.Background(), cpuOnly)
-		if err != nil {
-			return nil, err
-		}
-		pdRes, err := eng.ExecutePlan(context.Background(), pushdown)
+		pdRes, err := runNamed(eng, q, "storage-pushdown", "full-offload")
 		if err != nil {
 			return nil, err
 		}

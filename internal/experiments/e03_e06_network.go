@@ -18,7 +18,7 @@ import (
 
 // E3Result carries the Figure 3 pipeline measurements.
 type E3Result struct {
-	Table       *Table
+	*Table
 	CPUBusyNIC  sim.VTime // compute-CPU busy when the NIC hashes
 	CPUBusyCPU  sim.VTime // compute-CPU busy when the CPU hashes
 	HashesAgree bool
@@ -127,8 +127,8 @@ type E4Row struct {
 
 // E4Result carries the staged pre-aggregation sweep.
 type E4Result struct {
-	Table *Table
-	Rows  []E4Row
+	*Table
+	Rows []E4Row
 	// ChosenLow/ChosenHigh are the variants the optimizer itself picks
 	// at the lowest and highest cardinality — it must ride the
 	// crossover.
@@ -165,15 +165,11 @@ func E4StagedPreAgg(rows int, cardinalities []int64) (*E4Result, error) {
 		if groups == cardinalities[len(cardinalities)-1] {
 			res.ChosenHigh = variants[0].Variant
 		}
-		full, cpuOnly := pickVariant(variants, named("full-offload")), pickVariant(variants, named("cpu-only"))
-		if full == nil || cpuOnly == nil {
-			return nil, fmt.Errorf("experiments: E4 variants missing")
-		}
-		fullRes, err := eng.ExecutePlan(context.Background(), full)
+		fullRes, err := runNamed(eng, q, "full-offload")
 		if err != nil {
 			return nil, err
 		}
-		cpuRes, err := eng.ExecutePlan(context.Background(), cpuOnly)
+		cpuRes, err := runNamed(eng, q, "cpu-only")
 		if err != nil {
 			return nil, err
 		}
@@ -203,7 +199,7 @@ func cpuRowsConsumed(r *core.Result) int64 {
 
 // E5Result carries the distributed-join comparison.
 type E5Result struct {
-	Table    *Table
+	*Table
 	NICMode  netsim.DistJoinResult
 	CPUMode  netsim.DistJoinResult
 	NICCPUBy sim.Bytes // bytes CPUs touched, NIC scatter
@@ -218,14 +214,14 @@ func E5PartitionedJoin(buildRows, probeRows, nodes int) (*E5Result, error) {
 	probe := []*columnar.Batch{workload.GenKV(workload.KVConfig{Rows: probeRows, Keys: int64(buildRows) * 2, Seed: 4})}
 
 	run := func(onNIC bool) (netsim.DistJoinResult, sim.Bytes, error) {
-		cfg := netsim.DistJoinConfig{BuildKey: 0, ProbeKey: 0, ScatterOnNIC: onNIC, BatchRows: 1024}
+		cfg := netsim.DistJoinConfig{BuildKey: 0, ProbeKey: 0, BatchRows: 1024}
 		if onNIC {
 			cfg.ScatterDevice = fabric.NewSmartNIC("scatter-nic", sim.GbitPerSec(400))
 		} else {
 			cfg.ScatterDevice = fabric.NewCPU("scatter-cpu", 8)
 		}
 		for i := 0; i < nodes; i++ {
-			cfg.Nodes = append(cfg.Nodes, netsim.JoinNode{Name: fmt.Sprintf("n%d", i), CPU: fabric.NewCPU("cpu", 8)})
+			cfg.Nodes = append(cfg.Nodes, fabric.NewCPU("cpu", 8))
 			cfg.Paths = append(cfg.Paths, []*fabric.Link{{
 				Name: "eth", A: "sw", B: "n", Bandwidth: sim.GbitPerSec(400), Latency: fabric.RDMALatency,
 			}})
@@ -267,7 +263,7 @@ func E5PartitionedJoin(buildRows, probeRows, nodes int) (*E5Result, error) {
 
 // E6Result carries the NIC-count measurements.
 type E6Result struct {
-	Table      *Table
+	*Table
 	Count      int64
 	SmartNet   sim.Bytes
 	SmartHost  sim.Bytes // bytes entering compute-node memory

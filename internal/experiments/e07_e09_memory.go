@@ -22,8 +22,8 @@ type E7Row struct {
 
 // E7Result carries the Figure 5 sweep.
 type E7Result struct {
-	Table *Table
-	Rows  []E7Row
+	*Table
+	Rows []E7Row
 }
 
 // E7NearMemoryFilter reproduces Figure 5 / Section 5.2: filtering at the
@@ -93,8 +93,8 @@ type E8Row struct {
 
 // E8Result carries the pointer-chasing sweep.
 type E8Result struct {
-	Table *Table
-	Rows  []E8Row
+	*Table
+	Rows []E8Row
 }
 
 // E8PointerChase reproduces Section 5.4's pointer-chasing unit: the
@@ -169,8 +169,8 @@ type E9Row struct {
 
 // E9Result carries the coherency comparison.
 type E9Result struct {
-	Table *Table
-	Rows  []E9Row
+	*Table
+	Rows []E9Row
 }
 
 // E9CXLCoherency reproduces Section 6: the same shared-region workload

@@ -15,7 +15,7 @@ import (
 
 // E10Result carries the full-pipeline comparison.
 type E10Result struct {
-	Table    *Table
+	*Table
 	DataFlow core.ExecStats
 	CPUOnly  core.ExecStats
 	Volcano  core.ExecStats
@@ -35,19 +35,11 @@ func E10FullPipeline(rows int) (*E10Result, error) {
 	if err := loadDataFlow(df, "lineitem", data); err != nil {
 		return nil, err
 	}
-	variants, err := df.Plan(q, 0)
+	fullRes, err := runNamed(df, q, "full-offload")
 	if err != nil {
 		return nil, err
 	}
-	full, cpuOnly := pickVariant(variants, named("full-offload")), pickVariant(variants, named("cpu-only"))
-	if full == nil || cpuOnly == nil {
-		return nil, fmt.Errorf("experiments: E10 variants missing")
-	}
-	fullRes, err := df.ExecutePlan(context.Background(), full)
-	if err != nil {
-		return nil, err
-	}
-	cpuRes, err := df.ExecutePlan(context.Background(), cpuOnly)
+	cpuRes, err := runNamed(df, q, "cpu-only")
 	if err != nil {
 		return nil, err
 	}
@@ -94,8 +86,8 @@ type E11Row struct {
 
 // E11Result carries the flow-control sweep.
 type E11Result struct {
-	Table *Table
-	Rows  []E11Row
+	*Table
+	Rows []E11Row
 }
 
 // E11CreditFlow reproduces Section 7.1: credit-based flow control is
@@ -153,7 +145,7 @@ func E11CreditFlow(batches int) (*E11Result, error) {
 
 // E12Result carries the interference comparison.
 type E12Result struct {
-	Table         *Table
+	*Table
 	NaiveTime     sim.VTime // both queries forced onto one node, no limits
 	ScheduledTime sim.VTime // scheduler steering + fair sharing
 	NaiveVariants [2]string
@@ -267,8 +259,8 @@ type E13Row struct {
 
 // E13Result carries the buffer-pool comparison.
 type E13Result struct {
-	Table *Table
-	Rows  []E13Row
+	*Table
+	Rows []E13Row
 }
 
 // E13NoBufferPool reproduces Section 7.4: the data-flow engine's
@@ -328,7 +320,7 @@ func E13NoBufferPool(sizes []int, poolBytes sim.Bytes) (*E13Result, error) {
 
 // E14Result carries the cache-elimination comparison.
 type E14Result struct {
-	Table       *Table
+	*Table
 	ColdVolcano sim.VTime
 	WarmVolcano sim.VTime
 	DataFlow    sim.VTime
@@ -400,8 +392,8 @@ type E15Row struct {
 
 // E15Result carries the kernel-setup overheads.
 type E15Result struct {
-	Table *Table
-	Rows  []E15Row
+	*Table
+	Rows []E15Row
 }
 
 // E15KernelSetup quantifies Section 7.2's point that accelerators are

@@ -26,8 +26,8 @@ type E16Row struct {
 
 // E16Result carries the Section 5.1 cache/TLB measurements.
 type E16Result struct {
-	Table *Table
-	Rows  []E16Row
+	*Table
+	Rows []E16Row
 	// CPUHierTime/NearHierTime compare the cache-hierarchy time of a
 	// 5%-selective filter when all bytes enter the caches vs when only
 	// survivors do.
@@ -98,8 +98,8 @@ type A1Row struct {
 
 // A1Result carries the wire-compression ablation.
 type A1Result struct {
-	Table *Table
-	Rows  []A1Row
+	*Table
+	Rows []A1Row
 }
 
 // A1WireCompression is the ablation behind the paper's Section 2.2
@@ -170,8 +170,8 @@ type A2Row struct {
 
 // A2Result carries the NIC-tier ablation.
 type A2Result struct {
-	Table *Table
-	Rows  []A2Row
+	*Table
+	Rows []A2Row
 }
 
 // A2NICTierSweep runs the Figure 6 pipeline across NIC generations
@@ -194,12 +194,8 @@ func A2NICTierSweep(rows int) (*A2Result, error) {
 			return nil, err
 		}
 		q := plan.NewQuery("lineitem").WithProjection(workload.LOrderKey, workload.LQuantity, workload.LExtendedPrice)
-		variants, err := eng.Plan(q, 0)
-		if err != nil {
-			return nil, err
-		}
 		// cpu-only ships everything: network-sensitive.
-		r, err := eng.ExecutePlan(context.Background(), pickVariant(variants, named("cpu-only")))
+		r, err := runNamed(eng, q, "cpu-only")
 		if err != nil {
 			return nil, err
 		}
@@ -233,8 +229,8 @@ type A3Row struct {
 
 // A3Result carries the segment-size ablation.
 type A3Result struct {
-	Table *Table
-	Rows  []A3Row
+	*Table
+	Rows []A3Row
 }
 
 // A3SegmentSize ablates the zone-map granularity (Section 3.2: cloud
@@ -296,8 +292,8 @@ type A4Row struct {
 
 // A4Result carries the pre-aggregation budget ablation.
 type A4Result struct {
-	Table *Table
-	Rows  []A4Row
+	*Table
+	Rows []A4Row
 }
 
 // A4StateBudget ablates the in-path state budget (Section 3.3: in-path

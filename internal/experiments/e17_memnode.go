@@ -23,8 +23,8 @@ type E17Row struct {
 
 // E17Result carries the Section 5.3 scenario.
 type E17Result struct {
-	Table *Table
-	Rows  []E17Row
+	*Table
+	Rows []E17Row
 }
 
 // E17DisaggregatedMemory reproduces Section 5.3 (the Farview-style

@@ -20,8 +20,8 @@ type E18Row struct {
 
 // E18Result carries the format-conversion comparison.
 type E18Result struct {
-	Table *Table
-	Rows  []E18Row
+	*Table
+	Rows []E18Row
 }
 
 // E18HTAPTranspose reproduces Section 5.4's data-transposition unit:

@@ -29,8 +29,8 @@ type E19Row struct {
 
 // E19Result carries the availability comparison.
 type E19Result struct {
-	Table *Table
-	Rows  []E19Row
+	*Table
+	Rows []E19Row
 	// Schedules holds the data-flow injector's rendered fault schedule
 	// per rate bucket, and VoSchedules the volcano injector's. With a
 	// fixed seed both are byte-identical across runs for every bucket

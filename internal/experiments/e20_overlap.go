@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -19,7 +20,7 @@ const e20SegmentRows = 8192
 
 // E20Result carries the staged-overlap traces for assertions.
 type E20Result struct {
-	Table *Table
+	*Table
 
 	DataFlowTrace *obs.Trace
 	VolcanoTrace  *obs.Trace
@@ -97,4 +98,17 @@ func E20StageOverlap(rows int) (*E20Result, error) {
 	res.Table.SetMetric("dataflow_makespan_vns", float64(dfRes.Trace.Makespan()))
 	res.Table.SetMetric("volcano_makespan_vns", float64(voRes.Trace.Makespan()))
 	return res, nil
+}
+
+// WriteOverlapTrace runs E20 and writes both engines' virtual-time
+// timelines to w as one Chrome/Perfetto trace, one process per engine
+// (dfbench -trace).
+func WriteOverlapTrace(w io.Writer, rows int) error {
+	r, err := E20StageOverlap(rows)
+	if err != nil {
+		return err
+	}
+	return obs.WritePerfetto(w,
+		obs.Process{Name: "dataflow", Trace: r.DataFlowTrace},
+		obs.Process{Name: "volcano", Trace: r.VolcanoTrace})
 }

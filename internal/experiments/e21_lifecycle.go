@@ -51,7 +51,7 @@ type E21OverloadRow struct {
 
 // E21Result carries both halves of the lifecycle experiment.
 type E21Result struct {
-	Table    *Table
+	*Table
 	Recovery []E21RecoveryRow
 	Overload []E21OverloadRow
 	Deadline time.Duration

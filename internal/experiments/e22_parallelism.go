@@ -16,12 +16,12 @@ import (
 // spread over a worker pool; one morsel is one segment.
 const e22SegmentRows = 8192
 
-// E22Workers is the worker sweep both engines run.
-var E22Workers = []int{1, 2, 4, 8}
+// DefaultWorkers is the worker sweep both engines run.
+var DefaultWorkers = []int{1, 2, 4, 8}
 
 // E22Result carries the scaling curves for assertions.
 type E22Result struct {
-	Table *Table
+	*Table
 
 	Workers []int
 	// SimTime per worker count, index-aligned with Workers.
@@ -46,10 +46,10 @@ type E22Result struct {
 // saturate. Results and metered byte totals are identical at every
 // worker count; only the busy-time split (and therefore SimTime) moves.
 // The sweep argument overrides the worker counts to run; nil means
-// E22Workers.
+// DefaultWorkers.
 func E22Parallelism(rows int, sweep []int) (*E22Result, error) {
 	if len(sweep) == 0 {
-		sweep = E22Workers
+		sweep = DefaultWorkers
 	}
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
@@ -120,15 +120,9 @@ func e22DataFlow(q *plan.Query, data *columnar.Batch, workers int) (sim.VTime, s
 	if err := loadDataFlow(df, "lineitem", data); err != nil {
 		return 0, 0, 0, err
 	}
-	variants, err := df.Plan(q, 0)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	ph := pickVariant(variants, func(v *plan.Physical) bool { return v.HasPlacement(fabric.OpFilter, plan.SiteStorage) })
-	if ph == nil {
-		ph = variants[0]
-	}
-	res, err := df.ExecutePlan(context.Background(), ph)
+	res, err := runVariant(df, q, "filter-pushdown", func(v *plan.Physical) bool {
+		return v.HasPlacement(fabric.OpFilter, plan.SiteStorage)
+	})
 	if err != nil {
 		return 0, 0, 0, err
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/columnar"
@@ -113,7 +112,7 @@ type E23Point struct {
 
 // E23Result carries the sweep for assertions.
 type E23Result struct {
-	Table  *Table
+	*Table
 	Points []E23Point
 }
 
@@ -208,15 +207,7 @@ func e23Run(q *plan.Query, data *columnar.Batch, eager bool) (e23Arm, error) {
 	if err := loadDataFlow(df, "t", data); err != nil {
 		return arm, err
 	}
-	variants, err := df.Plan(q, 0)
-	if err != nil {
-		return arm, err
-	}
-	ph := pickVariant(variants, func(v *plan.Physical) bool { return v.EncodedEval })
-	if ph == nil {
-		return arm, fmt.Errorf("experiments: E23 found no encoded-eval variant for %s", q)
-	}
-	res, err := df.ExecutePlan(context.Background(), ph)
+	res, err := runVariant(df, q, "encoded-eval", func(v *plan.Physical) bool { return v.EncodedEval })
 	if err != nil {
 		return arm, err
 	}

@@ -39,8 +39,8 @@ func (r E24Row) ExtraBytes() sim.Bytes { return r.Scan.HedgeBytes + r.Scan.Specu
 
 // E24Result carries the tail-latency comparison.
 type E24Result struct {
-	Table *Table
-	Rows  []E24Row
+	*Table
+	Rows []E24Row
 }
 
 // E24Options parameterizes the sweep; zero values take the defaults

@@ -33,7 +33,7 @@ type E25Burst struct {
 // histogram accuracy against exact per-query stats, attribution
 // exactness, and the SLO-leads-shedding ramp.
 type E25Result struct {
-	Table *Table
+	*Table
 
 	// OverheadPct is the wall-clock cost of full instrumentation:
 	// (instrumented - uninstrumented) / uninstrumented, in percent,

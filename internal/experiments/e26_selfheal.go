@@ -39,8 +39,8 @@ type E26Row struct {
 
 // E26Result carries the self-healing comparison.
 type E26Result struct {
-	Table *Table
-	Rows  []E26Row
+	*Table
+	Rows []E26Row
 }
 
 // E26Options parameterizes the run; zero values take the defaults below

@@ -1,15 +1,18 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/columnar"
 	"repro/internal/core"
 	"repro/internal/plan"
 )
 
-// The fixture every experiment shares: load a batch into an engine, pick
-// a plan variant, read a quantile.
+// The fixture every experiment shares: load a batch into an engine, run
+// one plan variant, read a quantile.
 
 // loadDataFlow creates table name on df with data's schema and loads
 // data into it. Whatever must be in place before the load (SegmentRows,
@@ -29,20 +32,27 @@ func loadVolcano(vo *core.VolcanoEngine, name string, data *columnar.Batch) erro
 	return vo.Load(name, data)
 }
 
-// pickVariant returns the first variant that satisfies ok, nil when none
-// does.
-func pickVariant(variants []*plan.Physical, ok func(*plan.Physical) bool) *plan.Physical {
-	for _, v := range variants {
-		if ok(v) {
-			return v
-		}
+// runVariant plans q for compute node 0 and executes the best-ranked
+// variant that satisfies ok; what names that variant in the error when
+// the optimizer produced none.
+func runVariant(df *core.DataFlowEngine, q *plan.Query, what string, ok func(*plan.Physical) bool) (*core.Result, error) {
+	variants, err := df.Plan(q, 0)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	i := slices.IndexFunc(variants, ok)
+	if i < 0 {
+		return nil, fmt.Errorf("experiments: no %s variant for %s", what, q)
+	}
+	return df.ExecutePlan(context.Background(), variants[i])
 }
 
-// named matches a variant carrying any of the given names.
-func named(names ...string) func(*plan.Physical) bool {
-	return func(v *plan.Physical) bool { return slices.Contains(names, v.Variant) }
+// runNamed is runVariant for the best-ranked variant carrying any of the
+// given names.
+func runNamed(df *core.DataFlowEngine, q *plan.Query, names ...string) (*core.Result, error) {
+	return runVariant(df, q, strings.Join(names, " or "), func(v *plan.Physical) bool {
+		return slices.Contains(names, v.Variant)
+	})
 }
 
 // quantile reads the p-quantile from an ascending-sorted sample by the

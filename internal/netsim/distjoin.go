@@ -16,12 +16,11 @@ type DistJoinConfig struct {
 	// BuildKey/ProbeKey are key column indices within each side's
 	// schema.
 	BuildKey, ProbeKey int
-	// Nodes lists the per-node resources.
-	Nodes []JoinNode
+	// Nodes lists each participating compute node's CPU, which executes
+	// the local build and probe.
+	Nodes []*fabric.Device
 	// ScatterDevice partitions the streams (a smart NIC or a CPU).
 	ScatterDevice *fabric.Device
-	// ScatterOnNIC records which mode this run models, for reporting.
-	ScatterOnNIC bool
 	// Paths[i] is the fabric path from the scatter point to node i.
 	Paths [][]*fabric.Link
 	// BatchRows is the exchange granule.
@@ -29,13 +28,6 @@ type DistJoinConfig struct {
 	// Workers is each node's hash-table build width (exec.HashTable);
 	// results are identical at every width.
 	Workers int
-}
-
-// JoinNode is one compute node participating in the distributed join.
-type JoinNode struct {
-	Name string
-	// CPU executes the local build and probe.
-	CPU *fabric.Device
 }
 
 // DistJoinResult reports the outcome and cost decomposition.
@@ -68,8 +60,8 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 	}
 
 	cpuBefore := make([]sim.Snapshot, n)
-	for i, node := range cfg.Nodes {
-		cpuBefore[i] = node.CPU.Meter.Snapshot()
+	for i, cpu := range cfg.Nodes {
+		cpuBefore[i] = cpu.Meter.Snapshot()
 	}
 	scatterBefore := cfg.ScatterDevice.Meter.Snapshot()
 	cfg.ScatterDevice.ChargeSetup()
@@ -80,77 +72,35 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 	for i := range tables {
 		tables[i] = exec.NewHashTable(buildSchema, cfg.BuildKey, cfg.Workers)
 	}
-	buildDests := make([]Destination, n)
-	for i := range buildDests {
-		i := i
-		buildDests[i] = Destination{
-			Path: cfg.Paths[i],
-			Sink: func(b *columnar.Batch) error {
-				cfg.Nodes[i].CPU.Charge(fabric.OpJoin, sim.Bytes(b.ByteSize()))
-				tables[i].Build(b)
-				return nil
-			},
-		}
-	}
-	ex, err := NewExchange(cfg.BuildKey, buildDests)
+	err := cfg.scatter(cfg.BuildKey, build, func(i int, b *columnar.Batch) error {
+		tables[i].Build(b)
+		return nil
+	})
 	if err != nil {
-		return res, err
-	}
-	if cfg.BatchRows > 0 {
-		ex.BatchRows = cfg.BatchRows
-	}
-	for _, b := range build {
-		cfg.ScatterDevice.Charge(fabric.OpPartition, sim.Bytes(b.ByteSize()))
-		if err := ex.Process(b, nil); err != nil {
-			return res, err
-		}
-	}
-	if err := ex.Flush(nil); err != nil {
 		return res, err
 	}
 
 	// Phase 2: scatter the probe side and probe locally.
-	probeDests := make([]Destination, n)
 	perNodeRows := make([]int64, n)
-	for i := range probeDests {
-		i := i
-		probeDests[i] = Destination{
-			Path: cfg.Paths[i],
-			Sink: func(b *columnar.Batch) error {
-				cfg.Nodes[i].CPU.Charge(fabric.OpJoin, sim.Bytes(b.ByteSize()))
-				perNodeRows[i] += int64(b.NumRows())
-				out := tables[i].Probe(b, cfg.ProbeKey)
-				if out.NumRows() == 0 {
-					return nil
-				}
-				res.Rows += int64(out.NumRows())
-				if onResult != nil {
-					return onResult(i, out)
-				}
-				return nil
-			},
+	err = cfg.scatter(cfg.ProbeKey, probe, func(i int, b *columnar.Batch) error {
+		perNodeRows[i] += int64(b.NumRows())
+		out := tables[i].Probe(b, cfg.ProbeKey)
+		if out.NumRows() == 0 {
+			return nil
 		}
-	}
-	pex, err := NewExchange(cfg.ProbeKey, probeDests)
+		res.Rows += int64(out.NumRows())
+		if onResult != nil {
+			return onResult(i, out)
+		}
+		return nil
+	})
 	if err != nil {
-		return res, err
-	}
-	if cfg.BatchRows > 0 {
-		pex.BatchRows = cfg.BatchRows
-	}
-	for _, b := range probe {
-		cfg.ScatterDevice.Charge(fabric.OpPartition, sim.Bytes(b.ByteSize()))
-		if err := pex.Process(b, nil); err != nil {
-			return res, err
-		}
-	}
-	if err := pex.Flush(nil); err != nil {
 		return res, err
 	}
 
 	res.ScatterBytes = cfg.ScatterDevice.Meter.Snapshot().Sub(scatterBefore).Bytes
-	for i, node := range cfg.Nodes {
-		res.CPUBytes += node.CPU.Meter.Snapshot().Sub(cpuBefore[i]).Bytes
+	for i, cpu := range cfg.Nodes {
+		res.CPUBytes += cpu.Meter.Snapshot().Sub(cpuBefore[i]).Bytes
 	}
 	res.SkewMax, res.SkewMin = perNodeRows[0], perNodeRows[0]
 	for _, r := range perNodeRows[1:] {
@@ -162,4 +112,34 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 		}
 	}
 	return res, nil
+}
+
+// scatter partitions one side of the join by key on the scatter device
+// and ships every node's share down its path, where the node's CPU is
+// charged for the join work before sink builds or probes with it.
+func (cfg DistJoinConfig) scatter(key int, side []*columnar.Batch, sink func(node int, b *columnar.Batch) error) error {
+	dests := make([]Destination, len(cfg.Nodes))
+	for i := range dests {
+		dests[i] = Destination{
+			Path: cfg.Paths[i],
+			Sink: func(b *columnar.Batch) error {
+				cfg.Nodes[i].Charge(fabric.OpJoin, sim.Bytes(b.ByteSize()))
+				return sink(i, b)
+			},
+		}
+	}
+	ex, err := NewExchange(key, dests)
+	if err != nil {
+		return err
+	}
+	if cfg.BatchRows > 0 {
+		ex.BatchRows = cfg.BatchRows
+	}
+	for _, b := range side {
+		cfg.ScatterDevice.Charge(fabric.OpPartition, sim.Bytes(b.ByteSize()))
+		if err := ex.Process(b, nil); err != nil {
+			return err
+		}
+	}
+	return ex.Flush(nil)
 }

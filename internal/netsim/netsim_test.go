@@ -125,20 +125,14 @@ func TestGather(t *testing.T) {
 
 func buildJoinConfig(t *testing.T, nodes int, smartNIC bool) DistJoinConfig {
 	t.Helper()
-	cfg := DistJoinConfig{
-		BuildKey: 0, ProbeKey: 0,
-		ScatterOnNIC: smartNIC,
-		BatchRows:    64,
-	}
+	cfg := DistJoinConfig{BuildKey: 0, ProbeKey: 0, BatchRows: 64}
 	if smartNIC {
 		cfg.ScatterDevice = fabric.NewSmartNIC("nic", sim.GbitPerSec(400))
 	} else {
 		cfg.ScatterDevice = fabric.NewCPU("scatter-cpu", 4)
 	}
 	for i := 0; i < nodes; i++ {
-		cfg.Nodes = append(cfg.Nodes, JoinNode{
-			Name: "node", CPU: fabric.NewCPU("cpu", 4),
-		})
+		cfg.Nodes = append(cfg.Nodes, fabric.NewCPU("cpu", 4))
 		cfg.Paths = append(cfg.Paths, []*fabric.Link{{
 			Name: "eth", A: "sw", B: "n",
 			Bandwidth: sim.GbitPerSec(400), Latency: fabric.RDMALatency,
@@ -214,12 +208,8 @@ func TestDistributedJoinNICRelievesCPU(t *testing.T) {
 	// In NIC mode no node CPU does partitioning, and the scatter CPU
 	// device is absent: total CPU bytes must be lower by the scatter
 	// volume.
-	nicScatterCPU := sim.Bytes(0)
-	if !nicCfg.ScatterOnNIC {
-		nicScatterCPU = nicRes.ScatterBytes
-	}
 	cpuTotal := cpuRes.CPUBytes + cpuRes.ScatterBytes
-	nicTotal := nicRes.CPUBytes + nicScatterCPU
+	nicTotal := nicRes.CPUBytes
 	if nicTotal >= cpuTotal {
 		t.Errorf("NIC mode CPU bytes %v >= CPU mode %v", nicTotal, cpuTotal)
 	}

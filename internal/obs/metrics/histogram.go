@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -44,45 +43,19 @@ func bucketMid(i int) int64 {
 	return lo + width/2
 }
 
-// histWindow is one ring slot: a flat bucket array plus running count,
-// sum and max so snapshots don't rescan empty buckets for totals.
-type histWindow struct {
+// Histogram records int64 observations (latencies in nanoseconds by
+// convention) cumulatively: a flat bucket array plus running count, sum
+// and max so reads don't rescan empty buckets for totals. Every method
+// is atomics-only. A nil *Histogram is a no-op.
+type Histogram struct {
 	buckets []int64 // accessed via atomic ops
 	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 }
 
-func (w *histWindow) reset() {
-	for i := range w.buckets {
-		atomic.StoreInt64(&w.buckets[i], 0)
-	}
-	w.count.Store(0)
-	w.sum.Store(0)
-	w.max.Store(0)
-}
-
-// Histogram records int64 observations (latencies in nanoseconds by
-// convention) into a ring of bucket windows. Observe always writes the
-// current window; reads merge every window, so an un-rotated histogram
-// behaves cumulatively and a rotated one covers the last `windows`
-// rotation periods. Observe is atomics-only; Rotate takes a mutex but
-// never blocks observers. A nil *Histogram is a no-op.
-type Histogram struct {
-	mu      sync.Mutex // serializes Rotate
-	cur     atomic.Int32
-	windows []histWindow
-}
-
-func newHistogram(windows int) *Histogram {
-	if windows < 1 {
-		windows = 1
-	}
-	h := &Histogram{windows: make([]histWindow, windows)}
-	for i := range h.windows {
-		h.windows[i].buckets = make([]int64, histBuckets)
-	}
-	return h
+func newHistogram() *Histogram {
+	return &Histogram{buckets: make([]int64, histBuckets)}
 }
 
 // Observe records one value. Negative values clamp to zero.
@@ -93,74 +66,45 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	w := &h.windows[h.cur.Load()]
-	atomic.AddInt64(&w.buckets[bucketIndex(v)], 1)
-	w.count.Add(1)
-	w.sum.Add(v)
+	atomic.AddInt64(&h.buckets[bucketIndex(v)], 1)
+	h.count.Add(1)
+	h.sum.Add(v)
 	for {
-		old := w.max.Load()
-		if v <= old || w.max.CompareAndSwap(old, v) {
+		old := h.max.Load()
+		if v <= old || h.max.CompareAndSwap(old, v) {
 			return
 		}
 	}
 }
 
-// Rotate retires the oldest window: subsequent observations land in a
-// fresh window and the evicted one's contents leave every future read.
-// With a single window Rotate simply clears the histogram.
-func (h *Histogram) Rotate() {
-	if h == nil {
-		return
-	}
-	h.mu.Lock()
-	next := (int(h.cur.Load()) + 1) % len(h.windows)
-	h.windows[next].reset()
-	h.cur.Store(int32(next))
-	h.mu.Unlock()
-}
-
-// Count returns the merged observation count across live windows.
+// Count returns the observation count.
 func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	var n int64
-	for i := range h.windows {
-		n += h.windows[i].count.Load()
-	}
-	return n
+	return h.count.Load()
 }
 
-// Sum returns the merged sum of observed values.
+// Sum returns the sum of observed values.
 func (h *Histogram) Sum() int64 {
 	if h == nil {
 		return 0
 	}
-	var s int64
-	for i := range h.windows {
-		s += h.windows[i].sum.Load()
-	}
-	return s
+	return h.sum.Load()
 }
 
-// Max returns the largest bucket-exact observation still in a live
-// window (the true max, not a bucket bound — tracked separately).
+// Max returns the largest observation (the true max, not a bucket
+// bound — tracked separately).
 func (h *Histogram) Max() int64 {
 	if h == nil {
 		return 0
 	}
-	var m int64
-	for i := range h.windows {
-		if v := h.windows[i].max.Load(); v > m {
-			m = v
-		}
-	}
-	return m
+	return h.max.Load()
 }
 
-// Quantile returns the p-quantile (p in [0,1]) over the merged windows
-// by the nearest-rank method, reported as the containing bucket's
-// midpoint (exact for values below 128). Empty histogram → 0.
+// Quantile returns the p-quantile (p in [0,1]) by the nearest-rank
+// method, reported as the containing bucket's midpoint (exact for
+// values below 128). Empty histogram → 0.
 func (h *Histogram) Quantile(p float64) int64 {
 	if h == nil {
 		return 0
@@ -182,12 +126,8 @@ func (h *Histogram) Quantile(p float64) int64 {
 		rank = total - 1
 	}
 	var seen int64
-	for i := 0; i < histBuckets; i++ {
-		var b int64
-		for w := range h.windows {
-			b += atomic.LoadInt64(&h.windows[w].buckets[i])
-		}
-		seen += b
+	for i := range h.buckets {
+		seen += atomic.LoadInt64(&h.buckets[i])
 		if seen > rank {
 			return bucketMid(i)
 		}

@@ -120,17 +120,8 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Histogram returns the named histogram with the default single
-// (cumulative) window. See HistogramWindows for a rotating window ring.
+// Histogram returns the named cumulative histogram.
 func (r *Registry) Histogram(name string) *Histogram {
-	return r.HistogramWindows(name, 1)
-}
-
-// HistogramWindows returns the named histogram backed by a ring of
-// `windows` bucket sets; Rotate retires the oldest. The window count is
-// fixed at first creation — later calls return the existing instrument
-// regardless of the argument.
-func (r *Registry) HistogramWindows(name string, windows int) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -143,7 +134,7 @@ func (r *Registry) HistogramWindows(name string, windows int) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = newHistogram(windows)
+		h = newHistogram()
 		r.hists[name] = h
 	}
 	return h

@@ -27,7 +27,6 @@ func TestNilRegistryIsOff(t *testing.T) {
 	g.Set(1)
 	g.Add(2)
 	h.Observe(3)
-	h.Rotate()
 	m.Mark(4)
 	s.Observe(time.Second)
 	r.SetNow(time.Now)
@@ -120,35 +119,6 @@ func TestHistogramQuantileWithinOnePercent(t *testing.T) {
 	}
 	if h.Sum() != sum {
 		t.Fatalf("sum = %d, want %d", h.Sum(), sum)
-	}
-}
-
-func TestHistogramWindowsRotate(t *testing.T) {
-	r := New()
-	h := r.HistogramWindows("w", 2)
-	h.Observe(10)
-	h.Observe(20)
-	if h.Count() != 2 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	h.Rotate() // both observations still live (ring of 2)
-	h.Observe(30)
-	if h.Count() != 3 {
-		t.Fatalf("after 1 rotate count = %d, want 3", h.Count())
-	}
-	h.Rotate() // evicts the first window's two observations
-	if h.Count() != 1 {
-		t.Fatalf("after 2 rotates count = %d, want 1", h.Count())
-	}
-	if got := h.Quantile(0.5); got != 30 {
-		t.Fatalf("p50 = %d, want 30", got)
-	}
-	// Single-window histograms clear on Rotate.
-	h1 := r.Histogram("cum")
-	h1.Observe(5)
-	h1.Rotate()
-	if h1.Count() != 0 {
-		t.Fatalf("single-window rotate must clear")
 	}
 }
 

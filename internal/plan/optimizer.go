@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,21 +50,43 @@ func (p *Physical) PlacementsAt(i int) []fabric.OpClass {
 	return ops
 }
 
-// PlacedDevices returns the names of the devices that host at least one
-// placement, in path order. The scheduler uses it to refuse variants
-// that depend on offline devices.
-func (p *Physical) PlacedDevices() []string {
-	var names []string
-	seen := map[int]bool{}
-	for _, pl := range p.Placements {
-		if !seen[pl.SiteIdx] {
-			seen[pl.SiteIdx] = true
+// Devices returns the distinct devices that host at least one placement,
+// in path order: what the variant occupies, which the scheduler scores
+// against load, failures and offline devices.
+func (p *Physical) Devices() []*fabric.Device {
+	out := make([]*fabric.Device, 0, len(p.Path.Sites))
+	for i, s := range p.Path.Sites {
+		if slices.ContainsFunc(p.Placements, func(pl Placement) bool { return pl.SiteIdx == i }) &&
+			!slices.Contains(out, s.Device) {
+			out = append(out, s.Device)
 		}
 	}
-	for i, s := range p.Path.Sites {
-		if seen[i] {
-			names = append(names, s.Device.Name)
+	return out
+}
+
+// Links returns the distinct links the variant's stream crosses, in
+// path order.
+func (p *Physical) Links() []*fabric.Link {
+	n := 0
+	for _, s := range p.Path.Sites {
+		n += len(s.ToNext)
+	}
+	out := make([]*fabric.Link, 0, n)
+	for _, s := range p.Path.Sites {
+		for _, l := range s.ToNext {
+			if !slices.Contains(out, l) {
+				out = append(out, l)
+			}
 		}
+	}
+	return out
+}
+
+// PlacedDevices returns the names of Devices.
+func (p *Physical) PlacedDevices() []string {
+	var names []string
+	for _, d := range p.Devices() {
+		names = append(names, d.Name)
 	}
 	return names
 }

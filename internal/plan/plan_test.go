@@ -2,6 +2,7 @@ package plan
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -344,5 +345,64 @@ func TestNeededCols(t *testing.T) {
 	all := neededCols(NewQuery("t"), 3)
 	if len(all) != 3 {
 		t.Errorf("neededCols(*) = %v", all)
+	}
+}
+
+// What a variant occupies, against a literal table: the devices that
+// host a placement (each once, in path order) and the links its stream
+// crosses (each once, in path order, placed or not).
+func TestPhysicalOccupancy(t *testing.T) {
+	a, b, c := &fabric.Device{Name: "a"}, &fabric.Device{Name: "b"}, &fabric.Device{Name: "c"}
+	l1, l2 := &fabric.Link{Name: "l1"}, &fabric.Link{Name: "l2"}
+	// Three devices; l1 carries both hops out of storage.
+	apart := PathModel{Sites: []SiteInfo{
+		{Site: SiteStorage, Device: a, ToNext: []*fabric.Link{l1}},
+		{Site: SiteStorageNIC, Device: b, ToNext: []*fabric.Link{l1, l2}},
+		{Site: SiteCPU, Device: c},
+	}}
+	// The storage and NIC sites are one device: no link between them.
+	shared := PathModel{Sites: []SiteInfo{
+		{Site: SiteStorage, Device: a},
+		{Site: SiteStorageNIC, Device: a, ToNext: []*fabric.Link{l2}},
+		{Site: SiteCPU, Device: c},
+	}}
+	at := func(sites ...int) []Placement {
+		var out []Placement
+		for _, s := range sites {
+			out = append(out, Placement{Op: fabric.OpFilter, SiteIdx: s})
+		}
+		return out
+	}
+	cases := []struct {
+		name    string
+		path    PathModel
+		placed  []Placement
+		devices []string
+		links   []string
+	}{
+		{"nothing placed", apart, nil, nil, []string{"l1", "l2"}},
+		{"one site placed twice", apart, at(1, 1), []string{"b"}, []string{"l1", "l2"}},
+		{"every site placed", apart, at(2, 0, 1), []string{"a", "b", "c"}, []string{"l1", "l2"}},
+		{"storage and NIC share no device", apart, at(0, 1), []string{"a", "b"}, []string{"l1", "l2"}},
+		{"storage and NIC share a device", shared, at(0, 1, 2), []string{"a", "c"}, []string{"l2"}},
+	}
+	for _, tc := range cases {
+		p := &Physical{Path: tc.path, Placements: tc.placed}
+		var devices, links []string
+		for _, d := range p.Devices() {
+			devices = append(devices, d.Name)
+		}
+		for _, l := range p.Links() {
+			links = append(links, l.Name)
+		}
+		if !slices.Equal(devices, tc.devices) {
+			t.Errorf("%s: Devices = %v, want %v", tc.name, devices, tc.devices)
+		}
+		if !slices.Equal(links, tc.links) {
+			t.Errorf("%s: Links = %v, want %v", tc.name, links, tc.links)
+		}
+		if got := p.PlacedDevices(); !slices.Equal(got, devices) {
+			t.Errorf("%s: PlacedDevices = %v, want the names of Devices %v", tc.name, got, devices)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package repair
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"time"
 
@@ -108,12 +107,6 @@ func (c *Controller) healBlob(ctx context.Context, key string, r, n int) bool {
 	return false
 }
 
-// replicaName names replica r the way the store's fault targets and
-// health/breaker keys do.
-func (c *Controller) replicaName(r int) string {
-	return fmt.Sprintf("%s/r%d", c.store.Name, r)
-}
-
 // ReclonePass checks for lost replicas and re-clones the ones declared
 // dead. A replica is declared dead once its blobs have been lost for
 // DeadAfter and — when a breaker set is attached — its breaker is open:
@@ -151,7 +144,7 @@ func (c *Controller) ReclonePass(ctx context.Context) {
 			continue
 		}
 		if c.pol != nil && c.pol.Breakers != nil &&
-			c.pol.Breakers.State(c.replicaName(r)) != resilience.Open {
+			c.pol.Breakers.State(storage.ReplicaKey(r)) != resilience.Open {
 			continue // deadline passed but reads have not condemned it yet
 		}
 		c.deadAt[r] = since
@@ -214,10 +207,10 @@ func (c *Controller) recloneReplica(ctx context.Context, r int) {
 		return
 	}
 	if c.pol != nil {
-		c.pol.Health.ClearCorrupt(c.replicaName(r))
+		c.pol.Health.ClearCorrupt(storage.ReplicaKey(r))
 		// The replica holds freshly written, verified bytes: close its
 		// breaker now instead of waiting out the cooldown.
-		c.pol.Breakers.Reset(c.replicaName(r))
+		c.pol.Breakers.Reset(storage.ReplicaKey(r))
 	}
 }
 

@@ -35,25 +35,26 @@ type Policy struct {
 	// re-executions and fault retries. Nil means unlimited.
 	Budget *Budget
 
-	// Hedge enables hedged replica reads in the object store.
+	// Hedge enables hedged replica reads in the object store: a read
+	// hedges after ewma + HedgeK*deviation of its replica's latency
+	// history.
 	Hedge bool
-	// HedgeK scales the hedge trigger: a read hedges after
-	// ewma + HedgeK*deviation of its replica's latency history.
-	HedgeK float64
 	// HedgeMinDelay floors the hedge trigger so cold health stats or a
 	// very tight history cannot hedge instantly and double every read.
 	HedgeMinDelay time.Duration
 
 	// Speculate enables speculative morsel re-execution in parallel
-	// scans.
+	// scans: once SpecMinSamples morsels have completed, one running
+	// past SpecMultiple x their EWMA is re-issued.
 	Speculate bool
-	// SpecMultiple is the straggler threshold: a morsel running past
-	// SpecMultiple x the EWMA of completed morsels is re-issued.
-	SpecMultiple float64
-	// SpecMinSamples is how many morsels must complete before the EWMA
-	// is trusted for speculation decisions.
-	SpecMinSamples int
 }
+
+// The trigger scales of hedging and speculation.
+const (
+	HedgeK         = 3.0 // deviations above a replica's EWMA before a read hedges
+	SpecMultiple   = 3.0 // multiples of the morsel EWMA before a morsel is re-issued
+	SpecMinSamples = 4   // completed morsels before that EWMA is trusted
+)
 
 // NewPolicy returns a Policy with hedging and speculation enabled and
 // the defaults used by the experiments: hedge at ewma+3*dev (floored at
@@ -62,14 +63,11 @@ type Policy struct {
 // retry budget of 10% of observed ops (burst 32).
 func NewPolicy() *Policy {
 	return &Policy{
-		Health:         NewTracker(0.2, 4),
-		Breakers:       NewBreakerSet(BreakerConfig{TripThreshold: 4, Cooldown: 50 * time.Millisecond, HalfOpenProbes: 1}),
-		Budget:         NewBudget(0.1, 32),
-		Hedge:          true,
-		HedgeK:         3,
-		HedgeMinDelay:  200 * time.Microsecond,
-		Speculate:      true,
-		SpecMultiple:   3,
-		SpecMinSamples: 4,
+		Health:        NewTracker(0.2, 4),
+		Breakers:      NewBreakerSet(BreakerConfig{TripThreshold: 4, Cooldown: 50 * time.Millisecond, HalfOpenProbes: 1}),
+		Budget:        NewBudget(0.1, 32),
+		Hedge:         true,
+		HedgeMinDelay: 200 * time.Microsecond,
+		Speculate:     true,
 	}
 }

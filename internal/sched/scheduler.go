@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,8 +43,8 @@ type Admission struct {
 	Cost sim.VTime
 
 	links    []*fabric.Link
-	devices  []string // placed devices holding worker slots
-	slots    int      // worker slots held on each of those devices
+	devices  []*fabric.Device // placed devices holding worker slots
+	slots    int              // worker slots held on each of those devices
 	admitted time.Time
 }
 
@@ -68,20 +68,6 @@ type Scheduler struct {
 	// plan on a link the candidate variant would use. Higher values
 	// steer harder toward idle resources.
 	ContentionPenalty float64
-	// FairShare, when set, rate-limits every link to bandwidth/k while
-	// k admitted plans share it (Section 7.3's DMA rate limiting).
-	FairShare bool
-	// FailurePenalty is the rank-score penalty per recorded failover on a
-	// device the candidate variant places work on. Admission steers new
-	// queries away from recently flaky devices without banning them.
-	FailurePenalty float64
-	// FailureDecay multiplies every device's failure score on each
-	// successful admission, so a device that stops failing regains work
-	// instead of being penalized forever. 1 disables decay.
-	FailureDecay float64
-	// MaxFailureScore caps a device's accumulated failure score so a
-	// long outage doesn't take unboundedly long to forgive.
-	MaxFailureScore float64
 	// MaxActive bounds concurrently admitted plans; 0 means unbounded
 	// (no admission control, the pre-lifecycle behavior).
 	MaxActive int
@@ -105,20 +91,13 @@ type Scheduler struct {
 	// Breakers, when set, consults a per-device circuit breaker at
 	// admission: a variant placing work on a device whose breaker
 	// rejects it (open, or half-open with its probe slots spent) is
-	// penalized by BreakerPenalty per such device rather than banned, so
-	// a fabric whose every variant is broken degrades to serve-slow
-	// instead of shedding. Allow is asked once per distinct device per
-	// admission, which doubles as the half-open probe stream; the
-	// engines report the executed plan's outcomes back via
+	// penalized by DefaultBreakerPenalty per such device rather than
+	// banned, so a fabric whose every variant is broken degrades to
+	// serve-slow instead of shedding. Allow is asked once per distinct
+	// device per admission, which doubles as the half-open probe stream;
+	// the engines report the executed plan's outcomes back via
 	// Success/Failure.
 	Breakers *resilience.BreakerSet
-	// BreakerPenalty is the rank-score penalty per breaker-rejected
-	// device a variant places work on.
-	BreakerPenalty float64
-	// DegradedPenalty is the rank-score penalty per gray-failed device
-	// (fabric.Device.IsDegraded) a variant places work on: slow-but-
-	// alive devices lose ties to healthy ones without being excluded.
-	DegradedPenalty float64
 	// Metrics, when set, receives continuous admission telemetry:
 	// sched.admitted / sched.shed.* counters, sched.queue.depth and
 	// sched.active gauges, and the EWMA service-time gauge. Nil is off
@@ -154,31 +133,37 @@ type Scheduler struct {
 	ewmaCost    sim.VTime
 }
 
-// DefaultFailurePenalty is a fresh scheduler's per-failure score
-// penalty; two recorded failures outweigh one rank position plus typical
-// contention, so flaky devices lose ties quickly.
+// DefaultFailurePenalty is the rank-score penalty per recorded failover
+// on a device the candidate variant places work on: two recorded
+// failures outweigh one rank position plus typical contention, so flaky
+// devices lose ties quickly without being banned.
 const DefaultFailurePenalty = 2.0
 
-// DefaultFailureDecay forgives ~20% of a device's failure score per
-// admission: after one failover a device is back below half a rank
-// position of penalty within ~8 admitted queries.
+// DefaultFailureDecay multiplies every device's failure score on each
+// successful admission, forgiving ~20%: after one failover a device is
+// back below half a rank position of penalty within ~8 admitted queries
+// instead of being penalized forever.
 const DefaultFailureDecay = 0.8
 
-// DefaultMaxFailureScore caps the failure score; with the default decay
-// a saturated device is forgiven within ~20 admissions.
+// DefaultMaxFailureScore caps a device's failure score so a long outage
+// does not take unboundedly long to forgive; with the decay above a
+// saturated device is forgiven within ~20 admissions.
 const DefaultMaxFailureScore = 8.0
 
-// DefaultBreakerPenalty outweighs several rank positions plus typical
-// contention: a tripped device only wins when no healthy variant exists.
+// DefaultBreakerPenalty is the rank-score penalty per breaker-rejected
+// device a variant places work on. It outweighs several rank positions
+// plus typical contention: a tripped device only wins when no healthy
+// variant exists.
 const DefaultBreakerPenalty = 4.0
 
-// DefaultDegradedPenalty sits between contention and failure penalties:
-// a gray-failed device loses ties but is not shunned as hard as one
-// that errored outright.
+// DefaultDegradedPenalty is the rank-score penalty per gray-failed
+// device (fabric.Device.IsDegraded) a variant places work on. It sits
+// between contention and failure penalties: a slow-but-alive device
+// loses ties but is not shunned as hard as one that errored outright.
 const DefaultDegradedPenalty = 2.0
 
-// New returns an empty scheduler with fair sharing enabled and no
-// admission bound (set MaxActive to enable overload control).
+// New returns an empty scheduler with no admission bound (set MaxActive
+// to enable overload control).
 func New() *Scheduler {
 	return &Scheduler{
 		active:            make(map[int64]*Admission),
@@ -186,13 +171,7 @@ func New() *Scheduler {
 		failures:          make(map[string]float64),
 		deviceSlots:       make(map[string]int),
 		ContentionPenalty: 1.0,
-		FailurePenalty:    DefaultFailurePenalty,
-		FailureDecay:      DefaultFailureDecay,
-		MaxFailureScore:   DefaultMaxFailureScore,
 		WorkerSlotPenalty: 1.0,
-		BreakerPenalty:    DefaultBreakerPenalty,
-		DegradedPenalty:   DefaultDegradedPenalty,
-		FairShare:         true,
 	}
 }
 
@@ -223,11 +202,7 @@ func (s *Scheduler) AllowRepair() bool {
 func (s *Scheduler) NoteFailover(device string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	score := s.failures[device] + 1
-	if s.MaxFailureScore > 0 && score > s.MaxFailureScore {
-		score = s.MaxFailureScore
-	}
-	s.failures[device] = score
+	s.failures[device] = min(s.failures[device]+1, DefaultMaxFailureScore)
 }
 
 // DeviceFailures reports the failovers currently held against a device,
@@ -243,69 +218,18 @@ func (s *Scheduler) FailureScore(device string) float64 {
 	return s.failures[device]
 }
 
-// decayFailuresLocked erodes every failure score by FailureDecay; called
-// once per successful admission so recovered devices regain work at a
-// rate proportional to how busy the system is.
+// decayFailuresLocked erodes every failure score by DefaultFailureDecay;
+// called once per successful admission so recovered devices regain work
+// at a rate proportional to how busy the system is.
 func (s *Scheduler) decayFailuresLocked() {
-	if s.FailureDecay <= 0 || s.FailureDecay >= 1 {
-		return
-	}
 	for dev, score := range s.failures {
-		score *= s.FailureDecay
+		score *= DefaultFailureDecay
 		if score < 0.05 {
 			delete(s.failures, dev)
 			continue
 		}
 		s.failures[dev] = score
 	}
-}
-
-// variantLinks collects the distinct links a variant's data crosses.
-func variantLinks(p *plan.Physical) []*fabric.Link {
-	seen := map[*fabric.Link]bool{}
-	var out []*fabric.Link
-	for _, site := range p.Path.Sites {
-		for _, l := range site.ToNext {
-			if !seen[l] {
-				seen[l] = true
-				out = append(out, l)
-			}
-		}
-	}
-	return out
-}
-
-// variantDevices collects the distinct devices a variant places
-// operators on, in site order.
-func variantDevices(p *plan.Physical) []*fabric.Device {
-	placed := map[int]bool{}
-	for _, pl := range p.Placements {
-		placed[pl.SiteIdx] = true
-	}
-	seen := map[string]bool{}
-	var out []*fabric.Device
-	for i, site := range p.Path.Sites {
-		if placed[i] && !seen[site.Device.Name] {
-			seen[site.Device.Name] = true
-			out = append(out, site.Device)
-		}
-	}
-	return out
-}
-
-// variantOffline reports whether the variant places work on a device
-// that is currently offline.
-func variantOffline(p *plan.Physical) bool {
-	seen := map[int]bool{}
-	for _, pl := range p.Placements {
-		seen[pl.SiteIdx] = true
-	}
-	for i, site := range p.Path.Sites {
-		if seen[i] && site.Device.IsOffline() {
-			return true
-		}
-	}
-	return false
 }
 
 // Admit picks the least-interfering variant from the ranked candidates
@@ -402,13 +326,11 @@ func (s *Scheduler) Admit(ctx context.Context, variants []*plan.Physical) (*Admi
 
 // admitLocked scores the variants and reserves the winner's links.
 func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
-	type scored struct {
-		idx  int
-		cost float64
-	}
-	workers := s.Workers
-	if workers < 1 {
-		workers = 1
+	workers := max(s.Workers, 1)
+	// What each variant occupies, asked once.
+	devices := make([][]*fabric.Device, len(variants))
+	for i, v := range variants {
+		devices[i] = v.Devices()
 	}
 	// Ask each distinct device's breaker once per admission — the
 	// consolidated answer scores every variant, and the Allow stream
@@ -417,8 +339,8 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 	blocked := map[string]bool{}
 	if s.Breakers != nil {
 		asked := map[string]bool{}
-		for _, v := range variants {
-			for _, d := range variantDevices(v) {
+		for _, devs := range devices {
+			for _, d := range devs {
 				if asked[d.Name] {
 					continue
 				}
@@ -429,18 +351,17 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 			}
 		}
 	}
-	var scores []scored
+	// The lowest score wins; on a tie the better-ranked variant does.
+	best, bestCost := -1, 0.0
+	var bestLinks []*fabric.Link
 	for i, v := range variants {
-		if variantOffline(v) {
+		if slices.ContainsFunc(devices[i], (*fabric.Device).IsOffline) {
 			continue
 		}
+		links := v.Links()
 		contention := 0
-		for _, l := range variantLinks(v) {
+		for _, l := range links {
 			contention += s.linkLoad[l]
-		}
-		failed := 0.0
-		for _, name := range v.PlacedDevices() {
-			failed += s.failures[name]
 		}
 		// Worker-slot pressure: placing this plan's worker pool on a
 		// device already holding slots beyond its replicated units
@@ -448,8 +369,9 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 		// Breaker-rejected and gray-degraded devices are scored down,
 		// not banned: when every variant is broken, the least-broken
 		// one still serves (slow) instead of shedding the query.
-		over, broken, degraded := 0.0, 0.0, 0.0
-		for _, d := range variantDevices(v) {
+		failed, over, broken, degraded := 0.0, 0.0, 0.0, 0.0
+		for _, d := range devices[i] {
+			failed += s.failures[d.Name]
 			u := d.Units()
 			if load := s.deviceSlots[d.Name] + workers; load > u {
 				over += float64(load-u) / float64(u)
@@ -462,15 +384,16 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 			}
 		}
 		cost := float64(i) + s.ContentionPenalty*float64(contention) +
-			s.FailurePenalty*failed + s.WorkerSlotPenalty*over +
-			s.BreakerPenalty*broken + s.DegradedPenalty*degraded
-		scores = append(scores, scored{idx: i, cost: cost})
+			DefaultFailurePenalty*failed + s.WorkerSlotPenalty*over +
+			DefaultBreakerPenalty*broken + DefaultDegradedPenalty*degraded
+		if best < 0 || cost < bestCost {
+			best, bestCost, bestLinks = i, cost, links
+		}
 	}
-	if len(scores) == 0 {
+	if best < 0 {
 		return nil, fmt.Errorf("sched: all %d variants place work on offline devices", len(variants))
 	}
-	sort.SliceStable(scores, func(a, b int) bool { return scores[a].cost < scores[b].cost })
-	chosen := variants[scores[0].idx]
+	chosen := variants[best]
 
 	s.nextID++
 	adm := &Admission{
@@ -478,12 +401,12 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 		Plan:     chosen,
 		Variant:  chosen.Variant,
 		Cost:     chosen.EstTime,
-		links:    variantLinks(chosen),
+		links:    bestLinks,
+		devices:  devices[best],
 		slots:    workers,
 		admitted: time.Now(),
 	}
-	for _, d := range variantDevices(chosen) {
-		adm.devices = append(adm.devices, d.Name)
+	for _, d := range adm.devices {
 		s.deviceSlots[d.Name] += workers
 	}
 	s.active[adm.ID] = adm
@@ -576,10 +499,10 @@ func (s *Scheduler) Release(adm *Admission) {
 			delete(s.linkLoad, l)
 		}
 	}
-	for _, name := range adm.devices {
-		s.deviceSlots[name] -= adm.slots
-		if s.deviceSlots[name] <= 0 {
-			delete(s.deviceSlots, name)
+	for _, d := range adm.devices {
+		s.deviceSlots[d.Name] -= adm.slots
+		if s.deviceSlots[d.Name] <= 0 {
+			delete(s.deviceSlots, d.Name)
 		}
 	}
 	if !adm.admitted.IsZero() {
@@ -621,9 +544,6 @@ func (s *Scheduler) observeServiceLocked(dur time.Duration, cost sim.VTime) {
 
 // rebalanceLocked applies fair-share rate limits to every tracked link.
 func (s *Scheduler) rebalanceLocked() {
-	if !s.FairShare {
-		return
-	}
 	// Collect all links seen in active admissions (including ones whose
 	// load just dropped to zero, to clear their limit).
 	seen := map[*fabric.Link]bool{}

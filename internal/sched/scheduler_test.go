@@ -61,6 +61,30 @@ func TestAdmitPicksTopVariantWhenIdle(t *testing.T) {
 	}
 }
 
+// Admission asks each variant what it occupies once and keeps the
+// winner's answer: over a real four-variant plan that is one device list
+// and one link list per variant, the slice holding them and the
+// Admission — 10 allocations.
+func TestAdmitReleaseAllocations(t *testing.T) {
+	_, v0, _ := twoNodeVariants(t)
+	if len(v0) != 4 {
+		t.Fatalf("%d variants, want the four-variant plan the ceiling was measured on", len(v0))
+	}
+	s := New()
+	ctx := context.Background()
+	got := testing.AllocsPerRun(100, func() {
+		adm, err := s.Admit(ctx, v0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release(adm)
+	})
+	const ceiling = 12
+	if got > ceiling {
+		t.Errorf("Admit+Release allocates %v objects, ceiling %d", got, ceiling)
+	}
+}
+
 func TestAdmitTracedRecordsDecision(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
 	s := New()
@@ -169,20 +193,6 @@ func TestDoubleReleasePanics(t *testing.T) {
 		}
 	}()
 	s.Release(a)
-}
-
-func TestFairShareDisabled(t *testing.T) {
-	c, v0, _ := twoNodeVariants(t)
-	s := New()
-	s.FairShare = false
-	a1, _ := s.Admit(context.Background(), v0)
-	a2, _ := s.Admit(context.Background(), v0)
-	shared := c.LinkBetween(fabric.DevStorageNIC, fabric.DevSwitch)
-	if shared.EffectiveBandwidth() != shared.Bandwidth {
-		t.Error("FairShare=false still limited the link")
-	}
-	s.Release(a1)
-	s.Release(a2)
 }
 
 func TestClearLimits(t *testing.T) {

@@ -18,7 +18,7 @@ func TestWorkerSlotAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devs := variantDevices(a1.Plan)
+	devs := a1.Plan.Devices()
 	if len(devs) == 0 {
 		t.Fatal("variant places no devices")
 	}
@@ -128,7 +128,7 @@ func TestWorkerSlotMinimumOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range variantDevices(a.Plan) {
+	for _, d := range a.Plan.Devices() {
 		if got := s.DeviceSlots(d.Name); got != 1 {
 			t.Errorf("slots on %s = %d, want 1", d.Name, got)
 		}

@@ -39,9 +39,6 @@ type ObjectStore struct {
 	reps    int
 	Meter   sim.Meter
 
-	// Name prefixes the per-replica fault targets ("<name>/r<i>/<key>")
-	// that gray-failure points match against.
-	Name string
 	// BaseLatency is the healthy wall-clock service time of one replica
 	// read. Zero (the default) keeps reads instantaneous; experiments
 	// that measure tail latency set it so DegradedDevice multipliers
@@ -116,7 +113,6 @@ func NewObjectStore() *ObjectStore {
 	return &ObjectStore{
 		objects:    make(map[string][][]byte),
 		reps:       1,
-		Name:       "store",
 		MaxRetries: DefaultMaxRetries,
 		RetryBase:  50 * time.Microsecond,
 	}
@@ -167,9 +163,10 @@ func (o *ObjectStore) GetNoCopy(ctx context.Context, key string) ([]byte, error)
 	return o.Read(ctx, key, false, nil)
 }
 
-// replicaKey names replica r for fault targeting and health tracking.
-func (o *ObjectStore) replicaKey(r int) string {
-	return fmt.Sprintf("%s/r%d", o.Name, r)
+// ReplicaKey names replica r for fault targeting ("store/r<i>/<key>" is
+// what gray-failure points match against), health tracking and breakers.
+func ReplicaKey(r int) string {
+	return fmt.Sprintf("store/r%d", r)
 }
 
 // singleReplica is the shared read order of every single-replica store;
@@ -194,7 +191,7 @@ func (o *ObjectStore) replicaOrder(n int) []int {
 	keys := make([]string, n)
 	byKey := make(map[string]int, n)
 	for i := range keys {
-		keys[i] = o.replicaKey(i)
+		keys[i] = ReplicaKey(i)
 		byKey[keys[i]] = i
 	}
 	for i, k := range pol.Health.Rank(keys) {
@@ -307,7 +304,7 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 	if d := 2 * o.BaseLatency; d > delay {
 		delay = d
 	}
-	if th, ok := pol.Health.Threshold(o.replicaKey(prim), pol.HedgeK); ok && th > delay {
+	if th, ok := pol.Health.Threshold(ReplicaKey(prim), resilience.HedgeK); ok && th > delay {
 		delay = th
 	}
 
@@ -490,7 +487,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 		}
 	}
 	if o.Faults != nil {
-		delay += o.Faults.Slowdown(faults.DegradedDevice, o.replicaKey(r)+"/"+key, o.BaseLatency)
+		delay += o.Faults.Slowdown(faults.DegradedDevice, ReplicaKey(r)+"/"+key, o.BaseLatency)
 	}
 	if err := sleepCtx(ctx, delay); err != nil {
 		// A read cancelled mid-service still taught us something: the
@@ -500,7 +497,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 		// without it the replica stays unsampled and Rank keeps
 		// exploring it first.
 		if pol := o.Resilience; pol != nil {
-			pol.Health.Observe(o.replicaKey(r), time.Since(start))
+			pol.Health.Observe(ReplicaKey(r), time.Since(start))
 		}
 		return nil, err
 	}
@@ -529,7 +526,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 			o.observeRead(r, start)
 			return cp, nil
 		}
-		if o.Faults.Fire(faults.StickyCorrupt, o.replicaKey(r)+"/"+key) {
+		if o.Faults.Fire(faults.StickyCorrupt, ReplicaKey(r)+"/"+key) {
 			// Persistent damage: the stored replica blob itself is
 			// flipped, so every later read of this replica — foreground
 			// or scrub — sees the same corruption until a repair
@@ -553,7 +550,7 @@ func (o *ObjectStore) observeRead(r int, start time.Time) {
 	if pol == nil {
 		return
 	}
-	pol.Health.Observe(o.replicaKey(r), time.Since(start))
+	pol.Health.Observe(ReplicaKey(r), time.Since(start))
 	pol.Budget.ObserveOp()
 }
 

@@ -58,8 +58,8 @@ func (o *ObjectStore) verifyPayload(key string, r int, data []byte, ops int64, r
 	rs.CorruptOps += ops
 	rs.CorruptBytes += sim.Bytes(len(data))
 	if pol := o.Resilience; pol != nil {
-		pol.Health.MarkCorrupt(o.replicaKey(r))
-		pol.Breakers.Failure(o.replicaKey(r))
+		pol.Health.MarkCorrupt(ReplicaKey(r))
+		pol.Breakers.Failure(ReplicaKey(r))
 	}
 	return &ReplicaCorruptError{Key: key, Replica: r}
 }
@@ -70,8 +70,8 @@ func (o *ObjectStore) verifyPayload(key string, r int, data []byte, ops int64, r
 func (o *ObjectStore) noteLost(r int, rs *ReadStats) {
 	rs.LostReads++
 	if pol := o.Resilience; pol != nil {
-		pol.Health.MarkCorrupt(o.replicaKey(r))
-		pol.Breakers.Failure(o.replicaKey(r))
+		pol.Health.MarkCorrupt(ReplicaKey(r))
+		pol.Breakers.Failure(ReplicaKey(r))
 	}
 }
 
@@ -126,7 +126,7 @@ func (o *ObjectStore) finishRepair(key string, r int, n sim.Bytes, foreground bo
 	rs.ReadRepairs++
 	rs.RepairBytes += n
 	if pol := o.Resilience; pol != nil {
-		pol.Health.ClearCorrupt(o.replicaKey(r))
+		pol.Health.ClearCorrupt(ReplicaKey(r))
 	}
 	if foreground && o.OnRepair != nil {
 		o.OnRepair(key, r)
@@ -271,7 +271,7 @@ func (o *ObjectStore) ReadReplicaRaw(ctx context.Context, key string, r int) ([]
 		return nil, err
 	}
 	data := copies[r]
-	if o.Faults != nil && o.Faults.Fire(faults.StickyCorrupt, o.replicaKey(r)+"/"+key) {
+	if o.Faults != nil && o.Faults.Fire(faults.StickyCorrupt, ReplicaKey(r)+"/"+key) {
 		if stored, _ := o.damageReplica(key, r); stored != nil {
 			data = stored
 		}

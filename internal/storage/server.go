@@ -55,9 +55,6 @@ type ScanSpec struct {
 	// without a Filter, or with PreAgg (the aggregator needs dense raw
 	// batches).
 	EncodedEval bool
-	// BatchRows bounds the rows per emitted batch so consumers stream
-	// with bounded in-flight memory; 0 means DefaultBatchRows.
-	BatchRows int
 	// Trace, when non-nil, records media reads, the media link transfer,
 	// decode, and pushed-down operator work as virtual-time spans, plus
 	// retry events. The scan replays its own internal pipeline onto the
@@ -101,8 +98,8 @@ type ScanSpec struct {
 	Workers int
 }
 
-// DefaultBatchRows is the streaming granule when ScanSpec.BatchRows is
-// unset.
+// DefaultBatchRows bounds the rows per emitted batch, so consumers
+// stream with bounded in-flight memory.
 const DefaultBatchRows = 4096
 
 // ShippedColumns reports which table-schema columns the scan's emitted
@@ -337,6 +334,15 @@ func (s *Server) Table(name string) (*TableMeta, error) {
 	return t, nil
 }
 
+// SegmentKeys returns the table's segment keys as of now. Append only
+// ever adds to the list, so the snapshot stays a valid prefix while an
+// ingest runs beside the scan that holds it.
+func (s *Server) SegmentKeys(t *TableMeta) []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return t.SegmentKeys
+}
+
 // Tables lists table names in sorted order.
 func (s *Server) Tables() []string {
 	s.mu.RLock()
@@ -435,20 +441,18 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 		projPos[i] = pos[c]
 	}
 
-	stats.SegmentsTotal = len(t.SegmentKeys) - spec.StartSegment
+	keys := s.SegmentKeys(t)
+	stats.SegmentsTotal = len(keys) - spec.StartSegment
 	if stats.SegmentsTotal < 0 {
 		stats.SegmentsTotal = 0
 	}
 
 	sc := &segScan{
-		s: s, t: t, spec: spec, needed: needed, projection: projection, projPos: projPos,
-		filter: filter, preagg: preagg, batchRows: spec.BatchRows, emit: emit, stats: &stats,
+		s: s, t: t, keys: keys, spec: spec, needed: needed, projection: projection, projPos: projPos,
+		filter: filter, preagg: preagg, emit: emit, stats: &stats,
 	}
 	if spec.Trace != nil {
 		sc.pipe = &scanPipe{tr: spec.Trace, clock: spec.Clock}
-	}
-	if sc.batchRows <= 0 {
-		sc.batchRows = DefaultBatchRows
 	}
 
 	workers := min(spec.Workers, s.proc.Units())
@@ -464,7 +468,7 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	} else {
 		// Width 1 is the same two functions with nothing in between,
 		// inline on the caller's goroutine.
-		for idx := spec.StartSegment; idx < len(t.SegmentKeys); idx++ {
+		for idx := spec.StartSegment; idx < len(keys); idx++ {
 			if err := ctx.Err(); err != nil {
 				return stats, err
 			}
@@ -493,6 +497,7 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 type segScan struct {
 	s    *Server
 	t    *TableMeta
+	keys []string // t's segment keys when the scan started
 	spec ScanSpec
 
 	needed     []int          // table columns to decode, ascending
@@ -501,7 +506,6 @@ type segScan struct {
 	filter     expr.Predicate // spec.Filter rebased onto the decoded batch
 	preagg     *expr.PartialAggregator
 	pipe       *scanPipe // nil unless tracing (which forces width 1)
-	batchRows  int
 
 	emit  func(*columnar.Batch) error
 	stats *ScanStats
@@ -564,15 +568,16 @@ func (sc *segScan) deliver(r segResult) error {
 	return sc.spec.Progress(r.seg + 1)
 }
 
-// emitTracked ships one batch to the consumer in BatchRows granules.
+// emitTracked ships one batch to the consumer in DefaultBatchRows
+// granules.
 func (sc *segScan) emitTracked(b *columnar.Batch) error {
 	if sc.pipe != nil {
 		sc.pipe.sync()
 	}
 	sc.stats.ShippedBytes += sim.Bytes(b.ByteSize())
 	sc.stats.ShippedRows += int64(b.NumRows())
-	for off := 0; off < b.NumRows(); off += sc.batchRows {
-		end := min(off+sc.batchRows, b.NumRows())
+	for off := 0; off < b.NumRows(); off += DefaultBatchRows {
+		end := min(off+DefaultBatchRows, b.NumRows())
 		if err := sc.emit(b.Slice(off, end)); err != nil {
 			return err
 		}
@@ -586,7 +591,7 @@ func (sc *segScan) emitTracked(b *columnar.Batch) error {
 // object, exhausted transient budget) have already been through the
 // store's own retry machinery and surface as-is.
 func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *ScanStats) (*columnar.Batch, error) {
-	s, key := sc.s, sc.t.SegmentKeys[idx]
+	s, key := sc.s, sc.keys[idx]
 	for attempt := 0; ; attempt++ {
 		out, segErr := sc.readSegment(ctx, idx, lane, attempt, stats)
 		if segErr == nil {
@@ -734,11 +739,11 @@ func (st *specState) cancelAll() {
 func (st *specState) pick(now time.Time) (int, *morselState, time.Duration) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	threshold := time.Duration(st.pol.SpecMultiple * st.ewma)
+	threshold := time.Duration(resilience.SpecMultiple * st.ewma)
 	if threshold < st.pol.HedgeMinDelay {
 		threshold = st.pol.HedgeMinDelay
 	}
-	warm := st.samples >= st.pol.SpecMinSamples
+	warm := st.samples >= resilience.SpecMinSamples
 	var (
 		bestSeg  = -1
 		bestMS   *morselState
@@ -798,7 +803,7 @@ func (st *specState) pick(now time.Time) (int, *morselState, time.Duration) {
 // SpeculativeBytes instead of the logical totals, so result rows and
 // MediaBytes are identical to an unspeculated scan.
 func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
-	s, t, spec, stats := sc.s, sc.t, sc.spec, sc.stats
+	s, spec, stats := sc.s, sc.spec, sc.stats
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -818,7 +823,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 			defer wg.Done()
 			for {
 				idx := int(next.Add(1) - 1)
-				if idx >= len(t.SegmentKeys) {
+				if idx >= len(sc.keys) {
 					break
 				}
 				if ctx.Err() != nil {
@@ -960,7 +965,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 // shows up as real extra work in the meters.
 func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stats *ScanStats) (*columnar.Batch, error) {
 	s, spec, needed := sc.s, sc.spec, sc.needed
-	blob, err := s.store.Read(ctx, sc.t.SegmentKeys[idx], false, &stats.ReadStats)
+	blob, err := s.store.Read(ctx, sc.keys[idx], false, &stats.ReadStats)
 	if err != nil {
 		return nil, err
 	}

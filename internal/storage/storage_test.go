@@ -232,6 +232,57 @@ func TestServerCreateAppendScan(t *testing.T) {
 	}
 }
 
+// A scan works on the segment list as it stood when the scan started:
+// beside a running ingest it returns whole batches, never fewer than
+// the scan before it, and the data race detector stays quiet.
+func TestScanBesideAppend(t *testing.T) {
+	const batches, batchRows = 32, 100
+	srv := newTestServer(t, true)
+	if _, err := srv.CreateTable("lineitem", lineSchema()); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		defer close(done)
+		for i := 0; i < batches; i++ {
+			if err := srv.Append("lineitem", lineBatch(batchRows)); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+	scan := func(workers int) int {
+		rows := 0
+		_, err := srv.Scan(context.Background(), "lineitem", ScanSpec{Workers: workers}, func(b *columnar.Batch) error {
+			rows += b.NumRows()
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	last := 0
+	for ingesting, i := true, 0; ingesting; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingesting = false // one more scan, after the last Append
+		default:
+		}
+		rows := scan(1 + i%2)
+		if rows%batchRows != 0 || rows < last {
+			t.Fatalf("scan %d returned %d rows after %d: want whole batches, non-decreasing", i, rows, last)
+		}
+		last = rows
+	}
+	if last != batches*batchRows {
+		t.Fatalf("final scan returned %d rows, want %d", last, batches*batchRows)
+	}
+}
+
 func TestScanTraceSpans(t *testing.T) {
 	srv := newTestServer(t, true)
 	loadTable(t, srv, 5000)
