@@ -86,6 +86,18 @@ func (b *Bitmap) Fill(lo, hi int) {
 	b.words[last] |= hiMask
 }
 
+// SetWord overwrites bits [64*wi, 64*wi+64) with w, bit 64*wi in w's
+// least significant position: how a kernel that computes 64 results at
+// a time, or a reader of an LSB-first packed bitmap, stores them without
+// a call per bit. Bits at or beyond Len are dropped, so Count stays
+// exact.
+func (b *Bitmap) SetWord(wi int, w uint64) {
+	if rem := b.n - wi<<6; rem < 64 {
+		w &= 1<<uint(rem) - 1
+	}
+	b.words[wi] = w
+}
+
 // Runs calls fn(lo, hi) for every maximal run [lo, hi) of consecutive set
 // bits, in ascending order. Gather-decode uses runs to copy contiguous
 // spans instead of visiting indices one by one.

@@ -62,6 +62,32 @@ func TestBitmapFillPanics(t *testing.T) {
 	NewBitmap(10).Fill(0, 11)
 }
 
+func TestBitmapSetWord(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 128, 200} {
+		b := NewBitmap(n)
+		b.Fill(0, n) // SetWord overwrites, it does not OR
+		pattern := uint64(0xa5a5_5a5a_0ff0_f00f)
+		last := (n - 1) >> 6
+		b.SetWord(last, ^uint64(0)) // every bit, including those at or beyond Len
+		for wi := 0; wi < last; wi++ {
+			b.SetWord(wi, pattern)
+		}
+		want := 0
+		for i := 0; i < n; i++ {
+			bit := i>>6 == last || pattern&(1<<(uint(i)&63)) != 0
+			if bit {
+				want++
+			}
+			if b.Get(i) != bit {
+				t.Fatalf("n=%d: bit %d = %v, want %v", n, i, b.Get(i), bit)
+			}
+		}
+		if got := b.Count(); got != want {
+			t.Fatalf("n=%d: Count = %d, want %d: SetWord kept bits beyond Len", n, got, want)
+		}
+	}
+}
+
 // runsOf collects the Runs output for comparison.
 func runsOf(b *Bitmap) [][2]int {
 	var out [][2]int

@@ -351,6 +351,8 @@ func (e *VolcanoEngine) pullSegment(ctx context.Context, acct *volcanoAccount, k
 	if err != nil {
 		return nil, err
 	}
+	// The segment is a view of the page's bytes and lives no longer than
+	// the pin: Decode copies every value out before the deferred Unpin.
 	defer e.Pool.Unpin(bufferpool.PageID(key))
 	seg, err := storage.UnmarshalSegment(page.Data)
 	if err != nil {

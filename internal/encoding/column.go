@@ -69,8 +69,14 @@ type EncodedColumn struct {
 	Type     columnar.Type
 	Encoding ColumnEncoding
 	Stats    Stats
-	Data     []byte // encoded values
-	Nulls    []byte // EncodeBools of the null bitmap; empty if no nulls
+	// Data (the encoded values) and Nulls (EncodeBools of the null
+	// bitmap; empty if no nulls) are read-only. On a column opened by
+	// UnmarshalColumn they are capacity-clamped sub-slices of the blob it
+	// was given, so the blob's owner decides how long the column may
+	// live, nobody may write through them, and every decoder copies
+	// values out (no unsafe string views) so decoded vectors outlive it.
+	Data     []byte
+	Nulls    []byte
 	Checksum uint32 // CRC-32 (IEEE) of Data
 
 	// decodedSize memoizes DecodedSize; not part of the wire format.
@@ -282,7 +288,20 @@ func (ec *EncodedColumn) EncodedSize() int64 {
 // Marshal serializes the encoded column with its header into a
 // self-contained byte block.
 func (ec *EncodedColumn) Marshal() []byte {
-	out := []byte{byte(ec.Type), byte(ec.Encoding)}
+	return ec.AppendMarshal(make([]byte, 0, ec.MaxMarshalSize()))
+}
+
+// MaxMarshalSize bounds the bytes AppendMarshal appends from above
+// (every varint counted at its maximum width), for presizing dst.
+func (ec *EncodedColumn) MaxMarshalSize() int {
+	const fixed = 2 + 1 + 16 + 4 // type+encoding, HasMinMax, float stats, checksum
+	return fixed + 8*binary.MaxVarintLen64 + len(ec.Stats.MinS) + len(ec.Stats.MaxS) + len(ec.Nulls) + len(ec.Data)
+}
+
+// AppendMarshal appends the block Marshal returns to dst, so a segment
+// is serialized into one buffer instead of one per column.
+func (ec *EncodedColumn) AppendMarshal(out []byte) []byte {
+	out = append(out, byte(ec.Type), byte(ec.Encoding))
 	out = putUvarint(out, uint64(ec.Stats.NumValues))
 	out = putUvarint(out, uint64(ec.Stats.NullCount))
 	if ec.Stats.HasMinMax {
@@ -307,7 +326,9 @@ func (ec *EncodedColumn) Marshal() []byte {
 }
 
 // UnmarshalColumn parses a block produced by Marshal and returns the
-// column plus the number of bytes consumed.
+// column plus the number of bytes consumed. The column is a view: Data
+// and Nulls alias data (see EncodedColumn.Data), only the header is
+// parsed and nothing is copied but the two zone-map strings.
 func UnmarshalColumn(data []byte) (*EncodedColumn, int, error) {
 	orig := len(data)
 	if len(data) < 2 {
@@ -360,7 +381,7 @@ func UnmarshalColumn(data []byte) (*EncodedColumn, int, error) {
 			return nil, fmt.Errorf("%w: column section truncated", ErrCorrupt)
 		}
 		data = data[sz:]
-		b := data[:l]
+		b := data[:l:l] // capacity-clamped: an append can never reach the next section
 		data = data[l:]
 		return b, nil
 	}
@@ -384,12 +405,10 @@ func UnmarshalColumn(data []byte) (*EncodedColumn, int, error) {
 		return nil, 0, err
 	}
 	if len(nulls) > 0 {
-		ec.Nulls = append([]byte(nil), nulls...)
+		ec.Nulls = nulls
 	}
-	payload, err := readBytes()
-	if err != nil {
+	if ec.Data, err = readBytes(); err != nil {
 		return nil, 0, err
 	}
-	ec.Data = append([]byte(nil), payload...)
 	return ec, orig - len(data), nil
 }

@@ -25,18 +25,11 @@ func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector,
 	if err := ec.verify(); err != nil {
 		return nil, err
 	}
-	var nulls []bool
-	if len(ec.Nulls) > 0 {
-		var err error
-		nulls, err = DecodeBools(ec.Nulls)
-		if err != nil {
-			return nil, err
-		}
-		if len(nulls) != ec.Stats.NumValues {
-			return nil, fmt.Errorf("%w: null bitmap length mismatch", ErrCorrupt)
-		}
+	nulls, err := ec.nullRows()
+	if err != nil {
+		return nil, err
 	}
-	isNull := func(i int) bool { return nulls != nil && nulls[i] }
+	isNull := func(i int) bool { return nulls != nil && nulls.Get(i) }
 	out := columnar.NewVector(ec.Type, sel.Count())
 
 	switch {

@@ -290,15 +290,24 @@ func EncodeBools(vals []bool) []byte {
 	return out
 }
 
-// DecodeBools reverses EncodeBools.
-func DecodeBools(data []byte) ([]bool, error) {
+// splitBools parses an EncodeBools block into its count and its packed
+// bits, LSB first, which are checked to be all there.
+func splitBools(data []byte) (n uint64, packed []byte, err error) {
 	n, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad bool count", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: bad bool count", ErrCorrupt)
 	}
-	data = data[sz:]
-	if uint64(len(data)) < (n+7)/8 {
-		return nil, fmt.Errorf("%w: bool data truncated", ErrCorrupt)
+	if packed = data[sz:]; uint64(len(packed)) < (n+7)/8 {
+		return 0, nil, fmt.Errorf("%w: bool data truncated", ErrCorrupt)
+	}
+	return n, packed, nil
+}
+
+// DecodeBools reverses EncodeBools.
+func DecodeBools(data []byte) ([]bool, error) {
+	n, data, err := splitBools(data)
+	if err != nil {
+		return nil, err
 	}
 	out := make([]bool, n)
 	for i := uint64(0); i < n; i++ {

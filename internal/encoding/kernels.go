@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 
 	"repro/internal/columnar"
 )
@@ -30,23 +31,23 @@ import (
 // unsupported; callers fall back to decode-then-eval.
 
 // nullRows parses the column's null bitmap into a columnar.Bitmap of n
-// bits, or nil when the column has no nulls.
+// bits, or nil when the column has no nulls. EncodeBools packs LSB
+// first, which is the Bitmap's own word layout, so the packed bytes are
+// stored a word at a time.
 func (ec *EncodedColumn) nullRows() (*columnar.Bitmap, error) {
 	if len(ec.Nulls) == 0 {
 		return nil, nil
 	}
-	nulls, err := DecodeBools(ec.Nulls)
+	cnt, packed, err := splitBools(ec.Nulls)
 	if err != nil {
 		return nil, err
 	}
-	if len(nulls) != ec.Stats.NumValues {
+	if cnt != uint64(ec.Stats.NumValues) {
 		return nil, fmt.Errorf("%w: null bitmap length mismatch", ErrCorrupt)
 	}
-	bm := columnar.NewBitmap(len(nulls))
-	for i, isNull := range nulls {
-		if isNull {
-			bm.Set(i)
-		}
+	bm := columnar.NewBitmap(ec.Stats.NumValues)
+	for wi := 0; wi<<6 < bm.Len(); wi++ {
+		bm.SetWord(wi, load64(packed, wi*8))
 	}
 	return bm, nil
 }
@@ -106,12 +107,7 @@ func (ec *EncodedColumn) EvalIntRange(lo, hi int64) (*columnar.Bitmap, bool, err
 			return ec.allTrueMinusNulls(bm) // full cover: all true, Data untouched
 		}
 	}
-	set := func(pos, count int, v int64) {
-		if v >= lo && v <= hi {
-			bm.Fill(pos, pos+count)
-		}
-	}
-	if err := ec.walkInts(set); err != nil {
+	if err := ec.evalInts(intSet{lo: uint64(lo), span: uint64(hi) - uint64(lo)}, bm); err != nil {
 		return nil, false, err
 	}
 	if err := ec.clearNulls(bm); err != nil {
@@ -130,23 +126,20 @@ func (ec *EncodedColumn) EvalIntIn(vals []int64) (*columnar.Bitmap, bool, error)
 	if len(vals) == 0 || ec.Stats.NullCount == n {
 		return bm, true, nil
 	}
-	any := false
+	// Constants outside the zone map cannot match; the rest are tested
+	// inside their own [least, greatest] span first, then by membership.
 	member := make(map[int64]struct{}, len(vals))
+	least, greatest := int64(math.MaxInt64), int64(math.MinInt64)
 	for _, v := range vals {
 		if !ec.Stats.HasMinMax || (v >= ec.Stats.MinI && v <= ec.Stats.MaxI) {
 			member[v] = struct{}{}
-			any = true
+			least, greatest = min(least, v), max(greatest, v)
 		}
 	}
-	if ec.Stats.HasMinMax && !any {
+	if len(member) == 0 {
 		return bm, true, nil // every constant outside the zone map: Data untouched
 	}
-	set := func(pos, count int, v int64) {
-		if _, ok := member[v]; ok {
-			bm.Fill(pos, pos+count)
-		}
-	}
-	if err := ec.walkInts(set); err != nil {
+	if err := ec.evalInts(intSet{lo: uint64(least), span: uint64(greatest) - uint64(least), member: member}, bm); err != nil {
 		return nil, false, err
 	}
 	if err := ec.clearNulls(bm); err != nil {
@@ -155,10 +148,32 @@ func (ec *EncodedColumn) EvalIntIn(vals []int64) (*columnar.Bitmap, bool, error)
 	return bm, true, nil
 }
 
-// walkInts streams the encoded Int64 values, calling set(pos, count, v)
-// for each run of count equal values v starting at row pos. It verifies
-// the checksum first and never materializes a decoded slice.
-func (ec *EncodedColumn) walkInts(set func(pos, count int, v int64)) error {
+// intSet is what an integer kernel tests each value against: the range
+// [lo, lo+span], narrowed to member when that is non-nil. The range test
+// is one unsigned compare in wrapping arithmetic — v is inside exactly
+// when uint64(v)-lo <= span — which holds for every int64 lo <= hi, the
+// extremes included, with nothing to clamp.
+type intSet struct {
+	lo, span uint64
+	member   map[int64]struct{}
+}
+
+func (s intSet) contains(v int64) bool {
+	if uint64(v)-s.lo > s.span {
+		return false
+	}
+	if s.member == nil {
+		return true
+	}
+	_, ok := s.member[v]
+	return ok
+}
+
+// evalInts streams the encoded Int64 values and sets bm's bit for every
+// row whose value is in set. It verifies the checksum first, never
+// materializes a decoded slice, and — runs of RLE apart — stores bm one
+// 64-row word at a time.
+func (ec *EncodedColumn) evalInts(set intSet, bm *columnar.Bitmap) error {
 	if err := ec.verify(); err != nil {
 		return err
 	}
@@ -167,14 +182,14 @@ func (ec *EncodedColumn) walkInts(set func(pos, count int, v int64)) error {
 	if sz <= 0 {
 		return fmt.Errorf("%w: bad count", ErrCorrupt)
 	}
-	if int(cnt) != ec.Stats.NumValues {
-		return fmt.Errorf("%w: value count %d, header says %d", ErrCorrupt, cnt, ec.Stats.NumValues)
+	n := ec.Stats.NumValues
+	if cnt != uint64(n) {
+		return fmt.Errorf("%w: value count %d, header says %d", ErrCorrupt, cnt, n)
 	}
 	data = data[sz:]
 	switch ec.Encoding {
 	case RLE:
-		pos := 0
-		for pos < int(cnt) {
+		for pos := 0; pos < n; {
 			u, sz := binary.Uvarint(data)
 			if sz <= 0 {
 				return fmt.Errorf("%w: truncated RLE value", ErrCorrupt)
@@ -185,27 +200,35 @@ func (ec *EncodedColumn) walkInts(set func(pos, count int, v int64)) error {
 				return fmt.Errorf("%w: truncated RLE run", ErrCorrupt)
 			}
 			data = data[sz:]
-			if pos+int(run) > int(cnt) {
+			if run > uint64(n-pos) {
 				return fmt.Errorf("%w: RLE run overflows count", ErrCorrupt)
 			}
-			set(pos, int(run), unzigzag(u))
+			if set.contains(unzigzag(u)) {
+				bm.Fill(pos, pos+int(run))
+			}
 			pos += int(run)
 		}
 		return nil
 	case DeltaVarint:
 		prev := int64(0)
-		for i := 0; i < int(cnt); i++ {
-			u, sz := binary.Uvarint(data)
-			if sz <= 0 {
-				return fmt.Errorf("%w: truncated delta stream", ErrCorrupt)
+		for base := 0; base < n; base += 64 {
+			var w uint64
+			for j := 0; j < min(64, n-base); j++ {
+				u, sz := binary.Uvarint(data)
+				if sz <= 0 {
+					return fmt.Errorf("%w: truncated delta stream", ErrCorrupt)
+				}
+				data = data[sz:]
+				prev += unzigzag(u)
+				if set.contains(prev) {
+					w |= 1 << (uint(j) & 63)
+				}
 			}
-			data = data[sz:]
-			prev += unzigzag(u)
-			set(i, 1, prev)
+			bm.SetWord(base>>6, w)
 		}
 		return nil
 	case BitPacked:
-		if cnt == 0 {
+		if n == 0 {
 			return nil
 		}
 		r, err := newBitPackedReader(ec.Data)
@@ -213,34 +236,34 @@ func (ec *EncodedColumn) walkInts(set func(pos, count int, v int64)) error {
 			return err
 		}
 		if r.width == 0 {
-			set(0, int(cnt), r.min)
-			return nil
-		}
-		if r.width == 64 {
-			for i := 0; i < int(cnt); i++ {
-				d := binary.LittleEndian.Uint64(r.payload[i*8:])
-				set(i, 1, int64(uint64(r.min)+d))
+			if set.contains(r.min) {
+				bm.Fill(0, n)
 			}
 			return nil
 		}
-		var acc uint64
-		var nbits uint
-		pos := 0
-		mask := uint64(1)<<r.width - 1
-		for i := 0; i < int(cnt); i++ {
-			for nbits < r.width {
-				acc |= uint64(r.payload[pos]) << nbits
-				pos++
-				nbits += 8
+		// The packed value is v-min, so shifting the range by min tests
+		// it without reconstructing v; only values inside the range are
+		// then looked up in member.
+		lo := set.lo - uint64(r.min)
+		for base := 0; base < n; base += 64 {
+			w := r.rangeWord(base, min(64, n-base), lo, set.span)
+			if set.member != nil {
+				for hits := w; hits != 0; hits &= hits - 1 {
+					j := bits.TrailingZeros64(hits)
+					if !set.contains(r.at(base + j)) {
+						w &^= 1 << uint(j)
+					}
+				}
 			}
-			set(i, 1, r.min+int64(acc&mask))
-			acc >>= r.width
-			nbits -= r.width
+			bm.SetWord(base>>6, w)
 		}
 		return nil
 	}
 	return fmt.Errorf("%w: encoding %v invalid for BIGINT", ErrCorrupt, ec.Encoding)
 }
+
+func above(v, bound float64, inc bool) bool { return v > bound || (inc && v == bound) }
+func below(v, bound float64, inc bool) bool { return v < bound || (inc && v == bound) }
 
 // EvalFloatRange evaluates a float range predicate with inclusive or
 // exclusive bounds over a Plain-encoded Float64 column.
@@ -253,8 +276,6 @@ func (ec *EncodedColumn) EvalFloatRange(lo, hi float64, incLo, incHi bool) (*col
 	if ec.Stats.NullCount == n {
 		return bm, true, nil
 	}
-	above := func(v, bound float64, inc bool) bool { return v > bound || (inc && v == bound) }
-	below := func(v, bound float64, inc bool) bool { return v < bound || (inc && v == bound) }
 	if ec.Stats.HasMinMax {
 		if !above(ec.Stats.MaxF, lo, incLo) || !below(ec.Stats.MinF, hi, incHi) {
 			return bm, true, nil // no overlap: Data untouched
@@ -275,11 +296,14 @@ func (ec *EncodedColumn) EvalFloatRange(lo, hi float64, incLo, incHi bool) (*col
 	if uint64(len(data)) < cnt*8 {
 		return nil, false, fmt.Errorf("%w: float data truncated", ErrCorrupt)
 	}
-	for i := 0; i < int(cnt); i++ {
-		v := lefloat(data[i*8:])
-		if above(v, lo, incLo) && below(v, hi, incHi) {
-			bm.Set(i)
+	for base := 0; base < n; base += 64 {
+		var w uint64
+		for j := 0; j < min(64, n-base); j++ {
+			if v := lefloat(data[(base+j)*8:]); above(v, lo, incLo) && below(v, hi, incHi) {
+				w |= 1 << (uint(j) & 63)
+			}
 		}
+		bm.SetWord(base>>6, w)
 	}
 	if err := ec.clearNulls(bm); err != nil {
 		return nil, false, err
@@ -330,14 +354,18 @@ func (ec *EncodedColumn) EvalStringMatch(match func(string) bool) (*columnar.Bit
 	if err != nil {
 		return nil, false, err
 	}
-	for i := 0; i < n; i++ {
-		c := r.at(i)
-		if c < 0 || c >= int64(len(dict)) {
-			return nil, false, fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, c)
+	for base := 0; base < n; base += 64 {
+		var w uint64
+		for j := 0; j < min(64, n-base); j++ {
+			c := uint64(r.at(base + j))
+			if c >= uint64(len(matched)) {
+				return nil, false, fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, int64(c))
+			}
+			if matched[c] {
+				w |= 1 << (uint(j) & 63)
+			}
 		}
-		if matched[c] {
-			bm.Set(i)
-		}
+		bm.SetWord(base>>6, w)
 	}
 	if err := ec.clearNulls(bm); err != nil {
 		return nil, false, err
@@ -404,39 +432,59 @@ func newBitPackedReader(data []byte) (*bitPackedReader, error) {
 	if r.width > 56 && r.width != 64 {
 		return nil, fmt.Errorf("%w: unsupported bit width %d", ErrCorrupt, r.width)
 	}
-	if r.width == 64 {
-		if uint64(len(r.payload)) < cnt*8 {
+	if r.width > 0 {
+		if uint64(len(r.payload)) < (cnt*uint64(r.width)+7)/8 {
 			return nil, fmt.Errorf("%w: bit-packed data truncated", ErrCorrupt)
 		}
-	} else if r.width > 0 {
-		need := (cnt*uint64(r.width) + 7) / 8
-		if uint64(len(r.payload)) < need {
-			return nil, fmt.Errorf("%w: bit-packed data truncated", ErrCorrupt)
-		}
-		r.mask = uint64(1)<<r.width - 1
+		r.mask = uint64(1)<<r.width - 1 // all ones at width 64
 	}
 	return r, nil
 }
 
-// at returns value i. The caller must keep i within [0, n).
+// at returns value i, read with one unaligned 8-byte load: at most 56
+// bits starting at most 7 bits into the window always fit, and width 64
+// is byte-aligned. The caller must keep i within [0, n).
 func (r *bitPackedReader) at(i int) int64 {
 	if r.width == 0 {
 		return r.min
 	}
-	if r.width == 64 {
-		return int64(uint64(r.min) + binary.LittleEndian.Uint64(r.payload[i*8:]))
-	}
 	bitpos := i * int(r.width)
-	off := bitpos >> 3
-	end := off + 8
-	if end > len(r.payload) {
-		end = len(r.payload)
+	return r.min + int64(load64(r.payload, bitpos>>3)>>(uint(bitpos)&7)&r.mask)
+}
+
+// rangeWord tests the lim <= 64 packed values from base on against
+// [lo, lo+span] — one unsigned compare each, in wrapping arithmetic —
+// and returns one result bit per value, value base in bit 0. It is its
+// own function so the loop's few live values stay in registers. The
+// width must be above zero.
+func (r *bitPackedReader) rangeWord(base, lim int, lo, span uint64) (w uint64) {
+	payload, width, mask := r.payload, int(r.width), r.mask
+	bit := base * width
+	for j := 0; j < lim; j++ {
+		if d := load64(payload, bit>>3) >> (uint(bit) & 7) & mask; d-lo <= span {
+			w |= 1 << (uint(j) & 63)
+		}
+		bit += width
 	}
-	var window uint64
-	for j := end - 1; j >= off; j-- {
-		window = window<<8 | uint64(r.payload[j])
+	return w
+}
+
+// load64 reads the little-endian word at b[off:]; where fewer than eight
+// bytes remain — the last values of a packed payload, the last bytes of
+// a null bitmap — the missing high bytes read as zero.
+func load64(b []byte, off int) uint64 {
+	if off+8 <= len(b) {
+		return binary.LittleEndian.Uint64(b[off:])
 	}
-	return r.min + int64((window>>(uint(bitpos)&7))&r.mask)
+	return load64Tail(b, off)
+}
+
+func load64Tail(b []byte, off int) uint64 {
+	var w uint64
+	for j := len(b) - 1; j >= off; j-- {
+		w = w<<8 | uint64(b[j])
+	}
+	return w
 }
 
 func lefloat(b []byte) float64 {

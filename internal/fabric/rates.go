@@ -50,14 +50,14 @@ var (
 
 // Link latencies.
 var (
-	DDRLatency     = 100 * sim.Nanosecond
-	OnChipLatency  = 10 * sim.Nanosecond
-	PCIeLatency    = 500 * sim.Nanosecond
-	CXLLatency     = 200 * sim.Nanosecond // "slightly higher latency" than local (Section 6.3)
-	RDMALatency    = 2 * sim.Microsecond
-	TCPLatency     = 30 * sim.Microsecond
-	NVMeLatency    = 80 * sim.Microsecond
-	ObjectLatency  = 4 * sim.Millisecond
+	DDRLatency    = 100 * sim.Nanosecond
+	OnChipLatency = 10 * sim.Nanosecond
+	PCIeLatency   = 500 * sim.Nanosecond
+	CXLLatency    = 200 * sim.Nanosecond // "slightly higher latency" than local (Section 6.3)
+	RDMALatency   = 2 * sim.Microsecond
+	TCPLatency    = 30 * sim.Microsecond
+	NVMeLatency   = 80 * sim.Microsecond
+	ObjectLatency = 4 * sim.Millisecond
 	// NVMeQueueDepth is how many outstanding commands the flash media
 	// link services concurrently: command latency overlaps across the
 	// queue (Link.TransferQD) while sequential bandwidth stays a serial

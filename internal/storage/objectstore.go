@@ -159,6 +159,12 @@ func (o *ObjectStore) Get(ctx context.Context, key string) ([]byte, error) {
 
 // GetNoCopy is the metered hot path: it returns the stored slice itself,
 // which the caller must not modify. Recovery behaviour matches Get.
+//
+// Stored blobs are immutable: Put, read-repair, RepairReplica and
+// injected damage each install a fresh copy under the lock and never
+// write through a slice already stored, so the slice returned here — and
+// any segment view opened over it (UnmarshalSegment) — stays intact for
+// as long as the caller holds it, whatever happens to the key meanwhile.
 func (o *ObjectStore) GetNoCopy(ctx context.Context, key string) ([]byte, error) {
 	return o.Read(ctx, key, false, nil)
 }

@@ -104,21 +104,38 @@ func (s *Segment) PruneInt(col int, lo, hi int64) bool {
 	return !s.Columns[col].Stats.OverlapsInt(lo, hi)
 }
 
-// Marshal serializes the segment into a self-contained blob.
+// Marshal serializes the segment into a self-contained blob, written
+// once into a buffer presized for all of it.
 func (s *Segment) Marshal() []byte {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(s.ID))
+	size := 12
+	for i, f := range s.Schema.Fields {
+		size += 2 + len(f.Name) + 1 + s.Columns[i].MaxMarshalSize()
+	}
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(s.ID))
 	out = binary.LittleEndian.AppendUint32(out, uint32(s.NumRows))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.Columns)))
 	for i, f := range s.Schema.Fields {
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Name)))
 		out = append(out, f.Name...)
 		out = append(out, byte(f.Type))
-		out = append(out, s.Columns[i].Marshal()...)
+		out = s.Columns[i].AppendMarshal(out)
 	}
 	return out
 }
 
-// UnmarshalSegment parses a blob produced by Marshal.
+// minFieldBytes is the least a marshalled field can occupy: name length
+// and type byte, then a column header with every varint and section at
+// its shortest.
+const minFieldBytes = 3 + 31
+
+// UnmarshalSegment opens a blob produced by Marshal as a view: it walks
+// the headers (a few microseconds, whatever the blob's size) and every
+// column's Data and Nulls alias data instead of copying it. The segment
+// is therefore valid only while data is, and data must not change under
+// it: blobs out of the ObjectStore qualify for as long as they are
+// referenced (the store never writes through a stored slice), a buffer-
+// pool page only while it is pinned. The header fields a view trusts —
+// each column's type and row count — are checked here.
 func UnmarshalSegment(data []byte) (*Segment, error) {
 	if len(data) < 12 {
 		return nil, fmt.Errorf("%w: segment header truncated", encoding.ErrCorrupt)
@@ -129,7 +146,11 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 	}
 	ncols := int(binary.LittleEndian.Uint32(data[8:]))
 	data = data[12:]
-	s.Schema = &columnar.Schema{}
+	// A corrupt count must fail at the first truncated field below, not
+	// allocate: presize by what the remaining bytes could hold.
+	room := min(ncols, len(data)/minFieldBytes)
+	s.Schema = &columnar.Schema{Fields: make([]columnar.Field, 0, room)}
+	s.Columns = make([]*encoding.EncodedColumn, 0, room)
 	for i := 0; i < ncols; i++ {
 		if len(data) < 2 {
 			return nil, fmt.Errorf("%w: segment field truncated", encoding.ErrCorrupt)
@@ -146,6 +167,10 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 		col, used, err := encoding.UnmarshalColumn(data)
 		if err != nil {
 			return nil, err
+		}
+		if col.Type != typ || col.Stats.NumValues != s.NumRows {
+			return nil, fmt.Errorf("%w: segment %d column %d is %v x %d rows, field says %v x %d",
+				encoding.ErrCorrupt, s.ID, i, col.Type, col.Stats.NumValues, typ, s.NumRows)
 		}
 		data = data[used:]
 		s.Columns = append(s.Columns, col)
