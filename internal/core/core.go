@@ -117,15 +117,6 @@ func (e *engineBase) EnableResilience(p *resilience.Policy) {
 	e.Storage.Store().Resilience = p
 }
 
-// breakerTrips reads the policy's lifetime count of breakers tripped
-// open, 0 without a policy.
-func (e *engineBase) breakerTrips() int64 {
-	if e.Resilience == nil {
-		return 0
-	}
-	return e.Resilience.Breakers.Trips()
-}
-
 // SetMetrics installs (or, with nil, removes) the fleet registry on the
 // engine and the storage layers under it: the storage server folds scan
 // stats, the object store mirrors hedge activity, and the engine itself

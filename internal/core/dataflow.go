@@ -222,12 +222,12 @@ func (e *DataFlowEngine) Execute(ctx context.Context, q *plan.Query) (*Result, e
 // degrading to the CPU-only plan in the worst case — and the query
 // re-admitted and re-executed. Transient faults (link flaps, exhausted
 // storage retry budgets) re-execute on the same placements. The work an
-// abandoned attempt burned is measured by meter deltas and reported as
-// RecoveryBytes/RecoveryTime; what its reads cost at the object store
-// stays on the query's account (Scan.ReadStats). With PartialRestart
-// set, a device failure first tries a cheaper stage-level restart
-// inside the attempt (see executePlan); only when that is impossible
-// does the whole-query failover here take over.
+// abandoned attempt burned is read off that attempt's account and
+// reported as RecoveryBytes/RecoveryTime; what its reads cost at the
+// object store stays on the query's account (Scan.ReadStats). With
+// PartialRestart set, a device failure first tries a cheaper stage-level
+// restart inside the attempt (see executePlan); only when that is
+// impossible does the whole-query failover here take over.
 //
 // ctx bounds the whole lifecycle: admission (a queued query sheds with
 // sched.ErrOverloaded when its deadline cannot be met), scan, stage
@@ -240,7 +240,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 	e.Scheduler.SetWorkers(e.Workers)
 	exclude := make(map[string]bool)
 	var failovers int
-	var queryRetries int64
+	var queryRetries, trips int64
 	var lost abandonedWork
 	// One trace spans the whole query: abandoned attempts drop their
 	// spans (ClearSpans) but keep fault/failover/admit annotations, so
@@ -250,7 +250,6 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 	if e.Tracing {
 		tr = obs.New()
 	}
-	tripsBefore := e.breakerTrips()
 
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -269,7 +268,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 			defer e.Scheduler.Release(adm)
 			return e.executePlan(ctx, adm.Plan, tr, &lost)
 		}()
-		e.reportBreakers(adm.Plan, err)
+		trips += e.reportBreakers(adm.Plan, err)
 		if err == nil {
 			res.Stats.Scan.ReadStats.Add(lost.reads)
 			res.Stats.QueryRetries = queryRetries
@@ -277,7 +276,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 			res.Stats.DegradedPlacement = failovers > 0 || res.Stats.PartialRestarts > 0
 			res.Stats.RecoveryBytes += lost.bytes
 			res.Stats.RecoveryTime += lost.time
-			res.Stats.BreakerTrips = e.breakerTrips() - tripsBefore
+			res.Stats.BreakerTrips = trips + res.Stats.Scan.BreakerTrips
 			e.publishQuery(ctx, res, time.Since(startWall))
 			return res, nil
 		}
@@ -316,22 +315,24 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 // reportBreakers feeds one attempt's outcome into the policy's circuit
 // breakers: a device-attributed stage failure charges that device's
 // breaker, success credits every device the plan placed work on (which
-// also closes any half-open breaker whose probe this attempt was).
-func (e *DataFlowEngine) reportBreakers(ph *plan.Physical, err error) {
+// also closes any half-open breaker whose probe this attempt was). It
+// returns the breakers the failure opened, 0 or 1.
+func (e *DataFlowEngine) reportBreakers(ph *plan.Physical, err error) (trips int64) {
 	if e.Resilience == nil || e.Resilience.Breakers == nil || ph == nil {
-		return
+		return 0
 	}
 	br := e.Resilience.Breakers
 	if err == nil {
 		for _, dev := range ph.PlacedDevices() {
 			br.Success(dev)
 		}
-		return
+		return 0
 	}
 	var se *flow.StageError
-	if errors.As(err, &se) && se.Device != "" {
-		br.Failure(se.Device)
+	if errors.As(err, &se) && se.Device != "" && br.Failure(se.Device) {
+		return 1
 	}
+	return 0
 }
 
 // errorOrCtx prefers err, falling back to the context's own error when
@@ -355,13 +356,14 @@ type abandonedWork struct {
 	time  sim.VTime
 }
 
-// wasteSince sums the link payload and bottleneck busy time accumulated
-// since the mark — the wasted work of one abandoned attempt. Busy time is
-// the effective (lane-divided) reading so replayed parallel work is not
-// over-counted against the wall clock.
-func wasteSince(before meterMark) (sim.Bytes, sim.VTime) {
-	f := before.fold(nil)
-	return f.MovedBytes, f.Bottleneck
+// waste sums the link payload and bottleneck busy time on acct — the
+// account of one abandoned attempt, or what an attempt charged after its
+// last completed checkpoint. Busy time is the effective (lane-divided)
+// reading so replayed parallel work is not over-counted against the
+// wall clock.
+func waste(acct *fabric.Account) (sim.Bytes, sim.VTime) {
+	st, busiest := fold(acct, nil)
+	return st.MovedBytes, busiest
 }
 
 // ExecutePlan runs one specific physical plan variant, bypassing the
@@ -373,12 +375,11 @@ func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*R
 	if e.Tracing {
 		tr = obs.New()
 	}
-	tripsBefore := e.breakerTrips()
 	res, err := e.executePlan(ctx, ph, tr, new(abandonedWork))
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
-	res.Stats.BreakerTrips = e.breakerTrips() - tripsBefore
+	res.Stats.BreakerTrips = res.Stats.Scan.BreakerTrips
 	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil
 }
@@ -391,7 +392,8 @@ func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*R
 // stages rebuilt, snapshots restored, the scan resumed at the last
 // completed epoch's watermark, the failed device's stages re-hosted on
 // the CPU — instead of abandoning the query. Work done since the last
-// completed checkpoint is the only replayed work; it is metered and
+// completed checkpoint is the only replayed work; it is read off the
+// query's account against the copy taken at the checkpoint and
 // reported as ReplayedBytes (and folded into RecoveryBytes/Time). A
 // failure with no completed checkpoint, or one the CPU cannot host,
 // falls through to the caller's whole-query failover. What a failed run
@@ -404,13 +406,16 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 		return nil, err
 	}
 
-	before := markMeters(e.Cluster)
+	// Everything this execution charges a device or a link — every
+	// attempt of the restart loop below — goes on its own account.
+	acct := e.Cluster.NewAccount()
 
 	spec, emitsPartials, err := e.buildScanSpec(ph, tableSchema.NumFields())
 	if err != nil {
 		return nil, err
 	}
 	spec.Workers = e.Workers
+	spec.Account = acct
 
 	// Pushed-down aggregation accumulates inside the storage processor,
 	// out of reach of stage snapshots — no consistent cut exists, so such
@@ -437,7 +442,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 	defer func() {
 		if err != nil {
 			lost.reads.Add(totalScan.ReadStats)
-			wb, wt := wasteSince(before)
+			wb, wt := waste(acct)
 			lost.bytes += wb
 			lost.time += wt
 		}
@@ -474,19 +479,19 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 		var ck *flow.Checkpointer
 		attemptSpec := spec
 		attemptSpec.StartSegment = startSeg
-		// Meters at the last completed checkpoint: everything charged
-		// after this point is lost — and replayed — if the attempt dies.
-		// Each epoch's meters are snapshotted at Mark time on the source
+		// The account as of the last completed checkpoint: everything
+		// charged after this point is lost — and replayed — if the attempt
+		// dies. Each epoch's copy is taken at Mark time on the source
 		// goroutine (an exact stream-positional cut: segments past the
 		// watermark have not been charged yet) and promoted when the
 		// epoch completes at the sink, so the waste accounting cannot be
 		// skewed by how far the source ran ahead of the marker.
-		var lastCkpt meterMark
+		var lastCkpt *fabric.Account
 		if ckptEnabled {
-			lastCkpt = markMeters(e.Cluster)
+			lastCkpt = acct.Since(nil)
 			ck = flow.NewCheckpointer()
 			var snapMu sync.Mutex
-			markSnaps := make(map[int]meterMark)
+			markSnaps := make(map[int]*fabric.Account)
 			ck.OnComplete = func(ep int) {
 				snapMu.Lock()
 				if s, ok := markSnaps[ep]; ok {
@@ -502,7 +507,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 					segs = 0
 					epoch++
 					snapMu.Lock()
-					markSnaps[epoch] = markMeters(e.Cluster)
+					markSnaps[epoch] = acct.Since(nil)
 					snapMu.Unlock()
 					return ck.Mark(epoch, next)
 				}
@@ -534,6 +539,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 			Ckpt:         ck,
 			Restore:      restore,
 			Metrics:      e.Metrics,
+			Account:      acct,
 		}
 		if e.Resilience != nil {
 			pipe.Health = e.Resilience.Health
@@ -570,7 +576,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 
 		// Everything charged since the last completed checkpoint is lost
 		// work this restart will redo.
-		wb, wt := wasteSince(lastCkpt)
+		wb, wt := waste(acct.Since(lastCkpt))
 		replayed += wb
 		replayTime += wt
 
@@ -594,14 +600,14 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 		}
 	}
 
-	result.Stats = e.buildStats(ph, before, flowRes, totalScan, maxBatch, &result)
+	result.Stats = e.buildStats(ph, acct, flowRes, totalScan, maxBatch, &result)
 	result.Stats.PartialRestarts = restarts
 	result.Stats.Checkpoints = checkpoints
 	result.Stats.ReplayedBytes = replayed
 	result.Stats.RecoveryBytes += replayed
 	result.Stats.RecoveryTime += replayTime
 	result.Trace = tr
-	sampleMeterSeries(tr, before)
+	sampleMeterSeries(tr, acct)
 	sampleHealthSeries(tr, e.Resilience)
 	return &result, nil
 }
@@ -853,10 +859,11 @@ func (deliverStage) Process(b *columnar.Batch, emit flow.Emit) error {
 }
 func (deliverStage) Flush(flow.Emit) error { return nil }
 
-// buildStats derives the execution stats from the meters' fold since
-// before, plus what the scan and the flow run reported.
-func (e *DataFlowEngine) buildStats(ph *plan.Physical, before meterMark, flowRes flow.Result, scan storage.ScanStats, maxBatch sim.Bytes, res *Result) ExecStats {
-	st := before.fold(ph.Path.CPU()).stats(e.engine, ph.Variant, res)
+// buildStats derives the execution stats from the query's account, plus
+// what the scan and the flow run reported.
+func (e *DataFlowEngine) buildStats(ph *plan.Physical, acct *fabric.Account, flowRes flow.Result, scan storage.ScanStats, maxBatch sim.Bytes, res *Result) ExecStats {
+	st, _ := fold(acct, ph.Path.CPU())
+	st.Engine, st.Variant, st.ResultRows = e.engine, ph.Variant, res.Rows()
 	st.Scan = scan
 	st.Ports = flowRes.Ports
 	// Peak compute-side memory: in-flight port buffering plus any final

@@ -40,7 +40,7 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 	if err != nil {
 		return nil, err
 	}
-	before := markMeters(e.Cluster)
+	acct := e.Cluster.NewAccount()
 
 	// Scan with filter pushdown when the storage processor allows it;
 	// ship only the columns the aggregation touches.
@@ -48,6 +48,7 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 		Filter:     q.Filter,
 		Projection: expr.ColumnSet(meta.Schema.NumFields(), q.Filter, q.GroupBy, nil),
 		Pushdown:   q.Filter != nil && e.Storage.Proc().Can(fabric.OpFilter),
+		Account:    acct,
 	}
 	shipped := spec.ShippedColumns(meta.Schema.NumFields())
 	pos := make(map[int]int, len(shipped))
@@ -81,10 +82,10 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 			Path: path,
 			Sink: func(b *columnar.Batch) error {
 				if shippedFilter != nil {
-					cpu.Charge(fabric.OpFilter, sim.Bytes(b.ByteSize()))
+					acct.Charge(cpu, fabric.OpFilter, sim.Bytes(b.ByteSize()))
 					b = b.Filter(shippedFilter.Eval(b))
 				}
-				cpu.Charge(fabric.OpAggregate, sim.Bytes(b.ByteSize()))
+				acct.Charge(cpu, fabric.OpAggregate, sim.Bytes(b.ByteSize()))
 				aggs[i].AddRaw(b)
 				return nil
 			},
@@ -94,10 +95,11 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 	if err != nil {
 		return nil, err
 	}
+	ex.Account = acct
 
-	scatter.ChargeSetup()
+	acct.ChargeSetup(scatter)
 	scan, err := e.Storage.Scan(ctx, q.Table, spec, func(b *columnar.Batch) error {
-		scatter.Charge(fabric.OpPartition, sim.Bytes(b.ByteSize()))
+		acct.Charge(scatter, fabric.OpPartition, sim.Bytes(b.ByteSize()))
 		return ex.Process(b, nil)
 	})
 	if err != nil {
@@ -120,8 +122,9 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 			gatherPaths[i] = p
 		}
 	}
-	res := &Result{Batches: netsim.Gather(parts, gatherPaths)}
-	res.Stats = before.fold(nil).stats(e.engine, fmt.Sprintf("distributed-groupby-%dn", nodes), res)
+	res := &Result{Batches: netsim.Gather(acct, parts, gatherPaths)}
+	res.Stats, _ = fold(acct, nil)
+	res.Stats.Engine, res.Stats.Variant, res.Stats.ResultRows = e.engine, fmt.Sprintf("distributed-groupby-%dn", nodes), res.Rows()
 	res.Stats.Scan = scan
 	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil

@@ -37,13 +37,13 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 	if nodes > e.Cluster.Cfg.ComputeNodes {
 		return nil, fmt.Errorf("core: join wants %d nodes, cluster has %d", nodes, e.Cluster.Cfg.ComputeNodes)
 	}
-	before := markMeters(e.Cluster)
+	acct := e.Cluster.NewAccount()
 
-	build, scan, err := e.materialize(ctx, jq.Build)
+	build, scan, err := e.materialize(ctx, jq.Build, acct)
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
-	probe, probeScan, err := e.materialize(ctx, jq.Probe)
+	probe, probeScan, err := e.materialize(ctx, jq.Probe, acct)
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
@@ -65,6 +65,7 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 		ScatterDevice: scatter,
 		BatchRows:     storage.DefaultBatchRows,
 		Workers:       e.Workers,
+		Account:       acct,
 	}
 	for i := 0; i < nodes; i++ {
 		cfg.Nodes = append(cfg.Nodes, e.Cluster.ComputeCPU(i))
@@ -92,21 +93,22 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 		}
 		gatherPaths[i] = p
 	}
-	batches := netsim.Gather(perNode, gatherPaths)
+	batches := netsim.Gather(acct, perNode, gatherPaths)
 
 	res := &Result{Batches: batches}
-	res.Stats = before.fold(nil).stats(e.engine, "distributed-join", res)
+	res.Stats, _ = fold(acct, nil)
+	res.Stats.Engine, res.Stats.Variant, res.Stats.ResultRows = e.engine, "distributed-join", res.Rows()
 	res.Stats.Scan = scan
 	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil
 }
 
 // materialize scans a full table into batches, charging the storage
-// side (media read + decode) but not shipping anywhere yet — the
+// side (media read + decode) to acct but not shipping anywhere yet — the
 // exchange does the shipping.
-func (e *DataFlowEngine) materialize(ctx context.Context, table string) ([]*columnar.Batch, storage.ScanStats, error) {
+func (e *DataFlowEngine) materialize(ctx context.Context, table string, acct *fabric.Account) ([]*columnar.Batch, storage.ScanStats, error) {
 	var out []*columnar.Batch
-	st, err := e.Storage.Scan(ctx, table, storage.ScanSpec{Workers: e.Workers}, func(b *columnar.Batch) error {
+	st, err := e.Storage.Scan(ctx, table, storage.ScanSpec{Workers: e.Workers, Account: acct}, func(b *columnar.Batch) error {
 		out = append(out, b)
 		return nil
 	})
@@ -124,9 +126,8 @@ func (e *DataFlowEngine) materialize(ctx context.Context, table string) ([]*colu
 // iterator — no exchange, no other nodes, all bytes to one CPU.
 func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
 	startWall := time.Now()
-	acct := &volcanoAccount{}
+	acct := &volcanoAccount{work: e.Cluster.NewAccount()}
 	ctx = context.WithValue(ctxOrBackground(ctx), volcanoAccountKey{}, acct)
-	before := markMeters(e.Cluster)
 	buildIt, err := e.tableIterator(ctx, jq.Build)
 	if err != nil {
 		return nil, err
@@ -146,7 +147,7 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 		return nil, lifecycleError(err)
 	}
 	res := &Result{Batches: batches}
-	res.Stats = e.buildStats(before, acct, res)
+	res.Stats = e.buildStats(acct, res)
 	res.Stats.Variant = "volcano-join"
 	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil

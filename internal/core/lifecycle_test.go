@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -162,6 +163,70 @@ func TestPartialRestartReplaysLessThanFailover(t *testing.T) {
 		t.Errorf("partial restart replayed %v, not less than whole-query failover waste %v",
 			pres.Stats.ReplayedBytes, wres.Stats.RecoveryBytes)
 	}
+}
+
+// A query nothing is wrong with, run beside one that loses a device and
+// restarts from a checkpoint, reports exactly what it reports alone and
+// no recovery work: the restart's replayed bytes are read off the
+// restarting query's own account against an earlier copy of itself, not
+// off meters both queries charge.
+func TestCalmQueryBesideARestartingOne(t *testing.T) {
+	const rows, segRows = 20000, 2500 // 8 segments, one batch each
+	ctx := context.Background()
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	// Whether a checkpoint has completed when the strike lands depends on
+	// goroutine scheduling (see TestPartialRestartReplaysLessThanFailover);
+	// re-run on a fresh engine until one has.
+	for try := 0; try < 5; try++ {
+		df := lifecycleEngine(t, rows, segRows)
+		df.PartialRestart = true
+		df.CheckpointSegments = 2
+		// The calm query places nothing on the device about to die.
+		calm := mustPlanned(t, df, plan.NewQuery("lineitem").WithProjection(workload.LExtendedPrice), "cpu-only")
+		solo, err := df.ExecutePlan(ctx, calm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, df.Faults = killPoint(t, df, q, 7)
+
+		restarted := make(chan *Result, 1)
+		go func() {
+			res, err := df.Execute(ctx, q)
+			if err != nil {
+				t.Errorf("query did not survive the kill: %v", err)
+			}
+			restarted <- res
+		}()
+		var res *Result
+		for finished := false; !finished; {
+			beside, err := df.ExecutePlan(ctx, calm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := beside.Stats
+			if got, want := fabricOf(st), fabricOf(solo.Stats); !reflect.DeepEqual(got, want) {
+				t.Fatalf("the calm query was charged the restarting one's work:\n got  %+v\n solo %+v", got, want)
+			}
+			if st.RecoveryBytes != 0 || st.RecoveryTime != 0 || st.ReplayedBytes != 0 || st.PartialRestarts != 0 || st.Failovers != 0 {
+				t.Fatalf("the calm query reports recovery work: %+v", st)
+			}
+			select {
+			case res = <-restarted:
+				finished = true
+			default:
+			}
+		}
+		if res == nil {
+			return // Execute failed and said so
+		}
+		if res.Stats.PartialRestarts > 0 {
+			if res.Stats.ReplayedBytes == 0 || res.Stats.ReplayedBytes > res.Stats.MovedBytes {
+				t.Errorf("restart replayed %v of the %v the query moved in all", res.Stats.ReplayedBytes, res.Stats.MovedBytes)
+			}
+			return
+		}
+	}
+	t.Fatal("no run recovered by partial restart in 5 tries")
 }
 
 func TestExecutePreCancelledContext(t *testing.T) {

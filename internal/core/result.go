@@ -142,10 +142,12 @@ type ExecStats struct {
 	// work charged after the last completed checkpoint of a failed
 	// attempt. Always a subset of RecoveryBytes.
 	ReplayedBytes sim.Bytes
-	// BreakerTrips counts circuit breakers that newly tripped open while
-	// the query ran. A breaker integrates failures across queries, so no
-	// one query owns a trip: this is the one counter still read as a
-	// before/after delta of a shared total.
+	// BreakerTrips counts the circuit breakers this query's failures
+	// opened: the replica breakers its corrupt and lost reads tripped
+	// (Scan.BreakerTrips, its share at the object store) plus the device
+	// breakers its failed pipeline attempts tripped. A breaker integrates
+	// failures across queries; the trip is counted for the query whose
+	// failure crossed the threshold.
 	BreakerTrips int64
 }
 

@@ -400,3 +400,81 @@ func TestSelfHealChaosScrubAndReclone(t *testing.T) {
 		t.Error("admissions leaked after chaos")
 	}
 }
+
+// A breaker trip is counted where it happens, on the query whose failure
+// opened the breaker: of four concurrent queries reading a table whose
+// first replica is damaged, the one whose corrupt read crossed the
+// threshold reports the trip on its store account and the others report
+// none; a device that dies under a pipeline stage trips the engine's own
+// breaker for the query that lost it. Either way the queries' trips sum
+// to the open transitions the breakers announced (OnChange, which the
+// engine mirrors into resilience.breaker.trips).
+func TestBreakerTripsAreCountedWhereTheyHappen(t *testing.T) {
+	data := workload.GenLineitem(workload.DefaultLineitemConfig(testRows))
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	policy := func() *resilience.Policy {
+		pol := resilience.NewPolicy()
+		pol.Hedge, pol.Speculate = false, false
+		// One failure opens a breaker and it stays open for the test, so
+		// every breaker trips exactly once.
+		pol.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{TripThreshold: 1, Cooldown: time.Hour})
+		return pol
+	}
+
+	t.Run("store", func(t *testing.T) {
+		df := buildSelfHealEngine(t, 2, data)
+		df.EnableRepair(repair.Config{})
+		reg := metrics.New()
+		df.SetMetrics(reg)
+		df.EnableResilience(policy())
+		damageDetectably(t, df.Storage.Store())
+
+		trips := make([]ExecStats, 4)
+		var wg sync.WaitGroup
+		for i := range trips {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				res, err := df.Execute(context.Background(), q)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				trips[i] = res.Stats
+			}()
+		}
+		wg.Wait()
+		var sum int64
+		for i, st := range trips {
+			if st.BreakerTrips != st.Scan.BreakerTrips {
+				t.Errorf("query %d: BreakerTrips = %d, its store account holds %d", i, st.BreakerTrips, st.Scan.BreakerTrips)
+			}
+			sum += st.BreakerTrips
+		}
+		if total := reg.Snapshot().Counters["resilience.breaker.trips"]; sum != total || total != 1 {
+			t.Errorf("the queries report %d trips, the breakers tripped %d times, want 1 and 1", sum, total)
+		}
+		if got := df.Storage.Store().Totals().BreakerTrips; got != sum {
+			t.Errorf("store total holds %d trips, the accounts %d", got, sum)
+		}
+	})
+
+	t.Run("engine", func(t *testing.T) {
+		df := buildSelfHealEngine(t, 1, data)
+		reg := metrics.New()
+		df.SetMetrics(reg)
+		df.EnableResilience(policy())
+		_, df.Faults = killPoint(t, df, q, 3)
+		res, err := df.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Failovers != 1 || res.Stats.BreakerTrips != 1 || res.Stats.Scan.BreakerTrips != 0 {
+			t.Errorf("failovers %d, trips %d (store account %d); want 1, 1 (0)",
+				res.Stats.Failovers, res.Stats.BreakerTrips, res.Stats.Scan.BreakerTrips)
+		}
+		if total := reg.Snapshot().Counters["resilience.breaker.trips"]; total != 1 {
+			t.Errorf("breakers tripped %d times, want 1", total)
+		}
+	})
+}

@@ -74,8 +74,10 @@ func (e *DataFlowEngine) SetSLO(t *metrics.SLOTracker, shedBurn float64) {
 //     (storage.hedge.bytes, scan.speculative.bytes) and are never
 //     charged to a tenant: defensive spend is the operator's cost, not
 //     the tenant's.
-//   - Busy time is the sum of per-device virtual busy deltas the query
-//     caused, the same decomposition ExecStats.DeviceBusy reports.
+//   - Busy time is the sum of the per-device virtual busy times on the
+//     query's own account, the decomposition ExecStats.DeviceBusy
+//     reports — so N overlapping copies of a query publish N times what
+//     one publishes alone.
 type enginePublisher struct {
 	reg *metrics.Registry
 

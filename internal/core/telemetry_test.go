@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -88,6 +89,58 @@ func TestPublishAttribution(t *testing.T) {
 	}
 	if good, bad := slo.Window(); good+bad != int64(len(tenants)) {
 		t.Fatalf("SLO observed %d, want %d (dataflow only)", good+bad, len(tenants))
+	}
+}
+
+// Attribution stays exact when queries overlap: after one solo query and
+// eight concurrent copies of it from two tenants, the fleet's bytes and
+// busy time are nine times the solo query's, each tenant's are its count
+// times the solo query's, and the tenants sum to the fleet. Sums that
+// merely agree with each other prove nothing — neighbours' work inflates
+// both sides alike.
+func TestTenantAttributionUnderConcurrency(t *testing.T) {
+	df, _, cfg := newEngines(t)
+	reg := metrics.New()
+	df.SetMetrics(reg)
+	variants, err := df.Plan(telemetryQuery(cfg), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(tenant string) {
+		if _, err := df.ExecutePlan(WithTenant(context.Background(), tenant), variants[0]); err != nil {
+			t.Error(err)
+		}
+	}
+	run("alpha")
+	solo := reg.Snapshot().Counters
+	if solo["fleet.bytes"] == 0 || solo["fleet.busy.vns"] == 0 {
+		t.Fatalf("the solo query published nothing: %v", solo)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run([]string{"alpha", "beta"}[i%2])
+		}()
+	}
+	wg.Wait()
+
+	got := reg.Snapshot().Counters
+	for _, series := range []string{"queries", "bytes", "busy.vns"} {
+		one := solo["fleet."+series]
+		if fleet := got["fleet."+series]; fleet != 9*one {
+			t.Errorf("fleet.%s = %d after nine queries, want 9 x the solo query's %d", series, fleet, one)
+		}
+		alpha := got[metrics.Labels("tenant."+series, "tenant", "alpha")]
+		beta := got[metrics.Labels("tenant."+series, "tenant", "beta")]
+		if alpha != 5*one || beta != 4*one {
+			t.Errorf("tenant.%s: alpha %d, beta %d, want 5 x and 4 x the solo query's %d", series, alpha, beta, one)
+		}
+		if alpha+beta != got["fleet."+series] {
+			t.Errorf("tenant.%s sums to %d, fleet.%s is %d", series, alpha+beta, series, got["fleet."+series])
+		}
 	}
 }
 

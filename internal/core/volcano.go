@@ -34,15 +34,18 @@ type VolcanoEngine struct {
 
 // volcanoAccount is one execution's private state: what its buffer-pool
 // misses cost — how many there were and the object store's account of
-// the fetches — and, on a traced execution, the trace and its clock. It
-// rides in the execution's ctx — the pool's loader signature gives
-// fetchPage no other argument. The counters are locked because a
-// parallel scan's workers fetch at once; a traced execution runs at
-// width 1, so its spans are recorded from one goroutine.
+// the fetches — its account of device and link work and, on a traced
+// execution, the trace and its clock. It rides in the execution's ctx —
+// the pool's loader signature gives fetchPage no other argument. The
+// counters are locked because a parallel scan's workers fetch at once;
+// a traced execution runs at width 1, so its spans are recorded from
+// one goroutine.
 type volcanoAccount struct {
 	mu     sync.Mutex
 	misses int64
 	reads  storage.ReadStats
+
+	work *fabric.Account // device and link charges; set before the execution starts
 
 	tr    *obs.Trace // nil unless the execution is traced
 	clock *obs.VClock
@@ -82,11 +85,13 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	var reads storage.ReadStats
 	blob, err := e.Storage.Store().Read(ctx, string(id), true, &reads)
 	acct := volcanoAccountFrom(ctx)
+	var work *fabric.Account
 	if acct != nil {
 		acct.mu.Lock()
 		acct.misses++
 		acct.reads.Add(reads)
 		acct.mu.Unlock()
+		work = acct.work
 	}
 	if err != nil {
 		return nil, err
@@ -103,19 +108,15 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	}
 	n := sim.Bytes(len(blob))
 	media := e.Cluster.MustDevice(fabric.DevStorageMed)
-	acct.span("fetch", media.Name, obs.SpanScan, media.Charge(fabric.OpScan, n), n)
-	if acct.traced() {
-		// Walk the path link by link so each hop gets its own transfer
-		// span; the meter charges are identical to Cluster.Transfer.
-		path, err := e.Cluster.Path(fabric.DevStorageMed, e.dram)
-		if err != nil {
-			return nil, err
-		}
-		for _, l := range path {
-			acct.span("xfer", l.Name, obs.SpanTransfer, l.Transfer(n), n)
-		}
-	} else if _, err := e.Cluster.Transfer(ctx, fabric.DevStorageMed, e.dram, n); err != nil {
+	acct.span("fetch", media.Name, obs.SpanScan, work.Charge(media, fabric.OpScan, n), n)
+	// Walk the path link by link: each hop is charged and, on a traced
+	// execution, gets its own transfer span.
+	path, err := e.Cluster.Path(fabric.DevStorageMed, e.dram)
+	if err != nil {
 		return nil, err
+	}
+	for _, l := range path {
+		acct.span("xfer", l.Name, obs.SpanTransfer, work.Transfer(l, n), n)
 	}
 	return blob, nil
 }
@@ -160,7 +161,7 @@ func (it *chargeIter) Next() (*columnar.Batch, error) {
 		return b, err
 	}
 	n := sim.Bytes(b.ByteSize())
-	it.acct.span(it.name, it.cpu.Name, obs.SpanStage, it.cpu.Charge(it.op, n), n)
+	it.acct.span(it.name, it.cpu.Name, obs.SpanStage, it.acct.work.Charge(it.cpu, it.op, n), n)
 	return b, nil
 }
 
@@ -179,15 +180,12 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		return nil, err
 	}
 
-	acct := &volcanoAccount{}
+	acct := &volcanoAccount{work: e.Cluster.NewAccount()}
 	if e.Tracing {
 		acct.tr, acct.clock = obs.New(), obs.NewVClock()
 	}
 	tr := acct.tr
 	ctx = context.WithValue(ctx, volcanoAccountKey{}, acct)
-
-	before := markMeters(e.Cluster)
-	tripsBefore := e.breakerTrips()
 
 	// Scan: pull each segment through the buffer pool, decode on the
 	// CPU, then stream the decoded batch from DRAM into the cores at
@@ -239,10 +237,10 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		return nil, lifecycleError(err)
 	}
 	res := &Result{Batches: batches, Trace: tr}
-	sampleMeterSeries(tr, before)
-	res.Stats = e.buildStats(before, acct, res)
+	sampleMeterSeries(tr, acct.work)
+	res.Stats = e.buildStats(acct, res)
 	res.Stats.PeakMemory += maxDecoded
-	res.Stats.BreakerTrips = e.breakerTrips() - tripsBefore
+	res.Stats.BreakerTrips = res.Stats.Scan.BreakerTrips
 	sampleHealthSeries(tr, e.Resilience)
 	e.publishQuery(ctx, res, time.Since(startWall))
 	return res, nil
@@ -359,7 +357,7 @@ func (e *VolcanoEngine) pullSegment(ctx context.Context, acct *volcanoAccount, k
 		return nil, err
 	}
 	n := sim.Bytes(len(page.Data))
-	acct.span("decode", e.cpu.Name, obs.SpanScan, e.cpu.ChargeLane(fabric.OpDecompress, n, lane), n)
+	acct.span("decode", e.cpu.Name, obs.SpanScan, acct.work.ChargeLane(e.cpu, fabric.OpDecompress, n, lane), n)
 	return seg.Decode()
 }
 
@@ -372,20 +370,20 @@ func (e *VolcanoEngine) deliver(acct *volcanoAccount, b *columnar.Batch, peak *s
 		*peak = n
 	}
 	if e.dramToCPU != nil {
-		acct.span("xfer", e.dramToCPU.Name, obs.SpanTransfer, e.dramToCPU.Transfer(n), n)
+		acct.span("xfer", e.dramToCPU.Name, obs.SpanTransfer, acct.work.Transfer(e.dramToCPU, n), n)
 	}
 	return b
 }
 
 // buildStats mirrors the data-flow engine's accounting so results are
 // directly comparable. Busy times are effective readings (lane work
-// divided across a device's units; see fabric.EffectiveBusy). The
+// divided across a device's units; see fabric.Usage.Effective). The
 // store's account of the query's fetches is reported where the
 // data-flow engine reports its scan's, so E19 compares recovery cost
 // fairly.
-func (e *VolcanoEngine) buildStats(before meterMark, acct *volcanoAccount, res *Result) ExecStats {
-	f := before.fold(e.cpu)
-	st := f.stats(e.engine, "", res)
+func (e *VolcanoEngine) buildStats(acct *volcanoAccount, res *Result) ExecStats {
+	st, busiest := fold(acct.work, e.cpu)
+	st.Engine, st.ResultRows = e.engine, res.Rows()
 	acct.mu.Lock()
 	misses := acct.misses
 	st.Scan.ReadStats = acct.reads
@@ -400,7 +398,7 @@ func (e *VolcanoEngine) buildStats(before meterMark, acct *volcanoAccount, res *
 		}
 		latency = hop * sim.VTime(misses)
 	}
-	st.SimTime = f.Bottleneck + latency
+	st.SimTime = busiest + latency
 	poolStats := e.Pool.Stats()
 	var resultBytes sim.Bytes
 	for _, b := range res.Batches {

@@ -221,6 +221,9 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 	// flags.
 	total.Scan.ReadStats.Each(func(name string, v int64) { res.Table.SetMetric(name, float64(v)) })
 	res.Table.SetMetric("speculativeMorsels", float64(total.Scan.SpeculativeMorsels))
+	// One key, counted once: Each wrote the store account's share of the
+	// trips under this name; the queries' totals (ExecStats.BreakerTrips,
+	// which holds that share plus the engine's own breakers) replace it.
 	res.Table.SetMetric("breakerTrips", float64(total.BreakerTrips))
 	res.Table.SetMetric("faultSeed", e24Seed)
 	return res, nil

@@ -79,7 +79,7 @@ type Device struct {
 	Parallelism int
 	Meter       sim.Meter
 
-	lanes    laneMeter
+	index    int // position in its topology's device list (Account)
 	offline  atomic.Bool
 	degraded atomic.Bool
 }
@@ -134,27 +134,6 @@ func (d *Device) Units() int {
 	}
 	return 1
 }
-
-// ChargeLane is Charge executed on one of the device's parallel units.
-// The main meter receives the identical charge — totals are unchanged —
-// and the lane additionally accumulates the busy time so engines can
-// compute an overlapped makespan (see EffectiveBusy). Lanes are
-// positional (callers derive them from sequence numbers, not goroutine
-// identity) so seeded runs meter deterministically; lane indexes wrap
-// at Units().
-func (d *Device) ChargeLane(op OpClass, n sim.Bytes, lane int) sim.VTime {
-	t := d.Charge(op, n)
-	if lane < 0 {
-		lane = -lane
-	}
-	d.lanes.add(lane%d.Units(), t)
-	return t
-}
-
-// LaneBusy returns a consistent snapshot of per-lane busy time. Lanes
-// only exist once ChargeLane has touched them; a strictly serial
-// history returns an empty slice.
-func (d *Device) LaneBusy() []sim.VTime { return d.lanes.snapshot() }
 
 // ChargeSetup accounts for one kernel installation on the device and
 // returns its cost.

@@ -61,10 +61,10 @@ type Link struct {
 	Parallelism int
 	Meter       sim.Meter
 
+	index int // position in its topology's link list (Account)
 	mu    sync.Mutex
 	limit sim.Rate // 0 = unlimited
 	fault func() error
-	lanes laneMeter
 }
 
 // SetFaultCheck installs a hook consulted once per data transfer; a
@@ -124,25 +124,6 @@ func (l *Link) Units() int {
 	}
 	return 1
 }
-
-// TransferQD is Transfer for links whose protocol keeps several
-// commands in flight (an NVMe submission queue): the main meter gets
-// the identical charge as Transfer — totals never change — but only the
-// per-command latency lands on the lane, so EffectiveBusy overlaps
-// latency across up to Units() outstanding requests while the
-// bandwidth term stays a serial resource shared by every lane. With a
-// single lane in use this is indistinguishable from Transfer.
-func (l *Link) TransferQD(n sim.Bytes, lane int) sim.VTime {
-	t := l.Transfer(n)
-	if lane < 0 {
-		lane = -lane
-	}
-	l.lanes.add(lane%l.Units(), l.Latency)
-	return t
-}
-
-// LaneBusy returns a consistent snapshot of per-channel busy time.
-func (l *Link) LaneBusy() []sim.VTime { return l.lanes.snapshot() }
 
 // Message accounts for one small control message (credit grant,
 // coherency invalidation) crossing the link. Control messages cost one

@@ -60,7 +60,7 @@ var (
 	ObjectLatency = 4 * sim.Millisecond
 	// NVMeQueueDepth is how many outstanding commands the flash media
 	// link services concurrently: command latency overlaps across the
-	// queue (Link.TransferQD) while sequential bandwidth stays a serial
+	// queue (Account.TransferQD) while sequential bandwidth stays a serial
 	// resource shared by every request.
 	NVMeQueueDepth = 8
 	NUMAExtra      = 60 * sim.Nanosecond // added when crossing sockets (Section 5.1)

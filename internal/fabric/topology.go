@@ -17,6 +17,10 @@ type Topology struct {
 	devices map[string]*Device
 	links   map[string]*Link
 	adj     map[string][]*Link // device name -> incident links
+	// deviceList and linkList hold the same devices and links in the
+	// order they were added; an Account indexes its entries by it.
+	deviceList []*Device
+	linkList   []*Link
 }
 
 // NewTopology returns an empty topology.
@@ -36,6 +40,8 @@ func (t *Topology) AddDevice(d *Device) *Device {
 		panic(fmt.Sprintf("fabric: duplicate device %q", d.Name))
 	}
 	t.devices[d.Name] = d
+	d.index = len(t.deviceList)
+	t.deviceList = append(t.deviceList, d)
 	return d
 }
 
@@ -52,8 +58,9 @@ func (t *Topology) Connect(a, b string, kind LinkKind, bw sim.Rate, lat sim.VTim
 	if _, dup := t.links[name]; dup {
 		name = fmt.Sprintf("%s--%s(%s)", a, b, kind)
 	}
-	l := &Link{Name: name, Kind: kind, A: a, B: b, Bandwidth: bw, Latency: lat}
+	l := &Link{Name: name, Kind: kind, A: a, B: b, Bandwidth: bw, Latency: lat, index: len(t.linkList)}
 	t.links[name] = l
+	t.linkList = append(t.linkList, l)
 	t.adj[a] = append(t.adj[a], l)
 	t.adj[b] = append(t.adj[b], l)
 	return l

@@ -133,7 +133,7 @@ func (r *stageRun) runParallel() {
 		for item := range ch {
 			var cost sim.VTime
 			if st.ChargeInput && st.Device != nil {
-				cost = st.Device.ChargeLane(st.Op, sim.Bytes(item.b.ByteSize()), int(item.seq%int64(r.w)))
+				cost = p.Account.ChargeLane(st.Device, st.Op, sim.Bytes(item.b.ByteSize()), int(item.seq%int64(r.w)))
 			}
 			sr := stageResult{seq: item.seq}
 			procStart := time.Now()

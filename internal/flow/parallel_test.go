@@ -175,47 +175,51 @@ func TestCancelUnblocksParallelPipeline(t *testing.T) {
 	}
 }
 
-// Worker pools charge their device through positional lanes: the main
-// meter's totals are identical to a serial run, and the per-lane split
-// only changes the effective (overlapped) busy time.
+// Worker pools charge their device through positional lanes: the
+// totals — the device's meter and the run's account alike — are
+// identical to a serial run, and the account's per-lane split only
+// changes the effective (overlapped) busy time.
 func TestParallelMeteredTotalsMatchSerial(t *testing.T) {
 	assertNoFlowLeaks(t)
-	run := func(workers int) *fabric.Device {
-		dev := fabric.NewSmartNIC("nic", sim.GbitPerSec(100))
+	run := func(workers int) (*fabric.Device, fabric.Usage) {
+		topo := fabric.NewTopology("par-meter")
+		dev := topo.AddDevice(fabric.NewSmartNIC("nic", sim.GbitPerSec(100)))
 		p := &Pipeline{
 			Name:    "par-meter",
 			Source:  nBatchSource(16, 64),
 			Stages:  []Placed{{Stage: &pDouble{}, Device: dev, Op: fabric.OpFilter, ChargeInput: true}},
 			Workers: workers,
+			Account: topo.NewAccount(),
 		}
 		if _, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil }); err != nil {
 			t.Fatal(err)
 		}
-		return dev
+		return dev, p.Account.Device(dev)
 	}
-	serial := run(1)
-	parallel := run(4)
+	serial, serialUse := run(1)
+	parallel, use := run(4)
 	if serial.Meter.Bytes() != parallel.Meter.Bytes() {
 		t.Errorf("metered bytes differ: serial %v parallel %v", serial.Meter.Bytes(), parallel.Meter.Bytes())
 	}
 	if serial.Meter.Busy() != parallel.Meter.Busy() {
 		t.Errorf("metered busy differs: serial %v parallel %v", serial.Meter.Busy(), parallel.Meter.Busy())
 	}
-	// The parallel run spread the same busy across 4 lanes, so the
-	// overlapped makespan shrinks while the total stays put.
-	lanes := parallel.LaneBusy()
-	eff := fabric.EffectiveBusy(parallel.Meter.Busy(), nil, lanes)
-	if eff >= parallel.Meter.Busy() {
-		t.Errorf("effective busy %v did not shrink below total %v", eff, parallel.Meter.Busy())
+	// The one run on each device is all its meter ever saw.
+	if use.Snapshot != parallel.Meter.Snapshot() || serialUse.Snapshot != serial.Meter.Snapshot() {
+		t.Errorf("account != meter: parallel %+v vs %+v, serial %+v vs %+v",
+			use.Snapshot, parallel.Meter.Snapshot(), serialUse.Snapshot, serial.Meter.Snapshot())
 	}
-	var laneSum sim.VTime
-	for _, l := range lanes {
-		laneSum += l
+	if serialUse.Effective != serialUse.Busy {
+		t.Errorf("serial effective busy %v != total %v", serialUse.Effective, serialUse.Busy)
 	}
-	// Everything this stage charged went through a lane; only the shared
-	// kernel-setup charge stays serial.
-	if laneSum+fabric.KernelSetupAcc != parallel.Meter.Busy() {
-		t.Errorf("lane sum %v + setup %v != total busy %v", laneSum, fabric.KernelSetupAcc, parallel.Meter.Busy())
+	// The parallel run spread the same busy across 4 lanes — sixteen equal
+	// batches, four to a lane by sequence number — so the overlapped
+	// makespan shrinks to a quarter while the total stays put. Everything
+	// this stage charged went through a lane; only the shared kernel-setup
+	// charge stays serial.
+	if want := fabric.KernelSetupAcc + (use.Busy-fabric.KernelSetupAcc)/4; use.Effective != want {
+		t.Errorf("effective busy %v, want setup %v + a quarter of the rest of %v = %v",
+			use.Effective, fabric.KernelSetupAcc, use.Busy, want)
 	}
 }
 

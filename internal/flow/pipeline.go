@@ -111,6 +111,10 @@ type Pipeline struct {
 	// and flow.workers.provisioned how many are running at all. Nil is
 	// off; the per-batch cost is one atomic add at each busy/idle flip.
 	Metrics *metrics.Registry
+	// Account, when non-nil, is the query's account: every stage charge
+	// on a device and every batch, credit and marker crossing a link is
+	// recorded on it. Nil charges the meters only.
+	Account *fabric.Account
 
 	// occ is the worker-occupancy gauge, resolved once per Run.
 	occ *metrics.Gauge
@@ -241,6 +245,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 			pt = stageTapes[i]
 		}
 		ports[i] = newPort(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, creditBatch, done, pt)
+		ports[i].acct = p.Account
 		ports[i].stallCtr = p.Metrics.Counter("flow.credit.stalls")
 	}
 	p.occ = p.Metrics.Gauge("flow.workers.busy")
@@ -507,7 +512,7 @@ func (r *stageRun) install() {
 	if err := r.offline(); err != nil {
 		r.failAt(err)
 	} else if r.st.Device != nil {
-		setup := r.st.Device.ChargeSetup()
+		setup := r.p.Account.ChargeSetup(r.st.Device)
 		if r.ts != nil {
 			r.ts.Setup = setup
 		}
@@ -567,7 +572,7 @@ func (r *stageRun) runSerial() {
 		}
 		var cost sim.VTime
 		if st.ChargeInput && st.Device != nil {
-			cost = st.Device.Charge(st.Op, sim.Bytes(b.ByteSize()))
+			cost = p.Account.Charge(st.Device, st.Op, sim.Bytes(b.ByteSize()))
 		}
 		before := res.BatchesOut[i]
 		procStart := time.Now()

@@ -65,6 +65,9 @@ type Port struct {
 	// stallCtr mirrors stalls into the fleet registry as they happen;
 	// nil (telemetry off) costs nothing.
 	stallCtr *metrics.Counter
+	// acct is the pipeline's account (nil = meters only): what the
+	// port's traffic charges the path's links is recorded on it.
+	acct *fabric.Account
 }
 
 // newPort builds a port of the given depth. creditBatch controls how
@@ -136,12 +139,12 @@ func (p *Port) Send(b *columnar.Batch) error {
 	if p.tape != nil {
 		x := obs.Xfer{Bytes: n, Hops: make([]obs.Hop, 0, len(p.Path))}
 		for _, l := range p.Path {
-			x.Hops = append(x.Hops, obs.Hop{Link: l.Name, Cost: l.Transfer(n)})
+			x.Hops = append(x.Hops, obs.Hop{Link: l.Name, Cost: p.acct.Transfer(l, n)})
 		}
 		p.tape.Xfers = append(p.tape.Xfers, x)
 	} else {
 		for _, l := range p.Path {
-			l.Transfer(n)
+			p.acct.Transfer(l, n)
 		}
 	}
 	p.dataMsgs.Add(1)
@@ -161,7 +164,7 @@ func (p *Port) Send(b *columnar.Batch) error {
 // intended and cancellable via the done channel.
 func (p *Port) SendMarker(epoch int) error {
 	for _, l := range p.Path {
-		l.Message()
+		p.acct.Message(l)
 	}
 	p.markerMsgs.Add(1)
 	select {
@@ -225,7 +228,7 @@ func (p *Port) flushCredits() {
 			continue
 		}
 		for _, l := range p.Path {
-			l.Message()
+			p.acct.Message(l)
 		}
 		p.creditMsgs.Add(1)
 		for i := int64(0); i < n; i++ {

@@ -28,6 +28,9 @@ type DistJoinConfig struct {
 	// Workers is each node's hash-table build width (exec.HashTable);
 	// results are identical at every width.
 	Workers int
+	// Account, when non-nil, is the query's account: the scatter
+	// device's, the nodes' and the paths' charges are recorded on it.
+	Account *fabric.Account
 }
 
 // DistJoinResult reports the outcome and cost decomposition.
@@ -59,12 +62,7 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 		return res, fmt.Errorf("netsim: scatter device cannot partition")
 	}
 
-	cpuBefore := make([]sim.Snapshot, n)
-	for i, cpu := range cfg.Nodes {
-		cpuBefore[i] = cpu.Meter.Snapshot()
-	}
-	scatterBefore := cfg.ScatterDevice.Meter.Snapshot()
-	cfg.ScatterDevice.ChargeSetup()
+	cfg.Account.ChargeSetup(cfg.ScatterDevice)
 
 	// Phase 1: scatter the build side into per-node hash tables.
 	buildSchema := build[0].Schema()
@@ -72,7 +70,7 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 	for i := range tables {
 		tables[i] = exec.NewHashTable(buildSchema, cfg.BuildKey, cfg.Workers)
 	}
-	err := cfg.scatter(cfg.BuildKey, build, func(i int, b *columnar.Batch) error {
+	err := cfg.scatter(&res, cfg.BuildKey, build, func(i int, b *columnar.Batch) error {
 		tables[i].Build(b)
 		return nil
 	})
@@ -82,7 +80,7 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 
 	// Phase 2: scatter the probe side and probe locally.
 	perNodeRows := make([]int64, n)
-	err = cfg.scatter(cfg.ProbeKey, probe, func(i int, b *columnar.Batch) error {
+	err = cfg.scatter(&res, cfg.ProbeKey, probe, func(i int, b *columnar.Batch) error {
 		perNodeRows[i] += int64(b.NumRows())
 		out := tables[i].Probe(b, cfg.ProbeKey)
 		if out.NumRows() == 0 {
@@ -98,10 +96,6 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 		return res, err
 	}
 
-	res.ScatterBytes = cfg.ScatterDevice.Meter.Snapshot().Sub(scatterBefore).Bytes
-	for i, cpu := range cfg.Nodes {
-		res.CPUBytes += cpu.Meter.Snapshot().Sub(cpuBefore[i]).Bytes
-	}
 	res.SkewMax, res.SkewMin = perNodeRows[0], perNodeRows[0]
 	for _, r := range perNodeRows[1:] {
 		if r > res.SkewMax {
@@ -116,14 +110,17 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 
 // scatter partitions one side of the join by key on the scatter device
 // and ships every node's share down its path, where the node's CPU is
-// charged for the join work before sink builds or probes with it.
-func (cfg DistJoinConfig) scatter(key int, side []*columnar.Batch, sink func(node int, b *columnar.Batch) error) error {
+// charged for the join work before sink builds or probes with it. The
+// bytes charged to either are summed into res as they are charged.
+func (cfg DistJoinConfig) scatter(res *DistJoinResult, key int, side []*columnar.Batch, sink func(node int, b *columnar.Batch) error) error {
 	dests := make([]Destination, len(cfg.Nodes))
 	for i := range dests {
 		dests[i] = Destination{
 			Path: cfg.Paths[i],
 			Sink: func(b *columnar.Batch) error {
-				cfg.Nodes[i].Charge(fabric.OpJoin, sim.Bytes(b.ByteSize()))
+				n := sim.Bytes(b.ByteSize())
+				cfg.Account.Charge(cfg.Nodes[i], fabric.OpJoin, n)
+				res.CPUBytes += n
 				return sink(i, b)
 			},
 		}
@@ -132,11 +129,14 @@ func (cfg DistJoinConfig) scatter(key int, side []*columnar.Batch, sink func(nod
 	if err != nil {
 		return err
 	}
+	ex.Account = cfg.Account
 	if cfg.BatchRows > 0 {
 		ex.BatchRows = cfg.BatchRows
 	}
 	for _, b := range side {
-		cfg.ScatterDevice.Charge(fabric.OpPartition, sim.Bytes(b.ByteSize()))
+		n := sim.Bytes(b.ByteSize())
+		cfg.Account.Charge(cfg.ScatterDevice, fabric.OpPartition, n)
+		res.ScatterBytes += n
 		if err := ex.Process(b, nil); err != nil {
 			return err
 		}

@@ -31,6 +31,10 @@ type Exchange struct {
 	Dests  []Destination
 	// BatchRows is the output granule per destination; default 1024.
 	BatchRows int
+	// Account, when non-nil, is the query's account: the transfers down
+	// each destination's path are recorded on it. Nil charges the links'
+	// meters only.
+	Account *fabric.Account
 
 	builders []*columnar.Batch
 	schema   *columnar.Schema
@@ -88,22 +92,22 @@ func (e *Exchange) ship(d int) error {
 	e.builders[d] = columnar.NewBatch(e.schema, e.BatchRows)
 	n := sim.Bytes(out.ByteSize())
 	for _, l := range e.Dests[d].Path {
-		l.Transfer(n)
+		e.Account.Transfer(l, n)
 	}
 	return e.Dests[d].Sink(out)
 }
 
 // Gather collects batches from several per-node result sets into one
-// slice, charging each path for its traffic. The batches arrive in node
-// order for determinism.
-func Gather(parts [][]*columnar.Batch, paths [][]*fabric.Link) []*columnar.Batch {
+// slice, charging each path for its traffic (on acct too, when it is
+// non-nil). The batches arrive in node order for determinism.
+func Gather(acct *fabric.Account, parts [][]*columnar.Batch, paths [][]*fabric.Link) []*columnar.Batch {
 	var out []*columnar.Batch
 	for i, part := range parts {
 		for _, b := range part {
 			if i < len(paths) {
 				n := sim.Bytes(b.ByteSize())
 				for _, l := range paths[i] {
-					l.Transfer(n)
+					acct.Transfer(l, n)
 				}
 			}
 			out = append(out, b)

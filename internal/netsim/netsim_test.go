@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/columnar"
@@ -114,7 +115,7 @@ func TestGather(t *testing.T) {
 		{seqBatch(5)},
 		{seqBatch(3), seqBatch(2)},
 	}
-	out := Gather(parts, [][]*fabric.Link{{l}, {l}})
+	out := Gather(nil, parts, [][]*fabric.Link{{l}, {l}})
 	if len(out) != 3 {
 		t.Fatalf("gathered %d batches", len(out))
 	}
@@ -212,6 +213,51 @@ func TestDistributedJoinNICRelievesCPU(t *testing.T) {
 	nicTotal := nicRes.CPUBytes
 	if nicTotal >= cpuTotal {
 		t.Errorf("NIC mode CPU bytes %v >= CPU mode %v", nicTotal, cpuTotal)
+	}
+}
+
+// Two joins started together over the same scatter device and node CPUs
+// each report the bytes they charged themselves — what the join reports
+// alone — and together what the shared meters gained.
+func TestConcurrentDistributedJoinsReportTheirOwnBytes(t *testing.T) {
+	build := []*columnar.Batch{seqBatch(2000)}
+	probe := []*columnar.Batch{seqBatch(20000)}
+	solo, err := DistributedJoin(buildJoinConfig(t, 4, true), build, probe, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.ScatterBytes == 0 || solo.CPUBytes == 0 {
+		t.Fatalf("the solo join charged nothing: %+v", solo)
+	}
+
+	cfg := buildJoinConfig(t, 4, true)
+	results := make([]DistJoinResult, 2)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := DistributedJoin(cfg, build, probe, nil)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = res
+		}()
+	}
+	wg.Wait()
+	var cpuMeters sim.Bytes
+	for _, cpu := range cfg.Nodes {
+		cpuMeters += cpu.Meter.Bytes()
+	}
+	for i, res := range results {
+		if res.ScatterBytes != solo.ScatterBytes || res.CPUBytes != solo.CPUBytes {
+			t.Errorf("join %d reports scatter %v / cpu %v, alone it reports %v / %v",
+				i, res.ScatterBytes, res.CPUBytes, solo.ScatterBytes, solo.CPUBytes)
+		}
+	}
+	if got := cfg.ScatterDevice.Meter.Bytes(); got != 2*solo.ScatterBytes || cpuMeters != 2*solo.CPUBytes {
+		t.Errorf("meters gained scatter %v / cpu %v, want twice the solo join's %v / %v",
+			got, cpuMeters, solo.ScatterBytes, solo.CPUBytes)
 	}
 }
 

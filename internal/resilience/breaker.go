@@ -60,7 +60,6 @@ type BreakerSet struct {
 
 	mu       sync.Mutex
 	breakers map[string]*breaker
-	trips    int64
 }
 
 type breaker struct {
@@ -199,10 +198,12 @@ func (b *BreakerSet) Reset(key string) {
 
 // Failure reports a failed placement on key: it extends the failure
 // streak and trips the breaker at TripThreshold; a half-open probe
-// failure re-opens immediately.
-func (b *BreakerSet) Failure(key string) {
+// failure re-opens immediately. It returns whether this failure opened
+// the breaker, so the caller that tripped it can count the trip as its
+// own.
+func (b *BreakerSet) Failure(key string) (tripped bool) {
 	if b == nil {
-		return
+		return false
 	}
 	b.mu.Lock()
 	br := b.breakers[key]
@@ -217,7 +218,6 @@ func (b *BreakerSet) Failure(key string) {
 		if br.failures >= b.cfg.TripThreshold {
 			br.state = Open
 			br.until = b.now().Add(b.cfg.Cooldown)
-			b.trips++
 			s := Open
 			changed = &s
 		}
@@ -225,7 +225,6 @@ func (b *BreakerSet) Failure(key string) {
 		br.state = Open
 		br.until = b.now().Add(b.cfg.Cooldown)
 		br.probes = 0
-		b.trips++
 		s := Open
 		changed = &s
 	case Open:
@@ -238,6 +237,7 @@ func (b *BreakerSet) Failure(key string) {
 	if changed != nil && cb != nil {
 		cb(key, *changed)
 	}
+	return changed != nil
 }
 
 // State reports key's current state without consuming probe slots (an
@@ -254,14 +254,4 @@ func (b *BreakerSet) State(key string) BreakerState {
 		return Closed
 	}
 	return br.state
-}
-
-// Trips reports how many open transitions have happened so far.
-func (b *BreakerSet) Trips() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.trips
 }

@@ -105,19 +105,23 @@ func TestBreakerLifecycle(t *testing.T) {
 	if !b.Allow("dev") {
 		t.Fatal("fresh breaker should allow")
 	}
-	b.Failure("dev")
+	if b.Failure("dev") {
+		t.Fatal("a failure below the threshold reported a trip")
+	}
 	if !b.Allow("dev") || b.State("dev") != Closed {
 		t.Fatal("one failure below threshold should stay closed")
 	}
-	b.Failure("dev")
+	if !b.Failure("dev") {
+		t.Fatal("the failure that crossed the threshold did not report the trip")
+	}
 	if b.State("dev") != Open {
 		t.Fatalf("state = %v, want open after 2 failures", b.State("dev"))
 	}
 	if b.Allow("dev") {
 		t.Fatal("open breaker should reject")
 	}
-	if b.Trips() != 1 {
-		t.Fatalf("trips = %d, want 1", b.Trips())
+	if b.Failure("dev") {
+		t.Fatal("a failure on an open breaker reported a second trip")
 	}
 
 	// After the cooldown the breaker half-opens and admits one probe.
@@ -132,12 +136,11 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("second probe should be rejected while the first is out")
 	}
 	// Probe fails: re-open immediately.
-	b.Failure("dev")
+	if !b.Failure("dev") {
+		t.Fatal("the failed probe did not report the trip")
+	}
 	if b.State("dev") != Open || b.Allow("dev") {
 		t.Fatal("failed probe should re-open")
-	}
-	if b.Trips() != 2 {
-		t.Fatalf("trips = %d, want 2", b.Trips())
 	}
 
 	// Next cycle: probe succeeds, breaker closes.
@@ -206,11 +209,10 @@ func TestBreakerOnChange(t *testing.T) {
 
 func TestBreakerNilAndUnknownKey(t *testing.T) {
 	var b *BreakerSet
-	if !b.Allow("x") || b.State("x") != Closed || b.Trips() != 0 {
-		t.Fatal("nil breaker set should admit everything")
+	if !b.Allow("x") || b.State("x") != Closed || b.Failure("x") {
+		t.Fatal("nil breaker set should admit everything and never trip")
 	}
 	b.Success("x")
-	b.Failure("x")
 
 	real := NewBreakerSet(BreakerConfig{TripThreshold: 1, Cooldown: time.Second})
 	real.Success("never-seen") // no-op, must not create state

@@ -128,8 +128,9 @@ func (m *Meter) Snapshot() Snapshot {
 	}
 }
 
-// Sub returns the counter deltas s minus prev. Used to isolate the cost of
-// one query on meters that persist across queries.
+// Sub returns the counter deltas s minus prev: one reading against an
+// earlier reading of the same counters (a query's account against a
+// copy of itself, fabric.Account.Since).
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	return Snapshot{
 		Bytes:    s.Bytes - prev.Bytes,

@@ -122,23 +122,33 @@ func TestParallelScanDeterministic(t *testing.T) {
 }
 
 // Worker counts beyond the processor's replicated units clamp instead
-// of oversubscribing lanes, and a scan on a single-unit processor stays
-// effectively serial.
+// of oversubscribing lanes, and the scan's account holds exactly what
+// the scan charged: the lane split is the account's, the totals the
+// meters'.
 func TestParallelScanClampsToUnits(t *testing.T) {
-	srv := newTestServer(t, true)
+	srv, top := newTestServerOn(t, true)
 	loadTable(t, srv, 3000)
 	if u := srv.proc.Units(); u != fabric.SmartSSDUnits {
 		t.Fatalf("test proc units = %d, want %d", u, fabric.SmartSSDUnits)
 	}
-	batches, stats, _ := scanAll(t, srv, ScanSpec{Workers: 64})
+	acct := top.NewAccount()
+	batches, stats, _ := scanAll(t, srv, ScanSpec{Workers: 64, Account: acct})
 	if totalRows(batches) != 3000 {
 		t.Fatalf("scanned %d rows, want 3000", totalRows(batches))
 	}
 	if stats.SegmentsTotal != 3 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	lanes := srv.proc.LaneBusy()
-	if len(lanes) > fabric.SmartSSDUnits {
-		t.Errorf("%d lanes charged, want <= %d (clamp failed)", len(lanes), fabric.SmartSSDUnits)
+	// Three segments on three of the processor's four lanes: the decode
+	// overlaps, but no further than the slowest of three.
+	proc := acct.Device(srv.proc)
+	if proc.Effective >= proc.Busy || proc.Effective < proc.Busy/3 {
+		t.Errorf("effective busy %v of %v total, want at least a third and less than all of it", proc.Effective, proc.Busy)
+	}
+	// This scan is all the server's devices ever did.
+	if proc.Snapshot != srv.proc.Meter.Snapshot() ||
+		acct.Device(srv.media).Snapshot != srv.media.Meter.Snapshot() ||
+		acct.Link(srv.mediaLink).Snapshot != srv.mediaLink.Meter.Snapshot() {
+		t.Errorf("account != meters: proc %+v vs %+v", proc.Snapshot, srv.proc.Meter.Snapshot())
 	}
 }

@@ -52,6 +52,10 @@ type ReadStats struct {
 	ScrubBytes sim.Bytes
 	// LostReads is the reads that found a replica slot empty.
 	LostReads int64
+	// BreakerTrips is the replica circuit breakers a corrupt or lost
+	// read of this account opened: the trip is counted where it
+	// happens, on the read whose failure crossed the threshold.
+	BreakerTrips int64
 
 	// RetryBudgetExhausted is the retries, hedges and speculative
 	// morsels the shared retry budget denied — the back-pressure that
@@ -76,6 +80,7 @@ func (s *ReadStats) Add(o ReadStats) {
 	s.ScrubReads += o.ScrubReads
 	s.ScrubBytes += o.ScrubBytes
 	s.LostReads += o.LostReads
+	s.BreakerTrips += o.BreakerTrips
 	s.RetryBudgetExhausted += o.RetryBudgetExhausted
 }
 
@@ -99,6 +104,7 @@ func (s *ReadStats) Each(fn func(name string, v int64)) {
 	fn("scrubReads", s.ScrubReads)
 	fn("scrubBytes", int64(s.ScrubBytes))
 	fn("lostReads", s.LostReads)
+	fn("breakerTrips", s.BreakerTrips)
 	fn("retryBudgetExhausted", s.RetryBudgetExhausted)
 }
 

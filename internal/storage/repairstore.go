@@ -47,9 +47,8 @@ func (e *ReplicaLostError) Error() string {
 // verifyPayload checks a successful read's payload against Verify. On
 // failure the attempt chain's ops and bytes go to the corrupt-side
 // counters (the caller keeps them off the main Meter), the replica is
-// struck in the health tracker and its breaker fed a failure, and a
-// ReplicaCorruptError is returned. A nil Verify accepts everything at
-// zero cost.
+// struck (strikeReplica), and a ReplicaCorruptError is returned. A nil
+// Verify accepts everything at zero cost.
 func (o *ObjectStore) verifyPayload(key string, r int, data []byte, ops int64, rs *ReadStats) error {
 	if o.Verify == nil || o.Verify(key, data) == nil {
 		return nil
@@ -57,21 +56,27 @@ func (o *ObjectStore) verifyPayload(key string, r int, data []byte, ops int64, r
 	rs.CorruptReads++
 	rs.CorruptOps += ops
 	rs.CorruptBytes += sim.Bytes(len(data))
-	if pol := o.Resilience; pol != nil {
-		pol.Health.MarkCorrupt(ReplicaKey(r))
-		pol.Breakers.Failure(ReplicaKey(r))
-	}
+	o.strikeReplica(r, rs)
 	return &ReplicaCorruptError{Key: key, Replica: r}
 }
 
-// noteLost records a read that hit an empty replica slot: health strike
-// and breaker failure, so steering avoids the dead replica and the
-// repair controller sees its breaker open.
+// noteLost records a read that hit an empty replica slot and strikes
+// the replica, so steering avoids the dead replica and the repair
+// controller sees its breaker open.
 func (o *ObjectStore) noteLost(r int, rs *ReadStats) {
 	rs.LostReads++
+	o.strikeReplica(r, rs)
+}
+
+// strikeReplica marks replica r bad in the health tracker and feeds its
+// breaker a failure; a breaker this failure opens is a trip on the
+// read's account.
+func (o *ObjectStore) strikeReplica(r int, rs *ReadStats) {
 	if pol := o.Resilience; pol != nil {
 		pol.Health.MarkCorrupt(ReplicaKey(r))
-		pol.Breakers.Failure(ReplicaKey(r))
+		if pol.Breakers.Failure(ReplicaKey(r)) {
+			rs.BreakerTrips++
+		}
 	}
 }
 

@@ -88,7 +88,7 @@ type ScanSpec struct {
 	// stays a serial resource (its lanes collapse to one) and the media
 	// link's bandwidth is shared by every worker — only the per-command
 	// NVMe latency overlaps, up to the link's queue depth
-	// (Link.TransferQD) — so scaling workers cannot outrun the media:
+	// (Account.TransferQD) — so scaling workers cannot outrun the media:
 	// that is the honesty floor of the model. Tracing and pushed-down pre-aggregation force a
 	// serial scan: their internal frontiers and aggregation state are
 	// order-sensitive. Under a seeded fault injector the read *arrival*
@@ -96,6 +96,10 @@ type ScanSpec struct {
 	// differ run to run; recovery heals it either way and the emitted
 	// rows are unchanged.
 	Workers int
+	// Account, when non-nil, is the query's account: everything the scan
+	// charges the media, the media link and the processor is recorded on
+	// it, lane by lane. Nil charges the devices' meters only.
+	Account *fabric.Account
 }
 
 // DefaultBatchRows bounds the rows per emitted batch, so consumers
@@ -551,7 +555,7 @@ func (sc *segScan) deliver(r segResult) error {
 	case r.out == nil:
 	case sc.preagg != nil:
 		n := sim.Bytes(r.out.ByteSize())
-		sc.procSpan("preagg@storage", r.seg, sc.s.proc.Charge(fabric.OpPreAgg, n), n)
+		sc.procSpan("preagg@storage", r.seg, sc.spec.Account.Charge(sc.s.proc, fabric.OpPreAgg, n), n)
 		for _, spill := range sc.preagg.AddRaw(r.out) {
 			if err := sc.emitTracked(spill); err != nil {
 				return err
@@ -987,13 +991,13 @@ func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stat
 		encoded += sim.Bytes(seg.Columns[c].EncodedSize())
 	}
 	stats.MediaBytes += encoded
-	readCost := s.media.ChargeLane(fabric.OpScan, encoded, lane)
+	readCost := spec.Account.ChargeLane(s.media, fabric.OpScan, encoded, lane)
 	var xferCost sim.VTime
 	if s.mediaLink != nil {
 		// Queue-depth transfer: NVMe keeps Units() commands in flight,
 		// so per-command latency overlaps across workers while the
 		// sequential bandwidth stays a serial floor.
-		xferCost = s.mediaLink.TransferQD(encoded, lane)
+		xferCost = spec.Account.TransferQD(s.mediaLink, encoded, lane)
 		// JitterLink is a gray failure on the media link: the transfer
 		// still delivers, but Severity x the store's healthy service
 		// time is added in real wall-clock — the phenomenon hedging and
@@ -1022,7 +1026,7 @@ func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stat
 // processor, charging its given lane.
 func (sc *segScan) segmentEagerEval(seg *Segment, idx, lane int, encoded sim.Bytes, readCost, xferCost sim.VTime, stats *ScanStats) (*columnar.Batch, error) {
 	proc, spec := sc.s.proc, sc.spec
-	decodeCost := proc.ChargeLane(fabric.OpDecompress, encoded, lane)
+	decodeCost := spec.Account.ChargeLane(proc, fabric.OpDecompress, encoded, lane)
 	stats.DecodedBytes += encoded
 	if sc.pipe != nil {
 		sc.pipe.segment(int64(idx), encoded, sc.s.media.Name, proc.Name, "decode",
@@ -1034,7 +1038,7 @@ func (sc *segScan) segmentEagerEval(seg *Segment, idx, lane int, encoded sim.Byt
 	}
 	if spec.Pushdown && sc.filter != nil {
 		n := seg.ColumnDecodedSize(spec.Filter.Columns())
-		sc.procSpan("filter@storage", idx, proc.ChargeLane(fabric.OpFilter, n, lane), n)
+		sc.procSpan("filter@storage", idx, spec.Account.ChargeLane(proc, fabric.OpFilter, n, lane), n)
 		batch = batch.Filter(sc.filter.Eval(batch))
 	}
 	// Without pushdown the consumer evaluates the filter, so every
@@ -1045,7 +1049,7 @@ func (sc *segScan) segmentEagerEval(seg *Segment, idx, lane int, encoded sim.Byt
 		batch = batch.Project(sc.projPos)
 		if len(sc.projection) < sc.t.Schema.NumFields() {
 			n := sim.Bytes(batch.ByteSize())
-			sc.procSpan("project@storage", idx, proc.ChargeLane(fabric.OpProject, n, lane), n)
+			sc.procSpan("project@storage", idx, spec.Account.ChargeLane(proc, fabric.OpProject, n, lane), n)
 		}
 	}
 	return batch, nil
@@ -1085,14 +1089,14 @@ func (sc *segScan) segmentEncodedEval(seg *Segment, idx, lane int, encoded sim.B
 	for _, c := range spec.Filter.Columns() {
 		encFilter += sim.Bytes(seg.Columns[c].EncodedSize())
 	}
-	filterCost := s.proc.ChargeLane(fabric.OpFilter, encFilter, lane)
+	filterCost := spec.Account.ChargeLane(s.proc, fabric.OpFilter, encFilter, lane)
 
 	k := bm.Count()
 	var gather sim.Bytes
 	for _, c := range projection {
 		gather += sim.Bytes(seg.Columns[c].GatherBytes(k))
 	}
-	decodeCost := s.proc.ChargeLane(fabric.OpDecompress, gather, lane)
+	decodeCost := spec.Account.ChargeLane(s.proc, fabric.OpDecompress, gather, lane)
 
 	vecs := make([]*columnar.Vector, len(projection))
 	for i, c := range projection {

@@ -163,6 +163,14 @@ func TestObjectStoreBasics(t *testing.T) {
 // newTestServer builds a smart storage server over a tiny fabric.
 func newTestServer(t *testing.T, smart bool) *Server {
 	t.Helper()
+	srv, _ := newTestServerOn(t, smart)
+	return srv
+}
+
+// newTestServerOn also returns the topology the server's devices belong
+// to, for tests that scan with an account.
+func newTestServerOn(t *testing.T, smart bool) (*Server, *fabric.Topology) {
+	t.Helper()
 	top := fabric.NewTopology("test")
 	media := top.AddDevice(fabric.NewStorageMedia("media"))
 	var proc *fabric.Device
@@ -176,7 +184,7 @@ func newTestServer(t *testing.T, smart bool) *Server {
 	link := top.Connect("media", "proc", fabric.LinkNVMe, fabric.NVMeBandwidth, fabric.NVMeLatency)
 	srv := NewServer(NewObjectStore(), media, proc, link)
 	srv.SegmentRows = 1000
-	return srv
+	return srv, top
 }
 
 func loadTable(t *testing.T, srv *Server, rows int) {
