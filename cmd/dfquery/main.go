@@ -117,9 +117,7 @@ func main() {
 		}
 		eng := core.NewDataFlowEngine(fabric.NewCluster(ccfg))
 		eng.Tracing = tracing
-		if reg != nil {
-			eng.SetMetrics(reg)
-		}
+		eng.Metrics = reg
 		must(eng.CreateTable("lineitem", workload.LineitemSchema()))
 		must(eng.Load("lineitem", data))
 
@@ -160,9 +158,7 @@ func main() {
 	if *engine == "volcano" || *engine == "both" {
 		eng := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), 512*sim.MB)
 		eng.Tracing = tracing
-		if reg != nil {
-			eng.SetMetrics(reg)
-		}
+		eng.Metrics = reg
 		must(eng.CreateTable("lineitem", workload.LineitemSchema()))
 		must(eng.Load("lineitem", data))
 		res, err := eng.Execute(context.Background(), q)

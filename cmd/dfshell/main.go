@@ -41,7 +41,7 @@ func main() {
 	cluster := fabric.NewCluster(fabric.DefaultClusterConfig())
 	eng := core.NewDataFlowEngine(cluster)
 	reg := metrics.New()
-	eng.SetMetrics(reg)
+	eng.Metrics = reg
 	lcfg := workload.DefaultLineitemConfig(*rows)
 	lcfg.Orders = int64(*rows / 4)
 	must(eng.CreateTable("lineitem", workload.LineitemSchema()))

@@ -52,7 +52,7 @@ func TestConcurrentQueriesOwnTheirStoreAccounts(t *testing.T) {
 	inj := faults.New(0xACC7)
 	inj.Arm(faults.Point{Kind: faults.TransientRead, Target: "lineitem/", Prob: 0.2})
 	inj.Arm(faults.Point{Kind: faults.DegradedDevice, Target: "store/r0/lineitem/", Prob: 1, Severity: 500})
-	store.Faults = inj
+	df.Faults = inj
 	pol := resilience.NewPolicy()
 	pol.HedgeMinDelay = 20 * time.Millisecond
 	// Never deny a retry: a denied one could fail a read, and a failed

@@ -60,7 +60,7 @@ func TestChaosTransientStorageFaults(t *testing.T) {
 	inj.Arm(faults.Point{Kind: faults.TransientRead, Prob: 0.01})
 	inj.Arm(faults.Point{Kind: faults.CorruptBlob, Prob: 0.005})
 	inj.Arm(faults.Point{Kind: faults.ObjectMissing, Prob: 0.005})
-	df.Storage.Store().Faults = inj
+	df.Faults = inj
 
 	const workers, rounds = 8, 4
 	var totalRetries, totalFallbacks atomic.Int64
@@ -160,7 +160,7 @@ func TestChaosGrayFailureDefenses(t *testing.T) {
 	inj.Arm(faults.Point{Kind: faults.CorruptBlob, Prob: 0.005})
 	inj.Arm(faults.Point{Kind: faults.DegradedDevice, Target: "store/r0", Prob: 0.3, Severity: 8})
 	inj.Arm(faults.Point{Kind: faults.JitterLink, Prob: 0.5, Severity: 1})
-	store.Faults = inj
+	df.Faults = inj
 	df.EnableResilience(resilience.NewPolicy())
 
 	const workers, rounds = 4, 3

@@ -7,19 +7,30 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/fabric"
-	"repro/internal/obs/metrics"
-	"repro/internal/resilience"
 	"repro/internal/storage"
+	"repro/internal/wiring"
 )
 
 // engineBase is what the two engines share: the cluster and storage
-// server they run on, the catalog, and the knobs and telemetry wiring
+// server they run on, the catalog, and the knobs and optional subsystems
 // that mean the same thing for a push pipeline and a pull loop. It is
 // embedded by value, so every field and method below reads as the
 // engine's own (eng.Workers, vol.Tracing, eng.Storage.Store()).
 type engineBase struct {
 	Cluster *fabric.Cluster
 	Storage *storage.Server
+
+	// Services is the engine's one wiring point, allocated with the
+	// engine and shared by pointer with every layer it builds, so
+	// eng.Metrics, eng.Resilience, eng.SLO and eng.Faults are the very
+	// fields the object store, the storage server, the scheduler, the
+	// repair controller and every pipeline run read: assign one (before
+	// the first query) and all of them see it. All four default to nil,
+	// which is off and adds zero allocations to the per-batch hot path.
+	// The baseline's pull model can host only part of Resilience, the
+	// hedged replica reads: speculation and breaker-steered placement
+	// need the dataflow engine's morsels and plan variants.
+	*wiring.Services
 
 	// Tracing makes every execution record a virtual-time span timeline,
 	// returned in Result.Trace. Off by default: disabled tracing adds
@@ -50,27 +61,6 @@ type engineBase struct {
 	// independent work units — which is exactly why the baseline scales
 	// worse than the dataflow engine (E22). Tracing forces serial.
 	Workers int
-	// Resilience bundles the gray-failure defenses: per-device health
-	// tracking, hedged replica reads, speculative morsel re-execution,
-	// circuit breakers and the global retry budget. Wire it with
-	// EnableResilience so every layer the engine owns shares one policy;
-	// nil (the default) disables every defense and reproduces the
-	// pre-resilience engine exactly. The baseline's pull model can host
-	// only the hedged reads: speculation and breaker-steered placement
-	// need the dataflow engine's morsels and plan variants.
-	Resilience *resilience.Policy
-	// Metrics, when set (wire it with SetMetrics so the storage layers
-	// share the registry), publishes continuous fleet telemetry:
-	// per-query resource attribution (busy time and bytes charged to the
-	// context's tenant label), latency histograms, per-device and
-	// per-link utilization gauges, and the layer counters every
-	// subsystem folds in. Nil is off and adds zero allocations to the
-	// per-batch hot path, exactly like Tracing.
-	Metrics *metrics.Registry
-	// SLO, when set, receives every query's wall latency. Point the
-	// scheduler's SLO field at the same tracker (and set its
-	// SLOShedBurnRate) to close the loop: burn-rate-driven shedding.
-	SLO *metrics.SLOTracker
 
 	// engine names the embedding engine in stats and telemetry labels:
 	// "dataflow" or "volcano".
@@ -81,14 +71,17 @@ type engineBase struct {
 	pub   *enginePublisher
 }
 
-// newEngineBase wires a storage server onto the cluster's storage node.
+// newEngineBase wires a storage server onto the cluster's storage node
+// and allocates the engine's wiring point, handing it to the store.
 func newEngineBase(c *fabric.Cluster, engine string) engineBase {
 	media := c.MustDevice(fabric.DevStorageMed)
 	link := c.LinkBetween(fabric.DevStorageMed, fabric.DevStorageProc)
+	svc := new(wiring.Services)
 	return engineBase{
-		Cluster: c,
-		Storage: storage.NewServer(storage.NewObjectStore(), media, c.StorageProc(), link),
-		engine:  engine,
+		Cluster:  c,
+		Storage:  storage.NewServer(storage.NewObjectStore(svc), media, c.StorageProc(), link),
+		Services: svc,
+		engine:   engine,
 	}
 }
 
@@ -105,26 +98,6 @@ func (e *engineBase) TableSchema(name string) (*columnar.Schema, error) {
 		return nil, err
 	}
 	return meta.Schema, nil
-}
-
-// EnableResilience installs (or, with nil, removes) a gray-failure
-// policy on the object store: replica reads hedge and the health tracker
-// learns per-replica latency. That is all the baseline can use — the
-// pull engine has no scheduler or morsel scan — and the store half of
-// what the dataflow engine installs.
-func (e *engineBase) EnableResilience(p *resilience.Policy) {
-	e.Resilience = p
-	e.Storage.Store().Resilience = p
-}
-
-// SetMetrics installs (or, with nil, removes) the fleet registry on the
-// engine and the storage layers under it: the storage server folds scan
-// stats, the object store mirrors hedge activity, and the engine itself
-// publishes per-query resource attribution after every execution.
-func (e *engineBase) SetMetrics(r *metrics.Registry) {
-	e.Metrics = r
-	e.Storage.Metrics = r
-	e.Storage.Store().Metrics = r
 }
 
 // publisher returns the engine's cached publisher, rebuilding it when

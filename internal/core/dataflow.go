@@ -39,10 +39,6 @@ type DataFlowEngine struct {
 	// payload.
 	SecureWire bool
 
-	// Faults, when set, is consulted by the flow runtime for mid-query
-	// device-offline faults (storage-level faults are armed on the
-	// object store directly).
-	Faults *faults.Injector
 	// StageTimeout arms the pipeline watchdog; 0 disables it.
 	StageTimeout time.Duration
 	// PartialRestart enables stage-level checkpointing: pipelines record
@@ -62,13 +58,6 @@ type DataFlowEngine struct {
 	// did. Results are bit-identical either way; only decode busy time
 	// differs. Used by E23 as the baseline arm.
 	EagerDecode bool
-	// Repair is the self-healing storage controller, wired with
-	// EnableRepair: payload verification on every replica read,
-	// read-repair write-backs, and the background scrub/re-replication
-	// loops (started by the caller via Repair.Run). Nil (the default)
-	// disables verification and repair entirely and adds zero cost to
-	// the read path.
-	Repair *repair.Controller
 
 	mu    sync.Mutex
 	stats map[string]plan.TableStats
@@ -84,61 +73,45 @@ const DefaultMaxRecoveryAttempts = 5
 // storage segments when CheckpointSegments is unset.
 const DefaultCheckpointSegments = 4
 
-// NewDataFlowEngine wires an engine onto a cluster.
+// NewDataFlowEngine wires an engine onto a cluster. The scheduler is
+// built on the same wiring point as the engine base's store.
 func NewDataFlowEngine(c *fabric.Cluster) *DataFlowEngine {
-	return &DataFlowEngine{
+	e := &DataFlowEngine{
 		engineBase: newEngineBase(c, "dataflow"),
-		Scheduler:  sched.New(),
 		stats:      make(map[string]plan.TableStats),
 		paths:      make(map[int]plan.PathModel),
 	}
+	e.Scheduler = sched.New(e.Services)
+	return e
 }
 
-// EnableResilience installs (or, with nil, removes) a gray-failure
-// policy across every layer the engine owns: the object store hedges
-// its replica reads and the scan speculates on straggling morsels, the
-// scheduler consults the policy's circuit breakers at admission, and
-// breaker state changes mark the corresponding fabric device degraded
-// so placement scoring sees gray failures the moment they trip.
+// EnableResilience sets (or, with nil, removes) the gray-failure policy
+// — the same as assigning e.Resilience, which is what every layer reads
+// — and additionally mirrors the policy's breaker transitions into the
+// metrics registry (resilience.breaker.state per device, and a trip
+// counter), whichever of the two is set first.
 func (e *DataFlowEngine) EnableResilience(p *resilience.Policy) {
-	e.engineBase.EnableResilience(p)
-	e.Repair.AttachResilience(p)
-	if p == nil {
-		e.Scheduler.Breakers = nil
-		return
-	}
-	e.Scheduler.Breakers = p.Breakers
-	if p.Breakers != nil {
+	e.Resilience = p
+	if p != nil && p.Breakers != nil {
 		p.Breakers.OnChange = func(dev string, st resilience.BreakerState) {
-			if d := e.Cluster.Device(dev); d != nil {
-				d.SetDegraded(st != resilience.Closed)
-			}
 			publishBreakerGauge(e.Metrics, dev, st)
 		}
 	}
 }
 
-// EnableRepair installs (or, with nil cfg semantics, constructs with
-// defaults) the self-healing storage controller: every replica read is
-// checksum-verified, clean payloads are written back over corrupt
-// replicas (read-repair), and the returned controller's ScrubPass /
-// ReclonePass / Run drive background scrubbing and re-replication. The
-// controller shares the engine's resilience policy (corrupt replicas
-// strike health and breakers), its SLO tracker (BurnMax pauses repair
-// while the foreground misses its objective), its scheduler's repair
-// admission class, and its metrics registry (durability gauges);
-// EnableResilience, SetSLO and SetMetrics re-attach theirs, so the order
-// of the calls does not matter.
+// EnableRepair constructs the self-healing storage controller and turns
+// on what it needs from the read path: every replica read is
+// checksum-verified and clean payloads are written back over corrupt
+// replicas (read-repair); until it is called the read path pays nothing
+// for either. The returned controller's ScrubPass / ReclonePass / Run
+// drive background scrubbing and re-replication. Its collaborators are
+// the engine's, read through the store: corrupt replicas strike
+// e.Resilience's health and breakers, BurnMax pauses repair while e.SLO
+// says the foreground misses its objective, and the durability gauges
+// land on e.Metrics — set before or after this call.
 func (e *DataFlowEngine) EnableRepair(cfg repair.Config) *repair.Controller {
-	store := e.Storage.Store()
-	c := repair.New(store, cfg)
 	e.Storage.EnableVerify(true)
-	c.AttachResilience(e.Resilience)
-	c.AttachSLO(e.SLO)
-	c.AttachAdmission(e.Scheduler.AllowRepair)
-	c.AttachMetrics(e.Metrics)
-	e.Repair = c
-	return c
+	return repair.New(e.Storage.Store(), cfg)
 }
 
 // Load ingests a batch and updates planner statistics.
@@ -532,17 +505,13 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 			Paths:        paths,
 			Workers:      e.Workers,
 			StageTimeout: e.StageTimeout,
-			Faults:       e.Faults,
+			Services:     e.Services,
 			Trace:        tr,
 			Clock:        clock,
 			SourceTrack:  e.Storage.Proc().Name,
 			Ckpt:         ck,
 			Restore:      restore,
-			Metrics:      e.Metrics,
 			Account:      acct,
-		}
-		if e.Resilience != nil {
-			pipe.Health = e.Resilience.Health
 		}
 
 		attemptStart := len(result.Batches)

@@ -223,7 +223,7 @@ func TestJoinOwnsItsStoreAccount(t *testing.T) {
 	}
 	inj := faults.New(0x101)
 	inj.Arm(faults.Point{Kind: faults.TransientRead, Prob: 0.2})
-	store.Faults = inj
+	df.Faults = inj
 
 	join, err := df.ExecuteJoin(context.Background(), JoinQuery{
 		Probe: "lineitem", Build: "orders",
@@ -260,8 +260,8 @@ func TestJoinOwnsItsStoreAccount(t *testing.T) {
 func TestPublishCountsJoinsAndDistributedGroupBys(t *testing.T) {
 	df, vo := setupJoinEngines(t, 500, 3000)
 	reg := metrics.New()
-	df.SetMetrics(reg)
-	vo.SetMetrics(reg)
+	df.Metrics = reg
+	vo.Metrics = reg
 	jq := JoinQuery{
 		Probe: "lineitem", Build: "orders",
 		ProbeKey: workload.LOrderKey, BuildKey: workload.OOrderKey,

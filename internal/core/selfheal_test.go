@@ -195,49 +195,6 @@ func TestSelfHealReadRepairConservation(t *testing.T) {
 	}
 }
 
-// The repair controller follows the engine's collaborators whichever
-// order they are wired in: a registry and an SLO tracker installed after
-// EnableRepair still receive the durability gauges and still pause
-// repair while the foreground burns its budget.
-func TestEnableRepairBeforeCollaborators(t *testing.T) {
-	data := workload.GenLineitem(workload.DefaultLineitemConfig(testRows))
-	df := buildSelfHealEngine(t, 2, data)
-	ctrl := df.EnableRepair(repair.Config{BurnMax: 1, Interval: time.Hour})
-	reg := metrics.New()
-	slo := metrics.NewSLOTracker(time.Millisecond, 0.99)
-	df.SetMetrics(reg)
-	df.SetSLO(slo, 0)
-
-	damageDetectably(t, df.Storage.Store())
-	if sum := ctrl.ScrubPass(context.Background()); sum.Healed == 0 {
-		t.Fatalf("scrub = %+v, want a heal", sum)
-	}
-	// Run publishes the gauges after each pass, then waits out its
-	// interval until the deadline stops it.
-	runCtx, stop := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	ctrl.Run(runCtx)
-	stop()
-	if got, want := reg.Gauge("durability.scrubbed").Value(), float64(ctrl.Stats().Scrubbed); got != want || got == 0 {
-		t.Errorf("durability.scrubbed on the late registry = %v, want %v", got, want)
-	}
-
-	// The foreground misses its objective: repair defers instead of
-	// scrubbing until the deadline gives up.
-	for i := 0; i < 10; i++ {
-		slo.Observe(time.Second)
-	}
-	before := ctrl.Stats().Scrubbed
-	burnCtx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	ctrl.ScrubPass(burnCtx)
-	if got := ctrl.Stats().Scrubbed; got != before {
-		t.Errorf("scrub verified %d blobs under a burning SLO, want 0", got-before)
-	}
-	if reg.Counter("repair.deferred.burn").Value() == 0 {
-		t.Error("repair.deferred.burn not raised on the late registry")
-	}
-}
-
 // The baseline reports the store's self-healing work the way the
 // data-flow engine does: a corrupt replica under a Volcano query shows
 // up in Stats.Scan as the discarded read and the write-back it
@@ -306,12 +263,12 @@ func TestSelfHealChaosScrubAndReclone(t *testing.T) {
 		Streams:   2,
 	})
 
+	// One injector for the store and the pipelines: each point keeps its
+	// arm index, and with it its own seeded stream.
 	inj := faults.New(0x5E1F)
 	inj.Arm(faults.Point{Kind: faults.StickyCorrupt, Target: "store/r0", Prob: 0.05, Budget: 6})
-	store.Faults = inj
-	engineInj := faults.New(0x5E1F + 1)
-	engineInj.Arm(faults.Point{Kind: faults.DeviceOffline, Target: fabric.DevStorageProc, Prob: 1, Budget: 1})
-	df.Faults = engineInj
+	inj.Arm(faults.Point{Kind: faults.DeviceOffline, Target: fabric.DevStorageProc, Prob: 1, Budget: 1})
+	df.Faults = inj
 
 	runCtx, stopRun := context.WithCancel(context.Background())
 	var runWG sync.WaitGroup
@@ -425,7 +382,7 @@ func TestBreakerTripsAreCountedWhereTheyHappen(t *testing.T) {
 		df := buildSelfHealEngine(t, 2, data)
 		df.EnableRepair(repair.Config{})
 		reg := metrics.New()
-		df.SetMetrics(reg)
+		df.Metrics = reg
 		df.EnableResilience(policy())
 		damageDetectably(t, df.Storage.Store())
 
@@ -462,7 +419,7 @@ func TestBreakerTripsAreCountedWhereTheyHappen(t *testing.T) {
 	t.Run("engine", func(t *testing.T) {
 		df := buildSelfHealEngine(t, 1, data)
 		reg := metrics.New()
-		df.SetMetrics(reg)
+		df.Metrics = reg
 		df.EnableResilience(policy())
 		_, df.Faults = killPoint(t, df, q, 3)
 		res, err := df.Execute(context.Background(), q)

@@ -39,26 +39,14 @@ func TenantFrom(ctx context.Context) string {
 	return DefaultTenant
 }
 
-// SetMetrics installs (or, with nil, removes) the fleet registry across
-// every layer the dataflow engine owns: what the engine base wires, plus
-// the scheduler (admissions and sheds); the flow runtime picks the
-// registry up per run for credit stalls and worker occupancy.
-func (e *DataFlowEngine) SetMetrics(r *metrics.Registry) {
-	e.engineBase.SetMetrics(r)
-	e.Scheduler.Metrics = r
-	e.Repair.AttachMetrics(r)
-}
-
-// SetSLO wires a latency SLO into the control loop: every finished
-// query's wall latency is observed against the objective, and the
-// scheduler sheds arriving queries (that would otherwise queue) once the
-// error-budget burn rate reaches shedBurn. shedBurn <= 0 keeps the
+// SetSLO closes the latency-SLO control loop: every finished query's
+// wall latency is observed against t (the same as assigning e.SLO), and
+// the scheduler sheds arriving queries that would otherwise queue once
+// the error-budget burn rate reaches shedBurn. shedBurn <= 0 keeps the
 // tracker observational only.
 func (e *DataFlowEngine) SetSLO(t *metrics.SLOTracker, shedBurn float64) {
 	e.SLO = t
-	e.Scheduler.SLO = t
 	e.Scheduler.SLOShedBurnRate = shedBurn
-	e.Repair.AttachSLO(t)
 }
 
 // enginePublisher is the per-engine fast path for landing a finished

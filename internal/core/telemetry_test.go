@@ -42,8 +42,8 @@ func TestTenantContext(t *testing.T) {
 func TestPublishAttribution(t *testing.T) {
 	df, vo, cfg := newEngines(t)
 	reg := metrics.New()
-	df.SetMetrics(reg)
-	vo.SetMetrics(reg)
+	df.Metrics = reg
+	vo.Metrics = reg
 	slo := metrics.NewSLOTracker(time.Second, 0.99)
 	df.SetSLO(slo, 0)
 
@@ -101,7 +101,7 @@ func TestPublishAttribution(t *testing.T) {
 func TestTenantAttributionUnderConcurrency(t *testing.T) {
 	df, _, cfg := newEngines(t)
 	reg := metrics.New()
-	df.SetMetrics(reg)
+	df.Metrics = reg
 	variants, err := df.Plan(telemetryQuery(cfg), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +151,7 @@ func TestTenantAttributionUnderConcurrency(t *testing.T) {
 func TestLinkUtilIsTheQuerysOwn(t *testing.T) {
 	df, _, cfg := newEngines(t)
 	reg := metrics.New()
-	df.SetMetrics(reg)
+	df.Metrics = reg
 	q := telemetryQuery(cfg)
 	utils := func() map[string]float64 {
 		if _, err := df.Execute(context.Background(), q); err != nil {
@@ -183,8 +183,8 @@ func TestLinkUtilIsTheQuerysOwn(t *testing.T) {
 }
 
 // TestPublisherRebuildsOnRegistrySwap covers the cache path: assigning
-// the Metrics field directly (without SetMetrics) must still publish to
-// the new registry, and clearing it must stop publishing.
+// the Metrics field again must publish to the new registry, and
+// clearing it must stop publishing.
 func TestPublisherRebuildsOnRegistrySwap(t *testing.T) {
 	df, _, cfg := newEngines(t)
 	q := telemetryQuery(cfg)

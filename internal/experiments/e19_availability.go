@@ -132,7 +132,6 @@ func E19Availability(rows int) (*E19Result, error) {
 			inj.Arm(faults.Point{Kind: faults.DeviceOffline,
 				Target: fabric.ComputeDev(0, "nic"), Prob: 1, Budget: 1})
 		}
-		df.Storage.Store().Faults = inj
 		df.Faults = inj
 
 		vo, err := buildVo()
@@ -141,7 +140,7 @@ func E19Availability(rows int) (*E19Result, error) {
 		}
 		voInj := faults.New(e19Seed)
 		armStorage(voInj, rate)
-		vo.Storage.Store().Faults = voInj
+		vo.Faults = voInj
 
 		row := E19Row{Rate: rate, Total: total}
 		var dfTime, voTime sim.VTime

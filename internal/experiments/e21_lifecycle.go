@@ -37,6 +37,13 @@ type E21RecoveryRow struct {
 	Restarts     int
 	Failovers    int
 	Checkpoints  int
+	// PartialRecovery is everything the partial-restart run reports lost
+	// (Stats.RecoveryBytes); the replayed bytes are a part of it.
+	PartialRecovery sim.Bytes
+	// SegmentsScanned is how many segments the partial-restart run
+	// scanned over both attempts. A whole-query failover scans all
+	// e21Segments twice; resuming past segment 0 scans fewer.
+	SegmentsScanned int
 }
 
 // E21OverloadRow is one offered-load point of the shedding sweep.
@@ -173,6 +180,8 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 				row.PartialWaste = r.Stats.ReplayedBytes
 				row.Restarts = r.Stats.PartialRestarts
 				row.Checkpoints = r.Stats.Checkpoints
+				row.PartialRecovery = r.Stats.RecoveryBytes
+				row.SegmentsScanned = r.Stats.Scan.SegmentsTotal
 			}
 		}
 		if !engaged {
@@ -211,7 +220,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 		}
 		voInj := faults.New(e21Seed)
 		voInj.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1, Budget: 1, After: strike})
-		vo.Storage.Store().Faults = voInj
+		vo.Faults = voInj
 		before := e21LinkBytes(vo.Cluster)
 		if _, err := vo.Execute(context.Background(), q); err == nil {
 			return nil, fmt.Errorf("experiments: E21 volcano survived an unretryable fault")

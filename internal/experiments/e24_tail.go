@@ -114,7 +114,7 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 				Target: "store/r0", Prob: 1, Severity: severity})
 		}
 		inj.Arm(faults.Point{Kind: faults.JitterLink, Prob: 1, Severity: 0.25})
-		store.Faults = inj
+		df.Faults = inj
 		if hedge {
 			df.EnableResilience(resilience.NewPolicy())
 		}

@@ -135,9 +135,7 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 		if err := loadDataFlow(df, "lineitem", data); err != nil {
 			return nil, err
 		}
-		if reg != nil {
-			df.SetMetrics(reg)
-		}
+		df.Metrics = reg
 		return df, nil
 	}
 	query := func(sel float64) *plan.Query {

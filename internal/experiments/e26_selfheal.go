@@ -72,9 +72,8 @@ const e26Seed = 0xE26
 // t=0. The "off" arm detects and routes around the damage but never
 // heals — every query re-pays the fallback tax and the store stays
 // under-replicated forever. The "throttled" arm runs the repair
-// controller paced to heal within HealWindow, under the scheduler's
-// repair admission class and the SLO burn gate. The "unthrottled" arm
-// lets the same controller run a repair storm (unpaced scrub and
+// controller paced to heal within HealWindow, under the SLO burn gate.
+// The "unthrottled" arm lets the same controller run a repair storm (unpaced scrub and
 // re-clone, Streams concurrent copies) through the same shared device
 // queues. Foreground queries run continuously while each arm heals;
 // latencies are wall-clock. The claims checked: rows stay bit-identical
@@ -214,8 +213,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 		df.Storage.EnableVerify(false)
 	case "throttled":
 		// Pace scrub reads and repair copies so one full heal of the
-		// store fits in HealWindow, gate every quantum on the scheduler's
-		// repair admission class, and pause outright while the SLO burn
+		// store fits in HealWindow, and pause outright while the SLO burn
 		// rate says the foreground is already losing its tail.
 		var storeBytes int64
 		for _, key := range store.List("") {
@@ -223,7 +221,6 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 		}
 		rate := float64(storeBytes) / opts.HealWindow.Seconds()
 		df.SetSLO(metrics.NewSLOTracker(time.Second, 0.99), 0)
-		df.Scheduler.RepairBurnRate = opts.BurnMax
 		ctrl = df.EnableRepair(repair.Config{
 			ScrubRate:  rate,
 			RepairRate: rate,

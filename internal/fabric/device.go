@@ -79,9 +79,8 @@ type Device struct {
 	Parallelism int
 	Meter       sim.Meter
 
-	index    int // position in its topology's device list (Account)
-	offline  atomic.Bool
-	degraded atomic.Bool
+	index   int // position in its topology's device list (Account)
+	offline atomic.Bool
 }
 
 // SetOffline marks the device dead (true) or restored (false). An
@@ -93,16 +92,6 @@ func (d *Device) SetOffline(v bool) { d.offline.Store(v) }
 
 // IsOffline reports whether the device is currently offline.
 func (d *Device) IsOffline() bool { return d.offline.Load() }
-
-// SetDegraded marks the device gray-failed (true) or healthy (false): it
-// still serves, but its circuit breaker is open or half-open. Unlike
-// offline, a degraded device remains a legal placement — the scheduler
-// merely scores it down so work prefers healthy variants while probes
-// keep testing for recovery.
-func (d *Device) SetDegraded(v bool) { d.degraded.Store(v) }
-
-// IsDegraded reports whether the device is currently marked gray-failed.
-func (d *Device) IsDegraded() bool { return d.degraded.Load() }
 
 // Can reports whether the device supports the op class.
 func (d *Device) Can(op OpClass) bool {

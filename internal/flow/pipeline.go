@@ -12,8 +12,8 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
-	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/wiring"
 )
 
 // Emit delivers one batch downstream. It is only valid for the duration
@@ -72,11 +72,19 @@ type Pipeline struct {
 	// Flush) before the watchdog cancels the run with a StageError
 	// wrapping ErrStageTimeout; 0 disables the watchdog.
 	StageTimeout time.Duration
-	// Faults, when set, is asked once per batch per stage whether the
-	// hosting device drops its kernel (faults.DeviceOffline) mid-stream.
-	// A fired fault marks the device offline and fails the stage, which
-	// is how E19 kills devices mid-query.
-	Faults *faults.Injector
+	// Services is the wiring point of the engine the run belongs to; nil
+	// (a pipeline built outside one) or a nil member is off. The run
+	// reads three members where it uses them. Faults is asked once per
+	// batch per stage whether the hosting device drops its kernel
+	// (faults.DeviceOffline): a fired fault marks the device offline and
+	// fails the stage, which is how E19 kills devices mid-query.
+	// Resilience.Health observes every batch's wall-clock Process latency
+	// keyed "stage/<device>" — real time, not virtual, so an injected
+	// slow device shows up even though its metered costs are unchanged.
+	// Metrics receives flow.credit.stalls (Sends that found the credit
+	// window empty), flow.workers.busy (workers holding a batch; one
+	// atomic add per busy/idle flip) and flow.workers.provisioned.
+	Services *wiring.Services
 	// Trace, when non-nil, makes the run record a causal tape (batch
 	// costs, emission counts, per-link transfer costs) and replay it into
 	// a deterministic virtual-time span timeline after the stream drains.
@@ -99,18 +107,6 @@ type Pipeline struct {
 	// snapshots into the (freshly built) stages before the run starts.
 	// The source must separately resume from the epoch's watermark.
 	Restore *Restore
-	// Health, when non-nil, observes every batch's wall-clock Process
-	// latency keyed "stage/<device>" — the per-device straggler signal
-	// gray-failure detection feeds on. Latencies are real time, not
-	// virtual: an injected slow device shows up here even though its
-	// metered costs are unchanged.
-	Health *resilience.Tracker
-	// Metrics, when set, feeds the fleet registry: flow.credit.stalls
-	// counts Sends that found the credit window empty (back-pressure),
-	// flow.workers.busy tracks how many workers currently hold a batch,
-	// and flow.workers.provisioned how many are running at all. Nil is
-	// off; the per-batch cost is one atomic add at each busy/idle flip.
-	Metrics *metrics.Registry
 	// Account, when non-nil, is the query's account: every stage charge
 	// on a device and every batch, credit and marker crossing a link is
 	// recorded on it. Nil charges the meters only.
@@ -126,10 +122,11 @@ func (p *Pipeline) markBusy(d float64) { p.occ.Add(d) }
 
 // observeStage feeds one batch's stage latency into the health tracker.
 func (p *Pipeline) observeStage(dev *fabric.Device, start time.Time) {
-	if p.Health == nil || dev == nil {
+	pol := p.Services.Resilience
+	if pol == nil || pol.Health == nil || dev == nil {
 		return
 	}
-	p.Health.Observe("stage/"+dev.Name, time.Since(start))
+	pol.Health.Observe("stage/"+dev.Name, time.Since(start))
 }
 
 // Result reports what a pipeline run did.
@@ -172,6 +169,9 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	}
 	if p.Source == nil {
 		return res, fmt.Errorf("flow: pipeline %q has no source", p.Name)
+	}
+	if p.Services == nil {
+		p.Services = new(wiring.Services)
 	}
 	if len(p.Paths) != 0 && len(p.Paths) != len(p.Stages) {
 		return res, fmt.Errorf("flow: pipeline %q has %d paths for %d stages", p.Name, len(p.Paths), len(p.Stages))
@@ -246,9 +246,9 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		}
 		ports[i] = newPort(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, creditBatch, done, pt)
 		ports[i].acct = p.Account
-		ports[i].stallCtr = p.Metrics.Counter("flow.credit.stalls")
+		ports[i].stallCtr = p.Services.Metrics.Counter("flow.credit.stalls")
 	}
-	p.occ = p.Metrics.Gauge("flow.workers.busy")
+	p.occ = p.Services.Metrics.Gauge("flow.workers.busy")
 
 	res.BatchesIn = make([]int64, len(p.Stages))
 	res.BatchesOut = make([]int64, len(p.Stages))
@@ -298,12 +298,12 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	for i := range p.Stages {
 		workersPer[i] = p.stageWorkers(i)
 	}
-	if p.Metrics != nil {
+	if reg := p.Services.Metrics; reg != nil {
 		var provisioned int
 		for _, w := range workersPer {
 			provisioned += w
 		}
-		pg := p.Metrics.Gauge("flow.workers.provisioned")
+		pg := reg.Gauge("flow.workers.provisioned")
 		pg.Add(float64(provisioned))
 		defer pg.Add(-float64(provisioned))
 	}
@@ -482,7 +482,7 @@ func (r *stageRun) offline() error {
 	if dev == nil {
 		return nil
 	}
-	if r.p.Faults != nil && r.p.Faults.Fire(faults.DeviceOffline, dev.Name) {
+	if inj := r.p.Services.Faults; inj != nil && inj.Fire(faults.DeviceOffline, dev.Name) {
 		dev.SetOffline(true)
 	}
 	if dev.IsOffline() {

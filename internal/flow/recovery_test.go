@@ -12,6 +12,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/sim"
+	"repro/internal/wiring"
 )
 
 // assertNoFlowLeaks registers a cleanup that fails the test if any
@@ -129,10 +130,10 @@ func TestInjectedDeviceOfflineMidStream(t *testing.T) {
 	inj := faults.New(3)
 	inj.Arm(faults.Point{Kind: faults.DeviceOffline, Target: "c0.nma", Prob: 1, Budget: 1})
 	p := &Pipeline{
-		Name:   "kill",
-		Source: nBatchSource(5, 4),
-		Stages: []Placed{{Stage: &passStage{name: "agg"}, Device: dev}},
-		Faults: inj,
+		Name:     "kill",
+		Source:   nBatchSource(5, 4),
+		Stages:   []Placed{{Stage: &passStage{name: "agg"}, Device: dev}},
+		Services: &wiring.Services{Faults: inj},
 	}
 	_, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
 	if !errors.Is(err, fabric.ErrDeviceOffline) {

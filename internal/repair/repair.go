@@ -31,8 +31,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs/metrics"
-	"repro/internal/resilience"
 	"repro/internal/storage"
 )
 
@@ -46,13 +44,12 @@ type Config struct {
 	// RepairRate paces re-replication copies in bytes per second;
 	// <= 0 leaves them unpaced.
 	RepairRate float64
-	// BurnMax, with an SLO tracker attached, pauses all background
-	// repair while the foreground burn rate is at or above it; <= 0
-	// disables the pause. Repair also defers whenever the attached
-	// scheduler's AllowRepair says no.
+	// BurnMax, with an SLO tracker wired, pauses all background repair
+	// while the foreground burn rate is at or above it; <= 0 disables
+	// the pause.
 	BurnMax float64
 	// DeadAfter is how long a replica must stay lost (first observation
-	// to now, with its breaker open when one is attached) before the
+	// to now, with its breaker open when one is wired) before the
 	// controller declares it dead and re-clones. Zero declares on first
 	// sight.
 	DeadAfter time.Duration
@@ -110,23 +107,19 @@ type Incident struct {
 // Controller owns the background scrub and re-replication loops for one
 // object store. All methods are safe for concurrent use and on a nil
 // receiver.
+//
+// Its optional collaborators are the store's (ObjectStore.Services),
+// read where they are used: Resilience supplies the breaker consulted by
+// the dead-replica deadline and the health tracker forgiven after a
+// heal, SLO is the foreground burn-rate signal behind BurnMax, and
+// Metrics receives the durability gauges.
 type Controller struct {
 	store *storage.ObjectStore
 	cfg   Config
 
 	// verify checks one replica blob; defaults to
-	// storage.VerifySegmentBlob via Attach.
+	// storage.VerifySegmentBlob.
 	verify func(key string, data []byte) error
-	// pol supplies the breaker consulted by the dead-replica deadline
-	// and the health tracker forgiven after a heal.
-	pol *resilience.Policy
-	// slo is the foreground burn-rate signal behind BurnMax.
-	slo *metrics.SLOTracker
-	// admit is the scheduler's repair admission class
-	// (sched.Scheduler.AllowRepair); nil admits everything.
-	admit func() bool
-	// reg receives the durability gauges; nil is off.
-	reg *metrics.Registry
 
 	scrubTokens  throttle
 	repairTokens throttle
@@ -145,8 +138,7 @@ type Controller struct {
 	deadDeclared  atomic.Int64
 }
 
-// New returns a controller for store with the given config. Wire the
-// optional collaborators with Attach* before Run.
+// New returns a controller for store with the given config.
 func New(store *storage.ObjectStore, cfg Config) *Controller {
 	c := &Controller{
 		store:     store,
@@ -165,41 +157,6 @@ func New(store *storage.ObjectStore, cfg Config) *Controller {
 	return c
 }
 
-// AttachResilience wires the health tracker and breakers consulted by
-// dead-replica declaration and forgiven after heals.
-func (c *Controller) AttachResilience(pol *resilience.Policy) {
-	if c == nil {
-		return
-	}
-	c.pol = pol
-}
-
-// AttachSLO wires the foreground burn-rate signal that BurnMax pauses
-// on.
-func (c *Controller) AttachSLO(t *metrics.SLOTracker) {
-	if c == nil {
-		return
-	}
-	c.slo = t
-}
-
-// AttachAdmission wires the scheduler's repair admission check; repair
-// defers every quantum the check rejects.
-func (c *Controller) AttachAdmission(allow func() bool) {
-	if c == nil {
-		return
-	}
-	c.admit = allow
-}
-
-// AttachMetrics wires the registry that receives the durability gauges.
-func (c *Controller) AttachMetrics(reg *metrics.Registry) {
-	if c == nil {
-		return
-	}
-	c.reg = reg
-}
-
 // SetVerify replaces the blob verifier (the default checks segment
 // checksums).
 func (c *Controller) SetVerify(f func(key string, data []byte) error) {
@@ -212,37 +169,28 @@ func (c *Controller) SetVerify(f func(key string, data []byte) error) {
 // Enabled reports whether a controller is present; nil is off.
 func (c *Controller) Enabled() bool { return c != nil }
 
-// pause is the yield quantum while the SLO burn rate or the scheduler
-// holds repair back.
+// pause is the yield quantum while the SLO burn rate holds repair back.
 const pause = 2 * time.Millisecond
 
 // admitQuantum blocks until background repair may do its next quantum
-// of work: the SLO burn rate must be below BurnMax and the scheduler's
-// repair class must admit. Returns ctx's error if cancelled while
-// waiting.
+// of work: the SLO burn rate must be below BurnMax — durability work
+// must not finish off a tail that foreground queries are already losing.
+// Returns ctx's error if cancelled while waiting.
 func (c *Controller) admitQuantum(ctx context.Context) error {
+	svc := c.store.Services()
 	for {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		if c.cfg.BurnMax > 0 && c.slo != nil && c.slo.BurnRate() >= c.cfg.BurnMax {
-			c.gauge("repair.deferred.burn", 1)
-			sleep(ctx, pause)
-			continue
+		// A nil tracker burns at 0, a nil registry counts nothing.
+		if c.cfg.BurnMax <= 0 || svc.SLO.BurnRate() < c.cfg.BurnMax {
+			return nil
 		}
-		if c.admit != nil && !c.admit() {
-			sleep(ctx, pause)
-			continue
-		}
-		return nil
+		svc.Metrics.Counter("repair.deferred.burn").Inc()
+		sleep(ctx, pause)
 	}
-}
-
-// gauge adds to a counter on the attached registry; nil-safe.
-func (c *Controller) gauge(name string, delta int64) {
-	c.reg.Counter(name).Add(delta)
 }
 
 // record appends one incident to the fault ledger.
@@ -337,9 +285,13 @@ func (c *Controller) Run(ctx context.Context) {
 	}
 }
 
-// publish lands the durability gauges on the attached registry.
+// publish lands the durability gauges on the store's registry.
 func (c *Controller) publish() {
-	if c == nil || c.reg == nil {
+	if c == nil {
+		return
+	}
+	reg := c.store.Services().Metrics
+	if reg == nil {
 		return
 	}
 	objects, slots := c.store.UnderReplicated()
@@ -347,14 +299,14 @@ func (c *Controller) publish() {
 	for _, n := range slots {
 		lost += n
 	}
-	c.reg.Gauge("durability.at_risk.objects").Set(float64(objects))
-	c.reg.Gauge("durability.at_risk.blobs").Set(float64(lost))
-	c.reg.Gauge("durability.scrubbed").Set(float64(c.scrubbed.Load()))
-	c.reg.Gauge("durability.recloned").Set(float64(c.recloned.Load()))
+	reg.Gauge("durability.at_risk.objects").Set(float64(objects))
+	reg.Gauge("durability.at_risk.blobs").Set(float64(lost))
+	reg.Gauge("durability.scrubbed").Set(float64(c.scrubbed.Load()))
+	reg.Gauge("durability.recloned").Set(float64(c.recloned.Load()))
 	c.mu.Lock()
 	mttr := c.lastMTTR
 	c.mu.Unlock()
-	c.reg.Gauge("durability.mttr.ms").Set(float64(mttr.Milliseconds()))
+	reg.Gauge("durability.mttr.ms").Set(float64(mttr.Milliseconds()))
 }
 
 // sleep waits for d or until ctx is cancelled.

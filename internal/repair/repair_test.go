@@ -21,7 +21,7 @@ func newStore(n int) (*storage.ObjectStore, func(string, []byte) error) {
 }
 
 func newStoreR(n, replicas int) (*storage.ObjectStore, func(string, []byte) error) {
-	o := storage.NewObjectStore()
+	o := storage.NewObjectStore(nil)
 	o.SetReplicas(replicas)
 	want := make(map[string][]byte, n)
 	for i := 0; i < n; i++ {
@@ -193,16 +193,15 @@ func TestReclonePassRestoresFailedReplica(t *testing.T) {
 	}
 }
 
-// With a breaker set attached, the dead-replica declaration waits for
+// With a breaker set wired, the dead-replica declaration waits for
 // the breaker to open — the deadline alone is not a death sentence
 // while reads still reach the replica.
 func TestRecloneWaitsForOpenBreaker(t *testing.T) {
 	o, verify := newStore(2)
 	pol := resilience.NewPolicy()
-	o.Resilience = pol
+	o.Services().Resilience = pol
 	c := New(o, Config{})
 	c.SetVerify(verify)
-	c.AttachResilience(pol)
 
 	o.FailReplica(0)
 	// Breaker for store/r0 is still closed: no declaration despite the
@@ -260,8 +259,8 @@ func TestDeadAfterDeadline(t *testing.T) {
 	}
 }
 
-// The SLO burn-rate pause and the scheduler admission gate both hold
-// repair back; a cancelled context unblocks the wait.
+// The SLO burn-rate pause holds repair back; a cancelled context
+// unblocks the wait.
 func TestAdmitQuantumGates(t *testing.T) {
 	o, _ := newStore(1)
 	c := New(o, Config{BurnMax: 1})
@@ -269,7 +268,7 @@ func TestAdmitQuantumGates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		slo.Observe(time.Second) // every request misses: burn far above 1
 	}
-	c.AttachSLO(slo)
+	o.Services().SLO = slo
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -281,18 +280,9 @@ func TestAdmitQuantumGates(t *testing.T) {
 		t.Error("admitQuantum returned before ctx expiry")
 	}
 
-	// Denied admission also blocks until ctx is cut.
+	// No BurnMax, no pause: the same burning tracker admits immediately.
 	c2 := New(o, Config{})
-	c2.AttachAdmission(func() bool { return false })
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel2()
-	if err := c2.admitQuantum(ctx2); err == nil {
-		t.Fatal("admitQuantum admitted through a denying scheduler")
-	}
-
-	// Open gates admit immediately.
-	c3 := New(o, Config{})
-	if err := c3.admitQuantum(context.Background()); err != nil {
+	if err := c2.admitQuantum(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -350,7 +340,7 @@ func TestRunLoopHealsAndStops(t *testing.T) {
 	reg := metrics.New()
 	c := New(o, Config{Interval: time.Millisecond})
 	c.SetVerify(verify)
-	c.AttachMetrics(reg)
+	o.Services().Metrics = reg
 
 	o.CorruptReplica("seg-000", 0)
 	o.FailReplica(1)
@@ -391,10 +381,6 @@ func TestNilControllerSafe(t *testing.T) {
 	if c.Enabled() {
 		t.Fatal("nil controller enabled")
 	}
-	c.AttachResilience(nil)
-	c.AttachSLO(nil)
-	c.AttachAdmission(nil)
-	c.AttachMetrics(nil)
 	c.SetVerify(func(string, []byte) error { return nil })
 	c.Run(context.Background())
 	c.ReclonePass(context.Background())

@@ -23,8 +23,8 @@ type ScrubSummary struct {
 }
 
 // ScrubPass walks every object's every replica once, verifying stored
-// checksums under the scrub byte budget and the SLO/scheduler admission
-// gate. A blob that fails verification gets a transient verdict and an
+// checksums under the scrub byte budget and the SLO burn-rate gate. A
+// blob that fails verification gets a transient verdict and an
 // immediate re-read; only a second failure escalates to persistent and
 // triggers a repair from a clean sibling. The pass is cut short by ctx.
 func (c *Controller) ScrubPass(ctx context.Context) ScrubSummary {
@@ -109,11 +109,11 @@ func (c *Controller) healBlob(ctx context.Context, key string, r, n int) bool {
 
 // ReclonePass checks for lost replicas and re-clones the ones declared
 // dead. A replica is declared dead once its blobs have been lost for
-// DeadAfter and — when a breaker set is attached — its breaker is open:
+// DeadAfter and — when a breaker set is wired — its breaker is open:
 // breakers open from real failed reads (foreground or scrub), so a
 // replica nobody can read for the deadline is what "permanently dead"
 // means here. Re-cloning copies every lost blob from a verified-clean
-// survivor, paced by the repair budget and the admission gate, and
+// survivor, paced by the repair budget and the burn-rate gate, and
 // records the completed restoration's MTTR.
 func (c *Controller) ReclonePass(ctx context.Context) {
 	if c == nil || c.store == nil {
@@ -143,8 +143,8 @@ func (c *Controller) ReclonePass(ctx context.Context) {
 		if now.Sub(since) < c.cfg.DeadAfter {
 			continue
 		}
-		if c.pol != nil && c.pol.Breakers != nil &&
-			c.pol.Breakers.State(storage.ReplicaKey(r)) != resilience.Open {
+		if pol := c.store.Services().Resilience; pol != nil && pol.Breakers != nil &&
+			pol.Breakers.State(storage.ReplicaKey(r)) != resilience.Open {
 			continue // deadline passed but reads have not condemned it yet
 		}
 		c.deadAt[r] = since
@@ -206,11 +206,11 @@ func (c *Controller) recloneReplica(ctx context.Context, r int) {
 	if !ok {
 		return
 	}
-	if c.pol != nil {
-		c.pol.Health.ClearCorrupt(storage.ReplicaKey(r))
+	if pol := c.store.Services().Resilience; pol != nil {
+		pol.Health.ClearCorrupt(storage.ReplicaKey(r))
 		// The replica holds freshly written, verified bytes: close its
 		// breaker now instead of waiting out the cooldown.
-		c.pol.Breakers.Reset(storage.ReplicaKey(r))
+		pol.Breakers.Reset(storage.ReplicaKey(r))
 	}
 }
 

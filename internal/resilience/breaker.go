@@ -55,7 +55,8 @@ type BreakerSet struct {
 	// now is the clock, swappable in tests.
 	now func() time.Time
 	// OnChange, if set, is called (outside the lock) whenever a key's
-	// state changes — the engines use it to flag fabric devices degraded.
+	// state changes — the dataflow engine uses it to mirror breaker
+	// state into the metrics registry.
 	OnChange func(key string, s BreakerState)
 
 	mu       sync.Mutex

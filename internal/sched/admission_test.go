@@ -22,7 +22,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestMaxActiveQueuesFIFO(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.MaxActive = 1
 
 	a1, err := s.Admit(context.Background(), v0)
@@ -67,7 +67,7 @@ func TestMaxActiveQueuesFIFO(t *testing.T) {
 
 func TestQueueCapSheds(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.MaxActive = 1
 	s.QueueCap = 1
 
@@ -103,7 +103,7 @@ func TestQueueCapSheds(t *testing.T) {
 
 func TestDeadlineExpiresInQueue(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.MaxActive = 1
 
 	a1, err := s.Admit(context.Background(), v0)
@@ -127,7 +127,7 @@ func TestDeadlineExpiresInQueue(t *testing.T) {
 
 func TestCancelledWhileQueued(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.MaxActive = 1
 
 	a1, err := s.Admit(context.Background(), v0)
@@ -153,7 +153,7 @@ func TestCancelledWhileQueued(t *testing.T) {
 
 func TestProjectedWaitShedsAgainstDeadline(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.MaxActive = 1
 
 	// Teach the scheduler a realistic service time: one admitted plan
@@ -188,7 +188,7 @@ func TestProjectedWaitShedsAgainstDeadline(t *testing.T) {
 
 func TestFailureScoreDecaysAndCaps(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	const dev = "compute0.nic"
 
 	// The score saturates at the cap no matter how many failures pile up.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/resilience"
+	"repro/internal/wiring"
 )
 
 // differingDevice returns a device name placed by a but not by b, so a
@@ -26,15 +27,21 @@ func differingDevice(t *testing.T, a, b *plan.Physical) string {
 	return ""
 }
 
+// breakerScheduler returns a scheduler wired to a policy holding only a
+// breaker set with the given cooldown, tripping on the first failure.
+func breakerScheduler(cooldown time.Duration) (*Scheduler, *resilience.BreakerSet) {
+	br := resilience.NewBreakerSet(resilience.BreakerConfig{
+		TripThreshold: 1, Cooldown: cooldown, HalfOpenProbes: 1,
+	})
+	return New(&wiring.Services{Resilience: &resilience.Policy{Breakers: br}}), br
+}
+
 func TestBreakerSteersAdmission(t *testing.T) {
 	_, v0, v1 := twoNodeVariants(t)
 	dev := differingDevice(t, v0[1], v1[1])
 
-	s := New()
-	s.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{
-		TripThreshold: 1, Cooldown: time.Hour, HalfOpenProbes: 1,
-	})
-	s.Breakers.Failure(dev) // trips: threshold is 1
+	s, br := breakerScheduler(time.Hour)
+	br.Failure(dev) // trips: threshold is 1
 
 	mixed := []*plan.Physical{v0[1], v1[1]}
 	adm, err := s.Admit(context.Background(), mixed)
@@ -60,12 +67,9 @@ func TestBreakerHalfOpenProbesViaAdmission(t *testing.T) {
 	dev := differingDevice(t, v0[1], v1[1])
 
 	now := time.Unix(0, 0)
-	s := New()
-	s.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{
-		TripThreshold: 1, Cooldown: time.Second, HalfOpenProbes: 1,
-	})
-	s.Breakers.SetClock(func() time.Time { return now })
-	s.Breakers.Failure(dev)
+	s, br := breakerScheduler(time.Second)
+	br.SetClock(func() time.Time { return now })
+	br.Failure(dev)
 
 	mixed := []*plan.Physical{v0[1], v1[1]}
 	adm, err := s.Admit(context.Background(), mixed)
@@ -78,8 +82,13 @@ func TestBreakerHalfOpenProbesViaAdmission(t *testing.T) {
 	s.Release(adm)
 
 	// After the cooldown, admission's Allow stream half-opens the
-	// breaker and the probe admits the device again.
+	// breaker and hands the device a probe slot: it is no longer
+	// rejected (DefaultBreakerPenalty), only scored as gray-failed
+	// (DefaultDegradedPenalty) until the probe reports back — so it wins
+	// again over an alternative carrying one recorded failover, which it
+	// could not while open.
 	now = now.Add(2 * time.Second)
+	s.NoteFailover(differingDevice(t, v1[1], v0[1]))
 	adm, err = s.Admit(context.Background(), mixed)
 	if err != nil {
 		t.Fatal(err)
@@ -87,32 +96,39 @@ func TestBreakerHalfOpenProbesViaAdmission(t *testing.T) {
 	if adm.Plan != v0[1] {
 		t.Errorf("half-open probe did not readmit the top-ranked variant (chose %q)", adm.Variant)
 	}
-	if got := s.Breakers.State(dev); got != resilience.HalfOpen {
+	if got := br.State(dev); got != resilience.HalfOpen {
 		t.Errorf("breaker state = %v, want half-open", got)
 	}
 	// The engine reports the probe's outcome; success closes.
-	s.Breakers.Success(dev)
-	if got := s.Breakers.State(dev); got != resilience.Closed {
+	br.Success(dev)
+	if got := br.State(dev); got != resilience.Closed {
 		t.Errorf("breaker state after probe success = %v, want closed", got)
 	}
 	s.Release(adm)
 }
 
+// A gray-failed device is one whose breaker is not closed: the scheduler
+// asks the breaker where it scores. A half-open breaker that grants its
+// probe slot rejects nothing, so what steers here is
+// DefaultDegradedPenalty alone — and it is gone the moment the probe's
+// success closes the breaker.
 func TestDegradedPenaltySteersAdmission(t *testing.T) {
-	c, v0, v1 := twoNodeVariants(t)
+	_, v0, v1 := twoNodeVariants(t)
 	dev := differingDevice(t, v0[1], v1[1])
-	d := c.Device(dev)
-	if d == nil {
-		t.Fatalf("unknown device %q", dev)
-	}
-	d.SetDegraded(true)
-	defer d.SetDegraded(false)
 
-	s := New()
+	now := time.Unix(0, 0)
+	s, br := breakerScheduler(time.Second)
+	br.SetClock(func() time.Time { return now })
+	br.Failure(dev)
+	now = now.Add(2 * time.Second) // past the cooldown: the next Allow half-opens
+
 	mixed := []*plan.Physical{v0[1], v1[1]}
 	adm, err := s.Admit(context.Background(), mixed)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := br.State(dev); got != resilience.HalfOpen {
+		t.Fatalf("breaker state = %v, want half-open", got)
 	}
 	if adm.Plan != v1[1] {
 		t.Errorf("admission kept a gray-degraded device (chose %q)", adm.Variant)
@@ -120,7 +136,7 @@ func TestDegradedPenaltySteersAdmission(t *testing.T) {
 	s.Release(adm)
 
 	// Healthy again: the top-ranked variant wins as before.
-	d.SetDegraded(false)
+	br.Success(dev)
 	adm, err = s.Admit(context.Background(), mixed)
 	if err != nil {
 		t.Fatal(err)

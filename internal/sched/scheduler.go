@@ -20,10 +20,10 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 	"repro/internal/plan"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/wiring"
 )
 
 // ErrOverloaded is returned when admission control sheds a query: the
@@ -88,40 +88,25 @@ type Scheduler struct {
 	// device (scaled by the oversubscription ratio); 0 disables worker-
 	// slot awareness.
 	WorkerSlotPenalty float64
-	// Breakers, when set, consults a per-device circuit breaker at
-	// admission: a variant placing work on a device whose breaker
-	// rejects it (open, or half-open with its probe slots spent) is
-	// penalized by DefaultBreakerPenalty per such device rather than
-	// banned, so a fabric whose every variant is broken degrades to
-	// serve-slow instead of shedding. Allow is asked once per distinct
-	// device per admission, which doubles as the half-open probe stream;
-	// the engines report the executed plan's outcomes back via
-	// Success/Failure.
-	Breakers *resilience.BreakerSet
-	// Metrics, when set, receives continuous admission telemetry:
-	// sched.admitted / sched.shed.* counters, sched.queue.depth and
-	// sched.active gauges, and the EWMA service-time gauge. Nil is off
-	// (the obs discipline) and costs nothing.
-	Metrics *metrics.Registry
-	// SLO, when set together with SLOShedBurnRate, lets admission read
+	// SLOShedBurnRate, with an SLO tracker wired, lets admission read
 	// the fleet's SLO burn rate: while the burn is at or above the
 	// threshold, arrivals that would otherwise queue are shed with
 	// ErrOverloaded instead — the queue is exactly the latency the SLO
 	// is already missing, so parking more work behind it only converts
 	// future budget into present queueing. The engines feed the tracker
-	// with per-query wall latency; admission only reads it.
-	SLO *metrics.SLOTracker
-	// SLOShedBurnRate is the burn-rate threshold for SLO shedding;
-	// 0 disables it. 1 sheds as soon as the error budget is being
-	// consumed at the objective's limit; higher values tolerate short
-	// bursts and shed only on clear overload.
+	// with per-query wall latency; admission only reads it. 0 disables
+	// the shedding; 1 sheds as soon as the error budget is being consumed
+	// at the objective's limit; higher values tolerate short bursts and
+	// shed only on clear overload.
 	SLOShedBurnRate float64
-	// RepairBurnRate is the admission threshold for the background
-	// repair class: AllowRepair defers repair work while the SLO burn
-	// rate is at or above it, so scrub and re-replication I/O yields the
-	// device queues to a foreground that is already missing its
-	// objective. 0 admits repair unconditionally.
-	RepairBurnRate float64
+
+	// svc is the wiring point the scheduler was built on, never nil.
+	// Metrics receives continuous admission telemetry: sched.admitted /
+	// sched.shed.* counters, sched.queue.depth and sched.active gauges,
+	// and the EWMA service-time gauge. SLO is what SLOShedBurnRate reads.
+	// Resilience supplies the per-device circuit breakers admission
+	// consults (see breakerPenalties).
+	svc *wiring.Services
 
 	failures    map[string]float64 // device name -> decayed failover score
 	deviceSlots map[string]int     // device name -> worker slots held by active plans
@@ -157,15 +142,22 @@ const DefaultMaxFailureScore = 8.0
 const DefaultBreakerPenalty = 4.0
 
 // DefaultDegradedPenalty is the rank-score penalty per gray-failed
-// device (fabric.Device.IsDegraded) a variant places work on. It sits
-// between contention and failure penalties: a slow-but-alive device
-// loses ties but is not shunned as hard as one that errored outright.
+// device — one whose breaker is not closed — a variant places work on.
+// It sits between contention and failure penalties: a slow-but-alive
+// device loses ties but is not shunned as hard as one that errored
+// outright.
 const DefaultDegradedPenalty = 2.0
 
 // New returns an empty scheduler with no admission bound (set MaxActive
-// to enable overload control).
-func New() *Scheduler {
+// to enable overload control) that reads its optional subsystems from
+// svc. A nil svc (a scheduler outside any engine) gets an empty one of
+// its own: everything off.
+func New(svc *wiring.Services) *Scheduler {
+	if svc == nil {
+		svc = new(wiring.Services)
+	}
 	return &Scheduler{
+		svc:               svc,
 		active:            make(map[int64]*Admission),
 		linkLoad:          make(map[*fabric.Link]int),
 		failures:          make(map[string]float64),
@@ -175,25 +167,9 @@ func New() *Scheduler {
 	}
 }
 
-// AllowRepair is the background repair class's admission check: repair
-// traffic (scrub reads, write-backs, re-clones) asks before each
-// quantum of work and defers while the SLO burn rate is at or above
-// RepairBurnRate — durability work must not finish off a tail that
-// foreground queries are already losing. Decisions are counted as
-// sched.repair.admitted / sched.repair.deferred. A nil scheduler or an
-// unset threshold admits everything: repair then paces only on its own
-// token budget.
-func (s *Scheduler) AllowRepair() bool {
-	if s == nil {
-		return true
-	}
-	if s.SLO != nil && s.RepairBurnRate > 0 && s.SLO.BurnRate() >= s.RepairBurnRate {
-		s.Metrics.Counter("sched.repair.deferred").Inc()
-		return false
-	}
-	s.Metrics.Counter("sched.repair.admitted").Inc()
-	return true
-}
+// Services returns the wiring point the scheduler reads its metrics
+// registry, SLO tracker and circuit breakers from.
+func (s *Scheduler) Services() *wiring.Services { return s.svc }
 
 // NoteFailover records that a query failed over away from the named
 // device; future admissions penalize variants placing work there. The
@@ -251,7 +227,7 @@ func (s *Scheduler) Admit(ctx context.Context, variants []*plan.Physical) (*Admi
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.Metrics.Counter("sched.admit.requests").Inc()
+	s.svc.Metrics.Counter("sched.admit.requests").Inc()
 	s.mu.Lock()
 	if err := ctx.Err(); err != nil {
 		s.mu.Unlock()
@@ -274,8 +250,8 @@ func (s *Scheduler) Admit(ctx context.Context, variants []*plan.Physical) (*Admi
 	// it while the SLO still has budget for the wait; once the burn rate
 	// says the budget is being spent faster than the objective allows,
 	// new arrivals are refused before they park.
-	if s.SLO != nil && s.SLOShedBurnRate > 0 {
-		if burn := s.SLO.BurnRate(); burn >= s.SLOShedBurnRate {
+	if s.SLOShedBurnRate > 0 { // a nil tracker burns at 0
+		if burn := s.svc.SLO.BurnRate(); burn >= s.SLOShedBurnRate {
 			s.mu.Unlock()
 			s.shedMetric("slo_burn")
 			return nil, fmt.Errorf("%w: SLO burn rate %.2f at shed threshold %.2f", ErrOverloaded, burn, s.SLOShedBurnRate)
@@ -290,8 +266,8 @@ func (s *Scheduler) Admit(ctx context.Context, variants []*plan.Physical) (*Admi
 	}
 	w := &waiter{variants: variants, ready: make(chan struct{})}
 	s.queue = append(s.queue, w)
-	s.Metrics.Counter("sched.queued").Inc()
-	s.Metrics.Gauge("sched.queue.depth").Set(float64(len(s.queue)))
+	s.svc.Metrics.Counter("sched.queued").Inc()
+	s.svc.Metrics.Gauge("sched.queue.depth").Set(float64(len(s.queue)))
 	s.mu.Unlock()
 
 	select {
@@ -313,13 +289,13 @@ func (s *Scheduler) Admit(ctx context.Context, variants []*plan.Physical) (*Admi
 				break
 			}
 		}
-		s.Metrics.Gauge("sched.queue.depth").Set(float64(len(s.queue)))
+		s.svc.Metrics.Gauge("sched.queue.depth").Set(float64(len(s.queue)))
 		s.mu.Unlock()
 		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
 			s.shedMetric("deadline")
 			return nil, fmt.Errorf("%w: deadline expired in admit queue", ErrOverloaded)
 		}
-		s.Metrics.Counter("sched.queue.cancelled").Inc()
+		s.svc.Metrics.Counter("sched.queue.cancelled").Inc()
 		return nil, ctx.Err()
 	}
 }
@@ -332,25 +308,7 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 	for i, v := range variants {
 		devices[i] = v.Devices()
 	}
-	// Ask each distinct device's breaker once per admission — the
-	// consolidated answer scores every variant, and the Allow stream
-	// doubles as half-open probing (unclaimed probe slots replenish
-	// after a cooldown).
-	blocked := map[string]bool{}
-	if s.Breakers != nil {
-		asked := map[string]bool{}
-		for _, devs := range devices {
-			for _, d := range devs {
-				if asked[d.Name] {
-					continue
-				}
-				asked[d.Name] = true
-				if !s.Breakers.Allow(d.Name) {
-					blocked[d.Name] = true
-				}
-			}
-		}
-	}
+	health := s.breakerPenalties(devices)
 	// The lowest score wins; on a tie the better-ranked variant does.
 	best, bestCost := -1, 0.0
 	var bestLinks []*fabric.Link
@@ -366,26 +324,17 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 		// Worker-slot pressure: placing this plan's worker pool on a
 		// device already holding slots beyond its replicated units
 		// serializes both plans' lanes; penalize by how far over.
-		// Breaker-rejected and gray-degraded devices are scored down,
-		// not banned: when every variant is broken, the least-broken
-		// one still serves (slow) instead of shedding the query.
-		failed, over, broken, degraded := 0.0, 0.0, 0.0, 0.0
+		failed, over, unhealthy := 0.0, 0.0, 0.0
 		for _, d := range devices[i] {
 			failed += s.failures[d.Name]
 			u := d.Units()
 			if load := s.deviceSlots[d.Name] + workers; load > u {
 				over += float64(load-u) / float64(u)
 			}
-			if blocked[d.Name] {
-				broken++
-			}
-			if d.IsDegraded() {
-				degraded++
-			}
+			unhealthy += health[d.Name]
 		}
 		cost := float64(i) + s.ContentionPenalty*float64(contention) +
-			DefaultFailurePenalty*failed + s.WorkerSlotPenalty*over +
-			DefaultBreakerPenalty*broken + DefaultDegradedPenalty*degraded
+			DefaultFailurePenalty*failed + s.WorkerSlotPenalty*over + unhealthy
 		if best < 0 || cost < bestCost {
 			best, bestCost, bestLinks = i, cost, links
 		}
@@ -413,20 +362,55 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 	for _, l := range adm.links {
 		s.linkLoad[l]++
 	}
-	s.Metrics.Counter("sched.admitted").Inc()
-	s.Metrics.Gauge("sched.active").Set(float64(len(s.active)))
+	s.svc.Metrics.Counter("sched.admitted").Inc()
+	s.svc.Metrics.Gauge("sched.active").Set(float64(len(s.active)))
 	s.decayFailuresLocked()
 	s.rebalanceLocked()
 	return adm, nil
 }
 
+// breakerPenalties asks the policy's circuit breaker about each distinct
+// device the variants occupy, once per admission, and returns what each
+// unhealthy device adds to the score of a variant placing work on it:
+// DefaultBreakerPenalty when the breaker rejects the work (open, or
+// half-open with its probe slots spent) and DefaultDegradedPenalty while
+// it is anything but closed — a gray-failed device. Scored down, not
+// banned: when every variant is broken, the least-broken one still
+// serves (slow) instead of shedding the query. The Allow stream doubles
+// as half-open probing (unclaimed probe slots replenish after a
+// cooldown); the engines report the executed plan's outcomes back via
+// Success/Failure. No policy, no breakers: nil, which scores nothing.
+func (s *Scheduler) breakerPenalties(devices [][]*fabric.Device) map[string]float64 {
+	pol := s.svc.Resilience
+	if pol == nil || pol.Breakers == nil {
+		return nil
+	}
+	health := map[string]float64{}
+	for _, devs := range devices {
+		for _, d := range devs {
+			if _, asked := health[d.Name]; asked {
+				continue
+			}
+			penalty := 0.0
+			if !pol.Breakers.Allow(d.Name) {
+				penalty += DefaultBreakerPenalty
+			}
+			if pol.Breakers.State(d.Name) != resilience.Closed {
+				penalty += DefaultDegradedPenalty
+			}
+			health[d.Name] = penalty
+		}
+	}
+	return health
+}
+
 // shedMetric counts one shed, by reason and in total.
 func (s *Scheduler) shedMetric(reason string) {
-	if s.Metrics == nil {
+	if s.svc.Metrics == nil {
 		return
 	}
-	s.Metrics.Counter("sched.shed").Inc()
-	s.Metrics.Counter("sched.shed." + reason).Inc()
+	s.svc.Metrics.Counter("sched.shed").Inc()
+	s.svc.Metrics.Counter("sched.shed." + reason).Inc()
 }
 
 // projectedWaitLocked estimates how long a new arrival would sit in the
@@ -518,8 +502,8 @@ func (s *Scheduler) Release(adm *Admission) {
 		w.adm, w.err = s.admitLocked(w.variants)
 		close(w.ready)
 	}
-	s.Metrics.Gauge("sched.active").Set(float64(len(s.active)))
-	s.Metrics.Gauge("sched.queue.depth").Set(float64(len(s.queue)))
+	s.svc.Metrics.Gauge("sched.active").Set(float64(len(s.active)))
+	s.svc.Metrics.Gauge("sched.queue.depth").Set(float64(len(s.queue)))
 }
 
 // observeServiceLocked folds one completed execution into the EWMAs.
@@ -539,7 +523,7 @@ func (s *Scheduler) observeServiceLocked(dur time.Duration, cost sim.VTime) {
 			s.ewmaCost = (keep*s.ewmaCost + (10-keep)*cost) / 10
 		}
 	}
-	s.Metrics.Gauge("sched.ewma.service.ns").Set(float64(s.ewmaService))
+	s.svc.Metrics.Gauge("sched.ewma.service.ns").Set(float64(s.ewmaService))
 }
 
 // rebalanceLocked applies fair-share rate limits to every tracked link.

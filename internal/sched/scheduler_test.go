@@ -44,7 +44,7 @@ func twoNodeVariants(t *testing.T) (*fabric.Cluster, []*plan.Physical, []*plan.P
 
 func TestAdmitPicksTopVariantWhenIdle(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	adm, err := s.Admit(context.Background(), v0)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestAdmitReleaseAllocations(t *testing.T) {
 	if len(v0) != 4 {
 		t.Fatalf("%d variants, want the four-variant plan the ceiling was measured on", len(v0))
 	}
-	s := New()
+	s := New(nil)
 	ctx := context.Background()
 	got := testing.AllocsPerRun(100, func() {
 		adm, err := s.Admit(ctx, v0)
@@ -87,7 +87,7 @@ func TestAdmitReleaseAllocations(t *testing.T) {
 
 func TestAdmitTracedRecordsDecision(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	tr := obs.New()
 	adm, err := s.AdmitTraced(context.Background(), v0, tr)
 	if err != nil {
@@ -110,14 +110,14 @@ func TestAdmitTracedRecordsDecision(t *testing.T) {
 }
 
 func TestAdmitRequiresVariants(t *testing.T) {
-	if _, err := New().Admit(context.Background(), nil); err == nil {
+	if _, err := New(nil).Admit(context.Background(), nil); err == nil {
 		t.Error("empty admit succeeded")
 	}
 }
 
 func TestFairShareLimitsAndRestores(t *testing.T) {
 	c, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	// Admit the same node-0 variant list twice: both use node 0's host
 	// links, forcing shared-link limits.
 	a1, err := s.Admit(context.Background(), v0)
@@ -154,7 +154,7 @@ func TestContentionSteersVariant(t *testing.T) {
 	// contains node-0 and node-1 variants: the scheduler must choose a
 	// node-1 variant despite node-0's better rank.
 	_, v0, v1 := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.ContentionPenalty = 10
 	var held []*Admission
 	for i := 0; i < 3; i++ {
@@ -181,7 +181,7 @@ func TestContentionSteersVariant(t *testing.T) {
 
 func TestDoubleReleasePanics(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	a, err := s.Admit(context.Background(), v0)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestDoubleReleasePanics(t *testing.T) {
 
 func TestClearLimits(t *testing.T) {
 	c, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.Admit(context.Background(), v0)
 	s.Admit(context.Background(), v0)
 	s.ClearLimits()

@@ -11,7 +11,7 @@ import (
 // releases return them.
 func TestWorkerSlotAccounting(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.SetWorkers(4)
 
 	a1, err := s.Admit(context.Background(), v0)
@@ -70,7 +70,7 @@ func TestWorkerSlotPenaltySteers(t *testing.T) {
 	}
 	v0 := []*plan.Physical{pick(v0all)}
 	v1 := []*plan.Physical{pick(v1all)}
-	s := New()
+	s := New(nil)
 	s.ContentionPenalty = 0 // isolate the worker-slot term
 	s.WorkerSlotPenalty = 10
 	s.SetWorkers(4)
@@ -122,7 +122,7 @@ func TestWorkerSlotPenaltySteers(t *testing.T) {
 // baseline, not zero.
 func TestWorkerSlotMinimumOne(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New()
+	s := New(nil)
 	s.SetWorkers(0)
 	a, err := s.Admit(context.Background(), v0)
 	if err != nil {

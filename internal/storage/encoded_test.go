@@ -172,7 +172,7 @@ func TestEncodedEvalRecoversFromCorruptSegment(t *testing.T) {
 	srv.Store().RetryBase = 0
 	inj := faults.New(41)
 	inj.Arm(faults.Point{Kind: faults.CorruptBlob, Prob: 1, Budget: 1})
-	srv.Store().Faults = inj
+	srv.Store().svc.Faults = inj
 	spec := ScanSpec{
 		Projection:  []int{0, 2},
 		Filter:      expr.NewBetween(1, 0, 24),

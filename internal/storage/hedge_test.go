@@ -38,7 +38,7 @@ func waitGoroutines(t *testing.T, base int) {
 // teach the health tracker enough to demote the gray replica for the
 // next read.
 func TestHedgedReadWinsOverDegradedReplica(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.SetReplicas(2)
 	o.BaseLatency = 2 * time.Millisecond
 	payload := []byte("hedged payload bytes")
@@ -49,11 +49,11 @@ func TestHedgedReadWinsOverDegradedReplica(t *testing.T) {
 	inj := faults.New(1)
 	inj.Arm(faults.Point{Kind: faults.DegradedDevice, Target: "store/r0",
 		Prob: 1, Severity: 50})
-	o.Faults = inj
+	o.svc.Faults = inj
 	pol := resilience.NewPolicy()
 	// One sample is enough history for this test's steering assertions.
 	pol.Health = resilience.NewTracker(0.2, 1)
-	o.Resilience = pol
+	o.svc.Resilience = pol
 
 	opsBefore, bytesBefore := o.Meter.Ops(), o.Meter.Bytes() // Put metered too
 	base := runtime.NumGoroutine()
@@ -109,7 +109,7 @@ func TestHedgedReadWinsOverDegradedReplica(t *testing.T) {
 // must keep the conservation invariant: every byte is either primary
 // work on the main meter or duplicate work on the hedge counters.
 func TestHedgedReadNoLeakNoDoubleCount(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.SetReplicas(2)
 	o.BaseLatency = time.Millisecond
 	payload := make([]byte, 512)
@@ -120,8 +120,8 @@ func TestHedgedReadNoLeakNoDoubleCount(t *testing.T) {
 	inj := faults.New(2)
 	inj.Arm(faults.Point{Kind: faults.DegradedDevice, Target: "store/r0",
 		Prob: 1, Severity: 40})
-	o.Faults = inj
-	o.Resilience = resilience.NewPolicy()
+	o.svc.Faults = inj
+	o.svc.Resilience = resilience.NewPolicy()
 
 	bytesBefore := o.Meter.Bytes() // Put metered too
 	base := runtime.NumGoroutine()
@@ -165,10 +165,10 @@ func TestSpeculativeRerunExactlyOnce(t *testing.T) {
 	inj := faults.New(3)
 	inj.Arm(faults.Point{Kind: faults.DegradedDevice,
 		Target: "store/r0/lineitem/seg-000006", Prob: 1, Budget: 1, Severity: 16})
-	store.Faults = inj
+	store.svc.Faults = inj
 	pol := resilience.NewPolicy()
 	pol.Hedge = false // isolate speculation from hedging
-	store.Resilience = pol
+	store.svc.Resilience = pol
 
 	base := runtime.NumGoroutine()
 	got, stats, _ := scanAll(t, srv, ScanSpec{Workers: 2})
@@ -203,12 +203,12 @@ func TestSpeculationRespectsRetryBudget(t *testing.T) {
 	inj := faults.New(3)
 	inj.Arm(faults.Point{Kind: faults.DegradedDevice,
 		Target: "store/r0/lineitem/seg-000006", Prob: 1, Budget: 1, Severity: 8})
-	store.Faults = inj
+	store.svc.Faults = inj
 	pol := resilience.NewPolicy()
 	pol.Hedge = false
 	pol.Budget = resilience.NewBudget(0, 1)
 	pol.Budget.TryAcquire() // drain the startup token: nothing to spend
-	store.Resilience = pol
+	store.svc.Resilience = pol
 
 	_, stats, _ := scanAll(t, srv, ScanSpec{Workers: 2})
 	if stats.SpeculativeMorsels != 0 {
@@ -224,12 +224,12 @@ func TestSpeculationRespectsRetryBudget(t *testing.T) {
 // Retry backoff must honor the caller's context: an expired deadline
 // surfaces immediately instead of after the full exponential sleep.
 func TestBackoffHonorsContext(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.RetryBase = 200 * time.Millisecond // first backoff alone dwarfs the deadline
 	o.Put("k", []byte("x"))
 	inj := faults.New(4)
 	inj.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1})
-	o.Faults = inj
+	o.svc.Faults = inj
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()

@@ -10,9 +10,9 @@ import (
 	"time"
 
 	"repro/internal/faults"
-	"repro/internal/obs/metrics"
 	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/wiring"
 )
 
 // ObjectStore is the cloud object store: a flat key space of immutable
@@ -22,40 +22,37 @@ import (
 //
 // Availability machinery: Put writes Replicas independent copies of each
 // blob and Get falls back across them, retrying transient faults with
-// bounded exponential backoff. Faults, when set, injects read-path
-// faults so experiments can measure the cost of that recovery.
+// bounded exponential backoff. The wired fault injector, when set,
+// injects read-path faults (transient errors, corrupt blobs, missing
+// objects, degraded replicas) so experiments can measure that recovery.
 //
 // Gray-failure machinery: BaseLatency models the healthy per-read
-// service time, which DegradedDevice faults stretch per replica. When
-// Resilience is set, reads prefer the healthiest replica (EWMA latency
-// ranking) and, with Resilience.Hedge, race a second replica after a
-// deviation-scaled delay — taking the first success and cancelling the
-// loser. Hedge-side work is metered separately (ReadStats.HedgeOps and
-// HedgeBytes), so the main Meter's totals are identical whether or not
-// a losing hedge ran.
+// service time, which DegradedDevice faults stretch per replica. With a
+// resilience policy wired, reads prefer the healthiest replica (EWMA
+// latency ranking), retries spend from its budget and, with its Hedge
+// set, a read races a second replica after a deviation-scaled delay —
+// taking the first success and cancelling the loser. Hedge-side work is
+// metered separately (ReadStats.HedgeOps and HedgeBytes), so the main
+// Meter's totals are identical whether or not a losing hedge ran.
 type ObjectStore struct {
 	mu      sync.RWMutex
 	objects map[string][][]byte // one entry per replica, len >= 1
 	reps    int
 	Meter   sim.Meter
 
+	// svc is the wiring point the store was built on, never nil; the
+	// storage server and the repair controller reach it through here.
+	// The store reads Faults and Resilience as above, and mirrors every
+	// read's non-zero ReadStats counters into Metrics as storage.<name>
+	// when the read returns, so a live scrape sees defensive and repair
+	// work without waiting for a query's ExecStats.
+	svc *wiring.Services
+
 	// BaseLatency is the healthy wall-clock service time of one replica
 	// read. Zero (the default) keeps reads instantaneous; experiments
 	// that measure tail latency set it so DegradedDevice multipliers
 	// have a base to stretch.
 	BaseLatency time.Duration
-	// Resilience enables health-ranked replica selection, hedged reads
-	// and retry-budget enforcement. Nil disables all three.
-	Resilience *resilience.Policy
-
-	// Faults injects read-path faults (transient errors, corrupt blobs,
-	// missing objects, degraded replicas). Nil means a fault-free store.
-	Faults *faults.Injector
-	// Metrics, when set, mirrors every read's non-zero ReadStats
-	// counters into the registry as storage.<name> when the read
-	// returns, so a live scrape sees defensive and repair work without
-	// waiting for a query's ExecStats. Nil is off.
-	Metrics *metrics.Registry
 	// MaxRetries bounds the per-replica retries of a transient read
 	// fault before falling back to the next replica; 0 disables retry,
 	// modelling a legacy detect-only store.
@@ -108,15 +105,25 @@ type ObjectStore struct {
 // DefaultMaxRetries is the retry bound of a freshly built store.
 const DefaultMaxRetries = 3
 
-// NewObjectStore returns an empty single-replica store.
-func NewObjectStore() *ObjectStore {
+// NewObjectStore returns an empty single-replica store that reads its
+// optional subsystems from svc. A nil svc (a store outside any engine)
+// gets an empty one of its own: everything off.
+func NewObjectStore(svc *wiring.Services) *ObjectStore {
+	if svc == nil {
+		svc = new(wiring.Services)
+	}
 	return &ObjectStore{
+		svc:        svc,
 		objects:    make(map[string][][]byte),
 		reps:       1,
 		MaxRetries: DefaultMaxRetries,
 		RetryBase:  50 * time.Microsecond,
 	}
 }
+
+// Services returns the wiring point the store reads its metrics
+// registry, resilience policy and fault injector from.
+func (o *ObjectStore) Services() *wiring.Services { return o.svc }
 
 // SetReplicas sets the replication factor for future Puts (clamped to at
 // least 1). Existing objects keep their current replica count.
@@ -190,7 +197,7 @@ func (o *ObjectStore) replicaOrder(n int) []int {
 	for i := range order {
 		order[i] = i
 	}
-	pol := o.Resilience
+	pol := o.svc.Resilience
 	if pol == nil || pol.Health == nil || n < 2 {
 		return order
 	}
@@ -239,7 +246,7 @@ func (o *ObjectStore) fold(rs, acct *ReadStats) {
 	if acct != nil {
 		acct.Add(*rs)
 	}
-	rs.publish(o.Metrics, "storage.")
+	rs.publish(o.svc.Metrics, "storage.")
 }
 
 // Totals returns the store's lifetime ReadStats: every caller's account
@@ -296,7 +303,7 @@ func (o *ObjectStore) seqRead(ctx context.Context, key string, copies [][]byte, 
 // goroutine adds them to rs as the results arrive. Without a hedging
 // policy or a second replica there is no race, just the walk.
 func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte, order []int, copyOut bool, rs *ReadStats) ([]byte, error) {
-	pol := o.Resilience
+	pol := o.svc.Resilience
 	if pol == nil || !pol.Hedge || len(order) < 2 {
 		return o.seqRead(ctx, key, copies, order, copyOut, false, nil, rs)
 	}
@@ -460,7 +467,7 @@ func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []by
 		if !retryable || attempt >= o.MaxRetries {
 			return nil, ops, err
 		}
-		if pol := o.Resilience; pol != nil && !pol.Budget.TryAcquire() {
+		if pol := o.svc.Resilience; pol != nil && !pol.Budget.TryAcquire() {
 			// Retry budget exhausted: shed the retry instead of
 			// amplifying a fault storm.
 			rs.RetryBudgetExhausted++
@@ -492,8 +499,9 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 			delay += time.Duration(float64(o.BaseLatency) * o.RepairContention * float64(load))
 		}
 	}
-	if o.Faults != nil {
-		delay += o.Faults.Slowdown(faults.DegradedDevice, ReplicaKey(r)+"/"+key, o.BaseLatency)
+	inj := o.svc.Faults
+	if inj != nil {
+		delay += inj.Slowdown(faults.DegradedDevice, ReplicaKey(r)+"/"+key, o.BaseLatency)
 	}
 	if err := sleepCtx(ctx, delay); err != nil {
 		// A read cancelled mid-service still taught us something: the
@@ -502,7 +510,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 		// replica whose reads only ever finish by losing hedge races —
 		// without it the replica stays unsampled and Rank keeps
 		// exploring it first.
-		if pol := o.Resilience; pol != nil {
+		if pol := o.svc.Resilience; pol != nil {
 			pol.Health.Observe(ReplicaKey(r), time.Since(start))
 		}
 		return nil, err
@@ -515,14 +523,14 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 		o.noteLost(r, rs)
 		return nil, &ReplicaLostError{Key: key, Replica: r}
 	}
-	if o.Faults != nil {
-		if o.Faults.Fire(faults.ObjectMissing, key) {
+	if inj != nil {
+		if inj.Fire(faults.ObjectMissing, key) {
 			return nil, &faults.FaultError{Kind: faults.ObjectMissing, Target: key}
 		}
-		if o.Faults.Fire(faults.TransientRead, key) {
+		if inj.Fire(faults.TransientRead, key) {
 			return nil, &faults.FaultError{Kind: faults.TransientRead, Target: key}
 		}
-		if o.Faults.Fire(faults.CorruptBlob, key) {
+		if inj.Fire(faults.CorruptBlob, key) {
 			// The corruption rides the returned copy, never the stored
 			// replica; checksums downstream detect it and a re-read heals.
 			cp := append([]byte(nil), data...)
@@ -532,7 +540,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 			o.observeRead(r, start)
 			return cp, nil
 		}
-		if o.Faults.Fire(faults.StickyCorrupt, ReplicaKey(r)+"/"+key) {
+		if inj.Fire(faults.StickyCorrupt, ReplicaKey(r)+"/"+key) {
 			// Persistent damage: the stored replica blob itself is
 			// flipped, so every later read of this replica — foreground
 			// or scrub — sees the same corruption until a repair
@@ -552,7 +560,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 // observeRead feeds one completed replica read into the health tracker
 // and credits the retry budget.
 func (o *ObjectStore) observeRead(r int, start time.Time) {
-	pol := o.Resilience
+	pol := o.svc.Resilience
 	if pol == nil {
 		return
 	}

@@ -14,7 +14,7 @@ import (
 // copies, and scan-level corrupt re-reads.
 
 func TestGetReturnsDefensiveCopy(t *testing.T) {
-	s := NewObjectStore()
+	s := NewObjectStore(nil)
 	s.Put("k", []byte("hello world!"))
 	a, err := s.Get(context.Background(), "k")
 	if err != nil {
@@ -43,7 +43,7 @@ func TestGetReturnsDefensiveCopy(t *testing.T) {
 }
 
 func TestPutDeleteMetering(t *testing.T) {
-	s := NewObjectStore()
+	s := NewObjectStore(nil)
 	s.SetReplicas(3)
 	s.Put("k", make([]byte, 100))
 	if ops, bytes := s.Meter.Ops(), s.Meter.Bytes(); ops != 1 || bytes != 300 {
@@ -60,7 +60,7 @@ func TestPutDeleteMetering(t *testing.T) {
 }
 
 func TestReplicationCapacityAccounting(t *testing.T) {
-	s := NewObjectStore()
+	s := NewObjectStore(nil)
 	s.SetReplicas(2)
 	s.Put("a", make([]byte, 10))
 	s.Put("b", make([]byte, 5))
@@ -76,10 +76,10 @@ func TestReplicationCapacityAccounting(t *testing.T) {
 }
 
 func TestTransientFaultRetries(t *testing.T) {
-	s := NewObjectStore()
+	s := NewObjectStore(nil)
 	s.RetryBase = 0 // no real sleeping in tests
-	s.Faults = faults.New(42)
-	s.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1, Budget: 2})
+	s.svc.Faults = faults.New(42)
+	s.svc.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1, Budget: 2})
 	s.Put("k", []byte("payload"))
 	got, err := s.Get(context.Background(), "k")
 	if err != nil {
@@ -98,11 +98,11 @@ func TestTransientFaultRetries(t *testing.T) {
 }
 
 func TestRetryBudgetExhaustion(t *testing.T) {
-	s := NewObjectStore()
+	s := NewObjectStore(nil)
 	s.RetryBase = 0
 	s.MaxRetries = 1
-	s.Faults = faults.New(42)
-	s.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1})
+	s.svc.Faults = faults.New(42)
+	s.svc.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1})
 	s.Put("k", []byte("x"))
 	_, err := s.Get(context.Background(), "k")
 	if err == nil {
@@ -114,13 +114,13 @@ func TestRetryBudgetExhaustion(t *testing.T) {
 }
 
 func TestReplicaFallbackOnMissing(t *testing.T) {
-	s := NewObjectStore()
+	s := NewObjectStore(nil)
 	s.RetryBase = 0
 	s.SetReplicas(2)
-	s.Faults = faults.New(7)
+	s.svc.Faults = faults.New(7)
 	// The first replica read reports the object missing; the second
 	// replica must serve, with no same-replica retry wasted on it.
-	s.Faults.Arm(faults.Point{Kind: faults.ObjectMissing, Prob: 1, Budget: 1})
+	s.svc.Faults.Arm(faults.Point{Kind: faults.ObjectMissing, Prob: 1, Budget: 1})
 	s.Put("k", []byte("survives"))
 	got, err := s.Get(context.Background(), "k")
 	if err != nil {
@@ -139,9 +139,9 @@ func TestReplicaFallbackOnMissing(t *testing.T) {
 }
 
 func TestMissingKeyIsPermanent(t *testing.T) {
-	s := NewObjectStore()
-	s.Faults = faults.New(1)
-	s.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1})
+	s := NewObjectStore(nil)
+	s.svc.Faults = faults.New(1)
+	s.svc.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1})
 	_, err := s.Get(context.Background(), "absent")
 	if err == nil || !strings.Contains(err.Error(), "not found") {
 		t.Fatalf("err = %v, want not-found", err)
@@ -162,7 +162,7 @@ func TestScanRetriesCorruptRead(t *testing.T) {
 	// Two reads return corrupted bytes; checksum catches each and the
 	// scan re-reads. The stored blob is clean, so retries succeed.
 	inj.Arm(faults.Point{Kind: faults.CorruptBlob, Prob: 1, Budget: 2})
-	srv.Store().Faults = inj
+	srv.Store().svc.Faults = inj
 	var rows int64
 	stats, err := srv.Scan(context.Background(), "lineitem", ScanSpec{}, func(b *columnar.Batch) error {
 		rows += int64(b.NumRows())

@@ -33,7 +33,7 @@ func verifyAgainst(want []byte) func(string, []byte) error {
 // payload exactly once, and write the clean bytes back over the damaged
 // replica.
 func TestReadRepairHealsCorruptReplica(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.SetReplicas(2)
 	payload := []byte("self-healing payload bytes")
 	o.Put("k", payload)
@@ -94,7 +94,7 @@ func TestReadRepairHealsCorruptReplica(t *testing.T) {
 // clean replica answers — but the damaged blob stays damaged: detect and
 // route-around without heal.
 func TestVerifyWithoutWriteBackLeavesDamage(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.SetReplicas(2)
 	payload := []byte("detected but not healed")
 	o.Put("k", payload)
@@ -121,7 +121,7 @@ func TestVerifyWithoutWriteBackLeavesDamage(t *testing.T) {
 // the discarded read lands on the corrupt counters, nothing on the
 // hedge counters.
 func TestHedgeCorruptWinnerRejected(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.SetReplicas(2)
 	o.BaseLatency = time.Millisecond
 	payload := []byte("hedge race corrupt winner payload")
@@ -135,10 +135,10 @@ func TestHedgeCorruptWinnerRejected(t *testing.T) {
 	inj := faults.New(0x51C4)
 	inj.Arm(faults.Point{Kind: faults.DegradedDevice, Target: "store/r0",
 		Prob: 1, Severity: 20})
-	o.Faults = inj
+	o.svc.Faults = inj
 	pol := resilience.NewPolicy()
 	pol.Speculate = false
-	o.Resilience = pol
+	o.svc.Resilience = pol
 
 	opsBefore, bytesBefore := o.Meter.Ops(), o.Meter.Bytes()
 	base := runtime.NumGoroutine()
@@ -183,7 +183,7 @@ func TestHedgeCorruptWinnerRejected(t *testing.T) {
 // A corrupt read strikes the replica in the health tracker, so ranking
 // demotes it to last place until a repair forgives the strike.
 func TestCorruptReadStrikesHealthRanking(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.SetReplicas(2)
 	payload := []byte("strike ranking payload")
 	o.Put("k", payload)
@@ -191,7 +191,7 @@ func TestCorruptReadStrikesHealthRanking(t *testing.T) {
 	o.WriteBack = true
 	pol := resilience.NewPolicy()
 	pol.Hedge = false
-	o.Resilience = pol
+	o.svc.Resilience = pol
 
 	o.CorruptReplica("k", 0)
 	if _, err := o.Get(context.Background(), "k"); err != nil {
@@ -203,13 +203,13 @@ func TestCorruptReadStrikesHealthRanking(t *testing.T) {
 	}
 
 	// Without write-back the strike persists and demotes the replica.
-	o2 := NewObjectStore()
+	o2 := NewObjectStore(nil)
 	o2.SetReplicas(2)
 	o2.Put("k", payload)
 	o2.Verify = verifyAgainst(payload)
 	pol2 := resilience.NewPolicy()
 	pol2.Hedge = false
-	o2.Resilience = pol2
+	o2.svc.Resilience = pol2
 	o2.CorruptReplica("k", 0)
 	if _, err := o2.Get(context.Background(), "k"); err != nil {
 		t.Fatal(err)
@@ -228,12 +228,12 @@ func TestCorruptReadStrikesHealthRanking(t *testing.T) {
 // the fault must not flip the byte back. A fresh Put discards the
 // sticky record so the new object can be damaged again.
 func TestStickyCorruptIsSticky(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	payload := []byte("sticky corruption target bytes")
 	o.Put("k", payload)
 	inj := faults.New(0x57)
 	inj.Arm(faults.Point{Kind: faults.StickyCorrupt, Target: "store/r0", Prob: 1})
-	o.Faults = inj
+	o.svc.Faults = inj
 
 	first, err := o.ReadReplicaRaw(context.Background(), "k", 0)
 	if err != nil {
@@ -279,7 +279,7 @@ func TestStickyCorruptIsSticky(t *testing.T) {
 // armed identically damage the same blobs.
 func TestStickyCorruptDeterministicUnderSeed(t *testing.T) {
 	run := func() []string {
-		o := NewObjectStore()
+		o := NewObjectStore(nil)
 		o.SetReplicas(2)
 		keys := []string{"a", "b", "c", "d", "e", "f"}
 		for _, k := range keys {
@@ -287,7 +287,7 @@ func TestStickyCorruptDeterministicUnderSeed(t *testing.T) {
 		}
 		inj := faults.New(0xD37)
 		inj.Arm(faults.Point{Kind: faults.StickyCorrupt, Prob: 0.5})
-		o.Faults = inj
+		o.svc.Faults = inj
 		var damaged []string
 		for _, k := range keys {
 			for r := 0; r < 2; r++ {
@@ -321,7 +321,7 @@ func itoa(n int) string { return string(rune('0' + n)) }
 // FailReplica loses every blob of one replica; reads fall back, the
 // exposure is reported, and RepairReplica restores the slot.
 func TestFailReplicaFallbackAndRestore(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.SetReplicas(2)
 	payload := []byte("replica loss payload")
 	o.Put("k", payload)
@@ -362,7 +362,7 @@ func TestFailReplicaFallbackAndRestore(t *testing.T) {
 // Concurrent reads of the same damaged blob must repair it exactly
 // once: the compare-and-write under the store lock dedups writers.
 func TestConcurrentReadRepairExactlyOnce(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.SetReplicas(2)
 	payload := make([]byte, 1024)
 	for i := range payload {
@@ -396,7 +396,7 @@ func TestConcurrentReadRepairExactlyOnce(t *testing.T) {
 
 // Scrub reads are metered on the scrub counters, never the main Meter.
 func TestScrubReadsBypassMainMeter(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	payload := []byte("scrub metering payload")
 	o.Put("k", payload)
 	bytesBefore := o.Meter.Bytes()
@@ -421,7 +421,7 @@ func TestScrubReadsBypassMainMeter(t *testing.T) {
 // sleep can only exceed: no measured baseline, nothing a busy box can
 // tip.
 func TestRepairContentionStretchesForeground(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.BaseLatency = 2 * time.Millisecond
 	o.RepairContention = 4
 	o.Put("k", []byte("contention payload"))
@@ -442,7 +442,7 @@ func TestRepairContentionStretchesForeground(t *testing.T) {
 // read — the CI-gated invariant that nil Verify / WriteBack off / no
 // controller cost nothing.
 func BenchmarkRepairDisabled(b *testing.B) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	payload := make([]byte, 4096)
 	o.Put("k", payload)
 	ctx := context.Background()

@@ -72,7 +72,7 @@ func (o *ObjectStore) noteLost(r int, rs *ReadStats) {
 // breaker a failure; a breaker this failure opens is a trip on the
 // read's account.
 func (o *ObjectStore) strikeReplica(r int, rs *ReadStats) {
-	if pol := o.Resilience; pol != nil {
+	if pol := o.svc.Resilience; pol != nil {
 		pol.Health.MarkCorrupt(ReplicaKey(r))
 		if pol.Breakers.Failure(ReplicaKey(r)) {
 			rs.BreakerTrips++
@@ -130,7 +130,7 @@ func (o *ObjectStore) repairBad(key string, bad []int, clean []byte, rs *ReadSta
 func (o *ObjectStore) finishRepair(key string, r int, n sim.Bytes, foreground bool, rs *ReadStats) {
 	rs.ReadRepairs++
 	rs.RepairBytes += n
-	if pol := o.Resilience; pol != nil {
+	if pol := o.svc.Resilience; pol != nil {
 		pol.Health.ClearCorrupt(ReplicaKey(r))
 	}
 	if foreground && o.OnRepair != nil {
@@ -276,7 +276,7 @@ func (o *ObjectStore) ReadReplicaRaw(ctx context.Context, key string, r int) ([]
 		return nil, err
 	}
 	data := copies[r]
-	if o.Faults != nil && o.Faults.Fire(faults.StickyCorrupt, ReplicaKey(r)+"/"+key) {
+	if o.svc.Faults != nil && o.svc.Faults.Fire(faults.StickyCorrupt, ReplicaKey(r)+"/"+key) {
 		if stored, _ := o.damageReplica(key, r); stored != nil {
 			data = stored
 		}

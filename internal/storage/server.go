@@ -15,7 +15,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/obs/metrics"
 	"repro/internal/resilience"
 	"repro/internal/sim"
 )
@@ -246,14 +245,6 @@ type Server struct {
 	// SegmentRows is the number of rows per segment for newly ingested
 	// data.
 	SegmentRows int
-
-	// Metrics, when set, receives every finished scan's ScanStats as
-	// fleet counters (scan.media.bytes, scan.shipped.bytes, pruning and
-	// encoded-eval savings, speculation activity, and the non-zero
-	// counters of its ReadStats as scan.<name>) plus a
-	// scan.shipped.bytes rolling rate. Nil is off and costs nothing on
-	// the scan path — the fold happens once per scan, not per segment.
-	Metrics *metrics.Registry
 }
 
 // NewServer wires a storage server onto fabric devices: media (charged
@@ -270,12 +261,15 @@ func NewServer(store *ObjectStore, media, proc *fabric.Device, mediaLink *fabric
 	}
 }
 
-// foldScanMetrics lands one finished scan's stats on the registry.
-// Media bytes here are winner-only (losing hedges and cancelled
-// speculative morsels meter separately), so fleet byte totals never
-// double-charge defensive work.
+// foldScanMetrics lands one finished scan's stats on the store's
+// registry as fleet counters (the non-zero counters of its ReadStats as
+// scan.<name>) plus a scan.shipped.bytes rolling rate. Nil is off and
+// costs nothing on the scan path — the fold happens once per scan, not
+// per segment. Media bytes here are winner-only (losing hedges and
+// cancelled speculative morsels meter separately), so fleet byte totals
+// never double-charge defensive work.
 func (s *Server) foldScanMetrics(st *ScanStats) {
-	m := s.Metrics
+	m := s.store.svc.Metrics
 	if m == nil {
 		return
 	}
@@ -812,7 +806,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 	defer cancel()
 
 	var st *specState
-	if pol := s.store.Resilience; pol != nil && pol.Speculate {
+	if pol := s.store.svc.Resilience; pol != nil && pol.Speculate {
 		st = newSpecState(pol)
 		defer st.cancelAll()
 	}
@@ -1001,12 +995,10 @@ func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stat
 		// JitterLink is a gray failure on the media link: the transfer
 		// still delivers, but Severity x the store's healthy service
 		// time is added in real wall-clock — the phenomenon hedging and
-		// speculation defend against.
-		if s.store.Faults != nil {
-			if extra := s.store.Faults.Slowdown(faults.JitterLink, s.mediaLink.Name, s.store.BaseLatency); extra > 0 {
-				if err := sleepCtx(ctx, extra); err != nil {
-					return nil, err
-				}
+		// speculation defend against. A nil injector adds nothing.
+		if extra := s.store.svc.Faults.Slowdown(faults.JitterLink, s.mediaLink.Name, s.store.BaseLatency); extra > 0 {
+			if err := sleepCtx(ctx, extra); err != nil {
+				return nil, err
 			}
 		}
 	}

@@ -126,7 +126,7 @@ func TestSegmentSizes(t *testing.T) {
 }
 
 func TestObjectStoreBasics(t *testing.T) {
-	o := NewObjectStore()
+	o := NewObjectStore(nil)
 	o.Put("t/a", []byte("hello"))
 	o.Put("t/b", []byte("world!"))
 	o.Put("u/c", []byte("x"))
@@ -182,7 +182,7 @@ func newTestServerOn(t *testing.T, smart bool) (*Server, *fabric.Topology) {
 	}
 	top.AddDevice(proc)
 	link := top.Connect("media", "proc", fabric.LinkNVMe, fabric.NVMeBandwidth, fabric.NVMeLatency)
-	srv := NewServer(NewObjectStore(), media, proc, link)
+	srv := NewServer(NewObjectStore(nil), media, proc, link)
 	srv.SegmentRows = 1000
 	return srv, top
 }
