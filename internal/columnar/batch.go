@@ -153,14 +153,15 @@ func (b *Batch) Compact() *Batch {
 	if b.sel == nil {
 		return b
 	}
-	if b.sel.Count() == b.NumRows() {
+	count := b.sel.Count()
+	if count == b.NumRows() {
 		return &Batch{schema: b.schema, cols: b.cols, rows: b.rows}
 	}
-	out := b.Gather(b.sel.Indices(nil))
-	return out
+	return b.filter(b.sel, count)
 }
 
-// Gather returns a batch with only the rows at the given indices.
+// Gather returns a batch with only the rows at the given indices. Like
+// Vector.Gather it is kept as the reference Filter is tested against.
 func (b *Batch) Gather(indices []int) *Batch {
 	cols := make([]*Vector, len(b.cols))
 	for i, c := range b.cols {
@@ -174,7 +175,17 @@ func (b *Batch) Filter(sel *Bitmap) *Batch {
 	if sel.Len() != b.NumRows() {
 		panic("columnar: Filter selection length mismatch")
 	}
-	return b.Gather(sel.Indices(nil))
+	return b.filter(sel, sel.Count())
+}
+
+// filter is Filter given sel's count: every column goes through the one
+// word-at-a-time loop (selectValues), so no index slice is built.
+func (b *Batch) filter(sel *Bitmap, count int) *Batch {
+	cols := make([]*Vector, len(b.cols))
+	for i, c := range b.cols {
+		cols[i] = c.filter(sel, count)
+	}
+	return &Batch{schema: b.schema, cols: cols, rows: count}
 }
 
 // Slice returns a view of rows [from, to).

@@ -98,48 +98,57 @@ func (b *Bitmap) SetWord(wi int, w uint64) {
 	b.words[wi] = w
 }
 
-// Runs calls fn(lo, hi) for every maximal run [lo, hi) of consecutive set
-// bits, in ascending order. Gather-decode uses runs to copy contiguous
-// spans instead of visiting indices one by one.
-func (b *Bitmap) Runs(fn func(lo, hi int)) {
-	n := b.n
-	for i := 0; i < n; {
-		// Find the next set bit at or after i.
-		wi := i >> 6
-		w := b.words[wi] >> (uint(i) & 63)
-		for w == 0 {
-			wi++
-			if wi == len(b.words) {
-				return
-			}
-			i = wi << 6
-			w = b.words[wi]
+// Words returns the bitmap's backing words, bit 64*i of the bitmap in the
+// least significant position of word i. They are read-only: the kernels
+// that take selected rows out a word at a time (Batch.Filter here, the
+// gather-decoders in package encoding) range over them instead of calling
+// Get per row. Every bit at or beyond Len is clear — Set, Fill and SetWord
+// keep it so — which is what lets Count, and a kernel that sizes its
+// output from Count, trust whole words.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
+// Select returns b's bits at the positions set in sel, packed in order:
+// bit k of the result is b's bit at sel's k-th set position, and the
+// result has sel.Count() bits. This is how a null bitmap follows its
+// vector through a selection — the output's null bits are set by rank, a
+// word of sel at a time, and words where sel and b share no bit only
+// advance the rank. b may be shorter than sel (a vector's null bitmap
+// ends at its last NULL); the bits it lacks read as clear.
+func (b *Bitmap) Select(sel *Bitmap) *Bitmap {
+	out := NewBitmap(sel.Count())
+	k := 0
+	for wi, w := range sel.words {
+		if wi == len(b.words) {
+			break
 		}
-		i += bits.TrailingZeros64(w)
-		if i >= n {
-			return
+		for hit := w & b.words[wi]; hit != 0; hit &= hit - 1 {
+			below := uint64(1)<<uint(bits.TrailingZeros64(hit)) - 1
+			out.Set(k + bits.OnesCount64(w&below))
 		}
-		start := i
-		// Find the next clear bit at or after i.
-		wi = i >> 6
-		w = ^b.words[wi] >> (uint(i) & 63)
-		for w == 0 {
-			wi++
-			if wi == len(b.words) {
-				i = n
-				break
-			}
-			i = wi << 6
-			w = ^b.words[wi]
-		}
-		if w != 0 && i < n {
-			i += bits.TrailingZeros64(w)
-			if i > n {
-				i = n
-			}
-		}
-		fn(start, i)
+		k += bits.OnesCount64(w)
 	}
+	return out
+}
+
+// LastSet returns the position of the highest set bit, or -1 when the
+// bitmap is empty.
+func (b *Bitmap) LastSet() int {
+	for wi := len(b.words) - 1; wi >= 0; wi-- {
+		if w := b.words[wi]; w != 0 {
+			return wi<<6 + bits.Len64(w) - 1
+		}
+	}
+	return -1
+}
+
+// grow lengthens the bitmap to n bits, the new ones clear. The words grow
+// by append, so a bitmap lengthened a bit at a time (Vector.AppendNull)
+// costs amortised constant time per bit.
+func (b *Bitmap) grow(n int) {
+	for need := (n + 63) / 64; len(b.words) < need; {
+		b.words = append(b.words, 0)
+	}
+	b.n = n
 }
 
 // Clone returns a deep copy.
@@ -150,7 +159,9 @@ func (b *Bitmap) Clone() *Bitmap {
 }
 
 // Indices returns the positions of all set bits in ascending order,
-// appended to dst. Used to materialize selection vectors.
+// appended to dst. No engine path calls it: rows are taken out of a
+// selection a bitmap word at a time (Batch.Filter). It stays as the
+// plain reference the property tests compare those kernels against.
 func (b *Bitmap) Indices(dst []int) []int {
 	for wi, w := range b.words {
 		base := wi << 6

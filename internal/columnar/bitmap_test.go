@@ -1,9 +1,6 @@
 package columnar
 
-import (
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 func TestBitmapAndNot(t *testing.T) {
 	a, b := NewBitmap(130), NewBitmap(130)
@@ -84,71 +81,6 @@ func TestBitmapSetWord(t *testing.T) {
 		}
 		if got := b.Count(); got != want {
 			t.Fatalf("n=%d: Count = %d, want %d: SetWord kept bits beyond Len", n, got, want)
-		}
-	}
-}
-
-// runsOf collects the Runs output for comparison.
-func runsOf(b *Bitmap) [][2]int {
-	var out [][2]int
-	b.Runs(func(lo, hi int) { out = append(out, [2]int{lo, hi}) })
-	return out
-}
-
-func TestBitmapRuns(t *testing.T) {
-	b := NewBitmap(300)
-	for _, i := range []int{0, 1, 2, 63, 64, 65, 120, 250, 251, 299} {
-		b.Set(i)
-	}
-	want := [][2]int{{0, 3}, {63, 66}, {120, 121}, {250, 252}, {299, 300}}
-	got := runsOf(b)
-	if len(got) != len(want) {
-		t.Fatalf("Runs = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Runs = %v, want %v", got, want)
-		}
-	}
-
-	if got := runsOf(NewBitmap(100)); got != nil {
-		t.Fatalf("empty bitmap Runs = %v, want none", got)
-	}
-
-	full := NewBitmap(129)
-	full.Fill(0, 129)
-	if got := runsOf(full); len(got) != 1 || got[0] != [2]int{0, 129} {
-		t.Fatalf("full bitmap Runs = %v, want [[0 129]]", got)
-	}
-}
-
-func TestBitmapRunsMatchesIndices(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(400)
-		b := NewBitmap(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				b.Set(i)
-			}
-		}
-		var fromRuns []int
-		b.Runs(func(lo, hi int) {
-			if lo >= hi {
-				t.Fatalf("empty run [%d,%d)", lo, hi)
-			}
-			for i := lo; i < hi; i++ {
-				fromRuns = append(fromRuns, i)
-			}
-		})
-		want := b.Indices(nil)
-		if len(fromRuns) != len(want) {
-			t.Fatalf("n=%d: Runs visited %d bits, Indices %d", n, len(fromRuns), len(want))
-		}
-		for i := range want {
-			if fromRuns[i] != want[i] {
-				t.Fatalf("n=%d: Runs[%d]=%d, Indices[%d]=%d", n, i, fromRuns[i], i, want[i])
-			}
 		}
 	}
 }

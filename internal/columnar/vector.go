@@ -1,6 +1,9 @@
 package columnar
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Vector is one column of values of a single type, with optional null
 // tracking. Only the slice matching the vector's type is populated;
@@ -134,13 +137,38 @@ func (v *Vector) ensureNulls(n int) {
 		return
 	}
 	if v.nulls.Len() < n {
-		grown := NewBitmap(n)
-		for i := 0; i < v.nulls.Len(); i++ {
-			if v.nulls.Get(i) {
-				grown.Set(i)
+		v.nulls.grow(n)
+	}
+}
+
+// SetNulls makes NULL exactly the rows whose bit is set in nulls, which
+// has at most Len bits, and gives them the type's zero value, as
+// AppendNull does. The vector takes the bitmap over, cut back to its last
+// set bit (dropped altogether when it has none): a vector's null bitmap
+// ends at its last NULL row however the vector was built, so ByteSize
+// does not depend on whether it was appended to, decoded or filtered.
+func (v *Vector) SetNulls(nulls *Bitmap) {
+	last := nulls.LastSet()
+	if last < 0 {
+		v.nulls = nil
+		return
+	}
+	nulls.words, nulls.n = nulls.words[:last>>6+1], last+1
+	v.nulls = nulls
+	for wi, w := range nulls.words {
+		for ; w != 0; w &= w - 1 {
+			i := wi<<6 + bits.TrailingZeros64(w)
+			switch v.typ {
+			case Int64:
+				v.ints[i] = 0
+			case Float64:
+				v.flts[i] = 0
+			case String:
+				v.strs[i] = ""
+			case Bool:
+				v.bools[i] = false
 			}
 		}
-		v.nulls = grown
 	}
 }
 
@@ -181,7 +209,9 @@ func (v *Vector) Value(i int) Value {
 }
 
 // Gather returns a new vector containing the values at the given row
-// indices, in order. Null bits are carried over.
+// indices, in order. Null bits are carried over. No engine path calls it
+// (see Batch.Filter); it stays as the plain per-row reference the property
+// tests compare Filter and encoding's gather-decode against.
 func (v *Vector) Gather(indices []int) *Vector {
 	out := NewVector(v.typ, len(indices))
 	for _, i := range indices {
@@ -201,6 +231,55 @@ func (v *Vector) Gather(indices []int) *Vector {
 		}
 	}
 	return out
+}
+
+// filter returns a new vector holding the rows whose bit is set in sel,
+// which has one bit per row and count set bits (Batch.Filter counts once
+// for all its columns): Gather(sel.Indices(nil)) value for value and null
+// bit for null bit, without the index slice.
+func (v *Vector) filter(sel *Bitmap, count int) *Vector {
+	out := &Vector{typ: v.typ}
+	switch v.typ {
+	case Int64:
+		out.ints = selectValues(v.ints, sel.words, count)
+	case Float64:
+		out.flts = selectValues(v.flts, sel.words, count)
+	case String:
+		out.strs = selectValues(v.strs, sel.words, count)
+	case Bool:
+		out.bools = selectValues(v.bools, sel.words, count)
+	}
+	if v.nulls != nil {
+		out.SetNulls(v.nulls.Select(sel))
+	}
+	return out
+}
+
+// selectValues copies the values of src whose bit is set in sel into a
+// new slice of count values, count being the number of set bits. It is
+// the one loop shape every "keep the selected rows" site uses, here and
+// in encoding's gather-decode: a full word of sel is one sequential
+// 64-value copy, any other word gives up its set bits lowest first
+// (TrailingZeros64, then w &= w-1), and values are stored by index into
+// the pre-sized output — no closure, no append, no index slice. Because a
+// full word is the sequential case, a dense selection costs what a plain
+// copy does and nothing has to choose between the two.
+func selectValues[T any](src []T, sel []uint64, count int) []T {
+	dst := make([]T, count)
+	k := 0
+	for wi, w := range sel {
+		base := wi << 6
+		if w == ^uint64(0) {
+			copy(dst[k:k+64], src[base:base+64])
+			k += 64
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			dst[k] = src[base+bits.TrailingZeros64(w)]
+			k++
+		}
+	}
+	return dst
 }
 
 // Slice returns a view of rows [from, to). The backing storage is shared;

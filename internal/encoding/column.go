@@ -257,24 +257,14 @@ func (ec *EncodedColumn) Decode() (*columnar.Vector, error) {
 	if v.Len() != ec.Stats.NumValues {
 		return nil, fmt.Errorf("%w: decoded %d values, header says %d", ErrCorrupt, v.Len(), ec.Stats.NumValues)
 	}
-	if len(ec.Nulls) > 0 {
-		nulls, err := DecodeBools(ec.Nulls)
-		if err != nil {
-			return nil, err
-		}
-		if len(nulls) != v.Len() {
-			return nil, fmt.Errorf("%w: null bitmap length mismatch", ErrCorrupt)
-		}
-		// Rebuild with nulls applied.
-		out := columnar.NewVector(ec.Type, v.Len())
-		for i := 0; i < v.Len(); i++ {
-			if nulls[i] {
-				out.AppendNull()
-			} else {
-				out.AppendValue(v.Value(i))
-			}
-		}
-		v = out
+	// The null bitmap is attached as parsed, a word at a time; nothing is
+	// re-appended value by value.
+	nulls, err := ec.nullRows()
+	if err != nil {
+		return nil, err
+	}
+	if nulls != nil {
+		v.SetNulls(nulls)
 	}
 	return v, nil
 }

@@ -3,6 +3,8 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/columnar"
 )
 
 // EncodeDict dictionary-encodes strings: a sorted-by-first-appearance
@@ -33,38 +35,23 @@ func EncodeDict(vals []string) []byte {
 	return out
 }
 
-// DecodeDict reverses EncodeDict.
+// DecodeDict reverses EncodeDict. It is the gather-decode kernel under a
+// full selection: the codes are read through the bit-packed reader, never
+// decoded into a slice of their own.
 func DecodeDict(data []byte) ([]string, error) {
-	nd, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad dict size", ErrCorrupt)
-	}
-	data = data[sz:]
-	dict := make([]string, 0, nd)
-	for i := uint64(0); i < nd; i++ {
-		l, sz := binary.Uvarint(data)
-		if sz <= 0 || uint64(len(data)-sz) < l {
-			return nil, fmt.Errorf("%w: truncated dict entry", ErrCorrupt)
-		}
-		data = data[sz:]
-		dict = append(dict, string(data[:l]))
-		data = data[l:]
-	}
-	pl, sz := binary.Uvarint(data)
-	if sz <= 0 || uint64(len(data)-sz) < pl {
-		return nil, fmt.Errorf("%w: truncated dict codes", ErrCorrupt)
-	}
-	data = data[sz:]
-	codes, err := DecodeBitPacked(data[:pl])
+	dict, codesData, err := splitDict(data)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(codes))
-	for i, c := range codes {
-		if c < 0 || c >= int64(len(dict)) {
-			return nil, fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, c)
-		}
-		out[i] = dict[c]
+	r, err := newBitPackedReader(codesData)
+	if err != nil {
+		return nil, err
+	}
+	all := columnar.NewBitmap(r.n)
+	all.Fill(0, r.n)
+	out := make([]string, r.n)
+	if err := r.lookup(out, dict, all.Words()); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,24 +3,48 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/columnar"
 )
 
 // This file implements late materialization: after a predicate kernel
 // has produced a selection bitmap, only the surviving rows of only the
-// projected columns are decoded (gather-decode). Codecs with
-// fixed-width layouts (bit-packing, plain floats, dictionary codes)
-// support true random access, so the decode cost is proportional to the
-// rows kept; stream codecs (RLE, delta, plain strings) must be walked
-// front to back, and GatherBytes charges them honestly at full size.
+// projected columns are decoded (gather-decode).
+//
+// Every kernel below has the loop shape of columnar's selectValues, the
+// loop Batch.Filter runs: range over the selection's 64-bit words; a full
+// word takes the codec's sequential 64-value decode; any other word gives
+// up its set bits lowest first (TrailingZeros64, then w &= w-1); values
+// are stored by index into a slice pre-sized from sel.Count(). There is
+// no closure per run or row, no append and no index slice, and because
+// the full word is the sequential decode there is no density threshold
+// and nothing that chooses between "gather" and "decode, then filter".
+//
+// Codecs with fixed-width layouts (bit-packing, plain floats and bools,
+// dictionary codes) are random access: a clear bit costs nothing, so the
+// work is proportional to the rows kept. Stream codecs (RLE, delta, plain
+// strings) are walked front to back once, checking the whole stream as
+// Decode would, but write — and for strings allocate — only the selected
+// values; GatherBytes charges them honestly at full size.
+//
+// What every call verifies, whatever the selection: the payload's CRC,
+// the value count against the header, the payload length against the
+// count, and the null bitmap's length; a dictionary code is range-checked
+// on every selected row. All of it surfaces as ErrCorrupt.
+//
+// NULLs do not enter the value loops. The output's null bits are the
+// column's null bits at the selected positions, set by rank a word at a
+// time (Bitmap.Select over sel & nulls), and Vector.SetNulls gives those
+// rows the zero value — the same split Batch.Filter uses.
 
 // DecodeFiltered decodes only the rows whose bit is set in sel,
 // returning a dense vector bit-identical to Decode() followed by a
 // Gather of the selected indices.
 func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector, error) {
-	if sel.Len() != ec.Stats.NumValues {
-		return nil, fmt.Errorf("%w: selection length %d, column has %d rows", ErrCorrupt, sel.Len(), ec.Stats.NumValues)
+	n := ec.Stats.NumValues
+	if sel.Len() != n {
+		return nil, fmt.Errorf("%w: selection length %d, column has %d rows", ErrCorrupt, sel.Len(), n)
 	}
 	if err := ec.verify(); err != nil {
 		return nil, err
@@ -29,111 +53,264 @@ func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector,
 	if err != nil {
 		return nil, err
 	}
-	isNull := func(i int) bool { return nulls != nil && nulls.Get(i) }
-	out := columnar.NewVector(ec.Type, sel.Count())
-
-	switch {
-	case ec.Type == columnar.Int64 && ec.Encoding == BitPacked:
-		r, err := newBitPackedReader(ec.Data)
-		if err != nil {
-			return nil, err
+	words, count := sel.Words(), sel.Count()
+	var out *columnar.Vector
+	switch ec.Type {
+	case columnar.Int64:
+		vals := make([]int64, count)
+		switch ec.Encoding {
+		case BitPacked:
+			err = gatherBitPacked(vals, ec.Data, n, words)
+		case RLE:
+			err = selectRLE(vals, ec.Data, n, words)
+		case DeltaVarint:
+			err = selectDelta(vals, ec.Data, n, words)
+		default:
+			err = fmt.Errorf("%w: encoding %v invalid for BIGINT", ErrCorrupt, ec.Encoding)
 		}
-		if r.n != ec.Stats.NumValues {
-			return nil, fmt.Errorf("%w: value count mismatch", ErrCorrupt)
+		out = columnar.FromInt64s(vals)
+	case columnar.Float64:
+		vals := make([]float64, count)
+		err = gatherFloats(vals, ec.Data, n, words)
+		out = columnar.FromFloat64s(vals)
+	case columnar.String:
+		vals := make([]string, count)
+		switch ec.Encoding {
+		case Dict:
+			err = gatherDict(vals, ec.Data, n, words)
+		case Plain:
+			err = selectPlainStrings(vals, ec.Data, n, words)
+		default:
+			err = fmt.Errorf("%w: encoding %v invalid for VARCHAR", ErrCorrupt, ec.Encoding)
 		}
-		sel.Runs(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if isNull(i) {
-					out.AppendNull()
-				} else {
-					out.AppendInt64(r.at(i))
-				}
-			}
-		})
-		return out, nil
-
-	case ec.Type == columnar.Float64 && ec.Encoding == Plain:
-		data := ec.Data
-		cnt, sz := binary.Uvarint(data)
-		if sz <= 0 || int(cnt) != ec.Stats.NumValues {
-			return nil, fmt.Errorf("%w: bad float count", ErrCorrupt)
-		}
-		data = data[sz:]
-		if uint64(len(data)) < cnt*8 {
-			return nil, fmt.Errorf("%w: float data truncated", ErrCorrupt)
-		}
-		sel.Runs(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if isNull(i) {
-					out.AppendNull()
-				} else {
-					out.AppendFloat64(lefloat(data[i*8:]))
-				}
-			}
-		})
-		return out, nil
-
-	case ec.Type == columnar.String && ec.Encoding == Dict:
-		dict, codesData, err := splitDict(ec.Data)
-		if err != nil {
-			return nil, err
-		}
-		r, err := newBitPackedReader(codesData)
-		if err != nil {
-			return nil, err
-		}
-		if r.n != ec.Stats.NumValues {
-			return nil, fmt.Errorf("%w: code count mismatch", ErrCorrupt)
-		}
-		var badCode error
-		sel.Runs(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if isNull(i) {
-					out.AppendNull()
-					continue
-				}
-				c := r.at(i)
-				if c < 0 || c >= int64(len(dict)) {
-					badCode = fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, c)
-					return
-				}
-				out.AppendString(dict[c])
-			}
-		})
-		if badCode != nil {
-			return nil, badCode
-		}
-		return out, nil
-
-	case ec.Type == columnar.Bool && ec.Encoding == Plain:
-		data := ec.Data
-		cnt, sz := binary.Uvarint(data)
-		if sz <= 0 || int(cnt) != ec.Stats.NumValues {
-			return nil, fmt.Errorf("%w: bad bool count", ErrCorrupt)
-		}
-		data = data[sz:]
-		if uint64(len(data)) < (cnt+7)/8 {
-			return nil, fmt.Errorf("%w: bool data truncated", ErrCorrupt)
-		}
-		sel.Runs(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				if isNull(i) {
-					out.AppendNull()
-				} else {
-					out.AppendBool(data[i>>3]&(1<<(uint(i)&7)) != 0)
-				}
-			}
-		})
-		return out, nil
+		out = columnar.FromStrings(vals)
+	case columnar.Bool:
+		vals := make([]bool, count)
+		err = gatherBools(vals, ec.Data, n, words)
+		out = columnar.FromBools(vals)
+	default:
+		err = fmt.Errorf("%w: unknown column type %d", ErrCorrupt, ec.Type)
 	}
-
-	// Stream codecs: decode fully, then gather. The caller's GatherBytes
-	// charge already accounts for the sequential walk.
-	full, err := ec.Decode()
 	if err != nil {
 		return nil, err
 	}
-	return full.Gather(sel.Indices(nil)), nil
+	if nulls != nil {
+		out.SetNulls(nulls.Select(sel))
+	}
+	return out, nil
+}
+
+// Each kernel fills dst, which holds one value per set bit of sel, from
+// an n-row payload; sel has one bit per row, none set at or beyond n.
+
+func gatherBitPacked(dst []int64, data []byte, n int, sel []uint64) error {
+	r, err := newBitPackedReader(data)
+	if err != nil {
+		return err
+	}
+	if r.n != n {
+		return fmt.Errorf("%w: value count %d, header says %d", ErrCorrupt, r.n, n)
+	}
+	k := 0
+	for wi, w := range sel {
+		k += r.gatherWord(dst[k:], wi<<6, w)
+	}
+	return nil
+}
+
+func gatherDict(dst []string, data []byte, n int, sel []uint64) error {
+	dict, codesData, err := splitDict(data)
+	if err != nil {
+		return err
+	}
+	r, err := newBitPackedReader(codesData)
+	if err != nil {
+		return err
+	}
+	if r.n != n {
+		return fmt.Errorf("%w: code count %d, header says %d", ErrCorrupt, r.n, n)
+	}
+	return r.lookup(dst, dict, sel)
+}
+
+// lookup reads the selected rows' codes a word at a time — no []int64 of
+// every code — range-checks each and stores the entry it names.
+func (r *bitPackedReader) lookup(dst, dict []string, sel []uint64) error {
+	var codes [64]int64
+	k := 0
+	for wi, w := range sel {
+		for _, c := range codes[:r.gatherWord(codes[:], wi<<6, w)] {
+			if uint64(c) >= uint64(len(dict)) {
+				return fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, c)
+			}
+			dst[k] = dict[c]
+			k++
+		}
+	}
+	return nil
+}
+
+func gatherFloats(dst []float64, data []byte, n int, sel []uint64) error {
+	cnt, sz := binary.Uvarint(data)
+	if sz <= 0 || cnt != uint64(n) {
+		return fmt.Errorf("%w: bad float count", ErrCorrupt)
+	}
+	data = data[sz:]
+	if uint64(len(data)) < cnt*8 {
+		return fmt.Errorf("%w: float data truncated", ErrCorrupt)
+	}
+	k := 0
+	for wi, w := range sel {
+		base := wi << 6
+		if w == ^uint64(0) {
+			src, seq := data[base*8:base*8+512], dst[k:k+64]
+			for j := range seq {
+				seq[j] = lefloat(src[j*8:])
+			}
+			k += 64
+			continue
+		}
+		for ; w != 0; w &= w - 1 {
+			dst[k] = lefloat(data[(base+bits.TrailingZeros64(w))*8:])
+			k++
+		}
+	}
+	return nil
+}
+
+// gatherBools has no full-word case of its own: the 64 packed bits of a
+// selection word are one load, and a full word peels all 64 of them.
+func gatherBools(dst []bool, data []byte, n int, sel []uint64) error {
+	cnt, packed, err := splitBools(data)
+	if err != nil {
+		return err
+	}
+	if cnt != uint64(n) {
+		return fmt.Errorf("%w: bad bool count", ErrCorrupt)
+	}
+	k := 0
+	for wi, w := range sel {
+		vals := load64(packed, wi*8)
+		for ; w != 0; w &= w - 1 {
+			dst[k] = vals>>uint(bits.TrailingZeros64(w))&1 != 0
+			k++
+		}
+	}
+	return nil
+}
+
+// selectRLE walks every run, so a truncated or overflowing stream fails
+// whatever is selected, and writes a run's value once per selected row
+// of the run.
+func selectRLE(dst []int64, data []byte, n int, sel []uint64) error {
+	cnt, sz := binary.Uvarint(data)
+	if sz <= 0 || cnt != uint64(n) {
+		return fmt.Errorf("%w: bad RLE count", ErrCorrupt)
+	}
+	data = data[sz:]
+	k := 0
+	for pos := 0; pos < n; {
+		u, sz := binary.Uvarint(data)
+		if sz <= 0 {
+			return fmt.Errorf("%w: truncated RLE value", ErrCorrupt)
+		}
+		data = data[sz:]
+		run, sz := binary.Uvarint(data)
+		if sz <= 0 || run == 0 {
+			return fmt.Errorf("%w: truncated RLE run", ErrCorrupt)
+		}
+		data = data[sz:]
+		if run > uint64(n-pos) {
+			return fmt.Errorf("%w: RLE run overflows count", ErrCorrupt)
+		}
+		end := pos + int(run)
+		v, kept := unzigzag(u), dst[k:k+onesInRange(sel, pos, end)]
+		for i := range kept {
+			kept[i] = v
+		}
+		k += len(kept)
+		pos = end
+	}
+	return nil
+}
+
+// onesInRange counts the set bits of sel at positions [lo, hi), lo < hi.
+func onesInRange(sel []uint64, lo, hi int) int {
+	first, last := lo>>6, (hi-1)>>6
+	loMask := ^uint64(0) << (uint(lo) & 63)
+	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
+	if first == last {
+		return bits.OnesCount64(sel[first] & loMask & hiMask)
+	}
+	c := bits.OnesCount64(sel[first]&loMask) + bits.OnesCount64(sel[last]&hiMask)
+	for _, w := range sel[first+1 : last] {
+		c += bits.OnesCount64(w)
+	}
+	return c
+}
+
+// selectDelta decodes every delta — the running sum needs them all — and
+// stores the sum at the selected rows.
+func selectDelta(dst []int64, data []byte, n int, sel []uint64) error {
+	cnt, sz := binary.Uvarint(data)
+	if sz <= 0 || cnt != uint64(n) {
+		return fmt.Errorf("%w: bad delta-varint count", ErrCorrupt)
+	}
+	data = data[sz:]
+	prev := int64(0)
+	k := 0
+	for wi, w := range sel {
+		for lim := min(64, n-wi<<6); lim > 0; lim-- {
+			// The deltas of a column worth delta-coding are one or two bytes
+			// long, and which of the two is what a branch cannot predict:
+			// unless both bytes carry a continuation bit, the second is
+			// masked in or out by the first's.
+			var u uint64
+			var sz int
+			if len(data) >= 2 && data[0]&data[1] < 0x80 {
+				b0, b1 := uint64(data[0]), uint64(data[1])
+				two := b0 >> 7
+				u, sz = b0&0x7f|(b1&-two)<<7, 1+int(two)
+			} else if u, sz = binary.Uvarint(data); sz <= 0 {
+				return fmt.Errorf("%w: truncated delta-varint stream", ErrCorrupt)
+			}
+			data = data[sz:]
+			prev += unzigzag(u)
+			if w&1 != 0 {
+				dst[k] = prev
+				k++
+			}
+			w >>= 1
+		}
+	}
+	return nil
+}
+
+// selectPlainStrings walks every length prefix and copies out — the
+// allocation a string costs — only the selected ones.
+func selectPlainStrings(dst []string, data []byte, n int, sel []uint64) error {
+	cnt, sz := binary.Uvarint(data)
+	if sz <= 0 || cnt != uint64(n) {
+		return fmt.Errorf("%w: bad string count", ErrCorrupt)
+	}
+	data = data[sz:]
+	k := 0
+	for wi, w := range sel {
+		for lim := min(64, n-wi<<6); lim > 0; lim-- {
+			l, sz := binary.Uvarint(data)
+			if sz <= 0 || uint64(len(data)-sz) < l {
+				return fmt.Errorf("%w: truncated string", ErrCorrupt)
+			}
+			data = data[sz:]
+			if w&1 != 0 {
+				dst[k] = string(data[:l])
+				k++
+			}
+			data = data[l:]
+			w >>= 1
+		}
+	}
+	return nil
 }
 
 // GatherBytes reports how many encoded bytes the processor must touch to
@@ -225,18 +402,8 @@ func (ec *EncodedColumn) computeDecodedSize() int64 {
 		return int64(len(ec.Data)+len(ec.Nulls)) * 2
 	}
 	// A decoded vector's null bitmap covers bits up to the last NULL row.
-	if len(ec.Nulls) > 0 {
-		if nulls, err := DecodeBools(ec.Nulls); err == nil {
-			last := -1
-			for i, isNull := range nulls {
-				if isNull {
-					last = i
-				}
-			}
-			if last >= 0 {
-				size += int64((last/64 + 1) * 8)
-			}
-		}
+	if nulls, err := ec.nullRows(); err == nil && nulls != nil {
+		size += int64((nulls.LastSet()/64 + 1) * 8)
 	}
 	return size
 }

@@ -374,29 +374,29 @@ func (ec *EncodedColumn) EvalStringMatch(match func(string) bool) (*columnar.Bit
 }
 
 // splitDict parses a Dict payload into the dictionary entries and the
-// bit-packed codes block.
+// bit-packed codes block. The entries are substrings of one copy of the
+// table's bytes — two allocations whatever the dictionary's size, and a
+// copy, so the entries outlive the payload as every decoded value must.
 func splitDict(data []byte) ([]string, []byte, error) {
 	nd, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, nil, fmt.Errorf("%w: bad dict size", ErrCorrupt)
 	}
-	data = data[sz:]
-	dict := make([]string, 0, nd)
-	for i := uint64(0); i < nd; i++ {
-		l, sz := binary.Uvarint(data)
-		if sz <= 0 || uint64(len(data)-sz) < l {
-			return nil, nil, fmt.Errorf("%w: truncated dict entry", ErrCorrupt)
-		}
-		data = data[sz:]
-		dict = append(dict, string(data[:l]))
-		data = data[l:]
+	dictBytes, _, err := dictSectionSizes(data) // checks every length it walks
+	if err != nil {
+		return nil, nil, err
 	}
-	pl, sz := binary.Uvarint(data)
-	if sz <= 0 || uint64(len(data)-sz) < pl {
-		return nil, nil, fmt.Errorf("%w: truncated dict codes", ErrCorrupt)
+	table := string(data[:dictBytes])
+	dict := make([]string, nd)
+	off := sz
+	for i := range dict {
+		l, sz := binary.Uvarint(data[off:])
+		off += sz
+		dict[i] = table[off : off+int(l)]
+		off += int(l)
 	}
-	data = data[sz:]
-	return dict, data[:pl], nil
+	pl, sz := binary.Uvarint(data[off:])
+	return dict, data[off+sz:][:pl], nil
 }
 
 // bitPackedReader gives random access into an EncodeBitPacked payload.
@@ -408,33 +408,33 @@ type bitPackedReader struct {
 	mask    uint64
 }
 
-func newBitPackedReader(data []byte) (*bitPackedReader, error) {
+func newBitPackedReader(data []byte) (bitPackedReader, error) {
 	cnt, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad bit-packed count", ErrCorrupt)
+		return bitPackedReader{}, fmt.Errorf("%w: bad bit-packed count", ErrCorrupt)
 	}
 	data = data[sz:]
-	r := &bitPackedReader{n: int(cnt)}
+	r := bitPackedReader{n: int(cnt)}
 	if cnt == 0 {
 		return r, nil
 	}
 	mz, sz := binary.Uvarint(data)
 	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad bit-packed min", ErrCorrupt)
+		return bitPackedReader{}, fmt.Errorf("%w: bad bit-packed min", ErrCorrupt)
 	}
 	data = data[sz:]
 	r.min = unzigzag(mz)
 	if len(data) < 1 {
-		return nil, fmt.Errorf("%w: missing bit width", ErrCorrupt)
+		return bitPackedReader{}, fmt.Errorf("%w: missing bit width", ErrCorrupt)
 	}
 	r.width = uint(data[0])
 	r.payload = data[1:]
 	if r.width > 56 && r.width != 64 {
-		return nil, fmt.Errorf("%w: unsupported bit width %d", ErrCorrupt, r.width)
+		return bitPackedReader{}, fmt.Errorf("%w: unsupported bit width %d", ErrCorrupt, r.width)
 	}
 	if r.width > 0 {
 		if uint64(len(r.payload)) < (cnt*uint64(r.width)+7)/8 {
-			return nil, fmt.Errorf("%w: bit-packed data truncated", ErrCorrupt)
+			return bitPackedReader{}, fmt.Errorf("%w: bit-packed data truncated", ErrCorrupt)
 		}
 		r.mask = uint64(1)<<r.width - 1 // all ones at width 64
 	}
@@ -450,6 +450,31 @@ func (r *bitPackedReader) at(i int) int64 {
 	}
 	bitpos := i * int(r.width)
 	return r.min + int64(load64(r.payload, bitpos>>3)>>(uint(bitpos)&7)&r.mask)
+}
+
+// gatherWord stores in dst, in row order, the value of row base+j for
+// every set bit j of w, and returns how many that is: a full word is the
+// sequential unpack of 64 consecutive values, any other word reads only
+// the rows it selects. At width zero the empty payload loads as zero and
+// every value comes out as min, with no case of its own.
+func (r *bitPackedReader) gatherWord(dst []int64, base int, w uint64) int {
+	payload, width, mask, minV := r.payload, int(r.width), r.mask, r.min
+	bit := base * width
+	if w == ^uint64(0) {
+		dst = dst[:64]
+		for j := range dst {
+			dst[j] = minV + int64(load64(payload, bit>>3)>>(uint(bit)&7)&mask)
+			bit += width
+		}
+		return 64
+	}
+	k := 0
+	for ; w != 0; w &= w - 1 {
+		at := bit + bits.TrailingZeros64(w)*width
+		dst[k] = minV + int64(load64(payload, at>>3)>>(uint(at)&7)&mask)
+		k++
+	}
+	return k
 }
 
 // rangeWord tests the lim <= 64 packed values from base on against

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"sync"
@@ -111,6 +112,47 @@ func BenchmarkSegmentOpen(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkGatherDecode is CI's gather-decode gate: all nine columns of
+// one full lineitem segment (seven fixed-width, two DICT, one of the ints
+// DELTA) decoded under a random 50 % selection. A column costs its values
+// and its vector — a DICT column also the dictionary table and the one
+// string that backs it — so allocs/op stays at or under three a column,
+// and B/op within a tenth of out-B/op, the bytes of the output vectors'
+// backing arrays (8 per number, a 16-byte header per string: the strings
+// themselves are the dictionary's): an index slice, an intermediate full
+// decode or a per-row append shows in one or the other.
+func BenchmarkGatherDecode(b *testing.B) {
+	seg, err := UnmarshalSegment(lineitemBlob(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	sel := columnar.NewBitmap(seg.NumRows)
+	for i := 0; i < seg.NumRows; i++ {
+		if rng.Intn(2) == 0 {
+			sel.Set(i)
+		}
+	}
+	var outBytes int
+	for _, f := range seg.Schema.Fields {
+		if f.Type == columnar.String {
+			outBytes += 16 * sel.Count()
+		} else {
+			outBytes += 8 * sel.Count()
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, c := range seg.Columns {
+			if _, err := c.DecodeFiltered(sel); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(outBytes), "out-B/op")
 }
 
 // Marshal writes into one presized buffer; the bytes are still the
