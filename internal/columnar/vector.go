@@ -177,6 +177,12 @@ func (v *Vector) IsNull(i int) bool {
 	return v.nulls != nil && i < v.nulls.Len() && v.nulls.Get(i)
 }
 
+// Nulls returns the vector's null bitmap, or nil when no value was ever
+// NULL. It is read-only and may be shorter than Len (the bits it lacks
+// are not NULL): what a writer that packs NULLs a word at a time reads
+// instead of calling IsNull per row.
+func (v *Vector) Nulls() *Bitmap { return v.nulls }
+
 // HasNulls reports whether any value is NULL.
 func (v *Vector) HasNulls() bool {
 	return v.nulls != nil && v.nulls.Count() > 0

@@ -84,50 +84,29 @@ type EncodedColumn struct {
 	hasDecodedSize bool
 }
 
-// EncodeColumn encodes a vector, picking the cheapest encoding by actually
-// trying the applicable candidates and keeping the smallest output.
+// EncodeColumn encodes a vector, picking the smallest applicable
+// encoding without writing the others: one pass sizes every candidate
+// exactly (see int64Sizes and dictionary), and only the winner is written,
+// into a buffer of exactly its length. Ties go to the earlier candidate —
+// RLE, then DELTA, then BITPACK; DICT, then PLAIN — each replacing the
+// best so far only when strictly smaller.
 func EncodeColumn(v *columnar.Vector) *EncodedColumn {
-	ec := &EncodedColumn{Type: v.Type()}
-	ec.Stats.NumValues = v.Len()
-	ec.Stats.NullCount = v.NullCount()
-	if v.HasNulls() {
-		nulls := make([]bool, v.Len())
-		for i := range nulls {
-			nulls[i] = v.IsNull(i)
-		}
-		ec.Nulls = EncodeBools(nulls)
+	n := v.Len()
+	ec := &EncodedColumn{Type: v.Type(), Stats: Stats{NumValues: n, NullCount: v.NullCount()}}
+	var nulls *columnar.Bitmap // nil when no row is NULL
+	if ec.Stats.NullCount > 0 {
+		nulls = v.Nulls()
+		ec.Nulls = appendBitmapBools(make([]byte, 0, boolsSize(n)), nulls, n)
 	}
+	s := &ec.Stats
 	switch v.Type() {
 	case columnar.Int64:
-		vals := v.Int64s()
-		computeIntStats(&ec.Stats, v)
-		candidates := []struct {
-			enc  ColumnEncoding
-			data []byte
-		}{
-			{RLE, EncodeRLEInt64(vals)},
-			{DeltaVarint, EncodeDeltaVarint(vals)},
-			{BitPacked, EncodeBitPacked(vals)},
-		}
-		best := candidates[0]
-		for _, c := range candidates[1:] {
-			if len(c.data) < len(best.data) {
-				best = c
-			}
-		}
-		ec.Encoding, ec.Data = best.enc, best.data
+		ec.Encoding, ec.Data = encodeInt64s(s, v.Int64s(), nulls)
 	case columnar.Float64:
-		computeFloatStats(&ec.Stats, v)
+		s.MinF, s.MaxF, s.HasMinMax = minMax(v.Float64s(), nulls)
 		ec.Encoding, ec.Data = Plain, EncodeFloat64s(v.Float64s())
 	case columnar.String:
-		computeStringStats(&ec.Stats, v)
-		dict := EncodeDict(v.Strings())
-		plain := EncodePlainStrings(v.Strings())
-		if len(dict) < len(plain) {
-			ec.Encoding, ec.Data = Dict, dict
-		} else {
-			ec.Encoding, ec.Data = Plain, plain
-		}
+		ec.Encoding, ec.Data = encodeStrings(s, v.Strings(), nulls)
 	case columnar.Bool:
 		ec.Encoding, ec.Data = Plain, EncodeBools(v.Bools())
 	}
@@ -135,67 +114,71 @@ func EncodeColumn(v *columnar.Vector) *EncodedColumn {
 	return ec
 }
 
-func computeIntStats(s *Stats, v *columnar.Vector) {
-	first := true
-	for i, x := range v.Int64s() {
-		if v.IsNull(i) {
-			continue
-		}
-		if first {
-			s.MinI, s.MaxI = x, x
-			first = false
-			continue
-		}
-		if x < s.MinI {
-			s.MinI = x
-		}
-		if x > s.MaxI {
-			s.MaxI = x
-		}
+// encodeInt64s sizes RLE, DELTA and BITPACK in one pass that also finds
+// the zone map (unless NULL rows must be left out of it) and writes the
+// smallest.
+func encodeInt64s(s *Stats, vals []int64, nulls *columnar.Bitmap) (ColumnEncoding, []byte) {
+	sz := sizeInt64s(vals)
+	s.MinI, s.MaxI, s.HasMinMax = sz.min, sz.max, len(vals) > 0
+	if nulls != nil {
+		s.MinI, s.MaxI, s.HasMinMax = minMax(vals, nulls)
 	}
-	s.HasMinMax = !first
+	enc, size := RLE, sz.rle
+	if sz.delta < size {
+		enc, size = DeltaVarint, sz.delta
+	}
+	if sz.bitPacked < size {
+		enc, size = BitPacked, sz.bitPacked
+	}
+	out := make([]byte, 0, size)
+	switch enc {
+	case RLE:
+		out = appendRLEInt64(out, vals)
+	case DeltaVarint:
+		out = appendDeltaVarint(out, vals)
+	default:
+		out = appendBitPacked(out, vals, sz.min, sz.max)
+	}
+	return enc, out
 }
 
-func computeFloatStats(s *Stats, v *columnar.Vector) {
-	first := true
-	for i, x := range v.Float64s() {
-		if v.IsNull(i) {
-			continue
-		}
-		if first {
-			s.MinF, s.MaxF = x, x
-			first = false
-			continue
-		}
-		if x < s.MinF {
-			s.MinF = x
-		}
-		if x > s.MaxF {
-			s.MaxF = x
-		}
+// encodeStrings builds the dictionary once, sizes DICT and PLAIN from it
+// and writes the smaller. Without NULLs the zone map is taken over the
+// dictionary's entries instead of every row.
+func encodeStrings(s *Stats, vals []string, nulls *columnar.Bitmap) (ColumnEncoding, []byte) {
+	d := buildDict(vals)
+	if nulls == nil {
+		s.MinS, s.MaxS, s.HasMinMax = minMax(d.entries, nil)
+	} else {
+		s.MinS, s.MaxS, s.HasMinMax = minMax(vals, nulls)
 	}
-	s.HasMinMax = !first
+	if size := d.size(); size < d.plainSize {
+		return Dict, d.appendTo(make([]byte, 0, size))
+	}
+	return Plain, appendPlainStrings(make([]byte, 0, d.plainSize), vals)
 }
 
-func computeStringStats(s *Stats, v *columnar.Vector) {
-	first := true
-	for i, x := range v.Strings() {
-		if v.IsNull(i) {
+// minMax is the zone map: the smallest and largest of vals over the rows
+// not set in nulls (nil: every row), and false when there is no such
+// row. Like every comparison on the data path it uses < and >, so a NaN
+// never displaces a bound it follows.
+func minMax[T int64 | float64 | string](vals []T, nulls *columnar.Bitmap) (lo, hi T, ok bool) {
+	for i, x := range vals {
+		if nulls != nil && i < nulls.Len() && nulls.Get(i) {
 			continue
 		}
-		if first {
-			s.MinS, s.MaxS = x, x
-			first = false
+		if !ok {
+			lo, hi, ok = x, x, true
 			continue
 		}
-		if x < s.MinS {
-			s.MinS = x
+		if x < lo {
+			lo = x
 		}
-		if x > s.MaxS {
-			s.MaxS = x
+		if x > hi {
+			hi = x
 		}
 	}
-	s.HasMinMax = !first
+	return lo, hi, ok
 }
 
 // Decode verifies the checksum and reconstructs the vector, including its
@@ -292,25 +275,25 @@ func (ec *EncodedColumn) MaxMarshalSize() int {
 // is serialized into one buffer instead of one per column.
 func (ec *EncodedColumn) AppendMarshal(out []byte) []byte {
 	out = append(out, byte(ec.Type), byte(ec.Encoding))
-	out = putUvarint(out, uint64(ec.Stats.NumValues))
-	out = putUvarint(out, uint64(ec.Stats.NullCount))
+	out = binary.AppendUvarint(out, uint64(ec.Stats.NumValues))
+	out = binary.AppendUvarint(out, uint64(ec.Stats.NullCount))
 	if ec.Stats.HasMinMax {
 		out = append(out, 1)
 	} else {
 		out = append(out, 0)
 	}
-	out = putUvarint(out, zigzag(ec.Stats.MinI))
-	out = putUvarint(out, zigzag(ec.Stats.MaxI))
+	out = binary.AppendUvarint(out, zigzag(ec.Stats.MinI))
+	out = binary.AppendUvarint(out, zigzag(ec.Stats.MaxI))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ec.Stats.MinF))
 	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ec.Stats.MaxF))
-	out = putUvarint(out, uint64(len(ec.Stats.MinS)))
+	out = binary.AppendUvarint(out, uint64(len(ec.Stats.MinS)))
 	out = append(out, ec.Stats.MinS...)
-	out = putUvarint(out, uint64(len(ec.Stats.MaxS)))
+	out = binary.AppendUvarint(out, uint64(len(ec.Stats.MaxS)))
 	out = append(out, ec.Stats.MaxS...)
 	out = binary.LittleEndian.AppendUint32(out, ec.Checksum)
-	out = putUvarint(out, uint64(len(ec.Nulls)))
+	out = binary.AppendUvarint(out, uint64(len(ec.Nulls)))
 	out = append(out, ec.Nulls...)
-	out = putUvarint(out, uint64(len(ec.Data)))
+	out = binary.AppendUvarint(out, uint64(len(ec.Data)))
 	out = append(out, ec.Data...)
 	return out
 }

@@ -7,32 +7,69 @@ import (
 	"repro/internal/columnar"
 )
 
-// EncodeDict dictionary-encodes strings: a sorted-by-first-appearance
-// dictionary of distinct values followed by per-row codes, themselves
-// bit-packed. Low-cardinality string columns (flags, countries, statuses)
-// shrink dramatically, and equality predicates can be evaluated on codes.
+// EncodeDict dictionary-encodes strings: a dictionary of the distinct
+// values in order of first appearance followed by per-row codes,
+// themselves bit-packed. Low-cardinality string columns (flags,
+// countries, statuses) shrink dramatically, and equality predicates can
+// be evaluated on codes.
 func EncodeDict(vals []string) []byte {
-	dict := make([]string, 0, 16)
+	d := buildDict(vals)
+	return d.appendTo(make([]byte, 0, d.size()))
+}
+
+// dictionary is one walk over a VARCHAR column: its distinct values in
+// order of first appearance and each row's code into them — everything
+// DICT writes — and, taken in the same walk, the exact size of the
+// column's PLAIN block, so both candidates are sized before either is
+// written.
+type dictionary struct {
+	entries   []string
+	codes     []int64
+	plainSize int
+}
+
+func buildDict(vals []string) dictionary {
+	d := dictionary{
+		entries:   make([]string, 0, 16),
+		codes:     make([]int64, len(vals)),
+		plainSize: uvarintLen(uint64(len(vals))),
+	}
 	codeOf := make(map[string]int64, 16)
-	codes := make([]int64, len(vals))
 	for i, s := range vals {
 		c, ok := codeOf[s]
 		if !ok {
-			c = int64(len(dict))
+			c = int64(len(d.entries))
 			codeOf[s] = c
-			dict = append(dict, s)
+			d.entries = append(d.entries, s)
 		}
-		codes[i] = c
+		d.codes[i] = c
+		d.plainSize += uvarintLen(uint64(len(s))) + len(s)
 	}
-	out := putUvarint(nil, uint64(len(dict)))
-	for _, s := range dict {
-		out = putUvarint(out, uint64(len(s)))
+	return d
+}
+
+// maxCode is the top of the codes' frame; the bottom is 0, the first
+// row's code.
+func (d *dictionary) maxCode() int64 { return int64(len(d.entries) - 1) }
+
+// size is DICT's size function: the exact length appendTo appends.
+func (d *dictionary) size() int {
+	n := uvarintLen(uint64(len(d.entries)))
+	for _, s := range d.entries {
+		n += uvarintLen(uint64(len(s))) + len(s)
+	}
+	packed := bitPackedSize(len(d.codes), 0, d.maxCode())
+	return n + uvarintLen(uint64(packed)) + packed
+}
+
+func (d *dictionary) appendTo(out []byte) []byte {
+	out = binary.AppendUvarint(out, uint64(len(d.entries)))
+	for _, s := range d.entries {
+		out = binary.AppendUvarint(out, uint64(len(s)))
 		out = append(out, s...)
 	}
-	packed := EncodeBitPacked(codes)
-	out = putUvarint(out, uint64(len(packed)))
-	out = append(out, packed...)
-	return out
+	out = binary.AppendUvarint(out, uint64(bitPackedSize(len(d.codes), 0, d.maxCode())))
+	return appendBitPacked(out, d.codes, 0, d.maxCode())
 }
 
 // DecodeDict reverses EncodeDict. It is the gather-decode kernel under a
@@ -57,11 +94,14 @@ func DecodeDict(data []byte) ([]string, error) {
 }
 
 // EncodePlainStrings stores strings as length-prefixed bytes, the fallback
-// when dictionary encoding would not pay off.
-func EncodePlainStrings(vals []string) []byte {
-	out := putUvarint(nil, uint64(len(vals)))
+// when dictionary encoding would not pay off. Its size function is the
+// dictionary's plainSize.
+func EncodePlainStrings(vals []string) []byte { return appendPlainStrings(nil, vals) }
+
+func appendPlainStrings(out []byte, vals []string) []byte {
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	for _, s := range vals {
-		out = putUvarint(out, uint64(len(s)))
+		out = binary.AppendUvarint(out, uint64(len(s)))
 		out = append(out, s...)
 	}
 	return out

@@ -15,6 +15,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
+
+	"repro/internal/columnar"
 )
 
 // ErrCorrupt is returned when encoded data fails structural validation or
@@ -27,21 +31,60 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// putUvarint appends a varint to dst.
-func putUvarint(dst []byte, v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	return append(dst, buf[:n]...)
+// uvarintLen is the length of v's uvarint encoding, what
+// binary.AppendUvarint appends: one byte per 7 significant bits.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// int64Sizes is what one pass over a BIGINT column learns: the smallest
+// and largest value (the frame of reference BITPACK stores, and the zone
+// map when the column has no NULLs) and the exact byte length of each
+// candidate codec. It is the size function of RLE and DELTA, which it
+// measures from run boundaries and from the varint length of each zigzag
+// delta; BITPACK's is bitPackedSize, from the frame.
+type int64Sizes struct {
+	min, max              int64
+	rle, delta, bitPacked int
+}
+
+func sizeInt64s(vals []int64) int64Sizes {
+	n := len(vals)
+	s := int64Sizes{rle: uvarintLen(uint64(n)), delta: uvarintLen(uint64(n))}
+	if n == 0 {
+		s.bitPacked = bitPackedSize(0, 0, 0)
+		return s
+	}
+	s.min, s.max = vals[0], vals[0]
+	run, runStart, prev := vals[0], 0, int64(0)
+	for i, v := range vals {
+		s.delta += uvarintLen(zigzag(v - prev))
+		prev = v
+		if v == run {
+			continue
+		}
+		s.rle += uvarintLen(zigzag(run)) + uvarintLen(uint64(i-runStart))
+		run, runStart = v, i
+		if v < s.min {
+			s.min = v
+		}
+		if v > s.max {
+			s.max = v
+		}
+	}
+	s.rle += uvarintLen(zigzag(run)) + uvarintLen(uint64(n-runStart))
+	s.bitPacked = bitPackedSize(n, s.min, s.max)
+	return s
 }
 
 // EncodeDeltaVarint encodes int64 values as zigzag varints of consecutive
 // deltas. Sorted or slowly varying columns (timestamps, surrogate keys)
 // compress to a byte or two per value.
-func EncodeDeltaVarint(vals []int64) []byte {
-	out := putUvarint(nil, uint64(len(vals)))
+func EncodeDeltaVarint(vals []int64) []byte { return appendDeltaVarint(nil, vals) }
+
+func appendDeltaVarint(out []byte, vals []int64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	prev := int64(0)
 	for _, v := range vals {
-		out = putUvarint(out, zigzag(v-prev))
+		out = binary.AppendUvarint(out, zigzag(v-prev))
 		prev = v
 	}
 	return out
@@ -70,16 +113,18 @@ func DecodeDeltaVarint(data []byte) ([]int64, error) {
 
 // EncodeRLEInt64 run-length encodes int64 values as (value, runLength)
 // pairs of varints. Low-cardinality or sorted columns benefit.
-func EncodeRLEInt64(vals []int64) []byte {
-	out := putUvarint(nil, uint64(len(vals)))
+func EncodeRLEInt64(vals []int64) []byte { return appendRLEInt64(nil, vals) }
+
+func appendRLEInt64(out []byte, vals []int64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	i := 0
 	for i < len(vals) {
 		j := i + 1
 		for j < len(vals) && vals[j] == vals[i] {
 			j++
 		}
-		out = putUvarint(out, zigzag(vals[i]))
-		out = putUvarint(out, uint64(j-i))
+		out = binary.AppendUvarint(out, zigzag(vals[i]))
+		out = binary.AppendUvarint(out, uint64(j-i))
 		i = j
 	}
 	return out
@@ -119,51 +164,74 @@ func DecodeRLEInt64(data []byte) ([]int64, error) {
 // fixed-width bit packing: each value is stored as (v - min) in the
 // minimum number of bits needed for (max - min).
 func EncodeBitPacked(vals []int64) []byte {
-	out := putUvarint(nil, uint64(len(vals)))
+	var lo, hi int64
+	if len(vals) > 0 {
+		lo, hi = slices.Min(vals), slices.Max(vals)
+	}
+	return appendBitPacked(make([]byte, 0, bitPackedSize(len(vals), lo, hi)), vals, lo, hi)
+}
+
+// bitPackedWidth is the bits BITPACK stores each value in for the frame
+// [lo, hi]. Widths above 56 bits cannot be streamed through a 64-bit
+// accumulator without overflow and save little anyway; those are stored
+// byte-aligned.
+func bitPackedWidth(lo, hi int64) int {
+	if width := bits.Len64(uint64(hi) - uint64(lo)); width <= 56 {
+		return width
+	}
+	return 64
+}
+
+// bitPackedSize is BITPACK's size function: the exact length of n values
+// in the frame [lo, hi].
+func bitPackedSize(n int, lo, hi int64) int {
+	if n == 0 {
+		return uvarintLen(0)
+	}
+	width := bitPackedWidth(lo, hi)
+	return uvarintLen(uint64(n)) + uvarintLen(zigzag(lo)) + 1 + (n*width+7)/8
+}
+
+// appendBitPacked writes vals, every one inside the frame [lo, hi] with
+// lo the smallest, as EncodeBitPacked's block. The packed bits go out
+// eight bytes at a time: a flushed word holds only bits already
+// written, so it never reaches past the block's last byte.
+func appendBitPacked(out []byte, vals []int64, lo, hi int64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	if len(vals) == 0 {
 		return out
 	}
-	minV, maxV := vals[0], vals[0]
-	for _, v := range vals[1:] {
-		if v < minV {
-			minV = v
-		}
-		if v > maxV {
-			maxV = v
-		}
-	}
-	width := bitsFor(uint64(maxV) - uint64(minV))
-	// Widths above 56 bits cannot be streamed through a 64-bit
-	// accumulator without overflow and save little anyway; store those
-	// byte-aligned.
-	if width > 56 {
-		width = 64
-	}
-	out = putUvarint(out, zigzag(minV))
+	width := uint(bitPackedWidth(lo, hi))
+	out = binary.AppendUvarint(out, zigzag(lo))
 	out = append(out, byte(width))
 	if width == 0 {
 		return out // all values equal min
 	}
 	if width == 64 {
 		for _, v := range vals {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v)-uint64(minV))
+			out = binary.LittleEndian.AppendUint64(out, uint64(v)-uint64(lo))
 		}
 		return out
 	}
+	start := len(out)
+	out = append(out, make([]byte, (len(vals)*int(width)+7)/8)...)
+	packed := out[start:]
 	var acc uint64
-	var nbits uint
+	var nbits, pos uint
 	for _, v := range vals {
-		d := uint64(v) - uint64(minV)
+		d := uint64(v) - uint64(lo)
 		acc |= d << nbits
-		nbits += uint(width)
-		for nbits >= 8 {
-			out = append(out, byte(acc))
-			acc >>= 8
-			nbits -= 8
+		if nbits += width; nbits >= 64 {
+			binary.LittleEndian.PutUint64(packed[pos:], acc)
+			pos += 8
+			nbits -= 64
+			acc = d >> (width - nbits) // the bits of d that did not fit; 0 when all did
 		}
 	}
-	if nbits > 0 {
-		out = append(out, byte(acc))
+	for ; nbits > 0; nbits -= min(nbits, 8) {
+		packed[pos] = byte(acc)
+		acc >>= 8
+		pos++
 	}
 	return out
 }
@@ -233,19 +301,16 @@ func DecodeBitPacked(data []byte) ([]int64, error) {
 	return out, nil
 }
 
-// bitsFor reports the number of bits needed to represent v.
-func bitsFor(v uint64) int {
-	n := 0
-	for v != 0 {
-		n++
-		v >>= 1
-	}
-	return n
-}
-
 // EncodeFloat64s stores floats as little-endian IEEE 754 bits.
 func EncodeFloat64s(vals []float64) []byte {
-	out := putUvarint(nil, uint64(len(vals)))
+	return appendFloat64s(make([]byte, 0, float64sSize(len(vals))), vals)
+}
+
+// float64sSize is the exact length of n floats' block.
+func float64sSize(n int) int { return uvarintLen(uint64(n)) + 8*n }
+
+func appendFloat64s(out []byte, vals []float64) []byte {
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	for _, v := range vals {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
@@ -271,7 +336,14 @@ func DecodeFloat64s(data []byte) ([]float64, error) {
 
 // EncodeBools packs booleans into a bitmap.
 func EncodeBools(vals []bool) []byte {
-	out := putUvarint(nil, uint64(len(vals)))
+	return appendBools(make([]byte, 0, boolsSize(len(vals))), vals)
+}
+
+// boolsSize is the exact length of n booleans' block.
+func boolsSize(n int) int { return uvarintLen(uint64(n)) + (n+7)/8 }
+
+func appendBools(out []byte, vals []bool) []byte {
+	out = binary.AppendUvarint(out, uint64(len(vals)))
 	var cur byte
 	var nbits uint
 	for _, v := range vals {
@@ -286,6 +358,25 @@ func EncodeBools(vals []bool) []byte {
 	}
 	if nbits > 0 {
 		out = append(out, cur)
+	}
+	return out
+}
+
+// appendBitmapBools writes the block EncodeBools writes for n booleans,
+// the true ones being the bits set in bm, straight from bm's words:
+// both are LSB first, so each word is its eight bytes. bm may be shorter
+// than n (a vector's null bitmap ends at its last NULL); the bits it
+// lacks are false.
+func appendBitmapBools(out []byte, bm *columnar.Bitmap, n int) []byte {
+	out = binary.AppendUvarint(out, uint64(n))
+	start := len(out)
+	out = append(out, make([]byte, (n+7)/8)...)
+	packed := out[start:]
+	for wi, w := range bm.Words() {
+		for b := wi * 8; w != 0; b++ {
+			packed[b] = byte(w)
+			w >>= 8
+		}
 	}
 	return out
 }

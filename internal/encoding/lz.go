@@ -26,7 +26,7 @@ const (
 // CompressLZ compresses data. The output always decompresses back to the
 // exact input; incompressible input grows by a small framing overhead.
 func CompressLZ(data []byte) []byte {
-	out := putUvarint(nil, uint64(len(data)))
+	out := binary.AppendUvarint(nil, uint64(len(data)))
 	if len(data) == 0 {
 		return out
 	}
@@ -36,7 +36,7 @@ func CompressLZ(data []byte) []byte {
 	flushLiterals := func(end int) {
 		if end > litStart {
 			out = append(out, lzOpLiteral)
-			out = putUvarint(out, uint64(end-litStart))
+			out = binary.AppendUvarint(out, uint64(end-litStart))
 			out = append(out, data[litStart:end]...)
 		}
 	}
@@ -53,8 +53,8 @@ func CompressLZ(data []byte) []byte {
 			}
 			flushLiterals(i)
 			out = append(out, lzOpMatch)
-			out = putUvarint(out, uint64(i-cand))
-			out = putUvarint(out, uint64(length))
+			out = binary.AppendUvarint(out, uint64(i-cand))
+			out = binary.AppendUvarint(out, uint64(length))
 			i += length
 			litStart = i
 			continue

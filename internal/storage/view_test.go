@@ -155,6 +155,25 @@ func BenchmarkGatherDecode(b *testing.B) {
 	b.ReportMetric(float64(outBytes), "out-B/op")
 }
 
+var builtSink *Segment
+
+// BenchmarkBuildSegment is CI's ingest gate for encoding: one full
+// 65,536-row lineitem segment. Each column is sized once and only its
+// winning codec is written, into a buffer of exactly its length, so B/op
+// stays within 2 × enc-B/op (the bytes the segment's columns hold; the
+// rest is a DICT column's codes and map) and allocs/op ≤ 48. Writing
+// every candidate into a slice grown from nil cost 21.5 MB/op.
+func BenchmarkBuildSegment(b *testing.B) {
+	batch := workload.GenLineitem(workload.DefaultLineitemConfig(65536))
+	enc := BuildSegment(0, batch).EncodedSize()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		builtSink = BuildSegment(0, batch)
+	}
+	b.ReportMetric(float64(enc), "enc-B/op")
+}
+
 // Marshal writes into one presized buffer; the bytes are still the
 // header followed by each field and its column's own Marshal.
 func TestSegmentMarshalIsTheColumnConcatenation(t *testing.T) {
