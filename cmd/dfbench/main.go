@@ -76,7 +76,7 @@ func serveMetrics(addr string) (string, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := serveReg.WritePrometheus(w); err != nil {
+		if err := serveReg.WritePrometheus(w, time.Now()); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
@@ -101,7 +101,7 @@ func snapshotLoop(path string, interval time.Duration, stop <-chan struct{}, don
 			fmt.Fprintf(os.Stderr, "metrics-json: %v\n", err)
 			return
 		}
-		if err := serveReg.WriteJSON(f); err != nil {
+		if err := serveReg.WriteJSON(f, time.Now()); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics-json: %v\n", err)
 		}
 		f.Close()

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/core"
@@ -178,7 +179,7 @@ func main() {
 		// Both engines shared the registry, so the fleet totals cover the
 		// whole run; the engine.queries{engine=...} series separates them.
 		fmt.Println("--- fleet metrics ---")
-		if err := reg.WriteText(os.Stdout); err != nil {
+		if err := reg.WriteText(os.Stdout, time.Now()); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -25,6 +25,7 @@ import (
 	"log"
 	"os"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -80,7 +81,7 @@ func main() {
 		case line == `\topo`:
 			fmt.Print(cluster.String())
 		case line == `\metrics`:
-			if err := reg.WriteText(os.Stdout); err != nil {
+			if err := reg.WriteText(os.Stdout, time.Now()); err != nil {
 				fmt.Println("error:", err)
 			}
 		case line == `\trace`:

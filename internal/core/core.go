@@ -22,11 +22,12 @@ type engineBase struct {
 
 	// Services is the engine's one wiring point, allocated with the
 	// engine and shared by pointer with every layer it builds, so
-	// eng.Metrics, eng.Resilience, eng.SLO and eng.Faults are the very
-	// fields the object store, the storage server, the scheduler, the
-	// repair controller and every pipeline run read: assign one (before
-	// the first query) and all of them see it. All four default to nil,
-	// which is off and adds zero allocations to the per-batch hot path.
+	// eng.Metrics, eng.Resilience, eng.SLO, eng.Faults and eng.Clock are
+	// the very fields the object store, the storage server, the
+	// scheduler, the repair controller and every pipeline run read:
+	// assign one (before the first query) and all of them see it. All
+	// five default to nil, which is off (a nil clock is the wall clock)
+	// and adds zero allocations to the per-batch hot path.
 	// The baseline's pull model can host only part of Resilience, the
 	// hedged replica reads: speculation and breaker-steered placement
 	// need the dataflow engine's morsels and plan variants.
@@ -114,11 +115,14 @@ func (e *engineBase) publisher() *enginePublisher {
 	return e.pub
 }
 
-// publishQuery observes the query's wall latency on the SLO tracker and
-// lands its resource attribution on the registry (when metrics are on).
-func (e *engineBase) publishQuery(ctx context.Context, res *Result, wall time.Duration) {
-	e.SLO.Observe(wall)
+// publishQuery observes the wall latency of a query that started at
+// start, read on the engine's clock, on the SLO tracker and lands its
+// resource attribution on the registry (when metrics are on).
+func (e *engineBase) publishQuery(ctx context.Context, res *Result, start time.Time) {
+	now := e.Clock.Now()
+	wall := now.Sub(start)
+	e.SLO.Observe(now, wall)
 	if p := e.publisher(); p != nil && res != nil {
-		p.publish(e.Resilience, TenantFrom(ctx), res, wall)
+		p.publish(e.Resilience, TenantFrom(ctx), res, now, wall)
 	}
 }

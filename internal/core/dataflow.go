@@ -209,7 +209,7 @@ func (e *DataFlowEngine) Execute(ctx context.Context, q *plan.Query) (*Result, e
 // surfaces as ErrDeadlineExceeded or ErrCancelled.
 func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
-	startWall := time.Now()
+	startWall := e.Clock.Now()
 	e.Scheduler.SetWorkers(e.Workers)
 	exclude := make(map[string]bool)
 	var failovers int
@@ -250,7 +250,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 			res.Stats.RecoveryBytes += lost.bytes
 			res.Stats.RecoveryTime += lost.time
 			res.Stats.BreakerTrips = trips + res.Stats.Scan.BreakerTrips
-			e.publishQuery(ctx, res, time.Since(startWall))
+			e.publishQuery(ctx, res, startWall)
 			return res, nil
 		}
 		if lerr := lifecycleError(err); lerr != err || ctx.Err() != nil {
@@ -302,7 +302,7 @@ func (e *DataFlowEngine) reportBreakers(ph *plan.Physical, err error) (trips int
 		return 0
 	}
 	var se *flow.StageError
-	if errors.As(err, &se) && se.Device != "" && br.Failure(se.Device) {
+	if errors.As(err, &se) && se.Device != "" && br.Failure(se.Device, e.Clock.Now()) {
 		return 1
 	}
 	return 0
@@ -343,7 +343,7 @@ func waste(acct *fabric.Account) (sim.Bytes, sim.VTime) {
 // scheduler. Experiments use it to force variants. Tracing follows
 // e.Tracing, with a fresh trace per call.
 func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*Result, error) {
-	startWall := time.Now()
+	startWall := e.Clock.Now()
 	var tr *obs.Trace
 	if e.Tracing {
 		tr = obs.New()
@@ -353,7 +353,7 @@ func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*R
 		return nil, lifecycleError(err)
 	}
 	res.Stats.BreakerTrips = res.Stats.Scan.BreakerTrips
-	e.publishQuery(ctx, res, time.Since(startWall))
+	e.publishQuery(ctx, res, startWall)
 	return res, nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
@@ -23,7 +22,7 @@ import (
 // group key, no cross-node merge is needed and results are exact.
 func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.Query, nodes int) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
-	startWall := time.Now()
+	startWall := e.Clock.Now()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,6 +125,6 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 	res.Stats, _ = fold(acct, nil)
 	res.Stats.Engine, res.Stats.Variant, res.Stats.ResultRows = e.engine, fmt.Sprintf("distributed-groupby-%dn", nodes), res.Rows()
 	res.Stats.Scan = scan
-	e.publishQuery(ctx, res, time.Since(startWall))
+	e.publishQuery(ctx, res, startWall)
 	return res, nil
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/exec"
@@ -29,7 +28,7 @@ type JoinQuery struct {
 // node 0.
 func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
-	startWall := time.Now()
+	startWall := e.Clock.Now()
 	nodes := jq.Nodes
 	if nodes <= 0 {
 		nodes = e.Cluster.Cfg.ComputeNodes
@@ -99,7 +98,7 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 	res.Stats, _ = fold(acct, nil)
 	res.Stats.Engine, res.Stats.Variant, res.Stats.ResultRows = e.engine, "distributed-join", res.Rows()
 	res.Stats.Scan = scan
-	e.publishQuery(ctx, res, time.Since(startWall))
+	e.publishQuery(ctx, res, startWall)
 	return res, nil
 }
 
@@ -125,7 +124,7 @@ func (e *DataFlowEngine) materialize(ctx context.Context, table string, acct *fa
 // buffer pool to compute node 0 and joined there by the blocking
 // iterator — no exchange, no other nodes, all bytes to one CPU.
 func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
-	startWall := time.Now()
+	startWall := e.Clock.Now()
 	acct := &volcanoAccount{work: e.Cluster.NewAccount()}
 	ctx = context.WithValue(ctxOrBackground(ctx), volcanoAccountKey{}, acct)
 	buildIt, err := e.tableIterator(ctx, jq.Build)
@@ -149,7 +148,7 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 	res := &Result{Batches: batches}
 	res.Stats = e.buildStats(acct, res)
 	res.Stats.Variant = "volcano-join"
-	e.publishQuery(ctx, res, time.Since(startWall))
+	e.publishQuery(ctx, res, startWall)
 	return res, nil
 }
 

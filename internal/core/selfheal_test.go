@@ -408,7 +408,7 @@ func TestBreakerTripsAreCountedWhereTheyHappen(t *testing.T) {
 			}
 			sum += st.BreakerTrips
 		}
-		if total := reg.Snapshot().Counters["resilience.breaker.trips"]; sum != total || total != 1 {
+		if total := reg.Snapshot(time.Now()).Counters["resilience.breaker.trips"]; sum != total || total != 1 {
 			t.Errorf("the queries report %d trips, the breakers tripped %d times, want 1 and 1", sum, total)
 		}
 		if got := df.Storage.Store().Totals().BreakerTrips; got != sum {
@@ -430,7 +430,7 @@ func TestBreakerTripsAreCountedWhereTheyHappen(t *testing.T) {
 			t.Errorf("failovers %d, trips %d (store account %d); want 1, 1 (0)",
 				res.Stats.Failovers, res.Stats.BreakerTrips, res.Stats.Scan.BreakerTrips)
 		}
-		if total := reg.Snapshot().Counters["resilience.breaker.trips"]; total != 1 {
+		if total := reg.Snapshot(time.Now()).Counters["resilience.breaker.trips"]; total != 1 {
 			t.Errorf("breakers tripped %d times, want 1", total)
 		}
 	})

@@ -155,8 +155,9 @@ func (p *enginePublisher) tenantFor(tenant string) *tenantSeries {
 	return ts
 }
 
-// publish lands one finished query. Safe for concurrent use.
-func (p *enginePublisher) publish(pol *resilience.Policy, tenant string, res *Result, wall time.Duration) {
+// publish lands one query that finished at instant now after wall.
+// Safe for concurrent use.
+func (p *enginePublisher) publish(pol *resilience.Policy, tenant string, res *Result, now time.Time, wall time.Duration) {
 	st := &res.Stats
 	var busy sim.VTime
 	for _, b := range st.DeviceBusy {
@@ -176,8 +177,8 @@ func (p *enginePublisher) publish(pol *resilience.Policy, tenant string, res *Re
 
 	p.wallHist.Observe(wall.Nanoseconds())
 	p.simHist.Observe(int64(st.SimTime))
-	p.queryRate.Mark(1)
-	p.bytesRate.Mark(bytes)
+	p.queryRate.Mark(now, 1)
+	p.bytesRate.Mark(now, bytes)
 
 	// Last-query gauges: the scrape-visible face of PR 2's concurrency
 	// factor and PR 5's decode savings.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs/metrics"
 	"repro/internal/plan"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -58,7 +59,7 @@ func TestPublishAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	snap := reg.Snapshot()
+	snap := reg.Snapshot(time.Now())
 	total := int64(len(tenants)) + 1
 	if got := snap.Counters["fleet.queries"]; got != total {
 		t.Fatalf("fleet.queries = %d, want %d", got, total)
@@ -87,7 +88,7 @@ func TestPublishAttribution(t *testing.T) {
 	if got := reg.Histogram("query.wall.ns").Count(); got != total {
 		t.Fatalf("query.wall.ns count = %d, want %d", got, total)
 	}
-	if good, bad := slo.Window(); good+bad != int64(len(tenants)) {
+	if good, bad := slo.Window(time.Now()); good+bad != int64(len(tenants)) {
 		t.Fatalf("SLO observed %d, want %d (dataflow only)", good+bad, len(tenants))
 	}
 }
@@ -112,7 +113,7 @@ func TestTenantAttributionUnderConcurrency(t *testing.T) {
 		}
 	}
 	run("alpha")
-	solo := reg.Snapshot().Counters
+	solo := reg.Snapshot(time.Now()).Counters
 	if solo["fleet.bytes"] == 0 || solo["fleet.busy.vns"] == 0 {
 		t.Fatalf("the solo query published nothing: %v", solo)
 	}
@@ -127,7 +128,7 @@ func TestTenantAttributionUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	got := reg.Snapshot().Counters
+	got := reg.Snapshot(time.Now()).Counters
 	for _, series := range []string{"queries", "bytes", "busy.vns"} {
 		one := solo["fleet."+series]
 		if fleet := got["fleet."+series]; fleet != 9*one {
@@ -158,7 +159,7 @@ func TestLinkUtilIsTheQuerysOwn(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string]float64{}
-		for name, v := range reg.Snapshot().Gauges {
+		for name, v := range reg.Snapshot(time.Now()).Gauges {
 			if strings.HasPrefix(name, "fabric.link.util") {
 				out[name] = v
 			}
@@ -211,5 +212,46 @@ func TestPublisherRebuildsOnRegistrySwap(t *testing.T) {
 	}
 	if got := second.Counter("fleet.queries").Value(); got != 1 {
 		t.Fatalf("nil registry still published: fleet.queries = %d, want 1", got)
+	}
+}
+
+// On a manual clock a query's wall latency is what the clock advanced:
+// 0 when nothing sleeps, and exactly the store's slept service times
+// once every replica read sleeps BaseLatency. The SLO tracker and the
+// registry's histogram both receive it.
+func TestWallLatencyIsWhatTheClockAdvanced(t *testing.T) {
+	df := lifecycleEngine(t, 4000, 1000)
+	clk := sim.NewManualClock(time.Now())
+	reg := metrics.New()
+	slo := metrics.NewSLOTracker(time.Nanosecond, 0.99)
+	df.Clock, df.Metrics, df.SLO = clk, reg, slo
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	wall := reg.Histogram("query.wall.ns")
+
+	if _, err := df.Execute(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	if wall.Count() != 1 || wall.Sum() != 0 {
+		t.Errorf("registry got %d latencies summing to %dns, want one of 0", wall.Count(), wall.Sum())
+	}
+	if good, bad := slo.Window(clk.Now()); good != 1 || bad != 0 {
+		t.Errorf("SLO window %d good / %d bad against a 1ns target, want the 0 latency good", good, bad)
+	}
+
+	df.Storage.Store().BaseLatency = time.Minute
+	before := clk.Now()
+	if _, err := df.Execute(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	advanced := clk.Since(before)
+	if advanced != 4*time.Minute {
+		t.Errorf("four segment reads advanced the clock %v, want 4m", advanced)
+	}
+	if wall.Count() != 2 || wall.Sum() != advanced.Nanoseconds() {
+		t.Errorf("registry got %d latencies summing to %dns, want the second %dns", wall.Count(), wall.Sum(), advanced.Nanoseconds())
+	}
+	// The first query finished 4m ago, out of the tracker's 30s window.
+	if good, bad := slo.Window(clk.Now()); good != 0 || bad != 1 {
+		t.Errorf("SLO window %d good / %d bad, want only the %v latency, bad", good, bad, advanced)
 	}
 }

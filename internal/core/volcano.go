@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/bufferpool"
 	"repro/internal/columnar"
@@ -171,7 +170,7 @@ func (it *chargeIter) Next() (*columnar.Batch, error) {
 // surfaces as ErrDeadlineExceeded or ErrCancelled.
 func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
-	startWall := time.Now()
+	startWall := e.Clock.Now()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -242,7 +241,7 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 	res.Stats.PeakMemory += maxDecoded
 	res.Stats.BreakerTrips = res.Stats.Scan.BreakerTrips
 	sampleHealthSeries(tr, e.Resilience)
-	e.publishQuery(ctx, res, time.Since(startWall))
+	e.publishQuery(ctx, res, startWall)
 	return res, nil
 }
 

@@ -24,10 +24,10 @@ import (
 
 // The optional subsystems are declared once. No layer struct may hold a
 // metrics registry, an SLO tracker, a resilience policy (or one of its
-// parts) or a fault injector of its own — a copy is a thing a setter can
-// forget — and wiring.Services holds exactly the four. The storage
-// server and the repair controller hold no wiring point either: they
-// reach the store's.
+// parts), a fault injector or a clock (a *sim.Clock or a func() time.Time)
+// of its own — a copy is a thing a setter can forget — and
+// wiring.Services holds exactly the five. The storage server and the
+// repair controller hold no wiring point either: they reach the store's.
 func TestOnlyServicesHoldsTheOptionalSubsystems(t *testing.T) {
 	service := map[reflect.Type]bool{
 		reflect.TypeOf((*metrics.Registry)(nil)):      true,
@@ -36,6 +36,8 @@ func TestOnlyServicesHoldsTheOptionalSubsystems(t *testing.T) {
 		reflect.TypeOf((*resilience.Tracker)(nil)):    true,
 		reflect.TypeOf((*resilience.BreakerSet)(nil)): true,
 		reflect.TypeOf((*faults.Injector)(nil)):       true,
+		reflect.TypeOf((*sim.Clock)(nil)):             true,
+		reflect.TypeOf((func() time.Time)(nil)):       true,
 	}
 	point := reflect.TypeOf((*wiring.Services)(nil))
 	holdsPoint := map[reflect.Type]bool{
@@ -69,7 +71,7 @@ func TestOnlyServicesHoldsTheOptionalSubsystems(t *testing.T) {
 	for i := 0; i < svc.NumField(); i++ {
 		held = append(held, svc.Field(i).Type.String())
 	}
-	want := "*metrics.Registry *resilience.Policy *metrics.SLOTracker *faults.Injector"
+	want := "*metrics.Registry *resilience.Policy *metrics.SLOTracker *faults.Injector *sim.Clock"
 	if got := strings.Join(held, " "); got != want {
 		t.Errorf("wiring.Services holds %s, want %s", got, want)
 	}
@@ -92,8 +94,9 @@ func permutations(n int) [][]int {
 
 // Whatever order the four subsystems are assigned in, and whether the
 // repair controller was built before or after, every layer reads the
-// same four: the engine, the store and the scheduler by the pointer they
-// hold, and the layers that hold none by what they do with them — the
+// same four, and the clock assigned up front: the engine, the store and
+// the scheduler by the pointer they hold, and the layers that hold none
+// by what they do with them — the
 // storage server counts its scans on the registry; a run's pipeline
 // registers its gauges there, feeds stage latencies to the policy's
 // health tracker and fires the injector's device fault; the repair
@@ -113,8 +116,10 @@ func TestEveryLayerReadsTheSameServicesInAnyOrder(t *testing.T) {
 				Metrics:    metrics.New(),
 				Resilience: resilience.NewPolicy(),
 				SLO:        metrics.NewSLOTracker(time.Millisecond, 0.99),
+				Clock:      sim.NewManualClock(time.Now()),
 			}
 			_, want.Faults = killPoint(t, df, q, 0)
+			df.Clock = want.Clock
 			assign := []func(){
 				func() { df.Metrics = want.Metrics },
 				func() { df.EnableResilience(want.Resilience) },
@@ -144,7 +149,7 @@ func TestEveryLayerReadsTheSameServicesInAnyOrder(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			snap := want.Metrics.Snapshot()
+			snap := want.Metrics.Snapshot(want.Clock.Now())
 			if snap.Counters["scan.count"] == 0 {
 				t.Errorf("%s: the storage server counted no scan on the registry", name)
 			}
@@ -160,10 +165,14 @@ func TestEveryLayerReadsTheSameServicesInAnyOrder(t *testing.T) {
 			}
 
 			// The controller: replica 1 is lost but reads have not opened
-			// its breaker, and the foreground misses its objective.
+			// its breaker, and the foreground misses its objective. It
+			// paces on the wall clock here: on the manual one its yields
+			// would not wait, and the burn would age out of the window
+			// before the context expired.
+			df.Clock = nil
 			store.FailReplica(1)
 			for i := 0; i < 10; i++ {
-				want.SLO.Observe(time.Second)
+				want.SLO.Observe(time.Now(), time.Second)
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 			ctrl.Run(ctx)
@@ -176,7 +185,7 @@ func TestEveryLayerReadsTheSameServicesInAnyOrder(t *testing.T) {
 				t.Errorf("%s: the controller scrubbed %d blobs under a burning SLO and counted %d deferrals, want 0 and some",
 					name, rep.Scrubbed, want.Metrics.Counter("repair.deferred.burn").Value())
 			}
-			if _, ok := want.Metrics.Snapshot().Gauges["durability.at_risk.objects"]; !ok {
+			if _, ok := want.Metrics.Snapshot(time.Now()).Gauges["durability.at_risk.objects"]; !ok {
 				t.Errorf("%s: the controller published no durability gauge on the registry", name)
 			}
 		}
@@ -188,7 +197,9 @@ func TestEveryLayerReadsTheSameServicesInAnyOrder(t *testing.T) {
 			Resilience: resilience.NewPolicy(),
 			SLO:        metrics.NewSLOTracker(time.Second, 0.99),
 			Faults:     faults.New(1),
+			Clock:      sim.NewManualClock(time.Now()),
 		}
+		vo.Clock = want.Clock
 		assign := []func(){
 			func() { vo.Metrics = want.Metrics },
 			func() { vo.Resilience = want.Resilience },

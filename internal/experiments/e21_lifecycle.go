@@ -267,9 +267,9 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 				defer wg.Done()
 				ctx, cancel := context.WithTimeout(context.Background(), opts.Deadline)
 				defer cancel()
-				start := time.Now()
+				start := df.Clock.Now()
 				r, err := df.Execute(ctx, q)
-				outs[i] = outcome{wall: time.Since(start), err: err}
+				outs[i] = outcome{wall: df.Clock.Since(start), err: err}
 				if err == nil {
 					if cerr := check(r, "overload"); cerr != nil {
 						outs[i].err = cerr
@@ -300,7 +300,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 
 		// No admission control: every arrival is served, so the worst
 		// query waits for the whole backlog.
-		voStart := time.Now()
+		voStart := vo.Clock.Now()
 		for i := 0; i < load; i++ {
 			vr, err := vo.Execute(context.Background(), q)
 			if err != nil {
@@ -310,7 +310,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 				return nil, err
 			}
 		}
-		row.VoP99 = time.Since(voStart)
+		row.VoP99 = vo.Clock.Since(voStart)
 
 		res.Overload = append(res.Overload, row)
 		res.Table.AddRow(fmt.Sprintf("load=%d", load),

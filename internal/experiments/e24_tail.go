@@ -156,13 +156,13 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 			// to fire; once it has learned, ranking alone may absorb the
 			// slow replica.
 			for trial := -1; trial < opts.Trials; trial++ {
-				start := time.Now()
+				start := df.Clock.Now()
 				r, err := df.Execute(context.Background(), q)
 				if err != nil {
 					return nil, fmt.Errorf("experiments: E24 severity %g hedge=%v trial %d: %w",
 						severity, hedge, trial, err)
 				}
-				elapsed := time.Since(start)
+				elapsed := df.Clock.Since(start)
 				h := e19Histogram(r)
 				if expected == nil {
 					expected = h

@@ -162,12 +162,12 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 	// --- Arm 1: instrumentation overhead -------------------------------
 	qOver := query(0.1)
 	runOne := func(df *core.DataFlowEngine) (time.Duration, sim.VTime, error) {
-		start := time.Now()
+		start := df.Clock.Now()
 		r, err := df.Execute(context.Background(), qOver)
 		if err != nil {
 			return 0, 0, fmt.Errorf("experiments: E25 overhead: %w", err)
 		}
-		return time.Since(start), r.Stats.SimTime, nil
+		return df.Clock.Since(start), r.Stats.SimTime, nil
 	}
 	dfOff, err := build(nil)
 	if err != nil {
@@ -301,11 +301,11 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 	// generous when uncontended, hopeless once a 2-slot queue backs up.
 	var healthy []time.Duration
 	for i := 0; i < 5; i++ {
-		start := time.Now()
+		start := dfSLO.Clock.Now()
 		if _, err := dfSLO.Execute(context.Background(), qBurst); err != nil {
 			return nil, fmt.Errorf("experiments: E25 SLO warmup: %w", err)
 		}
-		healthy = append(healthy, time.Since(start))
+		healthy = append(healthy, dfSLO.Clock.Since(start))
 	}
 	sort.Slice(healthy, func(i, j int) bool { return healthy[i] < healthy[j] })
 	target := 3 * healthy[len(healthy)/2]
@@ -315,7 +315,7 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 	dfSLO.Scheduler.QueueCap = 64
 
 	for bi, size := range opts.Bursts {
-		burst := E25Burst{Size: size, BurnBefore: slo.BurnRate()}
+		burst := E25Burst{Size: size, BurnBefore: slo.BurnRate(dfSLO.Clock.Now())}
 		var admitted, sheds atomic.Int64
 		var firstErr error
 		var errMu sync.Mutex
@@ -345,7 +345,7 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 		}
 		burst.Admitted = admitted.Load()
 		burst.Sheds = sheds.Load()
-		burst.BurnAfter = slo.BurnRate()
+		burst.BurnAfter = slo.BurnRate(dfSLO.Clock.Now())
 		res.Bursts = append(res.Bursts, burst)
 		if res.BurnCrossBurst < 0 && burst.BurnAfter >= 1 {
 			res.BurnCrossBurst = bi

@@ -298,22 +298,22 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 		return store.Totals().ReadRepairs >= wantHeals
 	}
 	var lats []time.Duration
-	hardStop := time.Now().Add(30 * time.Second)
+	hardStop := df.Clock.Now().Add(30 * time.Second)
 	for len(lats) < opts.Trials || !healed() {
-		if time.Now().After(hardStop) {
+		if df.Clock.Now().After(hardStop) {
 			stopRun()
 			<-runDone
 			return nil, nil, fmt.Errorf("experiments: E26 %s heal never completed (%d/%d heals, at-risk %d)",
 				arm, store.Totals().ReadRepairs, wantHeals, mustObjects(store))
 		}
-		start := time.Now()
+		start := df.Clock.Now()
 		r, err := df.Execute(ctx, q)
 		if err != nil {
 			stopRun()
 			<-runDone
 			return nil, nil, fmt.Errorf("experiments: E26 %s query %d: %w", arm, len(lats), err)
 		}
-		lats = append(lats, time.Since(start))
+		lats = append(lats, df.Clock.Since(start))
 		if !e19SameHist(e19Histogram(r), hist) {
 			stopRun()
 			<-runDone

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/columnar"
+	"repro/internal/sim"
 )
 
 // Cancellation must unwind a pipeline no matter where it is blocked: a
@@ -123,5 +124,58 @@ func fireAfter(n int) func() bool {
 	return func() bool {
 		calls++
 		return calls >= n
+	}
+}
+
+// SlowStage wraps a stage with an injected processing delay on the run's
+// clock, modelling a degraded or hung device for the watchdog and
+// cancellation tests. When Fire is nil the delay applies to every batch;
+// otherwise only when Fire reports true. The delay aborts cleanly on
+// pipeline cancellation.
+type SlowStage struct {
+	Inner  Stage
+	Delay  time.Duration
+	Fire   func() bool
+	cancel <-chan struct{}
+	clk    *sim.Clock
+}
+
+// Name reports the wrapped stage's name.
+func (s *SlowStage) Name() string { return s.Inner.Name() }
+
+// SetCancel implements CancelAware.
+func (s *SlowStage) SetCancel(c <-chan struct{}, clk *sim.Clock) { s.cancel, s.clk = c, clk }
+
+// Process delays (cancellably), then forwards to the wrapped stage.
+func (s *SlowStage) Process(b *columnar.Batch, emit Emit) error {
+	if s.Delay > 0 && (s.Fire == nil || s.Fire()) {
+		select {
+		case <-s.clk.After(s.Delay):
+		case <-s.cancel:
+			return ErrCanceled
+		}
+	}
+	return s.Inner.Process(b, emit)
+}
+
+// Flush forwards to the wrapped stage.
+func (s *SlowStage) Flush(emit Emit) error { return s.Inner.Flush(emit) }
+
+// SnapshotState forwards to the wrapped stage, so a slowed stateful
+// stage still checkpoints. Wrapping a stateless stage snapshots nil.
+func (s *SlowStage) SnapshotState() any {
+	if sn, ok := s.Inner.(Snapshotter); ok {
+		return sn.SnapshotState()
+	}
+	return nil
+}
+
+// RestoreState forwards to the wrapped stage.
+func (s *SlowStage) RestoreState(state any) {
+	if state == nil {
+		return
+	}
+	if sn, ok := s.Inner.(Snapshotter); ok {
+		sn.RestoreState(state)
 	}
 }

@@ -3,9 +3,8 @@ package flow
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/columnar"
+	"repro/internal/sim"
 )
 
 // ErrStageTimeout marks a stage the watchdog declared hung: it held a
@@ -45,62 +44,10 @@ func (e *LinkError) Error() string {
 // Unwrap exposes the underlying cause for errors.Is/As.
 func (e *LinkError) Unwrap() error { return e.Err }
 
-// CancelAware lets a stage observe the pipeline's cancellation channel,
-// so long-blocking stages (sleeps, external waits) can abort promptly
-// when the run is torn down instead of leaking their goroutine.
+// CancelAware lets a stage observe the pipeline's cancellation channel
+// and clock, so long-blocking stages (sleeps, external waits) wait on
+// the run's clock and abort promptly when the run is torn down instead
+// of leaking their goroutine.
 type CancelAware interface {
-	SetCancel(<-chan struct{})
-}
-
-// SlowStage wraps a stage with an injected processing delay, modelling a
-// degraded or hung device for watchdog tests and E19. When Fire is nil
-// the delay applies to every batch; otherwise only when Fire reports
-// true. The delay aborts cleanly on pipeline cancellation.
-type SlowStage struct {
-	Inner  Stage
-	Delay  time.Duration
-	Fire   func() bool
-	cancel <-chan struct{}
-}
-
-// Name reports the wrapped stage's name.
-func (s *SlowStage) Name() string { return s.Inner.Name() }
-
-// SetCancel implements CancelAware.
-func (s *SlowStage) SetCancel(c <-chan struct{}) { s.cancel = c }
-
-// Process delays (cancellably), then forwards to the wrapped stage.
-func (s *SlowStage) Process(b *columnar.Batch, emit Emit) error {
-	if s.Delay > 0 && (s.Fire == nil || s.Fire()) {
-		t := time.NewTimer(s.Delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-s.cancel:
-			return ErrCanceled
-		}
-	}
-	return s.Inner.Process(b, emit)
-}
-
-// Flush forwards to the wrapped stage.
-func (s *SlowStage) Flush(emit Emit) error { return s.Inner.Flush(emit) }
-
-// SnapshotState forwards to the wrapped stage, so a slowed stateful
-// stage still checkpoints. Wrapping a stateless stage snapshots nil.
-func (s *SlowStage) SnapshotState() any {
-	if sn, ok := s.Inner.(Snapshotter); ok {
-		return sn.SnapshotState()
-	}
-	return nil
-}
-
-// RestoreState forwards to the wrapped stage.
-func (s *SlowStage) RestoreState(state any) {
-	if state == nil {
-		return
-	}
-	if sn, ok := s.Inner.(Snapshotter); ok {
-		sn.RestoreState(state)
-	}
+	SetCancel(done <-chan struct{}, clk *sim.Clock)
 }

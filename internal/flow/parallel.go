@@ -2,7 +2,6 @@ package flow
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/obs"
@@ -111,7 +110,7 @@ func (r *stageRun) runParallel() {
 	for wi := range insts {
 		insts[wi] = par.NewWorker()
 		if ca, ok := insts[wi].(CancelAware); ok {
-			ca.SetCancel(r.done)
+			ca.SetCancel(r.done, p.Services.Clock)
 		}
 	}
 
@@ -136,7 +135,7 @@ func (r *stageRun) runParallel() {
 				cost = p.Account.ChargeLane(st.Device, st.Op, sim.Bytes(item.b.ByteSize()), int(item.seq%int64(r.w)))
 			}
 			sr := stageResult{seq: item.seq}
-			procStart := time.Now()
+			procStart := p.Services.Clock.Now()
 			r.busy[wi].Store(procStart.UnixNano())
 			p.markBusy(1)
 			sr.err = insts[wi].Process(item.b, func(ob *columnar.Batch) error {
@@ -297,7 +296,7 @@ func (r *stageRun) runParallel() {
 		flushed := 0
 		for wi, inst := range insts {
 			before := r.res.BatchesOut[r.i]
-			r.busy[wi].Store(time.Now().UnixNano())
+			r.busy[wi].Store(p.Services.Clock.Now().UnixNano())
 			p.markBusy(1)
 			ferr := inst.Flush(out)
 			p.markBusy(-1)

@@ -74,7 +74,7 @@ type Pipeline struct {
 	StageTimeout time.Duration
 	// Services is the wiring point of the engine the run belongs to; nil
 	// (a pipeline built outside one) or a nil member is off. The run
-	// reads three members where it uses them. Faults is asked once per
+	// reads four members where it uses them. Faults is asked once per
 	// batch per stage whether the hosting device drops its kernel
 	// (faults.DeviceOffline): a fired fault marks the device offline and
 	// fails the stage, which is how E19 kills devices mid-query.
@@ -83,7 +83,9 @@ type Pipeline struct {
 	// slow device shows up even though its metered costs are unchanged.
 	// Metrics receives flow.credit.stalls (Sends that found the credit
 	// window empty), flow.workers.busy (workers holding a batch; one
-	// atomic add per busy/idle flip) and flow.workers.provisioned.
+	// atomic add per busy/idle flip) and flow.workers.provisioned. Clock
+	// stamps when each worker began holding a batch, times the Process
+	// latencies, paces the watchdog and is handed to CancelAware stages.
 	Services *wiring.Services
 	// Trace, when non-nil, makes the run record a causal tape (batch
 	// costs, emission counts, per-link transfer costs) and replay it into
@@ -126,7 +128,7 @@ func (p *Pipeline) observeStage(dev *fabric.Device, start time.Time) {
 	if pol == nil || pol.Health == nil || dev == nil {
 		return
 	}
-	pol.Health.Observe("stage/"+dev.Name, time.Since(start))
+	pol.Health.Observe("stage/"+dev.Name, p.Services.Clock.Since(start))
 }
 
 // Result reports what a pipeline run did.
@@ -288,7 +290,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	// goroutine.
 	for _, st := range p.Stages {
 		if ca, ok := st.Stage.(CancelAware); ok {
-			ca.SetCancel(done)
+			ca.SetCancel(done, p.Services.Clock)
 		}
 	}
 
@@ -308,7 +310,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		defer pg.Add(-float64(provisioned))
 	}
 
-	// busySince[i][w] is the wall-clock nanosecond at which stage i's
+	// busySince[i][w] is the clock's nanosecond at which stage i's
 	// worker w last began holding a batch (Process or Flush), 0 when
 	// idle. The watchdog reads it to find hung stages.
 	busySince := make([][]atomic.Int64, len(p.Stages))
@@ -381,20 +383,19 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		watchWG.Add(1)
 		go func() {
 			defer watchWG.Done()
+			clk := p.Services.Clock
 			tick := p.StageTimeout / 4
 			if tick < time.Millisecond {
 				tick = time.Millisecond
 			}
-			t := time.NewTicker(tick)
-			defer t.Stop()
 			for {
 				select {
 				case <-watchStop:
 					return
 				case <-done:
 					return
-				case <-t.C:
-					now := time.Now().UnixNano()
+				case <-clk.After(tick):
+					now := clk.Now().UnixNano()
 					for i := len(p.Stages) - 1; i >= 0; i-- {
 						hung := false
 						for w := range busySince[i] {
@@ -552,7 +553,7 @@ func (r *stageRun) runSerial() {
 		b := it.b
 		if !ok {
 			before := res.BatchesOut[i]
-			r.busy[0].Store(time.Now().UnixNano())
+			r.busy[0].Store(p.Services.Clock.Now().UnixNano())
 			p.markBusy(1)
 			err := st.Stage.Flush(out)
 			p.markBusy(-1)
@@ -575,7 +576,7 @@ func (r *stageRun) runSerial() {
 			cost = p.Account.Charge(st.Device, st.Op, sim.Bytes(b.ByteSize()))
 		}
 		before := res.BatchesOut[i]
-		procStart := time.Now()
+		procStart := p.Services.Clock.Now()
 		r.busy[0].Store(procStart.UnixNano())
 		p.markBusy(1)
 		perr := st.Stage.Process(b, out)

@@ -16,15 +16,16 @@ func BenchmarkMetricsDisabled(b *testing.B) {
 	h := r.Histogram("h")
 	m := r.RateMeter("m")
 	s := r.SLO("s", time.Millisecond, 0.99)
+	now := time.Unix(0, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Add(1)
 		g.Set(float64(i))
 		h.Observe(int64(i))
-		m.Mark(1)
-		s.Observe(time.Duration(i))
-		_ = s.BurnRate()
+		m.Mark(now, 1)
+		s.Observe(now, time.Duration(i))
+		_ = s.BurnRate(now)
 	}
 }
 

@@ -45,14 +45,15 @@ type Snapshot struct {
 	SLOs       map[string]SLOStat  `json:"slos,omitempty"`
 }
 
-// Snapshot copies every instrument's current reading. Nil registry →
+// Snapshot copies every instrument's reading at instant now; rate
+// meters and SLO trackers read the window ending there. Nil registry →
 // empty snapshot.
-func (r *Registry) Snapshot() Snapshot {
+func (r *Registry) Snapshot(now time.Time) Snapshot {
 	s := Snapshot{}
 	if r == nil {
 		return s
 	}
-	s.At = r.nowLocked()
+	s.At = now
 	r.mu.RLock()
 	counts := copyRefs(r.counts)
 	gauges := copyRefs(r.gauges)
@@ -85,24 +86,17 @@ func (r *Registry) Snapshot() Snapshot {
 	if len(rates) > 0 {
 		s.Rates = make(map[string]RateStat, len(rates))
 		for k, m := range rates {
-			s.Rates[k] = RateStat{Total: m.Total(), PerSec: m.Rate()}
+			s.Rates[k] = RateStat{Total: m.Total(), PerSec: m.Rate(now)}
 		}
 	}
 	if len(slos) > 0 {
 		s.SLOs = make(map[string]SLOStat, len(slos))
 		for k, t := range slos {
-			good, bad := t.Window()
-			s.SLOs[k] = SLOStat{TargetNS: int64(t.Target()), Good: good, Bad: bad, BurnRate: t.BurnRate()}
+			good, bad := t.Window(now)
+			s.SLOs[k] = SLOStat{TargetNS: int64(t.Target()), Good: good, Bad: bad, BurnRate: t.BurnRate(now)}
 		}
 	}
 	return s
-}
-
-func (r *Registry) nowLocked() time.Time {
-	r.mu.RLock()
-	now := r.now
-	r.mu.RUnlock()
-	return now()
 }
 
 func copyRefs[V any](m map[string]*V) map[string]*V {
@@ -113,11 +107,11 @@ func copyRefs[V any](m map[string]*V) map[string]*V {
 	return out
 }
 
-// WriteJSON writes the snapshot as indented JSON.
-func (r *Registry) WriteJSON(w io.Writer) error {
+// WriteJSON writes the snapshot at now as indented JSON.
+func (r *Registry) WriteJSON(w io.Writer, now time.Time) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r.Snapshot())
+	return enc.Encode(r.Snapshot(now))
 }
 
 // WritePrometheus renders every instrument in the Prometheus text
@@ -127,8 +121,8 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // good/bad counters. Dots in names become underscores; label blocks
 // built by Labels pass through. Output is sorted, so two scrapes of a
 // quiesced registry are byte-identical.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	s := r.Snapshot()
+func (r *Registry) WritePrometheus(w io.Writer, now time.Time) error {
+	s := r.Snapshot(now)
 	bw := bufio.NewWriter(w)
 	typed := make(map[string]bool)
 	emitType := func(base, kind string) {
@@ -217,8 +211,8 @@ func promFloat(v float64) string {
 // WriteText renders a human-oriented aligned dump for dfshell's
 // \metrics view: one section per instrument kind, sorted names,
 // durations humanized for *_ns / *ns series.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
+func (r *Registry) WriteText(w io.Writer, now time.Time) error {
+	s := r.Snapshot(now)
 	bw := bufio.NewWriter(w)
 	section := func(title string) { fmt.Fprintf(bw, "-- %s --\n", title) }
 	if len(s.Counters) > 0 {

@@ -52,7 +52,6 @@ type Registry struct {
 	hists  map[string]*Histogram
 	rates  map[string]*RateMeter
 	slos   map[string]*SLOTracker
-	now    func() time.Time
 }
 
 // New builds an empty registry.
@@ -63,20 +62,7 @@ func New() *Registry {
 		hists:  make(map[string]*Histogram),
 		rates:  make(map[string]*RateMeter),
 		slos:   make(map[string]*SLOTracker),
-		now:    time.Now,
 	}
-}
-
-// SetNow replaces the clock behind rate meters and SLO trackers created
-// AFTER the call — tests pin it before building instruments. Production
-// code never calls this.
-func (r *Registry) SetNow(now func() time.Time) {
-	if r == nil || now == nil {
-		return
-	}
-	r.mu.Lock()
-	r.now = now
-	r.mu.Unlock()
 }
 
 // Counter returns the named monotonically-increasing counter, creating
@@ -155,7 +141,7 @@ func (r *Registry) RateMeter(name string) *RateMeter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if m = r.rates[name]; m == nil {
-		m = newRateMeter(10*time.Second, 10, r.now)
+		m = &RateMeter{ring: newSlotRing(10*time.Second, 10)}
 		r.rates[name] = m
 	}
 	return m
@@ -177,7 +163,7 @@ func (r *Registry) SLO(name string, target time.Duration, objective float64) *SL
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if s = r.slos[name]; s == nil {
-		s = newSLOTracker(target, objective, 30*time.Second, 15, r.now)
+		s = NewSLOTracker(target, objective)
 		r.slos[name] = s
 	}
 	return s

@@ -18,6 +18,7 @@ func TestNilRegistryIsOff(t *testing.T) {
 	h := r.Histogram("h")
 	m := r.RateMeter("m")
 	s := r.SLO("s", time.Millisecond, 0.99)
+	now := time.Unix(500, 0)
 	if c != nil || g != nil || h != nil || m != nil || s != nil {
 		t.Fatalf("nil registry must hand out nil instruments")
 	}
@@ -27,26 +28,25 @@ func TestNilRegistryIsOff(t *testing.T) {
 	g.Set(1)
 	g.Add(2)
 	h.Observe(3)
-	m.Mark(4)
-	s.Observe(time.Second)
-	r.SetNow(time.Now)
+	m.Mark(now, 4)
+	s.Observe(now, time.Second)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 ||
-		h.Sum() != 0 || h.Max() != 0 || m.Rate() != 0 || m.Total() != 0 ||
-		s.BurnRate() != 0 || s.Target() != 0 {
+		h.Sum() != 0 || h.Max() != 0 || m.Rate(now) != 0 || m.Total() != 0 ||
+		s.BurnRate(now) != 0 || s.Target() != 0 {
 		t.Fatalf("nil instruments must read zero")
 	}
-	snap := r.Snapshot()
+	snap := r.Snapshot(now)
 	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
 		t.Fatalf("nil registry snapshot must be empty")
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheus(&buf, now); err != nil {
 		t.Fatalf("WritePrometheus on nil: %v", err)
 	}
-	if err := r.WriteText(&buf); err != nil {
+	if err := r.WriteText(&buf, now); err != nil {
 		t.Fatalf("WriteText on nil: %v", err)
 	}
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WriteJSON(&buf, now); err != nil {
 		t.Fatalf("WriteJSON on nil: %v", err)
 	}
 }
@@ -146,13 +146,12 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 func TestRateMeterWindow(t *testing.T) {
 	r := New()
 	now := time.Unix(1000, 0)
-	r.SetNow(func() time.Time { return now })
 	m := r.RateMeter("bytes") // 10s window, 10 slots
-	m.Mark(100)
+	m.Mark(now, 100)
 	now = now.Add(time.Second)
-	m.Mark(100)
+	m.Mark(now, 100)
 	// 200 units over ~2s of meter age.
-	if rate := m.Rate(); rate < 50 || rate > 200 {
+	if rate := m.Rate(now); rate < 50 || rate > 200 {
 		t.Fatalf("young rate = %g, want ~100", rate)
 	}
 	if m.Total() != 200 {
@@ -160,7 +159,7 @@ func TestRateMeterWindow(t *testing.T) {
 	}
 	// Jump far past the window: everything ages out.
 	now = now.Add(time.Minute)
-	if rate := m.Rate(); rate != 0 {
+	if rate := m.Rate(now); rate != 0 {
 		t.Fatalf("aged rate = %g, want 0", rate)
 	}
 	if m.Total() != 200 {
@@ -171,30 +170,29 @@ func TestRateMeterWindow(t *testing.T) {
 func TestSLOBurnRate(t *testing.T) {
 	r := New()
 	now := time.Unix(2000, 0)
-	r.SetNow(func() time.Time { return now })
 	s := r.SLO("p99", 10*time.Millisecond, 0.99)
-	if s.BurnRate() != 0 {
+	if s.BurnRate(now) != 0 {
 		t.Fatalf("empty tracker must read 0")
 	}
 	for i := 0; i < 99; i++ {
-		s.Observe(time.Millisecond)
+		s.Observe(now, time.Millisecond)
 	}
-	s.Observe(time.Second) // 1 bad in 100 = exactly the 1% budget
-	if burn := s.BurnRate(); burn < 0.99 || burn > 1.01 {
+	s.Observe(now, time.Second) // 1 bad in 100 = exactly the 1% budget
+	if burn := s.BurnRate(now); burn < 0.99 || burn > 1.01 {
 		t.Fatalf("burn = %g, want 1", burn)
 	}
 	for i := 0; i < 4; i++ {
-		s.Observe(time.Second)
+		s.Observe(now, time.Second)
 	}
-	if burn := s.BurnRate(); burn < 4 { // 5 bad / 104 ≈ 4.8x budget
+	if burn := s.BurnRate(now); burn < 4 { // 5 bad / 104 ≈ 4.8x budget
 		t.Fatalf("burn = %g, want > 4", burn)
 	}
 	// Observations age out of the 30s window.
 	now = now.Add(2 * time.Minute)
-	if burn := s.BurnRate(); burn != 0 {
+	if burn := s.BurnRate(now); burn != 0 {
 		t.Fatalf("aged burn = %g, want 0", burn)
 	}
-	good, bad := s.Window()
+	good, bad := s.Window(now)
 	if good != 0 || bad != 0 {
 		t.Fatalf("aged window = %d/%d, want 0/0", good, bad)
 	}
@@ -202,10 +200,10 @@ func TestSLOBurnRate(t *testing.T) {
 
 func TestPrometheusExport(t *testing.T) {
 	r := New()
-	// Pin the clock so the rate/SLO readings (which divide by age) are
-	// identical across the two scrapes diffed below.
+	// One instant for every mark and both scrapes, so the rate/SLO
+	// readings (which divide by age) are identical across the two
+	// scrapes diffed below.
 	now := time.Unix(3000, 0)
-	r.SetNow(func() time.Time { return now })
 	r.Counter("fleet.queries").Add(10)
 	r.Counter(Labels("tenant.bytes.moved", "tenant", "acme")).Add(4096)
 	r.Gauge("sched.queue.depth").Set(3)
@@ -213,11 +211,11 @@ func TestPrometheusExport(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Observe(int64(i) * 1000)
 	}
-	r.RateMeter("fleet.bytes").Mark(512)
-	r.SLO("fleet.p99", time.Millisecond, 0.99).Observe(2 * time.Millisecond)
+	r.RateMeter("fleet.bytes").Mark(now, 512)
+	r.SLO("fleet.p99", time.Millisecond, 0.99).Observe(now, 2*time.Millisecond)
 
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := r.WritePrometheus(&buf, now); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -242,7 +240,7 @@ func TestPrometheusExport(t *testing.T) {
 	}
 	// Determinism: a quiesced registry renders byte-identically.
 	var buf2 bytes.Buffer
-	if err := r.WritePrometheus(&buf2); err != nil {
+	if err := r.WritePrometheus(&buf2, now); err != nil {
 		t.Fatal(err)
 	}
 	if buf.String() != buf2.String() {
@@ -256,7 +254,7 @@ func TestJSONSnapshotRoundTrip(t *testing.T) {
 	r.Gauge("b").Set(2)
 	r.Histogram("c").Observe(3)
 	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
+	if err := r.WriteJSON(&buf, time.Unix(4000, 0)); err != nil {
 		t.Fatal(err)
 	}
 	var snap Snapshot

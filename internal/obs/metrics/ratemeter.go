@@ -6,69 +6,80 @@ import (
 )
 
 // RateMeter measures a rolling-window rate (events or bytes per second)
-// over a ring of time slots. Mark attributes n to the slot the clock is
-// currently in; Rate sums the slots still inside the window and divides
+// over a ring of time slots. Mark attributes n to the slot its instant
+// falls in; Rate sums the slots still inside the window and divides
 // by the covered duration, so the reading converges on the true rate as
 // the window fills and decays within one window of a burst stopping.
 // Mutex-guarded: marks are per-scan / per-query, not per-batch, so a
 // cheap lock beats the complexity of slot CAS dances. A nil *RateMeter
 // is a no-op.
 type RateMeter struct {
-	mu      sync.Mutex
+	mu    sync.Mutex
+	ring  slotRing  // counts n in a; b stays 0
+	start time.Time // first mark; bounds the divisor for young meters
+	total int64
+}
+
+// slotRing is the ring of time slots RateMeter and SLOTracker count
+// into: each slot holds two counts for one slotDur-long epoch, and a
+// slot whose epoch has left the window is reset on reuse and skipped on
+// read. Its owner's lock guards it.
+type slotRing struct {
 	slotDur time.Duration
-	slots   []rateSlot
-	start   time.Time // first mark; bounds the divisor for young meters
-	total   int64
-	now     func() time.Time
+	slots   []ringSlot
 }
 
-type rateSlot struct {
+type ringSlot struct {
 	epoch int64 // absolute slot number; stale slots are skipped on read
-	n     int64
+	a, b  int64
 }
 
-func newRateMeter(window time.Duration, slots int, now func() time.Time) *RateMeter {
-	if slots < 1 {
-		slots = 1
-	}
-	if window <= 0 {
-		window = 10 * time.Second
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &RateMeter{
-		slotDur: window / time.Duration(slots),
-		slots:   make([]rateSlot, slots),
-		now:     now,
-	}
+func newSlotRing(window time.Duration, slots int) slotRing {
+	return slotRing{slotDur: window / time.Duration(slots), slots: make([]ringSlot, slots)}
 }
 
-// Mark records n events (or bytes) at the current time.
-func (m *RateMeter) Mark(n int64) {
+// add counts a and b into the slot instant t falls in.
+func (r *slotRing) add(t time.Time, a, b int64) {
+	epoch := t.UnixNano() / int64(r.slotDur)
+	s := &r.slots[epoch%int64(len(r.slots))]
+	if s.epoch != epoch {
+		*s = ringSlot{epoch: epoch}
+	}
+	s.a += a
+	s.b += b
+}
+
+// sum totals the slots of the window ending at t.
+func (r *slotRing) sum(t time.Time) (a, b int64) {
+	epoch := t.UnixNano() / int64(r.slotDur)
+	oldest := epoch - int64(len(r.slots)) + 1
+	for _, s := range r.slots {
+		if s.epoch >= oldest && s.epoch <= epoch {
+			a += s.a
+			b += s.b
+		}
+	}
+	return a, b
+}
+
+// Mark records n events (or bytes) at instant t.
+func (m *RateMeter) Mark(t time.Time, n int64) {
 	if m == nil {
 		return
 	}
 	m.mu.Lock()
-	t := m.now()
 	if m.start.IsZero() {
 		m.start = t
 	}
-	epoch := t.UnixNano() / int64(m.slotDur)
-	s := &m.slots[epoch%int64(len(m.slots))]
-	if s.epoch != epoch {
-		s.epoch = epoch
-		s.n = 0
-	}
-	s.n += n
+	m.ring.add(t, n, 0)
 	m.total += n
 	m.mu.Unlock()
 }
 
-// Rate returns the per-second rate over the live window. A meter
+// Rate returns the per-second rate over the window ending at t. A meter
 // younger than the window divides by its age instead, so early readings
 // aren't diluted by slots that never existed.
-func (m *RateMeter) Rate() float64 {
+func (m *RateMeter) Rate(t time.Time) float64 {
 	if m == nil {
 		return 0
 	}
@@ -77,17 +88,9 @@ func (m *RateMeter) Rate() float64 {
 	if m.start.IsZero() {
 		return 0
 	}
-	t := m.now()
-	epoch := t.UnixNano() / int64(m.slotDur)
-	oldest := epoch - int64(len(m.slots)) + 1
-	var n int64
-	for i := range m.slots {
-		if m.slots[i].epoch >= oldest && m.slots[i].epoch <= epoch {
-			n += m.slots[i].n
-		}
-	}
-	window := m.slotDur * time.Duration(len(m.slots))
-	if age := t.Sub(m.start) + m.slotDur; age < window {
+	n, _ := m.ring.sum(t)
+	window := m.ring.slotDur * time.Duration(len(m.ring.slots))
+	if age := t.Sub(m.start) + m.ring.slotDur; age < window {
 		window = age
 	}
 	if window <= 0 {

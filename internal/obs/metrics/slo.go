@@ -21,59 +21,23 @@ import (
 // no-op, and sched treats burn shedding as disabled when its tracker
 // is nil, keeping the nil-is-off discipline end to end.
 type SLOTracker struct {
-	mu      sync.Mutex
-	target  time.Duration
-	budget  float64 // error budget fraction, 1 - objective
-	slotDur time.Duration
-	slots   []sloSlot
-	now     func() time.Time
+	mu     sync.Mutex
+	target time.Duration
+	budget float64  // error budget fraction, 1 - objective
+	ring   slotRing // counts good in a, bad in b
 }
 
-type sloSlot struct {
-	epoch     int64
-	good, bad int64
-}
-
-func newSLOTracker(target time.Duration, objective float64, window time.Duration, slots int, now func() time.Time) *SLOTracker {
+// NewSLOTracker builds a tracker over a 30s window of 15 slots, for
+// callers that hold one directly rather than through a registry — the
+// scheduler's shedding input, for instance.
+func NewSLOTracker(target time.Duration, objective float64) *SLOTracker {
 	if objective <= 0 || objective >= 1 {
 		objective = 0.99
 	}
 	if target <= 0 {
 		target = time.Second
 	}
-	if slots < 1 {
-		slots = 1
-	}
-	if window <= 0 {
-		window = 30 * time.Second
-	}
-	if now == nil {
-		now = time.Now
-	}
-	return &SLOTracker{
-		target:  target,
-		budget:  1 - objective,
-		slotDur: window / time.Duration(slots),
-		slots:   make([]sloSlot, slots),
-		now:     now,
-	}
-}
-
-// NewSLOTracker builds a standalone tracker (30s window over 15 slots)
-// for callers that hold one directly rather than through a registry —
-// the scheduler's shedding input, for instance.
-func NewSLOTracker(target time.Duration, objective float64) *SLOTracker {
-	return newSLOTracker(target, objective, 30*time.Second, 15, time.Now)
-}
-
-// SetNow pins the tracker's clock; tests only, before first use.
-func (s *SLOTracker) SetNow(now func() time.Time) {
-	if s == nil || now == nil {
-		return
-	}
-	s.mu.Lock()
-	s.now = now
-	s.mu.Unlock()
+	return &SLOTracker{target: target, budget: 1 - objective, ring: newSlotRing(30*time.Second, 15)}
 }
 
 // Target returns the declared latency objective.
@@ -84,31 +48,26 @@ func (s *SLOTracker) Target() time.Duration {
 	return s.target
 }
 
-// Observe classifies one request latency against the target.
-func (s *SLOTracker) Observe(latency time.Duration) {
+// Observe classifies one request latency, finished at instant t,
+// against the target.
+func (s *SLOTracker) Observe(t time.Time, latency time.Duration) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	epoch := s.now().UnixNano() / int64(s.slotDur)
-	sl := &s.slots[epoch%int64(len(s.slots))]
-	if sl.epoch != epoch {
-		sl.epoch = epoch
-		sl.good, sl.bad = 0, 0
-	}
 	if latency <= s.target {
-		sl.good++
+		s.ring.add(t, 1, 0)
 	} else {
-		sl.bad++
+		s.ring.add(t, 0, 1)
 	}
 	s.mu.Unlock()
 }
 
-// BurnRate returns the window's budget burn rate (0 when the window is
-// empty). Values >= 1 mean the error budget is being consumed at least
-// as fast as the objective tolerates.
-func (s *SLOTracker) BurnRate() float64 {
-	good, bad := s.Window()
+// BurnRate returns the budget burn rate of the window ending at t (0
+// when the window is empty). Values >= 1 mean the error budget is being
+// consumed at least as fast as the objective tolerates.
+func (s *SLOTracker) BurnRate(t time.Time) float64 {
+	good, bad := s.Window(t)
 	if good+bad == 0 {
 		return 0
 	}
@@ -116,20 +75,12 @@ func (s *SLOTracker) BurnRate() float64 {
 	return frac / s.budget
 }
 
-// Window returns the live window's good/bad counts.
-func (s *SLOTracker) Window() (good, bad int64) {
+// Window returns the good/bad counts of the window ending at t.
+func (s *SLOTracker) Window(t time.Time) (good, bad int64) {
 	if s == nil {
 		return 0, 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	epoch := s.now().UnixNano() / int64(s.slotDur)
-	oldest := epoch - int64(len(s.slots)) + 1
-	for i := range s.slots {
-		if s.slots[i].epoch >= oldest && s.slots[i].epoch <= epoch {
-			good += s.slots[i].good
-			bad += s.slots[i].bad
-		}
-	}
-	return good, bad
+	return s.ring.sum(t)
 }

@@ -31,6 +31,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -111,8 +112,9 @@ type Incident struct {
 // Its optional collaborators are the store's (ObjectStore.Services),
 // read where they are used: Resilience supplies the breaker consulted by
 // the dead-replica deadline and the health tracker forgiven after a
-// heal, SLO is the foreground burn-rate signal behind BurnMax, and
-// Metrics receives the durability gauges.
+// heal, SLO is the foreground burn-rate signal behind BurnMax, Metrics
+// receives the durability gauges, and Clock paces the loops and the
+// byte budgets and times the dead-replica deadline and MTTR.
 type Controller struct {
 	store *storage.ObjectStore
 	cfg   Config
@@ -185,11 +187,11 @@ func (c *Controller) admitQuantum(ctx context.Context) error {
 			}
 		}
 		// A nil tracker burns at 0, a nil registry counts nothing.
-		if c.cfg.BurnMax <= 0 || svc.SLO.BurnRate() < c.cfg.BurnMax {
+		if c.cfg.BurnMax <= 0 || svc.SLO.BurnRate(svc.Clock.Now()) < c.cfg.BurnMax {
 			return nil
 		}
 		svc.Metrics.Counter("repair.deferred.burn").Inc()
-		sleep(ctx, pause)
+		svc.Clock.Sleep(ctx, pause)
 	}
 }
 
@@ -227,8 +229,8 @@ type Report struct {
 	DeadDeclared int64
 	// AtRiskObjects is the current number of under-replicated objects.
 	AtRiskObjects int64
-	// LastMTTR is the wall-clock time the most recent completed
-	// re-replication took, from first observing the loss to full
+	// LastMTTR is the time the most recent completed re-replication
+	// took on the store's clock, from first observing the loss to full
 	// restoration; zero if none completed yet.
 	LastMTTR time.Duration
 	// Incidents is the fault-ledger length.
@@ -279,7 +281,7 @@ func (c *Controller) Run(ctx context.Context) {
 		c.ScrubPass(ctx)
 		c.ReclonePass(ctx)
 		c.publish()
-		if err := sleep(ctx, interval); err != nil {
+		if err := c.store.Services().Clock.Sleep(ctx, interval); err != nil {
 			return
 		}
 	}
@@ -309,27 +311,8 @@ func (c *Controller) publish() {
 	reg.Gauge("durability.mttr.ms").Set(float64(mttr.Milliseconds()))
 }
 
-// sleep waits for d or until ctx is cancelled.
-func sleep(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// throttle is a token bucket over wall clock: acquire(n) blocks until n
-// byte-tokens have accumulated at rate per second. Zero rate admits
+// throttle is a token bucket over the store's clock: acquire(n) blocks
+// until n byte-tokens have accumulated at rate per second. Zero rate admits
 // immediately. The burst is one second of tokens, so a paced scrub can
 // absorb one segment-sized read without sleeping between every blob.
 type throttle struct {
@@ -340,15 +323,15 @@ type throttle struct {
 	last   time.Time
 }
 
-// acquire blocks until n tokens are available, consuming them. The wait
-// honors ctx.
-func (t *throttle) acquire(ctx context.Context, n int) error {
+// acquire blocks on clk until n tokens are available, consuming them.
+// The wait honors ctx.
+func (t *throttle) acquire(ctx context.Context, clk *sim.Clock, n int) error {
 	if t.rate <= 0 {
 		return nil
 	}
 	for {
 		t.mu.Lock()
-		now := time.Now()
+		now := clk.Now()
 		if !t.last.IsZero() {
 			t.tokens += now.Sub(t.last).Seconds() * t.rate
 		}
@@ -367,7 +350,7 @@ func (t *throttle) acquire(ctx context.Context, n int) error {
 		if wait < time.Millisecond {
 			wait = time.Millisecond
 		}
-		if err := sleep(ctx, wait); err != nil {
+		if err := clk.Sleep(ctx, wait); err != nil {
 			return err
 		}
 	}

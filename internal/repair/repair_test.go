@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/obs/metrics"
 	"repro/internal/resilience"
+	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -266,7 +267,7 @@ func TestAdmitQuantumGates(t *testing.T) {
 	c := New(o, Config{BurnMax: 1})
 	slo := metrics.NewSLOTracker(time.Millisecond, 0.9)
 	for i := 0; i < 10; i++ {
-		slo.Observe(time.Second) // every request misses: burn far above 1
+		slo.Observe(time.Now(), time.Second) // every request misses: burn far above 1
 	}
 	o.Services().SLO = slo
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
@@ -289,13 +290,14 @@ func TestAdmitQuantumGates(t *testing.T) {
 
 // The token bucket paces: acquiring twice the burst at a finite rate
 // takes measurable wall clock, and a cancelled context cuts the wait.
+// A nil clock is the wall clock.
 func TestThrottlePacing(t *testing.T) {
 	th := &throttle{rate: 100_000} // 100 KB/s, burst 100 KB
 	start := time.Now()
-	if err := th.acquire(context.Background(), 100_000); err != nil {
-		t.Fatal(err) // first burst is free
+	if err := th.acquire(context.Background(), nil, 100_000); err != nil {
+		t.Fatal(err) // the bucket starts empty: one second to fill the burst
 	}
-	if err := th.acquire(context.Background(), 5_000); err != nil {
+	if err := th.acquire(context.Background(), nil, 5_000); err != nil {
 		t.Fatal(err) // 5 KB beyond the burst: ~50ms
 	}
 	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
@@ -305,12 +307,37 @@ func TestThrottlePacing(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	th2 := &throttle{rate: 1} // 1 B/s: unpayable
-	if err := th2.acquire(ctx, 1_000_000); err == nil {
+	if err := th2.acquire(ctx, nil, 1_000_000); err == nil {
 		t.Fatal("acquire outlived its context")
 	}
 
-	if err := (&throttle{}).acquire(nil, 1<<30); err != nil {
+	if err := (&throttle{}).acquire(nil, nil, 1<<30); err != nil {
 		t.Fatal("zero-rate throttle paced")
+	}
+}
+
+// On a manual clock the bucket's waits advance the clock instead of
+// sleeping: an acquire past the burst moves it by exactly need/rate.
+func TestThrottleAdvancesAManualClock(t *testing.T) {
+	clk := sim.NewManualClock(time.Now())
+	wall := time.Now()
+	th := &throttle{rate: 1024} // burst 1 KiB
+	t0 := clk.Now()
+	if err := th.acquire(context.Background(), clk, 1024); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Since(t0); got != time.Second {
+		t.Errorf("filling the empty burst advanced the clock %v, want 1s", got)
+	}
+	t1 := clk.Now()
+	if err := th.acquire(context.Background(), clk, 512); err != nil {
+		t.Fatal(err)
+	}
+	if got := clk.Since(t1); got != 500*time.Millisecond {
+		t.Errorf("512 B past the spent burst at 1 KiB/s advanced the clock %v, want 500ms", got)
+	}
+	if real := time.Since(wall); real >= time.Second {
+		t.Errorf("1.5s of pacing on a manual clock took %v of real time", real)
 	}
 }
 

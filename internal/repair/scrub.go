@@ -3,7 +3,6 @@ package repair
 import (
 	"context"
 	"sync"
-	"time"
 
 	"repro/internal/resilience"
 	"repro/internal/storage"
@@ -39,7 +38,7 @@ func (c *Controller) ScrubPass(ctx context.Context) ScrubSummary {
 				return sum
 			}
 			if size := c.store.Size(key); size > 0 {
-				if err := c.scrubTokens.acquire(ctx, int(size)); err != nil {
+				if err := c.scrubTokens.acquire(ctx, c.store.Services().Clock, int(size)); err != nil {
 					return sum
 				}
 			}
@@ -96,7 +95,7 @@ func (c *Controller) healBlob(ctx context.Context, key string, r, n int) bool {
 		if err != nil || c.verify(key, src) != nil {
 			continue
 		}
-		if err := c.repairTokens.acquire(ctx, len(src)); err != nil {
+		if err := c.repairTokens.acquire(ctx, c.store.Services().Clock, len(src)); err != nil {
 			return false
 		}
 		if err := c.store.RepairReplica(ctx, key, r, src); err != nil {
@@ -120,7 +119,7 @@ func (c *Controller) ReclonePass(ctx context.Context) {
 		return
 	}
 	_, slots := c.store.UnderReplicated()
-	now := time.Now()
+	now := c.store.Services().Clock.Now()
 
 	c.mu.Lock()
 	for r := range slots {
@@ -198,7 +197,7 @@ func (c *Controller) recloneReplica(ctx context.Context, r int) {
 	c.mu.Lock()
 	since, ok := c.deadAt[r]
 	if ok {
-		c.lastMTTR = time.Since(since)
+		c.lastMTTR = c.store.Services().Clock.Since(since)
 		delete(c.deadAt, r)
 		delete(c.lostSince, r)
 	}
@@ -237,7 +236,7 @@ func (c *Controller) recloneBlob(ctx context.Context, key string, r int) {
 		if err != nil || c.verify(key, src) != nil {
 			continue
 		}
-		if err := c.repairTokens.acquire(ctx, len(src)); err != nil {
+		if err := c.repairTokens.acquire(ctx, c.store.Services().Clock, len(src)); err != nil {
 			return
 		}
 		if err := c.store.RepairReplica(ctx, key, r, src); err != nil {

@@ -48,12 +48,11 @@ type BreakerConfig struct {
 // BreakerSet is a family of per-key circuit breakers (one per device)
 // sharing a config. The scheduler consults Allow before placing work on
 // a device; the engines report Success/Failure after each placement.
-// All methods are safe for concurrent use; a nil *BreakerSet admits
-// everything.
+// The set owns no clock: Allow and Failure take the instant from the
+// caller. All methods are safe for concurrent use; a nil *BreakerSet
+// admits everything.
 type BreakerSet struct {
 	cfg BreakerConfig
-	// now is the clock, swappable in tests.
-	now func() time.Time
 	// OnChange, if set, is called (outside the lock) whenever a key's
 	// state changes — the dataflow engine uses it to mirror breaker
 	// state into the metrics registry.
@@ -79,25 +78,15 @@ func NewBreakerSet(cfg BreakerConfig) *BreakerSet {
 	if cfg.HalfOpenProbes < 1 {
 		cfg.HalfOpenProbes = 1
 	}
-	return &BreakerSet{cfg: cfg, now: time.Now, breakers: make(map[string]*breaker)}
+	return &BreakerSet{cfg: cfg, breakers: make(map[string]*breaker)}
 }
 
-// SetClock replaces the breaker clock, for deterministic tests.
-func (b *BreakerSet) SetClock(now func() time.Time) {
-	if b == nil || now == nil {
-		return
-	}
-	b.mu.Lock()
-	b.now = now
-	b.mu.Unlock()
-}
-
-// Allow reports whether work may be placed on key right now. In
+// Allow reports whether work may be placed on key at instant now. In
 // half-open it consumes a probe slot, so a true return from a half-open
 // breaker obliges the caller to eventually report Success or Failure;
 // slots held longer than Cooldown are replenished to tolerate callers
 // that die in between.
-func (b *BreakerSet) Allow(key string) bool {
+func (b *BreakerSet) Allow(key string, now time.Time) bool {
 	if b == nil {
 		return true
 	}
@@ -107,7 +96,6 @@ func (b *BreakerSet) Allow(key string) bool {
 		b.mu.Unlock()
 		return true
 	}
-	now := b.now()
 	var changed *BreakerState
 	allowed := false
 	switch br.state {
@@ -197,12 +185,12 @@ func (b *BreakerSet) Reset(key string) {
 	}
 }
 
-// Failure reports a failed placement on key: it extends the failure
-// streak and trips the breaker at TripThreshold; a half-open probe
-// failure re-opens immediately. It returns whether this failure opened
-// the breaker, so the caller that tripped it can count the trip as its
-// own.
-func (b *BreakerSet) Failure(key string) (tripped bool) {
+// Failure reports a failed placement on key at instant now: it extends
+// the failure streak and trips the breaker at TripThreshold; a half-open
+// probe failure re-opens immediately. It returns whether this failure
+// opened the breaker, so the caller that tripped it can count the trip
+// as its own.
+func (b *BreakerSet) Failure(key string, now time.Time) (tripped bool) {
 	if b == nil {
 		return false
 	}
@@ -218,20 +206,20 @@ func (b *BreakerSet) Failure(key string) (tripped bool) {
 		br.failures++
 		if br.failures >= b.cfg.TripThreshold {
 			br.state = Open
-			br.until = b.now().Add(b.cfg.Cooldown)
+			br.until = now.Add(b.cfg.Cooldown)
 			s := Open
 			changed = &s
 		}
 	case HalfOpen:
 		br.state = Open
-		br.until = b.now().Add(b.cfg.Cooldown)
+		br.until = now.Add(b.cfg.Cooldown)
 		br.probes = 0
 		s := Open
 		changed = &s
 	case Open:
 		// Already open; refresh the cooldown so a failing probe path
 		// keeps the breaker open.
-		br.until = b.now().Add(b.cfg.Cooldown)
+		br.until = now.Add(b.cfg.Cooldown)
 	}
 	cb := b.OnChange
 	b.mu.Unlock()

@@ -91,110 +91,101 @@ func TestTrackerCorruptStrikes(t *testing.T) {
 	tr.ClearCorrupt("never-seen")
 }
 
-// fakeClock is a manually advanced breaker clock.
-type fakeClock struct{ t time.Time }
-
-func (c *fakeClock) now() time.Time          { return c.t }
-func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
-
 func TestBreakerLifecycle(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
+	now := time.Unix(0, 0)
 	b := NewBreakerSet(BreakerConfig{TripThreshold: 2, Cooldown: time.Second, HalfOpenProbes: 1})
-	b.SetClock(clk.now)
 
-	if !b.Allow("dev") {
+	if !b.Allow("dev", now) {
 		t.Fatal("fresh breaker should allow")
 	}
-	if b.Failure("dev") {
+	if b.Failure("dev", now) {
 		t.Fatal("a failure below the threshold reported a trip")
 	}
-	if !b.Allow("dev") || b.State("dev") != Closed {
+	if !b.Allow("dev", now) || b.State("dev") != Closed {
 		t.Fatal("one failure below threshold should stay closed")
 	}
-	if !b.Failure("dev") {
+	if !b.Failure("dev", now) {
 		t.Fatal("the failure that crossed the threshold did not report the trip")
 	}
 	if b.State("dev") != Open {
 		t.Fatalf("state = %v, want open after 2 failures", b.State("dev"))
 	}
-	if b.Allow("dev") {
+	if b.Allow("dev", now) {
 		t.Fatal("open breaker should reject")
 	}
-	if b.Failure("dev") {
+	if b.Failure("dev", now) {
 		t.Fatal("a failure on an open breaker reported a second trip")
 	}
 
 	// After the cooldown the breaker half-opens and admits one probe.
-	clk.advance(time.Second)
-	if !b.Allow("dev") {
+	now = now.Add(time.Second)
+	if !b.Allow("dev", now) {
 		t.Fatal("half-open should admit the first probe")
 	}
 	if b.State("dev") != HalfOpen {
 		t.Fatalf("state = %v, want half-open", b.State("dev"))
 	}
-	if b.Allow("dev") {
+	if b.Allow("dev", now) {
 		t.Fatal("second probe should be rejected while the first is out")
 	}
 	// Probe fails: re-open immediately.
-	if !b.Failure("dev") {
+	if !b.Failure("dev", now) {
 		t.Fatal("the failed probe did not report the trip")
 	}
-	if b.State("dev") != Open || b.Allow("dev") {
+	if b.State("dev") != Open || b.Allow("dev", now) {
 		t.Fatal("failed probe should re-open")
 	}
 
 	// Next cycle: probe succeeds, breaker closes.
-	clk.advance(time.Second)
-	if !b.Allow("dev") {
+	now = now.Add(time.Second)
+	if !b.Allow("dev", now) {
 		t.Fatal("half-open should admit a probe again")
 	}
 	b.Success("dev")
 	if b.State("dev") != Closed {
 		t.Fatalf("state = %v, want closed after probe success", b.State("dev"))
 	}
-	if !b.Allow("dev") || !b.Allow("dev") {
+	if !b.Allow("dev", now) || !b.Allow("dev", now) {
 		t.Fatal("closed breaker should admit freely")
 	}
 	// Success also clears the failure streak.
-	b.Failure("dev")
+	b.Failure("dev", now)
 	b.Success("dev")
-	b.Failure("dev")
+	b.Failure("dev", now)
 	if b.State("dev") != Closed {
 		t.Fatal("streak should reset on success")
 	}
 }
 
 func TestBreakerProbeReplenish(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
+	now := time.Unix(0, 0)
 	b := NewBreakerSet(BreakerConfig{TripThreshold: 1, Cooldown: time.Second, HalfOpenProbes: 1})
-	b.SetClock(clk.now)
-	b.Failure("dev")
-	clk.advance(time.Second)
-	if !b.Allow("dev") {
+	b.Failure("dev", now)
+	now = now.Add(time.Second)
+	if !b.Allow("dev", now) {
 		t.Fatal("half-open should admit a probe")
 	}
 	// The probe's caller dies without reporting. Before another cooldown
 	// the slot stays consumed...
-	clk.advance(time.Second / 2)
-	if b.Allow("dev") {
+	now = now.Add(time.Second / 2)
+	if b.Allow("dev", now) {
 		t.Fatal("slot should still be held")
 	}
 	// ...but after a full cooldown it is replenished.
-	clk.advance(time.Second / 2)
-	if !b.Allow("dev") {
+	now = now.Add(time.Second / 2)
+	if !b.Allow("dev", now) {
 		t.Fatal("stale probe slot should be replenished")
 	}
 }
 
 func TestBreakerOnChange(t *testing.T) {
-	clk := &fakeClock{t: time.Unix(0, 0)}
+	now := time.Unix(0, 0)
 	b := NewBreakerSet(BreakerConfig{TripThreshold: 1, Cooldown: time.Second, HalfOpenProbes: 1})
-	b.SetClock(clk.now)
 	var events []BreakerState
 	b.OnChange = func(key string, s BreakerState) { events = append(events, s) }
-	b.Failure("dev")
-	clk.advance(time.Second)
-	b.Allow("dev")
+	b.Failure("dev", now)
+	now = now.Add(time.Second)
+	b.Allow("dev", now)
 	b.Success("dev")
 	want := []BreakerState{Open, HalfOpen, Closed}
 	if len(events) != len(want) {
@@ -209,7 +200,8 @@ func TestBreakerOnChange(t *testing.T) {
 
 func TestBreakerNilAndUnknownKey(t *testing.T) {
 	var b *BreakerSet
-	if !b.Allow("x") || b.State("x") != Closed || b.Failure("x") {
+	now := time.Unix(0, 0)
+	if !b.Allow("x", now) || b.State("x") != Closed || b.Failure("x", now) {
 		t.Fatal("nil breaker set should admit everything and never trip")
 	}
 	b.Success("x")

@@ -6,6 +6,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
+	"repro/internal/wiring"
 )
 
 // waitFor polls until cond holds or the deadline passes.
@@ -153,16 +156,17 @@ func TestCancelledWhileQueued(t *testing.T) {
 
 func TestProjectedWaitShedsAgainstDeadline(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
-	s := New(nil)
+	clk := sim.NewManualClock(time.Now())
+	s := New(&wiring.Services{Clock: clk})
 	s.MaxActive = 1
 
 	// Teach the scheduler a realistic service time: one admitted plan
-	// held for ~50ms.
+	// held for 50ms.
 	a, err := s.Admit(context.Background(), v0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	clk.Advance(50 * time.Millisecond)
 	s.Release(a)
 
 	// With one slot busy, a query whose deadline is far shorter than the

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/plan"
 	"repro/internal/resilience"
+	"repro/internal/sim"
 	"repro/internal/wiring"
 )
 
@@ -27,21 +28,23 @@ func differingDevice(t *testing.T, a, b *plan.Physical) string {
 	return ""
 }
 
-// breakerScheduler returns a scheduler wired to a policy holding only a
-// breaker set with the given cooldown, tripping on the first failure.
-func breakerScheduler(cooldown time.Duration) (*Scheduler, *resilience.BreakerSet) {
+// breakerScheduler returns a scheduler on a manual clock, wired to a
+// policy holding only a breaker set with the given cooldown, tripping on
+// the first failure.
+func breakerScheduler(cooldown time.Duration) (*Scheduler, *resilience.BreakerSet, *sim.Clock) {
 	br := resilience.NewBreakerSet(resilience.BreakerConfig{
 		TripThreshold: 1, Cooldown: cooldown, HalfOpenProbes: 1,
 	})
-	return New(&wiring.Services{Resilience: &resilience.Policy{Breakers: br}}), br
+	clk := sim.NewManualClock(time.Unix(0, 0))
+	return New(&wiring.Services{Resilience: &resilience.Policy{Breakers: br}, Clock: clk}), br, clk
 }
 
 func TestBreakerSteersAdmission(t *testing.T) {
 	_, v0, v1 := twoNodeVariants(t)
 	dev := differingDevice(t, v0[1], v1[1])
 
-	s, br := breakerScheduler(time.Hour)
-	br.Failure(dev) // trips: threshold is 1
+	s, br, clk := breakerScheduler(time.Hour)
+	br.Failure(dev, clk.Now()) // trips: threshold is 1
 
 	mixed := []*plan.Physical{v0[1], v1[1]}
 	adm, err := s.Admit(context.Background(), mixed)
@@ -66,10 +69,8 @@ func TestBreakerHalfOpenProbesViaAdmission(t *testing.T) {
 	_, v0, v1 := twoNodeVariants(t)
 	dev := differingDevice(t, v0[1], v1[1])
 
-	now := time.Unix(0, 0)
-	s, br := breakerScheduler(time.Second)
-	br.SetClock(func() time.Time { return now })
-	br.Failure(dev)
+	s, br, clk := breakerScheduler(time.Second)
+	br.Failure(dev, clk.Now())
 
 	mixed := []*plan.Physical{v0[1], v1[1]}
 	adm, err := s.Admit(context.Background(), mixed)
@@ -87,7 +88,7 @@ func TestBreakerHalfOpenProbesViaAdmission(t *testing.T) {
 	// (DefaultDegradedPenalty) until the probe reports back — so it wins
 	// again over an alternative carrying one recorded failover, which it
 	// could not while open.
-	now = now.Add(2 * time.Second)
+	clk.Advance(2 * time.Second)
 	s.NoteFailover(differingDevice(t, v1[1], v0[1]))
 	adm, err = s.Admit(context.Background(), mixed)
 	if err != nil {
@@ -116,11 +117,9 @@ func TestDegradedPenaltySteersAdmission(t *testing.T) {
 	_, v0, v1 := twoNodeVariants(t)
 	dev := differingDevice(t, v0[1], v1[1])
 
-	now := time.Unix(0, 0)
-	s, br := breakerScheduler(time.Second)
-	br.SetClock(func() time.Time { return now })
-	br.Failure(dev)
-	now = now.Add(2 * time.Second) // past the cooldown: the next Allow half-opens
+	s, br, clk := breakerScheduler(time.Second)
+	br.Failure(dev, clk.Now())
+	clk.Advance(2 * time.Second) // past the cooldown: the next Allow half-opens
 
 	mixed := []*plan.Physical{v0[1], v1[1]}
 	adm, err := s.Admit(context.Background(), mixed)

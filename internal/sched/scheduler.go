@@ -105,7 +105,8 @@ type Scheduler struct {
 	// sched.shed.* counters, sched.queue.depth and sched.active gauges,
 	// and the EWMA service-time gauge. SLO is what SLOShedBurnRate reads.
 	// Resilience supplies the per-device circuit breakers admission
-	// consults (see breakerPenalties).
+	// consults (see breakerPenalties). Clock stamps admissions, times
+	// their service and projects queue waits against deadlines.
 	svc *wiring.Services
 
 	failures    map[string]float64 // device name -> decayed failover score
@@ -168,7 +169,7 @@ func New(svc *wiring.Services) *Scheduler {
 }
 
 // Services returns the wiring point the scheduler reads its metrics
-// registry, SLO tracker and circuit breakers from.
+// registry, SLO tracker, circuit breakers and clock from.
 func (s *Scheduler) Services() *wiring.Services { return s.svc }
 
 // NoteFailover records that a query failed over away from the named
@@ -251,14 +252,14 @@ func (s *Scheduler) Admit(ctx context.Context, variants []*plan.Physical) (*Admi
 	// says the budget is being spent faster than the objective allows,
 	// new arrivals are refused before they park.
 	if s.SLOShedBurnRate > 0 { // a nil tracker burns at 0
-		if burn := s.svc.SLO.BurnRate(); burn >= s.SLOShedBurnRate {
+		if burn := s.svc.SLO.BurnRate(s.svc.Clock.Now()); burn >= s.SLOShedBurnRate {
 			s.mu.Unlock()
 			s.shedMetric("slo_burn")
 			return nil, fmt.Errorf("%w: SLO burn rate %.2f at shed threshold %.2f", ErrOverloaded, burn, s.SLOShedBurnRate)
 		}
 	}
 	if dl, ok := ctx.Deadline(); ok {
-		if wait := s.projectedWaitLocked(); wait > 0 && time.Now().Add(wait).After(dl) {
+		if wait := s.projectedWaitLocked(); wait > 0 && wait > dl.Sub(s.svc.Clock.Now()) {
 			s.mu.Unlock()
 			s.shedMetric("deadline")
 			return nil, fmt.Errorf("%w: projected queue wait %v exceeds deadline", ErrOverloaded, wait.Round(time.Microsecond))
@@ -353,7 +354,7 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 		links:    bestLinks,
 		devices:  devices[best],
 		slots:    workers,
-		admitted: time.Now(),
+		admitted: s.svc.Clock.Now(),
 	}
 	for _, d := range adm.devices {
 		s.deviceSlots[d.Name] += workers
@@ -386,13 +387,14 @@ func (s *Scheduler) breakerPenalties(devices [][]*fabric.Device) map[string]floa
 		return nil
 	}
 	health := map[string]float64{}
+	now := s.svc.Clock.Now()
 	for _, devs := range devices {
 		for _, d := range devs {
 			if _, asked := health[d.Name]; asked {
 				continue
 			}
 			penalty := 0.0
-			if !pol.Breakers.Allow(d.Name) {
+			if !pol.Breakers.Allow(d.Name, now) {
 				penalty += DefaultBreakerPenalty
 			}
 			if pol.Breakers.State(d.Name) != resilience.Closed {
@@ -490,7 +492,7 @@ func (s *Scheduler) Release(adm *Admission) {
 		}
 	}
 	if !adm.admitted.IsZero() {
-		s.observeServiceLocked(time.Since(adm.admitted), adm.Cost)
+		s.observeServiceLocked(s.svc.Clock.Since(adm.admitted), adm.Cost)
 	}
 	s.rebalanceLocked()
 	// Grant freed slots to waiters. The releaser admits on the waiter's

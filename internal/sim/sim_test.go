@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestRateTimeFor(t *testing.T) {
@@ -276,4 +278,65 @@ func TestZipfPanics(t *testing.T) {
 			NewZipf(r, tc.s, tc.n)
 		}()
 	}
+}
+
+// A manual clock moves only when Advance or Sleep moves it, and an After
+// channel fires once the clock passes its deadline.
+func TestManualClock(t *testing.T) {
+	t0 := time.Unix(100, 0)
+	c := NewManualClock(t0)
+	if !c.Now().Equal(t0) {
+		t.Fatalf("Now = %v, want %v", c.Now(), t0)
+	}
+	ch := c.After(time.Second)
+	if now := <-c.After(0); !now.Equal(t0) {
+		t.Errorf("After(0) fired at %v, want %v", now, t0)
+	}
+	c.Advance(999 * time.Millisecond)
+	select {
+	case <-ch:
+		t.Fatal("After fired before its deadline")
+	default:
+	}
+	if err := c.Sleep(context.Background(), time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case at := <-ch:
+		if !at.Equal(t0.Add(time.Second)) {
+			t.Errorf("After fired at %v, want %v", at, t0.Add(time.Second))
+		}
+	default:
+		t.Fatal("After did not fire at its deadline")
+	}
+	if got := c.Since(t0); got != time.Second {
+		t.Errorf("Since = %v, want 1s", got)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.Sleep(ctx, time.Hour); err != context.Canceled {
+		t.Errorf("Sleep under a cancelled context = %v, want context.Canceled", err)
+	}
+	if got := c.Since(t0); got != time.Second {
+		t.Errorf("a cancelled Sleep moved the clock to %v", got)
+	}
+}
+
+// The nil clock is the wall clock; a non-positive Sleep returns at once.
+func TestNilClockIsTheWallClock(t *testing.T) {
+	var c *Clock
+	before := time.Now()
+	if now := c.Now(); now.Before(before) {
+		t.Errorf("nil clock Now %v is before the wall's %v", now, before)
+	}
+	if err := c.Sleep(nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := c.Sleep(ctx, time.Hour); err != context.Canceled {
+		t.Errorf("wall Sleep under a cancelled context = %v, want context.Canceled", err)
+	}
+	<-c.After(time.Microsecond)
 }

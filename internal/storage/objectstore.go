@@ -42,16 +42,18 @@ type ObjectStore struct {
 
 	// svc is the wiring point the store was built on, never nil; the
 	// storage server and the repair controller reach it through here.
-	// The store reads Faults and Resilience as above, and mirrors every
-	// read's non-zero ReadStats counters into Metrics as storage.<name>
-	// when the read returns, so a live scrape sees defensive and repair
-	// work without waiting for a query's ExecStats.
+	// The store reads Faults and Resilience as above, sleeps its service
+	// times and backoffs and times its hedge and health observations on
+	// Clock, and mirrors every read's non-zero ReadStats counters into
+	// Metrics as storage.<name> when the read returns, so a live scrape
+	// sees defensive and repair work without waiting for a query's
+	// ExecStats.
 	svc *wiring.Services
 
-	// BaseLatency is the healthy wall-clock service time of one replica
-	// read. Zero (the default) keeps reads instantaneous; experiments
-	// that measure tail latency set it so DegradedDevice multipliers
-	// have a base to stretch.
+	// BaseLatency is the healthy service time of one replica read, slept
+	// on the store's clock. Zero (the default) keeps reads instantaneous;
+	// experiments that measure tail latency set it so DegradedDevice
+	// multipliers have a base to stretch.
 	BaseLatency time.Duration
 	// MaxRetries bounds the per-replica retries of a transient read
 	// fault before falling back to the next replica; 0 disables retry,
@@ -122,7 +124,7 @@ func NewObjectStore(svc *wiring.Services) *ObjectStore {
 }
 
 // Services returns the wiring point the store reads its metrics
-// registry, resilience policy and fault injector from.
+// registry, resilience policy, fault injector and clock from.
 func (o *ObjectStore) Services() *wiring.Services { return o.svc }
 
 // SetReplicas sets the replication factor for future Puts (clamped to at
@@ -339,8 +341,7 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 	inflight := 1
 	hedgeLaunched := false
 	hedgeDecided := false
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
+	hedgeAt := o.svc.Clock.After(delay)
 
 	var winner *raceResult
 	var lastErr error
@@ -375,7 +376,7 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 		case res := <-ch:
 			inflight--
 			accept(res)
-		case <-timer.C:
+		case <-hedgeAt:
 			hedgeDecided = true
 			if pol.Budget.TryAcquire() {
 				rs.HedgedReads++
@@ -485,11 +486,12 @@ func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []by
 // readReplica is one read attempt against one replica, with faults
 // injected between the request and the returned bytes. The healthy
 // service time (BaseLatency) plus any injected DegradedDevice stretch
-// is slept for real — gray failures are wall-clock phenomena — and the
-// sleep honors ctx so cancelled hedges and expired deadlines return
-// immediately.
+// is slept on the store's clock — gray failures are wall-clock
+// phenomena — and the sleep honors ctx so cancelled hedges and expired
+// deadlines return immediately.
 func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data []byte, copyOut bool, rs *ReadStats) ([]byte, error) {
-	start := time.Now()
+	clk := o.svc.Clock
+	start := clk.Now()
 	delay := o.BaseLatency
 	if delay > 0 && o.RepairContention > 0 {
 		// Repair I/O shares the device queue: every in-flight repair op
@@ -503,7 +505,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 	if inj != nil {
 		delay += inj.Slowdown(faults.DegradedDevice, ReplicaKey(r)+"/"+key, o.BaseLatency)
 	}
-	if err := sleepCtx(ctx, delay); err != nil {
+	if err := clk.Sleep(ctx, delay); err != nil {
 		// A read cancelled mid-service still taught us something: the
 		// replica held the request for at least this long. Feeding that
 		// lower bound into the health tracker is what demotes a gray
@@ -511,7 +513,7 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 		// without it the replica stays unsampled and Rank keeps
 		// exploring it first.
 		if pol := o.svc.Resilience; pol != nil {
-			pol.Health.Observe(ReplicaKey(r), time.Since(start))
+			pol.Health.Observe(ReplicaKey(r), clk.Since(start))
 		}
 		return nil, err
 	}
@@ -564,7 +566,7 @@ func (o *ObjectStore) observeRead(r int, start time.Time) {
 	if pol == nil {
 		return
 	}
-	pol.Health.Observe(ReplicaKey(r), time.Since(start))
+	pol.Health.Observe(ReplicaKey(r), o.svc.Clock.Since(start))
 	pol.Budget.ObserveOp()
 }
 
@@ -578,30 +580,7 @@ func (o *ObjectStore) backoff(ctx context.Context, attempt int) error {
 	if max := o.RetryBase * 8; d > max {
 		d = max
 	}
-	return sleepCtx(ctx, d)
-}
-
-// sleepCtx sleeps for d or until ctx is done, whichever comes first,
-// returning ctx's error in the latter case.
-func sleepCtx(ctx context.Context, d time.Duration) error {
-	if d <= 0 {
-		return nil
-	}
-	if ctx == nil || ctx.Done() == nil {
-		time.Sleep(d)
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	return o.svc.Clock.Sleep(ctx, d)
 }
 
 // Size returns the byte size of the object under key without charging a

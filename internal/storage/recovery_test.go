@@ -4,10 +4,12 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/faults"
 	"repro/internal/sim"
+	"repro/internal/wiring"
 )
 
 // Recovery machinery: replication, retry with backoff, defensive
@@ -94,6 +96,32 @@ func TestTransientFaultRetries(t *testing.T) {
 	}
 	if rec.RetryBytes != sim.Bytes(len("payload")) {
 		t.Errorf("RetryBytes = %d, want %d", rec.RetryBytes, len("payload"))
+	}
+}
+
+// On a manual clock the read path waits without sleeping: one transient
+// fault costs the clock two service times and one backoff, and costs
+// next to no real time.
+func TestTransientFaultRetryAdvancesAManualClock(t *testing.T) {
+	clk := sim.NewManualClock(time.Now())
+	s := NewObjectStore(&wiring.Services{Clock: clk, Faults: faults.New(42)})
+	s.RetryBase = time.Hour
+	s.BaseLatency = time.Minute
+	s.svc.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1, Budget: 1})
+	s.Put("k", []byte("payload"))
+	wall, t0 := time.Now(), clk.Now()
+	got, err := s.Get(context.Background(), "k")
+	if err != nil || string(got) != "payload" {
+		t.Fatalf("Get = %q, %v; want the payload after one retry", got, err)
+	}
+	if adv, want := clk.Since(t0), 2*s.BaseLatency+s.RetryBase; adv != want {
+		t.Errorf("the read advanced the clock %v, want %v", adv, want)
+	}
+	if real := time.Since(wall); real >= time.Second {
+		t.Errorf("the read took %v of real time, want well under a second", real)
+	}
+	if rec := s.Totals(); rec.Retries != 1 {
+		t.Errorf("Retries = %d, want 1", rec.Retries)
 	}
 }
 

@@ -74,7 +74,7 @@ func (o *ObjectStore) noteLost(r int, rs *ReadStats) {
 func (o *ObjectStore) strikeReplica(r int, rs *ReadStats) {
 	if pol := o.svc.Resilience; pol != nil {
 		pol.Health.MarkCorrupt(ReplicaKey(r))
-		if pol.Breakers.Failure(ReplicaKey(r)) {
+		if pol.Breakers.Failure(ReplicaKey(r), o.svc.Clock.Now()) {
 			rs.BreakerTrips++
 		}
 	}
@@ -272,7 +272,7 @@ func (o *ObjectStore) ReadReplicaRaw(ctx context.Context, key string, r int) ([]
 	}
 	o.repairLoad.Add(1)
 	defer o.repairLoad.Add(-1)
-	if err := sleepCtx(ctx, o.BaseLatency); err != nil {
+	if err := o.svc.Clock.Sleep(ctx, o.BaseLatency); err != nil {
 		return nil, err
 	}
 	data := copies[r]
@@ -294,12 +294,12 @@ func (o *ObjectStore) ReadReplicaRaw(ctx context.Context, key string, r int) ([]
 // RepairReplica overwrites replica r's blob under key with data — the
 // write half of scrub repair and re-replication. The write is metered
 // on the repair counters, never the main Meter, and takes BaseLatency
-// of wall clock while holding a repair-load slot. Writing into a lost
+// on the store's clock while holding a repair-load slot. Writing into a lost
 // (nil) slot restores it, raising the object's redundancy back up.
 func (o *ObjectStore) RepairReplica(ctx context.Context, key string, r int, data []byte) error {
 	o.repairLoad.Add(1)
 	defer o.repairLoad.Add(-1)
-	if err := sleepCtx(ctx, o.BaseLatency); err != nil {
+	if err := o.svc.Clock.Sleep(ctx, o.BaseLatency); err != nil {
 		return err
 	}
 	o.mu.Lock()

@@ -286,7 +286,7 @@ func (s *Server) foldScanMetrics(st *ScanStats) {
 	m.Counter("scan.speculative.wins").Add(st.SpeculativeWins)
 	m.Counter("scan.speculative.bytes").Add(int64(st.SpeculativeBytes))
 	st.ReadStats.publish(m, "scan.")
-	m.RateMeter("scan.shipped.bytes.rate").Mark(int64(st.ShippedBytes))
+	m.RateMeter("scan.shipped.bytes.rate").Mark(s.store.svc.Clock.Now(), int64(st.ShippedBytes))
 }
 
 // Proc exposes the in-storage processor device.
@@ -644,12 +644,12 @@ func newSpecState(pol *resilience.Policy) *specState {
 		wake: make(chan struct{})}
 }
 
-// register notes a morsel starting and returns the context its copies
-// run under.
-func (st *specState) register(seg int, parent context.Context) context.Context {
+// register notes a morsel starting at instant start and returns the
+// context its copies run under.
+func (st *specState) register(seg int, parent context.Context, start time.Time) context.Context {
 	mctx, cancel := context.WithCancel(parent)
 	st.mu.Lock()
-	st.inflight[seg] = &morselState{start: time.Now(), ctx: mctx, cancel: cancel}
+	st.inflight[seg] = &morselState{start: start, ctx: mctx, cancel: cancel}
 	st.mu.Unlock()
 	return mctx
 }
@@ -681,17 +681,15 @@ func (st *specState) markDone(seg int, elapsed time.Duration, ok bool) {
 	st.samples++
 }
 
-// sleepWake sleeps for at most d, returning early when ctx ends (with
-// its error) or when any morsel completes (nil) — so an idle speculator
-// never outlives the scan by a poll interval.
-func (st *specState) sleepWake(ctx context.Context, d time.Duration) error {
+// sleepWake sleeps on clk for at most d, returning early when ctx ends
+// (with its error) or when any morsel completes (nil) — so an idle
+// speculator never outlives the scan by a poll interval.
+func (st *specState) sleepWake(ctx context.Context, clk *sim.Clock, d time.Duration) error {
 	st.mu.Lock()
 	wake := st.wake
 	st.mu.Unlock()
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
-	case <-t.C:
+	case <-clk.After(d):
 		return nil
 	case <-wake:
 		return nil
@@ -805,6 +803,7 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	clk := s.store.svc.Clock
 	var st *specState
 	if pol := s.store.svc.Resilience; pol != nil && pol.Speculate {
 		st = newSpecState(pol)
@@ -830,12 +829,12 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 				mctx := ctx
 				var start time.Time
 				if st != nil {
-					mctx = st.register(idx, ctx)
-					start = time.Now()
+					start = clk.Now()
+					mctx = st.register(idx, ctx, start)
 				}
 				r := sc.processSegment(mctx, idx, idx%workers)
 				if st != nil {
-					st.markDone(idx, time.Since(start), r.err == nil)
+					st.markDone(idx, clk.Since(start), r.err == nil)
 				}
 				// The consumer below drains results until it is closed,
 				// so a send never blocks for good — and every copy's
@@ -855,12 +854,12 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 				if ctx.Err() != nil {
 					return
 				}
-				seg, ms, wait := st.pick(time.Now())
+				seg, ms, wait := st.pick(clk.Now())
 				if seg < 0 {
 					if wait == 0 {
 						return
 					}
-					if st.sleepWake(ctx, wait) != nil {
+					if st.sleepWake(ctx, clk, wait) != nil {
 						return
 					}
 					continue
@@ -994,10 +993,10 @@ func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stat
 		xferCost = spec.Account.TransferQD(s.mediaLink, encoded, lane)
 		// JitterLink is a gray failure on the media link: the transfer
 		// still delivers, but Severity x the store's healthy service
-		// time is added in real wall-clock — the phenomenon hedging and
+		// time is slept on the store's clock — the phenomenon hedging and
 		// speculation defend against. A nil injector adds nothing.
 		if extra := s.store.svc.Faults.Slowdown(faults.JitterLink, s.mediaLink.Name, s.store.BaseLatency); extra > 0 {
-			if err := sleepCtx(ctx, extra); err != nil {
+			if err := s.store.svc.Clock.Sleep(ctx, extra); err != nil {
 				return nil, err
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/obs/metrics"
 	"repro/internal/resilience"
+	"repro/internal/sim"
 )
 
 // Services holds the optional subsystems of one engine. The engine
@@ -18,8 +19,9 @@ import (
 // copied, so assigning a member here is all it takes for every layer to
 // see it, in any order.
 //
-// A nil member is off and costs its readers one nil check. Members are
-// plain fields with no lock: set them before the first query runs.
+// A nil member is off and costs its readers one nil check; a nil clock
+// is the wall clock. Members are plain fields with no lock: set them
+// before the first query runs.
 type Services struct {
 	// Metrics receives continuous fleet telemetry: per-query resource
 	// attribution, latency histograms, utilization gauges and the
@@ -42,4 +44,11 @@ type Services struct {
 	// stream, so layers checking different points never perturb each
 	// other's schedule.
 	Faults *faults.Injector
+	// Clock is the time every layer reads, sleeps and times out on: the
+	// engines' wall latency, the scheduler's admission stamps and
+	// deadline projection, the pipelines' busy stamps and watchdog, the
+	// store's backoff, hedge timer and health observations, the scan's
+	// speculation, and the repair controller's pacing and MTTR. Nil is
+	// the wall clock, not off.
+	Clock *sim.Clock
 }
