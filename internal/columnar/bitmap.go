@@ -15,6 +15,23 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// FullBitmap returns a bitmap of n bits, all set — the selection of every
+// row — with its words in buf when buf has room for them. It returns a
+// value, not a pointer, so a caller that declares buf as a local array
+// and lends the bitmap only to calls that do not keep it selects a whole
+// column without a heap allocation.
+func FullBitmap(n int, buf []uint64) Bitmap {
+	need := (n + 63) / 64
+	if cap(buf) < need {
+		buf = make([]uint64, need)
+	}
+	b := Bitmap{words: buf[:need], n: n}
+	for i := range b.words {
+		b.SetWord(i, ^uint64(0)) // clears the bits at and past n
+	}
+	return b
+}
+
 // Len reports the number of bits.
 func (b *Bitmap) Len() int { return b.n }
 

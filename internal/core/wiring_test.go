@@ -28,6 +28,8 @@ import (
 // of its own — a copy is a thing a setter can forget — and
 // wiring.Services holds exactly the five. The storage server and the
 // repair controller hold no wiring point either: they reach the store's.
+// A fabric link holds neither: whether it flaps is asked of the run's
+// injector by the port that sends over it.
 func TestOnlyServicesHoldsTheOptionalSubsystems(t *testing.T) {
 	service := map[reflect.Type]bool{
 		reflect.TypeOf((*metrics.Registry)(nil)):      true,
@@ -49,6 +51,8 @@ func TestOnlyServicesHoldsTheOptionalSubsystems(t *testing.T) {
 		reflect.TypeOf(sched.Scheduler{}):     true,
 		reflect.TypeOf(repair.Controller{}):   false, // through its store
 		reflect.TypeOf(flow.Pipeline{}):       true,
+		reflect.TypeOf(flow.Port{}):           true, // the run's
+		reflect.TypeOf(fabric.Link{}):         false,
 	}
 	for layer, want := range holdsPoint {
 		points := 0

@@ -183,73 +183,15 @@ func minMax[T int64 | float64 | string](vals []T, nulls *columnar.Bitmap) (lo, h
 
 // Decode verifies the checksum and reconstructs the vector, including its
 // null bitmap. This is the "decode (for error checking), perhaps
-// decompress" step the paper describes storage servers performing.
+// decompress" step the paper describes storage servers performing. It is
+// DecodeFiltered under a selection of every row: each codec has one
+// reader, and its checks are made in one place. The selection of a column
+// of up to 65,536 rows (a segment's) is held on the stack, so a full
+// decode allocates what its vector holds and nothing else.
 func (ec *EncodedColumn) Decode() (*columnar.Vector, error) {
-	if crc32.ChecksumIEEE(ec.Data) != ec.Checksum {
-		return nil, fmt.Errorf("%w: column checksum mismatch", ErrCorrupt)
-	}
-	var v *columnar.Vector
-	switch ec.Type {
-	case columnar.Int64:
-		var vals []int64
-		var err error
-		switch ec.Encoding {
-		case RLE:
-			vals, err = DecodeRLEInt64(ec.Data)
-		case DeltaVarint:
-			vals, err = DecodeDeltaVarint(ec.Data)
-		case BitPacked:
-			vals, err = DecodeBitPacked(ec.Data)
-		default:
-			return nil, fmt.Errorf("%w: encoding %v invalid for BIGINT", ErrCorrupt, ec.Encoding)
-		}
-		if err != nil {
-			return nil, err
-		}
-		v = columnar.FromInt64s(vals)
-	case columnar.Float64:
-		vals, err := DecodeFloat64s(ec.Data)
-		if err != nil {
-			return nil, err
-		}
-		v = columnar.FromFloat64s(vals)
-	case columnar.String:
-		var vals []string
-		var err error
-		switch ec.Encoding {
-		case Dict:
-			vals, err = DecodeDict(ec.Data)
-		case Plain:
-			vals, err = DecodePlainStrings(ec.Data)
-		default:
-			return nil, fmt.Errorf("%w: encoding %v invalid for VARCHAR", ErrCorrupt, ec.Encoding)
-		}
-		if err != nil {
-			return nil, err
-		}
-		v = columnar.FromStrings(vals)
-	case columnar.Bool:
-		vals, err := DecodeBools(ec.Data)
-		if err != nil {
-			return nil, err
-		}
-		v = columnar.FromBools(vals)
-	default:
-		return nil, fmt.Errorf("%w: unknown column type %d", ErrCorrupt, ec.Type)
-	}
-	if v.Len() != ec.Stats.NumValues {
-		return nil, fmt.Errorf("%w: decoded %d values, header says %d", ErrCorrupt, v.Len(), ec.Stats.NumValues)
-	}
-	// The null bitmap is attached as parsed, a word at a time; nothing is
-	// re-appended value by value.
-	nulls, err := ec.nullRows()
-	if err != nil {
-		return nil, err
-	}
-	if nulls != nil {
-		v.SetNulls(nulls)
-	}
-	return v, nil
+	var buf [1024]uint64
+	all := columnar.FullBitmap(ec.Stats.NumValues, buf[:])
+	return ec.DecodeFiltered(&all)
 }
 
 // EncodedSize reports the byte size of the encoded representation,
@@ -320,6 +262,9 @@ func UnmarshalColumn(data []byte) (*EncodedColumn, int, error) {
 	nv, err := readUvarint()
 	if err != nil {
 		return nil, 0, err
+	}
+	if nv > math.MaxUint32 { // a segment's row count is 32 bits; Decode sizes a bitmap by it
+		return nil, 0, fmt.Errorf("%w: column row count %d", ErrCorrupt, nv)
 	}
 	ec.Stats.NumValues = int(nv)
 	nc, err := readUvarint()

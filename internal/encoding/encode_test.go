@@ -44,16 +44,16 @@ func referenceEncodeColumn(v *columnar.Vector) (*EncodedColumn, []candidate) {
 		vals := v.Int64s()
 		ec.Stats.MinI, ec.Stats.MaxI, ec.Stats.HasMinMax = referenceMinMax(v, vals)
 		candidates = []candidate{
-			{RLE, EncodeRLEInt64(vals)},
-			{DeltaVarint, EncodeDeltaVarint(vals)},
-			{BitPacked, EncodeBitPacked(vals)},
+			{RLE, intBlock(RLE, vals)},
+			{DeltaVarint, intBlock(DeltaVarint, vals)},
+			{BitPacked, intBlock(BitPacked, vals)},
 		}
 	case columnar.Float64:
 		ec.Stats.MinF, ec.Stats.MaxF, ec.Stats.HasMinMax = referenceMinMax(v, v.Float64s())
 		candidates = []candidate{{Plain, EncodeFloat64s(v.Float64s())}}
 	case columnar.String:
 		ec.Stats.MinS, ec.Stats.MaxS, ec.Stats.HasMinMax = referenceMinMax(v, v.Strings())
-		candidates = []candidate{{Dict, EncodeDict(v.Strings())}, {Plain, EncodePlainStrings(v.Strings())}}
+		candidates = []candidate{{Dict, stringBlock(Dict, v.Strings())}, {Plain, stringBlock(Plain, v.Strings())}}
 	case columnar.Bool:
 		candidates = []candidate{{Plain, EncodeBools(v.Bools())}}
 	}

@@ -20,13 +20,15 @@ import (
 // no closure per run or row, no append and no index slice, and because
 // the full word is the sequential decode there is no density threshold
 // and nothing that chooses between "gather" and "decode, then filter".
+// Nor is there a second decoder: Decode is these kernels under a
+// selection of every row.
 //
 // Codecs with fixed-width layouts (bit-packing, plain floats and bools,
 // dictionary codes) are random access: a clear bit costs nothing, so the
 // work is proportional to the rows kept. Stream codecs (RLE, delta, plain
-// strings) are walked front to back once, checking the whole stream as
-// Decode would, but write — and for strings allocate — only the selected
-// values; GatherBytes charges them honestly at full size.
+// strings) are walked front to back once, checking the whole stream
+// whatever is selected, but write — and for strings allocate — only the
+// selected values; GatherBytes charges them honestly at full size.
 //
 // What every call verifies, whatever the selection: the payload's CRC,
 // the value count against the header, the payload length against the
@@ -35,12 +37,13 @@ import (
 //
 // NULLs do not enter the value loops. The output's null bits are the
 // column's null bits at the selected positions, set by rank a word at a
-// time (Bitmap.Select over sel & nulls), and Vector.SetNulls gives those
-// rows the zero value — the same split Batch.Filter uses.
+// time (Bitmap.Select over sel & nulls) — or, when every row is
+// selected, the parsed bitmap itself — and Vector.SetNulls gives those
+// rows the zero value: the same split Batch.Filter uses.
 
-// DecodeFiltered decodes only the rows whose bit is set in sel,
-// returning a dense vector bit-identical to Decode() followed by a
-// Gather of the selected indices.
+// DecodeFiltered decodes only the rows whose bit is set in sel, returning
+// a dense vector of the column's values at those rows, in row order, NULL
+// where the column is.
 func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector, error) {
 	n := ec.Stats.NumValues
 	if sel.Len() != n {
@@ -95,7 +98,10 @@ func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector,
 		return nil, err
 	}
 	if nulls != nil {
-		out.SetNulls(nulls.Select(sel))
+		if count < n {
+			nulls = nulls.Select(sel)
+		}
+		out.SetNulls(nulls)
 	}
 	return out, nil
 }
@@ -163,7 +169,9 @@ func gatherFloats(dst []float64, data []byte, n int, sel []uint64) error {
 	for wi, w := range sel {
 		base := wi << 6
 		if w == ^uint64(0) {
-			src, seq := data[base*8:base*8+512], dst[k:k+64]
+			// Array pointers: the loop indexes constant-length arrays, with
+			// no bounds check per value.
+			src, seq := (*[512]byte)(data[base*8:]), (*[64]float64)(dst[k:])
 			for j := range seq {
 				seq[j] = lefloat(src[j*8:])
 			}
@@ -201,14 +209,17 @@ func gatherBools(dst []bool, data []byte, n int, sel []uint64) error {
 
 // selectRLE walks every run, so a truncated or overflowing stream fails
 // whatever is selected, and writes a run's value once per selected row
-// of the run.
+// of the run: up to the rank of the run's end in sel, counted by a cursor
+// that passes each selection word once. Runs are short where a column
+// has NULLs (every NULL breaks one), so under a full selection — Decode —
+// the count is skipped altogether.
 func selectRLE(dst []int64, data []byte, n int, sel []uint64) error {
 	cnt, sz := binary.Uvarint(data)
 	if sz <= 0 || cnt != uint64(n) {
 		return fmt.Errorf("%w: bad RLE count", ErrCorrupt)
 	}
 	data = data[sz:]
-	k := 0
+	k, wi, before := 0, 0, 0 // rows written; set bits in sel[:wi]
 	for pos := 0; pos < n; {
 		u, sz := binary.Uvarint(data)
 		if sz <= 0 {
@@ -223,30 +234,23 @@ func selectRLE(dst []int64, data []byte, n int, sel []uint64) error {
 		if run > uint64(n-pos) {
 			return fmt.Errorf("%w: RLE run overflows count", ErrCorrupt)
 		}
-		end := pos + int(run)
-		v, kept := unzigzag(u), dst[k:k+onesInRange(sel, pos, end)]
-		for i := range kept {
-			kept[i] = v
+		pos += int(run)
+		upto := pos // with every row selected, a row's rank is its position
+		if len(dst) < n {
+			for ; wi < pos>>6; wi++ {
+				before += bits.OnesCount64(sel[wi])
+			}
+			upto = before
+			if r := uint(pos) & 63; r != 0 {
+				upto += bits.OnesCount64(sel[wi] << (64 - r))
+			}
 		}
-		k += len(kept)
-		pos = end
+		v := unzigzag(u)
+		for ; k < upto; k++ {
+			dst[k] = v
+		}
 	}
 	return nil
-}
-
-// onesInRange counts the set bits of sel at positions [lo, hi), lo < hi.
-func onesInRange(sel []uint64, lo, hi int) int {
-	first, last := lo>>6, (hi-1)>>6
-	loMask := ^uint64(0) << (uint(lo) & 63)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)&63)
-	if first == last {
-		return bits.OnesCount64(sel[first] & loMask & hiMask)
-	}
-	c := bits.OnesCount64(sel[first]&loMask) + bits.OnesCount64(sel[last]&hiMask)
-	for _, w := range sel[first+1 : last] {
-		c += bits.OnesCount64(w)
-	}
-	return c
 }
 
 // selectDelta decodes every delta — the running sum needs them all — and

@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,19 +14,22 @@ import (
 )
 
 // The gather-decode kernels take selected rows out a bitmap word at a
-// time. These tests pin them — value for value, null bit for null bit and
-// in ByteSize — to the plain reference, Decode() then Gather(Indices),
-// over every codec the encoder can pick, NULL densities, selection shapes
-// and the row counts around a word boundary; a corruption table and a
-// fuzz target check that a damaged column is ErrCorrupt, never a panic.
+// time, and Decode is them under a selection of every row. These tests
+// pin them — value for value, null bit for null bit and in ByteSize — to
+// the ground truth, the vector the column was encoded from gathered at
+// the selected rows (Gather(Indices)), over every codec the encoder can
+// pick, NULL densities, selection shapes and the row counts around a word
+// boundary; a corruption table and a fuzz target check that a damaged
+// column is ErrCorrupt, never a panic.
 
 var gatherRows = []int{0, 1, 63, 64, 65, 1000, 65536}
 
-// gatherColumn is one type × codec of the matrix, built over n rows of
-// which every nullEvery-th is NULL (0: none, 1: all).
+// gatherColumn is one type × codec of the matrix: build returns n rows
+// of which every nullEvery-th is NULL (0: none, 1: all), and the column
+// they encode to.
 type gatherColumn struct {
 	name  string
-	build func(rng *rand.Rand, n, nullEvery int) *EncodedColumn
+	build func(rng *rand.Rand, n, nullEvery int) (*columnar.Vector, *EncodedColumn)
 }
 
 // nullable builds an n-row vector from next, NULL at every nullEvery-th
@@ -55,37 +59,35 @@ func gatherColumns() []gatherColumn {
 		})
 	}
 	cols := []gatherColumn{
-		{"float/PLAIN", func(rng *rand.Rand, n, nullEvery int) *EncodedColumn {
-			return EncodeColumn(nullable(columnar.Float64, n, nullEvery, func(int) columnar.Value {
+		{"float/PLAIN", func(rng *rand.Rand, n, nullEvery int) (*columnar.Vector, *EncodedColumn) {
+			v := nullable(columnar.Float64, n, nullEvery, func(int) columnar.Value {
 				return columnar.FloatValue(rng.NormFloat64())
-			}))
+			})
+			return v, EncodeColumn(v)
 		}},
-		{"bool/PLAIN", func(rng *rand.Rand, n, nullEvery int) *EncodedColumn {
-			return EncodeColumn(nullable(columnar.Bool, n, nullEvery, func(int) columnar.Value {
+		{"bool/PLAIN", func(rng *rand.Rand, n, nullEvery int) (*columnar.Vector, *EncodedColumn) {
+			v := nullable(columnar.Bool, n, nullEvery, func(int) columnar.Value {
 				return columnar.BoolValue(rng.Intn(3) == 0)
-			}))
+			})
+			return v, EncodeColumn(v)
 		}},
-		{"string/DICT", func(rng *rand.Rand, n, nullEvery int) *EncodedColumn {
+		{"string/DICT", func(rng *rand.Rand, n, nullEvery int) (*columnar.Vector, *EncodedColumn) {
 			v := nullable(columnar.String, n, nullEvery, func(int) columnar.Value {
 				return columnar.StringValue(fmt.Sprintf("entry-%d", rng.Intn(37)))
 			})
-			return forced(EncodeColumn(v), Dict, EncodeDict(v.Strings()))
+			return v, forced(EncodeColumn(v), Dict, stringBlock(Dict, v.Strings()))
 		}},
-		{"string/PLAIN", func(rng *rand.Rand, n, nullEvery int) *EncodedColumn {
+		{"string/PLAIN", func(rng *rand.Rand, n, nullEvery int) (*columnar.Vector, *EncodedColumn) {
 			v := nullable(columnar.String, n, nullEvery, func(i int) columnar.Value {
 				return columnar.StringValue(fmt.Sprintf("%d-%s", i, "xxxxx"[:rng.Intn(6)]))
 			})
-			return forced(EncodeColumn(v), Plain, EncodePlainStrings(v.Strings()))
+			return v, forced(EncodeColumn(v), Plain, stringBlock(Plain, v.Strings()))
 		}},
 	}
-	for _, c := range []struct {
-		enc    ColumnEncoding
-		encode func([]int64) []byte
-	}{{RLE, EncodeRLEInt64}, {DeltaVarint, EncodeDeltaVarint}, {BitPacked, EncodeBitPacked}} {
-		c := c
-		cols = append(cols, gatherColumn{"int/" + c.enc.String(), func(rng *rand.Rand, n, nullEvery int) *EncodedColumn {
+	for _, enc := range []ColumnEncoding{RLE, DeltaVarint, BitPacked} {
+		cols = append(cols, gatherColumn{"int/" + enc.String(), func(rng *rand.Rand, n, nullEvery int) (*columnar.Vector, *EncodedColumn) {
 			v := ints(rng, n, nullEvery)
-			return forced(EncodeColumn(v), c.enc, c.encode(v.Int64s()))
+			return v, forced(EncodeColumn(v), enc, intBlock(enc, v.Int64s()))
 		}})
 	}
 	return cols
@@ -147,18 +149,14 @@ func sameVector(t *testing.T, what string, got, want *columnar.Vector) {
 	}
 }
 
-func TestDecodeFilteredMatchesDecodeThenGather(t *testing.T) {
+func TestDecodeFilteredMatchesInputGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, col := range gatherColumns() {
 		for _, nullEvery := range []int{0, 11, 1} {
 			for _, n := range gatherRows {
-				ec := col.build(rng, n, nullEvery)
-				full, err := ec.Decode()
-				if err != nil {
-					t.Fatalf("%s: Decode: %v", col.name, err)
-				}
-				if got, want := ec.DecodedSize(), full.ByteSize(); got != want {
-					t.Fatalf("%s nullEvery=%d n=%d: DecodedSize %d, decoded ByteSize %d", col.name, nullEvery, n, got, want)
+				in, ec := col.build(rng, n, nullEvery)
+				if got, want := ec.DecodedSize(), in.ByteSize(); got != want {
+					t.Fatalf("%s nullEvery=%d n=%d: DecodedSize %d, the input's ByteSize %d", col.name, nullEvery, n, got, want)
 				}
 				for _, sel := range selections(rng, n) {
 					what := fmt.Sprintf("%s nullEvery=%d n=%d %s", col.name, nullEvery, n, sel.name)
@@ -166,7 +164,7 @@ func TestDecodeFilteredMatchesDecodeThenGather(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", what, err)
 					}
-					sameVector(t, what, got, full.Gather(sel.bits.Indices(nil)))
+					sameVector(t, what, got, in.Gather(sel.bits.Indices(nil)))
 				}
 			}
 		}
@@ -174,22 +172,19 @@ func TestDecodeFilteredMatchesDecodeThenGather(t *testing.T) {
 }
 
 // Decode attaches the parsed null bitmap instead of re-appending every
-// value, and the result is still what appending builds: zero values under
-// the NULLs and a bitmap that ends at the last one.
+// value, and the result is still what appending builds — the input
+// vector: zero values under the NULLs and a bitmap that ends at the last
+// one.
 func TestDecodeWithNullsMatchesAppend(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	for _, col := range gatherColumns() {
 		for _, n := range []int{1, 64, 65, 1000} {
-			ec := col.build(rng, n, 7) // last NULL well before the last row
+			in, ec := col.build(rng, n, 7) // last NULL well before the last row
 			got, err := ec.Decode()
 			if err != nil {
 				t.Fatalf("%s: %v", col.name, err)
 			}
-			want := columnar.NewVector(got.Type(), n)
-			for i := 0; i < n; i++ {
-				want.AppendValue(got.Value(i))
-			}
-			sameVector(t, fmt.Sprintf("%s n=%d", col.name, n), got, want)
+			sameVector(t, fmt.Sprintf("%s n=%d", col.name, n), got, in)
 		}
 	}
 }
@@ -211,7 +206,7 @@ func damagedColumns() []damaged {
 	last.Set(n - 1)
 	var out []damaged
 	for _, col := range gatherColumns() {
-		clean := col.build(rng, n, 11)
+		_, clean := col.build(rng, n, 11)
 		remade := func(data []byte) *EncodedColumn {
 			ec := *clean
 			return forced(&ec, clean.Encoding, data)
@@ -223,7 +218,7 @@ func damagedColumns() []damaged {
 			damaged{col.name + " truncated payload", remade(clean.Data[:len(clean.Data)-1]), []*columnar.Bitmap{all, last}},
 			damaged{col.name + " empty payload", remade(nil), []*columnar.Bitmap{all, last, none}},
 		)
-		longer := col.build(rng, n+1, 11)
+		_, longer := col.build(rng, n+1, 11)
 		short := remade(longer.Data)
 		short.Nulls = clean.Nulls
 		out = append(out, damaged{col.name + " count != header", short, []*columnar.Bitmap{all, last, none}})
@@ -241,13 +236,33 @@ func damagedColumns() []damaged {
 	for i := range strs {
 		strs[i] = []string{"a", "b", "c"}[i%3]
 	}
-	dict := forced(EncodeColumn(columnar.FromStrings(strs)), Dict, EncodeDict(strs))
+	dict := forced(EncodeColumn(columnar.FromStrings(strs)), Dict, stringBlock(Dict, strs))
 	bad := append([]byte(nil), dict.Data...)
 	bad[len(bad)-1] |= 0xc0 // the last row's two bits
 	out = append(out, damaged{"string/DICT code out of range", forced(dict, Dict, bad), []*columnar.Bitmap{all, last}})
+	// Two payloads no writer produces, each with all the bytes its header
+	// asks for: a bit width between 56 and 64, which cannot be streamed
+	// through a 64-bit load and is not byte-aligned, and an RLE run that
+	// reaches past the row count.
+	ints := func(enc ColumnEncoding, data []byte) *EncodedColumn {
+		return forced(EncodeColumn(columnar.FromInt64s(make([]int64, n))), enc, data)
+	}
+	for width := 57; width < 64; width++ {
+		data := append(binary.AppendUvarint(nil, n), 0, byte(width)) // count, frame 0, width
+		data = append(data, make([]byte, n*8)...)
+		out = append(out, damaged{fmt.Sprintf("int/BITPACK bit width %d", width), ints(BitPacked, data), []*columnar.Bitmap{all, last, none}})
+	}
+	overflow := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(nil, n), zigzag(5)), n+1)
+	out = append(out, damaged{"int/RLE run overflows count", ints(RLE, overflow), []*columnar.Bitmap{all, last, none}})
 	return out
 }
 
+// Every damaged column is ErrCorrupt from DecodeFiltered under each of its
+// selections, and from Decode, the full selection: among them every
+// malformed payload a codec's reader rejects — a truncated stream (for
+// PLAIN, a truncated string), a value count that is not the header's, a
+// bit width of 57–63, an RLE run past the count and a dictionary code
+// past the table.
 func TestDecodeFilteredCorruption(t *testing.T) {
 	for _, d := range damagedColumns() {
 		for _, sel := range d.sels {
@@ -255,6 +270,9 @@ func TestDecodeFilteredCorruption(t *testing.T) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Errorf("%s, %d of %d rows selected: got %v, %v, want ErrCorrupt", d.name, sel.Count(), sel.Len(), v, err)
 			}
+		}
+		if v, err := d.ec.Decode(); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Decode returned %v, %v, want ErrCorrupt", d.name, v, err)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 
 	"repro/internal/columnar"
 )
@@ -75,11 +74,9 @@ func sizeInt64s(vals []int64) int64Sizes {
 	return s
 }
 
-// EncodeDeltaVarint encodes int64 values as zigzag varints of consecutive
-// deltas. Sorted or slowly varying columns (timestamps, surrogate keys)
-// compress to a byte or two per value.
-func EncodeDeltaVarint(vals []int64) []byte { return appendDeltaVarint(nil, vals) }
-
+// appendDeltaVarint writes DELTA: int64 values as zigzag varints of
+// consecutive deltas. Sorted or slowly varying columns (timestamps,
+// surrogate keys) compress to a byte or two per value.
 func appendDeltaVarint(out []byte, vals []int64) []byte {
 	out = binary.AppendUvarint(out, uint64(len(vals)))
 	prev := int64(0)
@@ -90,31 +87,8 @@ func appendDeltaVarint(out []byte, vals []int64) []byte {
 	return out
 }
 
-// DecodeDeltaVarint reverses EncodeDeltaVarint.
-func DecodeDeltaVarint(data []byte) ([]int64, error) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad delta-varint count", ErrCorrupt)
-	}
-	data = data[sz:]
-	out := make([]int64, 0, n)
-	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
-		u, sz := binary.Uvarint(data)
-		if sz <= 0 {
-			return nil, fmt.Errorf("%w: truncated delta-varint stream", ErrCorrupt)
-		}
-		data = data[sz:]
-		prev += unzigzag(u)
-		out = append(out, prev)
-	}
-	return out, nil
-}
-
-// EncodeRLEInt64 run-length encodes int64 values as (value, runLength)
-// pairs of varints. Low-cardinality or sorted columns benefit.
-func EncodeRLEInt64(vals []int64) []byte { return appendRLEInt64(nil, vals) }
-
+// appendRLEInt64 writes RLE: int64 values as (value, runLength) pairs of
+// varints. Low-cardinality or sorted columns benefit.
 func appendRLEInt64(out []byte, vals []int64) []byte {
 	out = binary.AppendUvarint(out, uint64(len(vals)))
 	i := 0
@@ -128,47 +102,6 @@ func appendRLEInt64(out []byte, vals []int64) []byte {
 		i = j
 	}
 	return out
-}
-
-// DecodeRLEInt64 reverses EncodeRLEInt64.
-func DecodeRLEInt64(data []byte) ([]int64, error) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad RLE count", ErrCorrupt)
-	}
-	data = data[sz:]
-	out := make([]int64, 0, n)
-	for uint64(len(out)) < n {
-		u, sz := binary.Uvarint(data)
-		if sz <= 0 {
-			return nil, fmt.Errorf("%w: truncated RLE value", ErrCorrupt)
-		}
-		data = data[sz:]
-		run, sz := binary.Uvarint(data)
-		if sz <= 0 || run == 0 {
-			return nil, fmt.Errorf("%w: truncated RLE run", ErrCorrupt)
-		}
-		data = data[sz:]
-		if uint64(len(out))+run > n {
-			return nil, fmt.Errorf("%w: RLE run overflows count", ErrCorrupt)
-		}
-		v := unzigzag(u)
-		for k := uint64(0); k < run; k++ {
-			out = append(out, v)
-		}
-	}
-	return out, nil
-}
-
-// EncodeBitPacked encodes int64 values with frame-of-reference plus
-// fixed-width bit packing: each value is stored as (v - min) in the
-// minimum number of bits needed for (max - min).
-func EncodeBitPacked(vals []int64) []byte {
-	var lo, hi int64
-	if len(vals) > 0 {
-		lo, hi = slices.Min(vals), slices.Max(vals)
-	}
-	return appendBitPacked(make([]byte, 0, bitPackedSize(len(vals), lo, hi)), vals, lo, hi)
 }
 
 // bitPackedWidth is the bits BITPACK stores each value in for the frame
@@ -192,10 +125,11 @@ func bitPackedSize(n int, lo, hi int64) int {
 	return uvarintLen(uint64(n)) + uvarintLen(zigzag(lo)) + 1 + (n*width+7)/8
 }
 
-// appendBitPacked writes vals, every one inside the frame [lo, hi] with
-// lo the smallest, as EncodeBitPacked's block. The packed bits go out
-// eight bytes at a time: a flushed word holds only bits already
-// written, so it never reaches past the block's last byte.
+// appendBitPacked writes BITPACK, frame-of-reference plus fixed-width bit
+// packing: each of vals, every one inside the frame [lo, hi] with lo the
+// smallest, is stored as v - lo in bitPackedWidth(lo, hi) bits. The
+// packed bits go out eight bytes at a time: a flushed word holds only
+// bits already written, so it never reaches past the block's last byte.
 func appendBitPacked(out []byte, vals []int64, lo, hi int64) []byte {
 	out = binary.AppendUvarint(out, uint64(len(vals)))
 	if len(vals) == 0 {
@@ -236,71 +170,6 @@ func appendBitPacked(out []byte, vals []int64, lo, hi int64) []byte {
 	return out
 }
 
-// DecodeBitPacked reverses EncodeBitPacked.
-func DecodeBitPacked(data []byte) ([]int64, error) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad bit-packed count", ErrCorrupt)
-	}
-	data = data[sz:]
-	if n == 0 {
-		return []int64{}, nil
-	}
-	mz, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad bit-packed min", ErrCorrupt)
-	}
-	data = data[sz:]
-	minV := unzigzag(mz)
-	if len(data) < 1 {
-		return nil, fmt.Errorf("%w: missing bit width", ErrCorrupt)
-	}
-	width := uint(data[0])
-	data = data[1:]
-	if width > 64 {
-		return nil, fmt.Errorf("%w: bit width %d > 64", ErrCorrupt, width)
-	}
-	out := make([]int64, 0, n)
-	if width == 0 {
-		for i := uint64(0); i < n; i++ {
-			out = append(out, minV)
-		}
-		return out, nil
-	}
-	if width == 64 {
-		if uint64(len(data)) < n*8 {
-			return nil, fmt.Errorf("%w: bit-packed data truncated", ErrCorrupt)
-		}
-		for i := uint64(0); i < n; i++ {
-			d := binary.LittleEndian.Uint64(data[i*8:])
-			out = append(out, int64(uint64(minV)+d))
-		}
-		return out, nil
-	}
-	if width > 56 {
-		return nil, fmt.Errorf("%w: unsupported bit width %d", ErrCorrupt, width)
-	}
-	need := (n*uint64(width) + 7) / 8
-	if uint64(len(data)) < need {
-		return nil, fmt.Errorf("%w: bit-packed data truncated", ErrCorrupt)
-	}
-	var acc uint64
-	var nbits uint
-	pos := 0
-	mask := uint64(1)<<width - 1
-	for i := uint64(0); i < n; i++ {
-		for nbits < width {
-			acc |= uint64(data[pos]) << nbits
-			pos++
-			nbits += 8
-		}
-		out = append(out, minV+int64(acc&mask))
-		acc >>= width
-		nbits -= width
-	}
-	return out, nil
-}
-
 // EncodeFloat64s stores floats as little-endian IEEE 754 bits.
 func EncodeFloat64s(vals []float64) []byte {
 	return appendFloat64s(make([]byte, 0, float64sSize(len(vals))), vals)
@@ -315,23 +184,6 @@ func appendFloat64s(out []byte, vals []float64) []byte {
 		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	return out
-}
-
-// DecodeFloat64s reverses EncodeFloat64s.
-func DecodeFloat64s(data []byte) ([]float64, error) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, fmt.Errorf("%w: bad float count", ErrCorrupt)
-	}
-	data = data[sz:]
-	if uint64(len(data)) < n*8 {
-		return nil, fmt.Errorf("%w: float data truncated", ErrCorrupt)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[i*8:]))
-	}
-	return out, nil
 }
 
 // EncodeBools packs booleans into a bitmap.
@@ -392,17 +244,4 @@ func splitBools(data []byte) (n uint64, packed []byte, err error) {
 		return 0, nil, fmt.Errorf("%w: bool data truncated", ErrCorrupt)
 	}
 	return n, packed, nil
-}
-
-// DecodeBools reverses EncodeBools.
-func DecodeBools(data []byte) ([]bool, error) {
-	n, data, err := splitBools(data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]bool, n)
-	for i := uint64(0); i < n; i++ {
-		out[i] = data[i>>3]&(1<<(i&7)) != 0
-	}
-	return out, nil
 }

@@ -39,14 +39,7 @@ func intColumn(vals []int64, nulls []bool, enc ColumnEncoding, zoneMap bool) *En
 	if ec.Stats.NullCount > 0 {
 		ec.Nulls = EncodeBools(nulls)
 	}
-	switch enc {
-	case RLE:
-		ec.Data = EncodeRLEInt64(vals)
-	case DeltaVarint:
-		ec.Data = EncodeDeltaVarint(vals)
-	case BitPacked:
-		ec.Data = EncodeBitPacked(vals)
-	}
+	ec.Data = intBlock(enc, vals)
 	ec.Checksum = crc32.ChecksumIEEE(ec.Data)
 	return ec
 }
@@ -122,8 +115,8 @@ func TestIntKernelsMatchDecodeAtEveryWidth(t *testing.T) {
 					vals[rng.Intn(n/2)] = minV
 					vals[n/2+rng.Intn(n-n/2)] = int64(uint64(minV) + mask)
 				}
-				if dec, err := DecodeBitPacked(EncodeBitPacked(vals)); err != nil || !slices.Equal(dec, vals) {
-					t.Fatalf("width %d n %d: the eager decoder does not return the values packed (%v)", width, n, err)
+				if dec, err := decodeInts(BitPacked, vals); err != nil || !slices.Equal(dec, vals) {
+					t.Fatalf("width %d n %d: Decode does not return the values packed (%v)", width, n, err)
 				}
 				for _, nulls := range [][]bool{nil, nullMask(n)} {
 					for _, zoneMap := range []bool{true, false} {
@@ -222,7 +215,7 @@ func TestStringMatchMatchesDecodeAtEveryCodeWidth(t *testing.T) {
 				strs[i] = fmt.Sprintf("s%04d", rng.Intn(distinct))
 			}
 			for _, nulls := range [][]bool{nil, nullMask(n)} {
-				ec := &EncodedColumn{Type: columnar.String, Encoding: Dict, Data: EncodeDict(strs)}
+				ec := &EncodedColumn{Type: columnar.String, Encoding: Dict, Data: stringBlock(Dict, strs)}
 				ec.Stats.NumValues = n
 				if nulls != nil && n > 0 {
 					ec.Nulls = EncodeBools(nulls)

@@ -1,7 +1,6 @@
 package encoding
 
 import (
-	"hash/crc32"
 	"math/rand"
 	"testing"
 
@@ -13,20 +12,10 @@ import (
 // would pick.
 func encodeIntAs(t *testing.T, v *columnar.Vector, enc ColumnEncoding) *EncodedColumn {
 	t.Helper()
-	ec := EncodeColumn(v)
-	switch enc {
-	case RLE:
-		ec.Data = EncodeRLEInt64(v.Int64s())
-	case DeltaVarint:
-		ec.Data = EncodeDeltaVarint(v.Int64s())
-	case BitPacked:
-		ec.Data = EncodeBitPacked(v.Int64s())
-	default:
+	if enc != RLE && enc != DeltaVarint && enc != BitPacked {
 		t.Fatalf("unsupported forced encoding %v", enc)
 	}
-	ec.Encoding = enc
-	ec.Checksum = crc32.ChecksumIEEE(ec.Data)
-	return ec
+	return forced(EncodeColumn(v), enc, intBlock(enc, v.Int64s()))
 }
 
 // eagerEval is the reference: full decode, then per-row comparison with
@@ -192,10 +181,7 @@ func TestEvalStringMatchDict(t *testing.T) {
 
 func TestKernelUnsupportedFallsBack(t *testing.T) {
 	v := columnar.FromStrings([]string{"unique-a", "unique-b", "unique-c"})
-	ec := EncodeColumn(v)
-	ec.Encoding = Plain
-	ec.Data = EncodePlainStrings(v.Strings())
-	ec.Checksum = crc32.ChecksumIEEE(ec.Data)
+	ec := forced(EncodeColumn(v), Plain, stringBlock(Plain, v.Strings()))
 	if _, ok, err := ec.EvalStringMatch(func(string) bool { return true }); ok || err != nil {
 		t.Fatalf("plain strings should report unsupported, got ok=%v err=%v", ok, err)
 	}
@@ -207,10 +193,7 @@ func TestKernelUnsupportedFallsBack(t *testing.T) {
 
 func TestKernelEmptyDictionary(t *testing.T) {
 	v := columnar.NewVector(columnar.String, 0)
-	ec := EncodeColumn(v)
-	ec.Encoding = Dict
-	ec.Data = EncodeDict(nil)
-	ec.Checksum = crc32.ChecksumIEEE(ec.Data)
+	ec := forced(EncodeColumn(v), Dict, stringBlock(Dict, nil))
 	bm, ok, err := ec.EvalStringMatch(func(string) bool { return true })
 	if err != nil || !ok {
 		t.Fatalf("empty dict: ok=%v err=%v", ok, err)
@@ -317,13 +300,10 @@ func TestDecodeFilteredMatchesEagerGather(t *testing.T) {
 			sel.Set(i)
 		}
 	}
-	check := func(name string, ec *EncodedColumn) {
+	// The reference is the vector the column was encoded from, gathered.
+	check := func(name string, in *columnar.Vector, ec *EncodedColumn) {
 		t.Helper()
-		full, err := ec.Decode()
-		if err != nil {
-			t.Fatalf("%s: Decode: %v", name, err)
-		}
-		want := full.Gather(sel.Indices(nil))
+		want := in.Gather(sel.Indices(nil))
 		got, err := ec.DecodeFiltered(sel)
 		if err != nil {
 			t.Fatalf("%s: DecodeFiltered: %v", name, err)
@@ -340,7 +320,7 @@ func TestDecodeFilteredMatchesEagerGather(t *testing.T) {
 
 	iv := intVectorWithNulls(rng, 300, 1<<16, 9)
 	for _, enc := range []ColumnEncoding{RLE, DeltaVarint, BitPacked} {
-		check(enc.String(), encodeIntAs(t, iv, enc))
+		check(enc.String(), iv, encodeIntAs(t, iv, enc))
 	}
 
 	fv := columnar.NewVector(columnar.Float64, 300)
@@ -358,19 +338,15 @@ func TestDecodeFilteredMatchesEagerGather(t *testing.T) {
 		sv.AppendString(cats[rng.Intn(len(cats))])
 		bv.AppendBool(rng.Intn(2) == 0)
 	}
-	check("float", EncodeColumn(fv))
-	check("dict", EncodeColumn(sv))
-	check("bool", EncodeColumn(bv))
+	check("float", fv, EncodeColumn(fv))
+	check("dict", sv, EncodeColumn(sv))
+	check("bool", bv, EncodeColumn(bv))
 
 	longs := columnar.NewVector(columnar.String, 300)
 	for i := 0; i < 300; i++ {
 		longs.AppendString(string(rune('a'+i%26)) + string(make([]byte, i%5)))
 	}
-	pec := EncodeColumn(longs)
-	pec.Encoding = Plain
-	pec.Data = EncodePlainStrings(longs.Strings())
-	pec.Checksum = crc32.ChecksumIEEE(pec.Data)
-	check("plain-strings", pec)
+	check("plain-strings", longs, forced(EncodeColumn(longs), Plain, stringBlock(Plain, longs.Strings())))
 }
 
 func TestGatherBytesProportional(t *testing.T) {

@@ -133,31 +133,6 @@ func TestPreAggThenFinalStage(t *testing.T) {
 	}
 }
 
-func TestTopKStage(t *testing.T) {
-	s := &TopKStage{K: 3, ByCol: 1}
-	out := runStage(t, s,
-		kvBatch([]int64{1, 2, 3, 4, 5}, []int64{50, 10, 90, 20, 70}),
-		kvBatch([]int64{6}, []int64{80}))
-	rows := allRows(out)
-	if len(rows) != 3 {
-		t.Fatalf("rows = %d, want 3", len(rows))
-	}
-	wantKeys := []int64{3, 6, 5} // by v: 90, 80, 70
-	for i, w := range wantKeys {
-		if rows[i][0].I != w {
-			t.Errorf("top-%d key = %d, want %d", i, rows[i][0].I, w)
-		}
-	}
-}
-
-func TestTopKFewerThanK(t *testing.T) {
-	out := runStage(t, &TopKStage{K: 10, ByCol: 1},
-		kvBatch([]int64{1, 2}, []int64{5, 9}))
-	if len(allRows(out)) != 2 {
-		t.Error("top-k with short input lost rows")
-	}
-}
-
 func TestSortStage(t *testing.T) {
 	schema := kvSchema()
 	b := columnar.NewBatch(schema, 4)

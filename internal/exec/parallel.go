@@ -13,7 +13,7 @@ import (
 // fresh replicas and rely on the runtime's deterministic round-robin
 // routing.
 //
-// Deliberately serial: CountStage, TopKStage, SortStage, LimitStage and
+// Deliberately serial: CountStage, SortStage, LimitStage and
 // FinalAggStage (their retained state is the result, and splitting it
 // would change what reaches the sink), EncryptStage/DecryptStage (the
 // stream cipher's nonce sequence is order-sensitive), and BuildStage
@@ -37,12 +37,6 @@ func (s *HashStage) NewWorker() flow.Stage { return s }
 
 // Stateless implements flow.ParallelStage.
 func (s *HashStage) Stateless() bool { return true }
-
-// NewWorker implements flow.ParallelStage.
-func (s *CompressStage) NewWorker() flow.Stage { return s }
-
-// Stateless implements flow.ParallelStage.
-func (s *CompressStage) Stateless() bool { return true }
 
 // NewWorker implements flow.ParallelStage: probing only reads the
 // pre-built table, so replicas share it.

@@ -159,10 +159,8 @@ func TestStageNames(t *testing.T) {
 		&ProjectStage{Columns: []int{0}},
 		&HashStage{KeyCol: 0},
 		&CountStage{},
-		&TopKStage{K: 3, ByCol: 0},
 		&SortStage{ByCol: 0},
 		&LimitStage{N: 1},
-		&CompressStage{},
 		&BuildStage{Table: NewHashTable(kvSchema(), 0, 1)},
 		&HashJoinStage{Table: NewHashTable(kvSchema(), 0, 1), ProbeKey: 0},
 	}
@@ -201,17 +199,7 @@ func TestVolcanoSchemas(t *testing.T) {
 	}
 }
 
-func TestCompressStagePassthrough(t *testing.T) {
-	out := runStage(t, &CompressStage{}, mixedBatch())
-	if len(out) != 1 || out[0].NumRows() != 3 {
-		t.Error("CompressStage altered the stream")
-	}
-}
-
-func TestTopKFlushEmptyAndSortEmpty(t *testing.T) {
-	if out := runStage(t, &TopKStage{K: 3, ByCol: 0}); len(out) != 0 {
-		t.Error("empty top-k emitted")
-	}
+func TestSortStageFlushEmpty(t *testing.T) {
 	if out := runStage(t, &SortStage{ByCol: 0}); len(out) != 0 {
 		t.Error("empty sort emitted")
 	}

@@ -108,7 +108,6 @@ func TestSelectionAwareStages(t *testing.T) {
 	}
 	check("count", func() flow.Stage { return &CountStage{} })
 	check("sort", func() flow.Stage { return &SortStage{ByCol: 0} })
-	check("topk", func() flow.Stage { return &TopKStage{K: 2, ByCol: 0} })
 	check("limit", func() flow.Stage { return &LimitStage{N: 2} })
 	check("hash", func() flow.Stage { return &HashStage{KeyCol: 0} })
 	check("join", func() flow.Stage {

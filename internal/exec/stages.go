@@ -217,89 +217,6 @@ func (s *CountStage) SnapshotState() any { return s.count }
 // RestoreState implements flow.Snapshotter.
 func (s *CountStage) RestoreState(state any) { s.count = state.(int64) }
 
-// TopKStage retains the K largest values of ByCol (BIGINT) with their
-// rows, emitting them in descending order at flush.
-type TopKStage struct {
-	K     int
-	ByCol int
-
-	rows   []*columnar.Batch // single-row batches retained
-	keys   []int64
-	schema *columnar.Schema
-}
-
-// Name implements flow.Stage.
-func (s *TopKStage) Name() string { return fmt.Sprintf("top%d(col%d)", s.K, s.ByCol) }
-
-// Process implements flow.Stage.
-func (s *TopKStage) Process(b *columnar.Batch, emit flow.Emit) error {
-	b = b.Compact() // retains row slices by physical index: dense boundary
-	if s.schema == nil {
-		s.schema = b.Schema()
-	}
-	keyCol := b.Col(s.ByCol)
-	for i := 0; i < b.NumRows(); i++ {
-		if keyCol.IsNull(i) {
-			continue
-		}
-		k := keyCol.Int64s()[i]
-		if len(s.keys) >= s.K && k <= s.keys[len(s.keys)-1] {
-			continue
-		}
-		// Insert in descending order.
-		pos := sort.Search(len(s.keys), func(j int) bool { return s.keys[j] < k })
-		s.keys = append(s.keys, 0)
-		copy(s.keys[pos+1:], s.keys[pos:])
-		s.keys[pos] = k
-		row := b.Slice(i, i+1)
-		s.rows = append(s.rows, nil)
-		copy(s.rows[pos+1:], s.rows[pos:])
-		s.rows[pos] = row
-		if len(s.keys) > s.K {
-			s.keys = s.keys[:s.K]
-			s.rows = s.rows[:s.K]
-		}
-	}
-	return nil
-}
-
-// Flush implements flow.Stage.
-func (s *TopKStage) Flush(emit flow.Emit) error {
-	if s.schema == nil {
-		return nil
-	}
-	out := columnar.NewBatch(s.schema, len(s.rows))
-	for _, r := range s.rows {
-		out.AppendRow(r.Row(0)...)
-	}
-	return emit(out)
-}
-
-// topKSnapshot is TopKStage's checkpoint state. Retained row batches are
-// immutable once built, so sharing them with the snapshot is safe.
-type topKSnapshot struct {
-	rows   []*columnar.Batch
-	keys   []int64
-	schema *columnar.Schema
-}
-
-// SnapshotState implements flow.Snapshotter.
-func (s *TopKStage) SnapshotState() any {
-	return &topKSnapshot{
-		rows:   append([]*columnar.Batch(nil), s.rows...),
-		keys:   append([]int64(nil), s.keys...),
-		schema: s.schema,
-	}
-}
-
-// RestoreState implements flow.Snapshotter.
-func (s *TopKStage) RestoreState(state any) {
-	snap := state.(*topKSnapshot)
-	s.rows = append([]*columnar.Batch(nil), snap.rows...)
-	s.keys = append([]int64(nil), snap.keys...)
-	s.schema = snap.schema
-}
-
 // SortStage buffers the whole stream and emits it sorted by ByCol
 // (BIGINT, ascending). Sorting is inherently blocking, which is why the
 // paper keeps it off the streaming path and on compute nodes.
@@ -397,19 +314,3 @@ func (s *LimitStage) SnapshotState() any { return s.seen }
 
 // RestoreState implements flow.Snapshotter.
 func (s *LimitStage) RestoreState(state any) { s.seen = state.(int) }
-
-// CompressStage re-encodes batches for the wire and DecompressStage
-// restores them; together they model the compression/encryption steps
-// the paper says cloud query plans must include (Section 1). Data is
-// passed through unchanged — the devices are charged by the runtime —
-// but the pair exists so plans can represent the step explicitly.
-type CompressStage struct{}
-
-// Name implements flow.Stage.
-func (s *CompressStage) Name() string { return "compress" }
-
-// Process implements flow.Stage.
-func (s *CompressStage) Process(b *columnar.Batch, emit flow.Emit) error { return emit(b) }
-
-// Flush implements flow.Stage.
-func (s *CompressStage) Flush(flow.Emit) error { return nil }

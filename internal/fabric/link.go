@@ -64,28 +64,6 @@ type Link struct {
 	index int // position in its topology's link list (Account)
 	mu    sync.Mutex
 	limit sim.Rate // 0 = unlimited
-	fault func() error
-}
-
-// SetFaultCheck installs a hook consulted once per data transfer; a
-// non-nil return models a link-level fault (flap, CRC storm) and aborts
-// the transfer. Fault injection binds faults.Injector here; pass nil to
-// remove the hook.
-func (l *Link) SetFaultCheck(f func() error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.fault = f
-}
-
-// CheckFault reports the link's current injected fault, if any.
-func (l *Link) CheckFault() error {
-	l.mu.Lock()
-	f := l.fault
-	l.mu.Unlock()
-	if f == nil {
-		return nil
-	}
-	return f()
 }
 
 // SetRateLimit caps the effective bandwidth used for future transfers.

@@ -45,8 +45,6 @@ const (
 	// LinkFlap fails one data transfer on a fabric link; re-executing
 	// the query recovers.
 	LinkFlap
-	// SlowStage delays a pipeline stage, exercising the flow watchdog.
-	SlowStage
 	// DegradedDevice is a gray failure: the target keeps serving but
 	// every matching operation runs Severity times slower. Nothing ever
 	// errors, so only tail-latency defenses (hedging, speculation)
@@ -69,8 +67,8 @@ const (
 func (k Kind) String() string {
 	names := [...]string{
 		"transient-read", "corrupt-blob", "object-missing",
-		"device-offline", "link-flap", "slow-stage",
-		"degraded-device", "jitter-link", "sticky-corrupt",
+		"device-offline", "link-flap", "degraded-device",
+		"jitter-link", "sticky-corrupt",
 	}
 	if int(k) < len(names) {
 		return names[k]
@@ -279,17 +277,6 @@ func (in *Injector) Reset() {
 	in.total = 0
 }
 
-// LinkFaultCheck adapts the injector to fabric.Link.SetFaultCheck: each
-// data transfer on the link asks whether a LinkFlap strikes.
-func (in *Injector) LinkFaultCheck(linkName string) func() error {
-	return func() error {
-		if in.Fire(LinkFlap, linkName) {
-			return &FaultError{Kind: LinkFlap, Target: linkName}
-		}
-		return nil
-	}
-}
-
 // FaultError is the typed error surfaced by injected faults.
 type FaultError struct {
 	Kind   Kind
@@ -309,7 +296,7 @@ func (e *FaultError) Error() string {
 // DeviceOffline are permanent: the damage outlives any retry.
 func (e *FaultError) Transient() bool {
 	switch e.Kind {
-	case TransientRead, ObjectMissing, LinkFlap, SlowStage, DegradedDevice, JitterLink:
+	case TransientRead, ObjectMissing, LinkFlap, DegradedDevice, JitterLink:
 		return true
 	}
 	return false

@@ -71,7 +71,7 @@ func TestUnmatchedChecksDoNotPerturbSchedule(t *testing.T) {
 	// b sees extra checks of kinds/targets no point matches; they must
 	// not consume randomness.
 	for i := 0; i < 100; i++ {
-		b.Fire(SlowStage, "anything")
+		b.Fire(StickyCorrupt, "anything")
 		b.Fire(ObjectMissing, "orders/seg-000001")
 		b.Fire(CorruptBlob, "orders/seg-000002") // target mismatch
 	}
@@ -175,7 +175,7 @@ func TestTransientClassification(t *testing.T) {
 		want bool
 	}{
 		{TransientRead, true}, {ObjectMissing, true}, {LinkFlap, true},
-		{SlowStage, true}, {CorruptBlob, false}, {DeviceOffline, false},
+		{CorruptBlob, false}, {DeviceOffline, false},
 		{DegradedDevice, true}, {JitterLink, true}, {StickyCorrupt, false},
 	}
 	for _, c := range cases {

@@ -77,7 +77,9 @@ type Pipeline struct {
 	// reads four members where it uses them. Faults is asked once per
 	// batch per stage whether the hosting device drops its kernel
 	// (faults.DeviceOffline): a fired fault marks the device offline and
-	// fails the stage, which is how E19 kills devices mid-query.
+	// fails the stage, which is how E19 kills devices mid-query. It is
+	// also asked once per data batch per path link whether the link flaps
+	// (faults.LinkFlap): a fired fault fails the Send with a LinkError.
 	// Resilience.Health observes every batch's wall-clock Process latency
 	// keyed "stage/<device>" — real time, not virtual, so an injected
 	// slow device shows up even though its metered costs are unchanged.
@@ -247,7 +249,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 			pt = stageTapes[i]
 		}
 		ports[i] = newPort(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, creditBatch, done, pt)
-		ports[i].acct = p.Account
+		ports[i].acct, ports[i].svc = p.Account, p.Services
 		ports[i].stallCtr = p.Services.Metrics.Counter("flow.credit.stalls")
 	}
 	p.occ = p.Services.Metrics.Gauge("flow.workers.busy")

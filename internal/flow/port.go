@@ -17,9 +17,11 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/fabric"
+	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/obs/metrics"
 	"repro/internal/sim"
+	"repro/internal/wiring"
 )
 
 // ErrCanceled is returned by port operations when the pipeline has been
@@ -68,6 +70,10 @@ type Port struct {
 	// acct is the pipeline's account (nil = meters only): what the
 	// port's traffic charges the path's links is recorded on it.
 	acct *fabric.Account
+	// svc is the run's wiring point, set by Pipeline.Run before any port
+	// with a path is used: its fault injector is asked, per data
+	// transfer, whether a path link flaps.
+	svc *wiring.Services
 }
 
 // newPort builds a port of the given depth. creditBatch controls how
@@ -106,7 +112,8 @@ func newPort(name string, path []*fabric.Link, depth, creditBatch int, done <-ch
 
 // Send blocks until a credit is available, then transfers the batch,
 // charging every link on the path. An injected fault on any path link
-// aborts the transfer with a LinkError before any credit is consumed.
+// (faults.LinkFlap, asked of the run's injector) aborts the transfer
+// with a LinkError before any credit is consumed or any byte charged.
 // A batch carrying a lazy selection vector is compacted first when the
 // path crosses any fabric link: shipping dead rows would waste exactly
 // the bandwidth late materialization exists to save. On-device handoff
@@ -116,8 +123,8 @@ func (p *Port) Send(b *columnar.Batch) error {
 		b = b.Compact()
 	}
 	for _, l := range p.Path {
-		if err := l.CheckFault(); err != nil {
-			return &LinkError{Link: l.Name, Err: err}
+		if inj := p.svc.Faults; inj != nil && inj.Fire(faults.LinkFlap, l.Name) {
+			return &LinkError{Link: l.Name, Err: &faults.FaultError{Kind: faults.LinkFlap, Target: l.Name}}
 		}
 	}
 	// Take a credit without blocking when one is ready; an empty credit

@@ -152,12 +152,12 @@ func TestLinkFaultAbortsTransfer(t *testing.T) {
 	link := &fabric.Link{Name: "net.flaky", A: "a", B: "b", Bandwidth: sim.GBPerSec, Latency: sim.Microsecond}
 	inj := faults.New(5)
 	inj.Arm(faults.Point{Kind: faults.LinkFlap, Target: "net.flaky", Prob: 1, Budget: 1})
-	link.SetFaultCheck(inj.LinkFaultCheck(link.Name))
 	p := &Pipeline{
-		Name:   "flap",
-		Source: nBatchSource(3, 4),
-		Stages: []Placed{{Stage: &passStage{name: "recv"}}},
-		Paths:  [][]*fabric.Link{{link}},
+		Name:     "flap",
+		Source:   nBatchSource(3, 4),
+		Stages:   []Placed{{Stage: &passStage{name: "recv"}}},
+		Paths:    [][]*fabric.Link{{link}},
+		Services: &wiring.Services{Faults: inj},
 	}
 	_, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
 	var le *LinkError
