@@ -57,10 +57,11 @@ type engineBase struct {
 	// Volcano: only the fetch/decode front of the pull loop widens — a
 	// pool of that many workers (clamped to the CPU's cores) prefetches
 	// segments through the buffer pool and decodes them on per-core lanes,
-	// delivering batches to the iterator tree in segment order. The
-	// operators above the scan stay serial — the pull model gives them no
-	// independent work units — which is exactly why the baseline scales
-	// worse than the dataflow engine (E22). Tracing forces serial.
+	// delivering batches in segment order. The stages pulled above the
+	// scan — the data-flow engine's own, driven by exec.Pull — stay serial:
+	// the pull model gives them no independent work units, which is
+	// exactly why the baseline scales worse than the dataflow engine
+	// (E22). Tracing forces serial.
 	Workers int
 
 	// engine names the embedding engine in stats and telemetry labels:

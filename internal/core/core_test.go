@@ -501,3 +501,50 @@ func TestExpressionPushdownVariantChargesStorage(t *testing.T) {
 		t.Error("storage processor idle despite pushdown")
 	}
 }
+
+// TestVolcanoLimitStopsPulling: LIMIT is the one operator the pull model
+// runs better than a push stage could: once it has its rows it stops
+// pulling, so a cold pool misses fewer segments than the table has. The
+// rows are the data-flow engine's.
+func TestVolcanoLimitStopsPulling(t *testing.T) {
+	const segments = 5
+	data := workload.GenLineitem(workload.DefaultLineitemConfig(testRows))
+	df := NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
+	vo := NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), 256*sim.MB)
+	vo.Workers = 1
+	df.Storage.SegmentRows, vo.Storage.SegmentRows = testRows/segments, testRows/segments
+	for _, eng := range []interface {
+		CreateTable(string, *columnar.Schema) error
+		Load(string, *columnar.Batch) error
+	}{df, vo} {
+		if err := eng.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Load("lineitem", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta, err := vo.Storage.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(vo.Storage.SegmentKeys(meta)); n != segments {
+		t.Fatalf("table has %d segments, want %d", n, segments)
+	}
+	q := plan.NewQuery("lineitem").WithLimit(10)
+	voRes, err := vo.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if misses := vo.Pool.Stats().Misses; misses >= segments {
+		t.Errorf("cold pool missed %d of %d segments: the pull did not stop at the limit", misses, segments)
+	}
+	dfRes, err := df.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if voRes.Rows() != 10 {
+		t.Fatalf("volcano returned %d rows, want 10", voRes.Rows())
+	}
+	assertSameResults(t, dfRes, voRes)
+}

@@ -48,10 +48,6 @@ type DataFlowEngine struct {
 	// Disabled automatically when the storage processor holds pushed-down
 	// aggregation state (which no stage snapshot can capture).
 	PartialRestart bool
-	// CheckpointSegments is how many storage segments one checkpoint
-	// epoch spans; 0 means DefaultCheckpointSegments. Smaller epochs
-	// bound replay tighter but cost more marker traffic and snapshots.
-	CheckpointSegments int
 	// EagerDecode disables encoded predicate evaluation: plans that ask
 	// for EncodedEval still run, but the storage scan decodes every
 	// segment before filtering, as the pre-late-materialization engine
@@ -69,9 +65,10 @@ type DataFlowEngine struct {
 // tier on the path and still land on the CPU plan.
 const DefaultMaxRecoveryAttempts = 5
 
-// DefaultCheckpointSegments spans one checkpoint epoch over this many
-// storage segments when CheckpointSegments is unset.
-const DefaultCheckpointSegments = 4
+// checkpointSegments is how many storage segments one checkpoint epoch
+// spans. Smaller epochs bound replay tighter but cost more marker
+// traffic and snapshots.
+const checkpointSegments = 2
 
 // NewDataFlowEngine wires an engine onto a cluster. The scheduler is
 // built on the same wiring point as the engine base's store.
@@ -394,10 +391,6 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 	// out of reach of stage snapshots — no consistent cut exists, so such
 	// plans recover by whole-query failover only.
 	ckptEnabled := e.PartialRestart && !emitsPartials
-	ckptEvery := e.CheckpointSegments
-	if ckptEvery <= 0 {
-		ckptEvery = DefaultCheckpointSegments
-	}
 
 	// The storage scan and the pipeline source share one virtual clock:
 	// the scan advances it as it charges media/decode work, and the
@@ -476,7 +469,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 			segs := 0
 			attemptSpec.Progress = func(next int) error {
 				segs++
-				if segs >= ckptEvery {
+				if segs >= checkpointSegments {
 					segs = 0
 					epoch++
 					snapMu.Lock()

@@ -121,27 +121,31 @@ func (e *DataFlowEngine) materialize(ctx context.Context, table string, acct *fa
 }
 
 // ExecuteJoin on the Volcano baseline: both sides are pulled through the
-// buffer pool to compute node 0 and joined there by the blocking
-// iterator — no exchange, no other nodes, all bytes to one CPU.
+// buffer pool to compute node 0 and joined there — the build side
+// drained into a hash table before the first probe pull, then the probe
+// side pulled through the join stage — no exchange, no other nodes, all
+// bytes to one CPU. Both scans pull at width 1 whatever Workers says:
+// the join's parallelism goes to the table's build.
 func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result, error) {
 	startWall := e.Clock.Now()
 	acct := &volcanoAccount{work: e.Cluster.NewAccount()}
 	ctx = context.WithValue(ctxOrBackground(ctx), volcanoAccountKey{}, acct)
-	buildIt, err := e.tableIterator(ctx, jq.Build)
+	buildMeta, err := e.Storage.Table(jq.Build)
 	if err != nil {
 		return nil, err
 	}
-	probeIt, err := e.tableIterator(ctx, jq.Probe)
+	probeMeta, err := e.Storage.Table(jq.Probe)
 	if err != nil {
 		return nil, err
 	}
-	join := &exec.HashJoinIter{
-		Build: buildIt, Probe: probeIt,
-		BuildKey: jq.BuildKey, ProbeKey: jq.ProbeKey,
-		Workers: e.Workers,
+	build, probe := e.serialScan(ctx, buildMeta, nil), e.serialScan(ctx, probeMeta, nil)
+	table := exec.NewHashTable(buildMeta.Schema, jq.BuildKey, e.Workers)
+	if _, err := exec.Drain(exec.Pull(build, &exec.BuildStage{Table: table})); err != nil {
+		return nil, lifecycleError(err)
 	}
-	// The CPU is charged for join work per probed batch.
-	batches, err := exec.Drain(&chargeIter{cpu: e.cpu, acct: acct, in: join, op: fabric.OpJoin, name: "join"})
+	// The CPU is charged for join work per joined batch.
+	join := exec.Pull(probe, &exec.HashJoinStage{Table: table, ProbeKey: jq.ProbeKey})
+	batches, err := exec.Drain(e.charge(acct, join, fabric.OpJoin, "join"))
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
@@ -150,15 +154,4 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 	res.Stats.Variant = "volcano-join"
 	e.publishQuery(ctx, res, startWall)
 	return res, nil
-}
-
-// tableIterator builds the baseline's buffer-pool-backed scan of a whole
-// table. Joins pull at width 1 whatever Workers says: their parallelism
-// goes to the blocking build above the scan.
-func (e *VolcanoEngine) tableIterator(ctx context.Context, table string) (exec.Iterator, error) {
-	meta, err := e.Storage.Table(table)
-	if err != nil {
-		return nil, err
-	}
-	return e.serialScan(ctx, meta, nil), nil
 }

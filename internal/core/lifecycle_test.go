@@ -76,7 +76,7 @@ func TestPartialRestartReplaysLessThanFailover(t *testing.T) {
 
 	// The stage sees one offline check at startup plus one per batch:
 	// After=7 strikes on batch 7 of 8, after the epoch markers for
-	// segments 2, 4 and 6 have been injected (CheckpointSegments=2).
+	// segments 2, 4 and 6 have been injected (one epoch is two segments).
 	// Whether an epoch has *completed* (its marker fell off the last
 	// stage) by the time the strike lands depends on goroutine
 	// scheduling: when none has, the engine correctly falls back to
@@ -88,7 +88,6 @@ func TestPartialRestartReplaysLessThanFailover(t *testing.T) {
 	for try := 0; try < 5; try++ {
 		partial = lifecycleEngine(t, rows, segRows)
 		partial.PartialRestart = true
-		partial.CheckpointSegments = 2
 		var inj *faults.Injector
 		target, inj = killPoint(t, partial, q, 7)
 		partial.Faults = inj
@@ -180,7 +179,6 @@ func TestCalmQueryBesideARestartingOne(t *testing.T) {
 	for try := 0; try < 5; try++ {
 		df := lifecycleEngine(t, rows, segRows)
 		df.PartialRestart = true
-		df.CheckpointSegments = 2
 		// The calm query places nothing on the device about to die.
 		calm := mustPlanned(t, df, plan.NewQuery("lineitem").WithProjection(workload.LExtendedPrice), "cpu-only")
 		solo, err := df.ExecutePlan(ctx, calm)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/expr"
 	"repro/internal/fabric"
+	"repro/internal/flow"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -140,31 +141,23 @@ func (e *VolcanoEngine) Load(name string, b *columnar.Batch) error {
 	return e.Storage.Append(name, b)
 }
 
-// chargeIter charges the CPU for every batch flowing through it; this is
-// how the baseline accounts per-operator work. On a traced execution
-// each charge is also a span on the CPU's track, serialized on the
-// execution's single clock.
-type chargeIter struct {
-	cpu  *fabric.Device
-	acct *volcanoAccount
-	in   exec.Iterator
-	op   fabric.OpClass
-	name string
-}
-
-func (it *chargeIter) Schema() *columnar.Schema { return it.in.Schema() }
-
-func (it *chargeIter) Next() (*columnar.Batch, error) {
-	b, err := it.in.Next()
-	if err != nil || b == nil {
-		return b, err
+// charge charges the CPU for every batch pulled through it, before the
+// operator above sees it; this is how the baseline accounts
+// per-operator work. On a traced execution each charge is also a span on
+// the CPU's track, serialized on the execution's single clock.
+func (e *VolcanoEngine) charge(acct *volcanoAccount, in exec.Iterator, op fabric.OpClass, name string) exec.Iterator {
+	return func() (*columnar.Batch, error) {
+		b, err := in()
+		if err != nil || b == nil {
+			return b, err
+		}
+		n := sim.Bytes(b.ByteSize())
+		acct.span(name, e.cpu.Name, obs.SpanStage, acct.work.Charge(e.cpu, op, n), n)
+		return b, nil
 	}
-	n := sim.Bytes(b.ByteSize())
-	it.acct.span(it.name, it.cpu.Name, obs.SpanStage, it.acct.work.Charge(it.cpu, it.op, n), n)
-	return b, nil
 }
 
-// Execute runs a query through the pull-based iterator tree. ctx bounds
+// Execute pulls a query through the data-flow engine's stages. ctx bounds
 // the execution: it is consulted before each buffer-pool fetch and each
 // pulled segment, so a deadline or cancellation stops the pull loop and
 // surfaces as ErrDeadlineExceeded or ErrCancelled.
@@ -204,31 +197,27 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		it = e.serialScan(ctx, meta, &maxDecoded)
 	}
 
-	// Operator tree, all on the CPU.
-	charge := func(in exec.Iterator, op fabric.OpClass, name string) exec.Iterator {
-		return &chargeIter{cpu: e.cpu, acct: acct, in: in, op: op, name: name}
+	// Operator tree, all on the CPU: the data-flow engine's stages, each
+	// pulled by the one above it.
+	finalAgg := func(spec expr.GroupBy) flow.Stage {
+		return &exec.FinalAggStage{Agg: expr.NewFinalAggregator(spec, meta.Schema), Raw: true}
 	}
 	if q.Filter != nil {
-		it = charge(it, fabric.OpFilter, "filter")
-		it = &exec.FilterIter{In: it, Pred: q.Filter}
+		it = exec.Pull(e.charge(acct, it, fabric.OpFilter, "filter"), &exec.FilterStage{Pred: q.Filter})
 	}
 	switch {
 	case q.CountOnly:
-		it = charge(it, fabric.OpCount, "count")
-		it = &exec.AggIter{In: it, Spec: expr.GroupBy{Aggs: []expr.AggSpec{{Func: expr.Count}}}}
+		it = exec.Pull(e.charge(acct, it, fabric.OpCount, "count"), finalAgg(expr.GroupBy{Aggs: []expr.AggSpec{{Func: expr.Count}}}))
 	case q.GroupBy != nil:
-		it = charge(it, fabric.OpAggregate, "aggregate")
-		it = &exec.AggIter{In: it, Spec: *q.GroupBy}
+		it = exec.Pull(e.charge(acct, it, fabric.OpAggregate, "aggregate"), finalAgg(*q.GroupBy))
 	case q.Projection != nil:
-		it = charge(it, fabric.OpProject, "project")
-		it = &exec.ProjectIter{In: it, Columns: q.Projection}
+		it = exec.Pull(e.charge(acct, it, fabric.OpProject, "project"), &exec.ProjectStage{Columns: q.Projection})
 	}
 	if q.OrderBy >= 0 {
-		it = charge(it, fabric.OpSort, "sort")
-		it = &exec.SortIter{In: it, ByCol: q.OrderBy}
+		it = exec.Pull(e.charge(acct, it, fabric.OpSort, "sort"), &exec.SortStage{ByCol: q.OrderBy})
 	}
 	if q.Limit > 0 {
-		it = &exec.LimitIter{In: it, N: q.Limit}
+		it = exec.Limit(it, q.Limit)
 	}
 
 	batches, err := exec.Drain(it)
@@ -292,7 +281,7 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 
 	pend := make(map[int]item, workers)
 	want := 0
-	return exec.NewFuncScan(meta.Schema, func() (*columnar.Batch, error) {
+	return func() (*columnar.Batch, error) {
 		for {
 			if want >= len(keys) {
 				return nil, nil
@@ -315,16 +304,16 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 			}
 			pend[r.idx] = r
 		}
-	}), cleanup
+	}, cleanup
 }
 
-// serialScan is the width-1 pull loop: one segment per Next, pulled and
+// serialScan is the width-1 pull loop: one segment per call, pulled and
 // delivered on the caller's goroutine.
 func (e *VolcanoEngine) serialScan(ctx context.Context, meta *storage.TableMeta, peak *sim.Bytes) exec.Iterator {
 	idx := 0
 	acct := volcanoAccountFrom(ctx)
 	keys := e.Storage.SegmentKeys(meta)
-	return exec.NewFuncScan(meta.Schema, func() (*columnar.Batch, error) {
+	return func() (*columnar.Batch, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -337,7 +326,7 @@ func (e *VolcanoEngine) serialScan(ctx context.Context, meta *storage.TableMeta,
 			return nil, err
 		}
 		return e.deliver(acct, b, peak), nil
-	})
+	}
 }
 
 // pullSegment pulls one segment through the buffer pool and decodes it

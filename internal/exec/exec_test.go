@@ -2,7 +2,10 @@ package exec
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -306,8 +309,163 @@ func TestHashJoinStageAndBuildStage(t *testing.T) {
 	}
 }
 
+// scanOf is a source iterator over pre-built batches.
+func scanOf(batches ...*columnar.Batch) Iterator {
+	return func() (*columnar.Batch, error) {
+		if len(batches) == 0 {
+			return nil, nil
+		}
+		b := batches[0]
+		batches = batches[1:]
+		return b, nil
+	}
+}
+
+// keys returns the first column of every row of batches.
+func keys(batches []*columnar.Batch) []int64 {
+	var ks []int64
+	for _, b := range batches {
+		ks = append(ks, b.Col(0).Int64s()...)
+	}
+	return ks
+}
+
+// fanStage is a recording stub stage: an input batch with key k emits k
+// one-row batches keyed 10k, 10k+1, …; Flush emits flush batches keyed
+// 100, 101, …. failOn makes Process fail on that key; failFlush makes
+// Flush fail. log records "P<k>" per Process and "F" per Flush.
+type fanStage struct {
+	flush     int
+	failOn    int64
+	failFlush bool
+	log       []string
+}
+
+var (
+	errSource  = errors.New("source failed")
+	errProcess = errors.New("process failed")
+	errFlush   = errors.New("flush failed")
+)
+
+func (s *fanStage) Name() string { return "fan" }
+
+func (s *fanStage) Process(b *columnar.Batch, emit flow.Emit) error {
+	k := b.Col(0).Int64s()[0]
+	s.log = append(s.log, fmt.Sprintf("P%d", k))
+	if k == s.failOn {
+		return errProcess
+	}
+	for j := int64(0); j < k; j++ {
+		if err := emit(kvBatch([]int64{10*k + j}, []int64{0})); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *fanStage) Flush(emit flow.Emit) error {
+	s.log = append(s.log, "F")
+	if s.failFlush {
+		return errFlush
+	}
+	for j := 0; j < s.flush; j++ {
+		if err := emit(kvBatch([]int64{int64(100 + j)}, []int64{0})); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestPull pins Pull's contract: a stage that emits nothing for an input
+// is pulled through, several outputs per input come back in order, Flush
+// runs exactly once and only at end of input, errors from the source,
+// Process and Flush are returned, and nothing is pulled after end of
+// input.
+func TestPull(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		in        []int64 // one single-row batch per key
+		srcErr    bool    // the source fails after its batches
+		flush     int
+		failOn    int64
+		failFlush bool
+		want      []int64
+		wantErr   error
+		wantLog   string
+	}{
+		{name: "silent inputs", in: []int64{0, 0, 1, 0}, want: []int64{10}, wantLog: "P0 P0 P1 P0 F"},
+		{name: "several per input", in: []int64{2, 3}, want: []int64{20, 21, 30, 31, 32}, wantLog: "P2 P3 F"},
+		{name: "flush outputs", in: []int64{1}, flush: 2, want: []int64{10, 100, 101}, wantLog: "P1 F"},
+		{name: "empty input", flush: 1, want: []int64{100}, wantLog: "F"},
+		{name: "source error", in: []int64{1}, srcErr: true, want: []int64{10}, wantErr: errSource, wantLog: "P1"},
+		{name: "process error", in: []int64{1, 9, 1}, failOn: 9, want: []int64{10}, wantErr: errProcess, wantLog: "P1 P9"},
+		{name: "flush error", in: []int64{2}, failFlush: true, want: []int64{20, 21}, wantErr: errFlush, wantLog: "P2 F"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pos, pullsAfterEnd := 0, 0
+			src := func() (*columnar.Batch, error) {
+				if pos > len(tc.in) {
+					pullsAfterEnd++
+				}
+				if pos == len(tc.in) {
+					pos++
+					if tc.srcErr {
+						return nil, errSource
+					}
+					return nil, nil
+				}
+				pos++
+				return kvBatch([]int64{tc.in[pos-1]}, []int64{0}), nil
+			}
+			if tc.failOn == 0 {
+				tc.failOn = -1
+			}
+			st := &fanStage{flush: tc.flush, failOn: tc.failOn, failFlush: tc.failFlush}
+			it := Pull(src, st)
+			out, err := Drain(it)
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if got := keys(out); !reflect.DeepEqual(got, tc.want) {
+				t.Errorf("keys = %v, want %v", got, tc.want)
+			}
+			if tc.wantErr == nil {
+				// Past the end: no further pull and no second Flush.
+				for i := 0; i < 2; i++ {
+					if b, err := it(); b != nil || err != nil {
+						t.Errorf("call after end = %v, %v", b, err)
+					}
+				}
+				if pullsAfterEnd != 0 {
+					t.Errorf("%d pulls after end of input", pullsAfterEnd)
+				}
+			}
+			if got := strings.Join(st.log, " "); got != tc.wantLog {
+				t.Errorf("stage calls = %q, want %q", got, tc.wantLog)
+			}
+		})
+	}
+}
+
+// TestPullIsLazy: a call pulls only until the stage has emitted, so a
+// consumer that stops early leaves the rest of the source unread.
+func TestPullIsLazy(t *testing.T) {
+	pulls := 0
+	src := scanOf(kvBatch([]int64{0}, []int64{0}), kvBatch([]int64{2}, []int64{0}), kvBatch([]int64{1}, []int64{0}))
+	it := Pull(func() (*columnar.Batch, error) { pulls++; return src() }, &fanStage{failOn: -1})
+	for i, want := range []int64{20, 21} {
+		b, err := it()
+		if err != nil || b == nil || keys([]*columnar.Batch{b})[0] != want {
+			t.Fatalf("call %d = %v, %v; want key %d", i, b, err, want)
+		}
+		if pulls != 2 {
+			t.Errorf("after call %d: %d pulls, want 2", i, pulls)
+		}
+	}
+}
+
 func TestVolcanoPipelineEquivalence(t *testing.T) {
-	// The same query through both models must agree:
+	// The same stages pulled and pushed must agree:
 	// SELECT k, COUNT(*), SUM(v) FROM t WHERE v >= 10 GROUP BY k.
 	ks := []int64{1, 2, 1, 3, 2, 1, 3, 3}
 	vs := []int64{5, 20, 30, 40, 8, 50, 60, 9}
@@ -315,9 +473,9 @@ func TestVolcanoPipelineEquivalence(t *testing.T) {
 	spec := expr.GroupBy{GroupCols: []int{0}, Aggs: []expr.AggSpec{{Func: expr.Count}, {Func: expr.Sum, Col: 1}}}
 
 	// Volcano.
-	var it Iterator = NewSliceScan(kvSchema(), []*columnar.Batch{kvBatch(ks[:4], vs[:4]), kvBatch(ks[4:], vs[4:])})
-	it = &FilterIter{In: it, Pred: pred}
-	it = &AggIter{In: it, Spec: spec}
+	it := scanOf(kvBatch(ks[:4], vs[:4]), kvBatch(ks[4:], vs[4:]))
+	it = Pull(it, &FilterStage{Pred: pred})
+	it = Pull(it, &FinalAggStage{Agg: expr.NewFinalAggregator(spec, kvSchema()), Raw: true})
 	volcanoOut, err := Drain(it)
 	if err != nil {
 		t.Fatal(err)
@@ -357,16 +515,18 @@ func TestVolcanoPipelineEquivalence(t *testing.T) {
 }
 
 func TestVolcanoJoin(t *testing.T) {
-	build := NewSliceScan(kvSchema(), []*columnar.Batch{kvBatch([]int64{1, 2}, []int64{100, 200})})
-	probe := NewSliceScan(kvSchema(), []*columnar.Batch{kvBatch([]int64{2, 2, 3}, []int64{1, 2, 3})})
-	it := &HashJoinIter{Build: build, Probe: probe, BuildKey: 0, ProbeKey: 0}
-	out, err := Drain(it)
+	table := NewHashTable(kvSchema(), 0, 1)
+	if _, err := Drain(Pull(scanOf(kvBatch([]int64{1, 2}, []int64{100, 200})), &BuildStage{Table: table})); err != nil {
+		t.Fatal(err)
+	}
+	probe := scanOf(kvBatch([]int64{2, 2, 3}, []int64{1, 2, 3}), kvBatch([]int64{9}, []int64{0}))
+	out, err := Drain(Pull(probe, &HashJoinStage{Table: table, ProbeKey: 0}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := allRows(out)
-	if len(rows) != 2 {
-		t.Fatalf("joined rows = %d, want 2", len(rows))
+	if len(out) != 1 || len(rows) != 2 {
+		t.Fatalf("joined %d batches, %d rows; want 1 and 2", len(out), len(rows))
 	}
 	for _, r := range rows {
 		if r[3].I != 200 {
@@ -376,30 +536,30 @@ func TestVolcanoJoin(t *testing.T) {
 }
 
 func TestVolcanoSortLimit(t *testing.T) {
-	scan := NewSliceScan(kvSchema(), []*columnar.Batch{kvBatch([]int64{3, 1, 2}, []int64{0, 0, 0})})
-	it := &LimitIter{In: &SortIter{In: scan, ByCol: 0}, N: 2}
-	out, err := Drain(it)
+	scan := scanOf(kvBatch([]int64{3, 1, 2}, []int64{0, 0, 0}), kvBatch([]int64{0}, []int64{0}))
+	out, err := Drain(Limit(Pull(scan, &SortStage{ByCol: 0}), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rows := allRows(out)
-	if len(rows) != 2 || rows[0][0].I != 1 || rows[1][0].I != 2 {
+	if len(rows) != 2 || rows[0][0].I != 0 || rows[1][0].I != 1 {
 		t.Errorf("rows = %v", rows)
 	}
 }
 
-func TestFuncScan(t *testing.T) {
-	n := 0
-	it := NewFuncScan(kvSchema(), func() (*columnar.Batch, error) {
-		if n >= 2 {
-			return nil, nil
-		}
-		n++
-		return kvBatch([]int64{int64(n)}, []int64{0}), nil
-	})
-	out, err := Drain(it)
-	if err != nil || len(out) != 2 {
-		t.Fatalf("FuncScan drained %d batches, err %v", len(out), err)
+// TestLimitStopsPulling: once n rows have passed, Limit pulls no more.
+func TestLimitStopsPulling(t *testing.T) {
+	pulls := 0
+	src := scanOf(kvBatch([]int64{1, 2}, []int64{0, 0}), kvBatch([]int64{3, 4}, []int64{0, 0}), kvBatch([]int64{5}, []int64{0}))
+	out, err := Drain(Limit(func() (*columnar.Batch, error) { pulls++; return src() }, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := keys(out); !reflect.DeepEqual(got, []int64{1, 2, 3}) {
+		t.Errorf("keys = %v", got)
+	}
+	if pulls != 2 {
+		t.Errorf("pulls = %d, want 2", pulls)
 	}
 }
 

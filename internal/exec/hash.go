@@ -1,9 +1,9 @@
-// Package exec implements the engine's operators in both execution
-// models the paper contrasts: push-based streaming stages that can be
-// placed on any device along the data path (storage processors, NICs,
-// near-memory accelerators, CPUs), and pull-based Volcano iterators
-// (Section 1's "pull-based Volcano model") that form the CPU-centric
-// baseline.
+// Package exec implements the engine's operators once, for both
+// execution models the paper contrasts: streaming stages that the flow
+// runtime pushes batches through on any device along the data path
+// (storage processors, NICs, near-memory accelerators, CPUs), and that
+// Pull drives batch by batch for the pull-based Volcano baseline
+// (Section 1's "pull-based Volcano model") on the compute node's CPU.
 package exec
 
 import (

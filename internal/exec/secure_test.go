@@ -171,34 +171,6 @@ func TestStageNames(t *testing.T) {
 	}
 }
 
-func TestVolcanoSchemas(t *testing.T) {
-	scan := NewSliceScan(kvSchema(), nil)
-	if !(&FilterIter{In: scan}).Schema().Equal(kvSchema()) {
-		t.Error("FilterIter schema")
-	}
-	p := &ProjectIter{In: scan, Columns: []int{1}}
-	if p.Schema().Fields[0].Name != "v" {
-		t.Error("ProjectIter schema")
-	}
-	j := &HashJoinIter{Build: scan, Probe: NewSliceScan(kvSchema(), nil), BuildKey: 0, ProbeKey: 0}
-	if j.Schema().NumFields() != 4 {
-		t.Error("HashJoinIter schema")
-	}
-	agg := &AggIter{In: scan, Spec: expr.GroupBy{Aggs: []expr.AggSpec{{Func: expr.Count}}}}
-	if agg.Schema().Fields[0].Name != "count" {
-		t.Error("AggIter schema")
-	}
-	if !(&SortIter{In: scan}).Schema().Equal(kvSchema()) {
-		t.Error("SortIter schema")
-	}
-	if !(&LimitIter{In: scan}).Schema().Equal(kvSchema()) {
-		t.Error("LimitIter schema")
-	}
-	if !(&FuncScan{schema: kvSchema()}).Schema().Equal(kvSchema()) {
-		t.Error("FuncScan schema")
-	}
-}
-
 func TestSortStageFlushEmpty(t *testing.T) {
 	if out := runStage(t, &SortStage{ByCol: 0}); len(out) != 0 {
 		t.Error("empty sort emitted")

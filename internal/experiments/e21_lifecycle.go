@@ -159,7 +159,6 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 				return nil, err
 			}
 			df.PartialRestart = true
-			df.CheckpointSegments = 2
 			target, err := e21KillTarget(df, q)
 			if err != nil {
 				return nil, err
