@@ -13,11 +13,11 @@ type Batch struct {
 	schema *Schema
 	cols   []*Vector
 	rows   int
-	// sel, when non-nil, marks the live rows of the batch (a lazy
-	// selection vector, one bit per physical row). Operators that can
-	// work sparsely consult it via Selection/LiveRows; dense stage
-	// boundaries (sort, join build, ship-over-link) call Compact to
-	// materialize the surviving rows.
+	// sel, when non-nil, marks the live rows of the batch (a selection
+	// vector, one bit per physical row, as a filter leaves it). Operators
+	// that can work sparsely consult it via Selection/LiveRows; dense
+	// stage boundaries (sort, join build, ship-over-link) call Compact to
+	// materialize the surviving rows. ByteSize counts live rows only.
 	sel *Bitmap
 }
 
@@ -147,8 +147,8 @@ func (b *Batch) LiveRows() int {
 // Compact materializes the lazy selection: it returns a dense batch
 // holding only the live rows, with no selection vector attached. Dense
 // stage boundaries (sort, join build, ship-over-link, sinks) call this
-// before counting rows or charging bytes. A batch without a selection
-// is returned unchanged.
+// before walking physical rows. A batch without a selection is returned
+// unchanged.
 func (b *Batch) Compact() *Batch {
 	if b.sel == nil {
 		return b
@@ -199,10 +199,23 @@ func (b *Batch) Slice(from, to int) *Batch {
 
 // ByteSize estimates the in-memory footprint of all column data in bytes.
 // This is the payload size the fabric charges when a batch crosses a link.
+// A batch with a selection is the size of its live rows — exactly
+// Compact().ByteSize(), without building the compacted batch — so a
+// selection never changes what a meter is charged.
 func (b *Batch) ByteSize() int64 {
+	count := -1
+	if b.sel != nil {
+		if c := b.sel.Count(); c < b.NumRows() {
+			count = c
+		}
+	}
 	var n int64
 	for _, c := range b.cols {
-		n += c.ByteSize()
+		if count < 0 {
+			n += c.ByteSize()
+		} else {
+			n += c.selectedByteSize(b.sel, count)
+		}
 	}
 	return n
 }

@@ -147,6 +147,25 @@ func (b *Bitmap) Select(sel *Bitmap) *Bitmap {
 	return out
 }
 
+// lastSelected is b.Select(sel).LastSet() without building the selected
+// bitmap: the rank, among sel's set bits, of the highest position set in
+// both, or -1 when they share none. b may be shorter than sel.
+func (b *Bitmap) lastSelected(sel *Bitmap) int {
+	for wi := min(len(b.words), len(sel.words)) - 1; wi >= 0; wi-- {
+		hit := b.words[wi] & sel.words[wi]
+		if hit == 0 {
+			continue
+		}
+		below := uint64(1)<<uint(bits.Len64(hit)-1) - 1
+		k := bits.OnesCount64(sel.words[wi] & below)
+		for _, w := range sel.words[:wi] {
+			k += bits.OnesCount64(w)
+		}
+		return k
+	}
+	return -1
+}
+
 // LastSet returns the position of the highest set bit, or -1 when the
 // bitmap is empty.
 func (b *Bitmap) LastSet() int {
@@ -156,6 +175,18 @@ func (b *Bitmap) LastSet() int {
 		}
 	}
 	return -1
+}
+
+// cutAtLastSet shortens b in place to end at its last set bit and returns
+// it, or returns nil when no bit is set: the shape of every vector's null
+// bitmap, so that ByteSize does not depend on how the vector was built.
+func (b *Bitmap) cutAtLastSet() *Bitmap {
+	last := b.LastSet()
+	if last < 0 {
+		return nil
+	}
+	b.words, b.n = b.words[:last>>6+1], last+1
+	return b
 }
 
 // grow lengthens the bitmap to n bits, the new ones clear. The words grow

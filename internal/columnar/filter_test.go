@@ -50,13 +50,19 @@ func selectionShapes(rng *rand.Rand, n int) []selection {
 // fourTypes builds an n-row batch with one column of every type, NULL in
 // every column at every nullEvery-th row (0: none, 1: all).
 func fourTypes(rng *rand.Rand, n, nullEvery int) *Batch {
+	return fourTypesNullAt(rng, n, func(i int) bool { return nullEvery > 0 && i%nullEvery == 0 })
+}
+
+// fourTypesNullAt is fourTypes with NULL in every column at the rows
+// where null is true.
+func fourTypesNullAt(rng *rand.Rand, n int, null func(i int) bool) *Batch {
 	schema := NewSchema(
 		Field{Name: "i", Type: Int64}, Field{Name: "f", Type: Float64},
 		Field{Name: "s", Type: String}, Field{Name: "b", Type: Bool},
 	)
 	b := NewBatch(schema, n)
 	for i := 0; i < n; i++ {
-		if nullEvery > 0 && i%nullEvery == 0 {
+		if null(i) {
 			b.AppendRow(NullValue(Int64), NullValue(Float64), NullValue(String), NullValue(Bool))
 			continue
 		}
@@ -110,6 +116,59 @@ func TestFilterAndCompactMatchGatherOfIndices(t *testing.T) {
 			sameBatch(t, what+": Compact", zero.WithSelection(sel.bits).Compact(), want)
 		}
 	}
+}
+
+// A selected batch is the size of its live rows: ByteSize under a
+// selection is the filtered batch's, column by column, without the copy.
+func TestSelectedByteSizeIsFilteredByteSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	same := func(what string, b *Batch, sel *Bitmap) {
+		t.Helper()
+		lazy, dense := b.WithSelection(sel), b.Filter(sel)
+		for c := 0; c < b.NumCols(); c++ {
+			col := []int{c}
+			if got, want := lazy.Project(col).ByteSize(), dense.Project(col).ByteSize(); got != want {
+				t.Fatalf("%s: column %d ByteSize %d under the selection, %d filtered", what, c, got, want)
+			}
+		}
+		if got, want := lazy.ByteSize(), dense.ByteSize(); got != want {
+			t.Fatalf("%s: ByteSize %d under the selection, %d filtered", what, got, want)
+		}
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 1000, 4099} {
+		for _, nullEvery := range []int{0, 7, 1} {
+			b := fourTypes(rng, n, nullEvery)
+			for _, sel := range selectionShapes(rng, n) {
+				same(fmt.Sprintf("n=%d nullEvery=%d %s", n, nullEvery, sel.name), b, sel.bits)
+			}
+		}
+	}
+	// The selection keeps the odd rows below 130, so row 129 is the last
+	// live one; the kept null bitmap ends at the last live NULL's rank.
+	sel := NewBitmap(200)
+	for i := 1; i < 130; i += 2 {
+		sel.Set(i)
+	}
+	for _, c := range []struct {
+		name  string
+		nulls []int
+	}{
+		{"NULL in the last selected row", []int{129}},
+		{"NULL in the last selected row and past it", []int{4, 129, 131, 199}},
+		{"NULLs only past the last selected row", []int{131, 150, 199}},
+		{"NULLs only in dead rows", []int{0, 64, 128, 130}},
+		{"NULL in the first selected row of a word", []int{65}},
+	} {
+		b := fourTypesNullAt(rng, 200, func(i int) bool { return slices.Contains(c.nulls, i) })
+		same(c.name, b, sel)
+	}
+	// A slice's null bitmap is cut at its last NULL as well, so a full
+	// selection over a slice, which Compact returns uncopied, is the size
+	// of the filtered slice.
+	sliced := fourTypesNullAt(rng, 300, func(i int) bool { return i == 10 || i == 250 }).Slice(0, 200)
+	full := NewBitmap(200)
+	full.Fill(0, 200)
+	same("slice, full selection", sliced, full)
 }
 
 // A vector's null bitmap stops at its last NULL, short of the selection:

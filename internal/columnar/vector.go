@@ -148,13 +148,10 @@ func (v *Vector) ensureNulls(n int) {
 // ends at its last NULL row however the vector was built, so ByteSize
 // does not depend on whether it was appended to, decoded or filtered.
 func (v *Vector) SetNulls(nulls *Bitmap) {
-	last := nulls.LastSet()
-	if last < 0 {
-		v.nulls = nil
+	v.nulls = nulls.cutAtLastSet()
+	if v.nulls == nil {
 		return
 	}
-	nulls.words, nulls.n = nulls.words[:last>>6+1], last+1
-	v.nulls = nulls
 	for wi, w := range nulls.words {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
@@ -289,7 +286,8 @@ func selectValues[T any](src []T, sel []uint64, count int) []T {
 }
 
 // Slice returns a view of rows [from, to). The backing storage is shared;
-// the null bitmap, if present, is copied restricted to the range.
+// the null bitmap, if present, is copied restricted to the range and, as
+// everywhere, cut back to its last NULL.
 func (v *Vector) Slice(from, to int) *Vector {
 	out := &Vector{typ: v.typ}
 	switch v.typ {
@@ -303,12 +301,13 @@ func (v *Vector) Slice(from, to int) *Vector {
 		out.bools = v.bools[from:to:to]
 	}
 	if v.nulls != nil {
-		out.nulls = NewBitmap(to - from)
+		nulls := NewBitmap(to - from)
 		for i := from; i < to; i++ {
 			if i < v.nulls.Len() && v.nulls.Get(i) {
-				out.nulls.Set(i - from)
+				nulls.Set(i - from)
 			}
 		}
+		out.nulls = nulls.cutAtLastSet()
 	}
 	return out
 }
@@ -332,6 +331,41 @@ func (v *Vector) ByteSize() int64 {
 	}
 	if v.nulls != nil {
 		n += int64(v.nulls.ByteSize())
+	}
+	return n
+}
+
+// selectedByteSize is filter(sel, count).ByteSize() without the copy:
+// fixed-width values are count times their width, strings are walked a
+// word of sel at a time as selectValues walks them, and the null bitmap
+// is what SetNulls would keep of the selected null bits, which ends at
+// the rank of the last selected NULL.
+func (v *Vector) selectedByteSize(sel *Bitmap, count int) int64 {
+	var n int64
+	switch v.typ {
+	case Int64, Float64:
+		n = int64(count) * 8
+	case Bool:
+		n = int64(count)
+	case String:
+		n = int64(count) * 16
+		for wi, w := range sel.words {
+			base := wi << 6
+			if w == ^uint64(0) {
+				for _, s := range v.strs[base : base+64] {
+					n += int64(len(s))
+				}
+				continue
+			}
+			for ; w != 0; w &= w - 1 {
+				n += int64(len(v.strs[base+bits.TrailingZeros64(w)]))
+			}
+		}
+	}
+	if v.nulls != nil {
+		if last := v.nulls.lastSelected(sel); last >= 0 {
+			n += int64(last>>6+1) * 8
+		}
 	}
 	return n
 }

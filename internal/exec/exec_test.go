@@ -57,6 +57,9 @@ func TestFilterStage(t *testing.T) {
 		kvBatch([]int64{1, 2, 3}, []int64{10, 20, 30}),
 		kvBatch([]int64{4}, []int64{5}), // fully filtered: emits nothing
 	)
+	for i, b := range out {
+		out[i] = b.Compact() // the filter hands on a selection
+	}
 	rows := allRows(out)
 	if len(rows) != 2 || rows[0][0].I != 2 || rows[1][0].I != 3 {
 		t.Errorf("rows = %v", rows)

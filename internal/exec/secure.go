@@ -81,7 +81,8 @@ func (s *EncryptStage) Name() string { return "encrypt" }
 
 // Process implements flow.Stage.
 func (s *EncryptStage) Process(b *columnar.Batch, emit flow.Emit) error {
-	sealed, err := s.Key.Encrypt(s.seq, serializeBatch(b))
+	// serializeBatch encodes physical rows: dense boundary.
+	sealed, err := s.Key.Encrypt(s.seq, serializeBatch(b.Compact()))
 	if err != nil {
 		return err
 	}
@@ -113,7 +114,8 @@ func (s *DecryptStage) Process(b *columnar.Batch, emit flow.Emit) error {
 	if !b.Schema().Equal(sealedSchema) {
 		return fmt.Errorf("exec: decrypt stage received unsealed batch %s", b.Schema())
 	}
-	for _, sealed := range b.Col(0).Strings() {
+	// One sealed blob per physical row: dense boundary.
+	for _, sealed := range b.Compact().Col(0).Strings() {
 		blob, err := s.Key.Decrypt([]byte(sealed))
 		if err != nil {
 			return err

@@ -11,12 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// TestLazyFilterCarriesSelection checks that a lazy filter emits the
-// input's physical rows untouched with a selection vector attached,
-// instead of copying survivors.
+// TestLazyFilterCarriesSelection checks that the filter emits the input's
+// physical rows untouched with a selection vector attached, instead of
+// copying survivors.
 func TestLazyFilterCarriesSelection(t *testing.T) {
 	in := kvBatch([]int64{1, 2, 3, 4}, []int64{10, 20, 30, 40})
-	s := &FilterStage{Pred: expr.NewCmp(1, expr.Ge, columnar.IntValue(25)), Lazy: true}
+	s := &FilterStage{Pred: expr.NewCmp(1, expr.Ge, columnar.IntValue(25))}
 	var out []*columnar.Batch
 	if err := s.Process(in, func(b *columnar.Batch) error { out = append(out, b); return nil }); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestLazyFilterCarriesSelection(t *testing.T) {
 		t.Fatalf("physical rows = %d, want 4 (no compaction)", b.NumRows())
 	}
 	if b.Col(0) != in.Col(0) {
-		t.Fatal("lazy filter copied column storage")
+		t.Fatal("filter copied column storage")
 	}
 	if b.LiveRows() != 2 {
 		t.Fatalf("LiveRows = %d, want 2", b.LiveRows())
@@ -51,13 +51,13 @@ func TestLazyFilterCarriesSelection(t *testing.T) {
 	}
 }
 
-// TestLazyFilterChainNarrowsSelection checks that chained lazy filters
-// AND their selections: the second filter must not resurrect rows the
-// first dropped.
+// TestLazyFilterChainNarrowsSelection checks that chained filters AND
+// their selections: the second filter must not resurrect rows the first
+// dropped.
 func TestLazyFilterChainNarrowsSelection(t *testing.T) {
 	in := kvBatch([]int64{1, 2, 3, 4, 5, 6}, []int64{10, 20, 30, 40, 50, 60})
-	f1 := &FilterStage{Pred: expr.NewCmp(1, expr.Ge, columnar.IntValue(25)), Lazy: true}
-	f2 := &FilterStage{Pred: expr.NewCmp(0, expr.Le, columnar.IntValue(5)), Lazy: true}
+	f1 := &FilterStage{Pred: expr.NewCmp(1, expr.Ge, columnar.IntValue(25))}
+	f2 := &FilterStage{Pred: expr.NewCmp(0, expr.Le, columnar.IntValue(5))}
 	var mid, out []*columnar.Batch
 	if err := f1.Process(in, func(b *columnar.Batch) error { mid = append(mid, b); return nil }); err != nil {
 		t.Fatal(err)
@@ -81,53 +81,38 @@ func TestLazyFilterChainNarrowsSelection(t *testing.T) {
 	}
 }
 
-// TestSelectionAwareStages checks each dense-boundary consumer against
-// its dense-input behaviour when fed a lazily selected batch.
-func TestSelectionAwareStages(t *testing.T) {
-	in := kvBatch([]int64{5, 1, 4, 2, 3}, []int64{50, 10, 40, 20, 30})
-	sel := columnar.NewBitmap(5)
-	sel.Set(0)
-	sel.Set(2)
-	sel.Set(4) // keep k=5,4,3
-	lazy := in.WithSelection(sel)
-	dense := lazy.Compact()
+// copyingFilter is the filter as it was before it handed on a selection:
+// it copies the survivors into a dense batch.
+type copyingFilter struct{ pred expr.Predicate }
 
-	check := func(name string, mk func() flow.Stage) {
-		lazyRows := allRows(runStage(t, mk(), lazy))
-		denseRows := allRows(runStage(t, mk(), dense))
-		if len(lazyRows) != len(denseRows) {
-			t.Fatalf("%s: %d rows lazy vs %d dense", name, len(lazyRows), len(denseRows))
-		}
-		for i := range lazyRows {
-			for c := range lazyRows[i] {
-				if !lazyRows[i][c].Equal(denseRows[i][c]) {
-					t.Fatalf("%s: row %d col %d: %v vs %v", name, i, c, lazyRows[i][c], denseRows[i][c])
-				}
-			}
-		}
+func (s *copyingFilter) Name() string { return "copying-filter" }
+func (s *copyingFilter) Process(b *columnar.Batch, emit flow.Emit) error {
+	if out := b.Filter(s.pred.Eval(b)); out.NumRows() > 0 {
+		return emit(out)
 	}
-	check("count", func() flow.Stage { return &CountStage{} })
-	check("sort", func() flow.Stage { return &SortStage{ByCol: 0} })
-	check("limit", func() flow.Stage { return &LimitStage{N: 2} })
-	check("hash", func() flow.Stage { return &HashStage{KeyCol: 0} })
-	check("join", func() flow.Stage {
-		ht := NewHashTable(kvSchema(), 0, 1)
-		ht.Build(kvBatch([]int64{4, 3}, []int64{400, 300}))
-		return &HashJoinStage{Table: ht, ProbeKey: 0}
-	})
-	// Join build: a lazily selected build side must only insert live rows.
-	ht := NewHashTable(kvSchema(), 0, 1)
-	bs := &BuildStage{Table: ht}
-	runStage(t, bs, lazy)
-	if ht.Rows() != 3 {
-		t.Fatalf("build inserted %d rows, want 3", ht.Rows())
-	}
+	return nil
 }
+func (s *copyingFilter) Flush(flow.Emit) error { return nil }
 
-// TestLazyFilterPipelineCompactsAtLink runs a full pipeline where the
-// lazy filter hands off on-device to a count stage, and a second
-// pipeline where the filtered stream crosses a link: the link must be
-// charged for compacted survivors only.
+// selectionProbe passes batches through and counts those that arrive
+// under a selection.
+type selectionProbe struct{ selected, batches int }
+
+func (s *selectionProbe) Name() string { return "probe" }
+func (s *selectionProbe) Process(b *columnar.Batch, emit flow.Emit) error {
+	s.batches++
+	if b.Selection() != nil {
+		s.selected++
+	}
+	return emit(b)
+}
+func (s *selectionProbe) Flush(flow.Emit) error { return nil }
+
+// TestLazyFilterPipelineCompactsAtLink runs the filter, a projection and
+// a sort, the sort's input crossing a wire, against the same pipeline with
+// a filter that copies its survivors: every port carries the same bytes,
+// although the on-device handoff out of the filter still carries a
+// selection and only the wire crossing compacts.
 func TestLazyFilterPipelineCompactsAtLink(t *testing.T) {
 	mkSource := func() flow.Source {
 		return func(emit flow.Emit) error {
@@ -146,19 +131,20 @@ func TestLazyFilterPipelineCompactsAtLink(t *testing.T) {
 		}
 	}
 	pred := expr.NewCmp(1, expr.Lt, columnar.IntValue(10)) // 10% pass
-	run := func(lazy bool) flow.Result {
+	run := func(filter, probe flow.Stage) flow.Result {
 		link := &fabric.Link{Name: "wire", A: "a", B: "b", Bandwidth: sim.GBPerSec, Latency: sim.Microsecond}
 		p := &flow.Pipeline{
 			Name:   "sel",
 			Source: mkSource(),
 			Stages: []flow.Placed{
-				{Stage: &FilterStage{Pred: pred, Lazy: lazy}},
+				{Stage: filter},
+				{Stage: probe},
 				{Stage: &ProjectStage{Columns: []int{0}}},
 				{Stage: &SortStage{ByCol: 0}},
 			},
-			// filter and project hand off on-device; the sort input
+			// filter, probe and project hand off on-device; the sort input
 			// crosses the wire.
-			Paths: [][]*fabric.Link{nil, nil, {link}},
+			Paths: [][]*fabric.Link{nil, nil, nil, {link}},
 		}
 		res, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
 		if err != nil {
@@ -166,20 +152,18 @@ func TestLazyFilterPipelineCompactsAtLink(t *testing.T) {
 		}
 		return res
 	}
-	lazyRes := run(true)
-	denseRes := run(false)
-	if lazyRes.SinkRows != denseRes.SinkRows || lazyRes.SinkRows != 40 {
-		t.Fatalf("sink rows lazy %d dense %d, want 40", lazyRes.SinkRows, denseRes.SinkRows)
+	onDevice := &selectionProbe{}
+	selected := run(&FilterStage{Pred: pred}, onDevice)
+	copied := run(&copyingFilter{pred: pred}, &selectionProbe{})
+	if selected.SinkRows != copied.SinkRows || selected.SinkRows != 40 {
+		t.Fatalf("sink rows %d under a selection, %d copied; want 40", selected.SinkRows, copied.SinkRows)
 	}
-	// Port 2 (the wire crossing) must carry identical compacted bytes in
-	// both modes: lazy batches compact at Send.
-	if lazyRes.Ports[2].Bytes != denseRes.Ports[2].Bytes {
-		t.Fatalf("wire bytes lazy %v dense %v", lazyRes.Ports[2].Bytes, denseRes.Ports[2].Bytes)
+	for i := range copied.Ports {
+		if selected.Ports[i].Bytes != copied.Ports[i].Bytes {
+			t.Errorf("port %d: %v under a selection, %v copied", i, selected.Ports[i].Bytes, copied.Ports[i].Bytes)
+		}
 	}
-	// Port 1 (on-device handoff out of the lazy filter) carries the full
-	// physical batches in lazy mode — that is the deferred copy.
-	if lazyRes.Ports[1].Bytes <= denseRes.Ports[1].Bytes {
-		t.Fatalf("on-device bytes lazy %v dense %v: lazy should defer compaction",
-			lazyRes.Ports[1].Bytes, denseRes.Ports[1].Bytes)
+	if onDevice.batches != 4 || onDevice.selected != 4 {
+		t.Errorf("%d of %d on-device batches carry a selection, want 4 of 4", onDevice.selected, onDevice.batches)
 	}
 }

@@ -12,16 +12,16 @@ import (
 // FilterStage drops rows failing the predicate. Stateless: placeable on
 // any device that supports OpFilter.
 //
-// In Lazy mode the stage does not copy survivors into a dense batch;
-// it attaches (or narrows) the batch's selection vector and passes the
-// physical rows through untouched. Downstream sparse-capable stages
-// consult the selection; dense boundaries (sort, join build, a port
-// whose path crosses a link, the sink) compact. This is the paper's
+// The stage does not copy survivors into a dense batch: it attaches (or
+// narrows) the batch's selection vector and passes the physical rows
+// through untouched. Aggregation and counting iterate the selection;
+// dense boundaries (sort, join build, a port whose path crosses a link,
+// the sink) compact. A selected batch's ByteSize is its live rows' size,
+// so no meter sees the difference. This is the paper's
 // late-materialization discipline: row movement is deferred until a
 // stage actually needs dense data.
 type FilterStage struct {
 	Pred expr.Predicate
-	Lazy bool
 }
 
 // Name implements flow.Stage.
@@ -33,15 +33,8 @@ func (s *FilterStage) Process(b *columnar.Batch, emit flow.Emit) error {
 	if sel := b.Selection(); sel != nil {
 		keep.And(sel)
 	}
-	if s.Lazy {
-		out := b.WithSelection(keep)
-		if out.LiveRows() == 0 {
-			return nil
-		}
-		return emit(out)
-	}
-	out := b.Filter(keep)
-	if out.NumRows() == 0 {
+	out := b.WithSelection(keep)
+	if out.LiveRows() == 0 {
 		return nil
 	}
 	return emit(out)
@@ -103,7 +96,8 @@ func (s *HashStage) Flush(flow.Emit) error { return nil }
 
 // PreAggStage hosts a bounded-state partial aggregation (Section 4.4).
 // Raw determines whether the input is raw rows or upstream partials;
-// either way the output is partial batches, so stages chain.
+// either way the output is partial batches, so stages chain. It reads
+// only the selected rows of its input, without compacting.
 type PreAggStage struct {
 	Agg *expr.PartialAggregator
 	Raw bool
@@ -120,7 +114,6 @@ func (s *PreAggStage) Name() string {
 
 // Process implements flow.Stage.
 func (s *PreAggStage) Process(b *columnar.Batch, emit flow.Emit) error {
-	b = b.Compact() // aggregation walks physical rows: dense boundary
 	var spills []*columnar.Batch
 	if s.Raw {
 		spills = s.Agg.AddRaw(b)
@@ -154,7 +147,8 @@ func (s *PreAggStage) RestoreState(state any) {
 }
 
 // FinalAggStage is the terminal aggregation on the compute node; it
-// consumes raw rows or partials and emits one result batch at flush.
+// consumes raw rows or partials, only the selected ones and without
+// compacting, and emits one result batch at flush.
 type FinalAggStage struct {
 	Agg *expr.FinalAggregator
 	Raw bool
@@ -165,7 +159,6 @@ func (s *FinalAggStage) Name() string { return "finalagg" }
 
 // Process implements flow.Stage.
 func (s *FinalAggStage) Process(b *columnar.Batch, emit flow.Emit) error {
-	b = b.Compact() // aggregation walks physical rows: dense boundary
 	if s.Raw {
 		s.Agg.AddRaw(b)
 	} else {
@@ -199,8 +192,8 @@ func (s *CountStage) Name() string { return "count" }
 
 // Process implements flow.Stage.
 func (s *CountStage) Process(b *columnar.Batch, emit flow.Emit) error {
-	// LiveRows honors a lazy selection without compacting: counting
-	// needs no row movement at all.
+	// LiveRows honors a selection without compacting: counting needs no
+	// row movement at all.
 	s.count += int64(b.LiveRows())
 	return nil
 }

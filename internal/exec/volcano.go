@@ -53,7 +53,8 @@ func Pull(in Iterator, st flow.Stage) Iterator {
 // Limit stops after n rows. It is the one operator that keeps a pull
 // form of its own: it stops pulling once n rows have passed, so the scan
 // below never fetches the rest of the table, whereas a LimitStage must
-// take every batch its source pushes.
+// take every batch its source pushes. Like LimitStage it counts physical
+// rows, so it compacts what it pulls.
 func Limit(in Iterator, n int) Iterator {
 	seen := 0
 	return func() (*columnar.Batch, error) {
@@ -64,6 +65,7 @@ func Limit(in Iterator, n int) Iterator {
 		if err != nil || b == nil {
 			return nil, err
 		}
+		b = b.Compact()
 		if b.NumRows() > n-seen {
 			b = b.Slice(0, n-seen)
 		}
@@ -72,7 +74,8 @@ func Limit(in Iterator, n int) Iterator {
 	}
 }
 
-// Drain pulls an iterator to completion, returning all batches.
+// Drain pulls an iterator to completion, returning all batches dense: it
+// is the Volcano tree's sink, and like the flow sink it compacts.
 func Drain(it Iterator) ([]*columnar.Batch, error) {
 	var out []*columnar.Batch
 	for {
@@ -83,6 +86,6 @@ func Drain(it Iterator) ([]*columnar.Batch, error) {
 		if b == nil {
 			return out, nil
 		}
-		out = append(out, b)
+		out = append(out, b.Compact())
 	}
 }

@@ -3,6 +3,7 @@ package expr
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -48,10 +49,13 @@ func PartialSchema(spec GroupBy, in *columnar.Schema) *columnar.Schema {
 }
 
 type partialGroup struct {
-	key    string
-	vals   []columnar.Value // group column values
-	states []AggState       // one per AggSpec
+	key  string           // the encoded group key (appendGroupKey); Result sorts by it
+	vals []columnar.Value // group column values, written once, when the group is made
 }
+
+// aggChunk is how many rows AddRaw and AddPartial assign to groups before
+// folding them; the chunk's slot array lives on the stack.
+const aggChunk = 1024
 
 // PartialAggregator folds raw rows and/or upstream partials into bounded
 // group state. When the number of groups would exceed MaxGroups, the
@@ -63,24 +67,33 @@ type PartialAggregator struct {
 	In        *columnar.Schema
 	MaxGroups int // 0 = unbounded
 
-	groups map[string]*partialGroup
-	order  []*partialGroup
+	// groups[s] is the group in slot s, in creation order, and
+	// states[s*len(Spec.Aggs)+ai] its aggregate ai.
+	groups []partialGroup
+	states []AggState
 
-	// Scratch for the row being looked up, reused so that only a new
-	// group allocates.
-	vals []columnar.Value
-	key  []byte
+	// A group's slot is in exactly one map, made on its first insert:
+	// strs for a single non-NULL VARCHAR key, keys (by encoded key) for
+	// any other. With no group columns the one group is slot 0 and no map
+	// is needed.
+	strs map[string]int32
+	keys map[string]int32
+
+	key         []byte // scratch for the encoded key being looked up
+	partialCols []int  // AddPartial's group columns: 0..n-1 of the partial schema
 }
 
 // NewPartialAggregator builds a partial aggregator for spec over batches
 // with schema in. Spec column indices refer to positions in in.
 func NewPartialAggregator(spec GroupBy, in *columnar.Schema, maxGroups int) *PartialAggregator {
-	return &PartialAggregator{
-		Spec:      spec,
-		In:        in,
-		MaxGroups: maxGroups,
-		groups:    make(map[string]*partialGroup),
+	p := &PartialAggregator{Spec: spec, In: in, MaxGroups: maxGroups}
+	if n := len(spec.GroupCols); n > 0 {
+		p.partialCols = make([]int, n)
+		for i := range p.partialCols {
+			p.partialCols[i] = i
+		}
 	}
+	return p
 }
 
 // NumGroups reports the number of groups currently held.
@@ -91,125 +104,192 @@ func (p *PartialAggregator) PartialSchema() *columnar.Schema {
 	return PartialSchema(p.Spec, p.In)
 }
 
-// AddRaw folds a batch of raw input rows, returning any partial batches
-// flushed due to the group budget.
+// AddRaw folds a batch of raw input rows, only the selected ones when b
+// carries a selection, returning any partial batches flushed due to the
+// group budget.
 func (p *PartialAggregator) AddRaw(b *columnar.Batch) []*columnar.Batch {
-	var flushed []*columnar.Batch
-	for row := 0; row < b.NumRows(); row++ {
-		g, spill := p.group(b, row)
-		if spill != nil {
-			flushed = append(flushed, spill)
-			g, _ = p.group(b, row)
-		}
-		for ai, spec := range p.Spec.Aggs {
-			st := &g.states[ai]
-			if spec.Func == Count {
-				st.UpdateCountOnly()
-				continue
-			}
-			col := b.Col(spec.Col)
-			if col.IsNull(row) {
-				continue
-			}
-			switch col.Type() {
-			case columnar.Int64:
-				st.UpdateInt(col.Int64s()[row])
-			case columnar.Float64:
-				st.UpdateFloat(col.Float64s()[row])
-			default:
-				// Non-numeric aggregation input contributes to COUNT
-				// semantics only.
-				st.UpdateCountOnly()
-			}
-		}
-	}
-	return flushed
+	return p.add(b, p.Spec.GroupCols, true)
 }
 
 // AddPartial folds a batch of upstream partials (schema PartialSchema),
-// returning any flushes. This is what lets stages chain.
+// only the selected ones as AddRaw, returning any flushes. This is what
+// lets stages chain.
 func (p *PartialAggregator) AddPartial(b *columnar.Batch) []*columnar.Batch {
-	ng := len(p.Spec.GroupCols)
+	return p.add(b, p.partialCols, false)
+}
+
+// add is AddRaw (raw) and AddPartial: a chunk of rows at a time, assign
+// gives each selected row its group's slot, then fold (raw rows) or merge
+// (partial states) updates the states by slot, one aggregate at a time.
+// Each group still sees its rows in row order, so float sums come out
+// bit for bit as a row-at-a-time loop's. When a new group meets a full
+// budget, assign stops at its row: the rows before it are folded and
+// flushed, and assignment resumes at that row, so spills happen exactly
+// where a row-at-a-time loop would put them.
+func (p *PartialAggregator) add(b *columnar.Batch, cols []int, raw bool) []*columnar.Batch {
+	var slots [aggChunk]int32
 	var flushed []*columnar.Batch
-	for row := 0; row < b.NumRows(); row++ {
-		g, spill := p.groupFromPartial(b, row)
-		if spill != nil {
-			flushed = append(flushed, spill)
-			g, _ = p.groupFromPartial(b, row)
+	for from, n := 0, b.NumRows(); from < n; {
+		end := min(from+aggChunk, n)
+		to := p.assign(b, cols, from, slots[:end-from])
+		if raw {
+			p.fold(b, from, slots[:to-from])
+		} else {
+			p.merge(b, from, slots[:to-from])
 		}
-		for ai := range p.Spec.Aggs {
-			base := ng + ai*partialStateCols
-			st := AggState{
-				Count: b.Col(base).Int64s()[row],
-				SumI:  b.Col(base + 1).Int64s()[row],
-				SumF:  b.Col(base + 2).Float64s()[row],
-				MinI:  b.Col(base + 3).Int64s()[row],
-				MaxI:  b.Col(base + 4).Int64s()[row],
-				MinF:  b.Col(base + 5).Float64s()[row],
-				MaxF:  b.Col(base + 6).Float64s()[row],
-			}
-			st.seen = st.Count > 0
-			g.states[ai].Merge(&st)
+		if to < end {
+			flushed = append(flushed, p.Flush())
 		}
+		from = to
 	}
 	return flushed
 }
 
-// group finds or creates the group for raw row, flushing first if the
-// budget is exhausted. The returned spill batch, if non-nil, must be
-// emitted downstream before retrying.
-func (p *PartialAggregator) group(b *columnar.Batch, row int) (*partialGroup, *columnar.Batch) {
-	p.vals = p.vals[:0]
-	for _, c := range p.Spec.GroupCols {
-		p.vals = append(p.vals, b.Col(c).Value(row))
+// assign stores the group slots of rows from, from+1, ... in slots (-1
+// for a row the selection drops), making groups as it meets them, and
+// returns the row it stopped at: from+len(slots), or the first row whose
+// new group the budget has no room for.
+func (p *PartialAggregator) assign(b *columnar.Batch, cols []int, from int, slots []int32) int {
+	sel := b.Selection()
+	var key *columnar.Vector
+	var strs []string
+	if len(cols) == 1 {
+		key = b.Col(cols[0])
+		strs = key.Strings() // nil unless the key is VARCHAR
 	}
-	return p.findGroup()
+	for k := range slots {
+		row := from + k
+		if sel != nil && !sel.Get(row) {
+			slots[k] = -1
+			continue
+		}
+		var s int32
+		var ok bool
+		switch {
+		case len(cols) == 0:
+			ok = len(p.groups) > 0
+		case strs != nil && !key.IsNull(row):
+			s, ok = p.strs[strs[row]]
+		default:
+			p.key = appendGroupKey(p.key[:0], b, cols, row)
+			s, ok = p.keys[string(p.key)] // the conversion does not allocate
+		}
+		if !ok {
+			if s, ok = p.newGroup(b, cols, row); !ok {
+				return row
+			}
+		}
+		slots[k] = s
+	}
+	return from + len(slots)
 }
 
-func (p *PartialAggregator) groupFromPartial(b *columnar.Batch, row int) (*partialGroup, *columnar.Batch) {
-	p.vals = p.vals[:0]
-	for i := range p.Spec.GroupCols {
-		p.vals = append(p.vals, b.Col(i).Value(row))
-	}
-	return p.findGroup()
-}
-
-// findGroup looks up the group of the values in p.vals.
-func (p *PartialAggregator) findGroup() (*partialGroup, *columnar.Batch) {
-	p.key = appendGroupKey(p.key[:0], p.vals)
-	if g, ok := p.groups[string(p.key)]; ok { // the conversion does not allocate
-		return g, nil
-	}
+// newGroup makes the group of row and files it in the map assign looks
+// it up in; ok is false when the budget has no room for it.
+func (p *PartialAggregator) newGroup(b *columnar.Batch, cols []int, row int) (s int32, ok bool) {
 	if p.MaxGroups > 0 && len(p.groups) >= p.MaxGroups {
-		return nil, p.Flush()
+		return 0, false
 	}
-	g := &partialGroup{key: string(p.key), vals: slices.Clone(p.vals), states: make([]AggState, len(p.Spec.Aggs))}
-	p.groups[g.key] = g
-	p.order = append(p.order, g)
-	return g, nil
+	s = int32(len(p.groups))
+	p.key = appendGroupKey(p.key[:0], b, cols, row)
+	g := partialGroup{key: string(p.key), vals: make([]columnar.Value, len(cols))}
+	for j, c := range cols {
+		g.vals[j] = b.Col(c).Value(row)
+	}
+	p.groups = append(p.groups, g)
+	p.states = append(p.states, make([]AggState, len(p.Spec.Aggs))...)
+	switch v := g.vals; {
+	case len(v) == 0:
+	case len(v) == 1 && !v[0].Null && v[0].Type == columnar.String:
+		if p.strs == nil {
+			p.strs = make(map[string]int32)
+		}
+		p.strs[v[0].S] = s
+	default:
+		if p.keys == nil {
+			p.keys = make(map[string]int32)
+		}
+		p.keys[g.key] = s
+	}
+	return s, true
+}
+
+// fold updates the states of rows from, from+1, ... in their slots, one
+// aggregate at a time over its typed column; a slot of -1 is skipped.
+func (p *PartialAggregator) fold(b *columnar.Batch, from int, slots []int32) {
+	na := len(p.Spec.Aggs)
+	for ai, spec := range p.Spec.Aggs {
+		if spec.Func == Count {
+			for _, s := range slots {
+				if s >= 0 {
+					p.states[int(s)*na+ai].UpdateCountOnly()
+				}
+			}
+			continue
+		}
+		col := b.Col(spec.Col)
+		switch col.Type() {
+		case columnar.Int64:
+			vals := col.Int64s()[from:]
+			for k, s := range slots {
+				if s >= 0 && !col.IsNull(from+k) {
+					p.states[int(s)*na+ai].UpdateInt(vals[k])
+				}
+			}
+		case columnar.Float64:
+			vals := col.Float64s()[from:]
+			for k, s := range slots {
+				if s >= 0 && !col.IsNull(from+k) {
+					p.states[int(s)*na+ai].UpdateFloat(vals[k])
+				}
+			}
+		default:
+			// Non-numeric aggregation input contributes to COUNT
+			// semantics only.
+			for k, s := range slots {
+				if s >= 0 && !col.IsNull(from+k) {
+					p.states[int(s)*na+ai].UpdateCountOnly()
+				}
+			}
+		}
+	}
+}
+
+// merge folds the partial states of rows from, from+1, ... into their
+// slots' states, one aggregate's seven state columns at a time.
+func (p *PartialAggregator) merge(b *columnar.Batch, from int, slots []int32) {
+	na, ng := len(p.Spec.Aggs), len(p.Spec.GroupCols)
+	for ai := range p.Spec.Aggs {
+		base := ng + ai*partialStateCols
+		cnt, sumI, sumF := b.Col(base).Int64s(), b.Col(base+1).Int64s(), b.Col(base+2).Float64s()
+		minI, maxI := b.Col(base+3).Int64s(), b.Col(base+4).Int64s()
+		minF, maxF := b.Col(base+5).Float64s(), b.Col(base+6).Float64s()
+		for k, s := range slots {
+			if s < 0 {
+				continue
+			}
+			row := from + k
+			st := AggState{
+				Count: cnt[row], SumI: sumI[row], SumF: sumF[row],
+				MinI: minI[row], MaxI: maxI[row], MinF: minF[row], MaxF: maxF[row],
+				seen: cnt[row] > 0,
+			}
+			p.states[int(s)*na+ai].Merge(&st)
+		}
+	}
 }
 
 // Clone deep-copies the aggregator's accumulated state, for stage-level
-// checkpointing: the copy shares no group records with the original, so
-// either side can keep folding rows without affecting the other.
+// checkpointing: either side can keep folding rows without affecting the
+// other. Group values are shared, as nothing writes them after a group
+// is made.
 func (p *PartialAggregator) Clone() *PartialAggregator {
-	c := &PartialAggregator{
-		Spec:      p.Spec,
-		In:        p.In,
-		MaxGroups: p.MaxGroups,
-		groups:    make(map[string]*partialGroup, len(p.groups)),
-		order:     make([]*partialGroup, 0, len(p.order)),
-	}
-	for _, g := range p.order {
-		ng := &partialGroup{
-			key:    g.key,
-			vals:   append([]columnar.Value(nil), g.vals...),
-			states: append([]AggState(nil), g.states...),
-		}
-		c.groups[ng.key] = ng
-		c.order = append(c.order, ng)
-	}
-	return c
+	c := *p
+	c.groups = slices.Clone(p.groups)
+	c.states = slices.Clone(p.states)
+	c.strs, c.keys = maps.Clone(p.strs), maps.Clone(p.keys)
+	c.key = nil
+	return &c
 }
 
 // Flush emits all held groups as one partial batch (nil when empty) and
@@ -218,12 +298,12 @@ func (p *PartialAggregator) Flush() *columnar.Batch {
 	if len(p.groups) == 0 {
 		return nil
 	}
-	out := columnar.NewBatch(p.PartialSchema(), len(p.order))
-	for _, g := range p.order {
-		row := make([]columnar.Value, 0, len(g.vals)+partialStateCols*len(g.states))
-		row = append(row, g.vals...)
-		for i := range g.states {
-			st := &g.states[i]
+	na := len(p.Spec.Aggs)
+	out := columnar.NewBatch(p.PartialSchema(), len(p.groups))
+	row := make([]columnar.Value, 0, len(p.Spec.GroupCols)+partialStateCols*na)
+	for s, g := range p.groups {
+		row = append(row[:0], g.vals...)
+		for _, st := range p.states[s*na : (s+1)*na] {
 			row = append(row,
 				columnar.IntValue(st.Count),
 				columnar.IntValue(st.SumI),
@@ -236,8 +316,10 @@ func (p *PartialAggregator) Flush() *columnar.Batch {
 		}
 		out.AppendRow(row...)
 	}
-	p.groups = make(map[string]*partialGroup)
-	p.order = nil
+	clear(p.groups)
+	p.groups, p.states = p.groups[:0], p.states[:0]
+	clear(p.strs)
+	clear(p.keys)
 	return out
 }
 
@@ -254,7 +336,7 @@ func NewFinalAggregator(spec GroupBy, in *columnar.Schema) *FinalAggregator {
 	return &FinalAggregator{partial: NewPartialAggregator(spec, in, 0), in: in}
 }
 
-// AddRaw folds raw input rows.
+// AddRaw folds raw input rows (the selected ones, under a selection).
 func (f *FinalAggregator) AddRaw(b *columnar.Batch) { f.partial.AddRaw(b) }
 
 // AddPartial folds upstream partial batches.
@@ -272,45 +354,52 @@ func (f *FinalAggregator) Clone() *FinalAggregator {
 // Result materializes the final aggregate values, sorted by group key for
 // deterministic output.
 func (f *FinalAggregator) Result() *columnar.Batch {
-	spec := f.partial.Spec
-	out := columnar.NewBatch(spec.OutputSchema(f.in), len(f.partial.order))
-	groups := append([]*partialGroup(nil), f.partial.order...)
-	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-	for _, g := range groups {
-		row := make([]columnar.Value, 0, len(g.vals)+len(spec.Aggs))
-		row = append(row, g.vals...)
+	p := f.partial
+	spec, na := p.Spec, len(p.Spec.Aggs)
+	out := columnar.NewBatch(spec.OutputSchema(f.in), len(p.groups))
+	order := make([]int, len(p.groups))
+	for s := range order {
+		order[s] = s
+	}
+	sort.Slice(order, func(i, j int) bool { return p.groups[order[i]].key < p.groups[order[j]].key })
+	row := make([]columnar.Value, 0, len(spec.GroupCols)+na)
+	for _, s := range order {
+		row = append(row[:0], p.groups[s].vals...)
 		for ai, a := range spec.Aggs {
 			typ := columnar.Int64
 			if a.Func != Count {
 				typ = f.in.Fields[a.Col].Type
 			}
-			row = append(row, g.states[ai].Result(a.Func, typ))
+			row = append(row, p.states[s*na+ai].Result(a.Func, typ))
 		}
 		out.AppendRow(row...)
 	}
 	return out
 }
 
-// appendGroupKey appends a collision-free byte key of the group values
-// to buf.
-func appendGroupKey(buf []byte, vals []columnar.Value) []byte {
-	for _, v := range vals {
-		buf = append(buf, byte(v.Type))
-		if v.Null {
+// appendGroupKey appends to buf a collision-free byte key of row's values
+// in columns cols of b, read from the typed vectors: per column its type,
+// a NULL flag and the value, a string length-prefixed.
+func appendGroupKey(buf []byte, b *columnar.Batch, cols []int, row int) []byte {
+	for _, c := range cols {
+		col := b.Col(c)
+		buf = append(buf, byte(col.Type()))
+		if col.IsNull(row) {
 			buf = append(buf, 0)
 			continue
 		}
 		buf = append(buf, 1)
-		switch v.Type {
+		switch col.Type() {
 		case columnar.Int64:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(col.Int64s()[row]))
 		case columnar.Float64:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(col.Float64s()[row]))
 		case columnar.String:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(v.S)))
-			buf = append(buf, v.S...)
+			s := col.Strings()[row]
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
+			buf = append(buf, s...)
 		case columnar.Bool:
-			if v.B {
+			if col.Bools()[row] {
 				buf = append(buf, 1)
 			} else {
 				buf = append(buf, 0)

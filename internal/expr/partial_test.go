@@ -1,6 +1,9 @@
 package expr
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -303,13 +306,243 @@ func TestPartialSplitProperty(t *testing.T) {
 	}
 }
 
-// Folding a row into a group that already exists allocates nothing: the
-// group values and their key are scratch on the aggregator.
+// Folding rows into groups that already exist allocates nothing, for any
+// key and however many chunks the batch spans: the encoded key is scratch
+// on the aggregator and the chunk's slot array lives on AddRaw's stack.
 func TestAddRawKnownGroupsDoesNotAllocate(t *testing.T) {
-	p := NewPartialAggregator(salesSpec(), salesSchema(), 0)
-	b := salesBatch([]string{"eu", "us", "eu", "us"}, []int64{1, 2, 3, 4})
-	p.AddRaw(b)
-	if n := testing.AllocsPerRun(10, func() { p.AddRaw(b) }); n != 0 {
-		t.Errorf("AddRaw over known groups: %v allocs per batch, want 0", n)
+	const n = 3000 // three chunks, the last one partial
+	regions, amounts := make([]string, n), make([]int64, n)
+	sel := columnar.NewBitmap(n)
+	for i := range regions {
+		regions[i], amounts[i] = []string{"eu", "us", "apac"}[i%3], int64(i%7)
+		if i%10 != 0 {
+			sel.Set(i)
+		}
+	}
+	long := salesBatch(regions, amounts).WithSelection(sel)
+	aggs := []AggSpec{{Func: Count}, {Func: Sum, Col: 1}, {Func: Min, Col: 1}}
+	for _, c := range []struct {
+		name string
+		spec GroupBy
+		b    *columnar.Batch
+	}{
+		{"VARCHAR key, 4 rows", salesSpec(), salesBatch([]string{"eu", "us", "eu", "us"}, []int64{1, 2, 3, 4})},
+		{"VARCHAR key, selected 3,000 rows", GroupBy{GroupCols: []int{0}, Aggs: aggs}, long},
+		{"BIGINT key, selected 3,000 rows", GroupBy{GroupCols: []int{1}, Aggs: aggs}, long},
+		{"two keys, selected 3,000 rows", GroupBy{GroupCols: []int{0, 1}, Aggs: aggs}, long},
+	} {
+		p := NewPartialAggregator(c.spec, salesSchema(), 0)
+		p.AddRaw(c.b)
+		if n := testing.AllocsPerRun(10, func() { p.AddRaw(c.b) }); n != 0 {
+			t.Errorf("%s: AddRaw over known groups: %v allocs per batch, want 0", c.name, n)
+		}
+	}
+}
+
+// refAgg is the row-at-a-time aggregation AddRaw's two passes replace: per
+// selected row it looks the group up by its values, flushes first when a
+// new group finds the budget full, then updates every aggregate.
+type refAgg struct {
+	spec    GroupBy
+	in      *columnar.Schema
+	max     int
+	slot    map[string]int
+	vals    [][]columnar.Value
+	states  [][]AggState
+	flushed []*columnar.Batch
+}
+
+func (r *refAgg) addRaw(b *columnar.Batch) {
+	for row := 0; row < b.NumRows(); row++ {
+		if sel := b.Selection(); sel != nil && !sel.Get(row) {
+			continue
+		}
+		var vals []columnar.Value
+		for _, c := range r.spec.GroupCols {
+			vals = append(vals, b.Col(c).Value(row))
+		}
+		s, ok := r.slot[fmt.Sprint(vals)]
+		if !ok {
+			if r.max > 0 && len(r.vals) >= r.max {
+				r.flush()
+			}
+			s = len(r.vals)
+			r.slot[fmt.Sprint(vals)] = s
+			r.vals, r.states = append(r.vals, vals), append(r.states, make([]AggState, len(r.spec.Aggs)))
+		}
+		for ai, a := range r.spec.Aggs {
+			st := &r.states[s][ai]
+			switch {
+			case a.Func == Count:
+				st.UpdateCountOnly()
+			case b.Col(a.Col).IsNull(row):
+			case b.Col(a.Col).Type() == columnar.Int64:
+				st.UpdateInt(b.Col(a.Col).Int64s()[row])
+			case b.Col(a.Col).Type() == columnar.Float64:
+				st.UpdateFloat(b.Col(a.Col).Float64s()[row])
+			default:
+				st.UpdateCountOnly()
+			}
+		}
+	}
+}
+
+func (r *refAgg) flush() {
+	if len(r.vals) > 0 {
+		out := columnar.NewBatch(PartialSchema(r.spec, r.in), len(r.vals))
+		for s, vals := range r.vals {
+			row := append([]columnar.Value(nil), vals...)
+			for _, st := range r.states[s] {
+				row = append(row, columnar.IntValue(st.Count), columnar.IntValue(st.SumI), columnar.FloatValue(st.SumF),
+					columnar.IntValue(st.MinI), columnar.IntValue(st.MaxI), columnar.FloatValue(st.MinF), columnar.FloatValue(st.MaxF))
+			}
+			out.AppendRow(row...)
+		}
+		r.flushed = append(r.flushed, out)
+	}
+	r.slot, r.vals, r.states = map[string]int{}, nil, nil
+}
+
+// sameBits reports whether two values are equal, floats bit for bit.
+func sameBits(a, b columnar.Value) bool {
+	if a.Type == columnar.Float64 && b.Type == columnar.Float64 && !a.Null && !b.Null {
+		return math.Float64bits(a.F) == math.Float64bits(b.F)
+	}
+	return a.Equal(b)
+}
+
+func sameBatchBits(t *testing.T, what string, got, want *columnar.Batch) {
+	t.Helper()
+	if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
+		t.Fatalf("%s: %d×%d, want %d×%d", what, got.NumRows(), got.NumCols(), want.NumRows(), want.NumCols())
+	}
+	for r := 0; r < want.NumRows(); r++ {
+		for c := 0; c < want.NumCols(); c++ {
+			if g, w := got.Col(c).Value(r), want.Col(c).Value(r); !sameBits(g, w) {
+				t.Fatalf("%s: row %d column %d = %v, want %v", what, r, c, g, w)
+			}
+		}
+	}
+	if got.ByteSize() != want.ByteSize() {
+		t.Fatalf("%s: ByteSize %d, want %d", what, got.ByteSize(), want.ByteSize())
+	}
+}
+
+// AddRaw, Flush and Result agree bit for bit with the row-at-a-time
+// reference: BIGINT, VARCHAR, BOOLEAN, DOUBLE, multi-column and no group
+// columns, NULL keys and inputs, batches longer than a chunk under random
+// selections, and budgets small enough to spill mid-chunk.
+func TestAddRawMatchesRowAtATime(t *testing.T) {
+	schema := columnar.NewSchema(
+		columnar.Field{Name: "ki", Type: columnar.Int64}, columnar.Field{Name: "ks", Type: columnar.String},
+		columnar.Field{Name: "kb", Type: columnar.Bool}, columnar.Field{Name: "kf", Type: columnar.Float64},
+		columnar.Field{Name: "v", Type: columnar.Int64}, columnar.Field{Name: "f", Type: columnar.Float64},
+		columnar.Field{Name: "s", Type: columnar.String},
+	)
+	rng := rand.New(rand.NewSource(29))
+	gen := func(n int, keys int64) *columnar.Batch {
+		b := columnar.NewBatch(schema, n)
+		orNull := func(v columnar.Value) columnar.Value {
+			if rng.Intn(9) == 0 {
+				return columnar.NullValue(v.Type)
+			}
+			return v
+		}
+		for i := 0; i < n; i++ {
+			k := rng.Int63n(keys)
+			b.AppendRow(orNull(columnar.IntValue(k)), orNull(columnar.StringValue(fmt.Sprint("k", k%5))),
+				columnar.BoolValue(k%2 == 0), orNull(columnar.FloatValue([]float64{0, math.Copysign(0, -1), 1.5}[k%3])),
+				orNull(columnar.IntValue(rng.Int63n(2000)-1000)), orNull(columnar.FloatValue(rng.NormFloat64()*1e3)),
+				columnar.StringValue("x"))
+		}
+		return b
+	}
+	numeric := []AggSpec{{Func: Count}, {Func: Sum, Col: 4}, {Func: Sum, Col: 5}, {Func: Min, Col: 4},
+		{Func: Max, Col: 5}, {Func: Avg, Col: 5}, {Func: Min, Col: 5}, {Func: Max, Col: 4}}
+	for _, c := range []struct {
+		name string
+		spec GroupBy
+	}{
+		{"BIGINT key", GroupBy{GroupCols: []int{0}, Aggs: numeric}},
+		{"VARCHAR key", GroupBy{GroupCols: []int{1}, Aggs: numeric}},
+		{"BOOLEAN key", GroupBy{GroupCols: []int{2}, Aggs: numeric}},
+		{"DOUBLE key", GroupBy{GroupCols: []int{3}, Aggs: numeric}},
+		{"two keys", GroupBy{GroupCols: []int{1, 0}, Aggs: numeric}},
+		{"no group columns", GroupBy{Aggs: numeric}},
+		{"VARCHAR input", GroupBy{GroupCols: []int{0}, Aggs: []AggSpec{{Func: Sum, Col: 6}, {Func: Count}}}},
+	} {
+		for _, budget := range []int{0, 1, 2, 3} {
+			what := fmt.Sprintf("%s, budget %d", c.name, budget)
+			p := NewPartialAggregator(c.spec, schema, budget)
+			f := NewFinalAggregator(c.spec, schema)
+			ref := &refAgg{spec: c.spec, in: schema, max: budget, slot: map[string]int{}}
+			var got []*columnar.Batch
+			for _, n := range []int{0, 1, 1023, 1024, 1025, 2600} {
+				b := gen(n, []int64{3, 12}[rng.Intn(2)])
+				if keep := rng.Float64(); keep < 0.9 {
+					sel := columnar.NewBitmap(n)
+					for i := 0; i < n; i++ {
+						if rng.Float64() < keep {
+							sel.Set(i)
+						}
+					}
+					b = b.WithSelection(sel)
+				}
+				got = append(got, p.AddRaw(b)...)
+				f.AddRaw(b)
+				ref.addRaw(b)
+			}
+			if budget == 0 && c.spec.Aggs[0].Func == Count {
+				want := columnar.NewBatch(c.spec.OutputSchema(schema), len(ref.vals))
+				for s, vals := range ref.vals {
+					row := append([]columnar.Value(nil), vals...)
+					for ai, a := range c.spec.Aggs {
+						typ := columnar.Int64
+						if a.Func != Count {
+							typ = schema.Fields[a.Col].Type
+						}
+						row = append(row, ref.states[s][ai].Result(a.Func, typ))
+					}
+					want.AppendRow(row...)
+				}
+				sameGroups(t, what+": Result", f.Result(), want, len(c.spec.GroupCols))
+			}
+			if last := p.Flush(); last != nil {
+				got = append(got, last)
+			}
+			ref.flush()
+			if len(got) != len(ref.flushed) {
+				t.Fatalf("%s: %d partial batches, want %d", what, len(got), len(ref.flushed))
+			}
+			for i := range got {
+				sameBatchBits(t, fmt.Sprintf("%s: partial batch %d", what, i), got[i], ref.flushed[i])
+			}
+		}
+	}
+}
+
+// sameGroups compares two results as sets of groups, the first ng columns
+// being the group key: Result orders groups by their encoded key.
+func sameGroups(t *testing.T, what string, got, want *columnar.Batch, ng int) {
+	t.Helper()
+	if got.NumRows() != want.NumRows() {
+		t.Fatalf("%s: %d groups, want %d", what, got.NumRows(), want.NumRows())
+	}
+	byKey := map[string][]columnar.Value{}
+	for r := 0; r < want.NumRows(); r++ {
+		row := want.Row(r)
+		byKey[fmt.Sprintf("%#v", row[:ng])] = row
+	}
+	for r := 0; r < got.NumRows(); r++ {
+		row := got.Row(r)
+		w, ok := byKey[fmt.Sprintf("%#v", row[:ng])]
+		if !ok {
+			t.Fatalf("%s: group %v not in the reference", what, row[:ng])
+		}
+		for c := range w {
+			if !sameBits(row[c], w[c]) {
+				t.Fatalf("%s: group %v column %d = %v, want %v", what, row[:ng], c, row[c], w[c])
+			}
+		}
 	}
 }

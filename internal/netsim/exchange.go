@@ -54,6 +54,7 @@ func (e *Exchange) Name() string { return fmt.Sprintf("exchange(col%d,x%d)", e.K
 // Process implements flow.Stage: route each row to its partition's
 // builder and ship builders as they fill.
 func (e *Exchange) Process(b *columnar.Batch, emit flow.Emit) error {
+	b = b.Compact() // routes physical rows: dense boundary
 	if e.schema == nil {
 		e.schema = b.Schema()
 		e.builders = make([]*columnar.Batch, len(e.Dests))
