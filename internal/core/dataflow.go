@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/encoding"
@@ -39,8 +38,6 @@ type DataFlowEngine struct {
 	// payload.
 	SecureWire bool
 
-	// StageTimeout arms the pipeline watchdog; 0 disables it.
-	StageTimeout time.Duration
 	// PartialRestart enables stage-level checkpointing: pipelines record
 	// completed-segment watermarks at stage boundaries, and a mid-query
 	// device failure replays only the suffix since the last completed
@@ -494,17 +491,16 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr 
 				scanStats = st
 				return err
 			},
-			Stages:       stages,
-			Paths:        paths,
-			Workers:      e.Workers,
-			StageTimeout: e.StageTimeout,
-			Services:     e.Services,
-			Trace:        tr,
-			Clock:        clock,
-			SourceTrack:  e.Storage.Proc().Name,
-			Ckpt:         ck,
-			Restore:      restore,
-			Account:      acct,
+			Stages:      stages,
+			Paths:       paths,
+			Workers:     e.Workers,
+			Services:    e.Services,
+			Trace:       tr,
+			Clock:       clock,
+			SourceTrack: e.Storage.Proc().Name,
+			Ckpt:        ck,
+			Restore:     restore,
+			Account:     acct,
 		}
 
 		attemptStart := len(result.Batches)

@@ -138,7 +138,8 @@ func (e *VolcanoEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	build, probe := e.serialScan(ctx, buildMeta, nil), e.serialScan(ctx, probeMeta, nil)
+	build, _ := e.scan(ctx, buildMeta, 1, nil) // width 1: nothing to clean up
+	probe, _ := e.scan(ctx, probeMeta, 1, nil)
 	table := exec.NewHashTable(buildMeta.Schema, jq.BuildKey, e.Workers)
 	if _, err := exec.Drain(exec.Pull(build, &exec.BuildStage{Table: table})); err != nil {
 		return nil, lifecycleError(err)

@@ -97,13 +97,10 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 		return nil, err
 	}
 	// Verify before caching: a read that came back corrupt must fail the
-	// fetch, not poison the buffer pool for every later query. Column
-	// checksums are only checked on decode, so decode the whole segment.
-	seg, err := storage.UnmarshalSegment(blob)
-	if err == nil {
-		_, err = seg.Decode()
-	}
-	if err != nil {
+	// fetch, not poison the buffer pool for every later query. The framing
+	// and every column's checksum are checked without decoding anything;
+	// pullSegment decodes.
+	if err := storage.VerifySegmentBlob(blob); err != nil {
 		return nil, fmt.Errorf("storage: fetch %s: %w", id, err)
 	}
 	n := sim.Bytes(len(blob))
@@ -188,14 +185,8 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 		// The serial span chain cannot describe overlapped fetches.
 		workers = 1
 	}
-	var it exec.Iterator
-	if workers > 1 {
-		scan, cleanup := e.parallelScan(ctx, meta, workers, &maxDecoded)
-		defer cleanup()
-		it = scan
-	} else {
-		it = e.serialScan(ctx, meta, &maxDecoded)
-	}
+	it, cleanup := e.scan(ctx, meta, workers, &maxDecoded)
+	defer cleanup()
 
 	// Operator tree, all on the CPU: the data-flow engine's stages, each
 	// pulled by the one above it.
@@ -234,23 +225,42 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 	return res, nil
 }
 
-// parallelScan is the morsel-parallel front of the pull loop: workers
-// claim segment indices from a shared counter, pull each through the
-// buffer pool and decode it on a per-core lane, and the returned
-// iterator hands batches to the operator tree in segment order via a
-// reorder buffer, so the tree sees exactly the serial stream. The
-// cleanup func unwinds the workers; callers must run it before
-// returning (a LIMIT may abandon the iterator mid-stream, and the
-// workers must not outlive the query).
-func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMeta, workers int, peak *sim.Bytes) (exec.Iterator, func()) {
+// scan is the front of the pull loop at any width: pullSegment (fetch
+// through the buffer pool and decode, on the lane it is given), then
+// deliver (in segment order). At width 1 the iterator calls one after the
+// other on the caller's goroutine and the cleanup does nothing. At width
+// N workers claim segment indices from a shared counter and pull on
+// per-core lanes, and a reorder buffer hands their batches to deliver in
+// segment order, so the operator tree sees the same stream. The cleanup
+// unwinds the workers; callers must run it before returning (a LIMIT may
+// abandon the iterator mid-stream, and the workers must not outlive the
+// query).
+func (e *VolcanoEngine) scan(ctx context.Context, meta *storage.TableMeta, workers int, peak *sim.Bytes) (exec.Iterator, func()) {
+	acct := volcanoAccountFrom(ctx)
+	keys := e.Storage.SegmentKeys(meta)
+	if workers <= 1 {
+		idx := 0
+		return func() (*columnar.Batch, error) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			if idx >= len(keys) {
+				return nil, nil
+			}
+			b, err := e.pullSegment(ctx, acct, keys[idx], 0)
+			idx++
+			if err != nil {
+				return nil, err
+			}
+			return e.deliver(acct, b, peak), nil
+		}, func() {}
+	}
 	type item struct {
 		idx   int
 		batch *columnar.Batch
 		err   error
 	}
 	ctx, cancel := context.WithCancel(ctx)
-	acct := volcanoAccountFrom(ctx)
-	keys := e.Storage.SegmentKeys(meta)
 	var next atomic.Int64
 	results := make(chan item, 2*workers)
 	var wg sync.WaitGroup
@@ -305,28 +315,6 @@ func (e *VolcanoEngine) parallelScan(ctx context.Context, meta *storage.TableMet
 			pend[r.idx] = r
 		}
 	}, cleanup
-}
-
-// serialScan is the width-1 pull loop: one segment per call, pulled and
-// delivered on the caller's goroutine.
-func (e *VolcanoEngine) serialScan(ctx context.Context, meta *storage.TableMeta, peak *sim.Bytes) exec.Iterator {
-	idx := 0
-	acct := volcanoAccountFrom(ctx)
-	keys := e.Storage.SegmentKeys(meta)
-	return func() (*columnar.Batch, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if idx >= len(keys) {
-			return nil, nil
-		}
-		b, err := e.pullSegment(ctx, acct, keys[idx], 0)
-		idx++
-		if err != nil {
-			return nil, err
-		}
-		return e.deliver(acct, b, peak), nil
-	}
 }
 
 // pullSegment pulls one segment through the buffer pool and decodes it

@@ -77,7 +77,7 @@ type EncodedColumn struct {
 	// values out (no unsafe string views) so decoded vectors outlive it.
 	Data     []byte
 	Nulls    []byte
-	Checksum uint32 // CRC-32 (IEEE) of Data
+	Checksum uint32 // CRC-32 of Nulls‖Data; see ComputeChecksum
 
 	// decodedSize memoizes DecodedSize; not part of the wire format.
 	decodedSize    int64
@@ -110,8 +110,16 @@ func EncodeColumn(v *columnar.Vector) *EncodedColumn {
 	case columnar.Bool:
 		ec.Encoding, ec.Data = Plain, EncodeBools(v.Bools())
 	}
-	ec.Checksum = crc32.ChecksumIEEE(ec.Data)
+	ec.Checksum = ec.ComputeChecksum()
 	return ec
+}
+
+// ComputeChecksum is the CRC-32 (IEEE) of Nulls‖Data: the value Checksum
+// holds for an intact column, so a flipped bit in either the values or
+// the null bitmap is caught. The zone map (Stats) is not covered. Without
+// NULLs it is the CRC of Data alone, since an empty prefix changes nothing.
+func (ec *EncodedColumn) ComputeChecksum() uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(ec.Nulls), crc32.IEEETable, ec.Data)
 }
 
 // encodeInt64s sizes RLE, DELTA and BITPACK in one pass that also finds

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math"
 	"reflect"
 	"slices"
@@ -43,7 +42,9 @@ func stringBlock(enc ColumnEncoding, vals []string) []byte {
 // valid checksum and no NULLs, so that a round trip reads it back through
 // the one reader, EncodedColumn.Decode.
 func wrap(typ columnar.Type, enc ColumnEncoding, n int, data []byte) *EncodedColumn {
-	return &EncodedColumn{Type: typ, Encoding: enc, Stats: Stats{NumValues: n}, Data: data, Checksum: crc32.ChecksumIEEE(data)}
+	ec := &EncodedColumn{Type: typ, Encoding: enc, Stats: Stats{NumValues: n}, Data: data}
+	ec.Checksum = ec.ComputeChecksum()
+	return ec
 }
 
 // decodeInts writes vals with codec enc and decodes them back.

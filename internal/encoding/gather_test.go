@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"slices"
@@ -48,7 +47,8 @@ func nullable(typ columnar.Type, n, nullEvery int, next func(i int) columnar.Val
 
 // forced re-encodes ec's payload with a codec the encoder did not pick.
 func forced(ec *EncodedColumn, enc ColumnEncoding, data []byte) *EncodedColumn {
-	ec.Encoding, ec.Data, ec.Checksum = enc, data, crc32.ChecksumIEEE(data)
+	ec.Encoding, ec.Data = enc, data
+	ec.Checksum = ec.ComputeChecksum()
 	return ec
 }
 
@@ -227,6 +227,7 @@ func damagedColumns() []damaged {
 		out = append(out, damaged{col.name + " flipped CRC", &crc, []*columnar.Bitmap{all, last, none}})
 		nulls := *clean
 		nulls.Nulls = longer.Nulls
+		nulls.Checksum = nulls.ComputeChecksum() // reach the length check, not the CRC
 		out = append(out, damaged{col.name + " null bitmap of another length", &nulls, []*columnar.Bitmap{all, last, none}})
 	}
 	// A dictionary code past the table, on a selected row. The codes of 200
@@ -292,7 +293,7 @@ func FuzzDecodeFiltered(f *testing.F) {
 		if err != nil || ec.Stats.NumValues < 0 || ec.Stats.NumValues > 1<<16 || len(pattern) == 0 {
 			return
 		}
-		ec.Checksum = crc32.ChecksumIEEE(ec.Data)
+		ec.Checksum = ec.ComputeChecksum()
 		sel := columnar.NewBitmap(ec.Stats.NumValues)
 		for i := 0; i < sel.Len(); i++ {
 			if pattern[i>>3%len(pattern)]>>(uint(i)&7)&1 != 0 {

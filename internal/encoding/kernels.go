@@ -3,7 +3,6 @@ package encoding
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/bits"
 
@@ -68,9 +67,10 @@ func (ec *EncodedColumn) clearNulls(bm *columnar.Bitmap) error {
 	return nil
 }
 
-// verify checks the Data checksum, mirroring Decode.
+// verify checks the column's checksum (null bitmap and values), the one
+// check every decode and kernel makes before reading either.
 func (ec *EncodedColumn) verify() error {
-	if crc32.ChecksumIEEE(ec.Data) != ec.Checksum {
+	if ec.ComputeChecksum() != ec.Checksum {
 		return fmt.Errorf("%w: column checksum mismatch", ErrCorrupt)
 	}
 	return nil

@@ -3,7 +3,6 @@ package encoding
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"slices"
@@ -40,7 +39,7 @@ func intColumn(vals []int64, nulls []bool, enc ColumnEncoding, zoneMap bool) *En
 		ec.Nulls = EncodeBools(nulls)
 	}
 	ec.Data = intBlock(enc, vals)
-	ec.Checksum = crc32.ChecksumIEEE(ec.Data)
+	ec.Checksum = ec.ComputeChecksum()
 	return ec
 }
 
@@ -225,7 +224,7 @@ func TestStringMatchMatchesDecodeAtEveryCodeWidth(t *testing.T) {
 						}
 					}
 				}
-				ec.Checksum = crc32.ChecksumIEEE(ec.Data)
+				ec.Checksum = ec.ComputeChecksum()
 				match := func(s string) bool { return s[len(s)-1]%3 == 0 }
 				got, ok, err := ec.EvalStringMatch(match)
 				what := fmt.Sprintf("DICT distinct=%d n=%d nulls=%v", distinct, n, nulls != nil)

@@ -5,15 +5,14 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // ParallelStage is implemented by stages that can run as a per-device
 // worker pool (morsel-driven parallelism). The runtime replicates the
 // stage with NewWorker, feeds the replicas concurrently, and merges
 // their outputs back into upstream arrival order before anything is
-// sent downstream — so a parallel stage is observationally equivalent
-// to the serial one: same output batches, same order, same metered
+// sent downstream — so a pool is observationally equivalent to the
+// stage at width 1: same output batches, same order, same metered
 // totals. Only the makespan changes, via per-lane busy accounting.
 type ParallelStage interface {
 	Stage
@@ -31,13 +30,12 @@ type ParallelStage interface {
 	Stateless() bool
 }
 
-// stageWorkers decides how many workers run stage i. A stage runs serial
-// unless it implements ParallelStage and the pipeline asks for workers;
-// the pool is clamped to the hosting device's
-// Parallelism. Snapshotting stages fall back to serial when the run
-// checkpoints — an epoch snapshot must be one consistent state, not W
-// fragments — and stages with restored state keep the single instance
-// the state was installed into.
+// stageWorkers decides stage i's width. A stage runs at width 1 unless
+// it implements ParallelStage and the pipeline asks for workers; the
+// pool is clamped to the hosting device's Parallelism. Snapshotting
+// stages stay at width 1 when the run checkpoints — an epoch snapshot
+// must be one consistent state, not W fragments — and stages with
+// restored state keep the single instance the state was installed into.
 func (p *Pipeline) stageWorkers(i int) int {
 	st := p.Stages[i]
 	if _, ok := st.Stage.(ParallelStage); !ok {
@@ -59,260 +57,116 @@ func (p *Pipeline) stageWorkers(i int) int {
 	return w
 }
 
-// workItem is one sequenced batch headed for a worker.
-type workItem struct {
-	seq int64
-	b   *columnar.Batch
+// stageItem is one item in arrival order: a batch on its way to a pooled
+// worker, or, as settle takes it, a processed batch (its held outputs and
+// tape input, or the error it failed with), a fault found before
+// dispatch, or (b nil) a checkpoint marker.
+type stageItem struct {
+	seq   int64
+	b     *columnar.Batch
+	outs  []*columnar.Batch
+	epoch int
+	err   error
+	input obs.TapeInput
 }
 
-// stageResult is what a worker (or the dispatcher, for markers and
-// dispatch-side faults) hands to the merger: the item's sequence number
-// plus everything the serial loop would have done with it in place.
-type stageResult struct {
-	seq    int64
-	outs   []*columnar.Batch
-	marker bool
-	epoch  int
-	err    error
-	input  obs.TapeInput
-	traced bool
+// pool is a stage's width-N machinery between the receiving goroutine
+// and settle. Stateless stages feed one shared queue — an idle worker
+// steals the next batch, whichever it is; stateful ones feed worker
+// seq mod width, so each replica's state is schedule-independent. Each
+// worker runs worker.process and hands its result to a merger goroutine,
+// which settles results in sequence order — batches leave a pool in
+// exactly the order they arrived, checkpoint markers included. Credits
+// return as soon as a worker finishes a batch; the reorder buffer this
+// admits is bounded by the worker count plus channel buffers.
+type pool struct {
+	r       *stageRun
+	queues  []chan stageItem
+	results chan stageItem
+	wwg     sync.WaitGroup
+	mwg     sync.WaitGroup
 }
 
-// runParallel executes the stage as a pool of r.w workers.
-//
-// Shape: the calling goroutine is the dispatcher — it is the port's
-// single receiver, assigns arrival sequence numbers, and routes batches
-// to workers (shared queue for stateless stages, round-robin for
-// stateful ones). Workers process batches into buffered output slices
-// and charge their device lane positionally (seq mod workers, not
-// goroutine identity, so lane busy totals are schedule-independent). A
-// merger goroutine reorders results by sequence number and is the only
-// goroutine that touches the downstream port, the sink counters, and
-// the stage tape — batches leave a parallel stage in exactly the order
-// they arrived, checkpoint markers included.
-//
-// Credits return as soon as a worker finishes a batch; the reorder
-// buffer this admits is bounded by the worker count plus channel
-// buffers. Flushes run after all workers join, serially in worker
-// order, so stateful replicas drain deterministically.
-func (r *stageRun) runParallel() {
-	p, st := r.p, r.st
-	last := r.next == nil
-	par := st.Stage.(ParallelStage)
-	stateless := par.Stateless()
-	// out is called only by the merger, then by the flush phase after
-	// the merger has joined.
-	out := Emit(r.out)
-
-	r.install()
-
-	insts := make([]Stage, r.w)
-	for wi := range insts {
-		insts[wi] = par.NewWorker()
-		if ca, ok := insts[wi].(CancelAware); ok {
-			ca.SetCancel(r.done, p.Services.Clock)
-		}
+// startPool starts the stage's workers and its merger as r.pool.
+func (r *stageRun) startPool() {
+	// About one queued batch and two results per worker keep the
+	// receiver, the workers and the merger from waiting on each other.
+	queues, depth := r.w, 2 // stateful: one queue per worker
+	if r.st.Stage.(ParallelStage).Stateless() {
+		queues, depth = 1, r.w
 	}
-
-	results := make(chan stageResult, 2*r.w+4)
-	var shared chan workItem
-	var perw []chan workItem
-	if stateless {
-		shared = make(chan workItem, r.w)
-	} else {
-		perw = make([]chan workItem, r.w)
-		for wi := range perw {
-			perw[wi] = make(chan workItem, 2)
-		}
+	pl := &pool{r: r, queues: make([]chan stageItem, queues), results: make(chan stageItem, 2*r.w+4)}
+	for i := range pl.queues {
+		pl.queues[i] = make(chan stageItem, depth)
 	}
-
-	var wwg sync.WaitGroup
-	worker := func(wi int, ch <-chan workItem) {
-		defer wwg.Done()
-		for item := range ch {
-			var cost sim.VTime
-			if st.ChargeInput && st.Device != nil {
-				cost = p.Account.ChargeLane(st.Device, st.Op, sim.Bytes(item.b.ByteSize()), int(item.seq%int64(r.w)))
-			}
-			sr := stageResult{seq: item.seq}
-			procStart := p.Services.Clock.Now()
-			r.busy[wi].Store(procStart.UnixNano())
-			p.markBusy(1)
-			sr.err = insts[wi].Process(item.b, func(ob *columnar.Batch) error {
-				sr.outs = append(sr.outs, ob)
-				return nil
-			})
-			p.markBusy(-1)
-			r.busy[wi].Store(0)
-			p.observeStage(st.Device, procStart)
-			if r.ts != nil {
-				sr.input = obs.TapeInput{
-					Bytes: sim.Bytes(item.b.ByteSize()),
-					Cost:  cost,
-					Outs:  len(sr.outs),
-				}
-				sr.traced = true
-			}
-			r.in.CreditReturn()
-			select {
-			case results <- sr:
-			case <-r.done:
-				return
-			}
-		}
-	}
-	wwg.Add(r.w)
-	for wi := 0; wi < r.w; wi++ {
-		if stateless {
-			go worker(wi, shared)
-		} else {
-			go worker(wi, perw[wi])
-		}
-	}
-
-	var mwg sync.WaitGroup
-	mwg.Add(1)
-	go func() {
-		defer mwg.Done()
-		pend := make(map[int64]stageResult, r.w)
-		var next int64
-		failed := false
-		handle := func(sr stageResult) {
-			if failed {
-				return
-			}
-			if sr.marker {
-				// All pre-marker batches of the epoch have been merged and
-				// forwarded, so this is the stage's consistent cut. Parallel
-				// pools never host Snapshotter stages under checkpointing
-				// (stageWorkers serializes those), so the snapshot is nil.
-				p.Ckpt.stageSnap(r.i, sr.epoch, nil)
-				if last {
-					p.Ckpt.sinkComplete(sr.epoch, r.res.SinkBatches)
-				} else if err := r.next.SendMarker(sr.epoch); err != nil {
-					r.fail(err)
-					failed = true
-				}
-				return
-			}
-			if sr.err != nil {
-				r.failAt(sr.err)
-				failed = true
-				return
-			}
-			for _, ob := range sr.outs {
-				if err := out(ob); err != nil {
-					r.fail(err)
-					failed = true
+	r.pool = pl
+	pl.wwg.Add(r.w)
+	for wi := range r.workers {
+		w := &r.workers[wi]
+		go func(q <-chan stageItem) {
+			defer pl.wwg.Done()
+			for si := range q {
+				si.input, si.err = w.process(si.b, si.seq)
+				si.outs, w.held = w.held, nil
+				if !pl.merge(si) {
 					return
 				}
 			}
-			if sr.traced {
-				r.ts.Inputs = append(r.ts.Inputs, sr.input)
-			}
-		}
+		}(pl.queues[wi%len(pl.queues)])
+	}
+	pl.mwg.Add(1)
+	go func() {
+		defer pl.mwg.Done()
+		pend := make(map[int64]stageItem, r.w)
+		var next int64
+		ok := true
 		for {
 			select {
-			case sr, ok := <-results:
-				if !ok {
+			case si, open := <-pl.results:
+				if !open {
 					return
 				}
-				pend[sr.seq] = sr
-				for {
-					n, have := pend[next]
-					if !have {
-						break
-					}
+				pend[si.seq] = si
+				for n, have := pend[next]; have; n, have = pend[next] {
 					delete(pend, next)
 					next++
-					handle(n)
+					ok = ok && r.settle(&n)
 				}
 			case <-r.done:
-				// Workers and dispatcher select on done when sending, so
+				// Workers and the receiver select on done when sending, so
 				// abandoning the queue cannot block them.
 				return
 			}
 		}
 	}()
+}
 
-	// Dispatcher loop: single receiver on the input port.
-	toMerger := func(sr stageResult) {
-		select {
-		case results <- sr:
-		case <-r.done:
-		}
-	}
-	var seq int64
-	for {
-		it, ok, err := r.in.recvItem()
-		if err != nil {
-			r.fail(err)
-			break
-		}
-		if !ok {
-			break
-		}
-		if it.b == nil {
-			toMerger(stageResult{seq: seq, marker: true, epoch: it.epoch})
-			seq++
-			continue
-		}
-		r.res.BatchesIn[r.i]++
-		// Fault checks stay on the dispatcher so the injector's seeded
-		// sequence sees batches in arrival order, not worker order.
-		if err := r.offline(); err != nil {
-			r.in.CreditReturn()
-			toMerger(stageResult{seq: seq, err: err})
-			seq++
-			continue
-		}
-		item := workItem{seq: seq, b: it.b}
-		target := shared
-		if !stateless {
-			target = perw[seq%int64(r.w)]
-		}
-		seq++
-		select {
-		case target <- item:
-		case <-r.done:
-		}
-	}
-	if stateless {
-		close(shared)
-	} else {
-		for _, ch := range perw {
-			close(ch)
-		}
-	}
-	wwg.Wait()
-	close(results)
-	mwg.Wait()
-
-	// Flush phase: only on a clean end-of-stream (mirrors the serial
-	// loop, which skips Flush after any failure).
+// dispatch queues a batch for the worker that takes it.
+func (pl *pool) dispatch(si stageItem) {
 	select {
-	case <-r.done:
-	default:
-		flushed := 0
-		for wi, inst := range insts {
-			before := r.res.BatchesOut[r.i]
-			r.busy[wi].Store(p.Services.Clock.Now().UnixNano())
-			p.markBusy(1)
-			ferr := inst.Flush(out)
-			p.markBusy(-1)
-			r.busy[wi].Store(0)
-			if ferr != nil {
-				r.fail(ferr)
-				break
-			}
-			flushed += int(r.res.BatchesOut[r.i] - before)
-		}
-		if r.ts != nil {
-			r.ts.FlushOuts = flushed
-		}
+	case pl.queues[si.seq%int64(len(pl.queues))] <- si:
+	case <-pl.r.done:
 	}
-	r.in.flushCredits()
-	if r.next != nil {
-		r.next.Close()
+}
+
+// merge hands a result to the merger; false once the run is torn down.
+func (pl *pool) merge(si stageItem) bool {
+	select {
+	case pl.results <- si:
+		return true
+	case <-pl.r.done:
+		return false
 	}
+}
+
+// stop closes the queues, joins the workers and the merger, and clears
+// r.pool, so the flush phase's outputs go straight to out.
+func (pl *pool) stop() {
+	for _, q := range pl.queues {
+		close(q)
+	}
+	pl.wwg.Wait()
+	close(pl.results)
+	pl.mwg.Wait()
+	pl.r.pool = nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/fabric"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -148,6 +149,40 @@ func TestParallelStageErrorPropagates(t *testing.T) {
 	_, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
 	if err == nil || !containsStr(err.Error(), "stage exploded") {
 		t.Fatalf("err = %v, want stage exploded", err)
+	}
+}
+
+// A stage whose Process fails dies the same way at every width: the
+// same error, and one fault event on the replayed trace where it died.
+func TestProcessErrorAnnotatedAtEveryWidth(t *testing.T) {
+	assertNoFlowLeaks(t)
+	var errs []string
+	for _, workers := range []int{1, 2} {
+		tr := obs.New()
+		p := &Pipeline{
+			Name:    "fault-annotated",
+			Source:  nBatchSource(30, 4),
+			Stages:  []Placed{{Stage: &pFail{at: 40}}},
+			Workers: workers,
+			Trace:   tr,
+		}
+		_, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
+		if err == nil {
+			t.Fatalf("w%d: run succeeded, want stage exploded", workers)
+		}
+		errs = append(errs, err.Error())
+		faults := 0
+		for _, e := range tr.Events() {
+			if e.Name == "fault" {
+				faults++
+			}
+		}
+		if faults != 1 {
+			t.Errorf("w%d: %d fault events, want 1", workers, faults)
+		}
+	}
+	if errs[0] != errs[1] {
+		t.Errorf("width 1 failed with %q, width 2 with %q", errs[0], errs[1])
 	}
 }
 

@@ -60,10 +60,10 @@ type Pipeline struct {
 	Depth int
 	// Workers asks each ParallelStage to run as a pool of this many
 	// workers (morsel-driven parallelism), clamped per stage to the
-	// hosting device's Parallelism. 0 or 1 runs everything serial.
-	// Parallel stages keep serial semantics — identical output batches
-	// in identical order, identical metered totals — via sequence-
-	// numbered dispatch and an ordered merge; see ParallelStage.
+	// hosting device's Parallelism. 0 or 1 runs every stage at width 1.
+	// A pool keeps width-1 semantics — identical output batches in
+	// identical order, identical metered totals — via sequence-numbered
+	// dispatch and an ordered merge; see ParallelStage.
 	Workers int
 	// CreditBatch is how many credits accumulate before one return
 	// message; default Depth/2.
@@ -120,10 +120,6 @@ type Pipeline struct {
 	occ *metrics.Gauge
 }
 
-// markBusy flips the fleet worker-occupancy gauge as one worker starts
-// (+1) or stops (-1) holding a batch.
-func (p *Pipeline) markBusy(d float64) { p.occ.Add(d) }
-
 // observeStage feeds one batch's stage latency into the health tracker.
 func (p *Pipeline) observeStage(dev *fabric.Device, start time.Time) {
 	pol := p.Services.Resilience
@@ -141,6 +137,16 @@ type Result struct {
 	SinkBatches int64
 	SinkRows    int64
 	SinkBytes   sim.Bytes
+}
+
+// toSink is the sink step behind the last stage, or the source when there
+// is none: the sink is a dense boundary, and r counts what crossed it.
+func (r *Result) toSink(sink Emit, b *columnar.Batch) error {
+	b = b.Compact()
+	r.SinkBatches++
+	r.SinkRows += int64(b.NumRows())
+	r.SinkBytes += sim.Bytes(b.ByteSize())
+	return sink(b)
 }
 
 // TotalDataMessages sums data messages over all ports.
@@ -287,37 +293,20 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		})
 	}
 
-	// Stages that block for long stretches (injected slowness, external
-	// waits) observe the cancellation channel so teardown never leaks a
-	// goroutine.
-	for _, st := range p.Stages {
-		if ca, ok := st.Stage.(CancelAware); ok {
-			ca.SetCancel(done, p.Services.Clock)
-		}
-	}
-
-	// workersPer[i] is how many workers run stage i (1 = the serial
-	// fast path, identical to the pre-parallelism runtime).
-	workersPer := make([]int, len(p.Stages))
+	// busySince[i][w] is the clock's nanosecond at which stage i's
+	// worker w last began holding a batch (Process or Flush), 0 when
+	// idle. The watchdog reads it to find hung stages. Its length is
+	// stage i's width: how many copies of the stage run.
+	busySince := make([][]atomic.Int64, len(p.Stages))
+	provisioned := 0
 	for i := range p.Stages {
-		workersPer[i] = p.stageWorkers(i)
+		busySince[i] = make([]atomic.Int64, p.stageWorkers(i))
+		provisioned += len(busySince[i])
 	}
 	if reg := p.Services.Metrics; reg != nil {
-		var provisioned int
-		for _, w := range workersPer {
-			provisioned += w
-		}
 		pg := reg.Gauge("flow.workers.provisioned")
 		pg.Add(float64(provisioned))
 		defer pg.Add(-float64(provisioned))
-	}
-
-	// busySince[i][w] is the clock's nanosecond at which stage i's
-	// worker w last began holding a batch (Process or Flush), 0 when
-	// idle. The watchdog reads it to find hung stages.
-	busySince := make([][]atomic.Int64, len(p.Stages))
-	for i := range p.Stages {
-		busySince[i] = make([]atomic.Int64, workersPer[i])
 	}
 
 	var wg sync.WaitGroup
@@ -326,22 +315,15 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		emit := sink
-		if len(ports) > 0 {
-			emit = ports[0].Send
-		}
 		if err := p.Source(func(b *columnar.Batch) error {
 			if tape != nil {
 				tape.Source.Emits = append(tape.Source.Emits,
 					obs.Emission{At: p.Clock.Now(), Bytes: sim.Bytes(b.ByteSize())})
 			}
 			if len(ports) == 0 {
-				b = b.Compact() // the sink is a dense boundary
-				res.SinkBatches++
-				res.SinkRows += int64(b.NumRows())
-				res.SinkBytes += sim.Bytes(b.ByteSize())
+				return res.toSink(sink, b)
 			}
-			return emit(b)
+			return ports[0].Send(b)
 		}); err != nil {
 			fail(err)
 		}
@@ -350,11 +332,10 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		}
 	}()
 
-	// Stage goroutines. Stages with a worker pool run the parallel
-	// dispatcher/merger machinery; everything else takes the serial loop.
+	// Stage goroutines, one per stage at every width.
 	for i := range p.Stages {
 		r := &stageRun{
-			p: p, i: i, st: p.Stages[i], w: workersPer[i],
+			p: p, i: i, st: p.Stages[i], w: len(busySince[i]),
 			in: ports[i], sink: sink, res: &res,
 			fail: fail, done: done, busy: busySince[i],
 		}
@@ -367,11 +348,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if r.w > 1 {
-				r.runParallel()
-			} else {
-				r.runSerial()
-			}
+			r.run()
 		}()
 	}
 
@@ -445,36 +422,103 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 }
 
 // stageRun is one stage's share of a Run: the ports on either side of
-// it, the counters and tape it writes, and the run's failure plumbing.
-// The serial loop and the worker pool both drive a stage through it.
+// it, the copies of the stage at work, the counters and tape it writes,
+// and the run's failure plumbing.
 type stageRun struct {
-	p    *Pipeline
-	i    int
-	st   Placed
-	w    int // workers; 1 runs the serial loop
-	in   *Port
-	next *Port // nil when this is the last stage
-	sink Emit
-	res  *Result
-	ts   *obs.StageTape
-	fail func(error)
-	done <-chan struct{}
-	busy []atomic.Int64 // per worker, for the watchdog
+	p       *Pipeline
+	i       int
+	st      Placed
+	w       int // width: how many copies of the stage run
+	workers []worker
+	one     [1]worker // backs workers at width 1, so it costs no allocation
+	pool    *pool     // set while a pool's merger runs
+	in      *Port
+	next    *Port // nil when this is the last stage
+	sink    Emit
+	res     *Result
+	ts      *obs.StageTape
+	fail    func(error)
+	done    <-chan struct{}
+	busy    []atomic.Int64 // per worker, for the watchdog
+}
+
+// worker is one copy of the stage at work: the placed stage itself at
+// width 1 (restored state and checkpoint snapshots live there), a
+// NewWorker replica in a pool.
+type worker struct {
+	r    *stageRun
+	inst Stage
+	slot int  // index into r.busy
+	emit Emit // take, bound once
+	outs int  // what the batch in hand emitted
+	held []*columnar.Batch
+}
+
+// take is every worker's Emit. While a pool's merger runs, a worker
+// holds its outputs for it to send in order; otherwise — at width 1, and
+// in every flush — they go straight to out.
+func (w *worker) take(b *columnar.Batch) error {
+	w.outs++
+	if w.r.pool == nil {
+		return w.r.out(b)
+	}
+	w.held = append(w.held, b)
+	return nil
+}
+
+// begin marks the worker as holding a batch, for the watchdog and the
+// fleet occupancy gauge, and returns when it began; end clears the mark.
+func (w *worker) begin() time.Time {
+	now := w.r.p.Services.Clock.Now()
+	w.r.busy[w.slot].Store(now.UnixNano())
+	w.r.p.occ.Add(1)
+	return now
+}
+
+func (w *worker) end() {
+	w.r.p.occ.Add(-1)
+	w.r.busy[w.slot].Store(0)
+}
+
+// process is the per-batch body at every width: charge the device, run
+// Process under the busy marks, observe its latency and hand the credit
+// back. A pooled worker charges its positional lane (seq mod width, not
+// goroutine identity, so lane totals are schedule-independent); width 1
+// charges without a lane, because a stage at width 1 can share its
+// device with a pool whose lane 0 is busy too. It returns the batch's
+// tape input.
+func (w *worker) process(b *columnar.Batch, seq int64) (obs.TapeInput, error) {
+	r, st := w.r, w.r.st
+	var in obs.TapeInput
+	charge := st.ChargeInput && st.Device != nil
+	if charge || r.ts != nil {
+		in.Bytes = sim.Bytes(b.ByteSize())
+	}
+	if charge && r.w == 1 {
+		in.Cost = r.p.Account.Charge(st.Device, st.Op, in.Bytes)
+	} else if charge {
+		in.Cost = r.p.Account.ChargeLane(st.Device, st.Op, in.Bytes, int(seq%int64(r.w)))
+	}
+	w.outs = 0
+	start := w.begin()
+	err := w.inst.Process(b, w.emit)
+	w.end()
+	r.p.observeStage(st.Device, start)
+	r.in.CreditReturn()
+	in.Outs = w.outs
+	return in, err
 }
 
 // out delivers one batch downstream: to the next stage's port, or from
 // the last stage into the sink. Only one goroutine per stage calls it —
-// the serial loop, or the parallel merger and then the flush phase.
+// the stage's own at width 1, the merger in a pool — and then the flush
+// phase.
 func (r *stageRun) out(b *columnar.Batch) error {
 	r.res.BatchesOut[r.i]++
 	if r.next != nil {
 		return r.next.Send(b)
 	}
-	b = b.Compact() // the sink is a dense boundary
-	r.res.SinkBatches++
-	r.res.SinkRows += int64(b.NumRows())
-	r.res.SinkBytes += sim.Bytes(b.ByteSize())
-	return r.sink(b)
+	return r.res.toSink(r.sink, b)
 }
 
 // offline reports a StageError when the hosting device is (or, via an
@@ -498,20 +542,29 @@ func (r *stageRun) offline() error {
 }
 
 // failAt fails the run with err, marking on the tape where the stage
-// died so the replayed timeline carries the annotation.
+// died so the replayed timeline carries the annotation. A stage that
+// only saw the run torn down elsewhere (ErrCanceled) is not marked.
 func (r *stageRun) failAt(err error) {
-	if r.ts != nil {
+	if r.ts != nil && err != ErrCanceled {
 		r.ts.FaultInput = len(r.ts.Inputs)
 		r.ts.FaultDetail = err.Error()
 	}
 	r.fail(err)
 }
 
-// install is the stage prologue: a stage whose host is already down
-// fails the run; otherwise the device is charged one kernel setup per
-// stage — a worker pool shares the installed kernel, as SSD/NIC engines
-// share programmed logic.
-func (r *stageRun) install() {
+// run drives the stage. Its goroutine is the input port's single
+// receiver and numbers every item in arrival order. At width 1 it runs
+// each batch through the placed stage itself, whose outputs go straight
+// to out: no other goroutine, channel or map, and no allocation per
+// batch. At width N it hands batches to a pool of NewWorker replicas and
+// a merger settles their results in sequence order (see pool). The
+// per-batch body, the in-order step and the flush phase are the same
+// code at every width.
+func (r *stageRun) run() {
+	// Prologue: a stage whose host is already down fails the run;
+	// otherwise the device is charged one kernel setup per stage — a pool
+	// shares the installed kernel, as SSD/NIC engines share programmed
+	// logic.
 	if err := r.offline(); err != nil {
 		r.failAt(err)
 	} else if r.st.Device != nil {
@@ -520,87 +573,127 @@ func (r *stageRun) install() {
 			r.ts.Setup = setup
 		}
 	}
-}
-
-// runSerial drives the stage on the calling goroutine, one batch at a
-// time.
-func (r *stageRun) runSerial() {
-	p, st, in, res, i := r.p, r.st, r.in, r.res, r.i
-	out := Emit(r.out)
-	r.install()
-	for {
-		it, ok, err := in.recvItem()
+	r.workers = r.one[:]
+	if r.w > 1 {
+		r.workers = make([]worker, r.w)
+	}
+	for wi := range r.workers {
+		inst := r.st.Stage
+		if r.w > 1 {
+			inst = inst.(ParallelStage).NewWorker()
+		}
+		// A copy that blocks for long stretches (injected slowness) observes
+		// the cancellation channel, so teardown never leaks a goroutine.
+		if ca, ok := inst.(CancelAware); ok {
+			ca.SetCancel(r.done, r.p.Services.Clock)
+		}
+		w := &r.workers[wi]
+		*w = worker{r: r, inst: inst, slot: wi}
+		w.emit = w.take
+	}
+	if r.w > 1 {
+		r.startPool()
+	}
+	for seq := int64(0); ; seq++ {
+		it, ok, err := r.in.recvItem()
 		if err != nil {
 			r.fail(err)
 			break
 		}
-		if ok && it.b == nil {
-			// Checkpoint marker: every batch of its epoch has been
-			// processed here, so the stage's state right now is the
-			// epoch's consistent snapshot. Record it and pass the
-			// marker on; at the last stage the epoch completes.
-			var snap any
-			if sn, isSnap := st.Stage.(Snapshotter); isSnap {
-				snap = sn.SnapshotState()
-			}
-			p.Ckpt.stageSnap(i, it.epoch, snap)
-			if r.next == nil {
-				p.Ckpt.sinkComplete(it.epoch, res.SinkBatches)
-			} else if err := r.next.SendMarker(it.epoch); err != nil {
-				r.fail(err)
-				break
-			}
-			continue
-		}
-		b := it.b
 		if !ok {
-			before := res.BatchesOut[i]
-			r.busy[0].Store(p.Services.Clock.Now().UnixNano())
-			p.markBusy(1)
-			err := st.Stage.Flush(out)
-			p.markBusy(-1)
-			r.busy[0].Store(0)
-			if err != nil {
-				r.fail(err)
-			} else if r.ts != nil {
-				r.ts.FlushOuts = int(res.BatchesOut[i] - before)
+			break
+		}
+		si := stageItem{seq: seq, b: it.b, epoch: it.epoch}
+		if it.b != nil {
+			r.res.BatchesIn[r.i]++
+			// Fault checks stay here so the injector's seeded sequence
+			// sees batches in arrival order, not worker order.
+			if si.err = r.offline(); si.err != nil {
+				r.in.CreditReturn()
+			} else if r.pool != nil {
+				r.pool.dispatch(si)
+				continue
+			} else {
+				si.input, si.err = r.workers[0].process(si.b, seq)
 			}
+		}
+		if r.pool != nil {
+			r.pool.merge(si)
+		} else if !r.settle(&si) {
 			break
 		}
-		res.BatchesIn[i]++
-		if err := r.offline(); err != nil {
-			r.failAt(err)
-			in.CreditReturn()
-			break
-		}
-		var cost sim.VTime
-		if st.ChargeInput && st.Device != nil {
-			cost = p.Account.Charge(st.Device, st.Op, sim.Bytes(b.ByteSize()))
-		}
-		before := res.BatchesOut[i]
-		procStart := p.Services.Clock.Now()
-		r.busy[0].Store(procStart.UnixNano())
-		p.markBusy(1)
-		perr := st.Stage.Process(b, out)
-		p.markBusy(-1)
-		r.busy[0].Store(0)
-		p.observeStage(st.Device, procStart)
-		if perr != nil {
-			r.fail(perr)
-			in.CreditReturn()
-			break
-		}
-		if r.ts != nil {
-			r.ts.Inputs = append(r.ts.Inputs, obs.TapeInput{
-				Bytes: sim.Bytes(b.ByteSize()),
-				Cost:  cost,
-				Outs:  int(res.BatchesOut[i] - before),
-			})
-		}
-		in.CreditReturn()
 	}
-	in.flushCredits()
+	if r.pool != nil {
+		r.pool.stop()
+	}
+	r.flush()
+	r.in.flushCredits()
 	if r.next != nil {
 		r.next.Close()
+	}
+}
+
+// settle is the in-order step behind every item, inline at width 1 and
+// in the merger at width N. A marker is the stage's checkpoint cut, a
+// failed item fails the run, and a processed batch's held outputs go
+// downstream and its input onto the tape. It reports whether the run
+// goes on.
+func (r *stageRun) settle(si *stageItem) bool {
+	switch {
+	case si.b == nil:
+		// Every batch of the epoch has been settled, so the stage's state
+		// now is the epoch's consistent snapshot: record it and pass the
+		// marker on; at the last stage the epoch completes. A pool never
+		// hosts a Snapshotter under checkpointing (stageWorkers).
+		var snap any
+		if sn, ok := r.st.Stage.(Snapshotter); ok {
+			snap = sn.SnapshotState()
+		}
+		r.p.Ckpt.stageSnap(r.i, si.epoch, snap)
+		if r.next == nil {
+			r.p.Ckpt.sinkComplete(si.epoch, r.res.SinkBatches)
+		} else if err := r.next.SendMarker(si.epoch); err != nil {
+			r.fail(err)
+			return false
+		}
+		return true
+	case si.err != nil:
+		r.failAt(si.err)
+		return false
+	}
+	for _, ob := range si.outs {
+		if err := r.out(ob); err != nil {
+			r.fail(err)
+			return false
+		}
+	}
+	if r.ts != nil {
+		r.ts.Inputs = append(r.ts.Inputs, si.input)
+	}
+	return true
+}
+
+// flush is the end-of-stream phase: on a clean end every worker drains
+// its retained state through out, in worker order, so stateful replicas
+// flush deterministically. A failed run skips it.
+func (r *stageRun) flush() {
+	select {
+	case <-r.done:
+		return
+	default:
+	}
+	before := r.res.BatchesOut[r.i]
+	for wi := range r.workers {
+		w := &r.workers[wi]
+		w.begin()
+		err := w.inst.Flush(w.emit)
+		w.end()
+		if err != nil {
+			r.fail(err)
+			break
+		}
+	}
+	if r.ts != nil {
+		r.ts.FlushOuts = int(r.res.BatchesOut[r.i] - before)
 	}
 }

@@ -134,6 +134,38 @@ func TestPortHotPathZeroAllocTracingOff(t *testing.T) {
 	}
 }
 
+// At width 1 a stage runs each batch on its own goroutine with the
+// placed stage itself, outputs straight to the next port: a run of 1,010
+// batches through two stages allocates exactly what a run of 10 does.
+func TestWidthOneStageLoopAllocatesNothingPerBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inexact under the race detector")
+	}
+	b := intBatch(1, 2, 3)
+	allocs := func(batches int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			p := &Pipeline{
+				Name: "width-one",
+				Source: func(emit Emit) error {
+					for i := 0; i < batches; i++ {
+						if err := emit(b); err != nil {
+							return err
+						}
+					}
+					return nil
+				},
+				Stages: []Placed{{Stage: &passStage{name: "a"}}, {Stage: &passStage{name: "b"}}},
+			}
+			if _, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(10), allocs(1010); many != few {
+		t.Errorf("a run allocates %.0f objects for 10 batches and %.0f for 1,010, want the same", few, many)
+	}
+}
+
 // BenchmarkPortSendTracingOff is the benchmark form of the zero-alloc
 // guard; run with -benchmem to see allocs/op (must be 0).
 func BenchmarkPortSendTracingOff(b *testing.B) {

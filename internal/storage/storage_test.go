@@ -2,11 +2,13 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/columnar"
+	"repro/internal/encoding"
 	"repro/internal/expr"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -93,6 +95,46 @@ func TestSegmentMarshalRejectsTruncation(t *testing.T) {
 		if _, err := UnmarshalSegment(blob[:i]); err == nil {
 			t.Fatalf("truncated segment at %d parsed", i)
 		}
+	}
+}
+
+// The column checksum covers the null bitmap as well as the values: one
+// null bit flipped in a stored 1,000-row BIGINT column with 100 NULLs is
+// ErrCorrupt from Decode, DecodeFiltered and VerifySegmentBlob, not a
+// column with 101 NULLs.
+func TestChecksumCoversNullBitmap(t *testing.T) {
+	const n = 1000
+	v := columnar.NewVector(columnar.Int64, n)
+	for i := 0; i < n; i++ {
+		if i%10 == 0 {
+			v.AppendNull()
+		} else {
+			v.AppendValue(columnar.IntValue(int64(i)))
+		}
+	}
+	schema := columnar.NewSchema(columnar.Field{Name: "v", Type: columnar.Int64})
+	blob := BuildSegment(0, columnar.BatchOf(schema, v)).Marshal()
+	if err := VerifySegmentBlob(blob); err != nil {
+		t.Fatalf("intact blob: %v", err)
+	}
+	damaged := append([]byte(nil), blob...)
+	seg, err := UnmarshalSegment(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := seg.Columns[0]
+	// The column is a view of damaged: this flips row 993's null bit there.
+	col.Nulls[len(col.Nulls)-1] ^= 0x02
+	if err := VerifySegmentBlob(damaged); !errors.Is(err, encoding.ErrCorrupt) {
+		t.Errorf("VerifySegmentBlob = %v, want ErrCorrupt", err)
+	}
+	if _, err := col.Decode(); !errors.Is(err, encoding.ErrCorrupt) {
+		t.Errorf("Decode error = %v, want ErrCorrupt", err)
+	}
+	sel := columnar.NewBitmap(n)
+	sel.Set(993)
+	if _, err := col.DecodeFiltered(sel); !errors.Is(err, encoding.ErrCorrupt) {
+		t.Errorf("DecodeFiltered error = %v, want ErrCorrupt", err)
 	}
 }
 

@@ -2,24 +2,24 @@ package storage
 
 import (
 	"fmt"
-	"hash/crc32"
 
 	"repro/internal/encoding"
 )
 
 // VerifySegmentBlob checks a marshalled segment's integrity without
 // decoding any values: the framing must parse and every column's stored
-// CRC-32 must match its encoded bytes. This is the check the object
-// store's Verify hook and the background scrubber run per replica —
-// cheap enough to run on every read, strong enough to catch a flipped
-// byte anywhere in a column payload.
+// CRC-32 must match its null bitmap and encoded values. This is the
+// check the object store's Verify hook, the background scrubber and the
+// Volcano buffer pool's loader run per blob — cheap enough to run on
+// every read, strong enough to catch a flipped byte anywhere in a column
+// payload. Zone maps are not covered.
 func VerifySegmentBlob(blob []byte) error {
 	seg, err := UnmarshalSegment(blob)
 	if err != nil {
 		return fmt.Errorf("%w: segment framing: %v", encoding.ErrCorrupt, err)
 	}
 	for i, col := range seg.Columns {
-		if crc32.ChecksumIEEE(col.Data) != col.Checksum {
+		if col.ComputeChecksum() != col.Checksum {
 			return fmt.Errorf("%w: segment %d column %d checksum mismatch",
 				encoding.ErrCorrupt, seg.ID, i)
 		}
