@@ -3,18 +3,29 @@ package columnar
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Vector is one column of values of a single type, with optional null
 // tracking. Only the slice matching the vector's type is populated;
 // operators access it directly through the typed accessors for
 // tight inner loops.
+//
+// A String vector is either plain (strs, one Go string per row) or
+// dictionary-coded: codes, one per row, index dict, the decoded segment's
+// dictionary, and there are no per-row strings. dict is non-nil exactly
+// when the vector is coded; it is shared and nobody writes it. A coded
+// vector keeps its form through Slice, filter and Compact; strings appear
+// only where a caller asks for them (StringAt, Value, Strings), and an
+// append turns the vector plain first.
 type Vector struct {
 	typ   Type
 	ints  []int64
 	flts  []float64
 	strs  []string
 	bools []bool
+	codes []int32
+	dict  []string
 	nulls *Bitmap // nil when the vector has no nulls
 }
 
@@ -49,6 +60,13 @@ func FromStrings(vals []string) *Vector { return &Vector{typ: String, strs: vals
 // FromBools wraps a bool slice as a vector without copying.
 func FromBools(vals []bool) *Vector { return &Vector{typ: Bool, bools: vals} }
 
+// FromCodes wraps dictionary codes as a coded String vector without
+// copying: row i is dict[codes[i]]. Every code must index dict, which
+// must not be nil.
+func FromCodes(codes []int32, dict []string) *Vector {
+	return &Vector{typ: String, codes: codes, dict: dict}
+}
+
 // Type reports the vector's type.
 func (v *Vector) Type() Type { return v.typ }
 
@@ -60,6 +78,9 @@ func (v *Vector) Len() int {
 	case Float64:
 		return len(v.flts)
 	case String:
+		if v.dict != nil {
+			return len(v.codes)
+		}
 		return len(v.strs)
 	case Bool:
 		return len(v.bools)
@@ -73,8 +94,44 @@ func (v *Vector) Int64s() []int64 { return v.ints }
 // Float64s returns the backing slice of a Float64 vector.
 func (v *Vector) Float64s() []float64 { return v.flts }
 
-// Strings returns the backing slice of a String vector.
-func (v *Vector) Strings() []string { return v.strs }
+// Strings returns the values of a String vector: the backing slice of a
+// plain one, and for a coded one a new slice built on every call. A coded
+// vector keeps no copy, because decoded batches are shared read-only, so
+// a reader of single rows calls StringAt instead.
+func (v *Vector) Strings() []string {
+	if v.dict == nil {
+		return v.strs
+	}
+	out := make([]string, len(v.codes))
+	for i, c := range v.codes {
+		out[i] = v.dict[c]
+	}
+	return out
+}
+
+// StringAt returns value i of a String vector without allocating.
+func (v *Vector) StringAt(i int) string {
+	if v.dict != nil {
+		return v.dict[v.codes[i]]
+	}
+	return v.strs[i]
+}
+
+// Codes returns the codes of a dictionary-coded String vector, and nil
+// for any other vector.
+func (v *Vector) Codes() []int32 { return v.codes }
+
+// Dict returns the dictionary a coded vector's codes index, and nil for
+// any other vector. It is shared and read-only; its identity — the same
+// first entry at the same length — names one decoded dictionary.
+func (v *Vector) Dict() []string { return v.dict }
+
+// toPlain turns a coded vector into a plain one, before an append.
+func (v *Vector) toPlain() {
+	if v.dict != nil {
+		v.strs, v.codes, v.dict = v.Strings(), nil, nil
+	}
+}
 
 // Bools returns the backing slice of a Bool vector.
 func (v *Vector) Bools() []bool { return v.bools }
@@ -86,7 +143,10 @@ func (v *Vector) AppendInt64(x int64) { v.ints = append(v.ints, x) }
 func (v *Vector) AppendFloat64(x float64) { v.flts = append(v.flts, x) }
 
 // AppendString appends one string value.
-func (v *Vector) AppendString(x string) { v.strs = append(v.strs, x) }
+func (v *Vector) AppendString(x string) {
+	v.toPlain()
+	v.strs = append(v.strs, x)
+}
 
 // AppendBool appends one bool value.
 func (v *Vector) AppendBool(x bool) { v.bools = append(v.bools, x) }
@@ -100,6 +160,7 @@ func (v *Vector) AppendNull() {
 	case Float64:
 		v.flts = append(v.flts, 0)
 	case String:
+		v.toPlain()
 		v.strs = append(v.strs, "")
 	case Bool:
 		v.bools = append(v.bools, false)
@@ -152,6 +213,10 @@ func (v *Vector) SetNulls(nulls *Bitmap) {
 	if v.nulls == nil {
 		return
 	}
+	var empty int32
+	if v.dict != nil {
+		empty = v.emptyCode()
+	}
 	for wi, w := range nulls.words {
 		for ; w != 0; w &= w - 1 {
 			i := wi<<6 + bits.TrailingZeros64(w)
@@ -161,12 +226,28 @@ func (v *Vector) SetNulls(nulls *Bitmap) {
 			case Float64:
 				v.flts[i] = 0
 			case String:
-				v.strs[i] = ""
+				if v.dict != nil {
+					v.codes[i] = empty
+				} else {
+					v.strs[i] = ""
+				}
 			case Bool:
 				v.bools[i] = false
 			}
 		}
 	}
+}
+
+// emptyCode is the code of "" in a coded vector's dictionary, the value
+// SetNulls gives a NULL row. A column written from a vector has "" in its
+// dictionary whenever it has a NULL; any other dictionary is extended by a
+// copy, never in place, since it is shared.
+func (v *Vector) emptyCode() int32 {
+	if c := slices.Index(v.dict, ""); c >= 0 {
+		return int32(c)
+	}
+	v.dict = append(v.dict[:len(v.dict):len(v.dict)], "")
+	return int32(len(v.dict) - 1)
 }
 
 // IsNull reports whether value i is NULL.
@@ -204,7 +285,7 @@ func (v *Vector) Value(i int) Value {
 	case Float64:
 		return FloatValue(v.flts[i])
 	case String:
-		return StringValue(v.strs[i])
+		return StringValue(v.StringAt(i))
 	case Bool:
 		return BoolValue(v.bools[i])
 	}
@@ -228,7 +309,7 @@ func (v *Vector) Gather(indices []int) *Vector {
 		case Float64:
 			out.AppendFloat64(v.flts[i])
 		case String:
-			out.AppendString(v.strs[i])
+			out.AppendString(v.StringAt(i))
 		case Bool:
 			out.AppendBool(v.bools[i])
 		}
@@ -248,7 +329,11 @@ func (v *Vector) filter(sel *Bitmap, count int) *Vector {
 	case Float64:
 		out.flts = selectValues(v.flts, sel.words, count)
 	case String:
-		out.strs = selectValues(v.strs, sel.words, count)
+		if v.dict != nil {
+			out.codes, out.dict = selectValues(v.codes, sel.words, count), v.dict
+		} else {
+			out.strs = selectValues(v.strs, sel.words, count)
+		}
 	case Bool:
 		out.bools = selectValues(v.bools, sel.words, count)
 	}
@@ -296,7 +381,11 @@ func (v *Vector) Slice(from, to int) *Vector {
 	case Float64:
 		out.flts = v.flts[from:to:to]
 	case String:
-		out.strs = v.strs[from:to:to]
+		if v.dict != nil {
+			out.codes, out.dict = v.codes[from:to:to], v.dict
+		} else {
+			out.strs = v.strs[from:to:to]
+		}
 	case Bool:
 		out.bools = v.bools[from:to:to]
 	}
@@ -314,7 +403,10 @@ func (v *Vector) Slice(from, to int) *Vector {
 
 // ByteSize estimates the in-memory footprint of the vector's values in
 // bytes. Strings are charged their length plus a 16-byte header, matching
-// what would move over a wire in a simple serialization.
+// what would move over a wire in a simple serialization. A coded vector is
+// charged as the plain vector of its strings, byte for byte — an entry's
+// length once per row that names it — so a meter charges the same bytes
+// whichever form a batch is in.
 func (v *Vector) ByteSize() int64 {
 	var n int64
 	switch v.typ {
@@ -325,9 +417,8 @@ func (v *Vector) ByteSize() int64 {
 	case Bool:
 		n = int64(len(v.bools))
 	case String:
-		for _, s := range v.strs {
-			n += int64(len(s)) + 16
-		}
+		rows := v.Len()
+		n = int64(rows)*16 + v.stringBytes(0, rows)
 	}
 	if v.nulls != nil {
 		n += int64(v.nulls.ByteSize())
@@ -352,13 +443,11 @@ func (v *Vector) selectedByteSize(sel *Bitmap, count int) int64 {
 		for wi, w := range sel.words {
 			base := wi << 6
 			if w == ^uint64(0) {
-				for _, s := range v.strs[base : base+64] {
-					n += int64(len(s))
-				}
+				n += v.stringBytes(base, base+64)
 				continue
 			}
 			for ; w != 0; w &= w - 1 {
-				n += int64(len(v.strs[base+bits.TrailingZeros64(w)]))
+				n += int64(len(v.StringAt(base + bits.TrailingZeros64(w))))
 			}
 		}
 	}
@@ -366,6 +455,21 @@ func (v *Vector) selectedByteSize(sel *Bitmap, count int) int64 {
 		if last := v.nulls.lastSelected(sel); last >= 0 {
 			n += int64(last>>6+1) * 8
 		}
+	}
+	return n
+}
+
+// stringBytes sums the lengths of rows [from, to) of a String vector.
+func (v *Vector) stringBytes(from, to int) int64 {
+	var n int64
+	if v.dict != nil {
+		for _, c := range v.codes[from:to] {
+			n += int64(len(v.dict[c]))
+		}
+		return n
+	}
+	for _, s := range v.strs[from:to] {
+		n += int64(len(s))
 	}
 	return n
 }

@@ -43,7 +43,8 @@ import (
 
 // DecodeFiltered decodes only the rows whose bit is set in sel, returning
 // a dense vector of the column's values at those rows, in row order, NULL
-// where the column is.
+// where the column is. A DICT column comes out dictionary-coded: its
+// codes, and the dictionary they index (see columnar.FromCodes).
 func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector, error) {
 	n := ec.Stats.NumValues
 	if sel.Len() != n {
@@ -77,16 +78,19 @@ func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector,
 		err = gatherFloats(vals, ec.Data, n, words)
 		out = columnar.FromFloat64s(vals)
 	case columnar.String:
-		vals := make([]string, count)
 		switch ec.Encoding {
 		case Dict:
-			err = gatherDict(vals, ec.Data, n, words)
+			codes := make([]int32, count)
+			var dict []string
+			dict, err = gatherDict(codes, ec.Data, n, words)
+			out = columnar.FromCodes(codes, dict)
 		case Plain:
+			vals := make([]string, count)
 			err = selectPlainStrings(vals, ec.Data, n, words)
+			out = columnar.FromStrings(vals)
 		default:
 			err = fmt.Errorf("%w: encoding %v invalid for VARCHAR", ErrCorrupt, ec.Encoding)
 		}
-		out = columnar.FromStrings(vals)
 	case columnar.Bool:
 		vals := make([]bool, count)
 		err = gatherBools(vals, ec.Data, n, words)
@@ -124,32 +128,36 @@ func gatherBitPacked(dst []int64, data []byte, n int, sel []uint64) error {
 	return nil
 }
 
-func gatherDict(dst []string, data []byte, n int, sel []uint64) error {
+// gatherDict stores the selected rows' codes in dst and returns the
+// dictionary they index: a DICT column decodes to a coded vector, and no
+// row becomes a string here.
+func gatherDict(dst []int32, data []byte, n int, sel []uint64) ([]string, error) {
 	dict, codesData, err := splitDict(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	r, err := newBitPackedReader(codesData)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if r.n != n {
-		return fmt.Errorf("%w: code count %d, header says %d", ErrCorrupt, r.n, n)
+		return nil, fmt.Errorf("%w: code count %d, header says %d", ErrCorrupt, r.n, n)
 	}
-	return r.lookup(dst, dict, sel)
+	return dict, r.gatherCodes(dst, len(dict), sel)
 }
 
-// lookup reads the selected rows' codes a word at a time — no []int64 of
-// every code — range-checks each and stores the entry it names.
-func (r *bitPackedReader) lookup(dst, dict []string, sel []uint64) error {
+// gatherCodes reads the selected rows' codes a word at a time — no
+// []int64 of every code — and range-checks each against a dictionary of
+// entries entries before storing it.
+func (r *bitPackedReader) gatherCodes(dst []int32, entries int, sel []uint64) error {
 	var codes [64]int64
 	k := 0
 	for wi, w := range sel {
 		for _, c := range codes[:r.gatherWord(codes[:], wi<<6, w)] {
-			if uint64(c) >= uint64(len(dict)) {
+			if uint64(c) >= uint64(entries) {
 				return fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, c)
 			}
-			dst[k] = dict[c]
+			dst[k] = int32(c)
 			k++
 		}
 	}

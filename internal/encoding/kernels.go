@@ -379,7 +379,7 @@ func (ec *EncodedColumn) EvalStringMatch(match func(string) bool) (*columnar.Bit
 // copy, so the entries outlive the payload as every decoded value must.
 func splitDict(data []byte) ([]string, []byte, error) {
 	nd, sz := binary.Uvarint(data)
-	if sz <= 0 {
+	if sz <= 0 || nd > math.MaxInt32 { // a code is an int32
 		return nil, nil, fmt.Errorf("%w: bad dict size", ErrCorrupt)
 	}
 	dictBytes, _, err := dictSectionSizes(data) // checks every length it walks

@@ -55,7 +55,7 @@ func HashValue(col *columnar.Vector, row int, seed hashSeed) uint64 {
 	case columnar.Float64:
 		return mix64(uint64(int64(col.Float64s()[row]*1024)) ^ uint64(seed))
 	case columnar.String:
-		return hashString(col.Strings()[row], seed)
+		return hashString(col.StringAt(row), seed)
 	case columnar.Bool:
 		v := uint64(0)
 		if col.Bools()[row] {

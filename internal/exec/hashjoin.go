@@ -95,7 +95,7 @@ func (t *HashTable) insert(p int, col *columnar.Vector, bi int32, hashes []uint6
 			k := col.Int64s()[i]
 			part.intMap[k] = append(part.intMap[k], ref)
 		} else {
-			k := col.Strings()[i]
+			k := col.StringAt(i)
 			part.strMap[k] = append(part.strMap[k], ref)
 		}
 	}
@@ -150,7 +150,7 @@ func (t *HashTable) Probe(probe *columnar.Batch, probeKey int) *columnar.Batch {
 			if col.Type() != columnar.String {
 				panic("exec: probe key type mismatch (want VARCHAR)")
 			}
-			refs = part.strMap[col.Strings()[i]]
+			refs = part.strMap[col.StringAt(i)]
 		}
 		if len(refs) == 0 {
 			continue

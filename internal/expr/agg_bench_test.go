@@ -3,20 +3,32 @@ package expr_test
 import (
 	"testing"
 
+	"repro/internal/columnar"
+	"repro/internal/encoding"
 	"repro/internal/expr"
 	"repro/internal/workload"
 )
 
 // BenchmarkAddRaw folds a 65,536-row lineitem batch under a 90 % shipdate
-// selection, what agg-lowcard's pre-aggregation is handed, into groups
-// that already exist: PricingSummary (three VARCHAR groups) and
-// PartVolume (thousands of BIGINT groups). It reports ns/row, a timing
-// tool gated on nothing: TestAddRawKnownGroupsDoesNotAllocate holds
-// allocations at zero.
+// selection, what agg-lowcard's pre-aggregation is handed — every column
+// decoded from its segment encoding, so l_returnflag is dictionary-coded —
+// into groups that already exist: PricingSummary (three VARCHAR groups)
+// and PartVolume (thousands of BIGINT groups). It reports ns/row, a
+// timing tool gated on nothing: TestAddRawKnownGroupsDoesNotAllocate and
+// TestAddRawCodedKnownGroupsDoesNotAllocate hold allocations at zero.
 func BenchmarkAddRaw(b *testing.B) {
 	const rows = 65536
 	cfg := workload.DefaultLineitemConfig(rows)
-	data := workload.GenLineitem(cfg)
+	gen := workload.GenLineitem(cfg)
+	cols := make([]*columnar.Vector, gen.NumCols())
+	for i := range cols {
+		v, err := encoding.EncodeColumn(gen.Col(i)).Decode()
+		if err != nil {
+			b.Fatal(err)
+		}
+		cols[i] = v
+	}
+	data := columnar.BatchOf(gen.Schema(), cols...)
 	in := data.WithSelection(workload.SelectivityFilter(cfg, 0.9).Eval(data))
 	for _, c := range []struct {
 		name string

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"math"
-	"strings"
 
 	"repro/internal/columnar"
 	"repro/internal/encoding"
@@ -45,14 +44,7 @@ func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.
 			}
 			return ec.EvalIntIn(vals)
 		case columnar.String:
-			want := make(map[string]struct{}, len(t.Vals))
-			for _, v := range t.Vals {
-				want[v.S] = struct{}{}
-			}
-			return ec.EvalStringMatch(func(s string) bool {
-				_, ok := want[s]
-				return ok
-			})
+			return ec.EvalStringMatch(t.stringMatcher())
 		}
 		return nil, false, nil
 	case *Like:
@@ -60,7 +52,7 @@ func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.
 		if ec == nil {
 			return nil, false, nil
 		}
-		return ec.EvalStringMatch(func(s string) bool { return strings.Contains(s, t.Pattern) })
+		return ec.EvalStringMatch(t.match)
 	case *And:
 		if len(t.Preds) == 0 {
 			return nil, false, nil
@@ -152,9 +144,7 @@ func evalCmpEncoded(c *Cmp, ec *encoding.EncodedColumn) (*columnar.Bitmap, bool,
 			return complementEq(ec, func() (*columnar.Bitmap, bool, error) { return ec.EvalFloatRange(v, v, true, true) })
 		}
 	case columnar.String:
-		want := c.Val.S
-		op := c.Op
-		return ec.EvalStringMatch(func(s string) bool { return cmpString(s, want, op) })
+		return ec.EvalStringMatch(c.matchString)
 	}
 	return nil, false, nil
 }

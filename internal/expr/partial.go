@@ -72,12 +72,20 @@ type PartialAggregator struct {
 	groups []partialGroup
 	states []AggState
 
-	// A group's slot is in exactly one map, made on its first insert:
-	// strs for a single non-NULL VARCHAR key, keys (by encoded key) for
-	// any other. With no group columns the one group is slot 0 and no map
-	// is needed.
-	strs map[string]int32
+	// keys maps a group's encoded key (appendGroupKey) to its slot, made
+	// on the first insert. With no group columns the one group is slot 0
+	// and no map is needed.
 	keys map[string]int32
+
+	// remap[c] is the slot of code c of remapDict, or -1 until a row with
+	// that code is met, when keys fills it in: a lone dictionary-coded key
+	// finds its group by array index instead of by map, and pays for the
+	// map once per code per dictionary. It belongs to the dictionary's
+	// identity, not to its contents, so a batch with another dictionary
+	// starts it over; Flush and Clone drop it, because slots are renumbered
+	// or copied there.
+	remap     []int32
+	remapDict []string
 
 	key         []byte // scratch for the encoded key being looked up
 	partialCols []int  // AddPartial's group columns: 0..n-1 of the partial schema
@@ -152,10 +160,12 @@ func (p *PartialAggregator) add(b *columnar.Batch, cols []int, raw bool) []*colu
 func (p *PartialAggregator) assign(b *columnar.Batch, cols []int, from int, slots []int32) int {
 	sel := b.Selection()
 	var key *columnar.Vector
-	var strs []string
+	var codes []int32
 	if len(cols) == 1 {
 		key = b.Col(cols[0])
-		strs = key.Strings() // nil unless the key is VARCHAR
+		if codes = key.Codes(); codes != nil {
+			p.useDict(key.Dict())
+		}
 	}
 	for k := range slots {
 		row := from + k
@@ -163,14 +173,16 @@ func (p *PartialAggregator) assign(b *columnar.Batch, cols []int, from int, slot
 			slots[k] = -1
 			continue
 		}
+		coded := codes != nil && !key.IsNull(row)
+		if coded && p.remap[codes[row]] >= 0 {
+			slots[k] = p.remap[codes[row]]
+			continue
+		}
 		var s int32
 		var ok bool
-		switch {
-		case len(cols) == 0:
+		if len(cols) == 0 {
 			ok = len(p.groups) > 0
-		case strs != nil && !key.IsNull(row):
-			s, ok = p.strs[strs[row]]
-		default:
+		} else {
 			p.key = appendGroupKey(p.key[:0], b, cols, row)
 			s, ok = p.keys[string(p.key)] // the conversion does not allocate
 		}
@@ -179,13 +191,29 @@ func (p *PartialAggregator) assign(b *columnar.Batch, cols []int, from int, slot
 				return row
 			}
 		}
+		if coded {
+			p.remap[codes[row]] = s
+		}
 		slots[k] = s
 	}
 	return from + len(slots)
 }
 
-// newGroup makes the group of row and files it in the map assign looks
-// it up in; ok is false when the budget has no room for it.
+// useDict points the remap at dict: kept when dict is the dictionary it
+// maps, otherwise every code starts unseen.
+func (p *PartialAggregator) useDict(dict []string) {
+	if len(dict) == len(p.remapDict) && (len(dict) == 0 || &dict[0] == &p.remapDict[0]) {
+		return
+	}
+	p.remapDict = dict
+	p.remap = slices.Grow(p.remap[:0], len(dict))[:len(dict)]
+	for c := range p.remap {
+		p.remap[c] = -1
+	}
+}
+
+// newGroup makes the group of row and files it in keys; ok is false when
+// the budget has no room for it.
 func (p *PartialAggregator) newGroup(b *columnar.Batch, cols []int, row int) (s int32, ok bool) {
 	if p.MaxGroups > 0 && len(p.groups) >= p.MaxGroups {
 		return 0, false
@@ -198,14 +226,7 @@ func (p *PartialAggregator) newGroup(b *columnar.Batch, cols []int, row int) (s 
 	}
 	p.groups = append(p.groups, g)
 	p.states = append(p.states, make([]AggState, len(p.Spec.Aggs))...)
-	switch v := g.vals; {
-	case len(v) == 0:
-	case len(v) == 1 && !v[0].Null && v[0].Type == columnar.String:
-		if p.strs == nil {
-			p.strs = make(map[string]int32)
-		}
-		p.strs[v[0].S] = s
-	default:
+	if len(cols) > 0 {
 		if p.keys == nil {
 			p.keys = make(map[string]int32)
 		}
@@ -287,8 +308,8 @@ func (p *PartialAggregator) Clone() *PartialAggregator {
 	c := *p
 	c.groups = slices.Clone(p.groups)
 	c.states = slices.Clone(p.states)
-	c.strs, c.keys = maps.Clone(p.strs), maps.Clone(p.keys)
-	c.key = nil
+	c.keys = maps.Clone(p.keys)
+	c.key, c.remap, c.remapDict = nil, nil, nil
 	return &c
 }
 
@@ -318,8 +339,8 @@ func (p *PartialAggregator) Flush() *columnar.Batch {
 	}
 	clear(p.groups)
 	p.groups, p.states = p.groups[:0], p.states[:0]
-	clear(p.strs)
 	clear(p.keys)
+	p.remapDict = nil
 	return out
 }
 
@@ -379,7 +400,8 @@ func (f *FinalAggregator) Result() *columnar.Batch {
 
 // appendGroupKey appends to buf a collision-free byte key of row's values
 // in columns cols of b, read from the typed vectors: per column its type,
-// a NULL flag and the value, a string length-prefixed.
+// a NULL flag and the value, a string length-prefixed. The two zeros of a
+// DOUBLE are one key, as they are equal under =.
 func appendGroupKey(buf []byte, b *columnar.Batch, cols []int, row int) []byte {
 	for _, c := range cols {
 		col := b.Col(c)
@@ -393,9 +415,13 @@ func appendGroupKey(buf []byte, b *columnar.Batch, cols []int, row int) []byte {
 		case columnar.Int64:
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(col.Int64s()[row]))
 		case columnar.Float64:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(col.Float64s()[row]))
+			f := col.Float64s()[row]
+			if f == 0 {
+				f = 0 // -0.0 becomes +0.0
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
 		case columnar.String:
-			s := col.Strings()[row]
+			s := col.StringAt(row)
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
 			buf = append(buf, s...)
 		case columnar.Bool:

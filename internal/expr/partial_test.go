@@ -357,17 +357,22 @@ func (r *refAgg) addRaw(b *columnar.Batch) {
 		if sel := b.Selection(); sel != nil && !sel.Get(row) {
 			continue
 		}
-		var vals []columnar.Value
+		var vals, key []columnar.Value
 		for _, c := range r.spec.GroupCols {
-			vals = append(vals, b.Col(c).Value(row))
+			v := b.Col(c).Value(row)
+			vals = append(vals, v)
+			if v.Type == columnar.Float64 && v.F == 0 {
+				v.F = 0 // = does not tell -0.0 from +0.0, so neither does GROUP BY
+			}
+			key = append(key, v)
 		}
-		s, ok := r.slot[fmt.Sprint(vals)]
+		s, ok := r.slot[fmt.Sprint(key)]
 		if !ok {
 			if r.max > 0 && len(r.vals) >= r.max {
 				r.flush()
 			}
 			s = len(r.vals)
-			r.slot[fmt.Sprint(vals)] = s
+			r.slot[fmt.Sprint(key)] = s
 			r.vals, r.states = append(r.vals, vals), append(r.states, make([]AggState, len(r.spec.Aggs)))
 		}
 		for ai, a := range r.spec.Aggs {

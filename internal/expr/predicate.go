@@ -72,9 +72,11 @@ func NewCmp(col int, op CmpOp, val columnar.Value) *Cmp {
 
 // Eval implements Predicate.
 func (c *Cmp) Eval(b *columnar.Batch) *columnar.Bitmap {
-	n := b.NumRows()
-	sel := columnar.NewBitmap(n)
 	col := b.Col(c.Col)
+	if c.Val.Type == columnar.String {
+		return matchStrings(col, c.matchString)
+	}
+	sel := columnar.NewBitmap(b.NumRows())
 	switch c.Val.Type {
 	case columnar.Int64:
 		vals := col.Int64s()
@@ -89,14 +91,6 @@ func (c *Cmp) Eval(b *columnar.Batch) *columnar.Bitmap {
 		want := c.Val.F
 		for i, v := range vals {
 			if !col.IsNull(i) && cmpFloat(v, want, c.Op) {
-				sel.Set(i)
-			}
-		}
-	case columnar.String:
-		vals := col.Strings()
-		want := c.Val.S
-		for i, v := range vals {
-			if !col.IsNull(i) && cmpString(v, want, c.Op) {
 				sel.Set(i)
 			}
 		}
@@ -156,6 +150,9 @@ func cmpFloat(a, b float64, op CmpOp) bool {
 	}
 	return false
 }
+
+// matchString is the test Cmp makes of one string value.
+func (c *Cmp) matchString(s string) bool { return cmpString(s, c.Val.S, c.Op) }
 
 func cmpString(a, b string, op CmpOp) bool {
 	switch op {
@@ -225,16 +222,10 @@ type Like struct {
 func NewLike(col int, pattern string) *Like { return &Like{Col: col, Pattern: pattern} }
 
 // Eval implements Predicate.
-func (p *Like) Eval(b *columnar.Batch) *columnar.Bitmap {
-	col := b.Col(p.Col)
-	sel := columnar.NewBitmap(b.NumRows())
-	for i, v := range col.Strings() {
-		if !col.IsNull(i) && strings.Contains(v, p.Pattern) {
-			sel.Set(i)
-		}
-	}
-	return sel
-}
+func (p *Like) Eval(b *columnar.Batch) *columnar.Bitmap { return matchStrings(b.Col(p.Col), p.match) }
+
+// match is the test Like makes of one string value.
+func (p *Like) match(s string) bool { return strings.Contains(s, p.Pattern) }
 
 // Columns implements Predicate.
 func (p *Like) Columns() []int { return []int{p.Col} }
@@ -259,6 +250,9 @@ func NewIn(col int, vals ...columnar.Value) *In { return &In{Col: col, Vals: val
 // Eval implements Predicate.
 func (p *In) Eval(b *columnar.Batch) *columnar.Bitmap {
 	col := b.Col(p.Col)
+	if len(p.Vals) > 0 && p.Vals[0].Type == columnar.String {
+		return matchStrings(col, p.stringMatcher())
+	}
 	sel := columnar.NewBitmap(b.NumRows())
 	if len(p.Vals) == 0 {
 		return sel
@@ -284,15 +278,33 @@ func (p *In) Eval(b *columnar.Batch) *columnar.Bitmap {
 				sel.Set(i)
 			}
 		}
-	case columnar.String:
-		want := make(map[string]struct{}, len(p.Vals))
-		for _, v := range p.Vals {
-			want[v.S] = struct{}{}
-		}
-		for i, v := range col.Strings() {
-			if _, ok := want[v]; ok && !col.IsNull(i) {
-				sel.Set(i)
-			}
+	}
+	return sel
+}
+
+// stringMatcher is the test In makes of one string value.
+func (p *In) stringMatcher() func(string) bool {
+	want := make(map[string]struct{}, len(p.Vals))
+	for _, v := range p.Vals {
+		want[v.S] = struct{}{}
+	}
+	return func(s string) bool {
+		_, ok := want[s]
+		return ok
+	}
+}
+
+// matchStrings is the one evaluation of a string test over a String
+// column, for Cmp, Like and In: the non-NULL rows whose value passes
+// match. It runs match once per row and reads each row with StringAt, so
+// a coded column and a plain one take the same loop and neither allocates
+// strings.
+func matchStrings(col *columnar.Vector, match func(string) bool) *columnar.Bitmap {
+	n := col.Len()
+	sel := columnar.NewBitmap(n)
+	for i := 0; i < n; i++ {
+		if !col.IsNull(i) && match(col.StringAt(i)) {
+			sel.Set(i)
 		}
 	}
 	return sel

@@ -120,9 +120,10 @@ func BenchmarkSegmentOpen(b *testing.B) {
 // and its vector — a DICT column also the dictionary table and the one
 // string that backs it — so allocs/op stays at or under three a column,
 // and B/op within a tenth of out-B/op, the bytes of the output vectors'
-// backing arrays (8 per number, a 16-byte header per string: the strings
-// themselves are the dictionary's): an index slice, an intermediate full
-// decode or a per-row append shows in one or the other.
+// backing arrays (8 per number, a 4-byte code per DICT row and a 16-byte
+// header per PLAIN string): an index slice, an intermediate full decode, a
+// per-row append or a DICT row turned into a string shows in one or the
+// other.
 func BenchmarkGatherDecode(b *testing.B) {
 	seg, err := UnmarshalSegment(lineitemBlob(b))
 	if err != nil {
@@ -136,10 +137,13 @@ func BenchmarkGatherDecode(b *testing.B) {
 		}
 	}
 	var outBytes int
-	for _, f := range seg.Schema.Fields {
-		if f.Type == columnar.String {
+	for _, c := range seg.Columns {
+		switch {
+		case c.Encoding == encoding.Dict:
+			outBytes += 4 * sel.Count()
+		case c.Type == columnar.String:
 			outBytes += 16 * sel.Count()
-		} else {
+		default:
 			outBytes += 8 * sel.Count()
 		}
 	}
@@ -158,9 +162,10 @@ func BenchmarkGatherDecode(b *testing.B) {
 // BenchmarkSegmentDecode is CI's gate on the eager decode: every column of
 // one full lineitem segment through the gather kernels, each under a
 // selection of every row that Decode keeps on its stack. It stays at or
-// under 29 allocs/op and 5,790,071 B/op, what the decode cost when each
-// codec had a sequential decoder of its own: a selection on the heap, or
-// a null bitmap copied through one, shows in one or the other.
+// under 29 allocs/op and 4,210,000 B/op: 27 and 4,201,249 since a DICT
+// column decodes to codes (5,773,682 when it decoded to one string header
+// a row). A selection on the heap, a null bitmap copied through one or a
+// DICT row turned into a string shows in one or the other.
 func BenchmarkSegmentDecode(b *testing.B) {
 	seg, err := UnmarshalSegment(lineitemBlob(b))
 	if err != nil {
