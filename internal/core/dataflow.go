@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/columnar"
@@ -38,12 +39,13 @@ type DataFlowEngine struct {
 	// payload.
 	SecureWire bool
 
-	// PartialRestart enables stage-level checkpointing: pipelines record
-	// completed-segment watermarks at stage boundaries, and a mid-query
-	// device failure replays only the suffix since the last completed
-	// checkpoint — on a re-hosted device — instead of the whole query.
-	// Disabled automatically when the storage processor holds pushed-down
-	// aggregation state (which no stage snapshot can capture).
+	// PartialRestart only makes every pipeline run take checkpoints: an
+	// epoch every checkpointSegments segments, each stage snapshotting its
+	// state at the marker, so a recovery can resume past epoch 0 (see
+	// ExecuteOn). Off, or when the storage processor holds pushed-down
+	// aggregation state (which no stage snapshot can capture), every
+	// recovery resumes at epoch 0. Each epoch costs an account copy and a
+	// snapshot per stateful stage, failure or not.
 	PartialRestart bool
 	// EagerDecode disables encoded predicate evaluation: plans that ask
 	// for EncodedEval still run, but the storage scan decodes every
@@ -57,9 +59,10 @@ type DataFlowEngine struct {
 	paths map[int]plan.PathModel
 }
 
-// DefaultMaxRecoveryAttempts bounds how many times one query is retried,
-// failed over or partially restarted: enough to lose every accelerator
-// tier on the path and still land on the CPU plan.
+// DefaultMaxRecoveryAttempts bounds the pipeline runs of one query: the
+// first run and every recovery after it, whatever epoch each resumes
+// from. Enough to lose every accelerator tier on the path and still land
+// on the CPU plan.
 const DefaultMaxRecoveryAttempts = 5
 
 // checkpointSegments is how many storage segments one checkpoint epoch
@@ -163,8 +166,8 @@ func (e *DataFlowEngine) Plan(q *plan.Query, node int) ([]*plan.Physical, error)
 }
 
 // PlanExcluding enumerates ranked plan variants that place no operator
-// on the excluded (or offline) devices; the failover path uses it to
-// re-plan around a device that just failed.
+// on the excluded (or offline) devices; the recovery loop uses it to
+// re-plan around the devices that failed.
 func (e *DataFlowEngine) PlanExcluding(q *plan.Query, node int, exclude map[string]bool) ([]*plan.Physical, error) {
 	st, err := e.Stats(q.Table)
 	if err != nil {
@@ -184,17 +187,19 @@ func (e *DataFlowEngine) Execute(ctx context.Context, q *plan.Query) (*Result, e
 }
 
 // ExecuteOn plans, schedules and runs a query on the given compute node,
-// recovering from runtime faults. A failed device (StageError naming it)
-// triggers failover: the device is excluded, placements re-enumerated —
-// degrading to the CPU-only plan in the worst case — and the query
-// re-admitted and re-executed. Transient faults (link flaps, exhausted
-// storage retry budgets) re-execute on the same placements. The work an
-// abandoned attempt burned is read off that attempt's account and
-// reported as RecoveryBytes/RecoveryTime; what its reads cost at the
-// object store stays on the query's account (Scan.ReadStats). With
-// PartialRestart set, a device failure first tries a cheaper stage-level
-// restart inside the attempt (see executePlan); only when that is
-// impossible does the whole-query failover here take over.
+// recovering from runtime faults in one loop. Every pass re-plans
+// without the devices that failed so far — degrading to the CPU-only
+// plan in the worst case — re-admits the query and runs the admitted
+// plan from a resume point: the failed run's latest completed checkpoint
+// epoch when the new pipeline can take it (see resumeEpoch), epoch 0
+// otherwise. A failed device (StageError naming it) is excluded from
+// then on; transient faults (link flaps, exhausted storage retry
+// budgets) keep the exclusions and spend from Resilience.Budget first.
+// DefaultMaxRecoveryAttempts bounds the runs. What the failed run
+// charged past the resume point is reported as RecoveryBytes/
+// RecoveryTime, so the answer's fabric stats are the work that produced
+// it; what every run's reads cost at the object store stays on the
+// query's account (Scan.ReadStats).
 //
 // ctx bounds the whole lifecycle: admission (a queued query sheds with
 // sched.ErrOverloaded when its deadline cannot be met), scan, stage
@@ -206,16 +211,14 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 	startWall := e.Clock.Now()
 	e.Scheduler.SetWorkers(e.Workers)
 	exclude := make(map[string]bool)
-	var failovers int
-	var queryRetries, trips int64
-	var lost abandonedWork
-	// One trace spans the whole query: abandoned attempts drop their
-	// spans (ClearSpans) but keep fault/failover/admit annotations, so
-	// the final timeline shows the answer's execution plus the recovery
-	// history that led to it.
-	var tr *obs.Trace
+	var trips int64
+	// One trace spans the whole query: a resume at epoch 0 drops the
+	// spans so far (ClearSpans) but keeps the admit and recovery events,
+	// so the final timeline shows the answer's execution plus the
+	// recovery history that led to it.
+	var x execution
 	if e.Tracing {
-		tr = obs.New()
+		x.tr = obs.New()
 	}
 
 	for attempt := 0; ; attempt++ {
@@ -226,23 +229,16 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 		if err != nil {
 			return nil, err
 		}
-		adm, err := e.Scheduler.AdmitTraced(ctx, variants, tr)
+		adm, err := e.Scheduler.AdmitTraced(ctx, variants, x.tr)
 		if err != nil {
 			return nil, lifecycleError(err)
 		}
-		tr.ClearSpans()
 		res, err := func() (*Result, error) {
 			defer e.Scheduler.Release(adm)
-			return e.executePlan(ctx, adm.Plan, tr, &lost)
+			return e.executePlan(ctx, adm.Plan, &x)
 		}()
 		trips += e.reportBreakers(adm.Plan, err)
 		if err == nil {
-			res.Stats.Scan.ReadStats.Add(lost.reads)
-			res.Stats.QueryRetries = queryRetries
-			res.Stats.Failovers = failovers
-			res.Stats.DegradedPlacement = failovers > 0 || res.Stats.PartialRestarts > 0
-			res.Stats.RecoveryBytes += lost.bytes
-			res.Stats.RecoveryTime += lost.time
 			res.Stats.BreakerTrips = trips + res.Stats.Scan.BreakerTrips
 			e.publishQuery(ctx, res, startWall)
 			return res, nil
@@ -260,19 +256,13 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 		case errors.As(err, &se) && se.Device != "":
 			exclude[se.Device] = true
 			e.Scheduler.NoteFailover(se.Device)
-			failovers++
-			tr.AddEvent(obs.Event{Name: "failover", Track: se.Device, At: 0,
-				Detail: fmt.Sprintf("stage %s failed (%v); re-planning without %s", se.Stage, se.Err, se.Device)})
 		case faults.IsTransient(err):
-			// Whole-query re-execution is the most expensive retry in the
-			// system; it spends from the same global budget as read retries
+			// A re-run spends from the same global budget as read retries
 			// and hedges, so a fault storm degrades to failing fast instead
 			// of an unbounded retry storm.
 			if e.Resilience != nil && !e.Resilience.Budget.TryAcquire() {
 				return nil, fmt.Errorf("core: retry budget exhausted: %w", err)
 			}
-			queryRetries++
-			tr.AddEvent(obs.Event{Name: "query-retry", Track: "engine", At: 0, Detail: err.Error()})
 		default:
 			return nil, err
 		}
@@ -314,35 +304,71 @@ func errorOrCtx(err error, ctx context.Context) error {
 	return err
 }
 
-// abandonedWork is what the attempts that did not answer cost a query:
-// their account at the object store (the hedges and budget denials they
-// burned are the query's too) and the link payload and busy time wasted.
-type abandonedWork struct {
-	reads storage.ReadStats
-	bytes sim.Bytes
-	time  sim.VTime
+// execution is one query's state across the runs of ExecuteOn's
+// recovery loop: the answer built so far, the run that failed last, and
+// what recovering has cost.
+type execution struct {
+	tr *obs.Trace
+	answer
+	// failed is the run the next one resumes from; nil before any failure.
+	failed *pipelineRun
+
+	failovers, partials int // device failures resumed at epoch 0, past it
+	retries             int64
+	wasteBytes          sim.Bytes // what failed runs charged past their resume point
+	wasteTime           sim.VTime
+	replayed            sim.Bytes // the part of wasteBytes resumed past epoch 0
 }
 
-// waste sums the link payload and bottleneck busy time on acct — the
-// account of one abandoned attempt, or what an attempt charged after its
-// last completed checkpoint. Busy time is the effective (lane-divided)
-// reading so replayed parallel work is not over-counted against the
-// wall clock.
+// answer is what the runs since the last resume at epoch 0 contributed
+// to the result; a resume at epoch 0 starts it over.
+type answer struct {
+	batches     []*columnar.Batch
+	scan        storage.ScanStats
+	maxBatch    sim.Bytes
+	checkpoints int
+	clock       *obs.VClock
+}
+
+// pipelineRun is one pipeline run of the query: what the run after it
+// needs, should it die, to resume from one of its checkpoints.
+type pipelineRun struct {
+	ph     *plan.Physical
+	spec   storage.ScanSpec
+	stages []flow.Placed
+	acct   *fabric.Account
+	ck     *flow.Checkpointer // nil when the run takes no checkpoints
+	batch0 int                // len(answer.batches) when the run began
+	err    error
+}
+
+// resumePoint is the watermark a checkpoint epoch records: the segment
+// the scan resumes at and the run's account as of the epoch's mark.
+type resumePoint struct {
+	segment int
+	acct    *fabric.Account
+}
+
+// waste sums the link payload and bottleneck busy time on acct — what a
+// failed run charged past its resume point. Busy time is the effective
+// (lane-divided) reading so replayed parallel work is not over-counted
+// against the wall clock.
 func waste(acct *fabric.Account) (sim.Bytes, sim.VTime) {
 	st, busiest := fold(acct, nil)
 	return st.MovedBytes, busiest
 }
 
-// ExecutePlan runs one specific physical plan variant, bypassing the
-// scheduler. Experiments use it to force variants. Tracing follows
-// e.Tracing, with a fresh trace per call.
+// ExecutePlan runs one specific physical plan variant once, bypassing
+// the scheduler and recovery: a forced variant cannot be re-planned, so
+// a caller that wants recovery calls Execute. Experiments use it to force
+// variants. Tracing follows e.Tracing, with a fresh trace per call.
 func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*Result, error) {
 	startWall := e.Clock.Now()
-	var tr *obs.Trace
+	var x execution
 	if e.Tracing {
-		tr = obs.New()
+		x.tr = obs.New()
 	}
-	res, err := e.executePlan(ctx, ph, tr, new(abandonedWork))
+	res, err := e.executePlan(ctx, ph, &x)
 	if err != nil {
 		return nil, lifecycleError(err)
 	}
@@ -351,250 +377,214 @@ func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*R
 	return res, nil
 }
 
-// executePlan runs one physical plan, recording onto tr when non-nil.
-//
-// With PartialRestart enabled (and no aggregation state pushed into the
-// storage processor), the run checkpoints at segment-aligned epoch
-// markers. A device failure mid-stream then restarts only the pipeline —
-// stages rebuilt, snapshots restored, the scan resumed at the last
-// completed epoch's watermark, the failed device's stages re-hosted on
-// the CPU — instead of abandoning the query. Work done since the last
-// completed checkpoint is the only replayed work; it is read off the
-// query's account against the copy taken at the checkpoint and
-// reported as ReplayedBytes (and folded into RecoveryBytes/Time). A
-// failure with no completed checkpoint, or one the CPU cannot host,
-// falls through to the caller's whole-query failover. What a failed run
-// cost is added to lost, so the caller can keep it on the query.
-func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, tr *obs.Trace, lost *abandonedWork) (_ *Result, err error) {
+// executePlan runs one physical plan as the query's next pipeline run,
+// recording onto x.tr when non-nil. After a failed run it first resumes
+// (see resume): from the failed run's latest completed epoch or from
+// epoch 0. With PartialRestart on (and no aggregation state pushed into
+// the storage processor) the run checkpoints at segment-aligned epoch
+// markers, so the run after it, should this one die, can resume past
+// epoch 0. A run that dies is left on x.failed.
+func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *execution) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
 	q := ph.Query
 	tableSchema, err := e.TableSchema(q.Table)
 	if err != nil {
 		return nil, err
 	}
-
-	// Everything this execution charges a device or a link — every
-	// attempt of the restart loop below — goes on its own account.
-	acct := e.Cluster.NewAccount()
-
 	spec, emitsPartials, err := e.buildScanSpec(ph, tableSchema.NumFields())
 	if err != nil {
 		return nil, err
 	}
 	spec.Workers = e.Workers
+	stages, paths, err := e.buildStages(ph, spec, emitsPartials, tableSchema)
+	if err != nil {
+		return nil, err
+	}
+	r := pipelineRun{ph: ph, spec: spec, stages: stages}
+	ep, restore := e.resume(x, &r)
+	acct := r.acct
+	spec = r.spec
 	spec.Account = acct
-
-	// Pushed-down aggregation accumulates inside the storage processor,
-	// out of reach of stage snapshots — no consistent cut exists, so such
-	// plans recover by whole-query failover only.
-	ckptEnabled := e.PartialRestart && !emitsPartials
 
 	// The storage scan and the pipeline source share one virtual clock:
 	// the scan advances it as it charges media/decode work, and the
 	// source stamps every emitted batch with its reading, so downstream
 	// stage spans replay against real scan progress.
-	var clock *obs.VClock
-	if tr.Enabled() {
-		clock = obs.NewVClock()
-		spec.Trace = tr
-		spec.Clock = clock
+	if x.tr.Enabled() {
+		if x.clock == nil {
+			x.clock = obs.NewVClock()
+		}
+		spec.Trace = x.tr
+		spec.Clock = x.clock
 	}
 
-	var result Result
-	var totalScan storage.ScanStats
-	defer func() {
-		if err != nil {
-			lost.reads.Add(totalScan.ReadStats)
-			wb, wt := waste(acct)
-			lost.bytes += wb
-			lost.time += wt
-		}
-	}()
-	var maxBatch sim.Bytes
-	var flowRes flow.Result
-
-	// Cross-attempt restart state.
-	var restore *flow.Restore // snapshots to reinstall, nil on first attempt
-	startSeg := 0             // scan watermark to resume from
-	epoch := 0                // monotonically increasing across attempts
-	restarts := 0
-	checkpoints := 0
-	var replayed sim.Bytes
-	var replayTime sim.VTime
-	offline := make(map[string]bool) // devices whose stages were re-hosted
-
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-
-		stages, paths, err := e.buildStages(ph, spec, emitsPartials, tableSchema)
-		if err != nil {
-			return nil, err
-		}
-		if len(offline) > 0 {
-			stages, paths, err = e.rehostStages(ph, stages, paths, offline)
-			if err != nil {
-				return nil, err
-			}
-		}
-
-		var ck *flow.Checkpointer
-		attemptSpec := spec
-		attemptSpec.StartSegment = startSeg
-		// The account as of the last completed checkpoint: everything
-		// charged after this point is lost — and replayed — if the attempt
-		// dies. Each epoch's copy is taken at Mark time on the source
-		// goroutine (an exact stream-positional cut: segments past the
-		// watermark have not been charged yet) and promoted when the
-		// epoch completes at the sink, so the waste accounting cannot be
-		// skewed by how far the source ran ahead of the marker.
-		var lastCkpt *fabric.Account
-		if ckptEnabled {
-			lastCkpt = acct.Since(nil)
-			ck = flow.NewCheckpointer()
-			var snapMu sync.Mutex
-			markSnaps := make(map[int]*fabric.Account)
-			ck.OnComplete = func(ep int) {
-				snapMu.Lock()
-				if s, ok := markSnaps[ep]; ok {
-					lastCkpt = s
-					delete(markSnaps, ep)
-				}
-				snapMu.Unlock()
-			}
-			segs := 0
-			attemptSpec.Progress = func(next int) error {
-				segs++
-				if segs >= checkpointSegments {
-					segs = 0
-					epoch++
-					snapMu.Lock()
-					markSnaps[epoch] = acct.Since(nil)
-					snapMu.Unlock()
-					return ck.Mark(epoch, next)
-				}
+	// Pushed-down aggregation accumulates inside the storage processor,
+	// out of reach of stage snapshots — no consistent cut exists, so such
+	// plans take no checkpoints.
+	var ck *flow.Checkpointer
+	if e.PartialRestart && !emitsPartials {
+		ck = flow.NewCheckpointer()
+		// Each epoch's copy of the account is taken at Mark time on the
+		// source goroutine: an exact stream-positional cut, since segments
+		// past the watermark have not been charged yet. Epochs number on
+		// from the resumed one.
+		segs, epoch := 0, ep
+		spec.Progress = func(next int) error {
+			if segs++; segs < checkpointSegments {
 				return nil
 			}
-		}
-
-		var scanStats storage.ScanStats
-		pipe := &flow.Pipeline{
-			Name: fmt.Sprintf("q-%s", ph.Variant),
-			Source: func(emit flow.Emit) error {
-				st, err := e.Storage.Scan(ctx, q.Table, attemptSpec, func(b *columnar.Batch) error {
-					if n := sim.Bytes(b.ByteSize()); n > maxBatch {
-						maxBatch = n
-					}
-					return emit(b)
-				})
-				scanStats = st
-				return err
-			},
-			Stages:      stages,
-			Paths:       paths,
-			Workers:     e.Workers,
-			Services:    e.Services,
-			Trace:       tr,
-			Clock:       clock,
-			SourceTrack: e.Storage.Proc().Name,
-			Ckpt:        ck,
-			Restore:     restore,
-			Account:     acct,
-		}
-
-		attemptStart := len(result.Batches)
-		res, runErr := pipe.Run(ctx, func(b *columnar.Batch) error {
-			result.Batches = append(result.Batches, b)
-			return nil
-		})
-		totalScan.Add(scanStats)
-		checkpoints += ck.Completed()
-
-		if runErr == nil {
-			flowRes = res
-			break
-		}
-
-		// Decide whether a stage-level restart is possible; otherwise the
-		// caller's whole-query recovery takes over.
-		var se *flow.StageError
-		ep, haveCkpt := ck.Latest()
-		switch {
-		case ctx.Err() != nil:
-			return nil, runErr
-		case attempt+1 >= DefaultMaxRecoveryAttempts:
-			return nil, runErr
-		case !errors.As(runErr, &se) || se.Device == "" || !haveCkpt:
-			return nil, runErr
-		case se.Device == ph.Path.Sites[0].Device.Name:
-			// The source's own host died; there is nothing to re-host it on.
-			return nil, runErr
-		}
-
-		// Everything charged since the last completed checkpoint is lost
-		// work this restart will redo.
-		wb, wt := waste(acct.Since(lastCkpt))
-		replayed += wb
-		replayTime += wt
-
-		// Roll the delivered output back to the checkpoint's sink
-		// watermark and arm the next attempt.
-		result.Batches = result.Batches[:attemptStart+int(ck.SinkBatches(ep))]
-		restore = &flow.Restore{Epoch: ep, Snaps: ck.Snaps(ep)}
-		if seg, ok := ck.Resume(ep).(int); ok {
-			startSeg = seg
-		}
-		offline[se.Device] = true
-		restarts++
-		e.Scheduler.NoteFailover(se.Device)
-		tr.AddEvent(obs.Event{Name: "partial-restart", Track: se.Device, At: clock.Now(),
-			Detail: fmt.Sprintf("stage %s failed (%v); replaying from epoch %d (segment %d), re-hosting %s stages on %s",
-				se.Stage, se.Err, ep, startSeg, se.Device, ph.Path.CPU().Name)})
-		if tr.Enabled() {
-			at := clock.Now()
-			tr.AddSpan(obs.Span{Name: fmt.Sprintf("restart@epoch%d", ep), Track: ph.Path.CPU().Name,
-				Kind: obs.SpanSetup, Start: at, End: at, Seq: int64(ep), Bytes: wb})
+			segs = 0
+			epoch++
+			return ck.Mark(epoch, resumePoint{next, acct.Since(nil)})
 		}
 	}
 
-	result.Stats = e.buildStats(ph, acct, flowRes, totalScan, maxBatch, &result)
-	result.Stats.PartialRestarts = restarts
-	result.Stats.Checkpoints = checkpoints
-	result.Stats.ReplayedBytes = replayed
-	result.Stats.RecoveryBytes += replayed
-	result.Stats.RecoveryTime += replayTime
-	result.Trace = tr
-	sampleMeterSeries(tr, acct)
-	sampleHealthSeries(tr, e.Resilience)
-	return &result, nil
+	var maxBatch sim.Bytes
+	var scanStats storage.ScanStats
+	pipe := &flow.Pipeline{
+		Name: fmt.Sprintf("q-%s", ph.Variant),
+		Source: func(emit flow.Emit) error {
+			st, err := e.Storage.Scan(ctx, q.Table, spec, func(b *columnar.Batch) error {
+				if n := sim.Bytes(b.ByteSize()); n > maxBatch {
+					maxBatch = n
+				}
+				return emit(b)
+			})
+			scanStats = st
+			return err
+		},
+		Stages:      stages,
+		Paths:       paths,
+		Workers:     e.Workers,
+		Services:    e.Services,
+		Trace:       x.tr,
+		Clock:       x.clock,
+		SourceTrack: e.Storage.Proc().Name,
+		Ckpt:        ck,
+		Restore:     restore,
+		Account:     acct,
+	}
+
+	r.batch0 = len(x.batches)
+	result := &Result{Batches: x.batches, Trace: x.tr}
+	flowRes, err := pipe.Run(ctx, func(b *columnar.Batch) error {
+		result.Batches = append(result.Batches, b)
+		return nil
+	})
+	x.batches = result.Batches
+	x.scan.Add(scanStats)
+	x.maxBatch = max(x.maxBatch, maxBatch)
+	x.checkpoints += ck.Completed()
+	if err != nil {
+		// A copy, so r itself stays off the heap on the fault-free path.
+		r.err, r.ck = err, ck
+		failed := r
+		x.failed = &failed
+		return nil, err
+	}
+
+	result.Stats = e.buildStats(ph, acct, flowRes, x.scan, x.maxBatch, result)
+	st := &result.Stats
+	st.Checkpoints = x.checkpoints
+	st.QueryRetries, st.Failovers, st.PartialRestarts = x.retries, x.failovers, x.partials
+	st.DegradedPlacement = x.failovers > 0 || x.partials > 0
+	st.RecoveryBytes, st.RecoveryTime, st.ReplayedBytes = x.wasteBytes, x.wasteTime, x.replayed
+	sampleMeterSeries(x.tr, acct)
+	sampleHealthSeries(x.tr, e.Resilience)
+	return result, nil
 }
 
-// rehostStages substitutes the path CPU for every stage hosted on a
-// device in offline, re-deriving inter-stage link paths. A stage whose
-// operator the CPU cannot run fails the re-host (the caller then falls
-// back to whole-query failover, which re-plans from scratch).
-func (e *DataFlowEngine) rehostStages(ph *plan.Physical, stages []flow.Placed, paths [][]*fabric.Link, offline map[string]bool) ([]flow.Placed, [][]*fabric.Link, error) {
-	cpu := ph.Path.CPU()
-	prev := ph.Path.Sites[0].Device
-	out := make([]flow.Placed, len(stages))
-	outPaths := make([][]*fabric.Link, len(stages))
-	for i, st := range stages {
-		if offline[st.Device.Name] {
-			if !cpu.Can(st.Op) {
-				return nil, nil, fmt.Errorf("core: cannot re-host %s stage %q on %s", st.Op, st.Stage.Name(), cpu.Name)
-			}
-			st.Device = cpu
-		}
-		links, err := e.Cluster.Path(prev.Name, st.Device.Name)
-		if err != nil {
-			return nil, nil, err
-		}
-		out[i] = st
-		outPaths[i] = links
-		prev = st.Device
+// resume starts run r where x.failed, the run that died before it, left
+// off; with no failed run it starts at epoch 0. It picks the epoch
+// (resumeEpoch), charges what the failed run did past that point to the
+// query's recovery figures, counts the recovery and adds the one
+// "recovery" trace event. It sets r.acct — a copy of the failed run's
+// account as of the epoch's mark, or a fresh one at epoch 0 — and the
+// scan segment r.spec resumes at, and returns the epoch and the
+// snapshots to restore (nil at epoch 0).
+func (e *DataFlowEngine) resume(x *execution, r *pipelineRun) (int, *flow.Restore) {
+	f := x.failed
+	x.failed = nil
+	if f == nil {
+		r.acct = e.Cluster.NewAccount()
+		return 0, nil
 	}
-	return out, outPaths, nil
+	ep := f.resumeEpoch(r)
+	var restore *flow.Restore
+	at := x.clock.Now()
+	if ep > 0 {
+		rp := f.ck.Resume(ep).(resumePoint)
+		r.acct, r.spec.StartSegment = rp.acct, rp.segment
+		restore = &flow.Restore{Epoch: ep, Snaps: f.ck.Snaps(ep)}
+		// Roll the delivered output back to the epoch's sink watermark.
+		x.batches = x.batches[:f.batch0+int(f.ck.SinkBatches(ep))]
+	} else {
+		r.acct = e.Cluster.NewAccount()
+		x.tr.ClearSpans()
+		x.answer = answer{scan: storage.ScanStats{ReadStats: x.scan.ReadStats}}
+		at = 0
+	}
+	wb, wt := waste(f.acct.Since(r.acct))
+	x.wasteBytes += wb
+	x.wasteTime += wt
+	if ep > 0 {
+		x.replayed += wb
+	}
+
+	track := "engine"
+	var se *flow.StageError
+	switch {
+	case !errors.As(f.err, &se) || se.Device == "":
+		x.retries++
+	case ep > 0:
+		x.partials++
+		track = se.Device
+	default:
+		x.failovers++
+		track = se.Device
+	}
+	latest, _ := f.ck.Latest()
+	x.tr.AddEvent(obs.Event{Name: "recovery", Track: track, At: at,
+		Detail: fmt.Sprintf("%v; latest complete epoch %d; resuming %s at epoch %d (segment %d)",
+			f.err, latest, r.ph.Variant, ep, r.spec.StartSegment)})
+	return ep, restore
+}
+
+// resumeEpoch is the epoch run r resumes from after f died: f's latest
+// completed epoch when f took checkpoints, its source's host is not what
+// failed, and r streams the same batches through stages of the same
+// operator classes in the same order. Snapshots are restored by stage
+// index, and flow.Pipeline.Run checks their count and that each stage
+// can restore one. Over one scan spec, one query's operator classes
+// build the same stages up to where they run, so the rule compares the
+// classes, not Name(): a pre-aggregation's name carries its device's
+// state budget, and the restored aggregator keeps the snapshot's.
+// Otherwise 0.
+func (f *pipelineRun) resumeEpoch(r *pipelineRun) int {
+	ep, ok := f.ck.Latest()
+	var se *flow.StageError
+	switch {
+	case !ok:
+		return 0
+	case errors.As(f.err, &se) && se.Device == f.ph.Path.Sites[0].Device.Name:
+		return 0
+	case !sameStream(f.spec, r.spec) || len(f.stages) != len(r.stages):
+		return 0
+	}
+	for i, st := range f.stages {
+		if st.Op != r.stages[i].Op {
+			return 0
+		}
+	}
+	return ep
+}
+
+// sameStream reports whether two scan specs of one query decide the
+// stream the same way: the same batches, so one's watermark is the
+// other's.
+func sameStream(a, b storage.ScanSpec) bool {
+	return slices.Equal(a.Projection, b.Projection) && a.Filter == b.Filter &&
+		a.Pushdown == b.Pushdown && a.EncodedEval == b.EncodedEval && a.PreAgg == b.PreAgg
 }
 
 // buildScanSpec translates the plan's site-0 placements into the storage

@@ -6,13 +6,16 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -225,6 +228,144 @@ func TestCalmQueryBesideARestartingOne(t *testing.T) {
 		}
 	}
 	t.Fatal("no run recovered by partial restart in 5 tries")
+}
+
+// What a recovered query reports moving and what it reports wasting add
+// up to what the links carried, whichever epoch it resumed from: the run
+// that answers charges a copy of the failed run's account as of the
+// resume point, so no byte lands in both figures.
+func TestRecoveredQueryChargesEachByteOnce(t *testing.T) {
+	const rows, segRows = 20000, 2500 // 8 segments, one batch each
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	for _, checkpoints := range []bool{false, true} {
+		// Whether a checkpoint has completed when the strike lands depends
+		// on goroutine scheduling (see
+		// TestPartialRestartReplaysLessThanFailover); re-run on a fresh
+		// engine until the resume kind is the one under test.
+		var res *Result
+		var moved sim.Bytes
+		for try := 0; try < 5; try++ {
+			df := lifecycleEngine(t, rows, segRows)
+			df.PartialRestart = checkpoints
+			_, df.Faults = killPoint(t, df, q, 7)
+			before := linkMeterBytes(df.Cluster)
+			r, err := df.Execute(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Stats.PartialRestarts+r.Stats.Failovers != 1 {
+				t.Fatalf("partial restarts %d + failovers %d, want 1 recovery",
+					r.Stats.PartialRestarts, r.Stats.Failovers)
+			}
+			if (r.Stats.PartialRestarts == 1) == checkpoints {
+				res, moved = r, linkMeterBytes(df.Cluster)-before
+				break
+			}
+		}
+		if res == nil {
+			t.Fatalf("checkpoints=%v: no run resumed as wanted in 5 tries", checkpoints)
+		}
+		st := res.Stats
+		if st.RecoveryBytes == 0 {
+			t.Errorf("checkpoints=%v: the failed run wasted nothing", checkpoints)
+		}
+		if got := st.MovedBytes + st.RecoveryBytes; got != moved {
+			t.Errorf("checkpoints=%v: moved %v + recovery %v = %v, links carried %v",
+				checkpoints, st.MovedBytes, st.RecoveryBytes, got, moved)
+		}
+	}
+}
+
+// linkMeterBytes sums what every link of the cluster has carried.
+func linkMeterBytes(c *fabric.Cluster) sim.Bytes {
+	var n sim.Bytes
+	for _, l := range c.Links() {
+		n += l.Meter.Bytes()
+	}
+	return n
+}
+
+// A re-plan whose pipeline differs from the failed one resumes at epoch
+// 0 even when the failed run completed checkpoints: its snapshots are
+// restored by stage index, so they fit only the same stage list. With
+// the storage processor down, the full-offload cascade pre-aggregates at
+// every NIC and the near-memory accelerator; killing the first of them
+// re-plans a cascade one pre-aggregation shorter.
+func TestResumeAtEpochZeroWhenTheStagesDiffer(t *testing.T) {
+	// 40 segments, struck on the last: a pre-aggregation forwards only
+	// markers, so nothing but time holds the struck stage back for the
+	// three behind it to complete an epoch.
+	const rows, segRows = 20000, 500
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	want := rowHistogram(mustExecute(t, lifecycleEngine(t, rows, segRows), q))
+	for try := 0; try < 5; try++ {
+		df := lifecycleEngine(t, rows, segRows)
+		df.PartialRestart = true
+		df.Tracing = true
+		df.Cluster.MustDevice(fabric.DevStorageProc).SetOffline(true)
+		_, df.Faults = killPoint(t, df, q, rows/segRows-1)
+		res := mustExecute(t, df, q)
+		if st := res.Stats; st.Failovers != 1 || st.PartialRestarts != 0 || st.ReplayedBytes != 0 {
+			t.Fatalf("failovers %d, partial restarts %d, replayed %v; want one resume at epoch 0",
+				st.Failovers, st.PartialRestarts, st.ReplayedBytes)
+		}
+		if got := rowHistogram(res); !reflect.DeepEqual(got, want) {
+			t.Fatalf("answer %v, want %v", got, want)
+		}
+		var recovery []obs.Event
+		for _, ev := range res.Trace.Events() {
+			if ev.Name == "recovery" {
+				recovery = append(recovery, ev)
+			}
+		}
+		if len(recovery) != 1 || !strings.Contains(recovery[0].Detail, "resuming full-offload at epoch 0") {
+			t.Fatalf("recovery events %+v, want one resuming full-offload at epoch 0", recovery)
+		}
+		// The rule, not a missing checkpoint, must have chosen epoch 0.
+		if !strings.Contains(recovery[0].Detail, "latest complete epoch 0;") {
+			return
+		}
+	}
+	t.Fatal("no failed run had completed a checkpoint in 5 tries")
+}
+
+// mustExecute runs q on df and fails the test on an error.
+func mustExecute(t *testing.T, df *DataFlowEngine, q *plan.Query) *Result {
+	t.Helper()
+	res, err := df.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// One query runs its pipeline at most DefaultMaxRecoveryAttempts times,
+// whatever epochs its recoveries resume from. The first run loses its
+// NIC on its last batch and resumes on a re-plan, past epoch 0 when a
+// checkpoint has completed; from the second run on, the link into the
+// compute node fails the first batch it carries, and the query gives up
+// after the fifth run.
+func TestOneRecoveryBudget(t *testing.T) {
+	const rows, segRows = 20000, 2500 // 8 segments, one batch each
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	df := lifecycleEngine(t, rows, segRows)
+	df.PartialRestart = true
+	nic, inj := killPoint(t, df, q, 7)
+	// The first run carries at most 8 batches over the link, so the flap
+	// first fires in the second run, and then in every run after it.
+	inj.Arm(faults.Point{Kind: faults.LinkFlap, Target: "switch--" + nic, Prob: 1, After: rows / segRows})
+	df.Faults = inj
+	_, err := df.Execute(context.Background(), q)
+	if !faults.IsTransient(err) {
+		t.Fatalf("err = %v, want the link flap after the last run", err)
+	}
+	if got := inj.Fires(); got != DefaultMaxRecoveryAttempts {
+		t.Errorf("%d pipeline runs failed, want %d\n%s", got, DefaultMaxRecoveryAttempts, inj.Schedule())
+	}
+	if df.Scheduler.ActiveCount() != 0 {
+		t.Error("the failed query left an admission")
+	}
+	assertNoFlowGoroutines(t)
 }
 
 func TestExecutePreCancelledContext(t *testing.T) {

@@ -115,32 +115,35 @@ type ExecStats struct {
 	// Availability is not free: every retry, failover and restart burns
 	// real media, link and device work that E19 and E21 report.
 
-	// QueryRetries counts whole-query re-executions after transient
-	// pipeline faults.
+	// QueryRetries counts recoveries from transient pipeline faults,
+	// whatever epoch they resumed from.
 	QueryRetries int64
-	// Failovers counts engine-level plan re-enumerations after a device
-	// failed mid-query.
+	// Failovers counts device failures resumed at epoch 0, on a plan
+	// re-enumerated without the device.
 	Failovers int
 	// DegradedPlacement reports that the answer was produced on a
 	// fallback placement that avoids at least one failed device (the
 	// CPU-only plan in the worst case).
 	DegradedPlacement bool
-	// RecoveryBytes is the link payload abandoned pipeline attempts and
-	// partial restarts moved in vain (storage re-reads are
-	// Scan.RetryBytes).
+	// RecoveryBytes is the link payload failed pipeline runs moved past
+	// the point the next run resumed from (storage re-reads are
+	// Scan.RetryBytes). MovedBytes excludes it: the two sum to what the
+	// query's runs put on the links.
 	RecoveryBytes sim.Bytes
-	// RecoveryTime is the virtual busy time burned by abandoned attempts.
+	// RecoveryTime is the virtual busy time failed runs burned past their
+	// resume point.
 	RecoveryTime sim.VTime
-	// PartialRestarts counts stage-level restarts that replayed only the
-	// suffix since the last completed checkpoint instead of the whole
-	// query.
+	// PartialRestarts counts device failures resumed past epoch 0: on a
+	// re-enumerated plan, from the failed run's latest completed
+	// checkpoint, replaying only the suffix since it.
 	PartialRestarts int
 	// Checkpoints counts completed checkpoint epochs (markers that fell
-	// off the last stage with every prior batch durable at the sink).
+	// off the last stage with every prior batch durable at the sink) of
+	// the runs since the last resume at epoch 0.
 	Checkpoints int
-	// ReplayedBytes is the link payload replayed by partial restarts:
-	// work charged after the last completed checkpoint of a failed
-	// attempt. Always a subset of RecoveryBytes.
+	// ReplayedBytes is the part of RecoveryBytes resumes past epoch 0
+	// wasted: what a failed run charged after the mark of the epoch the
+	// next run resumed from.
 	ReplayedBytes sim.Bytes
 	// BreakerTrips counts the circuit breakers this query's failures
 	// opened: the replica breakers its corrupt and lost reads tripped

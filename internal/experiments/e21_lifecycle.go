@@ -31,8 +31,8 @@ type E21Options struct {
 // for one mid-query fault position (the batch the fault strikes at).
 type E21RecoveryRow struct {
 	StrikeAt     int       // stage batch (= segment) the device dies on
-	PartialWaste sim.Bytes // bytes replayed by the stage-level restart
-	WholeWaste   sim.Bytes // bytes wasted by whole-query failover
+	PartialWaste sim.Bytes // bytes replayed by the resume past epoch 0
+	WholeWaste   sim.Bytes // bytes wasted by the resume at epoch 0 (checkpointing off)
 	VolcanoWaste sim.Bytes // bytes wasted by client-level re-execution
 	Restarts     int
 	Failovers    int
@@ -41,7 +41,7 @@ type E21RecoveryRow struct {
 	// (Stats.RecoveryBytes); the replayed bytes are a part of it.
 	PartialRecovery sim.Bytes
 	// SegmentsScanned is how many segments the partial-restart run
-	// scanned over both attempts. A whole-query failover scans all
+	// scanned over both attempts. A resume at epoch 0 scans all
 	// e21Segments twice; resuming past segment 0 scans fewer.
 	SegmentsScanned int
 }
@@ -74,12 +74,12 @@ const e21Segments = 12
 //
 // Recovery half: the device hosting a pipeline stage is killed
 // deterministically at an early, middle and late batch of a group-by
-// scan, under three disciplines — stage-level partial restart
-// (checkpoint every 2 segments), whole-query failover (PR 1's
-// behavior), and the volcano client's only option, re-executing from
-// scratch. The replayed/wasted bytes are metered per discipline; the
-// partial restart must replay only the suffix since the last completed
-// checkpoint.
+// scan, under three disciplines — a resume past epoch 0 (checkpoint
+// every 2 segments) and a resume at epoch 0 (checkpointing off), both the
+// engine's one re-planning recovery loop, and the volcano client's only
+// option, re-executing from scratch. The replayed/wasted bytes are
+// metered per discipline; the partial restart must replay only the
+// suffix since the last completed checkpoint.
 //
 // Overload half: bursts of concurrent queries arrive at a scheduler
 // with two execution slots and a two-deep admit queue, each carrying a
@@ -122,7 +122,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 		Header: []string{"scenario", "ok", "shed", "p99",
 			"waste partial", "waste whole", "waste volcano"},
 		Notes: fmt.Sprintf("kill@N rows: device hosting a stage dies on batch N of %d; "+
-			"waste = bytes replayed (partial restart) or burned by the abandoned attempt (failover / re-run). "+
+			"waste = bytes replayed (resume past epoch 0) or burned by the abandoned run (resume at epoch 0 / re-run). "+
 			"load=N rows: N concurrent arrivals against 2 slots + 2-deep queue, %v deadline; "+
 			"p99 = worst admitted query wall time (volcano column: worst query with nothing shed)", e21Segments, opts.Deadline),
 	}}
@@ -187,7 +187,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 			return nil, fmt.Errorf("experiments: E21 partial restart never engaged at strike %d", strike)
 		}
 
-		// Whole-query failover: same kill, checkpointing off.
+		// Resume at epoch 0 (checkpointing off): same kill.
 		df, err := buildDF()
 		if err != nil {
 			return nil, err
@@ -202,9 +202,9 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 		df.Faults = inj
 		r, err := df.Execute(context.Background(), q)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: E21 failover at %d: %w", strike, err)
+			return nil, fmt.Errorf("experiments: E21 resume at epoch 0, kill at %d: %w", strike, err)
 		}
-		if err := check(r, "whole-query failover"); err != nil {
+		if err := check(r, "resume at epoch 0"); err != nil {
 			return nil, err
 		}
 		row.WholeWaste = r.Stats.RecoveryBytes

@@ -82,8 +82,8 @@ func TestPreCancelledContextRunsNothing(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if emitted == 100 {
-		t.Error("pre-cancelled run still drained the whole source")
+	if emitted != 0 {
+		t.Errorf("pre-cancelled run emitted %d batches, want 0", emitted)
 	}
 }
 

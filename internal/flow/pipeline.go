@@ -204,6 +204,10 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 			sn.RestoreState(snap)
 		}
 	}
+	// A done context runs nothing; the watcher below may be scheduled late.
+	if err := ctx.Err(); err != nil {
+		return res, err
+	}
 	depth := p.Depth
 	if depth <= 0 {
 		depth = 8

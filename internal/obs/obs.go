@@ -158,9 +158,9 @@ func (t *Trace) Sample(name, unit string, at sim.VTime, v float64) {
 	t.mu.Unlock()
 }
 
-// ClearSpans drops all spans and series but keeps events. The engine's
-// failover path uses it between recovery attempts: the final answer's
-// timeline replaces the abandoned attempt's, while fault and failover
+// ClearSpans drops all spans and series but keeps events. The engine
+// uses it when a recovery resumes at epoch 0: the final answer's
+// timeline replaces the abandoned run's, while fault and recovery
 // annotations accumulate across the whole query.
 func (t *Trace) ClearSpans() {
 	if t == nil {
