@@ -1,6 +1,9 @@
 package columnar
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Batch is a horizontal slice of a table: one vector per schema column,
 // all the same length. Batches are the unit of flow through pipelines.
@@ -9,6 +12,11 @@ import "fmt"
 // with zero fields, or a projection down to zero columns) still report
 // how many rows they stand for. For batches with columns the vectors
 // remain authoritative.
+//
+// A batch's vectors are not written once the batch is built: AppendRow
+// is the only mutation, and nothing writes through Col(i) or a typed
+// accessor's slice. That is what lets ByteSize keep its answer, and lets
+// one decoded batch be read by concurrent queries (Volcano's buffer pool).
 type Batch struct {
 	schema *Schema
 	cols   []*Vector
@@ -19,6 +27,11 @@ type Batch struct {
 	// stage boundaries (sort, join build, ship-over-link) call Compact to
 	// materialize the surviving rows. ByteSize counts live rows only.
 	sel *Bitmap
+	// size is ByteSize plus one once it has been computed, zero before:
+	// every meter a batch passes reads one walk. It is atomic because a
+	// shared batch may be sized by several queries at once; AppendRow
+	// resets it.
+	size atomic.Int64
 }
 
 // NewBatch returns an empty batch for the schema with per-column capacity
@@ -97,6 +110,7 @@ func (b *Batch) AppendRow(vals ...Value) {
 		b.cols[i].AppendValue(v)
 	}
 	b.rows++
+	b.size.Store(0)
 }
 
 // Row materializes row i as a slice of dynamically typed values. This is
@@ -148,16 +162,20 @@ func (b *Batch) LiveRows() int {
 // holding only the live rows, with no selection vector attached. Dense
 // stage boundaries (sort, join build, ship-over-link, sinks) call this
 // before walking physical rows. A batch without a selection is returned
-// unchanged.
+// unchanged. The dense batch keeps b's size when b has been sized: a
+// selected batch's size is its live rows'.
 func (b *Batch) Compact() *Batch {
 	if b.sel == nil {
 		return b
 	}
-	count := b.sel.Count()
-	if count == b.NumRows() {
-		return &Batch{schema: b.schema, cols: b.cols, rows: b.rows}
+	var out *Batch
+	if count := b.sel.Count(); count == b.NumRows() {
+		out = &Batch{schema: b.schema, cols: b.cols, rows: b.rows}
+	} else {
+		out = b.filter(b.sel, count)
 	}
-	return b.filter(b.sel, count)
+	out.size.Store(b.size.Load())
+	return out
 }
 
 // Gather returns a batch with only the rows at the given indices. Like
@@ -201,8 +219,12 @@ func (b *Batch) Slice(from, to int) *Batch {
 // This is the payload size the fabric charges when a batch crosses a link.
 // A batch with a selection is the size of its live rows — exactly
 // Compact().ByteSize(), without building the compacted batch — so a
-// selection never changes what a meter is charged.
+// selection never changes what a meter is charged. The first call walks
+// the columns; later calls return what it found.
 func (b *Batch) ByteSize() int64 {
+	if s := b.size.Load(); s != 0 {
+		return s - 1
+	}
 	count := -1
 	if b.sel != nil {
 		if c := b.sel.Count(); c < b.NumRows() {
@@ -217,6 +239,7 @@ func (b *Batch) ByteSize() int64 {
 			n += c.selectedByteSize(b.sel, count)
 		}
 	}
+	b.size.Store(n + 1)
 	return n
 }
 

@@ -262,7 +262,11 @@ func selectRLE(dst []int64, data []byte, n int, sel []uint64) error {
 }
 
 // selectDelta decodes every delta — the running sum needs them all — and
-// stores the sum at the selected rows.
+// stores the sum at the selected rows without a branch on the selection:
+// every sum is stored at dst[k], and k moves past it only when the row is
+// selected, so an unselected row's sum is overwritten by the next selected
+// one. Once the last selected row is in, k is len(dst) and the store is
+// skipped, leaving that row's value in place.
 func selectDelta(dst []int64, data []byte, n int, sel []uint64) error {
 	cnt, sz := binary.Uvarint(data)
 	if sz <= 0 || cnt != uint64(n) {
@@ -288,10 +292,10 @@ func selectDelta(dst []int64, data []byte, n int, sel []uint64) error {
 			}
 			data = data[sz:]
 			prev += unzigzag(u)
-			if w&1 != 0 {
+			if k < len(dst) {
 				dst[k] = prev
-				k++
 			}
+			k += int(w & 1)
 			w >>= 1
 		}
 	}

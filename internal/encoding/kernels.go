@@ -212,19 +212,22 @@ func (ec *EncodedColumn) evalInts(set intSet, bm *columnar.Bitmap) error {
 	case DeltaVarint:
 		prev := int64(0)
 		for base := 0; base < n; base += 64 {
+			lim := min(64, n-base)
 			var w uint64
-			for j := 0; j < min(64, n-base); j++ {
+			for j := 0; j < lim; j++ {
 				u, sz := binary.Uvarint(data)
 				if sz <= 0 {
 					return fmt.Errorf("%w: truncated delta stream", ErrCorrupt)
 				}
 				data = data[sz:]
 				prev += unzigzag(u)
-				if set.contains(prev) {
-					w |= 1 << (uint(j) & 63)
+				in := uint64(prev)-set.lo <= set.span
+				if set.member != nil && in {
+					_, in = set.member[prev]
 				}
+				w = w>>1 | b2u(in)<<63
 			}
-			bm.SetWord(base>>6, w)
+			bm.SetWord(base>>6, w>>uint(64-lim))
 		}
 		return nil
 	case BitPacked:
@@ -296,14 +299,16 @@ func (ec *EncodedColumn) EvalFloatRange(lo, hi float64, incLo, incHi bool) (*col
 	if uint64(len(data)) < cnt*8 {
 		return nil, false, fmt.Errorf("%w: float data truncated", ErrCorrupt)
 	}
+	inLo, inHi := b2u(incLo), b2u(incHi)
 	for base := 0; base < n; base += 64 {
+		lim := min(64, n-base)
 		var w uint64
-		for j := 0; j < min(64, n-base); j++ {
-			if v := lefloat(data[(base+j)*8:]); above(v, lo, incLo) && below(v, hi, incHi) {
-				w |= 1 << (uint(j) & 63)
-			}
+		for j := 0; j < lim; j++ {
+			v := lefloat(data[(base+j)*8:])
+			in := (b2u(v > lo) | b2u(v == lo)&inLo) & (b2u(v < hi) | b2u(v == hi)&inHi)
+			w = w>>1 | in<<63
 		}
-		bm.SetWord(base>>6, w)
+		bm.SetWord(base>>6, w>>uint(64-lim))
 	}
 	if err := ec.clearNulls(bm); err != nil {
 		return nil, false, err
@@ -355,17 +360,16 @@ func (ec *EncodedColumn) EvalStringMatch(match func(string) bool) (*columnar.Bit
 		return nil, false, err
 	}
 	for base := 0; base < n; base += 64 {
+		lim := min(64, n-base)
 		var w uint64
-		for j := 0; j < min(64, n-base); j++ {
+		for j := 0; j < lim; j++ {
 			c := uint64(r.at(base + j))
 			if c >= uint64(len(matched)) {
 				return nil, false, fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, int64(c))
 			}
-			if matched[c] {
-				w |= 1 << (uint(j) & 63)
-			}
+			w = w>>1 | b2u(matched[c])<<63
 		}
-		bm.SetWord(base>>6, w)
+		bm.SetWord(base>>6, w>>uint(64-lim))
 	}
 	if err := ec.clearNulls(bm); err != nil {
 		return nil, false, err
@@ -486,12 +490,23 @@ func (r *bitPackedReader) rangeWord(base, lim int, lo, span uint64) (w uint64) {
 	payload, width, mask := r.payload, int(r.width), r.mask
 	bit := base * width
 	for j := 0; j < lim; j++ {
-		if d := load64(payload, bit>>3) >> (uint(bit) & 7) & mask; d-lo <= span {
-			w |= 1 << (uint(j) & 63)
-		}
+		d := load64(payload, bit>>3) >> (uint(bit) & 7) & mask
+		w = w>>1 | b2u(d-lo <= span)<<63
 		bit += width
 	}
-	return w
+	return w >> uint(64-lim)
+}
+
+// b2u is 1 for true and 0 for false, without a branch. Every kernel that
+// builds a 64-row result word shifts each row's bit in from the top —
+// w = w>>1 | b2u(test)<<63, then w>>(64-lim) for a short last word —
+// because whether a row matches is what a branch cannot predict at middling
+// selectivity, and a constant shift is cheaper than w |= b2u(test)<<j.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // load64 reads the little-endian word at b[off:]; where fewer than eight

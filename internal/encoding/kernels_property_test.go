@@ -295,3 +295,99 @@ func TestFlippedPayloadByteIsErrCorrupt(t *testing.T) {
 		}
 	}
 }
+
+// EvalFloatRange builds its words without a branch, so the bound tests
+// are bit arithmetic rather than Go's && and ||: pinned here to the
+// per-row comparison over every inclusive/exclusive pair, bounds at the
+// infinities and at NaN, a column holding NaN, ±Inf and ±0, NULL rows and
+// row counts around a word boundary. NaN is in no range.
+func TestFloatRangeMatchesPerRowAtEveryLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	nan, inf := math.NaN(), math.Inf(1)
+	specials := []float64{nan, inf, -inf, 0, math.Copysign(0, -1), 0.5}
+	for _, n := range propertyRows {
+		vals := make([]float64, n)
+		for i := range vals {
+			if i%5 == 0 {
+				vals[i] = specials[rng.Intn(len(specials))]
+			} else {
+				vals[i] = float64(rng.Intn(9)) / 8 // repeats, so bounds land on values
+			}
+		}
+		for _, nulls := range [][]bool{nil, nullMask(n)} {
+			v := columnar.FromFloat64s(slices.Clone(vals))
+			if nulls != nil && n > 0 {
+				bm := columnar.NewBitmap(n)
+				for i, isNull := range nulls {
+					if isNull {
+						bm.Set(i)
+					}
+				}
+				v.SetNulls(bm)
+			}
+			ec := EncodeColumn(v)
+			ec.Stats.HasMinMax = false // walk the values, whatever the bounds
+			for _, b := range [][2]float64{{0.25, 0.75}, {0.5, 0.5}, {0.75, 0.25}, {-inf, inf}, {-inf, 0}, {0, inf}, {nan, 1}, {0, nan}, {nan, nan}} {
+				for _, inc := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+					lo, hi, incLo, incHi := b[0], b[1], inc[0], inc[1]
+					got, ok, err := ec.EvalFloatRange(lo, hi, incLo, incHi)
+					what := fmt.Sprintf("n=%d nulls=%v range %v..%v inc=%v/%v", n, nulls != nil, lo, hi, incLo, incHi)
+					if err != nil || !ok {
+						t.Fatalf("%s: ok=%v err=%v", what, ok, err)
+					}
+					checkSelection(t, what, got, n, func(i int) bool {
+						x := vals[i]
+						return !v.IsNull(i) && (x > lo || incLo && x == lo) && (x < hi || incHi && x == hi)
+					})
+				}
+			}
+		}
+	}
+}
+
+// selectDelta stores every running sum at the next free slot of dst and
+// moves on only past a selected row, skipping the store once dst is full.
+// The selections that matter are the ones whose last set bit is not the
+// column's last row — the rows after it must not overwrite its value, nor
+// write past dst — beside empty and full ones, at lengths around a word.
+func TestSelectDeltaKeepsTheLastSelectedValue(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 130, 1000} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = int64(i)*3 + rng.Int63n(5) - 2 // one-byte deltas of either sign
+		}
+		if n > 4 {
+			vals[n/2] = math.MaxInt64 // a long varint mid-stream
+			vals[n/2+1] = math.MinInt64
+		}
+		ec := intColumn(vals, nil, DeltaVarint, false)
+		shapes := map[string]func(i int) bool{
+			"empty":               func(int) bool { return false },
+			"full":                func(int) bool { return true },
+			"first row only":      func(i int) bool { return i == 0 },
+			"all but the last":    func(i int) bool { return i < n-1 },
+			"last row only":       func(i int) bool { return i == n-1 },
+			"first half":          func(i int) bool { return i < n/2 },
+			"even rows":           func(i int) bool { return i%2 == 0 && i < n-1 },
+			"random, last is off": func(i int) bool { return i < n-1 && rng.Intn(3) == 0 },
+		}
+		for name, keep := range shapes {
+			sel := columnar.NewBitmap(n)
+			var want []int64
+			for i := 0; i < n; i++ {
+				if keep(i) {
+					sel.Set(i)
+					want = append(want, vals[i])
+				}
+			}
+			got, err := ec.DecodeFiltered(sel)
+			if err != nil {
+				t.Fatalf("n=%d %s: %v", n, name, err)
+			}
+			if !slices.Equal(got.Int64s(), want) {
+				t.Fatalf("n=%d %s: got %v, want %v", n, name, got.Int64s(), want)
+			}
+		}
+	}
+}

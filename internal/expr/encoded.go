@@ -98,35 +98,14 @@ func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.
 	return nil, false, nil
 }
 
-const (
-	minInt64 = -int64(^uint64(0)>>1) - 1
-	maxInt64 = int64(^uint64(0) >> 1)
-)
-
 func evalCmpEncoded(c *Cmp, ec *encoding.EncodedColumn) (*columnar.Bitmap, bool, error) {
 	switch c.Val.Type {
 	case columnar.Int64:
-		v := c.Val.I
-		switch c.Op {
-		case Eq:
-			return ec.EvalIntRange(v, v)
-		case Lt:
-			if v == minInt64 {
-				return ec.EvalIntRange(1, 0) // empty range: all false
-			}
-			return ec.EvalIntRange(minInt64, v-1)
-		case Le:
-			return ec.EvalIntRange(minInt64, v)
-		case Gt:
-			if v == maxInt64 {
-				return ec.EvalIntRange(1, 0)
-			}
-			return ec.EvalIntRange(v+1, maxInt64)
-		case Ge:
-			return ec.EvalIntRange(v, maxInt64)
-		case Ne:
-			return complementEq(ec, func() (*columnar.Bitmap, bool, error) { return ec.EvalIntRange(v, v) })
+		lo, hi, ne := c.intRange()
+		if ne {
+			return complementEq(ec, func() (*columnar.Bitmap, bool, error) { return ec.EvalIntRange(lo, hi) })
 		}
+		return ec.EvalIntRange(lo, hi)
 	case columnar.Float64:
 		v := c.Val.F
 		switch c.Op {

@@ -1,7 +1,9 @@
 package expr
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -87,6 +89,109 @@ func TestBetween(t *testing.T) {
 	b := sampleBatch()
 	if got := selected(NewBetween(0, 2, 4).Eval(b)); !equalInts(got, []int{1, 2, 3}) {
 		t.Errorf("BETWEEN 2 AND 4 selected %v", got)
+	}
+}
+
+// Between and the BIGINT and DOUBLE arms of Cmp build their selection a
+// word at a time without a branch per row: a BIGINT comparison is a range
+// test (Ne its complement), a DOUBLE one picks from the three outcomes of
+// comparing with the constant, and NULLs are cleared a word at a time.
+// Pinned here to Go's operators row by row, at lengths around a word,
+// with NULLs (the null bitmap ends at the last NULL, short of the column),
+// constants at the ends of BIGINT, lo > hi, and NaN on either side.
+func TestNumericPredicatesMatchPerRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	nan, inf := math.NaN(), math.Inf(1)
+	ops := []CmpOp{Eq, Ne, Lt, Le, Gt, Ge, CmpOp(99)}
+	intRef := func(a, b int64, op CmpOp) bool {
+		switch op {
+		case Eq:
+			return a == b
+		case Ne:
+			return a != b
+		case Lt:
+			return a < b
+		case Le:
+			return a <= b
+		case Gt:
+			return a > b
+		case Ge:
+			return a >= b
+		}
+		return false
+	}
+	floatRef := func(a, b float64, op CmpOp) bool {
+		switch op {
+		case Eq:
+			return a == b
+		case Ne:
+			return a != b
+		case Lt:
+			return a < b
+		case Le:
+			return a <= b
+		case Gt:
+			return a > b
+		case Ge:
+			return a >= b
+		}
+		return false
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 130, 1000} {
+		schema := columnar.NewSchema(columnar.Field{Name: "k", Type: columnar.Int64}, columnar.Field{Name: "x", Type: columnar.Float64})
+		b := columnar.NewBatch(schema, n)
+		for i := 0; i < n; i++ {
+			k := columnar.IntValue([]int64{math.MinInt64, math.MaxInt64, -1, 0}[rng.Intn(4)])
+			if rng.Intn(3) > 0 {
+				k = columnar.IntValue(rng.Int63n(20) - 10)
+			}
+			x := columnar.FloatValue([]float64{nan, inf, -inf, 0, math.Copysign(0, -1)}[rng.Intn(5)])
+			if rng.Intn(3) > 0 {
+				x = columnar.FloatValue(float64(rng.Intn(9)-4) / 2)
+			}
+			if i%9 == 4 && i < n*2/3 { // no NULL in the last third
+				k, x = columnar.NullValue(columnar.Int64), columnar.NullValue(columnar.Float64)
+			}
+			b.AppendRow(k, x)
+		}
+		ks, xs := b.Col(0), b.Col(1)
+		check := func(what string, got *columnar.Bitmap, want func(i int) bool) {
+			t.Helper()
+			if got.Len() != n {
+				t.Fatalf("n=%d %s: %d bits", n, what, got.Len())
+			}
+			count := 0
+			for i := 0; i < n; i++ {
+				if want(i) {
+					count++
+				}
+				if got.Get(i) != want(i) {
+					t.Fatalf("n=%d %s: row %d = %v, want %v", n, what, i, got.Get(i), want(i))
+				}
+			}
+			if got.Count() != count {
+				t.Fatalf("n=%d %s: Count %d, want %d", n, what, got.Count(), count)
+			}
+		}
+		for _, op := range ops {
+			for _, c := range []int64{math.MinInt64, math.MinInt64 + 1, -3, 0, 7, math.MaxInt64 - 1, math.MaxInt64} {
+				check(fmt.Sprintf("k %s %d", op, c), NewCmp(0, op, columnar.IntValue(c)).Eval(b), func(i int) bool {
+					return !ks.IsNull(i) && intRef(ks.Int64s()[i], c, op)
+				})
+			}
+			for _, c := range []float64{nan, -inf, inf, 0, math.Copysign(0, -1), 1.5, -2} {
+				check(fmt.Sprintf("x %s %v", op, c), NewCmp(1, op, columnar.FloatValue(c)).Eval(b), func(i int) bool {
+					return !xs.IsNull(i) && floatRef(xs.Float64s()[i], c, op)
+				})
+			}
+		}
+		for _, r := range [][2]int64{{-3, 3}, {3, -3}, {0, 0}, {math.MinInt64, math.MaxInt64}, {math.MaxInt64, math.MinInt64},
+			{math.MinInt64, math.MinInt64}, {math.MaxInt64, math.MaxInt64}, {math.MinInt64, -1}, {1, math.MaxInt64}} {
+			lo, hi := r[0], r[1]
+			check(fmt.Sprintf("k BETWEEN %d AND %d", lo, hi), NewBetween(0, lo, hi).Eval(b), func(i int) bool {
+				return !ks.IsNull(i) && ks.Int64s()[i] >= lo && ks.Int64s()[i] <= hi
+			})
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -73,82 +74,141 @@ func NewCmp(col int, op CmpOp, val columnar.Value) *Cmp {
 // Eval implements Predicate.
 func (c *Cmp) Eval(b *columnar.Batch) *columnar.Bitmap {
 	col := b.Col(c.Col)
-	if c.Val.Type == columnar.String {
-		return matchStrings(col, c.matchString)
-	}
-	sel := columnar.NewBitmap(b.NumRows())
 	switch c.Val.Type {
+	case columnar.String:
+		return matchStrings(col, c.matchString)
 	case columnar.Int64:
-		vals := col.Int64s()
-		want := c.Val.I
-		for i, v := range vals {
-			if !col.IsNull(i) && cmpInt(v, want, c.Op) {
-				sel.Set(i)
-			}
-		}
+		lo, hi, ne := c.intRange()
+		return intRangeSel(col, lo, hi, ne)
 	case columnar.Float64:
-		vals := col.Float64s()
-		want := c.Val.F
-		for i, v := range vals {
-			if !col.IsNull(i) && cmpFloat(v, want, c.Op) {
-				sel.Set(i)
-			}
-		}
+		return c.floatSel(col)
 	case columnar.Bool:
-		vals := col.Bools()
-		want := c.Val.B
-		for i, v := range vals {
-			if col.IsNull(i) {
-				continue
-			}
-			match := v == want
-			if c.Op == Ne {
-				match = !match
-			} else if c.Op != Eq {
-				match = false
-			}
-			if match {
-				sel.Set(i)
-			}
+		return c.boolSel(col)
+	}
+	return columnar.NewBitmap(b.NumRows())
+}
+
+// boolSel selects the non-NULL rows of a BOOLEAN column that pass = or
+// <>; an ordered comparison of booleans passes nothing.
+func (c *Cmp) boolSel(col *columnar.Vector) *columnar.Bitmap {
+	sel := columnar.NewBitmap(col.Len())
+	want := c.Val.B
+	for i, v := range col.Bools() {
+		if col.IsNull(i) {
+			continue
+		}
+		match := v == want
+		if c.Op == Ne {
+			match = !match
+		} else if c.Op != Eq {
+			match = false
+		}
+		if match {
+			sel.Set(i)
 		}
 	}
 	return sel
 }
 
-func cmpInt(a, b int64, op CmpOp) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
+// intRange is the BIGINT comparison as a range: the values in [lo, hi],
+// or with ne the values outside it. A comparison nothing passes (< the
+// least BIGINT, > the greatest, an unknown operator) is an empty range,
+// lo > hi.
+func (c *Cmp) intRange() (lo, hi int64, ne bool) {
+	want := c.Val.I
+	switch c.Op {
+	case Eq, Ne:
+		return want, want, c.Op == Ne
 	case Le:
-		return a <= b
-	case Gt:
-		return a > b
+		return math.MinInt64, want, false
 	case Ge:
-		return a >= b
+		return want, math.MaxInt64, false
+	case Lt:
+		if want > math.MinInt64 {
+			return math.MinInt64, want - 1, false
+		}
+	case Gt:
+		if want < math.MaxInt64 {
+			return want + 1, math.MaxInt64, false
+		}
 	}
-	return false
+	return 1, 0, false
 }
 
-func cmpFloat(a, b float64, op CmpOp) bool {
-	switch op {
-	case Eq:
-		return a == b
-	case Ne:
-		return a != b
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Gt:
-		return a > b
-	case Ge:
-		return a >= b
+// intRangeSel selects the non-NULL rows of a BIGINT column whose value is
+// in [lo, hi], or with out set the ones outside it, with Between's
+// one-compare test and the kernels' branch-free word (see encoding's b2u);
+// an empty range selects nothing either way.
+func intRangeSel(col *columnar.Vector, lo, hi int64, out bool) *columnar.Bitmap {
+	vals := col.Int64s()
+	sel := columnar.NewBitmap(col.Len())
+	if lo > hi {
+		return sel
 	}
-	return false
+	base, span, flip := uint64(lo), uint64(hi)-uint64(lo), b2u(out)
+	nulls := col.Nulls()
+	for wi := 0; wi<<6 < len(vals); wi++ {
+		chunk := vals[wi<<6 : min(wi<<6+64, len(vals))]
+		var w uint64
+		for _, v := range chunk {
+			w = w>>1 | (b2u(uint64(v)-base <= span)^flip)<<63
+		}
+		sel.SetWord(wi, w>>uint(64-len(chunk))&^nullWord(nulls, wi))
+	}
+	return sel
+}
+
+// floatSel selects the non-NULL rows of a DOUBLE column that pass the
+// comparison: each row is compared with the constant three ways and the
+// operator picks which outcomes pass, so NaN — neither less, equal nor
+// greater — passes only <>, as it does under Go's operators.
+func (c *Cmp) floatSel(col *columnar.Vector) *columnar.Bitmap {
+	var lt, eq, gt, flip uint64
+	switch c.Op {
+	case Eq:
+		eq = 1
+	case Ne:
+		eq, flip = 1, 1
+	case Lt:
+		lt = 1
+	case Le:
+		lt, eq = 1, 1
+	case Gt:
+		gt = 1
+	case Ge:
+		gt, eq = 1, 1
+	}
+	want, vals := c.Val.F, col.Float64s()
+	sel := columnar.NewBitmap(col.Len())
+	nulls := col.Nulls()
+	for wi := 0; wi<<6 < len(vals); wi++ {
+		chunk := vals[wi<<6 : min(wi<<6+64, len(vals))]
+		var w uint64
+		for _, v := range chunk {
+			pass := b2u(v < want)&lt | b2u(v == want)&eq | b2u(v > want)&gt
+			w = w>>1 | (pass^flip)<<63
+		}
+		sel.SetWord(wi, w>>uint(64-len(chunk))&^nullWord(nulls, wi))
+	}
+	return sel
+}
+
+// nullWord is word wi of a column's null bitmap, which is nil when the
+// column has no NULL and otherwise ends at its last one: the rows past
+// its end are not NULL.
+func nullWord(nulls *columnar.Bitmap, wi int) uint64 {
+	if nulls != nil && wi < len(nulls.Words()) {
+		return nulls.Words()[wi]
+	}
+	return 0
+}
+
+// b2u is 1 for true and 0 for false, without a branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // matchString is the test Cmp makes of one string value.
@@ -192,14 +252,7 @@ func NewBetween(col int, lo, hi int64) *Between { return &Between{Col: col, Lo: 
 
 // Eval implements Predicate.
 func (p *Between) Eval(b *columnar.Batch) *columnar.Bitmap {
-	col := b.Col(p.Col)
-	sel := columnar.NewBitmap(b.NumRows())
-	for i, v := range col.Int64s() {
-		if !col.IsNull(i) && v >= p.Lo && v <= p.Hi {
-			sel.Set(i)
-		}
-	}
-	return sel
+	return intRangeSel(b.Col(p.Col), p.Lo, p.Hi, false)
 }
 
 // Columns implements Predicate.

@@ -45,12 +45,6 @@ type Checkpointer struct {
 	epochs map[int]*ckptEpoch
 	latest int
 	done   int
-
-	// OnComplete, when set before the run, is called (outside the lock,
-	// from the last stage's goroutine) each time an epoch completes. The
-	// engine uses it to snapshot fabric meters, so replay waste after a
-	// failure is metered from the last completed checkpoint.
-	OnComplete func(epoch int)
 }
 
 // ckptEpoch is the recorded state of one marked epoch.
@@ -131,6 +125,7 @@ func (c *Checkpointer) sinkComplete(epoch int, sink int64) {
 		return
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e := c.epochLocked(epoch)
 	e.sinkBatches = sink
 	e.complete = true
@@ -138,11 +133,6 @@ func (c *Checkpointer) sinkComplete(epoch int, sink int64) {
 		c.latest = epoch
 	}
 	c.done++
-	cb := c.OnComplete
-	c.mu.Unlock()
-	if cb != nil {
-		cb(epoch)
-	}
 }
 
 // Latest reports the newest completed epoch, if any.
