@@ -246,10 +246,17 @@ func (ec *EncodedColumn) evalInts(set intSet, bm *columnar.Bitmap) error {
 		}
 		// The packed value is v-min, so shifting the range by min tests
 		// it without reconstructing v; only values inside the range are
-		// then looked up in member.
+		// then looked up in member. A narrow column tests several packed
+		// values per load (swarRange), a wide one one at a time.
 		lo := set.lo - uint64(r.min)
+		sw, swar := newSWARRange(r.width, r.mask, lo, set.span)
 		for base := 0; base < n; base += 64 {
-			w := r.rangeWord(base, min(64, n-base), lo, set.span)
+			var w uint64
+			if swar {
+				w = sw.word(r.payload, base, min(64, n-base))
+			} else {
+				w = r.rangeWord(base, min(64, n-base), lo, set.span)
+			}
 			if set.member != nil {
 				for hits := w; hits != 0; hits &= hits - 1 {
 					j := bits.TrailingZeros64(hits)
@@ -495,6 +502,89 @@ func (r *bitPackedReader) rangeWord(base, lim int, lo, span uint64) (w uint64) {
 		bit += width
 	}
 	return w >> uint(64-lim)
+}
+
+// swarRange tests k packed values of one BITPACK column per 64-bit load
+// against a range, with SWAR ("SIMD within a register") arithmetic. A
+// load at most 7 bits into its window holds 57 whole bits, so k =
+// min(⌊57/width⌋, width) values. Masked where they lie, the even values
+// and the odd ones each sit in lanes 2·width bits apart, value j in bits
+// [j·width, (j+1)·width) and its lane's spare bit H at (j+1)·width. With
+// the range clamped to [a, b] ⊆ [0, mask], (d|H)−a and (b|H)−d keep H
+// exactly when a ≤ d and d ≤ b, and never borrow from the lane above.
+// The two halves' H bits are then disjoint, value j's at (j+1)·width, and
+// one multiply by Σ 2^(64−k−width−i(width−1)), i < k, gathers them into
+// the top k bits: value j's product by term i lands at
+// 64−k+j+(j−i)(width−1), and k ≤ width puts every one of those on its
+// own bit, so nothing carries into the top k.
+type swarRange struct {
+	k, width uint      // values per load, bits per value
+	lanes    [2]uint64 // the even, then the odd values' bits
+	h        [2]uint64 // their lanes' spare bits H
+	ha, bh   [2]uint64 // H−a and b|H in each of their lanes
+	gather   uint64    // the multiplier
+}
+
+// swarMinValues is the fewest values one load must test for the SWAR
+// word to beat rangeWord. Timed against it (EvalIntRange over 65,536
+// rows, CRC included, 2 cores): 0.25–0.57× its time at widths 8 to 17
+// (k = 7 to 3), 0.7–0.9× at widths 20, 24 and 28 (k = 2), and 1.9–2×
+// at width 30 (k = 1).
+const swarMinValues = 2
+
+// newSWARRange builds the constants for the packed values d in [0, mask]
+// with d−lo ≤ span in wrapping arithmetic; the width must be above zero.
+// ok is false when the width puts fewer than swarMinValues values in a
+// load, when no packed value is in the range, and when those that are do
+// not form one interval — only possible when min+mask passes maxInt64,
+// which no encoder writes; rangeWord is exact in every case.
+func newSWARRange(width uint, mask, lo, span uint64) (s swarRange, ok bool) {
+	k := min(57/width, width)
+	if k < swarMinValues {
+		return s, false
+	}
+	// The range is [lo, lo+span] modulo 2^64. When it wraps, the part
+	// from lo up lies above the frame unless lo <= mask, and then the
+	// values in the range are [0, end] ∪ [lo, mask]: two intervals.
+	end, carry := bits.Add64(lo, span, 0)
+	a, b := lo, min(end, mask)
+	if carry != 0 {
+		if lo <= mask {
+			return s, false
+		}
+		a = 0
+	}
+	if a > b {
+		return s, false
+	}
+	s = swarRange{k: k, width: width}
+	for j := uint(0); j < k; j++ {
+		at, half := j*width, j%2
+		s.lanes[half] |= mask << at
+		s.h[half] |= (mask + 1) << at
+		s.ha[half] |= (mask + 1 - a) << at
+		s.bh[half] |= (mask + 1 + b) << at
+		s.gather |= uint64(1) << (64 - k - width - j*(width-1)) // value j's term, not a row's bit
+	}
+	return s, true
+}
+
+// word tests the lim <= 64 packed values of payload from base on and
+// returns one result bit per value, value base in bit 0. A word takes
+// ⌈lim/k⌉ loads; the last one's values past the word shift out of it,
+// and SetWord drops any past the column's end.
+func (s *swarRange) word(payload []byte, base, lim int) (w uint64) {
+	k, top, kbits := int(s.k), (64-s.k)&63, int(s.k*s.width)
+	bit := base * int(s.width)
+	for g := 0; g < lim; g += k {
+		x := load64(payload, bit>>3) >> (uint(bit) & 7)
+		even, odd := x&s.lanes[0], x&s.lanes[1]
+		even = (even + s.ha[0]) & (s.bh[0] - even) & s.h[0]
+		odd = (odd + s.ha[1]) & (s.bh[1] - odd) & s.h[1]
+		w |= (even | odd) * s.gather >> top << (uint(g) & 63)
+		bit += kbits
+	}
+	return w
 }
 
 // b2u is 1 for true and 0 for false, without a branch. Every kernel that

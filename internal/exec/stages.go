@@ -141,9 +141,13 @@ func (s *PreAggStage) Flush(emit flow.Emit) error {
 func (s *PreAggStage) SnapshotState() any { return s.Agg.Clone() }
 
 // RestoreState implements flow.Snapshotter. The snapshot is cloned
-// again, so one epoch can seed several restart attempts.
+// again, so one epoch can seed several restart attempts. The stage keeps
+// its own group budget: a snapshot taken on another device carries that
+// device's.
 func (s *PreAggStage) RestoreState(state any) {
+	budget := s.Agg.MaxGroups
 	s.Agg = state.(*expr.PartialAggregator).Clone()
+	s.Agg.MaxGroups = budget
 }
 
 // FinalAggStage is the terminal aggregation on the compute node; it
