@@ -2,45 +2,41 @@ package core
 
 import (
 	"math/bits"
+	"slices"
 
 	"repro/internal/columnar"
+	"repro/internal/encoding"
 	"repro/internal/plan"
 )
 
-// ComputeStats derives planner statistics from a loaded batch: exact
-// distinct counts, integer min/max bounds, and average column widths.
-// Engines call it at load time (statistics maintenance is an ingest-side
-// task in both architectures). It is one pass per batch, not per segment:
-// MergeStats sums distinct counts across loads, so counting per segment
-// would change what the planner sees for a batch that spans several.
-func ComputeStats(b *columnar.Batch) plan.TableStats {
+// statsFromWrite derives planner statistics for a loaded batch from the
+// write summaries of the segments it was stored as
+// (storage.Server.AppendSummary), so statistics maintenance rides the
+// ingest walk the encoder already makes instead of a pass of its own.
+// BIGINT bounds are the segments' zone maps folded, and the column's
+// distinct count one bitset walk over them; a VARCHAR column's distinct
+// count is the size of the union of its segments' distinct sets, each
+// exact, so a batch that spans several segments is not over-counted, and
+// its average width is Σ len plus a 16-byte header a non-NULL row.
+func statsFromWrite(b *columnar.Batch, segs [][]encoding.WriteSummary) plan.TableStats {
 	st := plan.StatsFromSchema(b.Schema())
 	st.Rows = int64(b.NumRows())
 	for c := 0; c < b.NumCols(); c++ {
-		col := b.Col(c)
-		hasNulls := col.HasNulls()
-		switch col.Type() {
+		switch col := b.Col(c); col.Type() {
 		case columnar.Int64:
-			if lo, hi, ok := int64Bounds(col, hasNulls); ok {
+			if lo, hi, ok := zoneBounds(segs, c); ok {
 				st.MinInt[c], st.MaxInt[c], st.IntBounds[c] = lo, hi, true
-				st.Distinct[c] = distinctInt64s(col, hasNulls, lo, hi)
+				st.Distinct[c] = distinctInt64s(col, col.HasNulls(), lo, hi)
 			}
 		case columnar.String:
-			distinct := make(map[string]struct{})
+			st.Distinct[c] = distinctStrings(segs, c)
 			var bytes int64
-			for i, v := range col.Strings() {
-				if hasNulls && col.IsNull(i) {
-					continue
-				}
-				distinct[v] = struct{}{}
-				bytes += int64(len(v)) + 16
+			for _, seg := range segs {
+				w := seg[c]
+				bytes += w.StringBytes + 16*int64(w.Stats.NumValues-w.Stats.NullCount)
 			}
-			st.Distinct[c] = int64(len(distinct))
-			if n := int64(col.Len()); n > 0 {
-				st.ColBytes[c] = bytes / n
-				if st.ColBytes[c] == 0 {
-					st.ColBytes[c] = 1
-				}
+			if st.Rows > 0 {
+				st.ColBytes[c] = max(bytes/st.Rows, 1)
 			}
 		case columnar.Float64:
 			// Distinct tracking for floats is rarely useful; leave 0.
@@ -51,20 +47,33 @@ func ComputeStats(b *columnar.Batch) plan.TableStats {
 	return st
 }
 
-// int64Bounds is the smallest and largest non-NULL value of an Int64
-// vector, and false when it has none.
-func int64Bounds(col *columnar.Vector, hasNulls bool) (lo, hi int64, ok bool) {
-	for i, v := range col.Int64s() {
-		if hasNulls && col.IsNull(i) {
+// zoneBounds folds column c's zone maps over the segments: the smallest
+// and largest non-NULL value, and false when no segment has one.
+func zoneBounds(segs [][]encoding.WriteSummary, c int) (lo, hi int64, ok bool) {
+	for _, seg := range segs {
+		z := seg[c].Stats
+		if !z.HasMinMax {
 			continue
 		}
 		if !ok {
-			lo, hi, ok = v, v, true
+			lo, hi, ok = z.MinI, z.MaxI, true
 			continue
 		}
-		lo, hi = min(lo, v), max(hi, v)
+		lo, hi = min(lo, z.MinI), max(hi, z.MaxI)
 	}
 	return lo, hi, ok
+}
+
+// distinctStrings is the size of the union of column c's distinct sets
+// over the segments: their entries sorted together, each counted once.
+// It touches an entry once per segment that holds it, never a row.
+func distinctStrings(segs [][]encoding.WriteSummary, c int) int64 {
+	var all []string
+	for _, seg := range segs {
+		all = append(all, seg[c].Distinct...)
+	}
+	slices.Sort(all)
+	return int64(len(slices.Compact(all)))
 }
 
 // distinctInt64s counts the distinct non-NULL values of an Int64 vector
@@ -99,8 +108,8 @@ func distinctInt64s(col *columnar.Vector, hasNulls bool, lo, hi int64) int64 {
 }
 
 // MergeStats folds the statistics of an appended batch into existing
-// table statistics (distinct counts saturate at the sum — an upper
-// bound, which is the safe direction for selectivity).
+// table statistics. Distinct counts are summed: an upper bound on the
+// union's, which is the safe direction for selectivity.
 func MergeStats(a, b plan.TableStats) plan.TableStats {
 	out := a
 	out.Rows = a.Rows + b.Rows

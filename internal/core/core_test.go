@@ -452,13 +452,13 @@ func TestResultFormat(t *testing.T) {
 	}
 }
 
-func TestComputeStats(t *testing.T) {
+func TestLoadStats(t *testing.T) {
 	b := columnar.NewBatch(workload.KVSchema(), 4)
 	b.AppendRow(columnar.IntValue(5), columnar.IntValue(1))
 	b.AppendRow(columnar.IntValue(-3), columnar.IntValue(1))
 	b.AppendRow(columnar.IntValue(5), columnar.IntValue(2))
 	b.AppendRow(columnar.NullValue(columnar.Int64), columnar.IntValue(3))
-	st := ComputeStats(b)
+	st := loadedStats(t, b)
 	if st.Rows != 4 || st.Distinct[0] != 2 || st.MinInt[0] != -3 || st.MaxInt[0] != 5 || !st.IntBounds[0] {
 		t.Errorf("stats = %+v", st)
 	}

@@ -111,12 +111,14 @@ func (e *DataFlowEngine) EnableRepair(cfg repair.Config) *repair.Controller {
 	return repair.New(e.Storage.Store(), cfg)
 }
 
-// Load ingests a batch and updates planner statistics.
+// Load ingests a batch and updates planner statistics from what the
+// segment writer learned while encoding it (statsFromWrite).
 func (e *DataFlowEngine) Load(name string, b *columnar.Batch) error {
-	if err := e.Storage.Append(name, b); err != nil {
+	sums, err := e.Storage.AppendSummary(name, b)
+	if err != nil {
 		return err
 	}
-	st := ComputeStats(b)
+	st := statsFromWrite(b, sums)
 	e.mu.Lock()
 	if prev, ok := e.stats[name]; ok {
 		st = MergeStats(prev, st)

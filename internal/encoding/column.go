@@ -84,6 +84,19 @@ type EncodedColumn struct {
 	hasDecodedSize bool
 }
 
+// WriteSummary is what encoding a column learned of its values beyond
+// the column itself, for the planner's statistics: the zone map, and for
+// a VARCHAR column the distinct values of its non-NULL rows (dictionary
+// entries, built for DICT's candidate whichever codec wins) and Σ len
+// over those rows. It is returned beside the column, never kept in it:
+// every segment open allocates EncodedColumns, and the read path has no
+// use for it.
+type WriteSummary struct {
+	Stats       Stats
+	Distinct    []string
+	StringBytes int64
+}
+
 // EncodeColumn encodes a vector, picking the smallest applicable
 // encoding without writing the others: one pass sizes every candidate
 // exactly (see int64Sizes and dictionary), and only the winner is written,
@@ -91,8 +104,16 @@ type EncodedColumn struct {
 // RLE, then DELTA, then BITPACK; DICT, then PLAIN — each replacing the
 // best so far only when strictly smaller.
 func EncodeColumn(v *columnar.Vector) *EncodedColumn {
+	ec, _ := EncodeColumnSummary(v)
+	return ec
+}
+
+// EncodeColumnSummary is EncodeColumn that also returns the column's
+// WriteSummary, taken in the walks that encode it.
+func EncodeColumnSummary(v *columnar.Vector) (*EncodedColumn, WriteSummary) {
 	n := v.Len()
 	ec := &EncodedColumn{Type: v.Type(), Stats: Stats{NumValues: n, NullCount: v.NullCount()}}
+	var sum WriteSummary
 	var nulls *columnar.Bitmap // nil when no row is NULL
 	if ec.Stats.NullCount > 0 {
 		nulls = v.Nulls()
@@ -106,12 +127,13 @@ func EncodeColumn(v *columnar.Vector) *EncodedColumn {
 		s.MinF, s.MaxF, s.HasMinMax = minMax(v.Float64s(), nulls)
 		ec.Encoding, ec.Data = Plain, EncodeFloat64s(v.Float64s())
 	case columnar.String:
-		ec.Encoding, ec.Data = encodeStrings(s, v.Strings(), nulls)
+		ec.Encoding, ec.Data, sum.Distinct, sum.StringBytes = encodeStrings(s, v.Strings(), nulls)
 	case columnar.Bool:
 		ec.Encoding, ec.Data = Plain, EncodeBools(v.Bools())
 	}
 	ec.Checksum = ec.ComputeChecksum()
-	return ec
+	sum.Stats = ec.Stats
+	return ec, sum
 }
 
 // ComputeChecksum is the CRC-32 (IEEE) of Nulls‖Data: the value Checksum
@@ -151,19 +173,18 @@ func encodeInt64s(s *Stats, vals []int64, nulls *columnar.Bitmap) (ColumnEncodin
 }
 
 // encodeStrings builds the dictionary once, sizes DICT and PLAIN from it
-// and writes the smaller. Without NULLs the zone map is taken over the
-// dictionary's entries instead of every row.
-func encodeStrings(s *Stats, vals []string, nulls *columnar.Bitmap) (ColumnEncoding, []byte) {
+// and writes the smaller. It also returns the distinct values of the
+// non-NULL rows and Σ len over them (dictionary.present), and the zone
+// map is taken over those values instead of every row: the smallest and
+// largest of a set do not depend on how often each occurs.
+func encodeStrings(s *Stats, vals []string, nulls *columnar.Bitmap) (ColumnEncoding, []byte, []string, int64) {
 	d := buildDict(vals)
-	if nulls == nil {
-		s.MinS, s.MaxS, s.HasMinMax = minMax(d.entries, nil)
-	} else {
-		s.MinS, s.MaxS, s.HasMinMax = minMax(vals, nulls)
-	}
+	distinct, bytes := d.present(vals, nulls)
+	s.MinS, s.MaxS, s.HasMinMax = minMax(distinct, nil)
 	if size := d.size(); size < d.plainSize {
-		return Dict, d.appendTo(make([]byte, 0, size))
+		return Dict, d.appendTo(make([]byte, 0, size)), distinct, bytes
 	}
-	return Plain, appendPlainStrings(make([]byte, 0, d.plainSize), vals)
+	return Plain, appendPlainStrings(make([]byte, 0, d.plainSize), vals), distinct, bytes
 }
 
 // minMax is the zone map: the smallest and largest of vals over the rows

@@ -130,7 +130,9 @@ func bitPackedSize(n int, lo, hi int64) int {
 // smallest, is stored as v - lo in bitPackedWidth(lo, hi) bits. The
 // packed bits go out eight bytes at a time: a flushed word holds only
 // bits already written, so it never reaches past the block's last byte.
-func appendBitPacked(out []byte, vals []int64, lo, hi int64) []byte {
+// A DICT column's codes are int32s, half the bytes of a BIGINT column's
+// values, and are packed by the same loop.
+func appendBitPacked[T int32 | int64](out []byte, vals []T, lo, hi int64) []byte {
 	out = binary.AppendUvarint(out, uint64(len(vals)))
 	if len(vals) == 0 {
 		return out
@@ -143,7 +145,7 @@ func appendBitPacked(out []byte, vals []int64, lo, hi int64) []byte {
 	}
 	if width == 64 {
 		for _, v := range vals {
-			out = binary.LittleEndian.AppendUint64(out, uint64(v)-uint64(lo))
+			out = binary.LittleEndian.AppendUint64(out, uint64(int64(v))-uint64(lo))
 		}
 		return out
 	}
@@ -153,7 +155,7 @@ func appendBitPacked(out []byte, vals []int64, lo, hi int64) []byte {
 	var acc uint64
 	var nbits, pos uint
 	for _, v := range vals {
-		d := uint64(v) - uint64(lo)
+		d := uint64(int64(v)) - uint64(lo)
 		acc |= d << nbits
 		if nbits += width; nbits >= 64 {
 			binary.LittleEndian.PutUint64(packed[pos:], acc)

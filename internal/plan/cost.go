@@ -17,8 +17,9 @@ type TableStats struct {
 	// MinInt/MaxInt bound BIGINT columns (valid where IntBounds is set).
 	MinInt, MaxInt []int64
 	IntBounds      []bool
-	// EncodedFraction is encoded size / decoded size for the table's
-	// segments, used to cost the storage-side decode.
+	// EncodedFraction is the encoded share of a row's decoded bytes, used
+	// to cost the storage-side decode. Nothing measures it: it is
+	// StatsFromSchema's prior of 0.5 unless SetStats supplies another.
 	EncodedFraction float64
 }
 

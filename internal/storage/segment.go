@@ -26,12 +26,20 @@ type Segment struct {
 
 // BuildSegment encodes a batch into a segment.
 func BuildSegment(id int, b *columnar.Batch) *Segment {
+	s, _ := BuildSegmentSummary(id, b)
+	return s
+}
+
+// BuildSegmentSummary is BuildSegment that also returns each column's
+// encoding.WriteSummary, in schema order.
+func BuildSegmentSummary(id int, b *columnar.Batch) (*Segment, []encoding.WriteSummary) {
 	s := &Segment{ID: id, Schema: b.Schema(), NumRows: b.NumRows()}
 	s.Columns = make([]*encoding.EncodedColumn, b.NumCols())
+	sums := make([]encoding.WriteSummary, b.NumCols())
 	for i := 0; i < b.NumCols(); i++ {
-		s.Columns[i] = encoding.EncodeColumn(b.Col(i))
+		s.Columns[i], sums[i] = encoding.EncodeColumnSummary(b.Col(i))
 	}
-	return s
+	return s, sums
 }
 
 // EncodedSize is the segment's on-media footprint: what a scan reads and

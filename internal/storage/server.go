@@ -356,13 +356,23 @@ func (s *Server) Tables() []string {
 // Append ingests a batch into the table, splitting it into segments of
 // SegmentRows rows.
 func (s *Server) Append(table string, b *columnar.Batch) error {
+	_, err := s.AppendSummary(table, b)
+	return err
+}
+
+// AppendSummary is Append that also returns, for each segment it wrote in
+// order, the column summaries BuildSegmentSummary took while encoding it:
+// what the planner's statistics are folded from without walking the
+// batch again.
+func (s *Server) AppendSummary(table string, b *columnar.Batch) ([][]encoding.WriteSummary, error) {
 	t, err := s.Table(table)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if !b.Schema().Equal(t.Schema) {
-		return fmt.Errorf("storage: batch schema %s does not match table %s", b.Schema(), t.Schema)
+		return nil, fmt.Errorf("storage: batch schema %s does not match table %s", b.Schema(), t.Schema)
 	}
+	var sums [][]encoding.WriteSummary
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for off := 0; off < b.NumRows(); off += s.SegmentRows {
@@ -371,13 +381,14 @@ func (s *Server) Append(table string, b *columnar.Batch) error {
 			end = b.NumRows()
 		}
 		segID := len(t.SegmentKeys)
-		seg := BuildSegment(segID, b.Slice(off, end))
+		seg, sum := BuildSegmentSummary(segID, b.Slice(off, end))
 		key := fmt.Sprintf("%s/seg-%06d", table, segID)
 		s.store.Put(key, seg.Marshal())
 		t.SegmentKeys = append(t.SegmentKeys, key)
 		t.NumRows += int64(end - off)
+		sums = append(sums, sum)
 	}
-	return nil
+	return sums, nil
 }
 
 // Scan executes a scan, invoking emit once per produced batch in segment
