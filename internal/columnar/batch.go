@@ -13,10 +13,17 @@ import (
 // how many rows they stand for. For batches with columns the vectors
 // remain authoritative.
 //
-// A batch's vectors are not written once the batch is built: AppendRow
-// is the only mutation, and nothing writes through Col(i) or a typed
-// accessor's slice. That is what lets ByteSize keep its answer, and lets
-// one decoded batch be read by concurrent queries (Volcano's buffer pool).
+// A batch's vectors are not written once the batch is built, until it is
+// released: AppendRow is the only mutation, and nothing writes through
+// Col(i) or a typed accessor's slice. That is what lets ByteSize keep its
+// answer, and lets one decoded batch be read by concurrent queries
+// (Volcano's buffer pool).
+//
+// A batch handed to a stage is the stage's: it forwards the batch or a
+// view of it (WithSelection, Project, Slice), and ownership with it, or
+// ends it with Release, after which nothing reads either. Only a batch a
+// scan leased from a Pool gives anything back; any other releases as a
+// no-op, so a shared or client-owned batch is left intact.
 type Batch struct {
 	schema *Schema
 	cols   []*Vector
@@ -32,6 +39,9 @@ type Batch struct {
 	// shared batch may be sized by several queries at once; AppendRow
 	// resets it.
 	size atomic.Int64
+	// lease, when non-nil, is the pooled decoded set the batch's vectors
+	// belong to; views of the batch share it.
+	lease *lease
 }
 
 // NewBatch returns an empty batch for the schema with per-column capacity
@@ -132,7 +142,7 @@ func (b *Batch) Project(indices []int) *Batch {
 	for i, idx := range indices {
 		cols[i] = b.cols[idx]
 	}
-	return &Batch{schema: b.schema.Project(indices), cols: cols, rows: b.NumRows(), sel: b.sel}
+	return &Batch{schema: b.schema.Project(indices), cols: cols, rows: b.NumRows(), sel: b.sel, lease: b.lease}
 }
 
 // WithSelection returns a view of b whose live rows are the set bits of
@@ -142,7 +152,7 @@ func (b *Batch) WithSelection(sel *Bitmap) *Batch {
 	if sel != nil && sel.Len() != b.NumRows() {
 		panic("columnar: WithSelection length mismatch")
 	}
-	return &Batch{schema: b.schema, cols: b.cols, rows: b.rows, sel: sel}
+	return &Batch{schema: b.schema, cols: b.cols, rows: b.rows, sel: sel, lease: b.lease}
 }
 
 // Selection returns the batch's lazy selection vector, or nil when every
@@ -170,12 +180,47 @@ func (b *Batch) Compact() *Batch {
 	}
 	var out *Batch
 	if count := b.sel.Count(); count == b.NumRows() {
-		out = &Batch{schema: b.schema, cols: b.cols, rows: b.rows}
+		out = &Batch{schema: b.schema, cols: b.cols, rows: b.rows, lease: b.lease}
 	} else {
 		out = b.filter(b.sel, count)
 	}
 	out.size.Store(b.size.Load())
 	return out
+}
+
+// CompactOwned is Compact at a dense boundary that owns b: when the live
+// rows had to be copied out, b's own vectors are dead there, and b is
+// released.
+func (b *Batch) CompactOwned() *Batch {
+	out := b.Compact()
+	if out.lease == nil {
+		b.Release()
+	}
+	return out
+}
+
+// Share readies b to be cut into n views (Slice) that are released one
+// by one: its lease then waits for n releases instead of one.
+func (b *Batch) Share(n int) {
+	if b.lease != nil {
+		b.lease.refs.Add(int32(n - 1))
+	}
+}
+
+// Release ends b's life: its owner will read neither b nor a view of it
+// again. A batch without a lease is left as it is. A leased one forgets
+// its size, and the last release of a decoded set gives its arrays back
+// to the pool.
+func (b *Batch) Release() {
+	l := b.lease
+	if l == nil {
+		return
+	}
+	b.lease = nil
+	b.size.Store(0)
+	if l.refs.Add(-1) == 0 {
+		l.pool.recycle(l.vecs)
+	}
 }
 
 // Gather returns a batch with only the rows at the given indices. Like
@@ -206,13 +251,14 @@ func (b *Batch) filter(sel *Bitmap, count int) *Batch {
 	return &Batch{schema: b.schema, cols: cols, rows: count}
 }
 
-// Slice returns a view of rows [from, to).
+// Slice returns a view of rows [from, to). It shares b's lease: cutting
+// one batch into several views calls Share first.
 func (b *Batch) Slice(from, to int) *Batch {
 	cols := make([]*Vector, len(b.cols))
 	for i, c := range b.cols {
 		cols[i] = c.Slice(from, to)
 	}
-	return &Batch{schema: b.schema, cols: cols, rows: to - from}
+	return &Batch{schema: b.schema, cols: cols, rows: to - from, lease: b.lease}
 }
 
 // ByteSize estimates the in-memory footprint of all column data in bytes.

@@ -446,7 +446,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 	pipe := &flow.Pipeline{
 		Name: fmt.Sprintf("q-%s", ph.Variant),
 		Source: func(emit flow.Emit) error {
-			st, err := e.Storage.Scan(ctx, q.Table, spec, func(b *columnar.Batch) error {
+			st, err := e.Storage.ScanPooled(ctx, q.Table, spec, func(b *columnar.Batch) error {
 				if n := sim.Bytes(b.ByteSize()); n > maxBatch {
 					maxBatch = n
 				}

@@ -191,17 +191,3 @@ func (s ExecStats) String() string {
 	}
 	return b.String()
 }
-
-// ControlOverhead reports credit messages per data message across all
-// ports, the Section 7.1 "low traffic" check. Returns 0 with no ports.
-func (s ExecStats) ControlOverhead() float64 {
-	var data, credit int64
-	for _, p := range s.Ports {
-		data += p.DataMessages
-		credit += p.CreditMessages
-	}
-	if data == 0 {
-		return 0
-	}
-	return float64(credit) / float64(data)
-}

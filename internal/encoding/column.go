@@ -217,10 +217,14 @@ func minMax[T int64 | float64 | string](vals []T, nulls *columnar.Bitmap) (lo, h
 // reader, and its checks are made in one place. The selection of a column
 // of up to 65,536 rows (a segment's) is held on the stack, so a full
 // decode allocates what its vector holds and nothing else.
-func (ec *EncodedColumn) Decode() (*columnar.Vector, error) {
+func (ec *EncodedColumn) Decode() (*columnar.Vector, error) { return ec.DecodePooled(nil) }
+
+// DecodePooled is Decode into value arrays taken from p (columnar.Values):
+// what a scan that recycles its decoded sets calls. A nil p allocates.
+func (ec *EncodedColumn) DecodePooled(p *columnar.Pool) (*columnar.Vector, error) {
 	var buf [1024]uint64
 	all := columnar.FullBitmap(ec.Stats.NumValues, buf[:])
-	return ec.DecodeFiltered(&all)
+	return ec.decode(&all, p)
 }
 
 // EncodedSize reports the byte size of the encoded representation,

@@ -44,8 +44,15 @@ import (
 // DecodeFiltered decodes only the rows whose bit is set in sel, returning
 // a dense vector of the column's values at those rows, in row order, NULL
 // where the column is. A DICT column comes out dictionary-coded: its
-// codes, and the dictionary they index (see columnar.FromCodes).
+// codes, and the dictionary they index (see columnar.FromCodes). Its
+// arrays are its own: they are never pooled.
 func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector, error) {
+	return ec.decode(sel, nil)
+}
+
+// decode is DecodeFiltered with the value arrays taken from p; the
+// dictionary of a DICT column is the segment's, never p's.
+func (ec *EncodedColumn) decode(sel *columnar.Bitmap, p *columnar.Pool) (*columnar.Vector, error) {
 	n := ec.Stats.NumValues
 	if sel.Len() != n {
 		return nil, fmt.Errorf("%w: selection length %d, column has %d rows", ErrCorrupt, sel.Len(), n)
@@ -61,7 +68,7 @@ func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector,
 	var out *columnar.Vector
 	switch ec.Type {
 	case columnar.Int64:
-		vals := make([]int64, count)
+		vals := columnar.Values[int64](p, count)
 		switch ec.Encoding {
 		case BitPacked:
 			err = gatherBitPacked(vals, ec.Data, n, words)
@@ -74,25 +81,25 @@ func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector,
 		}
 		out = columnar.FromInt64s(vals)
 	case columnar.Float64:
-		vals := make([]float64, count)
+		vals := columnar.Values[float64](p, count)
 		err = gatherFloats(vals, ec.Data, n, words)
 		out = columnar.FromFloat64s(vals)
 	case columnar.String:
 		switch ec.Encoding {
 		case Dict:
-			codes := make([]int32, count)
+			codes := columnar.Values[int32](p, count)
 			var dict []string
 			dict, err = gatherDict(codes, ec.Data, n, words)
 			out = columnar.FromCodes(codes, dict)
 		case Plain:
-			vals := make([]string, count)
+			vals := columnar.Values[string](p, count)
 			err = selectPlainStrings(vals, ec.Data, n, words)
 			out = columnar.FromStrings(vals)
 		default:
 			err = fmt.Errorf("%w: encoding %v invalid for VARCHAR", ErrCorrupt, ec.Encoding)
 		}
 	case columnar.Bool:
-		vals := make([]bool, count)
+		vals := columnar.Values[bool](p, count)
 		err = gatherBools(vals, ec.Data, n, words)
 		out = columnar.FromBools(vals)
 	default:

@@ -12,6 +12,7 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/flow"
+	"repro/internal/sim"
 )
 
 func kvSchema() *columnar.Schema {
@@ -675,4 +676,16 @@ func TestJoinCardinalityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// MemBytes approximates the table's memory footprint, used for the
+// "small table fits on the NIC" placement decision (Section 4.4).
+func (t *HashTable) MemBytes() sim.Bytes {
+	var n sim.Bytes
+	for _, b := range t.batches {
+		n += sim.Bytes(b.ByteSize())
+	}
+	// Hash entries: ~24 bytes each.
+	n += sim.Bytes(t.rows * 24)
+	return n
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/flow"
-	"repro/internal/sim"
 )
 
 // rowRef addresses one row of one retained build batch.
@@ -103,18 +102,6 @@ func (t *HashTable) insert(p int, col *columnar.Vector, bi int32, hashes []uint6
 
 // Rows reports the number of build rows inserted.
 func (t *HashTable) Rows() int64 { return t.rows }
-
-// MemBytes approximates the table's memory footprint, used for the
-// "small table fits on the NIC" placement decision (Section 4.4).
-func (t *HashTable) MemBytes() sim.Bytes {
-	var n sim.Bytes
-	for _, b := range t.batches {
-		n += sim.Bytes(b.ByteSize())
-	}
-	// Hash entries: ~24 bytes each.
-	n += sim.Bytes(t.rows * 24)
-	return n
-}
 
 // OutputSchema reports the schema of probe results for the given probe
 // schema: probe columns then build columns (renamed on collision).

@@ -35,6 +35,7 @@ func (s *FilterStage) Process(b *columnar.Batch, emit flow.Emit) error {
 	}
 	out := b.WithSelection(keep)
 	if out.LiveRows() == 0 {
+		out.Release() // nothing survives: the filter ends the batch
 		return nil
 	}
 	return emit(out)
@@ -120,6 +121,7 @@ func (s *PreAggStage) Process(b *columnar.Batch, emit flow.Emit) error {
 	} else {
 		spills = s.Agg.AddPartial(b)
 	}
+	b.Release() // folded: the aggregation ends the batch
 	for _, spill := range spills {
 		if err := emit(spill); err != nil {
 			return err
@@ -168,6 +170,7 @@ func (s *FinalAggStage) Process(b *columnar.Batch, emit flow.Emit) error {
 	} else {
 		s.Agg.AddPartial(b)
 	}
+	b.Release()
 	return nil
 }
 
@@ -199,6 +202,7 @@ func (s *CountStage) Process(b *columnar.Batch, emit flow.Emit) error {
 	// LiveRows honors a selection without compacting: counting needs no
 	// row movement at all.
 	s.count += int64(b.LiveRows())
+	b.Release()
 	return nil
 }
 

@@ -14,6 +14,7 @@ import (
 	"repro/internal/plan"
 	"repro/internal/sched"
 	"repro/internal/sim"
+	"repro/internal/storage"
 	"repro/internal/workload"
 )
 
@@ -28,9 +29,9 @@ type E21Options struct {
 }
 
 // E21RecoveryRow compares the waste of the three recovery disciplines
-// for one mid-query fault position (the batch the fault strikes at).
+// for one mid-query fault position (the epoch the fault follows).
 type E21RecoveryRow struct {
-	StrikeAt     int       // stage batch (= segment) the device dies on
+	StrikeAt     int       // checkpoint epoch the device dies after (e21StrikeDelay batches past its last)
 	PartialWaste sim.Bytes // bytes replayed by the resume past epoch 0
 	WholeWaste   sim.Bytes // bytes wasted by the resume at epoch 0 (checkpointing off)
 	VolcanoWaste sim.Bytes // bytes wasted by client-level re-execution
@@ -70,6 +71,20 @@ const e21Seed = 0xE21
 // fault positions and checkpoint cadence below are chosen against it.
 const e21Segments = 12
 
+// e21EpochSegments is the data-flow engine's checkpoint cadence: an epoch
+// every 2 segments, so the recovery queries span 6 epochs.
+const e21EpochSegments = 2
+
+// e21Strikes are the epochs the recovery half's kills follow (early,
+// middle, late); each kill lands e21StrikeDelay batches after its epoch's
+// last batch at the struck stage, whatever a segment's batch count (one
+// at 6,000 rows, two at 50,000, eleven at 524,288). By then the epoch's
+// marker has passed the stage, and the stages after it, which see only
+// markers and partials, have nearly always carried it to the sink.
+var e21Strikes = []int{1, 3, 5}
+
+const e21StrikeDelay = 2
+
 // E21Lifecycle runs the query-lifecycle experiment of the PR 3 layer.
 //
 // Recovery half: the device hosting a pipeline stage is killed
@@ -107,7 +122,9 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 		return df, nil
 	}
 	buildVo := func() (*core.VolcanoEngine, error) {
-		vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), sim.MB)
+		// A megabyte, or room for two segments at about 25 stored bytes a
+		// row when they are larger.
+		vo := core.NewVolcanoEngine(fabric.NewCluster(fabric.LegacyClusterConfig()), max(sim.MB, sim.Bytes(segRows)*64))
 		vo.Storage.SegmentRows = segRows
 		vo.Storage.Store().MaxRetries = 0
 		if err := loadVolcano(vo, "lineitem", data); err != nil {
@@ -121,10 +138,11 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 		Title: "Query lifecycle: recovery waste and overload shedding",
 		Header: []string{"scenario", "ok", "shed", "p99",
 			"waste partial", "waste whole", "waste volcano"},
-		Notes: fmt.Sprintf("kill@N rows: device hosting a stage dies on batch N of %d; "+
+		Notes: fmt.Sprintf("kill@eK rows: device hosting a stage dies %d batches after checkpoint epoch K of %d; "+
 			"waste = bytes replayed (resume past epoch 0) or burned by the abandoned run (resume at epoch 0 / re-run). "+
 			"load=N rows: N concurrent arrivals against 2 slots + 2-deep queue, %v deadline; "+
-			"p99 = worst admitted query wall time (volcano column: worst query with nothing shed)", e21Segments, opts.Deadline),
+			"p99 = worst admitted query wall time (volcano column: worst query with nothing shed)",
+			e21StrikeDelay, e21Segments/e21EpochSegments, opts.Deadline),
 	}}
 
 	// Reference answer for correctness checks throughout.
@@ -145,13 +163,19 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 	}
 
 	// ---- Recovery half -------------------------------------------------
-	for _, strike := range []int{4, 7, 10} {
-		row := E21RecoveryRow{StrikeAt: strike}
+	segBatches := (segRows + storage.DefaultBatchRows - 1) / storage.DefaultBatchRows
+	for _, epoch := range e21Strikes {
+		row := E21RecoveryRow{StrikeAt: epoch}
+		// The struck device's one stage is checked once as the run starts
+		// and once per batch: passing strike checks kills it on batch
+		// strike. Volcano's read fault strikes the segment that batch is in.
+		strike := epoch*e21EpochSegments*segBatches + e21StrikeDelay
+		voStrike := (strike+segBatches-1)/segBatches - 1
 
-		// Stage-level partial restart. Whether the strike finds a
-		// completed epoch depends on marker/batch interleaving, so retry
-		// on a fresh engine until it engages (it nearly always does on
-		// the first run).
+		// Stage-level partial restart. Whether the epoch's marker has
+		// reached the sink when the strike lands depends on goroutine
+		// scheduling, so retry on a fresh engine until it engages (it
+		// nearly always does on the first run).
 		engaged := false
 		for try := 0; try < 5 && !engaged; try++ {
 			df, err := buildDF()
@@ -184,7 +208,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 			}
 		}
 		if !engaged {
-			return nil, fmt.Errorf("experiments: E21 partial restart never engaged at strike %d", strike)
+			return nil, fmt.Errorf("experiments: E21 partial restart never engaged at strike %d (epoch %d)", strike, epoch)
 		}
 
 		// Resume at epoch 0 (checkpointing off): same kill.
@@ -218,7 +242,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 			return nil, err
 		}
 		voInj := faults.New(e21Seed)
-		voInj.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1, Budget: 1, After: strike})
+		voInj.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1, Budget: 1, After: voStrike})
 		vo.Faults = voInj
 		before := e21LinkBytes(vo.Cluster)
 		if _, err := vo.Execute(context.Background(), q); err == nil {
@@ -234,11 +258,11 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 		}
 
 		res.Recovery = append(res.Recovery, row)
-		res.Table.AddRow(fmt.Sprintf("kill@%d", strike), "-", "-", "-",
+		res.Table.AddRow(fmt.Sprintf("kill@e%d", epoch), "-", "-", "-",
 			row.PartialWaste.String(), row.WholeWaste.String(), row.VolcanoWaste.String())
-		res.Table.SetMetric(fmt.Sprintf("waste_partial@%d", strike), float64(row.PartialWaste))
-		res.Table.SetMetric(fmt.Sprintf("waste_whole@%d", strike), float64(row.WholeWaste))
-		res.Table.SetMetric(fmt.Sprintf("waste_volcano@%d", strike), float64(row.VolcanoWaste))
+		res.Table.SetMetric(fmt.Sprintf("waste_partial@e%d", epoch), float64(row.PartialWaste))
+		res.Table.SetMetric(fmt.Sprintf("waste_whole@e%d", epoch), float64(row.WholeWaste))
+		res.Table.SetMetric(fmt.Sprintf("waste_volcano@e%d", epoch), float64(row.VolcanoWaste))
 	}
 
 	// ---- Overload half -------------------------------------------------

@@ -141,8 +141,10 @@ type Result struct {
 
 // toSink is the sink step behind the last stage, or the source when there
 // is none: the sink is a dense boundary, and r counts what crossed it.
+// The sink keeps what it is handed and never releases it; a batch whose
+// live rows were copied out for it is released here (CompactOwned).
 func (r *Result) toSink(sink Emit, b *columnar.Batch) error {
-	b = b.Compact()
+	b = b.CompactOwned()
 	r.SinkBatches++
 	r.SinkRows += int64(b.NumRows())
 	r.SinkBytes += sim.Bytes(b.ByteSize())

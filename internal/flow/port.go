@@ -116,11 +116,12 @@ func newPort(name string, path []*fabric.Link, depth, creditBatch int, done <-ch
 // with a LinkError before any credit is consumed or any byte charged.
 // A batch carrying a lazy selection vector is compacted first when the
 // path crosses any fabric link: shipping dead rows would waste exactly
-// the bandwidth late materialization exists to save. On-device handoff
-// (empty path) keeps the selection lazy.
+// the bandwidth late materialization exists to save, and a batch whose
+// live rows were copied out is released there (CompactOwned). On-device
+// handoff (empty path) keeps the selection lazy.
 func (p *Port) Send(b *columnar.Batch) error {
 	if len(p.Path) > 0 {
-		b = b.Compact()
+		b = b.CompactOwned()
 	}
 	for _, l := range p.Path {
 		if inj := p.svc.Faults; inj != nil && inj.Fire(faults.LinkFlap, l.Name) {

@@ -171,13 +171,6 @@ func (d *Domain) Write(agent string, line int64, value int64) AccessStats {
 	}
 }
 
-// Agents reports how many agents have touched the domain.
-func (d *Domain) Agents() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.cached)
-}
-
 // NewHostLink builds a host link of the given interconnect generation,
 // for the Section 6.2 bandwidth sweep (PCIe 3 through 7 and CXL).
 func NewHostLink(kind fabric.LinkKind) (*fabric.Link, error) {

@@ -184,3 +184,10 @@ func TestModeString(t *testing.T) {
 		t.Error("unknown mode empty")
 	}
 }
+
+// Agents reports how many agents have touched the domain.
+func (d *Domain) Agents() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.cached)
+}

@@ -52,11 +52,6 @@ func NewCacheLevel(name string, sets, ways int, lineSize int64, hitLatency sim.V
 	return c
 }
 
-// CapacityBytes reports the level's total capacity.
-func (c *CacheLevel) CapacityBytes() sim.Bytes {
-	return sim.Bytes(int64(c.Sets) * int64(c.Ways) * c.LineSize)
-}
-
 // lookup probes the cache; on hit the line's LRU stamp refreshes.
 func (c *CacheLevel) lookup(addr int64) bool {
 	c.tick++

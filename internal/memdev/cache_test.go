@@ -6,6 +6,11 @@ import (
 	"repro/internal/sim"
 )
 
+// CapacityBytes reports the level's total capacity.
+func (c *CacheLevel) CapacityBytes() sim.Bytes {
+	return sim.Bytes(int64(c.Sets) * int64(c.Ways) * c.LineSize)
+}
+
 func TestCacheLevelBasics(t *testing.T) {
 	c := NewCacheLevel("t", 4, 2, 64, sim.Nanosecond)
 	if c.CapacityBytes() != 4*2*64 {

@@ -1,6 +1,7 @@
 package memdev
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -9,6 +10,34 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/sim"
 )
+
+// CountNear executes a pure COUNT on the accelerator: nothing but the
+// 8-byte result crosses the link (the Section 4.4 argument applied to
+// memory).
+func (m *Memory) CountNear(name string, pred expr.Predicate, link *fabric.Link) (int64, AccessStats, error) {
+	var st AccessStats
+	if m.Accel == nil {
+		return 0, st, fmt.Errorf("memdev: %s has no near-memory accelerator", m.Name)
+	}
+	r, err := m.Region(name)
+	if err != nil {
+		return 0, st, err
+	}
+	st.Time += m.Accel.ChargeSetup()
+	if r.Compressed {
+		st.Time += m.Accel.Charge(fabric.OpDecompress, r.StoredBytes())
+	}
+	st.Time += m.Accel.Charge(fabric.OpCount, r.DecodedBytes())
+	var count int64
+	if pred != nil {
+		count = int64(pred.Eval(r.Batch).Count())
+	} else {
+		count = int64(r.Batch.NumRows())
+	}
+	st.Time += link.Transfer(8)
+	st.BytesMoved = 8
+	return count, st, nil
+}
 
 func testMemory(t *testing.T, withAccel bool) (*Memory, *fabric.Link, *fabric.Device) {
 	t.Helper()
@@ -324,4 +353,31 @@ func TestPointerTreeLookupProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Drop releases a region.
+func (m *Memory) Drop(name string) {
+	m.mu.Lock()
+	delete(m.regions, name)
+	m.mu.Unlock()
+}
+
+// ResidentBytes sums the stored footprint of all regions.
+func (m *Memory) ResidentBytes() sim.Bytes {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	var n sim.Bytes
+	for _, r := range m.regions {
+		n += r.StoredBytes()
+	}
+	return n
+}
+
+// NumKeys reports the number of stored keys.
+func (t *PointerTree) NumKeys() int {
+	n := 0
+	for _, leaf := range t.levels[len(t.levels)-1] {
+		n += len(leaf.keys)
+	}
+	return n
 }

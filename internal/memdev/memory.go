@@ -91,24 +91,6 @@ func (m *Memory) Region(name string) (*Region, error) {
 	return r, nil
 }
 
-// Drop releases a region.
-func (m *Memory) Drop(name string) {
-	m.mu.Lock()
-	delete(m.regions, name)
-	m.mu.Unlock()
-}
-
-// ResidentBytes sums the stored footprint of all regions.
-func (m *Memory) ResidentBytes() sim.Bytes {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var n sim.Bytes
-	for _, r := range m.regions {
-		n += r.StoredBytes()
-	}
-	return n
-}
-
 // AccessStats reports what one memory operation moved and cost.
 type AccessStats struct {
 	BytesMoved sim.Bytes // bytes that crossed the memory->consumer link
@@ -159,34 +141,6 @@ func (m *Memory) FilterNear(name string, pred expr.Predicate, link *fabric.Link)
 	st.Time += link.Transfer(moved)
 	st.BytesMoved = moved
 	return out, st, nil
-}
-
-// CountNear executes a pure COUNT on the accelerator: nothing but the
-// 8-byte result crosses the link (the Section 4.4 argument applied to
-// memory).
-func (m *Memory) CountNear(name string, pred expr.Predicate, link *fabric.Link) (int64, AccessStats, error) {
-	var st AccessStats
-	if m.Accel == nil {
-		return 0, st, fmt.Errorf("memdev: %s has no near-memory accelerator", m.Name)
-	}
-	r, err := m.Region(name)
-	if err != nil {
-		return 0, st, err
-	}
-	st.Time += m.Accel.ChargeSetup()
-	if r.Compressed {
-		st.Time += m.Accel.Charge(fabric.OpDecompress, r.StoredBytes())
-	}
-	st.Time += m.Accel.Charge(fabric.OpCount, r.DecodedBytes())
-	var count int64
-	if pred != nil {
-		count = int64(pred.Eval(r.Batch).Count())
-	} else {
-		count = int64(r.Batch.NumRows())
-	}
-	st.Time += link.Transfer(8)
-	st.BytesMoved = 8
-	return count, st, nil
 }
 
 // TransposeToRows converts a resident columnar region to row-major form,

@@ -34,15 +34,6 @@ func (t *PointerTree) NodeBytes() sim.Bytes {
 // Depth reports the number of levels (root to leaf inclusive).
 func (t *PointerTree) Depth() int { return len(t.levels) }
 
-// NumKeys reports the number of stored keys.
-func (t *PointerTree) NumKeys() int {
-	n := 0
-	for _, leaf := range t.levels[len(t.levels)-1] {
-		n += len(leaf.keys)
-	}
-	return n
-}
-
 // BuildPointerTree builds a tree over the given key/value pairs with the
 // given fanout. Keys are sorted internally.
 func BuildPointerTree(keys, vals []int64, fanout int) (*PointerTree, error) {

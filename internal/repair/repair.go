@@ -159,15 +159,6 @@ func New(store *storage.ObjectStore, cfg Config) *Controller {
 	return c
 }
 
-// SetVerify replaces the blob verifier (the default checks segment
-// checksums).
-func (c *Controller) SetVerify(f func(key string, data []byte) error) {
-	if c == nil || f == nil {
-		return
-	}
-	c.verify = f
-}
-
 // Enabled reports whether a controller is present; nil is off.
 func (c *Controller) Enabled() bool { return c != nil }
 
@@ -200,16 +191,6 @@ func (c *Controller) record(inc Incident) {
 	c.mu.Lock()
 	c.ledger = append(c.ledger, inc)
 	c.mu.Unlock()
-}
-
-// Ledger returns a copy of the fault ledger so far.
-func (c *Controller) Ledger() []Incident {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]Incident(nil), c.ledger...)
 }
 
 // Report is a snapshot of the controller's lifetime work.

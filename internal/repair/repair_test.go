@@ -17,6 +17,25 @@ import (
 
 // newStore builds a 2-replica store holding n objects with distinct
 // payloads, plus a verify func that accepts exactly the stored bytes.
+// SetVerify replaces the blob verifier (the default checks segment
+// checksums).
+func (c *Controller) SetVerify(f func(key string, data []byte) error) {
+	if c == nil || f == nil {
+		return
+	}
+	c.verify = f
+}
+
+// Ledger returns a copy of the fault ledger so far.
+func (c *Controller) Ledger() []Incident {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]Incident(nil), c.ledger...)
+}
+
 func newStore(n int) (*storage.ObjectStore, func(string, []byte) error) {
 	return newStoreR(n, 2)
 }

@@ -580,13 +580,6 @@ func (s *Scheduler) SetWorkers(w int) {
 	s.mu.Unlock()
 }
 
-// DeviceSlots reports the worker slots active plans hold on a device.
-func (s *Scheduler) DeviceSlots(device string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deviceSlots[device]
-}
-
 // LinkLoad reports how many active plans use the link.
 func (s *Scheduler) LinkLoad(l *fabric.Link) int {
 	s.mu.Lock()

@@ -135,3 +135,10 @@ func TestWorkerSlotMinimumOne(t *testing.T) {
 	}
 	s.Release(a)
 }
+
+// DeviceSlots reports the worker slots active plans hold on a device.
+func (s *Scheduler) DeviceSlots(device string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.deviceSlots[device]
+}

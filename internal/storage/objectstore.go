@@ -637,11 +637,3 @@ func (o *ObjectStore) TotalBytes() sim.Bytes {
 	}
 	return n
 }
-
-// NumObjects reports the number of stored objects (replicas of one key
-// count once).
-func (o *ObjectStore) NumObjects() int {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return len(o.objects)
-}

@@ -88,18 +88,24 @@ func (s *Segment) Decode() (*columnar.Batch, error) {
 // applied during decode, which is how columnar scans avoid touching
 // pruned columns at all).
 func (s *Segment) DecodeColumns(indices []int) (*columnar.Batch, error) {
+	return s.decodeColumns(indices, nil)
+}
+
+// decodeColumns is DecodeColumns into value arrays taken from p, leasing
+// the batch to it (columnar.Pool); a nil p allocates them.
+func (s *Segment) decodeColumns(indices []int, p *columnar.Pool) (*columnar.Batch, error) {
 	vecs := make([]*columnar.Vector, len(indices))
 	for i, idx := range indices {
 		if idx < 0 || idx >= len(s.Columns) {
 			return nil, fmt.Errorf("storage: column %d out of range in segment %d", idx, s.ID)
 		}
-		v, err := s.Columns[idx].Decode()
+		v, err := s.Columns[idx].DecodePooled(p)
 		if err != nil {
 			return nil, fmt.Errorf("storage: segment %d column %d: %w", s.ID, idx, err)
 		}
 		vecs[i] = v
 	}
-	return columnar.BatchOf(s.Schema.Project(indices), vecs...), nil
+	return p.Lease(columnar.BatchOf(s.Schema.Project(indices), vecs...)), nil
 }
 
 // PruneInt reports whether the segment can be skipped for a predicate

@@ -404,7 +404,23 @@ func (s *Server) AppendSummary(table string, b *columnar.Batch) ([][]encoding.Wr
 // The scan checks ctx between segments: a cancelled or deadline-expired
 // context stops the scan promptly with ctx's error, charging nothing
 // further.
-func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error) (stats ScanStats, err error) {
+//
+// Every batch emitted is the caller's to keep.
+func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error) (ScanStats, error) {
+	return s.scan(ctx, table, spec, emit, false)
+}
+
+// ScanPooled is Scan for a consumer that releases every batch it is
+// handed (columnar.Batch.Release) — a pipeline whose stages end the
+// batches they fold or drop — and keeps none it has released. The eager
+// path decodes a segment into arrays from a pool of the scan's own, and
+// they are decoded into again once every batch emitted from the segment
+// has been released.
+func (s *Server) ScanPooled(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error) (ScanStats, error) {
+	return s.scan(ctx, table, spec, emit, true)
+}
+
+func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error, pooled bool) (stats ScanStats, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -458,7 +474,7 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 
 	sc := &segScan{
 		s: s, t: t, keys: keys, spec: spec, needed: needed, projection: projection, projPos: projPos,
-		filter: filter, preagg: preagg, emit: emit, stats: &stats,
+		filter: filter, preagg: preagg, emit: emit, stats: &stats, pooled: pooled,
 	}
 	if spec.Trace != nil {
 		sc.pipe = &scanPipe{tr: spec.Trace, clock: spec.Clock}
@@ -515,6 +531,11 @@ type segScan struct {
 	filter     expr.Predicate // spec.Filter rebased onto the decoded batch
 	preagg     *expr.PartialAggregator
 	pipe       *scanPipe // nil unless tracing (which forces width 1)
+	// pool recycles the eager path's decoded sets when pooled (ScanPooled):
+	// a segment's arrays come back once every batch emitted from it has
+	// been released downstream.
+	pool   columnar.Pool
+	pooled bool
 
 	emit  func(*columnar.Batch) error
 	stats *ScanStats
@@ -561,7 +582,9 @@ func (sc *segScan) deliver(r segResult) error {
 	case sc.preagg != nil:
 		n := sim.Bytes(r.out.ByteSize())
 		sc.procSpan("preagg@storage", r.seg, sc.spec.Account.Charge(sc.s.proc, fabric.OpPreAgg, n), n)
-		for _, spill := range sc.preagg.AddRaw(r.out) {
+		spills := sc.preagg.AddRaw(r.out)
+		r.out.Release()
+		for _, spill := range spills {
 			if err := sc.emitTracked(spill); err != nil {
 				return err
 			}
@@ -578,15 +601,19 @@ func (sc *segScan) deliver(r segResult) error {
 }
 
 // emitTracked ships one batch to the consumer in DefaultBatchRows
-// granules.
+// granules, each its consumer's to release (columnar.Batch.Share).
 func (sc *segScan) emitTracked(b *columnar.Batch) error {
 	if sc.pipe != nil {
 		sc.pipe.sync()
 	}
+	// b is not read once its last granule is out: that granule's consumer
+	// may release it at once.
+	rows := b.NumRows()
 	sc.stats.ShippedBytes += sim.Bytes(b.ByteSize())
-	sc.stats.ShippedRows += int64(b.NumRows())
-	for off := 0; off < b.NumRows(); off += DefaultBatchRows {
-		end := min(off+DefaultBatchRows, b.NumRows())
+	sc.stats.ShippedRows += int64(rows)
+	b.Share((rows + DefaultBatchRows - 1) / DefaultBatchRows)
+	for off := 0; off < rows; off += DefaultBatchRows {
+		end := min(off+DefaultBatchRows, rows)
 		if err := sc.emit(b.Slice(off, end)); err != nil {
 			return err
 		}
@@ -1034,14 +1061,20 @@ func (sc *segScan) segmentEagerEval(seg *Segment, idx, lane int, encoded sim.Byt
 		sc.pipe.segment(int64(idx), encoded, sc.s.media.Name, proc.Name, "decode",
 			sc.s.mediaLink, readCost, xferCost, decodeCost)
 	}
-	batch, err := seg.DecodeColumns(sc.needed)
+	var pool *columnar.Pool
+	if sc.pooled {
+		pool = &sc.pool
+	}
+	batch, err := seg.decodeColumns(sc.needed, pool)
 	if err != nil {
 		return nil, err
 	}
 	if spec.Pushdown && sc.filter != nil {
 		n := seg.ColumnDecodedSize(spec.Filter.Columns())
 		sc.procSpan("filter@storage", idx, spec.Account.ChargeLane(proc, fabric.OpFilter, n, lane), n)
+		decoded := batch
 		batch = batch.Filter(sc.filter.Eval(batch))
+		decoded.Release()
 	}
 	// Without pushdown the consumer evaluates the filter, so every
 	// needed column ships in sorted table order; with pushdown only the

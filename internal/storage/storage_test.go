@@ -615,3 +615,11 @@ func TestScanStatsShippedAccounting(t *testing.T) {
 		t.Errorf("ShippedBytes %v != emitted %v", stats.ShippedBytes, sumBytes)
 	}
 }
+
+// NumObjects reports the number of stored objects (replicas of one key
+// count once).
+func (o *ObjectStore) NumObjects() int {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	return len(o.objects)
+}
