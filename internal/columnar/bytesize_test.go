@@ -102,6 +102,53 @@ func TestByteSizeIsKeptForEveryConstructor(t *testing.T) {
 	}
 }
 
+// A coded vector whose dictionary entries share one length is sized as
+// rows × that length without a walk of its codes, through every view of
+// it; a dictionary that SetNulls extends with "" for its NULL rows no
+// longer has one length and is walked again.
+func TestByteSizeOfAUniformDictionary(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	schema := NewSchema(Field{Name: "flag", Type: String})
+	for _, c := range []struct {
+		name      string
+		dict      []string
+		nullEvery int
+		width     int32 // 1 + the shared length, 0 for none
+	}{
+		{"uniform", []string{"A", "N", "R"}, 0, 2},
+		{"every entry empty, NULLs coded as it", []string{""}, 5, 1},
+		{"extended with \"\" for its NULLs", []string{"AB", "NO", "RF"}, 5, 0},
+	} {
+		for _, n := range []int{1, 64, 65, 4099} {
+			codes := make([]int32, n)
+			for i := range codes {
+				codes[i] = int32(rng.Intn(len(c.dict)))
+			}
+			v := FromCodes(codes, c.dict)
+			if c.nullEvery > 0 {
+				nulls := NewBitmap(n)
+				for i := 0; i < n; i += c.nullEvery {
+					nulls.Set(i)
+				}
+				v.SetNulls(nulls)
+			}
+			at := fmt.Sprintf("%s, n=%d", c.name, n)
+			if v.width != c.width {
+				t.Fatalf("%s: width %d, want %d", at, v.width, c.width)
+			}
+			b := BatchOf(schema, v)
+			checkKeptSize(t, at+": BatchOf", b)
+			checkKeptSize(t, at+": Slice", b.Slice(n/3, n))
+			for _, sel := range selectionShapes(rng, n) {
+				what := fmt.Sprintf("%s %s", at, sel.name)
+				checkKeptSize(t, what+": Filter", b.Filter(sel.bits))
+				checkKeptSize(t, what+": WithSelection", b.WithSelection(sel.bits))
+				checkKeptSize(t, what+": Compact", b.WithSelection(sel.bits).Compact())
+			}
+		}
+	}
+}
+
 func TestAppendRowForgetsTheKeptSize(t *testing.T) {
 	b := NewBatch(NewSchema(Field{Name: "i", Type: Int64}, Field{Name: "s", Type: String}), 4)
 	b.AppendRow(IntValue(1), StringValue("a"))

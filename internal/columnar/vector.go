@@ -19,7 +19,11 @@ import (
 // only where a caller asks for them (StringAt, Value, Strings), and an
 // append turns the vector plain first.
 type Vector struct {
-	typ   Type
+	typ Type
+	// width is 1 + the length every entry of a coded vector's dictionary
+	// has, or 0 when they differ: its string bytes are then rows × the
+	// length, without a walk of the codes. It goes wherever dict goes.
+	width int32
 	ints  []int64
 	flts  []float64
 	strs  []string
@@ -64,7 +68,16 @@ func FromBools(vals []bool) *Vector { return &Vector{typ: Bool, bools: vals} }
 // copying: row i is dict[codes[i]]. Every code must index dict, which
 // must not be nil.
 func FromCodes(codes []int32, dict []string) *Vector {
-	return &Vector{typ: String, codes: codes, dict: dict}
+	return &Vector{typ: String, codes: codes, dict: dict, width: dictWidth(dict)}
+}
+
+// dictWidth is what Vector.width holds for a coded vector with dictionary
+// dict: one walk of the dictionary, once per decoded one.
+func dictWidth(dict []string) int32 {
+	if len(dict) == 0 || slices.ContainsFunc(dict, func(s string) bool { return len(s) != len(dict[0]) }) {
+		return 0
+	}
+	return int32(len(dict[0])) + 1
 }
 
 // Type reports the vector's type.
@@ -129,7 +142,7 @@ func (v *Vector) Dict() []string { return v.dict }
 // toPlain turns a coded vector into a plain one, before an append.
 func (v *Vector) toPlain() {
 	if v.dict != nil {
-		v.strs, v.codes, v.dict = v.Strings(), nil, nil
+		v.strs, v.codes, v.dict, v.width = v.Strings(), nil, nil, 0
 	}
 }
 
@@ -247,6 +260,7 @@ func (v *Vector) emptyCode() int32 {
 		return int32(c)
 	}
 	v.dict = append(v.dict[:len(v.dict):len(v.dict)], "")
+	v.width = dictWidth(v.dict)
 	return int32(len(v.dict) - 1)
 }
 
@@ -330,7 +344,7 @@ func (v *Vector) filter(sel *Bitmap, count int) *Vector {
 		out.flts = selectValues(v.flts, sel.words, count)
 	case String:
 		if v.dict != nil {
-			out.codes, out.dict = selectValues(v.codes, sel.words, count), v.dict
+			out.codes, out.dict, out.width = selectValues(v.codes, sel.words, count), v.dict, v.width
 		} else {
 			out.strs = selectValues(v.strs, sel.words, count)
 		}
@@ -382,7 +396,7 @@ func (v *Vector) Slice(from, to int) *Vector {
 		out.flts = v.flts[from:to:to]
 	case String:
 		if v.dict != nil {
-			out.codes, out.dict = v.codes[from:to:to], v.dict
+			out.codes, out.dict, out.width = v.codes[from:to:to], v.dict, v.width
 		} else {
 			out.strs = v.strs[from:to:to]
 		}
@@ -440,6 +454,10 @@ func (v *Vector) selectedByteSize(sel *Bitmap, count int) int64 {
 		n = int64(count)
 	case String:
 		n = int64(count) * 16
+		if v.width > 0 {
+			n += int64(count) * int64(v.width-1)
+			break
+		}
 		for wi, w := range sel.words {
 			base := wi << 6
 			if w == ^uint64(0) {
@@ -461,6 +479,9 @@ func (v *Vector) selectedByteSize(sel *Bitmap, count int) int64 {
 
 // stringBytes sums the lengths of rows [from, to) of a String vector.
 func (v *Vector) stringBytes(from, to int) int64 {
+	if v.width > 0 {
+		return int64(to-from) * int64(v.width-1)
+	}
 	var n int64
 	if v.dict != nil {
 		for _, c := range v.codes[from:to] {

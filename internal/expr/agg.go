@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/columnar"
 )
@@ -102,6 +103,14 @@ func (g GroupBy) OutputSchema(in *columnar.Schema) *columnar.Schema {
 // combine associatively, which is what lets the paper's staged
 // pre-aggregation pipeline (Section 4.4) split one group-by across
 // storage, both NICs, and the CPU.
+//
+// A state carries what its function reads: Count always (a group has
+// rows exactly when Count > 0), plus SumI for SUM over BIGINT, SumF for
+// SUM over DOUBLE and AVG over either, and the one extremum of the input
+// type for MIN and MAX. The fold writes nothing else, so the other fields
+// stay zero, and Merge keeps them zero. MIN and MAX of a DOUBLE follow
+// one total order, lessF, so they do not depend on the order rows or
+// partials arrive in.
 type AggState struct {
 	Count int64
 	SumI  int64
@@ -110,94 +119,59 @@ type AggState struct {
 	MaxI  int64
 	MinF  float64
 	MaxF  float64
-	seen  bool
-}
-
-// UpdateInt folds one non-null int64 value into the state.
-func (s *AggState) UpdateInt(v int64) {
-	s.Count++
-	s.SumI += v
-	s.SumF += float64(v)
-	if !s.seen || v < s.MinI {
-		s.MinI = v
-	}
-	if !s.seen || v > s.MaxI {
-		s.MaxI = v
-	}
-	if !s.seen || float64(v) < s.MinF {
-		s.MinF = float64(v)
-	}
-	if !s.seen || float64(v) > s.MaxF {
-		s.MaxF = float64(v)
-	}
-	s.seen = true
-}
-
-// UpdateFloat folds one non-null float64 value into the state.
-func (s *AggState) UpdateFloat(v float64) {
-	s.Count++
-	s.SumF += v
-	s.SumI += int64(v)
-	if !s.seen || v < s.MinF {
-		s.MinF = v
-	}
-	if !s.seen || v > s.MaxF {
-		s.MaxF = v
-	}
-	if !s.seen || int64(v) < s.MinI {
-		s.MinI = int64(v)
-	}
-	if !s.seen || int64(v) > s.MaxI {
-		s.MaxI = int64(v)
-	}
-	s.seen = true
-}
-
-// UpdateCountOnly folds a row that only contributes to COUNT.
-func (s *AggState) UpdateCountOnly() {
-	s.Count++
-	s.seen = true
 }
 
 // Merge folds another partial state into s. Merging is what downstream
 // pipeline stages do with upstream partials.
 func (s *AggState) Merge(o *AggState) {
-	if !o.seen {
+	if o.Count == 0 {
 		return
 	}
-	if !s.seen {
+	if s.Count == 0 {
 		*s = *o
 		return
 	}
 	s.Count += o.Count
 	s.SumI += o.SumI
 	s.SumF += o.SumF
-	if o.MinI < s.MinI {
-		s.MinI = o.MinI
-	}
-	if o.MaxI > s.MaxI {
-		s.MaxI = o.MaxI
-	}
-	if o.MinF < s.MinF {
+	s.MinI = min(s.MinI, o.MinI)
+	s.MaxI = max(s.MaxI, o.MaxI)
+	if lessF(o.MinF, s.MinF) {
 		s.MinF = o.MinF
 	}
-	if o.MaxF > s.MaxF {
+	if lessF(s.MaxF, o.MaxF) {
 		s.MaxF = o.MaxF
 	}
 }
 
+// lessF is the total order MIN and MAX of a DOUBLE use: the IEEE order,
+// but with -0.0 below +0.0 and every NaN, all of them equal, above +Inf.
+// Under < alone the two zeros tie and NaN compares false, so the first
+// row or partial met would win and the result's bits would change with
+// the worker count, the group budget or the merge order.
+func lessF(a, b float64) bool {
+	return a < b || a == b && math.Signbit(a) && !math.Signbit(b) || a == a && b != b
+}
+
+// canonF is f, or math.NaN() when f is any NaN: the one NaN the fold
+// stores for a MIN or MAX, so a state's bits do not depend on which NaN
+// arrived first.
+func canonF(f float64) float64 {
+	if f != f {
+		return math.NaN()
+	}
+	return f
+}
+
 // Result extracts the final value for the given function and output type.
 func (s *AggState) Result(f AggFunc, t columnar.Type) columnar.Value {
-	if !s.seen && f != Count {
+	if s.Count == 0 && f != Count {
 		return columnar.NullValue(t)
 	}
 	switch f {
 	case Count:
 		return columnar.IntValue(s.Count)
 	case Avg:
-		if s.Count == 0 {
-			return columnar.NullValue(columnar.Float64)
-		}
 		return columnar.FloatValue(s.SumF / float64(s.Count))
 	case Sum:
 		if t == columnar.Float64 {

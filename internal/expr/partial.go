@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -28,7 +29,11 @@ import (
 const partialStateCols = 7
 
 // PartialSchema derives the wire schema of partial aggregation results
-// for spec over input schema in.
+// for spec over input schema in: the group columns, then an AggState's
+// seven fields per aggregate whatever its function. A function's state
+// holds only the fields its result reads (see AggState) and the others
+// travel as zeros, so every partial batch of a spec has one width and
+// the bytes a meter charges for it do not depend on the functions.
 func PartialSchema(spec GroupBy, in *columnar.Schema) *columnar.Schema {
 	fields := make([]columnar.Field, 0, len(spec.GroupCols)+partialStateCols*len(spec.Aggs))
 	for _, c := range spec.GroupCols {
@@ -68,7 +73,10 @@ type PartialAggregator struct {
 	MaxGroups int // 0 = unbounded
 
 	// groups[s] is the group in slot s, in creation order, and
-	// states[s*len(Spec.Aggs)+ai] its aggregate ai.
+	// states[(s+1)*len(Spec.Aggs)+ai] its aggregate ai. The first
+	// len(Spec.Aggs) states are scratch: a row whose slot is -1 (the
+	// selection drops it, or its input is NULL) folds into them, so the
+	// fold loops need no branch, and nothing reads them.
 	groups []partialGroup
 	states []AggState
 
@@ -94,7 +102,7 @@ type PartialAggregator struct {
 // NewPartialAggregator builds a partial aggregator for spec over batches
 // with schema in. Spec column indices refer to positions in in.
 func NewPartialAggregator(spec GroupBy, in *columnar.Schema, maxGroups int) *PartialAggregator {
-	p := &PartialAggregator{Spec: spec, In: in, MaxGroups: maxGroups}
+	p := &PartialAggregator{Spec: spec, In: in, MaxGroups: maxGroups, states: make([]AggState, len(spec.Aggs))}
 	if n := len(spec.GroupCols); n > 0 {
 		p.partialCols = make([]int, n)
 		for i := range p.partialCols {
@@ -103,9 +111,6 @@ func NewPartialAggregator(spec GroupBy, in *columnar.Schema, maxGroups int) *Par
 	}
 	return p
 }
-
-// NumGroups reports the number of groups currently held.
-func (p *PartialAggregator) NumGroups() int { return len(p.groups) }
 
 // PartialSchema returns the schema of the batches this aggregator emits.
 func (p *PartialAggregator) PartialSchema() *columnar.Schema {
@@ -165,6 +170,9 @@ func (p *PartialAggregator) assign(b *columnar.Batch, cols []int, from int, slot
 		key = b.Col(cols[0])
 		if codes = key.Codes(); codes != nil {
 			p.useDict(key.Dict())
+			if key.Nulls() == nil && p.assignCoded(codes, sel, from, slots) {
+				return from + len(slots)
+			}
 		}
 	}
 	for k := range slots {
@@ -197,6 +205,23 @@ func (p *PartialAggregator) assign(b *columnar.Batch, cols []int, from int, slot
 		slots[k] = s
 	}
 	return from + len(slots)
+}
+
+// assignCoded is assign for a lone dictionary-coded key with no NULLs,
+// without a branch per row: a row's slot is its code's remap entry, or
+// -1 when the selection drops it. It reports false when a selected row's
+// code has no group yet, leaving assign's loop to make it.
+func (p *PartialAggregator) assignCoded(codes []int32, sel *columnar.Bitmap, from int, slots []int32) bool {
+	miss := int32(0)
+	for k, c := range codes[from : from+len(slots)] {
+		in := int32(1)
+		if row := from + k; sel != nil {
+			in = int32(sel.Words()[row>>6]>>(row&63)) & 1
+		}
+		s := p.remap[c]
+		slots[k], miss = s|(in-1), miss|s&-in // miss < 0: a selected row's code is unseen
+	}
+	return miss >= 0
 }
 
 // useDict points the remap at dict: kept when dict is the dictionary it
@@ -236,42 +261,118 @@ func (p *PartialAggregator) newGroup(b *columnar.Batch, cols []int, row int) (s 
 }
 
 // fold updates the states of rows from, from+1, ... in their slots, one
-// aggregate at a time over its typed column; a slot of -1 is skipped.
+// aggregate at a time over its typed column, a slot of -1 into scratch.
+// Each function and input type has a loop of its own that writes only
+// the fields Result reads (see AggState). A column with NULLs first has
+// its NULL rows' slots turned to -1 in a copy, so no loop asks IsNull of
+// a row.
 func (p *PartialAggregator) fold(b *columnar.Batch, from int, slots []int32) {
+	var live [aggChunk]int32
 	na := len(p.Spec.Aggs)
 	for ai, spec := range p.Spec.Aggs {
+		st := p.states[ai:] // slot s's state is st[int(s+1)*na]
 		if spec.Func == Count {
-			for _, s := range slots {
-				if s >= 0 {
-					p.states[int(s)*na+ai].UpdateCountOnly()
-				}
-			}
+			foldCount(st, na, slots)
 			continue
 		}
 		col := b.Col(spec.Col)
+		in := slots
+		if nulls := col.Nulls(); nulls != nil {
+			in = dropNulls(live[:len(slots)], slots, nulls, from)
+		}
 		switch col.Type() {
 		case columnar.Int64:
-			vals := col.Int64s()[from:]
-			for k, s := range slots {
-				if s >= 0 && !col.IsNull(from+k) {
-					p.states[int(s)*na+ai].UpdateInt(vals[k])
-				}
-			}
+			foldInts(st, na, spec.Func, in, col.Int64s()[from:])
 		case columnar.Float64:
-			vals := col.Float64s()[from:]
-			for k, s := range slots {
-				if s >= 0 && !col.IsNull(from+k) {
-					p.states[int(s)*na+ai].UpdateFloat(vals[k])
-				}
+			foldFloats(st, na, spec.Func, in, col.Float64s()[from:])
+		default: // a non-numeric input counts its non-NULL rows
+			foldCount(st, na, in)
+		}
+	}
+}
+
+// dropNulls copies slots into dst, the slot of every row from+k that
+// nulls marks turned to -1, and returns dst.
+func dropNulls(dst, slots []int32, nulls *columnar.Bitmap, from int) []int32 {
+	copy(dst, slots)
+	words, end := nulls.Words(), min(from+len(slots), nulls.Len())
+	for wi := from >> 6; wi<<6 < end; wi++ {
+		for w := words[wi]; w != 0; w &= w - 1 {
+			if row := wi<<6 + bits.TrailingZeros64(w); row >= from && row < end {
+				dst[row-from] = -1
 			}
-		default:
-			// Non-numeric aggregation input contributes to COUNT
-			// semantics only.
-			for k, s := range slots {
-				if s >= 0 && !col.IsNull(from+k) {
-					p.states[int(s)*na+ai].UpdateCountOnly()
-				}
+		}
+	}
+	return dst
+}
+
+// foldCount counts each row in its slot's state: COUNT(*), and the
+// non-NULL rows of a non-numeric input.
+func foldCount(st []AggState, na int, slots []int32) {
+	for _, s := range slots {
+		st[int(s+1)*na].Count++
+	}
+}
+
+// foldInts folds BIGINT values into the fields f reads: SumI for SUM,
+// SumF for AVG, MinI or MaxI.
+func foldInts(st []AggState, na int, f AggFunc, slots []int32, vals []int64) {
+	vals = vals[:len(slots)]
+	switch f {
+	case Sum:
+		for k, s := range slots {
+			st[int(s+1)*na].Count++
+			st[int(s+1)*na].SumI += vals[k]
+		}
+	case Avg:
+		for k, s := range slots {
+			st[int(s+1)*na].Count++
+			st[int(s+1)*na].SumF += float64(vals[k])
+		}
+	case Min:
+		for k, s := range slots {
+			x := &st[int(s+1)*na]
+			if x.Count == 0 || vals[k] < x.MinI {
+				x.MinI = vals[k]
 			}
+			x.Count++
+		}
+	case Max:
+		for k, s := range slots {
+			x := &st[int(s+1)*na]
+			if x.Count == 0 || vals[k] > x.MaxI {
+				x.MaxI = vals[k]
+			}
+			x.Count++
+		}
+	}
+}
+
+// foldFloats folds DOUBLE values into the fields f reads: SumF for SUM
+// and AVG, MinF or MaxF under lessF, a NaN stored as canonF's.
+func foldFloats(st []AggState, na int, f AggFunc, slots []int32, vals []float64) {
+	vals = vals[:len(slots)]
+	switch f {
+	case Sum, Avg:
+		for k, s := range slots {
+			st[int(s+1)*na].Count++
+			st[int(s+1)*na].SumF += vals[k]
+		}
+	case Min:
+		for k, s := range slots {
+			x := &st[int(s+1)*na]
+			if x.Count == 0 || lessF(vals[k], x.MinF) {
+				x.MinF = canonF(vals[k])
+			}
+			x.Count++
+		}
+	case Max:
+		for k, s := range slots {
+			x := &st[int(s+1)*na]
+			if x.Count == 0 || lessF(x.MaxF, vals[k]) {
+				x.MaxF = canonF(vals[k])
+			}
+			x.Count++
 		}
 	}
 }
@@ -286,16 +387,12 @@ func (p *PartialAggregator) merge(b *columnar.Batch, from int, slots []int32) {
 		minI, maxI := b.Col(base+3).Int64s(), b.Col(base+4).Int64s()
 		minF, maxF := b.Col(base+5).Float64s(), b.Col(base+6).Float64s()
 		for k, s := range slots {
-			if s < 0 {
-				continue
-			}
 			row := from + k
 			st := AggState{
 				Count: cnt[row], SumI: sumI[row], SumF: sumF[row],
 				MinI: minI[row], MaxI: maxI[row], MinF: minF[row], MaxF: maxF[row],
-				seen: cnt[row] > 0,
 			}
-			p.states[int(s)*na+ai].Merge(&st)
+			p.states[int(s+1)*na+ai].Merge(&st)
 		}
 	}
 }
@@ -324,7 +421,7 @@ func (p *PartialAggregator) Flush() *columnar.Batch {
 	row := make([]columnar.Value, 0, len(p.Spec.GroupCols)+partialStateCols*na)
 	for s, g := range p.groups {
 		row = append(row[:0], g.vals...)
-		for _, st := range p.states[s*na : (s+1)*na] {
+		for _, st := range p.states[(s+1)*na : (s+2)*na] {
 			row = append(row,
 				columnar.IntValue(st.Count),
 				columnar.IntValue(st.SumI),
@@ -338,7 +435,7 @@ func (p *PartialAggregator) Flush() *columnar.Batch {
 		out.AppendRow(row...)
 	}
 	clear(p.groups)
-	p.groups, p.states = p.groups[:0], p.states[:0]
+	p.groups, p.states = p.groups[:0], p.states[:na]
 	clear(p.keys)
 	p.remapDict = nil
 	return out
@@ -362,9 +459,6 @@ func (f *FinalAggregator) AddRaw(b *columnar.Batch) { f.partial.AddRaw(b) }
 
 // AddPartial folds upstream partial batches.
 func (f *FinalAggregator) AddPartial(b *columnar.Batch) { f.partial.AddPartial(b) }
-
-// NumGroups reports the number of result groups so far.
-func (f *FinalAggregator) NumGroups() int { return f.partial.NumGroups() }
 
 // Clone deep-copies the aggregator's accumulated state (see
 // PartialAggregator.Clone).
@@ -391,7 +485,7 @@ func (f *FinalAggregator) Result() *columnar.Batch {
 			if a.Func != Count {
 				typ = f.in.Fields[a.Col].Type
 			}
-			row = append(row, p.states[s*na+ai].Result(a.Func, typ))
+			row = append(row, p.states[(s+1)*na+ai].Result(a.Func, typ))
 		}
 		out.AppendRow(row...)
 	}

@@ -397,7 +397,12 @@ func (r *refAgg) flush() {
 		out := columnar.NewBatch(PartialSchema(r.spec, r.in), len(r.vals))
 		for s, vals := range r.vals {
 			row := append([]columnar.Value(nil), vals...)
-			for _, st := range r.states[s] {
+			for ai, st := range r.states[s] {
+				a, typ := r.spec.Aggs[ai], columnar.Int64
+				if a.Func != Count {
+					typ = r.in.Fields[a.Col].Type
+				}
+				st = readFields(st, a.Func, typ) // the fold keeps only what Result reads
 				row = append(row, columnar.IntValue(st.Count), columnar.IntValue(st.SumI), columnar.FloatValue(st.SumF),
 					columnar.IntValue(st.MinI), columnar.IntValue(st.MaxI), columnar.FloatValue(st.MinF), columnar.FloatValue(st.MaxF))
 			}
