@@ -23,7 +23,9 @@ import (
 // view of it (WithSelection, Project, Slice), and ownership with it, or
 // ends it with Release, after which nothing reads either. Only a batch a
 // scan leased from a Pool gives anything back; any other releases as a
-// no-op, so a shared or client-owned batch is left intact.
+// no-op, so a shared or client-owned batch is left intact. The views of a
+// leased batch and the selections made for it (NewSelection) are made in
+// storage its lease owns, reused for the next set once this one is back.
 type Batch struct {
 	schema *Schema
 	cols   []*Vector
@@ -40,7 +42,7 @@ type Batch struct {
 	// resets it.
 	size atomic.Int64
 	// lease, when non-nil, is the pooled decoded set the batch's vectors
-	// belong to; views of the batch share it.
+	// belong to; views of the batch share it and are made in it.
 	lease *lease
 }
 
@@ -138,11 +140,12 @@ func (b *Batch) Row(i int) []Value {
 // indices. Column storage is shared, not copied; a lazy selection
 // vector is carried along.
 func (b *Batch) Project(indices []int) *Batch {
-	cols := make([]*Vector, len(indices))
+	out, cols := b.lease.view(len(indices), false)
 	for i, idx := range indices {
 		cols[i] = b.cols[idx]
 	}
-	return &Batch{schema: b.schema.Project(indices), cols: cols, rows: b.NumRows(), sel: b.sel, lease: b.lease}
+	*out = Batch{schema: b.schema.Project(indices), cols: cols, rows: b.NumRows(), sel: b.sel, lease: b.lease}
+	return out
 }
 
 // WithSelection returns a view of b whose live rows are the set bits of
@@ -152,8 +155,15 @@ func (b *Batch) WithSelection(sel *Bitmap) *Batch {
 	if sel != nil && sel.Len() != b.NumRows() {
 		panic("columnar: WithSelection length mismatch")
 	}
-	return &Batch{schema: b.schema, cols: b.cols, rows: b.rows, sel: sel, lease: b.lease}
+	out, _ := b.lease.view(0, false)
+	*out = Batch{schema: b.schema, cols: b.cols, rows: b.rows, sel: sel, lease: b.lease}
+	return out
 }
+
+// NewSelection returns a bitmap of b's rows, all clear, for a predicate
+// to set the rows it selects in. A leased batch's comes from its lease
+// and goes back with the set; any other's is NewBitmap's.
+func (b *Batch) NewSelection() *Bitmap { return b.lease.selection(b.NumRows()) }
 
 // Selection returns the batch's lazy selection vector, or nil when every
 // physical row is live.
@@ -180,7 +190,8 @@ func (b *Batch) Compact() *Batch {
 	}
 	var out *Batch
 	if count := b.sel.Count(); count == b.NumRows() {
-		out = &Batch{schema: b.schema, cols: b.cols, rows: b.rows, lease: b.lease}
+		out, _ = b.lease.view(0, false)
+		*out = Batch{schema: b.schema, cols: b.cols, rows: b.rows, lease: b.lease}
 	} else {
 		out = b.filter(b.sel, count)
 	}
@@ -219,7 +230,7 @@ func (b *Batch) Release() {
 	b.lease = nil
 	b.size.Store(0)
 	if l.refs.Add(-1) == 0 {
-		l.pool.recycle(l.vecs)
+		l.recycle()
 	}
 }
 
@@ -254,11 +265,12 @@ func (b *Batch) filter(sel *Bitmap, count int) *Batch {
 // Slice returns a view of rows [from, to). It shares b's lease: cutting
 // one batch into several views calls Share first.
 func (b *Batch) Slice(from, to int) *Batch {
-	cols := make([]*Vector, len(b.cols))
+	out, cols := b.lease.view(len(b.cols), true)
 	for i, c := range b.cols {
-		cols[i] = c.Slice(from, to)
+		c.slice(cols[i], b.lease, from, to)
 	}
-	return &Batch{schema: b.schema, cols: cols, rows: to - from, lease: b.lease}
+	*out = Batch{schema: b.schema, cols: cols, rows: to - from, lease: b.lease}
+	return out
 }
 
 // ByteSize estimates the in-memory footprint of all column data in bytes.

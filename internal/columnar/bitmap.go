@@ -147,6 +147,23 @@ func (b *Bitmap) Select(sel *Bitmap) *Bitmap {
 	return out
 }
 
+// cut sets dst, a clear bitmap, to b's bits [from, from+dst.Len()) a
+// word at a time, and returns it; the bits b lacks read as clear.
+func (b *Bitmap) cut(dst *Bitmap, from int) *Bitmap {
+	sh, wi := uint(from&63), from>>6
+	for i := range dst.words {
+		var w uint64
+		if wi+i < len(b.words) {
+			w = b.words[wi+i] >> sh
+		}
+		if wi+i+1 < len(b.words) {
+			w |= b.words[wi+i+1] << (64 - sh) // 0 when sh is 0
+		}
+		dst.SetWord(i, w)
+	}
+	return dst
+}
+
 // lastSelected is b.Select(sel).LastSet() without building the selected
 // bitmap: the rank, among sel's set bits, of the highest position set in
 // both, or -1 when they share none. b may be shorter than sel.

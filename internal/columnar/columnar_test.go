@@ -1,6 +1,9 @@
 package columnar
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -336,5 +339,53 @@ func TestBitmapCountIndicesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// sliceNullsRowAtATime is the null bitmap Vector.Slice cut a row at a
+// time before it shifted whole words: the reference it is held to.
+func sliceNullsRowAtATime(nulls *Bitmap, from, to int) *Bitmap {
+	out := NewBitmap(to - from)
+	for i := from; i < to; i++ {
+		if i < nulls.Len() && nulls.Get(i) {
+			out.Set(i - from)
+		}
+	}
+	return out.cutAtLastSet()
+}
+
+// Vector.Slice cuts the null bitmap a word at a time: at every offset
+// around a word boundary, for lengths that end inside, at and across word
+// ends, and from null bitmaps that end before the vector does (a vector's
+// ends at its last NULL), the bits match the row-at-a-time cut, and so
+// does the bitmap's length, which ends at the view's last NULL.
+func TestSliceCutsNullsAWordAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const n = 4096 + 300
+	for _, density := range []float64{0.02, 0.5, 1} {
+		for _, nullsEnd := range []int{n, n - 1, 4096 + 1, 130, 64, 1} {
+			v := FromInt64s(make([]int64, n))
+			nulls := NewBitmap(nullsEnd)
+			for i := 0; i < nullsEnd; i++ {
+				if rng.Float64() < density {
+					nulls.Set(i)
+				}
+			}
+			nulls.Set(nullsEnd - 1)
+			v.SetNulls(nulls)
+			for _, from := range []int{0, 1, 63, 64, 65, 4095} {
+				for _, length := range []int{0, 1, 62, 63, 64, 65, 127, 128, 129, 200, n - from} {
+					to := min(from+length, n)
+					got, want := v.Slice(from, to).Nulls(), sliceNullsRowAtATime(v.Nulls(), from, to)
+					what := fmt.Sprintf("density %v, nulls end %d, [%d, %d)", density, nullsEnd, from, to)
+					if (got == nil) != (want == nil) {
+						t.Fatalf("%s: null bitmap %v, want %v", what, got, want)
+					}
+					if want != nil && (got.Len() != want.Len() || !slices.Equal(got.Words(), want.Words())) {
+						t.Fatalf("%s: %d bits %x, want %d bits %x", what, got.Len(), got.Words(), want.Len(), want.Words())
+					}
+				}
+			}
+		}
 	}
 }

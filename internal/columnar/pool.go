@@ -2,32 +2,45 @@ package columnar
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// Pool recycles the value arrays of decoded vectors within one run: a
-// scan decodes a segment into arrays taken from it (Values), leases the
-// decoded batch (Lease), and the arrays come back when the last batch
-// cut from it is released. The zero Pool is ready and costs a mutex
-// and a pointer until the first array comes back; a nil *Pool allocates
-// every array and recycles none. It is safe for concurrent use.
+// Pool recycles decoded sets: a scan decodes a segment into arrays taken
+// from it (Values), leases the decoded batch (Lease), and the arrays come
+// back when the last batch cut from it is released, with the view
+// headers and selections cut from the set (see lease). A storage server
+// holds one for as long as it lives, so a release that lands after its
+// run has ended feeds the next. The zero Pool is ready; a nil *Pool
+// allocates every array and recycles none. It is safe for concurrent
+// use.
 //
-// A pool never grows past the decoded sets a run holds at once, and the
-// credit window bounds those: a batch is released by the stage that ends
-// it, which returns a credit for it too.
+// A pool keeps only what came back, and drops a free array too short for
+// a take it cannot serve: it never holds more sets than were out on lease
+// at once, nor more arrays of a type than were out at once.
 type Pool struct {
-	mu   sync.Mutex
-	free *freeLists // nil until the first release
+	mu sync.Mutex
+	// The free arrays, one list per element type, and the leases of the
+	// sets they came back with.
+	ints   [][]int64
+	flts   [][]float64
+	strs   [][]string
+	bools  [][]bool
+	codes  [][]int32
+	leases []*lease
+	// leased counts the sets out on lease, peak the most at once, made
+	// the arrays Values has had to allocate.
+	leased, peak, made int
 }
 
-// freeLists holds a pool's free arrays, one list per element type.
-type freeLists struct {
-	ints  [][]int64
-	flts  [][]float64
-	strs  [][]string
-	bools [][]bool
-	codes [][]int32
+// Stats reports the decoded sets p holds free, the most it has had out
+// on lease at once, and the arrays it has had to allocate because none
+// free was long enough.
+func (p *Pool) Stats() (free, peak, made int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.leases), p.peak, p.made
 }
 
 // Values returns n values of type T for a decode to overwrite, every one
@@ -37,7 +50,10 @@ type freeLists struct {
 func Values[T int64 | float64 | string | bool | int32](p *Pool, n int) []T {
 	if p != nil {
 		p.mu.Lock()
-		a, ok := take[T](p.free, n)
+		a, ok := take[T](p, n)
+		if !ok {
+			p.made++
+		}
 		p.mu.Unlock()
 		if ok {
 			return a
@@ -46,25 +62,24 @@ func Values[T int64 | float64 | string | bool | int32](p *Pool, n int) []T {
 	return make([]T, n)
 }
 
-// take removes from f, which may be nil, a free array of at least n
-// values of type T and returns its first n.
-func take[T any](f *freeLists, n int) ([]T, bool) {
-	if f == nil {
-		return nil, false
-	}
+// take removes from p a free array of at least n values of type T and
+// returns its first n. When none is that long it drops one, which the
+// new array the caller makes stands in for.
+func take[T any](p *Pool, n int) ([]T, bool) {
 	var free *[][]T
-	for _, l := range [...]any{&f.ints, &f.flts, &f.strs, &f.bools, &f.codes} {
+	for _, l := range [...]any{&p.ints, &p.flts, &p.strs, &p.bools, &p.codes} {
 		if l, ok := l.(*[][]T); ok {
 			free = l
 		}
 	}
 	for i, a := range *free {
 		if cap(a) >= n {
-			last := len(*free) - 1
-			(*free)[i], (*free)[last] = (*free)[last], nil
-			*free = (*free)[:last]
+			*free = slices.Delete(*free, i, i+1)
 			return a[:n], true
 		}
+	}
+	if k := len(*free); k > 0 {
+		*free = slices.Delete(*free, k-1, k)
 	}
 	return nil, false
 }
@@ -72,54 +87,141 @@ func take[T any](f *freeLists, n int) ([]T, bool) {
 // Lease makes b, whose vectors were decoded into arrays from p, the one
 // owner of them, and returns it; with a nil p it returns b as it is.
 func (p *Pool) Lease(b *Batch) *Batch {
-	if p != nil {
-		b.lease = &lease{pool: p, vecs: b.cols}
-		b.lease.refs.Store(1)
+	if p == nil {
+		return b
 	}
+	p.mu.Lock()
+	var l *lease
+	if k := len(p.leases); k > 0 {
+		l, p.leases = p.leases[k-1], p.leases[:k-1]
+	} else {
+		l = &lease{pool: p}
+	}
+	p.leased++
+	p.peak = max(p.peak, p.leased)
+	p.mu.Unlock()
+	l.vecs = b.cols
+	l.refs.Store(1)
+	b.lease = l
 	return b
 }
 
 // lease is the claim every batch cut from one decoded set holds on its
 // vectors: refs counts the batches that will each be released, and the
-// arrays go back to the pool with the last.
+// arrays go back to the pool with the last. The views and selections cut
+// from the set's batches are made in the lease's views too (see view);
+// they go back with it, whole, and serve the next set it is lent to.
 type lease struct {
 	pool *Pool
 	vecs []*Vector
 	refs atomic.Int32
+
+	// mu guards views, the first used of which are out: views are cut on
+	// the scan's goroutine and on a stage's workers.
+	mu    sync.Mutex
+	views []*view
+	used  int
 }
 
-// recycle hands the vectors' arrays back to the pool. Each vector forgets
-// its values and its null bitmap; its dictionary, the segment's, is
-// dropped, never pooled.
-func (p *Pool) recycle(vecs []*Vector) {
+// view is the storage one view of a leased set, or one selection, is made
+// in: its Batch header and, for a slice, its column slots and Vector
+// headers, or the selection's bitmap. Each holds on to what it grew.
+type view struct {
+	b    Batch
+	cols []*Vector
+	vecs []Vector
+	sel  Bitmap
+}
+
+// next returns a free view of l's, a new one when l has none.
+func (l *lease) next() *view {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.used == len(l.views) {
+		l.views = append(l.views, new(view))
+	}
+	l.used++
+	return l.views[l.used-1]
+}
+
+// view returns a Batch header for a view of a batch that holds l, and n
+// column slots; with vecs, each slot holds a Vector header to write. A
+// nil l allocates them, as every view of an unleased batch is.
+func (l *lease) view(n int, vecs bool) (*Batch, []*Vector) {
+	if l == nil {
+		cols := make([]*Vector, n)
+		for i := 0; vecs && i < n; i++ {
+			cols[i] = new(Vector)
+		}
+		return new(Batch), cols
+	}
+	v := l.next()
+	v.cols = append(v.cols[:0], make([]*Vector, n)...)
+	if vecs {
+		v.vecs = append(v.vecs[:0], make([]Vector, n)...)
+		for i := range v.cols {
+			v.cols[i] = &v.vecs[i]
+		}
+	}
+	return &v.b, v.cols[:n:n]
+}
+
+// selection returns a bitmap of n bits, all clear: l's when l is non-nil.
+func (l *lease) selection(n int) *Bitmap {
+	if l == nil {
+		return NewBitmap(n)
+	}
+	s := &l.next().sel
+	*s = Bitmap{words: append(s.words[:0], make([]uint64, (n+63)/64)...), n: n}
+	return s
+}
+
+// recycle hands the set back to its pool once its last batch is released,
+// when nothing holds a view of it any more: the vectors' arrays to the
+// free lists, and the lease, its views taken back, to the pool's leases.
+// Each vector forgets its values and its null bitmap; its dictionary, the
+// segment's, is dropped, never pooled. Every view's headers are zeroed,
+// so a use of one after the release panics, and built with -tags
+// poisonpool every selection is set to all ones.
+func (l *lease) recycle() {
+	for _, v := range l.views[:l.used] {
+		v.b = Batch{}
+		clear(v.vecs)
+		poison(v.sel.words, ^uint64(0))
+	}
+	l.used = 0
+	p := l.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.free == nil {
-		p.free = new(freeLists)
-	}
-	f := p.free
-	for _, v := range vecs {
-		f.ints = give(f.ints, v.ints, math.MinInt64)
-		f.flts = give(f.flts, v.flts, math.NaN())
-		f.strs = give(f.strs, v.strs, "\x00released")
-		f.bools = give(f.bools, v.bools, true)
-		f.codes = give(f.codes, v.codes, math.MaxInt32)
+	for _, v := range l.vecs {
+		p.ints = give(p.ints, v.ints, math.MinInt64)
+		p.flts = give(p.flts, v.flts, math.NaN())
+		p.strs = give(p.strs, v.strs, "\x00released")
+		p.bools = give(p.bools, v.bools, true)
+		p.codes = give(p.codes, v.codes, math.MaxInt32)
 		*v = Vector{typ: v.typ}
 	}
+	l.vecs = nil
+	p.leases = append(p.leases, l)
+	p.leased--
 }
 
-// give adds a released array, if any, to its free list. Built with -tags
-// poisonpool it first overwrites it with poison, what no decode produces
-// (NaN, the least BIGINT, a code past any dictionary), so a read after
-// release shows as a wrong row or an index panic.
-func give[T any](free [][]T, a []T, poison T) [][]T {
+// give adds a released array, if any, to its free list, poisoned first.
+func give[T any](free [][]T, a []T, v T) [][]T {
 	if a == nil {
 		return free
 	}
+	poison(a, v)
+	return append(free, a)
+}
+
+// poison overwrites a with v when built with -tags poisonpool: with what
+// no decode produces (NaN, the least BIGINT, a code past any dictionary),
+// so a read after release shows as a wrong row or an index panic.
+func poison[T any](a []T, v T) {
 	if poisonReleased {
 		for i := range a {
-			a[i] = poison
+			a[i] = v
 		}
 	}
-	return append(free, a)
 }

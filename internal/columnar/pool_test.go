@@ -137,8 +137,98 @@ func TestLeaseUnderConcurrentReleases(t *testing.T) {
 
 // freeInts is the number of BIGINT arrays p holds free.
 func freeInts(p *Pool) int {
-	if p.free == nil {
-		return 0
+	return len(p.ints)
+}
+
+// The views cut from a leased batch and the selections made for it are
+// made in its lease: once the last of them is released, every header is
+// zeroed, so a use panics, and built with -tags poisonpool every bitmap
+// the lease made, a selection or a slice's null bitmap, reads all ones.
+func TestLeasedViewsArePoisonedAfterTheLastRelease(t *testing.T) {
+	var p Pool
+	b := pooledBatch(&p, 10)
+	b.Share(2)
+	first, second := b.Slice(0, 6), b.Slice(6, 10)
+	sel := first.NewSelection()
+	sel.Set(1)
+	all := second.NewSelection()
+	all.Fill(0, 4)
+	filtered := first.WithSelection(sel)
+	dense := second.Project([]int{0, 2}).WithSelection(all).Compact()
+	views := []*Batch{first, second, filtered, dense}
+	vec, nulls := first.Col(0), first.Col(0).Nulls()
+	if nulls == nil || dense.lease == nil || dense.Col(1).StringAt(0) != "a" {
+		t.Fatal("the views lost their null bitmap, lease or values")
 	}
-	return len(p.free.ints)
+	filtered.Release()
+	dense.Release()
+	for i, v := range views {
+		if v.NumCols() != 0 || v.Selection() != nil || v.lease != nil {
+			t.Errorf("view %d kept its header after the set went back", i)
+		}
+		func() {
+			defer func() { _ = recover() }()
+			v.Col(0)
+			t.Errorf("view %d: reading a column of a released view did not panic", i)
+		}()
+	}
+	if vec.Len() != 0 || vec.Int64s() != nil || vec.Nulls() != nil {
+		t.Error("a slice's vector header kept its values after the set went back")
+	}
+	if poisonReleased {
+		for what, bm := range map[string]*Bitmap{"selection": sel, "full selection": all, "null bitmap": nulls} {
+			for _, w := range bm.Words() {
+				if w != ^uint64(0) {
+					t.Errorf("poison mode: a released %s reads %x", what, bm.Words())
+					break
+				}
+			}
+		}
+	}
+}
+
+// A lease that has served one set cuts the next set's views and
+// selections in what the first one grew: once warm, cutting a set into
+// granules, selecting in each and releasing them allocates nothing.
+func TestWarmLeaseCutsGranulesWithoutAllocating(t *testing.T) {
+	const rows = 3 * 64
+	var p Pool
+	vi, vf := &Vector{typ: Int64}, &Vector{typ: Float64}
+	b := BatchOf(NewSchema(Field{Name: "i", Type: Int64}, Field{Name: "f", Type: Float64}), vi, vf)
+	set := func() {
+		vi.ints, vf.flts = Values[int64](&p, rows), Values[float64](&p, rows)
+		p.Lease(b)
+		b.Share(3)
+		for off := 0; off < rows; off += 64 {
+			g := b.Slice(off, off+64)
+			sel := g.NewSelection()
+			sel.Fill(0, 64) // every row: Compact copies nothing
+			g.WithSelection(sel).Compact().Release()
+		}
+	}
+	set()
+	if allocs := testing.AllocsPerRun(50, set); allocs != 0 && !raceEnabled {
+		t.Errorf("a warm set allocates %v times", allocs)
+	}
+	if free, peak, made := p.Stats(); free != 1 || peak != 1 || made != 2 {
+		t.Errorf("free %d, peak %d, made %d: want one set, out alone, of two arrays", free, peak, made)
+	}
+}
+
+// A pool holds no more arrays than were out at once: a take no free array
+// is long enough for drops one, so sets of two lengths decoded in turn
+// leave one array, not one of each length.
+func TestPoolDropsAnArrayTooShortToServe(t *testing.T) {
+	var p Pool
+	schema := NewSchema(Field{Name: "i", Type: Int64})
+	for round := 0; round < 6; round++ {
+		n := 100 + 50*(round%2)
+		p.Lease(BatchOf(schema, FromInt64s(Values[int64](&p, n)))).Release()
+		if len(p.ints) != 1 {
+			t.Fatalf("round %d: %d free arrays after one set of one column", round, len(p.ints))
+		}
+	}
+	if _, _, made := p.Stats(); made != 2 {
+		t.Errorf("made %d arrays, want 2: one per length until the longer one serves both", made)
+	}
 }

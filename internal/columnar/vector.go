@@ -387,8 +387,12 @@ func selectValues[T any](src []T, sel []uint64, count int) []T {
 // Slice returns a view of rows [from, to). The backing storage is shared;
 // the null bitmap, if present, is copied restricted to the range and, as
 // everywhere, cut back to its last NULL.
-func (v *Vector) Slice(from, to int) *Vector {
-	out := &Vector{typ: v.typ}
+func (v *Vector) Slice(from, to int) *Vector { return v.slice(new(Vector), nil, from, to) }
+
+// slice is Slice writing the view into out, with its null bitmap from
+// the lease l (see lease.selection), and returns out.
+func (v *Vector) slice(out *Vector, l *lease, from, to int) *Vector {
+	*out = Vector{typ: v.typ}
 	switch v.typ {
 	case Int64:
 		out.ints = v.ints[from:to:to]
@@ -404,13 +408,7 @@ func (v *Vector) Slice(from, to int) *Vector {
 		out.bools = v.bools[from:to:to]
 	}
 	if v.nulls != nil {
-		nulls := NewBitmap(to - from)
-		for i := from; i < to; i++ {
-			if i < v.nulls.Len() && v.nulls.Get(i) {
-				nulls.Set(i - from)
-			}
-		}
-		out.nulls = nulls.cutAtLastSet()
+		out.nulls = v.nulls.cut(l.selection(to-from), from).cutAtLastSet()
 	}
 	return out
 }

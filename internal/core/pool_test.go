@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/columnar"
@@ -17,8 +19,9 @@ import (
 	"repro/internal/workload"
 )
 
-// The engine's eager scan decodes into a per-run pool and the stage that
-// ends a batch releases it (columnar.Pool, storage.Server.ScanPooled).
+// The engine's eager scan decodes into its storage server's pool and the
+// stage that ends a batch releases it (columnar.Pool,
+// storage.Server.ScanPooled).
 // These tests hold that to runs that pool nothing, and to the batches
 // that must never be recycled. Built with -tags poisonpool, a release overwrites the
 // recycled arrays (NaN, the least BIGINT, out-of-range codes), so a read
@@ -268,6 +271,115 @@ func TestUnleasedBatchesAreNeverReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after a second query")
+}
+
+// The pool outlives the run: a set released during one run, or after
+// it, is decoded into by the next. How many sets a run holds at once
+// depends on how the goroutines are scheduled, so the runs are held to
+// what does not: once a run is over every set it leased is back in the
+// pool, and over all the runs the pool makes no more arrays than the
+// sets out on lease at the peak, plus one being decoded on each scan
+// worker, hold, where a pool per run would make at least one set's every
+// run.
+func TestPoolOutlivesTheRun(t *testing.T) {
+	cfg := workload.DefaultLineitemConfig(6 * poolSegRows) // segments of one length
+	df, _ := newEnginesSized(t, workload.GenLineitem(cfg), poolSegRows)
+	df.EagerDecode = true
+	q := plan.NewQuery("lineitem").WithFilter(workload.SelectivityFilter(cfg, 0.9)).WithGroupBy(workload.PricingSummary())
+	columns := len(expr.ColumnSet(workload.LineitemSchema().NumFields(), q.Filter, q.GroupBy, nil))
+	variants, err := df.Plan(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	for _, workers := range []int{1, 2, 3} {
+		df.Workers = workers
+		for _, ph := range variants {
+			for run := 0; run < 4; run++ {
+				if _, err := df.ExecutePlan(context.Background(), ph); err != nil {
+					t.Fatal(err)
+				}
+				runs++
+				free, peak, made := df.Storage.PoolStats()
+				what := fmt.Sprintf("w=%d %s run %d", workers, ph.Variant, run)
+				if free != peak {
+					t.Fatalf("%s: %d sets back in the pool, %d were out at the peak", what, free, peak)
+				}
+				if made > (peak+3)*columns {
+					t.Fatalf("%s: %d arrays made for %d sets out at the peak of %d columns", what, made, peak, columns)
+				}
+			}
+		}
+	}
+	if _, peak, made := df.Storage.PoolStats(); peak == 0 || made >= runs*columns {
+		t.Fatalf("%d runs made %d arrays (peak %d sets): a set's columns a run", runs, made, peak)
+	}
+}
+
+// Queries on one server share its pool: four goroutines run the pricing
+// aggregation and a projection of half the rows on every variant, with
+// the scan eager, at Workers 1, 2 and 3, and every result is the bits the
+// same plan gives over a scan that pools nothing. The projection's
+// results are its scanned batches, kept and never released, beside the
+// aggregation's sets coming and going. Afterwards the pool holds no more
+// sets than were out at once.
+func TestPoolSharedAcrossConcurrentQueries(t *testing.T) {
+	cfg, data := poolTable()
+	df, _ := newEnginesSized(t, data, poolSegRows)
+	df.EagerDecode = true
+	filter := workload.SelectivityFilter(cfg, 0.5)
+	queries := []*plan.Query{
+		plan.NewQuery("lineitem").WithFilter(workload.SelectivityFilter(cfg, 0.9)).WithGroupBy(workload.PricingSummary()),
+		plan.NewQuery("lineitem").WithFilter(filter).WithProjection(workload.LOrderKey, workload.LExtendedPrice, workload.LReturnFlag),
+	}
+	for _, workers := range []int{1, 2, 3} {
+		df.Workers = workers
+		type job struct {
+			ph   *plan.Physical
+			want []*columnar.Batch
+		}
+		var jobs []job
+		for _, q := range queries {
+			variants, err := df.Plan(q, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ph := range variants {
+				jobs = append(jobs, job{ph, executeUnpooled(t, df, ph)})
+			}
+		}
+		errs := make(chan error, 4)
+		results := make([][][]*columnar.Batch, 4)
+		var wg sync.WaitGroup
+		for g := range results {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range jobs {
+					res, err := df.ExecutePlan(context.Background(), jobs[(k+g)%len(jobs)].ph)
+					if err != nil {
+						errs <- err
+						return
+					}
+					results[g] = append(results[g], res.Batches)
+				}
+			}()
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		for g, got := range results {
+			for k, batches := range got {
+				j := jobs[(k+g)%len(jobs)]
+				assertBitIdentical(t, fmt.Sprintf("w=%d goroutine %d %s", workers, g, j.ph.Variant), j.want, batches)
+			}
+		}
+	}
+	if free, peak, _ := df.Storage.PoolStats(); free > peak {
+		t.Fatalf("the pool holds %d sets, %d were out at the peak", free, peak)
+	}
 }
 
 // BenchmarkPooledAggregation is CI's pooled-aggregation gate: agg-lowcard's

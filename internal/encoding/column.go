@@ -71,7 +71,7 @@ type EncodedColumn struct {
 	Stats    Stats
 	// Data (the encoded values) and Nulls (EncodeBools of the null
 	// bitmap; empty if no nulls) are read-only. On a column opened by
-	// UnmarshalColumn they are capacity-clamped sub-slices of the blob it
+	// Unmarshal they are capacity-clamped sub-slices of the blob it
 	// was given, so the blob's owner decides how long the column may
 	// live, nobody may write through them, and every decoder copies
 	// values out (no unsafe string views) so decoded vectors outlive it.
@@ -274,15 +274,26 @@ func (ec *EncodedColumn) AppendMarshal(out []byte) []byte {
 }
 
 // UnmarshalColumn parses a block produced by Marshal and returns the
-// column plus the number of bytes consumed. The column is a view: Data
-// and Nulls alias data (see EncodedColumn.Data), only the header is
-// parsed and nothing is copied but the two zone-map strings.
+// column plus the number of bytes consumed (see Unmarshal).
 func UnmarshalColumn(data []byte) (*EncodedColumn, int, error) {
+	ec := new(EncodedColumn)
+	used, err := ec.Unmarshal(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	return ec, used, nil
+}
+
+// Unmarshal parses a block produced by Marshal into ec and returns the
+// number of bytes consumed. The column is a view: Data and Nulls alias
+// data (see EncodedColumn.Data), only the header is parsed and nothing is
+// copied but the two zone-map strings.
+func (ec *EncodedColumn) Unmarshal(data []byte) (int, error) {
 	orig := len(data)
 	if len(data) < 2 {
-		return nil, 0, fmt.Errorf("%w: column header truncated", ErrCorrupt)
+		return 0, fmt.Errorf("%w: column header truncated", ErrCorrupt)
 	}
-	ec := &EncodedColumn{Type: columnar.Type(data[0]), Encoding: ColumnEncoding(data[1])}
+	*ec = EncodedColumn{Type: columnar.Type(data[0]), Encoding: ColumnEncoding(data[1])}
 	data = data[2:]
 	readUvarint := func() (uint64, error) {
 		v, sz := binary.Uvarint(data)
@@ -294,34 +305,34 @@ func UnmarshalColumn(data []byte) (*EncodedColumn, int, error) {
 	}
 	nv, err := readUvarint()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if nv > math.MaxUint32 { // a segment's row count is 32 bits; Decode sizes a bitmap by it
-		return nil, 0, fmt.Errorf("%w: column row count %d", ErrCorrupt, nv)
+		return 0, fmt.Errorf("%w: column row count %d", ErrCorrupt, nv)
 	}
 	ec.Stats.NumValues = int(nv)
 	nc, err := readUvarint()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	ec.Stats.NullCount = int(nc)
 	if len(data) < 1 {
-		return nil, 0, fmt.Errorf("%w: column header truncated", ErrCorrupt)
+		return 0, fmt.Errorf("%w: column header truncated", ErrCorrupt)
 	}
 	ec.Stats.HasMinMax = data[0] == 1
 	data = data[1:]
 	mi, err := readUvarint()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	ec.Stats.MinI = unzigzag(mi)
 	ma, err := readUvarint()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	ec.Stats.MaxI = unzigzag(ma)
 	if len(data) < 16 {
-		return nil, 0, fmt.Errorf("%w: column float stats truncated", ErrCorrupt)
+		return 0, fmt.Errorf("%w: column float stats truncated", ErrCorrupt)
 	}
 	ec.Stats.MinF = math.Float64frombits(binary.LittleEndian.Uint64(data))
 	ec.Stats.MaxF = math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
@@ -338,28 +349,28 @@ func UnmarshalColumn(data []byte) (*EncodedColumn, int, error) {
 	}
 	minS, err := readBytes()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	ec.Stats.MinS = string(minS)
 	maxS, err := readBytes()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	ec.Stats.MaxS = string(maxS)
 	if len(data) < 4 {
-		return nil, 0, fmt.Errorf("%w: column checksum truncated", ErrCorrupt)
+		return 0, fmt.Errorf("%w: column checksum truncated", ErrCorrupt)
 	}
 	ec.Checksum = binary.LittleEndian.Uint32(data)
 	data = data[4:]
 	nulls, err := readBytes()
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if len(nulls) > 0 {
 		ec.Nulls = nulls
 	}
 	if ec.Data, err = readBytes(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return ec, orig - len(data), nil
+	return orig - len(data), nil
 }

@@ -76,22 +76,22 @@ func (c *Cmp) Eval(b *columnar.Batch) *columnar.Bitmap {
 	col := b.Col(c.Col)
 	switch c.Val.Type {
 	case columnar.String:
-		return matchStrings(col, c.matchString)
+		return matchStrings(b.NewSelection(), col, c.matchString)
 	case columnar.Int64:
 		lo, hi, ne := c.intRange()
-		return intRangeSel(col, lo, hi, ne)
+		return intRangeSel(b.NewSelection(), col, lo, hi, ne)
 	case columnar.Float64:
-		return c.floatSel(col)
+		return c.floatSel(b.NewSelection(), col)
 	case columnar.Bool:
-		return c.boolSel(col)
+		return c.boolSel(b.NewSelection(), col)
 	}
-	return columnar.NewBitmap(b.NumRows())
+	return b.NewSelection()
 }
 
-// boolSel selects the non-NULL rows of a BOOLEAN column that pass = or
-// <>; an ordered comparison of booleans passes nothing.
-func (c *Cmp) boolSel(col *columnar.Vector) *columnar.Bitmap {
-	sel := columnar.NewBitmap(col.Len())
+// boolSel sets in sel, a clear bitmap of the column's rows, the non-NULL
+// rows of a BOOLEAN column that pass = or <>; an ordered comparison of
+// booleans passes nothing.
+func (c *Cmp) boolSel(sel *columnar.Bitmap, col *columnar.Vector) *columnar.Bitmap {
 	want := c.Val.B
 	for i, v := range col.Bools() {
 		if col.IsNull(i) {
@@ -135,13 +135,13 @@ func (c *Cmp) intRange() (lo, hi int64, ne bool) {
 	return 1, 0, false
 }
 
-// intRangeSel selects the non-NULL rows of a BIGINT column whose value is
-// in [lo, hi], or with out set the ones outside it, with Between's
-// one-compare test and the kernels' branch-free word (see encoding's b2u);
-// an empty range selects nothing either way.
-func intRangeSel(col *columnar.Vector, lo, hi int64, out bool) *columnar.Bitmap {
+// intRangeSel sets in sel, a clear bitmap of the column's rows, the
+// non-NULL rows of a BIGINT column whose value is in [lo, hi], or with out
+// set the ones outside it, with Between's one-compare test and the
+// kernels' branch-free word (see encoding's b2u); an empty range selects
+// nothing either way.
+func intRangeSel(sel *columnar.Bitmap, col *columnar.Vector, lo, hi int64, out bool) *columnar.Bitmap {
 	vals := col.Int64s()
-	sel := columnar.NewBitmap(col.Len())
 	if lo > hi {
 		return sel
 	}
@@ -158,11 +158,12 @@ func intRangeSel(col *columnar.Vector, lo, hi int64, out bool) *columnar.Bitmap 
 	return sel
 }
 
-// floatSel selects the non-NULL rows of a DOUBLE column that pass the
-// comparison: each row is compared with the constant three ways and the
-// operator picks which outcomes pass, so NaN — neither less, equal nor
-// greater — passes only <>, as it does under Go's operators.
-func (c *Cmp) floatSel(col *columnar.Vector) *columnar.Bitmap {
+// floatSel sets in sel, a clear bitmap of the column's rows, the non-NULL
+// rows of a DOUBLE column that pass the comparison: each row is compared
+// with the constant three ways and the operator picks which outcomes
+// pass, so NaN — neither less, equal nor greater — passes only <>, as it
+// does under Go's operators.
+func (c *Cmp) floatSel(sel *columnar.Bitmap, col *columnar.Vector) *columnar.Bitmap {
 	var lt, eq, gt, flip uint64
 	switch c.Op {
 	case Eq:
@@ -179,7 +180,6 @@ func (c *Cmp) floatSel(col *columnar.Vector) *columnar.Bitmap {
 		gt, eq = 1, 1
 	}
 	want, vals := c.Val.F, col.Float64s()
-	sel := columnar.NewBitmap(col.Len())
 	nulls := col.Nulls()
 	for wi := 0; wi<<6 < len(vals); wi++ {
 		chunk := vals[wi<<6 : min(wi<<6+64, len(vals))]
@@ -252,7 +252,7 @@ func NewBetween(col int, lo, hi int64) *Between { return &Between{Col: col, Lo: 
 
 // Eval implements Predicate.
 func (p *Between) Eval(b *columnar.Batch) *columnar.Bitmap {
-	return intRangeSel(b.Col(p.Col), p.Lo, p.Hi, false)
+	return intRangeSel(b.NewSelection(), b.Col(p.Col), p.Lo, p.Hi, false)
 }
 
 // Columns implements Predicate.
@@ -275,7 +275,9 @@ type Like struct {
 func NewLike(col int, pattern string) *Like { return &Like{Col: col, Pattern: pattern} }
 
 // Eval implements Predicate.
-func (p *Like) Eval(b *columnar.Batch) *columnar.Bitmap { return matchStrings(b.Col(p.Col), p.match) }
+func (p *Like) Eval(b *columnar.Batch) *columnar.Bitmap {
+	return matchStrings(b.NewSelection(), b.Col(p.Col), p.match)
+}
 
 // match is the test Like makes of one string value.
 func (p *Like) match(s string) bool { return strings.Contains(s, p.Pattern) }
@@ -304,9 +306,9 @@ func NewIn(col int, vals ...columnar.Value) *In { return &In{Col: col, Vals: val
 func (p *In) Eval(b *columnar.Batch) *columnar.Bitmap {
 	col := b.Col(p.Col)
 	if len(p.Vals) > 0 && p.Vals[0].Type == columnar.String {
-		return matchStrings(col, p.stringMatcher())
+		return matchStrings(b.NewSelection(), col, p.stringMatcher())
 	}
-	sel := columnar.NewBitmap(b.NumRows())
+	sel := b.NewSelection()
 	if len(p.Vals) == 0 {
 		return sel
 	}
@@ -348,13 +350,12 @@ func (p *In) stringMatcher() func(string) bool {
 }
 
 // matchStrings is the one evaluation of a string test over a String
-// column, for Cmp, Like and In: the non-NULL rows whose value passes
-// match. It runs match once per row and reads each row with StringAt, so
-// a coded column and a plain one take the same loop and neither allocates
-// strings.
-func matchStrings(col *columnar.Vector, match func(string) bool) *columnar.Bitmap {
+// column, for Cmp, Like and In: it sets in sel, a clear bitmap of the
+// column's rows, the non-NULL rows whose value passes match. It runs
+// match once per row and reads each row with StringAt, so a coded column
+// and a plain one take the same loop and neither allocates strings.
+func matchStrings(sel *columnar.Bitmap, col *columnar.Vector, match func(string) bool) *columnar.Bitmap {
 	n := col.Len()
-	sel := columnar.NewBitmap(n)
 	for i := 0; i < n; i++ {
 		if !col.IsNull(i) && match(col.StringAt(i)) {
 			sel.Set(i)
@@ -384,10 +385,8 @@ func NewAnd(preds ...Predicate) *And { return &And{Preds: preds} }
 // Eval implements Predicate.
 func (p *And) Eval(b *columnar.Batch) *columnar.Bitmap {
 	if len(p.Preds) == 0 {
-		sel := columnar.NewBitmap(b.NumRows())
-		for i := 0; i < b.NumRows(); i++ {
-			sel.Set(i)
-		}
+		sel := b.NewSelection()
+		sel.Fill(0, sel.Len())
 		return sel
 	}
 	sel := p.Preds[0].Eval(b)
@@ -411,7 +410,7 @@ func NewOr(preds ...Predicate) *Or { return &Or{Preds: preds} }
 
 // Eval implements Predicate.
 func (p *Or) Eval(b *columnar.Batch) *columnar.Bitmap {
-	sel := columnar.NewBitmap(b.NumRows())
+	sel := b.NewSelection()
 	for _, sub := range p.Preds {
 		sel.Or(sub.Eval(b))
 	}
@@ -435,13 +434,9 @@ func NewNot(pred Predicate) *Not { return &Not{Pred: pred} }
 
 // Eval implements Predicate.
 func (p *Not) Eval(b *columnar.Batch) *columnar.Bitmap {
-	sel := p.Pred.Eval(b)
-	out := columnar.NewBitmap(b.NumRows())
-	for i := 0; i < b.NumRows(); i++ {
-		if !sel.Get(i) {
-			out.Set(i)
-		}
-	}
+	out := b.NewSelection()
+	out.Fill(0, out.Len())
+	out.AndNot(p.Pred.Eval(b))
 	return out
 }
 

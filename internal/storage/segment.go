@@ -88,12 +88,13 @@ func (s *Segment) Decode() (*columnar.Batch, error) {
 // applied during decode, which is how columnar scans avoid touching
 // pruned columns at all).
 func (s *Segment) DecodeColumns(indices []int) (*columnar.Batch, error) {
-	return s.decodeColumns(indices, nil)
+	return s.decodeColumns(indices, nil, nil)
 }
 
-// decodeColumns is DecodeColumns into value arrays taken from p, leasing
-// the batch to it (columnar.Pool); a nil p allocates them.
-func (s *Segment) decodeColumns(indices []int, p *columnar.Pool) (*columnar.Batch, error) {
+// decodeColumns is DecodeColumns into a batch of the given schema, nil
+// for the segment's own projected, with value arrays taken from p,
+// leasing the batch to it (columnar.Pool); a nil p allocates them.
+func (s *Segment) decodeColumns(indices []int, schema *columnar.Schema, p *columnar.Pool) (*columnar.Batch, error) {
 	vecs := make([]*columnar.Vector, len(indices))
 	for i, idx := range indices {
 		if idx < 0 || idx >= len(s.Columns) {
@@ -105,7 +106,10 @@ func (s *Segment) decodeColumns(indices []int, p *columnar.Pool) (*columnar.Batc
 		}
 		vecs[i] = v
 	}
-	return p.Lease(columnar.BatchOf(s.Schema.Project(indices), vecs...)), nil
+	if schema == nil {
+		schema = s.Schema.Project(indices)
+	}
+	return p.Lease(columnar.BatchOf(schema, vecs...)), nil
 }
 
 // PruneInt reports whether the segment can be skipped for a predicate
@@ -165,6 +169,7 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 	room := min(ncols, len(data)/minFieldBytes)
 	s.Schema = &columnar.Schema{Fields: make([]columnar.Field, 0, room)}
 	s.Columns = make([]*encoding.EncodedColumn, 0, room)
+	block := make([]encoding.EncodedColumn, 0, room) // the columns, one allocation
 	for i := 0; i < ncols; i++ {
 		if len(data) < 2 {
 			return nil, fmt.Errorf("%w: segment field truncated", encoding.ErrCorrupt)
@@ -178,7 +183,9 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 		typ := columnar.Type(data[nameLen])
 		data = data[nameLen+1:]
 		s.Schema.Fields = append(s.Schema.Fields, columnar.Field{Name: name, Type: typ})
-		col, used, err := encoding.UnmarshalColumn(data)
+		block = append(block, encoding.EncodedColumn{})
+		col := &block[len(block)-1]
+		used, err := col.Unmarshal(data)
 		if err != nil {
 			return nil, err
 		}

@@ -245,6 +245,11 @@ type Server struct {
 	// SegmentRows is the number of rows per segment for newly ingested
 	// data.
 	SegmentRows int
+
+	// pool is the one every ScanPooled run on the server decodes from: a
+	// set comes back once every batch cut from it has been released,
+	// during its run or after.
+	pool columnar.Pool
 }
 
 // NewServer wires a storage server onto fabric devices: media (charged
@@ -407,20 +412,24 @@ func (s *Server) AppendSummary(table string, b *columnar.Batch) ([][]encoding.Wr
 //
 // Every batch emitted is the caller's to keep.
 func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error) (ScanStats, error) {
-	return s.scan(ctx, table, spec, emit, false)
+	return s.scan(ctx, table, spec, emit, nil)
 }
 
 // ScanPooled is Scan for a consumer that releases every batch it is
 // handed (columnar.Batch.Release) — a pipeline whose stages end the
 // batches they fold or drop — and keeps none it has released. The eager
-// path decodes a segment into arrays from a pool of the scan's own, and
-// they are decoded into again once every batch emitted from the segment
-// has been released.
+// path decodes a segment into arrays from the server's pool, and they
+// are decoded into again, by this run or a later one, once every batch
+// emitted from the segment has been released.
 func (s *Server) ScanPooled(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error) (ScanStats, error) {
-	return s.scan(ctx, table, spec, emit, true)
+	return s.scan(ctx, table, spec, emit, &s.pool)
 }
 
-func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error, pooled bool) (stats ScanStats, err error) {
+// PoolStats reports what the pool ScanPooled decodes from holds and has
+// done (columnar.Pool.Stats).
+func (s *Server) PoolStats() (free, peak, made int) { return s.pool.Stats() }
+
+func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error, pool *columnar.Pool) (stats ScanStats, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -450,14 +459,20 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	if spec.Filter != nil {
 		filter = expr.Rebase(spec.Filter, rebase)
 	}
+	// Every segment's schema is the table's (AppendSummary checks), so an
+	// eager decode takes the decoded batch's from here, not a projection
+	// of its own. An encoded scan decodes eagerly only on a rare fallback.
+	var decoded *columnar.Schema
+	if !spec.encodedEvalActive() {
+		decoded = t.Schema.Project(needed)
+	}
 	var preagg *expr.PartialAggregator
 	if spec.Pushdown && spec.PreAgg != nil {
-		decodedSchema := t.Schema.Project(needed)
 		budget := int(s.proc.StateBudget / expr.StateSize)
 		if s.proc.StateBudget == 0 {
 			budget = 0
 		}
-		preagg = expr.NewPartialAggregator(spec.PreAgg.Rebase(rebase), decodedSchema, budget)
+		preagg = expr.NewPartialAggregator(spec.PreAgg.Rebase(rebase), decoded, budget)
 	}
 
 	// Positions of the projection within the decoded batch.
@@ -474,7 +489,7 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 
 	sc := &segScan{
 		s: s, t: t, keys: keys, spec: spec, needed: needed, projection: projection, projPos: projPos,
-		filter: filter, preagg: preagg, emit: emit, stats: &stats, pooled: pooled,
+		filter: filter, preagg: preagg, emit: emit, stats: &stats, pool: pool, decoded: decoded,
 	}
 	if spec.Trace != nil {
 		sc.pipe = &scanPipe{tr: spec.Trace, clock: spec.Clock}
@@ -530,12 +545,9 @@ type segScan struct {
 	projPos    []int          // positions of projection within the decoded batch
 	filter     expr.Predicate // spec.Filter rebased onto the decoded batch
 	preagg     *expr.PartialAggregator
-	pipe       *scanPipe // nil unless tracing (which forces width 1)
-	// pool recycles the eager path's decoded sets when pooled (ScanPooled):
-	// a segment's arrays come back once every batch emitted from it has
-	// been released downstream.
-	pool   columnar.Pool
-	pooled bool
+	pipe       *scanPipe        // nil unless tracing (which forces width 1)
+	pool       *columnar.Pool   // the eager path decodes from it; nil but in ScanPooled
+	decoded    *columnar.Schema // the eager path's batch schema; nil when encoded
 
 	emit  func(*columnar.Batch) error
 	stats *ScanStats
@@ -1061,11 +1073,7 @@ func (sc *segScan) segmentEagerEval(seg *Segment, idx, lane int, encoded sim.Byt
 		sc.pipe.segment(int64(idx), encoded, sc.s.media.Name, proc.Name, "decode",
 			sc.s.mediaLink, readCost, xferCost, decodeCost)
 	}
-	var pool *columnar.Pool
-	if sc.pooled {
-		pool = &sc.pool
-	}
-	batch, err := seg.decodeColumns(sc.needed, pool)
+	batch, err := seg.decodeColumns(sc.needed, sc.decoded, sc.pool)
 	if err != nil {
 		return nil, err
 	}
