@@ -276,6 +276,54 @@ func TestRecoveredQueryChargesEachByteOnce(t *testing.T) {
 	}
 }
 
+// A traced run resumed past epoch 0 draws on from where the shared
+// virtual clock stands, not from 0: its scan follows the failed run's,
+// so no two spans on one device track overlap (a link pipelines its
+// transfers, so transfer spans are exempt), and its kernel setups come
+// after the recovery.
+func TestResumedTraceDrawsAfterTheFailedRun(t *testing.T) {
+	const rows, segRows = 20000, 2500 // 8 segments, one batch each
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	for try := 0; try < 5; try++ {
+		df := lifecycleEngine(t, rows, segRows)
+		df.PartialRestart, df.Tracing = true, true
+		_, df.Faults = killPoint(t, df, q, 7)
+		res := mustExecute(t, df, q)
+		if res.Stats.PartialRestarts != 1 {
+			continue
+		}
+		var recovery sim.VTime
+		for _, ev := range res.Trace.Events() {
+			if ev.Name == "recovery" {
+				recovery = ev.At
+			}
+		}
+		late := 0                         // kernel setups at or after the recovery
+		busy := make(map[string]obs.Span) // per track, the span ending last
+		for _, sp := range res.Trace.Spans() {
+			if sp.Kind == obs.SpanSetup && sp.Start >= recovery {
+				late++
+			}
+			if sp.Kind == obs.SpanTransfer {
+				continue
+			}
+			prev, ok := busy[sp.Track]
+			if ok && sp.Start < prev.End {
+				t.Errorf("%s: %s[%d] %v-%v overlaps %s[%d] %v-%v",
+					sp.Track, sp.Name, sp.Seq, sp.Start, sp.End, prev.Name, prev.Seq, prev.Start, prev.End)
+			}
+			if !ok || sp.End > prev.End {
+				busy[sp.Track] = sp
+			}
+		}
+		if recovery == 0 || late == 0 {
+			t.Errorf("no kernel setup at or after the recovery at %v", recovery)
+		}
+		return
+	}
+	t.Fatal("no run resumed past epoch 0 in 5 tries")
+}
+
 // linkMeterBytes sums what every link of the cluster has carried.
 func linkMeterBytes(c *fabric.Cluster) sim.Bytes {
 	var n sim.Bytes

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/columnar"
-	"repro/internal/sim"
 )
 
 // Cancellation must unwind a pipeline no matter where it is blocked: a
@@ -17,7 +16,8 @@ import (
 
 func TestCancelUnblocksHungPipeline(t *testing.T) {
 	assertNoFlowLeaks(t)
-	hung := &SlowStage{Inner: &sumStage{}, Delay: time.Hour}
+	ctx, cancel := context.WithCancel(context.Background())
+	hung := &SlowStage{Inner: &sumStage{}, Delay: time.Hour, Done: ctx.Done()}
 	p := &Pipeline{
 		Name:   "cancel",
 		Source: nBatchSource(50, 4),
@@ -27,7 +27,6 @@ func TestCancelUnblocksHungPipeline(t *testing.T) {
 		},
 		Depth: 2, // the source blocks on credits behind the hung stage
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	timer := time.AfterFunc(30*time.Millisecond, cancel)
 	defer timer.Stop()
 	start := time.Now()
@@ -42,14 +41,14 @@ func TestCancelUnblocksHungPipeline(t *testing.T) {
 
 func TestDeadlineUnblocksHungPipeline(t *testing.T) {
 	assertNoFlowLeaks(t)
-	hung := &SlowStage{Inner: &passStage{name: "work"}, Delay: time.Hour}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	hung := &SlowStage{Inner: &passStage{name: "work"}, Delay: time.Hour, Done: ctx.Done()}
 	p := &Pipeline{
 		Name:   "deadline",
 		Source: nBatchSource(10, 4),
 		Stages: []Placed{{Stage: hung}},
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
 	start := time.Now()
 	_, err := p.Run(ctx, func(*columnar.Batch) error { return nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
@@ -92,10 +91,12 @@ func TestCancelDuringCheckpointedRun(t *testing.T) {
 	// Cancellation racing a marker in flight must still unwind cleanly;
 	// whatever epochs completed stay recorded and consistent.
 	ck := NewCheckpointer()
+	ctx, cancel := context.WithCancel(context.Background())
 	hung := &SlowStage{
 		Inner: &ckptSumStage{},
 		Delay: time.Hour,
 		Fire:  fireAfter(3),
+		Done:  ctx.Done(),
 	}
 	p := &Pipeline{
 		Name:   "cancel-ckpt",
@@ -103,7 +104,6 @@ func TestCancelDuringCheckpointedRun(t *testing.T) {
 		Stages: []Placed{{Stage: hung}},
 		Ckpt:   ck,
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	timer := time.AfterFunc(30*time.Millisecond, cancel)
 	defer timer.Stop()
 	_, err := p.Run(ctx, func(*columnar.Batch) error { return nil })
@@ -118,6 +118,72 @@ func TestCancelDuringCheckpointedRun(t *testing.T) {
 	}
 }
 
+// A run's own context is cancelled as Run returns; a clean run still
+// returns nil and leaves the caller's context alone.
+func TestCleanRunReturnsNil(t *testing.T) {
+	assertNoFlowLeaks(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := &Pipeline{
+		Name:   "clean",
+		Source: nBatchSource(20, 4),
+		Stages: []Placed{{Stage: &passStage{name: "a"}}, {Stage: &sumStage{}}},
+		Depth:  2,
+	}
+	var sum int64
+	_, err := p.Run(ctx, func(b *columnar.Batch) error {
+		sum = b.Col(0).Int64s()[0]
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("clean run returned %v", err)
+	}
+	if ctx.Err() != nil {
+		t.Errorf("Run cancelled the caller's context: %v", ctx.Err())
+	}
+	if sum != 79*80/2 {
+		t.Errorf("sum = %d, want %d", sum, 79*80/2)
+	}
+}
+
+// The first cause wins: a stage failure followed by the caller's
+// cancellation, while the run is still unwinding, returns the failure.
+func TestStageFailureBeatsLaterCancel(t *testing.T) {
+	assertNoFlowLeaks(t)
+	errX := errors.New("stage exploded")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	p := &Pipeline{
+		Name: "fail-then-cancel",
+		Source: func(emit Emit) error {
+			for i := int64(0); ; i++ {
+				if err := emit(intBatch(i)); err != nil {
+					// The stage has failed the run; the caller cancels
+					// before Run returns.
+					cancel()
+					return err
+				}
+			}
+		},
+		Stages: []Placed{{Stage: &errStage{err: errX}}},
+		Depth:  2,
+	}
+	_, err := p.Run(ctx, func(*columnar.Batch) error { return nil })
+	if err != errX {
+		t.Fatalf("err = %v, want the stage's failure", err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the source never saw the run torn down")
+	}
+}
+
+// errStage fails on its first batch with err.
+type errStage struct{ err error }
+
+func (s *errStage) Name() string                        { return "err" }
+func (s *errStage) Process(*columnar.Batch, Emit) error { return s.err }
+func (s *errStage) Flush(Emit) error                    { return nil }
+
 // fireAfter returns a SlowStage trigger that fires from the nth call on.
 func fireAfter(n int) func() bool {
 	calls := 0
@@ -127,31 +193,28 @@ func fireAfter(n int) func() bool {
 	}
 }
 
-// SlowStage wraps a stage with an injected processing delay on the run's
-// clock, modelling a degraded or hung device for the watchdog and
-// cancellation tests. When Fire is nil the delay applies to every batch;
-// otherwise only when Fire reports true. The delay aborts cleanly on
-// pipeline cancellation.
+// SlowStage wraps a stage with an injected processing delay, modelling a
+// degraded or hung device for the cancellation tests. When Fire is nil
+// the delay applies to every batch; otherwise only when Fire reports
+// true. The delay aborts when Done, its test's context's, closes.
 type SlowStage struct {
-	Inner  Stage
-	Delay  time.Duration
-	Fire   func() bool
-	cancel <-chan struct{}
-	clk    *sim.Clock
+	Inner Stage
+	Delay time.Duration
+	Fire  func() bool
+	Done  <-chan struct{}
 }
 
 // Name reports the wrapped stage's name.
 func (s *SlowStage) Name() string { return s.Inner.Name() }
 
-// SetCancel implements CancelAware.
-func (s *SlowStage) SetCancel(c <-chan struct{}, clk *sim.Clock) { s.cancel, s.clk = c, clk }
-
 // Process delays (cancellably), then forwards to the wrapped stage.
 func (s *SlowStage) Process(b *columnar.Batch, emit Emit) error {
 	if s.Delay > 0 && (s.Fire == nil || s.Fire()) {
+		t := time.NewTimer(s.Delay)
+		defer t.Stop()
 		select {
-		case <-s.clk.After(s.Delay):
-		case <-s.cancel:
+		case <-t.C:
+		case <-s.Done:
 			return ErrCanceled
 		}
 	}

@@ -42,17 +42,14 @@ func (s *pFail) Flush(Emit) error { return nil }
 func (s *pFail) NewWorker() Stage { return &pFail{at: s.at} }
 func (s *pFail) Stateless() bool  { return true }
 
-// pSlow is a stateless parallel stage whose workers park in a
-// cancellable delay.
-type pSlow struct {
-	SlowStage
-	delay time.Duration
-}
+// pSlow is a stateless parallel stage whose workers park in a delay
+// that aborts when done closes.
+type pSlow struct{ SlowStage }
 
-func newPSlow(delay time.Duration) *pSlow {
-	return &pSlow{SlowStage: SlowStage{Inner: &passStage{name: "slow"}, Delay: delay}, delay: delay}
+func newPSlow(delay time.Duration, done <-chan struct{}) *pSlow {
+	return &pSlow{SlowStage{Inner: &passStage{name: "slow"}, Delay: delay, Done: done}}
 }
-func (s *pSlow) NewWorker() Stage { return newPSlow(s.delay) }
+func (s *pSlow) NewWorker() Stage { return newPSlow(s.Delay, s.Done) }
 func (s *pSlow) Stateless() bool  { return true }
 
 // A parallel stateless stage must be observationally identical to the
@@ -190,14 +187,14 @@ func TestProcessErrorAnnotatedAtEveryWidth(t *testing.T) {
 // a delay, exactly as it unwinds a hung serial stage.
 func TestCancelUnblocksParallelPipeline(t *testing.T) {
 	assertNoFlowLeaks(t)
+	ctx, cancel := context.WithCancel(context.Background())
 	p := &Pipeline{
 		Name:    "par-cancel",
 		Source:  nBatchSource(50, 4),
-		Stages:  []Placed{{Stage: newPSlow(time.Hour)}},
+		Stages:  []Placed{{Stage: newPSlow(time.Hour, ctx.Done())}},
 		Workers: 4,
 		Depth:   2,
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	timer := time.AfterFunc(30*time.Millisecond, cancel)
 	defer timer.Stop()
 	start := time.Now()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/columnar"
@@ -68,10 +67,6 @@ type Pipeline struct {
 	// CreditBatch is how many credits accumulate before one return
 	// message; default Depth/2.
 	CreditBatch int
-	// StageTimeout bounds how long one stage may hold a batch (Process or
-	// Flush) before the watchdog cancels the run with a StageError
-	// wrapping ErrStageTimeout; 0 disables the watchdog.
-	StageTimeout time.Duration
 	// Services is the wiring point of the engine the run belongs to; nil
 	// (a pipeline built outside one) or a nil member is off. The run
 	// reads four members where it uses them. Faults is asked once per
@@ -86,8 +81,7 @@ type Pipeline struct {
 	// Metrics receives flow.credit.stalls (Sends that found the credit
 	// window empty), flow.workers.busy (workers holding a batch; one
 	// atomic add per busy/idle flip) and flow.workers.provisioned. Clock
-	// stamps when each worker began holding a batch, times the Process
-	// latencies, paces the watchdog and is handed to CancelAware stages.
+	// times the Process latencies.
 	Services *wiring.Services
 	// Trace, when non-nil, makes the run record a causal tape (batch
 	// costs, emission counts, per-link transfer costs) and replay it into
@@ -171,9 +165,11 @@ func (r Result) TotalCreditMessages() int64 {
 
 // Run executes the pipeline, delivering final batches to sink (called
 // from a single goroutine). It returns when every stage has flushed, any
-// element failed, or ctx was cancelled — cancellation closes the done
-// channel, so blocked port sends and receives unwind, credits drain, and
-// every goroutine exits before Run returns.
+// element failed, or ctx was cancelled. The run's context is its one stop
+// signal: a failure cancels it with itself as the cause, blocked port
+// sends and receives unwind on its Done, credits drain, and every
+// goroutine exits before Run returns the first cause — the first source,
+// stage or sink failure, or else ctx's own error.
 func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	var res Result
 	if ctx == nil {
@@ -206,7 +202,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 			sn.RestoreState(snap)
 		}
 	}
-	// A done context runs nothing; the watcher below may be scheduled late.
+	// A done context runs nothing.
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
@@ -219,16 +215,13 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		creditBatch = depth / 2
 	}
 
-	done := make(chan struct{})
-	var cancelOnce sync.Once
-	var errOnce sync.Once
-	var firstErr error
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	fail := func(err error) {
 		if err == nil || err == ErrCanceled {
 			return
 		}
-		errOnce.Do(func() { firstErr = err })
-		cancelOnce.Do(func() { close(done) })
+		cancel(err)
 	}
 
 	// When tracing, each run records a causal tape: stage tapes are
@@ -238,7 +231,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	var stageTapes []*obs.StageTape
 	if p.Trace.Enabled() {
 		tape = obs.NewTape(depth)
-		tape.Source.Track = p.SourceTrack
+		tape.Start, tape.Source.Track = p.Clock.Now(), p.SourceTrack
 		stageTapes = make([]*obs.StageTape, len(p.Stages))
 		for i, st := range p.Stages {
 			track := ""
@@ -260,7 +253,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		if stageTapes != nil {
 			pt = stageTapes[i]
 		}
-		ports[i] = newPort(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, creditBatch, done, pt)
+		ports[i] = newPort(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, creditBatch, ctx.Done(), pt)
 		ports[i].acct, ports[i].svc = p.Account, p.Services
 		ports[i].stallCtr = p.Services.Metrics.Counter("flow.credit.stalls")
 	}
@@ -268,23 +261,6 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 
 	res.BatchesIn = make([]int64, len(p.Stages))
 	res.BatchesOut = make([]int64, len(p.Stages))
-
-	// Context watcher: a deadline or cancellation fails the run, which
-	// closes done and unwinds every blocked port operation.
-	ctxStop := make(chan struct{})
-	var ctxWG sync.WaitGroup
-	if ctx.Done() != nil {
-		ctxWG.Add(1)
-		go func() {
-			defer ctxWG.Done()
-			select {
-			case <-ctx.Done():
-				fail(ctx.Err())
-			case <-ctxStop:
-			case <-done:
-			}
-		}()
-	}
 
 	// Checkpointing: the source's Mark calls inject an epoch marker into
 	// the stream (or, with no stages, complete the epoch at the sink
@@ -299,17 +275,11 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		})
 	}
 
-	// busySince[i][w] is the clock's nanosecond at which stage i's
-	// worker w last began holding a batch (Process or Flush), 0 when
-	// idle. The watchdog reads it to find hung stages. Its length is
-	// stage i's width: how many copies of the stage run.
-	busySince := make([][]atomic.Int64, len(p.Stages))
-	provisioned := 0
-	for i := range p.Stages {
-		busySince[i] = make([]atomic.Int64, p.stageWorkers(i))
-		provisioned += len(busySince[i])
-	}
 	if reg := p.Services.Metrics; reg != nil {
+		provisioned := 0
+		for i := range p.Stages {
+			provisioned += p.stageWorkers(i)
+		}
 		pg := reg.Gauge("flow.workers.provisioned")
 		pg.Add(float64(provisioned))
 		defer pg.Add(-float64(provisioned))
@@ -341,9 +311,9 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	// Stage goroutines, one per stage at every width.
 	for i := range p.Stages {
 		r := &stageRun{
-			p: p, i: i, st: p.Stages[i], w: len(busySince[i]),
+			p: p, i: i, st: p.Stages[i], w: p.stageWorkers(i),
 			in: ports[i], sink: sink, res: &res,
-			fail: fail, done: done, busy: busySince[i],
+			fail: fail, done: ctx.Done(),
 		}
 		if stageTapes != nil {
 			r.ts = stageTapes[i]
@@ -358,62 +328,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		}()
 	}
 
-	// Watchdog: periodically scan for a stage that has held one batch
-	// past StageTimeout and cancel the run, blaming the most-downstream
-	// busy stage — upstream stages block in Send behind a hung consumer,
-	// so the furthest-downstream one is the culprit.
-	var watchWG sync.WaitGroup
-	watchStop := make(chan struct{})
-	if p.StageTimeout > 0 && len(p.Stages) > 0 {
-		watchWG.Add(1)
-		go func() {
-			defer watchWG.Done()
-			clk := p.Services.Clock
-			tick := p.StageTimeout / 4
-			if tick < time.Millisecond {
-				tick = time.Millisecond
-			}
-			for {
-				select {
-				case <-watchStop:
-					return
-				case <-done:
-					return
-				case <-clk.After(tick):
-					now := clk.Now().UnixNano()
-					for i := len(p.Stages) - 1; i >= 0; i-- {
-						hung := false
-						for w := range busySince[i] {
-							since := busySince[i][w].Load()
-							if since != 0 && now-since >= int64(p.StageTimeout) {
-								hung = true
-								break
-							}
-						}
-						if !hung {
-							continue
-						}
-						st := p.Stages[i]
-						dev := ""
-						if st.Device != nil {
-							dev = st.Device.Name
-						}
-						fail(&StageError{
-							Pipeline: p.Name, Stage: st.Stage.Name(),
-							Device: dev, Err: ErrStageTimeout,
-						})
-						return
-					}
-				}
-			}
-		}()
-	}
-
 	wg.Wait()
-	close(watchStop)
-	watchWG.Wait()
-	close(ctxStop)
-	ctxWG.Wait()
 	for _, port := range ports {
 		res.Ports = append(res.Ports, port.Stats())
 	}
@@ -424,7 +339,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	if tape != nil {
 		tape.Replay(p.Trace)
 	}
-	return res, firstErr
+	return res, context.Cause(ctx)
 }
 
 // stageRun is one stage's share of a Run: the ports on either side of
@@ -444,8 +359,7 @@ type stageRun struct {
 	res     *Result
 	ts      *obs.StageTape
 	fail    func(error)
-	done    <-chan struct{}
-	busy    []atomic.Int64 // per worker, for the watchdog
+	done    <-chan struct{} // the run context's Done
 }
 
 // worker is one copy of the stage at work: the placed stage itself at
@@ -454,7 +368,6 @@ type stageRun struct {
 type worker struct {
 	r    *stageRun
 	inst Stage
-	slot int  // index into r.busy
 	emit Emit // take, bound once
 	outs int  // what the batch in hand emitted
 	held []*columnar.Batch
@@ -472,22 +385,17 @@ func (w *worker) take(b *columnar.Batch) error {
 	return nil
 }
 
-// begin marks the worker as holding a batch, for the watchdog and the
-// fleet occupancy gauge, and returns when it began; end clears the mark.
+// begin counts the worker as holding a batch on the fleet occupancy
+// gauge and returns when it began; end uncounts it.
 func (w *worker) begin() time.Time {
-	now := w.r.p.Services.Clock.Now()
-	w.r.busy[w.slot].Store(now.UnixNano())
 	w.r.p.occ.Add(1)
-	return now
+	return w.r.p.Services.Clock.Now()
 }
 
-func (w *worker) end() {
-	w.r.p.occ.Add(-1)
-	w.r.busy[w.slot].Store(0)
-}
+func (w *worker) end() { w.r.p.occ.Add(-1) }
 
 // process is the per-batch body at every width: charge the device, run
-// Process under the busy marks, observe its latency and hand the credit
+// Process between begin and end, observe its latency and hand the credit
 // back. A pooled worker charges its positional lane (seq mod width, not
 // goroutine identity, so lane totals are schedule-independent); width 1
 // charges without a lane, because a stage at width 1 can share its
@@ -588,13 +496,8 @@ func (r *stageRun) run() {
 		if r.w > 1 {
 			inst = inst.(ParallelStage).NewWorker()
 		}
-		// A copy that blocks for long stretches (injected slowness) observes
-		// the cancellation channel, so teardown never leaks a goroutine.
-		if ca, ok := inst.(CancelAware); ok {
-			ca.SetCancel(r.done, r.p.Services.Clock)
-		}
 		w := &r.workers[wi]
-		*w = worker{r: r, inst: inst, slot: wi}
+		*w = worker{r: r, inst: inst}
 		w.emit = w.take
 	}
 	if r.w > 1 {

@@ -51,7 +51,7 @@ type Port struct {
 
 	ch      chan portItem
 	credits chan struct{}
-	done    <-chan struct{}
+	done    <-chan struct{} // the run context's Done
 	// tape is the receiving stage's tape; only the single sending
 	// goroutine appends to its Xfers, so no lock is needed. Nil when
 	// tracing is off, keeping Send allocation-free.
@@ -169,7 +169,7 @@ func (p *Port) Send(b *columnar.Batch) error {
 // same FIFO as data but bypass credits: they are control traffic, so
 // each path link is charged one control message, not a transfer. A
 // marker send can still block on a full queue; that back-pressure is
-// intended and cancellable via the done channel.
+// intended and cancellable through the run's context.
 func (p *Port) SendMarker(epoch int) error {
 	for _, l := range p.Path {
 		p.acct.Message(l)

@@ -17,7 +17,7 @@ import (
 
 // assertNoFlowLeaks registers a cleanup that fails the test if any
 // goroutine is still parked inside this package once the test body
-// returns. Watchdog and cancellation paths must tear every stage down.
+// returns. Failure and cancellation paths must tear every stage down.
 func assertNoFlowLeaks(t *testing.T) {
 	t.Helper()
 	t.Cleanup(func() {
@@ -42,64 +42,6 @@ func assertNoFlowLeaks(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	})
-}
-
-func TestWatchdogCancelsHungStage(t *testing.T) {
-	assertNoFlowLeaks(t)
-	dev := &fabric.Device{Name: "c0.nma", Kind: fabric.KindNearMemory}
-	hung := &SlowStage{Inner: &passStage{name: "work"}, Delay: time.Hour}
-	p := &Pipeline{
-		Name:   "wd",
-		Source: nBatchSource(4, 8),
-		Stages: []Placed{
-			{Stage: &passStage{name: "head"}},
-			{Stage: hung, Device: dev},
-		},
-		StageTimeout: 20 * time.Millisecond,
-	}
-	start := time.Now()
-	_, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
-	if err == nil {
-		t.Fatal("hung stage completed")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("watchdog took %s to fire", elapsed)
-	}
-	var se *StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %T %v, want *StageError", err, err)
-	}
-	if se.Device != "c0.nma" || se.Stage != "work" {
-		t.Errorf("blamed %s on %s, want stage work on c0.nma", se.Stage, se.Device)
-	}
-	if !errors.Is(err, ErrStageTimeout) {
-		t.Errorf("err = %v, want ErrStageTimeout in chain", err)
-	}
-}
-
-func TestWatchdogBlamesMostDownstreamStage(t *testing.T) {
-	assertNoFlowLeaks(t)
-	// The middle stage blocks in Send behind the hung tail; the watchdog
-	// must blame the tail, not the blocked middle.
-	tail := &SlowStage{Inner: &sumStage{}, Delay: time.Hour}
-	p := &Pipeline{
-		Name:   "blame",
-		Source: nBatchSource(20, 4),
-		Stages: []Placed{
-			{Stage: &passStage{name: "mid"}},
-			{Stage: tail},
-		},
-		Depth:        2,
-		StageTimeout: 20 * time.Millisecond,
-	}
-	_, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
-	var se *StageError
-	if !errors.As(err, &se) {
-		t.Fatalf("err = %T %v, want *StageError", err, err)
-	}
-	if se.Stage != "sum" {
-		t.Errorf("blamed %q, want the hung tail (sum)", se.Stage)
-	}
 }
 
 func TestOfflineDeviceFailsStage(t *testing.T) {
@@ -184,10 +126,9 @@ func TestSlowStageDelaysButCompletes(t *testing.T) {
 		Fire:  func() bool { fires++; return fires == 1 },
 	}
 	p := &Pipeline{
-		Name:         "slow-ok",
-		Source:       nBatchSource(3, 2),
-		Stages:       []Placed{{Stage: slow}},
-		StageTimeout: time.Second,
+		Name:   "slow-ok",
+		Source: nBatchSource(3, 2),
+		Stages: []Placed{{Stage: slow}},
 	}
 	var got int64
 	_, err := p.Run(context.Background(), func(b *columnar.Batch) error {

@@ -21,7 +21,10 @@ type Tape struct {
 	// Depth is the per-port credit depth; replay uses it to model
 	// backpressure (a sender blocks until the receiver has finished the
 	// batch that occupied the slot depth batches ago).
-	Depth  int
+	Depth int
+	// Start is the virtual instant the run began; replay starts every
+	// track there, kernel setups included.
+	Start  sim.VTime
 	Source SourceTape
 	Stages []*StageTape
 }
@@ -99,7 +102,7 @@ type Hop struct {
 // the wait is recorded as a credit-stall event. Upstream credit release
 // is modelled at input completion (credit-message batching is ignored;
 // it shifts availability by at most one credit batch). Kernel setups
-// all happen at stream start, serialized per track.
+// all happen at stream start (Start), serialized per track.
 func (t *Tape) Replay(tr *Trace) sim.VTime {
 	if tr == nil {
 		return 0
@@ -128,7 +131,10 @@ func (t *Tape) Replay(tr *Trace) sim.VTime {
 		}
 		return st.Name
 	}
-	clocks := make(map[string]sim.VTime)
+	clocks := make(map[string]sim.VTime, S)
+	for _, st := range t.Stages {
+		clocks[trackOf(st)] = t.Start
+	}
 
 	// Kernel installations precede the stream, serialized per track.
 	for _, st := range t.Stages {

@@ -7,7 +7,7 @@ import (
 )
 
 // Clock is the one source of host time for the engine's control layers
-// (admission, hedging, backoff, repair pacing, watchdogs, latencies),
+// (admission, hedging, backoff, repair pacing, latencies),
 // read through wiring.Services; virtual time (VTime) is what the fabric
 // charges. A nil *Clock is the wall clock. NewManualClock builds the one
 // fake: its time moves only on Advance or Sleep, and an After channel

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/wiring"
 )
@@ -207,6 +208,65 @@ func TestScanRetriesCorruptRead(t *testing.T) {
 	}
 	if stats.RetryBytes <= 0 {
 		t.Error("corrupt re-reads reported no RetryBytes")
+	}
+}
+
+// A traced retry is causal: it is stamped no earlier than the failed
+// decode that caused it ends, and the segment's re-read starts no earlier
+// than the retry.
+func TestScanRetryTraceIsCausal(t *testing.T) {
+	srv := newTestServer(t, true)
+	srv.Store().RetryBase = 0
+	loadTable(t, srv, 3000) // 3 segments
+	inj := faults.New(99)
+	inj.Arm(faults.Point{Kind: faults.CorruptBlob, Prob: 1, Budget: 2})
+	srv.Store().svc.Faults = inj
+	tr := obs.New()
+	spec := ScanSpec{Trace: tr, Clock: obs.NewVClock()}
+	if _, err := srv.Scan(context.Background(), "lineitem", spec, func(*columnar.Batch) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := srv.Table("lineitem")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per segment, its reads and decodes in drawing order: the j-th retry
+	// of a segment follows its j-th decode and precedes its (j+1)-th read.
+	reads, decodes := map[int64][]obs.Span{}, map[int64][]obs.Span{}
+	for _, sp := range tr.Spans() {
+		switch sp.Name {
+		case "read":
+			reads[sp.Seq] = append(reads[sp.Seq], sp)
+		case "decode":
+			decodes[sp.Seq] = append(decodes[sp.Seq], sp)
+		}
+	}
+	retried, n := map[int64]int{}, 0
+	for _, ev := range tr.Events() {
+		if ev.Name != "retry" {
+			continue
+		}
+		seg := int64(-1)
+		for i, key := range meta.SegmentKeys {
+			if strings.HasPrefix(ev.Detail, key+": ") {
+				seg = int64(i)
+			}
+		}
+		j := retried[seg]
+		retried[seg]++
+		n++
+		if seg < 0 || j >= len(decodes[seg]) || j+1 >= len(reads[seg]) {
+			t.Fatalf("retry %q: segment %d has %d decodes and %d reads", ev.Detail, seg, len(decodes[seg]), len(reads[seg]))
+		}
+		if failed := decodes[seg][j]; ev.At < failed.End {
+			t.Errorf("retry %d of segment %d at %v, before its failed decode ends at %v", j, seg, ev.At, failed.End)
+		}
+		if reread := reads[seg][j+1]; reread.Start < ev.At {
+			t.Errorf("segment %d re-read at %v, before its retry at %v", seg, reread.Start, ev.At)
+		}
+	}
+	if n != 2 {
+		t.Fatalf("%d retry events, want 2", n)
 	}
 }
 

@@ -492,7 +492,10 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 		filter: filter, preagg: preagg, emit: emit, stats: &stats, pool: pool, decoded: decoded,
 	}
 	if spec.Trace != nil {
-		sc.pipe = &scanPipe{tr: spec.Trace, clock: spec.Clock}
+		// The frontiers start where the shared clock stands: a run resumed
+		// past epoch 0 draws after the run it replaces.
+		now := spec.Clock.Now()
+		sc.pipe = &scanPipe{tr: spec.Trace, clock: spec.Clock, mediaFree: now, linkFree: now, procFree: now}
 	}
 
 	workers := min(spec.Workers, s.proc.Units())
@@ -649,9 +652,12 @@ func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *S
 			return nil, fmt.Errorf("storage: %s: %w", key, segErr)
 		}
 		stats.Retries++
-		if sc.spec.Trace != nil {
-			sc.spec.Trace.AddEvent(obs.Event{Name: "retry", Track: s.media.Name,
-				At: sc.spec.Clock.Now(), Detail: fmt.Sprintf("%s: %v", key, segErr)})
+		if p := sc.pipe; p != nil {
+			// The retry follows the check that failed, and the re-read
+			// follows the retry: both at the later of the two frontiers.
+			p.mediaFree = max(p.mediaFree, p.procFree)
+			p.tr.AddEvent(obs.Event{Name: "retry", Track: s.media.Name,
+				At: p.mediaFree, Detail: fmt.Sprintf("%s: %v", key, segErr)})
 		}
 		if err := s.store.backoff(ctx, attempt); err != nil {
 			return nil, err

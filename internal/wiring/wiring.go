@@ -46,8 +46,8 @@ type Services struct {
 	Faults *faults.Injector
 	// Clock is the time every layer reads, sleeps and times out on: the
 	// engines' wall latency, the scheduler's admission stamps and
-	// deadline projection, the pipelines' busy stamps and watchdog, the
-	// store's backoff, hedge timer and health observations, the scan's
+	// deadline projection, the pipelines' stage latencies, the store's
+	// backoff, hedge timer and health observations, the scan's
 	// speculation, and the repair controller's pacing and MTTR. Nil is
 	// the wall clock, not off.
 	Clock *sim.Clock
