@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -21,6 +22,9 @@ type Topology struct {
 	// order they were added; an Account indexes its entries by it.
 	deviceList []*Device
 	linkList   []*Link
+	// routes caches Path by device pair; AddDevice and Connect clear it.
+	routeMu sync.RWMutex
+	routes  map[[2]string][]*Link
 }
 
 // NewTopology returns an empty topology.
@@ -30,6 +34,7 @@ func NewTopology(name string) *Topology {
 		devices: make(map[string]*Device),
 		links:   make(map[string]*Link),
 		adj:     make(map[string][]*Link),
+		routes:  make(map[[2]string][]*Link),
 	}
 }
 
@@ -42,6 +47,7 @@ func (t *Topology) AddDevice(d *Device) *Device {
 	t.devices[d.Name] = d
 	d.index = len(t.deviceList)
 	t.deviceList = append(t.deviceList, d)
+	clear(t.routes)
 	return d
 }
 
@@ -63,6 +69,7 @@ func (t *Topology) Connect(a, b string, kind LinkKind, bw sim.Rate, lat sim.VTim
 	t.linkList = append(t.linkList, l)
 	t.adj[a] = append(t.adj[a], l)
 	t.adj[b] = append(t.adj[b], l)
+	clear(t.routes)
 	return l
 }
 
@@ -114,8 +121,15 @@ func (t *Topology) Links() []*Link {
 
 // Path returns the links of a shortest (hop-count) path from device a to
 // device b, or an error if no path exists. Ties are broken
-// deterministically by visiting neighbours in insertion order.
+// deterministically by visiting neighbours in insertion order. A route
+// found once is answered from a table: the slice is shared (append copies).
 func (t *Topology) Path(a, b string) ([]*Link, error) {
+	t.routeMu.RLock()
+	path, ok := t.routes[[2]string{a, b}]
+	t.routeMu.RUnlock()
+	if ok {
+		return path, nil
+	}
 	if _, ok := t.devices[a]; !ok {
 		return nil, fmt.Errorf("fabric: unknown device %q", a)
 	}
@@ -152,6 +166,10 @@ func (t *Topology) Path(a, b string) ([]*Link, error) {
 					for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
 						path[i], path[j] = path[j], path[i]
 					}
+					path = path[:len(path):len(path)]
+					t.routeMu.Lock()
+					t.routes[[2]string{a, b}] = path
+					t.routeMu.Unlock()
 					return path, nil
 				}
 				next = append(next, n)

@@ -118,12 +118,13 @@ func EstimateSelectivity(p expr.Predicate, s TableStats) float64 {
 		return cmpSelectivity(t, s)
 	case *expr.Between:
 		if t.Col < len(s.IntBounds) && s.IntBounds[t.Col] && s.MaxInt[t.Col] > s.MinInt[t.Col] {
-			span := float64(s.MaxInt[t.Col]-s.MinInt[t.Col]) + 1
-			width := float64(t.Hi-t.Lo) + 1
+			// Clip [Lo, Hi] to the bounds, in float64 so nothing overflows.
+			lo, hi := float64(s.MinInt[t.Col]), float64(s.MaxInt[t.Col])
+			width := min(float64(t.Hi), hi) - max(float64(t.Lo), lo) + 1
 			if width <= 0 {
 				return 0
 			}
-			return clamp01(width / span)
+			return clamp01(width / (hi - lo + 1))
 		}
 		return defaultRangeSel
 	case *expr.Like:

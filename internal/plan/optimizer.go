@@ -1,9 +1,9 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/expr"
@@ -37,6 +37,12 @@ type Physical struct {
 	// Estimates from the cost model.
 	EstBytes sim.Bytes // total bytes crossing all path segments
 	EstTime  sim.VTime // pipeline makespan estimate
+
+	// Derived when the optimizer builds the variant; a hand-built one
+	// derives its occupancy on every ask.
+	devices []*fabric.Device
+	links   []*fabric.Link
+	rank    float64
 }
 
 // PlacementsAt returns the ops placed at site index i, in plan order.
@@ -52,8 +58,11 @@ func (p *Physical) PlacementsAt(i int) []fabric.OpClass {
 
 // Devices returns the distinct devices that host at least one placement,
 // in path order: what the variant occupies, which the scheduler scores
-// against load, failures and offline devices.
+// against load, failures and offline devices. The slice is shared.
 func (p *Physical) Devices() []*fabric.Device {
+	if p.devices != nil {
+		return p.devices
+	}
 	out := make([]*fabric.Device, 0, len(p.Path.Sites))
 	for i, s := range p.Path.Sites {
 		if slices.ContainsFunc(p.Placements, func(pl Placement) bool { return pl.SiteIdx == i }) &&
@@ -61,25 +70,33 @@ func (p *Physical) Devices() []*fabric.Device {
 			out = append(out, s.Device)
 		}
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // Links returns the distinct links the variant's stream crosses, in
-// path order.
+// path order. The slice is shared.
 func (p *Physical) Links() []*fabric.Link {
+	if p.links != nil {
+		return p.links
+	}
+	return p.Path.links()
+}
+
+// links returns the distinct links of the path, in path order.
+func (pm PathModel) links() []*fabric.Link {
 	n := 0
-	for _, s := range p.Path.Sites {
+	for _, s := range pm.Sites {
 		n += len(s.ToNext)
 	}
 	out := make([]*fabric.Link, 0, n)
-	for _, s := range p.Path.Sites {
+	for _, s := range pm.Sites {
 		for _, l := range s.ToNext {
 			if !slices.Contains(out, l) {
 				out = append(out, l)
 			}
 		}
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // PlacedDevices returns the names of Devices.
@@ -196,7 +213,7 @@ func (o *Optimizer) Enumerate(q *Query, stats TableStats) ([]*Physical, error) {
 		return cpuIdx
 	}
 
-	specs := []variantSpec{
+	specs := [...]variantSpec{
 		{"cpu-only", cpuOnly, false, false},
 		{"storage-pushdown", storageOnly, false, false},
 		{"storage-pushdown-encoded", storageOnly, false, true},
@@ -204,25 +221,19 @@ func (o *Optimizer) Enumerate(q *Query, stats TableStats) ([]*Physical, error) {
 		{"nic-offload", nicOnward, false, false},
 	}
 
-	var out []*Physical
-	seen := map[string]bool{}
+	f := o.facts(q, stats)
+	out := make([]*Physical, 0, len(specs))
 	for _, vs := range specs {
-		ph := o.build(q, stats, vs.name, vs.siteFor, vs.cascade, vs.encoded)
-		key := placementKey(ph.Placements)
-		if ph.EncodedEval {
-			// Same placements as the eager storage-pushdown variant, but
-			// a different execution strategy: keep both in the ranking.
-			key += "+enc"
+		ph := o.build(q, &f, vs.name, vs.siteFor, vs.cascade, vs.encoded)
+		// The encoded variant places what the eager storage-pushdown one
+		// does, but runs it another way: both stay in the ranking.
+		if !slices.ContainsFunc(out, func(p *Physical) bool {
+			return p.EncodedEval == ph.EncodedEval && slices.Equal(p.Placements, ph.Placements)
+		}) {
+			out = append(out, ph)
 		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		out = append(out, ph)
 	}
-	sort.SliceStable(out, func(i, j int) bool {
-		return o.rank(out[i]) < o.rank(out[j])
-	})
+	slices.SortStableFunc(out, func(a, b *Physical) int { return cmp.Compare(a.rank, b.rank) })
 	return out, nil
 }
 
@@ -238,19 +249,51 @@ func (o *Optimizer) usable(i int) bool {
 	return !o.Exclude[d.Name] && !d.IsOffline()
 }
 
-func (o *Optimizer) rank(p *Physical) float64 {
-	base := o.Path.SegmentBandwidth(0)
-	if base <= 0 {
-		base = sim.GBPerSec
-	}
-	return p.EstTime.Seconds() + DefaultMoveWeight*float64(p.EstBytes)/float64(base)
+// costFacts is what costing a variant reads of the query, its statistics
+// and the fabric, computed once per enumeration: every variant is costed
+// from one reading of the links even while the scheduler re-limits them.
+type costFacts struct {
+	rows, sel, groups, encodedFraction float64
+	// Row widths: touched columns, projected ones, filter ones, a partial.
+	needBytes, outBytes, filterBytes, partialBytes float64
+	links                                          []*fabric.Link
+	segs                                           []segment // site i to i+1
 }
 
-// build constructs one variant and costs it.
-func (o *Optimizer) build(q *Query, stats TableStats, name string, siteFor func(fabric.OpClass) int, cascade, encoded bool) *Physical {
+type segment struct {
+	bw  sim.Rate
+	lat sim.VTime
+}
+
+func (o *Optimizer) facts(q *Query, stats TableStats) costFacts {
+	pm := o.Path
+	n := len(stats.ColBytes)
+	f := costFacts{
+		rows:            float64(stats.Rows),
+		sel:             EstimateSelectivity(q.Filter, stats),
+		groups:          float64(stats.GroupEstimate(q.GroupBy)),
+		encodedFraction: stats.EncodedFraction,
+		needBytes:       float64(stats.RowBytes(neededCols(q, n))),
+		outBytes:        float64(stats.RowBytes(q.Projection)), // nil: every column
+		partialBytes:    partialRowBytes(q.GroupBy, stats),
+		links:           pm.links(),
+		segs:            make([]segment, len(pm.Sites)),
+	}
+	if q.Filter != nil {
+		f.filterBytes = float64(stats.RowBytes(expr.ColumnSet(n, q.Filter, nil, nil)))
+	}
+	for i := range pm.Sites {
+		f.segs[i] = segment{pm.SegmentBandwidth(i), pm.SegmentLatency(i)}
+	}
+	return f
+}
+
+// build constructs one variant, costs it and derives what it occupies.
+func (o *Optimizer) build(q *Query, f *costFacts, name string, siteFor func(fabric.OpClass) int, cascade, encoded bool) *Physical {
 	pm := o.Path
 	cpuIdx := len(pm.Sites) - 1
-	ph := &Physical{Query: q, Variant: name, Path: pm}
+	// Room for a filter, a pre-aggregation at each site, a sort.
+	ph := &Physical{Query: q, Variant: name, Path: pm, links: f.links, Placements: make([]Placement, 0, len(pm.Sites)+2)}
 	add := func(op fabric.OpClass, site int) {
 		ph.Placements = append(ph.Placements, Placement{Op: op, SiteIdx: site})
 	}
@@ -290,7 +333,14 @@ func (o *Optimizer) build(q *Query, stats TableStats, name string, siteFor func(
 	if q.OrderBy >= 0 {
 		add(fabric.OpSort, cpuIdx)
 	}
-	o.estimate(ph, stats)
+	o.estimate(ph, f)
+	ph.devices = ph.Devices()
+	// The rank key is time + weight * (bytes / first-segment bandwidth).
+	base := f.segs[0].bw
+	if base <= 0 {
+		base = sim.GBPerSec
+	}
+	ph.rank = ph.EstTime.Seconds() + DefaultMoveWeight*float64(ph.EstBytes)/float64(base)
 	return ph
 }
 
@@ -298,14 +348,10 @@ func (o *Optimizer) build(q *Query, stats TableStats, name string, siteFor func(
 // accumulating device and segment costs. The makespan estimate is the
 // pipeline bottleneck (max over devices and segments) plus one latency
 // per hop.
-func (o *Optimizer) estimate(ph *Physical, stats TableStats) {
+func (o *Optimizer) estimate(ph *Physical, f *costFacts) {
 	pm := o.Path
-	q := ph.Query
 
-	rows := float64(stats.Rows)
-	rowBytes := float64(stats.RowBytes(neededCols(q, len(stats.ColBytes))))
-	sel := EstimateSelectivity(q.Filter, stats)
-	groups := float64(stats.GroupEstimate(q.GroupBy))
+	rows, rowBytes, sel, groups := f.rows, f.needBytes, f.sel, f.groups
 
 	var bottleneck sim.VTime
 	var latency sim.VTime
@@ -316,13 +362,13 @@ func (o *Optimizer) estimate(ph *Physical, stats TableStats) {
 		// filter columns, and the decode is a gather over survivors —
 		// the decode-savings term that makes this variant win at low
 		// selectivity and lose nothing at high selectivity.
-		filterBytes := sim.Bytes(rows * float64(stats.RowBytes(expr.ColumnSet(len(stats.ColBytes), q.Filter, nil, nil))) * stats.EncodedFraction)
+		filterBytes := sim.Bytes(rows * f.filterBytes * f.encodedFraction)
 		if r := pm.Sites[0].Device.RateFor(fabric.OpFilter); r > 0 {
 			if t := r.TimeFor(filterBytes); t > bottleneck {
 				bottleneck = t
 			}
 		}
-		gatherBytes := sim.Bytes(rows * sel * rowBytes * stats.EncodedFraction)
+		gatherBytes := sim.Bytes(rows * sel * rowBytes * f.encodedFraction)
 		if dec := pm.Sites[0].Device.RateFor(fabric.OpDecompress); dec > 0 {
 			if t := dec.TimeFor(gatherBytes); t > bottleneck {
 				bottleneck = t
@@ -330,7 +376,7 @@ func (o *Optimizer) estimate(ph *Physical, stats TableStats) {
 		}
 	} else {
 		// Eager decode at site 0 over the full encoded bytes.
-		encBytes := sim.Bytes(rows * rowBytes * stats.EncodedFraction)
+		encBytes := sim.Bytes(rows * rowBytes * f.encodedFraction)
 		if dec := pm.Sites[0].Device.RateFor(fabric.OpDecompress); dec > 0 {
 			if t := dec.TimeFor(encBytes); t > bottleneck {
 				bottleneck = t
@@ -338,10 +384,13 @@ func (o *Optimizer) estimate(ph *Physical, stats TableStats) {
 		}
 	}
 
-	outCols := outputCols(q, len(stats.ColBytes))
 	for i, site := range pm.Sites {
 		inBytes := sim.Bytes(rows * rowBytes)
-		for _, op := range ph.PlacementsAt(i) {
+		for _, pl := range ph.Placements {
+			if pl.SiteIdx != i {
+				continue
+			}
+			op := pl.Op
 			if ph.EncodedEval && i == 0 && op == fabric.OpFilter {
 				// Already charged above over encoded filter-column bytes.
 				rows *= sel
@@ -355,7 +404,7 @@ func (o *Optimizer) estimate(ph *Physical, stats TableStats) {
 			case fabric.OpFilter:
 				rows *= sel
 			case fabric.OpProject:
-				rowBytes = float64(stats.RowBytes(outCols))
+				rowBytes = f.outBytes
 			case fabric.OpPreAgg:
 				// Bounded state: output is at most the group count
 				// (plus spills; ignore second-order effects). Partial
@@ -366,10 +415,10 @@ func (o *Optimizer) estimate(ph *Physical, stats TableStats) {
 				if rows > groups {
 					rows = groups
 				}
-				rowBytes = partialRowBytes(q.GroupBy, stats)
+				rowBytes = f.partialBytes
 			case fabric.OpAggregate:
 				rows = groups
-				rowBytes = partialRowBytes(q.GroupBy, stats)
+				rowBytes = f.partialBytes
 			case fabric.OpCount:
 				rows = 1
 				rowBytes = 8
@@ -381,12 +430,12 @@ func (o *Optimizer) estimate(ph *Physical, stats TableStats) {
 		}
 		segBytes := sim.Bytes(rows * rowBytes)
 		moved += segBytes
-		if bw := pm.SegmentBandwidth(i); bw > 0 {
+		if bw := f.segs[i].bw; bw > 0 {
 			if t := bw.TimeFor(segBytes); t > bottleneck {
 				bottleneck = t
 			}
 		}
-		latency += pm.SegmentLatency(i)
+		latency += f.segs[i].lat
 	}
 
 	ph.EstBytes = moved
@@ -433,12 +482,4 @@ func outputCols(q *Query, numCols int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func placementKey(ps []Placement) string {
-	parts := make([]string, len(ps))
-	for i, p := range ps {
-		parts[i] = fmt.Sprintf("%d@%d", p.Op, p.SiteIdx)
-	}
-	return strings.Join(parts, ",")
 }

@@ -4,11 +4,14 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/fabric"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func testSchema() *columnar.Schema {
@@ -404,5 +407,95 @@ func TestPhysicalOccupancy(t *testing.T) {
 		if got := p.PlacedDevices(); !slices.Equal(got, devices) {
 			t.Errorf("%s: PlacedDevices = %v, want the names of Devices %v", tc.name, got, devices)
 		}
+	}
+}
+
+// A BETWEEN keeps the part of its range that lies inside the column's
+// bounds, however far the range reaches past them.
+func TestBetweenSelectivityClipsToBounds(t *testing.T) {
+	st := testStats()
+	st.MinInt[1], st.MaxInt[1] = 0, 2525 // a shipdate's bounds
+	cases := []struct {
+		lo, hi int64
+		want   float64
+	}{
+		{-1000, 10, 11.0 / 2526},
+		{2000, 9000, 526.0 / 2526},
+		{math.MinInt64, math.MaxInt64, 1},
+		{3000, 4000, 0},
+		{10, 19, 10.0 / 2526},
+	}
+	for _, tc := range cases {
+		if got := EstimateSelectivity(expr.NewBetween(1, tc.lo, tc.hi), st); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("BETWEEN %d AND %d: sel = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+}
+
+// The scheduler re-limits links whenever a query is admitted or
+// released, while other queries plan. One enumeration must cost every
+// variant, and rank them, against one reading of the fabric: each
+// result equals the one enumerated with the limit held at one of its
+// two values.
+func TestEnumerateSeesOneFabric(t *testing.T) {
+	st, cfg := lineitemStats()
+	c := fabric.NewCluster(fabric.DefaultClusterConfig())
+	pm, err := FromCluster(c, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := &Optimizer{Path: pm}
+	q := NewQuery("lineitem").WithFilter(workload.SelectivityFilter(cfg, 0.5)) // scan-wide
+	type outcome struct {
+		variant string
+		bytes   sim.Bytes
+		time    sim.VTime
+	}
+	enumerate := func() []outcome {
+		vs, err := o.Enumerate(q, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]outcome, len(vs))
+		for i, v := range vs {
+			out[i] = outcome{v.Variant, v.EstBytes, v.EstTime}
+		}
+		return out
+	}
+	l := c.Link(fabric.DevStorageProc + "--" + fabric.DevStorageNIC)
+	l.SetRateLimit(l.Bandwidth / 8)
+	limited := enumerate()
+	l.SetRateLimit(0)
+	free := enumerate()
+	if slices.Equal(limited, free) {
+		t.Fatal("the rate limit does not change the enumeration; the test shows nothing")
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l.SetRateLimit(l.Bandwidth / 8)
+			l.SetRateLimit(0)
+		}
+	}()
+	const runs = 20000
+	mixed := 0
+	for i := 0; i < runs; i++ {
+		if got := enumerate(); !slices.Equal(got, limited) && !slices.Equal(got, free) {
+			mixed++
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if mixed > 0 {
+		t.Errorf("%d of %d enumerations costed their variants against more than one fabric", mixed, runs)
 	}
 }

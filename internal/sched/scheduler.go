@@ -304,29 +304,23 @@ func (s *Scheduler) Admit(ctx context.Context, variants []*plan.Physical) (*Admi
 // admitLocked scores the variants and reserves the winner's links.
 func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 	workers := max(s.Workers, 1)
-	// What each variant occupies, asked once.
-	devices := make([][]*fabric.Device, len(variants))
-	for i, v := range variants {
-		devices[i] = v.Devices()
-	}
-	health := s.breakerPenalties(devices)
+	health := s.breakerPenalties(variants)
 	// The lowest score wins; on a tie the better-ranked variant does.
 	best, bestCost := -1, 0.0
-	var bestLinks []*fabric.Link
 	for i, v := range variants {
-		if slices.ContainsFunc(devices[i], (*fabric.Device).IsOffline) {
+		devices := v.Devices()
+		if slices.ContainsFunc(devices, (*fabric.Device).IsOffline) {
 			continue
 		}
-		links := v.Links()
 		contention := 0
-		for _, l := range links {
+		for _, l := range v.Links() {
 			contention += s.linkLoad[l]
 		}
 		// Worker-slot pressure: placing this plan's worker pool on a
 		// device already holding slots beyond its replicated units
 		// serializes both plans' lanes; penalize by how far over.
 		failed, over, unhealthy := 0.0, 0.0, 0.0
-		for _, d := range devices[i] {
+		for _, d := range devices {
 			failed += s.failures[d.Name]
 			u := d.Units()
 			if load := s.deviceSlots[d.Name] + workers; load > u {
@@ -337,7 +331,7 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 		cost := float64(i) + s.ContentionPenalty*float64(contention) +
 			DefaultFailurePenalty*failed + s.WorkerSlotPenalty*over + unhealthy
 		if best < 0 || cost < bestCost {
-			best, bestCost, bestLinks = i, cost, links
+			best, bestCost = i, cost
 		}
 	}
 	if best < 0 {
@@ -351,8 +345,8 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 		Plan:     chosen,
 		Variant:  chosen.Variant,
 		Cost:     chosen.EstTime,
-		links:    bestLinks,
-		devices:  devices[best],
+		links:    chosen.Links(),
+		devices:  chosen.Devices(),
 		slots:    workers,
 		admitted: s.svc.Clock.Now(),
 	}
@@ -366,7 +360,7 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 	s.svc.Metrics.Counter("sched.admitted").Inc()
 	s.svc.Metrics.Gauge("sched.active").Set(float64(len(s.active)))
 	s.decayFailuresLocked()
-	s.rebalanceLocked()
+	s.rebalanceLocked(adm.links)
 	return adm, nil
 }
 
@@ -381,15 +375,15 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 // as half-open probing (unclaimed probe slots replenish after a
 // cooldown); the engines report the executed plan's outcomes back via
 // Success/Failure. No policy, no breakers: nil, which scores nothing.
-func (s *Scheduler) breakerPenalties(devices [][]*fabric.Device) map[string]float64 {
+func (s *Scheduler) breakerPenalties(variants []*plan.Physical) map[string]float64 {
 	pol := s.svc.Resilience
 	if pol == nil || pol.Breakers == nil {
 		return nil
 	}
 	health := map[string]float64{}
 	now := s.svc.Clock.Now()
-	for _, devs := range devices {
-		for _, d := range devs {
+	for _, v := range variants {
+		for _, d := range v.Devices() {
 			if _, asked := health[d.Name]; asked {
 				continue
 			}
@@ -494,7 +488,7 @@ func (s *Scheduler) Release(adm *Admission) {
 	if !adm.admitted.IsZero() {
 		s.observeServiceLocked(s.svc.Clock.Since(adm.admitted), adm.Cost)
 	}
-	s.rebalanceLocked()
+	s.rebalanceLocked(adm.links)
 	// Grant freed slots to waiters. The releaser admits on the waiter's
 	// behalf under the lock, so a concurrent fast-path Admit cannot
 	// steal the slot between signal and wake-up.
@@ -528,17 +522,11 @@ func (s *Scheduler) observeServiceLocked(dur time.Duration, cost sim.VTime) {
 	s.svc.Metrics.Gauge("sched.ewma.service.ns").Set(float64(s.ewmaService))
 }
 
-// rebalanceLocked applies fair-share rate limits to every tracked link.
-func (s *Scheduler) rebalanceLocked() {
-	// Collect all links seen in active admissions (including ones whose
-	// load just dropped to zero, to clear their limit).
-	seen := map[*fabric.Link]bool{}
-	for _, adm := range s.active {
-		for _, l := range adm.links {
-			seen[l] = true
-		}
-	}
-	for l := range seen {
+// rebalanceLocked re-applies the fair-share rate limit of each link an
+// admission or release just changed the load of; no other link's load
+// moved. A link whose load fell to zero loses its limit.
+func (s *Scheduler) rebalanceLocked(links []*fabric.Link) {
+	for _, l := range links {
 		k := s.linkLoad[l]
 		if k <= 1 {
 			l.SetRateLimit(0)
