@@ -444,7 +444,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 	var maxBatch sim.Bytes
 	var scanStats storage.ScanStats
 	pipe := &flow.Pipeline{
-		Name: fmt.Sprintf("q-%s", ph.Variant),
+		Name: "q-" + ph.Variant,
 		Source: func(emit flow.Emit) error {
 			st, err := e.Storage.ScanPooled(ctx, q.Table, spec, func(b *columnar.Batch) error {
 				if n := sim.Bytes(b.ByteSize()); n > maxBatch {

@@ -499,3 +499,28 @@ func TestEnumerateSeesOneFabric(t *testing.T) {
 		t.Errorf("%d of %d enumerations costed their variants against more than one fabric", mixed, runs)
 	}
 }
+
+// The occupancy the optimizer derives when it builds a variant is what a
+// hand-built Physical with the same path and placements derives on ask.
+func TestBuiltOccupancyMatchesDerived(t *testing.T) {
+	st, cfg := lineitemStats()
+	for _, pm := range []PathModel{smartPath(t), legacyPath(t)} {
+		o := &Optimizer{Path: pm}
+		for _, q := range []*Query{
+			NewQuery("l").WithFilter(workload.SelectivityFilter(cfg, 0.01)).WithProjection(workload.LOrderKey),
+			NewQuery("l").WithFilter(workload.SelectivityFilter(cfg, 0.9)).WithGroupBy(workload.PricingSummary()),
+			NewQuery("l").WithCount(),
+		} {
+			vs, err := o.Enumerate(q, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vs {
+				hand := &Physical{Path: v.Path, Placements: v.Placements}
+				if !slices.Equal(v.Devices(), hand.Devices()) || !slices.Equal(v.Links(), hand.Links()) {
+					t.Errorf("%s: built occupancy %v %v, derived %v %v", v.Variant, v.Devices(), v.Links(), hand.Devices(), hand.Links())
+				}
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/sim"
 )
 
 // twoNodeVariants builds ranked variants for the same query on two
@@ -204,5 +206,38 @@ func TestClearLimits(t *testing.T) {
 	shared := c.LinkBetween(fabric.DevStorageNIC, fabric.DevSwitch)
 	if shared.EffectiveBandwidth() != shared.Bandwidth {
 		t.Error("ClearLimits left a limit")
+	}
+}
+
+// An admit or a release re-limits only its own links, which must leave
+// every link of the fabric at the fair share of its current load, as a
+// pass over every link would.
+func TestEveryLinkHoldsItsFairShare(t *testing.T) {
+	c, v0, v1 := twoNodeVariants(t)
+	s := New(nil)
+	check := func(step string) {
+		t.Helper()
+		for _, l := range c.Links() {
+			want := l.Bandwidth
+			if k := s.LinkLoad(l); k > 1 {
+				want = l.Bandwidth / sim.Rate(k)
+			}
+			if got := l.EffectiveBandwidth(); got != want {
+				t.Errorf("%s: %s at %v, want %v (load %d)", step, l.Name, got, want, s.LinkLoad(l))
+			}
+		}
+	}
+	var adms []*Admission
+	for i, vs := range [][]*plan.Physical{v0, v1, v0, v1, v0} {
+		adm, err := s.Admit(context.Background(), vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adms = append(adms, adm)
+		check(fmt.Sprintf("admit %d", i))
+	}
+	for _, i := range []int{2, 0, 4, 1, 3} {
+		s.Release(adms[i])
+		check(fmt.Sprintf("release %d", i))
 	}
 }
