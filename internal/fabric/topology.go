@@ -22,7 +22,8 @@ type Topology struct {
 	// order they were added; an Account indexes its entries by it.
 	deviceList []*Device
 	linkList   []*Link
-	// routes caches Path by device pair; AddDevice and Connect clear it.
+	// routes caches Path by device pair. AddDevice and Connect clear it;
+	// like the graph itself, they must not run beside Path.
 	routeMu sync.RWMutex
 	routes  map[[2]string][]*Link
 }
