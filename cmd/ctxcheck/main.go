@@ -6,10 +6,11 @@
 //
 // It walks the non-test Go files under the given roots (default:
 // internal/) and flags exported functions and methods that are named
-// "Run" or "Scan", or whose name starts with "Execute", yet do not take
-// a context.Context first. Findings are printed one per line as
-// file:line: message, and the exit status is nonzero when any exist —
-// the same shape as go vet, so CI can run it as an extra vet pass.
+// "Run" or "Scan", or whose name starts with "Execute" or ends with
+// "Join", yet do not take a context.Context first. Findings are printed
+// one per line as file:line: message, and the exit status is nonzero
+// when any exist — the same shape as go vet, so CI can run it as an
+// extra vet pass.
 package main
 
 import (
@@ -78,9 +79,10 @@ func checkFile(path string) (int, error) {
 }
 
 // lifecycleName says whether the name marks a query-lifecycle entry
-// point: Run and Scan exactly, or any Execute* variant.
+// point: Run and Scan exactly, any Execute* variant, or any *Join.
 func lifecycleName(name string) bool {
-	return name == "Run" || name == "Scan" || strings.HasPrefix(name, "Execute")
+	return name == "Run" || name == "Scan" || strings.HasPrefix(name, "Execute") ||
+		strings.HasSuffix(name, "Join")
 }
 
 func declKind(fn *ast.FuncDecl) string {

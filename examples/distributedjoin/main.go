@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,7 @@ func main() {
 					Bandwidth: sim.GbitPerSec(400), Latency: fabric.RDMALatency,
 				}})
 			}
-			res, err := netsim.DistributedJoin(cfg, build, probe, nil)
+			res, err := netsim.DistributedJoin(context.Background(), cfg, build, probe, nil)
 			if err != nil {
 				log.Fatal(err)
 			}

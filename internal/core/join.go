@@ -77,12 +77,12 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 
 	// Per-node results gather back to node 0.
 	perNode := make([][]*columnar.Batch, nodes)
-	_, err = netsim.DistributedJoin(cfg, build, probe, func(node int, b *columnar.Batch) error {
+	_, err = netsim.DistributedJoin(ctx, cfg, build, probe, func(node int, b *columnar.Batch) error {
 		perNode[node] = append(perNode[node], b)
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, lifecycleError(err)
 	}
 	gatherPaths := make([][]*fabric.Link, nodes)
 	for i := 1; i < nodes; i++ { // node 0's results are already local

@@ -1,6 +1,10 @@
 package experiments
 
-import "repro/internal/sim"
+import (
+	"context"
+
+	"repro/internal/sim"
+)
 
 // Experiment is one catalogue entry: what dfbench lists, runs and prints.
 type Experiment struct {
@@ -55,7 +59,7 @@ var Catalogue = []Experiment{
 		return tableOf(E4StagedPreAgg(rows, []int64{10, 100, 10000, 1000000}))
 	}},
 	{ID: "E5", Desc: "NIC-scattered partitioned join (Figure 4)", Run: func(rows int, _ Options) (*Table, error) {
-		return tableOf(E5PartitionedJoin(rows/10+1, rows, 4))
+		return tableOf(E5PartitionedJoin(context.Background(), rows/10+1, rows, 4))
 	}},
 	{ID: "E6", Desc: "COUNT on the data path (Section 4.4)", Run: func(rows int, _ Options) (*Table, error) {
 		return tableOf(E6NICCount(rows))

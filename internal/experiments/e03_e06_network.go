@@ -208,8 +208,8 @@ type E5Result struct {
 
 // E5PartitionedJoin reproduces Figure 4: the NIC-executed scattering
 // pipeline for a distributed partitioned hash join relieves the CPUs of
-// all exchange work.
-func E5PartitionedJoin(buildRows, probeRows, nodes int) (*E5Result, error) {
+// all exchange work. Both joins run under ctx.
+func E5PartitionedJoin(ctx context.Context, buildRows, probeRows, nodes int) (*E5Result, error) {
 	build := []*columnar.Batch{workload.GenKV(workload.KVConfig{Rows: buildRows, Keys: int64(buildRows), Seed: 3})}
 	probe := []*columnar.Batch{workload.GenKV(workload.KVConfig{Rows: probeRows, Keys: int64(buildRows) * 2, Seed: 4})}
 
@@ -226,7 +226,7 @@ func E5PartitionedJoin(buildRows, probeRows, nodes int) (*E5Result, error) {
 				Name: "eth", A: "sw", B: "n", Bandwidth: sim.GbitPerSec(400), Latency: fabric.RDMALatency,
 			}})
 		}
-		r, err := netsim.DistributedJoin(cfg, build, probe, nil)
+		r, err := netsim.DistributedJoin(ctx, cfg, build, probe, nil)
 		if err != nil {
 			return r, 0, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -110,7 +111,7 @@ func TestE4OptimizerPredictsCrossover(t *testing.T) {
 }
 
 func TestE5NICScatterRelievesCPUs(t *testing.T) {
-	res, err := E5PartitionedJoin(2000, 20000, 4)
+	res, err := E5PartitionedJoin(context.Background(), 2000, 20000, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

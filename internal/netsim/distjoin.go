@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/columnar"
@@ -46,7 +47,9 @@ type DistJoinResult struct {
 // scattered by key to per-node hash tables, then the probe side is
 // scattered the same way and probed locally. Matching rows are counted
 // per node (gathering full results is the caller's choice via onResult).
-func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResult func(node int, b *columnar.Batch) error) (DistJoinResult, error) {
+// ctx is checked before each batch of either side is scattered: a
+// cancelled or expired join returns ctx's error.
+func DistributedJoin(ctx context.Context, cfg DistJoinConfig, build, probe []*columnar.Batch, onResult func(node int, b *columnar.Batch) error) (DistJoinResult, error) {
 	var res DistJoinResult
 	n := len(cfg.Nodes)
 	if n == 0 {
@@ -70,7 +73,7 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 	for i := range tables {
 		tables[i] = exec.NewHashTable(buildSchema, cfg.BuildKey, cfg.Workers)
 	}
-	err := cfg.scatter(&res, cfg.BuildKey, build, func(i int, b *columnar.Batch) error {
+	err := cfg.scatter(ctx, &res, cfg.BuildKey, build, func(i int, b *columnar.Batch) error {
 		tables[i].Build(b)
 		return nil
 	})
@@ -80,7 +83,7 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 
 	// Phase 2: scatter the probe side and probe locally.
 	perNodeRows := make([]int64, n)
-	err = cfg.scatter(&res, cfg.ProbeKey, probe, func(i int, b *columnar.Batch) error {
+	err = cfg.scatter(ctx, &res, cfg.ProbeKey, probe, func(i int, b *columnar.Batch) error {
 		perNodeRows[i] += int64(b.NumRows())
 		out := tables[i].Probe(b, cfg.ProbeKey)
 		if out.NumRows() == 0 {
@@ -112,7 +115,7 @@ func DistributedJoin(cfg DistJoinConfig, build, probe []*columnar.Batch, onResul
 // and ships every node's share down its path, where the node's CPU is
 // charged for the join work before sink builds or probes with it. The
 // bytes charged to either are summed into res as they are charged.
-func (cfg DistJoinConfig) scatter(res *DistJoinResult, key int, side []*columnar.Batch, sink func(node int, b *columnar.Batch) error) error {
+func (cfg DistJoinConfig) scatter(ctx context.Context, res *DistJoinResult, key int, side []*columnar.Batch, sink func(node int, b *columnar.Batch) error) error {
 	dests := make([]Destination, len(cfg.Nodes))
 	for i := range dests {
 		dests[i] = Destination{
@@ -134,6 +137,9 @@ func (cfg DistJoinConfig) scatter(res *DistJoinResult, key int, side []*columnar
 		ex.BatchRows = cfg.BatchRows
 	}
 	for _, b := range side {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		n := sim.Bytes(b.ByteSize())
 		cfg.Account.Charge(cfg.ScatterDevice, fabric.OpPartition, n)
 		res.ScatterBytes += n

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
 
@@ -155,7 +157,7 @@ func TestDistributedJoinCorrectness(t *testing.T) {
 			}
 		}
 		probe := []*columnar.Batch{kvBatch(pk, pv)}
-		res, err := DistributedJoin(cfg, build, probe, nil)
+		res, err := DistributedJoin(context.Background(), cfg, build, probe, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +170,7 @@ func TestDistributedJoinCorrectness(t *testing.T) {
 func TestDistributedJoinResultsDelivered(t *testing.T) {
 	cfg := buildJoinConfig(t, 2, true)
 	var rows int64
-	res, err := DistributedJoin(cfg,
+	res, err := DistributedJoin(context.Background(), cfg,
 		[]*columnar.Batch{seqBatch(50)},
 		[]*columnar.Batch{seqBatch(50)},
 		func(node int, b *columnar.Batch) error {
@@ -194,12 +196,12 @@ func TestDistributedJoinNICRelievesCPU(t *testing.T) {
 	probe := []*columnar.Batch{seqBatch(20000)}
 
 	nicCfg := buildJoinConfig(t, 4, true)
-	nicRes, err := DistributedJoin(nicCfg, build, probe, nil)
+	nicRes, err := DistributedJoin(context.Background(), nicCfg, build, probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cpuCfg := buildJoinConfig(t, 4, false)
-	cpuRes, err := DistributedJoin(cpuCfg, build, probe, nil)
+	cpuRes, err := DistributedJoin(context.Background(), cpuCfg, build, probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +224,7 @@ func TestDistributedJoinNICRelievesCPU(t *testing.T) {
 func TestConcurrentDistributedJoinsReportTheirOwnBytes(t *testing.T) {
 	build := []*columnar.Batch{seqBatch(2000)}
 	probe := []*columnar.Batch{seqBatch(20000)}
-	solo, err := DistributedJoin(buildJoinConfig(t, 4, true), build, probe, nil)
+	solo, err := DistributedJoin(context.Background(), buildJoinConfig(t, 4, true), build, probe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +239,7 @@ func TestConcurrentDistributedJoinsReportTheirOwnBytes(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := DistributedJoin(cfg, build, probe, nil)
+			res, err := DistributedJoin(context.Background(), cfg, build, probe, nil)
 			if err != nil {
 				t.Error(err)
 			}
@@ -263,27 +265,27 @@ func TestConcurrentDistributedJoinsReportTheirOwnBytes(t *testing.T) {
 
 func TestDistributedJoinValidation(t *testing.T) {
 	cfg := buildJoinConfig(t, 2, true)
-	if _, err := DistributedJoin(DistJoinConfig{}, nil, nil, nil); err == nil {
+	if _, err := DistributedJoin(context.Background(), DistJoinConfig{}, nil, nil, nil); err == nil {
 		t.Error("empty config accepted")
 	}
 	bad := cfg
 	bad.Paths = bad.Paths[:1]
-	if _, err := DistributedJoin(bad, []*columnar.Batch{seqBatch(1)}, nil, nil); err == nil {
+	if _, err := DistributedJoin(context.Background(), bad, []*columnar.Batch{seqBatch(1)}, nil, nil); err == nil {
 		t.Error("mismatched paths accepted")
 	}
-	if _, err := DistributedJoin(cfg, nil, nil, nil); err == nil {
+	if _, err := DistributedJoin(context.Background(), cfg, nil, nil, nil); err == nil {
 		t.Error("empty build accepted")
 	}
 	dumb := cfg
 	dumb.ScatterDevice = fabric.NewMemory("dumb")
-	if _, err := DistributedJoin(dumb, []*columnar.Batch{seqBatch(1)}, nil, nil); err == nil {
+	if _, err := DistributedJoin(context.Background(), dumb, []*columnar.Batch{seqBatch(1)}, nil, nil); err == nil {
 		t.Error("non-partitioning scatter device accepted")
 	}
 }
 
 func TestDistributedJoinSkewBounds(t *testing.T) {
 	cfg := buildJoinConfig(t, 4, true)
-	res, err := DistributedJoin(cfg,
+	res, err := DistributedJoin(context.Background(), cfg,
 		[]*columnar.Batch{seqBatch(1000)},
 		[]*columnar.Batch{seqBatch(100000)}, nil)
 	if err != nil {
@@ -294,5 +296,29 @@ func TestDistributedJoinSkewBounds(t *testing.T) {
 	}
 	if float64(res.SkewMax) > 1.3*float64(res.SkewMin) {
 		t.Errorf("hash skew %d vs %d exceeds 30%%", res.SkewMax, res.SkewMin)
+	}
+}
+
+// A join whose context is cancelled mid-probe stops at the next
+// scattered batch: onResult cancels on the first joined batch, and the
+// join returns context.Canceled with most of the probe side unjoined.
+func TestDistributedJoinHonorsContext(t *testing.T) {
+	cfg := buildJoinConfig(t, 2, true)
+	probe := make([]*columnar.Batch, 20)
+	for i := range probe {
+		probe[i] = seqBatch(100) // every row matches the build side
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := DistributedJoin(ctx, cfg, []*columnar.Batch{seqBatch(100)}, probe,
+		func(int, *columnar.Batch) error {
+			cancel()
+			return nil
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if full := int64(len(probe) * 100); res.Rows >= full/2 {
+		t.Errorf("joined %d of %d probe rows after the cancel", res.Rows, full)
 	}
 }

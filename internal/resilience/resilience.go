@@ -10,7 +10,7 @@
 // collapses onto the slowest participant. The defenses here follow the
 // tail-at-scale playbook: measure per-participant latency (Tracker),
 // hedge or speculate past stragglers after a deviation-scaled delay
-// (Policy), stop sending work to participants that consistently fail
+// (Policy, Race), stop sending work to participants that consistently fail
 // (BreakerSet), and cap the total extra work recovery may generate
 // (Budget) so fault storms degrade to shed-or-serve-slow instead of
 // retry amplification.
@@ -44,8 +44,9 @@ type Policy struct {
 	HedgeMinDelay time.Duration
 
 	// Speculate enables speculative morsel re-execution in parallel
-	// scans: once SpecMinSamples morsels have completed, one running
-	// past SpecMultiple x their EWMA is re-issued.
+	// scans: a morsel that starts once SpecMinSamples morsels have
+	// completed races a late copy of itself, started SpecMultiple x
+	// their EWMA after it (see Race).
 	Speculate bool
 }
 

@@ -294,15 +294,15 @@ func (o *ObjectStore) seqRead(ctx context.Context, key string, copies [][]byte, 
 	return nil, lastErr
 }
 
-// getHedged races the best replica against the second-best: the primary
-// read starts immediately, and if it has not completed after a
-// deviation-scaled delay (and the retry budget grants a token), the
-// hedge read starts on the next replica. The first success wins and the
-// loser is cancelled and drained — never leaked. Primary-side work
-// lands on the main Meter; hedge-side work lands only on the hedge
-// counters, so a losing hedge leaves the main Meter byte-identical to
-// an unhedged read. Each racer counts into its own ReadStats; this
-// goroutine adds them to rs as the results arrive. Without a hedging
+// getHedged races the best replica against the second-best through
+// resilience.Race: the primary read starts immediately, and if it has
+// not completed after a deviation-scaled delay (and the retry budget
+// grants a token), the hedge read starts on the next replica. The first
+// verified success wins and the loser is cancelled and drained — never
+// leaked. Primary-side work lands on the main Meter; hedge-side work
+// lands only on the hedge counters, so a losing hedge leaves the main
+// Meter byte-identical to an unhedged read. Each racer counts into its
+// own ReadStats, added to rs as its result arrives. Without a hedging
 // policy or a second replica there is no race, just the walk.
 func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte, order []int, copyOut bool, rs *ReadStats) ([]byte, error) {
 	pol := o.svc.Resilience
@@ -326,79 +326,44 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	ch := make(chan raceResult, 2)
-	launch := func(r int, hedge bool) {
-		go func() {
+	read := func(r int, hedge bool) func(context.Context) raceResult {
+		return func(ctx context.Context) raceResult {
 			res := raceResult{r: r, hedge: hedge}
-			res.data, res.ops, res.err = o.readLoop(rctx, key, r, copies[r], copyOut, false, !hedge, &res.rs)
-			ch <- res
-		}()
+			res.data, res.ops, res.err = o.readLoop(ctx, key, r, copies[r], copyOut, false, !hedge, &res.rs)
+			return res
+		}
 	}
-	launch(prim, false)
-	inflight := 1
-	hedgeLaunched := false
-	hedgeDecided := false
-	hedgeAt := o.svc.Clock.After(delay)
-
 	var winner *raceResult
 	var lastErr error
 	var bad []int // replicas that served corrupt payloads, repaired below
-	// accept vets one finished racer: an error or a payload that fails
-	// Verify rejects it (corrupt work lands on the corrupt-side counters,
-	// the replica joins bad), otherwise it becomes the winner — which
-	// may well be the race's *loser* arriving after a corrupt first
-	// finisher was rejected.
-	accept := func(res raceResult) {
-		rs.Add(res.rs)
-		if res.err != nil {
-			lastErr = res.err
-			o.chargeRacer(&res, rs)
-			return
-		}
-		if verr := o.verifyPayload(key, res.r, res.data, res.ops, rs); verr != nil {
-			bad = append(bad, res.r)
-			lastErr = verr
-			return
-		}
-		winner = &res
-	}
-	for inflight > 0 && winner == nil {
-		if hedgeDecided {
-			res := <-ch
-			inflight--
-			accept(res)
-			continue
-		}
-		select {
-		case res := <-ch:
-			inflight--
-			accept(res)
-		case <-hedgeAt:
-			hedgeDecided = true
-			if pol.Budget.TryAcquire() {
-				rs.HedgedReads++
-				launch(sec, true)
-				hedgeLaunched = true
-				inflight++
-			} else {
-				rs.RetryBudgetExhausted++
-			}
-		}
-	}
-
-	if winner != nil {
-		cancel()
-		// Drain the loser so nothing leaks past return; cancellation
-		// unblocks its injected sleeps promptly.
-		for inflight > 0 {
-			res := <-ch
-			inflight--
+	// A failed racer, or the loser arriving after the winner, is charged
+	// as it ran. A payload that fails Verify is rejected onto the
+	// corrupt-side counters and its replica joins bad; otherwise it wins
+	// — which may well be the race's second finisher, after a corrupt
+	// first one was rejected.
+	launched, denied := resilience.Race(ctx, o.svc.Clock.After(delay), pol.Budget, read(prim, false), read(sec, true),
+		func(res raceResult, _ bool) bool {
 			rs.Add(res.rs)
-			o.chargeRacer(&res, rs)
-		}
+			if winner != nil || res.err != nil {
+				lastErr = res.err
+				o.chargeRacer(&res, rs)
+				return false
+			}
+			if verr := o.verifyPayload(key, res.r, res.data, res.ops, rs); verr != nil {
+				bad = append(bad, res.r)
+				lastErr = verr
+				return false
+			}
+			winner = &res
+			return true
+		})
+	if launched {
+		rs.HedgedReads++
+	}
+	if denied {
+		rs.RetryBudgetExhausted++
+	}
+	if winner != nil {
 		o.chargeRacer(winner, rs)
 		if winner.hedge {
 			rs.HedgeWins++
@@ -410,7 +375,7 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 	// Both racers failed (or the primary failed before the hedge was
 	// worth launching): fall back over the remaining replicas in order.
 	rest := order[1:]
-	if hedgeLaunched {
+	if launched {
 		rest = order[2:]
 	}
 	data, err := o.seqRead(ctx, key, copies, rest, copyOut, true, bad, rs)

@@ -139,12 +139,12 @@ type ScanStats struct {
 	DecodedBytesSaved   sim.Bytes
 
 	// Speculation accounting (parallel scans with a resilience policy):
-	// morsels re-issued because they ran past the straggler threshold,
-	// how many of those duplicates finished first, and the media bytes
-	// the losing copies read before cancellation caught them. Logical
-	// totals (MediaBytes, rows) count each segment exactly once — the
-	// winner's read — while the losers' real device charges surface
-	// here.
+	// the late copies started because a morsel outran its timer (see
+	// segScan.morsel), how many of those won and were delivered, and
+	// the media bytes the losing copies read before cancellation caught
+	// them. Logical totals (MediaBytes, rows) count each segment exactly
+	// once — the winner's read — while the losers' real device charges
+	// surface here.
 	SpeculativeMorsels int64
 	SpeculativeWins    int64
 	SpeculativeBytes   sim.Bytes
@@ -556,13 +556,12 @@ type segScan struct {
 	stats *ScanStats
 }
 
-// segResult is one completed morsel copy, primary or speculative.
+// segResult is one completed segment: a morsel, or one copy of it.
 type segResult struct {
 	seg int
 	out *columnar.Batch // nil when pruned
 	sub ScanStats       // this segment's share of the scan's stats
 	err error
-	dup bool // a speculative re-execution, not the primary copy
 }
 
 // procSpan replays one pushed-down operator's work on the storage
@@ -665,210 +664,82 @@ func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *S
 	}
 }
 
-// morselState tracks one in-flight morsel for straggler detection: when
-// it started, the per-morsel cancel shared by its copies (cancelling it
-// stops whichever copy lost the race), and whether a duplicate has been
-// issued.
-type morselState struct {
-	start      time.Time
-	ctx        context.Context
-	cancel     context.CancelFunc
-	speculated bool
-	done       bool
-}
-
-// specState is the shared straggler-detection state of one parallel
-// scan: an EWMA over completed-morsel wall time plus the in-flight set.
-// Workers that exhaust the segment counter turn into speculators,
-// re-issuing the oldest morsel that has run past SpecMultiple x the
-// EWMA (budget permitting) and racing it against the stuck copy.
-type specState struct {
-	pol *resilience.Policy
-
-	mu       sync.Mutex
-	inflight map[int]*morselState
-	ewma     float64 // nanoseconds over completed morsels
-	samples  int
-	launched int64
-	wake     chan struct{} // closed and replaced on every completion
-
-	denied atomic.Int64 // duplicates the retry budget refused
-}
-
-func newSpecState(pol *resilience.Policy) *specState {
-	return &specState{pol: pol, inflight: make(map[int]*morselState),
-		wake: make(chan struct{})}
-}
-
-// register notes a morsel starting at instant start and returns the
-// context its copies run under.
-func (st *specState) register(seg int, parent context.Context, start time.Time) context.Context {
-	mctx, cancel := context.WithCancel(parent)
-	st.mu.Lock()
-	st.inflight[seg] = &morselState{start: start, ctx: mctx, cancel: cancel}
-	st.mu.Unlock()
-	return mctx
-}
-
-// markDone records a morsel copy finishing. Successful completions feed
-// the EWMA; a done morsel is never speculated on.
-func (st *specState) markDone(seg int, elapsed time.Duration, ok bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	ms := st.inflight[seg]
-	if ms == nil || ms.done {
-		return
+// morsel runs segment idx on its lane, racing it (resilience.Race)
+// against a late copy of itself when the scan speculates. The copy's
+// timer is fixed when the morsel starts, like a hedged read's delay:
+// SpecMultiple x the EWMA of the scan's completed morsels, at least
+// HedgeMinDelay, once SpecMinSamples of them back it — a morsel that
+// starts earlier is never copied. The first copy to succeed is the
+// morsel's result; the other is cancelled, its reads join the result's
+// account and its media bytes SpeculativeBytes, so rows and MediaBytes
+// count the winner's read alone. Without a winner the result is the
+// last failure.
+func (sc *segScan) morsel(ctx context.Context, idx, lane int, ewma *resilience.Tracker) segResult {
+	run := func(ctx context.Context) segResult { return sc.processSegment(ctx, idx, lane) }
+	if ewma == nil {
+		return run(ctx)
 	}
-	ms.done = true
-	// Broadcast to sleeping speculators: the in-flight set changed, so
-	// their wait deadlines are stale — in particular, the last completion
-	// must release them immediately rather than after a full poll sleep.
-	close(st.wake)
-	st.wake = make(chan struct{})
-	if !ok {
-		return
+	pol, clk := sc.s.store.svc.Resilience, sc.s.store.svc.Clock
+	start := clk.Now()
+	var late <-chan time.Time
+	if avg, ok := ewma.Latency(""); ok {
+		late = clk.After(max(time.Duration(resilience.SpecMultiple*float64(avg)), pol.HedgeMinDelay))
 	}
-	x := float64(elapsed)
-	if st.samples == 0 {
-		st.ewma = x
-	} else {
-		st.ewma += 0.2 * (x - st.ewma)
-	}
-	st.samples++
-}
-
-// sleepWake sleeps on clk for at most d, returning early when ctx ends
-// (with its error) or when any morsel completes (nil) — so an idle
-// speculator never outlives the scan by a poll interval.
-func (st *specState) sleepWake(ctx context.Context, clk *sim.Clock, d time.Duration) error {
-	st.mu.Lock()
-	wake := st.wake
-	st.mu.Unlock()
-	select {
-	case <-clk.After(d):
-		return nil
-	case <-wake:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// copies reports how many result messages seg will eventually produce.
-func (st *specState) copies(seg int) int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if ms := st.inflight[seg]; ms != nil && ms.speculated {
-		return 2
-	}
-	return 1
-}
-
-// cancelSeg cancels the morsel's shared context, stopping the copy that
-// lost the race (the winner has already returned).
-func (st *specState) cancelSeg(seg int) {
-	st.mu.Lock()
-	ms := st.inflight[seg]
-	st.mu.Unlock()
-	if ms != nil {
-		ms.cancel()
-	}
-}
-
-// cancelAll releases every morsel context at scan teardown.
-func (st *specState) cancelAll() {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	for _, ms := range st.inflight {
-		ms.cancel()
-	}
-}
-
-// pick claims the most overdue unspeculated morsel, or reports how long
-// to wait before rechecking. Returns seg = -1 with wait > 0 when
-// nothing is overdue yet, and seg = -1 with wait = 0 when no morsel is
-// left in flight.
-func (st *specState) pick(now time.Time) (int, *morselState, time.Duration) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	threshold := time.Duration(resilience.SpecMultiple * st.ewma)
-	if threshold < st.pol.HedgeMinDelay {
-		threshold = st.pol.HedgeMinDelay
-	}
-	warm := st.samples >= resilience.SpecMinSamples
-	var (
-		bestSeg  = -1
-		bestMS   *morselState
-		bestAge  time.Duration
-		wait     time.Duration
-		anyAlive bool
-	)
-	for seg, ms := range st.inflight {
-		if ms.done || ms.speculated {
-			continue
+	var out segResult
+	won := false
+	launched, denied := resilience.Race(ctx, late, pol.Budget, run, run, func(r segResult, second bool) bool {
+		// Until a copy wins, the newest result is the morsel's; the one
+		// it displaces, and any arriving after the win, lost.
+		keep, lost := out, r
+		if !won {
+			keep, lost = r, out
 		}
-		anyAlive = true
-		age := now.Sub(ms.start)
-		if warm && age > threshold {
-			if bestMS == nil || age > bestAge {
-				bestSeg, bestMS, bestAge = seg, ms, age
-			}
-			continue
+		keep.sub.ReadStats.Add(lost.sub.ReadStats)
+		keep.sub.SpeculativeBytes += lost.sub.MediaBytes
+		if lost.out != nil {
+			lost.out.Release() // never emitted: its arrays go back to the pool
 		}
-		d := threshold - age
-		if !warm || d < 50*time.Microsecond {
-			d = 50 * time.Microsecond
+		out = keep
+		if won || r.err != nil {
+			return false
 		}
-		if d > 5*time.Millisecond {
-			d = 5 * time.Millisecond
+		won = true
+		if second {
+			out.sub.SpeculativeWins++
 		}
-		if wait == 0 || d < wait {
-			wait = d
-		}
+		ewma.Observe("", clk.Since(start))
+		return true
+	})
+	if launched {
+		out.sub.SpeculativeMorsels++
 	}
-	if bestMS != nil {
-		bestMS.speculated = true
-		return bestSeg, bestMS, 0
+	if denied {
+		out.sub.RetryBudgetExhausted++
 	}
-	if !anyAlive {
-		return -1, nil, 0
-	}
-	return -1, nil, wait
+	return out
 }
 
 // scanParallel is the morsel-parallel scan body. Workers claim segment
-// indices from a shared counter and run the per-segment read/decode
-// (and, with pushdown, filter/project) pipeline, charging the devices'
-// positional lanes (lane = segment mod workers, so lane busy is
+// indices from a shared counter and run each morsel, charging the
+// devices' positional lanes (lane = segment mod workers, so lane busy is
 // independent of goroutine scheduling). Everything order-sensitive —
 // batch emission, Progress watermarks, stats folding — happens on the
 // caller's goroutine behind a reorder buffer, so a parallel scan is
-// observably identical to a serial one apart from wall time and the
-// per-lane busy split.
-//
-// With a resilience policy that enables speculation, workers that run
-// out of fresh segments linger as speculators: a morsel running past
-// SpecMultiple x the EWMA of completed morsels is re-issued (one token
-// of retry budget per duplicate) and the first finisher wins. The
-// reorder buffer delivers each segment exactly once — the first result
-// per segment — and cancels the loser, whose media bytes land in
-// SpeculativeBytes instead of the logical totals, so result rows and
-// MediaBytes are identical to an unspeculated scan.
+// observably identical to a serial one apart from wall time, the
+// per-lane busy split and, with a resilience policy that speculates,
+// the late copies of straggling morsels (see morsel).
 func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
-	s, spec, stats := sc.s, sc.spec, sc.stats
+	stats := sc.stats
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	clk := s.store.svc.Clock
-	var st *specState
-	if pol := s.store.svc.Resilience; pol != nil && pol.Speculate {
-		st = newSpecState(pol)
-		defer st.cancelAll()
+	var ewma *resilience.Tracker // over this scan's completed morsels
+	if pol := sc.s.store.svc.Resilience; pol != nil && pol.Speculate {
+		ewma = resilience.NewTracker(0.2, resilience.SpecMinSamples)
 	}
-
 	var next atomic.Int64
-	next.Store(int64(spec.StartSegment))
-	results := make(chan segResult, 2*workers+2)
+	next.Store(int64(sc.spec.StartSegment))
+	results := make(chan segResult, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -876,126 +747,39 @@ func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
 			defer wg.Done()
 			for {
 				idx := int(next.Add(1) - 1)
-				if idx >= len(sc.keys) {
-					break
-				}
-				if ctx.Err() != nil {
+				if idx >= len(sc.keys) || ctx.Err() != nil {
 					return
-				}
-				mctx := ctx
-				var start time.Time
-				if st != nil {
-					start = clk.Now()
-					mctx = st.register(idx, ctx, start)
-				}
-				r := sc.processSegment(mctx, idx, idx%workers)
-				if st != nil {
-					st.markDone(idx, clk.Since(start), r.err == nil)
 				}
 				// The consumer below drains results until it is closed,
-				// so a send never blocks for good — and every copy's
-				// account arrives, whatever became of the scan.
-				results <- r
-				if st != nil && r.err == nil {
-					// First finisher: stop a racing duplicate, if any.
-					st.cancelSeg(idx)
-				}
-			}
-			if st == nil {
-				return
-			}
-			// Out of fresh morsels: speculate on stragglers until none
-			// remain in flight.
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				seg, ms, wait := st.pick(clk.Now())
-				if seg < 0 {
-					if wait == 0 {
-						return
-					}
-					if st.sleepWake(ctx, clk, wait) != nil {
-						return
-					}
-					continue
-				}
-				if !st.pol.Budget.TryAcquire() {
-					// Retry budget exhausted: serve slow rather than
-					// amplify.
-					st.denied.Add(1)
-					return
-				}
-				st.mu.Lock()
-				st.launched++
-				st.mu.Unlock()
-				r := sc.processSegment(ms.ctx, seg, seg%workers)
-				r.dup = true
-				results <- r
-				if r.err == nil {
-					st.cancelSeg(seg)
-				}
+				// so a send never blocks for good.
+				results <- sc.morsel(ctx, idx, idx%workers, ewma)
 			}
 		}()
 	}
 	go func() { wg.Wait(); close(results) }()
 
 	pend := make(map[int]segResult, workers)
-	delivered := make(map[int]bool, workers)
-	arrived := make(map[int]int, workers)
-	want := spec.StartSegment
+	want := sc.spec.StartSegment
 	var firstErr error
-	fail := func(err error) {
-		if firstErr == nil {
-			firstErr = err
-		}
-		cancel() // stop the workers; keep draining results below
-	}
 	for r := range results {
-		// Every copy's reads are the scan's, delivered or not: a losing
-		// duplicate, a failed twin and a morsel finished after the scan
-		// failed all spent their retries and hedges on this query.
+		// Every morsel's reads are the scan's, delivered or not: a
+		// failed morsel and one finished after the scan failed spent
+		// their retries, hedges and late copies on this query.
 		stats.ReadStats.Add(r.sub.ReadStats)
 		r.sub.ReadStats = ReadStats{}
 		if firstErr != nil {
 			continue
 		}
-		if delivered[r.seg] {
-			// The losing copy of a speculated morsel: its real device
-			// charges stand, but logically only its media bytes are
-			// reported — as speculation overhead, never as scan totals.
-			stats.SpeculativeBytes += r.sub.MediaBytes
-			continue
-		}
-		arrived[r.seg]++
-		if r.err != nil && st != nil && st.copies(r.seg) > arrived[r.seg] {
-			// This copy failed but its twin is still running; the twin
-			// may yet deliver the segment.
-			continue
-		}
-		delivered[r.seg] = true
-		if r.dup && r.err == nil {
-			stats.SpeculativeWins++
-		}
 		pend[r.seg] = r
-		for {
-			cur, ok := pend[want]
-			if !ok {
-				break
-			}
+		for cur, ok := pend[want]; ok; cur, ok = pend[want] {
 			delete(pend, want)
+			want++
 			if err := sc.deliver(cur); err != nil {
-				fail(err)
+				firstErr = err
+				cancel() // stop the workers; keep draining results
 				break
 			}
-			want++
 		}
-	}
-	if st != nil {
-		st.mu.Lock()
-		stats.SpeculativeMorsels += st.launched
-		st.mu.Unlock()
-		stats.RetryBudgetExhausted += st.denied.Load()
 	}
 	if firstErr != nil {
 		return firstErr
