@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"unsafe"
 
 	"repro/internal/columnar"
 )
@@ -25,10 +26,15 @@ import (
 //
 // Codecs with fixed-width layouts (bit-packing, plain floats and bools,
 // dictionary codes) are random access: a clear bit costs nothing, so the
-// work is proportional to the rows kept. Stream codecs (RLE, delta, plain
-// strings) are walked front to back once, checking the whole stream
-// whatever is selected, but write — and for strings allocate — only the
-// selected values; GatherBytes charges them honestly at full size.
+// work is proportional to the rows kept. Their full word costs least a
+// value: packed values and codes up to 28 bits wide come out several
+// from each 8-byte load (bitPackedReader.unpack), a DICT word's codes are
+// range-checked with one branch for the word, and on a little-endian
+// host a PLAIN DOUBLE word is one 512-byte copy. Stream codecs (RLE,
+// delta, plain strings) are walked front to back once, checking the
+// whole stream whatever is selected, but write — and for strings
+// allocate — only the selected values; GatherBytes charges them honestly
+// at full size.
 //
 // What every call verifies, whatever the selection: the payload's CRC,
 // the value count against the header, the payload length against the
@@ -155,21 +161,33 @@ func gatherDict(dst []int32, data []byte, n int, sel []uint64) ([]string, error)
 
 // gatherCodes reads the selected rows' codes a word at a time — no
 // []int64 of every code — and range-checks each against a dictionary of
-// entries entries before storing it.
+// entries entries: every code ORs its test into one flag, and the word
+// branches once, on the flag, before the first bad code is looked for.
 func (r *bitPackedReader) gatherCodes(dst []int32, entries int, sel []uint64) error {
 	var codes [64]int64
 	k := 0
 	for wi, w := range sel {
-		for _, c := range codes[:r.gatherWord(codes[:], wi<<6, w)] {
-			if uint64(c) >= uint64(entries) {
-				return fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, c)
-			}
-			dst[k] = int32(c)
-			k++
+		word := codes[:r.gatherWord(codes[:], wi<<6, w)]
+		var bad uint64
+		for j, c := range word {
+			bad |= b2u(uint64(c) >= uint64(entries))
+			dst[k+j] = int32(c)
 		}
+		if bad != 0 {
+			for _, c := range word {
+				if uint64(c) >= uint64(entries) {
+					return fmt.Errorf("%w: dict code %d out of range", ErrCorrupt, c)
+				}
+			}
+		}
+		k += len(word)
 	}
 	return nil
 }
+
+// littleEndian reports whether the host stores a float64 in the byte
+// order of a PLAIN DOUBLE payload, so that a full word of one is a copy.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 func gatherFloats(dst []float64, data []byte, n int, sel []uint64) error {
 	cnt, sz := binary.Uvarint(data)
@@ -184,11 +202,13 @@ func gatherFloats(dst []float64, data []byte, n int, sel []uint64) error {
 	for wi, w := range sel {
 		base := wi << 6
 		if w == ^uint64(0) {
-			// Array pointers: the loop indexes constant-length arrays, with
-			// no bounds check per value.
 			src, seq := (*[512]byte)(data[base*8:]), (*[64]float64)(dst[k:])
-			for j := range seq {
-				seq[j] = lefloat(src[j*8:])
+			if littleEndian { // the stored bytes are the host's float64s
+				copy(unsafe.Slice((*byte)(unsafe.Pointer(seq)), 512), src[:])
+			} else {
+				for j := range seq {
+					seq[j] = lefloat(src[j*8:])
+				}
 			}
 			k += 64
 			continue

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/columnar"
@@ -314,6 +316,139 @@ func FuzzDecodeFiltered(f *testing.F) {
 			sameVector(t, "fuzzed column", got, full.Gather(sel.Indices(nil)))
 		}
 	})
+}
+
+// TestFullWordUnpackMatchesAtEveryWidth pins gatherWord's full word —
+// several values a load at widths 1 to 28, one at the others — to at(i),
+// one load a value, at every BITPACK width and under the three frames of
+// TestIntKernelsMatchDecodeAtEveryWidth. At 64·m rows the last word's
+// values end on the payload's last byte, so its last loads take load64's
+// tail; at 64·m + r rows full words come before a partial one. Then a
+// DICT column's codes, which take the same unpack: an out-of-range code
+// at each position of a full word is ErrCorrupt naming the first one.
+func TestFullWordUnpackMatchesAtEveryWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	widths := []uint{64}
+	for w := uint(0); w <= 56; w++ {
+		widths = append(widths, w)
+	}
+	var got [64]int64
+	for _, width := range widths {
+		mask := uint64(1)<<width - 1 // all ones at 64
+		mins := []int64{0, -(1 << 40) - 12345, int64(uint64(math.MaxInt64) - mask)}
+		if width == 64 {
+			mins = []int64{math.MinInt64}
+		}
+		for _, n := range []int{64, 128, 64 * 7, 64 + 1, 64*3 + 37, 64*2 + 63} {
+			for _, minV := range mins {
+				vals := make([]int64, n)
+				for i := range vals {
+					vals[i] = int64(uint64(minV) + rng.Uint64()&mask)
+				}
+				vals[rng.Intn(n/2)], vals[n/2+rng.Intn(n-n/2)] = minV, int64(uint64(minV)+mask) // pin the width
+				r, err := newBitPackedReader(intBlock(BitPacked, vals))
+				if err != nil || r.width != width {
+					t.Fatalf("width %d n %d: packed at width %d (%v)", width, n, r.width, err)
+				}
+				for base := 0; base+64 <= n; base += 64 {
+					if k := r.gatherWord(got[:], base, ^uint64(0)); k != 64 {
+						t.Fatalf("width %d n %d: a full word gave %d values", width, n, k)
+					}
+					for j, v := range got {
+						if want := r.at(base + j); v != want || v != vals[base+j] {
+							t.Fatalf("width %d n %d min %d: row %d unpacked %d, at gives %d, packed %d", width, n, minV, base+j, v, want, vals[base+j])
+						}
+					}
+				}
+			}
+		}
+	}
+
+	const n = 64 * 3
+	full := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	dst := make([]int32, n)
+	for _, width := range []uint{2, 3, 7, 8, 14, 15, 28, 29, 31} {
+		mask := int32(1)<<width - 1
+		entries := int(mask) - 1 // codes mask-1 and mask are out of range
+		codes := make([]int32, n)
+		for i := range codes {
+			codes[i] = rng.Int31n(int32(entries))
+		}
+		r, err := newBitPackedReader(appendBitPacked(nil, codes, 0, int64(mask)))
+		if err != nil || r.width != width || r.gatherCodes(dst, entries, full) != nil || !slices.Equal(dst, codes) {
+			t.Fatalf("code width %d: valid codes do not read back (%v)", width, err)
+		}
+		for j := 0; j < 64; j++ {
+			bad := slices.Clone(codes)
+			bad[64+j] = mask - int32(j%2)
+			if j < 63 {
+				bad[64+63] = mask - int32(1-j%2) // a second bad code after the first
+			}
+			r, _ := newBitPackedReader(appendBitPacked(nil, bad, 0, int64(mask)))
+			err := r.gatherCodes(dst, entries, full)
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("dict code %d out of range", bad[64+j])) {
+				t.Fatalf("code width %d: code %d at position %d of a full word gave %v", width, bad[64+j], j, err)
+			}
+		}
+	}
+}
+
+// TestFullWordFloatsAreBitExact: a full word of a PLAIN DOUBLE column is
+// a copy of its bytes, any other word a load per row; both keep every
+// bit — NaN payloads quiet and signalling, either sign of zero, the
+// infinities, subnormals and the extremes — under full and mixed
+// selections, against lefloat of the stored bytes row by row.
+func TestFullWordFloatsAreBitExact(t *testing.T) {
+	specials := []uint64{
+		0x7ff8000000000000, 0x7ff8000000000001, 0xfff8dead0000beef, // quiet NaNs
+		0x7ff0000000000001, 0x7ff4000000000000, 0xfff0000000c0ffee, // signalling NaNs
+		0, 1 << 63, // ±0
+		math.Float64bits(math.Inf(1)), math.Float64bits(math.Inf(-1)),
+		1, 0x000fffffffffffff, 0x800fffffffffffff, // subnormals
+		math.Float64bits(math.MaxFloat64), math.Float64bits(-math.MaxFloat64),
+	}
+	rng := rand.New(rand.NewSource(30))
+	for _, n := range []int{64, 64 * 6, 64*6 + 23} {
+		vals := make([]float64, n)
+		for i := range vals {
+			if i%3 == 0 {
+				vals[i] = math.Float64frombits(rng.Uint64())
+			} else {
+				vals[i] = math.Float64frombits(specials[rng.Intn(len(specials))])
+			}
+		}
+		data := EncodeFloat64s(vals)
+		payload := data[len(data)-8*n:]
+		shapes := [][]uint64{
+			{^uint64(0)},
+			{^uint64(0), 0x5555555555555555, 0, 1 << 63, ^uint64(0), ^uint64(1)},
+			{1, ^uint64(0), ^uint64(0), 0x8000000000000001, ^uint64(0) >> 1, ^uint64(0)},
+		}
+		for si, shape := range shapes {
+			sel := make([]uint64, (n+63)/64)
+			for wi := range sel {
+				sel[wi] = shape[wi%len(shape)]
+			}
+			if r := n % 64; r != 0 {
+				sel[len(sel)-1] &= 1<<r - 1
+			}
+			var rows []int
+			for wi, w := range sel {
+				for ; w != 0; w &= w - 1 {
+					rows = append(rows, wi*64+bits.TrailingZeros64(w))
+				}
+			}
+			dst := make([]float64, len(rows))
+			if err := gatherFloats(dst, data, n, sel); err != nil {
+				t.Fatalf("n %d shape %d: %v", n, si, err)
+			}
+			for k, row := range rows {
+				if got, want := math.Float64bits(dst[k]), math.Float64bits(lefloat(payload[row*8:])); got != want || want != math.Float64bits(vals[row]) {
+					t.Fatalf("n %d shape %d: row %d gathered %#x, stored %#x, written %#x", n, si, row, got, want, math.Float64bits(vals[row]))
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkUnpackFullWord times the full-word case of the random-access

@@ -464,11 +464,23 @@ func (r *bitPackedReader) at(i int) int64 {
 }
 
 // gatherWord stores in dst, in row order, the value of row base+j for
-// every set bit j of w, and returns how many that is: a full word is the
-// sequential unpack of 64 consecutive values, any other word reads only
-// the rows it selects. At width zero the empty payload loads as zero and
-// every value comes out as min, with no case of its own.
+// every set bit j of w, and returns how many that is. A full word at a
+// width of 1 to 28 is unpacked several values a load; any other word
+// takes one load a value.
 func (r *bitPackedReader) gatherWord(dst []int64, base int, w uint64) int {
+	if w == ^uint64(0) && r.width-1 < 28 { // widths 1 to 28
+		r.unpack((*[64]int64)(dst), base)
+		return 64
+	}
+	return r.gatherLoads(dst, base, w)
+}
+
+// gatherLoads is gatherWord at one unaligned 8-byte load a value: a full
+// word loads its 64 values in sequence, any other word only the rows it
+// selects. At width zero the empty payload loads as zero and every value
+// comes out as min, with no case of its own. It is its own function so
+// that its loops keep their values in registers.
+func (r *bitPackedReader) gatherLoads(dst []int64, base int, w uint64) int {
 	payload, width, mask, minV := r.payload, int(r.width), r.mask, r.min
 	bit := base * width
 	if w == ^uint64(0) {
@@ -486,6 +498,48 @@ func (r *bitPackedReader) gatherWord(dst []int64, base int, w uint64) int {
 		k++
 	}
 	return k
+}
+
+// unpack stores the 64 values from row base on in dst, several from each
+// load: a load at most 7 bits into its 8-byte window holds 57 whole bits
+// (see swarRange), so eight values at widths up to 7, four up to 14 and
+// two up to 28. Each group is stored through an array pointer; a loop of
+// k values a load, k a variable, measured slower. The width must be 1 to
+// 28, and the payload's last load takes load64's tail.
+func (r *bitPackedReader) unpack(dst *[64]int64, base int) {
+	payload, width, mask, minV := r.payload, int(r.width), r.mask, r.min
+	bit := base * width
+	switch {
+	case width <= 7:
+		for g := 0; g < 64; g += 8 {
+			x, d := load64(payload, bit>>3)>>(uint(bit)&7), (*[8]int64)(dst[g:])
+			d[0] = minV + int64(x&mask)
+			d[1] = minV + int64(x>>width&mask)
+			d[2] = minV + int64(x>>(2*width)&mask)
+			d[3] = minV + int64(x>>(3*width)&mask)
+			d[4] = minV + int64(x>>(4*width)&mask)
+			d[5] = minV + int64(x>>(5*width)&mask)
+			d[6] = minV + int64(x>>(6*width)&mask)
+			d[7] = minV + int64(x>>(7*width)&mask)
+			bit += 8 * width
+		}
+	case width <= 14:
+		for g := 0; g < 64; g += 4 {
+			x, d := load64(payload, bit>>3)>>(uint(bit)&7), (*[4]int64)(dst[g:])
+			d[0] = minV + int64(x&mask)
+			d[1] = minV + int64(x>>width&mask)
+			d[2] = minV + int64(x>>(2*width)&mask)
+			d[3] = minV + int64(x>>(3*width)&mask)
+			bit += 4 * width
+		}
+	default:
+		for g := 0; g < 64; g += 2 {
+			x, d := load64(payload, bit>>3)>>(uint(bit)&7), (*[2]int64)(dst[g:])
+			d[0] = minV + int64(x&mask)
+			d[1] = minV + int64(x>>width&mask)
+			bit += 2 * width
+		}
+	}
 }
 
 // rangeWord tests the lim <= 64 packed values from base on against
