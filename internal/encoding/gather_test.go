@@ -384,8 +384,10 @@ func TestFullWordUnpackMatchesAtEveryWidth(t *testing.T) {
 			if j < 63 {
 				bad[64+63] = mask - int32(1-j%2) // a second bad code after the first
 			}
-			r, _ := newBitPackedReader(appendBitPacked(nil, bad, 0, int64(mask)))
-			err := r.gatherCodes(dst, entries, full)
+			r, err := newBitPackedReader(appendBitPacked(nil, bad, 0, int64(mask)))
+			if err == nil {
+				err = r.gatherCodes(dst, entries, full)
+			}
 			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), fmt.Sprintf("dict code %d out of range", bad[64+j])) {
 				t.Fatalf("code width %d: code %d at position %d of a full word gave %v", width, bad[64+j], j, err)
 			}
