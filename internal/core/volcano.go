@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/bufferpool"
 	"repro/internal/columnar"
@@ -12,6 +11,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fabric"
 	"repro/internal/flow"
+	"repro/internal/morsel"
 	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/sim"
@@ -227,94 +227,33 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 
 // scan is the front of the pull loop at any width: pullSegment (fetch
 // through the buffer pool and decode, on the lane it is given), then
-// deliver (in segment order). At width 1 the iterator calls one after the
-// other on the caller's goroutine and the cleanup does nothing. At width
-// N workers claim segment indices from a shared counter and pull on
-// per-core lanes, and a reorder buffer hands their batches to deliver in
-// segment order, so the operator tree sees the same stream. The cleanup
-// unwinds the workers; callers must run it before returning (a LIMIT may
-// abandon the iterator mid-stream, and the workers must not outlive the
-// query).
+// deliver (in segment order), with morsel.Start between them — inline at
+// width 1, a worker pool and a reorder buffer at width N — so the
+// operator tree sees the same stream. The cleanup stops the workers;
+// callers must run it before returning (a LIMIT may abandon the iterator
+// mid-stream, and the workers must not outlive the query). At width 1
+// it has nothing to do.
 func (e *VolcanoEngine) scan(ctx context.Context, meta *storage.TableMeta, workers int, peak *sim.Bytes) (exec.Iterator, func()) {
 	acct := volcanoAccountFrom(ctx)
 	keys := e.Storage.SegmentKeys(meta)
-	if workers <= 1 {
-		idx := 0
-		return func() (*columnar.Batch, error) {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if idx >= len(keys) {
-				return nil, nil
-			}
-			b, err := e.pullSegment(ctx, acct, keys[idx], 0)
-			idx++
-			if err != nil {
-				return nil, err
-			}
-			return e.deliver(acct, b, peak), nil
-		}, func() {}
-	}
-	type item struct {
-		idx   int
+	type pulled struct {
 		batch *columnar.Batch
 		err   error
 	}
-	ctx, cancel := context.WithCancel(ctx)
-	var next atomic.Int64
-	results := make(chan item, 2*workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1) - 1)
-				if idx >= len(keys) || ctx.Err() != nil {
-					return
-				}
-				b, err := e.pullSegment(ctx, acct, keys[idx], idx%workers)
-				select {
-				case results <- item{idx: idx, batch: b, err: err}:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(results) }()
-	cleanup := func() {
-		cancel()
-		for range results { // unblock senders until the pool drains
-		}
-	}
-
-	pend := make(map[int]item, workers)
-	want := 0
+	segs := morsel.Start(ctx, 0, len(keys), workers, func(ctx context.Context, idx, lane int) pulled {
+		b, err := e.pullSegment(ctx, acct, keys[idx], lane)
+		return pulled{b, err}
+	})
 	return func() (*columnar.Batch, error) {
-		for {
-			if want >= len(keys) {
-				return nil, nil
-			}
-			if it, ok := pend[want]; ok {
-				delete(pend, want)
-				want++
-				if it.err != nil {
-					return nil, it.err
-				}
-				return e.deliver(acct, it.batch, peak), nil
-			}
-			r, ok := <-results
-			if !ok {
-				// Workers bailed out early; the context says why.
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-				return nil, nil
-			}
-			pend[r.idx] = r
+		p, ok := segs.Next()
+		if !ok {
+			return nil, ctx.Err()
 		}
-	}, cleanup
+		if p.err != nil {
+			return nil, p.err
+		}
+		return e.deliver(acct, p.batch, peak), nil
+	}, func() { segs.Stop(func(pulled) {}) }
 }
 
 // pullSegment pulls one segment through the buffer pool and decodes it

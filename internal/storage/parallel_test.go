@@ -2,6 +2,7 @@ package storage
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -150,5 +151,25 @@ func TestParallelScanClampsToUnits(t *testing.T) {
 		acct.Device(srv.media).Snapshot != srv.media.Meter.Snapshot() ||
 		acct.Link(srv.mediaLink).Snapshot != srv.mediaLink.Meter.Snapshot() {
 		t.Errorf("account != meters: proc %+v vs %+v", proc.Snapshot, srv.proc.Meter.Snapshot())
+	}
+}
+
+// A parallel pooled scan that fails gives back every decoded set: the
+// morsels it never delivered — finished after the failure, or waiting
+// in the reorder buffer for an earlier one — release theirs, so once the
+// scan returns every set leased from the server's pool is back in it.
+func TestFailedParallelScanReleasesUndeliveredMorsels(t *testing.T) {
+	srv := newTestServer(t, true)
+	loadTable(t, srv, 12000) // twelve segments, each under DefaultBatchRows rows
+	stop := errors.New("consumer fails")
+	emit := func(b *columnar.Batch) error {
+		b.Release()
+		return stop
+	}
+	if _, err := srv.ScanPooled(context.Background(), "lineitem", ScanSpec{Workers: 3}, emit); !errors.Is(err, stop) {
+		t.Fatalf("scan error = %v, want the consumer's", err)
+	}
+	if free, peak, _ := srv.PoolStats(); free != peak {
+		t.Fatalf("%d sets back in the pool, %d were out at the peak", free, peak)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/columnar"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/expr"
 	"repro/internal/fabric"
 	"repro/internal/faults"
+	"repro/internal/morsel"
 	"repro/internal/obs"
 	"repro/internal/resilience"
 	"repro/internal/sim"
@@ -77,23 +77,19 @@ type ScanSpec struct {
 	// not combine the two. Returning an error aborts the scan.
 	Progress func(nextSegment int) error
 	// Workers > 1 scans with a pool of that many workers, clamped to the
-	// storage processor's replicated units (fabric.Device.Units). Each
-	// worker claims segments from a shared counter — the morsel is one
-	// segment — reads, decodes and (with pushdown) filters and projects
-	// it, charging the processor's per-worker lanes; a reorder buffer on
-	// the caller's goroutine then emits batches and reports Progress in
-	// strict segment order, so results, stats, checkpoint watermarks and
-	// metered totals are identical to a serial scan. The media device
-	// stays a serial resource (its lanes collapse to one) and the media
-	// link's bandwidth is shared by every worker — only the per-command
+	// storage processor's replicated units (fabric.Device.Units). The
+	// scan's one loop, morsel.Start, has them claim segments — the morsel
+	// is one segment — and read, decode and (with pushdown) filter and
+	// project each on the processor's lane segment mod workers; the
+	// caller's goroutine emits batches and reports Progress in segment
+	// order, so results, stats, watermarks and metered totals are a serial
+	// scan's. The media and its link stay serial: only the per-command
 	// NVMe latency overlaps, up to the link's queue depth
-	// (Account.TransferQD) — so scaling workers cannot outrun the media:
-	// that is the honesty floor of the model. Tracing and pushed-down pre-aggregation force a
-	// serial scan: their internal frontiers and aggregation state are
-	// order-sensitive. Under a seeded fault injector the read *arrival*
-	// order varies with workers, so which segment a fault lands on may
-	// differ run to run; recovery heals it either way and the emitted
-	// rows are unchanged.
+	// (Account.TransferQD), so workers cannot outrun the media. Tracing
+	// and pushed-down pre-aggregation, whose frontiers and state are
+	// order-sensitive, force width 1. Under a seeded fault injector which
+	// segment a fault lands on may vary with workers; recovery heals it
+	// either way and the emitted rows are unchanged.
 	Workers int
 	// Account, when non-nil, is the query's account: everything the scan
 	// charges the media, the media link and the processor is recorded on
@@ -504,21 +500,25 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 		// aggregator's state are order-sensitive; keep those scans serial.
 		workers = 1
 	}
-	if workers > 1 {
-		if err := sc.scanParallel(ctx, workers); err != nil {
+	// A morsel is processSegment itself unless the scan speculates, which
+	// a serial one never does; no race frame sits under its reads, so they
+	// stay shallow enough not to double the caller's stack once more.
+	run := sc.processSegment
+	if pol := s.store.svc.Resilience; workers > 1 && pol != nil && pol.Speculate {
+		ewma := resilience.NewTracker(0.2, resilience.SpecMinSamples) // over this scan's completed morsels
+		run = func(ctx context.Context, idx, lane int) segResult { return sc.morsel(ctx, idx, lane, ewma) }
+	}
+	morsels := morsel.Start(ctx, spec.StartSegment, len(keys), workers, run)
+	defer morsels.Stop(sc.drop)
+	for r, ok := morsels.Next(); ok; r, ok = morsels.Next() {
+		if err := sc.deliver(r); err != nil {
 			return stats, err
 		}
-	} else {
-		// Width 1 is the same two functions with nothing in between,
-		// inline on the caller's goroutine.
-		for idx := spec.StartSegment; idx < len(keys); idx++ {
-			if err := ctx.Err(); err != nil {
-				return stats, err
-			}
-			if err := sc.deliver(sc.processSegment(ctx, idx, 0)); err != nil {
-				return stats, err
-			}
-		}
+	}
+	// The stream ends early when the caller's context does; surface that
+	// instead of silently under-scanning.
+	if err := ctx.Err(); err != nil {
+		return stats, err
 	}
 
 	if preagg != nil {
@@ -535,8 +535,9 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 // part any worker may run — read, prune, filter, project, charging the
 // lane it is given; deliver is the order-sensitive part — stats,
 // pre-aggregation, emission, Progress — and always runs on Scan's own
-// goroutine, in segment order. A serial scan calls one after the other;
-// a parallel scan puts a worker pool and a reorder buffer in between.
+// goroutine, in segment order. morsel.Start runs the one after the
+// other at width 1 and puts a worker pool and a reorder buffer between
+// them at width N.
 type segScan struct {
 	s    *Server
 	t    *TableMeta
@@ -614,6 +615,16 @@ func (sc *segScan) deliver(r segResult) error {
 	return sc.spec.Progress(r.seg + 1)
 }
 
+// drop settles a morsel the scan never delivered — it failed, or
+// finished after the scan did: its reads were spent on this query all
+// the same, and its batch goes back to the pool unseen.
+func (sc *segScan) drop(r segResult) {
+	sc.stats.ReadStats.Add(r.sub.ReadStats)
+	if r.out != nil {
+		r.out.Release()
+	}
+}
+
 // emitTracked ships one batch to the consumer in DefaultBatchRows
 // granules, each its consumer's to release (columnar.Batch.Share).
 func (sc *segScan) emitTracked(b *columnar.Batch) error {
@@ -664,8 +675,8 @@ func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *S
 	}
 }
 
-// morsel runs segment idx on its lane, racing it (resilience.Race)
-// against a late copy of itself when the scan speculates. The copy's
+// morsel runs segment idx on its lane in a scan that speculates, racing
+// it (resilience.Race) against a late copy of itself. The copy's
 // timer is fixed when the morsel starts, like a hedged read's delay:
 // SpecMultiple x the EWMA of the scan's completed morsels, at least
 // HedgeMinDelay, once SpecMinSamples of them back it — a morsel that
@@ -676,9 +687,6 @@ func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *S
 // last failure.
 func (sc *segScan) morsel(ctx context.Context, idx, lane int, ewma *resilience.Tracker) segResult {
 	run := func(ctx context.Context) segResult { return sc.processSegment(ctx, idx, lane) }
-	if ewma == nil {
-		return run(ctx)
-	}
 	pol, clk := sc.s.store.svc.Resilience, sc.s.store.svc.Clock
 	start := clk.Now()
 	var late <-chan time.Time
@@ -717,76 +725,6 @@ func (sc *segScan) morsel(ctx context.Context, idx, lane int, ewma *resilience.T
 		out.sub.RetryBudgetExhausted++
 	}
 	return out
-}
-
-// scanParallel is the morsel-parallel scan body. Workers claim segment
-// indices from a shared counter and run each morsel, charging the
-// devices' positional lanes (lane = segment mod workers, so lane busy is
-// independent of goroutine scheduling). Everything order-sensitive —
-// batch emission, Progress watermarks, stats folding — happens on the
-// caller's goroutine behind a reorder buffer, so a parallel scan is
-// observably identical to a serial one apart from wall time, the
-// per-lane busy split and, with a resilience policy that speculates,
-// the late copies of straggling morsels (see morsel).
-func (sc *segScan) scanParallel(ctx context.Context, workers int) error {
-	stats := sc.stats
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var ewma *resilience.Tracker // over this scan's completed morsels
-	if pol := sc.s.store.svc.Resilience; pol != nil && pol.Speculate {
-		ewma = resilience.NewTracker(0.2, resilience.SpecMinSamples)
-	}
-	var next atomic.Int64
-	next.Store(int64(sc.spec.StartSegment))
-	results := make(chan segResult, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				idx := int(next.Add(1) - 1)
-				if idx >= len(sc.keys) || ctx.Err() != nil {
-					return
-				}
-				// The consumer below drains results until it is closed,
-				// so a send never blocks for good.
-				results <- sc.morsel(ctx, idx, idx%workers, ewma)
-			}
-		}()
-	}
-	go func() { wg.Wait(); close(results) }()
-
-	pend := make(map[int]segResult, workers)
-	want := sc.spec.StartSegment
-	var firstErr error
-	for r := range results {
-		// Every morsel's reads are the scan's, delivered or not: a
-		// failed morsel and one finished after the scan failed spent
-		// their retries, hedges and late copies on this query.
-		stats.ReadStats.Add(r.sub.ReadStats)
-		r.sub.ReadStats = ReadStats{}
-		if firstErr != nil {
-			continue
-		}
-		pend[r.seg] = r
-		for cur, ok := pend[want]; ok; cur, ok = pend[want] {
-			delete(pend, want)
-			want++
-			if err := sc.deliver(cur); err != nil {
-				firstErr = err
-				cancel() // stop the workers; keep draining results
-				break
-			}
-		}
-	}
-	if firstErr != nil {
-		return firstErr
-	}
-	// Workers bail out between segments when the caller's context ends;
-	// surface that instead of silently under-scanning.
-	return ctx.Err()
 }
 
 // readSegment is one attempt at segment idx: fetch the blob, unmarshal
