@@ -426,10 +426,10 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 	var ck *flow.Checkpointer
 	if e.PartialRestart && !emitsPartials {
 		ck = flow.NewCheckpointer()
-		// Each epoch's copy of the account is taken at Mark time on the
-		// source goroutine: an exact stream-positional cut, since segments
-		// past the watermark have not been charged yet. Epochs number on
-		// from the resumed one.
+		// Each epoch's copy of the account is taken at Mark time in the
+		// source, on Run's goroutine: an exact stream-positional cut, since
+		// segments past the watermark have not been charged yet. Epochs
+		// number on from the resumed one.
 		segs, epoch := 0, ep
 		spec.Progress = func(next int) error {
 			if segs++; segs < checkpointSegments {

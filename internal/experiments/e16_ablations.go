@@ -49,9 +49,9 @@ func E16CacheStalls() (*E16Result, error) {
 	for _, ws := range []int64{32 << 10, 4 << 20, 64 << 20, 1 << 30} {
 		h := memdev.NewDefaultHierarchy()
 		// Warm, then measure.
-		h.ScanSequential(0, min64(ws, 8<<20))
+		h.ScanSequential(0, min(ws, 8<<20))
 		h.ResetStats()
-		h.ScanSequential(0, min64(ws, 8<<20))
+		h.ScanSequential(0, min(ws, 8<<20))
 		seq := h.StallShare()
 
 		h.Reset()
@@ -78,13 +78,6 @@ func E16CacheStalls() (*E16Result, error) {
 	res.Table.AddRow("filter 5%:", "cpu-path "+res.CPUHierTime.String(),
 		"near-path "+res.NearHierTime.String(), "")
 	return res, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // A1Row is one network-tier point of the wire-compression ablation.
@@ -133,7 +126,7 @@ func A1WireCompression(rows int) (*A1Result, error) {
 		bw := sim.GbitPerSec(gbps)
 		rawTime := bw.TimeFor(sim.Bytes(len(raw)))
 		// Pipelined compress -> ship -> decompress: bottleneck stage.
-		compTime := maxV(compRate.TimeFor(sim.Bytes(len(raw))),
+		compTime := max(compRate.TimeFor(sim.Bytes(len(raw))),
 			bw.TimeFor(sim.Bytes(len(comp))),
 			decompRate.TimeFor(sim.Bytes(len(raw))))
 		row := A1Row{
@@ -149,16 +142,6 @@ func A1WireCompression(rows int) (*A1Result, error) {
 		res.Table.AddRow(row.Tier, rawTime.String(), compTime.String(), winner)
 	}
 	return res, nil
-}
-
-func maxV(vs ...sim.VTime) sim.VTime {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // A2Row is one NIC-tier point of the bandwidth-scaling ablation.

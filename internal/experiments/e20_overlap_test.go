@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -36,14 +36,9 @@ func TestE20Deterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var df, vo bytes.Buffer
-		if err := r.DataFlowTrace.WriteJSON(&df); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.VolcanoTrace.WriteJSON(&vo); err != nil {
-			t.Fatal(err)
-		}
-		return df.String(), vo.String()
+		df, vo := r.DataFlowTrace, r.VolcanoTrace
+		return fmt.Sprint(df.Spans(), df.Events(), df.SeriesList()),
+			fmt.Sprint(vo.Spans(), vo.Events(), vo.SeriesList())
 	}
 	df1, vo1 := render()
 	df2, vo2 := render()

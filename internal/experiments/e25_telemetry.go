@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -269,7 +270,7 @@ func E25Telemetry(rows int, opts E25Options) (*E25Result, error) {
 		got := hist.Quantile(q.p)
 		errPct := 0.0
 		if exact != 0 {
-			errPct = 100 * absF(float64(got)-float64(exact)) / float64(exact)
+			errPct = 100 * math.Abs(float64(got)-float64(exact)) / float64(exact)
 		}
 		res.QuantileErrPct[q.name] = errPct
 	}
@@ -405,11 +406,4 @@ func boolMetric(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-func absF(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

@@ -46,15 +46,6 @@ func (k DeviceKind) String() string {
 // executes them. Absence means the device cannot host that op.
 type Capability map[OpClass]sim.Rate
 
-// Clone deep-copies the capability table.
-func (c Capability) Clone() Capability {
-	out := make(Capability, len(c))
-	for k, v := range c {
-		out[k] = v
-	}
-	return out
-}
-
 // Device is one processing element. Its meter accumulates bytes processed
 // and virtual busy time; experiments read the meters to report who did
 // the work.

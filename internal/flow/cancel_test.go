@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/columnar"
+	"repro/internal/sim"
 )
 
 // Cancellation must unwind a pipeline no matter where it is blocked: a
@@ -17,7 +18,7 @@ import (
 func TestCancelUnblocksHungPipeline(t *testing.T) {
 	assertNoFlowLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	hung := &SlowStage{Inner: &sumStage{}, Delay: time.Hour, Done: ctx.Done()}
+	hung := &SlowStage{Inner: &sumStage{}, Delay: time.Hour, Ctx: ctx}
 	p := &Pipeline{
 		Name:   "cancel",
 		Source: nBatchSource(50, 4),
@@ -43,7 +44,7 @@ func TestDeadlineUnblocksHungPipeline(t *testing.T) {
 	assertNoFlowLeaks(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	hung := &SlowStage{Inner: &passStage{name: "work"}, Delay: time.Hour, Done: ctx.Done()}
+	hung := &SlowStage{Inner: &passStage{name: "work"}, Delay: time.Hour, Ctx: ctx}
 	p := &Pipeline{
 		Name:   "deadline",
 		Source: nBatchSource(10, 4),
@@ -96,7 +97,7 @@ func TestCancelDuringCheckpointedRun(t *testing.T) {
 		Inner: &ckptSumStage{},
 		Delay: time.Hour,
 		Fire:  fireAfter(3),
-		Done:  ctx.Done(),
+		Ctx:   ctx,
 	}
 	p := &Pipeline{
 		Name:   "cancel-ckpt",
@@ -196,12 +197,16 @@ func fireAfter(n int) func() bool {
 // SlowStage wraps a stage with an injected processing delay, modelling a
 // degraded or hung device for the cancellation tests. When Fire is nil
 // the delay applies to every batch; otherwise only when Fire reports
-// true. The delay aborts when Done, its test's context's, closes.
+// true. The delay aborts when Ctx, its test's context, is done, and
+// returns Ctx's error, as a stage that watches the query's context does.
+// It must not return ErrCanceled: that reports the run's own context
+// done, a run does not record it, and Ctx is done a moment before the
+// run's context derived from it.
 type SlowStage struct {
 	Inner Stage
 	Delay time.Duration
 	Fire  func() bool
-	Done  <-chan struct{}
+	Ctx   context.Context
 }
 
 // Name reports the wrapped stage's name.
@@ -210,12 +215,9 @@ func (s *SlowStage) Name() string { return s.Inner.Name() }
 // Process delays (cancellably), then forwards to the wrapped stage.
 func (s *SlowStage) Process(b *columnar.Batch, emit Emit) error {
 	if s.Delay > 0 && (s.Fire == nil || s.Fire()) {
-		t := time.NewTimer(s.Delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-s.Done:
-			return ErrCanceled
+		var wall *sim.Clock
+		if err := wall.Sleep(s.Ctx, s.Delay); err != nil {
+			return err
 		}
 	}
 	return s.Inner.Process(b, emit)

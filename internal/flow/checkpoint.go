@@ -76,8 +76,8 @@ func (c *Checkpointer) bind(stages int, inject func(int) error) {
 // opaque watermark (e.g. the next storage segment index) a restart
 // resumes the source from, and a marker is injected into the stream
 // behind every batch of the epoch. Call only from inside the pipeline's
-// Source, on the source goroutine; epochs must be marked in increasing
-// order.
+// Source, which runs on Run's goroutine; epochs must be marked in
+// increasing order.
 func (c *Checkpointer) Mark(epoch int, resume any) error {
 	if c == nil {
 		return nil

@@ -1,9 +1,11 @@
 package flow
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -96,6 +98,45 @@ func TestPipelineSourceOnly(t *testing.T) {
 	}
 	if rows != 30 || res.SinkRows != 30 || res.SinkBatches != 3 {
 		t.Errorf("rows=%d res=%+v", rows, res)
+	}
+}
+
+// goroutineID reads the calling goroutine's id off the first line of its
+// stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+// TestSourceRunsOnTheCallersGoroutine: Run starts a goroutine per stage
+// and none for its source, which emits from the goroutine that called Run
+// — with no stage, straight into the sink, and past port 0's credits
+// (Depth 1) with two.
+func TestSourceRunsOnTheCallersGoroutine(t *testing.T) {
+	assertNoFlowLeaks(t)
+	for _, stages := range [][]Placed{nil, {{Stage: &passStage{"a"}}, {Stage: &passStage{"b"}}}} {
+		caller, emits := goroutineID(), 0
+		src := func(emit Emit) error {
+			if id := goroutineID(); id != caller {
+				return fmt.Errorf("source on goroutine %s, Run called on %s", id, caller)
+			}
+			for i := 0; i < 10; i++ {
+				if err := emit(intBatch(int64(i))); err != nil {
+					return err
+				}
+				emits++
+			}
+			return nil
+		}
+		p := &Pipeline{Name: "caller", Source: src, Stages: stages, Depth: 1}
+		res, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
+		if err != nil {
+			t.Fatalf("%d stages: %v", len(stages), err)
+		}
+		if emits != 10 || res.SinkBatches != 10 {
+			t.Fatalf("%d stages: %d emitted, %d at the sink, want 10", len(stages), emits, res.SinkBatches)
+		}
 	}
 }
 

@@ -43,13 +43,13 @@ func (s *pFail) NewWorker() Stage { return &pFail{at: s.at} }
 func (s *pFail) Stateless() bool  { return true }
 
 // pSlow is a stateless parallel stage whose workers park in a delay
-// that aborts when done closes.
+// that aborts when ctx is done.
 type pSlow struct{ SlowStage }
 
-func newPSlow(delay time.Duration, done <-chan struct{}) *pSlow {
-	return &pSlow{SlowStage{Inner: &passStage{name: "slow"}, Delay: delay, Done: done}}
+func newPSlow(ctx context.Context, delay time.Duration) *pSlow {
+	return &pSlow{SlowStage{Inner: &passStage{name: "slow"}, Delay: delay, Ctx: ctx}}
 }
-func (s *pSlow) NewWorker() Stage { return newPSlow(s.Delay, s.Done) }
+func (s *pSlow) NewWorker() Stage { return newPSlow(s.Ctx, s.Delay) }
 func (s *pSlow) Stateless() bool  { return true }
 
 // A parallel stateless stage must be observationally identical to the
@@ -191,7 +191,7 @@ func TestCancelUnblocksParallelPipeline(t *testing.T) {
 	p := &Pipeline{
 		Name:    "par-cancel",
 		Source:  nBatchSource(50, 4),
-		Stages:  []Placed{{Stage: newPSlow(time.Hour, ctx.Done())}},
+		Stages:  []Placed{{Stage: newPSlow(ctx, time.Hour)}},
 		Workers: 4,
 		Depth:   2,
 	}

@@ -164,12 +164,13 @@ func (r Result) TotalCreditMessages() int64 {
 }
 
 // Run executes the pipeline, delivering final batches to sink (called
-// from a single goroutine). It returns when every stage has flushed, any
-// element failed, or ctx was cancelled. The run's context is its one stop
-// signal: a failure cancels it with itself as the cause, blocked port
-// sends and receives unwind on its Done, credits drain, and every
-// goroutine exits before Run returns the first cause — the first source,
-// stage or sink failure, or else ctx's own error.
+// from a single goroutine). It starts one goroutine per stage and runs the
+// source on the calling goroutine. It returns when every stage has flushed, any element
+// failed, or ctx was cancelled. The run's context is its one stop signal:
+// a failure cancels it with itself as the cause, blocked port sends and
+// receives unwind on its Done, credits drain, and every stage goroutine
+// exits before Run returns the first cause — the first source, stage or
+// sink failure, or else ctx's own error.
 func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	var res Result
 	if ctx == nil {
@@ -264,7 +265,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 
 	// Checkpointing: the source's Mark calls inject an epoch marker into
 	// the stream (or, with no stages, complete the epoch at the sink
-	// directly — the source goroutine is the sink writer there).
+	// directly — the source, on Run's goroutine, is the sink writer there).
 	if p.Ckpt != nil {
 		p.Ckpt.bind(len(p.Stages), func(epoch int) error {
 			if len(ports) == 0 {
@@ -285,30 +286,9 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		defer pg.Add(-float64(provisioned))
 	}
 
+	// Stage goroutines, one per stage at every width. They start before the
+	// source sends: past port 0's credits its Send waits for stage 0.
 	var wg sync.WaitGroup
-
-	// Source goroutine.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := p.Source(func(b *columnar.Batch) error {
-			if tape != nil {
-				tape.Source.Emits = append(tape.Source.Emits,
-					obs.Emission{At: p.Clock.Now(), Bytes: sim.Bytes(b.ByteSize())})
-			}
-			if len(ports) == 0 {
-				return res.toSink(sink, b)
-			}
-			return ports[0].Send(b)
-		}); err != nil {
-			fail(err)
-		}
-		if len(ports) > 0 {
-			ports[0].Close()
-		}
-	}()
-
-	// Stage goroutines, one per stage at every width.
 	for i := range p.Stages {
 		r := &stageRun{
 			p: p, i: i, st: p.Stages[i], w: p.stageWorkers(i),
@@ -326,6 +306,24 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 			defer wg.Done()
 			r.run()
 		}()
+	}
+
+	// The source runs on the caller's goroutine, the one writer of the
+	// tape's source emissions (and of the sink when there is no stage).
+	if err := p.Source(func(b *columnar.Batch) error {
+		if tape != nil {
+			tape.Source.Emits = append(tape.Source.Emits,
+				obs.Emission{At: p.Clock.Now(), Bytes: sim.Bytes(b.ByteSize())})
+		}
+		if len(ports) == 0 {
+			return res.toSink(sink, b)
+		}
+		return ports[0].Send(b)
+	}); err != nil {
+		fail(err)
+	}
+	if len(ports) > 0 {
+		ports[0].Close()
 	}
 
 	wg.Wait()

@@ -121,54 +121,6 @@ func WritePerfetto(w io.Writer, procs ...Process) error {
 	return bw.Flush()
 }
 
-// traceJSON is the machine-readable stats document for one trace.
-type traceJSON struct {
-	Makespan     sim.VTime  `json:"makespan_vns"`
-	WorkBusy     sim.VTime  `json:"work_busy_vns"`
-	Concurrency  float64    `json:"concurrency_factor"`
-	Utilizations []utilJSON `json:"utilizations"`
-	Spans        []Span     `json:"spans"`
-	Events       []Event    `json:"events"`
-	Series       []Series   `json:"series"`
-}
-
-type utilJSON struct {
-	Track string    `json:"track"`
-	Busy  sim.VTime `json:"busy_vns"`
-	Util  float64   `json:"util"`
-}
-
-// WriteJSON emits the full trace — summary, spans, events, series — as
-// one deterministic JSON document.
-func (t *Trace) WriteJSON(w io.Writer) error {
-	doc := traceJSON{
-		Makespan:    t.Makespan(),
-		WorkBusy:    t.WorkBusy(),
-		Concurrency: t.ConcurrencyFactor(),
-		Spans:       t.Spans(),
-		Events:      t.Events(),
-		Series:      t.SeriesList(),
-	}
-	if doc.Spans == nil {
-		doc.Spans = []Span{}
-	}
-	if doc.Events == nil {
-		doc.Events = []Event{}
-	}
-	if doc.Series == nil {
-		doc.Series = []Series{}
-	}
-	for _, u := range t.Utilizations() {
-		doc.Utilizations = append(doc.Utilizations, utilJSON{Track: u.Track, Busy: u.Busy, Util: u.Util})
-	}
-	if doc.Utilizations == nil {
-		doc.Utilizations = []utilJSON{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
 // WriteTimeline renders what EXPLAIN ANALYZE prints: the Gantt chart and
 // the headline concurrency numbers. A nil trace (tracing was off) writes
 // nothing.

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // perfettoDoc mirrors just enough of the trace_event format to assert on
@@ -160,62 +158,6 @@ func TestWritePerfettoMultiProcessDeterministic(t *testing.T) {
 	}
 	if len(pids) != 2 {
 		t.Fatalf("got pids %v, want exactly 2", pids)
-	}
-}
-
-func TestWriteJSONEmptyTrace(t *testing.T) {
-	var buf bytes.Buffer
-	if err := New().WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	// Collections marshal as [] — never null — so downstream consumers
-	// can range without nil checks.
-	for _, key := range []string{"utilizations", "spans", "events", "series"} {
-		raw, ok := doc[key]
-		if !ok {
-			t.Fatalf("missing %q in %s", key, buf.String())
-		}
-		if s := strings.TrimSpace(string(raw)); s != "[]" {
-			t.Fatalf("%q = %s, want []", key, s)
-		}
-	}
-}
-
-func TestWriteJSONRoundTrip(t *testing.T) {
-	tr := New()
-	tr.AddSpan(Span{Name: "scan", Track: "media", Kind: SpanScan, Start: 0, End: 400, Seq: 2, Bytes: 64})
-	tr.Sample("port.bytes", "bytes", 100, 64)
-	var buf bytes.Buffer
-	if err := tr.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var doc struct {
-		Makespan    sim.VTime `json:"makespan_vns"`
-		Concurrency float64   `json:"concurrency_factor"`
-		Spans       []Span    `json:"spans"`
-		Series      []Series  `json:"series"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
-	}
-	if doc.Makespan != 400 || len(doc.Spans) != 1 || doc.Spans[0] != (Span{
-		Name: "scan", Track: "media", Kind: SpanScan, Start: 0, End: 400, Seq: 2, Bytes: 64}) {
-		t.Fatalf("round trip mismatch: %+v", doc)
-	}
-	if len(doc.Series) != 1 || doc.Series[0].Name != "port.bytes" || len(doc.Series[0].Points) != 1 {
-		t.Fatalf("series mismatch: %+v", doc.Series)
-	}
-
-	var again bytes.Buffer
-	if err := tr.WriteJSON(&again); err != nil {
-		t.Fatalf("WriteJSON again: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("WriteJSON not deterministic for the same trace")
 	}
 }
 

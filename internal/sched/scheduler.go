@@ -473,17 +473,13 @@ func (s *Scheduler) Release(adm *Admission) {
 		panic(fmt.Sprintf("sched: double release of admission %d", adm.ID))
 	}
 	delete(s.active, adm.ID)
+	// A load that falls to zero keeps its entry: the keys are bounded by
+	// the cluster's links and devices, and the next Admit reuses them.
 	for _, l := range adm.links {
 		s.linkLoad[l]--
-		if s.linkLoad[l] <= 0 {
-			delete(s.linkLoad, l)
-		}
 	}
 	for _, d := range adm.devices {
 		s.deviceSlots[d.Name] -= adm.slots
-		if s.deviceSlots[d.Name] <= 0 {
-			delete(s.deviceSlots, d.Name)
-		}
 	}
 	if !adm.admitted.IsZero() {
 		s.observeServiceLocked(s.svc.Clock.Since(adm.admitted), adm.Cost)

@@ -501,8 +501,7 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 		workers = 1
 	}
 	// A morsel is processSegment itself unless the scan speculates, which
-	// a serial one never does; no race frame sits under its reads, so they
-	// stay shallow enough not to double the caller's stack once more.
+	// a serial one never does: a late copy needs a second worker.
 	run := sc.processSegment
 	if pol := s.store.svc.Resilience; workers > 1 && pol != nil && pol.Speculate {
 		ewma := resilience.NewTracker(0.2, resilience.SpecMinSamples) // over this scan's completed morsels
