@@ -9,6 +9,7 @@ import (
 	"repro/internal/columnar"
 	"repro/internal/faults"
 	"repro/internal/obs"
+	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/wiring"
 )
@@ -126,19 +127,83 @@ func TestTransientFaultRetryAdvancesAManualClock(t *testing.T) {
 	}
 }
 
+// Every retry spends a budget token, the store's transient re-read and
+// the scan's corrupt re-read alike: with no policy a read gives up after
+// exactly MaxRetries retries and nothing is denied; with a drained
+// budget it reads once, retries nothing and counts one denial.
 func TestRetryBudgetExhaustion(t *testing.T) {
-	s := NewObjectStore(nil)
-	s.RetryBase = 0
-	s.MaxRetries = 1
-	s.svc.Faults = faults.New(42)
-	s.svc.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1})
-	s.Put("k", []byte("x"))
-	_, err := s.Get(context.Background(), "k")
-	if err == nil {
-		t.Fatal("Get succeeded through an always-firing fault")
+	drained := func() *resilience.Policy {
+		b := resilience.NewBudget(0, 1)
+		b.TryAcquire() // spend the startup token: nothing is left
+		return &resilience.Policy{Budget: b}
 	}
-	if !faults.IsTransient(err) {
-		t.Fatalf("exhausted retries surfaced non-transient error %v", err)
+	// transient fails every read of a store with MaxRetries 1.
+	transient := func(t *testing.T, pol *resilience.Policy) (ReadStats, int64) {
+		s := NewObjectStore(&wiring.Services{Resilience: pol, Faults: faults.New(42)})
+		s.RetryBase = 0
+		s.MaxRetries = 1
+		s.svc.Faults.Arm(faults.Point{Kind: faults.TransientRead, Prob: 1})
+		s.Put("k", []byte("x"))
+		before := s.Meter.Ops()
+		_, err := s.Get(context.Background(), "k")
+		if err == nil {
+			t.Fatal("Get succeeded through an always-firing fault")
+		}
+		if !faults.IsTransient(err) {
+			t.Fatalf("exhausted retries surfaced non-transient error %v", err)
+		}
+		return s.Totals(), s.Meter.Ops() - before
+	}
+	// corrupt scans a one-segment table whose stored blob fails its
+	// checksum on every read.
+	corrupt := func(t *testing.T, pol *resilience.Policy) (ReadStats, int64) {
+		srv := newTestServer(t, true)
+		srv.Store().RetryBase = 0
+		loadTable(t, srv, 1000)
+		meta, err := srv.Table("lineitem")
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := meta.SegmentKeys[0]
+		blob, err := srv.Store().Get(context.Background(), key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob[len(blob)/2] ^= 0x01
+		srv.Store().Put(key, blob)
+		srv.Store().svc.Resilience = pol
+		before := srv.Store().Meter.Ops()
+		stats, err := srv.Scan(context.Background(), "lineitem", ScanSpec{}, func(*columnar.Batch) error { return nil })
+		if err == nil {
+			t.Fatal("scan over a persistently corrupt segment succeeded")
+		}
+		return stats.ReadStats, srv.Store().Meter.Ops() - before
+	}
+	for _, tc := range []struct {
+		name    string
+		read    func(*testing.T, *resilience.Policy) (ReadStats, int64)
+		pol     *resilience.Policy
+		reads   int64
+		retries int64
+		denied  int64
+	}{
+		{"store/no-policy", transient, nil, 2, 1, 0},
+		{"store/drained-budget", transient, drained(), 1, 0, 1},
+		{"scan/no-policy", corrupt, nil, 1 + DefaultMaxRetries, DefaultMaxRetries, 0},
+		{"scan/drained-budget", corrupt, drained(), 1, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs, reads := tc.read(t, tc.pol)
+			if reads != tc.reads || rs.Retries != tc.retries || rs.RetryBudgetExhausted != tc.denied {
+				t.Errorf("%d reads, %d retries, %d denials; want %d, %d, %d",
+					reads, rs.Retries, rs.RetryBudgetExhausted, tc.reads, tc.retries, tc.denied)
+			}
+			if tc.pol != nil {
+				if got := tc.pol.Budget.Exhausted(); got != tc.denied {
+					t.Errorf("Budget.Exhausted() = %d, want %d", got, tc.denied)
+				}
+			}
+		})
 	}
 }
 
