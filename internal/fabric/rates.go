@@ -13,9 +13,6 @@ var (
 	// controller: the paper cites 75-85% historically (Section 5.1);
 	// we use 80%.
 	CoreMemBandwidth = sim.Rate(0.8 * 25.6e9)
-	// HBMBandwidth models an HBM-attached accelerator's privileged
-	// memory path (Section 5.2).
-	HBMBandwidth = sim.Rate(400e9)
 
 	// PCIe generation bandwidths (x16, per direction). Section 6.2:
 	// PCIe5 reaches 64 GB/s, doubling each generation.
@@ -40,10 +37,6 @@ var (
 
 	// NVMeBandwidth is a modern flash SSD's sequential read path.
 	NVMeBandwidth = sim.Rate(7e9)
-	// ObjectStoreBandwidth is a single object-store stream: slow disks
-	// behind a network (Section 7.5), requiring parallelism for
-	// reasonable throughput.
-	ObjectStoreBandwidth = sim.Rate(0.5e9)
 	// OnChipBandwidth is the cache/on-chip network path.
 	OnChipBandwidth = sim.Rate(100e9)
 )
@@ -55,15 +48,12 @@ var (
 	PCIeLatency   = 500 * sim.Nanosecond
 	CXLLatency    = 200 * sim.Nanosecond // "slightly higher latency" than local (Section 6.3)
 	RDMALatency   = 2 * sim.Microsecond
-	TCPLatency    = 30 * sim.Microsecond
 	NVMeLatency   = 80 * sim.Microsecond
-	ObjectLatency = 4 * sim.Millisecond
 	// NVMeQueueDepth is how many outstanding commands the flash media
 	// link services concurrently: command latency overlaps across the
 	// queue (Account.TransferQD) while sequential bandwidth stays a serial
 	// resource shared by every request.
 	NVMeQueueDepth = 8
-	NUMAExtra      = 60 * sim.Nanosecond // added when crossing sockets (Section 5.1)
 	KernelSetupCPU = sim.VTime(0)        // CPUs run ISA code; no install step
 	KernelSetupAcc = 5 * sim.Microsecond // register programming + logic install (Section 7.2)
 )

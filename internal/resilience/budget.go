@@ -4,11 +4,13 @@ import "sync"
 
 // Budget is the global retry budget: a token bucket refilled by
 // observed primary work. Every ObserveOp adds Ratio tokens (capped at
-// Burst); every hedge, speculative re-execution or fault retry spends
-// one token via TryAcquire. With Ratio at 0.1 the recovery machinery
-// can add at most ~10% extra work on top of the primary stream, so an
-// injected fault storm degrades to shed-or-serve-slow instead of
-// amplifying itself. All methods are safe for concurrent use; a nil
+// Burst); every hedge or speculative re-execution (Race), every fault
+// retry (Retry: a store's transient re-read and a scan's corrupt re-read
+// alike) and every query re-run of the engine's recovery loop spends one
+// token via TryAcquire. With Ratio at 0.1 the
+// recovery machinery can add at most ~10% extra work on top of the
+// primary stream, so an injected fault storm degrades to
+// shed-or-serve-slow instead of amplifying itself. All methods are safe for concurrent use; a nil
 // *Budget grants everything.
 type Budget struct {
 	mu        sync.Mutex

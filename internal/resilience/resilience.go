@@ -1,7 +1,8 @@
 // Package resilience implements the gray-failure defense layer shared by
 // storage, sched, flow and the engines: EWMA health tracking, hedged-read
 // and speculative-execution policy knobs, per-device circuit breakers with
-// half-open probing, and a global retry budget.
+// half-open probing, a global retry budget, and the two loops that spend
+// it: the hedge (Race) and the fault retry (Retry).
 //
 // Gray failures are devices that are slow but not dead — a degraded
 // storage processor, a jittery link. Crash recovery (replica fallback,
@@ -10,10 +11,10 @@
 // collapses onto the slowest participant. The defenses here follow the
 // tail-at-scale playbook: measure per-participant latency (Tracker),
 // hedge or speculate past stragglers after a deviation-scaled delay
-// (Policy, Race), stop sending work to participants that consistently fail
-// (BreakerSet), and cap the total extra work recovery may generate
-// (Budget) so fault storms degrade to shed-or-serve-slow instead of
-// retry amplification.
+// (Policy, Race), retry faults with bounded backoff (Retry), stop sending
+// work to participants that consistently fail (BreakerSet), and cap the
+// total extra work recovery may generate (Budget) so fault storms degrade
+// to shed-or-serve-slow instead of retry amplification.
 package resilience
 
 import "time"

@@ -70,8 +70,6 @@ type Rate float64
 // 1.6 Tb/s NICs); memory and PCIe rates follow Sections 5.1 and 6.2.
 const (
 	BytePerSec Rate = 1
-	KBPerSec        = 1e3 * BytePerSec
-	MBPerSec        = 1e6 * BytePerSec
 	GBPerSec        = 1e9 * BytePerSec
 )
 

@@ -21,10 +21,11 @@ import (
 // marshalled segments.
 //
 // Availability machinery: Put writes Replicas independent copies of each
-// blob and Get falls back across them, retrying transient faults with
-// bounded exponential backoff. The wired fault injector, when set,
-// injects read-path faults (transient errors, corrupt blobs, missing
-// objects, degraded replicas) so experiments can measure that recovery.
+// blob and Get falls back across them, retrying transient faults through
+// resilience.Retry, as the storage server's corrupt-segment re-read does.
+// The wired fault injector, when set, injects read-path faults (transient
+// errors, corrupt blobs, missing objects, degraded replicas) so
+// experiments can measure that recovery.
 //
 // Gray-failure machinery: BaseLatency models the healthy per-read
 // service time, which DegradedDevice faults stretch per replica. With a
@@ -56,7 +57,8 @@ type ObjectStore struct {
 	// multipliers have a base to stretch.
 	BaseLatency time.Duration
 	// MaxRetries bounds the per-replica retries of a transient read
-	// fault before falling back to the next replica; 0 disables retry,
+	// fault before falling back to the next replica, and a scan's
+	// re-reads of a segment that fails its checksum; 0 disables retry,
 	// modelling a legacy detect-only store.
 	MaxRetries int
 	// RetryBase is the first retry's backoff; it doubles per attempt and
@@ -159,9 +161,7 @@ func (o *ObjectStore) Put(key string, data []byte) {
 
 // Get returns a defensive copy of the blob stored under key; callers may
 // mutate the result freely. Reads fall back across replicas and retry
-// transient faults with bounded exponential backoff; retry sleeps honor
-// ctx, so an expired deadline surfaces immediately instead of after the
-// backoff.
+// transient faults (readLoop); a done ctx cuts a backoff short.
 func (o *ObjectStore) Get(ctx context.Context, key string) ([]byte, error) {
 	return o.Read(ctx, key, true, nil)
 }
@@ -407,45 +407,41 @@ func (o *ObjectStore) chargeRacer(res *raceResult, rs *ReadStats) {
 	o.Meter.Add(sim.Snapshot{Bytes: sim.Bytes(len(res.data)), Ops: res.ops})
 }
 
-// readLoop runs the retry loop against one replica and reports how many
-// attempts it made; the bytes it moved are those it returns. fallback
-// marks reads past the first-choice replica (for RetryBytes
-// accounting); countRecovery gates Retries so hedge-side retries do not
-// perturb the recovery count of the primary path.
+// readLoop reads replica r through resilience.Retry and reports how many
+// attempts it made; the bytes it moved are those it returns. Transient
+// faults are retried, except a missing replica, which will not reappear:
+// the walk moves on to the next one. fallback marks reads past the
+// first-choice replica (for RetryBytes accounting); countRecovery gates
+// Retries so hedge-side retries do not perturb the recovery count of the
+// primary path.
 func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []byte, copyOut, fallback, countRecovery bool, rs *ReadStats) (out []byte, ops int64, err error) {
-	for attempt := 0; ; attempt++ {
+	retries, denied, err := resilience.Retry(ctx, o.svc.Clock, o.budget(), o.MaxRetries, o.RetryBase, func(n int) (bool, error) {
 		ops++
-		out, err = o.readReplica(ctx, key, r, data, copyOut, rs)
-		if err == nil {
-			if fallback || attempt > 0 {
-				rs.RetryBytes += sim.Bytes(len(out))
-			}
-			return out, ops, nil
+		if out, err = o.readReplica(ctx, key, r, data, copyOut, rs); err != nil {
+			fe, isFault := err.(*faults.FaultError)
+			return faults.IsTransient(err) && !(isFault && fe.Kind == faults.ObjectMissing), err
 		}
-		retryable := faults.IsTransient(err)
-		if fe, isFault := err.(*faults.FaultError); isFault && fe.Kind == faults.ObjectMissing {
-			// A missing replica will not reappear: go to the next one.
-			retryable = false
+		if fallback || n > 0 {
+			rs.RetryBytes += sim.Bytes(len(out))
 		}
-		if ctx != nil && ctx.Err() != nil {
-			retryable = false
-		}
-		if !retryable || attempt >= o.MaxRetries {
-			return nil, ops, err
-		}
-		if pol := o.svc.Resilience; pol != nil && !pol.Budget.TryAcquire() {
-			// Retry budget exhausted: shed the retry instead of
-			// amplifying a fault storm.
-			rs.RetryBudgetExhausted++
-			return nil, ops, err
-		}
-		if countRecovery {
-			rs.Retries++
-		}
-		if berr := o.backoff(ctx, attempt); berr != nil {
-			return nil, ops, berr
-		}
+		return false, nil
+	})
+	if countRecovery {
+		rs.Retries += int64(retries)
 	}
+	if denied {
+		rs.RetryBudgetExhausted++
+	}
+	return out, ops, err
+}
+
+// budget is the wired policy's retry budget; nil (every retry granted)
+// without a policy.
+func (o *ObjectStore) budget() *resilience.Budget {
+	if pol := o.svc.Resilience; pol != nil {
+		return pol.Budget
+	}
+	return nil
 }
 
 // readReplica is one read attempt against one replica, with faults
@@ -533,19 +529,6 @@ func (o *ObjectStore) observeRead(r int, start time.Time) {
 	}
 	pol.Health.Observe(ReplicaKey(r), o.svc.Clock.Since(start))
 	pol.Budget.ObserveOp()
-}
-
-// backoff sleeps the bounded-exponential delay for the given attempt,
-// returning early with ctx's error if the context expires mid-sleep.
-func (o *ObjectStore) backoff(ctx context.Context, attempt int) error {
-	if o.RetryBase <= 0 {
-		return nil
-	}
-	d := o.RetryBase << uint(attempt)
-	if max := o.RetryBase * 8; d > max {
-		d = max
-	}
-	return o.svc.Clock.Sleep(ctx, d)
 }
 
 // Size returns the byte size of the object under key without charging a

@@ -465,9 +465,6 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	var preagg *expr.PartialAggregator
 	if spec.Pushdown && spec.PreAgg != nil {
 		budget := int(s.proc.StateBudget / expr.StateSize)
-		if s.proc.StateBudget == 0 {
-			budget = 0
-		}
 		preagg = expr.NewPartialAggregator(spec.PreAgg.Rebase(rebase), decoded, budget)
 	}
 
@@ -574,11 +571,32 @@ func (sc *segScan) procSpan(name string, seg int, c sim.VTime, n sim.Bytes) {
 
 // processSegment runs one copy of segment idx end to end — read/decode
 // and, with pushdown, filter and project — charging the processor's
-// given lane, and returns its result message.
+// given lane, and returns its result message. A segment that fails its
+// checksum is read again (resilience.Retry, on the store's terms): a
+// fresh read may hit a clean replica or wire. Other errors have been
+// through the store's own retries already.
 func (sc *segScan) processSegment(ctx context.Context, idx, lane int) segResult {
 	r := segResult{seg: idx}
-	r.out, r.err = sc.readSegmentRetry(ctx, idx, lane, &r.sub)
-	if r.err == nil && r.out == nil {
+	s, key := sc.s, sc.keys[idx]
+	var segErr error
+	retries, denied, err := resilience.Retry(ctx, s.store.svc.Clock, s.store.budget(), s.store.MaxRetries, s.store.RetryBase, func(n int) (bool, error) {
+		if p := sc.pipe; p != nil && n > 0 {
+			// The retry follows the check that failed, and the re-read
+			// follows the retry: both at the later of the two frontiers.
+			p.mediaFree = max(p.mediaFree, p.procFree)
+			p.tr.AddEvent(obs.Event{Name: "retry", Track: s.media.Name,
+				At: p.mediaFree, Detail: fmt.Sprintf("%s: %v", key, segErr)})
+		}
+		if r.out, segErr = sc.readSegment(ctx, idx, lane, n, &r.sub); segErr != nil {
+			return errors.Is(segErr, encoding.ErrCorrupt), fmt.Errorf("storage: %s: %w", key, segErr)
+		}
+		return false, nil
+	})
+	r.sub.Retries += int64(retries)
+	if denied {
+		r.sub.RetryBudgetExhausted++
+	}
+	if r.err = err; r.err == nil && r.out == nil {
 		r.sub.SegmentsPruned++
 	}
 	return r
@@ -645,35 +663,6 @@ func (sc *segScan) emitTracked(b *columnar.Batch) error {
 	return nil
 }
 
-// readSegmentRetry wraps readSegment in the corrupt-blob retry loop:
-// only checksum-detected corruption is worth re-reading — a fresh read
-// may hit a clean replica or a clean wire — while other errors (missing
-// object, exhausted transient budget) have already been through the
-// store's own retry machinery and surface as-is.
-func (sc *segScan) readSegmentRetry(ctx context.Context, idx, lane int, stats *ScanStats) (*columnar.Batch, error) {
-	s, key := sc.s, sc.keys[idx]
-	for attempt := 0; ; attempt++ {
-		out, segErr := sc.readSegment(ctx, idx, lane, attempt, stats)
-		if segErr == nil {
-			return out, nil
-		}
-		if !errors.Is(segErr, encoding.ErrCorrupt) || attempt >= s.store.MaxRetries {
-			return nil, fmt.Errorf("storage: %s: %w", key, segErr)
-		}
-		stats.Retries++
-		if p := sc.pipe; p != nil {
-			// The retry follows the check that failed, and the re-read
-			// follows the retry: both at the later of the two frontiers.
-			p.mediaFree = max(p.mediaFree, p.procFree)
-			p.tr.AddEvent(obs.Event{Name: "retry", Track: s.media.Name,
-				At: p.mediaFree, Detail: fmt.Sprintf("%s: %v", key, segErr)})
-		}
-		if err := s.store.backoff(ctx, attempt); err != nil {
-			return nil, err
-		}
-	}
-}
-
 // morsel runs segment idx on its lane in a scan that speculates, racing
 // it (resilience.Race) against a late copy of itself. The copy's
 // timer is fixed when the morsel starts, like a hedged read's delay:
@@ -734,9 +723,9 @@ func (sc *segScan) morsel(ctx context.Context, idx, lane int, ewma *resilience.T
 // far as the spec pushes down. Charges land on the devices' positional
 // lanes (serial scans pass lane 0; the media and its link have one unit,
 // so their lanes collapse either way). Corruption surfaces as an error
-// wrapping encoding.ErrCorrupt for the retry loop; re-reads (attempt >
-// 0) charge the media again and count toward RetryBytes, so recovery
-// shows up as real extra work in the meters.
+// wrapping encoding.ErrCorrupt, which processSegment retries; re-reads
+// (attempt > 0) charge the media again and count toward RetryBytes, so
+// recovery shows up as real extra work in the meters.
 func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stats *ScanStats) (*columnar.Batch, error) {
 	s, spec, needed := sc.s, sc.spec, sc.needed
 	blob, err := s.store.Read(ctx, sc.keys[idx], false, &stats.ReadStats)
