@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -305,6 +307,73 @@ func TestDeviceKillMidQueryFailsOver(t *testing.T) {
 		if pm.Sites[pl.SiteIdx].Device.Name == target {
 			t.Errorf("follow-up plan still places work on dead %s", target)
 		}
+	}
+}
+
+// Killing any device the top-ranked variant runs a pipeline stage on
+// marks it offline, and the offline flag alone steers what follows: the
+// recovered query re-plans around the device once, and the next query
+// plans around it without failing over.
+func TestRecoveryPlansAroundEachDeadStageHost(t *testing.T) {
+	q := plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
+	df, _, _ := newEngines(t)
+	clean, err := df.Execute(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := rowHistogram(clean)
+	variants, err := df.Plan(q, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := variants[0]
+	var hosts []string
+	for _, pl := range best.Placements {
+		if pl.SiteIdx > 0 && pl.SiteIdx < len(best.Path.Sites)-1 {
+			if name := best.Path.Sites[pl.SiteIdx].Device.Name; !slices.Contains(hosts, name) {
+				hosts = append(hosts, name)
+			}
+		}
+	}
+	if len(hosts) == 0 {
+		t.Fatalf("variant %q places no stage on an intermediate device", best.Variant)
+	}
+
+	for _, target := range hosts {
+		t.Run(target, func(t *testing.T) {
+			df, _, _ := newEngines(t)
+			inj := faults.New(0xDEAD)
+			inj.Arm(faults.Point{Kind: faults.DeviceOffline, Target: target, Prob: 1, Budget: 1})
+			df.Faults = inj
+
+			res, err := df.Execute(context.Background(), q)
+			if err != nil {
+				t.Fatalf("query did not survive killing %s: %v", target, err)
+			}
+			if !maps.Equal(rowHistogram(res), want) {
+				t.Error("recovered answer differs from the clean run's")
+			}
+			if res.Stats.Failovers != 1 {
+				t.Errorf("Failovers = %d, want 1", res.Stats.Failovers)
+			}
+			if busy := res.Stats.DeviceBusy[target]; busy != 0 {
+				t.Errorf("the recovered answer charged dead %s %v of work", target, busy)
+			}
+			recovered := mustPlanned(t, df, q, res.Stats.Variant)
+			for _, pl := range recovered.Placements {
+				if recovered.Path.Sites[pl.SiteIdx].Device.Name == target {
+					t.Errorf("recovered variant %q still places %v on dead %s", recovered.Variant, pl.Op, target)
+				}
+			}
+
+			res2, err := df.Execute(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res2.Stats.Failovers != 0 {
+				t.Errorf("follow-up query failed over %d times; the planner should avoid dead %s", res2.Stats.Failovers, target)
+			}
+		})
 	}
 }
 

@@ -524,3 +524,57 @@ func TestBuiltOccupancyMatchesDerived(t *testing.T) {
 		}
 	}
 }
+
+// The offline flag is the only record of a failed device: a device marked
+// offline hosts no operator in any variant, and with every accelerator
+// offline the CPU backstop still hosts everything.
+func TestEnumerateSkipsOfflineDevices(t *testing.T) {
+	st, cfg := lineitemStats()
+	q := NewQuery("lineitem").WithFilter(workload.SelectivityFilter(cfg, 0.9)).
+		WithGroupBy(workload.PricingSummary())
+	enumerate := func(c *fabric.Cluster) (PathModel, []*Physical) {
+		t.Helper()
+		pm, err := FromCluster(c, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, err := (&Optimizer{Path: pm}).Enumerate(q, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pm, vs
+	}
+	places := func(vs []*Physical, site int) bool {
+		return slices.ContainsFunc(vs, func(v *Physical) bool {
+			return slices.ContainsFunc(v.Placements, func(pl Placement) bool { return pl.SiteIdx == site })
+		})
+	}
+
+	all := fabric.NewCluster(fabric.DefaultClusterConfig())
+	pm, _ := enumerate(all)
+	cpuIdx := len(pm.Sites) - 1
+	for i, s := range pm.Sites[:cpuIdx] {
+		c := fabric.NewCluster(fabric.DefaultClusterConfig())
+		if _, vs := enumerate(c); !places(vs, i) {
+			t.Fatalf("no variant places an operator on %s while it is up; the test shows nothing", s.Device.Name)
+		}
+		c.MustDevice(s.Device.Name).SetOffline(true)
+		if _, vs := enumerate(c); places(vs, i) {
+			t.Errorf("a variant places an operator on offline %s", s.Device.Name)
+		}
+		all.MustDevice(s.Device.Name).SetOffline(true)
+	}
+
+	_, vs := enumerate(all)
+	if len(vs) == 0 {
+		t.Fatal("no variant with every accelerator offline")
+	}
+	for _, v := range vs {
+		for _, pl := range v.Placements {
+			if pl.SiteIdx != cpuIdx {
+				t.Errorf("variant %q places %v on %s with every accelerator offline",
+					v.Variant, pl.Op, pm.Sites[pl.SiteIdx].Device.Name)
+			}
+		}
+	}
+}

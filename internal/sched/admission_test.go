@@ -3,10 +3,13 @@ package sched
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
+	"repro/internal/plan"
 	"repro/internal/sim"
 	"repro/internal/wiring"
 )
@@ -232,5 +235,42 @@ func TestFailureScoreDecaysAndCaps(t *testing.T) {
 	s.NoteFailover(dev)
 	if got := s.DeviceFailures(dev); got != 1 {
 		t.Errorf("DeviceFailures after one failover = %d, want 1", got)
+	}
+}
+
+// The offline flag is the only record of a failed device admission
+// reads: a variant placing work on an offline device is never admitted,
+// and when every variant does, admission refuses the query.
+func TestAdmitSkipsVariantsOnOfflineDevices(t *testing.T) {
+	_, v0, _ := twoNodeVariants(t)
+	var dead *fabric.Device
+	for _, d := range v0[0].Devices() {
+		if slices.ContainsFunc(v0, func(v *plan.Physical) bool { return !slices.Contains(v.Devices(), d) }) {
+			dead = d
+			break
+		}
+	}
+	if dead == nil {
+		t.Fatal("every variant places work on every device of the top-ranked one")
+	}
+	dead.SetOffline(true)
+	want := v0[slices.IndexFunc(v0, func(v *plan.Physical) bool { return !slices.Contains(v.Devices(), dead) })]
+
+	s := New(nil)
+	adm, err := s.Admit(context.Background(), v0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if adm.Plan != want {
+		t.Errorf("admitted %q with %s offline, want %q", adm.Variant, dead.Name, want.Variant)
+	}
+	s.Release(adm)
+
+	onDead := slices.DeleteFunc(slices.Clone(v0), func(v *plan.Physical) bool { return !slices.Contains(v.Devices(), dead) })
+	if _, err := s.Admit(context.Background(), onDead); err == nil || !strings.Contains(err.Error(), "place work on offline devices") {
+		t.Errorf("admitting %d variants all on offline %s: err = %v, want the offline refusal", len(onDead), dead.Name, err)
+	}
+	if s.ActiveCount() != 0 {
+		t.Errorf("a refused admission holds a slot: ActiveCount = %d", s.ActiveCount())
 	}
 }
