@@ -162,15 +162,9 @@ func (e *DataFlowEngine) path(node int) (plan.PathModel, error) {
 	return pm, nil
 }
 
-// Plan enumerates ranked plan variants for a query on the given node.
+// Plan enumerates ranked plan variants for a query on the given node;
+// none places an operator on an offline device.
 func (e *DataFlowEngine) Plan(q *plan.Query, node int) ([]*plan.Physical, error) {
-	return e.PlanExcluding(q, node, nil)
-}
-
-// PlanExcluding enumerates ranked plan variants that place no operator
-// on the excluded (or offline) devices; the recovery loop uses it to
-// re-plan around the devices that failed.
-func (e *DataFlowEngine) PlanExcluding(q *plan.Query, node int, exclude map[string]bool) ([]*plan.Physical, error) {
 	st, err := e.Stats(q.Table)
 	if err != nil {
 		return nil, err
@@ -179,7 +173,7 @@ func (e *DataFlowEngine) PlanExcluding(q *plan.Query, node int, exclude map[stri
 	if err != nil {
 		return nil, err
 	}
-	opt := &plan.Optimizer{Path: pm, Exclude: exclude}
+	opt := &plan.Optimizer{Path: pm}
 	return opt.Enumerate(q, st)
 }
 
@@ -190,13 +184,14 @@ func (e *DataFlowEngine) Execute(ctx context.Context, q *plan.Query) (*Result, e
 
 // ExecuteOn plans, schedules and runs a query on the given compute node,
 // recovering from runtime faults in one loop. Every pass re-plans
-// without the devices that failed so far — degrading to the CPU-only
-// plan in the worst case — re-admits the query and runs the admitted
-// plan from a resume point: the failed run's latest completed checkpoint
+// around the devices that are offline — degrading to the CPU-only plan
+// in the worst case — re-admits the query and runs the admitted plan
+// from a resume point: the failed run's latest completed checkpoint
 // epoch when the new pipeline can take it (see resumeEpoch), epoch 0
-// otherwise. A failed device (StageError naming it) is excluded from
-// then on; transient faults (link flaps, exhausted storage retry
-// budgets) keep the exclusions and spend from Resilience.Budget first.
+// otherwise. A failed device (StageError naming it) was marked offline
+// by the stage that lost it, so every later plan, this query's and
+// others', avoids it; transient faults (link flaps, exhausted storage
+// retry budgets) spend from Resilience.Budget first.
 // DefaultMaxRecoveryAttempts bounds the runs. What the failed run
 // charged past the resume point is reported as RecoveryBytes/
 // RecoveryTime, so the answer's fabric stats are the work that produced
@@ -212,12 +207,11 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 	ctx = ctxOrBackground(ctx)
 	startWall := e.Clock.Now()
 	e.Scheduler.SetWorkers(e.Workers)
-	exclude := make(map[string]bool)
 	var trips int64
 	// One trace spans the whole query: a resume at epoch 0 drops the
-	// spans so far (ClearSpans) but keeps the admit and recovery events,
-	// so the final timeline shows the answer's execution plus the
-	// recovery history that led to it.
+	// spans so far and restarts the clock (ClearSpans) but keeps the
+	// admit and recovery events, so the final timeline shows the
+	// answer's execution plus the recovery history that led to it.
 	var x execution
 	if e.Tracing {
 		x.tr = obs.New()
@@ -227,7 +221,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 		if err := ctx.Err(); err != nil {
 			return nil, lifecycleError(err)
 		}
-		variants, err := e.PlanExcluding(q, node, exclude)
+		variants, err := e.Plan(q, node)
 		if err != nil {
 			return nil, err
 		}
@@ -256,8 +250,7 @@ func (e *DataFlowEngine) ExecuteOn(ctx context.Context, q *plan.Query, node int)
 		var se *flow.StageError
 		switch {
 		case errors.As(err, &se) && se.Device != "":
-			exclude[se.Device] = true
-			e.Scheduler.NoteFailover(se.Device)
+			// The device is offline now, so the next pass plans around it.
 		case faults.IsTransient(err):
 			// A re-run spends from the same global budget as read retries
 			// and hedges, so a fault storm degrades to failing fast instead
@@ -329,7 +322,6 @@ type answer struct {
 	scan        storage.ScanStats
 	maxBatch    sim.Bytes
 	checkpoints int
-	clock       *obs.VClock
 }
 
 // pipelineRun is one pipeline run of the query: what the run after it
@@ -408,17 +400,11 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 	spec = r.spec
 	spec.Account = acct
 
-	// The storage scan and the pipeline source share one virtual clock:
+	// The storage scan and the pipeline source share the trace's clock:
 	// the scan advances it as it charges media/decode work, and the
 	// source stamps every emitted batch with its reading, so downstream
 	// stage spans replay against real scan progress.
-	if x.tr.Enabled() {
-		if x.clock == nil {
-			x.clock = obs.NewVClock()
-		}
-		spec.Trace = x.tr
-		spec.Clock = x.clock
-	}
+	spec.Trace = x.tr
 
 	// Pushed-down aggregation accumulates inside the storage processor,
 	// out of reach of stage snapshots — no consistent cut exists, so such
@@ -460,7 +446,6 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 		Workers:     e.Workers,
 		Services:    e.Services,
 		Trace:       x.tr,
-		Clock:       x.clock,
 		SourceTrack: e.Storage.Proc().Name,
 		Ckpt:        ck,
 		Restore:     restore,
@@ -513,7 +498,6 @@ func (e *DataFlowEngine) resume(x *execution, r *pipelineRun) (int, *flow.Restor
 	}
 	ep := f.resumeEpoch(r)
 	var restore *flow.Restore
-	at := x.clock.Now()
 	if ep > 0 {
 		rp := f.ck.Resume(ep).(resumePoint)
 		r.acct, r.spec.StartSegment = rp.acct, rp.segment
@@ -524,7 +508,6 @@ func (e *DataFlowEngine) resume(x *execution, r *pipelineRun) (int, *flow.Restor
 		r.acct = e.Cluster.NewAccount()
 		x.tr.ClearSpans()
 		x.answer = answer{scan: storage.ScanStats{ReadStats: x.scan.ReadStats}}
-		at = 0
 	}
 	wb, wt := waste(f.acct.Since(r.acct))
 	x.wasteBytes += wb
@@ -546,7 +529,7 @@ func (e *DataFlowEngine) resume(x *execution, r *pipelineRun) (int, *flow.Restor
 		track = se.Device
 	}
 	latest, _ := f.ck.Latest()
-	x.tr.AddEvent(obs.Event{Name: "recovery", Track: track, At: at,
+	x.tr.AddEvent(obs.Event{Name: "recovery", Track: track, At: x.tr.Now(),
 		Detail: fmt.Sprintf("%v; latest complete epoch %d; resuming %s at epoch %d (segment %d)",
 			f.err, latest, r.ph.Variant, ep, r.spec.StartSegment)})
 	return ep, restore

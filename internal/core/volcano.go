@@ -35,7 +35,7 @@ type VolcanoEngine struct {
 // volcanoAccount is one execution's private state: what its buffer-pool
 // misses cost — how many there were and the object store's account of
 // the fetches — its account of device and link work and, on a traced
-// execution, the trace and its clock. It rides in the execution's ctx —
+// execution, the trace. It rides in the execution's ctx —
 // the pool's loader signature gives fetchPage no other argument. The
 // counters are locked because a parallel scan's workers fetch at once;
 // a traced execution runs at width 1, so its spans are recorded from
@@ -47,8 +47,7 @@ type volcanoAccount struct {
 
 	work *fabric.Account // device and link charges; set before the execution starts
 
-	tr    *obs.Trace // nil unless the execution is traced
-	clock *obs.VClock
+	tr *obs.Trace // nil unless the execution is traced
 }
 
 type volcanoAccountKey struct{}
@@ -118,18 +117,18 @@ func (e *VolcanoEngine) fetchPage(ctx context.Context, id bufferpool.PageID) ([]
 	return blob, nil
 }
 
-// span records one serial span on the execution's trace, advancing its
-// single virtual clock by cost. Untraced (or outside an execution) this
+// span records one serial span on the execution's trace, advancing the
+// trace's clock by cost. Untraced (or outside an execution) this
 // is a no-op; the cost argument's meter charge already happened at the
 // call site either way.
 func (a *volcanoAccount) span(name, track string, kind obs.SpanKind, cost sim.VTime, n sim.Bytes) {
 	if !a.traced() {
 		return
 	}
-	start := a.clock.Now()
+	start := a.tr.Now()
 	a.tr.AddSpan(obs.Span{
 		Name: name, Track: track, Kind: kind,
-		Start: start, End: a.clock.Advance(cost), Bytes: n,
+		Start: start, End: a.tr.Advance(cost), Bytes: n,
 	})
 }
 
@@ -141,7 +140,7 @@ func (e *VolcanoEngine) Load(name string, b *columnar.Batch) error {
 // charge charges the CPU for every batch pulled through it, before the
 // operator above sees it; this is how the baseline accounts
 // per-operator work. On a traced execution each charge is also a span on
-// the CPU's track, serialized on the execution's single clock.
+// the CPU's track, serialized on the trace's clock.
 func (e *VolcanoEngine) charge(acct *volcanoAccount, in exec.Iterator, op fabric.OpClass, name string) exec.Iterator {
 	return func() (*columnar.Batch, error) {
 		b, err := in()
@@ -171,7 +170,7 @@ func (e *VolcanoEngine) Execute(ctx context.Context, q *plan.Query) (*Result, er
 
 	acct := &volcanoAccount{work: e.Cluster.NewAccount()}
 	if e.Tracing {
-		acct.tr, acct.clock = obs.New(), obs.NewVClock()
+		acct.tr = obs.New()
 	}
 	tr := acct.tr
 	ctx = context.WithValue(ctx, volcanoAccountKey{}, acct)

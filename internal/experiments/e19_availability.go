@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -154,7 +155,7 @@ func E19Availability(rows int) (*E19Result, error) {
 					h := e19Histogram(r)
 					if expected[qi] == nil {
 						expected[qi] = h
-					} else if !e19SameHist(h, expected[qi]) {
+					} else if !maps.Equal(h, expected[qi]) {
 						return nil, fmt.Errorf("experiments: E19 data-flow returned wrong rows at rate %g", rate)
 					}
 					row.DFOK++
@@ -169,7 +170,7 @@ func E19Availability(rows int) (*E19Result, error) {
 				case err != nil && rate == 0:
 					return nil, fmt.Errorf("experiments: E19 fault-free volcano run failed: %w", err)
 				case err == nil:
-					if expected[qi] != nil && !e19SameHist(e19Histogram(vr), expected[qi]) {
+					if expected[qi] != nil && !maps.Equal(e19Histogram(vr), expected[qi]) {
 						return nil, fmt.Errorf("experiments: E19 volcano returned wrong rows at rate %g", rate)
 					}
 					row.VoOK++
@@ -225,16 +226,4 @@ func e19Histogram(r *core.Result) map[string]int {
 		}
 	}
 	return out
-}
-
-func e19SameHist(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, n := range a {
-		if b[k] != n {
-			return false
-		}
-	}
-	return true
 }

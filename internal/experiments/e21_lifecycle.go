@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -156,7 +157,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 	}
 	want := e19Histogram(cleanRes)
 	check := func(r *core.Result, scenario string) error {
-		if !e19SameHist(e19Histogram(r), want) {
+		if !maps.Equal(e19Histogram(r), want) {
 			return fmt.Errorf("experiments: E21 %s returned wrong rows", scenario)
 		}
 		return nil

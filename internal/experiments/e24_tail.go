@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -166,7 +167,7 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 				h := e19Histogram(r)
 				if expected == nil {
 					expected = h
-				} else if !e19SameHist(h, expected) {
+				} else if !maps.Equal(h, expected) {
 					return nil, fmt.Errorf("experiments: E24 severity %g hedge=%v returned wrong rows",
 						severity, hedge)
 				}

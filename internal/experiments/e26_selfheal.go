@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"time"
 
@@ -147,7 +148,7 @@ func E26SelfHeal(rows int, opts E26Options) (*E26Result, error) {
 		}
 		if expected == nil {
 			expected = hist
-		} else if !e19SameHist(hist, expected) {
+		} else if !maps.Equal(hist, expected) {
 			return nil, fmt.Errorf("experiments: E26 arm %s returned wrong rows", arm)
 		}
 		if arm == "off" {
@@ -314,7 +315,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 			return nil, nil, fmt.Errorf("experiments: E26 %s query %d: %w", arm, len(lats), err)
 		}
 		lats = append(lats, df.Clock.Since(start))
-		if !e19SameHist(e19Histogram(r), hist) {
+		if !maps.Equal(e19Histogram(r), hist) {
 			stopRun()
 			<-runDone
 			return nil, nil, fmt.Errorf("experiments: E26 %s query %d returned wrong rows", arm, len(lats))
@@ -329,7 +330,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 	if err != nil {
 		return nil, nil, err
 	}
-	if !e19SameHist(e19Histogram(after), hist) {
+	if !maps.Equal(e19Histogram(after), hist) {
 		return nil, nil, fmt.Errorf("experiments: E26 %s post-heal query returned wrong rows", arm)
 	}
 	row.CorruptSteady = after.Stats.Scan.CorruptReads

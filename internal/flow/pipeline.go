@@ -86,13 +86,10 @@ type Pipeline struct {
 	// Trace, when non-nil, makes the run record a causal tape (batch
 	// costs, emission counts, per-link transfer costs) and replay it into
 	// a deterministic virtual-time span timeline after the stream drains.
-	// Nil disables all recording at zero per-batch cost.
+	// The source's emissions are stamped with the trace's clock (see
+	// obs.Trace.Now), which the storage scan advances as it charges media
+	// and decode work. Nil disables all recording at zero per-batch cost.
 	Trace *obs.Trace
-	// Clock is the virtual clock the source's emissions are stamped
-	// with; the storage scan advances it as it charges media and decode
-	// work. Nil freezes the source at virtual time 0 (all batches ready
-	// immediately).
-	Clock *obs.VClock
 	// SourceTrack names the device feeding the source, for attributing
 	// source-side credit stalls in the trace.
 	SourceTrack string
@@ -232,7 +229,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	var stageTapes []*obs.StageTape
 	if p.Trace.Enabled() {
 		tape = obs.NewTape(depth)
-		tape.Start, tape.Source.Track = p.Clock.Now(), p.SourceTrack
+		tape.Start, tape.Source.Track = p.Trace.Now(), p.SourceTrack
 		stageTapes = make([]*obs.StageTape, len(p.Stages))
 		for i, st := range p.Stages {
 			track := ""
@@ -313,7 +310,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	if err := p.Source(func(b *columnar.Batch) error {
 		if tape != nil {
 			tape.Source.Emits = append(tape.Source.Emits,
-				obs.Emission{At: p.Clock.Now(), Bytes: sim.Bytes(b.ByteSize())})
+				obs.Emission{At: p.Trace.Now(), Bytes: sim.Bytes(b.ByteSize())})
 		}
 		if len(ports) == 0 {
 			return res.toSink(sink, b)

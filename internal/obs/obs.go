@@ -109,6 +109,7 @@ type Series struct {
 // *Trace is the disabled recorder: every method no-ops.
 type Trace struct {
 	mu     sync.Mutex
+	now    sim.VTime // the virtual clock; see Now
 	spans  []Span
 	events []Event
 	series map[string]*Series
@@ -121,6 +122,32 @@ func New() *Trace {
 
 // Enabled reports whether the recorder collects anything.
 func (t *Trace) Enabled() bool { return t != nil }
+
+// Now reads the virtual clock the trace's spans are drawn on: the
+// storage scan advances it as it charges media and processor work, and
+// the flow source stamps each emitted batch with its reading, putting
+// the scan and the downstream pipeline on one timeline. A new trace's
+// clock reads 0; a nil trace's always does.
+func (t *Trace) Now() sim.VTime {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.now
+}
+
+// Advance moves the clock forward by dt and returns the new reading.
+// On a nil trace it does nothing and returns 0.
+func (t *Trace) Advance(dt sim.VTime) sim.VTime {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.now += dt
+	return t.now
+}
 
 // AddSpan records one span.
 func (t *Trace) AddSpan(s Span) {
@@ -158,15 +185,16 @@ func (t *Trace) Sample(name, unit string, at sim.VTime, v float64) {
 	t.mu.Unlock()
 }
 
-// ClearSpans drops all spans and series but keeps events. The engine
-// uses it when a recovery resumes at epoch 0: the final answer's
-// timeline replaces the abandoned run's, while fault and recovery
-// annotations accumulate across the whole query.
+// ClearSpans drops all spans and series and sets the clock back to 0,
+// but keeps events. The engine uses it when a recovery resumes at epoch
+// 0: the final answer's timeline replaces the abandoned run's, while
+// fault and recovery annotations accumulate across the whole query.
 func (t *Trace) ClearSpans() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
+	t.now = 0
 	t.spans = t.spans[:0]
 	t.series = make(map[string]*Series)
 	t.mu.Unlock()
@@ -353,33 +381,4 @@ func (t *Trace) Utilizations() []TrackUtil {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Track < out[j].Track })
 	return out
-}
-
-// VClock is a single-writer virtual clock: the storage scan advances it
-// as it charges media and processor work, and the flow source stamps
-// each emitted batch with its reading, putting the scan and the
-// downstream pipeline on one timeline. Nil is a frozen clock at 0.
-type VClock struct {
-	now sim.VTime
-}
-
-// NewVClock returns a clock at virtual time 0.
-func NewVClock() *VClock { return &VClock{} }
-
-// Now reads the clock. Safe on nil (always 0).
-func (c *VClock) Now() sim.VTime {
-	if c == nil {
-		return 0
-	}
-	return c.now
-}
-
-// Advance moves the clock forward by dt and returns the new reading.
-// Safe on nil (no-op).
-func (c *VClock) Advance(dt sim.VTime) sim.VTime {
-	if c == nil {
-		return 0
-	}
-	c.now += dt
-	return c.now
 }

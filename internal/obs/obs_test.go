@@ -30,14 +30,18 @@ func TestNilTraceIsSafeAndOff(t *testing.T) {
 	}
 }
 
-func TestNilVClock(t *testing.T) {
-	var c *VClock
-	if c.Now() != 0 || c.Advance(5) != 0 {
-		t.Fatal("nil clock moved")
+func TestTraceClock(t *testing.T) {
+	var tr *Trace
+	if tr.Now() != 0 || tr.Advance(5) != 0 {
+		t.Fatal("nil trace's clock moved")
 	}
-	c = NewVClock()
-	if c.Advance(5) != 5 || c.Now() != 5 {
+	tr = New()
+	if tr.Advance(5) != 5 || tr.Now() != 5 {
 		t.Fatal("clock arithmetic wrong")
+	}
+	tr.ClearSpans()
+	if tr.Now() != 0 {
+		t.Fatalf("clock reads %d after ClearSpans, want 0", tr.Now())
 	}
 }
 

@@ -57,8 +57,8 @@ func (p *Physical) PlacementsAt(i int) []fabric.OpClass {
 }
 
 // Devices returns the distinct devices that host at least one placement,
-// in path order: what the variant occupies, which the scheduler scores
-// against load, failures and offline devices. The slice is shared.
+// in path order: what the variant occupies, which admission checks for
+// offline devices and scores against load and health. The slice is shared.
 func (p *Physical) Devices() []*fabric.Device {
 	if p.devices != nil {
 		return p.devices
@@ -147,14 +147,11 @@ func (p *Physical) Explain() string {
 // links look idle).
 const DefaultMoveWeight = 2.0
 
-// Optimizer enumerates and ranks plan variants for a path.
+// Optimizer enumerates and ranks plan variants for a path. No variant
+// places an operator on an offline device (see usable): a device's
+// offline flag is the one record that it failed.
 type Optimizer struct {
 	Path PathModel
-	// Exclude names devices no variant may place operators on — the
-	// engine populates it during failover with devices that just failed.
-	// Offline devices are skipped implicitly. The CPU site is the
-	// recovery backstop and is never excludable.
-	Exclude map[string]bool
 }
 
 // Enumerate produces the distinct placement variants for the query. The
@@ -237,16 +234,12 @@ func (o *Optimizer) Enumerate(q *Query, stats TableStats) ([]*Physical, error) {
 	return out, nil
 }
 
-// usable reports whether site i may host operators: excluded and
-// offline devices cannot, the CPU backstop (the last site) always can.
+// usable reports whether site i may host operators: an offline device
+// cannot, the CPU backstop (the last site) always can.
 // Degraded placement falls out naturally — with every accelerator dead
 // the only remaining variant is cpu-only.
 func (o *Optimizer) usable(i int) bool {
-	if i == len(o.Path.Sites)-1 {
-		return true
-	}
-	d := o.Path.Sites[i].Device
-	return !o.Exclude[d.Name] && !d.IsOffline()
+	return i == len(o.Path.Sites)-1 || !o.Path.Sites[i].Device.IsOffline()
 }
 
 // costFacts is what costing a variant reads of the query, its statistics

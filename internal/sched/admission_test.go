@@ -193,59 +193,17 @@ func TestProjectedWaitShedsAgainstDeadline(t *testing.T) {
 	s.Release(a1)
 }
 
-func TestFailureScoreDecaysAndCaps(t *testing.T) {
-	_, v0, _ := twoNodeVariants(t)
-	s := New(nil)
-	const dev = "compute0.nic"
-
-	// The score saturates at the cap no matter how many failures pile up.
-	for i := 0; i < 30; i++ {
-		s.NoteFailover(dev)
-	}
-	if got := s.FailureScore(dev); got != DefaultMaxFailureScore {
-		t.Fatalf("FailureScore after 30 failovers = %v, want cap %v", got, DefaultMaxFailureScore)
-	}
-
-	// Each successful admission erodes the score geometrically, so a
-	// recovered device is forgiven within a bounded number of admissions.
-	prev := s.FailureScore(dev)
-	forgiven := 0
-	for i := 0; i < 40 && s.DeviceFailures(dev) > 0; i++ {
-		a, err := s.Admit(context.Background(), v0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Release(a)
-		got := s.FailureScore(dev)
-		if got > prev {
-			t.Fatalf("score rose from %v to %v on a clean admission", prev, got)
-		}
-		prev = got
-		forgiven = i + 1
-	}
-	if s.DeviceFailures(dev) != 0 {
-		t.Errorf("device never forgiven; score still %v after 40 admissions", s.FailureScore(dev))
-	}
-	if forgiven == 0 || forgiven > 25 {
-		t.Errorf("forgiveness took %d admissions, want within (0, 25]", forgiven)
-	}
-
-	// A new failure on a clean record counts exactly once — the contract
-	// the failover accounting in core relies on.
-	s.NoteFailover(dev)
-	if got := s.DeviceFailures(dev); got != 1 {
-		t.Errorf("DeviceFailures after one failover = %d, want 1", got)
-	}
-}
-
 // The offline flag is the only record of a failed device admission
 // reads: a variant placing work on an offline device is never admitted,
 // and when every variant does, admission refuses the query.
 func TestAdmitSkipsVariantsOnOfflineDevices(t *testing.T) {
 	_, v0, _ := twoNodeVariants(t)
+	avoids := func(d *fabric.Device) func(*plan.Physical) bool {
+		return func(v *plan.Physical) bool { return !slices.Contains(v.Devices(), d) }
+	}
 	var dead *fabric.Device
 	for _, d := range v0[0].Devices() {
-		if slices.ContainsFunc(v0, func(v *plan.Physical) bool { return !slices.Contains(v.Devices(), d) }) {
+		if slices.ContainsFunc(v0, avoids(d)) {
 			dead = d
 			break
 		}
@@ -254,7 +212,7 @@ func TestAdmitSkipsVariantsOnOfflineDevices(t *testing.T) {
 		t.Fatal("every variant places work on every device of the top-ranked one")
 	}
 	dead.SetOffline(true)
-	want := v0[slices.IndexFunc(v0, func(v *plan.Physical) bool { return !slices.Contains(v.Devices(), dead) })]
+	want := v0[slices.IndexFunc(v0, avoids(dead))]
 
 	s := New(nil)
 	adm, err := s.Admit(context.Background(), v0)
@@ -266,7 +224,7 @@ func TestAdmitSkipsVariantsOnOfflineDevices(t *testing.T) {
 	}
 	s.Release(adm)
 
-	onDead := slices.DeleteFunc(slices.Clone(v0), func(v *plan.Physical) bool { return !slices.Contains(v.Devices(), dead) })
+	onDead := slices.DeleteFunc(slices.Clone(v0), avoids(dead))
 	if _, err := s.Admit(context.Background(), onDead); err == nil || !strings.Contains(err.Error(), "place work on offline devices") {
 		t.Errorf("admitting %d variants all on offline %s: err = %v, want the offline refusal", len(onDead), dead.Name, err)
 	}

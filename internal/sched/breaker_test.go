@@ -86,10 +86,14 @@ func TestBreakerHalfOpenProbesViaAdmission(t *testing.T) {
 	// breaker and hands the device a probe slot: it is no longer
 	// rejected (DefaultBreakerPenalty), only scored as gray-failed
 	// (DefaultDegradedPenalty) until the probe reports back — so it wins
-	// again over an alternative carrying one recorded failover, which it
-	// could not while open.
+	// again over an alternative whose links another admission holds,
+	// which it could not while open.
 	clk.Advance(2 * time.Second)
-	s.NoteFailover(differingDevice(t, v1[1], v0[1]))
+	hold, err := s.Admit(context.Background(), []*plan.Physical{v1[1]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release(hold)
 	adm, err = s.Admit(context.Background(), mixed)
 	if err != nil {
 		t.Fatal(err)

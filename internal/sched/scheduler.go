@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"time"
@@ -109,8 +108,7 @@ type Scheduler struct {
 	// their service and projects queue waits against deadlines.
 	svc *wiring.Services
 
-	failures    map[string]float64 // device name -> decayed failover score
-	deviceSlots map[string]int     // device name -> worker slots held by active plans
+	deviceSlots map[string]int // device name -> worker slots held by active plans
 
 	// ewmaService tracks mean admit->release wall time; ewmaCost tracks
 	// the mean optimizer estimate of released plans. Together they
@@ -118,23 +116,6 @@ type Scheduler struct {
 	ewmaService time.Duration
 	ewmaCost    sim.VTime
 }
-
-// DefaultFailurePenalty is the rank-score penalty per recorded failover
-// on a device the candidate variant places work on: two recorded
-// failures outweigh one rank position plus typical contention, so flaky
-// devices lose ties quickly without being banned.
-const DefaultFailurePenalty = 2.0
-
-// DefaultFailureDecay multiplies every device's failure score on each
-// successful admission, forgiving ~20%: after one failover a device is
-// back below half a rank position of penalty within ~8 admitted queries
-// instead of being penalized forever.
-const DefaultFailureDecay = 0.8
-
-// DefaultMaxFailureScore caps a device's failure score so a long outage
-// does not take unboundedly long to forgive; with the decay above a
-// saturated device is forgiven within ~20 admissions.
-const DefaultMaxFailureScore = 8.0
 
 // DefaultBreakerPenalty is the rank-score penalty per breaker-rejected
 // device a variant places work on. It outweighs several rank positions
@@ -144,9 +125,9 @@ const DefaultBreakerPenalty = 4.0
 
 // DefaultDegradedPenalty is the rank-score penalty per gray-failed
 // device — one whose breaker is not closed — a variant places work on.
-// It sits between contention and failure penalties: a slow-but-alive
-// device loses ties but is not shunned as hard as one that errored
-// outright.
+// It sits between contention and DefaultBreakerPenalty: a slow-but-alive
+// device loses ties but is not shunned as hard as one whose breaker
+// rejects work.
 const DefaultDegradedPenalty = 2.0
 
 // New returns an empty scheduler with no admission bound (set MaxActive
@@ -161,7 +142,6 @@ func New(svc *wiring.Services) *Scheduler {
 		svc:               svc,
 		active:            make(map[int64]*Admission),
 		linkLoad:          make(map[*fabric.Link]int),
-		failures:          make(map[string]float64),
 		deviceSlots:       make(map[string]int),
 		ContentionPenalty: 1.0,
 		WorkerSlotPenalty: 1.0,
@@ -172,48 +152,11 @@ func New(svc *wiring.Services) *Scheduler {
 // registry, SLO tracker, circuit breakers and clock from.
 func (s *Scheduler) Services() *wiring.Services { return s.svc }
 
-// NoteFailover records that a query failed over away from the named
-// device; future admissions penalize variants placing work there. The
-// score is capped so even a chronically flaky device is forgiven within
-// a bounded number of clean admissions once it recovers.
-func (s *Scheduler) NoteFailover(device string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.failures[device] = min(s.failures[device]+1, DefaultMaxFailureScore)
-}
-
-// DeviceFailures reports the failovers currently held against a device,
-// rounded; decay erodes the score between failures.
-func (s *Scheduler) DeviceFailures(device string) int {
-	return int(math.Round(s.FailureScore(device)))
-}
-
-// FailureScore reports the decayed failure score held against a device.
-func (s *Scheduler) FailureScore(device string) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failures[device]
-}
-
-// decayFailuresLocked erodes every failure score by DefaultFailureDecay;
-// called once per successful admission so recovered devices regain work
-// at a rate proportional to how busy the system is.
-func (s *Scheduler) decayFailuresLocked() {
-	for dev, score := range s.failures {
-		score *= DefaultFailureDecay
-		if score < 0.05 {
-			delete(s.failures, dev)
-			continue
-		}
-		s.failures[dev] = score
-	}
-}
-
 // Admit picks the least-interfering variant from the ranked candidates
 // (best-ranked first, as returned by plan.Optimizer.Enumerate) and
 // reserves its links. The choice trades the optimizer's static rank
-// against current contention and recorded device failures: an idle
-// lower-ranked variant can win over a loaded or flaky top-ranked one.
+// against current contention and device health: an idle lower-ranked
+// variant can win over a loaded or circuit-broken top-ranked one.
 // Variants that place work on offline devices are inadmissible.
 //
 // When MaxActive is set and all slots are busy the query queues (FIFO).
@@ -319,9 +262,8 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 		// Worker-slot pressure: placing this plan's worker pool on a
 		// device already holding slots beyond its replicated units
 		// serializes both plans' lanes; penalize by how far over.
-		failed, over, unhealthy := 0.0, 0.0, 0.0
+		over, unhealthy := 0.0, 0.0
 		for _, d := range devices {
-			failed += s.failures[d.Name]
 			u := d.Units()
 			if load := s.deviceSlots[d.Name] + workers; load > u {
 				over += float64(load-u) / float64(u)
@@ -329,7 +271,7 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 			unhealthy += health[d.Name]
 		}
 		cost := float64(i) + s.ContentionPenalty*float64(contention) +
-			DefaultFailurePenalty*failed + s.WorkerSlotPenalty*over + unhealthy
+			s.WorkerSlotPenalty*over + unhealthy
 		if best < 0 || cost < bestCost {
 			best, bestCost = i, cost
 		}
@@ -359,7 +301,6 @@ func (s *Scheduler) admitLocked(variants []*plan.Physical) (*Admission, error) {
 	}
 	s.svc.Metrics.Counter("sched.admitted").Inc()
 	s.svc.Metrics.Gauge("sched.active").Set(float64(len(s.active)))
-	s.decayFailuresLocked()
 	s.rebalanceLocked(adm.links)
 	return adm, nil
 }

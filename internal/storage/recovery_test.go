@@ -287,7 +287,7 @@ func TestScanRetryTraceIsCausal(t *testing.T) {
 	inj.Arm(faults.Point{Kind: faults.CorruptBlob, Prob: 1, Budget: 2})
 	srv.Store().svc.Faults = inj
 	tr := obs.New()
-	spec := ScanSpec{Trace: tr, Clock: obs.NewVClock()}
+	spec := ScanSpec{Trace: tr}
 	if _, err := srv.Scan(context.Background(), "lineitem", spec, func(*columnar.Batch) error { return nil }); err != nil {
 		t.Fatal(err)
 	}

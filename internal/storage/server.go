@@ -59,12 +59,11 @@ type ScanSpec struct {
 	// retry events. The scan replays its own internal pipeline onto the
 	// trace: media read-ahead, link DMA and processor work each serialize
 	// on their own track but overlap across segments, exactly as the
-	// smart storage server streams. Clock is advanced to the processor's
-	// frontier before each emit, so a consumer stamping emitted batches
-	// with its reading sees when each batch actually left the processor;
-	// the engines set both together (nil = tracing off).
+	// smart storage server streams. The trace's clock is advanced to the
+	// processor's frontier before each emit, so a consumer stamping
+	// emitted batches with its reading sees when each batch actually left
+	// the processor (nil = tracing off).
 	Trace *obs.Trace
-	Clock *obs.VClock
 	// StartSegment resumes the scan at the given segment index, skipping
 	// earlier segments without reading or charging for them. A partial
 	// restart sets it to the last completed checkpoint's watermark.
@@ -175,8 +174,7 @@ func (s *ScanStats) Add(o ScanStats) {
 // while segment k decodes, which is how the storage server actually
 // streams and what the repo's bottleneck-based SimTime model assumes.
 type scanPipe struct {
-	tr    *obs.Trace
-	clock *obs.VClock
+	tr *obs.Trace
 
 	mediaFree sim.VTime
 	linkFree  sim.VTime
@@ -217,11 +215,12 @@ func (p *scanPipe) procOp(name, proc string, cost sim.VTime, seq int64, n sim.By
 	p.procFree = p.span(name, proc, obs.SpanStage, p.procFree, cost, seq, n)
 }
 
-// sync advances the shared clock to the processor frontier — the moment
-// the batch about to be emitted actually became available downstream.
+// sync advances the trace's clock to the processor frontier — the
+// moment the batch about to be emitted actually became available
+// downstream.
 func (p *scanPipe) sync() {
-	if d := p.procFree - p.clock.Now(); d > 0 {
-		p.clock.Advance(d)
+	if d := p.procFree - p.tr.Now(); d > 0 {
+		p.tr.Advance(d)
 	}
 }
 
@@ -485,10 +484,10 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 		filter: filter, preagg: preagg, emit: emit, stats: &stats, pool: pool, decoded: decoded,
 	}
 	if spec.Trace != nil {
-		// The frontiers start where the shared clock stands: a run resumed
+		// The frontiers start where the trace's clock stands: a run resumed
 		// past epoch 0 draws after the run it replaces.
-		now := spec.Clock.Now()
-		sc.pipe = &scanPipe{tr: spec.Trace, clock: spec.Clock, mediaFree: now, linkFree: now, procFree: now}
+		now := spec.Trace.Now()
+		sc.pipe = &scanPipe{tr: spec.Trace, mediaFree: now, linkFree: now, procFree: now}
 	}
 
 	workers := min(spec.Workers, s.proc.Units())

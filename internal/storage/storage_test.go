@@ -337,13 +337,11 @@ func TestScanTraceSpans(t *testing.T) {
 	srv := newTestServer(t, true)
 	loadTable(t, srv, 5000)
 	tr := obs.New()
-	clock := obs.NewVClock()
 	emit, _ := collect(t)
 	spec := ScanSpec{
 		Filter:   expr.NewCmp(1, expr.Lt, columnar.IntValue(5)),
 		Pushdown: true,
 		Trace:    tr,
-		Clock:    clock,
 	}
 	if _, err := srv.Scan(context.Background(), "lineitem", spec, emit); err != nil {
 		t.Fatal(err)
@@ -359,11 +357,11 @@ func TestScanTraceSpans(t *testing.T) {
 			t.Errorf("span %q count = %d, want 5 (all: %v)", name, counts[name], counts)
 		}
 	}
-	if clock.Now() <= 0 {
+	if tr.Now() <= 0 {
 		t.Error("scan did not advance the virtual clock")
 	}
-	if mk := tr.Makespan(); mk != clock.Now() {
-		t.Errorf("trace makespan %v != clock %v: scan spans not contiguous", mk, clock.Now())
+	if mk := tr.Makespan(); mk != tr.Now() {
+		t.Errorf("trace makespan %v != clock %v: scan spans not contiguous", mk, tr.Now())
 	}
 }
 
