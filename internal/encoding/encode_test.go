@@ -2,6 +2,9 @@ package encoding
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -269,6 +272,107 @@ func TestNullSectionIsEncodeBoolsOfTheBitmap(t *testing.T) {
 					t.Fatalf("%d rows, NULL %s, %s: null section %x, EncodeBools gives %x", n, name, vname, got, EncodeBools(want))
 				}
 			}
+		}
+	}
+}
+
+// pinnedColumn is an input and the codec it must be written in; width is
+// BITPACK's (-1: not BITPACK), so an input cannot drift to another codec
+// or width unnoticed.
+type pinnedColumn struct {
+	name  string
+	v     *columnar.Vector
+	enc   ColumnEncoding
+	width int
+}
+
+// pinnedColumns are one input for every codec the encoder can pick,
+// BITPACK at the widths with their own write paths (0: the frame alone,
+// 64: byte-aligned words), each with and without NULLs, and every type
+// at 0 rows.
+func pinnedColumns() []pinnedColumn {
+	rng := rand.New(rand.NewSource(49))
+	const n = 1000
+	ints := func(f func(i int) int64) *columnar.Vector {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = f(i)
+		}
+		return columnar.FromInt64s(vals)
+	}
+	floats, dict, plain, bools := make([]float64, n), make([]string, n), make([]string, n), make([]bool, n)
+	for i := 0; i < n; i++ {
+		floats[i] = rng.NormFloat64() * 1e3
+		dict[i] = []string{"AIR", "MAIL", "RAIL", "SHIP", "TRUCK"}[rng.Intn(5)]
+		plain[i] = fmt.Sprintf("comment %d %x", i, rng.Uint64())
+		bools[i] = rng.Intn(3) == 0
+	}
+	base := []pinnedColumn{
+		{"RLE", ints(func(i int) int64 { return 1e12 + int64(i/100) }), RLE, -1},
+		{"DELTA", ints(func(i int) int64 { return int64(i)*1000 + int64(i%7) }), DeltaVarint, -1},
+		{"BITPACK/6", ints(func(int) int64 { return rng.Int63n(50) }), BitPacked, 6},
+		{"BITPACK/0", ints(func(int) int64 { return 0 }), BitPacked, 0},
+		{"BITPACK/64", ints(func(int) int64 { return int64(rng.Uint64()) }), BitPacked, 64},
+		{"DOUBLE", columnar.FromFloat64s(floats), Plain, -1},
+		{"DICT", columnar.FromStrings(dict), Dict, -1},
+		{"VARCHAR", columnar.FromStrings(plain), Plain, -1},
+		{"BOOL", columnar.FromBools(bools), Plain, -1},
+	}
+	var out []pinnedColumn
+	for _, p := range base {
+		out = append(out, p)
+		out = append(out, pinnedColumn{p.name + "/NULL", withNulls(p.v, 7), p.enc, p.width})
+	}
+	for typ, enc := range map[columnar.Type]ColumnEncoding{columnar.Int64: RLE, columnar.Float64: Plain, columnar.String: Plain, columnar.Bool: Plain} {
+		out = append(out, pinnedColumn{typ.String() + "/0 rows", columnar.NewVector(typ, 0), enc, -1})
+	}
+	return out
+}
+
+// The column block every codec writes, pinned by its SHA-256: a change
+// to how a column is sized or written must leave the bytes alone. The
+// hashes are of EncodeColumn(v).Marshal() taken when the encoder wrote
+// Data into a buffer of its own and Marshal copied it behind the header.
+func TestColumnBytesUnchanged(t *testing.T) {
+	want := map[string]string{
+		"RLE":             "14501038616c5792abf8961b8230bd86aac4ec9723d53d6ee0a4fb78a01e0cbe",
+		"RLE/NULL":        "73311e0347bb39143069f366d3593806220c04ddff3aa8c71077713963d7a0a2",
+		"DELTA":           "0c5c591686e35cb5f929997957b4b5b1e6fe6800493e9519c57c00464e3e0f7b",
+		"DELTA/NULL":      "d5a653c08768ae8be7e4afb3081de59bd40ec6d6029f952ea412578ec2258568",
+		"BITPACK/6":       "91c2b7d18ed748554f9557352c86eaf17fa794a6e60f2de26b9fec2c5b22d2af",
+		"BITPACK/6/NULL":  "9408d684f36ac8f744b121ad44bb53cbce8003cf381721674d20265802d27740",
+		"BITPACK/0":       "a3b4556e2f4c37805975b3f1fcd833af3ce5f36394d7a3049d25c218e80e4b65",
+		"BITPACK/0/NULL":  "692c88c8b8ef4b7f8a8071e4af59eb05978cb9f96730c74378d5a3d3e858b8a6",
+		"BITPACK/64":      "8de46606108ae466b9926f904e7467ad3c0b29e74a7e128fb2da7fb6e2b82798",
+		"BITPACK/64/NULL": "bbcac92be8bca0881af2b6629273436762364a45dc9c83d089e720d354c9b0dd",
+		"DOUBLE":          "4d95986873cc05485d43e1dc0be8f032aee7ba96881d653a935a2e390e838d56",
+		"DOUBLE/NULL":     "52ea53875d6dcac1279e62b7487e97adae9899d646143537c4780513abf06db9",
+		"DICT":            "7ce9778a712b9d60647bfe5a3b8e6667ad2ceb2021b2709fa81829090c78c622",
+		"DICT/NULL":       "919d0e003a6000b2ccb1b5ea6c92322411925e29b8b774e00eace1b9b38b7f60",
+		"VARCHAR":         "599b9a155533e3a6c7a8ba7783ca097b13918070a128a42eb4e2b48aba4c89e7",
+		"VARCHAR/NULL":    "9d6fafbf0935f9f291a7fbfc8e76bbde5b766f8541502a909f55f3c5412b1268",
+		"BOOL":            "532a20e2c8972a2718b7957946b1c6c223b9267bf8fddea81aa0ebd3e92226cd",
+		"BOOL/NULL":       "5ec7cf2520bb1db58b1e7c1abd4fbee6fee1a8e014f49a695bd8c8f3b0b7225a",
+		"BIGINT/0 rows":   "feda4f414128dd9d2f8fd2bf57615d131a2f038de0ba051960e2ef74d741ded2",
+		"DOUBLE/0 rows":   "c18ef22802d667ffc8fdf8d4cd698346a4df870c0c589597d37149a9663737c7",
+		"VARCHAR/0 rows":  "b34e6c54cce954036118632aca722b5f3fe101137580156fe81225d937037103",
+		"BOOLEAN/0 rows":  "c237b456e5e8c33137b28b45e07022993421961c244d60b40af3f23d6dacbff1",
+	}
+	for _, p := range pinnedColumns() {
+		ec := EncodeColumn(p.v)
+		if ec.Encoding != p.enc {
+			t.Errorf("%s: written as %v, want %v", p.name, ec.Encoding, p.enc)
+		}
+		if p.width >= 0 {
+			_, a := binary.Uvarint(ec.Data)
+			_, b := binary.Uvarint(ec.Data[a:])
+			if w := int(ec.Data[a+b]); w != p.width {
+				t.Errorf("%s: BITPACK width %d, want %d", p.name, w, p.width)
+			}
+		}
+		sum := sha256.Sum256(ec.Marshal())
+		if got := hex.EncodeToString(sum[:]); got != want[p.name] {
+			t.Errorf("%s: column SHA-256 %s, want %s", p.name, got, want[p.name])
 		}
 	}
 }

@@ -203,7 +203,7 @@ func TestObjectStoreBasics(t *testing.T) {
 }
 
 // newTestServer builds a smart storage server over a tiny fabric.
-func newTestServer(t *testing.T, smart bool) *Server {
+func newTestServer(t testing.TB, smart bool) *Server {
 	t.Helper()
 	srv, _ := newTestServerOn(t, smart)
 	return srv
@@ -211,7 +211,7 @@ func newTestServer(t *testing.T, smart bool) *Server {
 
 // newTestServerOn also returns the topology the server's devices belong
 // to, for tests that scan with an account.
-func newTestServerOn(t *testing.T, smart bool) (*Server, *fabric.Topology) {
+func newTestServerOn(t testing.TB, smart bool) (*Server, *fabric.Topology) {
 	t.Helper()
 	top := fabric.NewTopology("test")
 	media := top.AddDevice(fabric.NewStorageMedia("media"))

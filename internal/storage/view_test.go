@@ -358,3 +358,89 @@ func TestScanRacesReplicaDamageAndRepair(t *testing.T) {
 		t.Error("no scan succeeded beside the chaos loop")
 	}
 }
+
+// allTypesWithNulls is n rows of one column of each type, every fifth
+// row NULL in all four.
+func allTypesWithNulls(n int) *columnar.Batch {
+	b := columnar.NewBatch(columnar.NewSchema(
+		columnar.Field{Name: "i", Type: columnar.Int64},
+		columnar.Field{Name: "f", Type: columnar.Float64},
+		columnar.Field{Name: "s", Type: columnar.String},
+		columnar.Field{Name: "b", Type: columnar.Bool},
+	), n)
+	for i := 0; i < n; i++ {
+		if i%5 == 2 {
+			b.AppendRow(columnar.NullValue(columnar.Int64), columnar.NullValue(columnar.Float64),
+				columnar.NullValue(columnar.String), columnar.NullValue(columnar.Bool))
+			continue
+		}
+		b.AppendRow(columnar.IntValue(int64(i*31%977)), columnar.FloatValue(float64(i)/8),
+			columnar.StringValue([]string{"AIR", "MAIL", "SHIP"}[i%3]), columnar.BoolValue(i%3 == 0))
+	}
+	return b
+}
+
+// Every replica of every object Append stores is, byte for byte, the
+// Marshal of the segment BuildSegment makes of the same rows, and each
+// replica is a copy of its own.
+func TestAppendStoresWhatMarshalWrites(t *testing.T) {
+	lineitem := func(n int) *columnar.Batch { return workload.GenLineitem(workload.DefaultLineitemConfig(n)) }
+	for _, b := range []*columnar.Batch{lineitem(1), lineitem(777), lineitem(5000), lineitem(65536 + 300), allTypesWithNulls(3000)} {
+		srv := newTestServer(t, true)
+		srv.SegmentRows = 1 << 16
+		srv.store.SetReplicas(3)
+		if _, err := srv.CreateTable("t", b.Schema()); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Append("t", b); err != nil {
+			t.Fatal(err)
+		}
+		tm, _ := srv.Table("t")
+		if want := (b.NumRows() + srv.SegmentRows - 1) / srv.SegmentRows; len(tm.SegmentKeys) != want {
+			t.Fatalf("%d rows: %d segments, want %d", b.NumRows(), len(tm.SegmentKeys), want)
+		}
+		for id, key := range tm.SegmentKeys {
+			off := id * srv.SegmentRows
+			want := BuildSegment(id, b.Slice(off, min(off+srv.SegmentRows, b.NumRows()))).Marshal()
+			replicas := srv.store.objects[key]
+			if len(replicas) != 3 {
+				t.Fatalf("%d rows, %s: %d replicas, want 3", b.NumRows(), key, len(replicas))
+			}
+			for r, got := range replicas {
+				if !bytes.Equal(got, want) {
+					t.Errorf("%d rows, %s replica %d: %d bytes differ from Marshal's %d", b.NumRows(), key, r, len(got), len(want))
+				}
+				for q := range replicas[:r] {
+					if &replicas[q][0] == &got[0] {
+						t.Errorf("%d rows, %s: replicas %d and %d share their bytes", b.NumRows(), key, q, r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkAppend is CI's write-once gate: Server.Append of one
+// 65,536-row lineitem batch, a segment whose stored blob is blob-B/op
+// bytes. The table is dropped and re-created off the clock, so each op
+// encodes, writes and stores one segment into an empty table.
+func BenchmarkAppend(b *testing.B) {
+	batch := workload.GenLineitem(workload.DefaultLineitemConfig(65536))
+	srv := newTestServer(b, true)
+	srv.SegmentRows = 1 << 16
+	blob := len(BuildSegment(0, batch).Marshal())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		srv.DropTable("lineitem")
+		if _, err := srv.CreateTable("lineitem", batch.Schema()); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := srv.Append("lineitem", batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(blob), "blob-B/op")
+}
