@@ -99,41 +99,140 @@ type WriteSummary struct {
 
 // EncodeColumn encodes a vector, picking the smallest applicable
 // encoding without writing the others: one pass sizes every candidate
-// exactly (see int64Sizes and dictionary), and only the winner is written,
-// into a buffer of exactly its length. Ties go to the earlier candidate —
-// RLE, then DELTA, then BITPACK; DICT, then PLAIN — each replacing the
-// best so far only when strictly smaller.
+// exactly (see int64Sizes and dictionary), and only the winner is written.
+// Ties go to the earlier candidate — RLE, then DELTA, then BITPACK; DICT,
+// then PLAIN — each replacing the best so far only when strictly smaller.
 func EncodeColumn(v *columnar.Vector) *EncodedColumn {
 	ec, _ := EncodeColumnSummary(v)
 	return ec
 }
 
 // EncodeColumnSummary is EncodeColumn that also returns the column's
-// WriteSummary, taken in the walks that encode it.
+// WriteSummary, taken in the walks that encode it. The column is its
+// ColumnWriter's block, written into a buffer of exactly its length and
+// opened as a view (Unmarshal), so every column block has one writer.
 func EncodeColumnSummary(v *columnar.Vector) (*EncodedColumn, WriteSummary) {
-	n := v.Len()
-	ec := &EncodedColumn{Type: v.Type(), Stats: Stats{NumValues: n, NullCount: v.NullCount()}}
-	var sum WriteSummary
-	var nulls *columnar.Bitmap // nil when no row is NULL
-	if ec.Stats.NullCount > 0 {
-		nulls = v.Nulls()
-		ec.Nulls = appendBitmapBools(make([]byte, 0, boolsSize(n)), nulls, n)
+	w, sum := SizeColumn(v)
+	ec := new(EncodedColumn)
+	if _, err := ec.Unmarshal(w.AppendTo(make([]byte, 0, w.Len()))); err != nil {
+		panic(err) // the writer wrote what Unmarshal reads
 	}
-	s := &ec.Stats
+	return ec, sum
+}
+
+// ColumnWriter is one column sized and not yet written: the header, the
+// winning codec and what the sizing walk learned to write it (the BIGINT
+// frame, or the dictionary when DICT wins), so its block can be appended
+// straight into a buffer presized for a whole segment. It is a value and
+// holds the vector it was sized from, which must not change before
+// AppendTo.
+type ColumnWriter struct {
+	v                 *columnar.Vector
+	enc               ColumnEncoding
+	stats             Stats
+	nulls             *columnar.Bitmap // nil when no row is NULL
+	ints              int64Sizes
+	dict              dictionary
+	nullsLen, dataLen int
+}
+
+// SizeColumn sizes v's column block without writing it, and returns
+// the column's WriteSummary.
+func SizeColumn(v *columnar.Vector) (ColumnWriter, WriteSummary) {
+	n := v.Len()
+	w := ColumnWriter{v: v, stats: Stats{NumValues: n, NullCount: v.NullCount()}}
+	var sum WriteSummary
+	if w.stats.NullCount > 0 {
+		w.nulls, w.nullsLen = v.Nulls(), boolsSize(n)
+	}
+	s := &w.stats
 	switch v.Type() {
 	case columnar.Int64:
-		ec.Encoding, ec.Data = encodeInt64s(s, v.Int64s(), nulls)
+		w.sizeInt64s()
 	case columnar.Float64:
-		s.MinF, s.MaxF, s.HasMinMax = minMax(v.Float64s(), nulls)
-		ec.Encoding, ec.Data = Plain, EncodeFloat64s(v.Float64s())
+		s.MinF, s.MaxF, s.HasMinMax = minMax(v.Float64s(), w.nulls)
+		w.dataLen = float64sSize(n)
 	case columnar.String:
-		ec.Encoding, ec.Data, sum.Distinct, sum.StringBytes = encodeStrings(s, v.Strings(), nulls)
+		sum.Distinct, sum.StringBytes = w.sizeStrings()
 	case columnar.Bool:
-		ec.Encoding, ec.Data = Plain, EncodeBools(v.Bools())
+		w.dataLen = boolsSize(n)
 	}
-	ec.Checksum = ec.ComputeChecksum()
-	sum.Stats = ec.Stats
-	return ec, sum
+	sum.Stats = w.stats
+	return w, sum
+}
+
+// sizeInt64s sizes RLE, DELTA and BITPACK in one pass that also finds
+// the zone map (unless NULL rows must be left out of it) and picks the
+// smallest.
+func (w *ColumnWriter) sizeInt64s() {
+	vals, s := w.v.Int64s(), &w.stats
+	w.ints = sizeInt64s(vals)
+	s.MinI, s.MaxI, s.HasMinMax = w.ints.min, w.ints.max, len(vals) > 0
+	if w.nulls != nil {
+		s.MinI, s.MaxI, s.HasMinMax = minMax(vals, w.nulls)
+	}
+	w.enc, w.dataLen = RLE, w.ints.rle
+	if w.ints.delta < w.dataLen {
+		w.enc, w.dataLen = DeltaVarint, w.ints.delta
+	}
+	if w.ints.bitPacked < w.dataLen {
+		w.enc, w.dataLen = BitPacked, w.ints.bitPacked
+	}
+}
+
+// sizeStrings builds the dictionary once, sizes DICT and PLAIN from it
+// and picks the smaller, keeping the dictionary only when DICT wins. It
+// returns the distinct values of the non-NULL rows and Σ len over them
+// (dictionary.present), and the zone map is taken over those values
+// instead of every row: the smallest and largest of a set do not depend
+// on how often each occurs.
+func (w *ColumnWriter) sizeStrings() ([]string, int64) {
+	vals, s := w.v.Strings(), &w.stats
+	d := buildDict(vals)
+	distinct, bytes := d.present(vals, w.nulls)
+	s.MinS, s.MaxS, s.HasMinMax = minMax(distinct, nil)
+	w.enc, w.dataLen = Plain, d.plainSize
+	if size := d.size(); size < d.plainSize {
+		w.enc, w.dataLen, w.dict = Dict, size, d
+	}
+	return distinct, bytes
+}
+
+// Len is the exact length of the block AppendTo appends.
+func (w *ColumnWriter) Len() int { return blockLen(&w.stats, w.nullsLen, w.dataLen) }
+
+// AppendTo appends the column's block — what Marshal returns for the
+// column EncodeColumn makes of the vector — to out, writing Nulls and
+// Data in place and then their checksum into the slot the header left.
+func (w *ColumnWriter) AppendTo(out []byte) []byte {
+	out = appendHeader(out, w.v.Type(), w.enc, &w.stats, 0)
+	sum := len(out) - 4
+	out = binary.AppendUvarint(out, uint64(w.nullsLen))
+	nulls := len(out)
+	if w.nulls != nil {
+		out = appendBitmapBools(out, w.nulls, w.stats.NumValues)
+	}
+	crc := crc32.ChecksumIEEE(out[nulls:])
+	out = binary.AppendUvarint(out, uint64(w.dataLen))
+	data, v := len(out), w.v
+	switch {
+	case w.enc == RLE:
+		out = appendRLEInt64(out, v.Int64s())
+	case w.enc == DeltaVarint:
+		out = appendDeltaVarint(out, v.Int64s())
+	case w.enc == BitPacked:
+		out = appendBitPacked(out, v.Int64s(), w.ints.min, w.ints.max)
+	case w.enc == Dict:
+		out = w.dict.appendTo(out)
+	case v.Type() == columnar.String:
+		out = appendPlainStrings(out, v.Strings())
+	case v.Type() == columnar.Float64:
+		out = appendFloat64s(out, v.Float64s())
+	default:
+		out = appendBools(out, v.Bools())
+	}
+	binary.LittleEndian.PutUint32(out[sum:], crc32.Update(crc, crc32.IEEETable, out[data:]))
+	return out
 }
 
 // ComputeChecksum is the CRC-32 (IEEE) of Nulls‖Data: the value Checksum
@@ -142,49 +241,6 @@ func EncodeColumnSummary(v *columnar.Vector) (*EncodedColumn, WriteSummary) {
 // NULLs it is the CRC of Data alone, since an empty prefix changes nothing.
 func (ec *EncodedColumn) ComputeChecksum() uint32 {
 	return crc32.Update(crc32.ChecksumIEEE(ec.Nulls), crc32.IEEETable, ec.Data)
-}
-
-// encodeInt64s sizes RLE, DELTA and BITPACK in one pass that also finds
-// the zone map (unless NULL rows must be left out of it) and writes the
-// smallest.
-func encodeInt64s(s *Stats, vals []int64, nulls *columnar.Bitmap) (ColumnEncoding, []byte) {
-	sz := sizeInt64s(vals)
-	s.MinI, s.MaxI, s.HasMinMax = sz.min, sz.max, len(vals) > 0
-	if nulls != nil {
-		s.MinI, s.MaxI, s.HasMinMax = minMax(vals, nulls)
-	}
-	enc, size := RLE, sz.rle
-	if sz.delta < size {
-		enc, size = DeltaVarint, sz.delta
-	}
-	if sz.bitPacked < size {
-		enc, size = BitPacked, sz.bitPacked
-	}
-	out := make([]byte, 0, size)
-	switch enc {
-	case RLE:
-		out = appendRLEInt64(out, vals)
-	case DeltaVarint:
-		out = appendDeltaVarint(out, vals)
-	default:
-		out = appendBitPacked(out, vals, sz.min, sz.max)
-	}
-	return enc, out
-}
-
-// encodeStrings builds the dictionary once, sizes DICT and PLAIN from it
-// and writes the smaller. It also returns the distinct values of the
-// non-NULL rows and Σ len over them (dictionary.present), and the zone
-// map is taken over those values instead of every row: the smallest and
-// largest of a set do not depend on how often each occurs.
-func encodeStrings(s *Stats, vals []string, nulls *columnar.Bitmap) (ColumnEncoding, []byte, []string, int64) {
-	d := buildDict(vals)
-	distinct, bytes := d.present(vals, nulls)
-	s.MinS, s.MaxS, s.HasMinMax = minMax(distinct, nil)
-	if size := d.size(); size < d.plainSize {
-		return Dict, d.appendTo(make([]byte, 0, size)), distinct, bytes
-	}
-	return Plain, appendPlainStrings(make([]byte, 0, d.plainSize), vals), distinct, bytes
 }
 
 // minMax is the zone map: the smallest and largest of vals over the rows
@@ -239,38 +295,52 @@ func (ec *EncodedColumn) Marshal() []byte {
 	return ec.AppendMarshal(make([]byte, 0, ec.MaxMarshalSize()))
 }
 
-// MaxMarshalSize bounds the bytes AppendMarshal appends from above
-// (every varint counted at its maximum width), for presizing dst.
+// MaxMarshalSize is the length AppendMarshal appends, exactly, for
+// presizing dst.
 func (ec *EncodedColumn) MaxMarshalSize() int {
-	const fixed = 2 + 1 + 16 + 4 // type+encoding, HasMinMax, float stats, checksum
-	return fixed + 8*binary.MaxVarintLen64 + len(ec.Stats.MinS) + len(ec.Stats.MaxS) + len(ec.Nulls) + len(ec.Data)
+	return blockLen(&ec.Stats, len(ec.Nulls), len(ec.Data))
 }
 
 // AppendMarshal appends the block Marshal returns to dst, so a segment
 // is serialized into one buffer instead of one per column.
 func (ec *EncodedColumn) AppendMarshal(out []byte) []byte {
-	out = append(out, byte(ec.Type), byte(ec.Encoding))
-	out = binary.AppendUvarint(out, uint64(ec.Stats.NumValues))
-	out = binary.AppendUvarint(out, uint64(ec.Stats.NullCount))
-	if ec.Stats.HasMinMax {
+	out = appendHeader(out, ec.Type, ec.Encoding, &ec.Stats, ec.Checksum)
+	out = binary.AppendUvarint(out, uint64(len(ec.Nulls)))
+	out = append(out, ec.Nulls...)
+	out = binary.AppendUvarint(out, uint64(len(ec.Data)))
+	return append(out, ec.Data...)
+}
+
+// appendHeader writes a column block's header, everything before its
+// Nulls section: type, encoding, zone map and checksum. It is the one
+// header writer; blockLen is the size function of the block it heads.
+func appendHeader(out []byte, t columnar.Type, e ColumnEncoding, s *Stats, checksum uint32) []byte {
+	out = append(out, byte(t), byte(e))
+	out = binary.AppendUvarint(out, uint64(s.NumValues))
+	out = binary.AppendUvarint(out, uint64(s.NullCount))
+	if s.HasMinMax {
 		out = append(out, 1)
 	} else {
 		out = append(out, 0)
 	}
-	out = binary.AppendUvarint(out, zigzag(ec.Stats.MinI))
-	out = binary.AppendUvarint(out, zigzag(ec.Stats.MaxI))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ec.Stats.MinF))
-	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(ec.Stats.MaxF))
-	out = binary.AppendUvarint(out, uint64(len(ec.Stats.MinS)))
-	out = append(out, ec.Stats.MinS...)
-	out = binary.AppendUvarint(out, uint64(len(ec.Stats.MaxS)))
-	out = append(out, ec.Stats.MaxS...)
-	out = binary.LittleEndian.AppendUint32(out, ec.Checksum)
-	out = binary.AppendUvarint(out, uint64(len(ec.Nulls)))
-	out = append(out, ec.Nulls...)
-	out = binary.AppendUvarint(out, uint64(len(ec.Data)))
-	out = append(out, ec.Data...)
-	return out
+	out = binary.AppendUvarint(out, zigzag(s.MinI))
+	out = binary.AppendUvarint(out, zigzag(s.MaxI))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.MinF))
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(s.MaxF))
+	out = binary.AppendUvarint(out, uint64(len(s.MinS)))
+	out = append(out, s.MinS...)
+	out = binary.AppendUvarint(out, uint64(len(s.MaxS)))
+	out = append(out, s.MaxS...)
+	return binary.LittleEndian.AppendUint32(out, checksum)
+}
+
+// blockLen is the exact length of a column block: appendHeader's for s,
+// then the Nulls and Data sections, each length-prefixed.
+func blockLen(s *Stats, nulls, data int) int {
+	return 2 + uvarintLen(uint64(s.NumValues)) + uvarintLen(uint64(s.NullCount)) + 1 +
+		uvarintLen(zigzag(s.MinI)) + uvarintLen(zigzag(s.MaxI)) + 16 +
+		uvarintLen(uint64(len(s.MinS))) + len(s.MinS) + uvarintLen(uint64(len(s.MaxS))) + len(s.MaxS) + 4 +
+		uvarintLen(uint64(nulls)) + nulls + uvarintLen(uint64(data)) + data
 }
 
 // UnmarshalColumn parses a block produced by Marshal and returns the

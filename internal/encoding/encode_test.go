@@ -188,6 +188,10 @@ func TestEncodeColumnPicksSmallestCandidate(t *testing.T) {
 								name, len(got.Data), cap(got.Data), len(got.Nulls), cap(got.Nulls))
 						}
 						checkSizeFunctions(t, name, v, candidates)
+						if w, _ := SizeColumn(v); w.Len() != len(w.AppendTo(nil)) || w.Len() != got.MaxMarshalSize() || !bytes.Equal(w.AppendTo(nil), got.Marshal()) {
+							t.Fatalf("%s: the writer sizes %d bytes and appends %d; Marshal of its column is %d, sized %d",
+								name, w.Len(), len(w.AppendTo(nil)), len(got.Marshal()), got.MaxMarshalSize())
+						}
 						chosen[typ.String()+"/"+got.Encoding.String()] = true
 					}
 				}

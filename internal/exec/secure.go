@@ -22,14 +22,22 @@ var sealedSchema = columnar.NewSchema(columnar.Field{Name: "sealed", Type: colum
 
 // serializeBatch encodes a batch into a self-contained byte blob:
 // column count, then per column a field header and the encoded column.
+// Every column is sized first, so the blob is written once, each block
+// straight into one buffer of exactly the blob's length.
 func serializeBatch(b *columnar.Batch) []byte {
-	out := binary.LittleEndian.AppendUint32(nil, uint32(b.NumCols()))
-	for i := 0; i < b.NumCols(); i++ {
-		f := b.Schema().Fields[i]
+	fields := b.Schema().Fields
+	ws := make([]encoding.ColumnWriter, len(fields))
+	size := 4
+	for i, f := range fields {
+		ws[i], _ = encoding.SizeColumn(b.Col(i))
+		size += 2 + len(f.Name) + 1 + ws[i].Len()
+	}
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(fields)))
+	for i, f := range fields {
 		out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Name)))
 		out = append(out, f.Name...)
 		out = append(out, byte(f.Type))
-		out = append(out, encoding.EncodeColumn(b.Col(i)).Marshal()...)
+		out = ws[i].AppendTo(out)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -39,6 +41,23 @@ func TestSerializeBatchRoundTrip(t *testing.T) {
 				t.Fatalf("cell (%d,%d) differs", r, c)
 			}
 		}
+	}
+}
+
+// The sealed payload is the column count, then each field header and
+// its column's own Marshal, written into one buffer of exactly its
+// length.
+func TestSerializeBatchIsTheColumnConcatenation(t *testing.T) {
+	in := mixedBatch()
+	want := binary.LittleEndian.AppendUint32(nil, uint32(in.NumCols()))
+	for i, f := range in.Schema().Fields {
+		want = binary.LittleEndian.AppendUint16(want, uint16(len(f.Name)))
+		want = append(want, f.Name...)
+		want = append(want, byte(f.Type))
+		want = append(want, encoding.EncodeColumn(in.Col(i)).Marshal()...)
+	}
+	if got := serializeBatch(in); !bytes.Equal(got, want) || cap(got) != len(got) {
+		t.Fatalf("serializeBatch wrote %d bytes (cap %d), want the %d of the column-by-column concatenation", len(got), cap(got), len(want))
 	}
 }
 

@@ -143,13 +143,24 @@ func (o *ObjectStore) SetReplicas(n int) {
 // Put stores a blob under key, replacing any previous value. The write
 // fans out to Replicas independent copies; metering charges one op and
 // every replicated byte, so replication's cost shows up in the meters.
+// Put copies its input, so the caller may reuse data.
 func (o *ObjectStore) Put(key string, data []byte) {
+	// Never store a nil slice: a nil replica slot means the replica is
+	// lost (FailReplica), and an empty object must stay readable.
+	o.install(key, append(make([]byte, 0, len(data)), data...))
+}
+
+// install is Put that keeps data itself as replica 0 instead of a copy
+// of it; replicas 1…n−1 are still copies. The store owns data from
+// here: nobody may write through it again. Server.AppendSummary hands
+// over the blob it just wrote this way, so each segment byte is written
+// once on its way into the store.
+func (o *ObjectStore) install(key string, data []byte) {
 	o.mu.Lock()
 	n := o.reps
 	copies := make([][]byte, n)
-	for i := range copies {
-		// Never store a nil slice: a nil replica slot means the replica
-		// is lost (FailReplica), and an empty object must stay readable.
+	copies[0] = data
+	for i := 1; i < n; i++ {
 		copies[i] = append(make([]byte, 0, len(data)), data...)
 	}
 	o.objects[key] = copies
@@ -170,8 +181,9 @@ func (o *ObjectStore) Get(ctx context.Context, key string) ([]byte, error) {
 // which the caller must not modify. Recovery behaviour matches Get.
 //
 // Stored blobs are immutable: Put, read-repair, RepairReplica and
-// injected damage each install a fresh copy under the lock and never
-// write through a slice already stored, so the slice returned here — and
+// injected damage each install a fresh copy under the lock, the blob a
+// segment writer hands to install is never written again, and nothing
+// writes through a slice already stored, so the slice returned here — and
 // any segment view opened over it (UnmarshalSegment) — stays intact for
 // as long as the caller holds it, whatever happens to the key meanwhile.
 func (o *ObjectStore) GetNoCopy(ctx context.Context, key string) ([]byte, error) {

@@ -24,7 +24,8 @@ type Segment struct {
 	Columns []*encoding.EncodedColumn // one per schema field
 }
 
-// BuildSegment encodes a batch into a segment.
+// BuildSegment encodes a batch into a segment: a view (UnmarshalSegment)
+// over the one blob WriteSegment writes, which the segment owns.
 func BuildSegment(id int, b *columnar.Batch) *Segment {
 	s, _ := BuildSegmentSummary(id, b)
 	return s
@@ -33,13 +34,34 @@ func BuildSegment(id int, b *columnar.Batch) *Segment {
 // BuildSegmentSummary is BuildSegment that also returns each column's
 // encoding.WriteSummary, in schema order.
 func BuildSegmentSummary(id int, b *columnar.Batch) (*Segment, []encoding.WriteSummary) {
-	s := &Segment{ID: id, Schema: b.Schema(), NumRows: b.NumRows()}
-	s.Columns = make([]*encoding.EncodedColumn, b.NumCols())
-	sums := make([]encoding.WriteSummary, b.NumCols())
-	for i := 0; i < b.NumCols(); i++ {
-		s.Columns[i], sums[i] = encoding.EncodeColumnSummary(b.Col(i))
+	blob, sums := WriteSegment(id, b)
+	s, err := UnmarshalSegment(blob)
+	if err != nil {
+		panic(err) // WriteSegment wrote what UnmarshalSegment reads
 	}
 	return s, sums
+}
+
+// WriteSegment encodes a batch into the blob Marshal writes for its
+// segment, writing each byte once: it sizes every column
+// (encoding.SizeColumn), allocates one buffer of exactly the blob's
+// length and appends the segment header, then each field and its
+// column's block. It also returns each column's encoding.WriteSummary,
+// in schema order.
+func WriteSegment(id int, b *columnar.Batch) ([]byte, []encoding.WriteSummary) {
+	fields := b.Schema().Fields
+	ws := make([]encoding.ColumnWriter, len(fields))
+	sums := make([]encoding.WriteSummary, len(fields))
+	size := segmentHeaderLen
+	for i, f := range fields {
+		ws[i], sums[i] = encoding.SizeColumn(b.Col(i))
+		size += fieldHeaderLen(f) + ws[i].Len()
+	}
+	out := appendSegmentHeader(make([]byte, 0, size), id, b.NumRows(), len(fields))
+	for i, f := range fields {
+		out = ws[i].AppendTo(appendFieldHeader(out, f))
+	}
+	return out, sums
 }
 
 // EncodedSize is the segment's on-media footprint: what a scan reads and
@@ -125,21 +147,36 @@ func (s *Segment) PruneInt(col int, lo, hi int64) bool {
 // Marshal serializes the segment into a self-contained blob, written
 // once into a buffer presized for all of it.
 func (s *Segment) Marshal() []byte {
-	size := 12
+	size := segmentHeaderLen
 	for i, f := range s.Schema.Fields {
-		size += 2 + len(f.Name) + 1 + s.Columns[i].MaxMarshalSize()
+		size += fieldHeaderLen(f) + s.Columns[i].MaxMarshalSize()
 	}
-	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(s.ID))
-	out = binary.LittleEndian.AppendUint32(out, uint32(s.NumRows))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(s.Columns)))
+	out := appendSegmentHeader(make([]byte, 0, size), s.ID, s.NumRows, len(s.Columns))
 	for i, f := range s.Schema.Fields {
-		out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Name)))
-		out = append(out, f.Name...)
-		out = append(out, byte(f.Type))
-		out = s.Columns[i].AppendMarshal(out)
+		out = s.Columns[i].AppendMarshal(appendFieldHeader(out, f))
 	}
 	return out
 }
+
+// segmentHeaderLen is the length of a blob's header: ID, row count and
+// column count.
+const segmentHeaderLen = 12
+
+func appendSegmentHeader(out []byte, id, rows, cols int) []byte {
+	out = binary.LittleEndian.AppendUint32(out, uint32(id))
+	out = binary.LittleEndian.AppendUint32(out, uint32(rows))
+	return binary.LittleEndian.AppendUint32(out, uint32(cols))
+}
+
+// appendFieldHeader writes what precedes a column's block: the field's
+// name and type. fieldHeaderLen is its length.
+func appendFieldHeader(out []byte, f columnar.Field) []byte {
+	out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Name)))
+	out = append(out, f.Name...)
+	return append(out, byte(f.Type))
+}
+
+func fieldHeaderLen(f columnar.Field) int { return 2 + len(f.Name) + 1 }
 
 // minFieldBytes is the least a marshalled field can occupy: name length
 // and type byte, then a column header with every varint and section at
@@ -155,7 +192,7 @@ const minFieldBytes = 3 + 31
 // pool page only while it is pinned. The header fields a view trusts —
 // each column's type and row count — are checked here.
 func UnmarshalSegment(data []byte) (*Segment, error) {
-	if len(data) < 12 {
+	if len(data) < segmentHeaderLen {
 		return nil, fmt.Errorf("%w: segment header truncated", encoding.ErrCorrupt)
 	}
 	s := &Segment{
@@ -163,7 +200,7 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 		NumRows: int(binary.LittleEndian.Uint32(data[4:])),
 	}
 	ncols := int(binary.LittleEndian.Uint32(data[8:]))
-	data = data[12:]
+	data = data[segmentHeaderLen:]
 	// A corrupt count must fail at the first truncated field below, not
 	// allocate: presize by what the remaining bytes could hold.
 	room := min(ncols, len(data)/minFieldBytes)

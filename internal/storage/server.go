@@ -361,9 +361,10 @@ func (s *Server) Append(table string, b *columnar.Batch) error {
 }
 
 // AppendSummary is Append that also returns, for each segment it wrote in
-// order, the column summaries BuildSegmentSummary took while encoding it:
-// what the planner's statistics are folded from without walking the
-// batch again.
+// order, the column summaries WriteSegment took while encoding it: what
+// the planner's statistics are folded from without walking the batch
+// again. Each segment's blob is written once, by WriteSegment, and
+// installed in the store as it is, not copied.
 func (s *Server) AppendSummary(table string, b *columnar.Batch) ([][]encoding.WriteSummary, error) {
 	t, err := s.Table(table)
 	if err != nil {
@@ -381,9 +382,9 @@ func (s *Server) AppendSummary(table string, b *columnar.Batch) ([][]encoding.Wr
 			end = b.NumRows()
 		}
 		segID := len(t.SegmentKeys)
-		seg, sum := BuildSegmentSummary(segID, b.Slice(off, end))
+		blob, sum := WriteSegment(segID, b.Slice(off, end))
 		key := fmt.Sprintf("%s/seg-%06d", table, segID)
-		s.store.Put(key, seg.Marshal())
+		s.store.install(key, blob)
 		t.SegmentKeys = append(t.SegmentKeys, key)
 		t.NumRows += int64(end - off)
 		sums = append(sums, sum)

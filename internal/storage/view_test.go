@@ -381,8 +381,8 @@ func allTypesWithNulls(n int) *columnar.Batch {
 }
 
 // Every replica of every object Append stores is, byte for byte, the
-// Marshal of the segment BuildSegment makes of the same rows, and each
-// replica is a copy of its own.
+// Marshal of the segment BuildSegment makes of the same rows, in a buffer
+// of exactly its length, and each replica is a copy of its own.
 func TestAppendStoresWhatMarshalWrites(t *testing.T) {
 	lineitem := func(n int) *columnar.Batch { return workload.GenLineitem(workload.DefaultLineitemConfig(n)) }
 	for _, b := range []*columnar.Batch{lineitem(1), lineitem(777), lineitem(5000), lineitem(65536 + 300), allTypesWithNulls(3000)} {
@@ -407,8 +407,8 @@ func TestAppendStoresWhatMarshalWrites(t *testing.T) {
 				t.Fatalf("%d rows, %s: %d replicas, want 3", b.NumRows(), key, len(replicas))
 			}
 			for r, got := range replicas {
-				if !bytes.Equal(got, want) {
-					t.Errorf("%d rows, %s replica %d: %d bytes differ from Marshal's %d", b.NumRows(), key, r, len(got), len(want))
+				if !bytes.Equal(got, want) || cap(got) != len(got) {
+					t.Errorf("%d rows, %s replica %d: %d bytes (cap %d) differ from Marshal's %d", b.NumRows(), key, r, len(got), cap(got), len(want))
 				}
 				for q := range replicas[:r] {
 					if &replicas[q][0] == &got[0] {
