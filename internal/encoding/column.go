@@ -69,7 +69,7 @@ type EncodedColumn struct {
 	Type     columnar.Type
 	Encoding ColumnEncoding
 	Stats    Stats
-	// Data (the encoded values) and Nulls (EncodeBools of the null
+	// Data (the encoded values) and Nulls (appendBools of the null
 	// bitmap; empty if no nulls) are read-only. On a column opened by
 	// Unmarshal they are capacity-clamped sub-slices of the blob it
 	// was given, so the blob's owner decides how long the column may
@@ -108,9 +108,8 @@ func EncodeColumn(v *columnar.Vector) *EncodedColumn {
 }
 
 // EncodeColumnSummary is EncodeColumn that also returns the column's
-// WriteSummary, taken in the walks that encode it. The column is its
-// ColumnWriter's block, written into a buffer of exactly its length and
-// opened as a view (Unmarshal), so every column block has one writer.
+// WriteSummary, taken in the walks that encode it. The column is a view
+// (Unmarshal) of the block its ColumnWriter writes: one writer per block.
 func EncodeColumnSummary(v *columnar.Vector) (*EncodedColumn, WriteSummary) {
 	w, sum := SizeColumn(v)
 	ec := new(EncodedColumn)
@@ -120,12 +119,10 @@ func EncodeColumnSummary(v *columnar.Vector) (*EncodedColumn, WriteSummary) {
 	return ec, sum
 }
 
-// ColumnWriter is one column sized and not yet written: the header, the
-// winning codec and what the sizing walk learned to write it (the BIGINT
-// frame, or the dictionary when DICT wins), so its block can be appended
-// straight into a buffer presized for a whole segment. It is a value and
-// holds the vector it was sized from, which must not change before
-// AppendTo.
+// ColumnWriter is a column sized but not yet written: its header, the
+// winning codec and what sizing learned to write it (the BIGINT frame, or
+// the dictionary when DICT wins). It holds the vector it was sized from,
+// which must not change before AppendTo.
 type ColumnWriter struct {
 	v                 *columnar.Vector
 	enc               ColumnEncoding
@@ -183,9 +180,8 @@ func (w *ColumnWriter) sizeInt64s() {
 // sizeStrings builds the dictionary once, sizes DICT and PLAIN from it
 // and picks the smaller, keeping the dictionary only when DICT wins. It
 // returns the distinct values of the non-NULL rows and Σ len over them
-// (dictionary.present), and the zone map is taken over those values
-// instead of every row: the smallest and largest of a set do not depend
-// on how often each occurs.
+// (dictionary.present); the zone map is taken over those values, since
+// a set's bounds do not depend on how often each value occurs.
 func (w *ColumnWriter) sizeStrings() ([]string, int64) {
 	vals, s := w.v.Strings(), &w.stats
 	d := buildDict(vals)

@@ -70,6 +70,16 @@ func referenceEncodeColumn(v *columnar.Vector) (*EncodedColumn, []candidate) {
 	return ec, candidates
 }
 
+// EncodeFloat64s stores floats as little-endian IEEE 754 bits.
+func EncodeFloat64s(vals []float64) []byte {
+	return appendFloat64s(make([]byte, 0, float64sSize(len(vals))), vals)
+}
+
+// EncodeBools packs booleans into a bitmap.
+func EncodeBools(vals []bool) []byte {
+	return appendBools(make([]byte, 0, boolsSize(len(vals))), vals)
+}
+
 // referenceMinMax is the row-by-row zone map over v's non-NULL rows.
 func referenceMinMax[T int64 | float64 | string](v *columnar.Vector, vals []T) (lo, hi T, ok bool) {
 	for i, x := range vals {

@@ -172,14 +172,11 @@ func appendBitPacked[T int32 | int64](out []byte, vals []T, lo, hi int64) []byte
 	return out
 }
 
-// EncodeFloat64s stores floats as little-endian IEEE 754 bits.
-func EncodeFloat64s(vals []float64) []byte {
-	return appendFloat64s(make([]byte, 0, float64sSize(len(vals))), vals)
-}
-
 // float64sSize is the exact length of n floats' block.
 func float64sSize(n int) int { return uvarintLen(uint64(n)) + 8*n }
 
+// appendFloat64s writes PLAIN DOUBLE: the count, then each value's
+// little-endian IEEE 754 bits.
 func appendFloat64s(out []byte, vals []float64) []byte {
 	out = binary.AppendUvarint(out, uint64(len(vals)))
 	for _, v := range vals {
@@ -188,14 +185,11 @@ func appendFloat64s(out []byte, vals []float64) []byte {
 	return out
 }
 
-// EncodeBools packs booleans into a bitmap.
-func EncodeBools(vals []bool) []byte {
-	return appendBools(make([]byte, 0, boolsSize(len(vals))), vals)
-}
-
 // boolsSize is the exact length of n booleans' block.
 func boolsSize(n int) int { return uvarintLen(uint64(n)) + (n+7)/8 }
 
+// appendBools writes BOOLEAN, and a column's null section: the count,
+// then the values packed into a bitmap, LSB first.
 func appendBools(out []byte, vals []bool) []byte {
 	out = binary.AppendUvarint(out, uint64(len(vals)))
 	var cur byte
@@ -216,7 +210,7 @@ func appendBools(out []byte, vals []bool) []byte {
 	return out
 }
 
-// appendBitmapBools writes the block EncodeBools writes for n booleans,
+// appendBitmapBools writes the block appendBools writes for n booleans,
 // the true ones being the bits set in bm, straight from bm's words:
 // both are LSB first, so each word is its eight bytes. bm may be shorter
 // than n (a vector's null bitmap ends at its last NULL); the bits it
@@ -235,7 +229,7 @@ func appendBitmapBools(out []byte, bm *columnar.Bitmap, n int) []byte {
 	return out
 }
 
-// splitBools parses an EncodeBools block into its count and its packed
+// splitBools parses an appendBools block into its count and its packed
 // bits, LSB first, which are checked to be all there.
 func splitBools(data []byte) (n uint64, packed []byte, err error) {
 	n, sz := binary.Uvarint(data)

@@ -30,7 +30,7 @@ import (
 // unsupported; callers fall back to decode-then-eval.
 
 // nullRows parses the column's null bitmap into a columnar.Bitmap of n
-// bits, or nil when the column has no nulls. EncodeBools packs LSB
+// bits, or nil when the column has no nulls. appendBools packs LSB
 // first, which is the Bitmap's own word layout, so the packed bytes are
 // stored a word at a time.
 func (ec *EncodedColumn) nullRows() (*columnar.Bitmap, error) {

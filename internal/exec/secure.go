@@ -21,9 +21,8 @@ import (
 var sealedSchema = columnar.NewSchema(columnar.Field{Name: "sealed", Type: columnar.String})
 
 // serializeBatch encodes a batch into a self-contained byte blob:
-// column count, then per column a field header and the encoded column.
-// Every column is sized first, so the blob is written once, each block
-// straight into one buffer of exactly the blob's length.
+// column count, then per column a field header and the encoded column,
+// each sized first and then written into one buffer of exactly its size.
 func serializeBatch(b *columnar.Batch) []byte {
 	fields := b.Schema().Fields
 	ws := make([]encoding.ColumnWriter, len(fields))

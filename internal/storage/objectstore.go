@@ -150,11 +150,9 @@ func (o *ObjectStore) Put(key string, data []byte) {
 	o.install(key, append(make([]byte, 0, len(data)), data...))
 }
 
-// install is Put that keeps data itself as replica 0 instead of a copy
-// of it; replicas 1…n−1 are still copies. The store owns data from
-// here: nobody may write through it again. Server.AppendSummary hands
-// over the blob it just wrote this way, so each segment byte is written
-// once on its way into the store.
+// install is Put that keeps data itself as replica 0; replicas 1…n−1
+// are still copies. The store owns data from here, and nobody may write
+// through it again: Server.AppendSummary hands over a fresh blob.
 func (o *ObjectStore) install(key string, data []byte) {
 	o.mu.Lock()
 	n := o.reps

@@ -43,25 +43,18 @@ func BuildSegmentSummary(id int, b *columnar.Batch) (*Segment, []encoding.WriteS
 }
 
 // WriteSegment encodes a batch into the blob Marshal writes for its
-// segment, writing each byte once: it sizes every column
-// (encoding.SizeColumn), allocates one buffer of exactly the blob's
-// length and appends the segment header, then each field and its
-// column's block. It also returns each column's encoding.WriteSummary,
-// in schema order.
+// segment, writing each byte once: every column is sized first
+// (encoding.SizeColumn), then written straight into one buffer of
+// exactly the blob's length. It also returns each column's
+// encoding.WriteSummary, in schema order.
 func WriteSegment(id int, b *columnar.Batch) ([]byte, []encoding.WriteSummary) {
-	fields := b.Schema().Fields
-	ws := make([]encoding.ColumnWriter, len(fields))
-	sums := make([]encoding.WriteSummary, len(fields))
-	size := segmentHeaderLen
-	for i, f := range fields {
+	ws := make([]encoding.ColumnWriter, b.NumCols())
+	sums := make([]encoding.WriteSummary, b.NumCols())
+	for i := range ws {
 		ws[i], sums[i] = encoding.SizeColumn(b.Col(i))
-		size += fieldHeaderLen(f) + ws[i].Len()
 	}
-	out := appendSegmentHeader(make([]byte, 0, size), id, b.NumRows(), len(fields))
-	for i, f := range fields {
-		out = ws[i].AppendTo(appendFieldHeader(out, f))
-	}
-	return out, sums
+	return writeSegment(id, b.NumRows(), b.Schema().Fields, func(i int) int { return ws[i].Len() },
+		func(out []byte, i int) []byte { return ws[i].AppendTo(out) }), sums
 }
 
 // EncodedSize is the segment's on-media footprint: what a scan reads and
@@ -147,36 +140,29 @@ func (s *Segment) PruneInt(col int, lo, hi int64) bool {
 // Marshal serializes the segment into a self-contained blob, written
 // once into a buffer presized for all of it.
 func (s *Segment) Marshal() []byte {
-	size := segmentHeaderLen
-	for i, f := range s.Schema.Fields {
-		size += fieldHeaderLen(f) + s.Columns[i].MaxMarshalSize()
+	return writeSegment(s.ID, s.NumRows, s.Schema.Fields, func(i int) int { return s.Columns[i].MaxMarshalSize() },
+		func(out []byte, i int) []byte { return s.Columns[i].AppendMarshal(out) })
+}
+
+// writeSegment writes a blob into one buffer of exactly its length: the
+// header (ID, row count, column count), then each field's name and type
+// followed by its column's block, which write(out, i) appends and is
+// size(i) bytes long.
+func writeSegment(id, rows int, fields []columnar.Field, size func(i int) int, write func(out []byte, i int) []byte) []byte {
+	n := 12
+	for i, f := range fields {
+		n += 2 + len(f.Name) + 1 + size(i)
 	}
-	out := appendSegmentHeader(make([]byte, 0, size), s.ID, s.NumRows, len(s.Columns))
-	for i, f := range s.Schema.Fields {
-		out = s.Columns[i].AppendMarshal(appendFieldHeader(out, f))
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, n), uint32(id))
+	out = binary.LittleEndian.AppendUint32(out, uint32(rows))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(fields)))
+	for i, f := range fields {
+		out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Name)))
+		out = append(out, f.Name...)
+		out = write(append(out, byte(f.Type)), i)
 	}
 	return out
 }
-
-// segmentHeaderLen is the length of a blob's header: ID, row count and
-// column count.
-const segmentHeaderLen = 12
-
-func appendSegmentHeader(out []byte, id, rows, cols int) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(id))
-	out = binary.LittleEndian.AppendUint32(out, uint32(rows))
-	return binary.LittleEndian.AppendUint32(out, uint32(cols))
-}
-
-// appendFieldHeader writes what precedes a column's block: the field's
-// name and type. fieldHeaderLen is its length.
-func appendFieldHeader(out []byte, f columnar.Field) []byte {
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(f.Name)))
-	out = append(out, f.Name...)
-	return append(out, byte(f.Type))
-}
-
-func fieldHeaderLen(f columnar.Field) int { return 2 + len(f.Name) + 1 }
 
 // minFieldBytes is the least a marshalled field can occupy: name length
 // and type byte, then a column header with every varint and section at
@@ -192,7 +178,7 @@ const minFieldBytes = 3 + 31
 // pool page only while it is pinned. The header fields a view trusts —
 // each column's type and row count — are checked here.
 func UnmarshalSegment(data []byte) (*Segment, error) {
-	if len(data) < segmentHeaderLen {
+	if len(data) < 12 {
 		return nil, fmt.Errorf("%w: segment header truncated", encoding.ErrCorrupt)
 	}
 	s := &Segment{
@@ -200,7 +186,7 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 		NumRows: int(binary.LittleEndian.Uint32(data[4:])),
 	}
 	ncols := int(binary.LittleEndian.Uint32(data[8:]))
-	data = data[segmentHeaderLen:]
+	data = data[12:]
 	// A corrupt count must fail at the first truncated field below, not
 	// allocate: presize by what the remaining bytes could hold.
 	room := min(ncols, len(data)/minFieldBytes)

@@ -363,8 +363,7 @@ func (s *Server) Append(table string, b *columnar.Batch) error {
 // AppendSummary is Append that also returns, for each segment it wrote in
 // order, the column summaries WriteSegment took while encoding it: what
 // the planner's statistics are folded from without walking the batch
-// again. Each segment's blob is written once, by WriteSegment, and
-// installed in the store as it is, not copied.
+// again. The blob WriteSegment writes is the one the store keeps.
 func (s *Server) AppendSummary(table string, b *columnar.Batch) ([][]encoding.WriteSummary, error) {
 	t, err := s.Table(table)
 	if err != nil {
