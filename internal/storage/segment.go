@@ -178,10 +178,19 @@ const minFieldBytes = 3 + 31
 // pool page only while it is pinned. The header fields a view trusts —
 // each column's type and row count — are checked here.
 func UnmarshalSegment(data []byte) (*Segment, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("%w: segment header truncated", encoding.ErrCorrupt)
+	s := new(Segment)
+	if err := openSegment(s, data); err != nil {
+		return nil, err
 	}
-	s := &Segment{
+	return s, nil
+}
+
+// openSegment is UnmarshalSegment into s, whose every field it sets.
+func openSegment(s *Segment, data []byte) error {
+	if len(data) < 12 {
+		return fmt.Errorf("%w: segment header truncated", encoding.ErrCorrupt)
+	}
+	*s = Segment{
 		ID:      int(binary.LittleEndian.Uint32(data)),
 		NumRows: int(binary.LittleEndian.Uint32(data[4:])),
 	}
@@ -195,12 +204,12 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 	block := make([]encoding.EncodedColumn, 0, room) // the columns, one allocation
 	for i := 0; i < ncols; i++ {
 		if len(data) < 2 {
-			return nil, fmt.Errorf("%w: segment field truncated", encoding.ErrCorrupt)
+			return fmt.Errorf("%w: segment field truncated", encoding.ErrCorrupt)
 		}
 		nameLen := int(binary.LittleEndian.Uint16(data))
 		data = data[2:]
 		if len(data) < nameLen+1 {
-			return nil, fmt.Errorf("%w: segment field name truncated", encoding.ErrCorrupt)
+			return fmt.Errorf("%w: segment field name truncated", encoding.ErrCorrupt)
 		}
 		name := string(data[:nameLen])
 		typ := columnar.Type(data[nameLen])
@@ -210,16 +219,16 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 		col := &block[len(block)-1]
 		used, err := col.Unmarshal(data)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if col.Type != typ || col.Stats.NumValues != s.NumRows {
-			return nil, fmt.Errorf("%w: segment %d column %d is %v x %d rows, field says %v x %d",
+			return fmt.Errorf("%w: segment %d column %d is %v x %d rows, field says %v x %d",
 				encoding.ErrCorrupt, s.ID, i, col.Type, col.Stats.NumValues, typ, s.NumRows)
 		}
 		data = data[used:]
 		s.Columns = append(s.Columns, col)
 	}
-	return s, nil
+	return nil
 }
 
 func allIndices(n int) []int {

@@ -245,6 +245,9 @@ type Server struct {
 	// set comes back once every batch cut from it has been released,
 	// during its run or after.
 	pool columnar.Pool
+	// views are the segment views no scan attempt holds (see putView).
+	viewMu sync.Mutex
+	views  []*Segment
 }
 
 // NewServer wires a storage server onto fabric devices: media (charged
@@ -418,6 +421,13 @@ func (s *Server) Scan(ctx context.Context, table string, spec ScanSpec, emit fun
 // emitted from the segment has been released.
 func (s *Server) ScanPooled(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error) (ScanStats, error) {
 	return s.scan(ctx, table, spec, emit, &s.pool)
+}
+
+// putView hands a segment view back to the server's free list.
+func (s *Server) putView(v *Segment) {
+	s.viewMu.Lock()
+	s.views = append(s.views, v)
+	s.viewMu.Unlock()
 }
 
 // PoolStats reports what the pool ScanPooled decodes from holds and has

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -85,6 +86,127 @@ func TestUnmarshalSegmentIsAView(t *testing.T) {
 	}
 	if bigBytes, smallBytes := bytesPerRun(20, open(blob)), bytesPerRun(20, open(small)); bigBytes != smallBytes || bigBytes >= 4096 {
 		t.Errorf("open allocates %d B for %d bytes and %d B for %d: want one constant under 4096", bigBytes, len(blob), smallBytes, len(small))
+	}
+}
+
+// One view reopened over blob after blob is what a fresh UnmarshalSegment
+// makes of each, field for field and error for error, and its columns
+// alias the blob it was opened over last: nothing carries over from an
+// earlier open, of more columns or fewer, or of one that failed part way.
+func TestReopenedViewMatchesFreshOpen(t *testing.T) {
+	good := [][]byte{
+		lineitemBlob(t),
+		BuildSegment(3, lineBatch(500).Project([]int{3, 0, 2})).Marshal(),
+		BuildSegment(4, lineBatch(0)).Marshal(),
+		BuildSegment(5, allTypesWithNulls(3000)).Marshal(),
+		BuildSegment(6, lineBatch(777)).Marshal(),
+	}
+	var view Segment
+	open := func(what string, blob []byte) {
+		t.Helper()
+		fresh, want := UnmarshalSegment(blob)
+		if got := openSegment(&view, blob); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: reopen says %v, a fresh open %v", what, got, want)
+		}
+		if want != nil {
+			return
+		}
+		if !reflect.DeepEqual(&view, fresh) {
+			t.Fatalf("%s: the reopened view differs from a fresh open", what)
+		}
+		for i, c := range view.Columns {
+			if !inside(c.Data, blob) || !inside(c.Nulls, blob) {
+				t.Fatalf("%s: column %d does not alias the blob it was opened over", what, i)
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i, blob := range good {
+			open(fmt.Sprintf("round %d, blob %d", round, i), blob)
+		}
+	}
+	// The prefixes TestSegmentMarshalRejectsTruncation cuts, each followed
+	// by a good blob.
+	blob := BuildSegment(0, lineBatch(64)).Marshal()
+	for i := 0; i < len(blob)-1; i += 13 {
+		open(fmt.Sprintf("%d-byte prefix", i), blob[:i])
+		open(fmt.Sprintf("blob %d after a %d-byte prefix", i%len(good), i), good[i%len(good)])
+	}
+}
+
+// A scan opens each segment into a view the server lends it for one
+// attempt and takes back when the attempt ends, so a free view holds
+// whatever was opened into it last. No scan's output may depend on that:
+// after every free view has been overwritten — with another table's
+// segment, or half way by a truncated blob — scans pooled and not, eager
+// and encoded, at widths 1 and 2, return what they did at first.
+func TestScanUnchangedAfterFreeViewsAreOverwritten(t *testing.T) {
+	srv := newTestServer(t, true)
+	loadTable(t, srv, 4000)
+	pred := expr.NewBetween(1, 5, 30)
+	specs := []ScanSpec{
+		{},
+		{Filter: pred, Pushdown: true},
+		{Filter: pred, Pushdown: true, EncodedEval: true, Projection: []int{3, 0}},
+		{Filter: expr.NewCmp(1, expr.Lt, columnar.IntValue(20)), Pushdown: true, Workers: 2},
+		{Projection: []int{2}, Workers: 2},
+	}
+	scan := func(spec ScanSpec, pooled bool) [][]columnar.Value {
+		t.Helper()
+		var rows [][]columnar.Value
+		emit := func(b *columnar.Batch) error {
+			rows = append(rows, b.RowMajor()...)
+			b.Release()
+			return nil
+		}
+		run := srv.Scan
+		if pooled {
+			run = srv.ScanPooled
+		}
+		if _, err := run(context.Background(), "lineitem", spec, emit); err != nil {
+			t.Fatal(err)
+		}
+		return rows
+	}
+	other := [][]byte{
+		BuildSegment(7, allTypesWithNulls(900)).Marshal(),
+		BuildSegment(8, lineBatch(2500).Project([]int{2, 1})).Marshal(),
+	}
+	truncated := other[0][:len(other[0])/2]
+	overwrite := func() {
+		srv.viewMu.Lock()
+		defer srv.viewMu.Unlock()
+		for i, v := range srv.views {
+			if i%3 == 2 {
+				openSegment(v, truncated)
+			} else {
+				openSegment(v, other[i%2])
+			}
+		}
+	}
+	want := make([][][]columnar.Value, 2*len(specs))
+	for i, spec := range specs {
+		for p, pooled := range []bool{false, true} {
+			if want[2*i+p] = scan(spec, pooled); len(want[2*i+p]) == 0 {
+				t.Fatalf("spec %d returned no rows", i)
+			}
+		}
+	}
+	for i := 0; i < 3; i++ {
+		v := new(Segment)
+		openSegment(v, other[i%2])
+		srv.putView(v)
+	}
+	for round := 0; round < 3; round++ {
+		for i, spec := range specs {
+			for p, pooled := range []bool{false, true} {
+				overwrite()
+				if got := scan(spec, pooled); !reflect.DeepEqual(got, want[2*i+p]) {
+					t.Fatalf("round %d, spec %d, pooled %v: %d rows after the free views were overwritten, %d before",
+						round, i, pooled, len(got), len(want[2*i+p]))
+				}
+			}
+		}
 	}
 }
 
