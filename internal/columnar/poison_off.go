@@ -2,4 +2,5 @@
 
 package columnar
 
-const poisonReleased = false // see give
+// PoisonReleased: what goes back to a pool or free list is overwritten.
+const PoisonReleased = false

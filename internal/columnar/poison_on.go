@@ -2,4 +2,5 @@
 
 package columnar
 
-const poisonReleased = true // see give
+// PoisonReleased: what goes back to a pool or free list is overwritten.
+const PoisonReleased = true

@@ -7,12 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// Pool recycles decoded sets: a scan decodes a segment into arrays taken
-// from it (Values), leases the decoded batch (Lease), and the arrays come
-// back when the last batch cut from it is released, with the view
-// headers and selections cut from the set (see lease). A storage server
-// holds one for as long as it lives, so a release that lands after its
-// run has ended feeds the next. The zero Pool is ready; a nil *Pool
+// Pool recycles decoded sets: a scan decodes a segment into a batch
+// leased from it (Lend) and arrays taken from it (Values), which come
+// back when the last batch cut from it is released, with the set's
+// headers and the views and selections cut from it (see lease). A
+// storage server holds one for as long as it lives, so a release that
+// lands after its run has ended feeds the next. The zero Pool is ready; a nil *Pool
 // allocates every array and recycles none. It is safe for concurrent
 // use.
 //
@@ -84,36 +84,46 @@ func take[T any](p *Pool, n int) ([]T, bool) {
 	return nil, false
 }
 
-// Lease makes b, whose vectors were decoded into arrays from p, the one
-// owner of them, and returns it; with a nil p it returns b as it is.
-func (p *Pool) Lease(b *Batch) *Batch {
-	if p == nil {
-		return b
-	}
-	p.mu.Lock()
+// Lend returns an empty batch of schema, leased from p, for a decode to
+// fill: each column is a vector of its field's type whose header the
+// decode overwrites with arrays from p (Values). Its header, column slots
+// and vectors are the lease's, lent again with it. With a nil p they are
+// new, and the batch has no lease.
+func (p *Pool) Lend(schema *Schema) *Batch {
 	var l *lease
-	if k := len(p.leases); k > 0 {
-		l, p.leases = p.leases[k-1], p.leases[:k-1]
+	var set *view
+	if p == nil {
+		set = new(view)
 	} else {
-		l = &lease{pool: p}
+		p.mu.Lock()
+		if k := len(p.leases); k > 0 {
+			l, p.leases = p.leases[k-1], p.leases[:k-1]
+		} else {
+			l = &lease{pool: p}
+		}
+		p.leased++
+		p.peak = max(p.peak, p.leased)
+		p.mu.Unlock()
+		l.refs.Store(1)
+		set = &l.set
 	}
-	p.leased++
-	p.peak = max(p.peak, p.leased)
-	p.mu.Unlock()
-	l.vecs = b.cols
-	l.refs.Store(1)
-	b.lease = l
+	b, cols := set.cut(schema.NumFields(), true)
+	for i, f := range schema.Fields {
+		cols[i].typ = f.Type
+	}
+	*b = Batch{schema: schema, cols: cols, lease: l}
 	return b
 }
 
 // lease is the claim every batch cut from one decoded set holds on its
 // vectors: refs counts the batches that will each be released, and the
-// arrays go back to the pool with the last. The views and selections cut
-// from the set's batches are made in the lease's views too (see view);
-// they go back with it, whole, and serve the next set it is lent to.
+// arrays go back to the pool with the last. The set's own headers are
+// made in set, and the views and selections cut from its batches in
+// views (see view); they go back with it, whole, and serve the next set
+// it is lent to.
 type lease struct {
 	pool *Pool
-	vecs []*Vector
+	set  view
 	refs atomic.Int32
 
 	// mu guards views, the first used of which are out: views are cut on
@@ -155,7 +165,12 @@ func (l *lease) view(n int, vecs bool) (*Batch, []*Vector) {
 		}
 		return new(Batch), cols
 	}
-	v := l.next()
+	return l.next().cut(n, vecs)
+}
+
+// cut readies v to hold a batch of n columns, in what it grew before: its
+// header and n column slots, each with vecs holding a Vector header.
+func (v *view) cut(n int, vecs bool) (*Batch, []*Vector) {
 	v.cols = append(v.cols[:0], make([]*Vector, n)...)
 	if vecs {
 		v.vecs = append(v.vecs[:0], make([]Vector, n)...)
@@ -178,11 +193,11 @@ func (l *lease) selection(n int) *Bitmap {
 
 // recycle hands the set back to its pool once its last batch is released,
 // when nothing holds a view of it any more: the vectors' arrays to the
-// free lists, and the lease, its views taken back, to the pool's leases.
-// Each vector forgets its values and its null bitmap; its dictionary, the
-// segment's, is dropped, never pooled. Every view's headers are zeroed,
-// so a use of one after the release panics, and built with -tags
-// poisonpool every selection is set to all ones.
+// free lists, and the lease to the pool's leases. Each vector forgets its
+// values and its null bitmap; its dictionary, the segment's, is dropped,
+// never pooled. The set's header and every view's are zeroed, so a use of
+// one after the release panics, and built with -tags poisonpool every
+// selection is set to all ones.
 func (l *lease) recycle() {
 	for _, v := range l.views[:l.used] {
 		v.b = Batch{}
@@ -193,15 +208,15 @@ func (l *lease) recycle() {
 	p := l.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, v := range l.vecs {
+	for _, v := range l.set.vecs {
 		p.ints = give(p.ints, v.ints, math.MinInt64)
 		p.flts = give(p.flts, v.flts, math.NaN())
 		p.strs = give(p.strs, v.strs, "\x00released")
 		p.bools = give(p.bools, v.bools, true)
 		p.codes = give(p.codes, v.codes, math.MaxInt32)
-		*v = Vector{typ: v.typ}
 	}
-	l.vecs = nil
+	l.set.b = Batch{}
+	clear(l.set.vecs)
 	p.leases = append(p.leases, l)
 	p.leased--
 }
@@ -219,7 +234,7 @@ func give[T any](free [][]T, a []T, v T) [][]T {
 // no decode produces (NaN, the least BIGINT, a code past any dictionary),
 // so a read after release shows as a wrong row or an index panic.
 func poison[T any](a []T, v T) {
-	if poisonReleased {
+	if PoisonReleased {
 		for i := range a {
 			a[i] = v
 		}

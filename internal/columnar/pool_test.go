@@ -7,9 +7,11 @@ import (
 )
 
 // pooledBatch decodes, as a scan would, an n-row batch of a BIGINT, a
-// DOUBLE and a dictionary-coded VARCHAR column into arrays from p, with
-// every third row NULL, and leases it to p.
+// DOUBLE and a dictionary-coded VARCHAR column, with every third row
+// NULL, into a batch leased from p and arrays taken from it.
 func pooledBatch(p *Pool, n int) *Batch {
+	schema := NewSchema(Field{Name: "i", Type: Int64}, Field{Name: "f", Type: Float64}, Field{Name: "s", Type: String})
+	b := p.Lend(schema)
 	ints, flts, codes := Values[int64](p, n), Values[float64](p, n), Values[int32](p, n)
 	nulls := NewBitmap(n)
 	for i := range ints {
@@ -18,10 +20,11 @@ func pooledBatch(p *Pool, n int) *Batch {
 			nulls.Set(i)
 		}
 	}
-	iv := FromInt64s(ints)
-	iv.SetNulls(nulls)
-	schema := NewSchema(Field{Name: "i", Type: Int64}, Field{Name: "f", Type: Float64}, Field{Name: "s", Type: String})
-	return p.Lease(BatchOf(schema, iv, FromFloat64s(flts), FromCodes(codes, []string{"a", "b", "c"})))
+	*b.Col(0) = *FromInt64s(ints)
+	b.Col(0).SetNulls(nulls)
+	*b.Col(1) = *FromFloat64s(flts)
+	*b.Col(2) = *FromCodes(codes, []string{"a", "b", "c"})
+	return b
 }
 
 // A decoded set goes back to its pool with the last of the views cut
@@ -29,7 +32,8 @@ func pooledBatch(p *Pool, n int) *Batch {
 func TestLeaseRecyclesOnTheLastRelease(t *testing.T) {
 	var p Pool
 	b := pooledBatch(&p, 10)
-	first := &b.Col(0).Int64s()[0]
+	vec := b.Col(0)
+	first := &vec.Int64s()[0]
 	b.Share(3)
 	views := []*Batch{b.Slice(0, 4), b.Slice(4, 8), b.Slice(8, 10)}
 	views[1] = views[1].WithSelection(NewBitmap(4)).Project([]int{0, 2}) // views forward the lease
@@ -46,14 +50,17 @@ func TestLeaseRecyclesOnTheLastRelease(t *testing.T) {
 	if views[2].size.Load() != 0 {
 		t.Error("a released batch kept its size")
 	}
-	if b.Col(0).Nulls() != nil || b.Col(0).Len() != 0 {
+	if vec.Nulls() != nil || vec.Len() != 0 {
 		t.Error("a recycled vector kept its values or its null bitmap")
+	}
+	if b.NumCols() != 0 || b.lease != nil {
+		t.Error("the recycled set's own header kept its columns or its lease")
 	}
 	got := Values[int64](&p, 6)
 	if &got[0] != first || len(got) != 6 {
 		t.Fatalf("the next decode got a new array (len %d), not the recycled one", len(got))
 	}
-	if poisonReleased && got[0] != math.MinInt64 {
+	if PoisonReleased && got[0] != math.MinInt64 {
 		t.Errorf("poison mode: a released value reads %d", got[0])
 	}
 	views[0].Release() // a second release of one batch is a no-op
@@ -175,7 +182,7 @@ func TestLeasedViewsArePoisonedAfterTheLastRelease(t *testing.T) {
 	if vec.Len() != 0 || vec.Int64s() != nil || vec.Nulls() != nil {
 		t.Error("a slice's vector header kept its values after the set went back")
 	}
-	if poisonReleased {
+	if PoisonReleased {
 		for what, bm := range map[string]*Bitmap{"selection": sel, "full selection": all, "null bitmap": nulls} {
 			for _, w := range bm.Words() {
 				if w != ^uint64(0) {
@@ -193,11 +200,10 @@ func TestLeasedViewsArePoisonedAfterTheLastRelease(t *testing.T) {
 func TestWarmLeaseCutsGranulesWithoutAllocating(t *testing.T) {
 	const rows = 3 * 64
 	var p Pool
-	vi, vf := &Vector{typ: Int64}, &Vector{typ: Float64}
-	b := BatchOf(NewSchema(Field{Name: "i", Type: Int64}, Field{Name: "f", Type: Float64}), vi, vf)
+	schema := NewSchema(Field{Name: "i", Type: Int64}, Field{Name: "f", Type: Float64})
 	set := func() {
-		vi.ints, vf.flts = Values[int64](&p, rows), Values[float64](&p, rows)
-		p.Lease(b)
+		b := p.Lend(schema)
+		b.Col(0).ints, b.Col(1).flts = Values[int64](&p, rows), Values[float64](&p, rows)
 		b.Share(3)
 		for off := 0; off < rows; off += 64 {
 			g := b.Slice(off, off+64)
@@ -223,7 +229,9 @@ func TestPoolDropsAnArrayTooShortToServe(t *testing.T) {
 	schema := NewSchema(Field{Name: "i", Type: Int64})
 	for round := 0; round < 6; round++ {
 		n := 100 + 50*(round%2)
-		p.Lease(BatchOf(schema, FromInt64s(Values[int64](&p, n)))).Release()
+		b := p.Lend(schema)
+		b.Col(0).ints = Values[int64](&p, n)
+		b.Release()
 		if len(p.ints) != 1 {
 			t.Fatalf("round %d: %d free arrays after one set of one column", round, len(p.ints))
 		}

@@ -72,9 +72,16 @@ func FromCodes(codes []int32, dict []string) *Vector {
 }
 
 // dictWidth is what Vector.width holds for a coded vector with dictionary
-// dict: one walk of the dictionary, once per decoded one.
+// dict: one walk of the dictionary, once per decoded one. A plain loop
+// keeps FromCodes inlinable, so a decode that writes one into a leased
+// vector (*v = *FromCodes(…)) allocates nothing.
 func dictWidth(dict []string) int32 {
-	if len(dict) == 0 || slices.ContainsFunc(dict, func(s string) bool { return len(s) != len(dict[0]) }) {
+	for _, s := range dict {
+		if len(s) != len(dict[0]) {
+			return 0
+		}
+	}
+	if len(dict) == 0 {
 		return 0
 	}
 	return int32(len(dict[0])) + 1

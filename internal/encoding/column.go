@@ -269,14 +269,16 @@ func minMax[T int64 | float64 | string](vals []T, nulls *columnar.Bitmap) (lo, h
 // reader, and its checks are made in one place. The selection of a column
 // of up to 65,536 rows (a segment's) is held on the stack, so a full
 // decode allocates what its vector holds and nothing else.
-func (ec *EncodedColumn) Decode() (*columnar.Vector, error) { return ec.DecodePooled(nil) }
+func (ec *EncodedColumn) Decode() (*columnar.Vector, error) { return ec.DecodeInto(nil, nil) }
 
-// DecodePooled is Decode into value arrays taken from p (columnar.Values):
-// what a scan that recycles its decoded sets calls. A nil p allocates.
-func (ec *EncodedColumn) DecodePooled(p *columnar.Pool) (*columnar.Vector, error) {
+// DecodeInto is Decode into dst (a new vector when nil), overwriting its
+// header, with value arrays taken from p (columnar.Values): what a scan
+// that recycles its decoded sets calls (columnar.Pool.Lend). A nil p
+// allocates.
+func (ec *EncodedColumn) DecodeInto(dst *columnar.Vector, p *columnar.Pool) (*columnar.Vector, error) {
 	var buf [1024]uint64
 	all := columnar.FullBitmap(ec.Stats.NumValues, buf[:])
-	return ec.decode(&all, p)
+	return ec.decode(dst, &all, p)
 }
 
 // EncodedSize reports the byte size of the encoded representation,
@@ -353,12 +355,13 @@ func UnmarshalColumn(data []byte) (*EncodedColumn, int, error) {
 // Unmarshal parses a block produced by Marshal into ec and returns the
 // number of bytes consumed. The column is a view: Data and Nulls alias
 // data (see EncodedColumn.Data), only the header is parsed and nothing is
-// copied but the two zone-map strings.
+// copied but the two zone-map strings, unless ec holds them already.
 func (ec *EncodedColumn) Unmarshal(data []byte) (int, error) {
 	orig := len(data)
 	if len(data) < 2 {
 		return 0, fmt.Errorf("%w: column header truncated", ErrCorrupt)
 	}
+	lastMin, lastMax := ec.Stats.MinS, ec.Stats.MaxS
 	*ec = EncodedColumn{Type: columnar.Type(data[0]), Encoding: ColumnEncoding(data[1])}
 	data = data[2:]
 	readUvarint := func() (uint64, error) {
@@ -417,12 +420,12 @@ func (ec *EncodedColumn) Unmarshal(data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	ec.Stats.MinS = string(minS)
+	ec.Stats.MinS = keep(lastMin, minS)
 	maxS, err := readBytes()
 	if err != nil {
 		return 0, err
 	}
-	ec.Stats.MaxS = string(maxS)
+	ec.Stats.MaxS = keep(lastMax, maxS)
 	if len(data) < 4 {
 		return 0, fmt.Errorf("%w: column checksum truncated", ErrCorrupt)
 	}
@@ -439,4 +442,12 @@ func (ec *EncodedColumn) Unmarshal(data []byte) (int, error) {
 		return 0, err
 	}
 	return orig - len(data), nil
+}
+
+// keep is b as a string: s when it holds the same bytes, a copy otherwise.
+func keep(s string, b []byte) string {
+	if s == string(b) {
+		return s
+	}
+	return string(b)
 }

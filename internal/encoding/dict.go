@@ -14,9 +14,15 @@ import (
 // the entries followed by the per-row codes, themselves bit-packed:
 // low-cardinality string columns (flags, countries, statuses) shrink
 // dramatically, and equality predicates can be evaluated on codes.
+// The codes are in the one of codes8, codes16 and codes32 that is not
+// nil: a byte a row up to 256 entries, two up to 65,536, four beyond,
+// widened once at each step as the walk finds more entries.
 type dictionary struct {
 	entries   []string
-	codes     []int32
+	codes8    []uint8
+	codes16   []uint16
+	codes32   []int32
+	rows      int
 	plainSize int
 	bytes     int64
 }
@@ -24,22 +30,60 @@ type dictionary struct {
 func buildDict(vals []string) dictionary {
 	d := dictionary{
 		entries:   make([]string, 0, 16),
-		codes:     make([]int32, len(vals)),
+		codes8:    make([]uint8, len(vals)),
+		rows:      len(vals),
 		plainSize: uvarintLen(uint64(len(vals))),
 	}
 	codeOf := make(map[string]int32, 16)
-	for i, s := range vals {
+	if i := assignCodes(&d, d.codes8, vals, 0, codeOf); i < len(vals) {
+		d.codes16, d.codes8 = widen[uint16](d.codes8[:i], len(vals)), nil
+		if i = assignCodes(&d, d.codes16, vals, i, codeOf); i < len(vals) {
+			d.codes32, d.codes16 = widen[int32](d.codes16[:i], len(vals)), nil
+			assignCodes(&d, d.codes32, vals, i, codeOf)
+		}
+	}
+	return d
+}
+
+// assignCodes gives rows i… of vals their codes in codes, and returns
+// the first row whose code T cannot hold, len(vals) when there is none.
+func assignCodes[T uint8 | uint16 | int32](d *dictionary, codes []T, vals []string, i int, codeOf map[string]int32) int {
+	for ; i < len(vals); i++ {
+		s := vals[i]
 		c, ok := codeOf[s]
 		if !ok {
 			c = int32(len(d.entries))
+			if int32(T(c)) != c {
+				return i
+			}
 			codeOf[s] = c
 			d.entries = append(d.entries, s)
 		}
-		d.codes[i] = c
+		codes[i] = T(c)
 		d.plainSize += uvarintLen(uint64(len(s))) + len(s)
 		d.bytes += int64(len(s))
 	}
-	return d
+	return i
+}
+
+// widen returns n codes of type U whose first ones are codes.
+func widen[U, T uint8 | uint16 | int32](codes []T, n int) []U {
+	out := make([]U, n)
+	for i, c := range codes {
+		out[i] = U(c)
+	}
+	return out
+}
+
+// code is row i's code.
+func (d *dictionary) code(i int) int32 {
+	switch {
+	case d.codes8 != nil:
+		return int32(d.codes8[i])
+	case d.codes16 != nil:
+		return int32(d.codes16[i])
+	}
+	return d.codes32[i]
 }
 
 // present is the entries some row not set in nulls (nil: every row)
@@ -53,12 +97,12 @@ func (d *dictionary) present(vals []string, nulls *columnar.Bitmap) ([]string, i
 	}
 	held := make([]bool, len(d.entries))
 	var bytes int64
-	for i, c := range d.codes {
+	for i, s := range vals {
 		if i < nulls.Len() && nulls.Get(i) {
 			continue
 		}
-		held[c] = true
-		bytes += int64(len(vals[i]))
+		held[d.code(i)] = true
+		bytes += int64(len(s))
 	}
 	out := make([]string, 0, len(d.entries))
 	for c, s := range d.entries {
@@ -79,7 +123,7 @@ func (d *dictionary) size() int {
 	for _, s := range d.entries {
 		n += uvarintLen(uint64(len(s))) + len(s)
 	}
-	packed := bitPackedSize(len(d.codes), 0, d.maxCode())
+	packed := bitPackedSize(d.rows, 0, d.maxCode())
 	return n + uvarintLen(uint64(packed)) + packed
 }
 
@@ -89,8 +133,14 @@ func (d *dictionary) appendTo(out []byte) []byte {
 		out = binary.AppendUvarint(out, uint64(len(s)))
 		out = append(out, s...)
 	}
-	out = binary.AppendUvarint(out, uint64(bitPackedSize(len(d.codes), 0, d.maxCode())))
-	return appendBitPacked(out, d.codes, 0, d.maxCode())
+	out = binary.AppendUvarint(out, uint64(bitPackedSize(d.rows, 0, d.maxCode())))
+	switch {
+	case d.codes8 != nil:
+		return appendBitPacked(out, d.codes8, 0, d.maxCode())
+	case d.codes16 != nil:
+		return appendBitPacked(out, d.codes16, 0, d.maxCode())
+	}
+	return appendBitPacked(out, d.codes32, 0, d.maxCode())
 }
 
 // appendPlainStrings writes PLAIN strings as length-prefixed bytes, the

@@ -390,3 +390,80 @@ func TestColumnBytesUnchanged(t *testing.T) {
 		}
 	}
 }
+
+// A dictionary's codes start at one byte a row and widen to two past 256
+// entries and to four past 65,536, at whatever row the walk finds the
+// entry that does not fit. Whatever the width, DICT's block is byte for
+// byte the one written from int32 codes, size() is its length, and the
+// entries NULL rows leave out are the same.
+func TestDictCodesWidenAsTheDictionaryGrows(t *testing.T) {
+	for _, distinct := range []int{1, 256, 257, 65536, 65537} {
+		rng := rand.New(rand.NewSource(int64(distinct)))
+		rows := distinct + 3000
+		vals := make([]string, rows)
+		for i := range vals {
+			// Every value once, then repeats, all shuffled.
+			vals[i] = strconv.Itoa(i)
+			if i >= distinct {
+				vals[i] = strconv.Itoa(rng.Intn(distinct))
+			}
+		}
+		rng.Shuffle(rows, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+		var entries []string
+		codes := make([]int32, rows)
+		codeOf := map[string]int32{}
+		for i, s := range vals {
+			c, ok := codeOf[s]
+			if !ok {
+				c = int32(len(entries))
+				codeOf[s] = c
+				entries = append(entries, s)
+			}
+			codes[i] = c
+		}
+		want := binary.AppendUvarint(nil, uint64(len(entries)))
+		for _, s := range entries {
+			want = append(binary.AppendUvarint(want, uint64(len(s))), s...)
+		}
+		want = binary.AppendUvarint(want, uint64(bitPackedSize(rows, 0, int64(len(entries)-1))))
+		want = appendBitPacked(want, codes, 0, int64(len(entries)-1))
+
+		d := buildDict(vals)
+		width, wantWidth := 4, 4
+		switch {
+		case d.codes8 != nil:
+			width = 1
+		case d.codes16 != nil:
+			width = 2
+		}
+		switch {
+		case distinct <= 256:
+			wantWidth = 1
+		case distinct <= 65536:
+			wantWidth = 2
+		}
+		if coded := len(d.codes8) + len(d.codes16) + len(d.codes32); width != wantWidth || coded != rows {
+			t.Fatalf("%d entries: codes %d bytes a row over %d rows, want %d over %d", distinct, width, coded, wantWidth, rows)
+		}
+		got := d.appendTo(nil)
+		if !bytes.Equal(got, want) || d.size() != len(got) {
+			t.Fatalf("%d entries: DICT block of %d bytes (size() %d) differs from the int32 codes' %d", distinct, len(got), d.size(), len(want))
+		}
+		nulls := columnar.NewBitmap(rows)
+		for i := 0; i < rows; i += 3 {
+			nulls.Set(i)
+		}
+		present, n := d.present(vals, nulls)
+		held := map[string]bool{}
+		var wantN int64
+		for i, s := range vals {
+			if !nulls.Get(i) {
+				held[s] = true
+				wantN += int64(len(s))
+			}
+		}
+		if len(present) != len(held) || n != wantN {
+			t.Fatalf("%d entries: %d present over %d bytes, want %d over %d", distinct, len(present), n, len(held), wantN)
+		}
+	}
+}

@@ -53,12 +53,13 @@ import (
 // codes, and the dictionary they index (see columnar.FromCodes). Its
 // arrays are its own: they are never pooled.
 func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector, error) {
-	return ec.decode(sel, nil)
+	return ec.decode(nil, sel, nil)
 }
 
-// decode is DecodeFiltered with the value arrays taken from p; the
-// dictionary of a DICT column is the segment's, never p's.
-func (ec *EncodedColumn) decode(sel *columnar.Bitmap, p *columnar.Pool) (*columnar.Vector, error) {
+// decode is DecodeFiltered into out, a new vector when out is nil, with
+// the value arrays taken from p; the dictionary of a DICT column is the
+// segment's, never p's. It overwrites out's header and returns out.
+func (ec *EncodedColumn) decode(out *columnar.Vector, sel *columnar.Bitmap, p *columnar.Pool) (*columnar.Vector, error) {
 	n := ec.Stats.NumValues
 	if sel.Len() != n {
 		return nil, fmt.Errorf("%w: selection length %d, column has %d rows", ErrCorrupt, sel.Len(), n)
@@ -70,8 +71,10 @@ func (ec *EncodedColumn) decode(sel *columnar.Bitmap, p *columnar.Pool) (*column
 	if err != nil {
 		return nil, err
 	}
+	if out == nil {
+		out = new(columnar.Vector)
+	}
 	words, count := sel.Words(), sel.Count()
-	var out *columnar.Vector
 	switch ec.Type {
 	case columnar.Int64:
 		vals := columnar.Values[int64](p, count)
@@ -85,29 +88,29 @@ func (ec *EncodedColumn) decode(sel *columnar.Bitmap, p *columnar.Pool) (*column
 		default:
 			err = fmt.Errorf("%w: encoding %v invalid for BIGINT", ErrCorrupt, ec.Encoding)
 		}
-		out = columnar.FromInt64s(vals)
+		*out = *columnar.FromInt64s(vals)
 	case columnar.Float64:
 		vals := columnar.Values[float64](p, count)
 		err = gatherFloats(vals, ec.Data, n, words)
-		out = columnar.FromFloat64s(vals)
+		*out = *columnar.FromFloat64s(vals)
 	case columnar.String:
 		switch ec.Encoding {
 		case Dict:
 			codes := columnar.Values[int32](p, count)
 			var dict []string
 			dict, err = gatherDict(codes, ec.Data, n, words)
-			out = columnar.FromCodes(codes, dict)
+			*out = *columnar.FromCodes(codes, dict)
 		case Plain:
 			vals := columnar.Values[string](p, count)
 			err = selectPlainStrings(vals, ec.Data, n, words)
-			out = columnar.FromStrings(vals)
+			*out = *columnar.FromStrings(vals)
 		default:
 			err = fmt.Errorf("%w: encoding %v invalid for VARCHAR", ErrCorrupt, ec.Encoding)
 		}
 	case columnar.Bool:
 		vals := columnar.Values[bool](p, count)
 		err = gatherBools(vals, ec.Data, n, words)
-		out = columnar.FromBools(vals)
+		*out = *columnar.FromBools(vals)
 	default:
 		err = fmt.Errorf("%w: unknown column type %d", ErrCorrupt, ec.Type)
 	}

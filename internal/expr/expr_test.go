@@ -257,7 +257,8 @@ func TestPredicatesOnAReusedLeaseMatchUnleased(t *testing.T) {
 			ints[i], bools[i] = rng.Int63n(10), rng.Intn(2) == 0
 			strs[i] = string(rune('a'+rng.Intn(26))) + string(rune('a'+rng.Intn(26)))
 		}
-		leased := pool.Lease(columnar.BatchOf(schema, columnar.FromInt64s(ints), columnar.FromStrings(strs), columnar.FromBools(bools)))
+		leased := pool.Lend(schema)
+		*leased.Col(0), *leased.Col(1), *leased.Col(2) = *columnar.FromInt64s(ints), *columnar.FromStrings(strs), *columnar.FromBools(bools)
 		plain := columnar.BatchOf(schema, columnar.FromInt64s(append([]int64(nil), ints...)),
 			columnar.FromStrings(append([]string(nil), strs...)), columnar.FromBools(append([]bool(nil), bools...)))
 		for _, p := range preds {

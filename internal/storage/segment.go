@@ -9,6 +9,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/columnar"
 	"repro/internal/encoding"
@@ -22,6 +23,8 @@ type Segment struct {
 	Schema  *columnar.Schema
 	NumRows int
 	Columns []*encoding.EncodedColumn // one per schema field
+
+	block []encoding.EncodedColumn // what Columns point into (openSegment)
 }
 
 // BuildSegment encodes a batch into a segment: a view (UnmarshalSegment)
@@ -107,24 +110,25 @@ func (s *Segment) DecodeColumns(indices []int) (*columnar.Batch, error) {
 }
 
 // decodeColumns is DecodeColumns into a batch of the given schema, nil
-// for the segment's own projected, with value arrays taken from p,
-// leasing the batch to it (columnar.Pool); a nil p allocates them.
+// for the segment's own projected, leased from p with its value arrays
+// (columnar.Pool.Lend); a nil p allocates them.
 func (s *Segment) decodeColumns(indices []int, schema *columnar.Schema, p *columnar.Pool) (*columnar.Batch, error) {
-	vecs := make([]*columnar.Vector, len(indices))
-	for i, idx := range indices {
+	for _, idx := range indices {
 		if idx < 0 || idx >= len(s.Columns) {
 			return nil, fmt.Errorf("storage: column %d out of range in segment %d", idx, s.ID)
 		}
-		v, err := s.Columns[idx].DecodePooled(p)
-		if err != nil {
-			return nil, fmt.Errorf("storage: segment %d column %d: %w", s.ID, idx, err)
-		}
-		vecs[i] = v
 	}
 	if schema == nil {
 		schema = s.Schema.Project(indices)
 	}
-	return p.Lease(columnar.BatchOf(schema, vecs...)), nil
+	b := p.Lend(schema)
+	for i, idx := range indices {
+		if _, err := s.Columns[idx].DecodeInto(b.Col(i), p); err != nil {
+			b.Release()
+			return nil, fmt.Errorf("storage: segment %d column %d: %w", s.ID, idx, err)
+		}
+	}
+	return b, nil
 }
 
 // PruneInt reports whether the segment can be skipped for a predicate
@@ -185,25 +189,30 @@ func UnmarshalSegment(data []byte) (*Segment, error) {
 	return s, nil
 }
 
-// openSegment is UnmarshalSegment into s, whose every field it sets.
+// openSegment is UnmarshalSegment into s, new or opened before: it
+// reuses s's slices and column block and keeps the field names and
+// zone-map strings s holds where the bytes are the same, so reopening a
+// view over a segment like its last allocates nothing. On an error s is
+// half open, to be opened again, never read.
 func openSegment(s *Segment, data []byte) error {
 	if len(data) < 12 {
 		return fmt.Errorf("%w: segment header truncated", encoding.ErrCorrupt)
 	}
-	*s = Segment{
-		ID:      int(binary.LittleEndian.Uint32(data)),
-		NumRows: int(binary.LittleEndian.Uint32(data[4:])),
-	}
+	s.ID = int(binary.LittleEndian.Uint32(data))
+	s.NumRows = int(binary.LittleEndian.Uint32(data[4:]))
 	ncols := int(binary.LittleEndian.Uint32(data[8:]))
 	data = data[12:]
 	// A corrupt count must fail at the first truncated field below, not
-	// allocate: presize by what the remaining bytes could hold.
+	// allocate: presize by what the remaining bytes could hold. Field i
+	// cannot fit unless i < room, so nothing below outgrows it.
 	room := min(ncols, len(data)/minFieldBytes)
-	s.Schema = &columnar.Schema{Fields: make([]columnar.Field, 0, room)}
-	s.Columns = make([]*encoding.EncodedColumn, 0, room)
-	block := make([]encoding.EncodedColumn, 0, room) // the columns, one allocation
+	if s.Schema == nil {
+		s.Schema = new(columnar.Schema)
+	}
+	s.Schema.Fields = slices.Grow(s.Schema.Fields[:0], room)
+	s.Columns, s.block = slices.Grow(s.Columns[:0], room), slices.Grow(s.block[:0], room)
 	for i := 0; i < ncols; i++ {
-		if len(data) < 2 {
+		if i >= room || len(data) < 2 {
 			return fmt.Errorf("%w: segment field truncated", encoding.ErrCorrupt)
 		}
 		nameLen := int(binary.LittleEndian.Uint16(data))
@@ -211,19 +220,22 @@ func openSegment(s *Segment, data []byte) error {
 		if len(data) < nameLen+1 {
 			return fmt.Errorf("%w: segment field name truncated", encoding.ErrCorrupt)
 		}
-		name := string(data[:nameLen])
-		typ := columnar.Type(data[nameLen])
+		// The name this view held at i is kept when the bytes are the same.
+		f := columnar.Field{Name: s.Schema.Fields[:i+1][i].Name, Type: columnar.Type(data[nameLen])}
+		if name := data[:nameLen]; f.Name != string(name) {
+			f.Name = string(name)
+		}
 		data = data[nameLen+1:]
-		s.Schema.Fields = append(s.Schema.Fields, columnar.Field{Name: name, Type: typ})
-		block = append(block, encoding.EncodedColumn{})
-		col := &block[len(block)-1]
+		s.Schema.Fields = append(s.Schema.Fields, f)
+		s.block = s.block[:i+1]
+		col := &s.block[i]
 		used, err := col.Unmarshal(data)
 		if err != nil {
 			return err
 		}
-		if col.Type != typ || col.Stats.NumValues != s.NumRows {
+		if col.Type != f.Type || col.Stats.NumValues != s.NumRows {
 			return fmt.Errorf("%w: segment %d column %d is %v x %d rows, field says %v x %d",
-				encoding.ErrCorrupt, s.ID, i, col.Type, col.Stats.NumValues, typ, s.NumRows)
+				encoding.ErrCorrupt, s.ID, i, col.Type, col.Stats.NumValues, f.Type, s.NumRows)
 		}
 		data = data[used:]
 		s.Columns = append(s.Columns, col)

@@ -245,7 +245,8 @@ type Server struct {
 	// set comes back once every batch cut from it has been released,
 	// during its run or after.
 	pool columnar.Pool
-	// views are the segment views no scan attempt holds (see putView).
+	// views are the segment views no scan attempt holds (readSegment).
+	// Not a lane's: a speculated morsel runs two copies on one lane.
 	viewMu sync.Mutex
 	views  []*Segment
 }
@@ -423,8 +424,27 @@ func (s *Server) ScanPooled(ctx context.Context, table string, spec ScanSpec, em
 	return s.scan(ctx, table, spec, emit, &s.pool)
 }
 
-// putView hands a segment view back to the server's free list.
+// view lends a free segment view, a new one when none is free.
+func (s *Server) view() *Segment {
+	s.viewMu.Lock()
+	defer s.viewMu.Unlock()
+	if k := len(s.views) - 1; k >= 0 {
+		v := s.views[k]
+		s.views = s.views[:k]
+		return v
+	}
+	return new(Segment)
+}
+
+// putView hands a segment view back. Built with -tags poisonpool it
+// first clears its columns' Data and Nulls and flips their checksums, so
+// a read of the view after its attempt fails loudly.
 func (s *Server) putView(v *Segment) {
+	if columnar.PoisonReleased {
+		for _, c := range v.Columns {
+			c.Data, c.Nulls, c.Checksum = nil, nil, ^c.Checksum
+		}
+	}
 	s.viewMu.Lock()
 	s.views = append(s.views, v)
 	s.viewMu.Unlock()
@@ -464,12 +484,13 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	if spec.Filter != nil {
 		filter = expr.Rebase(spec.Filter, rebase)
 	}
-	// Every segment's schema is the table's (AppendSummary checks), so an
-	// eager decode takes the decoded batch's from here, not a projection
-	// of its own. An encoded scan decodes eagerly only on a rare fallback.
-	var decoded *columnar.Schema
-	if !spec.encodedEvalActive() {
-		decoded = t.Schema.Project(needed)
+	// Every segment's schema is the table's (AppendSummary checks), so the
+	// batches a scan makes take their schemas from here, projected once a
+	// scan, not from each segment.
+	decoded := t.Schema.Project(needed)
+	var projected *columnar.Schema
+	if spec.encodedEvalActive() {
+		projected = t.Schema.Project(projection)
 	}
 	var preagg *expr.PartialAggregator
 	if spec.Pushdown && spec.PreAgg != nil {
@@ -491,7 +512,10 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 
 	sc := &segScan{
 		s: s, t: t, keys: keys, spec: spec, needed: needed, projection: projection, projPos: projPos,
-		filter: filter, preagg: preagg, emit: emit, stats: &stats, pool: pool, decoded: decoded,
+		filter: filter, preagg: preagg, emit: emit, stats: &stats, pool: pool, decoded: decoded, projected: projected,
+	}
+	if spec.Filter != nil {
+		sc.filterCols = spec.Filter.Columns()
 	}
 	if spec.Trace != nil {
 		// The frontiers start where the trace's clock stands: a run resumed
@@ -553,10 +577,12 @@ type segScan struct {
 	projection []int          // table columns to return
 	projPos    []int          // positions of projection within the decoded batch
 	filter     expr.Predicate // spec.Filter rebased onto the decoded batch
+	filterCols []int          // spec.Filter's table columns
 	preagg     *expr.PartialAggregator
 	pipe       *scanPipe        // nil unless tracing (which forces width 1)
 	pool       *columnar.Pool   // the eager path decodes from it; nil but in ScanPooled
-	decoded    *columnar.Schema // the eager path's batch schema; nil when encoded
+	decoded    *columnar.Schema // the eager path's batch schema
+	projected  *columnar.Schema // the encoded path's; nil when the scan is eager
 
 	emit  func(*columnar.Batch) error
 	stats *ScanStats
@@ -724,17 +750,18 @@ func (sc *segScan) morsel(ctx context.Context, idx, lane int, ewma *resilience.T
 	return out
 }
 
-// readSegment is one attempt at segment idx: fetch the blob, unmarshal
-// it, prune-check (a pruned segment returns a nil batch), charge the
-// media for the needed columns, then evaluate them on the processor —
-// on encoded data when the scan asks for it and kernels exist, eagerly
-// otherwise. Either way the batch comes back filtered and projected as
-// far as the spec pushes down. Charges land on the devices' positional
-// lanes (serial scans pass lane 0; the media and its link have one unit,
-// so their lanes collapse either way). Corruption surfaces as an error
-// wrapping encoding.ErrCorrupt, which processSegment retries; re-reads
-// (attempt > 0) charge the media again and count toward RetryBytes, so
-// recovery shows up as real extra work in the meters.
+// readSegment is one attempt at segment idx: fetch the blob, open it
+// into a view the server lends for the attempt, prune-check (a pruned
+// segment returns a nil batch), charge the media for the needed columns,
+// then evaluate them on the processor — on encoded data when the scan
+// asks for it and kernels exist, eagerly otherwise. Either way the batch
+// comes back filtered and projected as far as the spec pushes down.
+// Charges land on the devices' positional lanes (serial scans pass lane
+// 0; the media and its link have one unit, so their lanes collapse
+// either way). Corruption surfaces as an error wrapping
+// encoding.ErrCorrupt, which processSegment retries; re-reads (attempt >
+// 0) charge the media again and count toward RetryBytes, so recovery
+// shows up as real extra work in the meters.
 func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stats *ScanStats) (*columnar.Batch, error) {
 	s, spec, needed := sc.s, sc.spec, sc.needed
 	blob, err := s.store.Read(ctx, sc.keys[idx], false, &stats.ReadStats)
@@ -744,11 +771,12 @@ func (sc *segScan) readSegment(ctx context.Context, idx, lane, attempt int, stat
 	if attempt > 0 {
 		stats.RetryBytes += sim.Bytes(len(blob))
 	}
-	seg, err := UnmarshalSegment(blob)
-	if err != nil {
+	seg := s.view()
+	defer s.putView(seg)
+	if err := openSegment(seg, blob); err != nil {
 		return nil, err
 	}
-	if s.pruned(seg, spec.Filter) {
+	if sc.pruned(seg) {
 		return nil, nil
 	}
 
@@ -803,7 +831,7 @@ func (sc *segScan) segmentEagerEval(seg *Segment, idx, lane int, encoded sim.Byt
 		return nil, err
 	}
 	if spec.Pushdown && sc.filter != nil {
-		n := seg.ColumnDecodedSize(spec.Filter.Columns())
+		n := seg.ColumnDecodedSize(sc.filterCols)
 		sc.procSpan("filter@storage", idx, spec.Account.ChargeLane(proc, fabric.OpFilter, n, lane), n)
 		decoded := batch
 		batch = batch.Filter(sc.filter.Eval(batch))
@@ -854,7 +882,7 @@ func (sc *segScan) segmentEncodedEval(seg *Segment, idx, lane int, encoded sim.B
 	}
 
 	var encFilter sim.Bytes
-	for _, c := range spec.Filter.Columns() {
+	for _, c := range sc.filterCols {
 		encFilter += sim.Bytes(seg.Columns[c].EncodedSize())
 	}
 	filterCost := spec.Account.ChargeLane(s.proc, fabric.OpFilter, encFilter, lane)
@@ -874,7 +902,7 @@ func (sc *segScan) segmentEncodedEval(seg *Segment, idx, lane int, encoded sim.B
 		}
 		vecs[i] = v
 	}
-	out := columnar.BatchOf(seg.Schema.Project(projection), vecs...)
+	out := columnar.BatchOf(sc.projected, vecs...)
 
 	stats.EncodedEvalSegments++
 	stats.DecodedBytes += gather
@@ -928,16 +956,14 @@ func needsRegex(p expr.Predicate) bool {
 	return false
 }
 
-// pruned reports whether zone maps prove no row of seg matches filter.
-func (s *Server) pruned(seg *Segment, filter expr.Predicate) bool {
-	if filter == nil {
-		return false
-	}
-	for _, col := range filter.Columns() {
+// pruned reports whether zone maps prove no row of seg matches the
+// scan's filter.
+func (sc *segScan) pruned(seg *Segment) bool {
+	for _, col := range sc.filterCols {
 		if seg.Schema.Fields[col].Type != columnar.Int64 {
 			continue
 		}
-		if lo, hi, ok := expr.IntRange(filter, col); ok && seg.PruneInt(col, lo, hi) {
+		if lo, hi, ok := expr.IntRange(sc.spec.Filter, col); ok && seg.PruneInt(col, lo, hi) {
 			return true
 		}
 	}

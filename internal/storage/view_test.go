@@ -132,6 +132,10 @@ func TestReopenedViewMatchesFreshOpen(t *testing.T) {
 		open(fmt.Sprintf("%d-byte prefix", i), blob[:i])
 		open(fmt.Sprintf("blob %d after a %d-byte prefix", i%len(good), i), good[i%len(good)])
 	}
+	open("lineitem", good[0])
+	if n := testing.AllocsPerRun(10, func() { openSegment(&view, good[0]) }); n != 0 {
+		t.Errorf("reopening a view over the segment it held allocates %.0f times", n)
+	}
 }
 
 // A scan opens each segment into a view the server lends it for one
@@ -231,6 +235,27 @@ func BenchmarkSegmentOpen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := UnmarshalSegment(blob); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSegmentReopen is CI's gate on what a scan's open costs: a full
+// lineitem segment opened into a view that held one like it, as
+// readSegment opens each blob into a view the server lends it. It keeps
+// the view's slices, column block, field names and zone-map strings, so
+// it allocates nothing (a fresh open, BenchmarkSegmentOpen, 15 times).
+func BenchmarkSegmentReopen(b *testing.B) {
+	blob := lineitemBlob(b)
+	var view Segment
+	if err := openSegment(&view, blob); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(blob)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := openSegment(&view, blob); err != nil {
 			b.Fatal(err)
 		}
 	}
