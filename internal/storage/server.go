@@ -436,13 +436,16 @@ func (s *Server) view() *Segment {
 	return new(Segment)
 }
 
-// putView hands a segment view back. Built with -tags poisonpool it
-// first clears its columns' Data and Nulls and flips their checksums, so
-// a read of the view after its attempt fails loudly.
+// putView hands a segment view back, its columns' Data and Nulls
+// cleared so that a free view holds no blob alive. Built with -tags
+// poisonpool it also flips their checksums, so a read of the view after
+// its attempt fails loudly.
 func (s *Server) putView(v *Segment) {
-	if columnar.PoisonReleased {
-		for _, c := range v.Columns {
-			c.Data, c.Nulls, c.Checksum = nil, nil, ^c.Checksum
+	block := v.block[:cap(v.block)] // a narrower open left the rest
+	for i := range block {
+		block[i].Data, block[i].Nulls = nil, nil
+		if columnar.PoisonReleased {
+			block[i].Checksum = ^block[i].Checksum
 		}
 	}
 	s.viewMu.Lock()

@@ -175,16 +175,17 @@ func TestScanUnchangedAfterFreeViewsAreOverwritten(t *testing.T) {
 	other := [][]byte{
 		BuildSegment(7, allTypesWithNulls(900)).Marshal(),
 		BuildSegment(8, lineBatch(2500).Project([]int{2, 1})).Marshal(),
+		BuildSegment(9, workload.GenLineitem(workload.DefaultLineitemConfig(300))).Marshal(),
 	}
 	truncated := other[0][:len(other[0])/2]
 	overwrite := func() {
 		srv.viewMu.Lock()
 		defer srv.viewMu.Unlock()
 		for i, v := range srv.views {
-			if i%3 == 2 {
+			if i%4 == 3 {
 				openSegment(v, truncated)
 			} else {
-				openSegment(v, other[i%2])
+				openSegment(v, other[i%3])
 			}
 		}
 	}
@@ -196,10 +197,21 @@ func TestScanUnchangedAfterFreeViewsAreOverwritten(t *testing.T) {
 			}
 		}
 	}
+	// Every free view is one a scan handed back, and holds no blob alive.
+	if len(srv.views) == 0 {
+		t.Fatal("the scans handed no segment view back")
+	}
+	for i, v := range srv.views {
+		for _, c := range v.block[:cap(v.block)] {
+			if c.Data != nil || c.Nulls != nil {
+				t.Fatalf("free view %d still points into a blob", i)
+			}
+		}
+	}
 	for i := 0; i < 3; i++ {
 		v := new(Segment)
-		openSegment(v, other[i%2])
-		srv.putView(v)
+		openSegment(v, other[i])
+		srv.views = append(srv.views, v)
 	}
 	for round := 0; round < 3; round++ {
 		for i, spec := range specs {
