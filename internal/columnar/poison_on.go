@@ -2,5 +2,6 @@
 
 package columnar
 
-// PoisonReleased: what goes back to a pool or free list is overwritten.
+// PoisonReleased reports a build with -tags poisonpool, which overwrites
+// what goes back to a pool or free list (see give).
 const PoisonReleased = true
