@@ -2,6 +2,4 @@
 
 package columnar
 
-// PoisonReleased reports a build with -tags poisonpool, which overwrites
-// what goes back to a pool or free list (see give).
-const PoisonReleased = true
+const poisonReleased = true // see give

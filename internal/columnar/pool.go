@@ -234,7 +234,7 @@ func give[T any](free [][]T, a []T, v T) [][]T {
 // no decode produces (NaN, the least BIGINT, a code past any dictionary),
 // so a read after release shows as a wrong row or an index panic.
 func poison[T any](a []T, v T) {
-	if PoisonReleased {
+	if poisonReleased {
 		for i := range a {
 			a[i] = v
 		}

@@ -60,7 +60,7 @@ func TestLeaseRecyclesOnTheLastRelease(t *testing.T) {
 	if &got[0] != first || len(got) != 6 {
 		t.Fatalf("the next decode got a new array (len %d), not the recycled one", len(got))
 	}
-	if PoisonReleased && got[0] != math.MinInt64 {
+	if poisonReleased && got[0] != math.MinInt64 {
 		t.Errorf("poison mode: a released value reads %d", got[0])
 	}
 	views[0].Release() // a second release of one batch is a no-op
@@ -182,7 +182,7 @@ func TestLeasedViewsArePoisonedAfterTheLastRelease(t *testing.T) {
 	if vec.Len() != 0 || vec.Int64s() != nil || vec.Nulls() != nil {
 		t.Error("a slice's vector header kept its values after the set went back")
 	}
-	if PoisonReleased {
+	if poisonReleased {
 		for what, bm := range map[string]*Bitmap{"selection": sel, "full selection": all, "null bitmap": nulls} {
 			for _, w := range bm.Words() {
 				if w != ^uint64(0) {

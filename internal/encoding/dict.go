@@ -14,13 +14,12 @@ import (
 // the entries followed by the per-row codes, themselves bit-packed:
 // low-cardinality string columns (flags, countries, statuses) shrink
 // dramatically, and equality predicates can be evaluated on codes.
-// The codes are in the one of codes8, codes16 and codes32 that is not
-// nil: a byte a row up to 256 entries, two up to 65,536, four beyond,
-// widened once at each step as the walk finds more entries.
+// The codes are in the one of codes8 and codes32 that is not nil: a
+// byte a row up to 256 entries, widened once to four when the walk finds
+// the 257th.
 type dictionary struct {
 	entries   []string
 	codes8    []uint8
-	codes16   []uint16
 	codes32   []int32
 	rows      int
 	plainSize int
@@ -36,18 +35,19 @@ func buildDict(vals []string) dictionary {
 	}
 	codeOf := make(map[string]int32, 16)
 	if i := assignCodes(&d, d.codes8, vals, 0, codeOf); i < len(vals) {
-		d.codes16, d.codes8 = widen[uint16](d.codes8[:i], len(vals)), nil
-		if i = assignCodes(&d, d.codes16, vals, i, codeOf); i < len(vals) {
-			d.codes32, d.codes16 = widen[int32](d.codes16[:i], len(vals)), nil
-			assignCodes(&d, d.codes32, vals, i, codeOf)
+		d.codes32 = make([]int32, len(vals))
+		for j, c := range d.codes8[:i] {
+			d.codes32[j] = int32(c)
 		}
+		d.codes8 = nil
+		assignCodes(&d, d.codes32, vals, i, codeOf)
 	}
 	return d
 }
 
 // assignCodes gives rows i… of vals their codes in codes, and returns
 // the first row whose code T cannot hold, len(vals) when there is none.
-func assignCodes[T uint8 | uint16 | int32](d *dictionary, codes []T, vals []string, i int, codeOf map[string]int32) int {
+func assignCodes[T uint8 | int32](d *dictionary, codes []T, vals []string, i int, codeOf map[string]int32) int {
 	for ; i < len(vals); i++ {
 		s := vals[i]
 		c, ok := codeOf[s]
@@ -66,22 +66,10 @@ func assignCodes[T uint8 | uint16 | int32](d *dictionary, codes []T, vals []stri
 	return i
 }
 
-// widen returns n codes of type U whose first ones are codes.
-func widen[U, T uint8 | uint16 | int32](codes []T, n int) []U {
-	out := make([]U, n)
-	for i, c := range codes {
-		out[i] = U(c)
-	}
-	return out
-}
-
 // code is row i's code.
 func (d *dictionary) code(i int) int32 {
-	switch {
-	case d.codes8 != nil:
+	if d.codes8 != nil {
 		return int32(d.codes8[i])
-	case d.codes16 != nil:
-		return int32(d.codes16[i])
 	}
 	return d.codes32[i]
 }
@@ -134,11 +122,8 @@ func (d *dictionary) appendTo(out []byte) []byte {
 		out = append(out, s...)
 	}
 	out = binary.AppendUvarint(out, uint64(bitPackedSize(d.rows, 0, d.maxCode())))
-	switch {
-	case d.codes8 != nil:
+	if d.codes8 != nil {
 		return appendBitPacked(out, d.codes8, 0, d.maxCode())
-	case d.codes16 != nil:
-		return appendBitPacked(out, d.codes16, 0, d.maxCode())
 	}
 	return appendBitPacked(out, d.codes32, 0, d.maxCode())
 }

@@ -391,13 +391,13 @@ func TestColumnBytesUnchanged(t *testing.T) {
 	}
 }
 
-// A dictionary's codes start at one byte a row and widen to two past 256
-// entries and to four past 65,536, at whatever row the walk finds the
-// entry that does not fit. Whatever the width, DICT's block is byte for
+// A dictionary's codes start at one byte a row and widen to four past
+// 256 entries, at whatever row the walk finds the entry that does not
+// fit. Whatever the width, DICT's block is byte for
 // byte the one written from int32 codes, size() is its length, and the
 // entries NULL rows leave out are the same.
 func TestDictCodesWidenAsTheDictionaryGrows(t *testing.T) {
-	for _, distinct := range []int{1, 256, 257, 65536, 65537} {
+	for _, distinct := range []int{1, 256, 257, 65537} {
 		rng := rand.New(rand.NewSource(int64(distinct)))
 		rows := distinct + 3000
 		vals := make([]string, rows)
@@ -430,19 +430,13 @@ func TestDictCodesWidenAsTheDictionaryGrows(t *testing.T) {
 
 		d := buildDict(vals)
 		width, wantWidth := 4, 4
-		switch {
-		case d.codes8 != nil:
+		if d.codes8 != nil {
 			width = 1
-		case d.codes16 != nil:
-			width = 2
 		}
-		switch {
-		case distinct <= 256:
+		if distinct <= 256 {
 			wantWidth = 1
-		case distinct <= 65536:
-			wantWidth = 2
 		}
-		if coded := len(d.codes8) + len(d.codes16) + len(d.codes32); width != wantWidth || coded != rows {
+		if coded := len(d.codes8) + len(d.codes32); width != wantWidth || coded != rows {
 			t.Fatalf("%d entries: codes %d bytes a row over %d rows, want %d over %d", distinct, width, coded, wantWidth, rows)
 		}
 		got := d.appendTo(nil)

@@ -130,9 +130,9 @@ func bitPackedSize(n int, lo, hi int64) int {
 // smallest, is stored as v - lo in bitPackedWidth(lo, hi) bits. The
 // packed bits go out eight bytes at a time: a flushed word holds only
 // bits already written, so it never reaches past the block's last byte.
-// A DICT column's codes, one to four bytes each (dictionary), are packed
+// A DICT column's codes, one or four bytes each (dictionary), are packed
 // by the same loop.
-func appendBitPacked[T uint8 | uint16 | int32 | int64](out []byte, vals []T, lo, hi int64) []byte {
+func appendBitPacked[T uint8 | int32 | int64](out []byte, vals []T, lo, hi int64) []byte {
 	out = binary.AppendUvarint(out, uint64(len(vals)))
 	if len(vals) == 0 {
 		return out

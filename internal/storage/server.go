@@ -437,16 +437,12 @@ func (s *Server) view() *Segment {
 }
 
 // putView hands a segment view back, its columns' Data and Nulls
-// cleared so that a free view holds no blob alive. Built with -tags
-// poisonpool it also flips their checksums, so a read of the view after
-// its attempt fails loudly.
+// cleared: a free view holds no blob alive, and a late read of one that
+// is not yet lent again fails its CRC.
 func (s *Server) putView(v *Segment) {
 	block := v.block[:cap(v.block)] // a narrower open left the rest
 	for i := range block {
 		block[i].Data, block[i].Nulls = nil, nil
-		if columnar.PoisonReleased {
-			block[i].Checksum = ^block[i].Checksum
-		}
 	}
 	s.viewMu.Lock()
 	s.views = append(s.views, v)
