@@ -801,11 +801,10 @@ func (e *DataFlowEngine) buildStats(ph *plan.Physical, acct *fabric.Account, flo
 	st.Ports = flowRes.Ports
 	// Peak compute-side memory: in-flight port buffering plus any final
 	// aggregation state — there is no buffer pool.
-	depth := 8
 	var resultBytes sim.Bytes
 	for _, b := range res.Batches {
 		resultBytes += sim.Bytes(b.ByteSize())
 	}
-	st.PeakMemory = maxBatch*sim.Bytes(depth) + resultBytes + sim.Bytes(res.Rows())*expr.StateSize
+	st.PeakMemory = maxBatch*sim.Bytes(flow.DefaultDepth) + resultBytes + sim.Bytes(res.Rows())*expr.StateSize
 	return st
 }

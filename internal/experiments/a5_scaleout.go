@@ -19,19 +19,13 @@ type A5Row struct {
 	Makespan   sim.VTime
 }
 
-// A5Result carries the scale-out sweep.
-type A5Result struct {
-	*Table
-	Rows []A5Row
-}
-
 // A5ScaleOut sweeps the distributed group-by (the Figure 4 pipeline
 // applied to aggregation) over node counts: the NIC-scattered exchange
 // lets per-node CPU work shrink with the node count, the scale-out story
 // the paper's rack-scale discussion (Section 6.4) assumes.
-func A5ScaleOut(rows int, nodeCounts []int) (*A5Result, error) {
+func A5ScaleOut(rows int, nodeCounts []int) (*Result[A5Row], error) {
 	data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: int64(rows) / 4, Seed: 37})
-	res := &A5Result{Table: &Table{
+	res := &Result[A5Row]{Table: &Table{
 		ID:     "A5",
 		Title:  "Ablation: distributed group-by scale-out (Figure 4 applied to aggregation)",
 		Header: []string{"nodes", "groups", "busiest cpu", "makespan"},
@@ -62,8 +56,7 @@ func A5ScaleOut(rows int, nodeCounts []int) (*A5Result, error) {
 			}
 		}
 		row := A5Row{Nodes: n, Groups: r.Rows(), MaxCPUBusy: maxBusy, Makespan: r.Stats.SimTime}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(d(int64(n)), d(row.Groups), maxBusy.String(), row.Makespan.String())
+		res.add(row, d(int64(n)), d(row.Groups), maxBusy.String(), row.Makespan.String())
 	}
 	return res, nil
 }

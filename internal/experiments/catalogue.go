@@ -30,7 +30,7 @@ type Options struct {
 	E26     E26Options
 }
 
-// table lets a result stand in for its table: every E*Result embeds
+// table lets a result stand in for its table: every result embeds
 // *Table, so tableOf can take any of them.
 func (t *Table) table() *Table { return t }
 

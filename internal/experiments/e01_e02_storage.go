@@ -72,17 +72,11 @@ type E2Row struct {
 	PushdownTime sim.VTime
 }
 
-// E2Result carries the Figure 2 sweep.
-type E2Result struct {
-	*Table
-	Rows []E2Row
-}
-
 // E2StoragePushdown reproduces Figure 2: offloading selection and
 // projection to the storage layer cuts network traffic proportionally to
 // selectivity x projected width, while the CPU-centric plan ships
 // everything.
-func E2StoragePushdown(rows int, selectivities []float64) (*E2Result, error) {
+func E2StoragePushdown(rows int, selectivities []float64) (*Result[E2Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
 
@@ -91,7 +85,7 @@ func E2StoragePushdown(rows int, selectivities []float64) (*E2Result, error) {
 		return nil, err
 	}
 
-	res := &E2Result{Table: &Table{
+	res := &Result[E2Row]{Table: &Table{
 		ID:     "E2",
 		Title:  "Storage pushdown (Figure 2): network bytes vs selectivity",
 		Header: []string{"selectivity", "cpu-only net", "pushdown net", "reduction", "cpu-only time", "pushdown time"},
@@ -124,8 +118,7 @@ func E2StoragePushdown(rows int, selectivities []float64) (*E2Result, error) {
 		if row.PushdownNet > 0 {
 			row.Reduction = float64(row.CPUOnlyNet) / float64(row.PushdownNet)
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(
+		res.add(row,
 			fmt.Sprintf("%.1f%%", sel*100),
 			row.CPUOnlyNet.String(), row.PushdownNet.String(),
 			f(row.Reduction)+"x",

@@ -127,8 +127,7 @@ type E4Row struct {
 
 // E4Result carries the staged pre-aggregation sweep.
 type E4Result struct {
-	*Table
-	Rows []E4Row
+	Result[E4Row]
 	// ChosenLow/ChosenHigh are the variants the optimizer itself picks
 	// at the lowest and highest cardinality — it must ride the
 	// crossover.
@@ -141,12 +140,12 @@ type E4Result struct {
 // the CPU merges a stream whose size tracks group cardinality rather
 // than table cardinality.
 func E4StagedPreAgg(rows int, cardinalities []int64) (*E4Result, error) {
-	res := &E4Result{Table: &Table{
+	res := &E4Result{Result: Result[E4Row]{Table: &Table{
 		ID:     "E4",
 		Title:  "Staged pre-aggregation (Section 4.4): rows reaching the CPU vs group count",
 		Header: []string{"groups", "rows->cpu full-offload", "rows->cpu cpu-only", "net full", "net none"},
 		Notes:  "pre-aggregation at storage + both NICs; accuracy is exact (partials merge associatively)",
-	}}
+	}}}
 	netLink := "storage.nic--switch"
 	for _, groups := range cardinalities {
 		data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: groups, Seed: 11})
@@ -183,8 +182,7 @@ func E4StagedPreAgg(rows int, cardinalities []int64) (*E4Result, error) {
 			NetBytesFull: fullRes.Stats.LinkBytes[netLink],
 			NetBytesNone: cpuRes.Stats.LinkBytes[netLink],
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(d(row.Groups), d(row.RowsIntoCPU), d(row.RowsIntoCPU0),
+		res.add(row, d(row.Groups), d(row.RowsIntoCPU), d(row.RowsIntoCPU0),
 			row.NetBytesFull.String(), row.NetBytesNone.String())
 	}
 	return res, nil

@@ -20,17 +20,11 @@ type E7Row struct {
 	NearTime    sim.VTime
 }
 
-// E7Result carries the Figure 5 sweep.
-type E7Result struct {
-	*Table
-	Rows []E7Row
-}
-
 // E7NearMemoryFilter reproduces Figure 5 / Section 5.2: filtering at the
 // memory controller moves only survivors into the cache hierarchy; the
 // advantage grows as selectivity drops, bounded by the accelerator's
 // stream rate.
-func E7NearMemoryFilter(rows int, selectivities []float64, compressed bool) (*E7Result, error) {
+func E7NearMemoryFilter(rows int, selectivities []float64, compressed bool) (*Result[E7Row], error) {
 	data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: 1000, Seed: 21})
 	dram := fabric.NewMemory("dram")
 	accel := fabric.NewNearMemoryAccel("nma")
@@ -44,7 +38,7 @@ func E7NearMemoryFilter(rows int, selectivities []float64, compressed bool) (*E7
 	if compressed {
 		title = "Near-memory filtering, compressed-resident data (Section 5.4 decompress-on-demand)"
 	}
-	res := &E7Result{Table: &Table{
+	res := &Result[E7Row]{Table: &Table{
 		ID:     "E7",
 		Title:  title,
 		Header: []string{"selectivity", "cpu-path bytes", "near-path bytes", "cpu-path time", "near-path time"},
@@ -73,8 +67,7 @@ func E7NearMemoryFilter(rows int, selectivities []float64, compressed bool) (*E7
 			CPUTime:     cpuStats.Time,
 			NearTime:    nearStats.Time,
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(fmt.Sprintf("%.1f%%", sel*100),
+		res.add(row, fmt.Sprintf("%.1f%%", sel*100),
 			row.CPUBytes.String(), row.NearBytes.String(),
 			row.CPUTime.String(), row.NearTime.String())
 	}
@@ -91,17 +84,11 @@ type E8Row struct {
 	NearBytes sim.Bytes
 }
 
-// E8Result carries the pointer-chasing sweep.
-type E8Result struct {
-	*Table
-	Rows []E8Row
-}
-
 // E8PointerChase reproduces Section 5.4's pointer-chasing unit: the
 // accelerator walks the hierarchy at DRAM latency and ships one leaf
 // entry; the CPU pays a full link round trip per level. The gap widens
 // with depth and with link latency (remote memory).
-func E8PointerChase(sizes []int, remote bool) (*E8Result, error) {
+func E8PointerChase(sizes []int, remote bool) (*Result[E8Row], error) {
 	latency := fabric.DDRLatency
 	bw := fabric.CoreMemBandwidth
 	where := "local DRAM"
@@ -110,7 +97,7 @@ func E8PointerChase(sizes []int, remote bool) (*E8Result, error) {
 		bw = sim.GbitPerSec(400)
 		where = "disaggregated memory (RDMA)"
 	}
-	res := &E8Result{Table: &Table{
+	res := &Result[E8Row]{Table: &Table{
 		ID:     "E8",
 		Title:  "Pointer chasing (Section 5.4) on " + where,
 		Header: []string{"keys", "depth", "cpu time", "near time", "cpu bytes", "near bytes"},
@@ -147,8 +134,7 @@ func E8PointerChase(sizes []int, remote bool) (*E8Result, error) {
 			CPUTime: cpuStats.Time, NearTime: nearStats.Time,
 			CPUBytes: cpuStats.BytesMoved, NearBytes: nearStats.BytesMoved,
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(d(int64(n)), d(int64(row.Depth)),
+		res.add(row, d(int64(n)), d(int64(row.Depth)),
 			row.CPUTime.String(), row.NearTime.String(),
 			row.CPUBytes.String(), row.NearBytes.String())
 	}
@@ -167,18 +153,12 @@ type E9Row struct {
 	HWMsgs     int64
 }
 
-// E9Result carries the coherency comparison.
-type E9Result struct {
-	*Table
-	Rows []E9Row
-}
-
 // E9CXLCoherency reproduces Section 6: the same shared-region workload
 // under software (RDMA) coherence and hardware (cxl.cache) coherence,
 // swept across interconnect generations. Hardware coherency converts
 // repeat reads into local hits and writes into per-sharer invalidations.
-func E9CXLCoherency(accesses int, writeFrac float64) (*E9Result, error) {
-	res := &E9Result{Table: &Table{
+func E9CXLCoherency(accesses int, writeFrac float64) (*Result[E9Row], error) {
+	res := &Result[E9Row]{Table: &Table{
 		ID:     "E9",
 		Title:  fmt.Sprintf("Coherency protocols (Section 6), %d accesses, %.0f%% writes", accesses, writeFrac*100),
 		Header: []string{"interconnect", "sw time", "hw time", "sw bytes", "hw bytes", "hw hits", "sw msgs", "hw msgs"},
@@ -214,8 +194,7 @@ func E9CXLCoherency(accesses int, writeFrac float64) (*E9Result, error) {
 				row.HWHits = total.Hits
 			}
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(row.Generation,
+		res.add(row, row.Generation,
 			row.SWTime.String(), row.HWTime.String(),
 			row.SWBytes.String(), row.HWBytes.String(),
 			d(row.HWHits), d(row.SWMsgs), d(row.HWMsgs))

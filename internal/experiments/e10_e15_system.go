@@ -84,18 +84,12 @@ type E11Row struct {
 	Overhead    float64
 }
 
-// E11Result carries the flow-control sweep.
-type E11Result struct {
-	*Table
-	Rows []E11Row
-}
-
 // E11CreditFlow reproduces Section 7.1: credit-based flow control is
 // "easy to implement and low traffic" — the credit counter-stream stays
 // a small fraction of the data stream across queue configurations while
 // still bounding in-flight data.
-func E11CreditFlow(batches int) (*E11Result, error) {
-	res := &E11Result{Table: &Table{
+func E11CreditFlow(batches int) (*Result[E11Row], error) {
+	res := &Result[E11Row]{Table: &Table{
 		ID:     "E11",
 		Title:  "Credit-based flow control (Section 7.1): control traffic vs queue configuration",
 		Header: []string{"depth", "credit batch", "data msgs", "credit msgs", "credit/data"},
@@ -136,8 +130,7 @@ func E11CreditFlow(batches int) (*E11Result, error) {
 		if row.DataMsgs > 0 {
 			row.Overhead = float64(row.CreditMsgs) / float64(row.DataMsgs)
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(d(int64(depth)), d(int64(creditBatch)),
+		res.add(row, d(int64(depth)), d(int64(creditBatch)),
 			d(row.DataMsgs), d(row.CreditMsgs), f(row.Overhead))
 	}
 	return res, nil
@@ -257,18 +250,12 @@ type E13Row struct {
 	VolcanoHit  float64
 }
 
-// E13Result carries the buffer-pool comparison.
-type E13Result struct {
-	*Table
-	Rows []E13Row
-}
-
 // E13NoBufferPool reproduces Section 7.4: the data-flow engine's
 // compute-side memory stays flat as tables grow (stateless compute),
 // while the buffer-pool engine's footprint tracks the data and thrashes
 // once the working set exceeds the pool.
-func E13NoBufferPool(sizes []int, poolBytes sim.Bytes) (*E13Result, error) {
-	res := &E13Result{Table: &Table{
+func E13NoBufferPool(sizes []int, poolBytes sim.Bytes) (*Result[E13Row], error) {
+	res := &Result[E13Row]{Table: &Table{
 		ID:     "E13",
 		Title:  "No more buffer pools (Section 7.4): compute-side memory vs table size",
 		Header: []string{"rows", "table bytes", "dataflow peak", "volcano peak", "volcano hit rate"},
@@ -310,8 +297,7 @@ func E13NoBufferPool(sizes []int, poolBytes sim.Bytes) (*E13Result, error) {
 			VolcanoMem:  voRes.Stats.PeakMemory,
 			VolcanoHit:  vo.Pool.Stats().HitRate(),
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(d(int64(rows)), row.DataBytes.String(),
+		res.add(row, d(int64(rows)), row.DataBytes.String(),
 			row.DataflowMem.String(), row.VolcanoMem.String(),
 			fmt.Sprintf("%.2f", row.VolcanoHit))
 	}
@@ -390,17 +376,11 @@ type E15Row struct {
 	SetupShare  float64
 }
 
-// E15Result carries the kernel-setup overheads.
-type E15Result struct {
-	*Table
-	Rows []E15Row
-}
-
 // E15KernelSetup quantifies Section 7.2's point that accelerators are
 // programmed through registers/kernel installation rather than an ISA —
 // and that this fixed setup cost is immaterial for streaming work.
-func E15KernelSetup(sizes []sim.Bytes) (*E15Result, error) {
-	res := &E15Result{Table: &Table{
+func E15KernelSetup(sizes []sim.Bytes) (*Result[E15Row], error) {
+	res := &Result[E15Row]{Table: &Table{
 		ID:     "E15",
 		Title:  "Kernel installation overhead (Section 7.2) on a smart NIC",
 		Header: []string{"stream size", "setup", "stream time", "setup share"},
@@ -411,8 +391,8 @@ func E15KernelSetup(sizes []sim.Bytes) (*E15Result, error) {
 		setup := nic.ChargeSetup()
 		stream := nic.Charge(fabric.OpFilter, size)
 		share := float64(setup) / float64(setup+stream)
-		res.Rows = append(res.Rows, E15Row{StreamBytes: size, SetupShare: share})
-		res.Table.AddRow(size.String(), setup.String(), stream.String(), fmt.Sprintf("%.4f", share))
+		res.add(E15Row{StreamBytes: size, SetupShare: share},
+			size.String(), setup.String(), stream.String(), fmt.Sprintf("%.4f", share))
 	}
 	return res, nil
 }

@@ -26,8 +26,7 @@ type E16Row struct {
 
 // E16Result carries the Section 5.1 cache/TLB measurements.
 type E16Result struct {
-	*Table
-	Rows []E16Row
+	Result[E16Row]
 	// CPUHierTime/NearHierTime compare the cache-hierarchy time of a
 	// 5%-selective filter when all bytes enter the caches vs when only
 	// survivors do.
@@ -39,12 +38,12 @@ type E16Result struct {
 // cores as working sets grow, and the near-memory path's deepest payoff
 // is that filtered-out bytes never enter the hierarchy at all.
 func E16CacheStalls() (*E16Result, error) {
-	res := &E16Result{Table: &Table{
+	res := &E16Result{Result: Result[E16Row]{Table: &Table{
 		ID:     "E16",
 		Title:  "Cache and TLB stalls (Section 5.1): stall share vs working set",
 		Header: []string{"working set", "seq stall share", "rnd stall share", "rnd TLB miss"},
 		Notes:  "stall share = cycles beyond L1 hits / total; TLB covers 8MiB",
-	}}
+	}}}
 	rng := sim.NewRNG(31)
 	for _, ws := range []int64{32 << 10, 4 << 20, 64 << 20, 1 << 30} {
 		h := memdev.NewDefaultHierarchy()
@@ -62,8 +61,7 @@ func E16CacheStalls() (*E16Result, error) {
 		tlbMiss := float64(h.TLB.Misses) / float64(h.TLB.Hits+h.TLB.Misses)
 
 		row := E16Row{WorkingSet: sim.Bytes(ws), SeqStall: seq, RndStall: rnd, TLBMissRnd: tlbMiss}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(row.WorkingSet.String(),
+		res.add(row, row.WorkingSet.String(),
 			fmt.Sprintf("%.2f", seq), fmt.Sprintf("%.2f", rnd), fmt.Sprintf("%.2f", tlbMiss))
 	}
 
@@ -89,18 +87,12 @@ type A1Row struct {
 	Wins     bool
 }
 
-// A1Result carries the wire-compression ablation.
-type A1Result struct {
-	*Table
-	Rows []A1Row
-}
-
 // A1WireCompression is the ablation behind the paper's Section 2.2
 // observation that compression is a mandatory step of the cloud data
 // path: with real LZ over real segment bytes, compressing before the
 // wire wins on slow networks and loses once links outrun the
 // compressor.
-func A1WireCompression(rows int) (*A1Result, error) {
+func A1WireCompression(rows int) (*Result[A1Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	seg := storage.BuildSegment(0, workload.GenLineitem(cfg))
 	raw := seg.Marshal()
@@ -112,7 +104,7 @@ func A1WireCompression(rows int) (*A1Result, error) {
 	}
 	ratio := float64(len(comp)) / float64(len(raw))
 
-	res := &A1Result{Table: &Table{
+	res := &Result[A1Row]{Table: &Table{
 		ID:     "A1",
 		Title:  fmt.Sprintf("Ablation: wire compression (ratio %.2f) vs network speed", ratio),
 		Header: []string{"link", "raw transfer", "compressed (pipelined)", "winner"},
@@ -134,12 +126,11 @@ func A1WireCompression(rows int) (*A1Result, error) {
 			RawTime: rawTime, CompTime: compTime, Ratio: ratio,
 			Wins: compTime < rawTime,
 		}
-		res.Rows = append(res.Rows, row)
 		winner := "raw"
 		if row.Wins {
 			winner = "compressed"
 		}
-		res.Table.AddRow(row.Tier, rawTime.String(), compTime.String(), winner)
+		res.add(row, row.Tier, rawTime.String(), compTime.String(), winner)
 	}
 	return res, nil
 }
@@ -151,20 +142,14 @@ type A2Row struct {
 	Bottleneck string
 }
 
-// A2Result carries the NIC-tier ablation.
-type A2Result struct {
-	*Table
-	Rows []A2Row
-}
-
 // A2NICTierSweep runs the Figure 6 pipeline across NIC generations
 // (Section 2.2: "the only technology whose speed is doubling
 // consistently"): once the network outruns the storage decode, faster
 // NICs stop helping and the bottleneck moves into the node.
-func A2NICTierSweep(rows int) (*A2Result, error) {
+func A2NICTierSweep(rows int) (*Result[A2Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
-	res := &A2Result{Table: &Table{
+	res := &Result[A2Row]{Table: &Table{
 		ID:     "A2",
 		Title:  "Ablation: pipeline makespan vs NIC generation",
 		Header: []string{"nic", "makespan", "bottleneck"},
@@ -196,8 +181,7 @@ func A2NICTierSweep(rows int) (*A2Result, error) {
 			}
 		}
 		row := A2Row{Tier: tier.String(), Makespan: r.Stats.SimTime, Bottleneck: bottleneck}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(row.Tier, row.Makespan.String(), row.Bottleneck)
+		res.add(row, row.Tier, row.Makespan.String(), row.Bottleneck)
 	}
 	return res, nil
 }
@@ -210,18 +194,12 @@ type A3Row struct {
 	MediaBytes  sim.Bytes
 }
 
-// A3Result carries the segment-size ablation.
-type A3Result struct {
-	*Table
-	Rows []A3Row
-}
-
 // A3SegmentSize ablates the zone-map granularity (Section 3.2: cloud
 // engines replace indexes with min/max pruning): finer segments prune
 // more precisely at the price of more objects. Zone maps only bite on
 // clustered columns, so the table is ingested sorted by a sequence
 // column — the usual time-ordered layout of fact tables.
-func A3SegmentSize(rows int) (*A3Result, error) {
+func A3SegmentSize(rows int) (*Result[A3Row], error) {
 	// Clustered two-column table: seq is monotone, v is a payload.
 	seqs := make([]int64, rows)
 	vals := make([]int64, rows)
@@ -231,7 +209,7 @@ func A3SegmentSize(rows int) (*A3Result, error) {
 		vals[i] = rng.Int63n(1000)
 	}
 	schema := workload.KVSchema()
-	res := &A3Result{Table: &Table{
+	res := &Result[A3Row]{Table: &Table{
 		ID:     "A3",
 		Title:  "Ablation: zone-map pruning vs segment size",
 		Header: []string{"rows/segment", "segments", "pruned", "media bytes"},
@@ -256,8 +234,7 @@ func A3SegmentSize(rows int) (*A3Result, error) {
 			Total:       r.Stats.Scan.SegmentsTotal,
 			MediaBytes:  r.Stats.Scan.MediaBytes,
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(d(int64(segRows)), d(int64(row.Total)), d(int64(row.Pruned)), row.MediaBytes.String())
+		res.add(row, d(int64(segRows)), d(int64(row.Total)), d(int64(row.Pruned)), row.MediaBytes.String())
 	}
 	return res, nil
 }
@@ -273,19 +250,13 @@ type A4Row struct {
 	ShippedRows  int64
 }
 
-// A4Result carries the pre-aggregation budget ablation.
-type A4Result struct {
-	*Table
-	Rows []A4Row
-}
-
 // A4StateBudget ablates the in-path state budget (Section 3.3: in-path
 // processing "has to be mostly stateless"): smaller budgets spill more
 // partials, trading accelerator memory for network traffic, while
 // correctness is unaffected.
-func A4StateBudget(rows int, keys int64) (*A4Result, error) {
+func A4StateBudget(rows int, keys int64) (*Result[A4Row], error) {
 	data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: keys, ZipfSkew: 1.1, Seed: 13})
-	res := &A4Result{Table: &Table{
+	res := &Result[A4Row]{Table: &Table{
 		ID:     "A4",
 		Title:  fmt.Sprintf("Ablation: pre-aggregation state budget (%d Zipf keys)", keys),
 		Header: []string{"budget (groups)", "partial rows shipped"},
@@ -325,12 +296,11 @@ func A4StateBudget(rows int, keys int64) (*A4Result, error) {
 		if budget == 0 {
 			label = -1 // unbounded
 		}
-		res.Rows = append(res.Rows, A4Row{BudgetGroups: label, ShippedRows: shipped})
 		name := d(int64(budget))
 		if budget == 0 {
 			name = "unbounded"
 		}
-		res.Table.AddRow(name, d(shipped))
+		res.add(A4Row{BudgetGroups: label, ShippedRows: shipped}, name, d(shipped))
 	}
 	return res, nil
 }

@@ -21,12 +21,6 @@ type E17Row struct {
 	CPUBusyOff   sim.VTime
 }
 
-// E17Result carries the Section 5.3 scenario.
-type E17Result struct {
-	*Table
-	Rows []E17Row
-}
-
 // E17DisaggregatedMemory reproduces Section 5.3 (the Farview-style
 // scenario the paper cites): a table region resident on a disaggregated
 // memory node, consumed by a compute node. Pulling everything over the
@@ -34,11 +28,11 @@ type E17Result struct {
 // filter to the memory-side NIC, which ships only survivors — "by
 // starting to execute a query plan near memory, the portion ... that
 // needs to be processed by the CPU is greatly reduced".
-func E17DisaggregatedMemory(rows int, selectivities []float64) (*E17Result, error) {
+func E17DisaggregatedMemory(rows int, selectivities []float64) (*Result[E17Row], error) {
 	data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: 1000, Seed: 23})
 	regionBytes := sim.Bytes(data.ByteSize())
 
-	res := &E17Result{Table: &Table{
+	res := &Result[E17Row]{Table: &Table{
 		ID:     "E17",
 		Title:  "Disaggregated memory with operator offloading (Section 5.3)",
 		Header: []string{"selectivity", "pull net", "offload net", "pull time", "offload time", "cpu busy pull", "cpu busy offload"},
@@ -102,8 +96,7 @@ func E17DisaggregatedMemory(rows int, selectivities []float64) (*E17Result, erro
 			PullTime: pullTime, OffloadTime: offTime,
 			CPUBusyPull: pullCPU, CPUBusyOff: offCPU,
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(fmt.Sprintf("%.1f%%", sel*100),
+		res.add(row, fmt.Sprintf("%.1f%%", sel*100),
 			pullNet.String(), offNet.String(),
 			pullTime.String(), offTime.String(),
 			pullCPU.String(), offCPU.String())

@@ -18,19 +18,13 @@ type E18Row struct {
 	NearTime  sim.VTime
 }
 
-// E18Result carries the format-conversion comparison.
-type E18Result struct {
-	*Table
-	Rows []E18Row
-}
-
 // E18HTAPTranspose reproduces Section 5.4's data-transposition unit:
 // HTAP engines convert recent (row) data to historical (columnar) format
 // and back; doing the conversion at the memory controller keeps both
 // images in memory, while the CPU path drags the full region across the
 // memory bus twice (read one format, write the other).
-func E18HTAPTranspose(sizes []int) (*E18Result, error) {
-	res := &E18Result{Table: &Table{
+func E18HTAPTranspose(sizes []int) (*Result[E18Row], error) {
+	res := &Result[E18Row]{Table: &Table{
 		ID:     "E18",
 		Title:  "HTAP format transposition (Section 5.4): near-memory unit vs CPU",
 		Header: []string{"rows", "cpu bytes", "near bytes", "cpu time", "near time"},
@@ -70,8 +64,7 @@ func E18HTAPTranspose(sizes []int) (*E18Result, error) {
 			CPUBytes: cpuStats.BytesMoved, NearBytes: nearStats.BytesMoved,
 			CPUTime: cpuStats.Time, NearTime: nearStats.Time,
 		}
-		res.Rows = append(res.Rows, row)
-		res.Table.AddRow(d(int64(n)),
+		res.add(row, d(int64(n)),
 			row.CPUBytes.String(), row.NearBytes.String(),
 			row.CPUTime.String(), row.NearTime.String())
 	}

@@ -30,8 +30,7 @@ type E19Row struct {
 
 // E19Result carries the availability comparison.
 type E19Result struct {
-	*Table
-	Rows []E19Row
+	Result[E19Row]
 	// Schedules holds the data-flow injector's rendered fault schedule
 	// per rate bucket, and VoSchedules the volcano injector's. With a
 	// fixed seed both are byte-identical across runs for every bucket
@@ -108,7 +107,7 @@ func E19Availability(rows int) (*E19Result, error) {
 		in.Arm(faults.Point{Kind: faults.ObjectMissing, Prob: rate / 2})
 	}
 
-	res := &E19Result{Table: &Table{
+	res := &E19Result{Result: Result[E19Row]{Table: &Table{
 		ID:    "E19",
 		Title: "Availability under injected faults: recovering data flow vs detect-only Volcano",
 		Header: []string{"fault rate", "df ok", "volcano ok", "retries",
@@ -116,7 +115,7 @@ func E19Availability(rows int) (*E19Result, error) {
 		Notes: "time x = mean per-query makespan (incl. recovery waste) relative to the fault-free bucket; " +
 			fmt.Sprintf("rates >= %g also kill an accelerator mid-sweep; ", e19KillRate) +
 			"the volcano mean covers only surviving queries, which ran mostly on pool pages warmed by failed attempts",
-	}}
+	}}}
 
 	// expected[qi] is the reference row histogram, captured from the
 	// fault-free bucket; every later success must reproduce it exactly.
@@ -193,7 +192,6 @@ func E19Availability(rows int) (*E19Result, error) {
 		if voBase > 0 && row.VoOK > 0 {
 			row.VoInflation = float64(row.VoTime) / float64(voBase)
 		}
-		res.Rows = append(res.Rows, row)
 		res.Schedules = append(res.Schedules, inj.Schedule())
 		res.VoSchedules = append(res.VoSchedules, voInj.Schedule())
 
@@ -201,7 +199,7 @@ func E19Availability(rows int) (*E19Result, error) {
 		if row.VoOK > 0 {
 			voX = f(row.VoInflation)
 		}
-		res.Table.AddRow(f(rate),
+		res.add(row, f(rate),
 			fmt.Sprintf("%d/%d", row.DFOK, total),
 			fmt.Sprintf("%d/%d", row.VoOK, total),
 			d(row.Retries), d(row.Fallbacks), d(row.Failovers),

@@ -13,11 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// e20SegmentRows keeps segments small enough that a query streams many
-// batches through the pipeline; staged overlap needs a stream, not one
-// monolithic read.
-const e20SegmentRows = 8192
-
 // E20Result carries the staged-overlap traces for assertions.
 type E20Result struct {
 	*Table
@@ -48,7 +43,7 @@ func E20StageOverlap(rows int) (*E20Result, error) {
 
 	df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 	df.Tracing = true
-	df.Storage.SegmentRows = e20SegmentRows
+	df.Storage.SegmentRows = e22SegmentRows
 	if err := loadDataFlow(df, "lineitem", data); err != nil {
 		return nil, err
 	}

@@ -13,7 +13,9 @@ import (
 )
 
 // e22SegmentRows keeps segments small so a scan has many morsels to
-// spread over a worker pool; one morsel is one segment.
+// spread over a worker pool (one morsel is one segment) and a query
+// streams many batches through the pipeline. E20's staged overlap and
+// E23's encoded evaluation load at this size too.
 const e22SegmentRows = 8192
 
 // DefaultWorkers is the worker sweep both engines run.

@@ -11,9 +11,6 @@ import (
 	"repro/internal/sim"
 )
 
-// e23SegmentRows matches E22: small segments, many morsels.
-const e23SegmentRows = 8192
-
 // E23Selectivities is the selectivity sweep both arms run at.
 var E23Selectivities = []float64{0.01, 0.1, 0.5, 1.0}
 
@@ -203,7 +200,7 @@ func e23Run(q *plan.Query, data *columnar.Batch, eager bool) (e23Arm, error) {
 	var arm e23Arm
 	df := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 	df.EagerDecode = eager
-	df.Storage.SegmentRows = e23SegmentRows
+	df.Storage.SegmentRows = e22SegmentRows
 	if err := loadDataFlow(df, "t", data); err != nil {
 		return arm, err
 	}

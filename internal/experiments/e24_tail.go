@@ -38,12 +38,6 @@ type E24Row struct {
 // copies plus losing speculative morsels.
 func (r E24Row) ExtraBytes() sim.Bytes { return r.Scan.HedgeBytes + r.Scan.SpeculativeBytes }
 
-// E24Result carries the tail-latency comparison.
-type E24Result struct {
-	*Table
-	Rows []E24Row
-}
-
 // E24Options parameterizes the sweep; zero values take the defaults
 // below (tests shrink trials and latency to stay fast).
 type E24Options struct {
@@ -71,7 +65,7 @@ const e24Seed = 0xE24
 // their tail back honestly: every cell's result rows are checked
 // against the healthy baseline's, and the duplicate bytes hedges and
 // speculation burned are reported next to the win.
-func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
+func E24TailLatency(rows int, opts E24Options) (*Result[E24Row], error) {
 	if len(opts.Severities) == 0 {
 		opts.Severities = []float64{1, 4, 16}
 	}
@@ -122,7 +116,7 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 		return df, nil
 	}
 
-	res := &E24Result{Table: &Table{
+	res := &Result[E24Row]{Table: &Table{
 		ID:    "E24",
 		Title: "Tail latency under gray failure: hedged reads + speculation vs waiting out the straggler",
 		Header: []string{"severity", "hedge", "p50", "p95", "p99",
@@ -187,7 +181,6 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 			} else if base := baseP99[severity]; base > 0 && row.P99 > 0 {
 				row.Speedup99 = float64(base) / float64(row.P99)
 			}
-			res.Rows = append(res.Rows, row)
 
 			armName := "off"
 			if hedge {
@@ -197,7 +190,7 @@ func E24TailLatency(rows int, opts E24Options) (*E24Result, error) {
 			if hedge && row.Speedup99 > 0 {
 				speedup = f(row.Speedup99)
 			}
-			res.Table.AddRow(f(severity), armName,
+			res.add(row, f(severity), armName,
 				row.P50.Round(time.Microsecond).String(),
 				row.P95.Round(time.Microsecond).String(),
 				row.P99.Round(time.Microsecond).String(),

@@ -38,12 +38,6 @@ type E26Row struct {
 	CorruptSteady int64         // corrupt reads one post-window query still pays
 }
 
-// E26Result carries the self-healing comparison.
-type E26Result struct {
-	*Table
-	Rows []E26Row
-}
-
 // E26Options parameterizes the run; zero values take the defaults below
 // (tests shrink sizes and windows to stay fast).
 type E26Options struct {
@@ -82,7 +76,7 @@ const e26Seed = 0xE26
 // zero with a bounded, reported MTTR and pay zero retry overhead after
 // the heal; and only the throttled arm keeps foreground p99 near the
 // no-repair baseline while it does so.
-func E26SelfHeal(rows int, opts E26Options) (*E26Result, error) {
+func E26SelfHeal(rows int, opts E26Options) (*Result[E26Row], error) {
 	if opts.Trials <= 0 {
 		opts.Trials = 12
 	}
@@ -121,7 +115,7 @@ func E26SelfHeal(rows int, opts E26Options) (*E26Result, error) {
 		WithProjection(workload.LExtendedPrice)
 	segRows := rows/opts.Segments + 1
 
-	res := &E26Result{Table: &Table{
+	res := &Result[E26Row]{Table: &Table{
 		ID:    "E26",
 		Title: "Self-healing storage: foreground tail during scrub + re-replication vs never healing",
 		Header: []string{"repair", "queries", "p50", "p95", "p99", "p99 x",
@@ -157,13 +151,12 @@ func E26SelfHeal(rows int, opts E26Options) (*E26Result, error) {
 		} else if baseP99 > 0 && row.P99 > 0 {
 			row.P99x = float64(row.P99) / float64(baseP99)
 		}
-		res.Rows = append(res.Rows, *row)
 
 		mttr := "-"
 		if row.MTTR > 0 {
 			mttr = row.MTTR.Round(time.Millisecond).String()
 		}
-		res.Table.AddRow(arm, d(int64(row.Queries)),
+		res.add(*row, arm, d(int64(row.Queries)),
 			row.P50.Round(time.Microsecond).String(),
 			row.P95.Round(time.Microsecond).String(),
 			row.P99.Round(time.Microsecond).String(),

@@ -31,6 +31,19 @@ type Table struct {
 	Metrics map[string]float64
 }
 
+// Result is a sweep's output: its table, plus the typed row behind each
+// table row, in the same order.
+type Result[R any] struct {
+	*Table
+	Rows []R
+}
+
+// add appends one typed row and the table row rendered from it.
+func (r *Result[R]) add(row R, cells ...string) {
+	r.Rows = append(r.Rows, row)
+	r.Table.AddRow(cells...)
+}
+
 // AddRow appends a row built from the given cells.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)

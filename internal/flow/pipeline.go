@@ -44,6 +44,9 @@ type Placed struct {
 	ChargeInput bool
 }
 
+// DefaultDepth is a port's queue depth (credits) when Pipeline.Depth is 0.
+const DefaultDepth = 8
+
 // Pipeline is a linear chain: Source -> stage[0] -> ... -> stage[n-1] ->
 // sink. Ports between consecutive elements carry the traffic across the
 // fabric paths given in Paths.
@@ -55,7 +58,7 @@ type Pipeline struct {
 	// i's device (Paths[0] = source->stage0). Its length must equal
 	// len(Stages); missing entries mean on-device handoff.
 	Paths [][]*fabric.Link
-	// Depth is the per-port queue depth (credits); default 8.
+	// Depth is the per-port queue depth (credits); 0 means DefaultDepth.
 	Depth int
 	// Workers asks each ParallelStage to run as a pool of this many
 	// workers (morsel-driven parallelism), clamped per stage to the
@@ -206,7 +209,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	}
 	depth := p.Depth
 	if depth <= 0 {
-		depth = 8
+		depth = DefaultDepth
 	}
 	creditBatch := p.CreditBatch
 	if creditBatch <= 0 {
