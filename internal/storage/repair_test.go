@@ -275,6 +275,71 @@ func TestStickyCorruptIsSticky(t *testing.T) {
 	}
 }
 
+// Every way a replica is rewritten drops its sticky damage together with
+// its old bytes: the rewritten replica reads clean, a still-armed
+// StickyCorrupt point damages it anew, and that damage then stays put.
+func TestStickyDamageClearsOnEveryRewrite(t *testing.T) {
+	ctx := context.Background()
+	payload := []byte("sticky damage rewrite payload")
+	for _, tc := range []struct {
+		name    string
+		rewrite func(o *ObjectStore) error
+	}{
+		{"RepairReplica", func(o *ObjectStore) error {
+			return o.RepairReplica(ctx, "k", 0, payload)
+		}},
+		{"read-repair", func(o *ObjectStore) error {
+			o.Verify, o.WriteBack = verifyAgainst(payload), true
+			_, err := o.Get(ctx, "k")
+			return err
+		}},
+		{"FailReplica+RepairReplica", func(o *ObjectStore) error {
+			o.FailReplica(0)
+			return o.RepairReplica(ctx, "k", 0, payload)
+		}},
+		{"Delete+Put", func(o *ObjectStore) error {
+			o.Delete("k")
+			o.Put("k", payload)
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := NewObjectStore(nil)
+			o.SetReplicas(2)
+			o.Put("k", payload)
+			inj := faults.New(0x57)
+			inj.Arm(faults.Point{Kind: faults.StickyCorrupt, Target: "store/r0", Prob: 1})
+			o.svc.Faults = inj
+			if raw, _ := o.ReadReplicaRaw(ctx, "k", 0); bytes.Equal(raw, payload) {
+				t.Fatal("armed StickyCorrupt did not damage replica 0")
+			}
+			if err := tc.rewrite(o); err != nil {
+				t.Fatal(err)
+			}
+
+			o.svc.Faults = nil
+			if raw, err := o.ReadReplicaRaw(ctx, "k", 0); err != nil || !bytes.Equal(raw, payload) {
+				t.Fatalf("rewritten replica 0 reads %q (err %v), want the clean payload", raw, err)
+			}
+			o.svc.Faults = inj
+			first, err := o.ReadReplicaRaw(ctx, "k", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(first, payload) {
+				t.Fatal("the old damage record survived the rewrite and suppressed fresh damage")
+			}
+			second, err := o.ReadReplicaRaw(ctx, "k", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(first, second) {
+				t.Fatal("second read differs: the fault re-flipped the damaged byte")
+			}
+		})
+	}
+}
+
 // StickyCorrupt is deterministic under the injector seed: two stores
 // armed identically damage the same blobs.
 func TestStickyCorruptDeterministicUnderSeed(t *testing.T) {
