@@ -377,6 +377,49 @@ func TestReadRepairCounted(t *testing.T) {
 	}
 }
 
+// A foreground read that repairs a blob while the scrubber is healing
+// it leaves the scrubber nothing to write: the heal is counted once, as
+// the read-repair that wrote it, and the store's tally agrees.
+func TestScrubDoesNotCountAConcurrentReadRepair(t *testing.T) {
+	o, verify := newStore(1)
+	o.Verify = verify
+	o.WriteBack = true
+	c := New(o, Config{})
+	var sawDamage, readDone bool
+	c.SetVerify(func(key string, data []byte) error {
+		err := verify(key, data)
+		if err != nil {
+			sawDamage = true
+		} else if sawDamage && !readDone {
+			// The scrubber has confirmed the damage and is checking the
+			// clean sibling it will heal from; a query reads the blob now.
+			readDone = true
+			if _, gerr := o.Get(context.Background(), key); gerr != nil {
+				t.Error(gerr)
+			}
+		}
+		return err
+	})
+	if !o.CorruptReplica("seg-000", 0) {
+		t.Fatal("could not seed damage")
+	}
+	c.ScrubPass(context.Background())
+	if !readDone {
+		t.Fatal("the scrubber never verified a clean sibling")
+	}
+	rep := c.Stats()
+	if got := rep.ReadRepairs + rep.ScrubRepairs; got != 1 {
+		t.Errorf("one damaged blob counted as %d heals (%d read-repairs, %d scrub repairs), want 1",
+			got, rep.ReadRepairs, rep.ScrubRepairs)
+	}
+	if want := o.Totals().ReadRepairs; rep.ReadRepairs+rep.ScrubRepairs+rep.Recloned != want {
+		t.Errorf("controller counted %+v, the store wrote %d repairs", rep, want)
+	}
+	if rep.Unrecoverable != 0 {
+		t.Errorf("%d blobs unrecoverable with a clean sibling present", rep.Unrecoverable)
+	}
+}
+
 // Run drives scrub and re-clone in a loop until cancelled, publishing
 // durability gauges, and is safe to race with foreground mutation.
 func TestRunLoopHealsAndStops(t *testing.T) {

@@ -70,23 +70,28 @@ func (c *Controller) ScrubPass(ctx context.Context) ScrubSummary {
 				continue
 			}
 			sum.Corrupt++
-			if c.healBlob(ctx, key, r, n) {
-				c.scrubRepairs.Add(1)
-				sum.Healed++
-				c.record(Incident{Key: key, Replica: r, Verdict: VerdictPersistent, Healed: true})
-			} else {
+			found, wrote := c.healBlob(ctx, key, r, n)
+			if !found {
 				c.unrecoverable.Add(1)
 				c.record(Incident{Key: key, Replica: r, Verdict: VerdictUnrecoverable})
+				continue
 			}
+			if wrote {
+				c.scrubRepairs.Add(1)
+				sum.Healed++
+			}
+			c.record(Incident{Key: key, Replica: r, Verdict: VerdictPersistent, Healed: wrote})
 		}
 	}
 	return sum
 }
 
 // healBlob repairs replica r of key from the first sibling replica that
-// serves a verified-clean blob, paying the repair byte budget. Reports
-// whether a repair landed.
-func (c *Controller) healBlob(ctx context.Context, key string, r, n int) bool {
+// serves a verified-clean blob, paying the repair byte budget. found
+// reports whether such a sibling was read, wrote whether the repair was
+// written: a heal that a concurrent read-repair already wrote, or one cut
+// short by ctx, writes nothing and is nobody's to count.
+func (c *Controller) healBlob(ctx context.Context, key string, r, n int) (found, wrote bool) {
 	for rr := 0; rr < n; rr++ {
 		if rr == r {
 			continue
@@ -96,14 +101,12 @@ func (c *Controller) healBlob(ctx context.Context, key string, r, n int) bool {
 			continue
 		}
 		if err := c.repairTokens.acquire(ctx, c.store.Services().Clock, len(src)); err != nil {
-			return false
+			return true, false
 		}
-		if err := c.store.RepairReplica(ctx, key, r, src); err != nil {
-			return false
-		}
-		return true
+		wrote, _ = c.store.RepairReplica(ctx, key, r, src)
+		return true, wrote
 	}
-	return false
+	return false, false
 }
 
 // ReclonePass checks for lost replicas and re-clones the ones declared
@@ -239,10 +242,9 @@ func (c *Controller) recloneBlob(ctx context.Context, key string, r int) {
 		if err := c.repairTokens.acquire(ctx, c.store.Services().Clock, len(src)); err != nil {
 			return
 		}
-		if err := c.store.RepairReplica(ctx, key, r, src); err != nil {
-			return
+		if wrote, _ := c.store.RepairReplica(ctx, key, r, src); wrote {
+			c.recloned.Add(1)
 		}
-		c.recloned.Add(1)
 		return
 	}
 	c.unrecoverable.Add(1)

@@ -252,7 +252,7 @@ func TestStickyCorruptIsSticky(t *testing.T) {
 
 	// Repair clears the sticky record; the still-armed point damages the
 	// repaired blob on the next read (fresh incident, not a replay).
-	if err := o.RepairReplica(context.Background(), "k", 0, payload); err != nil {
+	if _, err := o.RepairReplica(context.Background(), "k", 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	again, err := o.ReadReplicaRaw(context.Background(), "k", 0)
@@ -286,7 +286,8 @@ func TestStickyDamageClearsOnEveryRewrite(t *testing.T) {
 		rewrite func(o *ObjectStore) error
 	}{
 		{"RepairReplica", func(o *ObjectStore) error {
-			return o.RepairReplica(ctx, "k", 0, payload)
+			_, err := o.RepairReplica(ctx, "k", 0, payload)
+			return err
 		}},
 		{"read-repair", func(o *ObjectStore) error {
 			o.Verify, o.WriteBack = verifyAgainst(payload), true
@@ -295,7 +296,8 @@ func TestStickyDamageClearsOnEveryRewrite(t *testing.T) {
 		}},
 		{"FailReplica+RepairReplica", func(o *ObjectStore) error {
 			o.FailReplica(0)
-			return o.RepairReplica(ctx, "k", 0, payload)
+			_, err := o.RepairReplica(ctx, "k", 0, payload)
+			return err
 		}},
 		{"Delete+Put", func(o *ObjectStore) error {
 			o.Delete("k")
@@ -412,7 +414,7 @@ func TestFailReplicaFallbackAndRestore(t *testing.T) {
 		t.Error("read past the lost replica recorded no fallback")
 	}
 
-	if err := o.RepairReplica(context.Background(), "k", 0, payload); err != nil {
+	if _, err := o.RepairReplica(context.Background(), "k", 0, payload); err != nil {
 		t.Fatal(err)
 	}
 	if objects, _ := o.UnderReplicated(); objects != 0 {

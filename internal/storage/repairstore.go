@@ -292,29 +292,31 @@ func (o *ObjectStore) ReadReplicaRaw(ctx context.Context, key string, r int) ([]
 }
 
 // RepairReplica overwrites replica r's blob under key with data — the
-// write half of scrub repair and re-replication. The write is metered
-// on the repair counters, never the main Meter, and takes BaseLatency
-// on the store's clock while holding a repair-load slot. Writing into a lost
-// (nil) slot restores it, raising the object's redundancy back up.
-func (o *ObjectStore) RepairReplica(ctx context.Context, key string, r int, data []byte) error {
+// write half of scrub repair and re-replication — and reports whether it
+// wrote: a replica that already holds data (a concurrent read-repair got
+// there first) is left alone. The write is metered on the repair
+// counters, never the main Meter, and takes BaseLatency on the store's
+// clock while holding a repair-load slot. Writing into a lost (nil) slot
+// restores it, raising the object's redundancy back up.
+func (o *ObjectStore) RepairReplica(ctx context.Context, key string, r int, data []byte) (wrote bool, err error) {
 	o.repairLoad.Add(1)
 	defer o.repairLoad.Add(-1)
 	if err := o.svc.Clock.Sleep(ctx, o.BaseLatency); err != nil {
-		return err
+		return false, err
 	}
 	o.mu.Lock()
 	copies, ok := o.objects[key]
 	if !ok {
 		o.mu.Unlock()
-		return fmt.Errorf("storage: object %q not found", key)
+		return false, fmt.Errorf("storage: object %q not found", key)
 	}
 	if r < 0 || r >= len(copies) {
 		o.mu.Unlock()
-		return fmt.Errorf("storage: object %q has no replica %d", key, r)
+		return false, fmt.Errorf("storage: object %q has no replica %d", key, r)
 	}
 	if bytes.Equal(copies[r], data) {
 		o.mu.Unlock()
-		return nil // already healthy: a concurrent repair got here first
+		return false, nil // already healthy: a concurrent repair got here first
 	}
 	next := append([][]byte(nil), copies...)
 	next[r] = append(make([]byte, 0, len(data)), data...)
@@ -324,5 +326,5 @@ func (o *ObjectStore) RepairReplica(ctx context.Context, key string, r int, data
 	var rs ReadStats
 	o.finishRepair(key, r, sim.Bytes(len(data)), false, &rs)
 	o.fold(&rs, nil)
-	return nil
+	return true, nil
 }

@@ -501,7 +501,7 @@ func TestScanRacesReplicaDamageAndRepair(t *testing.T) {
 				if round%5 == 4 {
 					store.CorruptReplica(key, 1-r) // both replicas bad: the scan may fail, typed
 					store.Put(key, clean[key])
-				} else if err := store.RepairReplica(ctx, key, r, clean[key]); err != nil {
+				} else if _, err := store.RepairReplica(ctx, key, r, clean[key]); err != nil {
 					t.Errorf("RepairReplica: %v", err)
 				}
 			}
