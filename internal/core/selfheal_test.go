@@ -357,6 +357,11 @@ func TestSelfHealChaosScrubAndReclone(t *testing.T) {
 	if rep.Unrecoverable != 0 {
 		t.Errorf("%d blobs unrecoverable with a clean replica present", rep.Unrecoverable)
 	}
+	// Each heal is counted once, by whoever wrote it.
+	if wrote := store.Totals().ReadRepairs; rep.ReadRepairs+rep.ScrubRepairs+rep.Recloned != wrote {
+		t.Errorf("controller counted %d read-repairs + %d scrub repairs + %d re-clones, the store wrote %d repairs",
+			rep.ReadRepairs, rep.ScrubRepairs, rep.Recloned, wrote)
+	}
 
 	// The store is fully clean: one more scrub pass verifies every blob.
 	// The sticky point may have budget left, and the pass's own reads

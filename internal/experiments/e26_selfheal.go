@@ -345,6 +345,11 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 		if rep.Unrecoverable != 0 {
 			return nil, nil, fmt.Errorf("experiments: E26 %s lost data: %d unrecoverable blobs", arm, rep.Unrecoverable)
 		}
+		// Each heal is counted once, by whoever wrote it.
+		if wrote := store.Totals().ReadRepairs; rep.ReadRepairs+rep.ScrubRepairs+rep.Recloned != wrote {
+			return nil, nil, fmt.Errorf("experiments: E26 %s counted %d read-repairs + %d scrub repairs + %d re-clones, the store wrote %d repairs",
+				arm, rep.ReadRepairs, rep.ScrubRepairs, rep.Recloned, wrote)
+		}
 	}
 	row.RepairBytes = store.Totals().RepairBytes
 	row.AtRiskEnd = mustObjects(store)
