@@ -2,8 +2,8 @@ package repair
 
 import (
 	"context"
-	"sync"
 
+	"repro/internal/morsel"
 	"repro/internal/resilience"
 	"repro/internal/storage"
 )
@@ -164,34 +164,21 @@ func (c *Controller) ReclonePass(ctx context.Context) {
 }
 
 // recloneReplica restores every lost blob of replica r from clean
-// survivors, using Streams concurrent workers. On full restoration it
-// records the MTTR (first loss observation to now) and forgives the
-// replica's health strikes.
+// survivors, Streams blobs at a time through the morsel loop. On full
+// restoration it records the MTTR (first loss observation to now) and
+// forgives the replica's health strikes.
 func (c *Controller) recloneReplica(ctx context.Context, r int) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	keys := c.store.List("")
-	streams := c.cfg.Streams
-	if streams < 1 {
-		streams = 1
+	s := morsel.Start(ctx, 0, len(keys), max(c.cfg.Streams, 1), func(ctx context.Context, i, _ int) struct{} {
+		c.recloneBlob(ctx, keys[i], r)
+		return struct{}{}
+	})
+	for _, ok := s.Next(); ok; _, ok = s.Next() {
 	}
-	work := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < streams; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for key := range work {
-				c.recloneBlob(ctx, key, r)
-			}
-		}()
-	}
-	for _, key := range keys {
-		if ctx != nil && ctx.Err() != nil {
-			break
-		}
-		work <- key
-	}
-	close(work)
-	wg.Wait()
+	s.Stop(func(struct{}) {})
 
 	_, slots := c.store.UnderReplicated()
 	if slots[r] != 0 {
@@ -217,7 +204,7 @@ func (c *Controller) recloneReplica(ctx context.Context, r int) {
 }
 
 // recloneBlob restores replica r of key if (and only if) it is lost,
-// copying from the first verified-clean survivor.
+// healing it from the first verified-clean survivor.
 func (c *Controller) recloneBlob(ctx context.Context, key string, r int) {
 	n := c.store.ReplicaCount(key)
 	if r >= n {
@@ -231,22 +218,11 @@ func (c *Controller) recloneBlob(ctx context.Context, key string, r int) {
 	} else if _, lost := err.(*storage.ReplicaLostError); !lost {
 		return
 	}
-	for rr := 0; rr < n; rr++ {
-		if rr == r {
-			continue
-		}
-		src, err := c.store.ReadReplicaRaw(ctx, key, rr)
-		if err != nil || c.verify(key, src) != nil {
-			continue
-		}
-		if err := c.repairTokens.acquire(ctx, c.store.Services().Clock, len(src)); err != nil {
-			return
-		}
-		if wrote, _ := c.store.RepairReplica(ctx, key, r, src); wrote {
-			c.recloned.Add(1)
-		}
-		return
+	switch found, wrote := c.healBlob(ctx, key, r, n); {
+	case wrote:
+		c.recloned.Add(1)
+	case !found:
+		c.unrecoverable.Add(1)
+		c.record(Incident{Key: key, Replica: r, Verdict: VerdictUnrecoverable})
 	}
-	c.unrecoverable.Add(1)
-	c.record(Incident{Key: key, Replica: r, Verdict: VerdictUnrecoverable})
 }

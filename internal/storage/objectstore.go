@@ -37,7 +37,7 @@ import (
 // Meter's totals are identical whether or not a losing hedge ran.
 type ObjectStore struct {
 	mu      sync.RWMutex
-	objects map[string][][]byte // one entry per replica, len >= 1
+	objects map[string][]replica // one per replica, len >= 1
 	reps    int
 	Meter   sim.Meter
 
@@ -99,11 +99,17 @@ type ObjectStore struct {
 
 	// repairLoad is the number of repair I/Os in flight right now.
 	repairLoad atomic.Int64
+}
 
-	// stickyDamaged dedups StickyCorrupt damage per replica blob so a
-	// point with budget left cannot flip the same byte back to clean;
-	// repair write-backs clear the entry. Guarded by mu.
-	stickyDamaged map[string]struct{}
+// replica is one stored copy of a blob: its bytes, nil once the replica
+// is lost (FailReplica), and whether StickyCorrupt damage is applied to
+// them, so a point with budget left cannot flip the byte back to clean.
+// A record is never written in place: every write installs a new one
+// (setReplicaLocked), so a Put, a Delete or a repair drops the flag
+// together with the bytes it belonged to.
+type replica struct {
+	data    []byte
+	damaged bool
 }
 
 // DefaultMaxRetries is the retry bound of a freshly built store.
@@ -118,7 +124,7 @@ func NewObjectStore(svc *wiring.Services) *ObjectStore {
 	}
 	return &ObjectStore{
 		svc:        svc,
-		objects:    make(map[string][][]byte),
+		objects:    make(map[string][]replica),
 		reps:       1,
 		MaxRetries: DefaultMaxRetries,
 		RetryBase:  50 * time.Microsecond,
@@ -156,13 +162,12 @@ func (o *ObjectStore) Put(key string, data []byte) {
 func (o *ObjectStore) install(key string, data []byte) {
 	o.mu.Lock()
 	n := o.reps
-	copies := make([][]byte, n)
-	copies[0] = data
+	copies := make([]replica, n)
+	copies[0].data = data
 	for i := 1; i < n; i++ {
-		copies[i] = append(make([]byte, 0, len(data)), data...)
+		copies[i].data = append(make([]byte, 0, len(data)), data...)
 	}
 	o.objects[key] = copies
-	o.clearStickyLocked(key)
 	o.mu.Unlock()
 	o.Meter.AddOps(1)
 	o.Meter.AddBytes(sim.Bytes(len(data) * n))
@@ -278,14 +283,14 @@ func (o *ObjectStore) Totals() ReadStats {
 // attempts and bytes land on the corrupt-side counters, never the main
 // Meter — and once any replica serves a verified payload, every replica
 // in bad is repaired from it.
-func (o *ObjectStore) seqRead(ctx context.Context, key string, copies [][]byte, order []int, copyOut, allFallback bool, bad []int, rs *ReadStats) ([]byte, error) {
+func (o *ObjectStore) seqRead(ctx context.Context, key string, copies []replica, order []int, copyOut, allFallback bool, bad []int, rs *ReadStats) ([]byte, error) {
 	var lastErr error
 	for i, r := range order {
 		fallback := i > 0 || allFallback
 		if fallback {
 			rs.ReplicaFallbacks++
 		}
-		data, ops, err := o.readLoop(ctx, key, r, copies[r], copyOut, fallback, true, rs)
+		data, ops, err := o.readLoop(ctx, key, r, copies[r].data, copyOut, fallback, true, rs)
 		if err == nil {
 			if err = o.verifyPayload(key, r, data, ops, rs); err == nil {
 				o.Meter.Add(sim.Snapshot{Bytes: sim.Bytes(len(data)), Ops: ops})
@@ -314,7 +319,7 @@ func (o *ObjectStore) seqRead(ctx context.Context, key string, copies [][]byte, 
 // Meter byte-identical to an unhedged read. Each racer counts into its
 // own ReadStats, added to rs as its result arrives. Without a hedging
 // policy or a second replica there is no race, just the walk.
-func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte, order []int, copyOut bool, rs *ReadStats) ([]byte, error) {
+func (o *ObjectStore) getHedged(ctx context.Context, key string, copies []replica, order []int, copyOut bool, rs *ReadStats) ([]byte, error) {
 	pol := o.svc.Resilience
 	if pol == nil || !pol.Hedge || len(order) < 2 {
 		return o.seqRead(ctx, key, copies, order, copyOut, false, nil, rs)
@@ -339,7 +344,7 @@ func (o *ObjectStore) getHedged(ctx context.Context, key string, copies [][]byte
 	read := func(r int, hedge bool) func(context.Context) raceResult {
 		return func(ctx context.Context) raceResult {
 			res := raceResult{r: r, hedge: hedge}
-			res.data, res.ops, res.err = o.readLoop(ctx, key, r, copies[r], copyOut, false, !hedge, &res.rs)
+			res.data, res.ops, res.err = o.readLoop(ctx, key, r, copies[r].data, copyOut, false, !hedge, &res.rs)
 			return res
 		}
 	}
@@ -550,9 +555,9 @@ func (o *ObjectStore) Size(key string) sim.Bytes {
 	if !ok {
 		return -1
 	}
-	for _, d := range copies {
-		if d != nil {
-			return sim.Bytes(len(d))
+	for _, c := range copies {
+		if c.data != nil {
+			return sim.Bytes(len(c.data))
 		}
 	}
 	return -1 // every replica lost
@@ -563,7 +568,6 @@ func (o *ObjectStore) Size(key string) sim.Bytes {
 func (o *ObjectStore) Delete(key string) {
 	o.mu.Lock()
 	delete(o.objects, key)
-	o.clearStickyLocked(key)
 	o.mu.Unlock()
 	o.Meter.AddOps(1)
 }
@@ -589,8 +593,8 @@ func (o *ObjectStore) TotalBytes() sim.Bytes {
 	defer o.mu.RUnlock()
 	var n sim.Bytes
 	for _, copies := range o.objects {
-		for _, d := range copies {
-			n += sim.Bytes(len(d))
+		for _, c := range copies {
+			n += sim.Bytes(len(c.data))
 		}
 	}
 	return n

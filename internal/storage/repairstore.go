@@ -92,35 +92,28 @@ func (o *ObjectStore) repairBad(key string, bad []int, clean []byte, rs *ReadSta
 	}
 	var healed []int
 	o.mu.Lock()
-	copies, ok := o.objects[key]
-	if ok {
-		var next [][]byte // cloned lazily on first actual write
-		for _, r := range bad {
-			if r < 0 || r >= len(copies) || copies[r] == nil {
-				continue
-			}
-			cur := copies[r]
-			if next != nil {
-				cur = next[r]
-			}
-			if bytes.Equal(cur, clean) {
-				continue // a concurrent reader already repaired it
-			}
-			if next == nil {
-				next = append([][]byte(nil), copies...)
-			}
-			next[r] = append(make([]byte, 0, len(clean)), clean...)
-			delete(o.stickyDamaged, stickyKey(key, r))
-			healed = append(healed, r)
+	for _, r := range bad {
+		copies := o.objects[key]
+		if r < 0 || r >= len(copies) || copies[r].data == nil || bytes.Equal(copies[r].data, clean) {
+			continue // lost, or a concurrent reader already repaired it
 		}
-		if next != nil {
-			o.objects[key] = next
-		}
+		o.setReplicaLocked(key, r, replica{data: append(make([]byte, 0, len(clean)), clean...)})
+		healed = append(healed, r)
 	}
 	o.mu.Unlock()
 	for _, r := range healed {
 		o.finishRepair(key, r, sim.Bytes(len(clean)), true, rs)
 	}
+}
+
+// setReplicaLocked installs rep as replica r of key, the one write into
+// a replica slot. It writes a copy of the replica list, never the list in
+// place, so a read that loaded the old one keeps reading what it loaded.
+// Callers hold o.mu and have checked that key has a replica r.
+func (o *ObjectStore) setReplicaLocked(key string, r int, rep replica) {
+	next := append([]replica(nil), o.objects[key]...)
+	next[r] = rep
+	o.objects[key] = next
 }
 
 // finishRepair lands the accounting of one completed replica repair:
@@ -138,27 +131,6 @@ func (o *ObjectStore) finishRepair(key string, r int, n sim.Bytes, foreground bo
 	}
 }
 
-// stickyKey names one replica blob in the sticky-damage dedup set.
-func stickyKey(key string, r int) string {
-	return fmt.Sprintf("%d|%s", r, key)
-}
-
-// clearStickyLocked drops every sticky-damage record of key — a fresh
-// Put or a Delete discards the damaged blobs, so a surviving record
-// would wrongly suppress future damage to the new object. Callers hold
-// o.mu; the map is almost always nil or tiny.
-func (o *ObjectStore) clearStickyLocked(key string) {
-	if len(o.stickyDamaged) == 0 {
-		return
-	}
-	suffix := "|" + key
-	for sk := range o.stickyDamaged {
-		if len(sk) > len(suffix) && sk[len(sk)-len(suffix):] == suffix {
-			delete(o.stickyDamaged, sk)
-		}
-	}
-}
-
 // damageReplica applies StickyCorrupt to the stored blob of replica r:
 // the middle byte of a fresh copy is flipped and the copy replaces the
 // stored slice (readers holding the old slice are unaffected — the
@@ -170,22 +142,15 @@ func (o *ObjectStore) damageReplica(key string, r int) (stored []byte, applied b
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	copies, ok := o.objects[key]
-	if !ok || r < 0 || r >= len(copies) || len(copies[r]) == 0 {
+	if !ok || r < 0 || r >= len(copies) || len(copies[r].data) == 0 {
 		return nil, false
 	}
-	sk := stickyKey(key, r)
-	if o.stickyDamaged == nil {
-		o.stickyDamaged = make(map[string]struct{})
+	if copies[r].damaged {
+		return copies[r].data, false // already damaged: serve the stored damage
 	}
-	if _, done := o.stickyDamaged[sk]; done {
-		return copies[r], false // already damaged: serve the stored damage
-	}
-	damaged := append(make([]byte, 0, len(copies[r])), copies[r]...)
+	damaged := append(make([]byte, 0, len(copies[r].data)), copies[r].data...)
 	damaged[len(damaged)/2] ^= 0x40
-	next := append([][]byte(nil), copies...)
-	next[r] = damaged
-	o.objects[key] = next
-	o.stickyDamaged[sk] = struct{}{}
+	o.setReplicaLocked(key, r, replica{data: damaged, damaged: true})
 	return damaged, true
 }
 
@@ -208,13 +173,10 @@ func (o *ObjectStore) FailReplica(r int) int {
 	defer o.mu.Unlock()
 	lost := 0
 	for key, copies := range o.objects {
-		if r < 0 || r >= len(copies) || copies[r] == nil {
+		if r < 0 || r >= len(copies) || copies[r].data == nil {
 			continue
 		}
-		next := append([][]byte(nil), copies...)
-		next[r] = nil
-		o.objects[key] = next
-		delete(o.stickyDamaged, stickyKey(key, r))
+		o.setReplicaLocked(key, r, replica{})
 		lost++
 	}
 	return lost
@@ -236,8 +198,8 @@ func (o *ObjectStore) UnderReplicated() (objects int, slots map[int]int) {
 	defer o.mu.RUnlock()
 	for _, copies := range o.objects {
 		short := false
-		for r, d := range copies {
-			if d == nil {
+		for r, c := range copies {
+			if c.data == nil {
 				if slots == nil {
 					slots = make(map[int]int)
 				}
@@ -275,7 +237,7 @@ func (o *ObjectStore) ReadReplicaRaw(ctx context.Context, key string, r int) ([]
 	if err := o.svc.Clock.Sleep(ctx, o.BaseLatency); err != nil {
 		return nil, err
 	}
-	data := copies[r]
+	data := copies[r].data
 	if o.svc.Faults != nil && o.svc.Faults.Fire(faults.StickyCorrupt, ReplicaKey(r)+"/"+key) {
 		if stored, _ := o.damageReplica(key, r); stored != nil {
 			data = stored
@@ -306,23 +268,19 @@ func (o *ObjectStore) RepairReplica(ctx context.Context, key string, r int, data
 	}
 	o.mu.Lock()
 	copies, ok := o.objects[key]
-	if !ok {
-		o.mu.Unlock()
-		return false, fmt.Errorf("storage: object %q not found", key)
+	switch {
+	case !ok:
+		err = fmt.Errorf("storage: object %q not found", key)
+	case r < 0 || r >= len(copies):
+		err = fmt.Errorf("storage: object %q has no replica %d", key, r)
+	case !bytes.Equal(copies[r].data, data): // equal: a concurrent repair got here first
+		o.setReplicaLocked(key, r, replica{data: append(make([]byte, 0, len(data)), data...)})
+		wrote = true
 	}
-	if r < 0 || r >= len(copies) {
-		o.mu.Unlock()
-		return false, fmt.Errorf("storage: object %q has no replica %d", key, r)
-	}
-	if bytes.Equal(copies[r], data) {
-		o.mu.Unlock()
-		return false, nil // already healthy: a concurrent repair got here first
-	}
-	next := append([][]byte(nil), copies...)
-	next[r] = append(make([]byte, 0, len(data)), data...)
-	o.objects[key] = next
-	delete(o.stickyDamaged, stickyKey(key, r))
 	o.mu.Unlock()
+	if !wrote {
+		return false, err
+	}
 	var rs ReadStats
 	o.finishRepair(key, r, sim.Bytes(len(data)), false, &rs)
 	o.fold(&rs, nil)

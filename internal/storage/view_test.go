@@ -574,12 +574,13 @@ func TestAppendStoresWhatMarshalWrites(t *testing.T) {
 			if len(replicas) != 3 {
 				t.Fatalf("%d rows, %s: %d replicas, want 3", b.NumRows(), key, len(replicas))
 			}
-			for r, got := range replicas {
+			for r, rep := range replicas {
+				got := rep.data
 				if !bytes.Equal(got, want) || cap(got) != len(got) {
 					t.Errorf("%d rows, %s replica %d: %d bytes (cap %d) differ from Marshal's %d", b.NumRows(), key, r, len(got), cap(got), len(want))
 				}
 				for q := range replicas[:r] {
-					if &replicas[q][0] == &got[0] {
+					if &replicas[q].data[0] == &got[0] {
 						t.Errorf("%d rows, %s: replicas %d and %d share their bytes", b.NumRows(), key, q, r)
 					}
 				}
