@@ -96,10 +96,7 @@ func E11CreditFlow(batches int) (*Result[E11Row], error) {
 	}}
 	schema := workload.KVSchema()
 	for _, depth := range []int{2, 4, 8, 16, 32} {
-		creditBatch := depth / 2
-		if creditBatch < 1 {
-			creditBatch = 1
-		}
+		creditBatch := max(depth/2, 1) // the batch a port of this depth returns credits in
 		pipe := &flow.Pipeline{
 			Name: "e11",
 			Source: func(emit flow.Emit) error {
@@ -113,9 +110,8 @@ func E11CreditFlow(batches int) (*Result[E11Row], error) {
 				}
 				return nil
 			},
-			Stages:      []flow.Placed{{Stage: passthrough{}}, {Stage: passthrough{}}},
-			Depth:       depth,
-			CreditBatch: creditBatch,
+			Stages: []flow.Placed{{Stage: passthrough{}}, {Stage: passthrough{}}},
+			Depth:  depth,
 		}
 		fr, err := pipe.Run(context.Background(), func(*columnar.Batch) error { return nil })
 		if err != nil {

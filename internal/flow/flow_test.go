@@ -261,14 +261,13 @@ func TestPipelineValidation(t *testing.T) {
 }
 
 func TestCreditFlowBatching(t *testing.T) {
-	// With depth 16 and credit batch 8, credits return ~1 message per 8
+	// With depth 16 the credit batch is 8: credits return ~1 message per 8
 	// data messages.
 	p := &Pipeline{
-		Name:        "credits",
-		Source:      nBatchSource(64, 1),
-		Stages:      []Placed{{Stage: &passStage{name: "p"}}},
-		Depth:       16,
-		CreditBatch: 8,
+		Name:   "credits",
+		Source: nBatchSource(64, 1),
+		Stages: []Placed{{Stage: &passStage{name: "p"}}},
+		Depth:  16,
 	}
 	res, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
 	if err != nil {
@@ -368,7 +367,7 @@ func TestLongChainManyBatches(t *testing.T) {
 
 func TestPortStatsString(t *testing.T) {
 	done := make(chan struct{})
-	port := newPort("x", nil, 4, 2, done, nil)
+	port := newPort("x", nil, 4, done, nil)
 	if err := port.Send(intBatch(1, 2)); err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,6 @@ type Pipeline struct {
 	// identical order, identical metered totals — via sequence-numbered
 	// dispatch and an ordered merge; see ParallelStage.
 	Workers int
-	// CreditBatch is how many credits accumulate before one return
-	// message; default Depth/2.
-	CreditBatch int
 	// Services is the wiring point of the engine the run belongs to; nil
 	// (a pipeline built outside one) or a nil member is off. The run
 	// reads four members where it uses them. Faults is asked once per
@@ -211,10 +208,6 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
-	creditBatch := p.CreditBatch
-	if creditBatch <= 0 {
-		creditBatch = depth / 2
-	}
 
 	ctx, cancel := context.WithCancelCause(ctx)
 	defer cancel(nil)
@@ -254,7 +247,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		if stageTapes != nil {
 			pt = stageTapes[i]
 		}
-		ports[i] = newPort(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, creditBatch, ctx.Done(), pt)
+		ports[i] = newPort(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, ctx.Done(), pt)
 		ports[i].acct, ports[i].svc = p.Account, p.Services
 		ports[i].stallCtr = p.Services.Metrics.Counter("flow.credit.stalls")
 	}

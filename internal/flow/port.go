@@ -76,29 +76,20 @@ type Port struct {
 	svc *wiring.Services
 }
 
-// newPort builds a port of the given depth. creditBatch controls how
-// many consumed credits the receiver accumulates before returning them
-// in one control message; it is clamped to at most half the depth so the
-// sender can never starve. tape, when non-nil, is the receiving stage's
-// tape; Send appends each batch's per-link transfer costs to it.
-func newPort(name string, path []*fabric.Link, depth, creditBatch int, done <-chan struct{}, tape *obs.StageTape) *Port {
+// newPort builds a port of the given depth. The receiver accumulates
+// half the depth's worth of consumed credits (at least one) before
+// returning them in one control message, so the sender can never starve.
+// tape, when non-nil, is the receiving stage's tape; Send appends each
+// batch's per-link transfer costs to it.
+func newPort(name string, path []*fabric.Link, depth int, done <-chan struct{}, tape *obs.StageTape) *Port {
 	if depth < 1 {
 		depth = 1
-	}
-	if creditBatch < 1 {
-		creditBatch = 1
-	}
-	if creditBatch > depth/2 && depth > 1 {
-		creditBatch = depth / 2
-	}
-	if depth == 1 {
-		creditBatch = 1
 	}
 	p := &Port{
 		Name:        name,
 		Path:        path,
 		depth:       depth,
-		creditBatch: creditBatch,
+		creditBatch: max(depth/2, 1),
 		ch:          make(chan portItem, depth),
 		credits:     make(chan struct{}, depth),
 		done:        done,

@@ -114,7 +114,7 @@ func TestPipelineTraceDisabledRecordsNothing(t *testing.T) {
 // (Send, Recv, CreditReturn) must not allocate.
 func TestPortHotPathZeroAllocTracingOff(t *testing.T) {
 	done := make(chan struct{})
-	port := newPort("hot", nil, 8, 4, done, nil)
+	port := newPort("hot", nil, 8, done, nil)
 	b := intBatch(1, 2, 3)
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := port.Send(b); err != nil {
@@ -166,7 +166,7 @@ func TestWidthOneStageLoopAllocatesNothingPerBatch(t *testing.T) {
 // guard; run with -benchmem to see allocs/op (must be 0).
 func BenchmarkPortSendTracingOff(b *testing.B) {
 	done := make(chan struct{})
-	port := newPort("bench", nil, 8, 4, done, nil)
+	port := newPort("bench", nil, 8, done, nil)
 	batch := intBatch(1, 2, 3, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
