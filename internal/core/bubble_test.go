@@ -10,10 +10,11 @@ import (
 )
 
 // The engine's wall-clock wiring test, run unchanged in a synctest
-// bubble: the repair controller's short context deadline runs on the
-// bubble's clock, which advances only when every goroutine in it is
-// blocked, so a loaded host cannot expire it early. The plain test stays
-// as it is. Run with GOEXPERIMENT=synctest (Go 1.24):
+// bubble: the repair controller's burn-rate yields and the test's wait
+// for the first of them run on the bubble's clock, which advances only
+// when every goroutine in it is blocked, so the wait's 10 s limit is
+// never near. The plain test stays as it is. Run with
+// GOEXPERIMENT=synctest (Go 1.24):
 //
 //	GOEXPERIMENT=synctest go test ./internal/core -run Bubble -count=20
 

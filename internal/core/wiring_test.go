@@ -171,16 +171,29 @@ func TestEveryLayerReadsTheSameServicesInAnyOrder(t *testing.T) {
 			// The controller: replica 1 is lost but reads have not opened
 			// its breaker, and the foreground misses its objective. It
 			// paces on the wall clock here: on the manual one its yields
-			// would not wait, and the burn would age out of the window
-			// before the context expired.
+			// would not wait. Run is stopped once it has yielded to the
+			// burn, not at a fixed deadline, which a loaded host can pass
+			// before Run starts.
 			df.Clock = nil
 			store.FailReplica(1)
 			for i := 0; i < 10; i++ {
 				want.SLO.Observe(time.Now(), time.Second)
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-			ctrl.Run(ctx)
+			ctx, cancel := context.WithCancel(context.Background())
+			ran := make(chan struct{})
+			go func() {
+				defer close(ran)
+				ctrl.Run(ctx)
+			}()
+			deferrals := want.Metrics.Counter("repair.deferred.burn")
+			for limit := time.Now().Add(10 * time.Second); deferrals.Value() == 0 && time.Now().Before(limit); {
+				time.Sleep(time.Millisecond)
+			}
 			cancel()
+			<-ran
+			if deferrals.Value() == 0 {
+				t.Fatalf("%s: the controller did not yield to the burning SLO within 10s", name)
+			}
 			rep := ctrl.Stats()
 			if rep.DeadDeclared != 0 {
 				t.Errorf("%s: the controller condemned a replica whose breaker is closed", name)
