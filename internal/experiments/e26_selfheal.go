@@ -347,8 +347,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 		}
 		// Each heal is counted once, by whoever wrote it.
 		if wrote := store.Totals().ReadRepairs; rep.ReadRepairs+rep.ScrubRepairs+rep.Recloned != wrote {
-			return nil, nil, fmt.Errorf("experiments: E26 %s counted %d read-repairs + %d scrub repairs + %d re-clones, the store wrote %d repairs",
-				arm, rep.ReadRepairs, rep.ScrubRepairs, rep.Recloned, wrote)
+			return nil, nil, fmt.Errorf("experiments: E26 %s counted %d+%d+%d heals, the store wrote %d", arm, rep.ReadRepairs, rep.ScrubRepairs, rep.Recloned, wrote)
 		}
 	}
 	row.RepairBytes = store.Totals().RepairBytes
