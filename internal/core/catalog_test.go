@@ -252,7 +252,7 @@ var statsSink plan.TableStats
 // allocs/op stays ≤ 32.
 func BenchmarkStatsFromWrite(b *testing.B) {
 	batch := workload.GenLineitem(workload.DefaultLineitemConfig(65536))
-	_, sums := storage.BuildSegmentSummary(0, batch)
+	_, sums := storage.WriteSegment(0, batch)
 	segs := [][]encoding.WriteSummary{sums}
 	b.ReportAllocs()
 	b.ResetTimer()

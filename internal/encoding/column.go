@@ -102,21 +102,15 @@ type WriteSummary struct {
 // exactly (see int64Sizes and dictionary), and only the winner is written.
 // Ties go to the earlier candidate — RLE, then DELTA, then BITPACK; DICT,
 // then PLAIN — each replacing the best so far only when strictly smaller.
+// The column is a view (Unmarshal) of the block its ColumnWriter writes:
+// one writer per block.
 func EncodeColumn(v *columnar.Vector) *EncodedColumn {
-	ec, _ := EncodeColumnSummary(v)
-	return ec
-}
-
-// EncodeColumnSummary is EncodeColumn that also returns the column's
-// WriteSummary, taken in the walks that encode it. The column is a view
-// (Unmarshal) of the block its ColumnWriter writes: one writer per block.
-func EncodeColumnSummary(v *columnar.Vector) (*EncodedColumn, WriteSummary) {
-	w, sum := SizeColumn(v)
+	w, _ := SizeColumn(v)
 	ec := new(EncodedColumn)
 	if _, err := ec.Unmarshal(w.AppendTo(make([]byte, 0, w.Len()))); err != nil {
 		panic(err) // the writer wrote what Unmarshal reads
 	}
-	return ec, sum
+	return ec
 }
 
 // ColumnWriter is a column sized but not yet written: its header, the

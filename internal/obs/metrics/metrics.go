@@ -65,25 +65,32 @@ func New() *Registry {
 	}
 }
 
+// instrument returns m's instrument under name, creating it with mk on
+// first use: a read-locked lookup, and under the write lock a second
+// look before mk, so concurrent first uses agree on one instrument.
+func instrument[V any](r *Registry, m map[string]*V, name string, mk func() *V) *V {
+	r.mu.RLock()
+	v := m[name]
+	r.mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if v = m[name]; v == nil {
+		v = mk()
+		m[name] = v
+	}
+	return v
+}
+
 // Counter returns the named monotonically-increasing counter, creating
 // it on first use. Nil registry → nil counter (all methods no-op).
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counts[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c = r.counts[name]; c == nil {
-		c = &Counter{}
-		r.counts[name] = c
-	}
-	return c
+	return instrument(r, r.counts, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named last-value-wins gauge.
@@ -91,19 +98,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g = r.gauges[name]; g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return instrument(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named cumulative histogram.
@@ -111,19 +106,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h = r.hists[name]; h == nil {
-		h = newHistogram()
-		r.hists[name] = h
-	}
-	return h
+	return instrument(r, r.hists, name, newHistogram)
 }
 
 // RateMeter returns the named rolling-window rate meter (default
@@ -132,19 +115,9 @@ func (r *Registry) RateMeter(name string) *RateMeter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	m := r.rates[name]
-	r.mu.RUnlock()
-	if m != nil {
-		return m
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m = r.rates[name]; m == nil {
-		m = &RateMeter{ring: newSlotRing(10*time.Second, 10)}
-		r.rates[name] = m
-	}
-	return m
+	return instrument(r, r.rates, name, func() *RateMeter {
+		return &RateMeter{ring: newSlotRing(10*time.Second, 10)}
+	})
 }
 
 // SLO returns the named SLO tracker: target is the latency objective
@@ -154,19 +127,7 @@ func (r *Registry) SLO(name string, target time.Duration, objective float64) *SL
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	s := r.slos[name]
-	r.mu.RUnlock()
-	if s != nil {
-		return s
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s = r.slos[name]; s == nil {
-		s = NewSLOTracker(target, objective)
-		r.slos[name] = s
-	}
-	return s
+	return instrument(r, r.slos, name, func() *SLOTracker { return NewSLOTracker(target, objective) })
 }
 
 // Counter is a monotonically-increasing int64. The zero value is ready;

@@ -73,36 +73,24 @@ func (t *Tracker) Observe(key string, d time.Duration) {
 
 // Latency reports key's EWMA latency and whether enough samples back it.
 func (t *Tracker) Latency(key string) (time.Duration, bool) {
-	if t == nil {
-		return 0, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.stats[key]
-	if st == nil || st.samples < int64(t.min) {
-		return 0, false
-	}
-	return time.Duration(st.ewma), true
+	return t.sampled(key, func(st *healthStat) float64 { return st.ewma })
 }
 
 // Threshold reports ewma + k*deviation for key — the hedge/straggler
 // trigger — and whether enough samples back it.
 func (t *Tracker) Threshold(key string, k float64) (time.Duration, bool) {
-	if t == nil {
-		return 0, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.stats[key]
-	if st == nil || st.samples < int64(t.min) {
-		return 0, false
-	}
-	return time.Duration(st.ewma + k*st.dev), true
+	return t.sampled(key, func(st *healthStat) float64 { return st.ewma + k*st.dev })
 }
 
 // Deviation reports key's EWMA absolute deviation and whether enough
 // samples back it.
 func (t *Tracker) Deviation(key string) (time.Duration, bool) {
+	return t.sampled(key, func(st *healthStat) float64 { return st.dev })
+}
+
+// sampled reports f of key's statistics, in nanoseconds, and whether
+// enough samples back them; a nil tracker has none.
+func (t *Tracker) sampled(key string, f func(*healthStat) float64) (time.Duration, bool) {
 	if t == nil {
 		return 0, false
 	}
@@ -112,7 +100,7 @@ func (t *Tracker) Deviation(key string) (time.Duration, bool) {
 	if st == nil || st.samples < int64(t.min) {
 		return 0, false
 	}
-	return time.Duration(st.dev), true
+	return time.Duration(f(st)), true
 }
 
 // Samples reports how many observations key has accumulated.

@@ -230,12 +230,13 @@ func (o *ObjectStore) replicaOrder(n int) []int {
 	return order
 }
 
-// Read is Get (copyOut) or GetNoCopy with an account. Whatever the read
-// cost beyond its clean payload — retries, fallbacks, hedges, discarded
-// corrupt payloads, read-repairs, budget denials — is counted in a
-// local ReadStats while the read runs and lands once, when it returns,
-// on the store's lifetime total and on acct (nil: nobody's). Only the
-// calling goroutine ever writes acct.
+// Read is Get (copyOut: the winning payload is copied once, after the
+// walk) or GetNoCopy with an account. Whatever the read cost beyond its
+// clean payload — retries, fallbacks, hedges, discarded corrupt
+// payloads, read-repairs, budget denials — is counted in a local
+// ReadStats while the read runs and lands once, when it returns, on the
+// store's lifetime total and on acct (nil: nobody's). Only the calling
+// goroutine ever writes acct.
 func (o *ObjectStore) Read(ctx context.Context, key string, copyOut bool, acct *ReadStats) ([]byte, error) {
 	o.mu.RLock()
 	copies, ok := o.objects[key]
@@ -245,8 +246,11 @@ func (o *ObjectStore) Read(ctx context.Context, key string, copyOut bool, acct *
 		return nil, fmt.Errorf("storage: object %q not found", key)
 	}
 	var rs ReadStats
-	data, err := o.getHedged(ctx, key, copies, o.replicaOrder(len(copies)), copyOut, &rs)
+	data, err := o.read(ctx, key, copies, o.replicaOrder(len(copies)), &rs)
 	o.fold(&rs, acct)
+	if copyOut && err == nil {
+		data = append([]byte(nil), data...)
+	}
 	return data, err
 }
 
@@ -274,152 +278,134 @@ func (o *ObjectStore) Totals() ReadStats {
 	return o.total
 }
 
-// seqRead walks the replicas in order, running the full retry loop
-// against each. allFallback marks every replica as a fallback (the
-// hedge path's tail, where order excludes the replicas already raced);
-// bad carries replica indices already known corrupt from an earlier
-// race, so the eventual clean payload can repair them too. A replica
-// whose payload fails Verify joins bad and the walk continues — its
-// attempts and bytes land on the corrupt-side counters, never the main
-// Meter — and once any replica serves a verified payload, every replica
-// in bad is repaired from it.
-func (o *ObjectStore) seqRead(ctx context.Context, key string, copies []replica, order []int, copyOut, allFallback bool, bad []int, rs *ReadStats) ([]byte, error) {
-	var lastErr error
-	for i, r := range order {
-		fallback := i > 0 || allFallback
-		if fallback {
-			rs.ReplicaFallbacks++
-		}
-		data, ops, err := o.readLoop(ctx, key, r, copies[r].data, copyOut, fallback, true, rs)
-		if err == nil {
-			if err = o.verifyPayload(key, r, data, ops, rs); err == nil {
-				o.Meter.Add(sim.Snapshot{Bytes: sim.Bytes(len(data)), Ops: ops})
-				o.repairBad(key, bad, data, rs)
-				return data, nil
-			}
-			bad = append(bad, r)
-		} else {
-			o.Meter.AddOps(ops) // a failed chain returned no payload
-		}
-		lastErr = err
-		if ctx != nil && ctx.Err() != nil {
-			break // cancelled mid-read: stop burning replicas
-		}
-	}
-	return nil, lastErr
-}
-
-// getHedged races the best replica against the second-best through
-// resilience.Race: the primary read starts immediately, and if it has
-// not completed after a deviation-scaled delay (and the retry budget
-// grants a token), the hedge read starts on the next replica. The first
-// verified success wins and the loser is cancelled and drained — never
-// leaked. Primary-side work lands on the main Meter; hedge-side work
-// lands only on the hedge counters, so a losing hedge leaves the main
-// Meter byte-identical to an unhedged read. Each racer counts into its
-// own ReadStats, added to rs as its result arrives. Without a hedging
-// policy or a second replica there is no race, just the walk.
-func (o *ObjectStore) getHedged(ctx context.Context, key string, copies []replica, order []int, copyOut bool, rs *ReadStats) ([]byte, error) {
-	pol := o.svc.Resilience
-	if pol == nil || !pol.Hedge || len(order) < 2 {
-		return o.seqRead(ctx, key, copies, order, copyOut, false, nil, rs)
-	}
-	prim, sec := order[0], order[1]
-
-	// The hedge fires at the primary replica's ewma + k*dev when enough
-	// history backs it, floored at HedgeMinDelay (and at 2x the healthy
-	// service time) so a cold or very tight history cannot double every
-	// read.
-	delay := pol.HedgeMinDelay
-	if d := 2 * o.BaseLatency; d > delay {
-		delay = d
-	}
-	if th, ok := pol.Health.Threshold(ReplicaKey(prim), resilience.HedgeK); ok && th > delay {
-		delay = th
-	}
-
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	read := func(r int, hedge bool) func(context.Context) raceResult {
-		return func(ctx context.Context) raceResult {
-			res := raceResult{r: r, hedge: hedge}
-			res.data, res.ops, res.err = o.readLoop(ctx, key, r, copies[r].data, copyOut, false, !hedge, &res.rs)
-			return res
-		}
-	}
-	var winner *raceResult
-	var lastErr error
-	var bad []int // replicas that served corrupt payloads, repaired below
-	// A failed racer, or the loser arriving after the winner, is charged
-	// as it ran. A payload that fails Verify is rejected onto the
-	// corrupt-side counters and its replica joins bad; otherwise it wins
-	// — which may well be the race's second finisher, after a corrupt
-	// first one was rejected.
-	launched, denied := resilience.Race(ctx, o.svc.Clock.After(delay), pol.Budget, read(prim, false), read(sec, true),
-		func(res raceResult, _ bool) bool {
-			rs.Add(res.rs)
-			if winner != nil || res.err != nil {
-				lastErr = res.err
-				o.chargeRacer(&res, rs)
-				return false
-			}
-			if verr := o.verifyPayload(key, res.r, res.data, res.ops, rs); verr != nil {
-				bad = append(bad, res.r)
-				lastErr = verr
-				return false
-			}
-			winner = &res
-			return true
-		})
-	if launched {
-		rs.HedgedReads++
-	}
-	if denied {
-		rs.RetryBudgetExhausted++
-	}
-	if winner != nil {
-		o.chargeRacer(winner, rs)
-		if winner.hedge {
-			rs.HedgeWins++
-		}
-		o.repairBad(key, bad, winner.data, rs)
-		return winner.data, nil
-	}
-
-	// Both racers failed (or the primary failed before the hedge was
-	// worth launching): fall back over the remaining replicas in order.
-	rest := order[1:]
-	if launched {
-		rest = order[2:]
-	}
-	data, err := o.seqRead(ctx, key, copies, rest, copyOut, true, bad, rs)
-	if data == nil && err == nil {
-		err = lastErr // no replicas left to walk: surface the race's error
-	}
-	return data, err
-}
-
-// raceResult is one hedged-race participant's outcome: what readLoop
-// returned and what it counted.
-type raceResult struct {
+// attempt is one replica's read chain as readLoop ran it: the payload
+// (nil on failure), the attempts it made and its error.
+type attempt struct {
 	data  []byte
 	err   error
 	ops   int64
-	rs    ReadStats
-	r     int // replica index that served (or failed) the read
-	hedge bool
+	r     int  // replica index that served (or failed) the read
+	hedge bool // the race's second racer, charged to the hedge counters
 }
 
-// chargeRacer lands one race participant's attempts and payload:
-// primary work on the main Meter, hedge work on the hedge counters.
-func (o *ObjectStore) chargeRacer(res *raceResult, rs *ReadStats) {
-	if res.hedge {
-		rs.HedgeOps += res.ops
-		rs.HedgeBytes += sim.Bytes(len(res.data))
+// racer is an attempt run on a goroutine of its own, with the counters
+// it kept there.
+type racer struct {
+	attempt
+	rs ReadStats
+}
+
+// walk is one read's progress over the replicas: the winning attempt
+// once there is one, the replicas that served corrupt payloads, and the
+// last error.
+type walk struct {
+	win attempt
+	won bool
+	bad []int
+	err error
+}
+
+// read walks the replicas in order until one serves a verified payload.
+// With a hedging policy and a second replica, the first two race through
+// resilience.Race: the primary starts at once, and if it has not
+// finished after a deviation-scaled delay (and the retry budget grants a
+// token) the hedge starts on the next replica; the loser is cancelled
+// and drained, never leaked. Every replica after them is read one at a
+// time as a fallback. Each finished attempt goes through settle, and the
+// winner is charged and repairs the corrupt replicas once, after the
+// walk. Primary-side work lands on the main Meter and hedge-side work
+// only on the hedge counters, so a losing hedge leaves the main Meter
+// byte-identical to an unhedged read.
+func (o *ObjectStore) read(ctx context.Context, key string, copies []replica, order []int, rs *ReadStats) ([]byte, error) {
+	var w walk
+	next := 0 // the first replica of order read one at a time
+	if pol := o.svc.Resilience; pol != nil && pol.Hedge && len(order) >= 2 {
+		// The hedge fires at the primary replica's ewma + k*dev when
+		// enough history backs it, floored at HedgeMinDelay (and at 2x
+		// the healthy service time) so a cold or very tight history
+		// cannot double every read.
+		delay := pol.HedgeMinDelay
+		if d := 2 * o.BaseLatency; d > delay {
+			delay = d
+		}
+		if th, ok := pol.Health.Threshold(ReplicaKey(order[0]), resilience.HedgeK); ok && th > delay {
+			delay = th
+		}
+		if ctx == nil {
+			ctx = context.Background()
+		}
+		launch := func(r int, hedge bool) func(context.Context) racer {
+			return func(ctx context.Context) racer {
+				a := racer{attempt: attempt{r: r, hedge: hedge}}
+				a.data, a.ops, a.err = o.readLoop(ctx, key, r, copies[r].data, false, !hedge, &a.rs)
+				return a
+			}
+		}
+		launched, denied := resilience.Race(ctx, o.svc.Clock.After(delay), pol.Budget, launch(order[0], false), launch(order[1], true),
+			func(a racer, _ bool) bool {
+				rs.Add(a.rs)
+				return o.settle(key, &a.attempt, &w, rs)
+			})
+		next = 1
+		if launched {
+			rs.HedgedReads++
+			next = 2
+		}
+		if denied {
+			rs.RetryBudgetExhausted++
+		}
+	}
+	for i := next; i < len(order) && !w.won; i++ {
+		if i > 0 {
+			rs.ReplicaFallbacks++
+		}
+		a := attempt{r: order[i]}
+		a.data, a.ops, a.err = o.readLoop(ctx, key, a.r, copies[a.r].data, i > 0, true, rs)
+		if !o.settle(key, &a, &w, rs) && ctx != nil && ctx.Err() != nil {
+			break // cancelled mid-read: stop burning replicas
+		}
+	}
+	if !w.won {
+		return nil, w.err
+	}
+	o.charge(&w.win, rs)
+	if w.win.hedge {
+		rs.HedgeWins++
+	}
+	o.repairBad(key, w.bad, w.win.data, rs)
+	return w.win.data, nil
+}
+
+// settle lands one finished attempt on the walk and reports whether it
+// won. A failed attempt, or one that arrives after the winner, is
+// charged as it ran. A payload that fails Verify is rejected onto the
+// corrupt-side counters and its replica joins bad. Otherwise it wins —
+// which may be the race's second finisher, after a corrupt first one
+// was rejected — and is charged once the walk is over.
+func (o *ObjectStore) settle(key string, a *attempt, w *walk, rs *ReadStats) bool {
+	if w.won || a.err != nil {
+		w.err = a.err
+		o.charge(a, rs)
+		return false
+	}
+	if err := o.verifyPayload(key, a.r, a.data, a.ops, rs); err != nil {
+		w.bad = append(w.bad, a.r)
+		w.err = err
+		return false
+	}
+	w.win, w.won = *a, true
+	return true
+}
+
+// charge lands one attempt's work and payload: primary work on the main
+// Meter, hedge work on the hedge counters.
+func (o *ObjectStore) charge(a *attempt, rs *ReadStats) {
+	if a.hedge {
+		rs.HedgeOps += a.ops
+		rs.HedgeBytes += sim.Bytes(len(a.data))
 		return
 	}
-	o.Meter.Add(sim.Snapshot{Bytes: sim.Bytes(len(res.data)), Ops: res.ops})
+	o.Meter.Add(sim.Snapshot{Bytes: sim.Bytes(len(a.data)), Ops: a.ops})
 }
 
 // readLoop reads replica r through resilience.Retry and reports how many
@@ -429,10 +415,10 @@ func (o *ObjectStore) chargeRacer(res *raceResult, rs *ReadStats) {
 // first-choice replica (for RetryBytes accounting); countRecovery gates
 // Retries so hedge-side retries do not perturb the recovery count of the
 // primary path.
-func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []byte, copyOut, fallback, countRecovery bool, rs *ReadStats) (out []byte, ops int64, err error) {
+func (o *ObjectStore) readLoop(ctx context.Context, key string, r int, data []byte, fallback, countRecovery bool, rs *ReadStats) (out []byte, ops int64, err error) {
 	retries, denied, err := resilience.Retry(ctx, o.svc.Clock, o.budget(), o.MaxRetries, o.RetryBase, func(n int) (bool, error) {
 		ops++
-		if out, err = o.readReplica(ctx, key, r, data, copyOut, rs); err != nil {
+		if out, err = o.readReplica(ctx, key, r, data, rs); err != nil {
 			fe, isFault := err.(*faults.FaultError)
 			return faults.IsTransient(err) && !(isFault && fe.Kind == faults.ObjectMissing), err
 		}
@@ -465,7 +451,7 @@ func (o *ObjectStore) budget() *resilience.Budget {
 // is slept on the store's clock — gray failures are wall-clock
 // phenomena — and the sleep honors ctx so cancelled hedges and expired
 // deadlines return immediately.
-func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data []byte, copyOut bool, rs *ReadStats) ([]byte, error) {
+func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data []byte, rs *ReadStats) ([]byte, error) {
 	clk := o.svc.Clock
 	start := clk.Now()
 	delay := o.BaseLatency
@@ -529,9 +515,6 @@ func (o *ObjectStore) readReplica(ctx context.Context, key string, r int, data [
 		}
 	}
 	o.observeRead(r, start)
-	if copyOut {
-		return append([]byte(nil), data...), nil
-	}
 	return data, nil
 }
 

@@ -30,19 +30,12 @@ type Segment struct {
 // BuildSegment encodes a batch into a segment: a view (UnmarshalSegment)
 // over the one blob WriteSegment writes, which the segment owns.
 func BuildSegment(id int, b *columnar.Batch) *Segment {
-	s, _ := BuildSegmentSummary(id, b)
-	return s
-}
-
-// BuildSegmentSummary is BuildSegment that also returns each column's
-// encoding.WriteSummary, in schema order.
-func BuildSegmentSummary(id int, b *columnar.Batch) (*Segment, []encoding.WriteSummary) {
-	blob, sums := WriteSegment(id, b)
+	blob, _ := WriteSegment(id, b)
 	s, err := UnmarshalSegment(blob)
 	if err != nil {
 		panic(err) // WriteSegment wrote what UnmarshalSegment reads
 	}
-	return s, sums
+	return s
 }
 
 // WriteSegment encodes a batch into the blob Marshal writes for its
