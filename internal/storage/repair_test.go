@@ -521,3 +521,58 @@ func BenchmarkRepairDisabled(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPolicyRead is one read of a three-replica object under the
+// default resilience policy (health ranking, hedging, breakers, retry
+// budget): what E24 and E26 pay per segment read on top of the read.
+func BenchmarkPolicyRead(b *testing.B) {
+	o := NewObjectStore(nil)
+	o.SetReplicas(3)
+	o.Put("k", make([]byte, 4096))
+	o.svc.Resilience = resilience.NewPolicy()
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.GetNoCopy(ctx, "k"); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// replicaOrder is Tracker.Rank over the replica keys, as indices: struck
+// replicas last, cold ones first in index order, the rest by latency.
+func TestReplicaOrderFollowsRank(t *testing.T) {
+	o := NewObjectStore(nil)
+	pol := resilience.NewPolicy()
+	o.svc.Resilience = pol
+	check := func(what string, n int, want ...int) {
+		t.Helper()
+		keys := make([]string, n)
+		for i := range keys {
+			keys[i] = ReplicaKey(i)
+		}
+		ranked := pol.Health.Rank(keys)
+		got := o.replicaOrder(n)
+		for i, r := range got {
+			if ReplicaKey(r) != ranked[i] || want != nil && r != want[i] {
+				t.Fatalf("%s, %d replicas: order %v, Rank %v, want %v", what, n, got, ranked, want)
+			}
+		}
+	}
+	check("all cold", 4, 0, 1, 2, 3)
+	for i := 0; i < 4; i++ {
+		pol.Health.Observe(ReplicaKey(3), 5*time.Millisecond)
+		pol.Health.Observe(ReplicaKey(1), time.Millisecond)
+		pol.Health.Observe(ReplicaKey(0), 3*time.Millisecond)
+	}
+	check("r2 cold", 4, 2, 1, 0, 3)
+	check("r2 cold", 3, 2, 1, 0)
+	check("two sampled", 2, 1, 0)
+	pol.Health.MarkCorrupt(ReplicaKey(1))
+	check("r1 struck", 4, 2, 0, 3, 1)
+	pol.Health.MarkCorrupt(ReplicaKey(2))
+	check("r1 and r2 struck", 4, 0, 3, 2, 1)
+	check("r1 and r2 struck", 3, 0, 2, 1)
+	check("one replica", 1, 0)
+}
