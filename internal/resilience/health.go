@@ -1,6 +1,8 @@
 package resilience
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -186,27 +188,38 @@ func (t *Tracker) CorruptStrikes(key string) int64 {
 // corrupt replica must stop winning reads and hedges until it is
 // repaired. The slice is sorted in place and returned.
 func (t *Tracker) Rank(keys []string) []string {
+	return RankBy(t, keys, func(k string) string { return k })
+}
+
+// RankBy is Rank over items, each tracked under key(item): a caller
+// that holds indices ranks them without building their keys' slice.
+func RankBy[T any](t *Tracker, items []T, key func(T) string) []T {
 	if t == nil {
-		return keys
+		return items
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sort.SliceStable(keys, func(i, j int) bool {
-		a, b := t.stats[keys[i]], t.stats[keys[j]]
-		abad := a != nil && a.strikes > 0
-		bbad := b != nil && b.strikes > 0
-		if abad != bbad {
-			return !abad // clean keys before struck keys
+	// class is 0 for a cold key, 1 for a sampled one, plus 2 if struck.
+	class := func(st *healthStat) int {
+		if st == nil {
+			return 0
 		}
-		aok := a != nil && a.samples >= int64(t.min)
-		bok := b != nil && b.samples >= int64(t.min)
-		if aok != bok {
-			return !aok // unsampled first: probe cold replicas
+		c := 0
+		if st.strikes > 0 {
+			c = 2
 		}
-		if !aok {
-			return false // both cold: keep incoming order
+		if st.samples >= int64(t.min) {
+			c++
 		}
-		return a.ewma < b.ewma
+		return c
+	}
+	slices.SortStableFunc(items, func(a, b T) int {
+		sa, sb := t.stats[key(a)], t.stats[key(b)]
+		ca, cb := class(sa), class(sb)
+		if ca != cb || ca&1 == 0 {
+			return cmp.Compare(ca, cb) // cold keys keep their incoming order
+		}
+		return cmp.Compare(sa.ewma, sb.ewma)
 	})
-	return keys
+	return items
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -196,8 +197,20 @@ func (o *ObjectStore) GetNoCopy(ctx context.Context, key string) ([]byte, error)
 // ReplicaKey names replica r for fault targeting ("store/r<i>/<key>" is
 // what gray-failure points match against), health tracking and breakers.
 func ReplicaKey(r int) string {
-	return fmt.Sprintf("store/r%d", r)
+	if uint(r) < uint(len(replicaKeys)) {
+		return replicaKeys[r]
+	}
+	return "store/r" + strconv.Itoa(r)
 }
+
+// replicaKeys holds the first replicas' keys, made once: a read under a
+// policy names its replicas on every attempt.
+var replicaKeys = func() (keys [8]string) {
+	for r := range keys {
+		keys[r] = "store/r" + strconv.Itoa(r)
+	}
+	return keys
+}()
 
 // singleReplica is the shared read order of every single-replica store;
 // it is never mutated (Rank only reorders slices of length >= 2), so
@@ -214,18 +227,8 @@ func (o *ObjectStore) replicaOrder(n int) []int {
 	for i := range order {
 		order[i] = i
 	}
-	pol := o.svc.Resilience
-	if pol == nil || pol.Health == nil || n < 2 {
-		return order
-	}
-	keys := make([]string, n)
-	byKey := make(map[string]int, n)
-	for i := range keys {
-		keys[i] = ReplicaKey(i)
-		byKey[keys[i]] = i
-	}
-	for i, k := range pol.Health.Rank(keys) {
-		order[i] = byKey[k]
+	if pol := o.svc.Resilience; pol != nil {
+		resilience.RankBy(pol.Health, order, ReplicaKey)
 	}
 	return order
 }
