@@ -314,28 +314,35 @@ func (v *Vector) Value(i int) Value {
 }
 
 // Gather returns a new vector containing the values at the given row
-// indices, in order. Null bits are carried over. No engine path calls it
-// (see Batch.Filter); it stays as the plain per-row reference the property
-// tests compare Filter and encoding's gather-decode against.
+// indices, in order. Null bits are carried over. A scan's rows are taken a
+// selection word at a time instead (Batch.Filter); Gather orders a GROUP
+// BY's result, and is the per-row reference the property tests compare
+// Filter and encoding's gather-decode against.
 func (v *Vector) Gather(indices []int) *Vector {
 	out := NewVector(v.typ, len(indices))
 	for _, i := range indices {
-		if v.IsNull(i) {
-			out.AppendNull()
-			continue
-		}
-		switch v.typ {
-		case Int64:
-			out.AppendInt64(v.ints[i])
-		case Float64:
-			out.AppendFloat64(v.flts[i])
-		case String:
-			out.AppendString(v.StringAt(i))
-		case Bool:
-			out.AppendBool(v.bools[i])
-		}
+		out.AppendFrom(v, i)
 	}
 	return out
+}
+
+// AppendFrom appends value i of src, a vector of v's type, NULL or not,
+// without boxing it.
+func (v *Vector) AppendFrom(src *Vector, i int) {
+	if src.IsNull(i) {
+		v.AppendNull()
+		return
+	}
+	switch v.typ {
+	case Int64:
+		v.AppendInt64(src.ints[i])
+	case Float64:
+		v.AppendFloat64(src.flts[i])
+	case String:
+		v.AppendString(src.StringAt(i))
+	case Bool:
+		v.AppendBool(src.bools[i])
+	}
 }
 
 // filter returns a new vector holding the rows whose bit is set in sel,

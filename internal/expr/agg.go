@@ -71,32 +71,38 @@ func (g GroupBy) Columns() []int {
 }
 
 // OutputSchema derives the result schema: group columns first, then one
-// column per aggregate. Avg and Count produce DOUBLE and BIGINT; Sum
-// follows the input type; Min/Max keep the input type.
+// column per aggregate, named "count" or after its function and input
+// ("sum_l_quantity"), of the type resultType gives.
 func (g GroupBy) OutputSchema(in *columnar.Schema) *columnar.Schema {
 	fields := make([]columnar.Field, 0, len(g.GroupCols)+len(g.Aggs))
 	for _, c := range g.GroupCols {
 		fields = append(fields, in.Fields[c])
 	}
 	for _, a := range g.Aggs {
-		switch a.Func {
-		case Count:
-			fields = append(fields, columnar.Field{Name: "count", Type: columnar.Int64})
-		case Avg:
-			fields = append(fields, columnar.Field{
-				Name: fmt.Sprintf("avg_%s", in.Fields[a.Col].Name), Type: columnar.Float64})
-		case Sum:
-			fields = append(fields, columnar.Field{
-				Name: fmt.Sprintf("sum_%s", in.Fields[a.Col].Name), Type: in.Fields[a.Col].Type})
-		case Min:
-			fields = append(fields, columnar.Field{
-				Name: fmt.Sprintf("min_%s", in.Fields[a.Col].Name), Type: in.Fields[a.Col].Type})
-		case Max:
-			fields = append(fields, columnar.Field{
-				Name: fmt.Sprintf("max_%s", in.Fields[a.Col].Name), Type: in.Fields[a.Col].Type})
+		f := columnar.Field{Name: "count", Type: columnar.Int64}
+		if a.Func != Count {
+			arg := in.Fields[a.Col]
+			f = columnar.Field{Name: resultPrefix[a.Func] + arg.Name, Type: a.Func.resultType(arg.Type)}
 		}
+		fields = append(fields, f)
 	}
 	return &columnar.Schema{Fields: fields}
+}
+
+// resultPrefix is what OutputSchema puts before an aggregate's input
+// column name.
+var resultPrefix = [...]string{Sum: "sum_", Min: "min_", Max: "max_", Avg: "avg_"}
+
+// resultType is the type of f's result over an input of type t: BIGINT
+// for COUNT, DOUBLE for AVG, the input type for SUM, MIN and MAX.
+func (f AggFunc) resultType(t columnar.Type) columnar.Type {
+	switch f {
+	case Count:
+		return columnar.Int64
+	case Avg:
+		return columnar.Float64
+	}
+	return t
 }
 
 // AggState accumulates one aggregate for one group. Partial states
@@ -163,31 +169,21 @@ func canonF(f float64) float64 {
 	return f
 }
 
-// Result extracts the final value for the given function and output type.
-func (s *AggState) Result(f AggFunc, t columnar.Type) columnar.Value {
-	if s.Count == 0 && f != Count {
-		return columnar.NullValue(t)
-	}
+// final is f's result over s as a BIGINT and as a DOUBLE: the result
+// type picks one. Unless f is COUNT, a state without rows has no result
+// (it is NULL) and what final returns for it is meaningless.
+func (s *AggState) final(f AggFunc) (int64, float64) {
 	switch f {
 	case Count:
-		return columnar.IntValue(s.Count)
+		return s.Count, 0
 	case Avg:
-		return columnar.FloatValue(s.SumF / float64(s.Count))
+		return 0, s.SumF / float64(s.Count)
 	case Sum:
-		if t == columnar.Float64 {
-			return columnar.FloatValue(s.SumF)
-		}
-		return columnar.IntValue(s.SumI)
+		return s.SumI, s.SumF
 	case Min:
-		if t == columnar.Float64 {
-			return columnar.FloatValue(s.MinF)
-		}
-		return columnar.IntValue(s.MinI)
+		return s.MinI, s.MinF
 	case Max:
-		if t == columnar.Float64 {
-			return columnar.FloatValue(s.MaxF)
-		}
-		return columnar.IntValue(s.MaxI)
+		return s.MaxI, s.MaxF
 	}
 	panic(fmt.Sprintf("expr: unknown aggregate %v", f))
 }

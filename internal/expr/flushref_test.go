@@ -129,7 +129,7 @@ func TestFlushAndResultMatchRowReference(t *testing.T) {
 	twoKeySchema, twoKey := twoKeyBatches()
 	twoKeySpec := expr.GroupBy{GroupCols: []int{0, 1}, Aggs: []expr.AggSpec{
 		{Func: expr.Count}, {Func: expr.Sum, Col: 2}, {Func: expr.Min, Col: 3}, {Func: expr.Max, Col: 2},
-		{Func: expr.Avg, Col: 3}, {Func: expr.Sum, Col: 3},
+		{Func: expr.Avg, Col: 3}, {Func: expr.Sum, Col: 3}, {Func: expr.Avg, Col: 2},
 	}}
 	for _, c := range []struct {
 		name    string

@@ -153,10 +153,10 @@ func TestFoldKeepsWhatResultReads(t *testing.T) {
 			if len(p.groups) != len(want) {
 				t.Fatalf("%s: %d groups, want %d", what, len(p.groups), len(want))
 			}
-			for s, g := range p.groups {
-				w := readFields(*want[g.vals[0].I], f, typ)
+			for s, k := range p.keyCols[0].Int64s() {
+				w := readFields(*want[k], f, typ)
 				if got := p.states[s+1]; !sameState(got, w) {
-					t.Fatalf("%s: group %d state %+v, want %+v", what, g.vals[0].I, got, w)
+					t.Fatalf("%s: group %d state %+v, want %+v", what, k, got, w)
 				}
 			}
 		}

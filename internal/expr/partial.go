@@ -2,12 +2,12 @@ package expr
 
 import (
 	"encoding/binary"
-	"fmt"
 	"maps"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/columnar"
 )
@@ -28,6 +28,26 @@ import (
 // partialStateCols is the number of state columns emitted per AggSpec.
 const partialStateCols = 7
 
+// stateFields are the name suffixes and types of an aggregate's seven
+// state columns, in wire order: an AggState's fields.
+var stateFields = [partialStateCols]columnar.Field{
+	{Name: "_cnt", Type: columnar.Int64}, {Name: "_sumi", Type: columnar.Int64}, {Name: "_sumf", Type: columnar.Float64},
+	{Name: "_mini", Type: columnar.Int64}, {Name: "_maxi", Type: columnar.Int64},
+	{Name: "_minf", Type: columnar.Float64}, {Name: "_maxf", Type: columnar.Float64},
+}
+
+// stateNames[i][k] names state column k of aggregate i ("a<i>_cnt" ...),
+// made once for the first aggregates, so a flush names its columns
+// without building strings.
+var stateNames = func() (names [16][partialStateCols]string) {
+	for i := range names {
+		for k, f := range stateFields {
+			names[i][k] = "a" + strconv.Itoa(i) + f.Name
+		}
+	}
+	return names
+}()
+
 // PartialSchema derives the wire schema of partial aggregation results
 // for spec over input schema in: the group columns, then an AggState's
 // seven fields per aggregate whatever its function. A function's state
@@ -40,22 +60,16 @@ func PartialSchema(spec GroupBy, in *columnar.Schema) *columnar.Schema {
 		fields = append(fields, in.Fields[c])
 	}
 	for i := range spec.Aggs {
-		fields = append(fields,
-			columnar.Field{Name: fmt.Sprintf("a%d_cnt", i), Type: columnar.Int64},
-			columnar.Field{Name: fmt.Sprintf("a%d_sumi", i), Type: columnar.Int64},
-			columnar.Field{Name: fmt.Sprintf("a%d_sumf", i), Type: columnar.Float64},
-			columnar.Field{Name: fmt.Sprintf("a%d_mini", i), Type: columnar.Int64},
-			columnar.Field{Name: fmt.Sprintf("a%d_maxi", i), Type: columnar.Int64},
-			columnar.Field{Name: fmt.Sprintf("a%d_minf", i), Type: columnar.Float64},
-			columnar.Field{Name: fmt.Sprintf("a%d_maxf", i), Type: columnar.Float64},
-		)
+		for k, f := range stateFields {
+			if i < len(stateNames) {
+				f.Name = stateNames[i][k]
+			} else {
+				f.Name = "a" + strconv.Itoa(i) + f.Name
+			}
+			fields = append(fields, f)
+		}
 	}
 	return &columnar.Schema{Fields: fields}
-}
-
-type partialGroup struct {
-	key  string           // the encoded group key (appendGroupKey); Result sorts by it
-	vals []columnar.Value // group column values, written once, when the group is made
 }
 
 // aggChunk is how many rows AddRaw and AddPartial assign to groups before
@@ -72,13 +86,16 @@ type PartialAggregator struct {
 	In        *columnar.Schema
 	MaxGroups int // 0 = unbounded
 
-	// groups[s] is the group in slot s, in creation order, and
-	// states[(s+1)*len(Spec.Aggs)+ai] its aggregate ai. The first
-	// len(Spec.Aggs) states are scratch: a row whose slot is -1 (the
+	// groups[s] is the encoded key (appendGroupKey) of the group in slot
+	// s, in creation order; Result sorts by it. keyCols[j] holds group
+	// column j's value of every slot, appended when the group is made,
+	// and states[(s+1)*len(Spec.Aggs)+ai] is slot s's aggregate ai. The
+	// first len(Spec.Aggs) states are scratch: a row whose slot is -1 (the
 	// selection drops it, or its input is NULL) folds into them, so the
 	// fold loops need no branch, and nothing reads them.
-	groups []partialGroup
-	states []AggState
+	groups  []string
+	keyCols []*columnar.Vector
+	states  []AggState
 
 	// keys maps a group's encoded key (appendGroupKey) to its slot, made
 	// on the first insert. With no group columns the one group is slot 0
@@ -105,8 +122,10 @@ func NewPartialAggregator(spec GroupBy, in *columnar.Schema, maxGroups int) *Par
 	p := &PartialAggregator{Spec: spec, In: in, MaxGroups: maxGroups, states: make([]AggState, len(spec.Aggs))}
 	if n := len(spec.GroupCols); n > 0 {
 		p.partialCols = make([]int, n)
-		for i := range p.partialCols {
+		p.keyCols = make([]*columnar.Vector, n)
+		for i, c := range spec.GroupCols {
 			p.partialCols[i] = i
+			p.keyCols[i] = columnar.NewVector(in.Fields[c].Type, 0)
 		}
 	}
 	return p
@@ -245,17 +264,17 @@ func (p *PartialAggregator) newGroup(b *columnar.Batch, cols []int, row int) (s 
 	}
 	s = int32(len(p.groups))
 	p.key = appendGroupKey(p.key[:0], b, cols, row)
-	g := partialGroup{key: string(p.key), vals: make([]columnar.Value, len(cols))}
+	key := string(p.key)
+	p.groups = append(p.groups, key)
 	for j, c := range cols {
-		g.vals[j] = b.Col(c).Value(row)
+		p.keyCols[j].AppendFrom(b.Col(c), row)
 	}
-	p.groups = append(p.groups, g)
 	p.states = append(p.states, make([]AggState, len(p.Spec.Aggs))...)
 	if len(cols) > 0 {
 		if p.keys == nil {
 			p.keys = make(map[string]int32)
 		}
-		p.keys[g.key] = s
+		p.keys[key] = s
 	}
 	return s, true
 }
@@ -399,11 +418,16 @@ func (p *PartialAggregator) merge(b *columnar.Batch, from int, slots []int32) {
 
 // Clone deep-copies the aggregator's accumulated state, for stage-level
 // checkpointing: either side can keep folding rows without affecting the
-// other. Group values are shared, as nothing writes them after a group
-// is made.
+// other. Its key columns are views of the original's, capacity-clamped:
+// nothing writes a group's values after the group is made, and the
+// clone's next append copies them.
 func (p *PartialAggregator) Clone() *PartialAggregator {
 	c := *p
 	c.groups = slices.Clone(p.groups)
+	c.keyCols = make([]*columnar.Vector, len(p.keyCols))
+	for j, v := range p.keyCols {
+		c.keyCols[j] = v.Slice(0, v.Len())
+	}
 	c.states = slices.Clone(p.states)
 	c.keys = maps.Clone(p.keys)
 	c.key, c.remap, c.remapDict = nil, nil, nil
@@ -411,34 +435,47 @@ func (p *PartialAggregator) Clone() *PartialAggregator {
 }
 
 // Flush emits all held groups as one partial batch (nil when empty) and
-// clears the state.
+// clears the state. The batch is built a column at a time: the key
+// columns are handed over as they are, and each state column is cut from
+// one []int64 or one []float64, its header from one []columnar.Vector.
 func (p *PartialAggregator) Flush() *columnar.Batch {
-	if len(p.groups) == 0 {
+	n, na := len(p.groups), len(p.Spec.Aggs)
+	if n == 0 {
 		return nil
 	}
-	na := len(p.Spec.Aggs)
-	out := columnar.NewBatch(p.PartialSchema(), len(p.groups))
-	row := make([]columnar.Value, 0, len(p.Spec.GroupCols)+partialStateCols*na)
-	for s, g := range p.groups {
-		row = append(row[:0], g.vals...)
-		for _, st := range p.states[(s+1)*na : (s+2)*na] {
-			row = append(row,
-				columnar.IntValue(st.Count),
-				columnar.IntValue(st.SumI),
-				columnar.FloatValue(st.SumF),
-				columnar.IntValue(st.MinI),
-				columnar.IntValue(st.MaxI),
-				columnar.FloatValue(st.MinF),
-				columnar.FloatValue(st.MaxF),
-			)
+	cols := make([]*columnar.Vector, 0, len(p.keyCols)+partialStateCols*na)
+	for j, v := range p.keyCols {
+		cols, p.keyCols[j] = append(cols, v), columnar.NewVector(v.Type(), 0)
+	}
+	ints, flts := make([]int64, 4*na*n), make([]float64, 3*na*n)
+	vecs := make([]columnar.Vector, 0, partialStateCols*na)
+	for ai := range p.Spec.Aggs {
+		cnt, sumI, sumF, minI := cut(&ints, n), cut(&ints, n), cut(&flts, n), cut(&ints, n)
+		maxI, minF, maxF := cut(&ints, n), cut(&flts, n), cut(&flts, n)
+		for s := range n {
+			st := &p.states[(s+1)*na+ai]
+			cnt[s], sumI[s], sumF[s], minI[s] = st.Count, st.SumI, st.SumF, st.MinI
+			maxI[s], minF[s], maxF[s] = st.MaxI, st.MinF, st.MaxF
 		}
-		out.AppendRow(row...)
+		vecs = append(vecs, *columnar.FromInt64s(cnt), *columnar.FromInt64s(sumI), *columnar.FromFloat64s(sumF),
+			*columnar.FromInt64s(minI), *columnar.FromInt64s(maxI), *columnar.FromFloat64s(minF), *columnar.FromFloat64s(maxF))
+	}
+	for k := range vecs {
+		cols = append(cols, &vecs[k])
 	}
 	clear(p.groups)
 	p.groups, p.states = p.groups[:0], p.states[:na]
 	clear(p.keys)
 	p.remapDict = nil
-	return out
+	return columnar.BatchOf(p.PartialSchema(), cols...)
+}
+
+// cut returns the first n values of *slab, capacity-clamped, and moves
+// *slab past them.
+func cut[T any](slab *[]T, n int) []T {
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
 }
 
 // FinalAggregator merges partials (or raw rows) into exact final results
@@ -467,29 +504,61 @@ func (f *FinalAggregator) Clone() *FinalAggregator {
 }
 
 // Result materializes the final aggregate values, sorted by group key for
-// deterministic output.
+// deterministic output, a column at a time: the key columns gathered in
+// that order, and each aggregate's column cut from one []int64 or one
+// []float64, as its result type says, NULL where its group had no input.
 func (f *FinalAggregator) Result() *columnar.Batch {
 	p := f.partial
-	spec, na := p.Spec, len(p.Spec.Aggs)
-	out := columnar.NewBatch(spec.OutputSchema(f.in), len(p.groups))
-	order := make([]int, len(p.groups))
+	n, na, nk := len(p.groups), len(p.Spec.Aggs), len(p.keyCols)
+	schema := p.Spec.OutputSchema(f.in)
+	order := make([]int, n)
 	for s := range order {
 		order[s] = s
 	}
-	sort.Slice(order, func(i, j int) bool { return p.groups[order[i]].key < p.groups[order[j]].key })
-	row := make([]columnar.Value, 0, len(spec.GroupCols)+na)
-	for _, s := range order {
-		row = append(row[:0], p.groups[s].vals...)
-		for ai, a := range spec.Aggs {
-			typ := columnar.Int64
-			if a.Func != Count {
-				typ = f.in.Fields[a.Col].Type
-			}
-			row = append(row, p.states[(s+1)*na+ai].Result(a.Func, typ))
-		}
-		out.AppendRow(row...)
+	slices.SortFunc(order, func(a, b int) int { return strings.Compare(p.groups[a], p.groups[b]) })
+	cols := make([]*columnar.Vector, 0, nk+na)
+	for _, v := range p.keyCols {
+		cols = append(cols, v.Gather(order))
 	}
-	return out
+	floats := 0
+	for _, fld := range schema.Fields[nk:] {
+		if fld.Type == columnar.Float64 {
+			floats++
+		}
+	}
+	ints, flts := make([]int64, (na-floats)*n), make([]float64, floats*n)
+	vecs := make([]columnar.Vector, na)
+	for ai, a := range p.Spec.Aggs {
+		var iv []int64
+		var fv []float64
+		var nulls *columnar.Bitmap
+		if schema.Fields[nk+ai].Type == columnar.Float64 {
+			fv = cut(&flts, n)
+			vecs[ai] = *columnar.FromFloat64s(fv)
+		} else {
+			iv = cut(&ints, n)
+			vecs[ai] = *columnar.FromInt64s(iv)
+		}
+		for k, s := range order {
+			st := &p.states[(s+1)*na+ai]
+			if i, x := st.final(a.Func); fv != nil {
+				fv[k] = x
+			} else {
+				iv[k] = i
+			}
+			if st.Count == 0 && a.Func != Count {
+				if nulls == nil {
+					nulls = columnar.NewBitmap(n)
+				}
+				nulls.Set(k) // SetNulls zeroes its value
+			}
+		}
+		if nulls != nil {
+			vecs[ai].SetNulls(nulls)
+		}
+		cols = append(cols, &vecs[ai])
+	}
+	return columnar.BatchOf(schema, cols...)
 }
 
 // appendGroupKey appends to buf a collision-free byte key of row's values

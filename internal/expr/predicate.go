@@ -9,6 +9,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -464,14 +465,19 @@ func unionColumns(preds []Predicate) []int {
 // ColumnSet is the ascending, duplicate-free set of table columns that a
 // filter, a group-by and a column list touch together (any of them may
 // be nil), keeping only indices in [0, numCols). Ascending is the order
-// storage ships columns in. An empty set is nil.
+// storage ships columns in. An empty set is nil. The set is marked in a
+// bitset, one word on the stack up to 64 columns.
 func ColumnSet(numCols int, filter Predicate, g *GroupBy, more []int) []int {
-	used := make([]bool, numCols)
+	var small [1]uint64
+	used := small[:]
+	if numCols > 64 {
+		used = make([]uint64, (numCols+63)/64)
+	}
 	n := 0
 	mark := func(cols []int) {
 		for _, c := range cols {
-			if c >= 0 && c < numCols && !used[c] {
-				used[c] = true
+			if c >= 0 && c < numCols && used[c>>6]&(1<<(c&63)) == 0 {
+				used[c>>6] |= 1 << (c & 63)
 				n++
 			}
 		}
@@ -487,9 +493,9 @@ func ColumnSet(numCols int, filter Predicate, g *GroupBy, more []int) []int {
 		return nil
 	}
 	out := make([]int, 0, n)
-	for c, u := range used {
-		if u {
-			out = append(out, c)
+	for wi, w := range used {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, wi<<6+bits.TrailingZeros64(w))
 		}
 	}
 	return out

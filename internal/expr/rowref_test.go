@@ -6,6 +6,22 @@ import (
 	"repro/internal/columnar"
 )
 
+// Result is the final value of f over an input of type t, boxed: NULL of
+// the result type when the group had no input, except for COUNT. It is
+// what the row-built reference appends; FinalAggregator.Result writes the
+// same values a column at a time.
+func (s *AggState) Result(f AggFunc, t columnar.Type) columnar.Value {
+	t = f.resultType(t)
+	if s.Count == 0 && f != Count {
+		return columnar.NullValue(t)
+	}
+	i, x := s.final(f)
+	if t == columnar.Float64 {
+		return columnar.FloatValue(x)
+	}
+	return columnar.IntValue(i)
+}
+
 // RowReference aggregates batches a row at a time (refAgg) and returns
 // what a PartialAggregator with the same budget flushes, its last Flush
 // included, and what a FinalAggregator's Result is: each group appended

@@ -200,15 +200,11 @@ func RankBy[T any](t *Tracker, items []T, key func(T) string) []T {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// class is 0 for a cold key, 1 for a sampled one, plus 2 if struck.
-	class := func(st *healthStat) int {
-		if st == nil {
-			return 0
-		}
-		c := 0
-		if st.strikes > 0 {
+	class := func(st *healthStat) (c int) {
+		if st != nil && st.strikes > 0 {
 			c = 2
 		}
-		if st.samples >= int64(t.min) {
+		if st != nil && st.samples >= int64(t.min) {
 			c++
 		}
 		return c

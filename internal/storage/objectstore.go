@@ -203,14 +203,9 @@ func ReplicaKey(r int) string {
 	return "store/r" + strconv.Itoa(r)
 }
 
-// replicaKeys holds the first replicas' keys, made once: a read under a
-// policy names its replicas on every attempt.
-var replicaKeys = func() (keys [8]string) {
-	for r := range keys {
-		keys[r] = "store/r" + strconv.Itoa(r)
-	}
-	return keys
-}()
+// replicaKeys holds the first replicas' keys: a read under a policy
+// names its replicas on every attempt.
+var replicaKeys = [...]string{"store/r0", "store/r1", "store/r2", "store/r3", "store/r4", "store/r5", "store/r6", "store/r7"}
 
 // singleReplica is the shared read order of every single-replica store;
 // it is never mutated (Rank only reorders slices of length >= 2), so
