@@ -20,16 +20,12 @@ func lineitemStats() (TableStats, workload.LineitemConfig) {
 	return st, cfg
 }
 
-// BenchmarkEnumerate times one query's planning on the default cluster,
-// the work every Execute and every recovery re-plan pays before a byte
-// moves.
-func BenchmarkEnumerate(b *testing.B) {
-	st, cfg := lineitemStats()
-	pm, err := FromCluster(fabric.NewCluster(fabric.DefaultClusterConfig()), 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	shapes := []struct {
+// enumerateShapes are the three query shapes BenchmarkEnumerate plans.
+func enumerateShapes(cfg workload.LineitemConfig) []struct {
+	name string
+	q    *Query
+} {
+	return []struct {
 		name string
 		q    *Query
 	}{
@@ -39,7 +35,18 @@ func BenchmarkEnumerate(b *testing.B) {
 			WithGroupBy(workload.PricingSummary())},
 		{"count", NewQuery("lineitem").WithCount()},
 	}
-	for _, s := range shapes {
+}
+
+// BenchmarkEnumerate times one query's planning on the default cluster,
+// the work every Execute and every recovery re-plan pays before a byte
+// moves.
+func BenchmarkEnumerate(b *testing.B) {
+	st, cfg := lineitemStats()
+	pm, err := FromCluster(fabric.NewCluster(fabric.DefaultClusterConfig()), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range enumerateShapes(cfg) {
 		b.Run(s.name, func(b *testing.B) {
 			o := &Optimizer{Path: pm}
 			b.ReportAllocs()
