@@ -427,18 +427,20 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 		}
 	}
 
-	var maxBatch sim.Bytes
-	var scanStats storage.ScanStats
-	pipe := &flow.Pipeline{
+	// The pipeline and what its source reports are one allocation.
+	var run struct {
+		pipe     flow.Pipeline
+		maxBatch sim.Bytes // the largest batch the scan emitted
+		scan     storage.ScanStats
+	}
+	run.pipe = flow.Pipeline{
 		Name: "q-" + ph.Variant,
 		Source: func(emit flow.Emit) error {
 			st, err := e.Storage.ScanPooled(ctx, q.Table, spec, func(b *columnar.Batch) error {
-				if n := sim.Bytes(b.ByteSize()); n > maxBatch {
-					maxBatch = n
-				}
+				run.maxBatch = max(run.maxBatch, sim.Bytes(b.ByteSize()))
 				return emit(b)
 			})
-			scanStats = st
+			run.scan = st
 			return err
 		},
 		Stages:      stages,
@@ -454,13 +456,13 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 
 	r.batch0 = len(x.batches)
 	result := &Result{Batches: x.batches, Trace: x.tr}
-	flowRes, err := pipe.Run(ctx, func(b *columnar.Batch) error {
+	flowRes, err := run.pipe.Run(ctx, func(b *columnar.Batch) error {
 		result.Batches = append(result.Batches, b)
 		return nil
 	})
 	x.batches = result.Batches
-	x.scan.Add(scanStats)
-	x.maxBatch = max(x.maxBatch, maxBatch)
+	x.scan.Add(run.scan)
+	x.maxBatch = max(x.maxBatch, run.maxBatch)
 	x.checkpoints += ck.Completed()
 	if err != nil {
 		// A copy, so r itself stays off the heap on the fault-free path.

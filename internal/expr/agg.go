@@ -61,13 +61,21 @@ type GroupBy struct {
 // then every non-COUNT aggregate's argument (COUNT reads none). Columns
 // may repeat; ColumnSet makes a set of them.
 func (g GroupBy) Columns() []int {
-	cols := append(make([]int, 0, len(g.GroupCols)+len(g.Aggs)), g.GroupCols...)
+	cols := make([]int, 0, len(g.GroupCols)+len(g.Aggs))
+	g.eachColumn(func(c int) { cols = append(cols, c) })
+	return cols
+}
+
+// eachColumn calls fn with every column Columns lists.
+func (g *GroupBy) eachColumn(fn func(int)) {
+	for _, c := range g.GroupCols {
+		fn(c)
+	}
 	for _, a := range g.Aggs {
 		if a.Func != Count {
-			cols = append(cols, a.Col)
+			fn(a.Col)
 		}
 	}
-	return cols
 }
 
 // OutputSchema derives the result schema: group columns first, then one

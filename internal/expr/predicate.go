@@ -398,7 +398,7 @@ func (p *And) Eval(b *columnar.Batch) *columnar.Bitmap {
 }
 
 // Columns implements Predicate.
-func (p *And) Columns() []int { return unionColumns(p.Preds) }
+func (p *And) Columns() []int { return unionColumns(p) }
 
 // String implements Predicate.
 func (p *And) String() string { return joinPreds(p.Preds, " AND ") }
@@ -419,7 +419,7 @@ func (p *Or) Eval(b *columnar.Batch) *columnar.Bitmap {
 }
 
 // Columns implements Predicate.
-func (p *Or) Columns() []int { return unionColumns(p.Preds) }
+func (p *Or) Columns() []int { return unionColumns(p) }
 
 // String implements Predicate.
 func (p *Or) String() string { return joinPreds(p.Preds, " OR ") }
@@ -447,19 +447,46 @@ func (p *Not) Columns() []int { return p.Pred.Columns() }
 // String implements Predicate.
 func (p *Not) String() string { return "NOT (" + p.Pred.String() + ")" }
 
-// unionColumns lists the distinct columns of preds in first-use order
+// unionColumns lists the distinct columns of p in first-use order
 // (callers ship Columns()[0] as a COUNT's one narrow column). A linear
 // scan: a predicate touches a handful of columns.
-func unionColumns(preds []Predicate) []int {
+func unionColumns(p Predicate) []int {
 	var out []int
-	for _, p := range preds {
+	eachColumn(p, func(c int) {
+		if !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	})
+	return out
+}
+
+// eachColumn calls fn with every column p reads, repeats included,
+// without building a Columns list.
+func eachColumn(p Predicate, fn func(int)) {
+	var subs []Predicate
+	switch t := p.(type) {
+	case *Cmp:
+		fn(t.Col)
+	case *Between:
+		fn(t.Col)
+	case *Like:
+		fn(t.Col)
+	case *In:
+		fn(t.Col)
+	case *And:
+		subs = t.Preds
+	case *Or:
+		subs = t.Preds
+	case *Not:
+		eachColumn(t.Pred, fn)
+	default:
 		for _, c := range p.Columns() {
-			if !slices.Contains(out, c) {
-				out = append(out, c)
-			}
+			fn(c)
 		}
 	}
-	return out
+	for _, sub := range subs {
+		eachColumn(sub, fn)
+	}
 }
 
 // ColumnSet is the ascending, duplicate-free set of table columns that a
@@ -474,21 +501,21 @@ func ColumnSet(numCols int, filter Predicate, g *GroupBy, more []int) []int {
 		used = make([]uint64, (numCols+63)/64)
 	}
 	n := 0
-	mark := func(cols []int) {
-		for _, c := range cols {
-			if c >= 0 && c < numCols && used[c>>6]&(1<<(c&63)) == 0 {
-				used[c>>6] |= 1 << (c & 63)
-				n++
-			}
+	mark := func(c int) {
+		if c >= 0 && c < numCols && used[c>>6]&(1<<(c&63)) == 0 {
+			used[c>>6] |= 1 << (c & 63)
+			n++
 		}
 	}
 	if filter != nil {
-		mark(filter.Columns())
+		eachColumn(filter, mark)
 	}
 	if g != nil {
-		mark(g.Columns())
+		g.eachColumn(mark)
 	}
-	mark(more)
+	for _, c := range more {
+		mark(c)
+	}
 	if n == 0 {
 		return nil
 	}

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -38,14 +37,33 @@ type Account struct {
 // usage is one resource's entry in an account.
 type usage struct {
 	total sim.Snapshot
-	lanes []sim.VTime // one per unit, allocated by the first lane charge
+	lanes []sim.VTime // one per unit of a multi-unit resource, else nil
 }
 
 // NewAccount returns an empty account over the topology's devices and
-// links as they are now; the two lists share one allocation.
+// links as they are now; the two lists share one allocation, and the
+// lanes of every multi-unit resource, sized from its units now, another.
 func (t *Topology) NewAccount() *Account {
 	n := len(t.deviceList)
 	entries := make([]usage, n+len(t.linkList))
+	units := func(i int) int {
+		if i < n {
+			return t.deviceList[i].Units()
+		}
+		return t.linkList[i-n].Units()
+	}
+	lanes := 0
+	for i := range entries {
+		if u := units(i); u > 1 {
+			lanes += u
+		}
+	}
+	slab := make([]sim.VTime, lanes)
+	for i := range entries {
+		if u := units(i); u > 1 {
+			entries[i].lanes, slab = slab[:u:u], slab[u:]
+		}
+	}
 	return &Account{topo: t, devices: entries[:n:n], links: entries[n:]}
 }
 
@@ -72,12 +90,14 @@ func (a *Account) link(l *Link) *usage {
 }
 
 // record adds one charge to entry u; a nil account's entries are nil
-// and record nothing. With units > 0 the charge ran on one of the
+// and record nothing. With lane >= 0 the charge ran on one of the
 // resource's units and onLane of its busy time lands on that lane.
 // Lanes are positional (callers derive them from sequence numbers, not
 // goroutine identity), so seeded runs account deterministically; they
-// wrap at units.
-func (a *Account) record(u *usage, s sim.Snapshot, lane, units int, onLane sim.VTime) {
+// wrap at the resource's units. A single-unit resource keeps no lanes:
+// its one lane would be all of its lane work, which Usage.Effective
+// counts whole either way.
+func (a *Account) record(u *usage, s sim.Snapshot, lane int, onLane sim.VTime) {
 	if u == nil {
 		return
 	}
@@ -87,18 +107,15 @@ func (a *Account) record(u *usage, s sim.Snapshot, lane, units int, onLane sim.V
 	u.total.Busy += s.Busy
 	u.total.Ops += s.Ops
 	u.total.Messages += s.Messages
-	if units > 0 {
-		if u.lanes == nil {
-			u.lanes = make([]sim.VTime, units)
-		}
-		u.lanes[lane%units] += onLane
+	if lane >= 0 && len(u.lanes) > 0 {
+		u.lanes[lane%len(u.lanes)] += onLane
 	}
 }
 
 // Charge is d.Charge, recorded on the account.
 func (a *Account) Charge(d *Device, op OpClass, n sim.Bytes) sim.VTime {
 	t := d.Charge(op, n)
-	a.record(a.device(d), sim.Snapshot{Bytes: n, Busy: t, Ops: 1}, 0, 0, 0)
+	a.record(a.device(d), sim.Snapshot{Bytes: n, Busy: t, Ops: 1}, -1, 0)
 	return t
 }
 
@@ -107,21 +124,21 @@ func (a *Account) Charge(d *Device, op OpClass, n sim.Bytes) sim.VTime {
 // lane, so Usage.Effective overlaps it with the other lanes' work.
 func (a *Account) ChargeLane(d *Device, op OpClass, n sim.Bytes, lane int) sim.VTime {
 	t := d.Charge(op, n)
-	a.record(a.device(d), sim.Snapshot{Bytes: n, Busy: t, Ops: 1}, lane, d.Units(), t)
+	a.record(a.device(d), sim.Snapshot{Bytes: n, Busy: t, Ops: 1}, lane, t)
 	return t
 }
 
 // ChargeSetup is d.ChargeSetup, recorded on the account.
 func (a *Account) ChargeSetup(d *Device) sim.VTime {
 	t := d.ChargeSetup()
-	a.record(a.device(d), sim.Snapshot{Busy: t}, 0, 0, 0)
+	a.record(a.device(d), sim.Snapshot{Busy: t}, -1, 0)
 	return t
 }
 
 // Transfer is l.Transfer, recorded on the account.
 func (a *Account) Transfer(l *Link, n sim.Bytes) sim.VTime {
 	t := l.Transfer(n)
-	a.record(a.link(l), sim.Snapshot{Bytes: n, Busy: t, Ops: 1}, 0, 0, 0)
+	a.record(a.link(l), sim.Snapshot{Bytes: n, Busy: t, Ops: 1}, -1, 0)
 	return t
 }
 
@@ -134,14 +151,14 @@ func (a *Account) Transfer(l *Link, n sim.Bytes) sim.VTime {
 // Transfer.
 func (a *Account) TransferQD(l *Link, n sim.Bytes, lane int) sim.VTime {
 	t := l.Transfer(n)
-	a.record(a.link(l), sim.Snapshot{Bytes: n, Busy: t, Ops: 1}, lane, l.Units(), l.Latency)
+	a.record(a.link(l), sim.Snapshot{Bytes: n, Busy: t, Ops: 1}, lane, l.Latency)
 	return t
 }
 
 // Message is l.Message, recorded on the account.
 func (a *Account) Message(l *Link) sim.VTime {
 	t := l.Message()
-	a.record(a.link(l), sim.Snapshot{Busy: t, Messages: 1}, 0, 0, 0)
+	a.record(a.link(l), sim.Snapshot{Busy: t, Messages: 1}, -1, 0)
 	return t
 }
 
@@ -207,10 +224,11 @@ func (a *Account) Since(prev *Account) *Account {
 }
 
 // since fills out with cur minus prev, entry by entry; a nil prev
-// subtracts nothing.
+// subtracts nothing. out's lanes are its own, sized as cur's.
 func since(out, cur, prev []usage) {
 	for i, u := range cur {
-		out[i] = usage{total: u.total, lanes: slices.Clone(u.lanes)}
+		out[i].total = u.total
+		copy(out[i].lanes, u.lanes)
 		if prev != nil {
 			out[i].total = u.total.Sub(prev[i].total)
 			for lane, t := range prev[i].lanes {

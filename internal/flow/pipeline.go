@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -106,9 +107,6 @@ type Pipeline struct {
 	// on a device and every batch, credit and marker crossing a link is
 	// recorded on it. Nil charges the meters only.
 	Account *fabric.Account
-
-	// occ is the worker-occupancy gauge, resolved once per Run.
-	occ *metrics.Gauge
 }
 
 // observeStage feeds one batch's stage latency into the health tracker.
@@ -169,22 +167,21 @@ func (r Result) TotalCreditMessages() int64 {
 // exits before Run returns the first cause — the first source, stage or
 // sink failure, or else ctx's own error.
 func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
-	var res Result
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if p.Source == nil {
-		return res, fmt.Errorf("flow: pipeline %q has no source", p.Name)
+		return Result{}, fmt.Errorf("flow: pipeline %q has no source", p.Name)
 	}
 	if p.Services == nil {
 		p.Services = new(wiring.Services)
 	}
 	if len(p.Paths) != 0 && len(p.Paths) != len(p.Stages) {
-		return res, fmt.Errorf("flow: pipeline %q has %d paths for %d stages", p.Name, len(p.Paths), len(p.Stages))
+		return Result{}, fmt.Errorf("flow: pipeline %q has %d paths for %d stages", p.Name, len(p.Paths), len(p.Stages))
 	}
 	if p.Restore != nil {
 		if len(p.Restore.Snaps) != len(p.Stages) {
-			return res, fmt.Errorf("flow: pipeline %q restore carries %d snapshots for %d stages",
+			return Result{}, fmt.Errorf("flow: pipeline %q restore carries %d snapshots for %d stages",
 				p.Name, len(p.Restore.Snaps), len(p.Stages))
 		}
 		for i, st := range p.Stages {
@@ -194,7 +191,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 			}
 			sn, ok := st.Stage.(Snapshotter)
 			if !ok {
-				return res, fmt.Errorf("flow: pipeline %q restore has state for stage %q, which cannot restore",
+				return Result{}, fmt.Errorf("flow: pipeline %q restore has state for stage %q, which cannot restore",
 					p.Name, st.Stage.Name())
 			}
 			sn.RestoreState(snap)
@@ -202,21 +199,16 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	}
 	// A done context runs nothing.
 	if err := ctx.Err(); err != nil {
-		return res, err
+		return Result{}, err
 	}
 	depth := p.Depth
 	if depth <= 0 {
 		depth = DefaultDepth
 	}
 
-	ctx, cancel := context.WithCancelCause(ctx)
-	defer cancel(nil)
-	fail := func(err error) {
-		if err == nil || err == ErrCanceled {
-			return
-		}
-		cancel(err)
-	}
+	x := &run{p: p, sink: sink, occ: p.Services.Metrics.Gauge("flow.workers.busy")}
+	ctx, x.cancel = context.WithCancelCause(ctx)
+	defer x.cancel(nil)
 
 	// When tracing, each run records a causal tape: stage tapes are
 	// written only by their own goroutines (Inputs by the receiver,
@@ -237,42 +229,47 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		tape.Stages = stageTapes
 	}
 
-	ports := make([]*Port, len(p.Stages))
-	for i := range p.Stages {
+	// The stage runs, each holding its input port, are one slab, and the
+	// per-stage counters another.
+	n := len(p.Stages)
+	runs := make([]stageRun, n)
+	counts := make([]int64, 2*n)
+	x.res.BatchesIn, x.res.BatchesOut = counts[:n:n], counts[n:]
+	for i := range runs {
+		r := &runs[i]
+		r.x, r.i, r.st, r.w, r.done = x, i, p.Stages[i], p.stageWorkers(i), ctx.Done()
+		if stageTapes != nil {
+			r.ts = stageTapes[i]
+		}
+		if i < n-1 {
+			r.next = &runs[i+1].in
+		}
 		var path []*fabric.Link
 		if len(p.Paths) > 0 {
 			path = p.Paths[i]
 		}
-		var pt *obs.StageTape
-		if stageTapes != nil {
-			pt = stageTapes[i]
-		}
-		ports[i] = newPort(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, ctx.Done(), pt)
-		ports[i].acct, ports[i].svc = p.Account, p.Services
-		ports[i].stallCtr = p.Services.Metrics.Counter("flow.credit.stalls")
+		r.in.init(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, r.done, r.ts)
+		r.in.acct, r.in.svc = p.Account, p.Services
+		r.in.stallCtr = p.Services.Metrics.Counter("flow.credit.stalls")
 	}
-	p.occ = p.Services.Metrics.Gauge("flow.workers.busy")
-
-	res.BatchesIn = make([]int64, len(p.Stages))
-	res.BatchesOut = make([]int64, len(p.Stages))
 
 	// Checkpointing: the source's Mark calls inject an epoch marker into
 	// the stream (or, with no stages, complete the epoch at the sink
 	// directly — the source, on Run's goroutine, is the sink writer there).
 	if p.Ckpt != nil {
-		p.Ckpt.bind(len(p.Stages), func(epoch int) error {
-			if len(ports) == 0 {
-				p.Ckpt.sinkComplete(epoch, res.SinkBatches)
+		p.Ckpt.bind(n, func(epoch int) error {
+			if n == 0 {
+				p.Ckpt.sinkComplete(epoch, x.res.SinkBatches)
 				return nil
 			}
-			return ports[0].SendMarker(epoch)
+			return runs[0].in.SendMarker(epoch)
 		})
 	}
 
 	if reg := p.Services.Metrics; reg != nil {
 		provisioned := 0
-		for i := range p.Stages {
-			provisioned += p.stageWorkers(i)
+		for i := range runs {
+			provisioned += runs[i].w
 		}
 		pg := reg.Gauge("flow.workers.provisioned")
 		pg.Add(float64(provisioned))
@@ -281,22 +278,11 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 
 	// Stage goroutines, one per stage at every width. They start before the
 	// source sends: past port 0's credits its Send waits for stage 0.
-	var wg sync.WaitGroup
-	for i := range p.Stages {
-		r := &stageRun{
-			p: p, i: i, st: p.Stages[i], w: p.stageWorkers(i),
-			in: ports[i], sink: sink, res: &res,
-			fail: fail, done: ctx.Done(),
-		}
-		if stageTapes != nil {
-			r.ts = stageTapes[i]
-		}
-		if i < len(p.Stages)-1 {
-			r.next = ports[i+1]
-		}
-		wg.Add(1)
+	for i := range runs {
+		r := &runs[i]
+		x.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer x.wg.Done()
 			r.run()
 		}()
 	}
@@ -308,20 +294,21 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 			tape.Source.Emits = append(tape.Source.Emits,
 				obs.Emission{At: p.Trace.Now(), Bytes: sim.Bytes(b.ByteSize())})
 		}
-		if len(ports) == 0 {
-			return res.toSink(sink, b)
+		if n == 0 {
+			return x.res.toSink(sink, b)
 		}
-		return ports[0].Send(b)
+		return runs[0].in.Send(b)
 	}); err != nil {
-		fail(err)
+		x.fail(err)
 	}
-	if len(ports) > 0 {
-		ports[0].Close()
+	if n > 0 {
+		runs[0].in.Close()
 	}
 
-	wg.Wait()
-	for _, port := range ports {
-		res.Ports = append(res.Ports, port.Stats())
+	x.wg.Wait()
+	x.res.Ports = slices.Grow(x.res.Ports, n)
+	for i := range runs {
+		x.res.Ports = append(x.res.Ports, runs[i].in.Stats())
 	}
 	// The tape is complete (all writers joined); replay it into the
 	// trace's span timeline. Replay is deterministic in the tape, and the
@@ -330,26 +317,44 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	if tape != nil {
 		tape.Replay(p.Trace)
 	}
-	return res, context.Cause(ctx)
+	return x.res, context.Cause(ctx)
+}
+
+// run is what one Run's stages share: the pipeline, the sink and the
+// result they write, the occupancy gauge, the wait group that joins them
+// and the run context's cancel.
+type run struct {
+	p      *Pipeline
+	sink   Emit
+	res    Result
+	occ    *metrics.Gauge // the worker-occupancy gauge
+	wg     sync.WaitGroup
+	cancel context.CancelCauseFunc
+}
+
+// fail cancels the run with err as its cause; ErrCanceled, which only
+// reports that the run is being torn down, is not a cause.
+func (x *run) fail(err error) {
+	if err == nil || err == ErrCanceled {
+		return
+	}
+	x.cancel(err)
 }
 
 // stageRun is one stage's share of a Run: the ports on either side of
 // it, the copies of the stage at work, the counters and tape it writes,
 // and the run's failure plumbing.
 type stageRun struct {
-	p       *Pipeline
+	x       *run
 	i       int
 	st      Placed
 	w       int // width: how many copies of the stage run
 	workers []worker
 	one     [1]worker // backs workers at width 1, so it costs no allocation
 	pool    *pool     // set while a pool's merger runs
-	in      *Port
+	in      Port
 	next    *Port // nil when this is the last stage
-	sink    Emit
-	res     *Result
 	ts      *obs.StageTape
-	fail    func(error)
 	done    <-chan struct{} // the run context's Done
 }
 
@@ -379,11 +384,11 @@ func (w *worker) take(b *columnar.Batch) error {
 // begin counts the worker as holding a batch on the fleet occupancy
 // gauge and returns when it began; end uncounts it.
 func (w *worker) begin() time.Time {
-	w.r.p.occ.Add(1)
-	return w.r.p.Services.Clock.Now()
+	w.r.x.occ.Add(1)
+	return w.r.x.p.Services.Clock.Now()
 }
 
-func (w *worker) end() { w.r.p.occ.Add(-1) }
+func (w *worker) end() { w.r.x.occ.Add(-1) }
 
 // process is the per-batch body at every width: charge the device, run
 // Process between begin and end, observe its latency and hand the credit
@@ -400,15 +405,15 @@ func (w *worker) process(b *columnar.Batch, seq int64) (obs.TapeInput, error) {
 		in.Bytes = sim.Bytes(b.ByteSize())
 	}
 	if charge && r.w == 1 {
-		in.Cost = r.p.Account.Charge(st.Device, st.Op, in.Bytes)
+		in.Cost = r.x.p.Account.Charge(st.Device, st.Op, in.Bytes)
 	} else if charge {
-		in.Cost = r.p.Account.ChargeLane(st.Device, st.Op, in.Bytes, int(seq%int64(r.w)))
+		in.Cost = r.x.p.Account.ChargeLane(st.Device, st.Op, in.Bytes, int(seq%int64(r.w)))
 	}
 	w.outs = 0
 	start := w.begin()
 	err := w.inst.Process(b, w.emit)
 	w.end()
-	r.p.observeStage(st.Device, start)
+	r.x.p.observeStage(st.Device, start)
 	r.in.CreditReturn()
 	in.Outs = w.outs
 	return in, err
@@ -419,11 +424,11 @@ func (w *worker) process(b *columnar.Batch, seq int64) (obs.TapeInput, error) {
 // the stage's own at width 1, the merger in a pool — and then the flush
 // phase.
 func (r *stageRun) out(b *columnar.Batch) error {
-	r.res.BatchesOut[r.i]++
+	r.x.res.BatchesOut[r.i]++
 	if r.next != nil {
 		return r.next.Send(b)
 	}
-	return r.res.toSink(r.sink, b)
+	return r.x.res.toSink(r.x.sink, b)
 }
 
 // offline reports a StageError when the hosting device is (or, via an
@@ -434,12 +439,12 @@ func (r *stageRun) offline() error {
 	if dev == nil {
 		return nil
 	}
-	if inj := r.p.Services.Faults; inj != nil && inj.Fire(faults.DeviceOffline, dev.Name) {
+	if inj := r.x.p.Services.Faults; inj != nil && inj.Fire(faults.DeviceOffline, dev.Name) {
 		dev.SetOffline(true)
 	}
 	if dev.IsOffline() {
 		return &StageError{
-			Pipeline: r.p.Name, Stage: r.st.Stage.Name(),
+			Pipeline: r.x.p.Name, Stage: r.st.Stage.Name(),
 			Device: dev.Name, Err: fabric.ErrDeviceOffline,
 		}
 	}
@@ -454,7 +459,7 @@ func (r *stageRun) failAt(err error) {
 		r.ts.FaultInput = len(r.ts.Inputs)
 		r.ts.FaultDetail = err.Error()
 	}
-	r.fail(err)
+	r.x.fail(err)
 }
 
 // run drives the stage. Its goroutine is the input port's single
@@ -473,7 +478,7 @@ func (r *stageRun) run() {
 	if err := r.offline(); err != nil {
 		r.failAt(err)
 	} else if r.st.Device != nil {
-		setup := r.p.Account.ChargeSetup(r.st.Device)
+		setup := r.x.p.Account.ChargeSetup(r.st.Device)
 		if r.ts != nil {
 			r.ts.Setup = setup
 		}
@@ -497,7 +502,7 @@ func (r *stageRun) run() {
 	for seq := int64(0); ; seq++ {
 		it, ok, err := r.in.recvItem()
 		if err != nil {
-			r.fail(err)
+			r.x.fail(err)
 			break
 		}
 		if !ok {
@@ -505,7 +510,7 @@ func (r *stageRun) run() {
 		}
 		si := stageItem{seq: seq, b: it.b, epoch: it.epoch}
 		if it.b != nil {
-			r.res.BatchesIn[r.i]++
+			r.x.res.BatchesIn[r.i]++
 			// Fault checks stay here so the injector's seeded sequence
 			// sees batches in arrival order, not worker order.
 			if si.err = r.offline(); si.err != nil {
@@ -549,11 +554,11 @@ func (r *stageRun) settle(si *stageItem) bool {
 		if sn, ok := r.st.Stage.(Snapshotter); ok {
 			snap = sn.SnapshotState()
 		}
-		r.p.Ckpt.stageSnap(r.i, si.epoch, snap)
+		r.x.p.Ckpt.stageSnap(r.i, si.epoch, snap)
 		if r.next == nil {
-			r.p.Ckpt.sinkComplete(si.epoch, r.res.SinkBatches)
+			r.x.p.Ckpt.sinkComplete(si.epoch, r.x.res.SinkBatches)
 		} else if err := r.next.SendMarker(si.epoch); err != nil {
-			r.fail(err)
+			r.x.fail(err)
 			return false
 		}
 		return true
@@ -563,7 +568,7 @@ func (r *stageRun) settle(si *stageItem) bool {
 	}
 	for _, ob := range si.outs {
 		if err := r.out(ob); err != nil {
-			r.fail(err)
+			r.x.fail(err)
 			return false
 		}
 	}
@@ -582,18 +587,18 @@ func (r *stageRun) flush() {
 		return
 	default:
 	}
-	before := r.res.BatchesOut[r.i]
+	before := r.x.res.BatchesOut[r.i]
 	for wi := range r.workers {
 		w := &r.workers[wi]
 		w.begin()
 		err := w.inst.Flush(w.emit)
 		w.end()
 		if err != nil {
-			r.fail(err)
+			r.x.fail(err)
 			break
 		}
 	}
 	if r.ts != nil {
-		r.ts.FlushOuts = int(r.res.BatchesOut[r.i] - before)
+		r.ts.FlushOuts = int(r.x.res.BatchesOut[r.i] - before)
 	}
 }

@@ -76,29 +76,28 @@ type Port struct {
 	svc *wiring.Services
 }
 
-// newPort builds a port of the given depth. The receiver accumulates
+// newPort builds a port of the given depth (see init).
+func newPort(name string, path []*fabric.Link, depth int, done <-chan struct{}, tape *obs.StageTape) *Port {
+	p := new(Port)
+	p.init(name, path, depth, done, tape)
+	return p
+}
+
+// init readies a zero port of the given depth. The receiver accumulates
 // half the depth's worth of consumed credits (at least one) before
 // returning them in one control message, so the sender can never starve.
 // tape, when non-nil, is the receiving stage's tape; Send appends each
 // batch's per-link transfer costs to it.
-func newPort(name string, path []*fabric.Link, depth int, done <-chan struct{}, tape *obs.StageTape) *Port {
+func (p *Port) init(name string, path []*fabric.Link, depth int, done <-chan struct{}, tape *obs.StageTape) {
 	if depth < 1 {
 		depth = 1
 	}
-	p := &Port{
-		Name:        name,
-		Path:        path,
-		depth:       depth,
-		creditBatch: max(depth/2, 1),
-		ch:          make(chan portItem, depth),
-		credits:     make(chan struct{}, depth),
-		done:        done,
-		tape:        tape,
-	}
+	p.Name, p.Path, p.depth, p.creditBatch = name, path, depth, max(depth/2, 1)
+	p.ch, p.credits = make(chan portItem, depth), make(chan struct{}, depth)
+	p.done, p.tape = done, tape
 	for i := 0; i < depth; i++ {
 		p.credits <- struct{}{}
 	}
-	return p
 }
 
 // Send blocks until a credit is available, then transfers the batch,

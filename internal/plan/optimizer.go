@@ -63,14 +63,20 @@ func (p *Physical) Devices() []*fabric.Device {
 	if p.devices != nil {
 		return p.devices
 	}
-	out := make([]*fabric.Device, 0, len(p.Path.Sites))
-	for i, s := range p.Path.Sites {
-		if slices.ContainsFunc(p.Placements, func(pl Placement) bool { return pl.SiteIdx == i }) &&
-			!slices.Contains(out, s.Device) {
-			out = append(out, s.Device)
+	out := p.Path.appendDevices(nil, p.Placements)
+	return out[:len(out):len(out)]
+}
+
+// appendDevices appends the distinct devices hosting placed to dst.
+func (pm PathModel) appendDevices(dst []*fabric.Device, placed []Placement) []*fabric.Device {
+	start := len(dst)
+	for i, s := range pm.Sites {
+		if slices.ContainsFunc(placed, func(pl Placement) bool { return pl.SiteIdx == i }) &&
+			!slices.Contains(dst[start:], s.Device) {
+			dst = append(dst, s.Device)
 		}
 	}
-	return out[:len(out):len(out)]
+	return dst
 }
 
 // Links returns the distinct links the variant's stream crosses, in
@@ -154,84 +160,104 @@ type Optimizer struct {
 	Path PathModel
 }
 
+// siteRule is how a variant picks the site of an offloadable op.
+type siteRule uint8
+
+const (
+	ruleCPU      siteRule = iota // refuse offload
+	ruleStorage                  // the storage site if it can
+	ruleEarliest                 // the earliest capable site
+	ruleNIC                      // the earliest capable site from the compute NIC on
+)
+
+// variantSpecs are the variants Enumerate builds. cascade places
+// pre-aggregation at every capable site before the CPU (the Section 4.4
+// staged group-by) instead of just the chosen one; encoded evaluates the
+// storage-site filter on encoded columns with late materialization.
+var variantSpecs = [...]struct {
+	name             string
+	rule             siteRule
+	cascade, encoded bool
+}{
+	{"cpu-only", ruleCPU, false, false},
+	{"storage-pushdown", ruleStorage, false, false},
+	{"storage-pushdown-encoded", ruleStorage, false, true},
+	{"full-offload", ruleEarliest, true, false},
+	{"nic-offload", ruleNIC, false, false},
+}
+
 // Enumerate produces the distinct placement variants for the query. The
 // first site capable of an op hosts it in offload variants; incapable
 // fabrics (dumb storage, dumb NICs) naturally degrade toward the CPU.
+// The variants are placed in scratch on the stack, then copied into one
+// slab each of variants, placements and devices, sized to what the
+// distinct variants hold. A variant's windows end at their own length,
+// so appending to one copies it rather than writing into the next.
 func (o *Optimizer) Enumerate(q *Query, stats TableStats) ([]*Physical, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	pm := o.Path
-	cpuIdx := len(pm.Sites) - 1
-
-	type variantSpec struct {
-		name string
-		// siteFor returns the chosen site for an op given the earliest
-		// capable site, or cpuIdx to refuse offload.
-		siteFor func(op fabric.OpClass) int
-		// cascade places pre-aggregation at every capable site before
-		// the CPU (the Section 4.4 staged group-by) instead of just the
-		// chosen one.
-		cascade bool
-		// encoded evaluates the storage-site filter on encoded columns
-		// with late materialization instead of decode-then-filter.
-		encoded bool
-	}
-	earliestUsable := func(op fabric.OpClass, from int) int {
-		for i := from; i < len(pm.Sites); i++ {
-			if o.usable(i) && pm.Sites[i].Device.Can(op) {
-				return i
-			}
-		}
-		return -1
-	}
-
-	cpuOnly := func(fabric.OpClass) int { return cpuIdx }
-	earliest := func(op fabric.OpClass) int {
-		if i := earliestUsable(op, 0); i >= 0 {
-			return i
-		}
-		return cpuIdx
-	}
-	storageOnly := func(op fabric.OpClass) int {
-		if o.usable(0) && pm.Sites[0].Device.Can(op) {
-			return 0
-		}
-		return cpuIdx
-	}
-	nicOnward := func(op fabric.OpClass) int {
-		from := pm.SiteIndex(SiteComputeNIC)
-		if from < 0 {
-			from = cpuIdx
-		}
-		if i := earliestUsable(op, from); i >= 0 {
-			return i
-		}
-		return cpuIdx
-	}
-
-	specs := [...]variantSpec{
-		{"cpu-only", cpuOnly, false, false},
-		{"storage-pushdown", storageOnly, false, false},
-		{"storage-pushdown-encoded", storageOnly, false, true},
-		{"full-offload", earliest, true, false},
-		{"nic-offload", nicOnward, false, false},
-	}
-
 	f := o.facts(q, stats)
-	out := make([]*Physical, 0, len(specs))
-	for _, vs := range specs {
-		ph := o.build(q, &f, vs.name, vs.siteFor, vs.cascade, vs.encoded)
+	const k = len(variantSpecs)
+	var (
+		placeBuf   [8 * k]Placement
+		devBuf     [8 * k]*fabric.Device
+		spec       [k]int
+		encoded    [k]bool
+		at, devAt  [k + 1]int // variant i's placements are placed[at[i]:at[i+1]]
+		placed, ds = placeBuf[:0], devBuf[:0]
+		n          int
+	)
+	for si, vs := range variantSpecs {
+		placed, encoded[n] = o.place(placed, q, vs.rule, vs.cascade, vs.encoded)
 		// The encoded variant places what the eager storage-pushdown one
 		// does, but runs it another way: both stay in the ranking.
-		if !slices.ContainsFunc(out, func(p *Physical) bool {
-			return p.EncodedEval == ph.EncodedEval && slices.Equal(p.Placements, ph.Placements)
-		}) {
-			out = append(out, ph)
+		dup := false
+		for j := 0; j < n && !dup; j++ {
+			dup = encoded[j] == encoded[n] && slices.Equal(placed[at[j]:at[j+1]], placed[at[n]:])
 		}
+		if dup {
+			placed = placed[:at[n]]
+			continue
+		}
+		ds = o.Path.appendDevices(ds, placed[at[n]:])
+		spec[n], at[n+1], devAt[n+1] = si, len(placed), len(ds)
+		n++
+	}
+	slab, out := make([]Physical, n), make([]*Physical, n)
+	placements, devices := append([]Placement(nil), placed...), append([]*fabric.Device(nil), ds...)
+	for i := range slab {
+		slab[i] = Physical{Query: q, Variant: variantSpecs[spec[i]].name, Path: o.Path, EncodedEval: encoded[i],
+			Placements: placements[at[i]:at[i+1]:at[i+1]], devices: devices[devAt[i]:devAt[i+1]:devAt[i+1]], links: f.links}
+		o.estimate(&slab[i], &f)
+		out[i] = &slab[i]
 	}
 	slices.SortStableFunc(out, func(a, b *Physical) int { return cmp.Compare(a.rank, b.rank) })
 	return out, nil
+}
+
+// siteFor returns the site rule r places op at; the CPU when no usable
+// site can host it.
+func (o *Optimizer) siteFor(r siteRule, op fabric.OpClass) int {
+	pm := o.Path
+	cpuIdx := len(pm.Sites) - 1
+	from, to := 0, len(pm.Sites)
+	switch r {
+	case ruleCPU:
+		return cpuIdx
+	case ruleStorage:
+		to = 1
+	case ruleNIC:
+		if from = pm.SiteIndex(SiteComputeNIC); from < 0 {
+			return cpuIdx
+		}
+	}
+	for i := from; i < to; i++ {
+		if o.usable(i) && pm.Sites[i].Device.Can(op) {
+			return i
+		}
+	}
+	return cpuIdx
 }
 
 // usable reports whether site i may host operators: an offline device
@@ -281,33 +307,32 @@ func (o *Optimizer) facts(q *Query, stats TableStats) costFacts {
 	return f
 }
 
-// build constructs one variant, costs it and derives what it occupies.
-func (o *Optimizer) build(q *Query, f *costFacts, name string, siteFor func(fabric.OpClass) int, cascade, encoded bool) *Physical {
+// place appends the placements rule gives q's ops to dst, and reports
+// whether the variant evaluates its filter on encoded columns.
+func (o *Optimizer) place(dst []Placement, q *Query, rule siteRule, cascade, encoded bool) ([]Placement, bool) {
 	pm := o.Path
 	cpuIdx := len(pm.Sites) - 1
-	// Room for a filter, a pre-aggregation at each site, a sort.
-	ph := &Physical{Query: q, Variant: name, Path: pm, links: f.links, Placements: make([]Placement, 0, len(pm.Sites)+2)}
 	add := func(op fabric.OpClass, site int) {
-		ph.Placements = append(ph.Placements, Placement{Op: op, SiteIdx: site})
+		dst = append(dst, Placement{Op: op, SiteIdx: site})
 	}
-
+	encodedEval := false
 	if q.Filter != nil {
-		site := siteFor(fabric.OpFilter)
+		site := o.siteFor(rule, fabric.OpFilter)
 		add(fabric.OpFilter, site)
 		// Encoded evaluation only exists where the filter actually runs
 		// at the storage site; anywhere else the variant collapses into
 		// its eager twin and dedup drops it.
-		ph.EncodedEval = encoded && site == 0 && cpuIdx != 0
+		encodedEval = encoded && site == 0 && cpuIdx != 0
 	}
 	switch {
 	case q.CountOnly:
-		add(fabric.OpCount, siteFor(fabric.OpCount))
+		add(fabric.OpCount, o.siteFor(rule, fabric.OpCount))
 	case q.GroupBy != nil:
 		// Pre-aggregate where the variant allows, then final-aggregate
 		// at the CPU. Cascading variants stage the group-by at every
 		// capable site before the CPU (the Section 4.4 pipeline of
 		// group-by stages).
-		first := siteFor(fabric.OpPreAgg)
+		first := o.siteFor(rule, fabric.OpPreAgg)
 		if first < cpuIdx {
 			if cascade {
 				for i := first; i < cpuIdx; i++ {
@@ -321,26 +346,18 @@ func (o *Optimizer) build(q *Query, f *costFacts, name string, siteFor func(fabr
 		}
 		add(fabric.OpAggregate, cpuIdx)
 	case q.Projection != nil:
-		add(fabric.OpProject, siteFor(fabric.OpProject))
+		add(fabric.OpProject, o.siteFor(rule, fabric.OpProject))
 	}
 	if q.OrderBy >= 0 {
 		add(fabric.OpSort, cpuIdx)
 	}
-	o.estimate(ph, f)
-	ph.devices = ph.Devices()
-	// The rank key is time + weight * (bytes / first-segment bandwidth).
-	base := f.segs[0].bw
-	if base <= 0 {
-		base = sim.GBPerSec
-	}
-	ph.rank = ph.EstTime.Seconds() + DefaultMoveWeight*float64(ph.EstBytes)/float64(base)
-	return ph
+	return dst, encodedEval
 }
 
 // estimate walks the path applying each placed op's data reduction and
 // accumulating device and segment costs. The makespan estimate is the
 // pipeline bottleneck (max over devices and segments) plus one latency
-// per hop.
+// per hop; the rank adds the priced movement to it.
 func (o *Optimizer) estimate(ph *Physical, f *costFacts) {
 	pm := o.Path
 
@@ -433,6 +450,12 @@ func (o *Optimizer) estimate(ph *Physical, f *costFacts) {
 
 	ph.EstBytes = moved
 	ph.EstTime = bottleneck + latency
+	// The rank key is time + weight * (bytes / first-segment bandwidth).
+	base := f.segs[0].bw
+	if base <= 0 {
+		base = sim.GBPerSec
+	}
+	ph.rank = ph.EstTime.Seconds() + DefaultMoveWeight*float64(ph.EstBytes)/float64(base)
 }
 
 // partialRowBytes estimates the width of one partial-aggregation row.

@@ -453,18 +453,20 @@ func (s *Server) putView(v *Segment) {
 // done (columnar.Pool.Stats).
 func (s *Server) PoolStats() (free, peak, made int) { return s.pool.Stats() }
 
-func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error, pool *columnar.Pool) (stats ScanStats, err error) {
+func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error, pool *columnar.Pool) (ScanStats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	defer s.foldScanMetrics(&stats)
+	// The scan's state and the stats it counts are one allocation.
+	sc := &segScan{s: s, spec: spec, emit: emit, pool: pool}
+	defer s.foldScanMetrics(&sc.stats)
 	t, err := s.Table(table)
 	if err != nil {
-		return stats, err
+		return sc.stats, err
 	}
 	if spec.Pushdown {
 		if err := s.checkPushdown(spec); err != nil {
-			return stats, err
+			return sc.stats, err
 		}
 	}
 
@@ -485,11 +487,25 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	}
 	// Every segment's schema is the table's (AppendSummary checks), so the
 	// batches a scan makes take their schemas from here, projected once a
-	// scan, not from each segment.
-	decoded := t.Schema.Project(needed)
-	var projected *columnar.Schema
-	if spec.encodedEvalActive() {
-		projected = t.Schema.Project(projection)
+	// scan, not from each segment: the decoded set's and, for the encoded
+	// path, the projection's, in one allocation of schemas and one of
+	// fields.
+	encoded, nSchemas, width := spec.encodedEvalActive(), 1, len(needed)
+	if encoded {
+		nSchemas, width = 2, width+len(projection)
+	}
+	schemas, fields := make([]columnar.Schema, nSchemas), make([]columnar.Field, 0, width)
+	for _, c := range needed {
+		fields = append(fields, t.Schema.Fields[c])
+	}
+	decoded, projected := &schemas[0], (*columnar.Schema)(nil)
+	decoded.Fields = fields[:len(needed):len(needed)]
+	if encoded {
+		for _, c := range projection {
+			fields = append(fields, t.Schema.Fields[c])
+		}
+		projected = &schemas[1]
+		projected.Fields = fields[len(needed):]
 	}
 	var preagg *expr.PartialAggregator
 	if spec.Pushdown && spec.PreAgg != nil {
@@ -504,15 +520,9 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	}
 
 	keys := s.SegmentKeys(t)
-	stats.SegmentsTotal = len(keys) - spec.StartSegment
-	if stats.SegmentsTotal < 0 {
-		stats.SegmentsTotal = 0
-	}
-
-	sc := &segScan{
-		s: s, t: t, keys: keys, spec: spec, needed: needed, projection: projection, projPos: projPos,
-		filter: filter, preagg: preagg, emit: emit, stats: &stats, pool: pool, decoded: decoded, projected: projected,
-	}
+	sc.stats.SegmentsTotal = max(len(keys)-spec.StartSegment, 0)
+	sc.t, sc.keys, sc.needed, sc.projection, sc.projPos = t, keys, needed, projection, projPos
+	sc.filter, sc.preagg, sc.decoded, sc.projected = filter, preagg, decoded, projected
 	if spec.Filter != nil {
 		sc.filterCols = spec.Filter.Columns()
 	}
@@ -540,23 +550,23 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	defer morsels.Stop(sc.drop)
 	for r, ok := morsels.Next(); ok; r, ok = morsels.Next() {
 		if err := sc.deliver(r); err != nil {
-			return stats, err
+			return sc.stats, err
 		}
 	}
 	// The stream ends early when the caller's context does; surface that
 	// instead of silently under-scanning.
 	if err := ctx.Err(); err != nil {
-		return stats, err
+		return sc.stats, err
 	}
 
 	if preagg != nil {
 		if tail := preagg.Flush(); tail != nil {
 			if err := sc.emitTracked(tail); err != nil {
-				return stats, err
+				return sc.stats, err
 			}
 		}
 	}
-	return stats, nil
+	return sc.stats, nil
 }
 
 // segScan is one Scan's per-segment machinery. processSegment is the
@@ -584,7 +594,7 @@ type segScan struct {
 	projected  *columnar.Schema // the encoded path's; nil when the scan is eager
 
 	emit  func(*columnar.Batch) error
-	stats *ScanStats
+	stats ScanStats
 }
 
 // segResult is one completed segment: a morsel, or one copy of it.
