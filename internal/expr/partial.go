@@ -125,7 +125,7 @@ func NewPartialAggregator(spec GroupBy, in *columnar.Schema, maxGroups int) *Par
 		p.keyCols = make([]*columnar.Vector, n)
 		for i, c := range spec.GroupCols {
 			p.partialCols[i] = i
-			p.keyCols[i] = columnar.NewVector(in.Fields[c].Type, 0)
+			p.keyCols[i] = columnar.NewVector(in.Fields[c].Type, firstGroups)
 		}
 	}
 	return p
@@ -263,6 +263,10 @@ func (p *PartialAggregator) newGroup(b *columnar.Batch, cols []int, row int) (s 
 		return 0, false
 	}
 	s = int32(len(p.groups))
+	if s == 0 {
+		p.groups = slices.Grow(p.groups, firstGroups)
+		p.states = slices.Grow(p.states, firstGroups*len(p.Spec.Aggs))
+	}
 	p.key = appendGroupKey(p.key[:0], b, cols, row)
 	key := string(p.key)
 	p.groups = append(p.groups, key)
@@ -272,12 +276,17 @@ func (p *PartialAggregator) newGroup(b *columnar.Batch, cols []int, row int) (s 
 	p.states = append(p.states, make([]AggState, len(p.Spec.Aggs))...)
 	if len(cols) > 0 {
 		if p.keys == nil {
-			p.keys = make(map[string]int32)
+			p.keys = make(map[string]int32, firstGroups)
 		}
 		p.keys[key] = s
 	}
 	return s, true
 }
+
+// firstGroups is how many groups the key vectors, the key map and, at the
+// first group, the other per-group slices make room for at once, so a
+// low-cardinality group-by grows none of them a group at a time.
+const firstGroups = 4
 
 // fold updates the states of rows from, from+1, ... in their slots, one
 // aggregate at a time over its typed column, a slot of -1 into scratch.
@@ -445,7 +454,7 @@ func (p *PartialAggregator) Flush() *columnar.Batch {
 	}
 	cols := make([]*columnar.Vector, 0, len(p.keyCols)+partialStateCols*na)
 	for j, v := range p.keyCols {
-		cols, p.keyCols[j] = append(cols, v), columnar.NewVector(v.Type(), 0)
+		cols, p.keyCols[j] = append(cols, v), columnar.NewVector(v.Type(), firstGroups)
 	}
 	ints, flts := make([]int64, 4*na*n), make([]float64, 3*na*n)
 	vecs := make([]columnar.Vector, 0, partialStateCols*na)
