@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/sqlparse"
@@ -77,5 +78,33 @@ func TestSQLPushdownStillHappens(t *testing.T) {
 	}
 	if res.Rows() != int64(q.Limit) && res.Rows() == 0 {
 		t.Error("empty result")
+	}
+}
+
+// SUM, AVG, MIN and MAX fold numbers: over a VARCHAR or BOOLEAN column the
+// statement is refused with an error, never run into a panic on a stage
+// goroutine. COUNT(col) stays valid for every type.
+func TestSQLRefusesNonNumericAggregates(t *testing.T) {
+	df, _, _ := newEngines(t)
+	for _, sql := range []string{
+		"SELECT l_returnflag, MIN(l_comment) FROM lineitem GROUP BY l_returnflag",
+		"SELECT l_returnflag, MAX(l_comment) FROM lineitem GROUP BY l_returnflag",
+		"SELECT SUM(l_returnflag) FROM lineitem",
+		"SELECT l_returnflag, AVG(l_comment) FROM lineitem GROUP BY l_returnflag",
+	} {
+		q, err := sqlparse.Parse(sql, df)
+		if err == nil {
+			_, err = df.Execute(context.Background(), q)
+		}
+		if err == nil || !strings.Contains(err.Error(), "is not valid") {
+			t.Errorf("%q: err = %v, want one naming the function and the column type", sql, err)
+		}
+	}
+	q, err := sqlparse.Parse("SELECT l_returnflag, COUNT(l_comment) FROM lineitem GROUP BY l_returnflag", df)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := df.Execute(context.Background(), q); err != nil {
+		t.Errorf("COUNT over a VARCHAR column: %v", err)
 	}
 }

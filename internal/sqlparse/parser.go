@@ -255,6 +255,10 @@ func (p *parser) resolveItems(items []rawItem) ([]selectItem, error) {
 					return nil, fmt.Errorf("sql: offset %d: unknown column %q", it.pos, it.column)
 				}
 				spec.Col = col
+				// COUNT reads no value; the rest fold numbers.
+				if t := p.schema.Fields[col].Type; spec.Func != expr.Count && t != columnar.Int64 && t != columnar.Float64 {
+					return nil, fmt.Errorf("sql: offset %d: %s over %s column %q is not valid", it.pos, it.aggFunc, t, it.column)
+				}
 			} else if spec.Func != expr.Count {
 				return nil, fmt.Errorf("sql: offset %d: %s(*) is not valid", it.pos, it.aggFunc)
 			}

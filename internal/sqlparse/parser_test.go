@@ -167,6 +167,16 @@ func TestParseStringEscapes(t *testing.T) {
 	}
 }
 
+// COUNT(col) counts rows whatever the column's type.
+func TestCountOfEveryColumnType(t *testing.T) {
+	for _, col := range []string{"qty", "price", "flag", "returned"} {
+		q := parse(t, "SELECT orderkey, COUNT("+col+") FROM lineitem GROUP BY orderkey")
+		if q.GroupBy == nil || len(q.GroupBy.Aggs) != 1 || q.GroupBy.Aggs[0].Func != expr.Count {
+			t.Errorf("COUNT(%s): group-by %+v", col, q.GroupBy)
+		}
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		sql     string
@@ -187,6 +197,10 @@ func TestParseErrors(t *testing.T) {
 		{"SELECT * FROM lineitem WHERE flag LIKE 5", "LIKE takes a string"},
 		{"SELECT * FROM lineitem trailing", "trailing input"},
 		{"SELECT SUM(*) FROM lineitem", "bad aggregate argument"},
+		{"SELECT flag, MIN(flag) FROM lineitem GROUP BY flag", "offset 13: MIN over VARCHAR column \"flag\" is not valid"},
+		{"SELECT MAX(flag) FROM lineitem", "MAX over VARCHAR"},
+		{"SELECT SUM(returned) FROM lineitem", "SUM over BOOLEAN"},
+		{"SELECT qty, AVG(returned) FROM lineitem GROUP BY qty", "AVG over BOOLEAN"},
 		{"SELECT qty FROM lineitem GROUP BY qty", "GROUP BY without aggregates"},
 		{"SELECT price, COUNT(*) FROM lineitem GROUP BY flag", "not in GROUP BY"},
 		{"SELECT * FROM lineitem GROUP BY flag", "not supported"},
