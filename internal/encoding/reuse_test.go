@@ -13,7 +13,7 @@ func dictColumn(t *testing.T, entries ...string) (*EncodedColumn, []string) {
 	t.Helper()
 	vals := make([]string, 1024)
 	for i := range vals {
-		vals[i] = entries[i*7%len(entries)]
+		vals[i] = entries[i%len(entries)]
 	}
 	ec := EncodeColumn(columnar.FromStrings(vals))
 	if ec.Encoding != Dict {
@@ -25,14 +25,14 @@ func dictColumn(t *testing.T, entries ...string) (*EncodedColumn, []string) {
 // A leased vector keeps its dictionary through its release: the next
 // decode into it of a payload with the same entries keeps that dictionary
 // and allocates nothing (but in poison mode, which drops it), one with
-// other entries gets a new one, and a copy made before either still reads
+// more entries gets a new one, and a copy made before either still reads
 // what it read.
 func TestDecodeKeepsAnEqualHeldDictionary(t *testing.T) {
 	var p columnar.Pool
 	schema := columnar.NewSchema(columnar.Field{Name: "s", Type: columnar.String})
 	first, firstVals := dictColumn(t, "AIR", "RAIL", "SHIP")
 	same, sameVals := dictColumn(t, "AIR", "RAIL", "SHIP")
-	other, otherVals := dictColumn(t, "SHIP", "AIR", "TRUCK", "MAIL")
+	other, otherVals := dictColumn(t, "AIR", "RAIL", "SHIP", "TRUCK") // held is a prefix
 	decode := func(ec *EncodedColumn) *columnar.Batch {
 		b := p.Lend(schema)
 		if _, err := ec.DecodeInto(b.Col(0), &p); err != nil {

@@ -3,6 +3,7 @@ package flow
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -48,7 +49,10 @@ func TestPipelineRunsDoNotShareState(t *testing.T) {
 		if err != nil {
 			t.Error(err)
 		}
-		// Stalls depend on how the stage goroutines were scheduled.
+		// Copies, so a later run cannot write into what this one
+		// reported; stalls depend on how the stage goroutines ran.
+		res.Ports = slices.Clone(res.Ports)
+		res.BatchesIn, res.BatchesOut = slices.Clone(res.BatchesIn), slices.Clone(res.BatchesOut)
 		for i := range res.Ports {
 			res.Ports[i].CreditStalls = 0
 		}
