@@ -92,9 +92,16 @@ func (p *Port) init(name string, path []*fabric.Link, depth int, done <-chan str
 	if depth < 1 {
 		depth = 1
 	}
-	p.Name, p.Path, p.depth, p.creditBatch = name, path, depth, max(depth/2, 1)
-	p.ch, p.credits = make(chan portItem, depth), make(chan struct{}, depth)
-	p.done, p.tape = done, tape
+	*p = Port{
+		Name:        name,
+		Path:        path,
+		depth:       depth,
+		creditBatch: max(depth/2, 1),
+		ch:          make(chan portItem, depth),
+		credits:     make(chan struct{}, depth),
+		done:        done,
+		tape:        tape,
+	}
 	for i := 0; i < depth; i++ {
 		p.credits <- struct{}{}
 	}
