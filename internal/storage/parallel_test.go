@@ -3,12 +3,15 @@ package storage
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/columnar"
 	"repro/internal/expr"
 	"repro/internal/fabric"
+	"repro/internal/faults"
 )
 
 // scanAll runs one scan and returns the emitted batches, the stats, and
@@ -171,5 +174,48 @@ func TestFailedParallelScanReleasesUndeliveredMorsels(t *testing.T) {
 	}
 	if free, peak, _ := srv.PoolStats(); free != peak {
 		t.Fatalf("%d sets back in the pool, %d were out at the peak", free, peak)
+	}
+}
+
+// A parallel scan whose consumer fails mid-scan still reports every
+// read it spent: the reads of the morsels it never delivered reach the
+// returned stats, which match the store's own totals for the scan.
+func TestFailedParallelScanReportsDroppedReads(t *testing.T) {
+	srv := newTestServer(t, true)
+	loadTable(t, srv, 7000)
+	store := srv.Store()
+	store.RetryBase = 0
+	// Each segment's first read fails once, so every morsel read retries.
+	inj := faults.New(1)
+	for seg := 0; seg < 7; seg++ {
+		inj.Arm(faults.Point{Kind: faults.TransientRead,
+			Target: fmt.Sprintf("lineitem/seg-%06d", seg), Prob: 1, Budget: 1})
+	}
+	store.svc.Faults = inj
+
+	if before := store.Totals(); before != (ReadStats{}) {
+		t.Fatalf("store totals before the scan = %+v, want none", before)
+	}
+	boom := errors.New("consumer failed")
+	emit := func(b *columnar.Batch) error {
+		// Hold the first batch until the second worker's morsel has read
+		// too, so the scan stops with a morsel it never delivers.
+		deadline := time.Now().Add(2 * time.Second)
+		for store.Totals().Retries < 2 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		b.Release()
+		return boom
+	}
+	stats, err := srv.Scan(context.Background(), "lineitem", ScanSpec{Workers: 2}, emit)
+	if !errors.Is(err, boom) {
+		t.Fatalf("Scan error = %v, want %v", err, boom)
+	}
+	want := store.Totals()
+	if want.Retries < 2 {
+		t.Fatalf("store counted %d retries, want at least 2: no morsel was dropped", want.Retries)
+	}
+	if stats.ReadStats != want {
+		t.Errorf("scan ReadStats = %+v, want the store's %+v", stats.ReadStats, want)
 	}
 }

@@ -453,20 +453,22 @@ func (s *Server) putView(v *Segment) {
 // done (columnar.Pool.Stats).
 func (s *Server) PoolStats() (free, peak, made int) { return s.pool.Stats() }
 
-func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error, pool *columnar.Pool) (ScanStats, error) {
+func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit func(*columnar.Batch) error, pool *columnar.Pool) (stats ScanStats, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The scan's state and the stats it counts are one allocation.
+	// The scan's state and the stats it counts are one allocation. This
+	// defer runs last, after the stream's Stop has dropped every morsel
+	// the scan did not deliver, so the caller gets those reads too.
 	sc := &segScan{s: s, spec: spec, emit: emit, pool: pool}
-	defer s.foldScanMetrics(&sc.stats)
+	defer func() { stats = sc.stats; s.foldScanMetrics(&stats) }()
 	t, err := s.Table(table)
 	if err != nil {
-		return sc.stats, err
+		return stats, err
 	}
 	if spec.Pushdown {
 		if err := s.checkPushdown(spec); err != nil {
-			return sc.stats, err
+			return stats, err
 		}
 	}
 
@@ -550,23 +552,23 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	defer morsels.Stop(sc.drop)
 	for r, ok := morsels.Next(); ok; r, ok = morsels.Next() {
 		if err := sc.deliver(r); err != nil {
-			return sc.stats, err
+			return stats, err
 		}
 	}
 	// The stream ends early when the caller's context does; surface that
 	// instead of silently under-scanning.
 	if err := ctx.Err(); err != nil {
-		return sc.stats, err
+		return stats, err
 	}
 
 	if preagg != nil {
 		if tail := preagg.Flush(); tail != nil {
 			if err := sc.emitTracked(tail); err != nil {
-				return sc.stats, err
+				return stats, err
 			}
 		}
 	}
-	return sc.stats, nil
+	return stats, nil
 }
 
 // segScan is one Scan's per-segment machinery. processSegment is the
