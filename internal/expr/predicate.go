@@ -234,7 +234,7 @@ func cmpString(a, b string, op CmpOp) bool {
 }
 
 // Columns implements Predicate.
-func (c *Cmp) Columns() []int { return []int{c.Col} }
+func (c *Cmp) Columns() []int { return unionColumns(c) }
 
 // String implements Predicate.
 func (c *Cmp) String() string {
@@ -257,7 +257,7 @@ func (p *Between) Eval(b *columnar.Batch) *columnar.Bitmap {
 }
 
 // Columns implements Predicate.
-func (p *Between) Columns() []int { return []int{p.Col} }
+func (p *Between) Columns() []int { return unionColumns(p) }
 
 // String implements Predicate.
 func (p *Between) String() string {
@@ -284,7 +284,7 @@ func (p *Like) Eval(b *columnar.Batch) *columnar.Bitmap {
 func (p *Like) match(s string) bool { return strings.Contains(s, p.Pattern) }
 
 // Columns implements Predicate.
-func (p *Like) Columns() []int { return []int{p.Col} }
+func (p *Like) Columns() []int { return unionColumns(p) }
 
 // String implements Predicate.
 func (p *Like) String() string {
@@ -366,7 +366,7 @@ func matchStrings(sel *columnar.Bitmap, col *columnar.Vector, match func(string)
 }
 
 // Columns implements Predicate.
-func (p *In) Columns() []int { return []int{p.Col} }
+func (p *In) Columns() []int { return unionColumns(p) }
 
 // String implements Predicate.
 func (p *In) String() string {
@@ -442,7 +442,7 @@ func (p *Not) Eval(b *columnar.Batch) *columnar.Bitmap {
 }
 
 // Columns implements Predicate.
-func (p *Not) Columns() []int { return p.Pred.Columns() }
+func (p *Not) Columns() []int { return unionColumns(p) }
 
 // String implements Predicate.
 func (p *Not) String() string { return "NOT (" + p.Pred.String() + ")" }
@@ -461,7 +461,9 @@ func unionColumns(p Predicate) []int {
 }
 
 // eachColumn calls fn with every column p reads, repeats included,
-// without building a Columns list.
+// without building a Columns list. It is the one place that knows the
+// predicate types' columns; their Columns methods collect through it,
+// and only a Predicate from outside this package is asked for its own.
 func eachColumn(p Predicate, fn func(int)) {
 	var subs []Predicate
 	switch t := p.(type) {

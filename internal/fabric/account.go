@@ -37,7 +37,7 @@ type Account struct {
 // usage is one resource's entry in an account.
 type usage struct {
 	total sim.Snapshot
-	lanes []sim.VTime // one per unit of a multi-unit resource, else nil
+	lanes []sim.VTime // one per unit of a multi-unit resource, else none
 }
 
 // NewAccount returns an empty account over the topology's devices and
@@ -46,25 +46,31 @@ type usage struct {
 func (t *Topology) NewAccount() *Account {
 	n := len(t.deviceList)
 	entries := make([]usage, n+len(t.linkList))
-	units := func(i int) int {
-		if i < n {
-			return t.deviceList[i].Units()
-		}
-		return t.linkList[i-n].Units()
-	}
 	lanes := 0
 	for i := range entries {
-		if u := units(i); u > 1 {
-			lanes += u
-		}
+		lanes += t.laneUnits(i)
 	}
 	slab := make([]sim.VTime, lanes)
 	for i := range entries {
-		if u := units(i); u > 1 {
-			entries[i].lanes, slab = slab[:u:u], slab[u:]
-		}
+		u := t.laneUnits(i)
+		entries[i].lanes, slab = slab[:u:u], slab[u:]
 	}
 	return &Account{topo: t, devices: entries[:n:n], links: entries[n:]}
+}
+
+// laneUnits is how many lanes an account keeps for the i-th resource,
+// devices before links: its units when it has more than one, else none.
+func (t *Topology) laneUnits(i int) int {
+	u := 0
+	if n := len(t.deviceList); i < n {
+		u = t.deviceList[i].Units()
+	} else {
+		u = t.linkList[i-n].Units()
+	}
+	if u < 2 {
+		return 0
+	}
+	return u
 }
 
 // device returns d's entry, nil on a nil account.

@@ -76,13 +76,6 @@ type Port struct {
 	svc *wiring.Services
 }
 
-// newPort builds a port of the given depth (see init).
-func newPort(name string, path []*fabric.Link, depth int, done <-chan struct{}, tape *obs.StageTape) *Port {
-	p := new(Port)
-	p.init(name, path, depth, done, tape)
-	return p
-}
-
 // init readies a zero port of the given depth. The receiver accumulates
 // half the depth's worth of consumed credits (at least one) before
 // returning them in one control message, so the sender can never starve.
