@@ -169,14 +169,12 @@ func (l *lease) view(n int, vecs bool) (*Batch, []*Vector) {
 }
 
 // cut readies v to hold a batch of n columns, in what it grew before: its
-// header and n column slots, each with vecs holding a Vector header that
-// keeps only the dictionary it held.
+// header and n column slots, each with vecs holding a Vector header.
 func (v *view) cut(n int, vecs bool) (*Batch, []*Vector) {
 	v.cols = append(v.cols[:0], make([]*Vector, n)...)
 	if vecs {
-		v.vecs = slices.Grow(v.vecs[:0], n)[:n]
+		v.vecs = append(v.vecs[:0], make([]Vector, n)...)
 		for i := range v.cols {
-			v.vecs[i] = Vector{dict: v.vecs[i].dict}
 			v.cols[i] = &v.vecs[i]
 		}
 	}
@@ -196,12 +194,10 @@ func (l *lease) selection(n int) *Bitmap {
 // recycle hands the set back to its pool once its last batch is released,
 // when nothing holds a view of it any more: the vectors' arrays to the
 // free lists, and the lease to the pool's leases. Each vector forgets its
-// values and its null bitmap but keeps its dictionary, which is never
-// written: the next decode into it keeps it too when the payload's
-// entries are the same (encoding's splitDict). The set's header and every
-// view's are zeroed, so a use of one after the release panics, and built
-// with -tags poisonpool every selection is set to all ones and every
-// dictionary dropped.
+// values and its null bitmap; its dictionary, the segment's, is dropped,
+// never pooled. The set's header and every view's are zeroed, so a use of
+// one after the release panics, and built with -tags poisonpool every
+// selection is set to all ones.
 func (l *lease) recycle() {
 	for _, v := range l.views[:l.used] {
 		v.b = Batch{}
@@ -220,12 +216,7 @@ func (l *lease) recycle() {
 		p.codes = give(p.codes, v.codes, math.MaxInt32)
 	}
 	l.set.b = Batch{}
-	for i := range l.set.vecs {
-		l.set.vecs[i] = Vector{dict: l.set.vecs[i].dict}
-		if poisonReleased {
-			l.set.vecs[i].dict = nil
-		}
-	}
+	clear(l.set.vecs)
 	p.leases = append(p.leases, l)
 	p.leased--
 }

@@ -98,7 +98,7 @@ func (ec *EncodedColumn) decode(out *columnar.Vector, sel *columnar.Bitmap, p *c
 		case Dict:
 			codes := columnar.Values[int32](p, count)
 			var dict []string
-			dict, err = gatherDict(codes, ec.Data, n, words, out.Dict())
+			dict, err = gatherDict(codes, ec.Data, n, words)
 			*out = *columnar.FromCodes(codes, dict)
 		case Plain:
 			vals := columnar.Values[string](p, count)
@@ -145,11 +145,10 @@ func gatherBitPacked(dst []int64, data []byte, n int, sel []uint64) error {
 }
 
 // gatherDict stores the selected rows' codes in dst and returns the
-// dictionary they index, held when its entries are the payload's (see
-// splitDict): a DICT column decodes to a coded vector, and no row becomes
-// a string here.
-func gatherDict(dst []int32, data []byte, n int, sel []uint64, held []string) ([]string, error) {
-	dict, codesData, err := splitDict(data, held)
+// dictionary they index: a DICT column decodes to a coded vector, and no
+// row becomes a string here.
+func gatherDict(dst []int32, data []byte, n int, sel []uint64) ([]string, error) {
+	dict, codesData, err := splitDict(data)
 	if err != nil {
 		return nil, err
 	}
@@ -478,7 +477,7 @@ func (ec *EncodedColumn) decodedStringSize() (int64, bool) {
 		}
 		return total, true
 	case Dict:
-		dict, codesData, err := splitDict(ec.Data, nil)
+		dict, codesData, err := splitDict(ec.Data)
 		if err != nil {
 			return 0, false
 		}

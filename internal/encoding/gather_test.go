@@ -494,7 +494,7 @@ func BenchmarkUnpackFullWord(b *testing.B) {
 		for i := range strs {
 			strs[i] = fmt.Sprintf("s%04d", rng.Intn(distinct))
 		}
-		dict, codesData, err := splitDict(stringBlock(Dict, strs), nil)
+		dict, codesData, err := splitDict(stringBlock(Dict, strs))
 		if err != nil {
 			b.Fatal(err)
 		}

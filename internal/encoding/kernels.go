@@ -339,7 +339,7 @@ func (ec *EncodedColumn) EvalStringMatch(match func(string) bool) (*columnar.Bit
 	if err := ec.verify(); err != nil {
 		return nil, false, err
 	}
-	dict, codesData, err := splitDict(ec.Data, nil)
+	dict, codesData, err := splitDict(ec.Data)
 	if err != nil {
 		return nil, false, err
 	}
@@ -385,13 +385,10 @@ func (ec *EncodedColumn) EvalStringMatch(match func(string) bool) (*columnar.Bit
 }
 
 // splitDict parses a Dict payload into the dictionary entries and the
-// bit-packed codes block. When held lists the payload's entries, byte for
-// byte, it is returned and nothing is allocated: a dictionary is never
-// written, so every vector sharing it may keep it. Otherwise the entries
-// are substrings of one copy of the table's bytes — two allocations
-// whatever the dictionary's size, and a copy, so the entries outlive the
-// payload as every decoded value must.
-func splitDict(data []byte, held []string) ([]string, []byte, error) {
+// bit-packed codes block. The entries are substrings of one copy of the
+// table's bytes — two allocations whatever the dictionary's size, and a
+// copy, so the entries outlive the payload as every decoded value must.
+func splitDict(data []byte) ([]string, []byte, error) {
 	nd, sz := binary.Uvarint(data)
 	if sz <= 0 || nd > math.MaxInt32 { // a code is an int32
 		return nil, nil, fmt.Errorf("%w: bad dict size", ErrCorrupt)
@@ -400,25 +397,17 @@ func splitDict(data []byte, held []string) ([]string, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	dict, same := held, uint64(len(held)) == nd
-	for i, off := 0, sz; same && i < len(held); i++ {
+	table := string(data[:dictBytes])
+	dict := make([]string, nd)
+	off := sz
+	for i := range dict {
 		l, sz := binary.Uvarint(data[off:])
 		off += sz
-		same = held[i] == string(data[off:off+int(l)])
+		dict[i] = table[off : off+int(l)]
 		off += int(l)
 	}
-	if !same {
-		table := string(data[:dictBytes])
-		dict = make([]string, nd)
-		for i, off := 0, sz; i < len(dict); i++ {
-			l, sz := binary.Uvarint(data[off:])
-			off += sz
-			dict[i] = table[off : off+int(l)]
-			off += int(l)
-		}
-	}
-	pl, sz := binary.Uvarint(data[dictBytes:])
-	return dict, data[int(dictBytes)+sz:][:pl], nil
+	pl, sz := binary.Uvarint(data[off:])
+	return dict, data[off+sz:][:pl], nil
 }
 
 // bitPackedReader gives random access into an EncodeBitPacked payload.
