@@ -263,14 +263,55 @@ func (b *Batch) filter(sel *Bitmap, count int) *Batch {
 }
 
 // Slice returns a view of rows [from, to). It shares b's lease: cutting
-// one batch into several views calls Share first.
+// one batch into several views calls Share first (see Cut).
 func (b *Batch) Slice(from, to int) *Batch {
 	out, cols := b.lease.view(len(b.cols), true)
+	return b.slice(out, cols, from, to)
+}
+
+// slice writes the view of rows [from, to) into out, its vectors into
+// the headers cols point to, and returns out.
+func (b *Batch) slice(out *Batch, cols []*Vector, from, to int) *Batch {
 	for i, c := range b.cols {
 		c.slice(cols[i], b.lease, from, to)
 	}
 	*out = Batch{schema: b.schema, cols: cols, rows: to - from, lease: b.lease}
 	return out
+}
+
+// Cut hands b to emit in views of at most size rows, in row order, each
+// its consumer's to release (Share): b itself when it fits one. A leased
+// b's views are its lease's (Slice); an unleased b's are cut from one
+// slab of headers for all of them, three allocations however many.
+func (b *Batch) Cut(size int, emit func(*Batch) error) error {
+	rows, w := b.NumRows(), len(b.cols)
+	if rows <= size {
+		return emit(b)
+	}
+	n := (rows + size - 1) / size
+	b.Share(n)
+	var outs []Batch
+	var cols []*Vector
+	if b.lease == nil {
+		outs, cols = make([]Batch, n), make([]*Vector, n*w)
+		vecs := make([]Vector, n*w)
+		for i := range cols {
+			cols[i] = &vecs[i]
+		}
+	}
+	for i := 0; i < n; i++ {
+		from, to := i*size, min((i+1)*size, rows)
+		var v *Batch
+		if b.lease != nil {
+			v = b.Slice(from, to)
+		} else {
+			v = b.slice(&outs[i], cols[i*w:(i+1)*w:(i+1)*w], from, to)
+		}
+		if err := emit(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ByteSize estimates the in-memory footprint of all column data in bytes.

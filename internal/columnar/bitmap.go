@@ -15,6 +15,22 @@ func NewBitmap(n int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// Reset makes b a bitmap of n bits, all clear, in b's words when they
+// are long enough, and returns it; a nil b is NewBitmap(n). It is how a
+// predicate writes into a selection its caller lends it.
+func (b *Bitmap) Reset(n int) *Bitmap {
+	if b == nil {
+		return NewBitmap(n)
+	}
+	*b = Bitmap{words: append(b.words[:0], make([]uint64, (n+63)/64)...), n: n}
+	return b
+}
+
+// Release marks b's words as handed back to whoever lends them: built
+// with -tags poisonpool it sets every bit, so a read after the hand-back
+// selects rows nothing chose.
+func (b *Bitmap) Release() { poison(b.words, ^uint64(0)) }
+
 // FullBitmap returns a bitmap of n bits, all set — the selection of every
 // row — with its words in buf when buf has room for them. It returns a
 // value, not a pointer, so a caller that declares buf as a local array

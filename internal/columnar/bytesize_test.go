@@ -1,8 +1,10 @@
 package columnar
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -82,6 +84,7 @@ func TestByteSizeIsKeptForEveryConstructor(t *testing.T) {
 			b := fiveColumns(rng, n, nullEvery)
 			checkKeptSize(t, at+": BatchOf", b)
 			checkKeptSize(t, at+": Slice", b.Slice(n/3, n))
+			b.Cut(1000, func(g *Batch) error { checkKeptSize(t, at+": Cut", g); return nil })
 			checkKeptSize(t, at+": Project", b.Project([]int{4, 2, 0}))
 			for _, sel := range selectionShapes(rng, n) {
 				what := fmt.Sprintf("%s %s", at, sel.name)
@@ -99,6 +102,36 @@ func TestByteSizeIsKeptForEveryConstructor(t *testing.T) {
 			}
 		}
 		checkKeptSize(t, fmt.Sprintf("n=%d: ZeroColumnBatch", n), ZeroColumnBatch(NewSchema(), n))
+	}
+}
+
+// Cut hands a batch that fits one granule on as it is, and cuts a larger
+// unleased one into views equal to its Slice views, row for row and
+// ByteSize for ByteSize; an error from emit stops it.
+func TestCutMatchesSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, n := range []int{1, 64, 4096, 4097, 10000} {
+		for _, nullEvery := range []int{0, 7} {
+			b := fiveColumns(rng, n, nullEvery)
+			var got []*Batch
+			if err := b.Cut(4096, func(g *Batch) error { got = append(got, g); return nil }); err != nil {
+				t.Fatal(err)
+			}
+			at := fmt.Sprintf("n=%d nullEvery=%d", n, nullEvery)
+			if len(got) != (n+4095)/4096 || (n <= 4096 && got[0] != b) {
+				t.Fatalf("%s: cut into %d batches, want %d (the batch itself when it fits one)", at, len(got), (n+4095)/4096)
+			}
+			for i, g := range got {
+				ref := b.Slice(i*4096, min((i+1)*4096, n))
+				if !reflect.DeepEqual(g.RowMajor(), ref.RowMajor()) || g.ByteSize() != ref.ByteSize() {
+					t.Fatalf("%s: granule %d differs from its Slice view (ByteSize %d, want %d)", at, i, g.ByteSize(), ref.ByteSize())
+				}
+			}
+		}
+	}
+	stop, calls := errors.New("stop"), 0
+	if err := fiveColumns(rng, 100, 0).Cut(10, func(*Batch) error { calls++; return stop }); err != stop || calls != 1 {
+		t.Fatalf("Cut returned %v after %d calls, want the first emit's error after one", err, calls)
 	}
 }
 

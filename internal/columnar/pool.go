@@ -186,9 +186,7 @@ func (l *lease) selection(n int) *Bitmap {
 	if l == nil {
 		return NewBitmap(n)
 	}
-	s := &l.next().sel
-	*s = Bitmap{words: append(s.words[:0], make([]uint64, (n+63)/64)...), n: n}
-	return s
+	return l.next().sel.Reset(n)
 }
 
 // recycle hands the set back to its pool once its last batch is released,
@@ -202,7 +200,7 @@ func (l *lease) recycle() {
 	for _, v := range l.views[:l.used] {
 		v.b = Batch{}
 		clear(v.vecs)
-		poison(v.sel.words, ^uint64(0))
+		v.sel.Release()
 	}
 	l.used = 0
 	p := l.pool

@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
+	"repro/internal/columnar"
 	"repro/internal/plan"
+	"repro/internal/resilience"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -120,5 +123,42 @@ func TestJoinWorkersPreserveResults(t *testing.T) {
 		if res.Stats.MovedBytes != base.Stats.MovedBytes {
 			t.Errorf("w=%d: join moved %v, serial %v", w, res.Stats.MovedBytes, base.Stats.MovedBytes)
 		}
+	}
+}
+
+// The scan-wide shape — a 50 % shipdate BETWEEN and every column — takes
+// the encoded scan: each segment's selection is its view's, lent for one
+// attempt, and its result is cut into granules from one slab. At Workers
+// 1, 2 and 3, with speculation on (a late copy of a morsel opens a view,
+// and a selection, of its own), the rows come back identical, in order.
+func TestWideScanRowsAtEveryWidthWithSpeculation(t *testing.T) {
+	const segRows = 16384 // two granules of result a segment
+	cfg := workload.DefaultLineitemConfig(8 * segRows)
+	data := workload.GenLineitem(cfg)
+	q := plan.NewQuery("lineitem").WithFilter(workload.SelectivityFilter(cfg, 0.5))
+	var want [][]columnar.Value
+	for _, w := range []int{1, 2, 3} {
+		df, _ := newEnginesSized(t, data, segRows)
+		df.Workers = w
+		df.EnableResilience(resilience.NewPolicy())
+		res, err := df.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Scan.EncodedEvalSegments == 0 {
+			t.Fatalf("w=%d: no segment took the encoded scan", w)
+		}
+		var rows [][]columnar.Value
+		for _, b := range res.Batches {
+			rows = append(rows, b.RowMajor()...)
+		}
+		if w == 1 {
+			want = rows
+		} else if !reflect.DeepEqual(rows, want) {
+			t.Fatalf("w=%d: %d rows differ from the %d at Workers 1", w, len(rows), len(want))
+		}
+	}
+	if len(want) < segRows {
+		t.Fatalf("%d rows, want at least %d", len(want), segRows)
 	}
 }

@@ -42,3 +42,35 @@ func BenchmarkSmallQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWideScan is CI's encoded scan gate: the bench's scan-wide
+// shape, a 50 % shipdate BETWEEN and all nine columns over a 262,144-row
+// lineitem (four 65,536-row segments) through Execute at Workers 1, back
+// to back on one engine. Every segment takes the late-materializing path
+// (encoded eval, then gather), so an op allocates what the result keeps —
+// each segment's value arrays, DICT codes and dictionaries — and the
+// headers it is cut into, a slab a segment.
+func BenchmarkWideScan(b *testing.B) {
+	const rows = 262144
+	cfg := workload.DefaultLineitemConfig(rows)
+	df := NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
+	df.Workers = 1
+	if err := df.CreateTable("lineitem", workload.LineitemSchema()); err != nil {
+		b.Fatal(err)
+	}
+	if err := df.Load("lineitem", workload.GenLineitem(cfg)); err != nil {
+		b.Fatal(err)
+	}
+	q := plan.NewQuery("lineitem").WithFilter(workload.SelectivityFilter(cfg, 0.5))
+	ctx := context.Background()
+	if _, err := df.Execute(ctx, q); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := df.Execute(ctx, q); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

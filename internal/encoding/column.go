@@ -263,17 +263,7 @@ func minMax[T int64 | float64 | string](vals []T, nulls *columnar.Bitmap) (lo, h
 // reader, and its checks are made in one place. The selection of a column
 // of up to 65,536 rows (a segment's) is held on the stack, so a full
 // decode allocates what its vector holds and nothing else.
-func (ec *EncodedColumn) Decode() (*columnar.Vector, error) { return ec.DecodeInto(nil, nil) }
-
-// DecodeInto is Decode into dst (a new vector when nil), overwriting its
-// header, with value arrays taken from p (columnar.Values): what a scan
-// that recycles its decoded sets calls (columnar.Pool.Lend). A nil p
-// allocates.
-func (ec *EncodedColumn) DecodeInto(dst *columnar.Vector, p *columnar.Pool) (*columnar.Vector, error) {
-	var buf [1024]uint64
-	all := columnar.FullBitmap(ec.Stats.NumValues, buf[:])
-	return ec.decode(dst, &all, p)
-}
+func (ec *EncodedColumn) Decode() (*columnar.Vector, error) { return ec.DecodeInto(nil, nil, nil) }
 
 // EncodedSize reports the byte size of the encoded representation,
 // i.e. what moving this column over a link costs.

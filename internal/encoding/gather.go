@@ -53,14 +53,24 @@ import (
 // codes, and the dictionary they index (see columnar.FromCodes). Its
 // arrays are its own: they are never pooled.
 func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector, error) {
-	return ec.decode(nil, sel, nil)
+	return ec.DecodeInto(nil, sel, nil)
 }
 
-// decode is DecodeFiltered into out, a new vector when out is nil, with
-// the value arrays taken from p; the dictionary of a DICT column is the
+// DecodeInto is DecodeFiltered into out, a new vector when out is nil,
+// under sel, every row when sel is nil, with the value arrays taken from
+// p (columnar.Values; a nil p allocates): what a scan that decodes into
+// headers of its own calls, and one that recycles its decoded sets
+// (columnar.Pool.Lend). The dictionary of a DICT column is the
 // segment's, never p's. It overwrites out's header and returns out.
-func (ec *EncodedColumn) decode(out *columnar.Vector, sel *columnar.Bitmap, p *columnar.Pool) (*columnar.Vector, error) {
+func (ec *EncodedColumn) DecodeInto(out *columnar.Vector, sel *columnar.Bitmap, p *columnar.Pool) (*columnar.Vector, error) {
 	n := ec.Stats.NumValues
+	if sel == nil {
+		// Up to 65,536 rows (a segment's), every row's selection is held
+		// on the stack: a full decode allocates what its vector holds.
+		var buf [1024]uint64
+		all := columnar.FullBitmap(n, buf[:])
+		sel = &all
+	}
 	if sel.Len() != n {
 		return nil, fmt.Errorf("%w: selection length %d, column has %d rows", ErrCorrupt, sel.Len(), n)
 	}

@@ -27,7 +27,9 @@ import (
 //     false, matching the decoded evaluation.
 //
 // Every kernel returns ok=false when the type/encoding pair is
-// unsupported; callers fall back to decode-then-eval.
+// unsupported; callers fall back to decode-then-eval. Each writes its
+// selection into dst, which it resets (columnar.Bitmap.Reset), or into a
+// new bitmap when dst is nil, and returns it.
 
 // nullRows parses the column's null bitmap into a columnar.Bitmap of n
 // bits, or nil when the column has no nulls. appendBools packs LSB
@@ -90,12 +92,12 @@ func (ec *EncodedColumn) allTrueMinusNulls(bm *columnar.Bitmap) (*columnar.Bitma
 // returns the selection bitmap. ok=false means the type/encoding pair is
 // not supported and the caller must fall back to decode-then-eval. A
 // non-nil error means the column is corrupt.
-func (ec *EncodedColumn) EvalIntRange(lo, hi int64) (*columnar.Bitmap, bool, error) {
+func (ec *EncodedColumn) EvalIntRange(dst *columnar.Bitmap, lo, hi int64) (*columnar.Bitmap, bool, error) {
 	if ec.Type != columnar.Int64 {
 		return nil, false, nil
 	}
 	n := ec.Stats.NumValues
-	bm := columnar.NewBitmap(n)
+	bm := dst.Reset(n)
 	if lo > hi || ec.Stats.NullCount == n {
 		return bm, true, nil
 	}
@@ -117,12 +119,12 @@ func (ec *EncodedColumn) EvalIntRange(lo, hi int64) (*columnar.Bitmap, bool, err
 }
 
 // EvalIntIn evaluates v IN (vals...) over an encoded Int64 column.
-func (ec *EncodedColumn) EvalIntIn(vals []int64) (*columnar.Bitmap, bool, error) {
+func (ec *EncodedColumn) EvalIntIn(dst *columnar.Bitmap, vals []int64) (*columnar.Bitmap, bool, error) {
 	if ec.Type != columnar.Int64 {
 		return nil, false, nil
 	}
 	n := ec.Stats.NumValues
-	bm := columnar.NewBitmap(n)
+	bm := dst.Reset(n)
 	if len(vals) == 0 || ec.Stats.NullCount == n {
 		return bm, true, nil
 	}
@@ -277,12 +279,12 @@ func below(v, bound float64, inc bool) bool { return v < bound || (inc && v == b
 
 // EvalFloatRange evaluates a float range predicate with inclusive or
 // exclusive bounds over a Plain-encoded Float64 column.
-func (ec *EncodedColumn) EvalFloatRange(lo, hi float64, incLo, incHi bool) (*columnar.Bitmap, bool, error) {
+func (ec *EncodedColumn) EvalFloatRange(dst *columnar.Bitmap, lo, hi float64, incLo, incHi bool) (*columnar.Bitmap, bool, error) {
 	if ec.Type != columnar.Float64 || ec.Encoding != Plain {
 		return nil, false, nil
 	}
 	n := ec.Stats.NumValues
-	bm := columnar.NewBitmap(n)
+	bm := dst.Reset(n)
 	if ec.Stats.NullCount == n {
 		return bm, true, nil
 	}
@@ -327,12 +329,12 @@ func (ec *EncodedColumn) EvalFloatRange(lo, hi float64, incLo, incHi bool) (*col
 // a Dict-encoded column by testing each dictionary entry once and then
 // streaming the per-row codes. Plain string columns report ok=false (a
 // per-row walk would decode anyway, so the caller's fallback is honest).
-func (ec *EncodedColumn) EvalStringMatch(match func(string) bool) (*columnar.Bitmap, bool, error) {
+func (ec *EncodedColumn) EvalStringMatch(dst *columnar.Bitmap, match func(string) bool) (*columnar.Bitmap, bool, error) {
 	if ec.Type != columnar.String || ec.Encoding != Dict {
 		return nil, false, nil
 	}
 	n := ec.Stats.NumValues
-	bm := columnar.NewBitmap(n)
+	bm := dst.Reset(n)
 	if ec.Stats.NullCount == n {
 		return bm, true, nil
 	}

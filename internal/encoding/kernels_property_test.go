@@ -173,7 +173,7 @@ func checkIntKernels(t *testing.T, rng *rand.Rand, what string, ec *EncodedColum
 	}
 	for _, r := range ranges {
 		lo, hi := r[0], r[1]
-		got, ok, err := ec.EvalIntRange(lo, hi)
+		got, ok, err := ec.EvalIntRange(nil, lo, hi)
 		if err != nil || !ok {
 			t.Fatalf("%s: EvalIntRange(%d, %d): ok=%v err=%v", what, lo, hi, ok, err)
 		}
@@ -187,7 +187,7 @@ func checkIntKernels(t *testing.T, rng *rand.Rand, what string, ec *EncodedColum
 		{satAdd(highest, 1), satAdd(lowest, -1)}, // nothing in the frame (unless it touches an end of int64)
 	}
 	for _, set := range sets {
-		got, ok, err := ec.EvalIntIn(set)
+		got, ok, err := ec.EvalIntIn(nil, set)
 		if err != nil || !ok {
 			t.Fatalf("%s: EvalIntIn(%v): ok=%v err=%v", what, set, ok, err)
 		}
@@ -226,7 +226,7 @@ func TestStringMatchMatchesDecodeAtEveryCodeWidth(t *testing.T) {
 				}
 				ec.Checksum = ec.ComputeChecksum()
 				match := func(s string) bool { return s[len(s)-1]%3 == 0 }
-				got, ok, err := ec.EvalStringMatch(match)
+				got, ok, err := ec.EvalStringMatch(nil, match)
 				what := fmt.Sprintf("DICT distinct=%d n=%d nulls=%v", distinct, n, nulls != nil)
 				if err != nil || !ok {
 					t.Fatalf("%s: ok=%v err=%v", what, ok, err)
@@ -277,13 +277,13 @@ func TestFlippedPayloadByteIsErrCorrupt(t *testing.T) {
 			}
 			switch ec.Type {
 			case columnar.Int64:
-				reads["EvalIntRange"] = func() error { _, _, err := ec.EvalIntRange(6000, 7000); return err }
-				reads["EvalIntIn"] = func() error { _, _, err := ec.EvalIntIn([]int64{6000, 7000}); return err }
+				reads["EvalIntRange"] = func() error { _, _, err := ec.EvalIntRange(nil, 6000, 7000); return err }
+				reads["EvalIntIn"] = func() error { _, _, err := ec.EvalIntIn(nil, []int64{6000, 7000}); return err }
 			case columnar.Float64:
-				reads["EvalFloatRange"] = func() error { _, _, err := ec.EvalFloatRange(0.25, 0.75, true, false); return err }
+				reads["EvalFloatRange"] = func() error { _, _, err := ec.EvalFloatRange(nil, 0.25, 0.75, true, false); return err }
 			case columnar.String:
 				reads["EvalStringMatch"] = func() error {
-					_, _, err := ec.EvalStringMatch(func(s string) bool { return s < "s20" })
+					_, _, err := ec.EvalStringMatch(nil, func(s string) bool { return s < "s20" })
 					return err
 				}
 			}
@@ -330,7 +330,7 @@ func TestFloatRangeMatchesPerRowAtEveryLength(t *testing.T) {
 			for _, b := range [][2]float64{{0.25, 0.75}, {0.5, 0.5}, {0.75, 0.25}, {-inf, inf}, {-inf, 0}, {0, inf}, {nan, 1}, {0, nan}, {nan, nan}} {
 				for _, inc := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
 					lo, hi, incLo, incHi := b[0], b[1], inc[0], inc[1]
-					got, ok, err := ec.EvalFloatRange(lo, hi, incLo, incHi)
+					got, ok, err := ec.EvalFloatRange(nil, lo, hi, incLo, incHi)
 					what := fmt.Sprintf("n=%d nulls=%v range %v..%v inc=%v/%v", n, nulls != nil, lo, hi, incLo, incHi)
 					if err != nil || !ok {
 						t.Fatalf("%s: ok=%v err=%v", what, ok, err)
@@ -440,14 +440,14 @@ func FuzzEvalIntRange(f *testing.F) {
 		}
 		lo, hi := frameMin+loOff, frameMin+hiOff
 		what := fmt.Sprintf("width=%d min=%d n=%d range [%d, %d]", w, frameMin, n, lo, hi)
-		got, ok, err := ec.EvalIntRange(lo, hi)
+		got, ok, err := ec.EvalIntRange(nil, lo, hi)
 		if err != nil || !ok {
 			t.Fatalf("%s: ok=%v err=%v", what, ok, err)
 		}
 		checkSelection(t, what, got, n, func(i int) bool {
 			return (isNull == nil || !isNull[i]) && col[i] >= lo && col[i] <= hi
 		})
-		got, ok, err = ec.EvalIntIn([]int64{lo, hi})
+		got, ok, err = ec.EvalIntIn(nil, []int64{lo, hi})
 		if err != nil || !ok {
 			t.Fatalf("%s IN: ok=%v err=%v", what, ok, err)
 		}
@@ -480,7 +480,7 @@ func BenchmarkEvalIntRange(b *testing.B) {
 			b.Run(fmt.Sprintf("width=%d/sel=%d%%", width, pct), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					bm, _, err := ec.EvalIntRange(lo, hi)
+					bm, _, err := ec.EvalIntRange(nil, lo, hi)
 					if err != nil {
 						b.Fatal(err)
 					}

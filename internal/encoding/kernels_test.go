@@ -66,7 +66,7 @@ func TestEvalIntRangeMatchesEager(t *testing.T) {
 			v := intVectorWithNulls(rng, 500, 1000, nullEvery)
 			ec := encodeIntAs(t, v, enc)
 			for _, r := range [][2]int64{{100, 400}, {0, 999}, {-50, -1}, {1500, 2000}, {250, 250}, {400, 100}} {
-				got, ok, err := ec.EvalIntRange(r[0], r[1])
+				got, ok, err := ec.EvalIntRange(nil, r[0], r[1])
 				if err != nil || !ok {
 					t.Fatalf("%v nulls=%d EvalIntRange(%d,%d): ok=%v err=%v", enc, nullEvery, r[0], r[1], ok, err)
 				}
@@ -85,7 +85,7 @@ func TestEvalIntInMatchesEager(t *testing.T) {
 	for _, enc := range []ColumnEncoding{RLE, DeltaVarint, BitPacked} {
 		v := intVectorWithNulls(rng, 400, 1000, 5)
 		ec := encodeIntAs(t, v, enc)
-		got, ok, err := ec.EvalIntIn(vals)
+		got, ok, err := ec.EvalIntIn(nil, vals)
 		if err != nil || !ok {
 			t.Fatalf("%v EvalIntIn: ok=%v err=%v", enc, ok, err)
 		}
@@ -125,7 +125,7 @@ func TestEvalFloatRangeMatchesEager(t *testing.T) {
 		{10, 50, true, true}, {10, 50, false, false}, {-5, 200, true, true},
 		{200, 300, true, true}, {0, 10, true, false},
 	} {
-		got, ok, err := ec.EvalFloatRange(c.lo, c.hi, c.incLo, c.incHi)
+		got, ok, err := ec.EvalFloatRange(nil, c.lo, c.hi, c.incLo, c.incHi)
 		if err != nil || !ok {
 			t.Fatalf("EvalFloatRange(%v): ok=%v err=%v", c, ok, err)
 		}
@@ -164,7 +164,7 @@ func TestEvalStringMatchDict(t *testing.T) {
 		t.Fatal(err)
 	}
 	match := func(s string) bool { return s == "beta" || s > "ep" }
-	got, ok, err := ec.EvalStringMatch(match)
+	got, ok, err := ec.EvalStringMatch(nil, match)
 	if err != nil || !ok {
 		t.Fatalf("EvalStringMatch: ok=%v err=%v", ok, err)
 	}
@@ -182,11 +182,11 @@ func TestEvalStringMatchDict(t *testing.T) {
 func TestKernelUnsupportedFallsBack(t *testing.T) {
 	v := columnar.FromStrings([]string{"unique-a", "unique-b", "unique-c"})
 	ec := forced(EncodeColumn(v), Plain, stringBlock(Plain, v.Strings()))
-	if _, ok, err := ec.EvalStringMatch(func(string) bool { return true }); ok || err != nil {
+	if _, ok, err := ec.EvalStringMatch(nil, func(string) bool { return true }); ok || err != nil {
 		t.Fatalf("plain strings should report unsupported, got ok=%v err=%v", ok, err)
 	}
 	fv := EncodeColumn(columnar.FromFloat64s([]float64{1, 2}))
-	if _, ok, _ := fv.EvalIntRange(0, 1); ok {
+	if _, ok, _ := fv.EvalIntRange(nil, 0, 1); ok {
 		t.Fatal("float column should report unsupported for int kernel")
 	}
 }
@@ -194,7 +194,7 @@ func TestKernelUnsupportedFallsBack(t *testing.T) {
 func TestKernelEmptyDictionary(t *testing.T) {
 	v := columnar.NewVector(columnar.String, 0)
 	ec := forced(EncodeColumn(v), Dict, stringBlock(Dict, nil))
-	bm, ok, err := ec.EvalStringMatch(func(string) bool { return true })
+	bm, ok, err := ec.EvalStringMatch(nil, func(string) bool { return true })
 	if err != nil || !ok {
 		t.Fatalf("empty dict: ok=%v err=%v", ok, err)
 	}
@@ -215,7 +215,7 @@ func TestKernelAllNullColumn(t *testing.T) {
 	// Corrupt the payload: an all-null column must answer without
 	// touching Data.
 	ec.Data = []byte{0xde, 0xad}
-	bm, ok, err := ec.EvalIntRange(-1<<62, 1<<62)
+	bm, ok, err := ec.EvalIntRange(nil, -1<<62, 1<<62)
 	if err != nil || !ok {
 		t.Fatalf("all-null: ok=%v err=%v", ok, err)
 	}
@@ -233,11 +233,11 @@ func TestKernelSingleDistinctDict(t *testing.T) {
 	if ec.Encoding != Dict {
 		t.Fatalf("expected Dict, got %v", ec.Encoding)
 	}
-	bm, ok, err := ec.EvalStringMatch(func(s string) bool { return s == "only" })
+	bm, ok, err := ec.EvalStringMatch(nil, func(s string) bool { return s == "only" })
 	if err != nil || !ok || bm.Count() != 100 {
 		t.Fatalf("single-distinct dict eq: count=%d ok=%v err=%v", bm.Count(), ok, err)
 	}
-	bm, ok, err = ec.EvalStringMatch(func(s string) bool { return s == "other" })
+	bm, ok, err = ec.EvalStringMatch(nil, func(s string) bool { return s == "other" })
 	if err != nil || !ok || bm.Count() != 0 {
 		t.Fatalf("single-distinct dict miss: count=%d ok=%v err=%v", bm.Count(), ok, err)
 	}
@@ -252,11 +252,11 @@ func TestKernelBitPackedMinEqMax(t *testing.T) {
 	if w := ec.Data[len(ec.Data)-1]; w != 0 {
 		t.Fatalf("min==max column should pack to width 0, got %d", w)
 	}
-	bm, ok, err := ec.EvalIntRange(7, 7)
+	bm, ok, err := ec.EvalIntRange(nil, 7, 7)
 	if err != nil || !ok || bm.Count() != 200 {
 		t.Fatalf("width-0 eq: count=%d ok=%v err=%v", bm.Count(), ok, err)
 	}
-	bm, ok, err = ec.EvalIntRange(8, 8)
+	bm, ok, err = ec.EvalIntRange(nil, 8, 8)
 	if err != nil || !ok || bm.Count() != 0 {
 		t.Fatalf("width-0 miss: count=%d ok=%v err=%v", bm.Count(), ok, err)
 	}
@@ -270,24 +270,24 @@ func TestKernelZoneMapShortCircuitNoDataAccess(t *testing.T) {
 	// must never see it.
 	ec.Data = []byte{0xff, 0xff, 0xff}
 
-	bm, ok, err := ec.EvalIntRange(100, 200) // entirely above MaxI
+	bm, ok, err := ec.EvalIntRange(nil, 100, 200) // entirely above MaxI
 	if err != nil || !ok || bm.Count() != 0 {
 		t.Fatalf("above-range short circuit: count=%d ok=%v err=%v", bm.Count(), ok, err)
 	}
-	bm, ok, err = ec.EvalIntRange(-100, -1) // entirely below MinI
+	bm, ok, err = ec.EvalIntRange(nil, -100, -1) // entirely below MinI
 	if err != nil || !ok || bm.Count() != 0 {
 		t.Fatalf("below-range short circuit: count=%d ok=%v err=%v", bm.Count(), ok, err)
 	}
-	bm, ok, err = ec.EvalIntRange(0, 1000) // covers [MinI, MaxI]
+	bm, ok, err = ec.EvalIntRange(nil, 0, 1000) // covers [MinI, MaxI]
 	if err != nil || !ok || bm.Count() != 5 {
 		t.Fatalf("covering short circuit: count=%d ok=%v err=%v", bm.Count(), ok, err)
 	}
-	bm, ok, err = ec.EvalIntIn([]int64{60, 70}) // members all outside zone map
+	bm, ok, err = ec.EvalIntIn(nil, []int64{60, 70}) // members all outside zone map
 	if err != nil || !ok || bm.Count() != 0 {
 		t.Fatalf("IN short circuit: count=%d ok=%v err=%v", bm.Count(), ok, err)
 	}
 	// A range that genuinely needs the data must now surface corruption.
-	if _, ok, err := ec.EvalIntRange(15, 25); ok && err == nil {
+	if _, ok, err := ec.EvalIntRange(nil, 15, 25); ok && err == nil {
 		t.Fatal("partial-overlap range on garbage data did not fail")
 	}
 }

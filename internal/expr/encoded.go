@@ -18,19 +18,27 @@ import (
 // semantics: leaf comparisons with NULL are false, and Not flips every
 // row's bit — NULL rows included — exactly as Not.Eval does.
 func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.Bitmap, bool, error) {
+	return EvalEncodedInto(nil, p, col)
+}
+
+// EvalEncodedInto is EvalEncoded writing the result into dst, a bitmap
+// the caller lends (nil for a new one): a scan's selection, reused from
+// segment to segment. Only the operands after the first of an AND or an
+// OR, a NOT's operand and a != test's equality get bitmaps of their own.
+func EvalEncodedInto(dst *columnar.Bitmap, p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.Bitmap, bool, error) {
 	switch t := p.(type) {
 	case *Cmp:
 		ec := col(t.Col)
 		if ec == nil {
 			return nil, false, nil
 		}
-		return evalCmpEncoded(t, ec)
+		return evalCmpEncoded(dst, t, ec)
 	case *Between:
 		ec := col(t.Col)
 		if ec == nil {
 			return nil, false, nil
 		}
-		return ec.EvalIntRange(t.Lo, t.Hi)
+		return ec.EvalIntRange(dst, t.Lo, t.Hi)
 	case *In:
 		ec := col(t.Col)
 		if ec == nil || len(t.Vals) == 0 {
@@ -42,9 +50,9 @@ func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.
 			for i, v := range t.Vals {
 				vals[i] = v.I
 			}
-			return ec.EvalIntIn(vals)
+			return ec.EvalIntIn(dst, vals)
 		case columnar.String:
-			return ec.EvalStringMatch(t.stringMatcher())
+			return ec.EvalStringMatch(dst, t.stringMatcher())
 		}
 		return nil, false, nil
 	case *Like:
@@ -52,12 +60,12 @@ func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.
 		if ec == nil {
 			return nil, false, nil
 		}
-		return ec.EvalStringMatch(t.match)
+		return ec.EvalStringMatch(dst, t.match)
 	case *And:
 		if len(t.Preds) == 0 {
 			return nil, false, nil
 		}
-		acc, ok, err := EvalEncoded(t.Preds[0], col)
+		acc, ok, err := EvalEncodedInto(dst, t.Preds[0], col)
 		if !ok || err != nil {
 			return nil, ok, err
 		}
@@ -73,7 +81,7 @@ func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.
 		if len(t.Preds) == 0 {
 			return nil, false, nil
 		}
-		acc, ok, err := EvalEncoded(t.Preds[0], col)
+		acc, ok, err := EvalEncodedInto(dst, t.Preds[0], col)
 		if !ok || err != nil {
 			return nil, ok, err
 		}
@@ -90,7 +98,7 @@ func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.
 		if !ok || err != nil {
 			return nil, ok, err
 		}
-		out := columnar.NewBitmap(inner.Len())
+		out := dst.Reset(inner.Len())
 		out.Fill(0, out.Len())
 		out.AndNot(inner)
 		return out, true, nil
@@ -98,44 +106,45 @@ func EvalEncoded(p Predicate, col func(int) *encoding.EncodedColumn) (*columnar.
 	return nil, false, nil
 }
 
-func evalCmpEncoded(c *Cmp, ec *encoding.EncodedColumn) (*columnar.Bitmap, bool, error) {
+func evalCmpEncoded(dst *columnar.Bitmap, c *Cmp, ec *encoding.EncodedColumn) (*columnar.Bitmap, bool, error) {
 	switch c.Val.Type {
 	case columnar.Int64:
 		lo, hi, ne := c.intRange()
 		if ne {
-			return complementEq(ec, func() (*columnar.Bitmap, bool, error) { return ec.EvalIntRange(lo, hi) })
+			return complementEq(dst, ec, func() (*columnar.Bitmap, bool, error) { return ec.EvalIntRange(nil, lo, hi) })
 		}
-		return ec.EvalIntRange(lo, hi)
+		return ec.EvalIntRange(dst, lo, hi)
 	case columnar.Float64:
 		v := c.Val.F
 		switch c.Op {
 		case Eq:
-			return ec.EvalFloatRange(v, v, true, true)
+			return ec.EvalFloatRange(dst, v, v, true, true)
 		case Lt:
-			return ec.EvalFloatRange(math.Inf(-1), v, true, false)
+			return ec.EvalFloatRange(dst, math.Inf(-1), v, true, false)
 		case Le:
-			return ec.EvalFloatRange(math.Inf(-1), v, true, true)
+			return ec.EvalFloatRange(dst, math.Inf(-1), v, true, true)
 		case Gt:
-			return ec.EvalFloatRange(v, math.Inf(1), false, true)
+			return ec.EvalFloatRange(dst, v, math.Inf(1), false, true)
 		case Ge:
-			return ec.EvalFloatRange(v, math.Inf(1), true, true)
+			return ec.EvalFloatRange(dst, v, math.Inf(1), true, true)
 		case Ne:
-			return complementEq(ec, func() (*columnar.Bitmap, bool, error) { return ec.EvalFloatRange(v, v, true, true) })
+			return complementEq(dst, ec, func() (*columnar.Bitmap, bool, error) { return ec.EvalFloatRange(nil, v, v, true, true) })
 		}
 	case columnar.String:
-		return ec.EvalStringMatch(c.matchString)
+		return ec.EvalStringMatch(dst, c.matchString)
 	}
 	return nil, false, nil
 }
 
 // complementEq computes v != x as all-rows minus (v == x) minus NULL
-// rows, matching the decoded path where a NULL comparison is false.
-func complementEq(ec *encoding.EncodedColumn, eq func() (*columnar.Bitmap, bool, error)) (*columnar.Bitmap, bool, error) {
+// rows, matching the decoded path where a NULL comparison is false. The
+// result is written into dst (nil for a new bitmap).
+func complementEq(dst *columnar.Bitmap, ec *encoding.EncodedColumn, eq func() (*columnar.Bitmap, bool, error)) (*columnar.Bitmap, bool, error) {
 	eqBm, ok, err := eq()
 	if !ok || err != nil {
 		return nil, ok, err
 	}
-	out := columnar.NewBitmap(eqBm.Len())
+	out := dst.Reset(eqBm.Len())
 	out.Fill(0, out.Len())
 	out.AndNot(eqBm)
 	nulls, err := ec.NullBitmap()

@@ -91,16 +91,17 @@ type pool struct {
 func (r *stageRun) startPool() {
 	// About one queued batch and two results per worker keep the
 	// receiver, the workers and the merger from waiting on each other.
-	queues, depth := r.w, 2 // stateful: one queue per worker
+	width := len(r.workers)
+	queues, depth := width, 2 // stateful: one queue per worker
 	if r.st.Stage.(ParallelStage).Stateless() {
-		queues, depth = 1, r.w
+		queues, depth = 1, width
 	}
-	pl := &pool{r: r, queues: make([]chan stageItem, queues), results: make(chan stageItem, 2*r.w+4)}
+	pl := &pool{r: r, queues: make([]chan stageItem, queues), results: make(chan stageItem, 2*width+4)}
 	for i := range pl.queues {
 		pl.queues[i] = make(chan stageItem, depth)
 	}
 	r.pool = pl
-	pl.wwg.Add(r.w)
+	pl.wwg.Add(width)
 	for wi := range r.workers {
 		w := &r.workers[wi]
 		go func(q <-chan stageItem) {
@@ -117,7 +118,7 @@ func (r *stageRun) startPool() {
 	pl.mwg.Add(1)
 	go func() {
 		defer pl.mwg.Done()
-		pend := make(map[int64]stageItem, r.w)
+		pend := make(map[int64]stageItem, width)
 		var next int64
 		ok := true
 		for {
@@ -132,7 +133,7 @@ func (r *stageRun) startPool() {
 					next++
 					ok = ok && r.settle(&n)
 				}
-			case <-r.done:
+			case <-r.in.done:
 				// Workers and the receiver select on done when sending, so
 				// abandoning the queue cannot block them.
 				return
@@ -145,7 +146,7 @@ func (r *stageRun) startPool() {
 func (pl *pool) dispatch(si stageItem) {
 	select {
 	case pl.queues[si.seq%int64(len(pl.queues))] <- si:
-	case <-pl.r.done:
+	case <-pl.r.in.done:
 	}
 }
 
@@ -154,7 +155,7 @@ func (pl *pool) merge(si stageItem) bool {
 	select {
 	case pl.results <- si:
 		return true
-	case <-pl.r.done:
+	case <-pl.r.in.done:
 		return false
 	}
 }

@@ -109,15 +109,6 @@ type Pipeline struct {
 	Account *fabric.Account
 }
 
-// observeStage feeds one batch's stage latency into the health tracker.
-func (p *Pipeline) observeStage(dev *fabric.Device, start time.Time) {
-	pol := p.Services.Resilience
-	if pol == nil || pol.Health == nil || dev == nil {
-		return
-	}
-	pol.Health.Observe("stage/"+dev.Name, p.Services.Clock.Since(start))
-}
-
 // Result reports what a pipeline run did.
 type Result struct {
 	Ports       []PortStats
@@ -174,7 +165,11 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		return Result{}, fmt.Errorf("flow: pipeline %q has no source", p.Name)
 	}
 	if p.Services == nil {
-		p.Services = new(wiring.Services)
+		// Run writes nothing into p, which may run on several goroutines
+		// at once: without services it runs a copy of its own, all off.
+		own := *p
+		own.Services = new(wiring.Services)
+		p = &own
 	}
 	if len(p.Paths) != 0 && len(p.Paths) != len(p.Stages) {
 		return Result{}, fmt.Errorf("flow: pipeline %q has %d paths for %d stages", p.Name, len(p.Paths), len(p.Stages))
@@ -237,7 +232,11 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	x.res.BatchesIn, x.res.BatchesOut = counts[:n:n], counts[n:]
 	for i := range runs {
 		r := &runs[i]
-		r.x, r.i, r.st, r.w, r.done = x, i, p.Stages[i], p.stageWorkers(i), ctx.Done()
+		r.x, r.i, r.st = x, i, p.Stages[i]
+		r.workers = r.one[:]
+		if w := p.stageWorkers(i); w > 1 {
+			r.workers = make([]worker, w)
+		}
 		if stageTapes != nil {
 			r.ts = stageTapes[i]
 		}
@@ -248,9 +247,12 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		if len(p.Paths) > 0 {
 			path = p.Paths[i]
 		}
-		r.in.init(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, r.done, r.ts)
+		r.in.init(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, ctx.Done(), r.ts)
 		r.in.acct, r.in.svc = p.Account, p.Services
 		r.in.stallCtr = p.Services.Metrics.Counter("flow.credit.stalls")
+		if pol := p.Services.Resilience; pol != nil && pol.Health != nil && r.st.Device != nil {
+			r.healthKey = "stage/" + r.st.Device.Name
+		}
 	}
 
 	// Checkpointing: the source's Mark calls inject an epoch marker into
@@ -269,7 +271,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 	if reg := p.Services.Metrics; reg != nil {
 		provisioned := 0
 		for i := range runs {
-			provisioned += runs[i].w
+			provisioned += len(runs[i].workers)
 		}
 		pg := reg.Gauge("flow.workers.provisioned")
 		pg.Add(float64(provisioned))
@@ -348,14 +350,15 @@ type stageRun struct {
 	x       *run
 	i       int
 	st      Placed
-	w       int // width: how many copies of the stage run
-	workers []worker
+	workers []worker  // the copies of the stage at work; their count is its width
 	one     [1]worker // backs workers at width 1, so it costs no allocation
 	pool    *pool     // set while a pool's merger runs
-	in      Port
-	next    *Port // nil when this is the last stage
+	in      Port      // its done is the run context's Done
+	next    *Port     // nil when this is the last stage
 	ts      *obs.StageTape
-	done    <-chan struct{} // the run context's Done
+	// healthKey is what the health tracker observes the stage's batches
+	// under, built once a run; "" when the run started without a tracker.
+	healthKey string
 }
 
 // worker is one copy of the stage at work: the placed stage itself at
@@ -404,16 +407,18 @@ func (w *worker) process(b *columnar.Batch, seq int64) (obs.TapeInput, error) {
 	if charge || r.ts != nil {
 		in.Bytes = sim.Bytes(b.ByteSize())
 	}
-	if charge && r.w == 1 {
+	if width := len(r.workers); charge && width == 1 {
 		in.Cost = r.x.p.Account.Charge(st.Device, st.Op, in.Bytes)
 	} else if charge {
-		in.Cost = r.x.p.Account.ChargeLane(st.Device, st.Op, in.Bytes, int(seq%int64(r.w)))
+		in.Cost = r.x.p.Account.ChargeLane(st.Device, st.Op, in.Bytes, int(seq%int64(width)))
 	}
 	w.outs = 0
 	start := w.begin()
 	err := w.inst.Process(b, w.emit)
 	w.end()
-	r.x.p.observeStage(st.Device, start)
+	if pol := r.x.p.Services.Resilience; pol != nil && r.healthKey != "" {
+		pol.Health.Observe(r.healthKey, r.x.p.Services.Clock.Since(start))
+	}
 	r.in.CreditReturn()
 	in.Outs = w.outs
 	return in, err
@@ -483,20 +488,16 @@ func (r *stageRun) run() {
 			r.ts.Setup = setup
 		}
 	}
-	r.workers = r.one[:]
-	if r.w > 1 {
-		r.workers = make([]worker, r.w)
-	}
 	for wi := range r.workers {
 		inst := r.st.Stage
-		if r.w > 1 {
+		if len(r.workers) > 1 {
 			inst = inst.(ParallelStage).NewWorker()
 		}
 		w := &r.workers[wi]
 		*w = worker{r: r, inst: inst}
 		w.emit = w.take
 	}
-	if r.w > 1 {
+	if len(r.workers) > 1 {
 		r.startPool()
 	}
 	for seq := int64(0); ; seq++ {
@@ -583,7 +584,7 @@ func (r *stageRun) settle(si *stageItem) bool {
 // flush deterministically. A failed run skips it.
 func (r *stageRun) flush() {
 	select {
-	case <-r.done:
+	case <-r.in.done:
 		return
 	default:
 	}

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/columnar"
 	"repro/internal/fabric"
+	"repro/internal/resilience"
 	"repro/internal/sim"
+	"repro/internal/wiring"
 )
 
 // runRecord is what one run reports and delivers.
@@ -83,5 +85,69 @@ func TestPipelineRunsDoNotShareState(t *testing.T) {
 		if !reflect.DeepEqual(rec, first) {
 			t.Errorf("concurrent run %d:\n%+v\nwant\n%+v", i, rec, first)
 		}
+	}
+}
+
+// One Pipeline without services, run from two goroutines at once: each
+// run takes all-off services of its own and writes nothing into the
+// Pipeline, which a write of the default into Services would (go test
+// -race reports it).
+func TestOnePipelineWithoutServicesRunsTwiceAtOnce(t *testing.T) {
+	assertNoFlowLeaks(t)
+	p := &Pipeline{Name: "shared", Source: nBatchSource(20, 16), Stages: []Placed{{Stage: &passStage{name: "a"}}}}
+	var wg sync.WaitGroup
+	rows := make([]int64, 2)
+	for i := range rows {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil })
+			if err != nil {
+				t.Error(err)
+			}
+			rows[i] = res.SinkRows
+		}()
+	}
+	wg.Wait()
+	if rows[0] != 320 || rows[1] != 320 || p.Services != nil {
+		t.Errorf("sink rows %v, want 320 each; Services %v after the runs, want nil", rows, p.Services)
+	}
+}
+
+// With a health tracker set, each stage's key is built once a run, not
+// once a batch: a run of 64 batches allocates what a run of 8 does.
+func TestHealthKeyIsBuiltOncePerRun(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inexact under the race detector")
+	}
+	health := resilience.NewTracker(0.2, 1)
+	svc := &wiring.Services{Resilience: &resilience.Policy{Health: health}}
+	cpu := fabric.NewCPU("cpu", 4)
+	b := intBatch(1, 2, 3)
+	allocs := func(batches int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			p := &Pipeline{
+				Name: "health",
+				Source: func(emit Emit) error {
+					for i := 0; i < batches; i++ {
+						if err := emit(b); err != nil {
+							return err
+						}
+					}
+					return nil
+				},
+				Stages:   []Placed{{Stage: &passStage{name: "a"}, Device: cpu}, {Stage: &passStage{name: "b"}, Device: cpu}},
+				Services: svc,
+			}
+			if _, err := p.Run(context.Background(), func(*columnar.Batch) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if few, many := allocs(8), allocs(64); many != few {
+		t.Errorf("a run allocates %.0f objects for 8 batches and %.0f for 64, want the same", few, many)
+	}
+	if _, ok := health.Latency("stage/cpu"); !ok {
+		t.Error("the tracker observed no stage/cpu latency")
 	}
 }

@@ -25,6 +25,7 @@ type Segment struct {
 	Columns []*encoding.EncodedColumn // one per schema field
 
 	block []encoding.EncodedColumn // what Columns point into (openSegment)
+	sel   columnar.Bitmap          // a scan attempt's selection (segmentEncodedEval)
 }
 
 // BuildSegment encodes a batch into a segment: a view (UnmarshalSegment)
@@ -116,7 +117,7 @@ func (s *Segment) decodeColumns(indices []int, schema *columnar.Schema, p *colum
 	}
 	b := p.Lend(schema)
 	for i, idx := range indices {
-		if _, err := s.Columns[idx].DecodeInto(b.Col(i), p); err != nil {
+		if _, err := s.Columns[idx].DecodeInto(b.Col(i), nil, p); err != nil {
 			b.Release()
 			return nil, fmt.Errorf("storage: segment %d column %d: %w", s.ID, idx, err)
 		}

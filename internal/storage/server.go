@@ -438,12 +438,14 @@ func (s *Server) view() *Segment {
 
 // putView hands a segment view back, its columns' Data and Nulls
 // cleared: a free view holds no blob alive, and a late read of one that
-// is not yet lent again fails its CRC.
+// is not yet lent again fails its CRC. Its selection is released
+// (columnar.Bitmap.Release) for the next attempt to reset.
 func (s *Server) putView(v *Segment) {
 	block := v.block[:cap(v.block)] // a narrower open left the rest
 	for i := range block {
 		block[i].Data, block[i].Nulls = nil, nil
 	}
+	v.sel.Release()
 	s.viewMu.Lock()
 	s.views = append(s.views, v)
 	s.viewMu.Unlock()
@@ -689,24 +691,16 @@ func (sc *segScan) drop(r segResult) {
 }
 
 // emitTracked ships one batch to the consumer in DefaultBatchRows
-// granules, each its consumer's to release (columnar.Batch.Share).
+// granules, each its consumer's to release (columnar.Batch.Cut).
 func (sc *segScan) emitTracked(b *columnar.Batch) error {
 	if sc.pipe != nil {
 		sc.pipe.sync()
 	}
 	// b is not read once its last granule is out: that granule's consumer
 	// may release it at once.
-	rows := b.NumRows()
 	sc.stats.ShippedBytes += sim.Bytes(b.ByteSize())
-	sc.stats.ShippedRows += int64(rows)
-	b.Share((rows + DefaultBatchRows - 1) / DefaultBatchRows)
-	for off := 0; off < rows; off += DefaultBatchRows {
-		end := min(off+DefaultBatchRows, rows)
-		if err := sc.emit(b.Slice(off, end)); err != nil {
-			return err
-		}
-	}
-	return nil
+	sc.stats.ShippedRows += int64(b.NumRows())
+	return b.Cut(DefaultBatchRows, sc.emit)
 }
 
 // morsel runs segment idx on its lane in a scan that speculates, racing
@@ -872,14 +866,16 @@ func (spec ScanSpec) encodedEvalActive() bool {
 // segment: evaluate the filter on the encoded columns (charging the
 // processor's filter meter for the encoded bytes it streams), then
 // gather-decode only the surviving rows of only the projected columns
-// (charging the decode meter for the bytes actually touched). hit=false
-// means some type/codec leaf has no kernel and the caller must eager-
-// decode instead; nothing has been charged to the processor in that
-// case. The returned batch is already filtered and projected, value-
-// identical to the eager path's output.
+// (charging the decode meter for the bytes actually touched). The
+// selection is the segment view's, lent for this attempt, and the
+// columns' headers are one slab: the batch allocates what it keeps.
+// hit=false means some type/codec leaf has no kernel and the caller must
+// eager-decode instead; nothing has been charged to the processor in
+// that case. The returned batch is already filtered and projected,
+// value-identical to the eager path's output.
 func (sc *segScan) segmentEncodedEval(seg *Segment, idx, lane int, encoded sim.Bytes, readCost, xferCost sim.VTime, stats *ScanStats) (*columnar.Batch, bool, error) {
 	s, spec, projection := sc.s, sc.spec, sc.projection
-	bm, ok, err := expr.EvalEncoded(spec.Filter, func(c int) *encoding.EncodedColumn {
+	bm, ok, err := expr.EvalEncodedInto(&seg.sel, spec.Filter, func(c int) *encoding.EncodedColumn {
 		if c < 0 || c >= len(seg.Columns) {
 			return nil
 		}
@@ -905,15 +901,13 @@ func (sc *segScan) segmentEncodedEval(seg *Segment, idx, lane int, encoded sim.B
 	}
 	decodeCost := spec.Account.ChargeLane(s.proc, fabric.OpDecompress, gather, lane)
 
-	vecs := make([]*columnar.Vector, len(projection))
+	vecs, cols := make([]columnar.Vector, len(projection)), make([]*columnar.Vector, len(projection))
 	for i, c := range projection {
-		v, derr := seg.Columns[c].DecodeFiltered(bm)
-		if derr != nil {
-			return nil, false, derr
+		if cols[i], err = seg.Columns[c].DecodeInto(&vecs[i], bm, nil); err != nil {
+			return nil, false, err
 		}
-		vecs[i] = v
 	}
-	out := columnar.BatchOf(sc.projected, vecs...)
+	out := columnar.BatchOf(sc.projected, cols...)
 
 	stats.EncodedEvalSegments++
 	stats.DecodedBytes += gather

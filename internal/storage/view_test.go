@@ -155,6 +155,9 @@ func TestScanUnchangedAfterFreeViewsAreOverwritten(t *testing.T) {
 		{Filter: pred, Pushdown: true, EncodedEval: true, Projection: []int{3, 0}},
 		{Filter: expr.NewCmp(1, expr.Lt, columnar.IntValue(20)), Pushdown: true, Workers: 2},
 		{Projection: []int{2}, Workers: 2},
+		// Three of the four segments lie past the range: the float kernel
+		// answers them from the zone map, leaving the selection as Reset made it.
+		{Filter: expr.NewCmp(2, expr.Lt, columnar.FloatValue(100)), Pushdown: true, EncodedEval: true},
 	}
 	scan := func(spec ScanSpec, pooled bool) [][]columnar.Value {
 		t.Helper()
@@ -188,6 +191,7 @@ func TestScanUnchangedAfterFreeViewsAreOverwritten(t *testing.T) {
 			} else {
 				openSegment(v, other[i%3])
 			}
+			v.sel = columnar.FullBitmap(5000, v.sel.Words()) // every bit set, in the words a scan reuses
 		}
 	}
 	want := make([][][]columnar.Value, 2*len(specs))
@@ -199,15 +203,30 @@ func TestScanUnchangedAfterFreeViewsAreOverwritten(t *testing.T) {
 		}
 	}
 	// Every free view is one a scan handed back, and holds no blob alive.
+	// Built with -tags poisonpool, its selection is poisoned: every bit set.
 	if len(srv.views) == 0 {
 		t.Fatal("the scans handed no segment view back")
 	}
+	probe := columnar.NewBitmap(64)
+	probe.Release()
+	poisoned, selections := probe.Count() == 64, 0
 	for i, v := range srv.views {
 		for _, c := range v.block[:cap(v.block)] {
 			if c.Data != nil || c.Nulls != nil {
 				t.Fatalf("free view %d still points into a blob", i)
 			}
 		}
+		for _, w := range v.sel.Words() {
+			if poisoned && w != ^uint64(0) {
+				t.Fatalf("free view %d's selection was not poisoned when it was handed back", i)
+			}
+		}
+		if len(v.sel.Words()) > 0 {
+			selections++
+		}
+	}
+	if selections == 0 {
+		t.Fatal("no free view holds an encoded scan's selection")
 	}
 	for i := 0; i < 3; i++ {
 		v := new(Segment)
@@ -437,8 +456,8 @@ func TestUnmarshalSegmentValidatesHeader(t *testing.T) {
 			}
 			s.Decode()
 			for _, c := range s.Columns {
-				c.EvalIntRange(10, 200)
-				c.EvalIntIn([]int64{7, 150})
+				c.EvalIntRange(nil, 10, 200)
+				c.EvalIntIn(nil, []int64{7, 150})
 				c.DecodeFiltered(columnar.NewBitmap(s.NumRows))
 			}
 		}
