@@ -1,6 +1,9 @@
 package columnar
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync/atomic"
+)
 
 // Bitmap is a fixed-capacity bit set used for null tracking and selection
 // vectors. The zero value is an empty bitmap of length zero; use NewBitmap
@@ -46,6 +49,32 @@ func FullBitmap(n int, buf []uint64) Bitmap {
 		b.SetWord(i, ^uint64(0)) // clears the bits at and past n
 	}
 	return b
+}
+
+// allRows holds AllRows's words, made on first use: per n mod 64, 1,024
+// all-ones words and then the last word of a selection of n rows.
+var allRows [64]atomic.Pointer[[1025]uint64]
+
+// AllRows returns the selection of every one of n rows. Up to 65,536 rows
+// its words are the last (n+63)/64 of allRows[n%64], which every caller
+// shares and nothing may write; more rows are FullBitmap's.
+func AllRows(n int) Bitmap {
+	need := (n + 63) / 64
+	if need > 1024 {
+		return FullBitmap(n, nil)
+	}
+	words := allRows[n&63].Load()
+	if words == nil {
+		words = new([1025]uint64)
+		for i := range words {
+			words[i] = ^uint64(0)
+		}
+		if r := n & 63; r != 0 {
+			words[1024] = 1<<r - 1
+		}
+		allRows[n&63].Store(words)
+	}
+	return Bitmap{words: words[1025-need:], n: n}
 }
 
 // Len reports the number of bits.

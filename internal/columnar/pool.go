@@ -228,6 +228,10 @@ func give[T any](free [][]T, a []T, v T) [][]T {
 	return append(free, a)
 }
 
+// Poison is poison for what another package lends and takes back, such
+// as the storage server's scan states.
+func Poison[T any](a []T, v T) { poison(a, v) }
+
 // poison overwrites a with v when built with -tags poisonpool: with what
 // no decode produces (NaN, the least BIGINT, a code past any dictionary),
 // so a read after release shows as a wrong row or an index panic.

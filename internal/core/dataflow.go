@@ -57,6 +57,7 @@ type DataFlowEngine struct {
 	mu    sync.Mutex
 	stats map[string]plan.TableStats
 	paths map[int]plan.PathModel
+	names map[string]string // variant -> its pipeline's name (pipelineName)
 }
 
 // DefaultMaxRecoveryAttempts bounds the pipeline runs of one query: the
@@ -77,6 +78,7 @@ func NewDataFlowEngine(c *fabric.Cluster) *DataFlowEngine {
 		engineBase: newEngineBase(c, "dataflow"),
 		stats:      make(map[string]plan.TableStats),
 		paths:      make(map[int]plan.PathModel),
+		names:      make(map[string]string),
 	}
 	e.Scheduler = sched.New(e.Services)
 	return e
@@ -381,10 +383,11 @@ func (e *DataFlowEngine) ExecutePlan(ctx context.Context, ph *plan.Physical) (*R
 func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *execution) (*Result, error) {
 	ctx = ctxOrBackground(ctx)
 	q := ph.Query
-	tableSchema, err := e.TableSchema(q.Table)
+	meta, err := e.Storage.Table(q.Table)
 	if err != nil {
 		return nil, err
 	}
+	tableSchema := meta.Schema
 	spec, emitsPartials, err := e.buildScanSpec(ph, tableSchema.NumFields())
 	if err != nil {
 		return nil, err
@@ -434,7 +437,7 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 		scan     storage.ScanStats
 	}
 	run.pipe = flow.Pipeline{
-		Name: "q-" + ph.Variant,
+		Name: e.pipelineName(ph.Variant),
 		Source: func(emit flow.Emit) error {
 			st, err := e.Storage.ScanPooled(ctx, q.Table, spec, func(b *columnar.Batch) error {
 				run.maxBatch = max(run.maxBatch, sim.Bytes(b.ByteSize()))
@@ -454,6 +457,12 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 		Account:     acct,
 	}
 
+	if x.batches == nil {
+		// The sink appends on the last stage's goroutine, which starts on
+		// a small stack: growing the list there would copy that stack. So
+		// it is sized here, a batch for each segment the scan reads.
+		x.batches = make([]*columnar.Batch, 0, max(len(e.Storage.SegmentKeys(meta))-spec.StartSegment, 1))
+	}
 	r.batch0 = len(x.batches)
 	result := &Result{Batches: x.batches, Trace: x.tr}
 	flowRes, err := run.pipe.Run(ctx, func(b *columnar.Batch) error {
@@ -481,6 +490,17 @@ func (e *DataFlowEngine) executePlan(ctx context.Context, ph *plan.Physical, x *
 	sampleMeterSeries(x.tr, acct)
 	sampleHealthSeries(x.tr, e.Resilience)
 	return result, nil
+}
+
+// pipelineName is "q-"+variant, made once an engine and variant rather
+// than once a run: the pipeline's errors and port names carry it.
+func (e *DataFlowEngine) pipelineName(variant string) string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if _, ok := e.names[variant]; !ok {
+		e.names[variant] = "q-" + variant
+	}
+	return e.names[variant]
 }
 
 // resume starts run r where x.failed, the run that died before it, left

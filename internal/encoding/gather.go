@@ -65,10 +65,10 @@ func (ec *EncodedColumn) DecodeFiltered(sel *columnar.Bitmap) (*columnar.Vector,
 func (ec *EncodedColumn) DecodeInto(out *columnar.Vector, sel *columnar.Bitmap, p *columnar.Pool) (*columnar.Vector, error) {
 	n := ec.Stats.NumValues
 	if sel == nil {
-		// Up to 65,536 rows (a segment's), every row's selection is held
-		// on the stack: a full decode allocates what its vector holds.
-		var buf [1024]uint64
-		all := columnar.FullBitmap(n, buf[:])
+		// Up to 65,536 rows (a segment's), every row's selection is words
+		// the process shares: a full decode allocates what its vector
+		// holds, and the call's frame stays small.
+		all := columnar.AllRows(n)
 		sel = &all
 	}
 	if sel.Len() != n {

@@ -494,9 +494,16 @@ func eachColumn(p Predicate, fn func(int)) {
 // ColumnSet is the ascending, duplicate-free set of table columns that a
 // filter, a group-by and a column list touch together (any of them may
 // be nil), keeping only indices in [0, numCols). Ascending is the order
-// storage ships columns in. An empty set is nil. The set is marked in a
-// bitset, one word on the stack up to 64 columns.
+// storage ships columns in. An empty set is nil.
 func ColumnSet(numCols int, filter Predicate, g *GroupBy, more []int) []int {
+	return AppendColumnSet(nil, numCols, filter, g, more)
+}
+
+// AppendColumnSet appends ColumnSet's columns to dst and returns it: what
+// a caller that keeps a buffer across queries, or only sums the set, uses
+// instead. The set is marked in a bitset, one word on the stack up to 64
+// columns.
+func AppendColumnSet(dst []int, numCols int, filter Predicate, g *GroupBy, more []int) []int {
 	var small [1]uint64
 	used := small[:]
 	if numCols > 64 {
@@ -518,16 +525,13 @@ func ColumnSet(numCols int, filter Predicate, g *GroupBy, more []int) []int {
 	for _, c := range more {
 		mark(c)
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]int, 0, n)
+	dst = slices.Grow(dst, n)
 	for wi, w := range used {
 		for ; w != 0; w &= w - 1 {
-			out = append(out, wi<<6+bits.TrailingZeros64(w))
+			dst = append(dst, wi<<6+bits.TrailingZeros64(w))
 		}
 	}
-	return out
+	return dst
 }
 
 func joinPreds(preds []Predicate, sep string) string {

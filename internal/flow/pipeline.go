@@ -247,7 +247,7 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		if len(p.Paths) > 0 {
 			path = p.Paths[i]
 		}
-		r.in.init(fmt.Sprintf("%s.port%d", p.Name, i), path, depth, ctx.Done(), r.ts)
+		r.in.init(portName(p.Name, i), path, depth, ctx.Done(), r.ts)
 		r.in.acct, r.in.svc = p.Account, p.Services
 		r.in.stallCtr = p.Services.Metrics.Counter("flow.credit.stalls")
 		if pol := p.Services.Resilience; pol != nil && pol.Health != nil && r.st.Device != nil {
@@ -320,6 +320,29 @@ func (p *Pipeline) Run(ctx context.Context, sink Emit) (Result, error) {
 		tape.Replay(p.Trace)
 	}
 	return x.res, context.Cause(ctx)
+}
+
+// portNames are the port names, "<pipeline>.port<i>", of the first 256
+// pipeline names runs have used, made once a name rather than once a run:
+// PortStats carry them, and a query's pipeline runs under one of a few.
+var portNames = struct {
+	sync.Mutex
+	of map[string][]string
+}{of: make(map[string][]string)}
+
+// portName is the name of port i of the pipeline named pipeline.
+func portName(pipeline string, i int) string {
+	portNames.Lock()
+	defer portNames.Unlock()
+	names := portNames.of[pipeline]
+	if i < len(names) {
+		return names[i]
+	}
+	name := fmt.Sprintf("%s.port%d", pipeline, i)
+	if i == len(names) && len(portNames.of) < 256 {
+		portNames.of[pipeline] = append(names, name)
+	}
+	return name
 }
 
 // run is what one Run's stages share: the pipeline, the sink and the

@@ -287,19 +287,20 @@ type segment struct {
 func (o *Optimizer) facts(q *Query, stats TableStats) costFacts {
 	pm := o.Path
 	n := len(stats.ColBytes)
+	var buf [16]int // the column sets below are only summed
 	f := costFacts{
 		rows:            float64(stats.Rows),
 		sel:             EstimateSelectivity(q.Filter, stats),
 		groups:          float64(stats.GroupEstimate(q.GroupBy)),
 		encodedFraction: stats.EncodedFraction,
-		needBytes:       float64(stats.RowBytes(neededCols(q, n))),
+		needBytes:       setBytes(stats, appendNeeded(buf[:0], q, n)),
 		outBytes:        float64(stats.RowBytes(q.Projection)), // nil: every column
 		partialBytes:    partialRowBytes(q.GroupBy, stats),
 		links:           pm.links(),
 		segs:            make([]segment, len(pm.Sites)),
 	}
 	if q.Filter != nil {
-		f.filterBytes = float64(stats.RowBytes(expr.ColumnSet(n, q.Filter, nil, nil)))
+		f.filterBytes = setBytes(stats, expr.AppendColumnSet(buf[:0], n, q.Filter, nil, nil))
 	}
 	for i := range pm.Sites {
 		f.segs[i] = segment{pm.SegmentBandwidth(i), pm.SegmentLatency(i)}
@@ -473,29 +474,31 @@ func partialRowBytes(g *expr.GroupBy, stats TableStats) float64 {
 	return float64(n)
 }
 
-// neededCols is the set of columns a query touches, clipped to the
-// table's column count.
-func neededCols(q *Query, numCols int) []int {
+// appendNeeded appends the set of columns a query touches, clipped to
+// the table's column count, to dst.
+func appendNeeded(dst []int, q *Query, numCols int) []int {
 	switch {
 	case q.CountOnly && q.Filter == nil:
 		// COUNT(*) touches no column; one narrow column still ships.
-		return expr.ColumnSet(numCols, nil, nil, []int{0})
+		return expr.AppendColumnSet(dst, numCols, nil, nil, []int{0})
 	case q.CountOnly:
-		return expr.ColumnSet(numCols, q.Filter, nil, nil)
+		return expr.AppendColumnSet(dst, numCols, q.Filter, nil, nil)
 	case q.GroupBy != nil:
-		return expr.ColumnSet(numCols, q.Filter, q.GroupBy, nil)
+		return expr.AppendColumnSet(dst, numCols, q.Filter, q.GroupBy, nil)
+	case q.Projection == nil: // every column
+		for c := range numCols {
+			dst = append(dst, c)
+		}
+		return dst
 	}
-	return expr.ColumnSet(numCols, q.Filter, nil, outputCols(q, numCols))
+	return expr.AppendColumnSet(dst, numCols, q.Filter, nil, q.Projection)
 }
 
-// outputCols is what survives projection (or the full set).
-func outputCols(q *Query, numCols int) []int {
-	if q.Projection != nil {
-		return q.Projection
+// setBytes is the width of a column set built in a caller's buffer. An
+// empty set counts every column, as ColumnSet's nil does in RowBytes.
+func setBytes(stats TableStats, cols []int) float64 {
+	if len(cols) == 0 {
+		cols = nil
 	}
-	out := make([]int, numCols)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+	return float64(stats.RowBytes(cols))
 }

@@ -339,6 +339,9 @@ func TestStatsHelpers(t *testing.T) {
 	}
 }
 
+// neededCols is the set appendNeeded appends, in a slice of its own.
+func neededCols(q *Query, numCols int) []int { return appendNeeded(nil, q, numCols) }
+
 func TestNeededCols(t *testing.T) {
 	q := NewQuery("t").WithFilter(expr.NewCmp(1, expr.Lt, columnar.IntValue(5))).WithProjection(2)
 	got := neededCols(q, 4)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -112,7 +113,7 @@ func (spec ScanSpec) ShippedColumns(numFields int) []int {
 	if spec.Pushdown {
 		return projection
 	}
-	return neededColumns(numFields, projection, spec.Filter, spec.PreAgg, false)
+	return neededColumns(nil, numFields, projection, spec.Filter, spec.PreAgg, false)
 }
 
 // ScanStats reports what one scan did, the per-experiment evidence for
@@ -249,6 +250,9 @@ type Server struct {
 	// Not a lane's: a speculated morsel runs two copies on one lane.
 	viewMu sync.Mutex
 	views  []*Segment
+	// scans are the scan states no scan holds (scanState).
+	scanMu sync.Mutex
+	scans  []*segScan
 }
 
 // NewServer wires a storage server onto fabric devices: media (charged
@@ -451,6 +455,38 @@ func (s *Server) putView(v *Segment) {
 	s.viewMu.Unlock()
 }
 
+// scanState lends a free scan state, a new one when none is free. The
+// scan overwrites every field it reads; the column lists keep their
+// arrays, the schemas are reused where their fields match (columnsOf)
+// and run is bound once, when the state is made.
+func (s *Server) scanState() *segScan {
+	s.scanMu.Lock()
+	defer s.scanMu.Unlock()
+	if k := len(s.scans) - 1; k >= 0 {
+		sc := s.scans[k]
+		s.scans = s.scans[:k]
+		return sc
+	}
+	sc := &segScan{s: s}
+	sc.run = sc.processSegment
+	return sc
+}
+
+// putScan hands a scan state back once nothing of its scan runs: after
+// morsel.Stream.Stop has let every morsel finish and the stats have been
+// read. It drops what the scan pointed at, so a free state holds no query
+// alive, and poisons its column lists (columnar.Poison).
+func (s *Server) putScan(sc *segScan) {
+	for _, cols := range [...][]int{sc.needed, sc.projection, sc.projPos, sc.filterCols, sc.pos} {
+		columnar.Poison(cols, -1)
+	}
+	sc.t, sc.keys, sc.spec, sc.filter, sc.preagg = nil, nil, ScanSpec{}, nil, nil
+	sc.pipe, sc.pool, sc.emit, sc.stats = nil, nil, nil, ScanStats{}
+	s.scanMu.Lock()
+	s.scans = append(s.scans, sc)
+	s.scanMu.Unlock()
+}
+
 // PoolStats reports what the pool ScanPooled decodes from holds and has
 // done (columnar.Pool.Stats).
 func (s *Server) PoolStats() (free, peak, made int) { return s.pool.Stats() }
@@ -459,11 +495,13 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// The scan's state and the stats it counts are one allocation. This
-	// defer runs last, after the stream's Stop has dropped every morsel
-	// the scan did not deliver, so the caller gets those reads too.
-	sc := &segScan{s: s, spec: spec, emit: emit, pool: pool}
-	defer func() { stats = sc.stats; s.foldScanMetrics(&stats) }()
+	// The scan's state, which counts its stats, is the server's, lent for
+	// the scan. This defer runs last, after the stream's Stop has dropped
+	// every morsel the scan did not deliver, so the caller gets those
+	// reads too, and only then does the state go back.
+	sc := s.scanState()
+	sc.spec, sc.emit, sc.pool = spec, emit, pool
+	defer func() { stats = sc.stats; s.foldScanMetrics(&stats); s.putScan(sc) }()
 	t, err := s.Table(table)
 	if err != nil {
 		return stats, err
@@ -474,62 +512,42 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 		}
 	}
 
-	projection := spec.Projection
-	if projection == nil {
-		projection = allIndices(t.Schema.NumFields())
+	n := t.Schema.NumFields()
+	if sc.projection = append(sc.projection[:0], spec.Projection...); spec.Projection == nil {
+		for c := range n {
+			sc.projection = append(sc.projection, c)
+		}
 	}
-	needed := neededColumns(t.Schema.NumFields(), projection, spec.Filter, spec.PreAgg, spec.Pushdown)
-	pos := make(map[int]int, len(needed)) // table index -> decoded position
-	for i, c := range needed {
-		pos[c] = i
+	sc.needed = neededColumns(sc.needed[:0], n, sc.projection, spec.Filter, spec.PreAgg, spec.Pushdown)
+	sc.pos = append(sc.pos[:0], make([]int, n)...)
+	for i, c := range sc.needed {
+		sc.pos[c] = i
 	}
-	rebase := func(c int) int { return pos[c] }
-
-	var filter expr.Predicate
+	sc.projPos = sc.projPos[:0]
+	for _, c := range sc.projection {
+		sc.projPos = append(sc.projPos, sc.pos[c])
+	}
+	rebase := func(c int) int { return sc.pos[c] }
+	sc.filterCols = expr.AppendColumnSet(sc.filterCols[:0], n, spec.Filter, nil, nil)
 	if spec.Filter != nil {
-		filter = expr.Rebase(spec.Filter, rebase)
+		sc.filter = expr.Rebase(spec.Filter, rebase)
 	}
 	// Every segment's schema is the table's (AppendSummary checks), so the
-	// batches a scan makes take their schemas from here, projected once a
-	// scan, not from each segment: the decoded set's and, for the encoded
-	// path, the projection's, in one allocation of schemas and one of
-	// fields.
-	encoded, nSchemas, width := spec.encodedEvalActive(), 1, len(needed)
-	if encoded {
-		nSchemas, width = 2, width+len(projection)
-	}
-	schemas, fields := make([]columnar.Schema, nSchemas), make([]columnar.Field, 0, width)
-	for _, c := range needed {
-		fields = append(fields, t.Schema.Fields[c])
-	}
-	decoded, projected := &schemas[0], (*columnar.Schema)(nil)
-	decoded.Fields = fields[:len(needed):len(needed)]
-	if encoded {
-		for _, c := range projection {
-			fields = append(fields, t.Schema.Fields[c])
-		}
-		projected = &schemas[1]
-		projected.Fields = fields[len(needed):]
+	// batches a scan makes take their schemas from here: the decoded set's
+	// and, for the encoded path, the projection's.
+	sc.decoded = columnsOf(sc.decoded, t.Schema, sc.needed)
+	if spec.encodedEvalActive() {
+		sc.projected = columnsOf(sc.projected, t.Schema, sc.projection)
 	}
 	var preagg *expr.PartialAggregator
 	if spec.Pushdown && spec.PreAgg != nil {
 		budget := int(s.proc.StateBudget / expr.StateSize)
-		preagg = expr.NewPartialAggregator(spec.PreAgg.Rebase(rebase), decoded, budget)
-	}
-
-	// Positions of the projection within the decoded batch.
-	projPos := make([]int, len(projection))
-	for i, c := range projection {
-		projPos[i] = pos[c]
+		preagg = expr.NewPartialAggregator(spec.PreAgg.Rebase(rebase), sc.decoded, budget)
 	}
 
 	keys := s.SegmentKeys(t)
 	sc.stats.SegmentsTotal = max(len(keys)-spec.StartSegment, 0)
-	sc.t, sc.keys, sc.needed, sc.projection, sc.projPos = t, keys, needed, projection, projPos
-	sc.filter, sc.preagg, sc.decoded, sc.projected = filter, preagg, decoded, projected
-	if spec.Filter != nil {
-		sc.filterCols = spec.Filter.Columns()
-	}
+	sc.t, sc.keys, sc.preagg = t, keys, preagg
 	if spec.Trace != nil {
 		// The frontiers start where the trace's clock stands: a run resumed
 		// past epoch 0 draws after the run it replaces.
@@ -545,7 +563,7 @@ func (s *Server) scan(ctx context.Context, table string, spec ScanSpec, emit fun
 	}
 	// A morsel is processSegment itself unless the scan speculates, which
 	// a serial one never does: a late copy needs a second worker.
-	run := sc.processSegment
+	run := sc.run
 	if pol := s.store.svc.Resilience; workers > 1 && pol != nil && pol.Speculate {
 		ewma := resilience.NewTracker(0.2, resilience.SpecMinSamples) // over this scan's completed morsels
 		run = func(ctx context.Context, idx, lane int) segResult { return sc.morsel(ctx, idx, lane, ewma) }
@@ -589,16 +607,31 @@ type segScan struct {
 	needed     []int          // table columns to decode, ascending
 	projection []int          // table columns to return
 	projPos    []int          // positions of projection within the decoded batch
+	pos        []int          // table column -> decoded position
 	filter     expr.Predicate // spec.Filter rebased onto the decoded batch
-	filterCols []int          // spec.Filter's table columns
+	filterCols []int          // spec.Filter's table columns, ascending
 	preagg     *expr.PartialAggregator
 	pipe       *scanPipe        // nil unless tracing (which forces width 1)
 	pool       *columnar.Pool   // the eager path decodes from it; nil but in ScanPooled
 	decoded    *columnar.Schema // the eager path's batch schema
-	projected  *columnar.Schema // the encoded path's; nil when the scan is eager
+	projected  *columnar.Schema // the encoded path's; read only when the scan is encoded
 
+	// run is processSegment, bound once a state: the morsel a scan that
+	// does not speculate hands morsel.Start.
+	run   func(ctx context.Context, idx, lane int) segResult
 	emit  func(*columnar.Batch) error
 	stats ScanStats
+}
+
+// columnsOf is the schema of table's columns cols: memo when its fields
+// are theirs, a new one otherwise. Batches a scan emits keep its schemas,
+// so one is never written once made; a state lent again reuses its last
+// scan's instead.
+func columnsOf(memo, table *columnar.Schema, cols []int) *columnar.Schema {
+	if memo == nil || !slices.EqualFunc(memo.Fields, cols, func(f columnar.Field, c int) bool { return f == table.Fields[c] }) {
+		return table.Project(cols)
+	}
+	return memo
 }
 
 // segResult is one completed segment: a morsel, or one copy of it.
@@ -975,19 +1008,19 @@ func (sc *segScan) pruned(seg *Segment) bool {
 	return false
 }
 
-// neededColumns is the set of table columns a scan decodes: the
-// projection plus the filter's and the pre-aggregation's columns.
+// neededColumns appends to dst the set of table columns a scan decodes:
+// the projection plus the filter's and the pre-aggregation's columns.
 // Without pushdown the consumer evaluates the filter, so its columns
 // must ship too.
-func neededColumns(numFields int, projection []int, filter expr.Predicate, preagg *expr.GroupBy, pushdown bool) []int {
+func neededColumns(dst []int, numFields int, projection []int, filter expr.Predicate, preagg *expr.GroupBy, pushdown bool) []int {
 	if preagg != nil && pushdown {
 		// Pre-agg replaces projection entirely.
-		if cols := expr.ColumnSet(numFields, filter, preagg, nil); cols != nil {
+		if cols := expr.AppendColumnSet(dst, numFields, filter, preagg, nil); len(cols) > len(dst) {
 			return cols
 		}
 		// A pure COUNT(*) pre-aggregation touches no columns; one
 		// narrow column must still be decoded to drive row counts.
-		return []int{0}
+		return append(dst, 0)
 	}
-	return expr.ColumnSet(numFields, filter, preagg, projection)
+	return expr.AppendColumnSet(dst, numFields, filter, preagg, projection)
 }
