@@ -13,10 +13,10 @@ import (
 
 // A5Row is one node-count point of the scale-out ablation.
 type A5Row struct {
-	Nodes      int
-	Groups     int64
-	MaxCPUBusy sim.VTime // busiest compute node
-	Makespan   sim.VTime
+	Nodes      int       `col:"nodes"`
+	Groups     int64     `col:"groups"`
+	MaxCPUBusy sim.VTime `col:"busiest cpu"` // busiest compute node
+	Makespan   sim.VTime `col:"makespan"`
 }
 
 // A5ScaleOut sweeps the distributed group-by (the Figure 4 pipeline
@@ -25,12 +25,8 @@ type A5Row struct {
 // the paper's rack-scale discussion (Section 6.4) assumes.
 func A5ScaleOut(rows int, nodeCounts []int) (*Result[A5Row], error) {
 	data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: int64(rows) / 4, Seed: 37})
-	res := &Result[A5Row]{Table: &Table{
-		ID:     "A5",
-		Title:  "Ablation: distributed group-by scale-out (Figure 4 applied to aggregation)",
-		Header: []string{"nodes", "groups", "busiest cpu", "makespan"},
-		Notes:  "NIC-scattered partitioned aggregation; results identical at every width",
-	}}
+	res := newResult[A5Row]("A5", "Ablation: distributed group-by scale-out (Figure 4 applied to aggregation)",
+		"NIC-scattered partitioned aggregation; results identical at every width")
 	var wantGroups int64 = -1
 	for _, n := range nodeCounts {
 		ccfg := fabric.DefaultClusterConfig()
@@ -55,8 +51,7 @@ func A5ScaleOut(rows int, nodeCounts []int) (*Result[A5Row], error) {
 				maxBusy = b
 			}
 		}
-		row := A5Row{Nodes: n, Groups: r.Rows(), MaxCPUBusy: maxBusy, Makespan: r.Stats.SimTime}
-		res.add(row, d(int64(n)), d(row.Groups), maxBusy.String(), row.Makespan.String())
+		res.put(A5Row{Nodes: n, Groups: r.Rows(), MaxCPUBusy: maxBusy, Makespan: r.Stats.SimTime})
 	}
 	return res, nil
 }

@@ -31,8 +31,8 @@ func TestE16StallsGrowWithWorkingSet(t *testing.T) {
 		t.Errorf("sequential stall %.2f >= random %.2f", last.SeqStall, last.RndStall)
 	}
 	// Near-memory filtering keeps ~95% of bytes out of the hierarchy.
-	if res.NearHierTime*10 >= res.CPUHierTime {
-		t.Errorf("near hierarchy time %v not ≪ cpu %v", res.NearHierTime, res.CPUHierTime)
+	if res.Filter.Near*10 >= res.Filter.CPU {
+		t.Errorf("near hierarchy time %v not ≪ cpu %v", res.Filter.Near, res.Filter.CPU)
 	}
 }
 

@@ -11,33 +11,30 @@ import (
 	"repro/internal/workload"
 )
 
-// E1Result carries the conventional-path measurements for assertions.
-type E1Result struct {
-	*Table
-	TableSize sim.Bytes
-	HopBytes  map[string]sim.Bytes
+// E1Row is one selectivity point of the conventional data path: the
+// bytes each hop carried.
+type E1Row struct {
+	Selectivity float64   `col:"selectivity,pct"`
+	DiskDRAM    sim.Bytes `col:"disk->dram"`
+	DRAMLLC     sim.Bytes `col:"dram->llc"`
+	LLCCPU      sim.Bytes `col:"llc->cpu"`
+	CPUExamined sim.Bytes `col:"cpu-examined"`
+	TableSize   sim.Bytes
 }
 
 // E1ConventionalPath reproduces Figure 1 / Section 2.1: on the von
 // Neumann data path every byte of the table crosses every hop
 // (disk->memory->cache->CPU) before a single predicate is evaluated,
 // regardless of how selective the query is.
-func E1ConventionalPath(rows int) (*E1Result, error) {
+func E1ConventionalPath(rows int) (*Result[E1Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
 	size := sim.Bytes(data.ByteSize())
 
 	top := fabric.NewConventionalServer()
-	res := &E1Result{
-		Table: &Table{
-			ID:     "E1",
-			Title:  "Conventional data path (Figure 1): bytes per hop, selectivity-independent",
-			Header: []string{"selectivity", "disk->dram", "dram->llc", "llc->cpu", "cpu-examined"},
-			Notes:  "every hop carries the full table no matter how few rows the query keeps",
-		},
-		TableSize: size,
-		HopBytes:  make(map[string]sim.Bytes),
-	}
+	res := newResult[E1Row]("E1",
+		"Conventional data path (Figure 1): bytes per hop, selectivity-independent",
+		"every hop carries the full table no matter how few rows the query keeps")
 
 	for _, sel := range []float64{0.001, 0.01, 0.1, 1.0} {
 		top.ResetMeters()
@@ -50,26 +47,21 @@ func E1ConventionalPath(rows int) (*E1Result, error) {
 		pred := workload.SelectivityFilter(cfg, sel)
 		_ = pred.Eval(data) // the real filtering work, done at the very end
 
-		row := []string{fmt.Sprintf("%.1f%%", sel*100)}
-		for _, link := range []string{"disk--dram", "dram--llc", "llc--cpu"} {
-			bytes := top.Link(link).Meter.Bytes()
-			res.HopBytes[link] = bytes
-			row = append(row, bytes.String())
-		}
-		row = append(row, cpu.Meter.Bytes().String())
-		res.Table.AddRow(row...)
+		hop := func(link string) sim.Bytes { return top.Link(link).Meter.Bytes() }
+		res.put(E1Row{Selectivity: sel, DiskDRAM: hop("disk--dram"), DRAMLLC: hop("dram--llc"),
+			LLCCPU: hop("llc--cpu"), CPUExamined: cpu.Meter.Bytes(), TableSize: size})
 	}
 	return res, nil
 }
 
 // E2Row is one selectivity point of the pushdown experiment.
 type E2Row struct {
-	Selectivity  float64
-	CPUOnlyNet   sim.Bytes
-	PushdownNet  sim.Bytes
-	Reduction    float64
-	CPUOnlyTime  sim.VTime
-	PushdownTime sim.VTime
+	Selectivity  float64   `col:"selectivity,pct"`
+	CPUOnlyNet   sim.Bytes `col:"cpu-only net"`
+	PushdownNet  sim.Bytes `col:"pushdown net"`
+	Reduction    float64   `col:"reduction,%.3gx"`
+	CPUOnlyTime  sim.VTime `col:"cpu-only time"`
+	PushdownTime sim.VTime `col:"pushdown time"`
 }
 
 // E2StoragePushdown reproduces Figure 2: offloading selection and
@@ -85,12 +77,8 @@ func E2StoragePushdown(rows int, selectivities []float64) (*Result[E2Row], error
 		return nil, err
 	}
 
-	res := &Result[E2Row]{Table: &Table{
-		ID:     "E2",
-		Title:  "Storage pushdown (Figure 2): network bytes vs selectivity",
-		Header: []string{"selectivity", "cpu-only net", "pushdown net", "reduction", "cpu-only time", "pushdown time"},
-		Notes:  "net = bytes on storage.nic--switch; pushdown ships only survivors of selection+projection",
-	}}
+	res := newResult[E2Row]("E2", "Storage pushdown (Figure 2): network bytes vs selectivity",
+		"net = bytes on storage.nic--switch; pushdown ships only survivors of selection+projection")
 
 	netLink := "storage.nic--switch"
 	for _, sel := range selectivities {
@@ -118,12 +106,7 @@ func E2StoragePushdown(rows int, selectivities []float64) (*Result[E2Row], error
 		if row.PushdownNet > 0 {
 			row.Reduction = float64(row.CPUOnlyNet) / float64(row.PushdownNet)
 		}
-		res.add(row,
-			fmt.Sprintf("%.1f%%", sel*100),
-			row.CPUOnlyNet.String(), row.PushdownNet.String(),
-			f(row.Reduction)+"x",
-			row.CPUOnlyTime.String(), row.PushdownTime.String(),
-		)
+		res.put(row)
 		res.Table.SetMetric(fmt.Sprintf("reduction@%g", sel), row.Reduction)
 	}
 	return res, nil

@@ -16,11 +16,18 @@ import (
 	"repro/internal/workload"
 )
 
-// E3Result carries the Figure 3 pipeline measurements.
+// E3Row is one hashing variant of the Figure 3 pipeline.
+type E3Row struct {
+	Variant    string    `col:"variant"`
+	CPUBusy    sim.VTime `col:"cpu busy"` // compute-CPU busy
+	NICBusy    sim.VTime `col:"nic busy"`
+	RowsHashed int       `col:"rows hashed"`
+}
+
+// E3Result carries the Figure 3 pipeline measurements: hash@nic, then
+// hash@cpu.
 type E3Result struct {
-	*Table
-	CPUBusyNIC  sim.VTime // compute-CPU busy when the NIC hashes
-	CPUBusyCPU  sim.VTime // compute-CPU busy when the CPU hashes
+	Result[E3Row]
 	HashesAgree bool
 }
 
@@ -32,12 +39,8 @@ func E3NICHashPipeline(rows int) (*E3Result, error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
 
-	res := &E3Result{Table: &Table{
-		ID:     "E3",
-		Title:  "NIC hashing pipeline (Figure 3): who computes the hash",
-		Header: []string{"variant", "cpu busy", "nic busy", "rows hashed"},
-		Notes:  "projection at storage in both variants; hashes verified identical",
-	}}
+	res := &E3Result{Result: *newResult[E3Row]("E3", "NIC hashing pipeline (Figure 3): who computes the hash",
+		"projection at storage in both variants; hashes verified identical")}
 
 	run := func(hashOnNIC bool) (sim.VTime, sim.VTime, []int64, error) {
 		cluster := fabric.NewCluster(fabric.DefaultClusterConfig())
@@ -86,7 +89,6 @@ func E3NICHashPipeline(rows int) (*E3Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.CPUBusyNIC, res.CPUBusyCPU = cpuBusyNIC, cpuBusyCPU
 	res.HashesAgree = len(hashesNIC) == len(hashesCPU)
 	if res.HashesAgree {
 		for i := range hashesNIC {
@@ -96,8 +98,8 @@ func E3NICHashPipeline(rows int) (*E3Result, error) {
 			}
 		}
 	}
-	res.Table.AddRow("hash@nic", cpuBusyNIC.String(), nicBusyNIC.String(), d(int64(len(hashesNIC))))
-	res.Table.AddRow("hash@cpu", cpuBusyCPU.String(), nicBusyCPU.String(), d(int64(len(hashesCPU))))
+	res.put(E3Row{"hash@nic", cpuBusyNIC, nicBusyNIC, len(hashesNIC)})
+	res.put(E3Row{"hash@cpu", cpuBusyCPU, nicBusyCPU, len(hashesCPU)})
 	return res, nil
 }
 
@@ -118,11 +120,11 @@ func mustPath(c *fabric.Cluster, a, b string) []*fabric.Link {
 // E4Row is one group-cardinality point of the staged pre-aggregation
 // sweep.
 type E4Row struct {
-	Groups       int64
-	RowsIntoCPU  int64 // partial rows the CPU has to merge, full offload
-	RowsIntoCPU0 int64 // rows the CPU consumes with no offload
-	NetBytesFull sim.Bytes
-	NetBytesNone sim.Bytes
+	Groups       int64     `col:"groups"`
+	RowsIntoCPU  int64     `col:"rows->cpu full-offload"` // partial rows the CPU has to merge
+	RowsIntoCPU0 int64     `col:"rows->cpu cpu-only"`     // rows the CPU consumes with no offload
+	NetBytesFull sim.Bytes `col:"net full"`
+	NetBytesNone sim.Bytes `col:"net none"`
 }
 
 // E4Result carries the staged pre-aggregation sweep.
@@ -140,12 +142,9 @@ type E4Result struct {
 // the CPU merges a stream whose size tracks group cardinality rather
 // than table cardinality.
 func E4StagedPreAgg(rows int, cardinalities []int64) (*E4Result, error) {
-	res := &E4Result{Result: Result[E4Row]{Table: &Table{
-		ID:     "E4",
-		Title:  "Staged pre-aggregation (Section 4.4): rows reaching the CPU vs group count",
-		Header: []string{"groups", "rows->cpu full-offload", "rows->cpu cpu-only", "net full", "net none"},
-		Notes:  "pre-aggregation at storage + both NICs; accuracy is exact (partials merge associatively)",
-	}}}
+	res := &E4Result{Result: *newResult[E4Row]("E4",
+		"Staged pre-aggregation (Section 4.4): rows reaching the CPU vs group count",
+		"pre-aggregation at storage + both NICs; accuracy is exact (partials merge associatively)")}
 	netLink := "storage.nic--switch"
 	for _, groups := range cardinalities {
 		data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: groups, Seed: 11})
@@ -175,15 +174,13 @@ func E4StagedPreAgg(rows int, cardinalities []int64) (*E4Result, error) {
 		if fullRes.Rows() != cpuRes.Rows() {
 			return nil, fmt.Errorf("experiments: E4 results disagree (%d vs %d groups)", fullRes.Rows(), cpuRes.Rows())
 		}
-		row := E4Row{
+		res.put(E4Row{
 			Groups:       int64(fullRes.Rows()),
 			RowsIntoCPU:  cpuRowsConsumed(fullRes),
 			RowsIntoCPU0: cpuRowsConsumed(cpuRes),
 			NetBytesFull: fullRes.Stats.LinkBytes[netLink],
 			NetBytesNone: cpuRes.Stats.LinkBytes[netLink],
-		}
-		res.add(row, d(row.Groups), d(row.RowsIntoCPU), d(row.RowsIntoCPU0),
-			row.NetBytesFull.String(), row.NetBytesNone.String())
+		})
 	}
 	return res, nil
 }
@@ -195,23 +192,23 @@ func cpuRowsConsumed(r *core.Result) int64 {
 	return int64(r.Stats.CPUBytes) / 16
 }
 
-// E5Result carries the distributed-join comparison.
-type E5Result struct {
-	*Table
-	NICMode  netsim.DistJoinResult
-	CPUMode  netsim.DistJoinResult
-	NICCPUBy sim.Bytes // bytes CPUs touched, NIC scatter
-	CPUCPUBy sim.Bytes // bytes CPUs touched, CPU scatter
+// E5Row is one scatter device of the distributed-join comparison.
+type E5Row struct {
+	Scatter      string    `col:"scatter"`
+	Rows         int64     `col:"joined rows"`
+	CPUBytes     sim.Bytes `col:"cpu bytes"` // bytes the CPUs touched
+	ScatterBytes sim.Bytes `col:"scatter-device bytes"`
+	Skew         slash     `col:"probe skew max/min"`
 }
 
 // E5PartitionedJoin reproduces Figure 4: the NIC-executed scattering
 // pipeline for a distributed partitioned hash join relieves the CPUs of
 // all exchange work. Both joins run under ctx.
-func E5PartitionedJoin(ctx context.Context, buildRows, probeRows, nodes int) (*E5Result, error) {
+func E5PartitionedJoin(ctx context.Context, buildRows, probeRows, nodes int) (*Result[E5Row], error) {
 	build := []*columnar.Batch{workload.GenKV(workload.KVConfig{Rows: buildRows, Keys: int64(buildRows), Seed: 3})}
 	probe := []*columnar.Batch{workload.GenKV(workload.KVConfig{Rows: probeRows, Keys: int64(buildRows) * 2, Seed: 4})}
 
-	run := func(onNIC bool) (netsim.DistJoinResult, sim.Bytes, error) {
+	run := func(onNIC bool) (E5Row, error) {
 		cfg := netsim.DistJoinConfig{BuildKey: 0, ProbeKey: 0, BatchRows: 1024}
 		if onNIC {
 			cfg.ScatterDevice = fabric.NewSmartNIC("scatter-nic", sim.GbitPerSec(400))
@@ -225,98 +222,67 @@ func E5PartitionedJoin(ctx context.Context, buildRows, probeRows, nodes int) (*E
 			}})
 		}
 		r, err := netsim.DistributedJoin(ctx, cfg, build, probe, nil)
-		if err != nil {
-			return r, 0, err
-		}
-		cpuBytes := r.CPUBytes
+		row := E5Row{Scatter: "nic", Rows: r.Rows, CPUBytes: r.CPUBytes, ScatterBytes: r.ScatterBytes,
+			Skew: slash{r.SkewMax, r.SkewMin}}
 		if !onNIC {
-			cpuBytes += r.ScatterBytes // the scatter ran on a CPU
+			row.Scatter = "cpu"
+			row.CPUBytes += r.ScatterBytes // the scatter ran on a CPU
 		}
-		return r, cpuBytes, nil
+		return row, err
 	}
 
-	nicRes, nicCPU, err := run(true)
-	if err != nil {
-		return nil, err
+	res := newResult[E5Row]("E5", fmt.Sprintf("Distributed partitioned join (Figure 4), %d nodes", nodes),
+		"NIC scatter removes the exchange from the CPUs entirely")
+	for _, onNIC := range []bool{true, false} {
+		row, err := run(onNIC)
+		if err != nil {
+			return nil, err
+		}
+		res.put(row)
 	}
-	cpuRes, cpuCPU, err := run(false)
-	if err != nil {
-		return nil, err
+	if nic, cpu := res.Rows[0], res.Rows[1]; nic.Rows != cpu.Rows {
+		return nil, fmt.Errorf("experiments: E5 modes disagree (%d vs %d rows)", nic.Rows, cpu.Rows)
 	}
-	if nicRes.Rows != cpuRes.Rows {
-		return nil, fmt.Errorf("experiments: E5 modes disagree (%d vs %d rows)", nicRes.Rows, cpuRes.Rows)
-	}
-	t := &Table{
-		ID:     "E5",
-		Title:  fmt.Sprintf("Distributed partitioned join (Figure 4), %d nodes", nodes),
-		Header: []string{"scatter", "joined rows", "cpu bytes", "scatter-device bytes", "probe skew max/min"},
-		Notes:  "NIC scatter removes the exchange from the CPUs entirely",
-	}
-	t.AddRow("nic", d(nicRes.Rows), nicCPU.String(), nicRes.ScatterBytes.String(),
-		fmt.Sprintf("%d/%d", nicRes.SkewMax, nicRes.SkewMin))
-	t.AddRow("cpu", d(cpuRes.Rows), cpuCPU.String(), cpuRes.ScatterBytes.String(),
-		fmt.Sprintf("%d/%d", cpuRes.SkewMax, cpuRes.SkewMin))
-	return &E5Result{Table: t, NICMode: nicRes, CPUMode: cpuRes, NICCPUBy: nicCPU, CPUCPUBy: cpuCPU}, nil
+	return res, nil
 }
 
-// E6Result carries the NIC-count measurements.
-type E6Result struct {
-	*Table
-	Count      int64
-	SmartNet   sim.Bytes
-	SmartHost  sim.Bytes // bytes entering compute-node memory
-	LegacyNet  sim.Bytes
-	LegacyHost sim.Bytes
+// E6Row is one fabric of the NIC-count comparison.
+type E6Row struct {
+	Fabric string    `col:"fabric"`
+	Count  int64     `col:"count"`
+	Net    sim.Bytes `col:"network bytes"`
+	Host   sim.Bytes `col:"host-memory bytes"` // bytes entering compute-node memory
 }
 
 // E6NICCount reproduces Section 4.4's COUNT example: on the smart fabric
 // the count completes at the storage tier and only the 8-byte result
 // traverses the network; the legacy fabric hauls the column to the host.
-func E6NICCount(rows int) (*E6Result, error) {
+func E6NICCount(rows int) (*Result[E6Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
 	q := plan.NewQuery("lineitem").WithCount()
 
-	run := func(smart bool) (*core.Result, error) {
+	res := newResult[E6Row]("E6", "COUNT(*) on the data path (Section 4.4)",
+		"smart fabric completes the count at storage; only the result crosses the network")
+	for _, fab := range []string{"smart", "legacy"} {
 		ccfg := fabric.DefaultClusterConfig()
-		if !smart {
+		if fab == "legacy" {
 			ccfg = fabric.LegacyClusterConfig()
 		}
 		eng := core.NewDataFlowEngine(fabric.NewCluster(ccfg))
 		if err := loadDataFlow(eng, "lineitem", data); err != nil {
 			return nil, err
 		}
-		return eng.Execute(context.Background(), q)
+		r, err := eng.Execute(context.Background(), q)
+		if err != nil {
+			return nil, err
+		}
+		res.put(E6Row{Fabric: fab, Count: r.Batches[0].Col(0).Int64s()[0],
+			Net:  r.Stats.LinkBytes["storage.nic--switch"],
+			Host: r.Stats.LinkBytes["compute0.nic--compute0.dram"]})
 	}
-	smart, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	legacy, err := run(false)
-	if err != nil {
-		return nil, err
-	}
-	sc := smart.Batches[0].Col(0).Int64s()[0]
-	lc := legacy.Batches[0].Col(0).Int64s()[0]
-	if sc != lc {
+	if sc, lc := res.Rows[0].Count, res.Rows[1].Count; sc != lc {
 		return nil, fmt.Errorf("experiments: E6 counts disagree (%d vs %d)", sc, lc)
 	}
-	netLink := "storage.nic--switch"
-	hostLinkSmart := "compute0.nic--compute0.dram"
-	res := &E6Result{
-		Table: &Table{
-			ID:     "E6",
-			Title:  "COUNT(*) on the data path (Section 4.4)",
-			Header: []string{"fabric", "count", "network bytes", "host-memory bytes"},
-			Notes:  "smart fabric completes the count at storage; only the result crosses the network",
-		},
-		Count:      sc,
-		SmartNet:   smart.Stats.LinkBytes[netLink],
-		SmartHost:  smart.Stats.LinkBytes[hostLinkSmart],
-		LegacyNet:  legacy.Stats.LinkBytes[netLink],
-		LegacyHost: legacy.Stats.LinkBytes[hostLinkSmart],
-	}
-	res.Table.AddRow("smart", d(sc), res.SmartNet.String(), res.SmartHost.String())
-	res.Table.AddRow("legacy", d(lc), res.LegacyNet.String(), res.LegacyHost.String())
 	return res, nil
 }

@@ -13,11 +13,11 @@ import (
 
 // E7Row is one selectivity point of the near-memory filter sweep.
 type E7Row struct {
-	Selectivity float64
-	CPUBytes    sim.Bytes
-	NearBytes   sim.Bytes
-	CPUTime     sim.VTime
-	NearTime    sim.VTime
+	Selectivity float64   `col:"selectivity,pct"`
+	CPUBytes    sim.Bytes `col:"cpu-path bytes"`
+	NearBytes   sim.Bytes `col:"near-path bytes"`
+	CPUTime     sim.VTime `col:"cpu-path time"`
+	NearTime    sim.VTime `col:"near-path time"`
 }
 
 // E7NearMemoryFilter reproduces Figure 5 / Section 5.2: filtering at the
@@ -38,11 +38,7 @@ func E7NearMemoryFilter(rows int, selectivities []float64, compressed bool) (*Re
 	if compressed {
 		title = "Near-memory filtering, compressed-resident data (Section 5.4 decompress-on-demand)"
 	}
-	res := &Result[E7Row]{Table: &Table{
-		ID:     "E7",
-		Title:  title,
-		Header: []string{"selectivity", "cpu-path bytes", "near-path bytes", "cpu-path time", "near-path time"},
-	}}
+	res := newResult[E7Row]("E7", title, "")
 	for _, sel := range selectivities {
 		hi := int64(float64(1000)*sel) - 1
 		if hi < 0 {
@@ -60,28 +56,25 @@ func E7NearMemoryFilter(rows int, selectivities []float64, compressed bool) (*Re
 		if cpuOut.NumRows() != nearOut.NumRows() {
 			return nil, fmt.Errorf("experiments: E7 paths disagree (%d vs %d rows)", cpuOut.NumRows(), nearOut.NumRows())
 		}
-		row := E7Row{
+		res.put(E7Row{
 			Selectivity: sel,
 			CPUBytes:    cpuStats.BytesMoved,
 			NearBytes:   nearStats.BytesMoved,
 			CPUTime:     cpuStats.Time,
 			NearTime:    nearStats.Time,
-		}
-		res.add(row, fmt.Sprintf("%.1f%%", sel*100),
-			row.CPUBytes.String(), row.NearBytes.String(),
-			row.CPUTime.String(), row.NearTime.String())
+		})
 	}
 	return res, nil
 }
 
 // E8Row is one tree-size point of the pointer-chase sweep.
 type E8Row struct {
-	Keys      int
-	Depth     int
-	CPUTime   sim.VTime
-	NearTime  sim.VTime
-	CPUBytes  sim.Bytes
-	NearBytes sim.Bytes
+	Keys      int       `col:"keys"`
+	Depth     int       `col:"depth"`
+	CPUTime   sim.VTime `col:"cpu time"`
+	NearTime  sim.VTime `col:"near time"`
+	CPUBytes  sim.Bytes `col:"cpu bytes"`
+	NearBytes sim.Bytes `col:"near bytes"`
 }
 
 // E8PointerChase reproduces Section 5.4's pointer-chasing unit: the
@@ -97,12 +90,8 @@ func E8PointerChase(sizes []int, remote bool) (*Result[E8Row], error) {
 		bw = sim.GbitPerSec(400)
 		where = "disaggregated memory (RDMA)"
 	}
-	res := &Result[E8Row]{Table: &Table{
-		ID:     "E8",
-		Title:  "Pointer chasing (Section 5.4) on " + where,
-		Header: []string{"keys", "depth", "cpu time", "near time", "cpu bytes", "near bytes"},
-		Notes:  "CPU pays one round trip per level; the near unit ships only the 16B leaf entry",
-	}}
+	res := newResult[E8Row]("E8", "Pointer chasing (Section 5.4) on "+where,
+		"CPU pays one round trip per level; the near unit ships only the 16B leaf entry")
 	for _, n := range sizes {
 		keys := make([]int64, n)
 		vals := make([]int64, n)
@@ -129,28 +118,25 @@ func E8PointerChase(sizes []int, remote bool) (*Result[E8Row], error) {
 		if !okCPU || !okNear || vCPU != vNear {
 			return nil, fmt.Errorf("experiments: E8 lookups disagree")
 		}
-		row := E8Row{
+		res.put(E8Row{
 			Keys: n, Depth: tree.Depth(),
 			CPUTime: cpuStats.Time, NearTime: nearStats.Time,
 			CPUBytes: cpuStats.BytesMoved, NearBytes: nearStats.BytesMoved,
-		}
-		res.add(row, d(int64(n)), d(int64(row.Depth)),
-			row.CPUTime.String(), row.NearTime.String(),
-			row.CPUBytes.String(), row.NearBytes.String())
+		})
 	}
 	return res, nil
 }
 
 // E9Row is one generation point of the interconnect sweep.
 type E9Row struct {
-	Generation string
-	SWTime     sim.VTime
-	HWTime     sim.VTime
-	SWBytes    sim.Bytes
-	HWBytes    sim.Bytes
-	HWHits     int64
-	SWMsgs     int64
-	HWMsgs     int64
+	Generation string    `col:"interconnect"`
+	SWTime     sim.VTime `col:"sw time"`
+	HWTime     sim.VTime `col:"hw time"`
+	SWBytes    sim.Bytes `col:"sw bytes"`
+	HWBytes    sim.Bytes `col:"hw bytes"`
+	HWHits     int64     `col:"hw hits"`
+	SWMsgs     int64     `col:"sw msgs"`
+	HWMsgs     int64     `col:"hw msgs"`
 }
 
 // E9CXLCoherency reproduces Section 6: the same shared-region workload
@@ -158,12 +144,9 @@ type E9Row struct {
 // swept across interconnect generations. Hardware coherency converts
 // repeat reads into local hits and writes into per-sharer invalidations.
 func E9CXLCoherency(accesses int, writeFrac float64) (*Result[E9Row], error) {
-	res := &Result[E9Row]{Table: &Table{
-		ID:     "E9",
-		Title:  fmt.Sprintf("Coherency protocols (Section 6), %d accesses, %.0f%% writes", accesses, writeFrac*100),
-		Header: []string{"interconnect", "sw time", "hw time", "sw bytes", "hw bytes", "hw hits", "sw msgs", "hw msgs"},
-		Notes:  "software: every read is an RDMA read, every write a lock round trip; hardware: cached reads, invalidation messages",
-	}}
+	res := newResult[E9Row]("E9",
+		fmt.Sprintf("Coherency protocols (Section 6), %d accesses, %.0f%% writes", accesses, writeFrac*100),
+		"software: every read is an RDMA read, every write a lock round trip; hardware: cached reads, invalidation messages")
 	gens := []fabric.LinkKind{fabric.LinkPCIe3, fabric.LinkPCIe4, fabric.LinkPCIe5, fabric.LinkCXL, fabric.LinkPCIe6, fabric.LinkPCIe7}
 	agents := []string{"cpu", "nma", "nic", "ssd"}
 	for _, gen := range gens {
@@ -194,10 +177,7 @@ func E9CXLCoherency(accesses int, writeFrac float64) (*Result[E9Row], error) {
 				row.HWHits = total.Hits
 			}
 		}
-		res.add(row, row.Generation,
-			row.SWTime.String(), row.HWTime.String(),
-			row.SWBytes.String(), row.HWBytes.String(),
-			d(row.HWHits), d(row.SWMsgs), d(row.HWMsgs))
+		res.put(row)
 	}
 	return res, nil
 }

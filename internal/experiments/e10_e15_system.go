@@ -13,18 +13,20 @@ import (
 	"repro/internal/workload"
 )
 
-// E10Result carries the full-pipeline comparison.
-type E10Result struct {
-	*Table
-	DataFlow core.ExecStats
-	CPUOnly  core.ExecStats
-	Volcano  core.ExecStats
+// E10Row is one execution model of the full-pipeline comparison.
+type E10Row struct {
+	Engine     string    `col:"engine"`
+	MovedBytes sim.Bytes `col:"moved"`
+	CPUBytes   sim.Bytes `col:"cpu bytes"`
+	CPUBusy    sim.VTime `col:"cpu busy"`
+	SimTime    sim.VTime `col:"makespan"`
+	PeakMemory sim.Bytes `col:"peak memory"`
 }
 
 // E10FullPipeline reproduces Figure 6: one query (filtered group-by)
 // executed three ways — the full data-path pipeline, the same engine
 // with all work on the CPU, and the Volcano baseline with a buffer pool.
-func E10FullPipeline(rows int) (*E10Result, error) {
+func E10FullPipeline(rows int) (*Result[E10Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
 	q := plan.NewQuery("lineitem").
@@ -56,11 +58,7 @@ func E10FullPipeline(rows int) (*E10Result, error) {
 		return nil, fmt.Errorf("experiments: E10 engines disagree")
 	}
 
-	t := &Table{
-		ID:     "E10",
-		Title:  "Full data-path pipeline (Figure 6): filtered group-by, three execution models",
-		Header: []string{"engine", "moved", "cpu bytes", "cpu busy", "makespan", "peak memory"},
-	}
+	res := newResult[E10Row]("E10", "Full data-path pipeline (Figure 6): filtered group-by, three execution models", "")
 	for _, e := range []struct {
 		name string
 		st   core.ExecStats
@@ -69,19 +67,18 @@ func E10FullPipeline(rows int) (*E10Result, error) {
 		{"dataflow cpu-only", cpuRes.Stats},
 		{"volcano + bufferpool", voRes.Stats},
 	} {
-		t.AddRow(e.name, e.st.MovedBytes.String(), e.st.CPUBytes.String(),
-			e.st.CPUBusy.String(), e.st.SimTime.String(), e.st.PeakMemory.String())
+		res.put(E10Row{e.name, e.st.MovedBytes, e.st.CPUBytes, e.st.CPUBusy, e.st.SimTime, e.st.PeakMemory})
 	}
-	return &E10Result{Table: t, DataFlow: fullRes.Stats, CPUOnly: cpuRes.Stats, Volcano: voRes.Stats}, nil
+	return res, nil
 }
 
 // E11Row is one credit-configuration point.
 type E11Row struct {
-	Depth       int
-	CreditBatch int
-	DataMsgs    int64
-	CreditMsgs  int64
-	Overhead    float64
+	Depth       int     `col:"depth"`
+	CreditBatch int     `col:"credit batch"`
+	DataMsgs    int64   `col:"data msgs"`
+	CreditMsgs  int64   `col:"credit msgs"`
+	Overhead    float64 `col:"credit/data"`
 }
 
 // E11CreditFlow reproduces Section 7.1: credit-based flow control is
@@ -89,11 +86,7 @@ type E11Row struct {
 // a small fraction of the data stream across queue configurations while
 // still bounding in-flight data.
 func E11CreditFlow(batches int) (*Result[E11Row], error) {
-	res := &Result[E11Row]{Table: &Table{
-		ID:     "E11",
-		Title:  "Credit-based flow control (Section 7.1): control traffic vs queue configuration",
-		Header: []string{"depth", "credit batch", "data msgs", "credit msgs", "credit/data"},
-	}}
+	res := newResult[E11Row]("E11", "Credit-based flow control (Section 7.1): control traffic vs queue configuration", "")
 	schema := workload.KVSchema()
 	for _, depth := range []int{2, 4, 8, 16, 32} {
 		creditBatch := max(depth/2, 1) // the batch a port of this depth returns credits in
@@ -126,46 +119,46 @@ func E11CreditFlow(batches int) (*Result[E11Row], error) {
 		if row.DataMsgs > 0 {
 			row.Overhead = float64(row.CreditMsgs) / float64(row.DataMsgs)
 		}
-		res.add(row, d(int64(depth)), d(int64(creditBatch)),
-			d(row.DataMsgs), d(row.CreditMsgs), f(row.Overhead))
+		res.put(row)
 	}
 	return res, nil
 }
 
-// E12Result carries the interference comparison.
-type E12Result struct {
-	*Table
-	NaiveTime     sim.VTime // both queries forced onto one node, no limits
-	ScheduledTime sim.VTime // scheduler steering + fair sharing
-	NaiveVariants [2]string
-	SchedVariants [2]string
+// E12Row is one placement policy of the interference comparison: naive
+// (both queries forced onto one node, no limits), then scheduled
+// (scheduler steering + fair sharing).
+type E12Row struct {
+	Policy     string    `col:"policy"`
+	Makespan   sim.VTime `col:"combined makespan"`
+	Placement1 string    `col:"placement 1"`
+	Placement2 string    `col:"placement 2"`
 }
 
 // E12Interference reproduces Section 7.3: two concurrent plans contending
 // for one node's path lose throughput; a scheduler with plan variants
 // steers the second onto the other compute node and rate-limits shared
 // links, improving the combined makespan.
-func E12Interference(rows int) (*E12Result, error) {
+func E12Interference(rows int) (*Result[E12Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
 	q := plan.NewQuery("lineitem").
 		WithFilter(workload.SelectivityFilter(cfg, 0.3)).
 		WithGroupBy(workload.PricingSummary())
 
-	runPair := func(useScheduler bool) (sim.VTime, [2]string, error) {
+	runPair := func(useScheduler bool) (E12Row, error) {
+		row := E12Row{Policy: "naive"}
 		eng := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 		if err := loadDataFlow(eng, "lineitem", data); err != nil {
-			return 0, [2]string{}, err
+			return row, err
 		}
-		var variants [2]string
-		var total sim.VTime
 		if useScheduler {
+			row.Policy = "scheduled"
 			// Candidates span both compute nodes; the scheduler steers.
 			var lists [2][]*plan.Physical
 			for node := 0; node < 2; node++ {
 				vs, err := eng.Plan(q, node)
 				if err != nil {
-					return 0, variants, err
+					return row, err
 				}
 				lists[node] = vs
 			}
@@ -173,77 +166,66 @@ func E12Interference(rows int) (*E12Result, error) {
 			s.ContentionPenalty = 5
 			adm1, err := s.Admit(context.Background(), append(append([]*plan.Physical{}, lists[0]...), lists[1]...))
 			if err != nil {
-				return 0, variants, err
+				return row, err
 			}
 			adm2, err := s.Admit(context.Background(), append(append([]*plan.Physical{}, lists[0]...), lists[1]...))
 			if err != nil {
-				return 0, variants, err
+				return row, err
 			}
 			r1, err := eng.ExecutePlan(context.Background(), adm1.Plan)
 			if err != nil {
-				return 0, variants, err
+				return row, err
 			}
 			r2, err := eng.ExecutePlan(context.Background(), adm2.Plan)
 			if err != nil {
-				return 0, variants, err
+				return row, err
 			}
 			s.Release(adm1)
 			s.Release(adm2)
-			variants[0] = adm1.Plan.Path.CPU().Name + "/" + adm1.Variant
-			variants[1] = adm2.Plan.Path.CPU().Name + "/" + adm2.Variant
-			if r1.Stats.SimTime > r2.Stats.SimTime {
-				total = r1.Stats.SimTime
-			} else {
-				total = r2.Stats.SimTime
-			}
+			row.Placement1 = adm1.Plan.Path.CPU().Name + "/" + adm1.Variant
+			row.Placement2 = adm2.Plan.Path.CPU().Name + "/" + adm2.Variant
+			row.Makespan = max(r1.Stats.SimTime, r2.Stats.SimTime)
 		} else {
 			// Naive: both on node 0's top-ranked plan; the shared path
 			// serializes, so the combined makespan is the sum.
 			vs, err := eng.Plan(q, 0)
 			if err != nil {
-				return 0, variants, err
+				return row, err
 			}
 			r1, err := eng.ExecutePlan(context.Background(), vs[0])
 			if err != nil {
-				return 0, variants, err
+				return row, err
 			}
 			r2, err := eng.ExecutePlan(context.Background(), vs[0])
 			if err != nil {
-				return 0, variants, err
+				return row, err
 			}
-			variants[0] = vs[0].Path.CPU().Name + "/" + vs[0].Variant
-			variants[1] = variants[0]
-			total = r1.Stats.SimTime + r2.Stats.SimTime
+			row.Placement1 = vs[0].Path.CPU().Name + "/" + vs[0].Variant
+			row.Placement2 = row.Placement1
+			row.Makespan = r1.Stats.SimTime + r2.Stats.SimTime
 		}
-		return total, variants, nil
+		return row, nil
 	}
 
-	naive, nv, err := runPair(false)
-	if err != nil {
-		return nil, err
+	res := newResult[E12Row]("E12", "Interference and scheduling (Section 7.3): two concurrent plans",
+		"naive co-location serializes on the shared node; the scheduler spreads across nodes")
+	for _, useScheduler := range []bool{false, true} {
+		row, err := runPair(useScheduler)
+		if err != nil {
+			return nil, err
+		}
+		res.put(row)
 	}
-	scheduled, sv, err := runPair(true)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID:     "E12",
-		Title:  "Interference and scheduling (Section 7.3): two concurrent plans",
-		Header: []string{"policy", "combined makespan", "placement 1", "placement 2"},
-		Notes:  "naive co-location serializes on the shared node; the scheduler spreads across nodes",
-	}
-	t.AddRow("naive", naive.String(), nv[0], nv[1])
-	t.AddRow("scheduled", scheduled.String(), sv[0], sv[1])
-	return &E12Result{Table: t, NaiveTime: naive, ScheduledTime: scheduled, NaiveVariants: nv, SchedVariants: sv}, nil
+	return res, nil
 }
 
 // E13Row is one table-size point of the memory-footprint sweep.
 type E13Row struct {
-	Rows        int
-	DataBytes   sim.Bytes
-	DataflowMem sim.Bytes
-	VolcanoMem  sim.Bytes
-	VolcanoHit  float64
+	Rows        int       `col:"rows"`
+	DataBytes   sim.Bytes `col:"table bytes"`
+	DataflowMem sim.Bytes `col:"dataflow peak"`
+	VolcanoMem  sim.Bytes `col:"volcano peak"`
+	VolcanoHit  float64   `col:"volcano hit rate,%.2f"`
 }
 
 // E13NoBufferPool reproduces Section 7.4: the data-flow engine's
@@ -251,12 +233,8 @@ type E13Row struct {
 // while the buffer-pool engine's footprint tracks the data and thrashes
 // once the working set exceeds the pool.
 func E13NoBufferPool(sizes []int, poolBytes sim.Bytes) (*Result[E13Row], error) {
-	res := &Result[E13Row]{Table: &Table{
-		ID:     "E13",
-		Title:  "No more buffer pools (Section 7.4): compute-side memory vs table size",
-		Header: []string{"rows", "table bytes", "dataflow peak", "volcano peak", "volcano hit rate"},
-		Notes:  fmt.Sprintf("volcano pool capacity %s; dataflow holds only in-flight batches + aggregate state", poolBytes),
-	}}
+	res := newResult[E13Row]("E13", "No more buffer pools (Section 7.4): compute-side memory vs table size",
+		fmt.Sprintf("volcano pool capacity %s; dataflow holds only in-flight batches + aggregate state", poolBytes))
 	q := func() *plan.Query {
 		return plan.NewQuery("lineitem").WithGroupBy(workload.PricingSummary())
 	}
@@ -286,34 +264,30 @@ func E13NoBufferPool(sizes []int, poolBytes sim.Bytes) (*Result[E13Row], error) 
 		if err != nil {
 			return nil, err
 		}
-		row := E13Row{
+		res.put(E13Row{
 			Rows:        rows,
 			DataBytes:   sim.Bytes(data.ByteSize()),
 			DataflowMem: dfRes.Stats.PeakMemory,
 			VolcanoMem:  voRes.Stats.PeakMemory,
 			VolcanoHit:  vo.Pool.Stats().HitRate(),
-		}
-		res.add(row, d(int64(rows)), row.DataBytes.String(),
-			row.DataflowMem.String(), row.VolcanoMem.String(),
-			fmt.Sprintf("%.2f", row.VolcanoHit))
+		})
 	}
 	return res, nil
 }
 
-// E14Result carries the cache-elimination comparison.
-type E14Result struct {
-	*Table
-	ColdVolcano sim.VTime
-	WarmVolcano sim.VTime
-	DataFlow    sim.VTime
-	CacheBytes  sim.Bytes
+// E14Row is one pass of the cache-elimination comparison: volcano cold,
+// volcano warm, then two dataflow passes.
+type E14Row struct {
+	Pass     string    `col:"engine/pass"`
+	Makespan sim.VTime `col:"makespan"`
+	Cache    sim.Bytes `col:"cache memory held"`
 }
 
 // E14NoDataCache reproduces Section 7.5: a caching engine is fast only
 // after paying the cold pass and holding the cache in memory; the active
 // pipeline's cost is flat across passes with no cache footprint, because
 // only the needed bytes ever move.
-func E14NoDataCache(rows int) (*E14Result, error) {
+func E14NoDataCache(rows int) (*Result[E14Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
 	q := plan.NewQuery("lineitem").
@@ -346,49 +320,34 @@ func E14NoDataCache(rows int) (*E14Result, error) {
 		return nil, err
 	}
 
-	t := &Table{
-		ID:     "E14",
-		Title:  "No more data caches (Section 7.5): repeated selective scan",
-		Header: []string{"engine/pass", "makespan", "cache memory held"},
-		Notes:  "the pipeline's cost is flat across passes with zero cache footprint",
-	}
-	cacheBytes := vo.Pool.Stats().Resident
-	t.AddRow("volcano cold", cold.Stats.SimTime.String(), "0B")
-	t.AddRow("volcano warm", warm.Stats.SimTime.String(), cacheBytes.String())
-	t.AddRow("dataflow pass1", dfRes.Stats.SimTime.String(), "0B")
-	t.AddRow("dataflow pass2", dfRes2.Stats.SimTime.String(), "0B")
-	return &E14Result{
-		Table:       t,
-		ColdVolcano: cold.Stats.SimTime,
-		WarmVolcano: warm.Stats.SimTime,
-		DataFlow:    dfRes.Stats.SimTime,
-		CacheBytes:  cacheBytes,
-	}, nil
+	res := newResult[E14Row]("E14", "No more data caches (Section 7.5): repeated selective scan",
+		"the pipeline's cost is flat across passes with zero cache footprint")
+	res.put(E14Row{"volcano cold", cold.Stats.SimTime, 0})
+	res.put(E14Row{"volcano warm", warm.Stats.SimTime, vo.Pool.Stats().Resident})
+	res.put(E14Row{"dataflow pass1", dfRes.Stats.SimTime, 0})
+	res.put(E14Row{"dataflow pass2", dfRes2.Stats.SimTime, 0})
+	return res, nil
 }
 
 // E15Row is one stream-size point of the kernel-setup experiment.
 type E15Row struct {
-	StreamBytes sim.Bytes
-	SetupShare  float64
+	StreamBytes sim.Bytes `col:"stream size"`
+	Setup       sim.VTime `col:"setup"`
+	Stream      sim.VTime `col:"stream time"`
+	SetupShare  float64   `col:"setup share,%.4f"`
 }
 
 // E15KernelSetup quantifies Section 7.2's point that accelerators are
 // programmed through registers/kernel installation rather than an ISA —
 // and that this fixed setup cost is immaterial for streaming work.
 func E15KernelSetup(sizes []sim.Bytes) (*Result[E15Row], error) {
-	res := &Result[E15Row]{Table: &Table{
-		ID:     "E15",
-		Title:  "Kernel installation overhead (Section 7.2) on a smart NIC",
-		Header: []string{"stream size", "setup", "stream time", "setup share"},
-		Notes:  "setup cost is fixed per kernel; its share vanishes as streams grow",
-	}}
+	res := newResult[E15Row]("E15", "Kernel installation overhead (Section 7.2) on a smart NIC",
+		"setup cost is fixed per kernel; its share vanishes as streams grow")
 	for _, size := range sizes {
 		nic := fabric.NewSmartNIC("nic", sim.GbitPerSec(400))
 		setup := nic.ChargeSetup()
 		stream := nic.Charge(fabric.OpFilter, size)
-		share := float64(setup) / float64(setup+stream)
-		res.add(E15Row{StreamBytes: size, SetupShare: share},
-			size.String(), setup.String(), stream.String(), fmt.Sprintf("%.4f", share))
+		res.put(E15Row{size, setup, stream, float64(setup) / float64(setup+stream)})
 	}
 	return res, nil
 }

@@ -18,32 +18,33 @@ import (
 
 // E16Row is one working-set point of the cache-stall experiment.
 type E16Row struct {
-	WorkingSet sim.Bytes
-	SeqStall   float64 // stall share, sequential scan
-	RndStall   float64 // stall share, random access
-	TLBMissRnd float64 // TLB miss rate, random access
+	WorkingSet sim.Bytes `col:"working set"`
+	SeqStall   float64   `col:"seq stall share,%.2f"` // stall share, sequential scan
+	RndStall   float64   `col:"rnd stall share,%.2f"` // stall share, random access
+	TLBMissRnd float64   `col:"rnd TLB miss,%.2f"`    // TLB miss rate, random access
+}
+
+// E16Filter is E16's last row: the cache-hierarchy time of a
+// 5%-selective filter when all bytes enter the caches (CPU) vs when only
+// survivors do (Near).
+type E16Filter struct {
+	Label string    `col:""`
+	CPU   sim.VTime `col:",cpu-path %v"`
+	Near  sim.VTime `col:",near-path %v"`
 }
 
 // E16Result carries the Section 5.1 cache/TLB measurements.
 type E16Result struct {
 	Result[E16Row]
-	// CPUHierTime/NearHierTime compare the cache-hierarchy time of a
-	// 5%-selective filter when all bytes enter the caches vs when only
-	// survivors do.
-	CPUHierTime  sim.VTime
-	NearHierTime sim.VTime
+	Filter E16Filter
 }
 
 // E16CacheStalls reproduces Section 5.1: cache and TLB faults stall the
 // cores as working sets grow, and the near-memory path's deepest payoff
 // is that filtered-out bytes never enter the hierarchy at all.
 func E16CacheStalls() (*E16Result, error) {
-	res := &E16Result{Result: Result[E16Row]{Table: &Table{
-		ID:     "E16",
-		Title:  "Cache and TLB stalls (Section 5.1): stall share vs working set",
-		Header: []string{"working set", "seq stall share", "rnd stall share", "rnd TLB miss"},
-		Notes:  "stall share = cycles beyond L1 hits / total; TLB covers 8MiB",
-	}}}
+	res := &E16Result{Result: *newResult[E16Row]("E16", "Cache and TLB stalls (Section 5.1): stall share vs working set",
+		"stall share = cycles beyond L1 hits / total; TLB covers 8MiB")}
 	rng := sim.NewRNG(31)
 	for _, ws := range []int64{32 << 10, 4 << 20, 64 << 20, 1 << 30} {
 		h := memdev.NewDefaultHierarchy()
@@ -60,9 +61,7 @@ func E16CacheStalls() (*E16Result, error) {
 		rnd := h.StallShare()
 		tlbMiss := float64(h.TLB.Misses) / float64(h.TLB.Hits+h.TLB.Misses)
 
-		row := E16Row{WorkingSet: sim.Bytes(ws), SeqStall: seq, RndStall: rnd, TLBMissRnd: tlbMiss}
-		res.add(row, row.WorkingSet.String(),
-			fmt.Sprintf("%.2f", seq), fmt.Sprintf("%.2f", rnd), fmt.Sprintf("%.2f", tlbMiss))
+		res.put(E16Row{WorkingSet: sim.Bytes(ws), SeqStall: seq, RndStall: rnd, TLBMissRnd: tlbMiss})
 	}
 
 	// The hierarchy cost of consuming a 64 MiB region at 5% selectivity:
@@ -70,21 +69,30 @@ func E16CacheStalls() (*E16Result, error) {
 	// near-memory path admits only survivors.
 	const region = int64(64 << 20)
 	h := memdev.NewDefaultHierarchy()
-	res.CPUHierTime = h.ScanSequential(0, region)
+	res.Filter = E16Filter{Label: "filter 5%:", CPU: h.ScanSequential(0, region)}
 	h.Reset()
-	res.NearHierTime = h.ScanSequential(0, region/20)
-	res.Table.AddRow("filter 5%:", "cpu-path "+res.CPUHierTime.String(),
-		"near-path "+res.NearHierTime.String(), "")
+	res.Filter.Near = h.ScanSequential(0, region/20)
+	res.Table.put(res.Filter)
 	return res, nil
 }
 
 // A1Row is one network-tier point of the wire-compression ablation.
 type A1Row struct {
-	Tier     string
-	RawTime  sim.VTime
-	CompTime sim.VTime
-	Ratio    float64 // compressed size / raw size
-	Wins     bool
+	Tier     string    `col:"link"`
+	RawTime  sim.VTime `col:"raw transfer"`
+	CompTime sim.VTime `col:"compressed (pipelined)"`
+	Wins     a1Winner  `col:"winner"`
+	Ratio    float64   // compressed size / raw size
+}
+
+// a1Winner is whether compressing before the wire won.
+type a1Winner bool
+
+func (w a1Winner) String() string {
+	if w {
+		return "compressed"
+	}
+	return "raw"
 }
 
 // A1WireCompression is the ablation behind the paper's Section 2.2
@@ -104,12 +112,8 @@ func A1WireCompression(rows int) (*Result[A1Row], error) {
 	}
 	ratio := float64(len(comp)) / float64(len(raw))
 
-	res := &Result[A1Row]{Table: &Table{
-		ID:     "A1",
-		Title:  fmt.Sprintf("Ablation: wire compression (ratio %.2f) vs network speed", ratio),
-		Header: []string{"link", "raw transfer", "compressed (pipelined)", "winner"},
-		Notes:  "software compressor 2GB/s, decompressor 5GB/s; compression pays only while the link is the bottleneck — which is why the paper's fabric compresses in hardware on the path",
-	}}
+	res := newResult[A1Row]("A1", fmt.Sprintf("Ablation: wire compression (ratio %.2f) vs network speed", ratio),
+		"software compressor 2GB/s, decompressor 5GB/s; compression pays only while the link is the bottleneck — which is why the paper's fabric compresses in hardware on the path")
 	const (
 		compRate   = sim.Rate(2e9)
 		decompRate = sim.Rate(5e9)
@@ -121,25 +125,20 @@ func A1WireCompression(rows int) (*Result[A1Row], error) {
 		compTime := max(compRate.TimeFor(sim.Bytes(len(raw))),
 			bw.TimeFor(sim.Bytes(len(comp))),
 			decompRate.TimeFor(sim.Bytes(len(raw))))
-		row := A1Row{
+		res.put(A1Row{
 			Tier:    fmt.Sprintf("%gGb/s", gbps),
 			RawTime: rawTime, CompTime: compTime, Ratio: ratio,
 			Wins: compTime < rawTime,
-		}
-		winner := "raw"
-		if row.Wins {
-			winner = "compressed"
-		}
-		res.add(row, row.Tier, rawTime.String(), compTime.String(), winner)
+		})
 	}
 	return res, nil
 }
 
 // A2Row is one NIC-tier point of the bandwidth-scaling ablation.
 type A2Row struct {
-	Tier       string
-	Makespan   sim.VTime
-	Bottleneck string
+	Tier       string    `col:"nic"`
+	Makespan   sim.VTime `col:"makespan"`
+	Bottleneck string    `col:"bottleneck"`
 }
 
 // A2NICTierSweep runs the Figure 6 pipeline across NIC generations
@@ -149,11 +148,7 @@ type A2Row struct {
 func A2NICTierSweep(rows int) (*Result[A2Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
-	res := &Result[A2Row]{Table: &Table{
-		ID:     "A2",
-		Title:  "Ablation: pipeline makespan vs NIC generation",
-		Header: []string{"nic", "makespan", "bottleneck"},
-	}}
+	res := newResult[A2Row]("A2", "Ablation: pipeline makespan vs NIC generation", "")
 	for _, tier := range []fabric.LinkKind{fabric.LinkEth100, fabric.LinkEth200, fabric.LinkEth400, fabric.LinkEth800, fabric.LinkEth1600} {
 		ccfg := fabric.DefaultClusterConfig()
 		ccfg.NICTier = tier
@@ -180,18 +175,17 @@ func A2NICTierSweep(rows int) (*Result[A2Row], error) {
 				busiest, bottleneck = b, l.Name
 			}
 		}
-		row := A2Row{Tier: tier.String(), Makespan: r.Stats.SimTime, Bottleneck: bottleneck}
-		res.add(row, row.Tier, row.Makespan.String(), row.Bottleneck)
+		res.put(A2Row{Tier: tier.String(), Makespan: r.Stats.SimTime, Bottleneck: bottleneck})
 	}
 	return res, nil
 }
 
 // A3Row is one segment-size point of the pruning ablation.
 type A3Row struct {
-	SegmentRows int
-	Pruned      int
-	Total       int
-	MediaBytes  sim.Bytes
+	SegmentRows int       `col:"rows/segment"`
+	Total       int       `col:"segments"`
+	Pruned      int       `col:"pruned"`
+	MediaBytes  sim.Bytes `col:"media bytes"`
 }
 
 // A3SegmentSize ablates the zone-map granularity (Section 3.2: cloud
@@ -209,12 +203,8 @@ func A3SegmentSize(rows int) (*Result[A3Row], error) {
 		vals[i] = rng.Int63n(1000)
 	}
 	schema := workload.KVSchema()
-	res := &Result[A3Row]{Table: &Table{
-		ID:     "A3",
-		Title:  "Ablation: zone-map pruning vs segment size",
-		Header: []string{"rows/segment", "segments", "pruned", "media bytes"},
-		Notes:  "5% range predicate on the clustered key; finer segments prune tighter",
-	}}
+	res := newResult[A3Row]("A3", "Ablation: zone-map pruning vs segment size",
+		"5% range predicate on the clustered key; finer segments prune tighter")
 	for _, segRows := range []int{2048, 8192, 32768, 131072} {
 		eng := core.NewDataFlowEngine(fabric.NewCluster(fabric.DefaultClusterConfig()))
 		eng.Storage.SegmentRows = segRows
@@ -228,13 +218,12 @@ func A3SegmentSize(rows int) (*Result[A3Row], error) {
 		if err != nil {
 			return nil, err
 		}
-		row := A3Row{
+		res.put(A3Row{
 			SegmentRows: segRows,
-			Pruned:      r.Stats.Scan.SegmentsPruned,
 			Total:       r.Stats.Scan.SegmentsTotal,
+			Pruned:      r.Stats.Scan.SegmentsPruned,
 			MediaBytes:  r.Stats.Scan.MediaBytes,
-		}
-		res.add(row, d(int64(segRows)), d(int64(row.Total)), d(int64(row.Pruned)), row.MediaBytes.String())
+		})
 	}
 	return res, nil
 }
@@ -246,8 +235,18 @@ func columnarKV(schema *columnar.Schema, ks, vs []int64) *columnar.Batch {
 
 // A4Row is one budget point of the state-budget ablation.
 type A4Row struct {
-	BudgetGroups int
-	ShippedRows  int64
+	BudgetGroups a4Budget `col:"budget (groups)"`
+	ShippedRows  int64    `col:"partial rows shipped"`
+}
+
+// a4Budget is a pre-aggregation state budget in groups; 0 is unbounded.
+type a4Budget int
+
+func (b a4Budget) String() string {
+	if b == 0 {
+		return "unbounded"
+	}
+	return fmt.Sprint(int(b))
 }
 
 // A4StateBudget ablates the in-path state budget (Section 3.3: in-path
@@ -256,12 +255,8 @@ type A4Row struct {
 // correctness is unaffected.
 func A4StateBudget(rows int, keys int64) (*Result[A4Row], error) {
 	data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: keys, ZipfSkew: 1.1, Seed: 13})
-	res := &Result[A4Row]{Table: &Table{
-		ID:     "A4",
-		Title:  fmt.Sprintf("Ablation: pre-aggregation state budget (%d Zipf keys)", keys),
-		Header: []string{"budget (groups)", "partial rows shipped"},
-		Notes:  "bounded state spills partials; results stay exact at every budget",
-	}}
+	res := newResult[A4Row]("A4", fmt.Sprintf("Ablation: pre-aggregation state budget (%d Zipf keys)", keys),
+		"bounded state spills partials; results stay exact at every budget")
 	var exactCount int64 = -1
 	for _, budget := range []int{64, 1024, 16384, 0} {
 		agg := expr.NewPartialAggregator(workload.KVGroupBy(), workload.KVSchema(), budget)
@@ -292,15 +287,7 @@ func A4StateBudget(rows int, keys int64) (*Result[A4Row], error) {
 		} else if total != exactCount {
 			return nil, fmt.Errorf("experiments: A4 budget %d changed the answer", budget)
 		}
-		label := budget
-		if budget == 0 {
-			label = -1 // unbounded
-		}
-		name := d(int64(budget))
-		if budget == 0 {
-			name = "unbounded"
-		}
-		res.add(A4Row{BudgetGroups: label, ShippedRows: shipped}, name, d(shipped))
+		res.put(A4Row{BudgetGroups: a4Budget(budget), ShippedRows: shipped})
 	}
 	return res, nil
 }

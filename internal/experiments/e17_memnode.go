@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/expr"
 	"repro/internal/fabric"
@@ -12,13 +11,13 @@ import (
 
 // E17Row is one selectivity point of the disaggregated-memory sweep.
 type E17Row struct {
-	Selectivity  float64
-	PullBytes    sim.Bytes // network bytes, pull-everything
-	OffloadBytes sim.Bytes // network bytes, filter at the memory-side NIC
-	PullTime     sim.VTime
-	OffloadTime  sim.VTime
-	CPUBusyPull  sim.VTime
-	CPUBusyOff   sim.VTime
+	Selectivity  float64   `col:"selectivity,pct"`
+	PullBytes    sim.Bytes `col:"pull net"`    // network bytes, pull-everything
+	OffloadBytes sim.Bytes `col:"offload net"` // network bytes, filter at the memory-side NIC
+	PullTime     sim.VTime `col:"pull time"`
+	OffloadTime  sim.VTime `col:"offload time"`
+	CPUBusyPull  sim.VTime `col:"cpu busy pull"`
+	CPUBusyOff   sim.VTime `col:"cpu busy offload"`
 }
 
 // E17DisaggregatedMemory reproduces Section 5.3 (the Farview-style
@@ -32,12 +31,8 @@ func E17DisaggregatedMemory(rows int, selectivities []float64) (*Result[E17Row],
 	data := workload.GenKV(workload.KVConfig{Rows: rows, Keys: 1000, Seed: 23})
 	regionBytes := sim.Bytes(data.ByteSize())
 
-	res := &Result[E17Row]{Table: &Table{
-		ID:     "E17",
-		Title:  "Disaggregated memory with operator offloading (Section 5.3)",
-		Header: []string{"selectivity", "pull net", "offload net", "pull time", "offload time", "cpu busy pull", "cpu busy offload"},
-		Notes:  "region resident on the memory node; offload filters at the memory-side NIC",
-	}}
+	res := newResult[E17Row]("E17", "Disaggregated memory with operator offloading (Section 5.3)",
+		"region resident on the memory node; offload filters at the memory-side NIC")
 
 	for _, sel := range selectivities {
 		hi := int64(float64(1000)*sel) - 1
@@ -90,16 +85,7 @@ func E17DisaggregatedMemory(rows int, selectivities []float64) (*Result[E17Row],
 		if err != nil {
 			return nil, err
 		}
-		row := E17Row{
-			Selectivity: sel,
-			PullBytes:   pullNet, OffloadBytes: offNet,
-			PullTime: pullTime, OffloadTime: offTime,
-			CPUBusyPull: pullCPU, CPUBusyOff: offCPU,
-		}
-		res.add(row, fmt.Sprintf("%.1f%%", sel*100),
-			pullNet.String(), offNet.String(),
-			pullTime.String(), offTime.String(),
-			pullCPU.String(), offCPU.String())
+		res.put(E17Row{sel, pullNet, offNet, pullTime, offTime, pullCPU, offCPU})
 	}
 	return res, nil
 }

@@ -11,11 +11,11 @@ import (
 
 // E18Row is one region-size point of the HTAP transposition experiment.
 type E18Row struct {
-	Rows      int
-	CPUBytes  sim.Bytes
-	NearBytes sim.Bytes
-	CPUTime   sim.VTime
-	NearTime  sim.VTime
+	Rows      int       `col:"rows"`
+	CPUBytes  sim.Bytes `col:"cpu bytes"`
+	NearBytes sim.Bytes `col:"near bytes"`
+	CPUTime   sim.VTime `col:"cpu time"`
+	NearTime  sim.VTime `col:"near time"`
 }
 
 // E18HTAPTranspose reproduces Section 5.4's data-transposition unit:
@@ -24,12 +24,8 @@ type E18Row struct {
 // images in memory, while the CPU path drags the full region across the
 // memory bus twice (read one format, write the other).
 func E18HTAPTranspose(sizes []int) (*Result[E18Row], error) {
-	res := &Result[E18Row]{Table: &Table{
-		ID:     "E18",
-		Title:  "HTAP format transposition (Section 5.4): near-memory unit vs CPU",
-		Header: []string{"rows", "cpu bytes", "near bytes", "cpu time", "near time"},
-		Notes:  "CPU path moves the region twice (read + write back); the unit converts in place",
-	}}
+	res := newResult[E18Row]("E18", "HTAP format transposition (Section 5.4): near-memory unit vs CPU",
+		"CPU path moves the region twice (read + write back); the unit converts in place")
 	for _, n := range sizes {
 		data := workload.GenKV(workload.KVConfig{Rows: n, Keys: int64(n), Seed: 29})
 		dram := fabric.NewMemory("dram")
@@ -59,14 +55,11 @@ func E18HTAPTranspose(sizes []int) (*Result[E18Row], error) {
 				}
 			}
 		}
-		row := E18Row{
+		res.put(E18Row{
 			Rows:     n,
 			CPUBytes: cpuStats.BytesMoved, NearBytes: nearStats.BytesMoved,
 			CPUTime: cpuStats.Time, NearTime: nearStats.Time,
-		}
-		res.add(row, d(int64(n)),
-			row.CPUBytes.String(), row.NearBytes.String(),
-			row.CPUTime.String(), row.NearTime.String())
+		})
 	}
 	return res, nil
 }

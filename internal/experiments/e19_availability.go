@@ -15,17 +15,16 @@ import (
 
 // E19Row is one fault-rate point of the availability sweep.
 type E19Row struct {
-	Rate        float64
-	DFOK        int // data-flow queries that succeeded with correct rows
-	VoOK        int // volcano queries that succeeded with correct rows
-	Total       int // queries attempted per engine
-	Retries     int64
-	Fallbacks   int64
-	Failovers   int64
+	Rate        float64   `col:"fault rate"`
+	DFOK        slash     `col:"df ok"`      // data-flow queries that succeeded with correct rows / attempted
+	VoOK        slash     `col:"volcano ok"` // volcano queries that succeeded with correct rows / attempted
+	Retries     int64     `col:"retries"`
+	Fallbacks   int64     `col:"fallbacks"`
+	Failovers   int64     `col:"failovers"`
+	DFInflation float64   `col:"df time x"` // DFTime relative to the zero-fault bucket
+	VoInflation float64   `col:"vo time x,-"`
 	DFTime      sim.VTime // mean per-query makespan incl. recovery waste
 	VoTime      sim.VTime // mean per-query makespan over successes
-	DFInflation float64   // DFTime relative to the zero-fault bucket
-	VoInflation float64
 }
 
 // E19Result carries the availability comparison.
@@ -107,15 +106,11 @@ func E19Availability(rows int) (*E19Result, error) {
 		in.Arm(faults.Point{Kind: faults.ObjectMissing, Prob: rate / 2})
 	}
 
-	res := &E19Result{Result: Result[E19Row]{Table: &Table{
-		ID:    "E19",
-		Title: "Availability under injected faults: recovering data flow vs detect-only Volcano",
-		Header: []string{"fault rate", "df ok", "volcano ok", "retries",
-			"fallbacks", "failovers", "df time x", "vo time x"},
-		Notes: "time x = mean per-query makespan (incl. recovery waste) relative to the fault-free bucket; " +
-			fmt.Sprintf("rates >= %g also kill an accelerator mid-sweep; ", e19KillRate) +
-			"the volcano mean covers only surviving queries, which ran mostly on pool pages warmed by failed attempts",
-	}}}
+	res := &E19Result{Result: *newResult[E19Row]("E19",
+		"Availability under injected faults: recovering data flow vs detect-only Volcano",
+		"time x = mean per-query makespan (incl. recovery waste) relative to the fault-free bucket; "+
+			fmt.Sprintf("rates >= %g also kill an accelerator mid-sweep; ", e19KillRate)+
+			"the volcano mean covers only surviving queries, which ran mostly on pool pages warmed by failed attempts")}
 
 	// expected[qi] is the reference row histogram, captured from the
 	// fault-free bucket; every later success must reproduce it exactly.
@@ -142,7 +137,8 @@ func E19Availability(rows int) (*E19Result, error) {
 		armStorage(voInj, rate)
 		vo.Faults = voInj
 
-		row := E19Row{Rate: rate, Total: total}
+		row := E19Row{Rate: rate}
+		var dfOK, voOK int
 		var dfTime, voTime sim.VTime
 		for trial := 0; trial < trials; trial++ {
 			for qi, q := range queries {
@@ -157,7 +153,7 @@ func E19Availability(rows int) (*E19Result, error) {
 					} else if !maps.Equal(h, expected[qi]) {
 						return nil, fmt.Errorf("experiments: E19 data-flow returned wrong rows at rate %g", rate)
 					}
-					row.DFOK++
+					dfOK++
 					row.Retries += r.Stats.Scan.Retries + r.Stats.QueryRetries
 					row.Fallbacks += r.Stats.Scan.ReplicaFallbacks
 					row.Failovers += int64(r.Stats.Failovers)
@@ -172,40 +168,33 @@ func E19Availability(rows int) (*E19Result, error) {
 					if expected[qi] != nil && !maps.Equal(e19Histogram(vr), expected[qi]) {
 						return nil, fmt.Errorf("experiments: E19 volcano returned wrong rows at rate %g", rate)
 					}
-					row.VoOK++
+					voOK++
 					voTime += vr.Stats.SimTime
 				}
 			}
 		}
-		if row.DFOK > 0 {
-			row.DFTime = dfTime / sim.VTime(row.DFOK)
+		row.DFOK, row.VoOK = slash{int64(dfOK), int64(total)}, slash{int64(voOK), int64(total)}
+		if dfOK > 0 {
+			row.DFTime = dfTime / sim.VTime(dfOK)
 		}
-		if row.VoOK > 0 {
-			row.VoTime = voTime / sim.VTime(row.VoOK)
+		if voOK > 0 {
+			row.VoTime = voTime / sim.VTime(voOK)
 		}
 		if rate == 0 {
 			dfBase, voBase = row.DFTime, row.VoTime
 		}
-		if dfBase > 0 && row.DFOK > 0 {
+		if dfBase > 0 && dfOK > 0 {
 			row.DFInflation = float64(row.DFTime) / float64(dfBase)
 		}
-		if voBase > 0 && row.VoOK > 0 {
+		// Zero, printed "-", when no volcano query survived.
+		if voBase > 0 && voOK > 0 {
 			row.VoInflation = float64(row.VoTime) / float64(voBase)
 		}
 		res.Schedules = append(res.Schedules, inj.Schedule())
 		res.VoSchedules = append(res.VoSchedules, voInj.Schedule())
-
-		voX := "-"
-		if row.VoOK > 0 {
-			voX = f(row.VoInflation)
-		}
-		res.add(row, f(rate),
-			fmt.Sprintf("%d/%d", row.DFOK, total),
-			fmt.Sprintf("%d/%d", row.VoOK, total),
-			d(row.Retries), d(row.Fallbacks), d(row.Failovers),
-			f(row.DFInflation), voX)
-		res.Table.SetMetric(fmt.Sprintf("df_ok@%g", rate), float64(row.DFOK)/float64(total))
-		res.Table.SetMetric(fmt.Sprintf("vo_ok@%g", rate), float64(row.VoOK)/float64(total))
+		res.put(row)
+		res.Table.SetMetric(fmt.Sprintf("df_ok@%g", rate), float64(dfOK)/float64(total))
+		res.Table.SetMetric(fmt.Sprintf("vo_ok@%g", rate), float64(voOK)/float64(total))
 	}
 	return res, nil
 }

@@ -17,9 +17,8 @@ func TestE19AvailabilityShape(t *testing.T) {
 	if base.Rate != 0 {
 		t.Fatalf("first bucket rate = %g, want 0", base.Rate)
 	}
-	if base.DFOK != base.Total || base.VoOK != base.Total {
-		t.Fatalf("fault-free bucket lost queries: df %d/%d vo %d/%d",
-			base.DFOK, base.Total, base.VoOK, base.Total)
+	if base.DFOK[0] != base.DFOK[1] || base.VoOK[0] != base.VoOK[1] {
+		t.Fatalf("fault-free bucket lost queries: df %v vo %v", base.DFOK, base.VoOK)
 	}
 	if base.Retries+base.Fallbacks+base.Failovers != 0 {
 		t.Error("fault-free bucket recorded recovery work")
@@ -29,19 +28,19 @@ func TestE19AvailabilityShape(t *testing.T) {
 	for _, row := range res.Rows {
 		// Recovery must absorb every injected fault: full availability
 		// across the sweep while the detect-only baseline degrades.
-		if row.DFOK != row.Total {
-			t.Errorf("rate %g: data-flow succeeded %d/%d", row.Rate, row.DFOK, row.Total)
+		if row.DFOK[0] != row.DFOK[1] {
+			t.Errorf("rate %g: data-flow succeeded %v", row.Rate, row.DFOK)
 		}
-		if row.DFOK < row.VoOK {
-			t.Errorf("rate %g: baseline (%d) outlived recovering engine (%d)", row.Rate, row.VoOK, row.DFOK)
+		if row.DFOK[0] < row.VoOK[0] {
+			t.Errorf("rate %g: baseline (%d) outlived recovering engine (%d)", row.Rate, row.VoOK[0], row.DFOK[0])
 		}
 		recovery += row.Retries + row.Fallbacks
 		failovers += row.Failovers
 	}
 	top := res.Rows[len(res.Rows)-1]
-	if top.VoOK == top.Total {
-		t.Errorf("rate %g: detect-only volcano lost no queries (%d/%d) — faults not exercised",
-			top.Rate, top.VoOK, top.Total)
+	if top.VoOK[0] == top.VoOK[1] {
+		t.Errorf("rate %g: detect-only volcano lost no queries (%v) — faults not exercised",
+			top.Rate, top.VoOK)
 	}
 	if recovery == 0 {
 		t.Error("sweep recorded no retries or replica fallbacks")
@@ -69,7 +68,7 @@ func TestE19AvailabilityShape(t *testing.T) {
 	for i, row := range res.Rows {
 		if row.Rate >= e19KillRate {
 			// Availability outcomes stay deterministic even with a kill.
-			if row.DFOK != again.Rows[i].DFOK || row.VoOK != again.Rows[i].VoOK {
+			if row.DFOK[0] != again.Rows[i].DFOK[0] || row.VoOK[0] != again.Rows[i].VoOK[0] {
 				t.Errorf("rate %g: success counts diverged between identical runs", row.Rate)
 			}
 			continue

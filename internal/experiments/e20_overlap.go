@@ -13,16 +13,15 @@ import (
 	"repro/internal/workload"
 )
 
-// E20Result carries the staged-overlap traces for assertions.
-type E20Result struct {
-	*Table
-
-	DataFlowTrace *obs.Trace
-	VolcanoTrace  *obs.Trace
-
-	DataFlowVariant string
-	DataFlowCF      float64 // mean simultaneously active resources
-	VolcanoCF       float64
+// E20Row is one engine's traced run: dataflow, then volcano.
+type E20Row struct {
+	Engine      string    `col:"engine"`
+	Variant     string    `col:"variant,-"`
+	Makespan    sim.VTime `col:"makespan"`
+	Busy        sim.VTime `col:"resource busy"`
+	Concurrency float64   `col:"concurrency"` // mean simultaneously active resources
+	Tracks      int       `col:"tracks"`
+	Trace       *obs.Trace
 }
 
 // E20StageOverlap reproduces the Section 4 staged-pipeline claim with
@@ -34,7 +33,7 @@ type E20Result struct {
 // decode and downstream stages, so it scores well above 1; the
 // pull-based baseline touches one resource at a time and cannot exceed
 // 1. The traces are deterministic, so CI diffs them byte-for-byte.
-func E20StageOverlap(rows int) (*E20Result, error) {
+func E20StageOverlap(rows int) (*Result[E20Row], error) {
 	cfg := workload.DefaultLineitemConfig(rows)
 	data := workload.GenLineitem(cfg)
 	q := plan.NewQuery("lineitem").
@@ -65,33 +64,21 @@ func E20StageOverlap(rows int) (*E20Result, error) {
 		return nil, fmt.Errorf("experiments: E20 engines disagree (%d vs %d rows)", dfRes.Rows(), voRes.Rows())
 	}
 
-	res := &E20Result{
-		Table: &Table{
-			ID:    "E20",
-			Title: "Staged pipeline overlap (Section 4): mean active resources, from virtual-time traces",
-			Header: []string{"engine", "variant", "makespan", "resource busy",
-				"concurrency", "tracks"},
-			Notes: "concurrency = total span time / makespan over the traced timeline; " +
-				"a pull engine uses one resource at a time (<= 1), the staged pipeline keeps " +
-				"media, links and processors busy concurrently",
-		},
-		DataFlowTrace:   dfRes.Trace,
-		VolcanoTrace:    voRes.Trace,
-		DataFlowVariant: dfRes.Stats.Variant,
-		DataFlowCF:      dfRes.Trace.ConcurrencyFactor(),
-		VolcanoCF:       voRes.Trace.ConcurrencyFactor(),
+	res := newResult[E20Row]("E20",
+		"Staged pipeline overlap (Section 4): mean active resources, from virtual-time traces",
+		"concurrency = total span time / makespan over the traced timeline; "+
+			"a pull engine uses one resource at a time (<= 1), the staged pipeline keeps "+
+			"media, links and processors busy concurrently")
+	for _, r := range []E20Row{
+		{Engine: "dataflow", Variant: dfRes.Stats.Variant, Trace: dfRes.Trace},
+		{Engine: "volcano", Trace: voRes.Trace},
+	} {
+		tr := r.Trace
+		r.Makespan, r.Busy, r.Concurrency, r.Tracks = tr.Makespan(), tr.WorkBusy(), tr.ConcurrencyFactor(), len(tr.Tracks())
+		res.put(r)
+		res.Table.SetMetric(r.Engine+"_concurrency", r.Concurrency)
+		res.Table.SetMetric(r.Engine+"_makespan_vns", float64(r.Makespan))
 	}
-	add := func(engine, variant string, tr *obs.Trace, cf float64) {
-		res.Table.AddRow(engine, variant,
-			tr.Makespan().String(), tr.WorkBusy().String(),
-			f(cf), d(int64(len(tr.Tracks()))))
-	}
-	add("dataflow", res.DataFlowVariant, dfRes.Trace, res.DataFlowCF)
-	add("volcano", "-", voRes.Trace, res.VolcanoCF)
-	res.Table.SetMetric("dataflow_concurrency", res.DataFlowCF)
-	res.Table.SetMetric("volcano_concurrency", res.VolcanoCF)
-	res.Table.SetMetric("dataflow_makespan_vns", float64(dfRes.Trace.Makespan()))
-	res.Table.SetMetric("volcano_makespan_vns", float64(voRes.Trace.Makespan()))
 	return res, nil
 }
 
@@ -104,6 +91,6 @@ func WriteOverlapTrace(w io.Writer, rows int) error {
 		return err
 	}
 	return obs.WritePerfetto(w,
-		obs.Process{Name: "dataflow", Trace: r.DataFlowTrace},
-		obs.Process{Name: "volcano", Trace: r.VolcanoTrace})
+		obs.Process{Name: "dataflow", Trace: r.Rows[0].Trace},
+		obs.Process{Name: "volcano", Trace: r.Rows[1].Trace})
 }

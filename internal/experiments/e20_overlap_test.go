@@ -10,18 +10,19 @@ func TestE20StageOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.DataFlowCF <= 1.5 {
-		t.Errorf("dataflow concurrency = %.3f, want > 1.5 (staged overlap)", r.DataFlowCF)
+	dfCF, voCF := r.Rows[0].Concurrency, r.Rows[1].Concurrency
+	if dfCF <= 1.5 {
+		t.Errorf("dataflow concurrency = %.3f, want > 1.5 (staged overlap)", dfCF)
 	}
-	if r.VolcanoCF > 1.1 {
-		t.Errorf("volcano concurrency = %.3f, want <= 1.1 (serial pull)", r.VolcanoCF)
+	if voCF > 1.1 {
+		t.Errorf("volcano concurrency = %.3f, want <= 1.1 (serial pull)", voCF)
 	}
-	if r.DataFlowCF <= 1.3*r.VolcanoCF {
+	if dfCF <= 1.3*voCF {
 		t.Errorf("dataflow concurrency %.3f not clearly above volcano %.3f",
-			r.DataFlowCF, r.VolcanoCF)
+			dfCF, voCF)
 	}
-	if got := r.Table.Metrics["dataflow_concurrency"]; got != r.DataFlowCF {
-		t.Errorf("metric dataflow_concurrency = %v, want %v", got, r.DataFlowCF)
+	if got := r.Table.Metrics["dataflow_concurrency"]; got != dfCF {
+		t.Errorf("metric dataflow_concurrency = %v, want %v", got, dfCF)
 	}
 	if len(r.Table.Rows) != 2 {
 		t.Fatalf("table has %d rows, want 2", len(r.Table.Rows))
@@ -36,7 +37,7 @@ func TestE20Deterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		df, vo := r.DataFlowTrace, r.VolcanoTrace
+		df, vo := r.Rows[0].Trace, r.Rows[1].Trace
 		return fmt.Sprint(df.Spans(), df.Events(), df.SeriesList()),
 			fmt.Sprint(vo.Spans(), vo.Events(), vo.SeriesList())
 	}

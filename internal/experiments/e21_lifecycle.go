@@ -338,7 +338,7 @@ func E21Lifecycle(rows int, opts E21Options) (*E21Result, error) {
 
 		res.Overload = append(res.Overload, row)
 		res.Table.AddRow(fmt.Sprintf("load=%d", load),
-			fmt.Sprintf("%d/%d", row.OK, load), d(int64(row.Shed)),
+			fmt.Sprintf("%d/%d", row.OK, load), fmt.Sprint(row.Shed),
 			fmt.Sprintf("%s | vo %s", e21Ms(row.P99), e21Ms(row.VoP99)),
 			"-", "-", "-")
 		res.Table.SetMetric(fmt.Sprintf("ok@load%d", load), float64(row.OK))

@@ -17,52 +17,55 @@ func TestE22Parallelism(t *testing.T) {
 	for _, row := range res.Table.Rows {
 		t.Log(row)
 	}
-	for i, w := range res.Workers {
-		t.Logf("w=%d dataflow speedup %.2f volcano speedup %.2f (df %v vo %v)",
-			w, res.DataFlowSpeedup[i], res.VolcanoSpeedup[i], res.DataFlowSim[i], res.VolcanoSim[i])
+	// The rows alternate dataflow, volcano at each worker count.
+	var workers []int
+	var dfRows, voRows []E22Row
+	for i := 0; i+1 < len(res.Rows); i += 2 {
+		workers = append(workers, res.Rows[i].Workers)
+		dfRows, voRows = append(dfRows, res.Rows[i]), append(voRows, res.Rows[i+1])
 	}
 
 	idx := func(w int) int {
-		for i, ww := range res.Workers {
+		for i, ww := range workers {
 			if ww == w {
 				return i
 			}
 		}
-		t.Fatalf("worker count %d not in sweep %v", w, res.Workers)
+		t.Fatalf("worker count %d not in sweep %v", w, workers)
 		return -1
 	}
 
 	// >=2x at four workers.
-	if s := res.DataFlowSpeedup[idx(4)]; s < 2.0 {
+	if s := dfRows[idx(4)].Speedup; s < 2.0 {
 		t.Errorf("dataflow speedup at 4 workers = %.2f, want >= 2.0", s)
 	}
 	// Near-linear at two workers: at least 1.6x.
-	if s := res.DataFlowSpeedup[idx(2)]; s < 1.6 {
+	if s := dfRows[idx(2)].Speedup; s < 1.6 {
 		t.Errorf("dataflow speedup at 2 workers = %.2f, want >= 1.6 (near-linear)", s)
 	}
 	// Saturation: once the serial media link floors the scan, doubling
 	// workers again buys almost nothing.
-	gain := res.DataFlowSpeedup[idx(8)] / res.DataFlowSpeedup[idx(4)]
+	gain := dfRows[idx(8)].Speedup / dfRows[idx(4)].Speedup
 	if gain > 1.25 {
 		t.Errorf("dataflow 4->8 workers still gained %.2fx, want saturation (<= 1.25x)", gain)
 	}
 	// Dataflow beats the pull baseline at every worker count.
-	for i, w := range res.Workers {
-		if res.DataFlowSim[i] >= res.VolcanoSim[i] {
+	for i, w := range workers {
+		if dfRows[i].SimTime >= voRows[i].SimTime {
 			t.Errorf("at %d workers dataflow (%v) is not faster than volcano (%v)",
-				w, res.DataFlowSim[i], res.VolcanoSim[i])
+				w, dfRows[i].SimTime, voRows[i].SimTime)
 		}
 	}
 	// Speedups never regress below 1 (more workers never slower).
-	for i, w := range res.Workers {
-		if res.DataFlowSpeedup[i] < 0.99 {
-			t.Errorf("dataflow at %d workers slower than serial (speedup %.2f)", w, res.DataFlowSpeedup[i])
+	for i, w := range workers {
+		if dfRows[i].Speedup < 0.99 {
+			t.Errorf("dataflow at %d workers slower than serial (speedup %.2f)", w, dfRows[i].Speedup)
 		}
-		if res.VolcanoSpeedup[i] < 0.99 {
-			t.Errorf("volcano at %d workers slower than serial (speedup %.2f)", w, res.VolcanoSpeedup[i])
+		if voRows[i].Speedup < 0.99 {
+			t.Errorf("volcano at %d workers slower than serial (speedup %.2f)", w, voRows[i].Speedup)
 		}
 	}
-	if res.Rows <= 0 {
+	if dfRows[0].Rows <= 0 {
 		t.Fatalf("E22 returned no rows")
 	}
 }

@@ -87,30 +87,22 @@ func e23Filter(encoding string, frac float64) expr.Predicate {
 // E23Encodings is the encoding sweep: which codec the filter column uses.
 var E23Encodings = []string{"bitpacked", "dict", "plain"}
 
-// E23Point is one sweep cell: one encoding, one selectivity, both arms.
-type E23Point struct {
-	Encoding    string
-	Selectivity float64
-	Rows        int64
-
-	EagerProcBusy   sim.VTime
-	EncodedProcBusy sim.VTime
-	EagerSim        sim.VTime
-	EncodedSim      sim.VTime
+// E23Row is one sweep cell: one encoding, one selectivity, both arms.
+type E23Row struct {
+	Encoding        string    `col:"encoding"`
+	Selectivity     float64   `col:"sel"`
+	Rows            int64     `col:"rows"`
+	EagerProcBusy   sim.VTime `col:"proc busy eager"`
+	EncodedProcBusy sim.VTime `col:"proc busy encoded"`
+	// ProcSpeedup is eager / encoded in-storage busy time.
+	ProcSpeedup float64   `col:"speedup"`
+	EagerSim    sim.VTime `col:"simtime eager"`
+	EncodedSim  sim.VTime `col:"simtime encoded"`
+	SavedBytes  sim.Bytes `col:"saved decode bytes,%d"` // decode bytes the encoded arm avoided
 
 	ShippedBytes sim.Bytes
 	MediaBytes   sim.Bytes
-	SavedBytes   sim.Bytes // decode bytes the encoded arm avoided
 	EncodedSegs  int64
-
-	// ProcSpeedup is eager / encoded in-storage busy time.
-	ProcSpeedup float64
-}
-
-// E23Result carries the sweep for assertions.
-type E23Result struct {
-	*Table
-	Points []E23Point
 }
 
 // E23EncodedEval measures decode-cost elimination: the same filtered
@@ -123,19 +115,13 @@ type E23Result struct {
 // every point — encoded evaluation changes where decode work happens,
 // never what the query answers — while the storage processor's busy
 // time drops roughly in proportion to the rows that never get decoded.
-func E23EncodedEval(rows int) (*E23Result, error) {
+func E23EncodedEval(rows int) (*Result[E23Row], error) {
 	data := e23Gen(rows)
-	res := &E23Result{
-		Table: &Table{
-			ID:    "E23",
-			Title: "Decode-cost elimination: encoded predicate eval + late materialization vs eager decode",
-			Header: []string{"encoding", "sel", "rows", "proc busy eager", "proc busy encoded",
-				"speedup", "simtime eager", "simtime encoded", "saved decode bytes"},
-			Notes: "both arms run the same storage-pushdown plan; the encoded arm filters on " +
-				"encoded columns and gather-decodes survivors only. rows, shipped bytes and " +
-				"media bytes are identical at every sweep point; only decode busy time moves",
-		},
-	}
+	res := newResult[E23Row]("E23",
+		"Decode-cost elimination: encoded predicate eval + late materialization vs eager decode",
+		"both arms run the same storage-pushdown plan; the encoded arm filters on "+
+			"encoded columns and gather-decodes survivors only. rows, shipped bytes and "+
+			"media bytes are identical at every sweep point; only decode busy time moves")
 	for _, enc := range E23Encodings {
 		for _, sel := range E23Selectivities {
 			q := plan.NewQuery("t").
@@ -157,7 +143,7 @@ func E23EncodedEval(rows int) (*E23Result, error) {
 				return nil, fmt.Errorf("experiments: E23 %s sel=%g bytes differ: shipped %v/%v media %v/%v",
 					enc, sel, eager.shipped, encoded.shipped, eager.media, encoded.media)
 			}
-			pt := E23Point{
+			pt := E23Row{
 				Encoding:        enc,
 				Selectivity:     sel,
 				Rows:            eager.rows,
@@ -171,12 +157,9 @@ func E23EncodedEval(rows int) (*E23Result, error) {
 				EncodedSegs:     encoded.encSegs,
 				ProcSpeedup:     float64(eager.procBusy) / float64(encoded.procBusy),
 			}
-			res.Points = append(res.Points, pt)
+			res.put(pt)
 			res.Table.SetMetric("encodedEval", 1)
 			res.Table.AddMetric("decodedBytesSaved", float64(pt.SavedBytes))
-			res.Table.AddRow(enc, f(sel), d(pt.Rows), pt.EagerProcBusy.String(),
-				pt.EncodedProcBusy.String(), f(pt.ProcSpeedup),
-				pt.EagerSim.String(), pt.EncodedSim.String(), d(int64(pt.SavedBytes)))
 			res.Table.SetMetric(fmt.Sprintf("%s_speedup_sel%g", enc, sel), pt.ProcSpeedup)
 		}
 	}

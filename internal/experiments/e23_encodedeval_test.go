@@ -19,10 +19,10 @@ func TestE23DecodeCostElimination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != len(E23Encodings)*len(E23Selectivities) {
-		t.Fatalf("got %d points", len(res.Points))
+	if len(res.Rows) != len(E23Encodings)*len(E23Selectivities) {
+		t.Fatalf("got %d points", len(res.Rows))
 	}
-	for _, pt := range res.Points {
+	for _, pt := range res.Rows {
 		if pt.EncodedSegs == 0 {
 			t.Errorf("%s sel=%g: encoded arm never used encoded eval", pt.Encoding, pt.Selectivity)
 		}

@@ -19,24 +19,35 @@ import (
 
 // E24Row is one (severity, arm) cell of the tail-latency sweep.
 type E24Row struct {
-	Severity float64
-	Hedge    bool // gray-failure defenses enabled for this arm
-	P50      time.Duration
-	P95      time.Duration
-	P99      time.Duration
+	Severity   float64       `col:"severity"`
+	Hedge      onOff         `col:"hedge"` // gray-failure defenses enabled for this arm
+	P50        time.Duration `col:"p50,us"`
+	P95        time.Duration `col:"p95,us"`
+	P99        time.Duration `col:"p99,us"`
+	Hedged     slash         `col:"hedged"`     // hedged reads launched/won
+	Speculated slash         `col:"speculated"` // speculative morsels launched/won
+	// ExtraBytes is the duplicate media payload the defenses read: hedge
+	// copies plus losing speculative morsels.
+	ExtraBytes sim.Bytes `col:"extra bytes"`
+	// Speedup99 is the baseline arm's p99 over this arm's p99 at the
+	// same severity; 0 for the baseline itself.
+	Speedup99 float64 `col:"p99 x,-"`
 	// Scan sums the cell's trials: the logical (winner-only) media
 	// payload, the speculation the scans did and their account at the
 	// object store (hedges, budget denials).
 	Scan         storage.ScanStats
 	BreakerTrips int64
-	// Speedup99 is the baseline arm's p99 over this arm's p99 at the
-	// same severity; 1 for the baseline itself.
-	Speedup99 float64
 }
 
-// ExtraBytes is the duplicate media payload the defenses read: hedge
-// copies plus losing speculative morsels.
-func (r E24Row) ExtraBytes() sim.Bytes { return r.Scan.HedgeBytes + r.Scan.SpeculativeBytes }
+// onOff prints whether an arm's defenses are enabled.
+type onOff bool
+
+func (o onOff) String() string {
+	if o {
+		return "on"
+	}
+	return "off"
+}
 
 // E24Options parameterizes the sweep; zero values take the defaults
 // below (tests shrink trials and latency to stay fast).
@@ -116,28 +127,24 @@ func E24TailLatency(rows int, opts E24Options) (*Result[E24Row], error) {
 		return df, nil
 	}
 
-	res := &Result[E24Row]{Table: &Table{
-		ID:    "E24",
-		Title: "Tail latency under gray failure: hedged reads + speculation vs waiting out the straggler",
-		Header: []string{"severity", "hedge", "p50", "p95", "p99",
-			"hedged", "speculated", "extra bytes", "p99 x"},
-		Notes: "severity = injected latency multiplier on storage replica 0 (1 = healthy); " +
-			"latencies are wall-clock; hedged/speculated = launched/won; " +
-			"extra bytes = duplicate media reads the defenses burned; " +
-			"p99 x = baseline p99 over hedged p99 at the same severity",
-	}}
+	res := newResult[E24Row]("E24",
+		"Tail latency under gray failure: hedged reads + speculation vs waiting out the straggler",
+		"severity = injected latency multiplier on storage replica 0 (1 = healthy); "+
+			"latencies are wall-clock; hedged/speculated = launched/won; "+
+			"extra bytes = duplicate media reads the defenses burned; "+
+			"p99 x = baseline p99 over hedged p99 at the same severity")
 	// Defense totals over the hedged arms, for the -json artifact.
 	var total E24Row
 
-	arms := []bool{false, true}
+	arms := []onOff{false, true}
 	if opts.NoHedge {
-		arms = []bool{false}
+		arms = arms[:1]
 	}
 	var expected map[string]int
 	baseP99 := make(map[float64]time.Duration)
 	for _, severity := range opts.Severities {
 		for _, hedge := range arms {
-			df, err := build(severity, hedge)
+			df, err := build(severity, bool(hedge))
 			if err != nil {
 				return nil, err
 			}
@@ -177,33 +184,21 @@ func E24TailLatency(rows int, opts E24Options) (*Result[E24Row], error) {
 			row.P99 = quantile(lats, 0.99)
 			if !hedge {
 				baseP99[severity] = row.P99
-				row.Speedup99 = 1
 			} else if base := baseP99[severity]; base > 0 && row.P99 > 0 {
 				row.Speedup99 = float64(base) / float64(row.P99)
 			}
+			row.Hedged = slash{row.Scan.HedgedReads, row.Scan.HedgeWins}
+			row.Speculated = slash{row.Scan.SpeculativeMorsels, row.Scan.SpeculativeWins}
+			row.ExtraBytes = row.Scan.HedgeBytes + row.Scan.SpeculativeBytes
 
-			armName := "off"
-			if hedge {
-				armName = "on"
-			}
-			speedup := "-"
-			if hedge && row.Speedup99 > 0 {
-				speedup = f(row.Speedup99)
-			}
-			res.add(row, f(severity), armName,
-				row.P50.Round(time.Microsecond).String(),
-				row.P95.Round(time.Microsecond).String(),
-				row.P99.Round(time.Microsecond).String(),
-				fmt.Sprintf("%d/%d", row.Scan.HedgedReads, row.Scan.HedgeWins),
-				fmt.Sprintf("%d/%d", row.Scan.SpeculativeMorsels, row.Scan.SpeculativeWins),
-				row.ExtraBytes().String(), speedup)
-			res.Table.SetMetric(fmt.Sprintf("p99_%s@%g", armName, severity),
+			res.put(row)
+			res.Table.SetMetric(fmt.Sprintf("p99_%v@%g", hedge, severity),
 				float64(row.P99)/float64(time.Microsecond))
 			if hedge {
 				res.Table.SetMetric(fmt.Sprintf("speedup99@%g", severity), row.Speedup99)
 				if severity <= 1 && row.Scan.MediaBytes > 0 {
 					res.Table.SetMetric("extra_bytes_pct@healthy",
-						100*float64(row.ExtraBytes())/float64(row.Scan.MediaBytes))
+						100*float64(row.ExtraBytes)/float64(row.Scan.MediaBytes))
 				}
 				total.Scan.Add(row.Scan)
 				total.BreakerTrips += row.BreakerTrips

@@ -29,7 +29,7 @@ func TestE24TailLatencyShape(t *testing.T) {
 	}
 	byCell := map[[2]bool]E24Row{}
 	for _, row := range res.Rows {
-		byCell[[2]bool{row.Severity > 1, row.Hedge}] = row
+		byCell[[2]bool{row.Severity > 1, bool(row.Hedge)}] = row
 	}
 
 	// Healthy fabric: the defenses must be near-free. The hedge delay
@@ -39,7 +39,7 @@ func TestE24TailLatencyShape(t *testing.T) {
 	if healthyOn.Scan.MediaBytes == 0 {
 		t.Fatal("healthy hedged cell read no media bytes")
 	}
-	if pct := 100 * float64(healthyOn.ExtraBytes()) / float64(healthyOn.Scan.MediaBytes); pct > 10 {
+	if pct := 100 * float64(healthyOn.ExtraBytes) / float64(healthyOn.Scan.MediaBytes); pct > 10 {
 		t.Errorf("healthy fabric: defenses burned %.1f%% extra bytes, want <= 10%%", pct)
 	}
 
@@ -59,9 +59,9 @@ func TestE24TailLatencyShape(t *testing.T) {
 		t.Error("gray-failure cell launched no hedges and no speculation")
 	}
 	// The baseline arm never duplicates work.
-	if slowOff.Scan.HedgedReads != 0 || slowOff.Scan.SpeculativeMorsels != 0 || slowOff.ExtraBytes() != 0 {
+	if slowOff.Scan.HedgedReads != 0 || slowOff.Scan.SpeculativeMorsels != 0 || slowOff.ExtraBytes != 0 {
 		t.Errorf("baseline arm recorded defense activity: hedged=%d speculated=%d extra=%v",
-			slowOff.Scan.HedgedReads, slowOff.Scan.SpeculativeMorsels, slowOff.ExtraBytes())
+			slowOff.Scan.HedgedReads, slowOff.Scan.SpeculativeMorsels, slowOff.ExtraBytes)
 	}
 
 	if res.Table == nil || len(res.Table.Rows) != len(res.Rows) {

@@ -20,22 +20,21 @@ import (
 
 // E26Row is one arm of the self-healing comparison.
 type E26Row struct {
-	Arm     string // "off", "throttled", "unthrottled"
-	Queries int    // recorded foreground queries
-	P50     time.Duration
-	P95     time.Duration
-	P99     time.Duration
+	Arm     string        `col:"repair"`  // "off", "throttled", "unthrottled"
+	Queries int           `col:"queries"` // recorded foreground queries
+	P50     time.Duration `col:"p50,us"`
+	P95     time.Duration `col:"p95,us"`
+	P99     time.Duration `col:"p99,us"`
 	// P99x is this arm's p99 over the no-repair arm's p99; 1 for the
 	// no-repair arm itself.
-	P99x float64
-	// Heal-loop work the arm performed.
-	ReadRepairs   int64
-	ScrubHeals    int64
-	Recloned      int64
-	RepairBytes   sim.Bytes
-	MTTR          time.Duration // completed re-replication, loss to restore
-	AtRiskEnd     int           // under-replicated objects when the arm finished
-	CorruptSteady int64         // corrupt reads one post-window query still pays
+	P99x float64 `col:"p99 x"`
+	// Heals is the blobs the arm healed by read-repair, by the scrubber
+	// and by re-replication.
+	Heals         slash         `col:"rr/scrub/reclone"`
+	RepairBytes   sim.Bytes     `col:"repaired"`
+	MTTR          time.Duration `col:"mttr,-ms"`  // completed re-replication, loss to restore
+	AtRiskEnd     int           `col:"at-risk"`   // under-replicated objects when the arm finished
+	CorruptSteady int64         `col:"corrupt/q"` // corrupt reads one post-window query still pays
 }
 
 // E26Options parameterizes the run; zero values take the defaults below
@@ -115,18 +114,14 @@ func E26SelfHeal(rows int, opts E26Options) (*Result[E26Row], error) {
 		WithProjection(workload.LExtendedPrice)
 	segRows := rows/opts.Segments + 1
 
-	res := &Result[E26Row]{Table: &Table{
-		ID:    "E26",
-		Title: "Self-healing storage: foreground tail during scrub + re-replication vs never healing",
-		Header: []string{"repair", "queries", "p50", "p95", "p99", "p99 x",
-			"rr/scrub/reclone", "repaired", "mttr", "at-risk", "corrupt/q"},
-		Notes: "all arms start with latent damage on every " + fmt.Sprint(opts.DamageEvery) +
-			"rd segment and one replica dead; " +
-			"p99 x = arm p99 over the no-repair arm's; rr/scrub/reclone = blobs healed by " +
-			"read-repair / scrubber / re-replication; at-risk = under-replicated objects at " +
-			"the end; corrupt/q = corrupt reads one more query still pays (the unrepaired " +
-			"fallback tax)",
-	}}
+	res := newResult[E26Row]("E26",
+		"Self-healing storage: foreground tail during scrub + re-replication vs never healing",
+		"all arms start with latent damage on every "+fmt.Sprint(opts.DamageEvery)+
+			"rd segment and one replica dead; "+
+			"p99 x = arm p99 over the no-repair arm's; rr/scrub/reclone = blobs healed by "+
+			"read-repair / scrubber / re-replication; at-risk = under-replicated objects at "+
+			"the end; corrupt/q = corrupt reads one more query still pays (the unrepaired "+
+			"fallback tax)")
 	res.Table.SetMetric("faultSeed", e26Seed)
 
 	arms := []string{"off", "throttled", "unthrottled"}
@@ -151,19 +146,7 @@ func E26SelfHeal(rows int, opts E26Options) (*Result[E26Row], error) {
 		} else if baseP99 > 0 && row.P99 > 0 {
 			row.P99x = float64(row.P99) / float64(baseP99)
 		}
-
-		mttr := "-"
-		if row.MTTR > 0 {
-			mttr = row.MTTR.Round(time.Millisecond).String()
-		}
-		res.add(*row, arm, d(int64(row.Queries)),
-			row.P50.Round(time.Microsecond).String(),
-			row.P95.Round(time.Microsecond).String(),
-			row.P99.Round(time.Microsecond).String(),
-			f(row.P99x),
-			fmt.Sprintf("%d/%d/%d", row.ReadRepairs, row.ScrubHeals, row.Recloned),
-			row.RepairBytes.String(), mttr,
-			d(int64(row.AtRiskEnd)), d(row.CorruptSteady))
+		res.put(*row)
 		res.Table.SetMetric("p99_us@"+arm, float64(row.P99)/float64(time.Microsecond))
 		res.Table.SetMetric("p99x@"+arm, row.P99x)
 		res.Table.SetMetric("at_risk_end@"+arm, float64(row.AtRiskEnd))
@@ -171,9 +154,9 @@ func E26SelfHeal(rows int, opts E26Options) (*Result[E26Row], error) {
 			res.Table.SetMetric("mttr_ms@"+arm, float64(row.MTTR)/float64(time.Millisecond))
 		}
 		// Totals over the arms; emitted even when no arm repaired.
-		res.Table.AddMetric("readRepairs", float64(row.ReadRepairs))
-		res.Table.AddMetric("scrubRepairs", float64(row.ScrubHeals))
-		res.Table.AddMetric("recloned", float64(row.Recloned))
+		res.Table.AddMetric("readRepairs", float64(row.Heals[0]))
+		res.Table.AddMetric("scrubRepairs", float64(row.Heals[1]))
+		res.Table.AddMetric("recloned", float64(row.Heals[2]))
 		res.Table.AddMetric("repairBytes", float64(row.RepairBytes))
 	}
 	return res, nil
@@ -198,7 +181,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 	}
 
 	ctx := context.Background()
-	row := &E26Row{Arm: arm}
+	row := &E26Row{Arm: arm, Heals: slash{0, 0, 0}}
 
 	var ctrl *repair.Controller
 	switch arm {
@@ -338,9 +321,7 @@ func e26RunArm(arm string, data *columnar.Batch, q *plan.Query, segRows int, opt
 			return nil, nil, fmt.Errorf("experiments: E26 %s post-heal scrub found work: %+v", arm, sum)
 		}
 		rep := ctrl.Stats()
-		row.ReadRepairs = rep.ReadRepairs
-		row.ScrubHeals = rep.ScrubRepairs
-		row.Recloned = rep.Recloned
+		row.Heals = slash{rep.ReadRepairs, rep.ScrubRepairs, rep.Recloned}
 		row.MTTR = rep.LastMTTR
 		if rep.Unrecoverable != 0 {
 			return nil, nil, fmt.Errorf("experiments: E26 %s lost data: %d unrecoverable blobs", arm, rep.Unrecoverable)

@@ -45,7 +45,7 @@ func TestE26SelfHealShape(t *testing.T) {
 	if off.CorruptSteady == 0 {
 		t.Error("no-repair arm stopped paying the fallback tax without a repair")
 	}
-	if off.ReadRepairs+off.ScrubHeals+off.Recloned != 0 || off.RepairBytes != 0 {
+	if off.Heals[0]+off.Heals[1]+off.Heals[2] != 0 || off.RepairBytes != 0 {
 		t.Errorf("no-repair arm recorded repair work: %+v", off)
 	}
 
@@ -59,10 +59,10 @@ func TestE26SelfHealShape(t *testing.T) {
 		if row.CorruptSteady != 0 {
 			t.Errorf("%s arm still pays %d corrupt reads after the heal", row.Arm, row.CorruptSteady)
 		}
-		if row.ReadRepairs+row.ScrubHeals == 0 {
+		if row.Heals[0]+row.Heals[1] == 0 {
 			t.Errorf("%s arm healed no damaged blobs", row.Arm)
 		}
-		if row.Recloned == 0 {
+		if row.Heals[2] == 0 {
 			t.Errorf("%s arm re-cloned nothing despite a dead replica", row.Arm)
 		}
 		if row.MTTR <= 0 {
