@@ -63,9 +63,9 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 	}
 
 	// Scatter point and per-node aggregation state.
-	scatter := e.Cluster.StorageNIC()
-	if !scatter.Can(fabric.OpPartition) {
-		scatter = e.Cluster.ComputeCPU(0)
+	scatter, ship, err := e.scatterPoint(acct)
+	if err != nil {
+		return nil, err
 	}
 	aggs := make([]*expr.FinalAggregator, nodes)
 	dests := make([]netsim.Destination, nodes)
@@ -98,6 +98,7 @@ func (e *DataFlowEngine) ExecuteGroupByDistributed(ctx context.Context, q *plan.
 
 	acct.ChargeSetup(scatter)
 	scan, err := e.Storage.Scan(ctx, q.Table, spec, func(b *columnar.Batch) error {
+		ship(b)
 		acct.Charge(scatter, fabric.OpPartition, sim.Bytes(b.ByteSize()))
 		return ex.Process(b, nil)
 	})

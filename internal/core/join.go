@@ -8,6 +8,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/fabric"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/storage"
 )
 
@@ -51,12 +52,12 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 		return nil, lifecycleError(err)
 	}
 
-	// Scatter point: the storage NIC if it can partition, else the
-	// first compute node's CPU (the legacy exchange).
-	scatter := e.Cluster.StorageNIC()
-	if !scatter.Can(fabric.OpPartition) {
-		scatter = e.Cluster.ComputeCPU(0)
+	scatter, ship, err := e.scatterPoint(acct)
+	if err != nil {
+		return nil, err
 	}
+	ship(build...)
+	ship(probe...)
 
 	cfg := netsim.DistJoinConfig{
 		BuildKey:      jq.BuildKey,
@@ -100,6 +101,30 @@ func (e *DataFlowEngine) ExecuteJoin(ctx context.Context, jq JoinQuery) (*Result
 	res.Stats.Scan = scan
 	e.publishQuery(ctx, res, startWall)
 	return res, nil
+}
+
+// scatterPoint picks the device a Figure 4 exchange partitions on — the
+// storage NIC if it can partition, else the first compute node's CPU
+// (the legacy exchange) — and returns it with ship, which charges acct
+// for scanned batches' trip from the storage processor to it, link by
+// link.
+func (e *DataFlowEngine) scatterPoint(acct *fabric.Account) (*fabric.Device, func(...*columnar.Batch), error) {
+	scatter := e.Cluster.StorageNIC()
+	if !scatter.Can(fabric.OpPartition) {
+		scatter = e.Cluster.ComputeCPU(0)
+	}
+	path, err := e.Cluster.Path(e.Storage.Proc().Name, scatter.Name)
+	if err != nil {
+		return nil, nil, err
+	}
+	ship := func(batches ...*columnar.Batch) {
+		for _, b := range batches {
+			for _, l := range path {
+				acct.Transfer(l, sim.Bytes(b.ByteSize()))
+			}
+		}
+	}
+	return scatter, ship, nil
 }
 
 // materialize scans a full table into batches, charging the storage

@@ -197,6 +197,52 @@ func TestJoinOnLegacyClusterUsesCPUScatter(t *testing.T) {
 	}
 }
 
+// TestScannedBytesReachTheScatterPoint: a join and a distributed
+// group-by ship what they scan from the storage processor to the scatter
+// point before partitioning it — over storage.proc--storage.nic to the
+// smart storage NIC, and on the legacy fabric on through the network to
+// compute node 0's CPU.
+func TestScannedBytesReachTheScatterPoint(t *testing.T) {
+	lcfg := workload.DefaultLineitemConfig(2000)
+	lcfg.Orders = 500
+	for _, tc := range []struct {
+		cfg  fabric.ClusterConfig
+		link string
+	}{
+		{fabric.DefaultClusterConfig(), "storage.proc--storage.nic"},
+		{fabric.LegacyClusterConfig(), "storage.nic--switch"},
+	} {
+		df := NewDataFlowEngine(fabric.NewCluster(tc.cfg))
+		for _, err := range []error{
+			df.CreateTable("lineitem", workload.LineitemSchema()),
+			df.CreateTable("orders", workload.OrdersSchema()),
+			df.Load("lineitem", workload.GenLineitem(lcfg)),
+			df.Load("orders", workload.GenOrders(500, 9)),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		join, err := df.ExecuteJoin(context.Background(), JoinQuery{
+			Probe: "lineitem", Build: "orders",
+			ProbeKey: workload.LOrderKey, BuildKey: workload.OOrderKey,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := df.ExecuteGroupByDistributed(context.Background(),
+			plan.NewQuery("lineitem").WithGroupBy(workload.PartVolume()), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, res := range map[string]*Result{"join": join, "group-by": agg} {
+			if got, want := res.Stats.LinkBytes[tc.link], res.Stats.Scan.ShippedBytes; want == 0 || got != want {
+				t.Errorf("%s: %s carried %v of the %v scanned", name, tc.link, got, want)
+			}
+		}
+	}
+}
+
 // TestJoinOwnsItsStoreAccount: a join's two scans and a distributed
 // group-by's one charge the query's own store account, as a planned
 // query's scan does — under injected transient faults over a 2-replica
