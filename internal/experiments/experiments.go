@@ -73,6 +73,7 @@ type column struct {
 	header, format string
 }
 
+// columns lists row type t's tagged fields in field order.
 func columns(t reflect.Type) []column {
 	var cols []column
 	for i := 0; i < t.NumField(); i++ {

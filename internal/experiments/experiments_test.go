@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -331,6 +333,41 @@ func TestE15SetupShareVanishes(t *testing.T) {
 	}
 	if last := res.Rows[len(res.Rows)-1].SetupShare; last > 0.01 {
 		t.Errorf("setup share %.4f at 1GiB, want < 1%%", last)
+	}
+}
+
+// Each renderer rule once; the golden tables pin them in context, but
+// not E26's mttr (a wall-clock table).
+func TestRowRendering(t *testing.T) {
+	type row struct {
+		Name  string        `col:"name"`
+		Bytes sim.Bytes     `col:"bytes"`
+		Ratio float64       `col:"ratio"`
+		Sel   float64       `col:"sel,pct"`
+		Gain  float64       `col:"gain,%.3gx"`
+		Raw   sim.Bytes     `col:"raw,%d"`
+		Lat   time.Duration `col:"lat,us"`
+		MTTR  time.Duration `col:"mttr,-ms"`
+		Won   slash         `col:"won"`
+		Note  string
+	}
+	res := newResult[row]("EX", "demo", "")
+	res.put(row{"a", 2048, 2.0 / 3, 0.001, 2000, 2048, 1234567 * time.Nanosecond, 0, slash{3, 1}, "x"})
+	res.put(row{"b", 16, 1, 1, 1.5, 16, time.Second, 1499 * time.Millisecond, slash{1, 2, 3}, "y"})
+	want := [][]string{
+		{"a", "2.00KiB", "0.667", "0.1%", "2e+03x", "2048", "1.235ms", "-", "3/1"},
+		{"b", "16B", "1", "100.0%", "1.5x", "16", "1s", "1.499s", "1/2/3"},
+	}
+	if got := res.Table.Header; !slices.Equal(got, []string{"name", "bytes", "ratio", "sel", "gain", "raw", "lat", "mttr", "won"}) {
+		t.Errorf("header = %q", got)
+	}
+	for i := range want {
+		if !slices.Equal(res.Table.Rows[i], want[i]) {
+			t.Errorf("row %d = %q, want %q", i, res.Table.Rows[i], want[i])
+		}
+	}
+	if len(res.Rows) != 2 || res.Rows[1].Note != "y" {
+		t.Errorf("typed rows = %+v", res.Rows)
 	}
 }
 
